@@ -241,116 +241,6 @@ func BenchmarkSingleLayerInference(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedVsMonolithic compares a full estimation through the
-// monolithic batch path against a cold run of the sharded engine at growing
-// shard counts on the same corpus. The per-index math is identical; the
-// shard counts expose how the engine's per-shard E-step tasks spread across
-// the worker pool (shards=1 serialises the E-step, more shards parallelise
-// it).
-func BenchmarkShardedVsMonolithic(b *testing.B) {
-	p := websim.DefaultParams()
-	p.Seed = 7
-	world, err := websim.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := world.Dataset.Records
-
-	opt := DefaultOptions()
-	opt.Granularity = GranularityWebsite
-
-	b.Run("monolithic", func(b *testing.B) {
-		ds := NewDataset()
-		for _, x := range toExtractions(records) {
-			ds.Add(x)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := EstimateKBT(ds, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(records)), "extractions")
-	})
-
-	// Workers is pinned to the shard count so each shard is one worker's
-	// task: the sharded-N series shows the E-step speeding up as shards
-	// (and with them usable workers) grow, converging on the monolithic
-	// all-core baseline once shards cover the machine.
-	batch := toExtractions(records)
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
-			eopt := DefaultEngineOptions()
-			eopt.Shards = shards
-			eopt.Workers = shards
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng, err := NewEngine(eopt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng.Ingest(batch...)
-				b.StartTimer()
-				if _, err := eng.Refresh(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(shards), "shards")
-		})
-	}
-}
-
-// BenchmarkEngineIncrementalRefresh measures a warm refresh absorbing a
-// single-cell ingest against the cold estimation it replaces — the serving
-// scenario the engine exists for.
-func BenchmarkEngineIncrementalRefresh(b *testing.B) {
-	p := websim.DefaultParams()
-	p.Seed = 7
-	world, err := websim.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := world.Dataset.Records
-
-	// Finest granularity is the paper's experimental setting; its narrow
-	// (source, predicate) absence cells are what keeps a small ingest's
-	// dirty-shard footprint small. Enough iterations to converge make the
-	// warm refreshes short.
-	eopt := DefaultEngineOptions()
-	eopt.Granularity = GranularityFinest
-	eopt.Iterations = 30
-	eopt.Tol = 1e-4
-	// Warm up once, then each timed iteration streams in one genuinely new
-	// fact on an existing page and re-estimates — the steady-state serving
-	// loop. The corpus drifts by b.N single-witness records over the run,
-	// negligible against the 18k-record base.
-	base := toExtractions(records)
-	eng, err := NewEngine(eopt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.Ingest(base...)
-	if _, err := eng.Refresh(); err != nil {
-		b.Fatal(err)
-	}
-	probe := base[0]
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fresh := probe
-		fresh.Subject = fmt.Sprintf("BenchSubject%d", i)
-		fresh.Object = fmt.Sprintf("BenchValue%d", i)
-		eng.Ingest(fresh)
-		if _, err := eng.Refresh(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if stats, ok := eng.Stats(); ok {
-		b.ReportMetric(float64(stats.FirstPassShards), "dirty-shards")
-		b.ReportMetric(float64(stats.TotalShards), "total-shards")
-	}
-}
-
 func toExtractions(records []triple.Record) []Extraction {
 	out := make([]Extraction, len(records))
 	for i, r := range records {
@@ -461,8 +351,8 @@ func BenchmarkRefreshWarm(b *testing.B) {
 				}
 				b.StopTimer()
 				if stats, ok := eng.Stats(); ok {
-					if !stats.Extended {
-						b.Fatal("warm refresh did not take the Extend path")
+					if !stats.Warm || stats.NoOp {
+						b.Fatal("refresh was not a warm re-estimation")
 					}
 					b.ReportMetric(float64(stats.FirstPassShards), "dirty-shards")
 					b.ReportMetric(float64(stats.AggDeltaSteps), "delta-msteps")
@@ -534,8 +424,8 @@ func BenchmarkRefreshSettled(b *testing.B) {
 	}
 	b.StopTimer()
 	if stats, ok := eng.Stats(); ok {
-		if !stats.Extended {
-			b.Fatal("warm refresh did not take the Extend path")
+		if !stats.Warm || stats.NoOp {
+			b.Fatal("refresh was not a warm re-estimation")
 		}
 		b.ReportMetric(float64(stats.FirstPassShards), "dirty-shards")
 		b.ReportMetric(float64(stats.SettledShards), "settled-shards")
@@ -614,8 +504,8 @@ func BenchmarkRefreshBroadReach(b *testing.B) {
 	}
 	b.StopTimer()
 	if stats, ok := eng.Stats(); ok {
-		if !stats.Extended {
-			b.Fatal("warm refresh did not take the Extend path")
+		if !stats.Warm || stats.NoOp {
+			b.Fatal("refresh was not a warm re-estimation")
 		}
 		b.ReportMetric(float64(stats.FirstPassShards), "dirty-shards")
 		b.ReportMetric(float64(stats.PartialShards), "partial-shards")

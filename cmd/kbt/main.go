@@ -5,11 +5,11 @@
 //	kbt estimate  [-granularity auto|website|page|finest] [-iters N]
 //	              [-min-support N] [-top K] [-triples] [-extractors] [file.tsv]
 //	kbt serve     [-granularity website|page|finest] [-shards N] [-batch N]
-//	              [-iters N] [-tol F] [-min-support N] [-top K] [-recompile]
-//	              [-full-aggregates] [-copydetect] [-fusion] [-listen ADDR]
-//	              [-lanes N] [-data DIR] [-checkpoint-every N]
-//	              [-checkpoint-bytes N] [-checkpoint-interval D]
-//	              [-probe-backoff D] [-probe-max-backoff D] [file.tsv]
+//	              [-iters N] [-tol F] [-min-support N] [-top K] [-copydetect]
+//	              [-fusion] [-listen ADDR] [-lanes N] [-data DIR]
+//	              [-checkpoint-every N] [-checkpoint-bytes N]
+//	              [-checkpoint-interval D] [-probe-backoff D]
+//	              [-probe-max-backoff D] [file.tsv]
 //	kbt fuse      [-model accu|popaccu] [-n N] [-top K] [file.tsv]
 //	kbt generate  [-kind synthetic|web] [-scale F] [-seed N] [-o out.tsv]
 //
@@ -28,17 +28,16 @@
 // With -listen, serve drains its input (an empty feed is a valid idle
 // start), then exposes the engine over HTTP: POST /v1/ingest and
 // /v1/refresh, GET /v1/top-sources, /v1/top-triples, /v1/source?name=,
-// /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats (the
-// unversioned paths remain as deprecated aliases). -lanes N ingests through
-// N parallel hash-partitioned lanes. -copydetect maintains streaming copy
-// detection (and discounts detected copiers' votes); -fusion maintains the
-// single-layer fused per-item posteriors — both served from the current
-// generation. With -data DIR, ingest is write-ahead logged under DIR and
-// the engine state is recovered bit-exactly on restart; -checkpoint-every N
-// bounds recovery replay by checkpointing after every N refreshes,
-// -checkpoint-bytes B by checkpointing whenever the log exceeds B bytes,
-// and -checkpoint-interval D (a duration, e.g. 5m) by checkpointing once D
-// of wall-clock time has passed since the last one.
+// /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats. -lanes N
+// ingests through N parallel hash-partitioned lanes. -copydetect maintains
+// streaming copy detection (and discounts detected copiers' votes); -fusion
+// maintains the single-layer fused per-item posteriors — both served from
+// the current generation. With -data DIR, ingest is write-ahead logged under
+// DIR and the engine state is recovered bit-exactly on restart;
+// -checkpoint-every N bounds recovery replay by checkpointing after every N
+// refreshes, -checkpoint-bytes B by checkpointing whenever the log exceeds B
+// bytes, and -checkpoint-interval D (a duration, e.g. 5m) by checkpointing
+// once D of wall-clock time has passed since the last one.
 //
 // A durable serve survives transient disk faults: on a WAL or checkpoint
 // error the engine degrades to read-only (ingest returns 503 with a
@@ -239,8 +238,6 @@ func cmdServe(args []string) error {
 	tol := fs.Float64("tol", 1e-4, "parameter-delta convergence tolerance; converged warm refreshes stop after one partial pass")
 	minSupport := fs.Int("min-support", 3, "minimum observations per source/extractor")
 	top := fs.Int("top", 10, "number of sources to print per refresh (0 = all)")
-	recompile := fs.Bool("recompile", false, "rebuild snapshot, EM state and M-step aggregates over the whole corpus on every refresh instead of extending them incrementally (slow equivalence-oracle path)")
-	fullAgg := fs.Bool("full-aggregates", false, "aggregate the global M-steps over the whole corpus every iteration instead of applying dirty-set deltas (keeps the incremental snapshot/state path)")
 	copyDetect := fs.Bool("copydetect", false, "maintain streaming copy detection and discount detected copiers' votes (GET /v1/copy-deps)")
 	fusionOn := fs.Bool("fusion", false, "maintain streaming single-layer fused per-item posteriors (GET /v1/fused?item=)")
 	listen := fs.String("listen", "", "serve the HTTP/JSON API on this address (e.g. :8080) after draining stdin/file input")
@@ -272,8 +269,6 @@ func cmdServe(args []string) error {
 	cfg.opt.Iterations = *iters
 	cfg.opt.Tol = *tol
 	cfg.opt.MinSupport = *minSupport
-	cfg.opt.FullRecompile = *recompile
-	cfg.opt.FullAggregates = *fullAgg
 	cfg.opt.CopyDetect = *copyDetect
 	cfg.opt.Fusion = *fusionOn
 	switch *gran {
@@ -365,11 +360,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 				// was served with no snapshot or estimation work at all.
 				mode = "no-op"
 			} else if stats.Warm {
-				compile := "extend"
-				if !stats.Extended {
-					compile = "recompile"
-				}
-				mode = fmt.Sprintf("warm %s %d/%d shards", compile, stats.FirstPassShards, stats.TotalShards)
+				mode = fmt.Sprintf("warm %d/%d shards", stats.FirstPassShards, stats.TotalShards)
 				if stats.SettledShards > 0 {
 					mode += fmt.Sprintf(", %d settled", stats.SettledShards)
 				}

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -35,6 +38,30 @@ func tsvFeed(n int) string {
 			i%3, i%4, i%4, i%2, i%5, obj)
 	}
 	return b.String()
+}
+
+// TestServeRejectsOracleFlags: the engine's test oracles are not selectable
+// from the command line — flag parsing refuses both former flags. cmdServe
+// exits the process on a flag error, so the test re-runs itself as that
+// process.
+func TestServeRejectsOracleFlags(t *testing.T) {
+	if arg := os.Getenv("KBT_TEST_SERVE_FLAG"); arg != "" {
+		if err := cmdServe([]string{arg}); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	for _, arg := range []string{"-recompile", "-full-aggregates"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestServeRejectsOracleFlags$")
+		cmd.Env = append(os.Environ(), "KBT_TEST_SERVE_FLAG="+arg)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined: "+arg) {
+			t.Errorf("serve %s: err = %v, output:\n%s\nwant exit 2 with an undefined-flag message", arg, err, out)
+		}
+	}
 }
 
 // TestServeStdinMode pins the original pipeline behavior: records stream in,
@@ -114,10 +141,10 @@ func getStatus(t *testing.T, url string) int {
 func TestServeListenEmptyStdinIdleStart(t *testing.T) {
 	addr, shutdown := startServe(t, serveTestConfig(), strings.NewReader(""))
 	base := "http://" + addr
-	if got := getStatus(t, base+"/healthz"); got != http.StatusOK {
+	if got := getStatus(t, base+"/v1/healthz"); got != http.StatusOK {
 		t.Fatalf("healthz = %d", got)
 	}
-	if got := getStatus(t, base+"/top-sources"); got != http.StatusServiceUnavailable {
+	if got := getStatus(t, base+"/v1/top-sources"); got != http.StatusServiceUnavailable {
 		t.Fatalf("idle top-sources = %d, want 503", got)
 	}
 
@@ -134,7 +161,7 @@ func TestServeListenEmptyStdinIdleStart(t *testing.T) {
 		})
 	}
 	body, _ := json.Marshal(batch)
-	resp, err := http.Post(base+"/ingest", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/ingest", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +171,7 @@ func TestServeListenEmptyStdinIdleStart(t *testing.T) {
 		t.Fatalf("ingest = %d", resp.StatusCode)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for getStatus(t, base+"/top-sources") != http.StatusOK {
+	for getStatus(t, base+"/v1/top-sources") != http.StatusOK {
 		if time.Now().After(deadline) {
 			t.Fatal("server never published a generation after ingest")
 		}
@@ -160,7 +187,7 @@ func TestServeListenEmptyStdinIdleStart(t *testing.T) {
 func TestServeListenPreloadsFeed(t *testing.T) {
 	addr, shutdown := startServe(t, serveTestConfig(), strings.NewReader(tsvFeed(24)))
 	base := "http://" + addr
-	resp, err := http.Get(base + "/top-sources?k=3")
+	resp, err := http.Get(base + "/v1/top-sources?k=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +207,7 @@ func TestServeListenPreloadsFeed(t *testing.T) {
 // TestServeDurableRestart: a -data server ingests over HTTP, shuts down, and
 // a second run on the same directory recovers the records and serves them.
 // Runs with multiple ingest lanes and a size-based checkpoint cadence so the
-// new serve knobs get end-to-end coverage, and queries the second run over
-// /v1 while the first uses the deprecated aliases.
+// new serve knobs get end-to-end coverage.
 func TestServeDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serveTestConfig()
@@ -193,7 +219,7 @@ func TestServeDurableRestart(t *testing.T) {
 	addr, shutdown := startServe(t, cfg, strings.NewReader(tsvFeed(18)))
 	base := "http://" + addr
 	var first []kbt.Source
-	resp, err := http.Get(base + "/top-sources")
+	resp, err := http.Get(base + "/v1/top-sources")
 	if err != nil {
 		t.Fatal(err)
 	}

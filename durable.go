@@ -3,6 +3,7 @@ package kbt
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,10 +70,6 @@ type DurableOptions struct {
 	// fs overrides the filesystem; the crash-injection tests use it to kill
 	// the process at chosen byte offsets. nil means the real filesystem.
 	fs wal.FS
-	// disableCoalesce makes recovery replay every refresh marker
-	// faithfully instead of skipping provably-NoOp ones. Tests and
-	// benchmarks only — the skip is state-identical (see replayRefresh).
-	disableCoalesce bool
 	// now overrides the clock CheckpointInterval is measured on. nil means
 	// time.Now; the cadence tests inject a fake clock here.
 	now func() time.Time
@@ -247,6 +244,11 @@ type DurableEngine struct {
 	closed bool
 }
 
+// fingerprintVersion tags the layout of engineFingerprint. Pre-1.0, a data
+// directory is readable only by the format version that wrote it: recovery
+// refuses a chain carrying any other tag.
+const fingerprintVersion = "v3"
+
 // engineFingerprint identifies the model-affecting options a WAL's records
 // were estimated under. Replaying the same records under different options
 // would not reproduce the same model, so recovery refuses a mismatch. The
@@ -254,27 +256,30 @@ type DurableEngine struct {
 // treated as different); Workers is excluded — parallelism does not change
 // results.
 func engineFingerprint(o EngineOptions) string {
-	return fmt.Sprintf("v2 g=%d shards=%d dom=%d iter=%d minsup=%d minrep=%g conf=%t absence=%t tol=%g full=%t fullagg=%t copydetect=%t fusion=%t",
-		o.Granularity, o.Shards, o.DomainSize, o.Iterations, o.MinSupport,
+	return fmt.Sprintf("%s g=%d shards=%d dom=%d iter=%d minsup=%d minrep=%g conf=%t absence=%t tol=%g copydetect=%t fusion=%t",
+		fingerprintVersion, o.Granularity, o.Shards, o.DomainSize, o.Iterations, o.MinSupport,
 		o.MinReportableTriples, o.UseConfidence, o.AllExtractorsVoteAbsence,
-		o.Tol, o.FullRecompile, o.FullAggregates, o.CopyDetect, o.Fusion)
+		o.Tol, o.CopyDetect, o.Fusion)
 }
 
-// replayRefresh runs one recovered refresh, unless coalescing can prove it a
-// NoOp: with no pending records and an already-converged published estimate,
-// the engine's own Refresh would take its NoOp shortcut and serve the cached
-// state unchanged, so skipping the call is state-identical (only the
-// RefreshStats NoOp/Iterations bookkeeping of the final marker differs).
-// Consecutive markers on refresh-heavy logs coalesce this way down to at
-// most one real refresh per distinct ingest batch.
-func replayRefresh(eng *Engine, coalesce bool) error {
-	if eng.Len() == 0 {
-		return nil // marker for a refresh that could not have succeeded
+// checkFingerprint refuses a chain written under another fingerprint layout
+// or other engine options.
+func checkFingerprint(found, want string) error {
+	if found == want {
+		return nil
 	}
-	if coalesce && eng.Pending() == 0 {
-		if last := eng.eng.Last(); last != nil && last.Inference.Converged {
-			return nil
-		}
+	if v, _, _ := strings.Cut(found, " "); v != fingerprintVersion {
+		return fmt.Errorf("kbt: data directory was written at format version %q, this binary reads only %q (pre-1.0, a data directory is readable only by the version that wrote it)", v, fingerprintVersion)
+	}
+	return fmt.Errorf("kbt: checkpoint was taken under different engine options (%q, engine has %q)", found, want)
+}
+
+// replayRefresh runs one recovered refresh. A marker logged before any record
+// was ingested is for a refresh that could not have succeeded and replays as
+// nothing; a redundant marker costs only the engine's own NoOp shortcut.
+func replayRefresh(eng *Engine) error {
+	if eng.Len() == 0 {
+		return nil
 	}
 	_, err := eng.Refresh()
 	return err
@@ -282,11 +287,10 @@ func replayRefresh(eng *Engine, coalesce bool) error {
 
 // OpenDurable opens (or creates) a durable engine rooted at dir, recovering
 // whatever state a previous process made durable: the checkpoint chain's
-// operation sequence is replayed through the normal Ingest/Refresh paths
-// (consecutive refresh markers coalesced where provably NoOp), then every
-// log entry past the chain watermark is replayed the same way. A torn log
-// tail — an append no one was ever acknowledged for — is truncated; damage
-// to acknowledged state surfaces as wal.ErrCorrupt.
+// operation sequence is replayed through the normal Ingest/Refresh paths,
+// then every log entry past the chain watermark is replayed the same way. A
+// torn log tail — an append no one was ever acknowledged for — is truncated;
+// damage to acknowledged state surfaces as wal.ErrCorrupt.
 func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEngine, error) {
 	eng, err := NewEngine(opt)
 	if err != nil {
@@ -306,14 +310,13 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		log.Close()
 		return nil, err
 	}
-	coalesce := !dopt.disableCoalesce
 	d := &DurableEngine{opt: opt, dopt: dopt, dir: dir, log: log}
 	d.keys.cap = dopt.keyRetention()
 	var from uint64
 	if ok {
-		if ck.Fingerprint != fp {
+		if err := checkFingerprint(ck.Fingerprint, fp); err != nil {
 			log.Close()
-			return nil, fmt.Errorf("kbt: checkpoint was taken under different engine options (%q, engine has %q)", ck.Fingerprint, fp)
+			return nil, err
 		}
 		if ck.Watermark > log.NextSeq() {
 			log.Close()
@@ -330,9 +333,9 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 			}
 			// Chain ops record only applied transitions, so the key re-seeds
 			// the dedup set unconditionally.
-			d.rememberKey(op.Key)
+			d.keys.add(op.Key)
 			for r := 0; r < op.Refreshes; r++ {
-				if err := replayRefresh(eng, coalesce); err != nil {
+				if err := replayRefresh(eng); err != nil {
 					log.Close()
 					return nil, fmt.Errorf("kbt: recovery chain refresh (op %d): %w", i, err)
 				}
@@ -363,12 +366,12 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 				return nil
 			}
 			d.noteBatch(ent.Records, ent.Key)
-			d.rememberKey(ent.Key)
+			d.keys.add(ent.Key)
 		case wal.EntryRefresh:
 			if eng.Len() == 0 {
-				return nil // marker for a refresh that could not have succeeded
+				return nil // no state, so nothing for a checkpoint to carry
 			}
-			if err := replayRefresh(eng, coalesce); err != nil {
+			if err := replayRefresh(eng); err != nil {
 				return fmt.Errorf("kbt: recovery replay refresh at entry %d: %w", seq, err)
 			}
 			d.noteRefresh()
@@ -399,13 +402,6 @@ func (d *DurableEngine) noteRefresh() {
 		return
 	}
 	d.opsSince = append(d.opsSince, wal.CheckpointOp{Refreshes: 1})
-}
-
-// rememberKey records an applied idempotency key, evicting beyond the
-// retention bound. Called with d.mu held (or during single-threaded
-// recovery).
-func (d *DurableEngine) rememberKey(key string) {
-	d.keys.add(key)
 }
 
 // setHealthLocked transitions the state machine, notifying OnHealthChange.
@@ -600,7 +596,7 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 		return err
 	}
 	d.noteBatch(recs, key)
-	d.rememberKey(key)
+	d.keys.add(key)
 	if d.cadenceDue() {
 		if err := d.checkpointLocked(); err != nil {
 			// The batch itself is applied and durable — only the cadence

@@ -101,15 +101,13 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkRecovery measures OpenDurable in four shapes: checkpointed (chain
+// BenchmarkRecovery measures OpenDurable in three shapes: checkpointed (chain
 // replay, no tail) and WAL-only (full replay through the ingest/refresh
 // paths) on a 100k corpus, plus a refresh-heavy log — many consecutive
-// refresh markers per batch — recovered with marker coalescing on and off.
-// Two mechanisms bound the refresh-heavy shapes to the distinct-ingest-batch
-// count: the recovery-level coalescing skip, and beneath it the engine's own
-// no-op shortcut (nothing pending + converged serves the cached generation),
-// which is why the two shapes run neck and neck today. Gating both keeps
-// either mechanism from silently regressing into per-marker EM replay.
+// refresh markers per batch. The engine's no-op shortcut (nothing pending +
+// converged serves the cached generation) is what bounds the refresh-heavy
+// shape to the distinct-ingest-batch count; gating it keeps that shortcut
+// from silently regressing into per-marker EM replay.
 func BenchmarkRecovery(b *testing.B) {
 	build := func(b *testing.B, corpusN, chunk, markers int, checkpoint bool) string {
 		b.Helper()
@@ -143,23 +141,20 @@ func BenchmarkRecovery(b *testing.B) {
 		return dir
 	}
 	for _, shape := range []struct {
-		name            string
-		corpusN, chunk  int
-		markers         int
-		checkpoint      bool
-		disableCoalesce bool
+		name           string
+		corpusN, chunk int
+		markers        int
+		checkpoint     bool
 	}{
-		{"corpus=100000/checkpointed", 100_000, 10_000, 0, true, false},
-		{"corpus=100000/wal-only", 100_000, 10_000, 0, false, false},
-		{"corpus=10000/markers=20/coalesced", 10_000, 500, 20, false, false},
-		{"corpus=10000/markers=20/per-marker", 10_000, 500, 20, false, true},
+		{"corpus=100000/checkpointed", 100_000, 10_000, 0, true},
+		{"corpus=100000/wal-only", 100_000, 10_000, 0, false},
+		{"corpus=10000/markers=20", 10_000, 500, 20, false},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			dir := build(b, shape.corpusN, shape.chunk, shape.markers, shape.checkpoint)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d, err := OpenDurable(dir, refreshBenchOptions(),
-					DurableOptions{NoSync: true, disableCoalesce: shape.disableCoalesce})
+				d, err := OpenDurable(dir, refreshBenchOptions(), DurableOptions{NoSync: true})
 				if err != nil {
 					b.Fatal(err)
 				}

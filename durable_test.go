@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,11 +181,8 @@ func (b durableBoundary) records() []triple.Record {
 
 // oracleFromBoundary builds the reference state with a plain in-memory
 // Engine: the checkpoint chain's op sequence replayed faithfully — every
-// recorded refresh run, none coalesced — then the tail entries in order.
-// This mirrors what recovery promises to compute, using none of the durable
-// plumbing; because recovery does coalesce provably-NoOp markers, every
-// sweep comparison against this oracle is also a coalescing-equivalence
-// check.
+// recorded refresh run — then the tail entries in order. This mirrors what
+// recovery promises to compute, using none of the durable plumbing.
 func oracleFromBoundary(t *testing.T, b durableBoundary, opt EngineOptions) *Engine {
 	t.Helper()
 	eng, err := NewEngine(opt)
@@ -527,127 +524,67 @@ func TestDurableFingerprintMismatch(t *testing.T) {
 	rec.Close()
 }
 
-// copyDir clones a durable directory's files into a fresh temp dir, so two
-// recoveries can run against the same crash image without sharing a log.
-func copyDir(t *testing.T, src string) string {
-	t.Helper()
-	dst := t.TempDir()
-	ents, err := os.ReadDir(src)
+// TestDurableRefusesOtherFormatVersion: the on-disk version policy. A chain
+// whose fingerprint carries an older layout tag is refused with an error that
+// names both the version found and the one this binary reads.
+func TestDurableRefusesOtherFormatVersion(t *testing.T) {
+	opt := durableTestOptions()
+	dir := t.TempDir()
+	v2 := "v2" + strings.TrimPrefix(engineFingerprint(opt), fingerprintVersion)
+	if err := wal.WriteCheckpointBase(nil, dir, &wal.Checkpoint{Fingerprint: v2}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenDurable(dir, opt, DurableOptions{})
+	if err == nil {
+		t.Fatal("a v2 data directory was opened")
+	}
+	for _, want := range []string{`"v2"`, `"` + fingerprintVersion + `"`, "version"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
+// TestDurableRecoveryReproducesStats: a log carrying redundant refresh
+// markers (refreshes with nothing pending on a converged estimate) replays
+// every one of them, so the recovered engine reports the same last-refresh
+// stats as the process that wrote the log — including the final marker's
+// NoOp and zero iterations.
+func TestDurableRecoveryReproducesStats(t *testing.T) {
+	opt := durableTestOptions()
+	opt.Iterations = 50
+	opt.Tol = 1e-4
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, opt, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+	batch := make([]Extraction, 40)
+	for i := range batch {
+		batch[i] = durableExtraction(i)
+	}
+	if err := d.Ingest(batch...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := d.Refresh(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return dst
-}
-
-// TestDurableCoalescingEquivalence fuzzes randomized schedules — ingest
-// bursts, consecutive refresh runs (the coalescing target), and interleaved
-// checkpoints — and demands that recovery with marker coalescing on and off
-// yields bit-identical engines, before and after continuing the stream.
-func TestDurableCoalescingEquivalence(t *testing.T) {
-	opt := durableTestOptions()
-	schedules := 6
-	if testing.Short() {
-		schedules = 3
+	live, _ := d.Stats()
+	if !live.NoOp {
+		t.Fatalf("the redundant refreshes were not NoOps: %+v", live)
 	}
-	for s := 0; s < schedules; s++ {
-		s := s
-		t.Run(fmt.Sprintf("schedule=%d", s), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000 + s)))
-			dir := t.TempDir()
-			d, err := OpenDurable(dir, opt, DurableOptions{SegmentBytes: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			next := 0
-			ingest := func() {
-				n := 1 + rng.Intn(6)
-				b := make([]Extraction, n)
-				for j := range b {
-					b[j] = durableExtraction(next)
-					next++
-				}
-				if err := d.Ingest(b...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ingest() // every schedule has at least one batch and one refresh
-			if _, err := d.Refresh(); err != nil {
-				t.Fatal(err)
-			}
-			for i, steps := 0, 10+rng.Intn(10); i < steps; i++ {
-				switch rng.Intn(5) {
-				case 0, 1:
-					ingest()
-				case 2, 3:
-					for r, burst := 0, 1+rng.Intn(4); r < burst; r++ {
-						if _, err := d.Refresh(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case 4:
-					if err := d.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			dirOff := copyDir(t, dir)
-			recOn, err := OpenDurable(dir, opt, DurableOptions{})
-			if err != nil {
-				t.Fatalf("coalesced recovery: %v", err)
-			}
-			defer recOn.Close()
-			recOff, err := OpenDurable(dirOff, opt, DurableOptions{disableCoalesce: true})
-			if err != nil {
-				t.Fatalf("per-marker recovery: %v", err)
-			}
-			defer recOff.Close()
-
-			if recOn.Len() != recOff.Len() || recOn.Pending() != recOff.Pending() {
-				t.Fatalf("coalesced %d/%d records pending, per-marker %d/%d",
-					recOn.Len(), recOn.Pending(), recOff.Len(), recOff.Pending())
-			}
-			on, onOK := recOn.Current()
-			off, offOK := recOff.Current()
-			if onOK != offOK {
-				t.Fatalf("coalesced refreshed=%v, per-marker refreshed=%v", onOK, offOK)
-			}
-			if onOK {
-				assertResultsIdentical(t, "recovered", on, off)
-			}
-			// Lockstep continuation: both recoveries keep evolving identically.
-			post := []Extraction{durableExtraction(next), durableExtraction(next + 1)}
-			if err := recOn.Ingest(post...); err != nil {
-				t.Fatal(err)
-			}
-			if err := recOff.Ingest(post...); err != nil {
-				t.Fatal(err)
-			}
-			on2, err := recOn.Refresh()
-			if err != nil {
-				t.Fatal(err)
-			}
-			off2, err := recOff.Refresh()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertResultsIdentical(t, "post-recovery", on2, off2)
-		})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := OpenDurable(dir, opt, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got, _ := rec.Stats(); got != live {
+		t.Fatalf("recovered stats %+v, live process had %+v", got, live)
 	}
 }
 

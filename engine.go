@@ -55,21 +55,6 @@ type EngineOptions struct {
 	// latency should raise this to ~1e-4.
 	Tol float64
 
-	// FullRecompile forces every Refresh to recompile the snapshot over the
-	// whole corpus, rebuild the EM working state from it, and aggregate
-	// every M-step over the corpus — instead of extending the previous
-	// snapshot and EM state and applying dirty-set deltas to the M-step
-	// aggregates. The incremental paths reproduce this oracle (state
-	// extension bit-identically, the delta aggregates to ≤1e-9), so it
-	// stays off in production; it is kept as an equivalence oracle and
-	// operational escape hatch.
-	FullRecompile bool
-	// FullAggregates keeps the incremental snapshot/state path but
-	// aggregates the global M-steps over the whole corpus every iteration
-	// instead of applying dirty-set deltas — the bit-exact middle point
-	// between FullRecompile and the default.
-	FullAggregates bool
-
 	// CopyDetect maintains streaming copy detection across refreshes: each
 	// generation publishes the source pairs whose shared mistakes suggest
 	// one copies the other (Engine.CopyDeps), and detected copiers' votes
@@ -368,10 +353,6 @@ func resolveItem(snap *triple.Snapshot, item string) int {
 type RefreshStats struct {
 	// Warm reports whether the refresh reused the previous posteriors.
 	Warm bool
-	// Extended reports whether the refresh built its snapshot by extending
-	// the previous one (O(ingest)) rather than recompiling the corpus. False
-	// on a NoOp refresh, which did neither.
-	Extended bool
 	// NoOp reports that the refresh had nothing to do — no pending
 	// extractions and an already-converged estimate — and served the cached
 	// result unchanged.
@@ -400,8 +381,7 @@ type RefreshStats struct {
 	Converged  bool
 	// AggDeltaSteps / AggFullSteps count the global M-step stage invocations
 	// that updated the incremental aggregates by dirty-set deltas
-	// respectively re-aggregated over the corpus (both zero under
-	// FullRecompile / FullAggregates).
+	// respectively re-aggregated over the corpus.
 	AggDeltaSteps, AggFullSteps int
 	// CopyPairs is the number of copy dependencies the generation publishes
 	// (zero when CopyDetect is off). FusedItems / FusionIterations report
@@ -418,7 +398,6 @@ func (e *Engine) Stats() (RefreshStats, bool) {
 	}
 	return RefreshStats{
 		Warm:             r.Warm,
-		Extended:         r.Extended,
 		NoOp:             r.NoOp,
 		FirstPassShards:  r.FirstPassShards,
 		TotalShards:      r.TotalShards,

@@ -157,11 +157,8 @@ func TestEngineIncrementalIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats, ok := eng.Stats()
-	if !ok || !stats.Warm {
-		t.Errorf("second refresh stats = %+v, ok=%v; want warm", stats, ok)
-	}
-	if !stats.Extended {
-		t.Errorf("warm refresh should report Extended, got %+v", stats)
+	if !ok || !stats.Warm || stats.NoOp {
+		t.Errorf("second refresh stats = %+v, ok=%v; want a warm, non-NoOp refresh", stats, ok)
 	}
 
 	pUSA, okUSA := res.TripleProbability("Obama", "nationality", "USA")
@@ -228,54 +225,6 @@ func TestEngineIngestValidation(t *testing.T) {
 	}
 	if eng.Len() != 1 {
 		t.Errorf("Len = %d after one valid ingest, want 1", eng.Len())
-	}
-}
-
-// TestEngineFullRecompileOption: the oracle path must stay available through
-// the public options and agree with the default Extend path.
-func TestEngineFullRecompileOption(t *testing.T) {
-	batch := paperExample()
-	run := func(full bool) (*Result, RefreshStats) {
-		opt := DefaultEngineOptions()
-		opt.MinSupport = 1
-		opt.FullRecompile = full
-		eng, err := NewEngine(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Ingest(batch[:10]...); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Ingest(batch[10:]...); err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Refresh()
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, _ := eng.Stats()
-		return res, stats
-	}
-	fast, fastStats := run(false)
-	oracle, oracleStats := run(true)
-	if !fastStats.Extended {
-		t.Errorf("default warm refresh should extend, got %+v", fastStats)
-	}
-	if oracleStats.Extended {
-		t.Errorf("FullRecompile refresh should not extend, got %+v", oracleStats)
-	}
-	wantTriples, gotTriples := oracle.Triples(), fast.Triples()
-	if len(wantTriples) != len(gotTriples) {
-		t.Fatalf("triple counts diverge: %d vs %d", len(gotTriples), len(wantTriples))
-	}
-	for i, w := range wantTriples {
-		g := gotTriples[i]
-		if g != w {
-			t.Errorf("triple %d: extend path %+v, recompile path %+v", i, g, w)
-		}
 	}
 }
 

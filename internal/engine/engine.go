@@ -1,49 +1,51 @@
-// Package engine provides a sharded, incremental driver for the multi-layer
-// KBT model — the serving-oriented counterpart to the batch core.Run.
+// Package engine is the sharded, incremental driver for the multi-layer KBT
+// model — the serving-oriented counterpart to the batch core.Run. It is the
+// orchestration layer: every number it publishes is computed by the
+// internal/core kernels; the engine decides which rows they run on.
 //
-// The batch path recompiles and re-estimates the whole corpus on every
-// change. The engine instead partitions the data-item space into shards
-// (triple.Shard), keeps the posteriors and model parameters of the previous
-// estimation, and on Refresh after an Ingest:
+// The engine partitions the data-item space into shards (triple.Shard),
+// keeps the snapshot, EM state and posteriors of the previous estimation,
+// and runs each Refresh after an Ingest as five phases over one refreshRun:
 //
-//   - extends the previous snapshot with the pending records
-//     (triple.Snapshot.Extend — append-only, bit-identical to a full
-//     recompile but proportional to the ingest; Options.FullRecompile keeps
-//     the Compile path as the equivalence oracle),
-//   - extends the previous refresh's EM state the same way (core.NewEMFrom):
-//     parameters, priors, vote caches, coverage masks and every index
-//     structure carry over append-only, so no working array is rebuilt from
-//     the corpus,
-//   - runs each E-step only over a sub-shard dirty scope (core.ScopeSet) of
-//     (shard, full | item-range) pairs: the items sharing a (source,
-//     predicate) absence-vote cell with a new record, plus whatever the
-//     per-unit staleness ledger (core.EM.EnableStaleness) marks as holding
-//     above-Tol accumulated parameter drift — narrow units mark exactly
-//     their items' ranges, only units reaching a quarter of the corpus mark
-//     whole shards — so the settling sweeps an ingest triggers confine
-//     themselves to the rows that are actually stale, and a shard touched
-//     only through ranges settles its remainder for free
-//     (RefreshStats.PartialShards),
-//   - updates the global M-step aggregates from exactly the dirty scope's
-//     contribution deltas (core.Options.IncrementalAggregates), with a
-//     periodic full re-aggregation bounding floating-point drift;
-//     Options.FullAggregates keeps every M-step a full aggregation,
-//   - publishes the result as an immutable generation behind an atomic
+//   - begin captures the corpus and the pending records under the state
+//     lock, or serves the cached generation when nothing is pending and the
+//     previous estimate converged;
+//   - buildState extends the previous snapshot (triple.Snapshot.Extend), EM
+//     state (core.NewEMFrom) and posterior arrays append-only with the
+//     pending records — bit-identical to recompiling the corpus, at a cost
+//     proportional to the ingest;
+//   - settle runs Algorithm 1's E/M loop over a sub-shard dirty scope
+//     (core.ScopeSet) of (shard, full | item-range) pairs: the items sharing
+//     a (source, predicate) absence-vote cell with a new record, plus
+//     whatever the per-unit staleness ledger (core.EM.EnableStaleness) marks
+//     as holding above-Tol accumulated parameter drift — narrow units mark
+//     exactly their items' ranges, only units reaching a quarter of the
+//     corpus mark whole shards — so a shard touched only through ranges
+//     settles its remainder for free (Result.PartialShards). The global
+//     M-step aggregates update from exactly the scope's contribution deltas
+//     (core.Options.IncrementalAggregates), with a periodic full
+//     re-aggregation bounding floating-point drift;
+//   - layer6 folds the touched shards into the streaming copy detector and
+//     refreshes the fusion store, when those layers are on;
+//   - publish stores the result as an immutable generation behind an atomic
 //     pointer (core.BuildResultFrom): only the touched shards' posterior
-//     chunks and the moved units' parameter chunks (the copy-on-write
-//     A/P/R/Q and expected-triple vectors behind Result's accessors) are
-//     copied out of the working arrays, every other chunk is shared with
-//     the previous generation, and readers (Last) never block a running
-//     Refresh — an old generation a reader holds stays valid and bit-stable
-//     across any number of later swaps.
+//     chunks and the moved units' parameter chunks are copied out of the
+//     working arrays, every other chunk is shared with the previous
+//     generation, and readers (Last) never block a running Refresh — a
+//     generation a reader holds stays valid and bit-stable across any number
+//     of later swaps.
 //
 // Stages I and II of Algorithm 1 are independent per candidate triple
-// respectively per item, so each shard's E-step runs as one task on the
-// internal/parallel worker pool with no cross-shard writes; stages III and
-// IV (the per-source and per-extractor M-steps) stay global but, on the
-// incremental path, cost only the dirty contributions. A cold Refresh
-// executes the identical per-index arithmetic as core.Run and reproduces its
-// posteriors exactly.
+// respectively per item, so each scope entry's E-step runs as one task on
+// the internal/parallel worker pool with no cross-shard writes; stages III
+// and IV (the per-source and per-extractor M-steps) stay global but cost only
+// the dirty contributions. A cold Refresh executes the identical per-index
+// arithmetic as core.Run and reproduces its posteriors exactly.
+//
+// The pipeline has one execution mode. Options.FullRecompile and
+// Options.FullAggregates select reference implementations of the state phase
+// that the fuzz and oracle suites compare the pipeline against; no public
+// surface can set them.
 package engine
 
 import (
@@ -78,20 +80,19 @@ type Options struct {
 	// M-steps. Non-zero values supersede Core.Workers; 0 defers to
 	// Core.Workers, with 0 there too meaning all CPUs.
 	Workers int
-	// FullRecompile forces every Refresh to rebuild the snapshot with
-	// Dataset.Compile over the whole corpus, rebuild the EM state from it,
-	// and aggregate every M-step in full — the pure batch-equivalent oracle.
-	// The incremental paths reproduce it (bit-identically for state
-	// extension, to ≤1e-9 for the delta aggregates), so this is off by
-	// default; it remains the equivalence oracle in tests and an operational
-	// escape hatch.
+	// FullRecompile is a test oracle, not an operating mode: every Refresh
+	// rebuilds the snapshot with Dataset.Compile over the whole corpus,
+	// rebuilds the EM state from it, aggregates every M-step in full and
+	// recounts copy statistics with the batch detector. The pipeline must
+	// reproduce it — bit-identically for state extension, to ≤1e-9 for the
+	// delta aggregates — and the fuzz suites hold it to that. Unreachable
+	// from the kbt facade and the CLI.
 	FullRecompile bool
-	// FullAggregates keeps the extended-state warm path but aggregates the
-	// global M-steps in full every iteration instead of applying dirty-set
-	// deltas. The middle point between the oracle and the default: state
-	// extension is bit-exact, so this mode matches FullRecompile to the bit,
-	// while the delta aggregates trade ~1e-12 of reaggregation drift for
-	// O(dirty) M-steps.
+	// FullAggregates is the second test oracle: the extended-state warm path
+	// with every global M-step aggregated in full instead of by dirty-set
+	// deltas. State extension is bit-exact, so it matches FullRecompile to
+	// the bit and isolates the ~1e-12 reaggregation drift of the delta
+	// aggregates.
 	FullAggregates bool
 
 	// CopyDetect maintains streaming inter-source copy statistics: after
@@ -200,9 +201,8 @@ type Result struct {
 // keep streaming while the model re-estimates.
 type Engine struct {
 	// refreshMu serialises Refresh calls; mu guards the fields below and
-	// is held only briefly (Ingest, accessors, Refresh's snapshot/publish
-	// phases). The persisted warm-start state is written exclusively by
-	// Refresh, so the estimation phase may read it without mu.
+	// is held only briefly (Ingest, accessors, Refresh's begin and publish
+	// phases). The phases in between work on the copy begin captured.
 	refreshMu sync.Mutex
 	mu        sync.Mutex
 	opt       Options
@@ -210,36 +210,19 @@ type Engine struct {
 	ds      *triple.Dataset
 	pending []triple.Record // ingested since the last Refresh
 
-	// State persisted across refreshes. On the default path the EM state
-	// itself persists: core.NewEMFrom extends em's index structures,
-	// parameters, priors and M-step aggregates append-only with the
-	// snapshot, so nothing is rebuilt from the corpus. Under FullRecompile
-	// the previous em is only read, to remap the carried values into a
-	// freshly built state by stable dense id / (w,d,v) identity. The
-	// posterior arrays (cProb, valueProb, restMass, coveredItem) are
-	// engine-owned and likewise extended in place on the default path.
-	// shards holds the current snapshot's shard views, extended with the
-	// snapshot on the warm path. srcInc/extInc are cloned copies of the last
-	// refresh's inclusion masks, kept for dirty-shard escalation checks.
-	snap        *triple.Snapshot
-	shards      []triple.Shard
-	em          *core.EM
-	cProb       []float64
-	valueProb   [][]float64
-	restMass    []float64
-	coveredItem []bool
-	srcInc      []bool
-	extInc      []bool
+	modelState // persisted across refreshes
 	// lastTouched is the per-shard touched mask of the most recent refresh —
 	// the copy-on-write set its publication rebuilt (kept for diagnostics
 	// and the publication benchmarks).
 	lastTouched []bool
 
-	// Refresh-loop scratch, owned exclusively by Refresh (serialised by
+	// Refresh scratch, owned exclusively by Refresh (serialised by
 	// refreshMu) and persisted across refreshes so a steady-state warm
-	// refresh re-allocates none of it: the E-step scopes (current,
-	// successor, and the ingest footprint), the materialized per-scope-entry
-	// index lists, and the per-iteration parameter/prior snapshots.
+	// refresh re-allocates none of it: the run value the phases share, the
+	// E-step scopes (current, successor, and the ingest footprint), the
+	// materialized per-scope-entry index lists, and the per-iteration
+	// parameter/prior snapshots.
+	run                         refreshRun
 	scope, scopeNext, scopeBase *core.ScopeSet
 	passItems, passTris         [][]int
 	passItemBuf, passTriBuf     []int
@@ -382,510 +365,573 @@ func (e *Engine) Last() *Result {
 	return e.last.Load()
 }
 
-// Refresh re-estimates the model over everything ingested so far and caches
-// the result. The first call runs cold — identical to core.Run on the full
-// dataset; later calls warm-start from the previous posteriors and only
-// re-run the first E-step over the shards the new records touched. Calling
-// Refresh with no new records resumes EM from the previous fixed point
-// (useful when a prior run stopped at MaxIter before converging).
+// modelState is what a refresh estimates on and the next one starts from:
+// the snapshot with its shard views, the EM state — index structures,
+// parameters, priors, vote caches, M-step aggregates and staleness ledger —
+// and the engine-owned posterior arrays. All of it extends append-only with
+// the snapshot (triple.Snapshot.Extend, core.NewEMFrom, extendPosteriors), so
+// a warm refresh rebuilds none of it from the corpus. srcInc/extInc are
+// clones of em's inclusion masks as of publication: the next NewEMFrom
+// replaces the EM's own slices, while the next refresh's structural-change
+// checks need this generation's.
+type modelState struct {
+	snap        *triple.Snapshot
+	shards      []triple.Shard
+	em          *core.EM
+	cProb       []float64
+	valueProb   [][]float64
+	restMass    []float64
+	coveredItem []bool
+	srcInc      []bool
+	extInc      []bool
+}
+
+// refreshRun carries one Refresh through its five phases. A phase reads the
+// groups above its own and fills its own; nothing else passes between phases.
+// The value lives in Engine.run under refreshMu, so it costs a refresh no
+// allocation.
+type refreshRun struct {
+	// begin: the inputs captured under the state lock. pending is a private
+	// copy of the nPending queued records this refresh consumes — exactly the
+	// suffix of records ingested since prev, the previous refresh's state
+	// (zero on a cold run), was built.
+	warm     bool
+	nPending int
+	records  []triple.Record
+	pending  []triple.Record
+	prev     modelState
+
+	// state: the model state the run estimates on, and the core options.
+	// extended says the state continues prev's snapshot chain (so the
+	// previous generation's chunks may be shared at publication) rather than
+	// starting from a fresh compile.
+	modelState
+	extended bool
+	copt     core.Options
+
+	// settle: what the EM loop did. touched/touchedWhole mark the shards any
+	// iteration re-estimated at all / as a whole shard.
+	voteForce                  bool
+	touched, touchedWhole      []bool
+	touchedCount, partialCount int
+	firstPass, escalations     int
+	iterations                 int
+	converged                  bool
+	aggDelta0, aggFull0        int
+
+	// layer-6: the generation's copy dependencies and fused posteriors.
+	copyDeps   []copydetect.Dependence
+	fusRes     *fusion.Result
+	fusSnap    *triple.Snapshot
+	fusedItems int
+}
+
+// Refresh re-estimates the model over everything ingested so far and
+// publishes the result as a new generation. The first call runs cold —
+// identical to core.Run on the full dataset; later calls warm-start from the
+// previous refresh and re-estimate only what the new records made stale.
+// Calling Refresh with no new records resumes EM from the previous fixed
+// point (useful when a prior run stopped at MaxIter before converging).
+//
+// The refresh is a pipeline of five phases over one refreshRun: begin
+// (capture the inputs, or serve the cached generation), buildState (snapshot
+// and EM state), settle (Algorithm 1's Stage I–IV loop over the stale
+// scope), layer6 (copy detection and fusion) and publish. Only begin and
+// publish take the state lock, so Ingest keeps streaming while the model
+// estimates; records that arrive meanwhile wait for the next Refresh.
 func (e *Engine) Refresh() (*Result, error) {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
+	r := &e.run
+	defer func() { *r = refreshRun{} }()
 
-	// Snapshot the inputs under the state lock, estimate unlocked so
-	// concurrent Ingest keeps streaming, then publish under the lock.
-	// Records ingested after this point are left for the next Refresh.
+	if cached, err := e.begin(r); cached != nil || err != nil {
+		return cached, err
+	}
+	if err := e.buildState(r); err != nil {
+		return nil, err
+	}
+	if err := e.settle(r); err != nil {
+		return nil, err
+	}
+	if err := e.layer6(r); err != nil {
+		return nil, err
+	}
+	return e.publish(r), nil
+}
+
+// begin captures the run's inputs under the state lock (fills r's begin
+// group). With nothing pending and a converged previous generation the
+// estimates are already at the fixed point: begin then returns the generation
+// to serve — Iterations 0, NoOp set, the copy and fusion layers carried over
+// whole — and the remaining phases do not run. An already-NoOp generation is
+// served as the same pointer, keeping reader-side caches keyed on it warm.
+func (e *Engine) begin(r *refreshRun) (cached *Result, err error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	nRec := len(e.ds.Records)
 	if nRec == 0 {
-		e.mu.Unlock()
 		return nil, errors.New("engine: empty dataset")
 	}
-	warm := e.snap != nil
-	nPending := len(e.pending)
-
-	// Nothing new and the previous refresh converged: the estimates are
-	// already at the fixed point, so serve them unchanged — with the
-	// iteration count reflecting that no EM ran, and NoOp reporting that no
-	// snapshot work happened at all (neither an extension nor a recompile).
-	// An already-NoOp generation is served as the same pointer, keeping
-	// reader-side caches keyed on it warm.
-	if last := e.last.Load(); warm && nPending == 0 && last != nil && last.Inference.Converged {
+	r.warm = e.snap != nil
+	r.nPending = len(e.pending)
+	if last := e.last.Load(); r.warm && r.nPending == 0 && last != nil && last.Inference.Converged {
 		if last.NoOp {
-			e.mu.Unlock()
 			return last, nil
 		}
 		inf := *last.Inference
 		inf.Iterations = 0
 		res := &Result{
-			Snapshot:        e.snap,
-			Inference:       &inf,
-			Warm:            true,
-			NoOp:            true,
-			FirstPassShards: 0,
-			TotalShards:     last.TotalShards,
-			SettledShards:   last.TotalShards,
-			// The evidence is unchanged, so the copy and fusion layers carry
-			// over whole: same dependence list, same fused generation, with
-			// the work counters reporting that nothing ran.
-			CopyDeps:   last.CopyDeps,
-			CopyPairs:  len(last.CopyDeps),
-			Fusion:     last.Fusion,
-			FusionSnap: last.FusionSnap,
+			Snapshot:      e.snap,
+			Inference:     &inf,
+			Warm:          true,
+			NoOp:          true,
+			TotalShards:   last.TotalShards,
+			SettledShards: last.TotalShards,
+			CopyDeps:      last.CopyDeps,
+			CopyPairs:     len(last.CopyDeps),
+			Fusion:        last.Fusion,
+			FusionSnap:    last.FusionSnap,
 		}
 		e.last.Store(res)
-		e.mu.Unlock()
 		return res, nil
 	}
-	records := e.ds.Records[:nRec:nRec]
-	pending := append([]triple.Record(nil), e.pending[:nPending]...)
-	prevShards := e.shards
-	e.mu.Unlock()
+	r.records = e.ds.Records[:nRec:nRec]
+	r.pending = append([]triple.Record(nil), e.pending[:r.nPending]...)
+	r.prev = e.modelState
+	return nil, nil
+}
 
-	// Warm path: extend the previous snapshot and its shard views with just
-	// the pending records — pending is exactly the record suffix ingested
-	// since prev was built, so the result is bit-identical to recompiling
-	// the corpus, at O(ingest) cost. Cold (and FullRecompile) refreshes
-	// compile from scratch.
-	prev := e.snap
-	var snap *triple.Snapshot
-	var shards []triple.Shard
-	extended := false
-	if warm && !e.opt.FullRecompile {
-		if len(pending) == 0 {
-			// Resuming an unconverged run: zero new records means the grown
-			// snapshot would be content-identical, so reuse it outright
-			// instead of paying Extend's table copies.
-			snap, shards = prev, prevShards
-		} else {
-			snap = prev.Extend(pending)
-			shards = snap.ExtendShards(prevShards, len(prev.Items), len(prev.Triples))
-		}
-		extended = true
-	} else {
-		snap = (&triple.Dataset{Records: records}).Compile(triple.CompileOptions{
+// buildState builds what the run estimates on (reads r's begin group, fills
+// its state group): the snapshot and shard views, the core options, the EM
+// state and the posterior arrays. It is the one place that knows the
+// execution mode. By default a warm refresh extends the previous snapshot,
+// EM state and posterior arrays append-only — bit-identical to recompiling
+// the corpus, at O(ingest) cost — and the M-steps apply dirty-set deltas.
+// The test oracles branch here and nowhere later: FullRecompile compiles the
+// corpus, builds a fresh EM state and re-seeds it from the previous one by
+// identity; it and FullAggregates aggregate every M-step in full.
+func (e *Engine) buildState(r *refreshRun) error {
+	r.extended = r.warm && !e.opt.FullRecompile
+	switch {
+	case !r.extended:
+		r.snap = (&triple.Dataset{Records: r.records}).Compile(triple.CompileOptions{
 			SourceKey:    e.opt.SourceKey,
 			ExtractorKey: e.opt.ExtractorKey,
 		})
-		shards = snap.Shards(e.opt.Shards)
+		r.shards = r.snap.Shards(e.opt.Shards)
+	case len(r.pending) == 0:
+		// Resuming an unconverged run: zero new records means the grown
+		// snapshot would be content-identical, so reuse it outright instead
+		// of paying Extend's table copies.
+		r.snap, r.shards = r.prev.snap, r.prev.shards
+	default:
+		r.snap = r.prev.snap.Extend(r.pending)
+		r.shards = r.snap.ExtendShards(r.prev.shards, len(r.prev.snap.Items), len(r.prev.snap.Triples))
 	}
 
-	copt := e.opt.Core
-	copt.Workers = e.workers()
-	copt.IncrementalAggregates = !e.opt.FullRecompile && !e.opt.FullAggregates
-	if copt.IncrementalAggregates && copt.ReaggregateEvery < 1 {
+	r.copt = e.opt.Core
+	r.copt.Workers = e.workers()
+	r.copt.IncrementalAggregates = !e.opt.FullRecompile && !e.opt.FullAggregates
+	if r.copt.IncrementalAggregates && r.copt.ReaggregateEvery < 1 {
 		// The engine switches the aggregates on itself, so it must also
 		// default the cadence knob callers with hand-built core.Options
 		// never had a reason to set.
-		copt.ReaggregateEvery = core.DefaultOptions().ReaggregateEvery
+		r.copt.ReaggregateEvery = core.DefaultOptions().ReaggregateEvery
 	}
 
-	// Build the EM state: extended append-only from the previous refresh's
-	// on the warm default path, fresh otherwise. The posterior arrays follow
-	// the same split — extended in place versus freshly allocated (and, on
-	// the FullRecompile warm path, re-seeded by identity remap).
-	var em *core.EM
 	var err error
-	var cProb []float64
-	var valueProb [][]float64
-	var restMass []float64
-	var coveredItem []bool
-	if extended {
-		em, err = core.NewEMFrom(e.em, snap, copt)
-		if err != nil {
-			return nil, err
+	if r.extended {
+		if r.em, err = core.NewEMFrom(r.prev.em, r.snap, r.copt); err != nil {
+			return err
 		}
-		// The ledger persisted (and extended) inside the EM state; the call
-		// is a no-op then, and builds it on the first warm refresh of an
-		// engine whose previous EM predates staleness tracking.
-		em.EnableStaleness(len(shards))
-		e.extendPosteriors(snap, prev, copt.Alpha)
-		cProb, valueProb, restMass, coveredItem = e.cProb, e.valueProb, e.restMass, e.coveredItem
-	} else {
-		em, err = core.NewEM(snap, copt)
-		if err != nil {
-			return nil, err
-		}
-		em.EnableStaleness(len(shards))
-		nTri, nItem := len(snap.Triples), len(snap.Items)
-		cProb = make([]float64, nTri)
-		valueProb = make([][]float64, nItem)
-		restMass = make([]float64, nItem)
-		coveredItem = make([]bool, nItem)
-		if warm {
-			e.carryOver(em, snap, prev, cProb, valueProb, restMass, coveredItem)
-		}
+		r.extendPosteriors()
+		return nil
 	}
+	if r.em, err = core.NewEM(r.snap, r.copt); err != nil {
+		return err
+	}
+	// An extended state carries the previous refresh's ledger with it.
+	r.em.EnableStaleness(len(r.shards))
+	nTri, nItem := len(r.snap.Triples), len(r.snap.Items)
+	r.cProb = make([]float64, nTri)
+	r.valueProb = make([][]float64, nItem)
+	r.restMass = make([]float64, nItem)
+	r.coveredItem = make([]bool, nItem)
+	if r.warm {
+		r.carryOver()
+	}
+	return nil
+}
 
-	// base is the ingest's footprint — the exact items whose inputs changed:
-	// every item sharing a (source, predicate) absence-vote cell with a
-	// pending record, resolved through the ledger's cell index at item
-	// granularity. Every iteration's E-step scope is base plus the sub-shard
-	// reach of the units the staleness ledger marks as carrying above-Tol
-	// accumulated drift, so settling sweeps confine themselves to the stale
-	// fraction and shrink back to the footprint as soon as the stale units
-	// are re-anchored.
-	nShards, nItems := len(shards), len(snap.Items)
+// settle runs the EM loop (reads r's begin and state groups, updates the EM
+// state and posterior arrays in place, fills the settle group). It seeds the
+// ingest footprint, then iterates Stages I–IV over the footprint plus
+// whatever the staleness ledger marks as carrying above-Tol accumulated
+// drift, so settling sweeps confine themselves to the stale fraction and
+// shrink back to the footprint as soon as the stale units are re-anchored.
+//
+// The loop mirrors core.Run stage for stage; only the index sets of the
+// shardable stages differ, and each index's arithmetic is identical, so a
+// cold run reproduces Run's posteriors exactly.
+func (e *Engine) settle(r *refreshRun) error {
+	nShards, nItems := len(r.shards), len(r.snap.Items)
 	if e.scope == nil {
 		e.scope, e.scopeNext, e.scopeBase = core.NewScopeSet(), core.NewScopeSet(), core.NewScopeSet()
 	}
+	// base is the ingest's footprint — the exact items whose inputs changed.
 	base := e.scopeBase
 	base.Reset(nShards, nItems)
-	if !warm {
-		em.Bootstrap(cProb)
+	switch {
+	case !r.warm:
+		r.em.Bootstrap(r.cProb)
 		base.MarkAllFull()
-	} else if len(pending) == 0 {
-		// Resuming an unconverged run (the converged case returned above):
-		// the cached posteriors already reproduce the cached parameters, so
-		// a partial pass would measure zero delta and stall. Re-estimate
+	case len(r.pending) == 0:
+		// Resuming an unconverged run (begin served the converged case): the
+		// cached posteriors already reproduce the cached parameters, so a
+		// partial pass would measure zero delta and stall. Re-estimate
 		// everything to make progress.
 		base.MarkAllFull()
-	} else if err := e.seedFootprint(em, snap, prev, pending, base); err != nil {
-		return nil, err
-	}
-	touched := make([]bool, nShards)
-	touchedWhole := make([]bool, nShards)
-	escalations := 0
-	// nextInto computes a successor scope: the footprint plus everything the
-	// ledger marks stale, compiled to per-shard item ranges. The added count
-	// is how many marks lie beyond the footprint — zero means the scope IS
-	// the footprint (nothing stale outside it). Note the base-covers-all
-	// short-circuit: MarkStale could add nothing, and skipping it keeps cold
-	// full-pass iterations free of ledger walks.
-	nextInto := func(dst *core.ScopeSet) int {
-		dst.Reset(nShards, nItems)
-		dst.MergeFrom(base)
-		if dst.AllFull() {
-			em.CompileScope(dst)
-			return 0
-		}
-		added := em.MarkStale(copt.Tol, dst)
-		em.CompileScope(dst)
-		return added
-	}
-	noteTouched := func(s *core.ScopeSet) {
-		for i := 0; i < s.Len(); i++ {
-			si, full, _ := s.At(i)
-			touched[si] = true
-			if full {
-				touchedWhole[si] = true
-			}
+	default:
+		if err := e.seedFootprint(r, base); err != nil {
+			return err
 		}
 	}
+	// Structural changes force one full vote recompute (see iterate).
+	r.voteForce = r.warm && (len(r.snap.Extractors) != len(r.prev.snap.Extractors) ||
+		inclusionChanged(r.prev.srcInc, r.em.SourceIncluded()) ||
+		inclusionChanged(r.prev.extInc, r.em.ExtractorIncluded()))
+	r.touched = make([]bool, nShards)
+	r.touchedWhole = make([]bool, nShards)
+	r.aggDelta0, r.aggFull0 = r.em.AggStepCounts()
+	e.prevA = ensureFloats(e.prevA, len(r.snap.Sources))
+	e.prevP = ensureFloats(e.prevP, len(r.snap.Extractors))
+	e.prevR = ensureFloats(e.prevR, len(r.snap.Extractors))
+	e.prevLO = ensureFloats(e.prevLO, len(r.snap.Triples))
+
 	// The first pass already consults the ledger: drift carried from earlier
 	// refreshes (sub-Tol residue that has since accumulated past Tol, or an
 	// unconverged stop) joins the footprint immediately.
-	sc, nsc := e.scope, e.scopeNext
-	if nextInto(sc) > 0 {
-		escalations++
-	}
-	noteTouched(sc)
-	firstPass := sc.Len()
-	aggDelta0, aggFull0 := em.AggStepCounts()
+	e.enterScope(r, e.nextScope(r, e.scope))
+	r.firstPass = e.scope.Len()
 
-	// The EM loop mirrors core.Run stage for stage; only the index sets of
-	// the shardable stages differ, and each index's arithmetic is
-	// identical, so a cold run reproduces Run's posteriors exactly.
-	//
-	// Vote publication is per extractor under the same Tol contract as the
-	// shard ledger (BeginIteration → selectiveVotes): an extractor's
-	// published presence/absence votes move only once its own R/Q travel
-	// since the last publication reaches Tol, which keeps the incremental
-	// M-step's per-observation caches exactly valid for every vote-stable
-	// extractor — no sub-Tol rescans. Cold refreshes recompute every vote
-	// every iteration (bit-identical to core.Run); structural changes force
-	// one full recompute.
-	voteForce := false
-	if warm {
-		voteForce = len(snap.Extractors) != len(prev.Extractors) ||
-			inclusionChanged(e.srcInc, em.SourceIncluded()) ||
-			inclusionChanged(e.extInc, em.ExtractorIncluded())
-	}
-	nSrc, nExt := len(snap.Sources), len(snap.Extractors)
-	e.prevA = ensureFloats(e.prevA, nSrc)
-	e.prevP = ensureFloats(e.prevP, nExt)
-	e.prevR = ensureFloats(e.prevR, nExt)
-	e.prevLO = ensureFloats(e.prevLO, len(snap.Triples))
-	prevA, prevP, prevR, prevLO := e.prevA, e.prevP, e.prevR, e.prevLO
-	converged := false
 	iter := 0
-	for iter = 1; iter <= copt.MaxIter; iter++ {
-		copy(prevA, em.A())
-		copy(prevP, em.P())
-		copy(prevR, em.R())
-
-		// Full-pass iterations refresh every vote opportunistically: their
-		// M-step re-aggregates (re-anchoring the vote-dependent caches)
-		// regardless, so the recompute is free there, and it re-anchors the
-		// per-extractor publication baselines early. All other warm
-		// iterations let BeginIteration republish selectively under the
-		// ledger's per-extractor Tol contract.
-		refreshVotes := !warm || voteForce || sc.AllFull()
-		em.BeginIteration(refreshVotes)
-		if refreshVotes {
-			voteForce = false
+	for iter = 1; iter <= r.copt.MaxIter; iter++ {
+		delta := e.iterate(r, iter)
+		settled := delta < r.copt.Tol &&
+			(!r.copt.UpdatePrior || r.warm || iter+1 >= r.copt.UpdatePriorFromIter)
+		final := iter >= r.copt.MaxIter
+		if final && !settled {
+			// The final iteration computes no successor scope: it would never
+			// run, and counting it would overstate the touched-shard and
+			// escalation stats.
+			break
 		}
-		// Materialize the scope: full shards alias their shard views;
-		// partially stale shards gather exactly their marked item ranges and
-		// those items' candidate triples. Every list is a superset-free
-		// statement of what this pass re-estimates — the same lists feed the
-		// E-step, the M-step deltas and the prior diff.
-		passItems, passTris := e.materializeScope(snap, shards, sc)
-		e.eStep(em, passItems, passTris, cProb, valueProb, restMass, coveredItem)
-		// The pass re-anchored the scope's posteriors against the current
-		// parameters (and, on a vote-refreshing pass, the just-published
-		// votes): units whose whole reach was covered start accumulating
-		// drift from zero again.
-		em.SettleScopes(sc)
-		// A partial iteration hands the global M-steps exactly the scope's
-		// triple lists — the triples whose E-step outputs changed — so the
-		// incremental aggregates update in O(scope); a full pass (nil)
-		// re-aggregates the corpus.
-		var dirtyTris [][]int
-		if !sc.AllFull() {
-			dirtyTris = passTris
+		// Parameters and priors at a fixed point are not enough to converge:
+		// a unit whose accumulated drift crossed Tol on this very iteration
+		// would be published above the staleness contract (its rows' cached
+		// posteriors lag by the sub-Tol entry residue plus this iteration's
+		// step), and a following no-pending NoOp refresh would keep serving
+		// them. Such units settle first; with none, the published state is
+		// strictly within contract.
+		stale := e.nextScope(r, e.scopeNext)
+		if settled && stale == 0 {
+			r.converged = true
+			break
 		}
-		em.MStepSources(cProb, valueProb, dirtyTris)
-		em.MStepExtractors(cProb, dirtyTris)
-
-		// Warm refreshes start from settled parameters, so the prior
-		// refinement of Eq 26 applies from the first iteration; cold runs
-		// follow the paper's UpdatePriorFromIter schedule. The prior's own
-		// movement joins the convergence delta, exactly as in core.Run —
-		// without it, a loose Tol declares convergence while Eq 26 is still
-		// reshaping the posterior landscape, and the next warm refresh
-		// starts with a large correction instead of a settled fixed point.
-		priorDelta := 0.0
-		if copt.UpdatePrior && (warm || iter+1 >= copt.UpdatePriorFromIter) {
-			lo := em.PriorLogOdds()
-			if !sc.AllFull() {
-				// Only the scope's priors can move, so snapshot and diff
-				// exactly those entries instead of copying the corpus.
-				for _, tl := range passTris {
-					for _, ti := range tl {
-						prevLO[ti] = lo[ti]
-					}
-				}
-				e.updatePrior(em, passTris, valueProb)
-				for _, tl := range passTris {
-					priorDelta = core.MaxDeltaLogisticSubset(prevLO, lo, tl, priorDelta)
-				}
-			} else {
-				copy(prevLO, lo)
-				e.updatePrior(em, passTris, valueProb)
-				priorDelta = core.MaxDeltaLogistic(prevLO, lo)
-			}
+		if final {
+			// No iterations left to settle the residue: publish unconverged,
+			// so the next Refresh resumes with a full pass and re-anchors
+			// everything instead of serving the residue indefinitely.
+			break
 		}
-
-		// Per-unit drift accounting replaces the old all-or-nothing
-		// escalation: each source charges its own accuracy movement against
-		// the items that actually read it (extractor movement is charged by
-		// the ledger when votes republish), and the next iteration's E-step
-		// widens to exactly the sub-shard reach of the units whose
-		// accumulated charge crossed Tol. Sub-Tol movement keeps the E-step
-		// on the ingest footprint — and, because the ledger persists across
-		// refreshes, such residue keeps accumulating instead of resetting,
-		// so many small refreshes cannot compound into an unbounded lag
-		// between cached posteriors and the published parameters. (An
-		// escalated pass's Eq 26 refinement can still move clean rows'
-		// priors by the settling response to a sub-Tol parameter shift;
-		// their cached posteriors lag that one step until drift next crosses
-		// Tol — the same Tol-bounded staleness this contract has always
-		// accepted.)
-		em.AccumulateSourceDrift(prevA)
-		paramDelta := core.MaxDelta(prevA, em.A()) + core.MaxDelta(prevP, em.P()) + core.MaxDelta(prevR, em.R())
-		priorSettled := !copt.UpdatePrior || warm || iter+1 >= copt.UpdatePriorFromIter
-		if priorSettled && paramDelta+priorDelta < copt.Tol {
-			if iter >= copt.MaxIter {
-				// No iterations left to settle residual drift: publish
-				// converged only if no unit's accumulated drift stands at
-				// or above Tol. A converged result with residue would be
-				// served indefinitely by the no-pending NoOp shortcut;
-				// unconverged, the next Refresh resumes with a full pass
-				// and re-anchors everything.
-				converged = nextInto(nsc) == 0
-				break
-			}
-			// Parameters and priors are at a fixed point, but a unit whose
-			// accumulated drift crossed Tol on this very iteration would be
-			// published above the staleness contract (its rows' cached
-			// posteriors would lag by the sub-Tol entry residue plus this
-			// iteration's step) and a following no-pending NoOp refresh
-			// would keep serving them. Settle such units before declaring
-			// convergence; with none, the published state is strictly
-			// within contract.
-			if nextInto(nsc) == 0 {
-				converged = true
-				break
-			}
-			escalations++
-			noteTouched(nsc)
-			sc, nsc = nsc, sc
-			continue
-		}
-		if iter < copt.MaxIter {
-			// The final iteration computes no successor scope: it would
-			// never run, and counting it would overstate the touched-shard
-			// and escalation stats.
-			if nextInto(nsc) > 0 {
-				escalations++
-			}
-			noteTouched(nsc)
-			sc, nsc = nsc, sc
-		}
+		e.scope, e.scopeNext = e.scopeNext, e.scope
+		e.enterScope(r, stale)
 	}
 	// Iterations counts the EM iterations that actually executed — k when
 	// convergence was detected at iteration k, MaxIter when the loop
 	// exhausted (the clamp undoes the final loop increment); core.Run
 	// reports the identical quantity.
-	if iter > copt.MaxIter {
-		iter = copt.MaxIter
-	}
+	r.iterations = min(iter, r.copt.MaxIter)
 
-	touchedCount, partialCount := 0, 0
-	for si, hit := range touched {
+	for si, hit := range r.touched {
 		if hit {
-			touchedCount++
-			if !touchedWhole[si] {
-				partialCount++
+			r.touchedCount++
+			if !r.touchedWhole[si] {
+				r.partialCount++
 			}
 		}
 	}
+	return nil
+}
 
-	// Copy detection runs against exactly the posteriors this generation
-	// publishes: fold the touched shards' statistic deltas into the tracker
-	// (the untouched shards' evidence is bit-identical to the previous
-	// publication, so their cached counts still hold), then score. Under
-	// FullRecompile the batch detector recounts the corpus instead — the
-	// bit-exact oracle for the tracker path.
-	var copyDeps []copydetect.Dependence
-	if e.opt.CopyDetect {
-		ev := copydetect.Evidence{
-			ValueProb: func(d, v int) float64 {
-				vs := snap.ItemValues[d]
-				if k := sort.SearchInts(vs, v); k < len(vs) && vs[k] == v {
-					return valueProb[d][k]
-				}
-				return 0
-			},
-			Accuracy: func(w int) float64 { return em.A()[w] },
-			Provides: func(ti int) bool { return cProb[ti] >= 0.5 },
+// nextScope compiles into dst the scope the next pass must cover: the
+// footprint plus the sub-shard reach of every unit the ledger marks stale.
+// The return is how many marks lie beyond the footprint — zero means the
+// scope IS the footprint (nothing stale outside it). When the footprint
+// covers everything MarkStale could add nothing, and skipping it keeps cold
+// full-pass iterations free of ledger walks.
+func (e *Engine) nextScope(r *refreshRun, dst *core.ScopeSet) (stale int) {
+	dst.Reset(len(r.shards), len(r.snap.Items))
+	dst.MergeFrom(e.scopeBase)
+	if !dst.AllFull() {
+		stale = r.em.MarkStale(r.copt.Tol, dst)
+	}
+	r.em.CompileScope(dst)
+	return stale
+}
+
+// enterScope accounts for the pass about to run over e.scope: a scope wider
+// than the footprint counts as an escalation, and its shards join the run's
+// touched set.
+func (e *Engine) enterScope(r *refreshRun, stale int) {
+	if stale > 0 {
+		r.escalations++
+	}
+	for i := 0; i < e.scope.Len(); i++ {
+		si, full, _ := e.scope.At(i)
+		r.touched[si] = true
+		if full {
+			r.touchedWhole[si] = true
 		}
-		if e.opt.FullRecompile {
-			copyDeps, err = copydetect.Detect(snap, ev, e.opt.Copy)
-			if err != nil {
-				return nil, err
-			}
+	}
+}
+
+// iterate runs one EM iteration over the current scope — Stages I+II on the
+// scope's rows, Stages III+IV globally, then the Eq 26 prior — and returns
+// the convergence delta: the parameter movement plus the prior's.
+//
+// Vote publication is per extractor under the same Tol contract as the shard
+// ledger (BeginIteration → selectiveVotes): an extractor's published
+// presence/absence votes move only once its own R/Q travel since the last
+// publication reaches Tol, which keeps the incremental M-step's
+// per-observation caches exactly valid for every vote-stable extractor.
+// Cold refreshes recompute every vote every iteration (bit-identical to
+// core.Run); so do full-pass iterations, whose M-step re-aggregates
+// regardless — the recompute is free there and re-anchors the publication
+// baselines early — and the first iteration after a structural change.
+func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
+	em, sc := r.em, e.scope
+	prevA, prevP, prevR, prevLO := e.prevA, e.prevP, e.prevR, e.prevLO
+	copy(prevA, em.A())
+	copy(prevP, em.P())
+	copy(prevR, em.R())
+
+	refreshVotes := !r.warm || r.voteForce || sc.AllFull()
+	em.BeginIteration(refreshVotes)
+	if refreshVotes {
+		r.voteForce = false
+	}
+	// The same materialized lists feed the E-step, the M-step deltas and the
+	// prior diff: each is exactly what this pass re-estimates.
+	passItems, passTris := e.materializeScope(r.snap, r.shards, sc)
+	e.eStep(em, passItems, passTris, r.cProb, r.valueProb, r.restMass, r.coveredItem)
+	// The pass re-anchored the scope's posteriors against the current
+	// parameters (and, on a vote-refreshing pass, the just-published votes):
+	// units whose whole reach was covered start accumulating drift from zero
+	// again.
+	em.SettleScopes(sc)
+	// A partial iteration hands the global M-steps exactly the scope's triple
+	// lists — the triples whose E-step outputs changed — so the incremental
+	// aggregates update in O(scope); a full pass (nil) re-aggregates the
+	// corpus.
+	var dirtyTris [][]int
+	if !sc.AllFull() {
+		dirtyTris = passTris
+	}
+	em.MStepSources(r.cProb, r.valueProb, dirtyTris)
+	em.MStepExtractors(r.cProb, dirtyTris)
+
+	// Warm refreshes start from settled parameters, so the prior refinement
+	// of Eq 26 applies from the first iteration; cold runs follow the paper's
+	// UpdatePriorFromIter schedule. The prior's own movement joins the
+	// convergence delta, exactly as in core.Run — without it, a loose Tol
+	// declares convergence while Eq 26 is still reshaping the posterior
+	// landscape, and the next warm refresh starts with a large correction
+	// instead of a settled fixed point.
+	if r.copt.UpdatePrior && (r.warm || iter+1 >= r.copt.UpdatePriorFromIter) {
+		lo := em.PriorLogOdds()
+		if sc.AllFull() {
+			copy(prevLO, lo)
+			e.updatePrior(em, passTris, r.valueProb)
+			delta = core.MaxDeltaLogistic(prevLO, lo)
 		} else {
-			if e.tracker == nil {
-				if e.tracker, err = copydetect.NewTracker(e.opt.Copy, len(shards)); err != nil {
-					return nil, err
+			// Only the scope's priors can move, so snapshot and diff exactly
+			// those entries instead of copying the corpus.
+			for _, tl := range passTris {
+				for _, ti := range tl {
+					prevLO[ti] = lo[ti]
 				}
 			}
-			dirtyIdx := make([]int, 0, touchedCount)
-			for si, hit := range touched {
-				if hit {
-					dirtyIdx = append(dirtyIdx, si)
-				}
-			}
-			e.tracker.Update(snap, ev, shards, dirtyIdx)
-			copyDeps = e.tracker.Dependencies(ev.Accuracy)
-		}
-		if e.opt.CopyDiscount {
-			// Feed the dependencies back as Stage II vote discounts. The
-			// ledger charges each source's weight movement to its shards, and
-			// a movement of ≥ Tol anywhere revokes convergence: the published
-			// posteriors predate the new weights, so the NoOp shortcut must
-			// not freeze them — the next Refresh re-estimates the charged
-			// shards under the updated discounts until the feedback settles.
-			em.SetSourceVoteWeights(copyWeights(len(snap.Sources), copyDeps, em.A(), e.opt.Copy.CopyRate))
-			if converged {
-				// Probe with an empty scope: any mark means a discount moved
-				// some unit's drift past Tol.
-				nsc.Reset(nShards, nItems)
-				if em.MarkStale(copt.Tol, nsc) > 0 {
-					converged = false
-				}
+			e.updatePrior(em, passTris, r.valueProb)
+			for _, tl := range passTris {
+				delta = core.MaxDeltaLogisticSubset(prevLO, lo, tl, delta)
 			}
 		}
 	}
 
-	// The fusion store refreshes off the same record feed but owns its
-	// provenance-granularity snapshot chain and drift ledger — it reads
-	// nothing from the multi-layer state, so its output is exactly what the
-	// standalone streaming store would publish for this corpus.
-	var fusRes *fusion.Result
-	var fusSnap *triple.Snapshot
-	fusedItems, fusIters := 0, 0
-	if e.opt.Fusion {
-		if e.fus == nil {
-			fopt := e.opt.Fuse
-			if fopt.Workers == 0 {
-				fopt.Workers = e.workers()
-			}
-			if e.fus, err = fusion.NewIncremental(fopt, triple.CompileOptions{}); err != nil {
-				return nil, err
-			}
+	// Each source charges its own accuracy movement against the items that
+	// actually read it (extractor movement is charged by the ledger when
+	// votes republish), and the next scope widens to exactly the sub-shard
+	// reach of the units whose accumulated charge crossed Tol. Sub-Tol
+	// movement keeps the E-step on the ingest footprint — and, because the
+	// ledger persists across refreshes, such residue keeps accumulating
+	// instead of resetting, so many small refreshes cannot compound into an
+	// unbounded lag between cached posteriors and the published parameters.
+	// (An escalated pass's Eq 26 refinement can still move clean rows' priors
+	// by the settling response to a sub-Tol parameter shift; their cached
+	// posteriors lag that one step until drift next crosses Tol — the
+	// Tol-bounded staleness this contract accepts.)
+	em.AccumulateSourceDrift(prevA)
+	return core.MaxDelta(prevA, em.A()) + core.MaxDelta(prevP, em.P()) + core.MaxDelta(prevR, em.R()) + delta
+}
+
+// layer6 runs the streaming copy detector and the fusion store off the
+// settled state (reads r's begin, state and settle groups, fills the layer-6
+// group; with CopyDiscount it also sets the EM vote weights and may revoke
+// r.converged).
+func (e *Engine) layer6(r *refreshRun) error {
+	if e.opt.CopyDetect {
+		if err := e.detectCopies(r); err != nil {
+			return err
 		}
-		if fusRes, err = e.fus.Refresh(records, pending); err != nil {
-			return nil, err
-		}
-		fusSnap = e.fus.Snapshot()
-		fusedItems = e.fus.FusedLast()
-		fusIters = fusRes.Iterations
 	}
-	// Publish the new generation by copy-on-write against the previous one:
-	// only the touched shards' posterior chunks are copied out of the
-	// working arrays; everything else is shared. The Extend path is what
-	// guarantees the share is sound — the previous generation was built on
-	// the same snapshot chain, so an untouched shard's working values are
-	// bit-identical to its published chunk. A recompiled refresh (cold or
-	// FullRecompile) builds every chunk, which also re-anchors the
-	// incrementally maintained ExpectedTriples sums.
+	if e.opt.Fusion {
+		return e.fuse(r)
+	}
+	return nil
+}
+
+// detectCopies scores copy dependence against exactly the posteriors this
+// generation publishes: it folds the touched shards' statistic deltas into
+// the tracker (the untouched shards' evidence is bit-identical to the
+// previous publication, so their cached counts still hold), then scores.
+// Under FullRecompile the batch detector recounts the corpus instead — the
+// bit-exact oracle for the tracker.
+func (e *Engine) detectCopies(r *refreshRun) (err error) {
+	snap, em, cProb, valueProb := r.snap, r.em, r.cProb, r.valueProb
+	ev := copydetect.Evidence{
+		ValueProb: func(d, v int) float64 {
+			vs := snap.ItemValues[d]
+			if k := sort.SearchInts(vs, v); k < len(vs) && vs[k] == v {
+				return valueProb[d][k]
+			}
+			return 0
+		},
+		Accuracy: func(w int) float64 { return em.A()[w] },
+		Provides: func(ti int) bool { return cProb[ti] >= 0.5 },
+	}
+	if e.opt.FullRecompile {
+		if r.copyDeps, err = copydetect.Detect(snap, ev, e.opt.Copy); err != nil {
+			return err
+		}
+	} else {
+		if e.tracker == nil {
+			if e.tracker, err = copydetect.NewTracker(e.opt.Copy, len(r.shards)); err != nil {
+				return err
+			}
+		}
+		dirtyIdx := make([]int, 0, r.touchedCount)
+		for si, hit := range r.touched {
+			if hit {
+				dirtyIdx = append(dirtyIdx, si)
+			}
+		}
+		e.tracker.Update(snap, ev, r.shards, dirtyIdx)
+		r.copyDeps = e.tracker.Dependencies(ev.Accuracy)
+	}
+	if !e.opt.CopyDiscount {
+		return nil
+	}
+	// Feed the dependencies back as Stage II vote discounts. The ledger
+	// charges each source's weight movement to its shards, and a movement of
+	// ≥ Tol anywhere revokes convergence: the published posteriors predate
+	// the new weights, so the NoOp shortcut must not freeze them — the next
+	// Refresh re-estimates the charged shards under the updated discounts
+	// until the feedback settles.
+	em.SetSourceVoteWeights(copyWeights(len(snap.Sources), r.copyDeps, em.A(), e.opt.Copy.CopyRate))
+	if r.converged {
+		// Probe with an empty scope: any mark means a discount moved some
+		// unit's drift past Tol.
+		e.scopeNext.Reset(len(r.shards), len(snap.Items))
+		if em.MarkStale(r.copt.Tol, e.scopeNext) > 0 {
+			r.converged = false
+		}
+	}
+	return nil
+}
+
+// fuse refreshes the fusion store. It runs off the same record feed but owns
+// its provenance-granularity snapshot chain and drift ledger — it reads
+// nothing from the multi-layer state, so its output is exactly what the
+// standalone streaming store would publish for this corpus.
+func (e *Engine) fuse(r *refreshRun) (err error) {
+	if e.fus == nil {
+		fopt := e.opt.Fuse
+		if fopt.Workers == 0 {
+			fopt.Workers = e.workers()
+		}
+		if e.fus, err = fusion.NewIncremental(fopt, triple.CompileOptions{}); err != nil {
+			return err
+		}
+	}
+	if r.fusRes, err = e.fus.Refresh(r.records, r.pending); err != nil {
+		return err
+	}
+	r.fusSnap = e.fus.Snapshot()
+	r.fusedItems = e.fus.FusedLast()
+	return nil
+}
+
+// publish builds the new generation from r, stores it behind the atomic
+// pointer and persists the run's state for the next warm start. The
+// generation is built copy-on-write against the previous one: only the
+// touched shards' posterior chunks are copied out of the working arrays;
+// everything else is shared. r.extended is what makes the share sound — the
+// previous generation was built on the same snapshot chain, so an untouched
+// shard's working values are bit-identical to its published chunk. A run on
+// a fresh compile builds every chunk, which also re-anchors the
+// incrementally maintained ExpectedTriples sums.
+func (e *Engine) publish(r *refreshRun) *Result {
 	var prevInf *core.Result
-	if prevLast := e.last.Load(); extended && prevLast != nil {
+	if prevLast := e.last.Load(); r.extended && prevLast != nil {
 		prevInf = prevLast.Inference
 	}
-	aggDelta, aggFull := em.AggStepCounts()
+	aggDelta, aggFull := r.em.AggStepCounts()
 	res := &Result{
-		Snapshot:         snap,
-		Inference:        em.BuildResultFrom(prevInf, shards, touched, cProb, valueProb, restMass, coveredItem, iter, converged),
-		Warm:             warm,
-		Extended:         extended,
-		FirstPassShards:  firstPass,
-		TotalShards:      len(shards),
-		TouchedShards:    touchedCount,
-		SettledShards:    len(shards) - touchedCount,
-		PartialShards:    partialCount,
-		Escalations:      escalations,
-		AggDeltaSteps:    aggDelta - aggDelta0,
-		AggFullSteps:     aggFull - aggFull0,
-		CopyDeps:         copyDeps,
-		CopyPairs:        len(copyDeps),
-		Fusion:           fusRes,
-		FusionSnap:       fusSnap,
-		FusedItems:       fusedItems,
-		FusionIterations: fusIters,
+		Snapshot: r.snap,
+		Inference: r.em.BuildResultFrom(prevInf, r.shards, r.touched,
+			r.cProb, r.valueProb, r.restMass, r.coveredItem, r.iterations, r.converged),
+		Warm:            r.warm,
+		Extended:        r.extended,
+		FirstPassShards: r.firstPass,
+		TotalShards:     len(r.shards),
+		TouchedShards:   r.touchedCount,
+		SettledShards:   len(r.shards) - r.touchedCount,
+		PartialShards:   r.partialCount,
+		Escalations:     r.escalations,
+		AggDeltaSteps:   aggDelta - r.aggDelta0,
+		AggFullSteps:    aggFull - r.aggFull0,
+		CopyDeps:        r.copyDeps,
+		CopyPairs:       len(r.copyDeps),
+		Fusion:          r.fusRes,
+		FusionSnap:      r.fusSnap,
+		FusedItems:      r.fusedItems,
+	}
+	if r.fusRes != nil {
+		res.FusionIterations = r.fusRes.Iterations
 	}
 
-	// Publish and persist for the next warm start. The inclusion masks are
-	// cloned because the next NewEMFrom replaces the EM's own slices while
-	// the dirty-shard escalation check needs this generation's. Pending
-	// records that arrived while estimating stay queued for the next
-	// Refresh.
-	e.scope, e.scopeNext = sc, nsc
+	// Records that arrived while estimating stay queued.
+	r.srcInc = append([]bool(nil), r.em.SourceIncluded()...)
+	r.extInc = append([]bool(nil), r.em.ExtractorIncluded()...)
 	e.mu.Lock()
-	e.snap = snap
-	e.shards = shards
-	e.em = em
-	e.cProb, e.valueProb, e.restMass, e.coveredItem = cProb, valueProb, restMass, coveredItem
-	e.srcInc = append([]bool(nil), em.SourceIncluded()...)
-	e.extInc = append([]bool(nil), em.ExtractorIncluded()...)
-	e.lastTouched = touched
-	e.pending = append(e.pending[:0:0], e.pending[nPending:]...)
+	defer e.mu.Unlock()
+	e.modelState = r.modelState
+	e.lastTouched = r.touched
+	e.pending = append(e.pending[:0:0], e.pending[r.nPending:]...)
 	e.last.Store(res)
-	e.mu.Unlock()
-	return res, nil
+	return res
 }
 
 // materializeScope resolves the compiled scope into per-entry item and
@@ -1002,19 +1048,21 @@ func (e *Engine) innerWorkers(nTasks int) int {
 	return (workers + nTasks - 1) / nTasks
 }
 
-// extendPosteriors grows the engine-owned posterior arrays in place for an
-// extended snapshot: new candidate triples start from the Alpha prior, new
+// extendPosteriors grows prev's posterior arrays in place into the run's for
+// an extended snapshot: new candidate triples start from the Alpha prior, new
 // items from empty rows (the first E-step fills them — every new item is in
 // the dirty set by construction), and old items whose candidate-value list
 // gained an entry have their row remapped to the shifted slots. Everything
 // already in place carries over untouched, so the work is proportional to
 // the ingest.
-func (e *Engine) extendPosteriors(snap, prev *triple.Snapshot, alpha float64) {
+func (r *refreshRun) extendPosteriors() {
+	snap, prev := r.snap, r.prev.snap
+	r.cProb, r.valueProb, r.restMass, r.coveredItem = r.prev.cProb, r.prev.valueProb, r.prev.restMass, r.prev.coveredItem
 	if snap == prev {
 		return // resume on the identical snapshot
 	}
 	for ti := len(prev.Triples); ti < len(snap.Triples); ti++ {
-		e.cProb = append(e.cProb, alpha)
+		r.cProb = append(r.cProb, r.copt.Alpha)
 	}
 
 	nOldItems := len(prev.Items)
@@ -1035,33 +1083,22 @@ func (e *Engine) extendPosteriors(snap, prev *triple.Snapshot, alpha float64) {
 			continue
 		}
 		remapped[d] = true
-		oldRow := e.valueProb[d]
-		row := make([]float64, len(newVs))
-		j := 0
-		for k, v := range newVs {
-			for j < len(oldVs) && oldVs[j] < v {
-				j++
-			}
-			if j < len(oldVs) && oldVs[j] == v && j < len(oldRow) {
-				row[k] = oldRow[j]
-			}
-		}
-		e.valueProb[d] = row
+		r.valueProb[d] = remapRow(newVs, oldVs, r.valueProb[d])
 	}
 	for d := nOldItems; d < len(snap.Items); d++ {
-		e.valueProb = append(e.valueProb, nil)
-		e.restMass = append(e.restMass, 0)
-		e.coveredItem = append(e.coveredItem, false)
+		r.valueProb = append(r.valueProb, nil)
+		r.restMass = append(r.restMass, 0)
+		r.coveredItem = append(r.coveredItem, false)
 	}
 }
 
-// carryOver seeds a freshly built EM state from the previous refresh on the
-// FullRecompile path: parameters by stable dense id, per-triple prior and
-// correctness posterior by (w,d,v) identity, and per-item value posteriors
-// by value id. (The default path needs none of this — core.NewEMFrom carries
-// the state itself.)
-func (e *Engine) carryOver(em *core.EM, snap, prev *triple.Snapshot, cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool) {
-	prevEM := e.em
+// carryOver seeds the freshly built EM state and posterior arrays of a
+// FullRecompile run from the previous refresh: parameters by stable dense id,
+// per-triple prior and correctness posterior by (w,d,v) identity, and
+// per-item value posteriors by value id. (The default path needs none of
+// this — core.NewEMFrom carries the state itself.)
+func (r *refreshRun) carryOver() {
+	em, snap, prev, prevEM := r.em, r.snap, r.prev.snap, r.prev.em
 	em.CarryParamsFrom(prevEM)
 	em.CarryVotesFrom(prevEM)
 	em.CarryStalenessFrom(prevEM)
@@ -1078,33 +1115,38 @@ func (e *Engine) carryOver(em *core.EM, snap, prev *triple.Snapshot, cProb []flo
 	for ti, tr := range snap.Triples {
 		if oti, ok := oldTriple[tr]; ok {
 			lo[ti] = oldLO[oti]
-			cProb[ti] = e.cProb[oti]
+			r.cProb[ti] = r.prev.cProb[oti]
 			clo[ti] = oldCLO[oti]
 		} else {
-			cProb[ti] = e.opt.Core.Alpha
+			r.cProb[ti] = r.copt.Alpha
 		}
 	}
 
-	for d := range valueProb {
-		newVs := snap.ItemValues[d]
-		row := make([]float64, len(newVs))
-		if d < len(prev.Items) {
-			oldVs := prev.ItemValues[d]
-			oldRow := e.valueProb[d]
-			j := 0
-			for k, v := range newVs {
-				for j < len(oldVs) && oldVs[j] < v {
-					j++
-				}
-				if j < len(oldVs) && oldVs[j] == v && k < len(row) && j < len(oldRow) {
-					row[k] = oldRow[j]
-				}
-			}
-			restMass[d] = e.restMass[d]
-			coveredItem[d] = e.coveredItem[d]
+	for d := range r.valueProb {
+		if d >= len(prev.Items) {
+			r.valueProb[d] = make([]float64, len(snap.ItemValues[d]))
+			continue
 		}
-		valueProb[d] = row
+		r.valueProb[d] = remapRow(snap.ItemValues[d], prev.ItemValues[d], r.prev.valueProb[d])
+		r.restMass[d] = r.prev.restMass[d]
+		r.coveredItem[d] = r.prev.coveredItem[d]
 	}
+}
+
+// remapRow carries an item's value posteriors over to a grown candidate-value
+// list (both lists ascend by value id); values the old list lacked start at 0.
+func remapRow(newVs, oldVs []int, oldRow []float64) []float64 {
+	row := make([]float64, len(newVs))
+	j := 0
+	for k, v := range newVs {
+		for j < len(oldVs) && oldVs[j] < v {
+			j++
+		}
+		if j < len(oldVs) && oldVs[j] == v && j < len(oldRow) {
+			row[k] = oldRow[j]
+		}
+	}
+	return row
 }
 
 // seedFootprint marks the items the first warm iteration must re-estimate
@@ -1118,16 +1160,17 @@ func (e *Engine) carryOver(em *core.EM, snap, prev *triple.Snapshot, cProb []flo
 // resolve against the extended snapshot is an invariant violation — the
 // ingest/extension contract guarantees every pending record compiled — and
 // is surfaced as an error rather than silently absorbed as a full pass.
-func (e *Engine) seedFootprint(em *core.EM, snap, prev *triple.Snapshot, pending []triple.Record, base *core.ScopeSet) error {
-	if inclusionChanged(e.srcInc, em.SourceIncluded()) || inclusionChanged(e.extInc, em.ExtractorIncluded()) {
+func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
+	em, snap := r.em, r.snap
+	if inclusionChanged(r.prev.srcInc, em.SourceIncluded()) || inclusionChanged(r.prev.extInc, em.ExtractorIncluded()) {
 		base.MarkAllFull()
 		return nil
 	}
-	if e.opt.Core.Scope == core.ScopeAllExtractors && len(snap.Extractors) > len(prev.Extractors) {
+	if e.opt.Core.Scope == core.ScopeAllExtractors && len(snap.Extractors) > len(r.prev.snap.Extractors) {
 		base.MarkAllFull()
 		return nil
 	}
-	for i, rec := range pending {
+	for i, rec := range r.pending {
 		w := snap.SourceID(e.opt.SourceKey(rec))
 		d := snap.ItemID(rec.Subject, rec.Predicate)
 		if w < 0 || d < 0 || !em.MarkCellItems(w, snap.PredOfItem[d], base) {

@@ -602,7 +602,8 @@ func TestDirtyShardsSurfacesLookupFailure(t *testing.T) {
 	}
 	sc := core.NewScopeSet()
 	sc.Reset(opt.Shards, len(eng.snap.Items))
-	if err := eng.seedFootprint(eng.em, eng.snap, eng.snap, []triple.Record{ghost}, sc); err == nil {
+	run := &refreshRun{modelState: eng.modelState, prev: eng.modelState, pending: []triple.Record{ghost}}
+	if err := eng.seedFootprint(run, sc); err == nil {
 		t.Fatal("expected an error for a pending record missing from the snapshot")
 	}
 }

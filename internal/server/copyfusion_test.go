@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -10,16 +9,6 @@ import (
 
 	"kbt"
 )
-
-func readAll(t *testing.T, resp *http.Response) string {
-	t.Helper()
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
 
 // copierBatch plants five mostly-independent sites, an "orig" site with a
 // distinctive mistake on every third item, and a "copier" echoing orig
@@ -151,24 +140,4 @@ func TestCopyDepsAndFusedEndpoints(t *testing.T) {
 		t.Fatalf("separator-free item = %d %+v, want 404 unknown_item", resp.StatusCode, envelope)
 	}
 
-	// Success-path alias parity: same status, same body, deprecation marked.
-	for _, path := range []string{"/copy-deps", "/fused?item=" + item} {
-		alias, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aliasBody := readAll(t, alias)
-		v1Body := readAll(t, v1)
-		if alias.StatusCode != v1.StatusCode || aliasBody != v1Body {
-			t.Fatalf("%s alias (%d, %q) != /v1 (%d, %q)", path, alias.StatusCode, aliasBody, v1.StatusCode, v1Body)
-		}
-		if alias.Header.Get("Deprecation") != "true" || v1.Header.Get("Deprecation") != "" {
-			t.Fatalf("%s deprecation headers wrong (alias %q, v1 %q)",
-				path, alias.Header.Get("Deprecation"), v1.Header.Get("Deprecation"))
-		}
-	}
 }

@@ -3,10 +3,9 @@
 // of the current generation — queries never block a running refresh, because
 // the engine's read path is an atomic generation load.
 //
-// The API is versioned under /v1/. The original unversioned paths remain as
-// deprecated aliases with identical behavior, marked with a Deprecation
-// header and a Link to their successor. Every non-2xx response carries the
-// uniform JSON envelope {"error": <message>, "code": <machine code>}.
+// The API is versioned under /v1/; any other path is a 404. Every non-2xx
+// response carries the uniform JSON envelope {"error": <message>, "code":
+// <machine code>}.
 package server
 
 import (
@@ -163,15 +162,15 @@ func New(eng Engine, opt Options) *Server {
 		stopped:       make(chan struct{}),
 		mux:           http.NewServeMux(),
 	}
-	s.route("/ingest", s.handleIngest)
-	s.route("/refresh", s.handleRefresh)
-	s.route("/top-sources", s.handleTopSources)
-	s.route("/top-triples", s.handleTopTriples)
-	s.route("/source", s.handleSource)
-	s.route("/copy-deps", s.handleCopyDeps)
-	s.route("/fused", s.handleFused)
-	s.route("/healthz", s.handleHealthz)
-	s.route("/stats", s.handleStats)
+	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
+	s.mux.HandleFunc("/v1/refresh", s.handleRefresh)
+	s.mux.HandleFunc("/v1/top-sources", s.handleTopSources)
+	s.mux.HandleFunc("/v1/top-triples", s.handleTopTriples)
+	s.mux.HandleFunc("/v1/source", s.handleSource)
+	s.mux.HandleFunc("/v1/copy-deps", s.handleCopyDeps)
+	s.mux.HandleFunc("/v1/fused", s.handleFused)
+	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "unknown path "+r.URL.Path)
 	})
@@ -187,16 +186,6 @@ func New(eng Engine, opt Options) *Server {
 		close(s.refresherDone)
 	}
 	return s
-}
-
-// route registers h under /v1 and, deprecated, under the bare path.
-func (s *Server) route(path string, h http.HandlerFunc) {
-	s.mux.HandleFunc("/v1"+path, h)
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+path+`>; rel="successor-version"`)
-		h(w, r)
-	})
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }

@@ -218,6 +218,8 @@ func TestBadRequests(t *testing.T) {
 		{"fused disabled", "GET", "/v1/fused?item=s%7Cp", "", http.StatusConflict, "fusion_disabled"},
 		{"unknown path", "GET", "/v1/no-such-endpoint", "", http.StatusNotFound, "not_found"},
 		{"unknown root path", "GET", "/nope", "", http.StatusNotFound, "not_found"},
+		{"unversioned ingest", "POST", "/ingest", `[]`, http.StatusNotFound, "not_found"},
+		{"unversioned top-sources", "GET", "/top-sources", "", http.StatusNotFound, "not_found"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
@@ -235,66 +237,6 @@ func TestBadRequests(t *testing.T) {
 			}
 			if envelope.Code != tc.code || envelope.Error == "" {
 				t.Fatalf("envelope = %+v, want code %q and a message", envelope, tc.code)
-			}
-		})
-	}
-}
-
-// TestDeprecatedAliases pins that every unversioned path behaves exactly as
-// its /v1 successor — same status, same body — and is marked deprecated,
-// while /v1 itself is not.
-func TestDeprecatedAliases(t *testing.T) {
-	srv := New(testEngine(t), Options{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// Cover both 2xx and error envelopes, and every registered path.
-	for _, tc := range []struct {
-		method, path, body string
-	}{
-		{"GET", "/healthz", ""},
-		{"GET", "/stats", ""},
-		{"GET", "/top-sources", ""},      // 503 pre-generation
-		{"GET", "/top-triples?k=3", ""},  // 503 pre-generation
-		{"GET", "/source", ""},           // 400 missing name
-		{"POST", "/refresh", ""},         // 409 nothing ingested
-		{"POST", "/ingest", "[]"},        // 400 empty batch
-		{"GET", "/copy-deps", ""},        // 409 layer disabled
-		{"GET", "/fused?item=s%7Cp", ""}, // 409 layer disabled
-	} {
-		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
-			do := func(path string) (*http.Response, string) {
-				req, err := http.NewRequest(tc.method, ts.URL+path, strings.NewReader(tc.body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return resp, string(body)
-			}
-			alias, aliasBody := do(tc.path)
-			v1, v1Body := do("/v1" + tc.path)
-			if alias.StatusCode != v1.StatusCode || aliasBody != v1Body {
-				t.Fatalf("alias (%d, %q) != /v1 (%d, %q)",
-					alias.StatusCode, aliasBody, v1.StatusCode, v1Body)
-			}
-			if alias.Header.Get("Deprecation") != "true" {
-				t.Fatal("alias response missing Deprecation header")
-			}
-			if link := alias.Header.Get("Link"); !strings.Contains(link, "/v1") ||
-				!strings.Contains(link, "successor-version") {
-				t.Fatalf("alias Link header = %q", link)
-			}
-			if v1.Header.Get("Deprecation") != "" {
-				t.Fatal("/v1 response carries a Deprecation header")
 			}
 		})
 	}

@@ -32,13 +32,11 @@ import (
 // obsoletes are removed afterwards, and a crash between the base rename and
 // the removals only leaves stale deltas whose watermarks the reader skips.
 const (
-	// kbtckp03 added the per-op idempotency key. Writes always use it, but
-	// kbtckp02 parts — written before keyed ingest existed — still decode
-	// (their ops simply carry no keys), so upgrading a binary over an
-	// existing data dir keeps the chain readable; the next checkpoint
-	// appends in the current format.
-	ckptMagic   = "kbtckp03"
-	ckptMagicV2 = "kbtckp02"
+	// ckptMagic is ckptMagicPrefix plus the two-digit format version. Pre-1.0,
+	// a data directory is readable only by the format version that wrote it:
+	// parts of any other version are refused, not converted.
+	ckptMagic       = "kbtckp03"
+	ckptMagicPrefix = "kbtckp"
 	// CheckpointFile is the chain's base file name inside the data dir.
 	CheckpointFile = "checkpoint"
 	ckptTempFile   = "checkpoint.tmp"
@@ -312,12 +310,10 @@ func decodeCkptPart(raw []byte) (prev uint64, ck *Checkpoint, err error) {
 	if len(raw) < hdr {
 		return 0, nil, fmt.Errorf("%w: checkpoint header", ErrCorrupt)
 	}
-	hasKeys := false
-	switch string(raw[:len(ckptMagic)]) {
-	case ckptMagic:
-		hasKeys = true
-	case ckptMagicV2: // pre-key layout: ops decode with empty keys
-	default:
+	if magic := string(raw[:len(ckptMagic)]); magic != ckptMagic {
+		if strings.HasPrefix(magic, ckptMagicPrefix) {
+			return 0, nil, fmt.Errorf("wal: checkpoint was written at format version %q, this binary reads only %q (pre-1.0, a data directory is readable only by the version that wrote it)", magic, ckptMagic)
+		}
 		return 0, nil, fmt.Errorf("%w: checkpoint header", ErrCorrupt)
 	}
 	sum := binary.LittleEndian.Uint32(raw[len(ckptMagic):])
@@ -343,9 +339,9 @@ func decodeCkptPart(raw []byte) (prev uint64, ck *Checkpoint, err error) {
 		return 0, nil, fmt.Errorf("%w: checkpoint fingerprint", ErrCorrupt)
 	}
 	nOps, payload, err := decodeUvarint(payload)
-	// An op encodes to at least 2 bytes (two zero uvarints); an impossible
+	// An op encodes to at least 3 bytes (three zero uvarints); an impossible
 	// count is rejected before any allocation it would size.
-	if err != nil || nOps > uint64(len(payload)/2) {
+	if err != nil || nOps > uint64(len(payload)/3) {
 		return 0, nil, fmt.Errorf("%w: checkpoint op count", ErrCorrupt)
 	}
 	if nOps > 0 {
@@ -375,11 +371,9 @@ func decodeCkptPart(raw []byte) (prev uint64, ck *Checkpoint, err error) {
 			return 0, nil, fmt.Errorf("%w: checkpoint op %d refresh count", ErrCorrupt, i)
 		}
 		op.Refreshes = int(refreshes)
-		if hasKeys {
-			op.Key, payload, err = decodeString(payload)
-			if err != nil {
-				return 0, nil, fmt.Errorf("%w: checkpoint op %d key", ErrCorrupt, i)
-			}
+		op.Key, payload, err = decodeString(payload)
+		if err != nil {
+			return 0, nil, fmt.Errorf("%w: checkpoint op %d key", ErrCorrupt, i)
 		}
 		ck.Ops = append(ck.Ops, op)
 	}

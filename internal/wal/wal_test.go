@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kbt/internal/triple"
@@ -431,6 +432,26 @@ func TestCheckpointChainRoundTripAndCorruption(t *testing.T) {
 	}
 	if _, _, err := ReadCheckpoint(nil, dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt checkpoint not detected: %v", err)
+	}
+	// A part of another format version is not damage: it is refused by the
+	// version policy, naming the version found and the one read. A magic
+	// outside the family is still corruption.
+	raw[len(raw)-1] ^= 0x01
+	copy(raw, "kbtckp02")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = ReadCheckpoint(nil, dir)
+	if err == nil || errors.Is(err, ErrCorrupt) ||
+		!strings.Contains(err.Error(), `"kbtckp02"`) || !strings.Contains(err.Error(), `"`+ckptMagic+`"`) {
+		t.Fatalf("older-format checkpoint: got %v, want a version error naming both formats", err)
+	}
+	copy(raw, "notakbt!")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadCheckpoint(nil, dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unknown magic not detected as corruption: %v", err)
 	}
 	// A delta with no base at all is likewise corruption.
 	if err := os.Remove(path); err != nil {

@@ -65,8 +65,6 @@ func (o EngineOptions) engineOptions() (engine.Options, error) {
 	}
 	eopt.Core = mopt
 	eopt.Workers = o.Workers
-	eopt.FullRecompile = o.FullRecompile
-	eopt.FullAggregates = o.FullAggregates
 	// The public CopyDetect switch turns on both halves of ACCU-COPY:
 	// maintaining the dependence statistics and discounting detected
 	// copiers' votes. (The internal layer keeps them separable for the

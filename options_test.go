@@ -26,8 +26,6 @@ func TestEngineOptionsRoundTrip(t *testing.T) {
 		AllExtractorsVoteAbsence: true,
 		Workers:                  3,
 		Tol:                      0.125,
-		FullRecompile:            true,
-		FullAggregates:           true,
 	}
 	eopt, err := in.engineOptions()
 	if err != nil {
@@ -44,12 +42,6 @@ func TestEngineOptionsRoundTrip(t *testing.T) {
 	}
 	if eopt.Workers != 3 {
 		t.Errorf("Workers: got %d, want 3", eopt.Workers)
-	}
-	if !eopt.FullRecompile {
-		t.Error("FullRecompile did not carry")
-	}
-	if !eopt.FullAggregates {
-		t.Error("FullAggregates did not carry")
 	}
 	if eopt.Core.N != 7 {
 		t.Errorf("Core.N: got %d, want 7", eopt.Core.N)
