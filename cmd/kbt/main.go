@@ -466,7 +466,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(stdout, "-- serving HTTP on %s\n", ln.Addr())
@@ -497,6 +497,20 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 	// srv.Close (deferred) drains admitted batches; the engine Close
 	// (deferred above for the durable case) then syncs the log.
 	return nil
+}
+
+// Slow-client bounds of the HTTP server: how long a client may take over a
+// request's headers, and how long a keep-alive connection may sit idle —
+// without them a slowloris client holds a connection forever. Bodies are on
+// no clock: a MaxBodyBytes ingest over a slow link is a legitimate request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server serve -listen runs h on.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func cmdFuse(args []string) error {

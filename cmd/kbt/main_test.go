@@ -64,6 +64,20 @@ func TestServeRejectsOracleFlags(t *testing.T) {
 	}
 }
 
+// TestHTTPServerBoundsSlowClients: the server serve -listen runs bounds how
+// long a client may dawdle over request headers and how long a keep-alive
+// connection may idle (slowloris), but puts no clock on request or response
+// bodies — a maximum-size ingest over a slow link must still fit.
+func TestHTTPServerBoundsSlowClients(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v: both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v: bodies must not be on a clock", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}
+
 // TestServeStdinMode pins the original pipeline behavior: records stream in,
 // a blank line refreshes, EOF refreshes the tail, the ranking prints.
 func TestServeStdinMode(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kbt/internal/engine"
 	"kbt/internal/triple"
 	"kbt/internal/wal"
 )
@@ -67,8 +68,9 @@ type DurableOptions struct {
 	// call back into the engine from it.
 	OnHealthChange func(from, to HealthState, cause error)
 
-	// fs overrides the filesystem; the crash-injection tests use it to kill
-	// the process at chosen byte offsets. nil means the real filesystem.
+	// fs overrides the filesystem; the crash and chaos tests put a
+	// wal.FaultFS here, whose schedule fails chosen operations or kills the
+	// process at a chosen byte. nil means the real filesystem.
 	fs wal.FS
 	// now overrides the clock CheckpointInterval is measured on. nil means
 	// time.Now; the cadence tests inject a fake clock here.
@@ -167,9 +169,10 @@ type HealthStatus struct {
 	CheckpointWatermark uint64
 }
 
-// DurableEngine is an Engine whose ingest stream survives process death. It
-// has the same method set as Engine (and the same lock-free read path), plus
-// Checkpoint and Close, and the durability contract:
+// DurableEngine is an Engine whose ingest stream survives process death: it
+// journals in front of the same internal engine Engine drives, and embeds the
+// same read view, so it has Engine's method set (and its lock-free read
+// path), plus Checkpoint and Close, and the durability contract:
 //
 //   - Ingest returns nil only after the batch is fsync-ed into the
 //     write-ahead log — an acknowledged batch is never lost by a crash;
@@ -198,13 +201,11 @@ type HealthStatus struct {
 // exact state recovery would rebuild — which may move the published
 // estimates within the documented ≤1e-9 incremental-vs-oracle envelope.
 type DurableEngine struct {
-	opt  EngineOptions
+	// view is the live engine and its lock-free read accessors. Compaction
+	// re-anchors it on a fresh engine.
+	view
 	dopt DurableOptions
 	dir  string
-
-	// eng is the live engine; read accessors go through this pointer only,
-	// so they are as lock-free as Engine's. Compaction swaps it whole.
-	eng atomic.Pointer[Engine]
 
 	mu        sync.Mutex // serialises mutators: Ingest, Refresh, Checkpoint, Close
 	log       *wal.Log
@@ -277,7 +278,7 @@ func checkFingerprint(found, want string) error {
 // replayRefresh runs one recovered refresh. A marker logged before any record
 // was ingested is for a refresh that could not have succeeded and replays as
 // nothing; a redundant marker costs only the engine's own NoOp shortcut.
-func replayRefresh(eng *Engine) error {
+func replayRefresh(eng *engine.Engine) error {
 	if eng.Len() == 0 {
 		return nil
 	}
@@ -292,7 +293,7 @@ func replayRefresh(eng *Engine) error {
 // torn log tail — an append no one was ever acknowledged for — is truncated;
 // damage to acknowledged state surfaces as wal.ErrCorrupt.
 func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEngine, error) {
-	eng, err := NewEngine(opt)
+	eng, err := newInner(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +311,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		log.Close()
 		return nil, err
 	}
-	d := &DurableEngine{opt: opt, dopt: dopt, dir: dir, log: log}
+	d := &DurableEngine{view: view{opt: opt}, dopt: dopt, dir: dir, log: log}
 	d.keys.cap = dopt.keyRetention()
 	var from uint64
 	if ok {
@@ -326,7 +327,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		for i := range ck.Ops {
 			op := &ck.Ops[i]
 			if len(op.Records) > 0 {
-				if err := eng.eng.Ingest(op.Records...); err != nil {
+				if err := eng.Ingest(op.Records...); err != nil {
 					log.Close()
 					return nil, fmt.Errorf("%w: checkpoint records no longer ingestable: %v", wal.ErrCorrupt, err)
 				}
@@ -362,7 +363,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 			// The live process logged the batch before engine validation, so
 			// a batch the engine rejected then is rejected again now — the
 			// same deterministic validation — and contributes no state.
-			if err := eng.eng.Ingest(ent.Records...); err != nil {
+			if err := eng.Ingest(ent.Records...); err != nil {
 				return nil
 			}
 			d.noteBatch(ent.Records, ent.Key)
@@ -384,7 +385,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		log.Close()
 		return nil, err
 	}
-	d.eng.Store(eng)
+	d.anchor(eng)
 	d.lastCkpt = dopt.clock()()
 	return d, nil
 }
@@ -564,10 +565,7 @@ func (d *DurableEngine) Ingest(batch ...Extraction) error {
 // in the WAL entry and in checkpoint ops, which is what lets the dedup set
 // survive recovery. An empty key is a plain Ingest.
 func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
-	recs := make([]triple.Record, len(batch))
-	for i, x := range batch {
-		recs[i] = x.record()
-	}
+	recs := records(batch)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -589,7 +587,7 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 	if err := d.log.Sync(); err != nil {
 		return d.degradeLocked(err)
 	}
-	if err := d.eng.Load().eng.Ingest(recs...); err != nil {
+	if err := d.eng.Load().Ingest(recs...); err != nil {
 		// Validation rejection, not a storage fault: the batch is discarded
 		// whole (recovery re-runs the same validation) and the key is not
 		// recorded, so a resend earns the same rejection.
@@ -608,13 +606,6 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 	return nil
 }
 
-// Validate checks a batch against the engine's ingest validation without
-// logging or applying anything. Multi-lane servers use it to refuse a
-// malformed batch whole before its per-lane sub-batches are admitted.
-func (d *DurableEngine) Validate(batch ...Extraction) error {
-	return d.eng.Load().Validate(batch...)
-}
-
 // Refresh re-estimates the model over everything ingested so far, exactly as
 // Engine.Refresh does, and logs a replay marker for the refresh. The marker
 // is not individually fsync-ed — see the type comment. When CheckpointEvery
@@ -628,20 +619,14 @@ func (d *DurableEngine) Refresh() (*Result, error) {
 	if err := d.gateLocked(); err != nil {
 		return nil, err
 	}
-	r, err := d.eng.Load().Refresh()
+	r, err := d.refreshLocked()
 	if err != nil {
+		var torn *storageFault
+		if errors.As(err, &torn) {
+			err = fmt.Errorf("kbt: refresh succeeded but its marker could not be logged: %w", d.degradeLocked(torn.err))
+		}
 		return nil, err
 	}
-	if _, err := d.log.Append(wal.EncodeRefresh()); err != nil {
-		// The refresh is applied to the live engine even though its marker
-		// tore. Note it anyway: the next delta checkpoint then carries it,
-		// keeping recovery in lockstep with this surviving process. (A crash
-		// before that checkpoint rolls the refresh back to "records
-		// pending" — the documented un-synced-marker contract.)
-		d.noteRefresh()
-		return nil, fmt.Errorf("kbt: refresh succeeded but its marker could not be logged: %w", d.degradeLocked(err))
-	}
-	d.noteRefresh()
 	d.refreshes++
 	need := d.dopt.CheckpointEvery > 0 && d.refreshes >= d.dopt.CheckpointEvery
 	if !need {
@@ -653,9 +638,29 @@ func (d *DurableEngine) Refresh() (*Result, error) {
 		}
 		// A compacting checkpoint replaced the generation r belongs to;
 		// serve the anchored one so the caller sees what recovery would.
-		if cur, ok := d.eng.Load().Current(); ok {
+		if cur, ok := d.Current(); ok {
 			return cur, nil
 		}
+	}
+	return r, nil
+}
+
+// refreshLocked is the one refresh-and-mark sequence: re-estimate the live
+// engine, append the refresh's replay marker, note the refresh for the next
+// delta checkpoint. A marker that tore comes back as a storageFault, but the
+// refresh is applied to the live engine all the same, so it is noted anyway:
+// the next delta then carries it, keeping recovery in lockstep with this
+// surviving process. (A crash before that checkpoint rolls the refresh back
+// to "records pending" — the documented un-synced-marker contract.)
+func (d *DurableEngine) refreshLocked() (*Result, error) {
+	r, err := d.refresh()
+	if err != nil {
+		return nil, err
+	}
+	_, err = d.log.Append(wal.EncodeRefresh())
+	d.noteRefresh()
+	if err != nil {
+		return nil, &storageFault{err}
 	}
 	return r, nil
 }
@@ -691,18 +696,10 @@ func (d *DurableEngine) Checkpoint() error {
 }
 
 func (d *DurableEngine) checkpointLocked() error {
-	eng := d.eng.Load()
-	if eng.Pending() > 0 {
-		if _, err := eng.Refresh(); err != nil {
+	if d.Pending() > 0 {
+		if _, err := d.refreshLocked(); err != nil {
 			return err
 		}
-		if _, err := d.log.Append(wal.EncodeRefresh()); err != nil {
-			// Applied to the live engine; carry it in the next delta even
-			// though the marker tore (see Refresh for the same contract).
-			d.noteRefresh()
-			return &storageFault{err}
-		}
-		d.noteRefresh()
 	}
 	// The ops and the watermark must cover the same durable prefix, so
 	// everything logged so far is synced before NextSeq is read.
@@ -732,7 +729,7 @@ func (d *DurableEngine) checkpointLocked() error {
 		// engine is re-anchored on the image just written — the exact state
 		// recovery would rebuild. From here on, live and recovered state
 		// march in lockstep through the same warm refreshes again.
-		recs := eng.eng.Records()
+		recs := d.eng.Load().Records()
 		var ops []wal.CheckpointOp
 		recordOps := 0
 		if len(recs) > 0 {
@@ -751,19 +748,19 @@ func (d *DurableEngine) checkpointLocked() error {
 		if err := wal.WriteCheckpointBase(d.dopt.fs, d.dir, ck); err != nil {
 			return &storageFault{err}
 		}
-		fresh, err := NewEngine(d.opt)
+		fresh, err := newInner(d.opt)
 		if err != nil {
 			return err
 		}
 		if len(recs) > 0 {
-			if err := fresh.eng.Ingest(recs...); err != nil {
+			if err := fresh.Ingest(recs...); err != nil {
 				return err
 			}
 			if _, err := fresh.Refresh(); err != nil {
 				return err
 			}
 		}
-		d.eng.Store(fresh)
+		d.anchor(fresh)
 		d.chainBatches = recordOps
 	case d.hasChain:
 		ck := &wal.Checkpoint{Watermark: watermark, Fingerprint: fp, Ops: d.opsSince}
@@ -829,33 +826,3 @@ func (d *DurableEngine) LogSize() int64 {
 	defer d.mu.Unlock()
 	return d.log.Size()
 }
-
-// Len returns the number of extractions ingested so far.
-func (d *DurableEngine) Len() int { return d.eng.Load().Len() }
-
-// Pending returns the number of extractions awaiting a Refresh.
-func (d *DurableEngine) Pending() int { return d.eng.Load().Pending() }
-
-// Current returns the result of the most recent Refresh without performing
-// any estimation work, or false before the first one. Lock-free, like
-// Engine.Current.
-func (d *DurableEngine) Current() (*Result, bool) { return d.eng.Load().Current() }
-
-// TopSources returns the k most trustworthy sources of the current
-// generation (k <= 0 means all), or false before the first Refresh.
-func (d *DurableEngine) TopSources(k int) ([]Source, bool) { return d.eng.Load().TopSources(k) }
-
-// TopTriples returns the k most probable covered triples of the current
-// generation (k <= 0 means all), or false before the first Refresh.
-func (d *DurableEngine) TopTriples(k int) ([]TripleVerdict, bool) { return d.eng.Load().TopTriples(k) }
-
-// CopyDeps returns the current generation's copy-dependence list, exactly as
-// Engine.CopyDeps does. Lock-free, like the other read accessors.
-func (d *DurableEngine) CopyDeps() ([]CopyDependence, error) { return d.eng.Load().CopyDeps() }
-
-// Fused returns the current generation's fused posterior for one data item,
-// exactly as Engine.Fused does. Lock-free, like the other read accessors.
-func (d *DurableEngine) Fused(item string) (FusedItem, error) { return d.eng.Load().Fused(item) }
-
-// Stats reports the most recent Refresh, or false before the first one.
-func (d *DurableEngine) Stats() (RefreshStats, bool) { return d.eng.Load().Stats() }

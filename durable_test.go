@@ -193,7 +193,7 @@ func oracleFromBoundary(t *testing.T, b durableBoundary, opt EngineOptions) *Eng
 	for i := range b.ck.Ops {
 		op := &b.ck.Ops[i]
 		if len(op.Records) > 0 {
-			if err := eng.eng.Ingest(op.Records...); err != nil {
+			if err := eng.eng.Load().Ingest(op.Records...); err != nil {
 				t.Fatalf("oracle chain ingest (op %d): %v", i, err)
 			}
 		}
@@ -218,7 +218,7 @@ func oracleFromBoundary(t *testing.T, b durableBoundary, opt EngineOptions) *Eng
 			if ent.Key != "" && seen[ent.Key] {
 				continue
 			}
-			if err := eng.eng.Ingest(ent.Records...); err != nil {
+			if err := eng.eng.Load().Ingest(ent.Records...); err != nil {
 				continue
 			}
 			if ent.Key != "" {
@@ -286,7 +286,7 @@ func TestDurableCrashSweep(t *testing.T) {
 		budgets++
 		dir := t.TempDir()
 		var acked int
-		cfs := wal.NewCrashFS(nil, budget)
+		cfs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpCrash, After: int(budget)})
 		d, err := OpenDurable(dir, opt, DurableOptions{SegmentBytes: 512, fs: cfs})
 		if err == nil {
 			var serr error
@@ -334,7 +334,7 @@ func TestDurableCrashSweep(t *testing.T) {
 		for i, x := range post {
 			postRecs[i] = x.record()
 		}
-		if err := oracle.eng.Ingest(postRecs...); err != nil {
+		if err := oracle.eng.Load().Ingest(postRecs...); err != nil {
 			t.Fatal(err)
 		}
 		rr2, err := rec.Refresh()
@@ -606,7 +606,7 @@ func TestDurableCheckpointDuringIngest(t *testing.T) {
 	completed := false
 	for budget := int64(0); budget < 1<<20 && !completed; budget += stride {
 		dir := t.TempDir()
-		cfs := wal.NewCrashFS(nil, budget)
+		cfs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpCrash, After: int(budget)})
 		var (
 			mu    sync.Mutex
 			acked []triple.Record
@@ -1388,7 +1388,7 @@ func TestDurableChaosSweep(t *testing.T) {
 					if d.Len() != before {
 						t.Fatalf("step %d: duplicate resend applied again", step)
 					}
-					if err := oracle.eng.Ingest(recs...); err != nil {
+					if err := oracle.eng.Load().Ingest(recs...); err != nil {
 						t.Fatal(err)
 					}
 					for _, r := range recs {

@@ -88,16 +88,12 @@ func DefaultEngineOptions() EngineOptions {
 // granularity; later Refreshes warm-start from the previous posteriors and
 // re-run the first inference pass only over the shards the new records
 // touched. Safe for concurrent use; the read path (Current, TopSources,
-// TopTriples, Stats) is lock-free — results are published as immutable
-// generations behind an atomic pointer, so readers never block a running
-// Refresh and a generation a reader holds stays valid across later
-// refreshes.
+// TopTriples, CopyDeps, Fused, Stats — the embedded view) is lock-free:
+// results are published as immutable generations behind an atomic pointer,
+// so readers never block a running Refresh and a generation a reader holds
+// stays valid across later refreshes.
 type Engine struct {
-	eng *engine.Engine
-	opt EngineOptions
-	// cur caches the Result wrapper of the latest published generation, so
-	// every reader of a generation shares one set of memoized sorted views.
-	cur atomic.Pointer[Result]
+	view
 
 	// keyMu/keys implement IngestKeyed's dedup for the in-memory engine,
 	// bounded at the default retention (the most recent 64Ki keys).
@@ -107,15 +103,15 @@ type Engine struct {
 	keys  keyring
 }
 
-// NewEngine builds an empty incremental engine. Option validation and the
-// mapping onto the internal engine/core options live in one place —
-// EngineOptions.engineOptions in options.go.
+// NewEngine builds an empty incremental engine.
 func NewEngine(opt EngineOptions) (*Engine, error) {
-	eopt, err := opt.engineOptions()
+	inner, err := newInner(opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{eng: engine.New(eopt), opt: opt, keys: keyring{cap: defaultKeyRetention}}, nil
+	e := &Engine{view: view{opt: opt}, keys: keyring{cap: defaultKeyRetention}}
+	e.anchor(inner)
+	return e, nil
 }
 
 // Ingest validates and appends extractions; they take effect at the next
@@ -125,11 +121,7 @@ func NewEngine(opt EngineOptions) (*Engine, error) {
 // catching at the door what would otherwise compile into degenerate units
 // and silently skew later refreshes.
 func (e *Engine) Ingest(batch ...Extraction) error {
-	recs := make([]triple.Record, len(batch))
-	for i, x := range batch {
-		recs[i] = x.record()
-	}
-	return e.eng.Ingest(recs...)
+	return e.eng.Load().Ingest(records(batch)...)
 }
 
 // IngestKeyed is Ingest with a client idempotency key: a batch whose key was
@@ -153,31 +145,73 @@ func (e *Engine) IngestKeyed(key string, batch ...Extraction) error {
 	return nil
 }
 
-// Validate checks a batch against the same per-record validation Ingest
-// performs, without appending anything. Multi-lane servers use it to refuse
-// a malformed batch whole before splitting it across lanes.
-func (e *Engine) Validate(batch ...Extraction) error {
+// Refresh re-estimates the model and returns the updated result, with the
+// same accessors EstimateKBT's Result provides.
+func (e *Engine) Refresh() (*Result, error) { return e.refresh() }
+
+// view is the read side both engines share: the current internal engine
+// behind an atomic pointer, the options it was built from, and the
+// per-generation Result wrapper cache. Every accessor is one atomic load plus
+// the internal engine's own lock-free generation read, so readers never block
+// a running Refresh, and DurableEngine's compaction swaps the engine whole
+// (anchor) without readers seeing more than a new generation. Both engines
+// embed it, which makes their read method sets identical by construction.
+type view struct {
+	eng atomic.Pointer[engine.Engine]
+	opt EngineOptions
+	// cur caches the Result wrapper of the latest published generation, so
+	// every reader of a generation shares one set of memoized sorted views.
+	cur atomic.Pointer[Result]
+}
+
+// newInner builds the internal engine for opt. Option validation and the
+// mapping onto the internal engine/core options live in one place —
+// EngineOptions.engineOptions in options.go.
+func newInner(opt EngineOptions) (*engine.Engine, error) {
+	eopt, err := opt.engineOptions()
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(eopt), nil
+}
+
+// anchor points the view at eng, dropping the wrapper (and with it the last
+// generation) of whatever engine it replaces.
+func (v *view) anchor(eng *engine.Engine) {
+	v.eng.Store(eng)
+	v.cur.Store(nil)
+}
+
+// records converts a batch to the internal record form.
+func records(batch []Extraction) []triple.Record {
 	recs := make([]triple.Record, len(batch))
 	for i, x := range batch {
 		recs[i] = x.record()
 	}
-	return e.eng.Validate(recs...)
+	return recs
+}
+
+// Validate checks a batch against the same per-record validation Ingest
+// performs, without logging or appending anything. Multi-lane servers use it
+// to refuse a malformed batch whole before splitting it across lanes.
+func (v *view) Validate(batch ...Extraction) error {
+	return v.eng.Load().Validate(records(batch)...)
 }
 
 // Len returns the number of extractions ingested so far.
-func (e *Engine) Len() int { return e.eng.Len() }
+func (v *view) Len() int { return v.eng.Load().Len() }
 
 // Pending returns the number of extractions awaiting a Refresh.
-func (e *Engine) Pending() int { return e.eng.Pending() }
+func (v *view) Pending() int { return v.eng.Load().Pending() }
 
-// Refresh re-estimates the model and returns the updated result, with the
-// same accessors EstimateKBT's Result provides.
-func (e *Engine) Refresh() (*Result, error) {
-	r, err := e.eng.Refresh()
+// refresh re-estimates the current engine and wraps the generation it
+// published.
+func (v *view) refresh() (*Result, error) {
+	r, err := v.eng.Load().Refresh()
 	if err != nil {
 		return nil, err
 	}
-	return e.wrap(r), nil
+	return v.wrap(r), nil
 }
 
 // wrap returns the shared Result wrapper for a published generation,
@@ -185,21 +219,21 @@ func (e *Engine) Refresh() (*Result, error) {
 // makes the memoized sorted views per-generation instead of per-call; a
 // racing reader that briefly re-wraps the same generation only duplicates
 // that memo, never its contents.
-func (e *Engine) wrap(r *engine.Result) *Result {
-	cached := e.cur.Load()
+func (v *view) wrap(r *engine.Result) *Result {
+	cached := v.cur.Load()
 	if cached != nil && cached.res == r.Inference {
 		return cached
 	}
 	w := &Result{
 		snap:     r.Snapshot,
 		res:      r.Inference,
-		opt:      Options{MinReportableTriples: e.opt.MinReportableTriples},
+		opt:      Options{MinReportableTriples: v.opt.MinReportableTriples},
 		copyDeps: r.CopyDeps,
 	}
 	// Install only if the cache still holds what we loaded: a reader that
 	// raced a Refresh must not evict the newer generation's wrapper (and
 	// its warmed memoized views) with an older one.
-	e.cur.CompareAndSwap(cached, w)
+	v.cur.CompareAndSwap(cached, w)
 	return w
 }
 
@@ -208,19 +242,19 @@ func (e *Engine) wrap(r *engine.Result) *Result {
 // lock-free: it never blocks a concurrent Refresh, and the returned
 // generation stays valid (and internally consistent) after any number of
 // later refreshes.
-func (e *Engine) Current() (*Result, bool) {
-	r := e.eng.Last()
+func (v *view) Current() (*Result, bool) {
+	r := v.eng.Load().Last()
 	if r == nil {
 		return nil, false
 	}
-	return e.wrap(r), true
+	return v.wrap(r), true
 }
 
 // TopSources returns the k most trustworthy sources of the current
 // generation (k <= 0 means all), or false before the first Refresh. See
 // Result.TopSources.
-func (e *Engine) TopSources(k int) ([]Source, bool) {
-	r, ok := e.Current()
+func (v *view) TopSources(k int) ([]Source, bool) {
+	r, ok := v.Current()
 	if !ok {
 		return nil, false
 	}
@@ -230,8 +264,8 @@ func (e *Engine) TopSources(k int) ([]Source, bool) {
 // TopTriples returns the k most probable covered triples of the current
 // generation (k <= 0 means all), or false before the first Refresh. See
 // Result.TopTriples.
-func (e *Engine) TopTriples(k int) ([]TripleVerdict, bool) {
-	r, ok := e.Current()
+func (v *view) TopTriples(k int) ([]TripleVerdict, bool) {
+	r, ok := v.Current()
 	if !ok {
 		return nil, false
 	}
@@ -245,15 +279,15 @@ func (e *Engine) TopTriples(k int) ([]TripleVerdict, bool) {
 // conversion shared by every reader of the generation). Returns
 // ErrCopyDetectDisabled when the engine was built without CopyDetect, and
 // ErrNoGeneration before the first Refresh.
-func (e *Engine) CopyDeps() ([]CopyDependence, error) {
-	if !e.opt.CopyDetect {
+func (v *view) CopyDeps() ([]CopyDependence, error) {
+	if !v.opt.CopyDetect {
 		return nil, ErrCopyDetectDisabled
 	}
-	r := e.eng.Last()
+	r := v.eng.Load().Last()
 	if r == nil {
 		return nil, ErrNoGeneration
 	}
-	w := e.wrap(r)
+	w := v.wrap(r)
 	w.copyOnce.Do(func() {
 		out := make([]CopyDependence, len(w.copyDeps))
 		for i, d := range w.copyDeps {
@@ -292,11 +326,11 @@ type FusedItem struct {
 // ErrFusionDisabled when the engine was built without Fusion,
 // ErrNoGeneration before the first Refresh, and ErrUnknownItem when no such
 // item exists in the fused corpus.
-func (e *Engine) Fused(item string) (FusedItem, error) {
-	if !e.opt.Fusion {
+func (v *view) Fused(item string) (FusedItem, error) {
+	if !v.opt.Fusion {
 		return FusedItem{}, ErrFusionDisabled
 	}
-	r := e.eng.Last()
+	r := v.eng.Load().Last()
 	if r == nil || r.Fusion == nil || r.FusionSnap == nil {
 		return FusedItem{}, ErrNoGeneration
 	}
@@ -391,8 +425,8 @@ type RefreshStats struct {
 }
 
 // Stats reports the most recent Refresh, or false before the first one.
-func (e *Engine) Stats() (RefreshStats, bool) {
-	r := e.eng.Last()
+func (v *view) Stats() (RefreshStats, bool) {
+	r := v.eng.Load().Last()
 	if r == nil {
 		return RefreshStats{}, false
 	}

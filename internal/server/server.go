@@ -162,15 +162,15 @@ func New(eng Engine, opt Options) *Server {
 		stopped:       make(chan struct{}),
 		mux:           http.NewServeMux(),
 	}
-	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("/v1/refresh", s.handleRefresh)
-	s.mux.HandleFunc("/v1/top-sources", s.handleTopSources)
-	s.mux.HandleFunc("/v1/top-triples", s.handleTopTriples)
-	s.mux.HandleFunc("/v1/source", s.handleSource)
-	s.mux.HandleFunc("/v1/copy-deps", s.handleCopyDeps)
-	s.mux.HandleFunc("/v1/fused", s.handleFused)
-	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.handle(http.MethodPost, "/v1/ingest", s.handleIngest)
+	s.handle(http.MethodPost, "/v1/refresh", s.handleRefresh)
+	s.handle(http.MethodGet, "/v1/top-sources", s.handleTopSources)
+	s.handle(http.MethodGet, "/v1/top-triples", s.handleTopTriples)
+	s.handle(http.MethodGet, "/v1/source", s.handleSource)
+	s.handle(http.MethodGet, "/v1/copy-deps", s.handleCopyDeps)
+	s.handle(http.MethodGet, "/v1/fused", s.handleFused)
+	s.handle(http.MethodGet, "/v1/healthz", s.handleHealthz)
+	s.handle(http.MethodGet, "/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "unknown path "+r.URL.Path)
 	})
@@ -186,6 +186,19 @@ func New(eng Engine, opt Options) *Server {
 		close(s.refresherDone)
 	}
 	return s
+}
+
+// handle registers h for exactly one method of a /v1 path; any other method
+// (HEAD on a GET endpoint included) gets the method_not_allowed envelope, so
+// each handler body starts at its real work.
+func (s *Server) handle(method, path string, h http.HandlerFunc) {
+	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", method+" only")
+			return
+		}
+		h(w, r)
+	})
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -322,10 +335,6 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
 	var batch []kbt.Extraction
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -416,10 +425,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
 	if _, err := s.eng.Refresh(); err != nil {
 		if errors.Is(err, kbt.ErrReadOnly) {
 			writeRetryError(w, http.StatusServiceUnavailable, "read_only", err.Error(), s.retryAfterSeconds())
@@ -446,10 +451,6 @@ func parseK(r *http.Request) (int, error) {
 }
 
 func (s *Server) handleTopSources(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
 	k, err := parseK(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
@@ -464,10 +465,6 @@ func (s *Server) handleTopSources(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTopTriples(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
 	k, err := parseK(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
@@ -482,10 +479,6 @@ func (s *Server) handleTopTriples(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
 	name := r.URL.Query().Get("name")
 	if name == "" {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing name parameter")
@@ -524,10 +517,6 @@ func writeLayerError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleCopyDeps(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
 	k, err := parseK(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
@@ -545,10 +534,6 @@ func (s *Server) handleCopyDeps(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFused(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
 	item := r.URL.Query().Get("item")
 	if item == "" {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing item parameter")
@@ -573,10 +558,6 @@ type healthReply struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
 	reply := healthReply{Status: kbt.StateHealthy.String()}
 	if hr, ok := s.eng.(HealthReporter); ok {
 		h := hr.Health()
@@ -614,10 +595,6 @@ type statsReply struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
 	queued := 0
 	for _, ch := range s.lanes {
 		queued += len(ch)

@@ -206,6 +206,10 @@ func TestBadRequests(t *testing.T) {
 		{"ingest GET", "GET", "/v1/ingest", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"refresh GET", "GET", "/v1/refresh", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"top-sources POST", "POST", "/v1/top-sources", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"top-triples POST", "POST", "/v1/top-triples", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"source POST", "POST", "/v1/source?name=w.com", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"healthz POST", "POST", "/v1/healthz", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"stats DELETE", "DELETE", "/v1/stats", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"bad k", "GET", "/v1/top-sources?k=many", "", http.StatusBadRequest, "bad_query"},
 		{"no generation", "GET", "/v1/top-triples", "", http.StatusServiceUnavailable, "no_generation"},
 		{"source without name", "GET", "/v1/source", "", http.StatusBadRequest, "bad_query"},
@@ -239,6 +243,16 @@ func TestBadRequests(t *testing.T) {
 				t.Fatalf("envelope = %+v, want code %q and a message", envelope, tc.code)
 			}
 		})
+	}
+	// HEAD carries no body to hold the envelope, but it is refused all the
+	// same: a GET endpoint serves GET only.
+	resp, err := http.Head(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("HEAD /v1/stats = %d, want 405", resp.StatusCode)
 	}
 }
 

@@ -7,13 +7,13 @@ import (
 )
 
 // crashWorkload appends batches of payloads with a Sync after each batch,
-// rolling across several tiny segments, against a budgeted CrashFS. It
+// rolling across several tiny segments, against a crash-budgeted FaultFS. It
 // returns the number of payloads whose covering Sync returned nil — the
 // acknowledged prefix the log must never lose — and the number appended in
 // total. The workload is deterministic, so budget b kills it at exactly one
 // byte/metadata step, and sweeping b covers every step.
 func crashWorkload(dir string, budget int64) (acked, appended int) {
-	cfs := NewCrashFS(OSFS{}, budget)
+	cfs := NewFaultFS(OSFS{}, Fault{Op: OpCrash, After: int(budget)})
 	l, err := Open(dir, Options{SegmentBytes: 128, FS: cfs})
 	if err != nil {
 		return 0, 0
@@ -157,7 +157,7 @@ func TestCrashSweepCheckpoint(t *testing.T) {
 		if err := WriteCheckpointBase(nil, dir, base); err != nil {
 			t.Fatal(err)
 		}
-		cfs := NewCrashFS(OSFS{}, budget)
+		cfs := NewFaultFS(OSFS{}, Fault{Op: OpCrash, After: int(budget)})
 		werr := WriteCheckpointDelta(cfs, dir, base.Watermark, delta)
 		completed = werr == nil
 
@@ -192,7 +192,7 @@ func TestCrashSweepCheckpoint(t *testing.T) {
 		if err := WriteCheckpointDelta(nil, dir, base.Watermark, delta); err != nil {
 			t.Fatal(err)
 		}
-		cfs := NewCrashFS(OSFS{}, budget)
+		cfs := NewFaultFS(OSFS{}, Fault{Op: OpCrash, After: int(budget)})
 		werr := WriteCheckpointBase(cfs, dir, compacted)
 		completed = werr == nil
 

@@ -25,7 +25,9 @@
 // watermark; TruncateBefore then garbage-collects fully covered segments.
 //
 // All file access goes through the FS interface. OSFS is the real
-// implementation; CrashFS wraps any FS with a byte/operation budget after
-// which every mutation fails, simulating a crash at an exact write offset —
-// the failpoint harness behind the kill-at-any-point recovery tests.
+// implementation; FaultFS wraps any FS with a fault schedule — transient or
+// persistent per-operation errors, and a byte/operation budget after which
+// every operation fails, simulating a crash at an exact write offset — the
+// one injection harness behind the fault-healing and kill-at-any-point
+// recovery tests.
 package wal

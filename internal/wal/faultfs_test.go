@@ -18,7 +18,7 @@ func TestFaultFSSchedule(t *testing.T) {
 	}
 	defer f.Close()
 	// Writes 0 and 1 succeed, 2 and 3 fail, 4+ succeed again: transient
-	// faults exhaust, unlike a CrashFS.
+	// faults exhaust, unlike a crash.
 	for i := 0; i < 6; i++ {
 		_, err := f.Write([]byte("x"))
 		wantFail := i == 2 || i == 3
@@ -334,5 +334,77 @@ func TestFaultOpString(t *testing.T) {
 	}
 	if s := numFaultOps.String(); s != "unknown" {
 		t.Fatalf("out-of-range FaultOp String = %q", s)
+	}
+}
+
+// TestFaultThenCrashComposes runs one schedule holding both fault kinds: a
+// transient fsync EIO the log must heal from, then a crash budget that kills
+// the process a few bytes into a later append. The log degrades, Repairs,
+// keeps appending, dies at the byte, and a restarted process (a fresh OSFS)
+// recovers exactly the synced prefix.
+func TestFaultThenCrashComposes(t *testing.T) {
+	hiccup := Fault{Op: OpSync, After: 2, Err: ErrInjectedIO, Times: 1}
+	// healed drives a log through the hiccup: two acked seed records, two
+	// unacked appends lost to the failed fsync, Repair, and the same two
+	// landed again — four acked records.
+	healed := func(faults ...Fault) (string, *FaultFS, *Log) {
+		dir, ffs, l := faultedLog(t, 2, faults...)
+		appendTwo := func() error {
+			for i := 2; i < 4; i++ {
+				if _, err := l.Append(payloadFor(i)); err != nil {
+					return err
+				}
+			}
+			return l.Sync()
+		}
+		if err := appendTwo(); !errors.Is(err, ErrInjectedIO) {
+			t.Fatalf("faulted sync: %v, want EIO", err)
+		}
+		if !l.Failed() {
+			t.Fatal("log not failed after the fsync fault")
+		}
+		if err := l.Repair(); err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+		if err := appendTwo(); err != nil {
+			t.Fatalf("append after repair: %v", err)
+		}
+		return dir, ffs, l
+	}
+
+	// A crash-free pass measures where the healed log stands in mutation
+	// units, so the real pass can die a few bytes into the very next append.
+	_, ffs, l := healed(hiccup)
+	units := ffs.Calls(OpCrash)
+	l.Close()
+
+	const torn = 5
+	dir, ffs, l := healed(hiccup, Fault{Op: OpCrash, After: units + torn})
+	defer l.Close()
+	if _, err := l.Append(payloadFor(4)); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("append past the crash budget: %v, want ErrCrashed", err)
+	}
+	if got := ffs.Calls(OpCrash); got != units+torn {
+		t.Fatalf("died after %d mutation units, want %d", got, units+torn)
+	}
+	if got := ffs.Injected(); got != 2 {
+		t.Fatalf("%d faults fired, want the hiccup and the crash", got)
+	}
+	// Unlike the hiccup, the crash is final: nothing heals, nothing reads.
+	if err := l.Repair(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("repair on a dead filesystem: %v, want ErrCrashed", err)
+	}
+	if _, err := ffs.ReadDir(dir); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("readdir on a dead filesystem: %v, want ErrCrashed", err)
+	}
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer l2.Close()
+	assertLogRecords(t, l2, 4)
+	if seq, err := l2.Append(payloadFor(4)); err != nil || seq != 4 {
+		t.Fatalf("append after recovery: seq=%d err=%v, want 4", seq, err)
 	}
 }
