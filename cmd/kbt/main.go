@@ -116,15 +116,6 @@ run "kbt <command> -h" for flags.
 `)
 }
 
-func toExtraction(rec triple.Record) kbt.Extraction {
-	return kbt.Extraction{
-		Extractor: rec.Extractor, Pattern: rec.Pattern,
-		Website: rec.Website, Page: rec.Page,
-		Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object,
-		Confidence: rec.Confidence,
-	}
-}
-
 func readDataset(path string) (*kbt.Dataset, error) {
 	var r io.Reader = os.Stdin
 	if path != "" {
@@ -135,15 +126,7 @@ func readDataset(path string) (*kbt.Dataset, error) {
 		defer f.Close()
 		r = f
 	}
-	td, err := triple.ReadTSV(r)
-	if err != nil {
-		return nil, err
-	}
-	ds := kbt.NewDataset()
-	for _, rec := range td.Records {
-		ds.Add(toExtraction(rec))
-	}
-	return ds, nil
+	return kbt.ReadTSV(r)
 }
 
 func cmdEstimate(args []string) error {
@@ -421,7 +404,12 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 				fmt.Fprintf(errw, "kbt serve: line %d: %v (skipped)\n", lineNo, err)
 				continue
 			}
-			if err := eng.Ingest(toExtraction(rec)); err != nil {
+			if err := eng.Ingest(kbt.Extraction{
+				Extractor: rec.Extractor, Pattern: rec.Pattern,
+				Website: rec.Website, Page: rec.Page,
+				Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object,
+				Confidence: rec.Confidence,
+			}); err != nil {
 				fmt.Fprintf(errw, "kbt serve: line %d: %v (skipped)\n", lineNo, err)
 				continue
 			}

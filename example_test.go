@@ -3,6 +3,7 @@ package kbt_test
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"kbt"
 )
@@ -58,6 +59,29 @@ func ExampleEstimateKBT() {
 	// w4.com       KBT=0.95
 	// gossip.com   KBT=0.05
 	// p(Person0 born in Springfield) = 1.00
+}
+
+// ExampleReadTSV loads a dataset from the TSV interchange format — the bulk
+// counterpart of Add, and what `kbt estimate` does with its input file. The
+// confidence column is optional; blank and '#' lines are skipped.
+func ExampleReadTSV() {
+	const feed = `# extractor  pattern  website  page  subject  predicate  object  [confidence]
+E1	p0	w1.com	w1.com/people	Person0	birthplace	Springfield	0.9
+E2	p0	w1.com	w1.com/people	Person0	birthplace	Springfield
+
+E1	p0	gossip.com	gossip.com/people	Person0	birthplace	Atlantis	0.8
+`
+	ds, err := kbt.ReadTSV(strings.NewReader(feed))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(ds.Len(), "extractions")
+
+	_, err = kbt.ReadTSV(strings.NewReader(feed + "E1\tp0\tw1.com\n"))
+	fmt.Println(err)
+	// Output:
+	// 3 extractions
+	// triple: line 6: expected 8 tab-separated columns (confidence optional), got 3
 }
 
 // ExampleNewEngine streams extractions into the sharded incremental engine:

@@ -65,7 +65,7 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 	// prefixes every holder of the parent reads are never written again.
 	// Only the first Extend of a given parent may do this (appends by a
 	// second child would collide in the shared tail); later ones, and the
-	// rare in-place confidence raise (see appender.add), copy.
+	// rare in-place confidence raise (see appender.appendIDs), copy.
 	if s.tailClaimed.CompareAndSwap(false, true) {
 		c.Obs = s.Obs
 		c.obsShared = true
@@ -86,9 +86,12 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		c.Predicates = slices.Clone(s.Predicates)
 		c.PredOfItem = slices.Clone(s.PredOfItem)
 	}
-	ap := newAppender(c, nil, nil)
+	ap := newAppender(c, len(records))
 	for ri := range records {
-		ap.add(ri, records[ri])
+		r := &records[ri]
+		e := c.internExtractor(c.copt.ExtractorKey(*r))
+		w := c.internSource(c.copt.SourceKey(*r))
+		ap.appendIDs(e, w, c.internItem(r), c.valueIdx.intern(&c.Values, r.Object), r.Conf())
 	}
 	return c
 }

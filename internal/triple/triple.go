@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -252,6 +253,12 @@ type CompileOptions struct {
 // Compile builds a Snapshot from the dataset at the requested granularity.
 // Duplicate (e,w,d,v) cells are merged keeping the maximum confidence.
 // Defaults: finest source and extractor granularity per §5.1.2.
+//
+// The four vocabularies (extractors, sources, items with their predicates,
+// values) do not depend on one another, so each is interned by its own
+// in-order pass over the records, all four at once: an id is the rank of its
+// label's first appearance within its own vocabulary, which no other pass can
+// move. The id columns then go through the append path Extend uses.
 func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	if opt.SourceKey == nil {
 		opt.SourceKey = SourceKeyFinest
@@ -259,8 +266,9 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	if opt.ExtractorKey == nil {
 		opt.ExtractorKey = ExtractorKeyFinest
 	}
+	recs := d.Records
 	s := &Snapshot{
-		Obs:           make([]Observation, 0, len(d.Records)),
+		Obs:           make([]Observation, 0, len(recs)),
 		sourceIdx:     newInternTable(),
 		extractorIdx:  newInternTable(),
 		itemIdx:       newInternTable(),
@@ -269,11 +277,72 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 		copt:          CompileOptions{SourceKey: opt.SourceKey, ExtractorKey: opt.ExtractorKey},
 		labelCompiled: opt.SourceLabels != nil || opt.ExtractorLabels != nil,
 	}
-	ap := newAppender(s, opt.SourceLabels, opt.ExtractorLabels)
-	for ri := range d.Records {
-		ap.add(ri, d.Records[ri])
+
+	// A positional label, where given, is the key; the key function is then
+	// never called.
+	extractorKey := func(ri int) string { return opt.ExtractorKey(recs[ri]) }
+	if opt.ExtractorLabels != nil {
+		extractorKey = func(ri int) string { return opt.ExtractorLabels[ri] }
+	}
+	sourceKey := func(ri int) string { return opt.SourceKey(recs[ri]) }
+	if opt.SourceLabels != nil {
+		sourceKey = func(ri int) string { return opt.SourceLabels[ri] }
+	}
+	var wg sync.WaitGroup
+	column := func(intern func(ri int) int) []int {
+		col := make([]int, len(recs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ri := range col {
+				col[ri] = intern(ri)
+			}
+		}()
+		return col
+	}
+	es := column(func(ri int) int { return s.internExtractor(extractorKey(ri)) })
+	ws := column(func(ri int) int { return s.internSource(sourceKey(ri)) })
+	ds := column(func(ri int) int { return s.internItem(&recs[ri]) })
+	vs := column(func(ri int) int { return s.valueIdx.intern(&s.Values, recs[ri].Object) })
+	wg.Wait()
+
+	ap := newAppender(s, len(recs))
+	for ri := range recs {
+		ap.appendIDs(es[ri], ws[ri], ds[ri], vs[ri], recs[ri].Conf())
 	}
 	return s
+}
+
+// The intern methods resolve a record's unit to its dense id, on first sight
+// growing the vocabulary and the row tables indexed by it. Each writes only
+// the tables of its own vocabulary (values, which index no rows, are interned
+// directly), which is what lets Compile run them side by side.
+
+func (s *Snapshot) internExtractor(key string) int {
+	e := s.extractorIdx.intern(&s.Extractors, key)
+	if e == len(s.ObsOfExtractor) {
+		s.ObsOfExtractor = append(s.ObsOfExtractor, nil)
+		s.SourcesOfExtractor = append(s.SourcesOfExtractor, nil)
+	}
+	return e
+}
+
+func (s *Snapshot) internSource(key string) int {
+	w := s.sourceIdx.intern(&s.Sources, key)
+	if w == len(s.TriplesOfSource) {
+		s.TriplesOfSource = append(s.TriplesOfSource, nil)
+	}
+	return w
+}
+
+func (s *Snapshot) internItem(r *Record) int {
+	d := s.itemIdx.intern(&s.Items, r.ItemKey())
+	if d == len(s.PredOfItem) {
+		s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, r.Predicate))
+		s.TriplesOfItem = append(s.TriplesOfItem, nil)
+		s.ItemValues = append(s.ItemValues, nil)
+	}
+	return d
 }
 
 // internTable interns labels into dense ids with copy-on-write layering:
@@ -329,14 +398,14 @@ func (t *internTable) intern(list *[]string, key string) int {
 
 // appender is the transient per-call state of the shared append-only build
 // path used by both Compile (from an empty snapshot) and Extend (from a
-// copy-on-write child of the parent). It maintains every inverted index
+// copy-on-write child of the parent): both resolve their records to dense ids
+// and hand the ids to appendIDs. It maintains every inverted index
 // incrementally, cloning a parent-owned row the first time the call touches
 // it, and seeds its candidate-triple/observation lookup maps lazily per data
 // item — so an Extend call does work proportional to the new records plus
 // the items they touch, never the corpus.
 type appender struct {
-	s                    *Snapshot
-	srcLabels, extLabels []string // positional overrides (Compile only)
+	s *Snapshot
 
 	tripleIdx map[TripleRef]int // (w,d,v) -> triple index, seeded per item
 	obsIdx    map[[2]int]int    // (triple index, e) -> obs index
@@ -350,12 +419,12 @@ type appender struct {
 	ownedValueRows, ownedExtractorSrcRows       map[int]bool
 }
 
-func newAppender(s *Snapshot, srcLabels, extLabels []string) *appender {
+// newAppender prepares a build of n records on top of s.
+func newAppender(s *Snapshot, n int) *appender {
 	ap := &appender{
-		s:         s,
-		srcLabels: srcLabels, extLabels: extLabels,
-		tripleIdx:             make(map[TripleRef]int),
-		obsIdx:                make(map[[2]int]int),
+		s:                     s,
+		tripleIdx:             make(map[TripleRef]int, n),
+		obsIdx:                make(map[[2]int]int, n),
 		seeded:                make([]bool, len(s.Items)),
 		nItems0:               len(s.Items),
 		nTriples0:             len(s.Triples),
@@ -399,39 +468,15 @@ func (ap *appender) seedItem(d int) {
 	}
 }
 
-// add appends one record, updating every table and index to exactly the
-// state a full Compile over the concatenated records would produce.
-func (ap *appender) add(ri int, r Record) {
+// appendIDs appends one record, given as the dense ids of its units,
+// updating every table and index to exactly the state a full Compile over the
+// concatenated records would produce.
+func (ap *appender) appendIDs(e, w, d, v int, conf float64) {
 	s := ap.s
-	eKey := s.copt.ExtractorKey(r)
-	if ap.extLabels != nil {
-		eKey = ap.extLabels[ri]
-	}
-	wKey := s.copt.SourceKey(r)
-	if ap.srcLabels != nil {
-		wKey = ap.srcLabels[ri]
-	}
-	e := s.extractorIdx.intern(&s.Extractors, eKey)
-	if e == len(s.ObsOfExtractor) {
-		s.ObsOfExtractor = append(s.ObsOfExtractor, nil)
-		s.SourcesOfExtractor = append(s.SourcesOfExtractor, nil)
-	}
-	w := s.sourceIdx.intern(&s.Sources, wKey)
-	if w == len(s.TriplesOfSource) {
-		s.TriplesOfSource = append(s.TriplesOfSource, nil)
-	}
-	d := s.itemIdx.intern(&s.Items, r.ItemKey())
-	if d == len(s.PredOfItem) {
-		s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, r.Predicate))
-		s.TriplesOfItem = append(s.TriplesOfItem, nil)
-		s.ItemValues = append(s.ItemValues, nil)
-	}
-	v := s.valueIdx.intern(&s.Values, r.Object)
-
 	ap.seedItem(d)
 	tr := TripleRef{W: w, D: d, V: v}
-	ti, ok := ap.tripleIdx[tr]
-	if !ok {
+	ti, known := ap.tripleIdx[tr]
+	if !known {
 		ti = len(s.Triples)
 		ap.tripleIdx[tr] = ti
 		s.Triples = append(s.Triples, tr)
@@ -448,27 +493,29 @@ func (ap *appender) add(ri int, r Record) {
 	}
 
 	ok2 := [2]int{ti, e}
-	if oi, dup := ap.obsIdx[ok2]; dup {
-		// Duplicate (e,w,d,v) cell: keep the maximum confidence. Raising a
-		// parent observation is the one in-place mutation of the append-only
-		// build: it forces an adopted Obs backing to be unshared first (the
-		// parent must keep its own confidence), and Extend records it for
-		// incremental consumers.
-		if c := r.Conf(); c > s.Obs[oi].Conf {
-			if s.obsShared && s.delta != nil && oi < s.delta.Obs {
-				s.Obs = slices.Clone(s.Obs)
-				s.obsShared = false
+	if known { // a triple this record created holds no cell yet
+		if oi, dup := ap.obsIdx[ok2]; dup {
+			// Duplicate (e,w,d,v) cell: keep the maximum confidence. Raising a
+			// parent observation is the one in-place mutation of the
+			// append-only build: it forces an adopted Obs backing to be
+			// unshared first (the parent must keep its own confidence), and
+			// Extend records it for incremental consumers.
+			if conf > s.Obs[oi].Conf {
+				if s.obsShared && s.delta != nil && oi < s.delta.Obs {
+					s.Obs = slices.Clone(s.Obs)
+					s.obsShared = false
+				}
+				s.Obs[oi].Conf = conf
+				if s.delta != nil && oi < s.delta.Obs {
+					s.delta.RaisedObs = append(s.delta.RaisedObs, oi)
+				}
 			}
-			s.Obs[oi].Conf = c
-			if s.delta != nil && oi < s.delta.Obs {
-				s.delta.RaisedObs = append(s.delta.RaisedObs, oi)
-			}
+			return
 		}
-		return
 	}
 	oi := len(s.Obs)
 	ap.obsIdx[ok2] = oi
-	s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: r.Conf()})
+	s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: conf})
 	own(s.ByTriple, ap.ownedTripleRows, ti, ap.nTriples0)
 	s.ByTriple[ti] = append(s.ByTriple[ti], oi)
 	own(s.ObsOfExtractor, ap.ownedExtractorRows, e, ap.nExtractors0)

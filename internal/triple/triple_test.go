@@ -1,6 +1,10 @@
 package triple
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -244,4 +248,47 @@ func TestCompilePropertyEveryObsIndexed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestCompileSameAtAnyWidth: Compile interns its four vocabularies on four
+// goroutines, and nothing about the result may depend on how they are
+// scheduled: at GOMAXPROCS 1 and 4 a key-function compile and a label-override
+// compile of the same stream — duplicate (e,w,d,v) cells that raise a
+// confidence included — yield deep-equal snapshots. A label-override compile
+// must also equal the key-function compile of records that carry those labels
+// as their website and extractor, which ties it to the path the Extend ≡
+// Compile suite pins record by record.
+func TestCompileSameAtAnyWidth(t *testing.T) {
+	recs := randomStream(11, 20000)
+	src, ext := make([]string, len(recs)), make([]string, len(recs))
+	relabelled := slices.Clone(recs)
+	rng := rand.New(rand.NewSource(12))
+	for i := range recs {
+		// Positional labels are not functions of the record: equal records
+		// may land in different units.
+		src[i] = fmt.Sprintf("%s#%d", recs[i].Website, rng.Intn(3))
+		ext[i] = fmt.Sprintf("%s#%d", recs[i].Extractor, rng.Intn(2))
+		relabelled[i].Website, relabelled[i].Extractor = src[i], ext[i]
+	}
+	compiles := map[string]func() *Snapshot{
+		"keys": func() *Snapshot { return (&Dataset{Records: recs}).Compile(CompileOptions{}) },
+		"labels": func() *Snapshot {
+			return (&Dataset{Records: recs}).Compile(CompileOptions{SourceLabels: src, ExtractorLabels: ext})
+		},
+	}
+	for name, compile := range compiles {
+		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			narrow := compile()
+			runtime.GOMAXPROCS(4)
+			for i := 0; i < 3; i++ {
+				requireEqualSnapshots(t, compile(), narrow)
+			}
+			if raised := len(recs) - len(narrow.Obs); raised == 0 {
+				t.Error("the stream holds no duplicate cell")
+			}
+		})
+	}
+	requireEqualSnapshots(t, compiles["labels"](),
+		(&Dataset{Records: relabelled}).Compile(CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}))
 }

@@ -28,8 +28,10 @@
 package kbt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -91,6 +93,22 @@ func fromRecord(r triple.Record) Extraction {
 // Add appends one extraction.
 func (ds *Dataset) Add(e Extraction) {
 	ds.d.Add(e.record())
+}
+
+// ReadTSV reads a dataset from the TSV interchange format: one extraction
+// per line, 8 tab-separated columns with the last one optional,
+//
+//	extractor  pattern  website  page  subject  predicate  object  [confidence]
+//
+// where blank lines and lines starting with '#' are skipped. The first
+// malformed line fails the read, by line number. It is the bulk counterpart
+// of Add: the parsed records become the dataset as they are.
+func ReadTSV(r io.Reader) (*Dataset, error) {
+	d, err := triple.ReadTSV(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{d: d}, nil
 }
 
 // Len returns the number of extractions added.
@@ -429,16 +447,19 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 		if m < 0 || m > M {
 			return nil, fmt.Errorf("kbt: invalid source sizes m=%d M=%d", m, M)
 		}
-		srcLabels, _, err := granularity.Sources(ds.d.Records, m, M, opt.Seed)
-		if err != nil {
+		// The two hierarchies are split and merged independently, each with
+		// its own random stream, so they run side by side.
+		var srcErr, extErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			copt.SourceLabels, _, srcErr = granularity.Sources(ds.d.Records, m, M, opt.Seed)
+		}()
+		copt.ExtractorLabels, _, extErr = granularity.Extractors(ds.d.Records, m, M, opt.Seed)
+		<-done
+		if err := cmp.Or(srcErr, extErr); err != nil {
 			return nil, err
 		}
-		extLabels, _, err := granularity.Extractors(ds.d.Records, m, M, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		copt.SourceLabels = srcLabels
-		copt.ExtractorLabels = extLabels
 	} else {
 		var ok bool
 		copt.SourceKey, copt.ExtractorKey, ok = granularityKeys(opt.Granularity)

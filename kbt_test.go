@@ -1,9 +1,15 @@
 package kbt
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"kbt/internal/triple"
 )
 
 // obamaDataset builds a small consensus scenario: four sites say USA, one
@@ -321,5 +327,69 @@ func TestDetectCopying(t *testing.T) {
 	}
 	if top.Posterior < 0.9 || top.SharedFalse == 0 {
 		t.Errorf("weak detection: %+v", top)
+	}
+}
+
+// TestReadTSVIsAddInBulk: a dataset read from TSV estimates exactly like one
+// built by adding the same extractions one at a time, and a malformed line
+// fails the read by number.
+func TestReadTSVIsAddInBulk(t *testing.T) {
+	added := obamaDataset()
+	var buf bytes.Buffer
+	if err := triple.WriteTSV(&buf, added.d); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadTSV(strings.NewReader("# obama\n\n" + buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read.Len() != added.Len() {
+		t.Fatalf("read %d extractions, want %d", read.Len(), added.Len())
+	}
+	want, err := EstimateKBT(added, websiteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EstimateKBT(read, websiteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Sources(), want.Sources()) || !reflect.DeepEqual(got.Triples(), want.Triples()) {
+		t.Errorf("estimates diverge:\n read  %v\n added %v", got.Sources(), want.Sources())
+	}
+
+	if _, err := ReadTSV(strings.NewReader(buf.String() + "not\ta\trecord\n")); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("line %d:", added.Len()+1)) {
+		t.Errorf("malformed line %d: error %v", added.Len()+1, err)
+	}
+}
+
+// TestEstimateAutoSameAtAnyWidth: GranularityAuto splits and merges the
+// source and the extractor hierarchy side by side and compiles on several
+// goroutines; the scores may not depend on how many run at once.
+func TestEstimateAutoSameAtAnyWidth(t *testing.T) {
+	ds := NewDataset()
+	for _, x := range servingCorpus(0, 6000) {
+		ds.Add(x)
+	}
+	opt := DefaultOptions()
+	opt.MaxSourceSize = 150 // the 24 sites hold ~250 records each: every one is split at random
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	narrow, err := EstimateKBT(ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(4)
+	for i := 0; i < 3; i++ {
+		wide, err := EstimateKBT(ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wide.Sources(), narrow.Sources()) || !reflect.DeepEqual(wide.Extractors(), narrow.Extractors()) {
+			t.Fatalf("scores at GOMAXPROCS 4 differ from GOMAXPROCS 1:\n %v\n %v", wide.Sources(), narrow.Sources())
+		}
+	}
+	if n := len(narrow.Sources()); n <= 24 {
+		t.Errorf("%d source units: no site was split", n)
 	}
 }
