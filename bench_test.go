@@ -8,7 +8,12 @@ package kbt
 //
 // Each benchmark reports the headline quantity of its artefact as custom
 // metrics (b.ReportMetric), so a bench run doubles as a results sweep.
-// EXPERIMENTS.md records paper-vs-measured values for every artefact.
+//
+// The system's performance is measured by bench/ (the end-to-end benchmark
+// and its per-layer metrics). The component benchmarks below are ungated and
+// exist only where they isolate something bench/ does not run: reads racing a
+// refresher (BenchmarkQueryDuringRefresh) and streaming fusion against the
+// batch recompute on the group-local regime (BenchmarkFusionWarm).
 
 import (
 	"fmt"
@@ -195,56 +200,14 @@ func BenchmarkEval541(b *testing.B) {
 	}
 }
 
-// --- component benchmarks: the costly inner loops ---
+// --- component benchmarks and the corpora they (and the tests) share ---
 
-// BenchmarkMultiLayerInference measures one full multi-layer run on a
-// mid-size corpus (the paper's Algorithm 1).
-func BenchmarkMultiLayerInference(b *testing.B) {
-	p := websim.DefaultParams()
-	p.Seed = 7
-	world, err := websim.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds := NewDataset()
-	for _, x := range toExtractions(world.Dataset.Records) {
-		ds.Add(x)
-	}
-	opt := DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EstimateKBT(ds, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(ds.Len()), "extractions")
-}
-
-// BenchmarkSingleLayerInference measures the single-layer baseline on the
-// same corpus.
-func BenchmarkSingleLayerInference(b *testing.B) {
-	p := websim.DefaultParams()
-	p.Seed = 7
-	world, err := websim.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds := NewDataset()
-	for _, x := range toExtractions(world.Dataset.Records) {
-		ds.Add(x)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FuseSingleLayer(ds, DefaultFusionOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// toExtractions is records' inverse, for generators that emit internal
+// records (the two structs have the same fields, so the conversion is Go's).
 func toExtractions(records []triple.Record) []Extraction {
 	out := make([]Extraction, len(records))
 	for i, r := range records {
-		out[i] = fromRecord(r)
+		out[i] = Extraction(r)
 	}
 	return out
 }
@@ -302,65 +265,18 @@ func servingCorpus(firstItem, n int) []Extraction {
 	return out[:n]
 }
 
-// refreshBenchOptions are shared by the warm and cold refresh benchmarks so
-// their ns/op are directly comparable: converged warm refreshes stop after
-// one partial pass at Tol=1e-4, the production serving configuration.
+// refreshBenchOptions is the serving configuration the component benchmarks
+// share: converged warm refreshes stop after one partial pass at Tol=1e-4.
+// Group sites are born with four items; a support threshold would flip their
+// inclusion when an ingest splits a group across two refreshes, forcing
+// structural full passes that have nothing to do with the steady state.
 func refreshBenchOptions() EngineOptions {
 	opt := DefaultEngineOptions()
 	opt.Iterations = 30
 	opt.Tol = 1e-4
-	opt.Shards = 64
+	opt.Shards = 256
+	opt.MinSupport = 1
 	return opt
-}
-
-// BenchmarkRefreshWarm measures the steady-state serving loop — ingest a
-// small batch, warm-Refresh — at growing corpus × ingest sizes. Snapshot
-// compilation (Snapshot.Extend), EM state construction (core.NewEMFrom) and
-// the partial iterations' M-steps (incremental aggregates) are all
-// proportional to the ingest; the remaining corpus-size dependence is the
-// escalated full E-step pass an ingest big enough to move the global
-// parameters by more than Tol still triggers.
-func BenchmarkRefreshWarm(b *testing.B) {
-	for _, corpusN := range []int{10_000, 100_000} {
-		base := servingCorpus(0, corpusN)
-		for _, ingestN := range []int{10, 100, 1000} {
-			b.Run(fmt.Sprintf("corpus=%d/ingest=%d", corpusN, ingestN), func(b *testing.B) {
-				eng, err := NewEngine(refreshBenchOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Ingest(base...); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Refresh(); err != nil {
-					b.Fatal(err)
-				}
-				next := corpusN // first unused item number
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					batch := servingCorpus(next, ingestN)
-					next += ingestN
-					b.StartTimer()
-					if err := eng.Ingest(batch...); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := eng.Refresh(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if stats, ok := eng.Stats(); ok {
-					if !stats.Warm || stats.NoOp {
-						b.Fatal("refresh was not a warm re-estimation")
-					}
-					b.ReportMetric(float64(stats.FirstPassShards), "dirty-shards")
-					b.ReportMetric(float64(stats.AggDeltaSteps), "delta-msteps")
-					b.ReportMetric(float64(stats.AggFullSteps), "full-msteps")
-				}
-			})
-		}
-	}
 }
 
 // settledGroupCorpus adapts synthetic.GroupLocalCorpus — item groups of
@@ -380,166 +296,6 @@ func settledGroupCorpus(firstGroup, minRecords int) (recs []Extraction, nextGrou
 	return toExtractions(records), g
 }
 
-// BenchmarkRefreshSettled measures the tentpole of the per-unit staleness
-// ledger: a warm 100k-corpus refresh absorbing a 100-record ingest that moves
-// its own sources' accuracies far beyond Tol. Under the old global
-// escalation, any above-Tol movement forced one or two full O(corpus) E-step
-// sweeps; the ledger instead charges the drift to the shards that read the
-// moved sources — here the ingest's own footprint — so the sweep confines to
-// a small dirty fraction and the refresh stays O(ingest). settled-shards and
-// escalations report the confinement; compare ns/op against
-// BenchmarkRefreshWarm/corpus=100000/ingest=100, the same serving shape with
-// corpus-wide sources that legitimately stale everything.
-func BenchmarkRefreshSettled(b *testing.B) {
-	const corpusN, ingestN = 100_000, 100
-	opt := refreshBenchOptions()
-	opt.Shards = 256
-	// Group sites are born with four items; a support threshold would flip
-	// their inclusion when an ingest splits a group across two refreshes,
-	// forcing structural full passes that have nothing to do with staleness.
-	opt.MinSupport = 1
-	eng, err := NewEngine(opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, next := settledGroupCorpus(0, corpusN)
-	if err := eng.Ingest(base...); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Refresh(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		var batch []Extraction
-		batch, next = settledGroupCorpus(next, ingestN)
-		b.StartTimer()
-		if err := eng.Ingest(batch...); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Refresh(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if stats, ok := eng.Stats(); ok {
-		if !stats.Warm || stats.NoOp {
-			b.Fatal("refresh was not a warm re-estimation")
-		}
-		b.ReportMetric(float64(stats.FirstPassShards), "dirty-shards")
-		b.ReportMetric(float64(stats.SettledShards), "settled-shards")
-		b.ReportMetric(float64(stats.Escalations), "escalations")
-	}
-}
-
-// broadReachCorpus builds the adversarial counterpart of servingCorpus: one
-// hub site witnesses every item (erring on 20%, so its accuracy keeps moving)
-// and a single extractor EB attempts every cell, while a pool of narrow leaf
-// sites supplies the per-item conflict structure. Every refresh therefore
-// moves units — the hub source and EB — whose reach spans the corpus, the
-// exact shape that used to stale every shard wholesale. Items are numbered
-// from firstItem so successive calls generate disjoint fresh items.
-func broadReachCorpus(firstItem, n int) []Extraction {
-	out := make([]Extraction, 0, n)
-	add := func(e, w, subj, pred, obj string, conf float64) {
-		out = append(out, Extraction{
-			Extractor: e, Pattern: "pat", Website: w, Page: w + "/x",
-			Subject: subj, Predicate: pred, Object: obj, Confidence: conf,
-		})
-	}
-	for i := firstItem; len(out) < n; i++ {
-		subj := fmt.Sprintf("B%07d", i)
-		pred := fmt.Sprintf("bpred%07d", i)
-		truth := "v" + subj
-		wrong := "w" + subj
-		hubObj := truth
-		if i%5 == 0 {
-			hubObj = wrong
-		}
-		add("EB", "hub.com", subj, pred, hubObj, 1)
-		add("EB", fmt.Sprintf("leaf%04d.com", i/4%2048), subj, pred, truth, 0.9)
-		second := truth
-		if i%10 < 3 {
-			second = wrong
-		}
-		add("EB", fmt.Sprintf("leaf%04d.com", (i/4+7)%2048), subj, pred, second, 0.8)
-	}
-	return out[:n]
-}
-
-// BenchmarkRefreshBroadReach isolates the broad-reach worst case that kept
-// BenchmarkRefreshWarm's servingCorpus off its settled floor: with every
-// refresh moving a corpus-wide source and an every-cell extractor, shard-reach
-// staleness would re-estimate the entire corpus each iteration. The item-range
-// ledger instead charges their drift at sub-shard granularity, so ns/op here
-// pins the confinement win against regressions — partial-shards reports how
-// many touched shards ran only at item-range granularity.
-func BenchmarkRefreshBroadReach(b *testing.B) {
-	const corpusN, ingestN = 100_000, 100
-	eng, err := NewEngine(refreshBenchOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := broadReachCorpus(0, corpusN)
-	if err := eng.Ingest(base...); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Refresh(); err != nil {
-		b.Fatal(err)
-	}
-	next := corpusN
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		batch := broadReachCorpus(next, ingestN)
-		next += ingestN
-		b.StartTimer()
-		if err := eng.Ingest(batch...); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Refresh(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if stats, ok := eng.Stats(); ok {
-		if !stats.Warm || stats.NoOp {
-			b.Fatal("refresh was not a warm re-estimation")
-		}
-		b.ReportMetric(float64(stats.FirstPassShards), "dirty-shards")
-		b.ReportMetric(float64(stats.PartialShards), "partial-shards")
-		b.ReportMetric(float64(stats.AggDeltaSteps), "delta-msteps")
-		b.ReportMetric(float64(stats.AggFullSteps), "full-msteps")
-	}
-}
-
-// BenchmarkRefreshCold is the baseline BenchmarkRefreshWarm beats: a full
-// compile plus cold estimation over the same corpora. The warm/cold ns/op
-// ratio at corpus=100000 is the headline number for the Extend path.
-func BenchmarkRefreshCold(b *testing.B) {
-	for _, corpusN := range []int{10_000, 100_000} {
-		base := servingCorpus(0, corpusN)
-		b.Run(fmt.Sprintf("corpus=%d", corpusN), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				eng, err := NewEngine(refreshBenchOptions())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Ingest(base...); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := eng.Refresh(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(corpusN), "extractions")
-		})
-	}
-}
-
 // BenchmarkQueryDuringRefresh measures the lock-free read path under
 // refresh pressure: a background goroutine continuously ingests fresh
 // group-local batches and refreshes, while the timed loop hammers the query
@@ -547,14 +303,10 @@ func BenchmarkRefreshCold(b *testing.B) {
 // and Stats. Each iteration performs queriesPerOp query rounds, so ns/op
 // amortizes the refresher's pauses into a steady reader-latency number;
 // readers never take the engine lock, so the figure stays flat as the
-// corpus grows. Reported ops/sec (see cmd/benchjson) is the serving
-// throughput headline.
+// corpus grows.
 func BenchmarkQueryDuringRefresh(b *testing.B) {
 	const corpusN, ingestN, queriesPerOp = 100_000, 100, 1000
-	opt := refreshBenchOptions()
-	opt.Shards = 256
-	opt.MinSupport = 1
-	eng, err := NewEngine(opt)
+	eng, err := NewEngine(refreshBenchOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -627,8 +379,6 @@ func BenchmarkFusionWarm(b *testing.B) {
 	const corpusN, ingestN = 100_000, 100
 	b.Run("incremental", func(b *testing.B) {
 		opt := refreshBenchOptions()
-		opt.Shards = 256
-		opt.MinSupport = 1
 		opt.Fusion = true
 		eng, err := NewEngine(opt)
 		if err != nil {
@@ -675,10 +425,7 @@ func BenchmarkFusionWarm(b *testing.B) {
 		}
 	})
 	b.Run("batch-oracle", func(b *testing.B) {
-		opt := refreshBenchOptions()
-		opt.Shards = 256
-		opt.MinSupport = 1
-		eng, err := NewEngine(opt)
+		eng, err := NewEngine(refreshBenchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -729,28 +476,6 @@ func BenchmarkFusionWarm(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSyntheticGeneration measures the §5.2.1 generator.
-func BenchmarkSyntheticGeneration(b *testing.B) {
-	p := synthetic.DefaultParams()
-	for i := 0; i < b.N; i++ {
-		p.Seed = int64(i + 1)
-		if _, err := synthetic.Generate(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCorpusGeneration measures the web-corpus simulator.
-func BenchmarkCorpusGeneration(b *testing.B) {
-	p := websim.DefaultParams()
-	for i := 0; i < b.N; i++ {
-		p.Seed = int64(i + 1)
-		if _, err := websim.Generate(p); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPageRank measures power iteration on the simulated link graph.

@@ -8,8 +8,8 @@
 //	experiments -exp fig3 -runs 10
 //
 // Experiments: fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 table5 table6
-// table7 eval541 all. See DESIGN.md for the per-experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured results.
+// table7 eval541 all. bench_test.go runs the same drivers, one benchmark per
+// artefact, reporting each one's headline quantity.
 package main
 
 import (

@@ -284,6 +284,11 @@ func cmdServe(args []string) error {
 	return runServe(cfg, in, os.Stdout, os.Stderr)
 }
 
+// preloadBatch caps how many stdin/file records serve buffers before it
+// ingests them, refresh boundary or not, so an unbroken feed holds a bounded
+// batch in memory (and in one log entry).
+const preloadBatch = 4096
+
 func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 	var eng server.Engine
 	if cfg.dataDir != "" {
@@ -385,7 +390,22 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 	if in != nil {
 		sc := bufio.NewScanner(in)
 		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-		lineNo, sinceRefresh := 0, 0
+		// Records are validated one by one — a bad one is reported with its
+		// line number and skipped, never poisoning its neighbours — and the
+		// good ones ingested as one batch per refresh boundary (or every
+		// preloadBatch records): a durable engine pays one log append and
+		// fsync per Ingest call.
+		var buf []kbt.Extraction
+		lineNo, firstLine, sinceRefresh := 0, 0, 0
+		flush := func() {
+			if len(buf) == 0 {
+				return
+			}
+			if err := eng.Ingest(buf...); err != nil {
+				fmt.Fprintf(errw, "kbt serve: %d records from line %d on: %v (skipped)\n", len(buf), firstLine, err)
+			}
+			buf = buf[:0]
+		}
 		for sc.Scan() {
 			lineNo++
 			line := sc.Text()
@@ -393,6 +413,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 				continue
 			}
 			if line == "" {
+				flush()
 				if err := tryRefresh(); err != nil {
 					return err
 				}
@@ -400,27 +421,30 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 				continue
 			}
 			rec, err := triple.ParseTSVLine(line)
+			x := kbt.Extraction(rec)
+			if err == nil {
+				err = eng.Validate(x)
+			}
 			if err != nil {
 				fmt.Fprintf(errw, "kbt serve: line %d: %v (skipped)\n", lineNo, err)
 				continue
 			}
-			if err := eng.Ingest(kbt.Extraction{
-				Extractor: rec.Extractor, Pattern: rec.Pattern,
-				Website: rec.Website, Page: rec.Page,
-				Subject: rec.Subject, Predicate: rec.Predicate, Object: rec.Object,
-				Confidence: rec.Confidence,
-			}); err != nil {
-				fmt.Fprintf(errw, "kbt serve: line %d: %v (skipped)\n", lineNo, err)
-				continue
+			if len(buf) == 0 {
+				firstLine = lineNo
 			}
+			buf = append(buf, x)
 			sinceRefresh++
 			if cfg.batch > 0 && sinceRefresh >= cfg.batch {
+				flush()
 				if err := tryRefresh(); err != nil {
 					return err
 				}
 				sinceRefresh = 0
+			} else if len(buf) >= preloadBatch {
+				flush()
 			}
 		}
+		flush()
 		if err := sc.Err(); err != nil {
 			return err
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"kbt"
+	"kbt/internal/wal"
 )
 
 func serveTestConfig() serveConfig {
@@ -106,9 +107,17 @@ func TestServeStdinModeEmptyFeedStillErrors(t *testing.T) {
 	}
 }
 
-// startServe runs runServe in the background and returns the bound address
-// plus a shutdown func that stops it and surfaces its error.
+// startServe runs runServe in the background, its stderr discarded, and
+// returns the bound address plus a shutdown func that stops it and surfaces
+// its error.
 func startServe(t *testing.T, cfg serveConfig, in io.Reader) (addr string, shutdown func() error) {
+	t.Helper()
+	return startServeTo(t, cfg, in, io.Discard)
+}
+
+// startServeTo is startServe with runServe's stderr going to errw, which is
+// safe to read once shutdown has returned.
+func startServeTo(t *testing.T, cfg serveConfig, in io.Reader, errw io.Writer) (addr string, shutdown func() error) {
 	t.Helper()
 	addrCh := make(chan string, 1)
 	stopCh := make(chan struct{})
@@ -117,7 +126,7 @@ func startServe(t *testing.T, cfg serveConfig, in io.Reader) (addr string, shutd
 	cfg.onListen = func(a string) { addrCh <- a }
 	cfg.stop = stopCh
 	var out bytes.Buffer
-	go func() { errCh <- runServe(cfg, in, &out, io.Discard) }()
+	go func() { errCh <- runServe(cfg, in, &out, errw) }()
 	select {
 	case a := <-addrCh:
 		addr = a
@@ -215,6 +224,81 @@ func TestServeListenPreloadsFeed(t *testing.T) {
 	}
 	if err := shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// getBody fetches url and returns the response body, failing on a non-200.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d, %v", url, resp.StatusCode, err)
+	}
+	return body
+}
+
+// TestServeDurablePreloadBatchesPerChunk: a TSV preload into a -data
+// directory logs (and fsyncs) one batch per refresh boundary, not one per
+// record; a malformed line and a line the engine rejects are reported by line
+// number and skipped without taking their chunk with them; and a restart on
+// the directory serves the same bytes.
+func TestServeDurablePreloadBatchesPerChunk(t *testing.T) {
+	chunk1 := strings.SplitAfter(tsvFeed(12), "\n")
+	feed := strings.Join(chunk1[:5], "") +
+		"not a record\n" + // line 6: malformed
+		strings.Join(chunk1[5:], "") +
+		"\n" + // line 14: refresh boundary
+		"E0\tpat\tw0.com\tw0.com/p0\t\tborn\to1\t0.9\n" + // line 15: parses, empty Subject
+		tsvFeed(24)[len(tsvFeed(12)):]
+
+	cfg := serveTestConfig()
+	cfg.dataDir = t.TempDir()
+	var errOut bytes.Buffer
+	addr, shutdown := startServeTo(t, cfg, strings.NewReader(feed), &errOut)
+	first := getBody(t, "http://"+addr+"/v1/top-sources")
+	if err := shutdown(); err != nil {
+		t.Fatalf("first shutdown: %v", err)
+	}
+	for _, want := range []string{"line 6: ", "line 15: "} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr does not report %q:\n%s", want, errOut.String())
+		}
+	}
+	if n := strings.Count(errOut.String(), "skipped"); n != 2 {
+		t.Errorf("%d skip reports, want 2:\n%s", n, errOut.String())
+	}
+
+	log, err := wal.Open(cfg.dataDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, records := 0, 0
+	err = log.Replay(0, func(_ uint64, payload []byte) error {
+		e, err := wal.DecodeEntry(payload)
+		if err == nil && e.Kind == wal.EntryBatch {
+			batches++
+			records += len(e.Records)
+		}
+		return err
+	})
+	if cerr := log.Close(); err != nil || cerr != nil {
+		t.Fatalf("replay: %v, close: %v", err, cerr)
+	}
+	if batches != 2 || records != 24 {
+		t.Fatalf("log holds %d batch entries with %d records, want 2 (one per chunk) with 24", batches, records)
+	}
+
+	addr, shutdown = startServe(t, cfg, nil)
+	if second := getBody(t, "http://"+addr+"/v1/top-sources"); !bytes.Equal(first, second) {
+		t.Errorf("restart serves different top-sources:\n%s\nvs live\n%s", second, first)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("second shutdown: %v", err)
 	}
 }
 

@@ -41,7 +41,7 @@ type Options struct {
 	// provided triples (as in KV, where they are "far more prevalent than
 	// source errors"), α = 0.5 overcommits to candidate triples being
 	// provided and can push source accuracies below ½, after which the
-	// prior re-estimation of Eq 26 inverts. See DESIGN.md.
+	// prior re-estimation of Eq 26 inverts.
 	Alpha float64
 	// MaxIter bounds Algorithm 1's iterations (paper: 5).
 	MaxIter int

@@ -1,10 +1,10 @@
 package core
 
-// Tests for the stability mechanisms documented in DESIGN.md: the extractor
-// bootstrap, leave-one-out quality estimation, the Q floor, pseudo-count
-// smoothing, and the source-accuracy clamp. Each test demonstrates the
-// failure the mechanism prevents, so a regression that weakens the mechanism
-// shows up as the corresponding pathology returning.
+// Tests for the stability mechanisms documented on Options (model.go): the
+// extractor bootstrap, leave-one-out quality estimation, the Q floor,
+// pseudo-count smoothing, and the source-accuracy clamp. Each test
+// demonstrates the failure the mechanism prevents, so a regression that
+// weakens the mechanism shows up as the corresponding pathology returning.
 
 import (
 	"math"

@@ -211,10 +211,6 @@ type Engine struct {
 	pending []triple.Record // ingested since the last Refresh
 
 	modelState // persisted across refreshes
-	// lastTouched is the per-shard touched mask of the most recent refresh —
-	// the copy-on-write set its publication rebuilt (kept for diagnostics
-	// and the publication benchmarks).
-	lastTouched []bool
 
 	// Refresh scratch, owned exclusively by Refresh (serialised by
 	// refreshMu) and persisted across refreshes so a steady-state warm
@@ -928,7 +924,6 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.modelState = r.modelState
-	e.lastTouched = r.touched
 	e.pending = append(e.pending[:0:0], e.pending[r.nPending:]...)
 	e.last.Store(res)
 	return res

@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§5). Each experiment is a function returning structured rows
 // or series; cmd/experiments prints them and the repository's bench harness
-// benchmarks them. The per-experiment index lives in DESIGN.md.
+// benchmarks them. The per-experiment index is cmd/experiments' -exp list.
 package experiments
 
 import (

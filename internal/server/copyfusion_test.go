@@ -49,9 +49,8 @@ func copierBatch() []kbt.Extraction {
 
 // TestCopyDepsAndFusedEndpoints drives the new layer queries end to end on an
 // engine with both layers enabled: the 503 before the first generation, the
-// planted copier pair on /v1/copy-deps (with ?k= truncation), the fused
-// posterior lookup with its 404s, and exact /v1-vs-alias parity on the
-// success paths (TestDeprecatedAliases covers the error-path parity).
+// planted copier pair on /v1/copy-deps (with ?k= truncation) and the fused
+// posterior lookup with its 404s.
 func TestCopyDepsAndFusedEndpoints(t *testing.T) {
 	opt := kbt.DefaultEngineOptions()
 	opt.MinSupport = 1

@@ -57,8 +57,9 @@ func benchPayloads(b *testing.B, count, per int) [][]byte {
 // periodic automatic refreshes, single-worker versus multi-lane. The lanes
 // win is refresh/ingest overlap: with one lane the worker refreshes inline
 // and every queued batch stalls behind the EM pass; with several, the
-// refresher runs beside the lanes and ingest keeps draining. The acceptance
-// bar is lanes=4 ≥2x lanes=1 at GOMAXPROCS >= 4.
+// refresher runs beside the lanes and ingest keeps draining: expect lanes=4
+// at ≥2x lanes=1 once GOMAXPROCS >= 4. The end-to-end benchmark (bench/)
+// serves with -lanes 1, so this is where the Lanes knob is measured.
 func BenchmarkServerIngest(b *testing.B) {
 	payloads := benchPayloads(b, 64, 64)
 	for _, lanes := range []int{1, 4} {

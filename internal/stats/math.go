@@ -45,28 +45,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// LogSumExp returns log(sum(exp(xs))) computed stably. An empty slice yields
-// -Inf (the log of zero mass).
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	max := xs[0]
-	for _, x := range xs[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	if math.IsInf(max, -1) {
-		return max
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - max)
-	}
-	return max + math.Log(sum)
-}
-
 // SoftmaxWithRest exponentiates and normalises the given log-scores together
 // with `rest` additional implicit scores of value restScore each. It returns
 // the normalised probabilities for the explicit scores and the total mass
@@ -135,23 +113,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance of xs (0 for fewer than 2 values).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Quantile returns the q-quantile (0<=q<=1) of xs using linear interpolation
 // between closest ranks. It copies and sorts its input.

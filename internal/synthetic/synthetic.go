@@ -267,7 +267,7 @@ func (w *World) TrueValueOf(subject, predicate string) (string, bool) {
 }
 
 // GroupLocalCorpus builds the deterministic serving-shaped fixture shared by
-// the engine's staleness tests and kbt's BenchmarkRefreshSettled: item groups
+// the engine's staleness tests and the group-local micro-benches: item groups
 // of four, each witnessed only by its group's own four websites
 // ("g%06d-{a..d}.com" — a and b reliable, c wrong on 30% of its items, d on
 // 70%), read by three global extractors E1-E3 of descending confidence, with

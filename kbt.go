@@ -79,17 +79,6 @@ func (e Extraction) record() triple.Record {
 	}
 }
 
-// fromRecord is record's inverse, for in-package callers that already hold
-// internal records (the benchmark harness).
-func fromRecord(r triple.Record) Extraction {
-	return Extraction{
-		Extractor: r.Extractor, Pattern: r.Pattern,
-		Website: r.Website, Page: r.Page,
-		Subject: r.Subject, Predicate: r.Predicate, Object: r.Object,
-		Confidence: r.Confidence,
-	}
-}
-
 // Add appends one extraction.
 func (ds *Dataset) Add(e Extraction) {
 	ds.d.Add(e.record())
@@ -661,10 +650,6 @@ func FuseSingleLayer(ds *Dataset, opt FusionOptions) (*FusionResult, error) {
 	return &FusionResult{snap: snap, res: res}, nil
 }
 
-// granularityKeys maps a fixed (pure per-record) granularity to its source
-// and extractor key functions. GranularityAuto has no key functions — its
-// split-and-merge labels are partitions of the whole dataset — and returns
-// ok=false, as does an unknown value.
 // displayLabel renders internal \x1f-joined unit labels with "|".
 func displayLabel(label string) string {
 	out := make([]byte, 0, len(label))
