@@ -46,9 +46,6 @@ type DurableOptions struct {
 	// O(corpus) shape every checkpoint had before chains; see Checkpoint).
 	// Zero means the default 256; negative disables compaction.
 	CompactAfterBatches int
-	// NoSync skips every fsync. Benchmarks and tests only: a crash can then
-	// lose acknowledged batches.
-	NoSync bool
 	// ProbeBackoff is the initial delay before a degraded engine re-probes
 	// the disk (default 500ms). Each failed probe doubles the delay, capped
 	// at ProbeMaxBackoff (default 30s).
@@ -300,7 +297,6 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 	fp := engineFingerprint(opt)
 	log, err := wal.Open(dir, wal.Options{
 		SegmentBytes: dopt.SegmentBytes,
-		NoSync:       dopt.NoSync,
 		FS:           dopt.fs,
 	})
 	if err != nil {
@@ -816,13 +812,4 @@ func (d *DurableEngine) Close() error {
 	}
 	d.closed = true
 	return d.log.Close()
-}
-
-// LogSize returns the framed byte size of the active WAL segment — an
-// operational signal for checkpoint cadence (CheckpointBytes consults it
-// internally).
-func (d *DurableEngine) LogSize() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.Size()
 }

@@ -288,18 +288,7 @@ func (v *view) CopyDeps() ([]CopyDependence, error) {
 		return nil, ErrNoGeneration
 	}
 	w := v.wrap(r)
-	w.copyOnce.Do(func() {
-		out := make([]CopyDependence, len(w.copyDeps))
-		for i, d := range w.copyDeps {
-			out[i] = CopyDependence{
-				SourceA:    displayLabel(r.Snapshot.Sources[d.A]),
-				SourceB:    displayLabel(r.Snapshot.Sources[d.B]),
-				Posterior:  d.Posterior,
-				SharedTrue: d.SharedTrue, SharedFalse: d.SharedFalse, Differ: d.Differ,
-			}
-		}
-		w.copyView = out
-	})
+	w.copyOnce.Do(func() { w.copyView = copyDependences(w.snap, w.copyDeps) })
 	return w.copyView, nil
 }
 

@@ -43,12 +43,6 @@ type Options struct {
 	MaxProvidersPerValue int
 	// Threshold is the posterior above which a pair is reported (default 0.5).
 	Threshold float64
-	// MaxCachedPairs bounds the incremental Tracker's per-pair score cache:
-	// after each Dependencies call the coldest cached surfaces beyond the
-	// bound are evicted and rescored exactly on their next use, trading
-	// recompute for memory without changing the output. 0 (the default)
-	// leaves the cache unbounded. Batch Detect ignores it.
-	MaxCachedPairs int
 }
 
 // DefaultOptions returns the standard configuration.

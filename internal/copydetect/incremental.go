@@ -27,10 +27,8 @@ type Tracker struct {
 	nShards int
 
 	// perShard[si] holds the shared-value counts contributed by shard si's
-	// items; global is their fold — the corpus-wide pair statistics. The
-	// counts are the detector's sufficient statistics and are never evicted;
-	// the scored surface derived from them lives separately in the bounded
-	// score cache below.
+	// items; global is their fold — the corpus-wide pair statistics, the
+	// detector's sufficient statistics.
 	perShard []map[pairKey]sharedCounts
 	global   map[pairKey]sharedCounts
 
@@ -51,33 +49,25 @@ type Tracker struct {
 	// Dependencies call; accSeen holds the accuracy each source was last
 	// scored under, detecting drift by comparison. pairsOf indexes the live
 	// pairs by member so a moved source maps to its affected pairs without a
-	// scan, and passing holds the pairs currently surviving the MinOverlap
-	// and Threshold filters — the warm call rescores only the affected pairs
-	// and emits straight from passing, never iterating the full pair space.
+	// scan, and passing is the score cache: the cached score of every pair
+	// currently surviving the MinOverlap and Threshold filters — the warm
+	// call rescores only the affected pairs and emits straight from passing,
+	// never iterating the full pair space. A pair outside passing needs no
+	// cached score: nothing reads it until one of its inputs moves, and that
+	// rescores it.
 	staleSet   map[pairKey]struct{}
 	srcTouched map[int32]struct{}
 	accSeen    []float64
 	pairsOf    map[int32]map[pairKey]struct{}
-	passing    map[pairKey]*scoreState
-
-	// The score cache proper. scored holds the pairs whose cached surface is
-	// current; unscored the live pairs without one (new, or evicted). When
-	// Options.MaxCachedPairs > 0, Dependencies evicts the coldest entries —
-	// smallest last-use tick — down to the bound after every call, moving
-	// them to unscored so the next call rescores them from the (exact, never
-	// evicted) counts. Eviction therefore trades memory for recompute without
-	// ever changing the output.
-	scored   map[pairKey]*scoreState
-	unscored map[pairKey]struct{}
-	tick     uint64
+	passing    map[pairKey]pairScore
 }
 
-// scoreState is one candidate pair's cached scored surface: a pure function
-// of its shared counts, both members' item maps and both members' accuracies.
-type scoreState struct {
-	overlap, differ int32
-	post            float64
-	tick            uint64 // Dependencies call that last scored or emitted it
+// pairScore is the part of a passing pair's score the emit needs beyond its
+// shared counts: a pure function of those counts, both members' item maps and
+// both members' accuracies.
+type pairScore struct {
+	differ int32
+	post   float64
 }
 
 type pairKey struct{ a, b int32 }
@@ -107,9 +97,7 @@ func NewTracker(opt Options, nShards int) (*Tracker, error) {
 		staleSet:   make(map[pairKey]struct{}),
 		srcTouched: make(map[int32]struct{}),
 		pairsOf:    make(map[int32]map[pairKey]struct{}),
-		passing:    make(map[pairKey]*scoreState),
-		scored:     make(map[pairKey]*scoreState),
-		unscored:   make(map[pairKey]struct{}),
+		passing:    make(map[pairKey]pairScore),
 	}
 	return t, nil
 }
@@ -180,8 +168,6 @@ func (t *Tracker) dropPair(k pairKey) {
 	delete(t.global, k)
 	delete(t.staleSet, k)
 	delete(t.passing, k)
-	delete(t.scored, k)
-	delete(t.unscored, k)
 	delete(t.pairsOf[k.a], k)
 	delete(t.pairsOf[k.b], k)
 }
@@ -286,7 +272,6 @@ func (t *Tracker) Dependencies(accuracy func(w int) float64) []Dependence {
 		// -1 is outside accuracy's range, forcing a first-call rescore.
 		t.accSeen = append(t.accSeen, -1)
 	}
-	t.tick++
 	rescore := t.staleSet
 	markSrc := func(w int32) {
 		for k := range t.pairsOf[w] {
@@ -301,11 +286,6 @@ func (t *Tracker) Dependencies(accuracy func(w int) float64) []Dependence {
 	}
 	for w := range t.srcTouched {
 		markSrc(w)
-	}
-	// Pairs evicted from the score cache (or never scored) have no surface to
-	// trust, whatever else moved — rescore them from the exact counts.
-	for k := range t.unscored {
-		rescore[k] = struct{}{}
 	}
 
 	for k := range rescore {
@@ -326,36 +306,24 @@ func (t *Tracker) Dependencies(accuracy func(w int) float64) []Dependence {
 				differ++
 			}
 		}
-		// Unlike Detect we score even sub-MinOverlap pairs (posterior is
-		// total, and caching the full surface keeps the bookkeeping
-		// uniform); the passing filter drops exactly Detect's set.
-		st := t.scored[k]
-		if st == nil {
-			st = &scoreState{}
-			t.scored[k] = st
+		if overlap >= t.opt.MinOverlap {
+			post := posterior(int(g.sharedTrue), int(g.sharedFalse), differ,
+				t.accSeen[a], t.accSeen[b], t.opt)
+			if post >= t.opt.Threshold {
+				t.passing[k] = pairScore{differ: int32(differ), post: post}
+				continue
+			}
 		}
-		delete(t.unscored, k)
-		st.overlap, st.differ = int32(overlap), int32(differ)
-		st.post = posterior(int(g.sharedTrue), int(g.sharedFalse), differ,
-			t.accSeen[a], t.accSeen[b], t.opt)
-		st.tick = t.tick
-		if overlap < t.opt.MinOverlap || st.post < t.opt.Threshold {
-			delete(t.passing, k)
-		} else {
-			t.passing[k] = st
-		}
+		delete(t.passing, k)
 	}
 
-	// nil when empty, matching Detect's no-result shape exactly. Emitting
-	// counts as a use for eviction recency: the passing set is the cache's
-	// working set, so it goes cold last.
+	// nil when empty, matching Detect's no-result shape exactly.
 	var out []Dependence
 	if len(t.passing) > 0 {
 		out = make([]Dependence, 0, len(t.passing))
 	}
 	for k, st := range t.passing {
 		g := t.global[k]
-		st.tick = t.tick
 		out = append(out, Dependence{
 			A: int(k.a), B: int(k.b), Posterior: st.post,
 			SharedTrue: int(g.sharedTrue), SharedFalse: int(g.sharedFalse), Differ: int(st.differ),
@@ -363,7 +331,6 @@ func (t *Tracker) Dependencies(accuracy func(w int) float64) []Dependence {
 	}
 	t.staleSet = make(map[pairKey]struct{})
 	clear(t.srcTouched)
-	t.evictCold()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Posterior != out[j].Posterior {
 			return out[i].Posterior > out[j].Posterior
@@ -374,38 +341,4 @@ func (t *Tracker) Dependencies(accuracy func(w int) float64) []Dependence {
 		return out[i].B < out[j].B
 	})
 	return out
-}
-
-// evictCold enforces Options.MaxCachedPairs on the score cache: the coldest
-// entries — smallest last-use tick, key order breaking ties for determinism —
-// move to unscored, where the next Dependencies call rescores them exactly
-// from the retained counts. A bound of 0 (the default) leaves the cache
-// unbounded.
-func (t *Tracker) evictCold() {
-	bound := t.opt.MaxCachedPairs
-	if bound <= 0 || len(t.scored) <= bound {
-		return
-	}
-	type entry struct {
-		k  pairKey
-		tk uint64
-	}
-	all := make([]entry, 0, len(t.scored))
-	for k, st := range t.scored {
-		all = append(all, entry{k, st.tick})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].tk != all[j].tk {
-			return all[i].tk < all[j].tk
-		}
-		if all[i].k.a != all[j].k.a {
-			return all[i].k.a < all[j].k.a
-		}
-		return all[i].k.b < all[j].k.b
-	})
-	for _, e := range all[:len(all)-bound] {
-		delete(t.scored, e.k)
-		delete(t.passing, e.k)
-		t.unscored[e.k] = struct{}{}
-	}
 }

@@ -158,76 +158,6 @@ func TestFuzzTrackerMatchesDetect(t *testing.T) {
 	}
 }
 
-// TestMaxCachedPairsBoundsScoreCache runs a pair-dense corpus (threshold 0
-// keeps every candidate pair live and passing) through churn rounds with a
-// score cache far smaller than the live pair set, and requires (a) the cache
-// to stay within the bound after every Dependencies call and (b) the output
-// to remain deep-equal to batch Detect throughout — eviction may only trade
-// recompute for memory, never results.
-func TestMaxCachedPairsBoundsScoreCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	const nShards = 4
-	opt := DefaultOptions()
-	opt.MinOverlap = 1
-	opt.Threshold = 0 // every candidate pair passes: eviction must touch passing pairs too
-	opt.MaxCachedPairs = 6
-
-	recs := trackerStream(rng, 240)
-	copt := triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName}
-	w := &trackerWorld{s: (&triple.Dataset{Records: recs}).Compile(copt)}
-	w.shards = w.s.Shards(nShards)
-	w.vp = make([][]float64, len(w.s.Items))
-	w.cp = make([]float64, len(w.s.Triples))
-	w.acc = make([]float64, len(w.s.Sources))
-	w.reroll(rng, allShardIdx(nShards), true)
-
-	tr, err := NewTracker(opt, nShards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxLive := 0
-	check := func(tag string) {
-		t.Helper()
-		got := tr.Dependencies(w.evidence().Accuracy)
-		want, err := Detect(w.s, w.evidence(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: bounded tracker diverges from Detect\n got  %+v\n want %+v", tag, got, want)
-		}
-		if len(tr.scored) > opt.MaxCachedPairs {
-			t.Fatalf("%s: score cache holds %d pairs, bound is %d", tag, len(tr.scored), opt.MaxCachedPairs)
-		}
-		for k := range tr.global {
-			if _, s := tr.scored[k]; !s {
-				if _, u := tr.unscored[k]; !u {
-					t.Fatalf("%s: live pair %+v in neither scored nor unscored", tag, k)
-				}
-			}
-		}
-		if n := len(tr.global); n > maxLive {
-			maxLive = n
-		}
-	}
-
-	tr.Update(w.s, w.evidence(), w.shards, allShardIdx(nShards))
-	check("initial")
-	for round := 0; round < 8; round++ {
-		dirty := randomShardSubset(rng, nShards)
-		w.reroll(rng, dirty, round%2 == 0)
-		tr.Update(w.s, w.evidence(), w.shards, dirty)
-		check(fmt.Sprintf("round %d", round))
-		// A quiet second call is served from the bounded cache plus exact
-		// rescores of the evicted tail, and must still match.
-		check(fmt.Sprintf("round %d quiet", round))
-	}
-	if maxLive <= opt.MaxCachedPairs {
-		t.Fatalf("corpus not pair-dense enough to exercise eviction: %d live pairs <= bound %d",
-			maxLive, opt.MaxCachedPairs)
-	}
-}
-
 func allShardIdx(n int) []int {
 	out := make([]int, n)
 	for i := range out {

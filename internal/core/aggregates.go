@@ -31,11 +31,12 @@ import (
 //     (the common case at fine extractor granularity, where an ingest
 //     touches few units) stay on the delta path.
 //   - Subtract-and-add drifts by accumulated rounding. Every
-//     Options.ReaggregateEvery iterations the estimators fall back to a full
-//     re-aggregation — arithmetic identical to the plain estimators, so a
-//     full pass also re-anchors the caches bit-exactly — bounding the drift
-//     to what a handful of iterations can accumulate (≪ 1e-9 on unit-scale
-//     parameters).
+//     Options.ReaggregateEvery iterations the M-steps fall back to each
+//     stage's one full-aggregation body (estimateA, estimatePRQ in infer.go),
+//     which fills these caches as it sums — so a full pass is the cache-free
+//     estimator's arithmetic and re-anchors the caches bit-exactly — bounding
+//     the drift to what a handful of iterations can accumulate (≪ 1e-9 on
+//     unit-scale parameters).
 //
 // The delta estimators assume the caller passes every candidate triple whose
 // Stage I/II outputs (cProb, value posterior slots, coverage) or effective
@@ -128,27 +129,6 @@ func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
 	}
 }
 
-// estimateAFull is estimateA plus cache filling: identical arithmetic (a
-// non-contributing triple's (0, 0) adds are bit-neutral), so a full pass both
-// matches the plain estimator exactly and re-anchors every cache.
-func (st *state) estimateAFull(cProb []float64, valueProb [][]float64) {
-	s, ag := st.s, st.agg
-	parallel.ForEach(len(s.Sources), st.opt.Workers, func(w int) {
-		var num, den float64
-		for _, ti := range s.TriplesOfSource[w] {
-			nc, dc := st.aContrib(ti, cProb, valueProb)
-			ag.aNumC[ti], ag.aDenC[ti] = nc, dc
-			num += nc
-			den += dc
-		}
-		ag.aNum[w], ag.aDen[w] = num, den
-		if st.srcIncluded[w] {
-			st.deriveA(w, num, den)
-		}
-	})
-	ag.aValid = true
-}
-
 // estimateADelta updates the stage III aggregates for the dirty triples and
 // re-derives the accuracies of the sources they touch. Untouched sources
 // keep parameters equal to what a full aggregation would recompute, because
@@ -179,62 +159,6 @@ func (st *state) estimateADelta(cProb []float64, valueProb [][]float64, dirtyTri
 		}
 		st.deriveA(w, ag.aNum[w], ag.aDen[w])
 	}
-}
-
-// estimatePRQFull is estimatePRQ plus cache filling — identical arithmetic,
-// re-anchoring the correctness-mass and numerator caches exactly.
-func (st *state) estimatePRQFull(cProb []float64) {
-	s, ag := st.s, st.agg
-
-	var totalC float64
-	if len(st.cellC) < st.numCells {
-		st.cellC = make([]float64, st.numCells)
-	} else {
-		st.zeroAttemptedCells(st.cellC)
-	}
-	cellC := st.cellC
-	for ti := range s.Triples {
-		if !st.coveredTriple[ti] {
-			ag.cCov[ti] = 0
-			continue
-		}
-		cp := cProb[ti]
-		ag.cCov[ti] = cp
-		cellC[st.cellOfTriple[ti]] += cp
-		totalC += cp
-	}
-	ag.totalC = totalC
-
-	parallel.ForEach(len(s.Extractors), st.opt.Workers, func(e int) {
-		if !st.extIncluded[e] {
-			ag.eNum[e], ag.ePDen[e], ag.rDen[e] = 0, 0, 0
-			return
-		}
-		var num, pDen float64
-		for _, oi := range s.ObsOfExtractor[e] {
-			c := st.conf[oi]
-			if c <= 0 {
-				ag.obsNumC[oi] = 0
-				continue
-			}
-			v := st.obsNumContrib(oi, st.tripleOfObs[oi], e, c, cProb)
-			ag.obsNumC[oi] = v
-			num += v
-			pDen += c
-		}
-		var rDen float64
-		if st.opt.Scope == ScopeAllExtractors {
-			rDen = totalC
-		} else {
-			for _, cell := range st.cellsOfExtractor[e] {
-				rDen += cellC[cell]
-			}
-		}
-		ag.eNum[e], ag.ePDen[e], ag.rDen[e] = num, pDen, rDen
-		ag.preAt[e], ag.abAt[e] = st.pre[e], st.ab[e]
-		st.derivePRQ(e, num, pDen, rDen)
-	})
-	ag.eValid = true
 }
 
 // estimatePRQDelta updates the stage IV aggregates for the dirty triples'
@@ -300,7 +224,7 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris [][]int) {
 			}
 		}
 		parallel.ForEach(len(ag.shifted), st.opt.Workers, func(i int) {
-			st.rescanExtractorNum(ag.shifted[i], cProb)
+			st.extractorNum(ag.shifted[i], cProb)
 		})
 	}
 
@@ -336,26 +260,6 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris [][]int) {
 		}
 		st.derivePRQ(e, ag.eNum[e], ag.ePDen[e], rDen)
 	}
-}
-
-// rescanExtractorNum rebuilds extractor e's numerator sum and observation
-// caches from the current posteriors and votes — the exact fallback for a
-// vote-shifted extractor, identical to its slice of a full aggregation.
-func (st *state) rescanExtractorNum(e int, cProb []float64) {
-	ag := st.agg
-	var num float64
-	for _, oi := range st.s.ObsOfExtractor[e] {
-		c := st.conf[oi]
-		if c <= 0 {
-			ag.obsNumC[oi] = 0
-			continue
-		}
-		v := st.obsNumContrib(oi, st.tripleOfObs[oi], e, c, cProb)
-		ag.obsNumC[oi] = v
-		num += v
-	}
-	ag.eNum[e] = num
-	ag.preAt[e], ag.abAt[e] = st.pre[e], st.ab[e]
 }
 
 // grow extends s to length n, filling the new entries.

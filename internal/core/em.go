@@ -53,18 +53,9 @@ func NewEM(s *triple.Snapshot, opt Options) (*EM, error) {
 
 // Bootstrap performs the pre-iteration extractor M-step from the prior
 // p(C)=Alpha (see Options.DisableBootstrap), filling cProb with the prior as
-// a side effect. It is a no-op when the options disable it, matching Run.
-func (em *EM) Bootstrap(cProb []float64) {
-	st := em.st
-	if st.opt.DisableBootstrap || st.opt.FreezeExtractors {
-		return
-	}
-	for ti := range cProb {
-		cProb[ti] = st.opt.Alpha
-	}
-	st.estimatePRQ(cProb)
-	st.applyExplicitExtractorInits()
-}
+// a side effect: the body Run itself starts with, a no-op when the options
+// disable it.
+func (em *EM) Bootstrap(cProb []float64) { em.st.bootstrap(cProb) }
 
 // BeginIteration readies the per-iteration vote state (source votes, base
 // absence masses) and advances the re-aggregation cadence. Call once per
@@ -130,17 +121,15 @@ func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, dirtyTris [][
 		return
 	}
 	ag := st.agg
-	if ag == nil {
-		st.estimateA(cProb, valueProb)
+	if ag != nil && dirtyTris != nil && ag.aValid && !ag.fullTick && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
+		st.estimateADelta(cProb, valueProb, dirtyTris)
+		ag.deltaSteps++
 		return
 	}
-	if dirtyTris == nil || !ag.aValid || ag.fullTick || deltaCostsMore(dirtyTris, len(st.s.Triples)) {
-		st.estimateAFull(cProb, valueProb)
+	st.estimateA(cProb, valueProb)
+	if ag != nil {
 		ag.fullSteps++
-		return
 	}
-	st.estimateADelta(cProb, valueProb, dirtyTris)
-	ag.deltaSteps++
 }
 
 // deltaCostsMore reports whether the dirty set covers so much of the corpus
@@ -168,17 +157,15 @@ func (em *EM) MStepExtractors(cProb []float64, dirtyTris [][]int) {
 		return
 	}
 	ag := st.agg
-	if ag == nil {
-		st.estimatePRQ(cProb)
+	if ag != nil && dirtyTris != nil && ag.eValid && !ag.fullTick && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
+		st.estimatePRQDelta(cProb, dirtyTris)
+		ag.deltaSteps++
 		return
 	}
-	if dirtyTris == nil || !ag.eValid || ag.fullTick || deltaCostsMore(dirtyTris, len(st.s.Triples)) {
-		st.estimatePRQFull(cProb)
+	st.estimatePRQ(cProb)
+	if ag != nil {
 		ag.fullSteps++
-		return
 	}
-	st.estimatePRQDelta(cProb, dirtyTris)
-	ag.deltaSteps++
 }
 
 // AggStepCounts reports how many M-step stage invocations have run the
@@ -298,9 +285,12 @@ func (em *EM) CLogOdds() []float64 { return em.st.cLO }
 func (em *EM) SourceIncluded() []bool    { return em.st.srcIncluded }
 func (em *EM) ExtractorIncluded() []bool { return em.st.extIncluded }
 
-// CoveredTriples marks candidate triples observed by an included extractor
-// (read-only).
-func (em *EM) CoveredTriples() []bool { return em.st.coveredTriple }
+// InclusionFlipped reports whether the NewEMFrom call that extended this
+// state moved an old unit's support across its inclusion threshold — the one
+// structural event of an extension, whose reach is global: the caller must
+// re-estimate everything and refresh every vote. False on a fresh NewEM and
+// after a same-snapshot NewEMFrom.
+func (em *EM) InclusionFlipped() bool { return em.st.structural }
 
 // BuildResult assembles a Result from the EM state and the caller-owned
 // posterior arrays, deep-copying everything so the caller may keep mutating

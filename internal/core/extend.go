@@ -27,8 +27,9 @@ import (
 // Two events void the pure append and trigger a partial rebuild internally,
 // still without touching the per-triple carried state: an old unit's support
 // crossing its inclusion threshold (coverage and attempted-cell scopes are
-// rebuilt, and the incremental M-step aggregates are invalidated), and a
-// granularity mismatch, which is an error.
+// rebuilt, the incremental M-step aggregates are invalidated, and
+// InclusionFlipped reports it to the caller), and a granularity mismatch,
+// which is an error.
 func NewEMFrom(prev *EM, s *triple.Snapshot, opt Options) (*EM, error) {
 	if prev == nil {
 		return nil, errors.New("core: nil previous EM")
@@ -47,6 +48,7 @@ func NewEMFrom(prev *EM, s *triple.Snapshot, opt Options) (*EM, error) {
 	}
 	if s == st.s {
 		st.opt = opt
+		st.structural = false
 		return prev, nil
 	}
 	d, ok := s.ParentDelta()
@@ -67,7 +69,6 @@ func extCellKey(e, c int) int64 { return int64(e)<<32 | int64(uint32(c)) }
 // extendState grows every index structure of st from prev's snapshot to s,
 // touching only the extension delta. See NewEMFrom.
 func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
-	prevS := st.s
 	st.opt = opt
 	nSrc, nExt, nTri, nObs := len(s.Sources), len(s.Extractors), len(s.Triples), len(s.Obs)
 
@@ -104,6 +105,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		structural = extInc[e] != st.extIncluded[e]
 	}
 	st.srcIncluded, st.extIncluded = srcInc, extInc
+	st.structural = structural
 
 	// Absence masses: pure growth keeps them valid incrementally — a new
 	// cell starts at zero and every newly attempted (extractor, cell) pair
@@ -166,27 +168,23 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		st.obsE[oi] = int32(o.E)
 	}
 
-	// Value slots. A new value inserts into the middle of its item's sorted
-	// value list, shifting the slots of the item's other candidate triples,
-	// so those items re-slot wholesale; everything else is a direct search.
+	// Value slots: a direct search for the new triples. A new value inserts
+	// into the middle of its item's sorted value list, shifting the slots of
+	// the item's older candidate triples, so the delta's grown items re-slot
+	// those too (TriplesOfItem ascends: the old triples are its prefix).
 	st.slotOfTriple = grow(st.slotOfTriple, nTri, 0)
-	var reslotted map[int]bool
 	for ti := d.Triples; ti < nTri; ti++ {
 		tr := s.Triples[ti]
-		if tr.D < d.Items && len(s.ItemValues[tr.D]) != len(prevS.ItemValues[tr.D]) {
-			if reslotted == nil {
-				reslotted = make(map[int]bool)
-			}
-			if !reslotted[tr.D] {
-				reslotted[tr.D] = true
-				vs := s.ItemValues[tr.D]
-				for _, t2 := range s.TriplesOfItem[tr.D] {
-					st.slotOfTriple[t2] = sort.SearchInts(vs, s.Triples[t2].V)
-				}
-			}
-			continue
-		}
 		st.slotOfTriple[ti] = sort.SearchInts(s.ItemValues[tr.D], tr.V)
+	}
+	for _, di := range d.GrownItems {
+		vs := s.ItemValues[di]
+		for _, ti := range s.TriplesOfItem[di] {
+			if ti >= d.Triples {
+				break
+			}
+			st.slotOfTriple[ti] = sort.SearchInts(vs, s.Triples[ti].V)
+		}
 	}
 
 	// Cells for the new triples. Interned ids are append-only, so existing

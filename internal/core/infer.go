@@ -196,20 +196,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	prevR := make([]float64, nExt)
 	prevLO := make([]float64, nTri)
 
-	// Bootstrap: one extractor M-step from the prior p(C)=Alpha, so the
-	// first absence votes use data-driven per-unit recall instead of the
-	// global defaults (see Options.DisableBootstrap). Explicitly
-	// initialised parameters are re-applied afterwards, so the bootstrap
-	// only fills in what the caller did not pin.
-	if !opt.DisableBootstrap && !opt.FreezeExtractors {
-		opt.Timer.Time(StageExtQuality, func() {
-			for ti := range res.cProb {
-				res.cProb[ti] = opt.Alpha
-			}
-			st.estimatePRQ(res.cProb)
-			st.applyExplicitExtractorInits()
-		})
-	}
+	opt.Timer.Time(StageExtQuality, func() { st.bootstrap(res.cProb) })
 
 	iter := 0
 	for iter = 1; iter <= opt.MaxIter; iter++ {
@@ -336,6 +323,9 @@ type state struct {
 	srcIncluded   []bool
 	extIncluded   []bool
 	coveredTriple []bool
+	// structural records that the extendState call which built the current
+	// index structures flipped an old unit's inclusion (EM.InclusionFlipped).
+	structural bool
 
 	// conf[i] is the effective confidence of observation i after applying
 	// the UseConfidence / BinarizeAt policy.
@@ -918,21 +908,36 @@ func (st *state) deriveA(w int, num, den float64) {
 }
 
 // estimateA updates source accuracies (Eq 28 / Eq 27) by full aggregation
-// over every source's candidate triples.
+// over every source's candidate triples — the one full body of Stage III. In
+// aggregate mode it also caches every contribution and per-source sum (an
+// excluded source's too: its triples may be handed to estimateADelta), so a
+// full pass re-anchors exactly what the delta path maintains; the arithmetic
+// is the same either way, a non-contributing triple's (0, 0) being bit-neutral.
 func (st *state) estimateA(cProb []float64, valueProb [][]float64) {
-	s := st.s
+	s, ag := st.s, st.agg
 	parallel.ForEach(len(s.Sources), st.opt.Workers, func(w int) {
-		if !st.srcIncluded[w] {
+		if ag == nil && !st.srcIncluded[w] {
 			return
 		}
 		var num, den float64
 		for _, ti := range s.TriplesOfSource[w] {
 			nc, dc := st.aContrib(ti, cProb, valueProb)
+			if ag != nil {
+				ag.aNumC[ti], ag.aDenC[ti] = nc, dc
+			}
 			num += nc
 			den += dc
 		}
-		st.deriveA(w, num, den)
+		if ag != nil {
+			ag.aNum[w], ag.aDen[w] = num, den
+		}
+		if st.srcIncluded[w] {
+			st.deriveA(w, num, den)
+		}
 	})
+	if ag != nil {
+		ag.aValid = true
+	}
 }
 
 // obsNumContrib returns observation oi's contribution to its extractor's
@@ -972,9 +977,12 @@ func (st *state) derivePRQ(e int, num, pDen, rDen float64) {
 }
 
 // estimatePRQ updates extractor precision and recall (Eqs 29-33) and derives
-// Q via Eq 7, by full aggregation over every extractor's observations.
+// Q via Eq 7, by full aggregation over every extractor's observations — the
+// one full body of Stage IV. In aggregate mode it also fills the correctness-
+// mass, denominator and (through extractorNum) numerator caches, re-anchoring
+// exactly what estimatePRQDelta maintains.
 func (st *state) estimatePRQ(cProb []float64) {
-	s := st.s
+	s, ag := st.s, st.agg
 
 	// Per-cell total correctness mass, used by the recall denominator under
 	// ScopeAttemptedSources.
@@ -982,27 +990,25 @@ func (st *state) estimatePRQ(cProb []float64) {
 	cellC := st.cellC
 	st.zeroAttemptedCells(cellC)
 	for ti := range s.Triples {
-		if !st.coveredTriple[ti] {
-			continue
+		var cp float64
+		if st.coveredTriple[ti] {
+			cp = cProb[ti]
+			cellC[st.cellOfTriple[ti]] += cp
+			totalC += cp
 		}
-		cellC[st.cellOfTriple[ti]] += cProb[ti]
-		totalC += cProb[ti]
+		if ag != nil {
+			ag.cCov[ti] = cp
+		}
 	}
 
 	parallel.ForEach(len(s.Extractors), st.opt.Workers, func(e int) {
 		if !st.extIncluded[e] {
+			if ag != nil {
+				ag.eNum[e], ag.ePDen[e], ag.rDen[e] = 0, 0, 0
+			}
 			return
 		}
-		var num, pDen float64
-		for _, oi := range s.ObsOfExtractor[e] {
-			c := st.conf[oi]
-			if c <= 0 {
-				continue
-			}
-			v := st.obsNumContrib(oi, st.tripleOfObs[oi], e, c, cProb)
-			num += v
-			pDen += c
-		}
+		num, pDen := st.extractorNum(e, cProb)
 		var rDen float64
 		if st.opt.Scope == ScopeAllExtractors {
 			rDen = totalC
@@ -1011,8 +1017,57 @@ func (st *state) estimatePRQ(cProb []float64) {
 				rDen += cellC[cell]
 			}
 		}
+		if ag != nil {
+			ag.ePDen[e], ag.rDen[e] = pDen, rDen
+		}
 		st.derivePRQ(e, num, pDen, rDen)
 	})
+	if ag != nil {
+		ag.totalC = totalC
+		ag.eValid = true
+	}
+}
+
+// extractorNum sums extractor e's numerator and confidence mass over its
+// observations: the one per-extractor loop of Stage IV. In aggregate mode it
+// re-anchors e's numerator caches — the per-observation contributions, their
+// sum and the votes they were computed under — which is also all the exact
+// rescan of a vote-shifted extractor in estimatePRQDelta consists of.
+func (st *state) extractorNum(e int, cProb []float64) (num, pDen float64) {
+	ag := st.agg
+	for _, oi := range st.s.ObsOfExtractor[e] {
+		c := st.conf[oi]
+		var v float64
+		if c > 0 {
+			v = st.obsNumContrib(oi, st.tripleOfObs[oi], e, c, cProb)
+			num += v
+			pDen += c
+		}
+		if ag != nil {
+			ag.obsNumC[oi] = v
+		}
+	}
+	if ag != nil {
+		ag.eNum[e] = num
+		ag.preAt[e], ag.abAt[e] = st.pre[e], st.ab[e]
+	}
+	return num, pDen
+}
+
+// bootstrap is the pre-iteration extractor M-step from the prior p(C)=Alpha,
+// so the first absence votes use data-driven per-unit recall instead of the
+// global defaults (see Options.DisableBootstrap); it leaves cProb at the
+// prior. Explicitly initialised parameters are re-applied afterwards, so the
+// bootstrap only fills in what the caller did not pin.
+func (st *state) bootstrap(cProb []float64) {
+	if st.opt.DisableBootstrap || st.opt.FreezeExtractors {
+		return
+	}
+	for ti := range cProb {
+		cProb[ti] = st.opt.Alpha
+	}
+	st.estimatePRQ(cProb)
+	st.applyExplicitExtractorInits()
 }
 
 // applyExplicitExtractorInits re-imposes caller-pinned extractor parameters

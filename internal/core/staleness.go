@@ -536,22 +536,6 @@ func (em *EM) SettleScopes(sc *ScopeSet) {
 	}
 }
 
-// SourceDrift and ExtractorVoteDrift expose the live accumulated-drift
-// slices (read-only) for diagnostics and tests.
-func (em *EM) SourceDrift() []float64 {
-	if em.st.ledger == nil {
-		return nil
-	}
-	return em.st.ledger.srcDrift
-}
-
-func (em *EM) ExtractorVoteDrift() []float64 {
-	if em.st.ledger == nil {
-		return nil
-	}
-	return em.st.ledger.extDrift
-}
-
 // extendLedger grows the ledger append-only with the snapshot extension —
 // new items' shard positions, new triples' reach and cell entries, zero
 // drift and current-parameter vote anchors for new units. Called by

@@ -207,8 +207,11 @@ type Engine struct {
 	mu        sync.Mutex
 	opt       Options
 
-	ds      *triple.Dataset
-	pending []triple.Record // ingested since the last Refresh
+	// ds holds every record ingested, in order; modelState covers its first
+	// estimated records and the rest are pending. Records only append, so the
+	// mark is all that tells the two apart.
+	ds        *triple.Dataset
+	estimated int
 
 	modelState // persisted across refreshes
 
@@ -283,10 +286,7 @@ func (e *Engine) Ingest(recs ...triple.Record) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, r := range recs {
-		e.ds.Add(r)
-		e.pending = append(e.pending, r)
-	}
+	e.ds.Records = append(e.ds.Records, recs...)
 	return nil
 }
 
@@ -350,7 +350,7 @@ func (e *Engine) Records() []triple.Record {
 func (e *Engine) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.pending)
+	return len(e.ds.Records) - e.estimated
 }
 
 // Last returns the most recent Refresh result, or nil before the first one.
@@ -366,10 +366,8 @@ func (e *Engine) Last() *Result {
 // parameters, priors, vote caches, M-step aggregates and staleness ledger —
 // and the engine-owned posterior arrays. All of it extends append-only with
 // the snapshot (triple.Snapshot.Extend, core.NewEMFrom, extendPosteriors), so
-// a warm refresh rebuilds none of it from the corpus. srcInc/extInc are
-// clones of em's inclusion masks as of publication: the next NewEMFrom
-// replaces the EM's own slices, while the next refresh's structural-change
-// checks need this generation's.
+// a warm refresh rebuilds none of it from the corpus, and none of it can be
+// derived from the rest.
 type modelState struct {
 	snap        *triple.Snapshot
 	shards      []triple.Shard
@@ -378,8 +376,6 @@ type modelState struct {
 	valueProb   [][]float64
 	restMass    []float64
 	coveredItem []bool
-	srcInc      []bool
-	extInc      []bool
 }
 
 // refreshRun carries one Refresh through its five phases. A phase reads the
@@ -387,23 +383,24 @@ type modelState struct {
 // The value lives in Engine.run under refreshMu, so it costs a refresh no
 // allocation.
 type refreshRun struct {
-	// begin: the inputs captured under the state lock. pending is a private
-	// copy of the nPending queued records this refresh consumes — exactly the
-	// suffix of records ingested since prev, the previous refresh's state
-	// (zero on a cold run), was built.
-	warm     bool
-	nPending int
-	records  []triple.Record
-	pending  []triple.Record
-	prev     modelState
+	// begin: the inputs captured under the state lock. records is the corpus
+	// this refresh estimates; prev, the previous refresh's state (zero on a
+	// cold run), was built from its first estimated records, and the rest are
+	// the pending ones this refresh consumes.
+	warm      bool
+	records   []triple.Record
+	estimated int
+	prev      modelState
 
 	// state: the model state the run estimates on, and the core options.
 	// extended says the state continues prev's snapshot chain (so the
 	// previous generation's chunks may be shared at publication) rather than
-	// starting from a fresh compile.
+	// starting from a fresh compile; structural that an old unit's support
+	// crossed its inclusion threshold on the way from prev.
 	modelState
-	extended bool
-	copt     core.Options
+	extended   bool
+	structural bool
+	copt       core.Options
 
 	// settle: what the EM loop did. touched/touchedWhole mark the shards any
 	// iteration re-estimated at all / as a whole shard.
@@ -470,8 +467,7 @@ func (e *Engine) begin(r *refreshRun) (cached *Result, err error) {
 		return nil, errors.New("engine: empty dataset")
 	}
 	r.warm = e.snap != nil
-	r.nPending = len(e.pending)
-	if last := e.last.Load(); r.warm && r.nPending == 0 && last != nil && last.Inference.Converged {
+	if last := e.last.Load(); r.warm && e.estimated == nRec && last != nil && last.Inference.Converged {
 		if last.NoOp {
 			return last, nil
 		}
@@ -493,10 +489,14 @@ func (e *Engine) begin(r *refreshRun) (cached *Result, err error) {
 		return res, nil
 	}
 	r.records = e.ds.Records[:nRec:nRec]
-	r.pending = append([]triple.Record(nil), e.pending[:r.nPending]...)
+	r.estimated = e.estimated
 	r.prev = e.modelState
 	return nil, nil
 }
+
+// pending returns the records this refresh consumes: the ones ingested since
+// prev was built.
+func (r *refreshRun) pending() []triple.Record { return r.records[r.estimated:] }
 
 // buildState builds what the run estimates on (reads r's begin group, fills
 // its state group): the snapshot and shard views, the core options, the EM
@@ -516,13 +516,13 @@ func (e *Engine) buildState(r *refreshRun) error {
 			ExtractorKey: e.opt.ExtractorKey,
 		})
 		r.shards = r.snap.Shards(e.opt.Shards)
-	case len(r.pending) == 0:
+	case len(r.pending()) == 0:
 		// Resuming an unconverged run: zero new records means the grown
 		// snapshot would be content-identical, so reuse it outright instead
 		// of paying Extend's table copies.
 		r.snap, r.shards = r.prev.snap, r.prev.shards
 	default:
-		r.snap = r.prev.snap.Extend(r.pending)
+		r.snap = r.prev.snap.Extend(r.pending())
 		r.shards = r.snap.ExtendShards(r.prev.shards, len(r.prev.snap.Items), len(r.prev.snap.Triples))
 	}
 
@@ -541,6 +541,7 @@ func (e *Engine) buildState(r *refreshRun) error {
 		if r.em, err = core.NewEMFrom(r.prev.em, r.snap, r.copt); err != nil {
 			return err
 		}
+		r.structural = r.em.InclusionFlipped()
 		r.extendPosteriors()
 		return nil
 	}
@@ -582,7 +583,7 @@ func (e *Engine) settle(r *refreshRun) error {
 	case !r.warm:
 		r.em.Bootstrap(r.cProb)
 		base.MarkAllFull()
-	case len(r.pending) == 0:
+	case len(r.pending()) == 0:
 		// Resuming an unconverged run (begin served the converged case): the
 		// cached posteriors already reproduce the cached parameters, so a
 		// partial pass would measure zero delta and stall. Re-estimate
@@ -594,9 +595,7 @@ func (e *Engine) settle(r *refreshRun) error {
 		}
 	}
 	// Structural changes force one full vote recompute (see iterate).
-	r.voteForce = r.warm && (len(r.snap.Extractors) != len(r.prev.snap.Extractors) ||
-		inclusionChanged(r.prev.srcInc, r.em.SourceIncluded()) ||
-		inclusionChanged(r.prev.extInc, r.em.ExtractorIncluded()))
+	r.voteForce = r.warm && (r.structural || len(r.snap.Extractors) != len(r.prev.snap.Extractors))
 	r.touched = make([]bool, nShards)
 	r.touchedWhole = make([]bool, nShards)
 	r.aggDelta0, r.aggFull0 = r.em.AggStepCounts()
@@ -871,7 +870,7 @@ func (e *Engine) fuse(r *refreshRun) (err error) {
 			return err
 		}
 	}
-	if r.fusRes, err = e.fus.Refresh(r.records, r.pending); err != nil {
+	if r.fusRes, err = e.fus.Refresh(r.records, r.pending()); err != nil {
 		return err
 	}
 	r.fusSnap = e.fus.Snapshot()
@@ -918,13 +917,11 @@ func (e *Engine) publish(r *refreshRun) *Result {
 		res.FusionIterations = r.fusRes.Iterations
 	}
 
-	// Records that arrived while estimating stay queued.
-	r.srcInc = append([]bool(nil), r.em.SourceIncluded()...)
-	r.extInc = append([]bool(nil), r.em.ExtractorIncluded()...)
+	// Records that arrived while estimating stay pending.
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.modelState = r.modelState
-	e.pending = append(e.pending[:0:0], e.pending[r.nPending:]...)
+	e.estimated = len(r.records)
 	e.last.Store(res)
 	return res
 }
@@ -1044,43 +1041,26 @@ func (e *Engine) innerWorkers(nTasks int) int {
 }
 
 // extendPosteriors grows prev's posterior arrays in place into the run's for
-// an extended snapshot: new candidate triples start from the Alpha prior, new
-// items from empty rows (the first E-step fills them — every new item is in
-// the dirty set by construction), and old items whose candidate-value list
-// gained an entry have their row remapped to the shifted slots. Everything
-// already in place carries over untouched, so the work is proportional to
-// the ingest.
+// an extended snapshot, reading what changed from its triple.Delta: new
+// candidate triples start from the Alpha prior, new items from empty rows (the
+// first E-step fills them — every new item is in the dirty set by
+// construction), and the grown items have their row remapped to the shifted
+// slots. Everything already in place carries over untouched, so the work is
+// proportional to the ingest.
 func (r *refreshRun) extendPosteriors() {
 	snap, prev := r.snap, r.prev.snap
 	r.cProb, r.valueProb, r.restMass, r.coveredItem = r.prev.cProb, r.prev.valueProb, r.prev.restMass, r.prev.coveredItem
 	if snap == prev {
 		return // resume on the identical snapshot
 	}
-	for ti := len(prev.Triples); ti < len(snap.Triples); ti++ {
+	delta, _ := snap.ParentDelta()
+	for ti := delta.Triples; ti < len(snap.Triples); ti++ {
 		r.cProb = append(r.cProb, r.copt.Alpha)
 	}
-
-	nOldItems := len(prev.Items)
-	var remapped map[int]bool
-	for ti := len(prev.Triples); ti < len(snap.Triples); ti++ {
-		d := snap.Triples[ti].D
-		if d >= nOldItems {
-			continue
-		}
-		newVs, oldVs := snap.ItemValues[d], prev.ItemValues[d]
-		if len(newVs) == len(oldVs) {
-			continue
-		}
-		if remapped == nil {
-			remapped = make(map[int]bool)
-		}
-		if remapped[d] {
-			continue
-		}
-		remapped[d] = true
-		r.valueProb[d] = remapRow(newVs, oldVs, r.valueProb[d])
+	for _, d := range delta.GrownItems {
+		r.valueProb[d] = remapRow(snap.ItemValues[d], prev.ItemValues[d], r.valueProb[d])
 	}
-	for d := nOldItems; d < len(snap.Items); d++ {
+	for d := delta.Items; d < len(snap.Items); d++ {
 		r.valueProb = append(r.valueProb, nil)
 		r.restMass = append(r.restMass, 0)
 		r.coveredItem = append(r.coveredItem, false)
@@ -1094,6 +1074,8 @@ func (r *refreshRun) extendPosteriors() {
 // this — core.NewEMFrom carries the state itself.)
 func (r *refreshRun) carryOver() {
 	em, snap, prev, prevEM := r.em, r.snap, r.prev.snap, r.prev.em
+	r.structural = inclusionChanged(prevEM.SourceIncluded(), em.SourceIncluded()) ||
+		inclusionChanged(prevEM.ExtractorIncluded(), em.ExtractorIncluded())
 	em.CarryParamsFrom(prevEM)
 	em.CarryVotesFrom(prevEM)
 	em.CarryStalenessFrom(prevEM)
@@ -1157,15 +1139,12 @@ func remapRow(newVs, oldVs []int, oldRow []float64) []float64 {
 // is surfaced as an error rather than silently absorbed as a full pass.
 func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
 	em, snap := r.em, r.snap
-	if inclusionChanged(r.prev.srcInc, em.SourceIncluded()) || inclusionChanged(r.prev.extInc, em.ExtractorIncluded()) {
+	if r.structural ||
+		e.opt.Core.Scope == core.ScopeAllExtractors && len(snap.Extractors) > len(r.prev.snap.Extractors) {
 		base.MarkAllFull()
 		return nil
 	}
-	if e.opt.Core.Scope == core.ScopeAllExtractors && len(snap.Extractors) > len(r.prev.snap.Extractors) {
-		base.MarkAllFull()
-		return nil
-	}
-	for i, rec := range r.pending {
+	for i, rec := range r.pending() {
 		w := snap.SourceID(e.opt.SourceKey(rec))
 		d := snap.ItemID(rec.Subject, rec.Predicate)
 		if w < 0 || d < 0 || !em.MarkCellItems(w, snap.PredOfItem[d], base) {
@@ -1176,9 +1155,11 @@ func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
 	return nil
 }
 
+// inclusionChanged reports whether a unit of the old mask sits on the other
+// side of its support threshold in cur, the mask of a grown snapshot.
 func inclusionChanged(old, cur []bool) bool {
 	for i := range old {
-		if i < len(cur) && old[i] != cur[i] {
+		if old[i] != cur[i] {
 			return true
 		}
 	}

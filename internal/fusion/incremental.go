@@ -207,22 +207,11 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		}
 	}
 
-	// Re-slot items whose sorted candidate-value list gained an entry: every
-	// cached vote slot shifts past the insertion point, and the posterior row
-	// remaps to the new slots (new values start at zero until re-fused).
-	var reslotted map[int]bool
-	for ti := d.Triples; ti < len(s.Triples); ti++ {
-		dd := s.Triples[ti].D
-		if dd >= d.Items || len(s.ItemValues[dd]) == len(prevS.ItemValues[dd]) {
-			continue
-		}
-		if reslotted == nil {
-			reslotted = make(map[int]bool)
-		}
-		if reslotted[dd] {
-			continue
-		}
-		reslotted[dd] = true
+	// Re-slot the delta's grown items, whose sorted candidate-value list
+	// gained an entry: every cached vote slot shifts past the insertion point,
+	// and the posterior row remaps to the new slots (new values start at zero
+	// until re-fused).
+	for _, dd := range d.GrownItems {
 		newVs, oldVs := s.ItemValues[dd], prevS.ItemValues[dd]
 		slotMap := make([]int32, len(oldVs))
 		j := 0

@@ -35,11 +35,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the paper's m=5, M=10K with the given levels.
-func DefaultConfig(levels []Level) Config {
-	return Config{MinSize: 5, MaxSize: 10000, Levels: levels, Seed: 1}
-}
-
 // SourceLevels is the source hierarchy ⟨website, predicate, webpage⟩,
 // finest (all three features) to coarsest (website only).
 func SourceLevels() []Level {

@@ -5,9 +5,8 @@
 // Every inference stage of the multi-layer model (extraction correctness,
 // triple truthfulness, source accuracy, extractor quality) is expressed as a
 // parallel loop over a dense index space with results written to disjoint
-// slots, so execution order cannot affect the outcome. Reductions run the
-// combine step sequentially over per-chunk partials in chunk order, keeping
-// floating-point results reproducible run-to-run for a fixed worker count.
+// slots, so execution order cannot affect the outcome; a reduction is a loop
+// over its units, each summing its own rows in index order.
 //
 // The sharded engine layers a second level on top: ForEach over dirty
 // shards, with each shard's task invoking the same primitives over its own

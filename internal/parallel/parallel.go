@@ -68,47 +68,6 @@ func ForEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// MapReduce processes [0,n) in chunks: each worker folds its chunk into a
-// fresh accumulator created by newAcc using fold, and the per-chunk partials
-// are merged sequentially in chunk order, which keeps floating-point
-// reductions deterministic for a fixed worker count.
-func MapReduce[A any](n, workers int, newAcc func() A, fold func(acc A, i int) A, merge func(a, b A) A) A {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if n <= 0 {
-		return newAcc()
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	nChunks := (n + chunk - 1) / chunk
-	partials := make([]A, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			acc := newAcc()
-			for i := lo; i < hi; i++ {
-				acc = fold(acc, i)
-			}
-			partials[c] = acc
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	out := partials[0]
-	for _, p := range partials[1:] {
-		out = merge(out, p)
-	}
-	return out
-}
-
 // StageTimer accumulates wall-clock time per named pipeline stage; the Table 7
 // harness uses it to report relative per-stage cost.
 type StageTimer struct {

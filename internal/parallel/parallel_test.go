@@ -46,43 +46,6 @@ func TestForEachPropertyCoverage(t *testing.T) {
 	}
 }
 
-func TestMapReduceSum(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8} {
-		got := MapReduce(1000, workers,
-			func() int { return 0 },
-			func(acc, i int) int { return acc + i },
-			func(a, b int) int { return a + b })
-		if got != 499500 {
-			t.Fatalf("workers=%d: sum = %d", workers, got)
-		}
-	}
-}
-
-func TestMapReduceDeterministicFloats(t *testing.T) {
-	run := func() float64 {
-		return MapReduce(10000, 4,
-			func() float64 { return 0 },
-			func(acc float64, i int) float64 { return acc + 1.0/float64(i+1) },
-			func(a, b float64) float64 { return a + b })
-	}
-	a := run()
-	for i := 0; i < 5; i++ {
-		if run() != a {
-			t.Fatal("MapReduce float result not reproducible")
-		}
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(0, 4,
-		func() int { return 42 },
-		func(acc, i int) int { return acc + i },
-		func(a, b int) int { return a + b })
-	if got != 42 {
-		t.Errorf("empty MapReduce = %d, want identity 42", got)
-	}
-}
-
 func TestStageTimer(t *testing.T) {
 	st := NewStageTimer()
 	st.Time("a", func() { time.Sleep(2 * time.Millisecond) })

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -340,6 +341,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed_batch", "malformed batch: "+err.Error())
+		return
+	}
+	// The body is one array and nothing else: a second value, or garbage,
+	// after it would otherwise be dropped behind a 200.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "malformed_batch", "malformed batch: data after the array")
 		return
 	}
 	if len(batch) == 0 {

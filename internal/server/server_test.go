@@ -185,6 +185,9 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 // TestBadRequests pins the status code AND the machine-readable envelope
 // code of every error path: each non-2xx body must decode into
 // {"error": ..., "code": ...} with both fields populated.
+// validBatchJSON is a well-formed one-record ingest body.
+const validBatchJSON = `[{"Extractor":"E","Website":"w.com","Page":"w.com/p","Subject":"s","Predicate":"p","Object":"o"}]`
+
 func TestBadRequests(t *testing.T) {
 	srv := New(testEngine(t), Options{})
 	defer srv.Close()
@@ -199,6 +202,8 @@ func TestBadRequests(t *testing.T) {
 		{"garbage body", "POST", "/v1/ingest", "{not json", http.StatusBadRequest, "malformed_batch"},
 		{"object not array", "POST", "/v1/ingest", `{"Subject":"s"}`, http.StatusBadRequest, "malformed_batch"},
 		{"unknown field", "POST", "/v1/ingest", `[{"Nope":"x"}]`, http.StatusBadRequest, "malformed_batch"},
+		{"two arrays", "POST", "/v1/ingest", validBatchJSON + " " + validBatchJSON, http.StatusBadRequest, "malformed_batch"},
+		{"trailing garbage", "POST", "/v1/ingest", validBatchJSON + "]", http.StatusBadRequest, "malformed_batch"},
 		{"empty batch", "POST", "/v1/ingest", `[]`, http.StatusBadRequest, "empty_batch"},
 		{"invalid record", "POST", "/v1/ingest",
 			`[{"Extractor":"E","Website":"w.com","Page":"w.com/p","Predicate":"p","Object":"o"}]`,

@@ -45,9 +45,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform sample in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
 

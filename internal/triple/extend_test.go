@@ -168,16 +168,57 @@ func TestExtendDoesNotMutateParent(t *testing.T) {
 
 func slicesConcat(r []Record) []Record { return append([]Record(nil), r...) }
 
+// grownItemsMatch checks the Delta contract on a child of parent: GrownItems
+// names, each once, exactly the parent's items whose value row the child
+// lengthened.
+func grownItemsMatch(parent, child *Snapshot) bool {
+	d, ok := child.ParentDelta()
+	if !ok {
+		return false
+	}
+	grown := make(map[int]bool)
+	for _, di := range d.GrownItems {
+		if di >= len(parent.Items) || grown[di] {
+			return false
+		}
+		grown[di] = true
+	}
+	for di := range parent.Items {
+		if grown[di] != (len(child.ItemValues[di]) != len(parent.ItemValues[di])) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestExtendProperty: quick-check over random seeds, sizes and split points.
+// The batch always ends by giving the first record's item two values no
+// record has, so some old item gains two values in one Extend; the second
+// child of the same parent cannot claim the tail and takes the copying path.
 func TestExtendProperty(t *testing.T) {
 	opt := CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}
 	f := func(seed int64, nRaw, cutRaw uint16) bool {
 		n := int(nRaw%300) + 2
 		cut := int(cutRaw)%(n-1) + 1
 		recs := randomStream(seed, n)
+		for _, v := range []string{"fresh1", "fresh2"} {
+			r := recs[0]
+			r.Object = v
+			recs = append(recs, r)
+		}
 		want := (&Dataset{Records: recs}).Compile(opt)
-		got := (&Dataset{Records: recs[:cut]}).Compile(opt).Extend(recs[cut:])
-		return reflect.DeepEqual(tablesOf(got), tablesOf(want))
+		parent := (&Dataset{Records: recs[:cut]}).Compile(opt)
+		first, second := parent.Extend(recs[cut:]), parent.Extend(recs[cut:])
+		twice := 0
+		d, _ := first.ParentDelta()
+		for _, di := range d.GrownItems {
+			if parent.Items[di] == recs[0].ItemKey() {
+				twice++
+			}
+		}
+		return reflect.DeepEqual(tablesOf(first), tablesOf(want)) &&
+			reflect.DeepEqual(tablesOf(second), tablesOf(want)) &&
+			grownItemsMatch(parent, first) && grownItemsMatch(parent, second) && twice == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

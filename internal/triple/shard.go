@@ -34,14 +34,6 @@ func (sh *Shard) ItemSpan(r ItemRange) []int {
 	return sh.Items[r.Lo:r.Hi]
 }
 
-// TailRange returns the span of items with dense id >= firstNew — the
-// sub-shard view of one extension's new items. Items is ascending, so the
-// span is a contiguous tail (empty when the shard gained nothing).
-func (sh *Shard) TailRange(firstNew int) ItemRange {
-	lo, _ := slices.BinarySearch(sh.Items, firstNew)
-	return ItemRange{Lo: int32(lo), Hi: int32(len(sh.Items))}
-}
-
 // ShardOf returns the shard index of an item key under n shards. The
 // assignment depends only on the key string (FNV-1a plus an avalanche
 // finalizer), never on dense ids or dataset order, so an item stays in the

@@ -190,8 +190,8 @@ type Snapshot struct {
 	labelCompiled bool
 
 	// delta, set only on snapshots built by Extend, records the parent table
-	// sizes and the in-place confidence raises — the metadata incremental
-	// consumers (core.NewEMFrom) need to carry their own state append-only.
+	// sizes, the in-place confidence raises and the grown value rows — all
+	// that incremental consumers need to carry their own state append-only.
 	delta *Delta
 
 	// tailClaimed grants the first Extend of this snapshot the right to
@@ -441,13 +441,15 @@ func newAppender(s *Snapshot, n int) *appender {
 }
 
 // own clones rows[i] unless this call already owns it (created it, or cloned
-// it earlier), making an in-place append safe without mutating the parent.
-func own(rows [][]int, owned map[int]bool, i, watermark int) {
+// it earlier), making an in-place append safe without mutating the parent. It
+// reports whether it cloned: true exactly once per parent row per call.
+func own(rows [][]int, owned map[int]bool, i, watermark int) bool {
 	if i >= watermark || owned[i] {
-		return
+		return false
 	}
 	rows[i] = slices.Clone(rows[i])
 	owned[i] = true
+	return true
 }
 
 // seedItem loads the parent's candidate triples and observations for item d
@@ -487,7 +489,11 @@ func (ap *appender) appendIDs(e, w, d, v int, conf float64) {
 		s.TriplesOfSource[w] = append(s.TriplesOfSource[w], ti)
 		vs := s.ItemValues[d]
 		if k := sort.SearchInts(vs, v); k == len(vs) || vs[k] != v {
-			own(s.ItemValues, ap.ownedValueRows, d, ap.nItems0)
+			// The clone is an old item's first new value of this call: the
+			// one place that knows its row grew, so Extend records it here.
+			if own(s.ItemValues, ap.ownedValueRows, d, ap.nItems0) && s.delta != nil {
+				s.delta.GrownItems = append(s.delta.GrownItems, d)
+			}
 			s.ItemValues[d] = slices.Insert(s.ItemValues[d], k, v)
 		}
 	}
@@ -528,20 +534,27 @@ func (ap *appender) appendIDs(e, w, d, v int, conf float64) {
 }
 
 // Delta describes how a snapshot built by Extend differs from its parent:
-// every table is append-only past the recorded parent length, except that
-// duplicate (e,w,d,v) cells may raise the confidence of a pre-existing
-// observation in place (RaisedObs). Append-only consumers that carry
-// per-index state across snapshots use it to extend that state without
-// rescanning the corpus.
+// every table is append-only past the recorded parent length, with exactly two
+// kinds of change below it — a duplicate (e,w,d,v) cell may raise the
+// confidence of a parent observation in place (RaisedObs), and a new candidate
+// value inserts into a parent item's sorted ItemValues row, shifting the slots
+// after it (GrownItems). Consumers that carry per-index state across snapshots
+// read these lists instead of comparing the two snapshots: everything they do
+// not name is the parent's, index for index.
 type Delta struct {
 	// Obs, Triples, Items, Sources, Extractors, Values are the parent's
 	// table lengths: indices below them are carried over unchanged (modulo
-	// RaisedObs), indices at or above them are new in this snapshot.
+	// RaisedObs and GrownItems), indices at or above them are new in this
+	// snapshot.
 	Obs, Triples, Items, Sources, Extractors, Values int
 	// RaisedObs lists observation indices below Obs whose Conf was raised by
 	// a duplicate cell in the extension batch. May contain repeats when
 	// several duplicates raise the same cell.
 	RaisedObs []int
+	// GrownItems lists the item ids below Items whose ItemValues row is longer
+	// than the parent's, each once, in the order they first grew. The parent's
+	// row is the child's minus the inserted values, in the same order.
+	GrownItems []int
 }
 
 // ParentDelta returns the extension metadata recorded by Extend, or false

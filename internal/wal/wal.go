@@ -409,9 +409,6 @@ func (l *Log) roll() error {
 // Failed reports whether the log has refused appends pending Repair.
 func (l *Log) Failed() bool { return l.failed }
 
-// SyncedSeq returns the sequence number just past the last durable record.
-func (l *Log) SyncedSeq() uint64 { return l.syncedSeq }
-
 // Repair restores the log after a failed append, sync, or roll: the active
 // segment is truncated back to its synced prefix (discarding any torn or
 // unsynced bytes — nothing there was ever acknowledged) and the sequence

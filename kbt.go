@@ -496,16 +496,21 @@ func (r *Result) DetectCopying() ([]CopyDependence, error) {
 	if err != nil {
 		return nil, err
 	}
+	return copyDependences(r.snap, deps), nil
+}
+
+// copyDependences renders the detector's dense-id pairs with source names.
+func copyDependences(snap *triple.Snapshot, deps []copydetect.Dependence) []CopyDependence {
 	out := make([]CopyDependence, len(deps))
 	for i, d := range deps {
 		out[i] = CopyDependence{
-			SourceA:    displayLabel(r.snap.Sources[d.A]),
-			SourceB:    displayLabel(r.snap.Sources[d.B]),
+			SourceA:    displayLabel(snap.Sources[d.A]),
+			SourceB:    displayLabel(snap.Sources[d.B]),
 			Posterior:  d.Posterior,
 			SharedTrue: d.SharedTrue, SharedFalse: d.SharedFalse, Differ: d.Differ,
 		}
 	}
-	return out, nil
+	return out
 }
 
 // FusionModel selects the single-layer baseline variant.
@@ -578,18 +583,7 @@ func (r *FusionResult) Triples() []TripleVerdict {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Subject != out[j].Subject {
-			return out[i].Subject < out[j].Subject
-		}
-		if out[i].Predicate != out[j].Predicate {
-			return out[i].Predicate < out[j].Predicate
-		}
-		if out[i].Probability != out[j].Probability {
-			return out[i].Probability > out[j].Probability
-		}
-		return out[i].Object < out[j].Object
-	})
+	sort.Slice(out, func(i, j int) bool { return triLess(out[i], out[j]) })
 	return out
 }
 
