@@ -29,7 +29,8 @@
 // start), then exposes the engine over HTTP: POST /v1/ingest and
 // /v1/refresh, GET /v1/top-sources, /v1/top-triples, /v1/source?name=,
 // /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats. -lanes N
-// ingests through N parallel hash-partitioned lanes. -copydetect maintains
+// drains the ingest queue with N workers, each batch applied whole by one of
+// them, and refreshes beside ingest rather than inline. -copydetect maintains
 // streaming copy detection (and discounts detected copiers' votes); -fusion
 // maintains the single-layer fused per-item posteriors — both served from
 // the current generation. With -data DIR, ingest is write-ahead logged under
@@ -65,6 +66,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"kbt"
 	"kbt/internal/server"
@@ -224,7 +226,7 @@ func cmdServe(args []string) error {
 	copyDetect := fs.Bool("copydetect", false, "maintain streaming copy detection and discount detected copiers' votes (GET /v1/copy-deps)")
 	fusionOn := fs.Bool("fusion", false, "maintain streaming single-layer fused per-item posteriors (GET /v1/fused?item=)")
 	listen := fs.String("listen", "", "serve the HTTP/JSON API on this address (e.g. :8080) after draining stdin/file input")
-	lanes := fs.Int("lanes", 1, "with -listen, number of parallel ingest lanes (records are hash-partitioned by website)")
+	lanes := fs.Int("lanes", 1, "with -listen, number of workers draining the ingest queue (a batch is applied whole by one of them; above 1, refreshes run beside ingest)")
 	data := fs.String("data", "", "durable data directory: ingest is write-ahead logged and recovered on restart")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data, checkpoint automatically after every N refreshes (0 = never)")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once the write-ahead log exceeds this many bytes (0 = never)")
@@ -610,9 +612,11 @@ func cmdGenerate(args []string) error {
 	}
 }
 
+// clip shortens s to n runes, ending in "..." when it had to cut. It counts
+// runes because the tables pad by them (%-50s), and so never cuts inside one.
 func clip(s string, n int) string {
-	if len(s) <= n {
+	if utf8.RuneCountInString(s) <= n {
 		return s
 	}
-	return s[:n-3] + "..."
+	return string([]rune(s)[:n-3]) + "..."
 }

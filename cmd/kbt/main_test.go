@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"kbt"
 	"kbt/internal/wal"
@@ -45,6 +46,26 @@ func tsvFeed(n int) string {
 // from the command line — flag parsing refuses both former flags. cmdServe
 // exits the process on a flag error, so the test re-runs itself as that
 // process.
+func TestClipCountsRunes(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		width int
+		want  string
+	}{
+		{"short.com", 50, "short.com"},
+		{strings.Repeat("a", 50), 50, strings.Repeat("a", 50)},
+		{strings.Repeat("a", 60), 50, strings.Repeat("a", 47) + "..."},
+		{strings.Repeat("é", 40), 50, strings.Repeat("é", 40)}, // 80 bytes, 40 runes: fits
+		{strings.Repeat("é", 60), 50, strings.Repeat("é", 47) + "..."},
+		{"a" + strings.Repeat("é", 60), 50, "a" + strings.Repeat("é", 46) + "..."}, // a byte cut at 47 splits an é
+	} {
+		got := clip(tc.in, tc.width)
+		if got != tc.want || !utf8.ValidString(got) {
+			t.Errorf("clip(%q, %d) = %q, want %q", tc.in, tc.width, got, tc.want)
+		}
+	}
+}
+
 func TestServeRejectsOracleFlags(t *testing.T) {
 	if arg := os.Getenv("KBT_TEST_SERVE_FLAG"); arg != "" {
 		if err := cmdServe([]string{arg}); err != nil {

@@ -1226,8 +1226,9 @@ func TestDurableIdempotencyAcrossRecovery(t *testing.T) {
 }
 
 // TestEngineIngestKeyed: the in-memory engine honours the same live dedup
-// contract (without persistence) so multi-lane servers behave identically
-// whether or not a durable directory is configured.
+// contract (without persistence), so the server — which hands every batch to
+// IngestKeyed — behaves identically whether or not a durable directory is
+// configured.
 func TestEngineIngestKeyed(t *testing.T) {
 	e, err := NewEngine(durableTestOptions())
 	if err != nil {

@@ -192,8 +192,8 @@ func records(batch []Extraction) []triple.Record {
 }
 
 // Validate checks a batch against the same per-record validation Ingest
-// performs, without logging or appending anything. Multi-lane servers use it
-// to refuse a malformed batch whole before splitting it across lanes.
+// performs, without logging or appending anything: kbt serve uses it to skip
+// a bad input line instead of losing the batch around it.
 func (v *view) Validate(batch ...Extraction) error {
 	return v.eng.Load().Validate(records(batch)...)
 }

@@ -91,14 +91,8 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 	if ev.ValueProb == nil || ev.Accuracy == nil {
 		return nil, errors.New("copydetect: incomplete evidence")
 	}
-	if opt.CopyRate <= 0 || opt.CopyRate >= 1 {
-		return nil, errors.New("copydetect: CopyRate must be in (0,1)")
-	}
-	if opt.Prior <= 0 || opt.Prior >= 1 {
-		return nil, errors.New("copydetect: Prior must be in (0,1)")
-	}
-	if opt.N < 1 {
-		return nil, errors.New("copydetect: N must be >= 1")
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 
 	// providersOf[d] maps value -> providing sources, for shared-value
@@ -162,23 +156,7 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 
 	var out []Dependence
 	for k, pe := range pairs {
-		// Overlap = items both provide (shared or differing values).
-		overlap := 0
-		differ := 0
-		small, large := itemsOf[k.a], itemsOf[k.b]
-		if len(large) < len(small) {
-			small, large = large, small
-		}
-		for d, va := range small {
-			vb, ok := large[d]
-			if !ok {
-				continue
-			}
-			overlap++
-			if va != vb {
-				differ++
-			}
-		}
+		overlap, differ := overlapDiffer(itemsOf[k.a], itemsOf[k.b])
 		if overlap < opt.MinOverlap {
 			continue
 		}
@@ -192,6 +170,45 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 			SharedTrue: pe.sharedTrue, SharedFalse: pe.sharedFalse, Differ: differ,
 		})
 	}
+	sortDependences(out)
+	return out, nil
+}
+
+// validate is the option check Detect and NewTracker share.
+func (opt *Options) validate() error {
+	switch {
+	case opt.CopyRate <= 0 || opt.CopyRate >= 1:
+		return errors.New("copydetect: CopyRate must be in (0,1)")
+	case opt.Prior <= 0 || opt.Prior >= 1:
+		return errors.New("copydetect: Prior must be in (0,1)")
+	case opt.N < 1:
+		return errors.New("copydetect: N must be >= 1")
+	}
+	return nil
+}
+
+// overlapDiffer counts, from two sources' item → value maps, the items both
+// provide (with the same value or not) and those on which they differ,
+// walking the smaller map.
+func overlapDiffer(a, b map[int]int) (overlap, differ int) {
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	for d, va := range a {
+		vb, ok := b[d]
+		if !ok {
+			continue
+		}
+		overlap++
+		if va != vb {
+			differ++
+		}
+	}
+	return overlap, differ
+}
+
+// sortDependences orders a report strongest first, ties by source ids.
+func sortDependences(out []Dependence) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Posterior != out[j].Posterior {
 			return out[i].Posterior > out[j].Posterior
@@ -201,7 +218,6 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 		}
 		return out[i].B < out[j].B
 	})
-	return out, nil
 }
 
 // posterior computes p(dependent | kt shared-true, kf shared-false, kd

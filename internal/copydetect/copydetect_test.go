@@ -191,6 +191,12 @@ func TestDetectValidation(t *testing.T) {
 		if _, err := Detect(s, ev, opt); err == nil {
 			t.Error("invalid option should error")
 		}
+		if _, err := NewTracker(opt, 4); err == nil {
+			t.Error("invalid option should error in NewTracker as in Detect")
+		}
+	}
+	if _, err := NewTracker(DefaultOptions(), 4); err != nil {
+		t.Errorf("NewTracker refuses the default options: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package copydetect
 
 import (
-	"errors"
 	"sort"
 
 	"kbt/internal/triple"
@@ -77,14 +76,8 @@ type sharedCounts struct{ sharedTrue, sharedFalse int32 }
 // NewTracker validates opt (the same rules as Detect) and returns an empty
 // tracker for nShards item shards.
 func NewTracker(opt Options, nShards int) (*Tracker, error) {
-	if opt.CopyRate <= 0 || opt.CopyRate >= 1 {
-		return nil, errors.New("copydetect: CopyRate must be in (0,1)")
-	}
-	if opt.Prior <= 0 || opt.Prior >= 1 {
-		return nil, errors.New("copydetect: Prior must be in (0,1)")
-	}
-	if opt.N < 1 {
-		return nil, errors.New("copydetect: N must be >= 1")
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	if nShards < 1 {
 		nShards = 1
@@ -291,21 +284,7 @@ func (t *Tracker) Dependencies(accuracy func(w int) float64) []Dependence {
 	for k := range rescore {
 		g := t.global[k]
 		a, b := int(k.a), int(k.b)
-		overlap, differ := 0, 0
-		small, large := t.itemsOf[a], t.itemsOf[b]
-		if len(large) < len(small) {
-			small, large = large, small
-		}
-		for d, va := range small {
-			vb, ok := large[d]
-			if !ok {
-				continue
-			}
-			overlap++
-			if va != vb {
-				differ++
-			}
-		}
+		overlap, differ := overlapDiffer(t.itemsOf[a], t.itemsOf[b])
 		if overlap >= t.opt.MinOverlap {
 			post := posterior(int(g.sharedTrue), int(g.sharedFalse), differ,
 				t.accSeen[a], t.accSeen[b], t.opt)
@@ -331,14 +310,6 @@ func (t *Tracker) Dependencies(accuracy func(w int) float64) []Dependence {
 	}
 	t.staleSet = make(map[pairKey]struct{})
 	clear(t.srcTouched)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Posterior != out[j].Posterior {
-			return out[i].Posterior > out[j].Posterior
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	sortDependences(out)
 	return out
 }

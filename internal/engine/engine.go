@@ -291,8 +291,8 @@ func (e *Engine) Ingest(recs ...triple.Record) error {
 }
 
 // Validate runs the per-record ingest validation over a batch without
-// appending anything — the check side of Ingest, exposed so servers can
-// refuse a batch whole before splitting it across ingest lanes.
+// appending anything — the check side of Ingest, exposed so a line-oriented
+// feed can skip a bad record before it batches the good ones.
 func (e *Engine) Validate(recs ...triple.Record) error {
 	for i := range recs {
 		if err := e.validateRecord(recs[i]); err != nil {

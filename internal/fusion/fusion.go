@@ -13,6 +13,7 @@ package fusion
 import (
 	"errors"
 	"math"
+	"sort"
 
 	"kbt/internal/parallel"
 	"kbt/internal/stats"
@@ -83,6 +84,19 @@ func DefaultOptions() Options {
 	}
 }
 
+// validate is the option check Run and NewIncremental share.
+func (opt *Options) validate() error {
+	switch {
+	case opt.N < 1:
+		return errors.New("fusion: N must be >= 1")
+	case opt.MaxIter < 1:
+		return errors.New("fusion: MaxIter must be >= 1")
+	case opt.InitAccuracy <= 0 || opt.InitAccuracy >= 1:
+		return errors.New("fusion: InitAccuracy must be in (0,1)")
+	}
+	return nil
+}
+
 // Result holds the single-layer posteriors and parameter estimates.
 type Result struct {
 	// Accuracy is the estimated accuracy per provenance (snapshot source).
@@ -115,6 +129,69 @@ func (r *Result) TripleProb(s *triple.Snapshot, d, v int) (float64, bool) {
 	return 0, true
 }
 
+// vote is one observation as the E step reads it: the provenance, the slot of
+// the value it names in the item's sorted candidate list, and its weight.
+type vote struct {
+	w    int32
+	slot int32
+	conf float64
+}
+
+// voteOf is observation o of snapshot s as a vote.
+func (opt *Options) voteOf(s *triple.Snapshot, o triple.Observation) vote {
+	conf := o.Conf
+	if !opt.UseConfidence {
+		conf = 1
+	}
+	return vote{w: int32(o.W), slot: int32(sort.SearchInts(s.ItemValues[o.D], o.V)), conf: conf}
+}
+
+// popularity is PopAccu's false-value distribution for one item: the share
+// of the item's vote weight naming each of its k candidate values, summed in
+// vote (that is, observation) order.
+func popularity(votes []vote, k int) []float64 {
+	row := make([]float64, k)
+	total := 0.0
+	for _, vt := range votes {
+		row[vt.slot] += vt.conf
+		total += vt.conf
+	}
+	if total != 0 {
+		for i := range row {
+			row[i] /= total
+		}
+	}
+	return row
+}
+
+// fuseItem is the E step for data item d (Eq 2): the posterior over its k
+// candidate values and the mass left to the unobserved rest of the N+1-value
+// domain, from the votes of the participating provenances at their current
+// accuracies. pop is read under PopAccu only. An item no participating
+// provenance votes on is uncovered: a zero row and no rest mass.
+func (opt *Options) fuseItem(d, k int, votes []vote, pop [][]float64, updated []bool, acc []float64) (row []float64, rest float64, covered bool) {
+	scores := make([]float64, k)
+	for _, vt := range votes {
+		if !updated[vt.w] {
+			continue
+		}
+		covered = true
+		a := stats.ClampProb(acc[vt.w])
+		var falseLogProb float64
+		if opt.Model == PopAccu {
+			falseLogProb = math.Log1p(-a) + math.Log(stats.ClampProb(pop[d][vt.slot]))
+		} else {
+			falseLogProb = math.Log1p(-a) - math.Log(float64(opt.N))
+		}
+		scores[vt.slot] += vt.conf * (math.Log(a) - falseLogProb)
+	}
+	if !covered {
+		return scores, 0, false // no vote counted: still all zeros
+	}
+	row, rest = stats.SoftmaxWithRest(scores, max(opt.N+1-k, 0), 0)
+	return row, rest, true
+}
+
 // Run executes the single-layer EM of §2.2 (the iterative algorithm of [8])
 // on the snapshot. Snapshot sources are treated as provenances; the
 // extractor dimension is ignored (callers encode the provenance choice in
@@ -123,14 +200,8 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	if s == nil {
 		return nil, errors.New("fusion: nil snapshot")
 	}
-	if opt.N < 1 {
-		return nil, errors.New("fusion: N must be >= 1")
-	}
-	if opt.MaxIter < 1 {
-		return nil, errors.New("fusion: MaxIter must be >= 1")
-	}
-	if opt.InitAccuracy <= 0 || opt.InitAccuracy >= 1 {
-		return nil, errors.New("fusion: InitAccuracy must be in (0,1)")
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 
 	nSrc := len(s.Sources)
@@ -154,11 +225,18 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		}
 	}
 
-	// Popularity of each candidate value per item (for POPACCU): the
-	// confidence-weighted share of the item's observations naming v.
+	// Group observations per item once, in observation order, and derive
+	// each item's value popularity from them (for POPACCU).
+	votes := make([][]vote, nItem)
+	for _, o := range s.Obs {
+		votes[o.D] = append(votes[o.D], opt.voteOf(s, o))
+	}
 	var pop [][]float64
 	if opt.Model == PopAccu {
-		pop = popularity(s, opt)
+		pop = make([][]float64, nItem)
+		for d := range pop {
+			pop[d] = popularity(votes[d], len(s.ItemValues[d]))
+		}
 	}
 
 	res := &Result{
@@ -169,67 +247,12 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		CoveredItem: make([]bool, nItem),
 	}
 
-	// Group observations per item once: for each item, the (source, value
-	// slot, confidence) votes.
-	type vote struct {
-		w    int
-		slot int // index into ItemValues[d]
-		conf float64
-	}
-	votes := make([][]vote, nItem)
-	slotOf := make([]map[int]int, nItem)
-	for d := 0; d < nItem; d++ {
-		m := make(map[int]int, len(s.ItemValues[d]))
-		for k, v := range s.ItemValues[d] {
-			m[v] = k
-		}
-		slotOf[d] = m
-	}
-	for _, o := range s.Obs {
-		conf := o.Conf
-		if !opt.UseConfidence {
-			conf = 1
-		}
-		votes[o.D] = append(votes[o.D], vote{w: o.W, slot: slotOf[o.D][o.V], conf: conf})
-	}
-
-	prevAcc := make([]float64, nSrc)
 	iter := 0
 	for iter = 1; iter <= opt.MaxIter; iter++ {
-		copy(prevAcc, acc)
-
 		// E step: per-item posterior over values (Eq 2).
 		parallel.ForEach(nItem, opt.Workers, func(d int) {
-			k := len(s.ItemValues[d])
-			scores := make([]float64, k)
-			covered := false
-			for _, vt := range votes[d] {
-				if !updated[vt.w] {
-					continue
-				}
-				covered = true
-				a := stats.ClampProb(acc[vt.w])
-				var falseLogProb float64
-				if opt.Model == PopAccu {
-					falseLogProb = math.Log1p(-a) + math.Log(stats.ClampProb(pop[d][vt.slot]))
-				} else {
-					falseLogProb = math.Log1p(-a) - math.Log(float64(opt.N))
-				}
-				scores[vt.slot] += vt.conf * (math.Log(a) - falseLogProb)
-			}
-			res.CoveredItem[d] = covered
-			if !covered {
-				res.ValueProb[d] = make([]float64, k)
-				res.RestMass[d] = 0
-				return
-			}
-			rest := opt.N + 1 - k
-			if rest < 0 {
-				rest = 0
-			}
-			probs, restMass := stats.SoftmaxWithRest(scores, rest, 0)
-			res.ValueProb[d] = probs
-			res.RestMass[d] = restMass
+			res.ValueProb[d], res.RestMass[d], res.CoveredItem[d] =
+				opt.fuseItem(d, len(s.ItemValues[d]), votes[d], pop, updated, acc)
 		})
 
 		// M step: provenance accuracies (Eq 4).
@@ -264,39 +287,6 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	}
 	res.Iterations = iter
 	return res, nil
-}
-
-// popularity computes, per item, the share of (optionally confidence-
-// weighted) observations naming each candidate value.
-func popularity(s *triple.Snapshot, opt Options) [][]float64 {
-	pop := make([][]float64, len(s.Items))
-	slotOf := make([]map[int]int, len(s.Items))
-	for d := range pop {
-		pop[d] = make([]float64, len(s.ItemValues[d]))
-		m := make(map[int]int, len(s.ItemValues[d]))
-		for k, v := range s.ItemValues[d] {
-			m[v] = k
-		}
-		slotOf[d] = m
-	}
-	totals := make([]float64, len(s.Items))
-	for _, o := range s.Obs {
-		c := o.Conf
-		if !opt.UseConfidence {
-			c = 1
-		}
-		pop[o.D][slotOf[o.D][o.V]] += c
-		totals[o.D] += c
-	}
-	for d := range pop {
-		if totals[d] == 0 {
-			continue
-		}
-		for k := range pop[d] {
-			pop[d][k] /= totals[d]
-		}
-	}
-	return pop
 }
 
 // AggregateSourceAccuracy derives a per-group accuracy from a single-layer

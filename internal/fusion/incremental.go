@@ -71,25 +71,13 @@ type Incremental struct {
 	fusedItems int
 }
 
-type vote struct {
-	w    int32
-	slot int32
-	conf float64
-}
-
 // NewIncremental validates opt exactly as Run does and returns an empty
 // store. copt fixes the provenance granularity of the internal snapshot
 // chain; its key functions default to triple.ProvenanceKey and
 // triple.ExtractorKeyName, the single-layer setup of §5.1.2.
 func NewIncremental(opt Options, copt triple.CompileOptions) (*Incremental, error) {
-	if opt.N < 1 {
-		return nil, errors.New("fusion: N must be >= 1")
-	}
-	if opt.MaxIter < 1 {
-		return nil, errors.New("fusion: MaxIter must be >= 1")
-	}
-	if opt.InitAccuracy <= 0 || opt.InitAccuracy >= 1 {
-		return nil, errors.New("fusion: InitAccuracy must be in (0,1)")
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	if opt.ReaggregateEvery < 1 {
 		opt.ReaggregateEvery = 64
@@ -248,13 +236,8 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 	for oi := d.Obs; oi < nObs; oi++ {
 		o := s.Obs[oi]
 		inc.support[o.W]++
-		conf := o.Conf
-		if !inc.opt.UseConfidence {
-			conf = 1
-		}
-		slot := int32(sort.SearchInts(s.ItemValues[o.D], o.V))
 		inc.voteAt = append(inc.voteAt, int32(len(inc.votes[o.D])))
-		inc.votes[o.D] = append(inc.votes[o.D], vote{w: int32(o.W), slot: slot, conf: conf})
+		inc.votes[o.D] = append(inc.votes[o.D], inc.opt.voteOf(s, o))
 		key := int64(o.W)<<32 | int64(uint32(o.D))
 		if !inc.pairSeen[key] {
 			inc.pairSeen[key] = true
@@ -263,22 +246,10 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 	}
 
 	// Popularity shares (PopAccu): recompute the affected items' rows from
-	// the patched vote lists — per-item vote order is observation order, so
-	// the accumulation matches popularity()'s exactly.
+	// the patched vote lists.
 	if inc.opt.Model == PopAccu {
 		for _, dd := range affected {
-			row := make([]float64, len(s.ItemValues[dd]))
-			total := 0.0
-			for _, vt := range inc.votes[dd] {
-				row[vt.slot] += vt.conf
-				total += vt.conf
-			}
-			if total != 0 {
-				for k := range row {
-					row[k] /= total
-				}
-			}
-			inc.pop[dd] = row
+			inc.pop[dd] = popularity(inc.votes[dd], len(s.ItemValues[dd]))
 		}
 	}
 
@@ -380,33 +351,8 @@ func (inc *Incremental) iterate(base []int) {
 		outs := make([]fuseOut, len(dirty))
 		parallel.ForEach(len(dirty), inc.opt.Workers, func(i int) {
 			dd := dirty[i]
-			k := len(s.ItemValues[dd])
-			scores := make([]float64, k)
-			covered := false
-			for _, vt := range inc.votes[dd] {
-				if !inc.updated[vt.w] {
-					continue
-				}
-				covered = true
-				a := stats.ClampProb(inc.acc[vt.w])
-				var falseLogProb float64
-				if inc.opt.Model == PopAccu {
-					falseLogProb = math.Log1p(-a) + math.Log(stats.ClampProb(inc.pop[dd][vt.slot]))
-				} else {
-					falseLogProb = math.Log1p(-a) - math.Log(float64(inc.opt.N))
-				}
-				scores[vt.slot] += vt.conf * (math.Log(a) - falseLogProb)
-			}
-			if !covered {
-				outs[i] = fuseOut{row: make([]float64, k)}
-				return
-			}
-			rest := inc.opt.N + 1 - k
-			if rest < 0 {
-				rest = 0
-			}
-			probs, restMass := stats.SoftmaxWithRest(scores, rest, 0)
-			outs[i] = fuseOut{row: probs, rest: restMass, covered: true}
+			outs[i].row, outs[i].rest, outs[i].covered =
+				inc.opt.fuseItem(dd, len(s.ItemValues[dd]), inc.votes[dd], inc.pop, inc.updated, inc.acc)
 		})
 		for i, dd := range dirty {
 			if !fullAgg {

@@ -9,10 +9,10 @@ import (
 )
 
 // FuzzIngestBody posts arbitrary bytes to /v1/ingest on a fresh engine, with
-// one to three lanes (more than one adds the validate-at-the-door path).
-// Whatever the body: the handler does not panic, it answers 200 or 400 and
-// nothing else, and a body is applied whole or not at all — a 200's
-// "ingested" is exactly how much the engine grew, a 400 grew it by nothing.
+// one to three lanes. Whatever the body: the handler does not panic, it
+// answers 200 or 400 and nothing else, and a body is applied whole or not at
+// all — a 200's "ingested" is exactly how much the engine grew, a 400 grew it
+// by nothing.
 // testdata/fuzz/FuzzIngestBody seeds it.
 func FuzzIngestBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, lanes uint8) {

@@ -1,7 +1,7 @@
 // Package server is the HTTP/JSON front end on a kbt engine: batched,
-// backpressured ingest through bounded per-shard lanes, and lock-free reads
-// of the current generation — queries never block a running refresh, because
-// the engine's read path is an atomic generation load.
+// backpressured ingest through one bounded queue of whole batches, and
+// lock-free reads of the current generation — queries never block a running
+// refresh, because the engine's read path is an atomic generation load.
 //
 // The API is versioned under /v1/; any other path is a 404. Every non-2xx
 // response carries the uniform JSON envelope {"error": <message>, "code":
@@ -12,12 +12,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kbt"
@@ -50,23 +48,22 @@ type HealthReporter interface {
 
 // Options configures New.
 type Options struct {
-	// Lanes is the number of parallel ingest lanes (default 1). Records are
-	// partitioned across lanes by a hash of their website, so one slow or
-	// large batch never stalls ingest of unrelated sources. With one lane
-	// the server behaves exactly as the original single-worker design: the
-	// whole batch is applied atomically. With more, a batch is split across
-	// its target lanes and acked only after every part is applied — an
-	// acked batch is never torn — but a batch refused by one lane may have
-	// been partially applied by others before the non-2xx response.
+	// Lanes is the number of workers draining the ingest queue (default 1).
+	// A batch is never split: whichever worker takes it hands it to the
+	// engine in one call — one validation, one log entry and one fsync on a
+	// durable engine — so a refused batch has applied nothing, at any value.
+	// More than one moves the automatic refresh off the ingest path (see
+	// RefreshEvery) and lets small batches pass a large one still being
+	// validated; what must be serial, the engine serialises itself.
 	Lanes int
-	// Queue bounds the number of ingest jobs admitted but not yet applied,
-	// per lane; a POST /v1/ingest that finds any of its target lanes full
-	// is refused with 429 (default 64).
+	// Queue bounds the number of batches admitted but not yet taken by a
+	// worker; a POST /v1/ingest that finds the queue full is refused with
+	// 429 (default 64).
 	Queue int
 	// RefreshEvery refreshes after every N applied batches (default 1;
 	// negative disables automatic refreshes — POST /v1/refresh still
 	// works). With one lane the refresh runs inline on the ingest worker;
-	// with more it runs on a dedicated refresher goroutine so ingest lanes
+	// with more it runs on a dedicated refresher goroutine so the workers
 	// keep draining while the model re-estimates (the engine supports
 	// concurrent Ingest during Refresh), and due refreshes arriving while
 	// one is already running coalesce into a single follow-up pass.
@@ -90,75 +87,42 @@ func (o *Options) fill() {
 	}
 }
 
-// barrier joins the per-lane parts of one client batch back into one ack:
-// the last lane to finish reports the batch's verdict (its first error, or
-// nil) to the waiting handler, so a 2xx /v1/ingest response is a fully
-// applied (and, on a durable engine, fsync-ed) batch — admission alone is
-// never acked.
-type barrier struct {
-	remaining atomic.Int32
-	mu        sync.Mutex
-	firstErr  error
-	done      chan error
-}
-
-func (b *barrier) complete(s *Server, err error) {
-	if err != nil {
-		b.mu.Lock()
-		if b.firstErr == nil {
-			b.firstErr = err
-		}
-		b.mu.Unlock()
-	}
-	if b.remaining.Add(-1) != 0 {
-		return
-	}
-	b.mu.Lock()
-	err = b.firstErr
-	b.mu.Unlock()
-	b.done <- err
-	if err == nil {
-		s.batchApplied()
-	}
-}
-
-// laneJob is one lane's share of an admitted batch. key is the client
-// idempotency key, set only on whole-batch jobs (keyed batches are never
-// split across lanes).
-type laneJob struct {
+// job is one admitted batch: the records in request order, the client's
+// idempotency key ("" when the request carried none) and where the worker
+// reports the engine's verdict to the waiting handler.
+type job struct {
 	batch []kbt.Extraction
 	key   string
-	bar   *barrier
+	done  chan error
 }
 
-// Server is an http.Handler. Ingest funnels through N lane workers — the
-// bounded lanes provide the backpressure boundary, and the website-hash
-// partition keeps each source's records on a single lane; queries go
+// Server is an http.Handler. Ingest funnels through one bounded queue — the
+// backpressure boundary — drained by Options.Lanes workers; queries go
 // straight to the engine's lock-free read path.
 type Server struct {
 	eng   Engine
 	opt   Options
-	lanes []chan laneJob
+	queue chan job
 
 	mu       sync.Mutex
 	applied  int    // batches applied since the last automatic refresh
 	lastErr  string // most recent background refresh failure, "" when none
 	stopping bool
 
-	wg            sync.WaitGroup // lane workers
+	wg            sync.WaitGroup // ingest workers
 	kick          chan struct{}  // nil with one lane (inline refresh)
 	refresherDone chan struct{}
 	stopped       chan struct{}
 	mux           *http.ServeMux
 }
 
-// New starts a server (and its lane workers) on eng.
+// New starts a server (and its ingest workers) on eng.
 func New(eng Engine, opt Options) *Server {
 	opt.fill()
 	s := &Server{
 		eng:           eng,
 		opt:           opt,
-		lanes:         make([]chan laneJob, opt.Lanes),
+		queue:         make(chan job, opt.Queue),
 		refresherDone: make(chan struct{}),
 		stopped:       make(chan struct{}),
 		mux:           http.NewServeMux(),
@@ -175,10 +139,9 @@ func New(eng Engine, opt Options) *Server {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "unknown path "+r.URL.Path)
 	})
-	for i := range s.lanes {
-		s.lanes[i] = make(chan laneJob, opt.Queue)
+	for i := 0; i < opt.Lanes; i++ {
 		s.wg.Add(1)
-		go s.laneWorker(s.lanes[i])
+		go s.worker()
 	}
 	if opt.Lanes > 1 {
 		s.kick = make(chan struct{}, 1)
@@ -204,9 +167,8 @@ func (s *Server) handle(method, path string, h http.HandlerFunc) {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains the admitted lanes (every admitted batch is still applied
-// and acked), stops the workers, and lets a running background refresh
-// finish.
+// Close drains the queue (every admitted batch is still applied and acked),
+// stops the workers, and lets a running background refresh finish.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.stopping {
@@ -216,9 +178,7 @@ func (s *Server) Close() {
 	}
 	s.stopping = true
 	s.mu.Unlock()
-	for _, ch := range s.lanes {
-		close(ch)
-	}
+	close(s.queue)
 	s.wg.Wait()
 	if s.kick != nil {
 		close(s.kick)
@@ -227,20 +187,22 @@ func (s *Server) Close() {
 	close(s.stopped)
 }
 
-func (s *Server) laneWorker(ch chan laneJob) {
+// worker applies admitted batches, each in one engine call (both engines
+// define an empty key as a plain Ingest), and acks only once that call has
+// returned: a 2xx /v1/ingest response is an applied — on a durable engine,
+// fsync-ed — batch, never a merely admitted one.
+func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range ch {
-		var err error
-		if j.key != "" {
-			err = s.eng.IngestKeyed(j.key, j.batch...)
-		} else {
-			err = s.eng.Ingest(j.batch...)
+	for j := range s.queue {
+		err := s.eng.IngestKeyed(j.key, j.batch...)
+		j.done <- err
+		if err == nil {
+			s.batchApplied()
 		}
-		j.bar.complete(s, err)
 	}
 }
 
-// batchApplied does the refresh bookkeeping after a whole batch acked.
+// batchApplied does the refresh bookkeeping after a batch acked.
 func (s *Server) batchApplied() {
 	s.mu.Lock()
 	s.applied++
@@ -278,14 +240,6 @@ func (s *Server) refresher() {
 	for range s.kick {
 		s.refreshNow()
 	}
-}
-
-// laneOf assigns a record to a lane by its website, so all of one source's
-// evidence flows through a single lane in arrival order.
-func laneOf(x kbt.Extraction, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(x.Website))
-	return int(h.Sum32() % uint32(n))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -353,91 +307,55 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty_batch", "empty batch")
 		return
 	}
-	// With multiple lanes a batch is split, so validation failures must be
-	// caught whole at the door — otherwise one lane could refuse its part
-	// after another already applied its own.
-	if s.opt.Lanes > 1 {
-		if err := s.eng.Validate(batch...); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_record", err.Error())
-			return
-		}
-	}
 	// An Idempotency-Key header makes the batch retry-safe: the engine acks
-	// (without re-applying) a key it has already durably applied. A keyed
-	// batch is never split across lanes — per-lane parts would each need
-	// their own dedup entry, and a partial resend could then drop a part —
-	// so it flows whole through one lane picked by hashing the key.
-	key := r.Header.Get("Idempotency-Key")
-	parts := make([][]kbt.Extraction, s.opt.Lanes)
-	switch {
-	case s.opt.Lanes == 1:
-		parts[0] = batch
-	case key != "":
-		h := fnv.New32a()
-		h.Write([]byte(key))
-		parts[h.Sum32()%uint32(s.opt.Lanes)] = batch
-	default:
-		for _, x := range batch {
-			l := laneOf(x, s.opt.Lanes)
-			parts[l] = append(parts[l], x)
-		}
-	}
-	bar := &barrier{done: make(chan error, 1)}
-	for _, p := range parts {
-		if len(p) > 0 {
-			bar.remaining.Add(1)
-		}
-	}
+	// (without re-applying) a key it has already durably applied.
+	j := job{batch: batch, key: r.Header.Get("Idempotency-Key"), done: make(chan error, 1)}
 	// Admission happens under mu so Close (which also takes mu before
-	// closing the lanes) can never race a send on a closed lane, and the
-	// capacity check below cannot be invalidated by a concurrent admit:
-	// lane workers only drain, so a lane seen non-full stays admittable
-	// until we send. Admission is all-or-nothing — either every target
-	// lane takes its part, or the whole batch is refused with 429.
+	// closing the queue) can never race a send on a closed channel.
 	s.mu.Lock()
 	if s.stopping {
 		s.mu.Unlock()
 		writeRetryError(w, http.StatusServiceUnavailable, "shutting_down", "shutting down", 1)
 		return
 	}
-	for l, p := range parts {
-		if len(p) > 0 && len(s.lanes[l]) == cap(s.lanes[l]) {
-			s.mu.Unlock()
-			writeRetryError(w, http.StatusTooManyRequests, "queue_full", "ingest queue full, retry later", 1)
-			return
-		}
+	select {
+	case s.queue <- j:
+		s.mu.Unlock()
+	default:
+		s.mu.Unlock()
+		writeRetryError(w, http.StatusTooManyRequests, "queue_full", "ingest queue full, retry later", 1)
+		return
 	}
-	for l, p := range parts {
-		if len(p) > 0 {
-			s.lanes[l] <- laneJob{batch: p, key: key, bar: bar}
-		}
-	}
-	s.mu.Unlock()
-	if err := <-bar.done; err != nil {
-		switch {
-		case errors.Is(err, kbt.ErrReadOnly):
-			// Storage fault: the engine is serving reads only. Retryable —
-			// and with an Idempotency-Key, retryable even when this very
-			// request's fate is ambiguous.
-			writeRetryError(w, http.StatusServiceUnavailable, "read_only", err.Error(), s.retryAfterSeconds())
-		case errors.Is(err, kbt.ErrEngineClosed):
-			writeRetryError(w, http.StatusServiceUnavailable, "engine_closed", err.Error(), 1)
-		default:
-			// Engine validation refused the batch.
-			writeError(w, http.StatusBadRequest, "invalid_record", err.Error())
-		}
+	if err := <-j.done; err != nil {
+		// Anything but a storage refusal is the engine's validation: it
+		// checks the whole batch before applying any of it.
+		s.writeEngineError(w, err, http.StatusBadRequest, "invalid_record")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"ingested": len(batch)})
 }
 
+// writeEngineError answers a failed write-path call (ingest or refresh). The
+// two refusals that are about the engine rather than the request are mapped
+// the same on both endpoints, and both are retryable: read_only is a storage
+// fault the engine is probing its way out of — with an Idempotency-Key,
+// retryable even when this very request's fate is ambiguous — and
+// engine_closed a shutdown. Any other error gets the endpoint's own status
+// and code.
+func (s *Server) writeEngineError(w http.ResponseWriter, err error, status int, code string) {
+	switch {
+	case errors.Is(err, kbt.ErrReadOnly):
+		writeRetryError(w, http.StatusServiceUnavailable, "read_only", err.Error(), s.retryAfterSeconds())
+	case errors.Is(err, kbt.ErrEngineClosed):
+		writeRetryError(w, http.StatusServiceUnavailable, "engine_closed", err.Error(), 1)
+	default:
+		writeError(w, status, code, err.Error())
+	}
+}
+
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.eng.Refresh(); err != nil {
-		if errors.Is(err, kbt.ErrReadOnly) {
-			writeRetryError(w, http.StatusServiceUnavailable, "read_only", err.Error(), s.retryAfterSeconds())
-			return
-		}
-		writeError(w, http.StatusConflict, "refresh_failed", err.Error())
+		s.writeEngineError(w, err, http.StatusConflict, "refresh_failed")
 		return
 	}
 	stats, _ := s.eng.Stats()
@@ -602,14 +520,10 @@ type statsReply struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	queued := 0
-	for _, ch := range s.lanes {
-		queued += len(ch)
-	}
 	reply := statsReply{
 		Records: s.eng.Len(),
 		Pending: s.eng.Pending(),
-		Queued:  queued,
+		Queued:  len(s.queue),
 		Lanes:   s.opt.Lanes,
 	}
 	if st, ok := s.eng.Stats(); ok {

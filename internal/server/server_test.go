@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,21 +263,98 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// gatedEngine blocks Ingest until fed from gate, so tests can hold lane
-// workers busy and fill queues deterministically. Validate (used by the
-// multi-lane admission path) is not gated.
-type gatedEngine struct {
-	*kbt.Engine
-	gate chan struct{}
+// ingestCall is one write the server handed to its engine.
+type ingestCall struct {
+	key   string
+	batch []kbt.Extraction
 }
 
-func (g *gatedEngine) Ingest(batch ...kbt.Extraction) error {
-	<-g.gate
-	return g.Engine.Ingest(batch...)
+// recordingEngine records every batch the ingest workers hand over, in call
+// order, before doing anything with it. With a gate, each call then waits for
+// a token (or for the gate to close), so tests can hold workers busy and fill
+// the queue deterministically; with reject set, the call refuses its batch
+// without applying it, as engine validation would.
+type recordingEngine struct {
+	*kbt.Engine
+	gate chan struct{}
+
+	mu     sync.Mutex
+	calls  []ingestCall
+	reject error
+}
+
+func (e *recordingEngine) Ingest(batch ...kbt.Extraction) error { return e.IngestKeyed("", batch...) }
+
+func (e *recordingEngine) IngestKeyed(key string, batch ...kbt.Extraction) error {
+	e.mu.Lock()
+	e.calls = append(e.calls, ingestCall{key, batch})
+	reject := e.reject
+	e.mu.Unlock()
+	if e.gate != nil {
+		<-e.gate
+	}
+	if reject != nil {
+		return reject
+	}
+	return e.Engine.IngestKeyed(key, batch...)
+}
+
+func (e *recordingEngine) setReject(err error) {
+	e.mu.Lock()
+	e.reject = err
+	e.mu.Unlock()
+}
+
+func (e *recordingEngine) snapshot() []ingestCall {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]ingestCall(nil), e.calls...)
+}
+
+// postKeyed posts batch to /v1/ingest, with an Idempotency-Key header when
+// key is not empty.
+func postKeyed(t *testing.T, ts *httptest.Server, key string, batch []kbt.Extraction) *http.Response {
+	t.Helper()
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/v1/ingest", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if key != "" {
+		req.Header.Set("Idempotency-Key", key)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// drain reads resp to the end and returns its status code.
+func drain(resp *http.Response) int {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func TestQueueFullReturns429(t *testing.T) {
-	ge := &gatedEngine{Engine: testEngine(t), gate: make(chan struct{})}
+	ge := &recordingEngine{Engine: testEngine(t), gate: make(chan struct{})}
 	srv := New(ge, Options{Queue: 2, RefreshEvery: -1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -290,13 +369,7 @@ func TestQueueFullReturns429(t *testing.T) {
 		}(i)
 	}
 	// Wait until the queue is saturated: worker holds one job, two queued.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.lanes[0]) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "queue never filled", func() bool { return len(srv.queue) == 2 })
 
 	resp := postJSON(t, ts, "/v1/ingest", testBatch(99, 4))
 	io.Copy(io.Discard, resp.Body)
@@ -325,29 +398,6 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 }
 
-// twoLaneWebsites returns one website hashing to lane 0 and one to lane 1
-// under a 2-lane split.
-func twoLaneWebsites(t *testing.T) (w0, w1 string) {
-	t.Helper()
-	for i := 0; i < 100 && (w0 == "" || w1 == ""); i++ {
-		w := fmt.Sprintf("site%d.com", i)
-		switch laneOf(kbt.Extraction{Website: w}, 2) {
-		case 0:
-			if w0 == "" {
-				w0 = w
-			}
-		case 1:
-			if w1 == "" {
-				w1 = w
-			}
-		}
-	}
-	if w0 == "" || w1 == "" {
-		t.Fatal("could not find websites for both lanes")
-	}
-	return w0, w1
-}
-
 func laneRecord(website string, i int) kbt.Extraction {
 	return kbt.Extraction{
 		Extractor: "E0",
@@ -359,115 +409,128 @@ func laneRecord(website string, i int) kbt.Extraction {
 	}
 }
 
-// TestLaneBarrierAcksAfterAllParts pins acked-before-2xx across the lane
-// split: a batch spanning two lanes must not ack while any part is still
-// unapplied, and must ack once both are.
-func TestLaneBarrierAcksAfterAllParts(t *testing.T) {
-	ge := &gatedEngine{Engine: testEngine(t), gate: make(chan struct{}, 2)}
-	srv := New(ge, Options{Lanes: 2, RefreshEvery: -1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+// TestBatchAppliedWhole pins the unit of ingest: whatever Lanes is and
+// whether or not the request carries an Idempotency-Key, a batch spanning
+// many websites reaches the engine as one IngestKeyed call holding every
+// record in request order, and its 2xx follows that call's return. A batch
+// the server refuses — queue full, or the engine rejecting it — has applied
+// nothing.
+func TestBatchAppliedWhole(t *testing.T) {
+	batch := make([]kbt.Extraction, 24)
+	for i := range batch {
+		batch[i] = laneRecord(fmt.Sprintf("site%d.com", i%12), i)
+	}
+	for _, lanes := range []int{1, 4} {
+		for _, key := range []string{"", "batch-1"} {
+			t.Run(fmt.Sprintf("lanes=%d/key=%q", lanes, key), func(t *testing.T) {
+				re := &recordingEngine{Engine: testEngine(t), gate: make(chan struct{})}
+				srv := New(re, Options{Lanes: lanes, Queue: 1, RefreshEvery: -1})
+				ts := httptest.NewServer(srv)
+				release := sync.OnceFunc(func() { close(re.gate) })
+				defer func() { release(); srv.Close(); ts.Close() }()
+				await := func(ch chan *http.Response) *http.Response {
+					t.Helper()
+					select {
+					case resp := <-ch:
+						return resp
+					case <-time.After(5 * time.Second):
+						t.Fatal("no response")
+						return nil
+					}
+				}
 
-	w0, w1 := twoLaneWebsites(t)
-	batch := []kbt.Extraction{laneRecord(w0, 0), laneRecord(w1, 1), laneRecord(w0, 2)}
-	ack := make(chan *http.Response, 1)
-	go func() { ack <- postJSON(t, ts, "/v1/ingest", batch) }()
+				acks := make(chan *http.Response, 1)
+				go func() { acks <- postKeyed(t, ts, key, batch) }()
+				waitFor(t, "batch never reached the engine", func() bool { return len(re.snapshot()) > 0 })
+				select {
+				case <-acks:
+					t.Fatal("batch acked before its engine call returned")
+				case <-time.After(100 * time.Millisecond):
+				}
+				want := []ingestCall{{key, batch}}
+				if got := re.snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch reached the engine as %d calls %v, want one call with all %d records in request order",
+						len(got), got, len(batch))
+				}
+				re.gate <- struct{}{}
+				if code := drain(await(acks)); code != http.StatusOK {
+					t.Fatalf("ingest = %d, want 200", code)
+				}
 
-	select {
-	case <-ack:
-		t.Fatal("batch acked with both lane parts unapplied")
-	case <-time.After(200 * time.Millisecond):
-	}
-	ge.gate <- struct{}{} // release exactly one lane's part
-	select {
-	case <-ack:
-		t.Fatal("batch acked with one lane part unapplied")
-	case <-time.After(200 * time.Millisecond):
-	}
-	close(ge.gate) // release the rest
-	resp := <-ack
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = %d, want 200", resp.StatusCode)
-	}
-	if got := ge.Len(); got != 3 {
-		t.Fatalf("engine holds %d records, want 3", got)
+				// An engine that rejects the batch: 400, after one more call.
+				re.setReject(errors.New("record 7: empty Subject"))
+				go func() { acks <- postKeyed(t, ts, key, batch) }()
+				re.gate <- struct{}{}
+				var envelope errorReply
+				resp := await(acks)
+				decodeInto(t, resp, &envelope)
+				if resp.StatusCode != http.StatusBadRequest || envelope.Code != "invalid_record" {
+					t.Fatalf("rejected ingest = %d %+v, want 400 invalid_record", resp.StatusCode, envelope)
+				}
+				re.setReject(nil)
+
+				// A full queue: every worker held at the gate, one more batch
+				// queued behind them. The spanning batch is refused with 429
+				// and never reaches the engine.
+				held := make(chan *http.Response, lanes+1)
+				for i := 0; i <= lanes; i++ {
+					one := []kbt.Extraction{laneRecord("held.com", i)}
+					go func() { held <- postKeyed(t, ts, "", one) }()
+				}
+				waitFor(t, "workers and queue never filled", func() bool {
+					return len(re.snapshot()) == 2+lanes && len(srv.queue) == 1
+				})
+				resp = postKeyed(t, ts, key, batch)
+				if code := drain(resp); code != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+					t.Fatalf("ingest into a full queue = %d (Retry-After %q), want 429 with one",
+						code, resp.Header.Get("Retry-After"))
+				}
+				release()
+				for i := 0; i <= lanes; i++ {
+					if code := drain(await(held)); code != http.StatusOK {
+						t.Fatalf("held ingest %d = %d, want 200", i, code)
+					}
+				}
+				if got := len(re.snapshot()); got != 3+lanes {
+					t.Fatalf("engine saw %d calls, want %d: the 429 costs none, the 400 one", got, 3+lanes)
+				}
+				if got, want := re.Len(), len(batch)+lanes+1; got != want {
+					t.Fatalf("engine holds %d records, want %d: a refused batch applies nothing", got, want)
+				}
+			})
+		}
 	}
 }
 
-// TestLaneAdmissionAllOrNothing pins per-lane backpressure: a batch is
-// refused with 429 when ANY of its target lanes is full, and nothing of it
-// is enqueued.
-func TestLaneAdmissionAllOrNothing(t *testing.T) {
-	ge := &gatedEngine{Engine: testEngine(t), gate: make(chan struct{})}
-	srv := New(ge, Options{Lanes: 2, Queue: 1, RefreshEvery: -1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	w0, w1 := twoLaneWebsites(t)
-	span := func(first int) []kbt.Extraction {
-		return []kbt.Extraction{laneRecord(w0, first), laneRecord(w1, first+1)}
-	}
-	acks := make(chan *http.Response, 2)
-	// First spanning batch: each lane worker takes its part and blocks at
-	// the gate, leaving both queues empty again.
-	go func() { acks <- postJSON(t, ts, "/v1/ingest", span(0)) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.lanes[0]) != 0 || len(srv.lanes[1]) != 0 || ge.Pending() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never picked up the first batch")
+// TestDurableLogSameAtAnyLanes pins what one call per batch means on disk: a
+// durable engine writes one log entry per POST whatever Lanes is, so the same
+// requests leave a log of the same size.
+func TestDurableLogSameAtAnyLanes(t *testing.T) {
+	walBytes := func(lanes int) int64 {
+		d, err := kbt.OpenDurable(t.TempDir(), kbt.DefaultEngineOptions(), kbt.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	// Second spanning batch fills both single-slot queues.
-	go func() { acks <- postJSON(t, ts, "/v1/ingest", span(10)) }()
-	for len(srv.lanes[0]) != 1 || len(srv.lanes[1]) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queues never filled")
+		defer d.Close()
+		srv := New(d, Options{Lanes: lanes, RefreshEvery: -1})
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		for b := 0; b < 8; b++ {
+			if code := drain(postJSON(t, ts, "/v1/ingest", testBatch(b*12, 12))); code != http.StatusOK {
+				t.Fatalf("lanes=%d: ingest %d = %d", lanes, b, code)
+			}
 		}
-		time.Sleep(time.Millisecond)
+		return d.Health().WALBytes
 	}
-
-	// A batch touching only the full lane 0 is refused...
-	resp := postJSON(t, ts, "/v1/ingest", []kbt.Extraction{laneRecord(w0, 20)})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("single-lane ingest into full lane = %d, want 429", resp.StatusCode)
-	}
-	// ...and so is a spanning batch — with nothing left behind in either
-	// queue beyond the admitted jobs.
-	resp = postJSON(t, ts, "/v1/ingest", span(30))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("spanning ingest with full lanes = %d, want 429", resp.StatusCode)
-	}
-	if len(srv.lanes[0]) != 1 || len(srv.lanes[1]) != 1 {
-		t.Fatalf("refused batch left residue: lanes hold (%d, %d) jobs",
-			len(srv.lanes[0]), len(srv.lanes[1]))
-	}
-
-	close(ge.gate)
-	for i := 0; i < 2; i++ {
-		resp := <-acks
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("admitted ingest %d = %d, want 200", i, resp.StatusCode)
-		}
-	}
-	srv.Close()
-	if got := ge.Len(); got != 4 {
-		t.Fatalf("engine holds %d records after drain, want 4", got)
+	if one, four := walBytes(1), walBytes(4); one != four || one == 0 {
+		t.Fatalf("log holds %d bytes after 8 batches at one lane, %d at four; want equal and non-zero", one, four)
 	}
 }
 
-// TestLaneInvalidBatchRejectedWhole pins multi-lane pre-validation: a batch
-// with one malformed record is refused before admission, so no lane applies
-// any part of it.
+// TestLaneInvalidBatchRejectedWhole pins whole-batch validation at several
+// lanes: a batch with one malformed record is refused by the engine call that
+// carries all of it, so no part of it is applied.
 func TestLaneInvalidBatchRejectedWhole(t *testing.T) {
 	eng := testEngine(t)
 	srv := New(eng, Options{Lanes: 4})
@@ -651,6 +714,39 @@ func TestShutdownIngestReturns503WithRetryAfter(t *testing.T) {
 		t.Fatal("shutdown 503 missing Retry-After header")
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Fatalf("shutdown Retry-After = %q, want a positive integer of seconds", ra)
+	}
+}
+
+// TestClosedEngineWritesReturn503 pins the other half of a shutdown: the
+// server is still up but its durable engine was closed under it. Ingest and
+// refresh refuse alike — 503 engine_closed with a Retry-After — since a
+// closed engine says nothing about the request.
+func TestClosedEngineWritesReturn503(t *testing.T) {
+	d, err := kbt.OpenDurable(t.TempDir(), kbt.DefaultEngineOptions(), kbt.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(d, Options{RefreshEvery: -1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		path string
+		body any
+	}{{"/v1/ingest", testBatch(0, 4)}, {"/v1/refresh", nil}} {
+		resp := postJSON(t, ts, tc.path, tc.body)
+		var envelope errorReply
+		decodeInto(t, resp, &envelope)
+		if resp.StatusCode != http.StatusServiceUnavailable || envelope.Code != "engine_closed" {
+			t.Errorf("%s on a closed engine = %d %+v, want 503 engine_closed", tc.path, resp.StatusCode, envelope)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s on a closed engine: 503 without Retry-After", tc.path)
+		}
 	}
 }
 
@@ -855,97 +951,29 @@ func TestStatsReportsHealthBlock(t *testing.T) {
 	}
 }
 
-// keyRecorder records every engine call the lane workers make, to pin that a
-// keyed batch flows whole through exactly one lane while an unkeyed batch is
-// split by website.
-type keyRecorder struct {
-	*kbt.Engine
-	mu    sync.Mutex
-	calls []string
-}
-
-func (k *keyRecorder) record(call string) {
-	k.mu.Lock()
-	k.calls = append(k.calls, call)
-	k.mu.Unlock()
-}
-
-func (k *keyRecorder) snapshot() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return append([]string(nil), k.calls...)
-}
-
-func (k *keyRecorder) Ingest(batch ...kbt.Extraction) error {
-	k.record(fmt.Sprintf("plain:%d", len(batch)))
-	return k.Engine.Ingest(batch...)
-}
-
-func (k *keyRecorder) IngestKeyed(key string, batch ...kbt.Extraction) error {
-	k.record(fmt.Sprintf("keyed:%s:%d", key, len(batch)))
-	return k.Engine.IngestKeyed(key, batch...)
-}
-
 // TestIdempotencyKeyRoutesWholeBatch pins the keyed-ingest contract on a
-// multi-lane server: an Idempotency-Key batch is never split across lanes
-// (one IngestKeyed call carries the whole batch and the key), a resend of
-// the same key acks without growing the engine, and the same records
-// without a key are split by website as usual.
+// multi-lane server: the Idempotency-Key header reaches the engine with the
+// whole batch in one IngestKeyed call, and a resend of the same key acks
+// without growing the engine.
 func TestIdempotencyKeyRoutesWholeBatch(t *testing.T) {
-	kr := &keyRecorder{Engine: testEngine(t)}
+	kr := &recordingEngine{Engine: testEngine(t)}
 	srv := New(kr, Options{Lanes: 4, RefreshEvery: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Two websites on different lanes under the 4-way split, so the batch
-	// would be torn apart were it routed by website.
-	var wa, wb string
-	for i := 0; i < 100 && wb == ""; i++ {
-		w := fmt.Sprintf("site%d.com", i)
-		switch {
-		case wa == "":
-			wa = w
-		case laneOf(kbt.Extraction{Website: w}, 4) != laneOf(kbt.Extraction{Website: wa}, 4):
-			wb = w
-		}
-	}
-	if wb == "" {
-		t.Fatal("could not find websites on two different lanes")
-	}
 	batch := []kbt.Extraction{
-		laneRecord(wa, 0), laneRecord(wb, 1), laneRecord(wa, 2),
-		laneRecord(wb, 3), laneRecord(wa, 4), laneRecord(wb, 5),
+		laneRecord("a.com", 0), laneRecord("b.com", 1), laneRecord("a.com", 2),
+		laneRecord("b.com", 3), laneRecord("a.com", 4), laneRecord("b.com", 5),
 	}
 
-	post := func(key string) *http.Response {
-		t.Helper()
-		body, err := json.Marshal(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest("POST", ts.URL+"/v1/ingest", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if key != "" {
-			req.Header.Set("Idempotency-Key", key)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	resp := post("batch-1")
+	resp := postKeyed(t, ts, "batch-1", batch)
 	var ack map[string]int
 	decodeInto(t, resp, &ack)
 	if resp.StatusCode != http.StatusOK || ack["ingested"] != len(batch) {
 		t.Fatalf("keyed ingest = %d, ack %v", resp.StatusCode, ack)
 	}
-	if calls := kr.snapshot(); len(calls) != 1 || calls[0] != fmt.Sprintf("keyed:batch-1:%d", len(batch)) {
+	if calls := kr.snapshot(); len(calls) != 1 || calls[0].key != "batch-1" || len(calls[0].batch) != len(batch) {
 		t.Fatalf("keyed batch reached the engine as %v, want one whole IngestKeyed call", calls)
 	}
 	if got := kr.Len(); got != len(batch) {
@@ -953,32 +981,12 @@ func TestIdempotencyKeyRoutesWholeBatch(t *testing.T) {
 	}
 
 	// Resend of the acked key: 2xx ack, nothing re-applied.
-	resp = post("batch-1")
+	resp = postKeyed(t, ts, "batch-1", batch)
 	decodeInto(t, resp, &ack)
 	if resp.StatusCode != http.StatusOK || ack["ingested"] != len(batch) {
 		t.Fatalf("keyed resend = %d, ack %v, want the same 200 ack", resp.StatusCode, ack)
 	}
 	if got := kr.Len(); got != len(batch) {
 		t.Fatalf("resend grew the engine to %d records, want %d", got, len(batch))
-	}
-
-	// The same records without a key split across both target lanes.
-	resp = post("")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unkeyed ingest = %d", resp.StatusCode)
-	}
-	plain := 0
-	for _, c := range kr.snapshot() {
-		if strings.HasPrefix(c, "plain:") {
-			plain++
-		}
-	}
-	if plain != 2 {
-		t.Fatalf("unkeyed spanning batch produced %d lane calls, want 2", plain)
-	}
-	if got := kr.Len(); got != 2*len(batch) {
-		t.Fatalf("engine holds %d records, want %d", got, 2*len(batch))
 	}
 }
