@@ -304,3 +304,33 @@ func TestCopyDiscountConverges(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyFusionJoinedOnError fails a refresh after begin has started the
+// fusion pass on its goroutine. The error return must still wait for the pass
+// — it reads the run that the return then clears, which is what the race
+// detector checks here — and the engine must stay usable: the retry offers the
+// fusion store the records it already holds, which must add no observation.
+func TestCopyFusionJoinedOnError(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Fusion = true
+	opt.Core.N = 0 // refused where buildState builds the EM state
+	e := New(opt)
+	recs := copierStream()
+	if err := e.Ingest(recs...); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := e.Refresh(); err == nil {
+			t.Fatal("Refresh accepted Core.N = 0")
+		}
+		if e.fus == nil || e.fus.Snapshot() == nil {
+			t.Fatal("Refresh returned before its fusion pass had run")
+		}
+		if n := len(e.fus.Snapshot().Obs); n != len(recs) {
+			t.Fatalf("fusion store holds %d observations after refresh %d, want %d", n, i+1, len(recs))
+		}
+		if e.run.records != nil {
+			t.Fatal("Refresh returned without clearing its run")
+		}
+	}
+}

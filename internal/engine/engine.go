@@ -25,8 +25,10 @@
 //     M-step aggregates update from exactly the scope's contribution deltas
 //     (core.Options.IncrementalAggregates), with a periodic full
 //     re-aggregation bounding floating-point drift;
-//   - layer6 folds the touched shards into the streaming copy detector and
-//     refreshes the fusion store, when those layers are on;
+//   - layer6 folds the touched shards into the streaming copy detector, which
+//     reads the posteriors settle left, and joins the refresh of the fusion
+//     store, which reads none of the multi-layer state and so has been running
+//     on its own goroutine since begin returned — when those layers are on;
 //   - publish stores the result as an immutable generation behind an atomic
 //     pointer (core.BuildResultFrom): only the touched shards' posterior
 //     chunks and the moved units' parameter chunks are copied out of the
@@ -96,12 +98,13 @@ type Options struct {
 	FullAggregates bool
 
 	// CopyDetect maintains streaming inter-source copy statistics: after
-	// every refresh, the per-pair shared-value counts of the touched shards
-	// are recomputed and folded into a persistent tracker, and the resulting
-	// dependence list publishes with the generation (Result.CopyDeps) —
-	// integer-exactly what a batch copydetect.Detect over the published
-	// evidence would count. Under FullRecompile the batch Detect itself runs
-	// every refresh (the bit-exact oracle).
+	// every refresh a persistent tracker re-reads the discretised evidence of
+	// the touched shards' items and moves its pair statistics where an item's
+	// changed, and the resulting dependence list publishes with the
+	// generation (Result.CopyDeps) — integer-exactly what a batch
+	// copydetect.Detect over the published evidence would count. Under
+	// FullRecompile the batch Detect itself runs every refresh (the
+	// bit-exact oracle).
 	CopyDetect bool
 	// Copy configures the detector; the zero value means
 	// copydetect.DefaultOptions().
@@ -219,14 +222,16 @@ type Engine struct {
 	// refreshMu) and persisted across refreshes so a steady-state warm
 	// refresh re-allocates none of it: the run value the phases share, the
 	// E-step scopes (current, successor, and the ingest footprint), the
-	// materialized per-scope-entry index lists, and the per-iteration
-	// parameter/prior snapshots.
+	// materialized per-scope-entry index lists, the per-iteration
+	// parameter/prior snapshots, and the touched-shard list handed to the
+	// copy tracker.
 	run                         refreshRun
 	scope, scopeNext, scopeBase *core.ScopeSet
 	passItems, passTris         [][]int
 	passItemBuf, passTriBuf     []int
 	passEnds                    [][2]int
 	prevA, prevP, prevR, prevLO []float64
+	dirtyIdx                    []int
 
 	// tracker persists the streaming copy-detection statistics across
 	// refreshes (nil unless CopyDetect, and nil under FullRecompile, where
@@ -432,6 +437,10 @@ type refreshRun struct {
 // scope), layer6 (copy detection and fusion) and publish. Only begin and
 // publish take the state lock, so Ingest keeps streaming while the model
 // estimates; records that arrive meanwhile wait for the next Refresh.
+//
+// Fusion reads only the records begin captured and its own store, so its half
+// of layer6 starts on a goroutine of its own as soon as begin returns and
+// runs beside buildState and settle; layer6 joins it.
 func (e *Engine) Refresh() (*Result, error) {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
@@ -441,13 +450,17 @@ func (e *Engine) Refresh() (*Result, error) {
 	if cached, err := e.begin(r); cached != nil || err != nil {
 		return cached, err
 	}
+	fused := e.startFuse(r)
+	// Deferred after the reset above, so on an error return too the fusion
+	// pass has ended before the run it reads and fills is cleared.
+	defer fused()
 	if err := e.buildState(r); err != nil {
 		return nil, err
 	}
 	if err := e.settle(r); err != nil {
 		return nil, err
 	}
-	if err := e.layer6(r); err != nil {
+	if err := e.layer6(r, fused); err != nil {
 		return nil, err
 	}
 	return e.publish(r), nil
@@ -781,26 +794,47 @@ func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
 	return core.MaxDelta(prevA, em.A()) + core.MaxDelta(prevP, em.P()) + core.MaxDelta(prevR, em.R()) + delta
 }
 
-// layer6 runs the streaming copy detector and the fusion store off the
-// settled state (reads r's begin, state and settle groups, fills the layer-6
-// group; with CopyDiscount it also sets the EM vote weights and may revoke
-// r.converged).
-func (e *Engine) layer6(r *refreshRun) error {
+// layer6 runs the streaming copy detector off the settled state and joins
+// the fusion pass that has been running since begin (reads r's begin, state
+// and settle groups, fills the layer-6 group; with CopyDiscount it also sets
+// the EM vote weights and may revoke r.converged).
+func (e *Engine) layer6(r *refreshRun, fused func() error) error {
 	if e.opt.CopyDetect {
 		if err := e.detectCopies(r); err != nil {
 			return err
 		}
 	}
-	if e.opt.Fusion {
-		return e.fuse(r)
+	return fused()
+}
+
+// startFuse starts the run's fusion pass on its own goroutine, when the layer
+// is on, and returns the function that waits for it and reports its error;
+// calling it again returns the same. The pass reads r's begin group and writes
+// only the fusion fields of its layer-6 group, which nothing else touches
+// before the join. A refresh that fails in another phase leaves the store one
+// batch ahead of the engine; the next refresh offers it the same pending
+// records again, which Snapshot.Extend merges as duplicate cells.
+func (e *Engine) startFuse(r *refreshRun) (join func() error) {
+	if !e.opt.Fusion {
+		return func() error { return nil }
 	}
-	return nil
+	var wg sync.WaitGroup
+	var err error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		err = e.fuse(r)
+	}()
+	return func() error {
+		wg.Wait()
+		return err
+	}
 }
 
 // detectCopies scores copy dependence against exactly the posteriors this
-// generation publishes: it folds the touched shards' statistic deltas into
-// the tracker (the untouched shards' evidence is bit-identical to the
-// previous publication, so their cached counts still hold), then scores.
+// generation publishes: it brings the tracker up to the touched shards'
+// evidence (the untouched shards' is bit-identical to the previous
+// publication, so what the tracker holds of them still stands), then scores.
 // Under FullRecompile the batch detector recounts the corpus instead — the
 // bit-exact oracle for the tracker.
 func (e *Engine) detectCopies(r *refreshRun) (err error) {
@@ -826,13 +860,13 @@ func (e *Engine) detectCopies(r *refreshRun) (err error) {
 				return err
 			}
 		}
-		dirtyIdx := make([]int, 0, r.touchedCount)
+		e.dirtyIdx = e.dirtyIdx[:0]
 		for si, hit := range r.touched {
 			if hit {
-				dirtyIdx = append(dirtyIdx, si)
+				e.dirtyIdx = append(e.dirtyIdx, si)
 			}
 		}
-		e.tracker.Update(snap, ev, r.shards, dirtyIdx)
+		e.tracker.Update(snap, ev, r.shards, e.dirtyIdx)
 		r.copyDeps = e.tracker.Dependencies(ev.Accuracy)
 	}
 	if !e.opt.CopyDiscount {
@@ -858,7 +892,8 @@ func (e *Engine) detectCopies(r *refreshRun) (err error) {
 
 // fuse refreshes the fusion store. It runs off the same record feed but owns
 // its provenance-granularity snapshot chain and drift ledger — it reads
-// nothing from the multi-layer state, so its output is exactly what the
+// nothing from the multi-layer state, so it can run beside the phases that
+// build and settle that state (startFuse), and its output is exactly what the
 // standalone streaming store would publish for this corpus.
 func (e *Engine) fuse(r *refreshRun) (err error) {
 	if e.fus == nil {

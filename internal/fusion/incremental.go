@@ -3,6 +3,7 @@ package fusion
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"kbt/internal/parallel"
@@ -69,6 +70,27 @@ type Incremental struct {
 
 	iterations int
 	fusedItems int
+
+	// iterate's scratch, kept so a refresh allocates nothing proportional to
+	// the item or provenance count but what it publishes: the base, fused and
+	// current-pass item masks, the accuracies before the M step, and the E
+	// step's outputs awaiting installation.
+	baseMask, fusedMask, passMask []bool
+	prevAcc                       []float64
+	outs                          []fuseOut
+}
+
+// fuseOut is one item's E-step output.
+type fuseOut struct {
+	row     []float64
+	rest    float64
+	covered bool
+}
+
+// resized returns buf with length n and unspecified content, growing its
+// backing array geometrically: a store gains a few items every refresh.
+func resized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // NewIncremental validates opt exactly as Run does and returns an empty
@@ -312,19 +334,15 @@ func (inc *Incremental) itemContrib(dd int, sign float64) {
 func (inc *Incremental) iterate(base []int) {
 	s := inc.s
 	nItem, nSrc := len(s.Items), len(s.Sources)
-	baseMask := make([]bool, nItem)
+	inc.baseMask, inc.fusedMask = resized(inc.baseMask, nItem), resized(inc.fusedMask, nItem)
+	inc.prevAcc = resized(inc.prevAcc, nSrc)
+	baseMask, fusedMask, prevAcc := inc.baseMask, inc.fusedMask, inc.prevAcc
+	clear(baseMask)
+	clear(fusedMask)
 	for _, dd := range base {
 		baseMask[dd] = true
 	}
-	fusedMask := make([]bool, nItem)
 	fused := 0
-	prevAcc := make([]float64, nSrc)
-
-	type fuseOut struct {
-		row     []float64
-		rest    float64
-		covered bool
-	}
 
 	converged := false
 	iter := 0
@@ -348,7 +366,8 @@ func (inc *Incremental) iterate(base []int) {
 		// E step (Eq 2) over the dirty items: rows compute in parallel into
 		// scratch, then install serially so the aggregate deltas apply in
 		// deterministic ascending-item order.
-		outs := make([]fuseOut, len(dirty))
+		inc.outs = resized(inc.outs, len(dirty))
+		outs := inc.outs
 		parallel.ForEach(len(dirty), inc.opt.Workers, func(i int) {
 			dd := dirty[i]
 			outs[i].row, outs[i].rest, outs[i].covered =
@@ -365,6 +384,7 @@ func (inc *Incremental) iterate(base []int) {
 				inc.itemContrib(dd, +1)
 			}
 		}
+		clear(outs) // the rows are the store's now
 
 		// The pass re-anchored these items' rows against the current
 		// accuracies: provenances whose whole item set was covered restart
@@ -465,7 +485,9 @@ func (inc *Incremental) settle(dirty []int, nItem int) {
 		clear(inc.drift)
 		return
 	}
-	mask := make([]bool, nItem)
+	inc.passMask = resized(inc.passMask, nItem)
+	mask := inc.passMask
+	clear(mask)
 	for _, dd := range dirty {
 		mask[dd] = true
 	}
