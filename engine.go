@@ -391,8 +391,8 @@ type RefreshStats struct {
 	// structural change) forced a full pass.
 	SettledShards int
 	// PartialShards is the number of touched shards that were only ever
-	// re-estimated at sub-shard item-range granularity — their settled
-	// remainder never ran.
+	// re-estimated at sub-shard granularity, through individually marked
+	// items — their settled remainder never ran.
 	PartialShards int
 	// Escalations counts the EM iterations whose E-step widened beyond the
 	// ingest footprint to re-anchor shards holding above-tolerance

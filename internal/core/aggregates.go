@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"kbt/internal/parallel"
-)
+import "math"
 
 // This file maintains the stage III/IV sufficient statistics incrementally.
 //
@@ -133,24 +129,22 @@ func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
 // re-derives the accuracies of the sources they touch. Untouched sources
 // keep parameters equal to what a full aggregation would recompute, because
 // none of their contributions changed.
-func (st *state) estimateADelta(cProb []float64, valueProb [][]float64, dirtyTris [][]int) {
+func (st *state) estimateADelta(cProb []float64, valueProb [][]float64, dirtyTris []int) {
 	ag := st.agg
 	ag.gen++
 	ag.touchedSrc = ag.touchedSrc[:0]
-	for _, tis := range dirtyTris {
-		for _, ti := range tis {
-			nc, dc := st.aContrib(ti, cProb, valueProb)
-			if nc == ag.aNumC[ti] && dc == ag.aDenC[ti] {
-				continue
-			}
-			w := st.s.Triples[ti].W
-			ag.aNum[w] += nc - ag.aNumC[ti]
-			ag.aDen[w] += dc - ag.aDenC[ti]
-			ag.aNumC[ti], ag.aDenC[ti] = nc, dc
-			if ag.srcMark[w] != ag.gen {
-				ag.srcMark[w] = ag.gen
-				ag.touchedSrc = append(ag.touchedSrc, w)
-			}
+	for _, ti := range dirtyTris {
+		nc, dc := st.aContrib(ti, cProb, valueProb)
+		if nc == ag.aNumC[ti] && dc == ag.aDenC[ti] {
+			continue
+		}
+		w := st.s.Triples[ti].W
+		ag.aNum[w] += nc - ag.aNumC[ti]
+		ag.aDen[w] += dc - ag.aDenC[ti]
+		ag.aNumC[ti], ag.aDenC[ti] = nc, dc
+		if ag.srcMark[w] != ag.gen {
+			ag.srcMark[w] = ag.gen
+			ag.touchedSrc = append(ag.touchedSrc, w)
 		}
 	}
 	for _, w := range ag.touchedSrc {
@@ -167,7 +161,7 @@ func (st *state) estimateADelta(cProb []float64, valueProb [][]float64, dirtyTri
 // cached are re-scanned in full (see the file comment); without LeaveOneOut
 // the contributions do not depend on the votes and the rescan is skipped
 // entirely.
-func (st *state) estimatePRQDelta(cProb []float64, dirtyTris [][]int) {
+func (st *state) estimatePRQDelta(cProb []float64, dirtyTris []int) {
 	s, ag := st.s, st.agg
 	ag.gen++
 	ag.touchedExt = ag.touchedExt[:0]
@@ -181,25 +175,23 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris [][]int) {
 	// Correctness-mass deltas — the recall denominators.
 	allScope := st.opt.Scope == ScopeAllExtractors
 	totalC0 := ag.totalC
-	for _, tis := range dirtyTris {
-		for _, ti := range tis {
-			var nc float64
-			if st.coveredTriple[ti] {
-				nc = cProb[ti]
-			}
-			d := nc - ag.cCov[ti]
-			if d == 0 {
-				continue
-			}
-			ag.cCov[ti] = nc
-			ag.totalC += d
-			if !allScope {
-				c := st.cellOfTriple[ti]
-				st.cellC[c] += d
-				for _, e := range ag.extsOfCell[c] {
-					ag.rDen[e] += d
-					markExt(int(e))
-				}
+	for _, ti := range dirtyTris {
+		var nc float64
+		if st.coveredTriple[ti] {
+			nc = cProb[ti]
+		}
+		d := nc - ag.cCov[ti]
+		if d == 0 {
+			continue
+		}
+		ag.cCov[ti] = nc
+		ag.totalC += d
+		if !allScope {
+			c := st.cellOfTriple[ti]
+			st.cellC[c] += d
+			for _, e := range ag.extsOfCell[c] {
+				ag.rDen[e] += d
+				markExt(int(e))
 			}
 		}
 	}
@@ -216,36 +208,34 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris [][]int) {
 	// Vote-shifted extractors: rebuild their numerators by full rescan.
 	ag.shifted = ag.shifted[:0]
 	if st.opt.LeaveOneOut {
+		tasks := st.obsTasks[:0]
 		for e, inc := range st.extIncluded {
 			if inc && (st.pre[e] != ag.preAt[e] || st.ab[e] != ag.abAt[e]) {
 				ag.voteShift[e] = true
 				ag.shifted = append(ag.shifted, e)
 				markExt(e)
+				tasks = appendObsTasks(tasks, e, len(s.ObsOfExtractor[e]))
 			}
 		}
-		parallel.ForEach(len(ag.shifted), st.opt.Workers, func(i int) {
-			st.extractorNum(ag.shifted[i], cProb)
-		})
+		st.sumObsTasks(tasks, cProb, nil)
 	}
 
 	// Dirty observations of vote-stable extractors.
-	for _, tis := range dirtyTris {
-		for _, ti := range tis {
-			for _, oi := range s.ByTriple[ti] {
-				e := s.Obs[oi].E
-				if !st.extIncluded[e] || ag.voteShift[e] {
-					continue
-				}
-				c := st.conf[oi]
-				if c <= 0 {
-					continue
-				}
-				v := st.obsNumContrib(oi, ti, e, c, cProb)
-				if v != ag.obsNumC[oi] {
-					ag.eNum[e] += v - ag.obsNumC[oi]
-					ag.obsNumC[oi] = v
-					markExt(e)
-				}
+	for _, ti := range dirtyTris {
+		for _, oi := range s.ByTriple[ti] {
+			e := s.Obs[oi].E
+			if !st.extIncluded[e] || ag.voteShift[e] {
+				continue
+			}
+			c := st.conf[oi]
+			if c <= 0 {
+				continue
+			}
+			v := st.obsNumContrib(oi, ti, e, c, cProb)
+			if v != ag.obsNumC[oi] {
+				ag.eNum[e] += v - ag.obsNumC[oi]
+				ag.obsNumC[oi] = v
+				markExt(e)
 			}
 		}
 	}

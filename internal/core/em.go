@@ -29,11 +29,11 @@ import (
 // The subset parameters of the shardable stages accept nil for "all
 // indices"; non-nil subsets must jointly cover the index space across calls
 // within one iteration, and disjoint subsets may run concurrently. The
-// global M-steps instead take the dirty triple lists of the iteration: with
+// global M-steps instead take the dirty triple list of the iteration: with
 // Options.IncrementalAggregates they update the global sufficient statistics
 // from exactly those triples' contribution deltas (O(dirty)), and a nil list
 // — or the ReaggregateEvery cadence — re-aggregates in full. Without
-// incremental aggregates the lists are ignored and every call aggregates the
+// incremental aggregates the list is ignored and every call aggregates the
 // corpus, exactly as Run does.
 type EM struct {
 	st *state
@@ -111,11 +111,11 @@ func (em *EM) EStepItems(cProb []float64, valueProb [][]float64, restMass []floa
 }
 
 // MStepSources runs Stage III — source accuracy re-estimation. dirtyTris
-// lists, per dirty shard, the candidate triples whose E-step outputs changed
-// since the previous M-step call; nil means "aggregate everything". Without
-// Options.IncrementalAggregates the lists are ignored (every call is a full
+// lists the candidate triples whose E-step outputs changed since the previous
+// M-step call; nil means "aggregate everything". Without
+// Options.IncrementalAggregates the list is ignored (every call is a full
 // aggregation). It is a no-op under Options.FreezeSources.
-func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, dirtyTris [][]int) {
+func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, dirtyTris []int) {
 	st := em.st
 	if st.opt.FreezeSources {
 		return
@@ -138,20 +138,16 @@ func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, dirtyTris [][
 // of a plain sum — would cost more than re-aggregating in full. Settling
 // sweeps widened to nearly the whole corpus hit exactly this; re-aggregating
 // also re-anchors the sufficient statistics for free. The decision depends
-// only on the dirty lists' lengths, so the incremental path and the
+// only on the dirty list's length, so the incremental path and the
 // FullRecompile oracle take it identically.
-func deltaCostsMore(dirtyTris [][]int, nTri int) bool {
-	covered := 0
-	for _, tl := range dirtyTris {
-		covered += len(tl)
-	}
-	return 2*covered >= nTri
+func deltaCostsMore(dirtyTris []int, nTri int) bool {
+	return 2*len(dirtyTris) >= nTri
 }
 
 // MStepExtractors runs Stage IV — extractor precision/recall/Q — with the
 // same dirty-subset contract as MStepSources. It is a no-op under
 // Options.FreezeExtractors.
-func (em *EM) MStepExtractors(cProb []float64, dirtyTris [][]int) {
+func (em *EM) MStepExtractors(cProb []float64, dirtyTris []int) {
 	st := em.st
 	if st.opt.FreezeExtractors {
 		return

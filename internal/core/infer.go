@@ -233,7 +233,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		if opt.UpdatePrior && iter+1 >= opt.UpdatePriorFromIter {
 			copy(prevLO, st.alphaLO)
 			st.updateAlpha(res.valueProb)
-			priorDelta = MaxDeltaLogistic(prevLO, st.alphaLO)
+			priorDelta = MaxDeltaLogistic(prevLO, st.alphaLO, nil)
 		}
 
 		// Convergence must account for the prior movement too, and cannot be
@@ -341,8 +341,9 @@ type state struct {
 
 	// cellC is the per-cell correctness-mass buffer estimatePRQ refills
 	// each call, kept on the state to avoid re-allocating numCells floats
-	// per iteration.
-	cellC []float64
+	// per iteration; obsTasks likewise backs Stage IV's task list.
+	cellC    []float64
+	obsTasks []obsTask
 
 	// tripleOfObs maps observation index -> candidate-triple index.
 	tripleOfObs []int
@@ -979,7 +980,7 @@ func (st *state) derivePRQ(e int, num, pDen, rDen float64) {
 // estimatePRQ updates extractor precision and recall (Eqs 29-33) and derives
 // Q via Eq 7, by full aggregation over every extractor's observations — the
 // one full body of Stage IV. In aggregate mode it also fills the correctness-
-// mass, denominator and (through extractorNum) numerator caches, re-anchoring
+// mass, denominator and (through sumObsTasks) numerator caches, re-anchoring
 // exactly what estimatePRQDelta maintains.
 func (st *state) estimatePRQ(cProb []float64) {
 	s, ag := st.s, st.agg
@@ -1001,57 +1002,110 @@ func (st *state) estimatePRQ(cProb []float64) {
 		}
 	}
 
-	parallel.ForEach(len(s.Extractors), st.opt.Workers, func(e int) {
-		if !st.extIncluded[e] {
-			if ag != nil {
-				ag.eNum[e], ag.ePDen[e], ag.rDen[e] = 0, 0, 0
-			}
-			return
+	tasks := st.obsTasks[:0]
+	for e := range s.Extractors {
+		if st.extIncluded[e] {
+			tasks = appendObsTasks(tasks, e, len(s.ObsOfExtractor[e]))
+		} else if ag != nil {
+			ag.eNum[e], ag.ePDen[e], ag.rDen[e] = 0, 0, 0
 		}
-		num, pDen := st.extractorNum(e, cProb)
-		var rDen float64
+	}
+	st.sumObsTasks(tasks, cProb, func(e int) (rDen float64) {
 		if st.opt.Scope == ScopeAllExtractors {
-			rDen = totalC
-		} else {
-			for _, cell := range st.cellsOfExtractor[e] {
-				rDen += cellC[cell]
-			}
+			return totalC
+		}
+		for _, cell := range st.cellsOfExtractor[e] {
+			rDen += cellC[cell]
+		}
+		return rDen
+	})
+	for _, tk := range tasks {
+		if tk.lo != 0 {
+			continue
 		}
 		if ag != nil {
-			ag.ePDen[e], ag.rDen[e] = pDen, rDen
+			ag.ePDen[tk.e], ag.rDen[tk.e] = tk.pDen, tk.rDen
 		}
-		st.derivePRQ(e, num, pDen, rDen)
-	})
+		st.derivePRQ(tk.e, tk.num, tk.pDen, tk.rDen)
+	}
 	if ag != nil {
 		ag.totalC = totalC
 		ag.eValid = true
 	}
 }
 
-// extractorNum sums extractor e's numerator and confidence mass over its
-// observations: the one per-extractor loop of Stage IV. In aggregate mode it
-// re-anchors e's numerator caches — the per-observation contributions, their
-// sum and the votes they were computed under — which is also all the exact
-// rescan of a vote-shifted extractor in estimatePRQDelta consists of.
-func (st *state) extractorNum(e int, cProb []float64) (num, pDen float64) {
+// obsBlock is the number of observations one Stage IV task sums. The paper
+// has sixteen extractors and a serving corpus may have one, so Stage IV cannot
+// parallelise over extractors alone: it reduces by fixed blocks of each
+// extractor's observation list. A constant, because the block boundaries fix
+// the order the floating-point partials are added in — the result must not
+// depend on the worker count.
+const obsBlock = 4096
+
+// obsTask is one unit of the Stage IV reduction: positions [lo, hi) of
+// extractor e's observation list, and the partial sums its run leaves. An
+// extractor's first task (lo == 0) ends up holding the extractor's totals.
+type obsTask struct {
+	e, lo, hi       int
+	num, pDen, rDen float64
+}
+
+// appendObsTasks appends the tasks covering an extractor with n observations
+// (one even when n is 0, so every listed extractor is derived).
+func appendObsTasks(tasks []obsTask, e, n int) []obsTask {
+	for lo := 0; lo == 0 || lo < n; lo += obsBlock {
+		tasks = append(tasks, obsTask{e: e, lo: lo, hi: min(lo+obsBlock, n)})
+	}
+	return tasks
+}
+
+// sumObsTasks is the one per-observation loop of Stage IV. It runs the tasks
+// — which list each extractor's blocks contiguously, ascending — flat on the
+// pool, each summing its block's numerator and confidence mass serially, then
+// adds every extractor's partials in block order into its first task. The
+// partition and the order of every addition are fixed by obsBlock, so the
+// result is bit-identical at any worker count, and an extractor that fits one
+// block gets the plain serial sum. rDen, when given, computes an extractor's
+// recall denominator on the pool beside its first block. In aggregate mode
+// the numerator caches — the per-observation contributions, their sum and
+// the votes they were computed under — are re-anchored, which is also all the
+// exact rescan of a vote-shifted extractor in estimatePRQDelta consists of.
+func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) float64) {
 	ag := st.agg
-	for _, oi := range st.s.ObsOfExtractor[e] {
-		c := st.conf[oi]
-		var v float64
-		if c > 0 {
-			v = st.obsNumContrib(oi, st.tripleOfObs[oi], e, c, cProb)
-			num += v
-			pDen += c
+	st.obsTasks = tasks // keep the grown backing for the next call
+	parallel.ForEach(len(tasks), st.opt.Workers, func(t int) {
+		tk := &tasks[t]
+		var num, pDen float64
+		for _, oi := range st.s.ObsOfExtractor[tk.e][tk.lo:tk.hi] {
+			c := st.conf[oi]
+			var v float64
+			if c > 0 {
+				v = st.obsNumContrib(oi, st.tripleOfObs[oi], tk.e, c, cProb)
+				num += v
+				pDen += c
+			}
+			if ag != nil {
+				ag.obsNumC[oi] = v
+			}
 		}
-		if ag != nil {
-			ag.obsNumC[oi] = v
+		tk.num, tk.pDen = num, pDen
+		if tk.lo == 0 && rDen != nil {
+			tk.rDen = rDen(tk.e)
+		}
+	})
+	var first *obsTask
+	for t := range tasks {
+		if tk := &tasks[t]; tk.lo == 0 {
+			first = tk
+		} else {
+			first.num += tk.num
+			first.pDen += tk.pDen
+		}
+		if ag != nil { // the last block leaves the total
+			ag.eNum[first.e] = first.num
+			ag.preAt[first.e], ag.abAt[first.e] = st.pre[first.e], st.ab[first.e]
 		}
 	}
-	if ag != nil {
-		ag.eNum[e] = num
-		ag.preAt[e], ag.abAt[e] = st.pre[e], st.ab[e]
-	}
-	return num, pDen
 }
 
 // bootstrap is the pre-iteration extractor M-step from the prior p(C)=Alpha,
@@ -1137,21 +1191,16 @@ func MaxDelta(a, b []float64) float64 {
 }
 
 // MaxDeltaLogistic returns the largest absolute elementwise difference
-// between two equal-length log-odds vectors, measured in probability space —
-// the prior-movement term of the convergence test, commensurate with the
-// A/P/R deltas. The logistic's derivative is at most 1/4, so entries whose
-// log-odds moved by less than four times the current maximum cannot raise
-// it and skip the sigmoids; near a fixed point almost every entry does.
-func MaxDeltaLogistic(a, b []float64) float64 {
-	return MaxDeltaLogisticSubset(a, b, nil, 0)
-}
-
-// MaxDeltaLogisticSubset is MaxDeltaLogistic restricted to the entries in
-// idx (nil = all), seeded with a running maximum m — for callers that know
-// every other entry is unchanged and fold several subsets into one maximum.
-// The skip guard only discards entries that cannot raise the maximum, so the
-// result is independent of how the index space is partitioned.
-func MaxDeltaLogisticSubset(a, b []float64, idx []int, m float64) float64 {
+// between two equal-length log-odds vectors over the entries in idx (nil =
+// all; callers pass a subset when they know every other entry is unchanged),
+// measured in probability space — the prior-movement term of the convergence
+// test, commensurate with the A/P/R deltas. The logistic's derivative is at
+// most 1/4, so entries whose log-odds moved by less than four times the
+// current maximum cannot raise it and skip the sigmoids; near a fixed point
+// almost every entry does. The guard only discards entries that cannot raise
+// the maximum, so the result is independent of the order of idx.
+func MaxDeltaLogistic(a, b []float64, idx []int) float64 {
+	var m float64
 	at := func(i int) {
 		if math.Abs(a[i]-b[i]) <= 4*m {
 			return

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"kbt/internal/parallel"
+	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
 
@@ -349,29 +350,118 @@ func TestScopeAllVsAttempted(t *testing.T) {
 	}
 }
 
+// compileBlocks builds a corpus for Stage IV's block reduction: extractor
+// "wide" reads every provided triple and hallucinates some more — well over
+// three obsBlocks of observations — while "thin" reads every eighth item and
+// fits one block. Confidences and source accuracies vary, so the partial sums
+// are not exactly representable and their order of addition shows in the bits.
+func compileBlocks(t *testing.T) *triple.Snapshot {
+	t.Helper()
+	const nItems = 3*obsBlock/2 + 500
+	d := triple.NewDataset()
+	add := func(e string, w, i int, obj string) {
+		site := fmt.Sprintf("site%02d.com", w)
+		d.Add(triple.Record{Extractor: e, Website: site, Page: site + "/x",
+			Subject: fmt.Sprintf("S%05d", i), Predicate: fmt.Sprintf("p%d", i%5), Object: obj,
+			Confidence: float64(i%17+3) / 20})
+	}
+	for i := 0; i < nItems; i++ {
+		w1, w2, second := i%40, (i*7+3)%40+40, "T"
+		if i%3 == 0 {
+			second = "F" // the second tier of sites errs on a third of its items
+		}
+		add("wide", w1, i, "T")
+		add("wide", w2, i, second)
+		if i%9 == 0 {
+			add("wide", w1, i, "H")
+		}
+		if i%8 == 0 {
+			add("thin", w1, i, "T")
+		}
+	}
+	s := d.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName})
+	wide, thin := len(s.ObsOfExtractor[s.ExtractorID("wide")]), len(s.ObsOfExtractor[s.ExtractorID("thin")])
+	if wide <= 3*obsBlock || thin > obsBlock {
+		t.Fatalf("fixture has %d / %d observations, want more than three blocks of %d / at most one", wide, thin, obsBlock)
+	}
+	return s
+}
+
+// TestParallelMatchesSerial: every estimate is bit-identical at any worker
+// count — also where one extractor's Stage IV sum spans several blocks that
+// run concurrently, which holds only because the partials are added in block
+// order, not in completion order.
 func TestParallelMatchesSerial(t *testing.T) {
-	s := compileSmall(t)
-	opt1 := DefaultOptions()
-	opt1.Workers = 1
-	optN := DefaultOptions()
-	optN.Workers = 8
-	r1, err := Run(s, opt1)
+	for name, s := range map[string]*triple.Snapshot{"small": compileSmall(t), "blocks": compileBlocks(t)} {
+		opt1 := DefaultOptions()
+		opt1.Workers = 1
+		optN := DefaultOptions()
+		optN.Workers = 8
+		r1, err := Run(s, opt1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rN, err := Run(s, optN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < r1.NumSources(); w++ {
+			if r1.AAt(w) != rN.AAt(w) {
+				t.Fatalf("%s: A[%d] differs across worker counts: %v vs %v", name, w, r1.AAt(w), rN.AAt(w))
+			}
+		}
+		for e := 0; e < r1.NumExtractors(); e++ {
+			if r1.PAt(e) != rN.PAt(e) || r1.RAt(e) != rN.RAt(e) || r1.QAt(e) != rN.QAt(e) {
+				t.Fatalf("%s: P/R/Q[%d] differ across worker counts: %v/%v/%v vs %v/%v/%v", name, e,
+					r1.PAt(e), r1.RAt(e), r1.QAt(e), rN.PAt(e), rN.RAt(e), rN.QAt(e))
+			}
+		}
+		for ti := 0; ti < r1.NumTriples(); ti++ {
+			if r1.CProbAt(ti) != rN.CProbAt(ti) {
+				t.Fatalf("%s: CProb[%d] differs: %v vs %v", name, ti, r1.CProbAt(ti), rN.CProbAt(ti))
+			}
+		}
+	}
+}
+
+// TestParallelMatchesSerialOneBlockPlainSum: an extractor whose observations fit one
+// block gets exactly the straight serial sums of Eqs 29-33, bit for bit — the
+// block reduction changes nothing for it.
+func TestParallelMatchesSerialOneBlockPlainSum(t *testing.T) {
+	s := compileBlocks(t)
+	opt := DefaultOptions()
+	opt.Workers = 8
+	em, err := NewEM(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rN, err := Run(s, optN)
-	if err != nil {
-		t.Fatal(err)
+	st := em.st
+	cProb := make([]float64, len(s.Triples))
+	valueProb := make([][]float64, len(s.Items))
+	em.Bootstrap(cProb)
+	em.BeginIteration(true)
+	em.EStepTriples(cProb, nil, 0)
+	em.EStepItems(cProb, valueProb, make([]float64, len(s.Items)), make([]bool, len(s.Items)), nil, 0)
+
+	e := s.ExtractorID("thin")
+	var num, pDen, rDen float64
+	for _, oi := range s.ObsOfExtractor[e] {
+		num += st.obsNumContrib(oi, st.tripleOfObs[oi], e, st.conf[oi], cProb)
+		pDen += st.conf[oi]
 	}
-	for w := 0; w < r1.NumSources(); w++ {
-		if r1.AAt(w) != rN.AAt(w) {
-			t.Fatalf("A[%d] differs across worker counts: %v vs %v", w, r1.AAt(w), rN.AAt(w))
-		}
+	cellC := make([]float64, st.numCells)
+	for ti := range s.Triples {
+		cellC[st.cellOfTriple[ti]] += cProb[ti]
 	}
-	for ti := 0; ti < r1.NumTriples(); ti++ {
-		if r1.CProbAt(ti) != rN.CProbAt(ti) {
-			t.Fatalf("CProb[%d] differs: %v vs %v", ti, r1.CProbAt(ti), rN.CProbAt(ti))
-		}
+	for _, c := range st.cellsOfExtractor[e] {
+		rDen += cellC[c]
+	}
+	k := opt.Smoothing
+	wantP, wantR := stats.ClampProb((num+k/2)/(pDen+k)), stats.ClampProb((num+k/2)/(rDen+k))
+
+	em.MStepExtractors(cProb, nil)
+	if st.p[e] != wantP || st.r[e] != wantR {
+		t.Fatalf("one-block extractor: P/R = %v/%v, straight serial sums give %v/%v", st.p[e], st.r[e], wantP, wantR)
 	}
 }
 

@@ -37,15 +37,15 @@ import (
 //
 // Reach is resolved at *item* granularity, not shard granularity: a drifted
 // unit stales the items it actually touches, and MarkStale records them in a
-// ScopeSet — per-shard item sets compiled into sorted coalesced position
-// ranges over the append-only shard item lists. A unit whose reach covers a
-// quarter or more of the corpus is marked at whole-shard granularity instead
-// (its per-item walk would cost more than the confinement saves, and its
-// item set is dense in every shard it reaches); the cutoff depends only on
-// snapshot table sizes, so the FullRecompile oracle resolves the identical
-// scopes. A unit's drift resets when a pass covers its whole reach —
-// SettleScopes consumes the ScopeSet's record of which units the pass
-// settled.
+// ScopeSet — whole shards plus marked items, which CompileScope gathers into
+// the one ascending dense-id list a settling pass runs over. A unit whose
+// reach covers a quarter or more of the corpus is marked at whole-shard
+// granularity instead (its per-item walk would cost more than the
+// confinement saves, and its item set is dense in every shard it reaches);
+// the cutoff depends only on snapshot table sizes, so the FullRecompile
+// oracle resolves the identical scopes. A unit's drift resets when a pass
+// covers its whole reach — SettleScopes consumes the ScopeSet's record of
+// which units the pass settled.
 //
 // The ledger persists across refreshes (extended append-only by NewEMFrom,
 // remapped by dense-id prefix under FullRecompile), so sub-Tol residue left
@@ -65,17 +65,15 @@ import (
 // touching >= 1/broadReachDenom of the corpus marks shards, not items.
 const broadReachDenom = 4
 
-// staleLedger is the per-unit drift state plus the append-only position
-// indexes sub-shard scopes are resolved through.
+// staleLedger is the per-unit drift state plus the append-only indexes
+// sub-shard scopes are resolved through.
 type staleLedger struct {
 	nShards, words int
 
-	// itemShard and itemPos cache each data item's shard and its position
-	// within that shard's ascending item list, grown append-only with the
-	// snapshot. shardLen counts items per shard (itemPos's growth cursor and
-	// the full-shard test during scope compilation).
+	// itemShard caches each data item's shard, grown append-only with the
+	// snapshot; shardLen counts items per shard (the full-shard test during
+	// scope compilation).
 	itemShard []int32
-	itemPos   []int32
 	shardLen  []int32
 
 	// triplesOfCell indexes, per (source, predicate) cell (state.cellID
@@ -98,27 +96,27 @@ type staleLedger struct {
 
 	// scratch is a words-sized bitmask buffer for SettleScopes.
 	scratch []uint64
+
+	// passItems/passTris back the index lists CompileScope returns. Never
+	// nil, even when empty: the kernels read a nil list as "every index".
+	passItems, passTris []int
 }
 
 func (led *staleLedger) setSrcBit(w, si int) {
 	led.srcMask[w*led.words+si/64] |= 1 << (si % 64)
 }
 
-// appendItems grows the position indexes for items [from, len(s.Items)).
-// Items arrive in ascending dense-id order, so each one's position is its
-// shard's current length.
+// appendItems grows the shard index for items [from, len(s.Items)).
 func (led *staleLedger) appendItems(s *triple.Snapshot, from int) {
 	for d := from; d < len(s.Items); d++ {
 		si := int32(triple.ShardOf(s.Items[d], led.nShards))
 		led.itemShard = append(led.itemShard, si)
-		led.itemPos = append(led.itemPos, led.shardLen[si])
 		led.shardLen[si]++
 	}
 }
 
 // ScopeSet is a sub-shard dirty set: per shard either "whole shard" or a set
-// of marked items, compiled on demand into sorted, coalesced item-position
-// ranges. It also records which units a settling pass covers, so
+// of marked items. It also records which units a settling pass covers, so
 // SettleScopes can reset exactly their drift. The engine keeps ScopeSets
 // across refreshes and Resets them per use; nothing here allocates once the
 // buffers have grown to corpus size.
@@ -137,16 +135,10 @@ type ScopeSet struct {
 	settledSrc []int32
 	settledExt []int32
 
-	// Compiled form: the shards with any coverage, ascending; ranges[i] is
-	// nil for a full shard, else its sorted coalesced position ranges
-	// (subslices of rangeBuf).
+	// Compiled form: the shards with any coverage, ascending. cnt is the
+	// per-shard narrow-mark count CompileScope fills and leaves zeroed.
 	shardList []int
-	ranges    [][]triple.ItemRange
-	rangeBuf  []triple.ItemRange
-
-	// Compile scratch: per-shard narrow-mark counts and bucket cursors.
-	cnt    []int32
-	posBuf []int32
+	cnt       []int32
 }
 
 // NewScopeSet returns an empty ScopeSet; Reset sizes it.
@@ -175,8 +167,6 @@ func (sc *ScopeSet) Reset(nShards, nItems int) {
 	sc.settledSrc = sc.settledSrc[:0]
 	sc.settledExt = sc.settledExt[:0]
 	sc.shardList = sc.shardList[:0]
-	sc.ranges = sc.ranges[:0]
-	sc.rangeBuf = sc.rangeBuf[:0]
 }
 
 // MergeFrom adds base's marks (full shards and items) into sc. Settled-unit
@@ -227,37 +217,34 @@ func (sc *ScopeSet) markItem(d int, si int32) int {
 // AllFull reports whether every shard is wholly in scope.
 func (sc *ScopeSet) AllFull() bool { return sc.nFull == sc.nShards }
 
-// Len returns the number of shards with any coverage. Valid after Compile.
+// Len returns the number of shards with any coverage. Valid after
+// CompileScope.
 func (sc *ScopeSet) Len() int { return len(sc.shardList) }
 
-// At returns compiled entry i: the shard id, whether the whole shard is in
-// scope, and otherwise its sorted coalesced item-position ranges.
-func (sc *ScopeSet) At(i int) (si int, full bool, ranges []triple.ItemRange) {
+// At returns compiled entry i: the shard id and whether the whole shard is in
+// scope (else only marked items of it are).
+func (sc *ScopeSet) At(i int) (si int, full bool) {
 	si = sc.shardList[i]
-	if sc.full[si] {
-		return si, true, nil
-	}
-	return si, false, sc.ranges[i]
+	return si, sc.full[si]
 }
 
-// Compile resolves the marks into the per-shard range form: shards listed
-// ascending, each either full or carrying sorted coalesced position ranges.
-// A shard whose narrow marks cover every item it owns is upgraded to full.
-// Deterministic for a given mark set, so the fast path and the FullRecompile
-// oracle compile identical scopes. The ledger provides the position index.
-func (em *EM) CompileScope(sc *ScopeSet) {
+// denseGatherDenom bounds the sort in CompileScope: narrow marks covering at
+// least 1/denseGatherDenom of the items are gathered by scanning the mark
+// array instead, so no corpus-sized list is ever sorted.
+const denseGatherDenom = 16
+
+// CompileScope resolves the marks into what a settling pass runs over. A
+// shard whose narrow marks cover every item it owns is upgraded to full, and
+// the shards with any coverage are listed ascending (Len, At). The return is
+// the pass's index lists — the scope's items in ascending dense-id order and
+// exactly those items' candidate triples behind them, item by item — or nil,
+// nil when every shard is in scope: the kernels' own "every index" path.
+// Ascending order is what makes a pass one sequential read of the per-item
+// and per-triple arrays, whatever the shard count. Deterministic for a given
+// mark set, so the fast path and the FullRecompile oracle run identical
+// lists. The lists are valid until the next CompileScope on this EM.
+func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 	led := em.st.ledger
-	sc.shardList = sc.shardList[:0]
-	sc.ranges = sc.ranges[:0]
-	sc.rangeBuf = sc.rangeBuf[:0]
-	if sc.AllFull() {
-		for si := 0; si < sc.nShards; si++ {
-			sc.shardList = append(sc.shardList, si)
-			sc.ranges = append(sc.ranges, nil)
-		}
-		return
-	}
-	// Count narrow marks per shard; upgrade saturated shards to full.
 	for k := range sc.items {
 		if si := sc.itemShard[k]; !sc.full[si] {
 			sc.cnt[si]++
@@ -267,60 +254,32 @@ func (em *EM) CompileScope(sc *ScopeSet) {
 			}
 		}
 	}
-	// Bucket the partial shards' positions (cnt doubles as the cursor), then
-	// sort and coalesce each bucket. cnt is left zeroed for the next Compile.
-	if cap(sc.posBuf) < len(sc.items) {
-		sc.posBuf = make([]int32, len(sc.items))
-	}
-	sc.posBuf = sc.posBuf[:len(sc.items)]
-	off := 0
+	sc.shardList = sc.shardList[:0]
 	for si := 0; si < sc.nShards; si++ {
-		n := int(sc.cnt[si])
-		if sc.full[si] {
+		if sc.full[si] || sc.cnt[si] > 0 {
 			sc.shardList = append(sc.shardList, si)
-			sc.ranges = append(sc.ranges, nil)
-			sc.cnt[si] = 0
-			continue
 		}
-		if n == 0 {
-			continue
-		}
-		sc.shardList = append(sc.shardList, si)
-		sc.ranges = append(sc.ranges, nil) // filled below
-		sc.cnt[si] = int32(off)
-		off += n
-	}
-	for k, d := range sc.items {
-		if si := sc.itemShard[k]; !sc.full[si] {
-			sc.posBuf[sc.cnt[si]] = led.itemPos[d]
-			sc.cnt[si]++
-		}
-	}
-	// Per partial shard, cnt now holds the bucket's end offset; walk the
-	// compiled list again to sort/coalesce each bucket into rangeBuf.
-	start := 0
-	for i, si := range sc.shardList {
-		if sc.full[si] {
-			continue
-		}
-		bucket := sc.posBuf[start:int(sc.cnt[si])]
-		start = int(sc.cnt[si])
 		sc.cnt[si] = 0
-		slices.Sort(bucket)
-		rlo := len(sc.rangeBuf)
-		lo := bucket[0]
-		hi := lo + 1
-		for _, p := range bucket[1:] {
-			if p == hi {
-				hi++
-				continue
-			}
-			sc.rangeBuf = append(sc.rangeBuf, triple.ItemRange{Lo: lo, Hi: hi})
-			lo, hi = p, p+1
-		}
-		sc.rangeBuf = append(sc.rangeBuf, triple.ItemRange{Lo: lo, Hi: hi})
-		sc.ranges[i] = sc.rangeBuf[rlo:len(sc.rangeBuf):len(sc.rangeBuf)]
 	}
+	if sc.AllFull() {
+		return nil, nil
+	}
+	items, tris = led.passItems[:0], led.passTris[:0]
+	if sc.nFull > 0 || len(sc.items)*denseGatherDenom >= len(led.itemShard) {
+		for d, si := range led.itemShard {
+			if sc.full[si] || sc.itemMark[d] {
+				items = append(items, d)
+			}
+		}
+	} else {
+		items = append(items, sc.items...)
+		slices.Sort(items)
+	}
+	for _, d := range items {
+		tris = append(tris, em.st.s.TriplesOfItem[d]...)
+	}
+	led.passItems, led.passTris = items, tris
+	return items, tris
 }
 
 // EnableStaleness builds the per-unit staleness ledger for nShards item
@@ -334,10 +293,9 @@ func (em *EM) EnableStaleness(nShards int) {
 		return
 	}
 	s := st.s
-	led := &staleLedger{nShards: nShards, words: (nShards + 63) / 64}
+	led := &staleLedger{nShards: nShards, words: (nShards + 63) / 64, passItems: []int{}, passTris: []int{}}
 	led.shardLen = make([]int32, nShards)
 	led.itemShard = make([]int32, 0, len(s.Items))
-	led.itemPos = make([]int32, 0, len(s.Items))
 	st.ledger = led
 	led.appendItems(s, 0)
 	led.srcMask = make([]uint64, len(s.Sources)*led.words)
@@ -359,7 +317,7 @@ func (em *EM) EnableStaleness(nShards int) {
 // CarryStalenessFrom copies prev's accumulated drift and published-vote
 // anchors by dense-id prefix — the FullRecompile path's counterpart of the
 // ledger NewEMFrom extends in place, needed so the oracle makes the identical
-// settling decisions. Both EMs must have staleness enabled. The position and
+// settling decisions. Both EMs must have staleness enabled. The shard and
 // cell indexes are not carried: EnableStaleness rebuilds them from the same
 // snapshot tables and cell interning order, bit-identically.
 func (em *EM) CarryStalenessFrom(prev *EM) {
@@ -537,7 +495,7 @@ func (em *EM) SettleScopes(sc *ScopeSet) {
 }
 
 // extendLedger grows the ledger append-only with the snapshot extension —
-// new items' shard positions, new triples' reach and cell entries, zero
+// new items' shards, new triples' reach and cell entries, zero
 // drift and current-parameter vote anchors for new units. Called by
 // extendState after the parameter arrays, cell interning and cellOfTriple
 // have grown.

@@ -15,14 +15,14 @@
 //     pending records — bit-identical to recompiling the corpus, at a cost
 //     proportional to the ingest;
 //   - settle runs Algorithm 1's E/M loop over a sub-shard dirty scope
-//     (core.ScopeSet) of (shard, full | item-range) pairs: the items sharing
+//     (core.ScopeSet) of whole shards and marked items: the items sharing
 //     a (source, predicate) absence-vote cell with a new record, plus
 //     whatever the per-unit staleness ledger (core.EM.EnableStaleness) marks
 //     as holding above-Tol accumulated parameter drift — narrow units mark
-//     exactly their items' ranges, only units reaching a quarter of the
-//     corpus mark whole shards — so a shard touched only through ranges
-//     settles its remainder for free (Result.PartialShards). The global
-//     M-step aggregates update from exactly the scope's contribution deltas
+//     exactly their items, only units reaching a quarter of the corpus mark
+//     whole shards — so a shard touched only through marked items settles
+//     its remainder for free (Result.PartialShards). The global M-step
+//     aggregates update from exactly the scope's contribution deltas
 //     (core.Options.IncrementalAggregates), with a periodic full
 //     re-aggregation bounding floating-point drift;
 //   - layer6 folds the touched shards into the streaming copy detector, which
@@ -38,11 +38,15 @@
 //     of later swaps.
 //
 // Stages I and II of Algorithm 1 are independent per candidate triple
-// respectively per item, so each scope entry's E-step runs as one task on
-// the internal/parallel worker pool with no cross-shard writes; stages III
-// and IV (the per-source and per-extractor M-steps) stay global but cost only
-// the dirty contributions. A cold Refresh executes the identical per-index
-// arithmetic as core.Run and reproduces its posteriors exactly.
+// respectively per item, so a pass hands the kernels one index list — the
+// scope's items in ascending dense-id order with their candidate triples
+// (core.EM.CompileScope), or nil, the kernels' "every index" path, when the
+// scope is every shard — and the internal/parallel pool splits it into
+// contiguous blocks: a pass reads the per-item and per-triple arrays once,
+// front to back, whatever the shard count. Stages III and IV (the per-source
+// and per-extractor M-steps) stay global but cost only the dirty
+// contributions. A cold Refresh executes core.Run's sequence of kernel calls
+// and reproduces its posteriors exactly.
 //
 // The pipeline has one execution mode. Options.FullRecompile and
 // Options.FullAggregates select reference implementations of the state phase
@@ -54,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,14 +66,14 @@ import (
 	"kbt/internal/copydetect"
 	"kbt/internal/core"
 	"kbt/internal/fusion"
-	"kbt/internal/parallel"
 	"kbt/internal/triple"
 )
 
 // Options configures an Engine. Start from DefaultOptions.
 type Options struct {
 	// Shards is the number of item partitions (default 8). More shards
-	// mean finer-grained dirtiness tracking and more parallel E-step tasks.
+	// mean finer-grained dirtiness tracking and smaller publication chunks;
+	// the E-step's parallelism does not depend on it.
 	Shards int
 	// Core configures the multi-layer model (default core.DefaultOptions).
 	Core core.Options
@@ -78,9 +83,9 @@ type Options struct {
 	// Defaults: triple.SourceKeyWebsite, triple.ExtractorKeyName.
 	SourceKey    triple.SourceKeyFunc
 	ExtractorKey triple.ExtractorKeyFunc
-	// Workers bounds the parallelism of the sharded E-step and the global
-	// M-steps. Non-zero values supersede Core.Workers; 0 defers to
-	// Core.Workers, with 0 there too meaning all CPUs.
+	// Workers bounds the parallelism of the E-step and the global M-steps.
+	// Non-zero values supersede Core.Workers; 0 defers to Core.Workers, with
+	// 0 there too meaning all CPUs.
 	Workers int
 	// FullRecompile is a test oracle, not an operating mode: every Refresh
 	// rebuilds the snapshot with Dataset.Compile over the whole corpus,
@@ -169,8 +174,8 @@ type Result struct {
 	// TouchedShards is the corpus fraction whose cached posteriors were
 	// already within the staleness tolerance of the published parameters and
 	// never ran. PartialShards counts the touched shards that were only ever
-	// re-estimated at sub-shard item-range granularity — their settled
-	// remainder never ran either.
+	// re-estimated at sub-shard granularity, through individually marked
+	// items — their settled remainder never ran either.
 	TouchedShards, SettledShards int
 	PartialShards                int
 	// Escalations counts the EM iterations whose E-step set had to widen
@@ -222,15 +227,12 @@ type Engine struct {
 	// refreshMu) and persisted across refreshes so a steady-state warm
 	// refresh re-allocates none of it: the run value the phases share, the
 	// E-step scopes (current, successor, and the ingest footprint), the
-	// materialized per-scope-entry index lists, the per-iteration
-	// parameter/prior snapshots, and the touched-shard list handed to the
-	// copy tracker.
+	// per-iteration parameter/prior snapshots, the touched-shard masks and
+	// the touched-shard list handed to the copy tracker.
 	run                         refreshRun
 	scope, scopeNext, scopeBase *core.ScopeSet
-	passItems, passTris         [][]int
-	passItemBuf, passTriBuf     []int
-	passEnds                    [][2]int
 	prevA, prevP, prevR, prevLO []float64
+	touched, touchedWhole       []bool
 	dirtyIdx                    []int
 
 	// tracker persists the streaming copy-detection statistics across
@@ -407,9 +409,11 @@ type refreshRun struct {
 	structural bool
 	copt       core.Options
 
-	// settle: what the EM loop did. touched/touchedWhole mark the shards any
-	// iteration re-estimated at all / as a whole shard.
+	// settle: what the EM loop did. passItems/passTris are the index lists of
+	// the pass about to run (nil: every index); touched/touchedWhole mark the
+	// shards any iteration re-estimated at all / as a whole shard.
 	voteForce                  bool
+	passItems, passTris        []int
 	touched, touchedWhole      []bool
 	touchedCount, partialCount int
 	firstPass, escalations     int
@@ -581,9 +585,10 @@ func (e *Engine) buildState(r *refreshRun) error {
 // drift, so settling sweeps confine themselves to the stale fraction and
 // shrink back to the footprint as soon as the stale units are re-anchored.
 //
-// The loop mirrors core.Run stage for stage; only the index sets of the
-// shardable stages differ, and each index's arithmetic is identical, so a
-// cold run reproduces Run's posteriors exactly.
+// The loop mirrors core.Run stage for stage; only the index lists of the
+// E-step stages differ, and each index's arithmetic is identical, so a cold
+// run — every pass of which is the nil list — reproduces Run's posteriors
+// exactly.
 func (e *Engine) settle(r *refreshRun) error {
 	nShards, nItems := len(r.shards), len(r.snap.Items)
 	if e.scope == nil {
@@ -609,13 +614,15 @@ func (e *Engine) settle(r *refreshRun) error {
 	}
 	// Structural changes force one full vote recompute (see iterate).
 	r.voteForce = r.warm && (r.structural || len(r.snap.Extractors) != len(r.prev.snap.Extractors))
-	r.touched = make([]bool, nShards)
-	r.touchedWhole = make([]bool, nShards)
+	e.touched, e.touchedWhole = resized(e.touched, nShards), resized(e.touchedWhole, nShards)
+	clear(e.touched)
+	clear(e.touchedWhole)
+	r.touched, r.touchedWhole = e.touched, e.touchedWhole
 	r.aggDelta0, r.aggFull0 = r.em.AggStepCounts()
-	e.prevA = ensureFloats(e.prevA, len(r.snap.Sources))
-	e.prevP = ensureFloats(e.prevP, len(r.snap.Extractors))
-	e.prevR = ensureFloats(e.prevR, len(r.snap.Extractors))
-	e.prevLO = ensureFloats(e.prevLO, len(r.snap.Triples))
+	e.prevA = resized(e.prevA, len(r.snap.Sources))
+	e.prevP = resized(e.prevP, len(r.snap.Extractors))
+	e.prevR = resized(e.prevR, len(r.snap.Extractors))
+	e.prevLO = resized(e.prevLO, len(r.snap.Triples))
 
 	// The first pass already consults the ledger: drift carried from earlier
 	// refreshes (sub-Tol residue that has since accumulated past Tol, or an
@@ -673,31 +680,31 @@ func (e *Engine) settle(r *refreshRun) error {
 	return nil
 }
 
-// nextScope compiles into dst the scope the next pass must cover: the
-// footprint plus the sub-shard reach of every unit the ledger marks stale.
-// The return is how many marks lie beyond the footprint — zero means the
-// scope IS the footprint (nothing stale outside it). When the footprint
-// covers everything MarkStale could add nothing, and skipping it keeps cold
-// full-pass iterations free of ledger walks.
+// nextScope marks into dst the scope the next pass must cover: the footprint
+// plus the sub-shard reach of every unit the ledger marks stale. The return
+// is how many marks lie beyond the footprint — zero means the scope IS the
+// footprint (nothing stale outside it). When the footprint covers everything
+// MarkStale could add nothing, and skipping it keeps cold full-pass
+// iterations free of ledger walks.
 func (e *Engine) nextScope(r *refreshRun, dst *core.ScopeSet) (stale int) {
 	dst.Reset(len(r.shards), len(r.snap.Items))
 	dst.MergeFrom(e.scopeBase)
 	if !dst.AllFull() {
 		stale = r.em.MarkStale(r.copt.Tol, dst)
 	}
-	r.em.CompileScope(dst)
 	return stale
 }
 
-// enterScope accounts for the pass about to run over e.scope: a scope wider
-// than the footprint counts as an escalation, and its shards join the run's
-// touched set.
+// enterScope readies the pass about to run over e.scope: it compiles the
+// scope into the pass's index lists, counts a scope wider than the footprint
+// as an escalation, and adds the scope's shards to the run's touched set.
 func (e *Engine) enterScope(r *refreshRun, stale int) {
 	if stale > 0 {
 		r.escalations++
 	}
+	r.passItems, r.passTris = r.em.CompileScope(e.scope)
 	for i := 0; i < e.scope.Len(); i++ {
-		si, full, _ := e.scope.At(i)
+		si, full := e.scope.At(i)
 		r.touched[si] = true
 		if full {
 			r.touchedWhole[si] = true
@@ -730,25 +737,21 @@ func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
 	if refreshVotes {
 		r.voteForce = false
 	}
-	// The same materialized lists feed the E-step, the M-step deltas and the
-	// prior diff: each is exactly what this pass re-estimates.
-	passItems, passTris := e.materializeScope(r.snap, r.shards, sc)
-	e.eStep(em, passItems, passTris, r.cProb, r.valueProb, r.restMass, r.coveredItem)
+	// One pair of lists feeds the E-step, the M-step deltas and the prior
+	// diff: each is exactly what this pass re-estimates. On a full pass both
+	// are nil — the kernels' "every index" path, with the M-steps
+	// re-aggregating the corpus — so the calls below are core.Run's; a
+	// partial pass updates the incremental aggregates in O(scope).
+	items, tris, workers := r.passItems, r.passTris, e.workers()
+	em.EStepTriples(r.cProb, tris, workers)
+	em.EStepItems(r.cProb, r.valueProb, r.restMass, r.coveredItem, items, workers)
 	// The pass re-anchored the scope's posteriors against the current
 	// parameters (and, on a vote-refreshing pass, the just-published votes):
 	// units whose whole reach was covered start accumulating drift from zero
 	// again.
 	em.SettleScopes(sc)
-	// A partial iteration hands the global M-steps exactly the scope's triple
-	// lists — the triples whose E-step outputs changed — so the incremental
-	// aggregates update in O(scope); a full pass (nil) re-aggregates the
-	// corpus.
-	var dirtyTris [][]int
-	if !sc.AllFull() {
-		dirtyTris = passTris
-	}
-	em.MStepSources(r.cProb, r.valueProb, dirtyTris)
-	em.MStepExtractors(r.cProb, dirtyTris)
+	em.MStepSources(r.cProb, r.valueProb, tris)
+	em.MStepExtractors(r.cProb, tris)
 
 	// Warm refreshes start from settled parameters, so the prior refinement
 	// of Eq 26 applies from the first iteration; cold runs follow the paper's
@@ -759,23 +762,17 @@ func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
 	// instead of a settled fixed point.
 	if r.copt.UpdatePrior && (r.warm || iter+1 >= r.copt.UpdatePriorFromIter) {
 		lo := em.PriorLogOdds()
-		if sc.AllFull() {
+		if tris == nil {
 			copy(prevLO, lo)
-			e.updatePrior(em, passTris, r.valueProb)
-			delta = core.MaxDeltaLogistic(prevLO, lo)
 		} else {
 			// Only the scope's priors can move, so snapshot and diff exactly
 			// those entries instead of copying the corpus.
-			for _, tl := range passTris {
-				for _, ti := range tl {
-					prevLO[ti] = lo[ti]
-				}
-			}
-			e.updatePrior(em, passTris, r.valueProb)
-			for _, tl := range passTris {
-				delta = core.MaxDeltaLogisticSubset(prevLO, lo, tl, delta)
+			for _, ti := range tris {
+				prevLO[ti] = lo[ti]
 			}
 		}
+		em.UpdatePrior(r.valueProb, tris, workers)
+		delta = core.MaxDeltaLogistic(prevLO, lo, tris)
 	}
 
 	// Each source charges its own accuracy movement against the items that
@@ -961,92 +958,11 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	return res
 }
 
-// materializeScope resolves the compiled scope into per-entry item and
-// triple index lists: a wholly-stale shard aliases its shard view's slices,
-// a partially-stale shard gathers its marked ranges' items and those items'
-// candidate triples into persistent backing buffers. Gather order is
-// deterministic — entries ascend by shard, ranges by position, items within
-// a range by dense id, TriplesOfItem ascending — so the fast path and the
-// FullRecompile oracle feed identically ordered index lists to the E-step,
-// the M-step deltas and the prior diff. The returned slices are valid until
-// the next call.
-func (e *Engine) materializeScope(snap *triple.Snapshot, shards []triple.Shard, sc *core.ScopeSet) (items, tris [][]int) {
-	n := sc.Len()
-	if cap(e.passItems) < n {
-		e.passItems = make([][]int, n)
-		e.passTris = make([][]int, n)
-		e.passEnds = make([][2]int, n)
-	}
-	items, tris = e.passItems[:n], e.passTris[:n]
-	ends := e.passEnds[:n]
-	itemBuf, triBuf := e.passItemBuf[:0], e.passTriBuf[:0]
-	for i := 0; i < n; i++ {
-		si, full, ranges := sc.At(i)
-		if !full {
-			sh := &shards[si]
-			for _, r := range ranges {
-				span := sh.ItemSpan(r)
-				itemBuf = append(itemBuf, span...)
-				for _, d := range span {
-					triBuf = append(triBuf, snap.TriplesOfItem[d]...)
-				}
-			}
-		}
-		ends[i] = [2]int{len(itemBuf), len(triBuf)}
-	}
-	pi, pt := 0, 0
-	for i := 0; i < n; i++ {
-		si, full, _ := sc.At(i)
-		if full {
-			items[i], tris[i] = shards[si].Items, shards[si].Triples
-		} else {
-			items[i], tris[i] = itemBuf[pi:ends[i][0]], triBuf[pt:ends[i][1]]
-		}
-		pi, pt = ends[i][0], ends[i][1]
-	}
-	e.passItemBuf, e.passTriBuf = itemBuf, triBuf
-	return items, tris
-}
-
-// eStep runs Stages I+II for the given per-scope-entry index lists, one pool
-// task per entry. Stage II of an item reads only the Stage I outputs of the
-// item's own candidate triples (which the same entry's triple list covers),
-// so fusing the two stages per entry is equivalent to the monolithic
-// two-pass order. When the scope is smaller than the pool, the leftover
-// workers parallelise within each entry instead of idling. An empty entry
-// (a wholly-stale shard that owns nothing) is skipped — the subset APIs
-// read nil as "everything".
-func (e *Engine) eStep(em *core.EM, items, tris [][]int, cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool) {
-	inner := e.innerWorkers(len(items))
-	parallel.ForEach(len(items), e.workers(), func(i int) {
-		if len(tris[i]) > 0 {
-			em.EStepTriples(cProb, tris[i], inner)
-		}
-		if len(items[i]) > 0 {
-			em.EStepItems(cProb, valueProb, restMass, coveredItem, items[i], inner)
-		}
-	})
-}
-
-// updatePrior refreshes the Eq 26 prior for the scope's triples. Clean rows
-// keep the prior derived from their unchanged value posteriors.
-func (e *Engine) updatePrior(em *core.EM, tris [][]int, valueProb [][]float64) {
-	inner := e.innerWorkers(len(tris))
-	parallel.ForEach(len(tris), e.workers(), func(i int) {
-		if len(tris[i]) == 0 {
-			return
-		}
-		em.UpdatePrior(valueProb, tris[i], inner)
-	})
-}
-
-// ensureFloats resizes a persistent scratch buffer without retaining old
-// content guarantees — callers fully overwrite what they read.
-func ensureFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+// resized returns buf with length n and unspecified content, growing its
+// backing array geometrically: the corpus gains a few rows every refresh, and
+// an exact fit would reallocate the scratch on each one.
+func resized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // workers resolves the effective worker bound: Options.Workers when set,
@@ -1056,23 +972,6 @@ func (e *Engine) workers() int {
 		return e.opt.Workers
 	}
 	return e.opt.Core.Workers
-}
-
-// innerWorkers splits the pool between across-shard and within-shard
-// parallelism: nTasks concurrent shard tasks leave workers/nTasks workers
-// each for their inner loops.
-func (e *Engine) innerWorkers(nTasks int) int {
-	if nTasks == 0 {
-		return 1
-	}
-	workers := e.workers()
-	if workers <= 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	if nTasks >= workers {
-		return 1
-	}
-	return (workers + nTasks - 1) / nTasks
 }
 
 // extendPosteriors grows prev's posterior arrays in place into the run's for

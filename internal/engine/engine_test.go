@@ -296,6 +296,103 @@ func TestWarmRefreshTouchesOnlyDirtyShards(t *testing.T) {
 	}
 }
 
+// blockItems returns the records of items [from, to) of a corpus for Stage
+// IV's block reduction: each item has its own predicate and is claimed by a
+// hub site and one of forty leaf sites, which errs on a third of its items;
+// extractor "wide" reads every claim with a varying confidence, "thin" every
+// eighth item's. wideNoise adds a hallucinated value by "wide" to every item.
+func blockItems(from, to int, wideNoise bool) []triple.Record {
+	var recs []triple.Record
+	add := func(e, site string, i int, obj string) {
+		recs = append(recs, triple.Record{Extractor: e, Website: site, Page: site + "/x",
+			Subject: fmt.Sprintf("S%05d", i), Predicate: fmt.Sprintf("pred%05d", i), Object: obj,
+			Confidence: float64(i%17+3) / 20})
+	}
+	for i := from; i < to; i++ {
+		leaf, second := fmt.Sprintf("leaf%02d.com", i%40), "T"
+		if i%3 == 0 {
+			second = "F"
+		}
+		add("wide", "hub.com", i, "T")
+		add("wide", leaf, i, second)
+		if i%8 == 0 {
+			add("thin", "hub.com", i, "T")
+		}
+		if wideNoise {
+			add("wide", leaf, i, "H")
+		}
+	}
+	return recs
+}
+
+// TestWarmRefreshParallelMatchesSerial: a warm sequence publishes bit-equal
+// generations, after equally many iterations, escalations and delta/full
+// M-steps, at any worker count — with an extractor whose Stage IV sum spans
+// more than three of core's 4096-observation blocks, through partial passes
+// (contiguous blocks of the gathered list, the vote-shifted rescan of the
+// delta M-step) and an escalation to a full pass (the nil lists).
+func TestWarmRefreshParallelMatchesSerial(t *testing.T) {
+	const base = 6500
+	steps := [][]triple.Record{
+		blockItems(0, base, false),
+		blockItems(base, base+3, false),
+		blockItems(base+3, base+400, true), // moves "wide" far beyond Tol
+		blockItems(base+400, base+402, false),
+	}
+	run := func(workers int) []*Result {
+		opt := DefaultOptions()
+		opt.Workers = workers
+		opt.Core.MaxIter = 30
+		opt.Core.Tol = 1e-4
+		eng := New(opt)
+		var out []*Result
+		for _, recs := range steps {
+			if err := eng.Ingest(recs...); err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	serial, wide := run(1), run(4)
+
+	snap := serial[0].Snapshot
+	if n := len(snap.ObsOfExtractor[snap.ExtractorID("wide")]); n <= 3*4096 {
+		t.Fatalf("fixture: the wide extractor has %d observations, want more than three blocks", n)
+	}
+	var partial, fullPass, deltaSteps int
+	for i, want := range serial {
+		got := wide[i]
+		tag := fmt.Sprintf("refresh %d", i)
+		assertResultsBitIdentical(t, tag, got.Inference, want.Inference)
+		if d := maxAbsDiff(expOf(got.Inference), expOf(want.Inference)); d != 0 {
+			t.Fatalf("%s: ExpectedTriples differ across worker counts by %g", tag, d)
+		}
+		if got.Escalations != want.Escalations || got.AggDeltaSteps != want.AggDeltaSteps ||
+			got.AggFullSteps != want.AggFullSteps || got.FirstPassShards != want.FirstPassShards ||
+			got.TouchedShards != want.TouchedShards {
+			t.Fatalf("%s: escalations/delta/full/first-pass/touched = %d/%d/%d/%d/%d at 4 workers, %d/%d/%d/%d/%d at 1", tag,
+				got.Escalations, got.AggDeltaSteps, got.AggFullSteps, got.FirstPassShards, got.TouchedShards,
+				want.Escalations, want.AggDeltaSteps, want.AggFullSteps, want.FirstPassShards, want.TouchedShards)
+		}
+		if want.Warm && want.FirstPassShards < want.TotalShards {
+			partial++
+		}
+		if want.Warm && want.Escalations > 0 && want.TouchedShards == want.TotalShards {
+			fullPass++
+		}
+		deltaSteps += want.AggDeltaSteps
+	}
+	if partial == 0 || fullPass == 0 || deltaSteps == 0 {
+		t.Fatalf("the sequence ran %d partial first passes, %d escalations to every shard and %d delta M-steps; want each at least once",
+			partial, fullPass, deltaSteps)
+	}
+}
+
 // TestRefreshWithoutPendingIsStable: once converged, refreshing without new
 // data must be warm, touch no shard, and keep the estimates bit-identical.
 func TestRefreshWithoutPendingIsStable(t *testing.T) {

@@ -177,7 +177,7 @@ func assertRefreshMatchesOracle(t *testing.T, tag string, fast *Engine, got, wan
 	// counts partition the shard space, the first pass is a subset of
 	// what the refresh touched, a cold refresh touches everything,
 	// and a no-op refresh touches nothing. Partially settled shards —
-	// touched only at item-range granularity, their remainder skipped —
+	// touched only at item granularity, their remainder skipped —
 	// count as touched, so they are a subset of the touched set and can
 	// never appear on a cold or no-op refresh.
 	if got.SettledShards+got.TouchedShards != got.TotalShards {
@@ -202,7 +202,7 @@ func assertRefreshMatchesOracle(t *testing.T, tag string, fast *Engine, got, wan
 	// The oracle rebuilds its state from scratch every refresh but
 	// carries the same drift ledger, so it must make the identical
 	// settling decisions — including how many shards settled only in
-	// part, the range-granularity decision surface.
+	// part, the item-granularity decision surface.
 	if got.SettledShards != want.SettledShards || got.Escalations != want.Escalations {
 		t.Fatalf("%s: settled/escalations = %d/%d, oracle %d/%d",
 			tag, got.SettledShards, got.Escalations, want.SettledShards, want.Escalations)
@@ -251,7 +251,7 @@ func assertRefreshMatchesOracle(t *testing.T, tag string, fast *Engine, got, wan
 // extractor EB attempts nearly every cell, while leaf sites and two narrow
 // extractors keep per-item conflict alive. Every warm ingest therefore moves
 // units whose reach spans the corpus — the schedule the sub-shard ledger must
-// confine at item-range granularity rather than staling whole shards.
+// confine at item granularity rather than staling whole shards.
 func broadReachStream(rng *rand.Rand, n int) []triple.Record {
 	nSubj := rng.Intn(12) + 8
 	nObj := rng.Intn(4) + 2
@@ -287,7 +287,7 @@ func broadReachStream(rng *rand.Rand, n int) []triple.Record {
 // EB — through the fast engine and the FullRecompile oracle. Beyond the full
 // oracle-parity contract (≤1e-9 surfaces, identical whole-shard and partial
 // settling decisions), the run as a whole must actually exercise the
-// range-granularity path: at least one refresh across the trials has to
+// item-granularity path: at least one refresh across the trials has to
 // settle some shard only partially, or the schedule is not testing what it
 // claims to.
 func TestFuzzBroadReachSubShardSettling(t *testing.T) {

@@ -6,9 +6,11 @@
 // triple truthfulness, source accuracy, extractor quality) is expressed as a
 // parallel loop over a dense index space with results written to disjoint
 // slots, so execution order cannot affect the outcome; a reduction is a loop
-// over its units, each summing its own rows in index order.
+// over its units — or, where one unit can hold the corpus, over fixed blocks
+// of each unit's rows — each summing its own rows in index order, with the
+// blocks' partials added in block order afterwards.
 //
-// The sharded engine layers a second level on top: ForEach over dirty
-// shards, with each shard's task invoking the same primitives over its own
-// index subset. StageTimer backs the Table 7 relative-cost harness.
+// The sharded engine adds no second level: a settling pass hands the same
+// primitives one ascending index list, and ForEach's contiguous batches are
+// its blocks. StageTimer backs the Table 7 relative-cost harness.
 package parallel

@@ -21,8 +21,8 @@
 // across refreshes and to keep warm-refresh compilation O(ingest).
 //
 // Snapshot.Shards partitions the item space by hashing item keys (see
-// Shard), giving the engine stable, disjoint slices of the E-step index
-// space; ExtendShards grows the views alongside Extend. The TSV codec
+// Shard), giving the engine stable, disjoint units of staleness tracking and
+// publication; ExtendShards grows the views alongside Extend. The TSV codec
 // (ReadTSV / WriteTSV / ParseTSVLine) is the interchange format of
 // cmd/kbt.
 package triple

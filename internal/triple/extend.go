@@ -8,13 +8,19 @@ import "slices"
 // bit-identical downstream inference. The parent is not mutated and remains
 // fully usable.
 //
-// Cost: the flat tables (observations, labels, dense-id maps' outer slices)
-// are copied by cheap memcpy/header-copy; all per-row index construction and
-// label interning is proportional to the new records and the items they
-// touch, not the corpus. Inverted-index rows untouched by the new records
-// share backing arrays with the parent; interning maps are layered
-// copy-on-write (flattened past a fixed depth, so lookup cost stays bounded
-// across arbitrarily long Extend lineages).
+// Cost: label interning and per-row index construction are proportional to
+// the new records and the items they touch, and the first Extend of a parent
+// appends to the flat tables (observations, triples, labels) in place.
+// Inverted-index rows untouched by the new records share backing arrays with
+// the parent; interning maps are layered copy-on-write (flattened past a
+// fixed depth, so lookup cost stays bounded across arbitrarily long Extend
+// lineages). Two memcpys are O(corpus) all the same: the six outer index
+// slices are cloned whole — one 24-byte row header per item, triple, source
+// and extractor — and a parent row is cloned whole before its first append,
+// so the row of a unit that spans the corpus (a hub site's TriplesOfSource,
+// an every-cell extractor's ObsOfExtractor) is copied again by every Extend.
+// At 80 k records with one such site and one such extractor a 100-record
+// Extend allocates 4.1 MB, 2.4 MB of it outer slices and 0.6 MB those rows.
 //
 // Invariants the child guarantees relative to its parent:
 //

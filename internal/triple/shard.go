@@ -7,31 +7,19 @@ import (
 
 // Shard is one partition of a Snapshot's data-item space. Items (and the
 // candidate triples that mention them) are assigned by hashing the item key,
-// so the Stage I and Stage II loops of the multi-layer model — which are
-// independent per candidate triple respectively per item — can run shard by
-// shard with no cross-shard writes. Sources and extractors are NOT
-// partitioned: their M-steps aggregate across every shard.
+// so a shard is a stable unit of staleness and of publication: the engine
+// tracks which shards a refresh re-estimated, and publication chunks and the
+// copy tracker are keyed by them. The E-step itself does not run shard by
+// shard — a shard's lists take every n-th dense id, and a settling pass reads
+// its scope in ascending dense-id order instead (core.EM.CompileScope).
+// Sources and extractors are NOT partitioned: their M-steps aggregate across
+// every shard.
 type Shard struct {
 	// Items lists the data-item ids owned by the shard, ascending.
 	Items []int
 	// Triples lists the candidate-triple indices (into Snapshot.Triples)
 	// whose data item is owned by the shard, ascending.
 	Triples []int
-}
-
-// ItemRange is a half-open [Lo,Hi) span of positions into Shard.Items — the
-// stable sub-shard view the staleness ledger confines settling sweeps to.
-// Positions (not item ids) make the range meaningful across snapshot
-// extensions: Items is ascending by dense id and extended append-only, so an
-// existing position keeps naming the same item forever and new items only
-// ever appear as a tail span.
-type ItemRange struct {
-	Lo, Hi int32
-}
-
-// ItemSpan returns the item ids of the range — a subslice of Items, no copy.
-func (sh *Shard) ItemSpan(r ItemRange) []int {
-	return sh.Items[r.Lo:r.Hi]
 }
 
 // ShardOf returns the shard index of an item key under n shards. The
