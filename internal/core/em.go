@@ -203,7 +203,9 @@ func (em *EM) Q() []float64 { return em.st.q }
 // stay marked dirty.
 func (em *EM) CarryParamsFrom(prev *EM) {
 	st, ps := em.st, prev.st
-	copy(st.a, ps.a)
+	for w := range st.a[:copy(st.a, ps.a)] {
+		st.syncVote(w)
+	}
 	copy(st.p, ps.p)
 	copy(st.r, ps.r)
 	copy(st.q, ps.q)
@@ -241,6 +243,7 @@ func (em *EM) SetSourceVoteWeights(weights []float64) {
 				led.srcDrift[w] += d
 			}
 			st.voteWeight[w] = nw
+			st.syncVote(w)
 		}
 	}
 }
@@ -254,17 +257,18 @@ func (em *EM) SourceVoteWeights() []float64 { return em.st.voteWeight }
 // weight state NewEMFrom carries in place, paired with CarryStalenessFrom so
 // both construction paths make identical discounting and settling decisions.
 func (em *EM) CarrySourceVoteWeightsFrom(prev *EM) {
-	old := prev.st.voteWeight
-	if old == nil {
-		em.st.voteWeight = nil
-		return
-	}
 	st := em.st
-	st.voteWeight = make([]float64, len(st.a))
-	for w := range st.voteWeight {
-		st.voteWeight[w] = 1
+	st.voteWeight = nil
+	if old := prev.st.voteWeight; old != nil {
+		st.voteWeight = make([]float64, len(st.a))
+		for w := range st.voteWeight {
+			st.voteWeight[w] = 1
+		}
+		copy(st.voteWeight, old)
 	}
-	copy(st.voteWeight, old)
+	for w := range st.srcVote {
+		st.syncVote(w)
+	}
 }
 
 // PriorLogOdds returns the live per-candidate-triple prior log odds. A warm

@@ -41,6 +41,9 @@ func NewEMFrom(prev *EM, s *triple.Snapshot, opt Options) (*EM, error) {
 		return nil, err
 	}
 	st := prev.st
+	if opt.N != st.opt.N {
+		return nil, errors.New("core: N differs from the previous EM's, whose kept source votes are derived from it")
+	}
 	if opt.IncrementalAggregates && st.agg == nil {
 		st.agg = newAggState(len(st.s.Sources), len(st.s.Extractors), len(st.s.Triples), len(st.s.Obs))
 	} else if !opt.IncrementalAggregates {
@@ -93,9 +96,10 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		}
 	}
 
-	// Inclusion: recompute (O(units), not O(corpus)) and detect old units
-	// flipping — the structural event that invalidates coverage, attempted
-	// scopes and the M-step caches.
+	// Inclusion: recompute and detect old units flipping — the structural
+	// event that invalidates coverage, attempted scopes and the M-step caches.
+	// O(units), two fresh slices a refresh: O(corpus) where a source is a page
+	// or a handful of items (serve_settled: units ≈ items), and left so.
 	srcInc, extInc := computeInclusion(s, opt)
 	structural := false
 	for w := 0; w < d.Sources && !structural; w++ {
@@ -133,6 +137,10 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.srcDirty = grow(st.srcDirty, numUnitChunks(nSrc), 1)
 	st.extDirty = grow(st.extDirty, numUnitChunks(nExt), 1)
 	st.a = grow(st.a, nSrc, 0)
+	st.srcVote = grow(st.srcVote, nSrc, 0)
+	if st.voteWeight != nil {
+		st.voteWeight = grow(st.voteWeight, nSrc, 1)
+	}
 	for w := d.Sources; w < nSrc; w++ {
 		st.initSourceParam(w)
 	}
@@ -145,10 +153,6 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.pre = grow(st.pre, nExt, 0)
 	st.ab = grow(st.ab, nExt, 0)
 	st.voteDelta = grow(st.voteDelta, nExt, 0)
-	st.srcVote = grow(st.srcVote, nSrc, 0)
-	if st.voteWeight != nil {
-		st.voteWeight = grow(st.voteWeight, nSrc, 1)
-	}
 
 	// Effective confidences for the new observations; raises are handled
 	// below once the aggregate arrays have grown.

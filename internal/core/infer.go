@@ -309,13 +309,18 @@ type state struct {
 	// excluded ones — the per-observation Stage I weight with the inclusion
 	// gate folded in (adding 0 is bit-neutral), kept in sync with pre/ab.
 	voteDelta []float64
-	// srcVote[w] caches SourceVote(a[w], N) per iteration, so Stage II reads
-	// two floats per triple instead of computing two logarithms.
+	// srcVote[w] is source w's Stage II vote, SourceVote(a[w], opt.N) times
+	// voteWeight[w] when weights are set: two floats per triple instead of two
+	// logarithms. An invariant, not a per-iteration cache: each writer of a or
+	// voteWeight — setA, initSourceParam (newState, extendState),
+	// CarryParamsFrom, SetSourceVoteWeights, CarrySourceVoteWeightsFrom —
+	// calls syncVote, and opt.N is fixed for the state's life (NewEMFrom
+	// rejects another).
 	srcVote []float64
 	// voteWeight, when non-nil, multiplies each source's Stage II vote — the
 	// copy-adjusted discounting hook (EM.SetSourceVoteWeights): a detected
 	// copier's weight drops below 1 so its echoed votes stop reinforcing the
-	// original's values. nil means all-ones and costs nothing per iteration.
+	// original's values. nil means all-ones.
 	voteWeight []float64
 
 	alphaLO []float64 // per candidate triple: log odds of p(C=1) prior
@@ -415,6 +420,7 @@ func newState(s *triple.Snapshot, opt Options) *state {
 		st.extDirty[ci] = 1
 	}
 	st.a = make([]float64, nSrc)
+	st.srcVote = make([]float64, nSrc)
 	for w := range st.a {
 		st.initSourceParam(w)
 	}
@@ -427,7 +433,6 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	st.pre = make([]float64, nExt)
 	st.ab = make([]float64, nExt)
 	st.voteDelta = make([]float64, nExt)
-	st.srcVote = make([]float64, nSrc)
 
 	// Effective confidences.
 	st.conf = make([]float64, len(s.Obs))
@@ -517,15 +522,26 @@ func computeInclusion(s *triple.Snapshot, opt Options) (srcInc, extInc []bool) {
 	return srcInc, extInc
 }
 
-// setA/setP/setR/setQ are the only writers of the parameter arrays: they
-// compare before storing so that an estimator landing on the identical value
-// (the common case for units outside a refresh's dirty set) leaves the
-// chunk's publication sharing intact.
+// setA/setP/setR/setQ are the only per-unit writers of the parameter arrays:
+// they compare before storing so that an estimator landing on the identical
+// value (the common case for units outside a refresh's dirty set) leaves the
+// chunk's publication sharing intact. setA also keeps the source's vote: one
+// M-step worker writes a given w, so its vote has one writer too.
 func (st *state) setA(w int, v float64) {
 	if st.a[w] != v {
 		st.a[w] = v
 		markUnit(st.srcDirty, w)
+		st.syncVote(w)
 	}
+}
+
+// syncVote re-derives srcVote[w]; whoever wrote a[w] or voteWeight[w] calls it.
+func (st *state) syncVote(w int) {
+	v := SourceVote(st.a[w], st.opt.N)
+	if st.voteWeight != nil {
+		v *= st.voteWeight[w]
+	}
+	st.srcVote[w] = v
 }
 
 func (st *state) setP(e int, v float64) {
@@ -551,13 +567,15 @@ func (st *state) setQ(e int, v float64) {
 
 // initSourceParam seeds source w's accuracy from the defaults and the
 // explicit initialisation map — the per-unit half of newState's parameter
-// setup, shared with extendState for units that appear later.
+// setup, shared with extendState for units that appear later. The vote is
+// derived whether or not setA found the slot already holding the value.
 func (st *state) initSourceParam(w int) {
 	a := st.opt.InitAccuracy
 	if v, ok := st.opt.InitialSourceAccuracy[w]; ok && st.srcIncluded[w] {
 		a = stats.ClampProb(v)
 	}
 	st.setA(w, a)
+	st.syncVote(w)
 }
 
 // initExtractorParams seeds extractor e's precision, recall and Q.
@@ -688,11 +706,11 @@ func (st *state) selectiveVotes() {
 }
 
 // prepareVotes readies the per-iteration vote state: optionally refreshed
-// extractor votes, the Stage II per-source vote cache, the folded Stage I
-// vote deltas, and the base absence mass — per (source, predicate) cell, or
-// globally under ScopeAllExtractors. Everything derived here is rebuilt in
-// canonical order each call, so two states with equal parameters produce
-// bit-identical vote state regardless of how they were constructed.
+// extractor votes, the folded Stage I vote deltas, and the base absence mass
+// — per (source, predicate) cell, or globally under ScopeAllExtractors (the
+// Stage II source votes are kept by their writers: state.srcVote). Everything
+// derived here is rebuilt in canonical order, so two states with equal
+// parameters produce bit-identical vote state however they were constructed.
 func (st *state) prepareVotes(refreshVotes bool) {
 	if refreshVotes {
 		st.computeVotes()
@@ -702,14 +720,6 @@ func (st *state) prepareVotes(refreshVotes bool) {
 		// a stale mass structure falls through to the canonical rebuild,
 		// which reads the freshly republished votes.
 		st.selectiveVotes()
-	}
-	for w := range st.srcVote {
-		st.srcVote[w] = SourceVote(st.a[w], st.opt.N)
-	}
-	if st.voteWeight != nil {
-		for w := range st.srcVote {
-			st.srcVote[w] *= st.voteWeight[w]
-		}
 	}
 	if !refreshVotes && !st.absenceStale {
 		// Frozen (or selectively adjusted) votes over an unchanged

@@ -24,8 +24,8 @@ import (
 // The ledger tracks, per unit, the movement of what the E-step actually
 // consumes:
 //
-//   - per source: |ΔA_w| accumulated every M-step (srcVote is recomputed from
-//     the live accuracy each iteration), together with the items holding the
+//   - per source: |ΔA_w| accumulated every M-step (srcVote follows the live
+//     accuracy write for write), together with the items holding the
 //     source's candidate triples — the only rows whose cached posteriors
 //     read A_w;
 //   - per extractor: the published vote-parameter movement |ΔR_e| + |ΔQ_e|,

@@ -252,6 +252,7 @@ func TestCopyDiscountConverges(t *testing.T) {
 		if d := maxAbsDiff(aOf(got.Inference), aOf(want.Inference)); d > tol {
 			t.Fatalf("batch %d: accuracies diverge from oracle by %g", bi, d)
 		}
+		assertKeptVotes(t, fmt.Sprintf("batch %d", bi), fast)
 	}
 	settled := false
 	for i := 0; i < 30; i++ {
@@ -262,6 +263,8 @@ func TestCopyDiscountConverges(t *testing.T) {
 		if want, err = oracle.Refresh(); err != nil {
 			t.Fatal(err)
 		}
+		// Every refresh here ends by installing discounts: vote weights move.
+		assertKeptVotes(t, fmt.Sprintf("feedback refresh %d", i), fast)
 		if got.NoOp {
 			settled = true
 			break

@@ -69,6 +69,32 @@ func assertSnapshotsBitIdentical(t *testing.T, tag string, got, want *triple.Sna
 	cmp("SourcesOfExtractor", got.SourcesOfExtractor, want.SourcesOfExtractor)
 }
 
+// assertKeptVotes checks the EM state's kept Stage II source votes in situ,
+// through what an engine test can reach: Stage II over the live state must
+// equal, bit for bit, Stage II over a fresh state of the same snapshot that
+// carries the parameters and the vote weights, and so derives every vote
+// anew. (core's TestSourceVoteInvariant reads the votes themselves.)
+func assertKeptVotes(t *testing.T, tag string, e *Engine) {
+	t.Helper()
+	fresh, err := core.NewEM(e.snap, e.opt.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.CarryParamsFrom(e.em)
+	fresh.CarrySourceVoteWeightsFrom(e.em)
+	nItem := len(e.snap.Items)
+	stage2 := func(em *core.EM) ([][]float64, []float64) {
+		valueProb, restMass := make([][]float64, nItem), make([]float64, nItem)
+		em.EStepItems(e.cProb, valueProb, restMass, make([]bool, nItem), nil, 1)
+		return valueProb, restMass
+	}
+	gotVP, gotRest := stage2(e.em)
+	wantVP, wantRest := stage2(fresh)
+	if !reflect.DeepEqual(gotVP, wantVP) || !reflect.DeepEqual(gotRest, wantRest) {
+		t.Fatalf("%s: Stage II through the kept source votes differs from Stage II through votes derived anew", tag)
+	}
+}
+
 // TestFuzzIncrementalAggregatesMatchOracle drives randomized ingest
 // schedules through the default engine (extended EM state + incremental
 // M-step aggregates + per-unit staleness settling) and the FullRecompile +
@@ -244,6 +270,7 @@ func assertRefreshMatchesOracle(t *testing.T, tag string, fast *Engine, got, wan
 		t.Fatalf("%s: iterations/converged = %d/%v, oracle %d/%v",
 			tag, g.Iterations, g.Converged, w.Iterations, w.Converged)
 	}
+	assertKeptVotes(t, tag, fast)
 }
 
 // broadReachStream builds a corpus dominated by broad-reach units: hub.com

@@ -6,21 +6,27 @@ import "slices"
 // equal to compiling the parent's records followed by the new ones in one
 // batch — bit-identical tables, indexes and canonical order, hence
 // bit-identical downstream inference. The parent is not mutated and remains
-// fully usable.
+// fully usable, also while the child is being built.
 //
-// Cost: label interning and per-row index construction are proportional to
-// the new records and the items they touch, and the first Extend of a parent
-// appends to the flat tables (observations, triples, labels) in place.
-// Inverted-index rows untouched by the new records share backing arrays with
-// the parent; interning maps are layered copy-on-write (flattened past a
-// fixed depth, so lookup cost stays bounded across arbitrarily long Extend
-// lineages). Two memcpys are O(corpus) all the same: the six outer index
-// slices are cloned whole — one 24-byte row header per item, triple, source
-// and extractor — and a parent row is cloned whole before its first append,
-// so the row of a unit that spans the corpus (a hub site's TriplesOfSource,
-// an every-cell extractor's ObsOfExtractor) is copied again by every Extend.
-// At 80 k records with one such site and one such extractor a 100-record
-// Extend allocates 4.1 MB, 2.4 MB of it outer slices and 0.6 MB those rows.
+// Cost: O(records + log-amortised interning) plus one row header for every
+// unit of a kind whose old rows the batch grows. The first Extend of a parent
+// claims its tail (Snapshot.tailClaimed) and shares what it does not touch: it
+// appends to the flat tables, and to the outer arrays of ItemValues and the
+// five inverted indexes, in their spare capacity. Growing a parent's row
+// replaces its header, so the first such write to a table copies that table's
+// outer array (rowTable.set) — the extractor tables on every batch, a few
+// rows; TriplesOfSource when a known source says something new;
+// TriplesOfItem, ByTriple and ItemValues (Delta.GrownItems) when a known item
+// or triple is extracted again, and those are O(corpus) headers: a stream of
+// new pages about known entities pays them, which ROADMAP item 5 leaves to a
+// measurement. The row itself is appended to in place, the parent never
+// reading past its own length (an insert before a sorted row's end copies the
+// row, once per call). Interning layers merge geometrically: over a lineage a
+// label is re-inserted O(log n) times. Also outside the bound: a table or row
+// that outgrows its capacity is regrown by append (amortised); a raised
+// confidence copies Obs (Delta.RaisedObs); and a second child of the same
+// parent copies every table, each index row clipped to its length so that no
+// later append lands in the claimant's capacity.
 //
 // Invariants the child guarantees relative to its parent:
 //
@@ -39,12 +45,14 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 	if s.labelCompiled {
 		panic("triple: Extend on a snapshot compiled with positional label overrides")
 	}
+	// One claimant: a second child's appends would collide in the shared tail.
+	claimed := s.tailClaimed.CompareAndSwap(false, true)
 	c := &Snapshot{
-		sourceIdx:    s.sourceIdx.child(s.Sources),
-		extractorIdx: s.extractorIdx.child(s.Extractors),
-		itemIdx:      s.itemIdx.child(s.Items),
-		valueIdx:     s.valueIdx.child(s.Values),
-		predIdx:      s.predIdx.child(s.Predicates),
+		sourceIdx:    s.sourceIdx.child(),
+		extractorIdx: s.extractorIdx.child(),
+		itemIdx:      s.itemIdx.child(),
+		valueIdx:     s.valueIdx.child(),
+		predIdx:      s.predIdx.child(),
 
 		copt: s.copt,
 
@@ -55,44 +63,29 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 			Sources: len(s.Sources), Extractors: len(s.Extractors), Values: len(s.Values),
 		},
 
-		// Outer index slices are cloned so row clones and appends never
-		// write into the parent's arrays (a row-pointer replacement in a
-		// shared outer array would change what the parent reads); the rows
-		// themselves stay shared until the appender touches them.
-		ItemValues:         slices.Clone(s.ItemValues),
-		ByTriple:           slices.Clone(s.ByTriple),
-		TriplesOfItem:      slices.Clone(s.TriplesOfItem),
-		TriplesOfSource:    slices.Clone(s.TriplesOfSource),
-		ObsOfExtractor:     slices.Clone(s.ObsOfExtractor),
-		SourcesOfExtractor: slices.Clone(s.SourcesOfExtractor),
+		// The claimant adopts the parent's backing arrays and appends into
+		// their spare capacity, never writing the prefixes the parent's
+		// holders read: a write below a parent's length (a raised confidence
+		// in appender.appendIDs, a grown row in rowTable.set) first unshares
+		// the array it lands in.
+		ByTriple:           forkRows(s.ByTriple, claimed),
+		TriplesOfItem:      forkRows(s.TriplesOfItem, claimed),
+		TriplesOfSource:    forkRows(s.TriplesOfSource, claimed),
+		ObsOfExtractor:     forkRows(s.ObsOfExtractor, claimed),
+		SourcesOfExtractor: forkRows(s.SourcesOfExtractor, claimed),
+
+		obsShared:  claimed,
+		Obs:        adopt(s.Obs, claimed),
+		ItemValues: adopt(s.ItemValues, claimed),
+		Triples:    adopt(s.Triples, claimed),
+		Sources:    adopt(s.Sources, claimed),
+		Extractors: adopt(s.Extractors, claimed),
+		Items:      adopt(s.Items, claimed),
+		Values:     adopt(s.Values, claimed),
+		Predicates: adopt(s.Predicates, claimed),
+		PredOfItem: adopt(s.PredOfItem, claimed),
 	}
-	// The flat tables are append-only, so the child can adopt the parent's
-	// backing arrays outright and append into their spare capacity — the
-	// prefixes every holder of the parent reads are never written again.
-	// Only the first Extend of a given parent may do this (appends by a
-	// second child would collide in the shared tail); later ones, and the
-	// rare in-place confidence raise (see appender.appendIDs), copy.
-	if s.tailClaimed.CompareAndSwap(false, true) {
-		c.Obs = s.Obs
-		c.obsShared = true
-		c.Triples = s.Triples
-		c.Sources = s.Sources
-		c.Extractors = s.Extractors
-		c.Items = s.Items
-		c.Values = s.Values
-		c.Predicates = s.Predicates
-		c.PredOfItem = s.PredOfItem
-	} else {
-		c.Obs = append(make([]Observation, 0, len(s.Obs)+len(records)), s.Obs...)
-		c.Triples = slices.Clone(s.Triples)
-		c.Sources = slices.Clone(s.Sources)
-		c.Extractors = slices.Clone(s.Extractors)
-		c.Items = slices.Clone(s.Items)
-		c.Values = slices.Clone(s.Values)
-		c.Predicates = slices.Clone(s.Predicates)
-		c.PredOfItem = slices.Clone(s.PredOfItem)
-	}
-	ap := newAppender(c, len(records))
+	ap := newAppender(c, *c.delta, claimed, len(records))
 	for ri := range records {
 		r := &records[ri]
 		e := c.internExtractor(c.copt.ExtractorKey(*r))
@@ -100,4 +93,25 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		ap.appendIDs(e, w, c.internItem(r), c.valueIdx.intern(&c.Values, r.Object), r.Conf())
 	}
 	return c
+}
+
+// adopt returns the table a child starts from: a copy, unless it is the claimant.
+func adopt[T any](table []T, claimed bool) []T {
+	if claimed {
+		return table
+	}
+	return slices.Clone(table)
+}
+
+// forkRows is adopt for an index whose rows a build appends to in place: a
+// copy's rows are clipped to their lengths, so nothing it or a descendant
+// appends lands in the spare capacity the claimant inherited.
+func forkRows(rows [][]int, claimed bool) [][]int {
+	rows = adopt(rows, claimed)
+	if !claimed {
+		for i, row := range rows {
+			rows[i] = slices.Clip(row)
+		}
+	}
+	return rows
 }

@@ -2,8 +2,12 @@ package triple
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -122,12 +126,12 @@ func TestExtendMatchesCompile(t *testing.T) {
 }
 
 // TestExtendChainMatchesCompile: a chain of many small extends — the serving
-// pattern, long enough to cross the intern-table flattening depth — must
+// pattern, long enough for the intern layers to fold many times — must
 // stay equal to one-shot compilation at every step.
 func TestExtendChainMatchesCompile(t *testing.T) {
 	recs := randomStream(2, 600)
 	opt := CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}
-	const step = 10 // 60 extends: crosses maxInternDepth several times
+	const step = 10 // 60 extends
 	snap := (&Dataset{Records: recs[:step]}).Compile(opt)
 	for cut := step; cut < len(recs); cut += step {
 		end := min(cut+step, len(recs))
@@ -135,6 +139,18 @@ func TestExtendChainMatchesCompile(t *testing.T) {
 		if (end/step)%12 == 0 || end == len(recs) {
 			want := (&Dataset{Records: recs[:end]}).Compile(opt)
 			requireEqualSnapshots(t, snap, want)
+		}
+	}
+	// Layers more than double going down a chain, empty ones are skipped: sixty
+	// forks leave a chain logarithmic in the vocabulary, not sixty deep.
+	for name, tab := range map[string]*internTable{"items": snap.itemIdx, "extractors": snap.extractorIdx, "values": snap.valueIdx} {
+		depth, labels := 0, 0
+		for l := tab; l != nil; l = l.parent {
+			depth++
+			labels += len(l.idx)
+		}
+		if depth > bits.Len(uint(labels))+1 {
+			t.Errorf("%s: %d intern layers over %d labels", name, depth, labels)
 		}
 	}
 }
@@ -259,4 +275,213 @@ func TestExtendLabelCompiledPanics(t *testing.T) {
 		}
 	}()
 	s.Extend(recs[:1])
+}
+
+// wideStream emits n records over many items — item i witnessed by site i/4
+// and read by two extractors; next carries the item counter across calls.
+func wideStream(n int, next *int) []Record {
+	recs := make([]Record, 0, n)
+	for ; len(recs) < n; *next++ {
+		site := fmt.Sprintf("w%05d.com", *next/4)
+		for _, e := range []string{"E0", "E1"} {
+			recs = append(recs, Record{Extractor: e, Website: site, Page: site + "/x",
+				Subject: fmt.Sprintf("S%06d", *next), Predicate: "p", Object: "v", Confidence: 0.9})
+		}
+	}
+	return recs
+}
+
+// sameArray reports whether two tables start in the same backing array.
+func sameArray(a, b [][]int) bool { return &a[0] == &b[0] }
+
+// TestExtendSharesUntouchedTables pins the sharing Extend's cost rests on, and
+// that it is sound. A batch of new items on new sites leaves the outer arrays
+// of ByTriple, TriplesOfItem, TriplesOfSource and ItemValues the parent's; it
+// grows the two extractors' rows, so it copies those two small tables, and
+// appends to the rows themselves in the parent's spare capacity. A batch that
+// grows old rows everywhere then copies before it writes; a second child of
+// the same snapshot, built after the first has appended in place, must not see
+// those appends, nor may its own child collide with them. Every snapshot of
+// the lineage equals Compile of its own records, table for table.
+func TestExtendSharesUntouchedTables(t *testing.T) {
+	opt := CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}
+	next := 0
+	base := wideStream(3200, &next)
+	parent := (&Dataset{Records: base}).Compile(opt)
+	fresh := wideStream(24, &next) // 12 new items on 3 new sites
+	for name, tab := range map[string][][]int{"ByTriple": parent.ByTriple, "TriplesOfItem": parent.TriplesOfItem,
+		"TriplesOfSource": parent.TriplesOfSource, "ItemValues": parent.ItemValues} {
+		if cap(tab)-len(tab) < len(fresh) {
+			t.Fatalf("test premise: the parent's %s has no room for the batch (len %d cap %d)", name, len(tab), cap(tab))
+		}
+	}
+	first := parent.Extend(fresh)
+	for name, tabs := range map[string][2][][]int{
+		"ByTriple":        {first.ByTriple, parent.ByTriple},
+		"TriplesOfItem":   {first.TriplesOfItem, parent.TriplesOfItem},
+		"TriplesOfSource": {first.TriplesOfSource, parent.TriplesOfSource},
+		"ItemValues":      {first.ItemValues, parent.ItemValues},
+	} {
+		if !sameArray(tabs[0], tabs[1]) {
+			t.Errorf("%s was copied by a batch that grows none of the parent's rows in it", name)
+		}
+	}
+	if sameArray(first.ObsOfExtractor, parent.ObsOfExtractor) || sameArray(first.SourcesOfExtractor, parent.SourcesOfExtractor) {
+		t.Error("an extractor table grew a parent's row in the parent's own array")
+	}
+	// E0's observation row is the parent's with a tail: same backing array.
+	e0 := parent.ExtractorID("E0")
+	pr, cr := parent.ObsOfExtractor[e0], first.ObsOfExtractor[e0]
+	if cap(pr) == len(pr) {
+		t.Fatalf("test premise: the parent's E0 row has no spare capacity (len %d)", len(pr))
+	}
+	if len(cr) <= len(pr) || &cr[0] != &pr[0] {
+		t.Errorf("E0's row was copied (parent len %d cap %d, child len %d); want an append in place", len(pr), cap(pr), len(cr))
+	}
+
+	// A new value for old items 5 and 6 (their TriplesOfItem, TriplesOfSource
+	// and ItemValues rows grow), a second observation of old triple 7 by a new
+	// extractor (its ByTriple row grows), and fresh items.
+	grow := func(tag string) []Record {
+		batch := []Record{
+			{Extractor: "E0", Website: "w00001.com", Page: "x", Subject: "S000005", Predicate: "p", Object: "new" + tag},
+			{Extractor: "E1", Website: "w00001.com", Page: "x", Subject: "S000006", Predicate: "p", Object: "new" + tag},
+			{Extractor: "E2" + tag, Website: "w00001.com", Page: "x", Subject: "S000007", Predicate: "p", Object: "v"},
+		}
+		return append(batch, wideStream(20, &next)...)
+	}
+	secondRecs, thirdRecs, fourthRecs := grow("a"), grow("b"), grow("c")
+	second := first.Extend(secondRecs) // claims first: shares until it grows an old row
+	third := first.Extend(thirdRecs)   // after second has appended in place
+	fourth := third.Extend(fourthRecs) // claims third: must not write where second did
+	compiled := func(batches ...[]Record) *Snapshot {
+		return (&Dataset{Records: slices.Concat(batches...)}).Compile(opt)
+	}
+	requireEqualSnapshots(t, parent, compiled(base))
+	requireEqualSnapshots(t, first, compiled(base, fresh))
+	requireEqualSnapshots(t, second, compiled(base, fresh, secondRecs))
+	requireEqualSnapshots(t, third, compiled(base, fresh, thirdRecs))
+	requireEqualSnapshots(t, fourth, compiled(base, fresh, thirdRecs, fourthRecs))
+	if !grownItemsMatch(parent, first) || !grownItemsMatch(first, second) || !grownItemsMatch(first, third) || !grownItemsMatch(third, fourth) {
+		t.Error("GrownItems does not name the items whose value rows grew")
+	}
+}
+
+// TestExtendBesideParentReaders reads every row of a parent snapshot on one
+// goroutine while a chain of children extends it on another: the children
+// append into the parent's spare capacity, past every length the parent
+// reads. The race detector is the referee; the checksum only keeps the reads
+// honest.
+func TestExtendBesideParentReaders(t *testing.T) {
+	opt := CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}
+	next := 0
+	parent := (&Dataset{Records: wideStream(2400, &next)}).Compile(opt)
+	sum := func() (n int) {
+		for _, tab := range [][][]int{parent.ByTriple, parent.TriplesOfItem, parent.TriplesOfSource,
+			parent.ObsOfExtractor, parent.SourcesOfExtractor, parent.ItemValues} {
+			for _, row := range tab {
+				for _, x := range row {
+					n += x
+				}
+			}
+		}
+		return n + len(parent.Obs) + len(parent.Triples)
+	}
+	want := sum()
+
+	started, done := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; ; pass++ {
+			if got := sum(); got != want {
+				t.Errorf("pass %d: the parent's tables changed under its reader: checksum %d, want %d", pass, got, want)
+				return
+			}
+			if pass == 0 {
+				close(started)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	child := parent
+	for i := 0; i < 20; i++ {
+		batch := append(wideStream(30, &next),
+			Record{Extractor: "E0", Website: "w00000.com", Page: "x", Subject: "S000001", Predicate: "p", Object: fmt.Sprintf("n%d", i)})
+		child = child.Extend(batch)
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestExtendCostIndependentOfCorpus: what sixty 100-record Extends allocate
+// must not grow with the base they extend — within 2x from 25k to 200k
+// records (the cloned outer tables made it 6x) — on a group-local stream
+// (every batch brings its own sources) and on a hub stream (one site and one
+// extractor span the corpus, the other sources are a fixed 2048). A batch ends
+// on a whole group of four items, as the benchmark's streams do: one that cuts
+// a group makes the next grow a known source's row, which copies a header per
+// source (group-local, cut: 122 KiB on 25k records, 346 on 200k). One Extend
+// runs before the count starts: Compile sizes Obs exactly, so the first append
+// regrows it, a cost every flat table pays once per quarter of its length,
+// not per Extend.
+func TestExtendCostIndependentOfCorpus(t *testing.T) {
+	shapes := map[string]func(i int, add func(e, w string, wrong bool)){
+		"group-local": func(i int, add func(e, w string, wrong bool)) {
+			for k, site := range []string{"-a.com", "-b.com", "-c.com", "-d.com"} {
+				for _, e := range []string{"E1", "E2", "E3"} {
+					add(e, fmt.Sprintf("g%06d%s", i/4, site), k == 3 && i%10 < 7)
+				}
+			}
+		},
+		"hub": func(i int, add func(e, w string, wrong bool)) {
+			add("EB", "hub.com", i%5 == 0)
+			add("EB", fmt.Sprintf("leaf%04d.com", i/4%2048), false)
+			add("EB", fmt.Sprintf("leaf%04d.com", (i/4+7)%2048), i%10 < 3)
+		},
+	}
+	opt := CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}
+	for name, item := range shapes {
+		next := 0
+		stream := func(n int) []Record {
+			recs := make([]Record, 0, n+48)
+			for ; len(recs) < n || next%4 != 0; next++ {
+				subj := fmt.Sprintf("S%07d", next)
+				item(next, func(e, w string, wrong bool) {
+					obj := "v" + subj
+					if wrong {
+						obj = "w" + subj
+					}
+					recs = append(recs, Record{Extractor: e, Website: w, Page: w + "/x",
+						Subject: subj, Predicate: "p" + subj, Object: obj, Confidence: 0.9})
+				})
+			}
+			return recs
+		}
+		perExtend := func(base int) uint64 {
+			snap := (&Dataset{Records: stream(base)}).Compile(opt).Extend(stream(100))
+			batches := make([][]Record, 60)
+			for i := range batches {
+				batches[i] = stream(100)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, b := range batches {
+				snap = snap.Extend(b)
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / uint64(len(batches))
+		}
+		small, large := perExtend(25_000), perExtend(200_000)
+		t.Logf("%s: %d KiB per Extend on 25k records, %d KiB on 200k", name, small>>10, large>>10)
+		if large >= 2*small {
+			t.Errorf("%s: an Extend allocates %d bytes on a 200k-record base, %d on 25k: the cost grows with the corpus", name, large, small)
+		}
+	}
 }

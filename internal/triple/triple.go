@@ -2,6 +2,7 @@ package triple
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -195,13 +196,13 @@ type Snapshot struct {
 	delta *Delta
 
 	// tailClaimed grants the first Extend of this snapshot the right to
-	// append into the spare capacity of the flat append-only tables (Obs,
-	// Triples, labels, PredOfItem) instead of copying them. The value
-	// prefixes every reader sees stay immutable either way; later Extends
-	// of the same parent fall back to cloning. obsShared marks an adopted
-	// Obs backing, which must be unshared before the one in-place mutation
-	// the build performs (a duplicate cell raising a parent observation's
-	// confidence).
+	// append into spare capacity instead of copying: of the flat append-only
+	// tables (Obs, Triples, labels, PredOfItem), of the outer arrays of
+	// ItemValues and the five inverted indexes, and of each index row. One
+	// claimant per parent makes the lineage that appends in place a chain,
+	// and no snapshot reads past its own lengths; later Extends copy (forkRows).
+	// An adopted array is unshared before the build writes below the parent's
+	// length: obsShared marks Obs, rowTable.shared the row tables.
 	tailClaimed atomic.Bool
 	obsShared   bool
 
@@ -226,7 +227,7 @@ type Snapshot struct {
 	ObsOfExtractor [][]int
 
 	// SourcesOfExtractor lists, per extractor, the distinct sources it
-	// extracted at least one triple from (its "attempted" scope).
+	// extracted at least one triple from (its "attempted" scope), ascending.
 	SourcesOfExtractor [][]int
 }
 
@@ -269,11 +270,11 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	recs := d.Records
 	s := &Snapshot{
 		Obs:           make([]Observation, 0, len(recs)),
-		sourceIdx:     newInternTable(),
-		extractorIdx:  newInternTable(),
-		itemIdx:       newInternTable(),
-		valueIdx:      newInternTable(),
-		predIdx:       newInternTable(),
+		sourceIdx:     &internTable{},
+		extractorIdx:  &internTable{},
+		itemIdx:       &internTable{},
+		valueIdx:      &internTable{},
+		predIdx:       &internTable{},
 		copt:          CompileOptions{SourceKey: opt.SourceKey, ExtractorKey: opt.ExtractorKey},
 		labelCompiled: opt.SourceLabels != nil || opt.ExtractorLabels != nil,
 	}
@@ -306,7 +307,7 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	vs := column(func(ri int) int { return s.valueIdx.intern(&s.Values, recs[ri].Object) })
 	wg.Wait()
 
-	ap := newAppender(s, len(recs))
+	ap := newAppender(s, Delta{}, false, len(recs))
 	for ri := range recs {
 		ap.appendIDs(es[ri], ws[ri], ds[ri], vs[ri], recs[ri].Conf())
 	}
@@ -347,32 +348,30 @@ func (s *Snapshot) internItem(r *Record) int {
 
 // internTable interns labels into dense ids with copy-on-write layering:
 // a child table records only the labels first seen after the fork and
-// delegates older labels to its parent chain. Chains are flattened once
-// they grow past maxInternDepth, bounding lookup cost across arbitrarily
-// long Extend lineages without copying the full vocabulary on every fork.
+// delegates older labels to its parent chain. Layers merge geometrically (see
+// child), so a chain is O(log n) deep however long the Extend lineage.
 type internTable struct {
-	idx    map[string]int
+	idx    map[string]int // nil until the layer's first label
 	parent *internTable
-	depth  int
 }
 
-const maxInternDepth = 16
-
-func newInternTable() *internTable {
-	return &internTable{idx: make(map[string]int)}
-}
-
-// child forks a copy-on-write view of the table. labels is the authoritative
-// id→label list, used to flatten deep chains.
-func (t *internTable) child(labels []string) *internTable {
-	if t.depth+1 >= maxInternDepth {
-		idx := make(map[string]int, len(labels))
-		for i, l := range labels {
-			idx[l] = i
-		}
-		return &internTable{idx: idx}
+// child forks a copy-on-write layer over t, which is read-only from here on
+// (the parent snapshot keeps looking labels up in it). A top layer at least
+// half the size of the one below is first folded into it — into a fresh map,
+// t's holders keep theirs — and an empty one is skipped: layer sizes more than
+// double down the chain, so it is O(log n) deep and re-inserts a label as often.
+func (t *internTable) child() *internTable {
+	for t.parent != nil && 2*len(t.idx) >= len(t.parent.idx) {
+		under := t.parent
+		idx := make(map[string]int, len(t.idx)+len(under.idx))
+		maps.Copy(idx, under.idx)
+		maps.Copy(idx, t.idx)
+		t = &internTable{idx: idx, parent: under.parent}
 	}
-	return &internTable{idx: make(map[string]int), parent: t, depth: t.depth + 1}
+	if len(t.idx) == 0 && t.parent != nil {
+		t = t.parent
+	}
+	return &internTable{parent: t}
 }
 
 func (t *internTable) lookup(key string) (int, bool) {
@@ -391,65 +390,75 @@ func (t *internTable) intern(list *[]string, key string) int {
 		return i
 	}
 	i := len(*list)
+	if t.idx == nil {
+		t.idx = make(map[string]int)
+	}
 	t.idx[key] = i
 	*list = append(*list, key)
 	return i
 }
 
 // appender is the transient per-call state of the shared append-only build
-// path used by both Compile (from an empty snapshot) and Extend (from a
-// copy-on-write child of the parent): both resolve their records to dense ids
-// and hand the ids to appendIDs. It maintains every inverted index
-// incrementally, cloning a parent-owned row the first time the call touches
-// it, and seeds its candidate-triple/observation lookup maps lazily per data
-// item — so an Extend call does work proportional to the new records plus
-// the items they touch, never the corpus.
+// path used by both Compile (from an empty snapshot) and Extend (from a fork
+// of the parent): both resolve their records to dense ids and hand the ids to
+// appendIDs. It maintains every inverted index through the tables' write
+// handles and seeds its lookup maps lazily per data item, so an Extend does
+// work proportional to the new records plus the items they touch.
 type appender struct {
 	s *Snapshot
 
 	tripleIdx map[TripleRef]int // (w,d,v) -> triple index, seeded per item
 	obsIdx    map[[2]int]int    // (triple index, e) -> obs index
-	seeded    []bool            // items whose parent rows are loaded
+	seeded    map[int]bool      // parent items whose rows are loaded
 
-	// Row-ownership bookkeeping: rows with index >= the n*0 watermark were
-	// created by this call; older rows are cloned before the first append.
-	nItems0, nTriples0, nSources0, nExtractors0 int
-	ownedItemRows, ownedTripleRows              map[int]bool
-	ownedSourceRows, ownedExtractorRows         map[int]bool
-	ownedValueRows, ownedExtractorSrcRows       map[int]bool
+	// Appending to a parent's row needs no copy of the row, an insert before
+	// its end does: the owned maps name the rows copied.
+	itemValues, byTriple, triplesOfItem, triplesOfSource rowTable
+	obsOfExtractor, sourcesOfExtractor                   rowTable
+	ownedValueRows, ownedExtractorSrcRows                map[int]bool
 }
 
-// newAppender prepares a build of n records on top of s.
-func newAppender(s *Snapshot, n int) *appender {
-	ap := &appender{
+// rowTable is one build's write handle on a table of rows whose first n0 are
+// the parent's (none under Compile); while shared, so is the outer array.
+type rowTable struct {
+	rows   *[][]int
+	n0     int
+	shared bool
+}
+
+// set replaces row i, first copying a shared outer array if i is a parent's
+// row; a row the build appended to it is past every length the parent reads.
+func (t *rowTable) set(i int, row []int) {
+	if t.shared && i < t.n0 {
+		*t.rows = slices.Clone(*t.rows)
+		t.shared = false
+	}
+	(*t.rows)[i] = row
+}
+
+// add appends v to row i, in place given spare capacity: the claimant's by
+// inheritance, and any other build starts from clipped rows (forkRows).
+func (t *rowTable) add(i, v int) { t.set(i, append((*t.rows)[i], v)) }
+
+// newAppender prepares a build of n records on top of s, a fork of a parent
+// with base's table lengths whose outer row arrays it shares or not (Compile:
+// no parent).
+func newAppender(s *Snapshot, base Delta, shared bool, n int) *appender {
+	table := func(rows *[][]int, n0 int) rowTable { return rowTable{rows: rows, n0: n0, shared: shared} }
+	return &appender{
 		s:                     s,
 		tripleIdx:             make(map[TripleRef]int, n),
 		obsIdx:                make(map[[2]int]int, n),
-		seeded:                make([]bool, len(s.Items)),
-		nItems0:               len(s.Items),
-		nTriples0:             len(s.Triples),
-		nSources0:             len(s.Sources),
-		nExtractors0:          len(s.Extractors),
-		ownedItemRows:         make(map[int]bool),
-		ownedTripleRows:       make(map[int]bool),
-		ownedSourceRows:       make(map[int]bool),
-		ownedExtractorRows:    make(map[int]bool),
+		seeded:                make(map[int]bool),
+		itemValues:            table(&s.ItemValues, base.Items),
+		byTriple:              table(&s.ByTriple, base.Triples),
+		triplesOfItem:         table(&s.TriplesOfItem, base.Items),
+		triplesOfSource:       table(&s.TriplesOfSource, base.Sources),
+		obsOfExtractor:        table(&s.ObsOfExtractor, base.Extractors),
+		sourcesOfExtractor:    table(&s.SourcesOfExtractor, base.Extractors),
 		ownedValueRows:        make(map[int]bool),
 		ownedExtractorSrcRows: make(map[int]bool),
 	}
-	return ap
-}
-
-// own clones rows[i] unless this call already owns it (created it, or cloned
-// it earlier), making an in-place append safe without mutating the parent. It
-// reports whether it cloned: true exactly once per parent row per call.
-func own(rows [][]int, owned map[int]bool, i, watermark int) bool {
-	if i >= watermark || owned[i] {
-		return false
-	}
-	rows[i] = slices.Clone(rows[i])
-	owned[i] = true
-	return true
 }
 
 // seedItem loads the parent's candidate triples and observations for item d
@@ -457,7 +466,7 @@ func own(rows [][]int, owned map[int]bool, i, watermark int) bool {
 // into the maps at creation, so seeding before the item's first addition
 // captures exactly the parent state.
 func (ap *appender) seedItem(d int) {
-	if d >= len(ap.seeded) || ap.seeded[d] {
+	if d >= ap.triplesOfItem.n0 || ap.seeded[d] {
 		return
 	}
 	ap.seeded[d] = true
@@ -468,6 +477,20 @@ func (ap *appender) seedItem(d int) {
 			ap.obsIdx[[2]int{ti, s.Obs[oi].E}] = oi
 		}
 	}
+}
+
+// addValue inserts v at slot k of item d's sorted value row. A parent item's
+// first new value of the call is the one place that knows its row grew: the
+// delta records the item, and the row is copied (the insert shifts slots).
+func (ap *appender) addValue(d, k, v int) {
+	s := ap.s
+	row := s.ItemValues[d]
+	if d < ap.itemValues.n0 && !ap.ownedValueRows[d] {
+		ap.ownedValueRows[d] = true
+		s.delta.GrownItems = append(s.delta.GrownItems, d)
+		row = slices.Clone(row)
+	}
+	ap.itemValues.set(d, slices.Insert(row, k, v))
 }
 
 // appendIDs appends one record, given as the dense ids of its units,
@@ -483,18 +506,11 @@ func (ap *appender) appendIDs(e, w, d, v int, conf float64) {
 		ap.tripleIdx[tr] = ti
 		s.Triples = append(s.Triples, tr)
 		s.ByTriple = append(s.ByTriple, nil)
-		own(s.TriplesOfItem, ap.ownedItemRows, d, ap.nItems0)
-		s.TriplesOfItem[d] = append(s.TriplesOfItem[d], ti)
-		own(s.TriplesOfSource, ap.ownedSourceRows, w, ap.nSources0)
-		s.TriplesOfSource[w] = append(s.TriplesOfSource[w], ti)
+		ap.triplesOfItem.add(d, ti)
+		ap.triplesOfSource.add(w, ti)
 		vs := s.ItemValues[d]
 		if k := sort.SearchInts(vs, v); k == len(vs) || vs[k] != v {
-			// The clone is an old item's first new value of this call: the
-			// one place that knows its row grew, so Extend records it here.
-			if own(s.ItemValues, ap.ownedValueRows, d, ap.nItems0) && s.delta != nil {
-				s.delta.GrownItems = append(s.delta.GrownItems, d)
-			}
-			s.ItemValues[d] = slices.Insert(s.ItemValues[d], k, v)
+			ap.addValue(d, k, v)
 		}
 	}
 
@@ -522,14 +538,18 @@ func (ap *appender) appendIDs(e, w, d, v int, conf float64) {
 	oi := len(s.Obs)
 	ap.obsIdx[ok2] = oi
 	s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: conf})
-	own(s.ByTriple, ap.ownedTripleRows, ti, ap.nTriples0)
-	s.ByTriple[ti] = append(s.ByTriple[ti], oi)
-	own(s.ObsOfExtractor, ap.ownedExtractorRows, e, ap.nExtractors0)
-	s.ObsOfExtractor[e] = append(s.ObsOfExtractor[e], oi)
+	ap.byTriple.add(ti, oi)
+	ap.obsOfExtractor.add(e, oi)
 	srcs := s.SourcesOfExtractor[e]
 	if k := sort.SearchInts(srcs, w); k == len(srcs) || srcs[k] != w {
-		own(s.SourcesOfExtractor, ap.ownedExtractorSrcRows, e, ap.nExtractors0)
-		s.SourcesOfExtractor[e] = slices.Insert(s.SourcesOfExtractor[e], k, w)
+		// At the end (a first-seen source has the highest id yet) an append
+		// like any other; in the middle it shifts what the parent reads, so a
+		// parent's row is copied first, once per call.
+		if k < len(srcs) && e < ap.obsOfExtractor.n0 && !ap.ownedExtractorSrcRows[e] {
+			ap.ownedExtractorSrcRows[e] = true
+			srcs = slices.Clone(srcs)
+		}
+		ap.sourcesOfExtractor.set(e, slices.Insert(srcs, k, w))
 	}
 }
 

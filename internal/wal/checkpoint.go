@@ -119,28 +119,43 @@ func parseDeltaName(name string) (uint64, bool) {
 	return w, true
 }
 
+// ckptHeaderLen is the part header: magic, payload CRC, payload length.
+const ckptHeaderLen = len(ckptMagic) + 4 + 8
+
+// encodeCkptPart encodes one chain part. A base part holds the whole record
+// prefix, so it is sized first (one pass over the string lengths) and encoded
+// once, into one buffer with the header in front.
 func encodeCkptPart(prev uint64, ck *Checkpoint) []byte {
-	payload := binary.AppendUvarint(nil, prev)
-	payload = binary.AppendUvarint(payload, ck.Watermark)
-	payload = binary.AppendUvarint(payload, uint64(len(ck.Fingerprint)))
-	payload = append(payload, ck.Fingerprint...)
-	payload = binary.AppendUvarint(payload, uint64(len(ck.Ops)))
+	size := ckptHeaderLen + uvarintLen(prev) + uvarintLen(ck.Watermark) +
+		stringLen(ck.Fingerprint) + uvarintLen(uint64(len(ck.Ops)))
 	for i := range ck.Ops {
 		op := &ck.Ops[i]
-		payload = binary.AppendUvarint(payload, uint64(len(op.Records)))
+		size += uvarintLen(uint64(len(op.Records))) + uvarintLen(uint64(op.Refreshes)) + stringLen(op.Key)
 		for j := range op.Records {
-			payload = appendRecord(payload, op.Records[j])
+			size += recordLen(&op.Records[j])
 		}
-		payload = binary.AppendUvarint(payload, uint64(op.Refreshes))
-		payload = binary.AppendUvarint(payload, uint64(len(op.Key)))
-		payload = append(payload, op.Key...)
 	}
 
-	buf := make([]byte, 0, len(ckptMagic)+12+len(payload))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	return append(buf, payload...)
+	buf := append(make([]byte, 0, size), ckptMagic...)[:ckptHeaderLen] // CRC and length are filled in last
+	buf = binary.AppendUvarint(buf, prev)
+	buf = binary.AppendUvarint(buf, ck.Watermark)
+	buf = binary.AppendUvarint(buf, uint64(len(ck.Fingerprint)))
+	buf = append(buf, ck.Fingerprint...)
+	buf = binary.AppendUvarint(buf, uint64(len(ck.Ops)))
+	for i := range ck.Ops {
+		op := &ck.Ops[i]
+		buf = binary.AppendUvarint(buf, uint64(len(op.Records)))
+		for j := range op.Records {
+			buf = appendRecord(buf, op.Records[j])
+		}
+		buf = binary.AppendUvarint(buf, uint64(op.Refreshes))
+		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
+		buf = append(buf, op.Key...)
+	}
+	payload := buf[ckptHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[len(ckptMagic):], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(buf[len(ckptMagic)+4:], uint64(len(payload)))
+	return buf
 }
 
 // writeCkptFile atomically publishes buf under name in dir.
@@ -306,7 +321,7 @@ func readCkptFile(fsys FS, path string) (raw []byte, exists bool, err error) {
 }
 
 func decodeCkptPart(raw []byte) (prev uint64, ck *Checkpoint, err error) {
-	hdr := len(ckptMagic) + 12
+	hdr := ckptHeaderLen
 	if len(raw) < hdr {
 		return 0, nil, fmt.Errorf("%w: checkpoint header", ErrCorrupt)
 	}

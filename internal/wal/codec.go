@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"kbt/internal/triple"
 )
@@ -133,6 +134,16 @@ func appendRecord(buf []byte, r triple.Record) []byte {
 		buf = append(buf, s...)
 	}
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Confidence))
+}
+
+// The encoded sizes of a uvarint, a length-prefixed string and a record.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+func recordLen(r *triple.Record) int {
+	return 8 + stringLen(r.Extractor) + stringLen(r.Pattern) + stringLen(r.Website) + stringLen(r.Page) +
+		stringLen(r.Subject) + stringLen(r.Predicate) + stringLen(r.Object)
 }
 
 func decodeRecord(b []byte) (triple.Record, []byte, error) {

@@ -358,6 +358,15 @@ func TestCheckpointChainRoundTripAndCorruption(t *testing.T) {
 	if !reflect.DeepEqual(got, base) {
 		t.Fatalf("checkpoint base round trip mismatch: %+v", got)
 	}
+	// A part is sized before it is encoded and fills its one buffer exactly,
+	// two-byte length prefixes included.
+	long := &Checkpoint{Watermark: 1 << 40, Fingerprint: strings.Repeat("f", 200),
+		Ops: []CheckpointOp{{Records: []triple.Record{rec(0)}, Refreshes: 300, Key: strings.Repeat("k", 130)}}}
+	for _, ck := range []*Checkpoint{base, long} {
+		if part := encodeCkptPart(7, ck); len(part) != cap(part) {
+			t.Fatalf("checkpoint part of %d bytes was sized %d", len(part), cap(part))
+		}
+	}
 	// Append two deltas: the read merges ops and advances the watermark.
 	d1 := &Checkpoint{Watermark: 50, Fingerprint: base.Fingerprint,
 		Ops: []CheckpointOp{{Records: []triple.Record{rec(2)}, Refreshes: 1}}}
