@@ -3,13 +3,14 @@
 // Usage:
 //
 //	kbt estimate  [-granularity auto|website|page|finest] [-iters N]
-//	              [-min-support N] [-top K] [-triples] [-extractors] [file.tsv]
+//	              [-min-support N] [-top K] [-triples] [-extractors]
+//	              [-cpuprofile FILE] [file.tsv]
 //	kbt serve     [-granularity website|page|finest] [-shards N] [-batch N]
 //	              [-iters N] [-tol F] [-min-support N] [-top K] [-copydetect]
 //	              [-fusion] [-listen ADDR] [-lanes N] [-data DIR]
 //	              [-checkpoint-every N] [-checkpoint-bytes N]
 //	              [-checkpoint-interval D] [-probe-backoff D]
-//	              [-probe-max-backoff D] [file.tsv]
+//	              [-probe-max-backoff D] [-cpuprofile FILE] [file.tsv]
 //	kbt fuse      [-model accu|popaccu] [-n N] [-top K] [file.tsv]
 //	kbt generate  [-kind synthetic|web] [-scale F] [-seed N] [-o out.tsv]
 //
@@ -24,6 +25,11 @@
 // re-estimates on every blank input line (or every -batch records), printing
 // the updated ranking after each refresh — pipe a live extraction feed into
 // it instead of re-running estimate over a growing file.
+//
+// estimate and serve write a CPU profile of the run to -cpuprofile FILE (read
+// it with "go tool pprof -top kbt FILE"). serve on a file or stdin is an
+// in-process replay with no HTTP in the way, so "kbt serve -batch N
+// -cpuprofile FILE feed.tsv" profiles the refresh pipeline itself.
 //
 // With -listen, serve drains its input (an empty feed is a valid idle
 // start), then exposes the engine over HTTP: POST /v1/ingest and
@@ -63,6 +69,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -131,7 +138,32 @@ func readDataset(path string) (*kbt.Dataset, error) {
 	return kbt.ReadTSV(r)
 }
 
-func cmdEstimate(args []string) error {
+// startCPUProfile starts writing a CPU profile of the process to path ("" =
+// no profile) and returns the function that stops it and closes the file,
+// reporting a failed close through *errp unless an error is already there.
+// The commands defer it on their named result, so the profile is complete on
+// every return path — an error included; main exits only after they return.
+func startCPUProfile(path string) (stop func(errp *error), err error) {
+	if path == "" {
+		return func(*error) {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func(errp *error) {
+		pprof.StopCPUProfile()
+		if cerr := f.Close(); *errp == nil {
+			*errp = cerr
+		}
+	}, nil
+}
+
+func cmdEstimate(args []string) (err error) {
 	fs := flag.NewFlagSet("estimate", flag.ExitOnError)
 	gran := fs.String("granularity", "auto", "source granularity: auto|website|page|finest")
 	iters := fs.Int("iters", 5, "EM iterations")
@@ -139,9 +171,15 @@ func cmdEstimate(args []string) error {
 	top := fs.Int("top", 20, "number of sources to print (0 = all)")
 	showTriples := fs.Bool("triples", false, "also print triple beliefs")
 	showExtractors := fs.Bool("extractors", false, "also print extractor quality")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfile(&err)
 	ds, err := readDataset(fs.Arg(0))
 	if err != nil {
 		return err
@@ -214,7 +252,7 @@ type serveConfig struct {
 	stop     <-chan struct{}
 }
 
-func cmdServe(args []string) error {
+func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	gran := fs.String("granularity", "website", "source granularity: website|page|finest")
 	shards := fs.Int("shards", 8, "item shards for the incremental E-step")
@@ -233,9 +271,15 @@ func cmdServe(args []string) error {
 	ckptIvl := fs.Duration("checkpoint-interval", 0, "with -data, checkpoint automatically once this much wall-clock time has passed since the last one (0 = never)")
 	probeBackoff := fs.Duration("probe-backoff", 0, "with -data, initial delay before a degraded (read-only) engine re-probes the disk; doubles per failed probe (0 = default 500ms)")
 	probeMax := fs.Duration("probe-max-backoff", 0, "with -data, cap on the exponential disk-probe backoff (0 = default 30s)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (stdin/file input is an in-process replay of the refresh pipeline)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfile(&err)
 
 	cfg := serveConfig{
 		opt:             kbt.DefaultEngineOptions(),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -83,6 +84,65 @@ func TestServeRejectsOracleFlags(t *testing.T) {
 			!strings.Contains(string(out), "flag provided but not defined: "+arg) {
 			t.Errorf("serve %s: err = %v, output:\n%s\nwant exit 2 with an undefined-flag message", arg, err, out)
 		}
+	}
+}
+
+// TestCPUProfileCompleteOnEveryReturn: estimate and serve write the profile
+// named by -cpuprofile, stopped and closed whether the command succeeds or
+// returns an error. The commands print to the process's stdout, so the test
+// re-runs itself as that process.
+func TestCPUProfileCompleteOnEveryReturn(t *testing.T) {
+	if args := os.Getenv("KBT_TEST_PROFILE_ARGS"); args != "" {
+		argv := strings.Split(args, " ")
+		run := map[string]func([]string) error{"estimate": cmdEstimate, "serve": cmdServe}[argv[0]]
+		if err := run(argv[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	dir := t.TempDir()
+	feed := dir + "/feed.tsv"
+	if err := os.WriteFile(feed, []byte(tsvFeed(24)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		args     string
+		wantExit int
+	}{
+		"estimate":       {"estimate -granularity website -cpuprofile %s " + feed, 0},
+		"serve":          {"serve -batch 12 -cpuprofile %s " + feed, 0},
+		"serve-error":    {"serve -granularity auto -cpuprofile %s " + feed, 1},
+		"estimate-error": {"estimate -cpuprofile %s " + dir + "/missing.tsv", 1},
+	} {
+		prof := dir + "/" + name + ".prof"
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCPUProfileCompleteOnEveryReturn$")
+		cmd.Env = append(os.Environ(), "KBT_TEST_PROFILE_ARGS="+fmt.Sprintf(tc.args, prof))
+		out, err := cmd.CombinedOutput()
+		exit := 0
+		if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if exit != tc.wantExit {
+			t.Errorf("%s: exit %d, want %d; output:\n%s", name, exit, tc.wantExit, out)
+		}
+		// A stopped profile is a complete gzip stream; one cut off by an exit
+		// is empty or truncated.
+		f, err := os.Open(prof)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		zr, err := gzip.NewReader(f)
+		if err == nil {
+			_, err = io.Copy(io.Discard, zr)
+		}
+		if err != nil {
+			t.Errorf("%s: profile is not a complete gzip stream: %v", name, err)
+		}
+		f.Close()
 	}
 }
 

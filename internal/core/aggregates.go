@@ -23,9 +23,9 @@ import "math"
 //     votes moved since the contribution was cached (the extractor's R or Q
 //     changed in the previous M-step), every one of its observations is
 //     stale and the extractor is re-scanned in full — the only exact option,
-//     since the sigmoid does not factor. Extractors whose votes did not move
-//     (the common case at fine extractor granularity, where an ingest
-//     touches few units) stay on the delta path.
+//     since the posterior is not linear in the strip factor. Extractors whose
+//     votes did not move (the common case at fine extractor granularity,
+//     where an ingest touches few units) stay on the delta path.
 //   - Subtract-and-add drifts by accumulated rounding. Every
 //     Options.ReaggregateEvery iterations the M-steps fall back to each
 //     stage's one full-aggregation body (estimateA, estimatePRQ in infer.go),

@@ -271,14 +271,15 @@ func (em *EM) CarrySourceVoteWeightsFrom(prev *EM) {
 	}
 }
 
-// PriorLogOdds returns the live per-candidate-triple prior log odds. A warm
-// start seeds entries from a previous run's posterior before iterating.
-func (em *EM) PriorLogOdds() []float64 { return em.st.alphaLO }
+// Prior returns the live per-candidate-triple prior p(C=1) (Eq 26), each a
+// probability in [Eps, 1-Eps]. A warm start seeds entries from a previous
+// run's before iterating.
+func (em *EM) Prior() []float64 { return em.st.alpha }
 
-// CLogOdds returns the live per-candidate-triple log odds of the extraction
-// correctness posterior — the Stage I vote-sum cache the leave-one-out
-// M-step reads. A warm start seeds it together with the cProb it mirrors.
-func (em *EM) CLogOdds() []float64 { return em.st.cLO }
+// COdds returns the live per-candidate-triple odds of the extraction
+// correctness posterior — the Stage I cache the leave-one-out M-step reads. A
+// warm start seeds it together with the cProb it mirrors.
+func (em *EM) COdds() []float64 { return em.st.cOdds }
 
 // SourceIncluded and ExtractorIncluded report which units met the support
 // thresholds (read-only).

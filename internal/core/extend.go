@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sort"
 
-	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
 
@@ -209,11 +208,11 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		st.cellAbs = grow(st.cellAbs, st.numCells, 0)
 	}
 
-	// Priors and the Stage I vote-sum cache: carried by index prefix, new
-	// triples start from the Alpha prior exactly as in newState.
-	lo := stats.Logit(opt.Alpha)
-	st.alphaLO = grow(st.alphaLO, nTri, lo)
-	st.cLO = grow(st.cLO, nTri, lo)
+	// Priors and the Stage I odds cache: carried by index prefix, new triples
+	// start from the Alpha prior exactly as in newState.
+	alpha, odds := initialPrior(opt)
+	st.alpha = grow(st.alpha, nTri, alpha)
+	st.cOdds = grow(st.cOdds, nTri, odds)
 
 	// Aggregate arrays grow before the passes below adjust them. The
 	// confidence-mass denominators are maintained here — they depend only

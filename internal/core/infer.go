@@ -194,7 +194,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	prevA := make([]float64, nSrc)
 	prevP := make([]float64, nExt)
 	prevR := make([]float64, nExt)
-	prevLO := make([]float64, nTri)
+	prevPrior := make([]float64, nTri)
 
 	opt.Timer.Time(StageExtQuality, func() { st.bootstrap(res.cProb) })
 
@@ -231,9 +231,9 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		// UpdatePriorFromIter.
 		priorDelta := 0.0
 		if opt.UpdatePrior && iter+1 >= opt.UpdatePriorFromIter {
-			copy(prevLO, st.alphaLO)
+			copy(prevPrior, st.alpha)
 			st.updateAlpha(res.valueProb)
-			priorDelta = MaxDeltaLogistic(prevLO, st.alphaLO, nil)
+			priorDelta = MaxDelta(prevPrior, st.alpha, nil)
 		}
 
 		// Convergence must account for the prior movement too, and cannot be
@@ -244,7 +244,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		// in the first place) — a false fixed point the next estimation
 		// would immediately leave.
 		priorSettled := !opt.UpdatePrior || iter+1 >= opt.UpdatePriorFromIter
-		if priorSettled && MaxDelta(prevA, st.a)+MaxDelta(prevP, st.p)+MaxDelta(prevR, st.r)+priorDelta < opt.Tol {
+		if priorSettled && MaxDelta(prevA, st.a, nil)+MaxDelta(prevP, st.p, nil)+MaxDelta(prevR, st.r, nil)+priorDelta < opt.Tol {
 			res.Converged = true
 			break
 		}
@@ -323,7 +323,11 @@ type state struct {
 	// original's values. nil means all-ones.
 	voteWeight []float64
 
-	alphaLO []float64 // per candidate triple: log odds of p(C=1) prior
+	// alpha[ti] is candidate triple ti's prior p(C=1) (Eq 26), a probability
+	// inside [Eps, 1-Eps] so that its odds are finite. Stage I turns it into
+	// odds with one division; Eq 26 writes it and the convergence test compares
+	// it without a logarithm or an exponential.
+	alpha []float64
 
 	srcIncluded   []bool
 	extIncluded   []bool
@@ -336,13 +340,14 @@ type state struct {
 	// the UseConfidence / BinarizeAt policy.
 	conf []float64
 
-	// cLO[ti] caches the log odds of cProb[ti] as computed by the last
-	// estimateCSubset covering ti (the Eq 15 vote sum before the sigmoid).
-	// The leave-one-out precision estimator needs exactly this quantity per
-	// observation; reading the cache instead of re-deriving Logit(cProb)
-	// saves two transcendentals per observation per iteration on the
-	// hottest M-step, and is more accurate where the posterior saturates.
-	cLO []float64
+	// cOdds[ti] caches the odds of cProb[ti] as computed by the last
+	// estimateCSubset covering ti: Eq 15 in odds space, prior odds times the
+	// exponential of the vote sum, cProb being o/(1+o). The leave-one-out
+	// precision estimator multiplies exactly this quantity by one extractor's
+	// strip factor per observation (obsNumContrib); reading the cache instead
+	// of re-deriving the odds from cProb is also more accurate where the
+	// posterior saturates.
+	cOdds []float64
 
 	// cellC is the per-cell correctness-mass buffer estimatePRQ refills
 	// each call, kept on the state to avoid re-allocating numCells floats
@@ -474,20 +479,26 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	}
 	st.buildExtractorCells()
 
-	// Prior log odds, and the matching log-odds cache for the prior-valued
-	// cProb every estimation starts from.
-	lo := stats.Logit(opt.Alpha)
-	st.alphaLO = make([]float64, nTri)
-	st.cLO = make([]float64, nTri)
-	for ti := range st.alphaLO {
-		st.alphaLO[ti] = lo
-		st.cLO[ti] = lo
+	// The prior, and the matching odds cache for the prior-valued cProb every
+	// estimation starts from.
+	alpha, odds := initialPrior(opt)
+	st.alpha = make([]float64, nTri)
+	st.cOdds = make([]float64, nTri)
+	for ti := range st.alpha {
+		st.alpha[ti], st.cOdds[ti] = alpha, odds
 	}
 	st.cellC = make([]float64, st.numCells)
 	if opt.IncrementalAggregates {
 		st.agg = newAggState(nSrc, nExt, nTri, len(s.Obs))
 	}
 	return st
+}
+
+// initialPrior returns the prior a candidate triple starts from — Options.Alpha
+// clamped to where its odds are finite — and those odds.
+func initialPrior(opt Options) (alpha, odds float64) {
+	alpha = stats.ClampProb(opt.Alpha)
+	return alpha, alpha / (1 - alpha)
 }
 
 // effConf applies the UseConfidence / BinarizeAt policy to a raw observation
@@ -790,6 +801,22 @@ func forEachIndex(total int, subset []int, workers int, fn func(i int)) {
 	parallel.ForEach(len(subset), workers, func(k int) { fn(subset[k]) })
 }
 
+// voteCap bounds a triple's vote sum before it is exponentiated. A vote is at
+// most log((1-Eps)/Eps) ≈ 13.8, so some fifty extractors pinned at the clamps
+// would push an unbounded exp past the float64 range, and Inf/(1+Inf) is NaN.
+// At ±600 the posterior is already below 1e-250 or equal to 1 for any prior in
+// [Eps, 1-Eps], while the odds (within 1e6·e^±600) and their product with a
+// leave-one-out strip factor (within e^±28 for a confidence in [0,1]) stay
+// finite, normal numbers.
+const voteCap = 600
+
+// posteriorOdds is Eq 15 in odds space: σ(vcc + logit α) is o/(1+o) for the
+// prior's odds scaled by the exponential of the vote sum — one exponential and
+// no logarithm a triple.
+func posteriorOdds(alpha, vcc float64) float64 {
+	return alpha / (1 - alpha) * math.Exp(min(max(vcc, -voteCap), voteCap))
+}
+
 // estimateCSubset computes p(C_wdv=1|X) (Eq 15 with the confidence-weighted
 // vote count of Eq 31) for the candidate triples listed in tis, or for every
 // candidate triple when tis is nil. Each index's computation is independent,
@@ -800,7 +827,7 @@ func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 	s := st.s
 	byTriple, conf, obsE, vd := s.ByTriple, st.conf, st.obsE, st.voteDelta
 	cellAbs, cellOf := st.cellAbs, st.cellOfTriple
-	cLO, alphaLO := st.cLO, st.alphaLO
+	cOdds, alpha := st.cOdds, st.alpha
 	allScope, totalAbs := st.opt.Scope == ScopeAllExtractors, st.totalAbs
 	forEachIndex(len(s.Triples), tis, workers, func(ti int) {
 		vcc := totalAbs
@@ -814,9 +841,9 @@ func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 			// contribute a bit-neutral +0.
 			vcc += conf[oi] * vd[obsE[oi]]
 		}
-		lo := vcc + alphaLO[ti]
-		cLO[ti] = lo
-		cProb[ti] = stats.Sigmoid(lo)
+		o := posteriorOdds(alpha[ti], vcc)
+		cOdds[ti] = o
+		cProb[ti] = o / (1 + o)
 	})
 }
 
@@ -951,20 +978,57 @@ func (st *state) estimateA(cProb []float64, valueProb [][]float64) {
 	}
 }
 
-// obsNumContrib returns observation oi's contribution to its extractor's
-// precision/recall numerator (Eqs 29-33): the effective confidence times the
-// extraction-correctness posterior, leave-one-out when configured.
+// obsNumContrib returns an observation's contribution to its extractor's
+// precision/recall numerator (Eqs 29-33): the effective confidence c times the
+// extraction-correctness posterior of its triple ti, leave-one-out when
+// configured. It is the per-observation form the delta M-step calls;
+// sumObsTasks evaluates the identical expression over a block with the strip
+// factors memoised, so the cached contributions of the two compare bit-equal.
 func (st *state) obsNumContrib(oi, ti, e int, c float64, cProb []float64) float64 {
-	p := cProb[ti]
-	if st.opt.LeaveOneOut {
-		// Score the extraction by the rest of the evidence: strip this
-		// extractor's presence vote (and its share of the base absence mass)
-		// from the posterior's log odds, read straight from the Stage I
-		// vote-sum cache.
-		lo := st.cLO[ti] - c*(st.pre[e]-st.ab[e]) - st.ab[e]
-		p = stats.Sigmoid(lo)
+	if !st.opt.LeaveOneOut {
+		return c * cProb[ti]
 	}
-	return c * p
+	return c * looPosterior(st.cOdds[ti], stripFactor(c, st.pre[e]-st.ab[e], st.ab[e]))
+}
+
+// stripFactor is what removing one extractor's evidence multiplies a triple's
+// posterior odds by: the extractor added c·Pre + (1-c)·Abs = c·(Pre-Abs) + Abs
+// to the vote sum (its presence vote and its share of the base absence mass,
+// Eq 31), so scoring the extraction by the rest of the evidence divides the
+// odds by the exponential of that. A pure function of the confidence and the
+// extractor's published votes: every observation of an extractor with the same
+// confidence has the same factor.
+func stripFactor(c, voteDelta, ab float64) float64 {
+	return math.Exp(-(c*voteDelta + ab))
+}
+
+// looPosterior is the leave-one-out p(C|X) (Eqs 32-33): the Stage I odds o
+// times the strip factor s, as a probability.
+func looPosterior(o, s float64) float64 {
+	os := o * s
+	return os / (1 + os)
+}
+
+// stripMemo remembers the strip factors one Stage IV block has computed, by
+// confidence. A block belongs to one extractor, so its factors differ only in
+// the confidence, and extractors emit few distinct ones (a quantised score, or
+// 1 throughout when confidences are unspecified or unused): sixteen
+// direct-mapped slots indexed by the confidence's top mantissa bits — one
+// would thrash on a feed interleaving 1, 0.9, 0.8. A slot returns exactly what
+// stripFactor returned for the same bits, and a confidence not seen before
+// costs the one exponential it always did.
+type stripMemo struct {
+	bits [16]uint64 // zero is the bits of confidence 0, which is never looked up
+	s    [16]float64
+}
+
+func (m *stripMemo) factor(c, voteDelta, ab float64) float64 {
+	b := math.Float64bits(c)
+	i := b >> 45 & 15
+	if m.bits[i] != b {
+		m.bits[i], m.s[i] = b, stripFactor(c, voteDelta, ab)
+	}
+	return m.s[i]
 }
 
 // derivePRQ turns an extractor's aggregated (num, pDen, rDen) into its
@@ -1085,12 +1149,21 @@ func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) 
 	st.obsTasks = tasks // keep the grown backing for the next call
 	parallel.ForEach(len(tasks), st.opt.Workers, func(t int) {
 		tk := &tasks[t]
+		loo := st.opt.LeaveOneOut
+		voteDelta, ab := st.pre[tk.e]-st.ab[tk.e], st.ab[tk.e]
+		var memo stripMemo
 		var num, pDen float64
 		for _, oi := range st.s.ObsOfExtractor[tk.e][tk.lo:tk.hi] {
 			c := st.conf[oi]
 			var v float64
 			if c > 0 {
-				v = st.obsNumContrib(oi, st.tripleOfObs[oi], tk.e, c, cProb)
+				// obsNumContrib's expression, the strip factor from the memo.
+				ti := st.tripleOfObs[oi]
+				if loo {
+					v = c * looPosterior(st.cOdds[ti], memo.factor(c, voteDelta, ab))
+				} else {
+					v = c * cProb[ti]
+				}
 				num += v
 				pDen += c
 			}
@@ -1177,8 +1250,7 @@ func (st *state) updateAlphaSubset(valueProb [][]float64, tis []int, workers int
 		}
 		pv := valueProb[tr.D][st.slotOfTriple[ti]]
 		a := st.a[tr.W]
-		alpha := pv*a + (1-pv)*(1-a)
-		st.alphaLO[ti] = stats.Logit(alpha)
+		st.alpha[ti] = stats.ClampProb(pv*a + (1-pv)*(1-a))
 	})
 }
 
@@ -1188,44 +1260,23 @@ func (st *state) updateAlpha(valueProb [][]float64) {
 }
 
 // MaxDelta returns the largest absolute elementwise difference between two
-// equal-length parameter vectors — the quantity Run's convergence test (and
-// the engine's, which must match it) sums across A, P and R.
-func MaxDelta(a, b []float64) float64 {
+// equal-length vectors over the entries in idx (nil = all; callers pass a
+// subset when they know every other entry is unchanged) — the quantity Run's
+// convergence test (and the engine's, which must match it) sums across A, P, R
+// and the Eq 26 priors, all of them probabilities.
+func MaxDelta(a, b []float64, idx []int) float64 {
 	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// MaxDeltaLogistic returns the largest absolute elementwise difference
-// between two equal-length log-odds vectors over the entries in idx (nil =
-// all; callers pass a subset when they know every other entry is unchanged),
-// measured in probability space — the prior-movement term of the convergence
-// test, commensurate with the A/P/R deltas. The logistic's derivative is at
-// most 1/4, so entries whose log-odds moved by less than four times the
-// current maximum cannot raise it and skip the sigmoids; near a fixed point
-// almost every entry does. The guard only discards entries that cannot raise
-// the maximum, so the result is independent of the order of idx.
-func MaxDeltaLogistic(a, b []float64, idx []int) float64 {
-	var m float64
-	at := func(i int) {
-		if math.Abs(a[i]-b[i]) <= 4*m {
-			return
-		}
-		if d := math.Abs(stats.Sigmoid(a[i]) - stats.Sigmoid(b[i])); d > m {
-			m = d
-		}
-	}
 	if idx == nil {
 		for i := range a {
-			at(i)
+			if d := math.Abs(a[i] - b[i]); d > m {
+				m = d
+			}
 		}
-	} else {
-		for _, i := range idx {
-			at(i)
+		return m
+	}
+	for _, i := range idx {
+		if d := math.Abs(a[i] - b[i]); d > m {
+			m = d
 		}
 	}
 	return m

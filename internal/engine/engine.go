@@ -229,11 +229,11 @@ type Engine struct {
 	// E-step scopes (current, successor, and the ingest footprint), the
 	// per-iteration parameter/prior snapshots, the touched-shard masks and
 	// the touched-shard list handed to the copy tracker.
-	run                         refreshRun
-	scope, scopeNext, scopeBase *core.ScopeSet
-	prevA, prevP, prevR, prevLO []float64
-	touched, touchedWhole       []bool
-	dirtyIdx                    []int
+	run                            refreshRun
+	scope, scopeNext, scopeBase    *core.ScopeSet
+	prevA, prevP, prevR, prevPrior []float64
+	touched, touchedWhole          []bool
+	dirtyIdx                       []int
 
 	// tracker persists the streaming copy-detection statistics across
 	// refreshes (nil unless CopyDetect, and nil under FullRecompile, where
@@ -622,7 +622,7 @@ func (e *Engine) settle(r *refreshRun) error {
 	e.prevA = resized(e.prevA, len(r.snap.Sources))
 	e.prevP = resized(e.prevP, len(r.snap.Extractors))
 	e.prevR = resized(e.prevR, len(r.snap.Extractors))
-	e.prevLO = resized(e.prevLO, len(r.snap.Triples))
+	e.prevPrior = resized(e.prevPrior, len(r.snap.Triples))
 
 	// The first pass already consults the ledger: drift carried from earlier
 	// refreshes (sub-Tol residue that has since accumulated past Tol, or an
@@ -727,7 +727,7 @@ func (e *Engine) enterScope(r *refreshRun, stale int) {
 // baselines early — and the first iteration after a structural change.
 func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
 	em, sc := r.em, e.scope
-	prevA, prevP, prevR, prevLO := e.prevA, e.prevP, e.prevR, e.prevLO
+	prevA, prevP, prevR, prevPrior := e.prevA, e.prevP, e.prevR, e.prevPrior
 	copy(prevA, em.A())
 	copy(prevP, em.P())
 	copy(prevR, em.R())
@@ -761,18 +761,18 @@ func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
 	// landscape, and the next warm refresh starts with a large correction
 	// instead of a settled fixed point.
 	if r.copt.UpdatePrior && (r.warm || iter+1 >= r.copt.UpdatePriorFromIter) {
-		lo := em.PriorLogOdds()
+		prior := em.Prior()
 		if tris == nil {
-			copy(prevLO, lo)
+			copy(prevPrior, prior)
 		} else {
 			// Only the scope's priors can move, so snapshot and diff exactly
 			// those entries instead of copying the corpus.
 			for _, ti := range tris {
-				prevLO[ti] = lo[ti]
+				prevPrior[ti] = prior[ti]
 			}
 		}
 		em.UpdatePrior(r.valueProb, tris, workers)
-		delta = core.MaxDeltaLogistic(prevLO, lo, tris)
+		delta = core.MaxDelta(prevPrior, prior, tris)
 	}
 
 	// Each source charges its own accuracy movement against the items that
@@ -788,7 +788,7 @@ func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
 	// posteriors lag that one step until drift next crosses Tol — the
 	// Tol-bounded staleness this contract accepts.)
 	em.AccumulateSourceDrift(prevA)
-	return core.MaxDelta(prevA, em.A()) + core.MaxDelta(prevP, em.P()) + core.MaxDelta(prevR, em.R()) + delta
+	return core.MaxDelta(prevA, em.A(), nil) + core.MaxDelta(prevP, em.P(), nil) + core.MaxDelta(prevR, em.R(), nil) + delta
 }
 
 // layer6 runs the streaming copy detector off the settled state and joins
@@ -1015,19 +1015,17 @@ func (r *refreshRun) carryOver() {
 	em.CarryStalenessFrom(prevEM)
 	em.CarrySourceVoteWeightsFrom(prevEM)
 
-	lo := em.PriorLogOdds()
-	clo := em.CLogOdds()
-	oldLO := prevEM.PriorLogOdds()
-	oldCLO := prevEM.CLogOdds()
+	prior, odds := em.Prior(), em.COdds()
+	oldPrior, oldOdds := prevEM.Prior(), prevEM.COdds()
 	oldTriple := make(map[triple.TripleRef]int, len(prev.Triples))
 	for ti, tr := range prev.Triples {
 		oldTriple[tr] = ti
 	}
 	for ti, tr := range snap.Triples {
 		if oti, ok := oldTriple[tr]; ok {
-			lo[ti] = oldLO[oti]
+			prior[ti] = oldPrior[oti]
 			r.cProb[ti] = r.prev.cProb[oti]
-			clo[ti] = oldCLO[oti]
+			odds[ti] = oldOdds[oti]
 		} else {
 			r.cProb[ti] = r.copt.Alpha
 		}

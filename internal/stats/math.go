@@ -11,8 +11,10 @@ import (
 // clamping keeps those finite without visibly distorting estimates.
 const Eps = 1e-6
 
-// Sigmoid returns 1/(1+exp(-x)). It is the inverse of Logit and is used to
-// turn vote counts into posterior probabilities (Eq 15 of the paper).
+// Sigmoid returns 1/(1+exp(-x)). It is the inverse of Logit and turns a
+// log-likelihood ratio plus a prior's log odds into a posterior (the copy
+// layer's p(dependent)). The multi-layer core evaluates the same form, Eq 15,
+// in odds space instead — core.posteriorOdds — and its tests pin that to this.
 func Sigmoid(x float64) float64 {
 	// Guard the exp to avoid overflow for very negative x.
 	if x >= 0 {
@@ -64,7 +66,9 @@ func SoftmaxWithRest(scores []float64, rest int, restScore float64) (probs []flo
 
 // SoftmaxWithRestInPlace is SoftmaxWithRest overwriting the score buffer
 // with the probabilities, for hot loops that reuse one row per data item and
-// must not allocate.
+// must not allocate. A score equal to the maximum is exponentiated as the 1
+// that math.Exp(0) returns, without the call: a row has at least one, so the
+// normaliser is at least 1 (and a row of nothing but -Inf comes out uniform).
 func SoftmaxWithRestInPlace(buf []float64, rest int, restScore float64) (restMass float64) {
 	if len(buf) == 0 && rest <= 0 {
 		return 0
@@ -78,23 +82,21 @@ func SoftmaxWithRestInPlace(buf []float64, rest int, restScore float64) (restMas
 	if rest > 0 && restScore > max {
 		max = restScore
 	}
+	expBelowMax := func(s float64) float64 {
+		if s == max {
+			return 1
+		}
+		return math.Exp(s - max)
+	}
 	var z float64
 	for i, s := range buf {
-		buf[i] = math.Exp(s - max)
+		buf[i] = expBelowMax(s)
 		z += buf[i]
 	}
 	restExp := 0.0
 	if rest > 0 {
-		restExp = float64(rest) * math.Exp(restScore-max)
+		restExp = float64(rest) * expBelowMax(restScore)
 		z += restExp
-	}
-	if z == 0 {
-		// All scores -Inf; spread uniformly.
-		u := 1 / float64(len(buf)+rest)
-		for i := range buf {
-			buf[i] = u
-		}
-		return u * float64(rest)
 	}
 	for i := range buf {
 		buf[i] /= z

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +114,87 @@ func TestSoftmaxWithRestProperties(t *testing.T) {
 		return almostEqual(total, 1, 1e-9) && rm >= 0
 	}, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// softmaxEveryExp is SoftmaxWithRestInPlace calling math.Exp on every entry,
+// the maximal ones included — the reference its shortcut is pinned against.
+func softmaxEveryExp(buf []float64, rest int, restScore float64) (restMass float64) {
+	max := math.Inf(-1)
+	for _, s := range buf {
+		max = math.Max(max, s)
+	}
+	if rest > 0 {
+		max = math.Max(max, restScore)
+	}
+	var z float64
+	for i, s := range buf {
+		buf[i] = math.Exp(s - max)
+		z += buf[i]
+	}
+	restExp := 0.0
+	if rest > 0 {
+		restExp = float64(rest) * math.Exp(restScore-max)
+		z += restExp
+	}
+	for i := range buf {
+		buf[i] /= z
+	}
+	return restExp / z
+}
+
+// TestSoftmaxMaxShortcutBitExact: storing 1 for a maximal score is exactly
+// what math.Exp(0) returns, so every probability and the rest mass keep their
+// bits — with ties at the maximum, and with the rest score the maximum.
+func TestSoftmaxMaxShortcutBitExact(t *testing.T) {
+	if math.Exp(0) != 1 {
+		t.Fatalf("math.Exp(0) = %v", math.Exp(0))
+	}
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 20000; trial++ {
+		row := make([]float64, rng.Intn(6))
+		for i := range row {
+			row[i] = (rng.Float64()*2 - 1) * 40
+		}
+		if len(row) > 1 && trial%3 == 0 { // tie at the maximum
+			hi := 0
+			for i, s := range row {
+				if s > row[hi] {
+					hi = i
+				}
+			}
+			row[(hi+1)%len(row)] = row[hi]
+		}
+		rest, restScore := rng.Intn(4), 0.0
+		if len(row) == 0 {
+			rest++
+		}
+		if trial%5 == 0 { // the rest score is the maximum, or ties with it
+			restScore = 45
+			if len(row) > 0 && trial%10 == 0 {
+				row[0] = restScore
+			}
+		}
+		want := append([]float64(nil), row...)
+		wantRest := softmaxEveryExp(want, rest, restScore)
+		gotRest := SoftmaxWithRestInPlace(row, rest, restScore)
+		if math.Float64bits(gotRest) != math.Float64bits(wantRest) {
+			t.Fatalf("trial %d: rest mass %v, reference %v", trial, gotRest, wantRest)
+		}
+		for i := range row {
+			if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: p[%d] = %v, reference %v", trial, i, row[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSoftmaxAllMinusInfIsUniform: a row of nothing but -Inf ties at its
+// maximum everywhere, so the mass spreads uniformly over the row and the rest.
+func TestSoftmaxAllMinusInfIsUniform(t *testing.T) {
+	probs, rest := SoftmaxWithRest([]float64{math.Inf(-1), math.Inf(-1)}, 2, math.Inf(-1))
+	if probs[0] != 0.25 || probs[1] != 0.25 || rest != 0.5 {
+		t.Errorf("all -Inf softmax = %v, rest %v, want uniform", probs, rest)
 	}
 }
 
