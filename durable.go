@@ -549,7 +549,8 @@ func (d *DurableEngine) Health() HealthStatus {
 // Ingest logs, fsyncs and applies a batch of extractions. A nil return is a
 // durable acknowledgement: the batch survives any later crash. A validation
 // error means the batch was discarded whole — durably so, since recovery
-// re-runs the same validation on the logged bytes.
+// re-runs the same validation on the logged bytes. A cadence checkpoint the
+// batch triggers does not change the answer: its failure goes to Health.
 func (d *DurableEngine) Ingest(batch ...Extraction) error {
 	return d.IngestKeyed("", batch...)
 }
@@ -593,10 +594,12 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 	d.keys.add(key)
 	if d.cadenceDue() {
 		if err := d.checkpointLocked(); err != nil {
-			// The batch itself is applied and durable — only the cadence
-			// checkpoint failed. Surfaced rather than swallowed, since a
-			// persistently failing checkpoint means unbounded log growth.
-			return fmt.Errorf("kbt: batch is durable but its size-triggered checkpoint failed: %w", d.faultLocked(err))
+			// The batch itself is applied and durable, so it is acked: an
+			// error would invite an unkeyed retry that ingests it twice. A
+			// storage fault degrades health, so the next write gets
+			// ErrReadOnly; a model error in the checkpoint's pre-refresh comes
+			// back from the next Refresh, which re-runs it.
+			_ = d.faultLocked(err)
 		}
 	}
 	return nil

@@ -1073,6 +1073,54 @@ func TestDurableHealthDegradeAndHeal(t *testing.T) {
 	}
 }
 
+// TestDurableIngestAckedWhenItsCheckpointFails: a batch that is appended,
+// fsync-ed and applied is acknowledged even when the cadence checkpoint it
+// triggers cannot be published — an error would invite an unkeyed retry that
+// ingests it twice. The storage fault still degrades health, so the next write
+// is refused without applying anything, and a reopen holds the batch once.
+func TestDurableIngestAckedWhenItsCheckpointFails(t *testing.T) {
+	opt := durableTestOptions()
+	dir := t.TempDir()
+	now := time.Unix(1_700_000_000, 0)
+	// The first rename is the first checkpoint's publication.
+	ffs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpRename, Err: wal.ErrInjectedIO, Times: 1})
+	d, err := OpenDurable(dir, opt, DurableOptions{
+		fs: ffs, now: func() time.Time { return now }, CheckpointBytes: 1, ProbeBackoff: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	if err := d.Ingest(durableBatch(0, 3)...); err != nil {
+		t.Fatalf("ingest whose checkpoint failed: %v, want the batch acked", err)
+	}
+	if ffs.Injected() != 1 {
+		t.Fatalf("%d faults fired; the checkpoint publication was not reached", ffs.Injected())
+	}
+	if st := d.Health(); st.State != StateDegraded || st.Faults != 1 {
+		t.Fatalf("health after the failed checkpoint: %+v, want degraded with one fault", st)
+	}
+	if err := d.Ingest(durableBatch(3, 3)...); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("next ingest: %v, want ErrReadOnly", err)
+	}
+	if d.Len() != 3 {
+		t.Fatalf("engine holds %d records, want the acked 3", d.Len())
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := OpenDurable(dir, opt, DurableOptions{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer rec.Close()
+	if rec.Len() != 3 {
+		t.Fatalf("recovered %d records, want the acked batch once", rec.Len())
+	}
+}
+
 // TestDurableHealthProbeBackoff: failed probes double the delay up to the cap,
 // every probe failure counts a fault, and the engine stays degraded — never
 // sealed — under a plain persistent EIO.

@@ -933,7 +933,10 @@ func (st *state) aContrib(ti int, cProb []float64, valueProb [][]float64) (num, 
 
 // deriveA turns a source's aggregated (num, den) into its accuracy estimate,
 // applying the clamp; a source with no provided mass keeps its previous
-// value, exactly as the paper's estimator leaves it untouched.
+// value, exactly as the paper's estimator leaves it untouched. It is the one
+// M-step writer of A, called at most once per source per iteration by the
+// worker that owns w, so it also charges the movement to the staleness
+// ledger.
 func (st *state) deriveA(w int, num, den float64) {
 	if den <= 0 {
 		return
@@ -942,7 +945,11 @@ func (st *state) deriveA(w int, num, den float64) {
 	if c := st.opt.AccuracyClamp; c > 0.5 && c < 1 {
 		a = stats.Clamp(a, 1-c, c)
 	}
-	st.setA(w, stats.ClampProb(a))
+	a = stats.ClampProb(a)
+	if led := st.ledger; led != nil {
+		led.srcDrift[w] += math.Abs(a - st.a[w])
+	}
+	st.setA(w, a)
 }
 
 // estimateA updates source accuracies (Eq 28 / Eq 27) by full aggregation

@@ -2,15 +2,13 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 
 	"kbt/internal/triple"
 )
 
 // This file maintains the per-unit staleness ledger behind the engine's
-// confined settling sweeps, and the sub-shard ScopeSet those sweeps run
-// over.
+// confined settling sweeps, and the ScopeSet those sweeps run over.
 //
 // The engine caches every shard's E-step outputs between iterations and
 // refreshes. A cached posterior goes stale when a parameter it was computed
@@ -24,10 +22,10 @@ import (
 // The ledger tracks, per unit, the movement of what the E-step actually
 // consumes:
 //
-//   - per source: |ΔA_w| accumulated every M-step (srcVote follows the live
-//     accuracy write for write), together with the items holding the
-//     source's candidate triples — the only rows whose cached posteriors
-//     read A_w;
+//   - per source: |ΔA_w|, charged by deriveA (the one M-step writer of A_w,
+//     once per source per iteration) and by SetSourceVoteWeights, with the
+//     items holding the source's candidate triples as its reach — the only
+//     rows whose cached posteriors read A_w;
 //   - per extractor: the published vote-parameter movement |ΔR_e| + |ΔQ_e|,
 //     accumulated when the votes republish (computeVotes, selectiveVotes).
 //     An extractor's absence vote reaches every triple in every
@@ -37,15 +35,14 @@ import (
 //
 // Reach is resolved at *item* granularity, not shard granularity: a drifted
 // unit stales the items it actually touches, and MarkStale records them in a
-// ScopeSet — whole shards plus marked items, which CompileScope gathers into
-// the one ascending dense-id list a settling pass runs over. A unit whose
-// reach covers a quarter or more of the corpus is marked at whole-shard
-// granularity instead (its per-item walk would cost more than the
-// confinement saves, and its item set is dense in every shard it reaches);
-// the cutoff depends only on snapshot table sizes, so the FullRecompile
-// oracle resolves the identical scopes. A unit's drift resets when a pass
-// covers its whole reach — SettleScopes consumes the ScopeSet's record of
-// which units the pass settled.
+// ScopeSet — marked items, or the whole corpus — which CompileScope gathers
+// into the one ascending dense-id list a settling pass runs over. A unit whose
+// reach covers a quarter or more of the corpus marks the whole corpus instead
+// (its per-item walk would cost more than the confinement saves); the cutoff
+// depends only on snapshot table sizes, so the FullRecompile oracle resolves
+// the identical scopes. Drift resets when a pass re-estimates what it was
+// widened for: a partial pass re-anchors exactly the units MarkStale recorded
+// on its scope, a full pass re-anchors every unit (SettleScopes).
 //
 // The ledger persists across refreshes (extended append-only by NewEMFrom,
 // remapped by dense-id prefix under FullRecompile), so sub-Tol residue left
@@ -61,17 +58,17 @@ import (
 // unconverged refresh may publish residue, and the carried ledger re-anchors
 // that at the next refresh's first pass.
 
-// broadReachDenom is the reach cutoff for whole-shard marking: a unit
-// touching >= 1/broadReachDenom of the corpus marks shards, not items.
+// broadReachDenom is the reach cutoff for whole-corpus marking: a unit
+// touching >= 1/broadReachDenom of the corpus marks every item, not its own.
 const broadReachDenom = 4
 
 // staleLedger is the per-unit drift state plus the append-only indexes
-// sub-shard scopes are resolved through.
+// scopes are resolved through.
 type staleLedger struct {
-	nShards, words int
+	nShards int
 
 	// itemShard caches each data item's shard, grown append-only with the
-	// snapshot; shardLen counts items per shard (the full-shard test during
+	// snapshot; shardLen counts items per shard (the saturation test during
 	// scope compilation).
 	itemShard []int32
 	shardLen  []int32
@@ -83,9 +80,8 @@ type staleLedger struct {
 	// extension-stable.
 	triplesOfCell [][]int32
 
-	// srcMask is the per-source shard reach (nSrc × words); srcDrift the
-	// accumulated |ΔA| since the source's reach was last re-estimated.
-	srcMask  []uint64
+	// srcDrift is the accumulated |ΔA| (and vote-weight movement) per source
+	// since its reach was last re-estimated.
 	srcDrift []float64
 
 	// extDrift is the accumulated published vote-parameter movement
@@ -94,49 +90,33 @@ type staleLedger struct {
 	extDrift []float64
 	rAt, qAt []float64
 
-	// scratch is a words-sized bitmask buffer for SettleScopes.
-	scratch []uint64
-
 	// passItems/passTris back the index lists CompileScope returns. Never
 	// nil, even when empty: the kernels read a nil list as "every index".
 	passItems, passTris []int
 }
 
-func (led *staleLedger) setSrcBit(w, si int) {
-	led.srcMask[w*led.words+si/64] |= 1 << (si % 64)
-}
-
-// appendItems grows the shard index for items [from, len(s.Items)).
-func (led *staleLedger) appendItems(s *triple.Snapshot, from int) {
-	for d := from; d < len(s.Items); d++ {
-		si := int32(triple.ShardOf(s.Items[d], led.nShards))
-		led.itemShard = append(led.itemShard, si)
-		led.shardLen[si]++
-	}
-}
-
-// ScopeSet is a sub-shard dirty set: per shard either "whole shard" or a set
-// of marked items. It also records which units a settling pass covers, so
-// SettleScopes can reset exactly their drift. The engine keeps ScopeSets
-// across refreshes and Resets them per use; nothing here allocates once the
-// buffers have grown to corpus size.
+// ScopeSet is a dirty set of marked items, or of every item. It also records
+// which units a settling pass was widened for, so SettleScopes can reset
+// exactly their drift. CompileScope resolves it per shard — a shard whose
+// items are all marked is whole — for the engine's shard statistics. The
+// engine keeps ScopeSets across refreshes and Resets them per use; nothing
+// here allocates once the buffers have grown to corpus size.
 type ScopeSet struct {
-	nShards int
+	all bool // every item in scope (MarkAllFull, or every shard saturated)
 
-	full  []bool // per shard: whole shard in scope
-	nFull int
+	itemMark []bool // per dense item id: item in scope (narrow marks)
+	items    []int  // the marked item ids, unordered
 
-	itemMark  []bool  // per dense item id: item in scope (narrow marks)
-	items     []int   // the marked item ids, unordered
-	itemShard []int32 // parallel to items: each mark's shard
-
-	// settledSrc/settledExt list the units whose whole reach this scope
-	// covers (recorded by MarkStale); SettleScopes resets their drift.
+	// settledSrc/settledExt list the units whose reach MarkStale marked;
+	// SettleScopes resets their drift.
 	settledSrc []int32
 	settledExt []int32
 
-	// Compiled form: the shards with any coverage, ascending. cnt is the
-	// per-shard narrow-mark count CompileScope fills and leaves zeroed.
+	// Compiled form: per shard whether it is wholly in scope, and the shards
+	// with any coverage, ascending. cnt is the per-shard mark count
+	// CompileScope fills and leaves zeroed.
+	nShards   int
+	full      []bool
 	shardList []int
 	cnt       []int32
 }
@@ -148,14 +128,11 @@ func NewScopeSet() *ScopeSet { return &ScopeSet{} }
 // buffers.
 func (sc *ScopeSet) Reset(nShards, nItems int) {
 	if len(sc.full) < nShards {
-		sc.full = append(sc.full, make([]bool, nShards-len(sc.full))...)
-		sc.cnt = append(sc.cnt, make([]int32, nShards-len(sc.cnt))...)
-	}
-	for si := range sc.full[:nShards] {
-		sc.full[si] = false
+		sc.full = make([]bool, nShards)
+		sc.cnt = make([]int32, nShards)
 	}
 	sc.nShards = nShards
-	sc.nFull = 0
+	sc.all = false
 	if len(sc.itemMark) < nItems {
 		sc.itemMark = append(sc.itemMark, make([]bool, nItems-len(sc.itemMark))...)
 	}
@@ -163,66 +140,53 @@ func (sc *ScopeSet) Reset(nShards, nItems int) {
 		sc.itemMark[d] = false
 	}
 	sc.items = sc.items[:0]
-	sc.itemShard = sc.itemShard[:0]
 	sc.settledSrc = sc.settledSrc[:0]
 	sc.settledExt = sc.settledExt[:0]
 	sc.shardList = sc.shardList[:0]
 }
 
-// MergeFrom adds base's marks (full shards and items) into sc. Settled-unit
-// records are not merged — they belong to the pass that recorded them.
+// MergeFrom adds base's marks into sc. Settled-unit records are not merged —
+// they belong to the pass that recorded them.
 func (sc *ScopeSet) MergeFrom(base *ScopeSet) {
-	for si, f := range base.full[:base.nShards] {
-		if f {
-			sc.MarkShardFull(si)
-		}
+	if base.all {
+		sc.MarkAllFull()
+		return
 	}
-	for k, d := range base.items {
-		sc.markItem(d, base.itemShard[k])
+	for _, d := range base.items {
+		sc.markItem(d)
 	}
 }
 
-// MarkShardFull puts the whole shard in scope; reports 1 if it was not
-// already full.
-func (sc *ScopeSet) MarkShardFull(si int) int {
-	if sc.full[si] {
+// MarkAllFull puts every item in scope; reports 1 if it was not already.
+func (sc *ScopeSet) MarkAllFull() int {
+	if sc.all {
 		return 0
 	}
-	sc.full[si] = true
-	sc.nFull++
+	sc.all = true
 	return 1
 }
 
-// MarkAllFull puts every shard in scope; reports how many were newly added.
-func (sc *ScopeSet) MarkAllFull() int {
-	added := 0
-	for si := 0; si < sc.nShards; si++ {
-		added += sc.MarkShardFull(si)
-	}
-	return added
-}
-
-// markItem puts one item in scope; no-op (0) when its shard is already
-// wholly in scope or the item is already marked.
-func (sc *ScopeSet) markItem(d int, si int32) int {
-	if sc.full[si] || sc.itemMark[d] {
+// markItem puts one item in scope; no-op (0) when everything already is or
+// the item is already marked.
+func (sc *ScopeSet) markItem(d int) int {
+	if sc.all || sc.itemMark[d] {
 		return 0
 	}
 	sc.itemMark[d] = true
 	sc.items = append(sc.items, d)
-	sc.itemShard = append(sc.itemShard, si)
 	return 1
 }
 
-// AllFull reports whether every shard is wholly in scope.
-func (sc *ScopeSet) AllFull() bool { return sc.nFull == sc.nShards }
+// AllFull reports whether every item is in scope: marked so, or — after
+// CompileScope — every shard saturated by narrow marks.
+func (sc *ScopeSet) AllFull() bool { return sc.all }
 
 // Len returns the number of shards with any coverage. Valid after
 // CompileScope.
 func (sc *ScopeSet) Len() int { return len(sc.shardList) }
 
 // At returns compiled entry i: the shard id and whether the whole shard is in
-// scope (else only marked items of it are).
+// scope (else only marked items of it are). Valid after CompileScope.
 func (sc *ScopeSet) At(i int) (si int, full bool) {
 	si = sc.shardList[i]
 	return si, sc.full[si]
@@ -234,40 +198,48 @@ func (sc *ScopeSet) At(i int) (si int, full bool) {
 const denseGatherDenom = 16
 
 // CompileScope resolves the marks into what a settling pass runs over. A
-// shard whose narrow marks cover every item it owns is upgraded to full, and
-// the shards with any coverage are listed ascending (Len, At). The return is
-// the pass's index lists — the scope's items in ascending dense-id order and
-// exactly those items' candidate triples behind them, item by item — or nil,
-// nil when every shard is in scope: the kernels' own "every index" path.
-// Ascending order is what makes a pass one sequential read of the per-item
-// and per-triple arrays, whatever the shard count. Deterministic for a given
-// mark set, so the fast path and the FullRecompile oracle run identical
-// lists. The lists are valid until the next CompileScope on this EM.
+// shard whose narrow marks cover every item it owns is whole, and the shards
+// with any coverage are listed ascending (Len, At); when every shard is whole
+// the scope is every item (AllFull). The return is the pass's index lists —
+// the scope's items in ascending dense-id order and exactly those items'
+// candidate triples behind them, item by item — or nil, nil when every item
+// is in scope: the kernels' own "every index" path. Ascending order is what
+// makes a pass one sequential read of the per-item and per-triple arrays,
+// whatever the shard count. Deterministic for a given mark set, so the fast
+// path and the FullRecompile oracle run identical lists. The lists are valid
+// until the next CompileScope on this EM.
 func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 	led := em.st.ledger
-	for k := range sc.items {
-		if si := sc.itemShard[k]; !sc.full[si] {
-			sc.cnt[si]++
-			if sc.cnt[si] == led.shardLen[si] {
-				sc.full[si] = true
-				sc.nFull++
-			}
-		}
-	}
 	sc.shardList = sc.shardList[:0]
+	if sc.all {
+		for si := 0; si < sc.nShards; si++ {
+			sc.full[si] = true
+			sc.shardList = append(sc.shardList, si)
+		}
+		return nil, nil
+	}
+	for _, d := range sc.items {
+		sc.cnt[led.itemShard[d]]++
+	}
+	nFull := 0
 	for si := 0; si < sc.nShards; si++ {
-		if sc.full[si] || sc.cnt[si] > 0 {
+		sc.full[si] = sc.cnt[si] > 0 && sc.cnt[si] == led.shardLen[si]
+		if sc.full[si] {
+			nFull++
+		}
+		if sc.cnt[si] > 0 {
 			sc.shardList = append(sc.shardList, si)
 		}
 		sc.cnt[si] = 0
 	}
-	if sc.AllFull() {
+	if nFull == sc.nShards {
+		sc.all = true
 		return nil, nil
 	}
 	items, tris = led.passItems[:0], led.passTris[:0]
-	if sc.nFull > 0 || len(sc.items)*denseGatherDenom >= len(led.itemShard) {
-		for d, si := range led.itemShard {
-			if sc.full[si] || sc.itemMark[d] {
+	if len(sc.items)*denseGatherDenom >= len(led.itemShard) {
+		for d, m := range sc.itemMark[:len(led.itemShard)] {
+			if m {
 				items = append(items, d)
 			}
 		}
@@ -282,36 +254,19 @@ func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 	return items, tris
 }
 
-// EnableStaleness builds the per-unit staleness ledger for nShards item
-// shards (triple.ShardOf partitioning, matching Snapshot.Shards). Idempotent
-// for an unchanged shard count; a changed count rebuilds from scratch. The
-// engine enables it on every EM it constructs; core.Run never does, so the
-// batch path carries no ledger overhead.
+// EnableStaleness gives the EM an empty per-unit staleness ledger for nShards
+// item shards (triple.ShardOf partitioning, matching Snapshot.Shards),
+// extended over the whole snapshot as extendState extends it over an ingest.
+// Idempotent for an unchanged shard count; a changed count rebuilds from
+// scratch. The engine enables it on every EM it constructs; core.Run never
+// does, so the batch path carries no ledger overhead.
 func (em *EM) EnableStaleness(nShards int) {
 	st := em.st
 	if st.ledger != nil && st.ledger.nShards == nShards {
 		return
 	}
-	s := st.s
-	led := &staleLedger{nShards: nShards, words: (nShards + 63) / 64, passItems: []int{}, passTris: []int{}}
-	led.shardLen = make([]int32, nShards)
-	led.itemShard = make([]int32, 0, len(s.Items))
-	st.ledger = led
-	led.appendItems(s, 0)
-	led.srcMask = make([]uint64, len(s.Sources)*led.words)
-	for _, tr := range s.Triples {
-		led.setSrcBit(tr.W, int(led.itemShard[tr.D]))
-	}
-	led.triplesOfCell = make([][]int32, st.numCells)
-	for ti := range s.Triples {
-		c := st.cellOfTriple[ti]
-		led.triplesOfCell[c] = append(led.triplesOfCell[c], int32(ti))
-	}
-	led.srcDrift = make([]float64, len(s.Sources))
-	led.extDrift = make([]float64, len(s.Extractors))
-	led.rAt = append([]float64(nil), st.r...)
-	led.qAt = append([]float64(nil), st.q...)
-	led.scratch = make([]uint64, led.words)
+	st.ledger = &staleLedger{nShards: nShards, shardLen: make([]int32, nShards), passItems: []int{}, passTris: []int{}}
+	st.extendLedger(triple.Delta{})
 }
 
 // CarryStalenessFrom copies prev's accumulated drift and published-vote
@@ -331,22 +286,6 @@ func (em *EM) CarryStalenessFrom(prev *EM) {
 	copy(led.qAt, old.qAt)
 }
 
-// AccumulateSourceDrift adds each source's accuracy movement since prevA (the
-// caller's copy from the start of the iteration) to its drift. Call once per
-// iteration, after the M-steps.
-func (em *EM) AccumulateSourceDrift(prevA []float64) {
-	led := em.st.ledger
-	if led == nil {
-		return
-	}
-	a := em.st.a
-	for w := range prevA {
-		if d := math.Abs(a[w] - prevA[w]); d != 0 {
-			led.srcDrift[w] += d
-		}
-	}
-}
-
 // noteVoteRefresh accumulates the published vote-parameter movement at a vote
 // recompute: the R/Q travel since the votes were last derived is exactly the
 // staleness a frozen-vote E-step could not have seen. Called by computeVotes.
@@ -362,7 +301,7 @@ func (st *state) noteVoteRefresh() {
 }
 
 // broadSource reports whether the source's candidate triples span at least
-// 1/broadReachDenom of the corpus — the whole-shard marking cutoff.
+// 1/broadReachDenom of the corpus — the whole-corpus marking cutoff.
 func (st *state) broadSource(w int) bool {
 	return len(st.s.TriplesOfSource[w])*broadReachDenom >= len(st.s.Triples)
 }
@@ -374,13 +313,12 @@ func (st *state) broadExtractor(e int) bool {
 
 // MarkStale widens the scope by the reach of every unit whose accumulated
 // drift has reached tol — the rows whose cached posteriors the staleness
-// contract no longer covers — and reports how many marks (items or whole
-// shards) it newly added. Narrow units mark exactly their items; broad units
-// (and, under ScopeAllExtractors, any drifted extractor — its absence mass
-// is corpus-global) mark whole shards. Every drifted unit whose reach the
-// widened scope now covers is recorded for SettleScopes. Excluded units are
-// skipped: their parameters are frozen and enter no E-step (an inclusion
-// flip escalates structurally before this is asked).
+// contract no longer covers — and reports how many marks it newly added.
+// Narrow units mark exactly their items and are recorded for SettleScopes;
+// the first broad unit (or, under ScopeAllExtractors, any drifted extractor —
+// its absence mass is corpus-global) marks everything and ends the walk.
+// Excluded units are skipped: their parameters are frozen and enter no
+// E-step (an inclusion flip escalates structurally before this is asked).
 func (em *EM) MarkStale(tol float64, sc *ScopeSet) int {
 	st := em.st
 	led := st.ledger
@@ -400,8 +338,7 @@ func (em *EM) MarkStale(tol float64, sc *ScopeSet) int {
 		}
 		for _, c := range st.cellsOfExtractor[e] {
 			for _, ti := range led.triplesOfCell[c] {
-				d := int(s.Triples[ti].D)
-				added += sc.markItem(d, led.itemShard[d])
+				added += sc.markItem(int(s.Triples[ti].D))
 			}
 		}
 		sc.settledExt = append(sc.settledExt, int32(e))
@@ -411,20 +348,10 @@ func (em *EM) MarkStale(tol float64, sc *ScopeSet) int {
 			continue
 		}
 		if st.broadSource(w) {
-			base := w * led.words
-			for k := 0; k < led.words; k++ {
-				word := led.srcMask[base+k]
-				for word != 0 {
-					si := k*64 + bits.TrailingZeros64(word)
-					word &= word - 1
-					added += sc.MarkShardFull(si)
-				}
-			}
-		} else {
-			for _, ti := range s.TriplesOfSource[w] {
-				d := int(s.Triples[ti].D)
-				added += sc.markItem(d, led.itemShard[d])
-			}
+			return added + sc.MarkAllFull()
+		}
+		for _, ti := range s.TriplesOfSource[w] {
+			added += sc.markItem(int(s.Triples[ti].D))
 		}
 		sc.settledSrc = append(sc.settledSrc, int32(w))
 	}
@@ -446,17 +373,15 @@ func (em *EM) MarkCellItems(w, p int, sc *ScopeSet) bool {
 		return false
 	}
 	for _, ti := range led.triplesOfCell[c] {
-		d := int(st.s.Triples[ti].D)
-		sc.markItem(d, led.itemShard[d])
+		sc.markItem(int(st.s.Triples[ti].D))
 	}
 	return true
 }
 
-// SettleScopes records that an E-step pass re-estimated the compiled scope:
-// every unit whose whole reach was covered is re-anchored (drift reset) —
-// the units MarkStale recorded on the scope, plus any source whose shard
-// reach the scope's full shards cover. A scope covering every shard settles
-// everything, including the extractors.
+// SettleScopes records that an E-step pass re-estimated the compiled scope
+// against the current parameters: a pass over every item re-anchors every
+// unit (drift reset, the extractors' included), a partial pass exactly the
+// units MarkStale recorded on the scope.
 func (em *EM) SettleScopes(sc *ScopeSet) {
 	led := em.st.ledger
 	if led == nil {
@@ -467,25 +392,6 @@ func (em *EM) SettleScopes(sc *ScopeSet) {
 		clear(led.extDrift)
 		return
 	}
-	clear(led.scratch)
-	for si, f := range sc.full[:sc.nShards] {
-		if f {
-			led.scratch[si/64] |= 1 << (si % 64)
-		}
-	}
-	for w := range led.srcDrift {
-		if led.srcDrift[w] == 0 {
-			continue
-		}
-		base := w * led.words
-		covered := true
-		for k := 0; k < led.words && covered; k++ {
-			covered = led.srcMask[base+k]&^led.scratch[k] == 0
-		}
-		if covered {
-			led.srcDrift[w] = 0
-		}
-	}
 	for _, w := range sc.settledSrc {
 		led.srcDrift[w] = 0
 	}
@@ -495,24 +401,25 @@ func (em *EM) SettleScopes(sc *ScopeSet) {
 }
 
 // extendLedger grows the ledger append-only with the snapshot extension —
-// new items' shards, new triples' reach and cell entries, zero
-// drift and current-parameter vote anchors for new units. Called by
-// extendState after the parameter arrays, cell interning and cellOfTriple
-// have grown.
+// new items' shards, new triples' cell entries, zero drift and
+// current-parameter vote anchors for new units; from an empty ledger and a
+// zero Delta it builds the whole ledger. Called by extendState after the
+// parameter arrays, cell interning and cellOfTriple have grown.
 func (st *state) extendLedger(d triple.Delta) {
 	led := st.ledger
 	if led == nil {
 		return
 	}
 	s := st.s
-	led.appendItems(s, d.Items)
-	led.srcMask = grow(led.srcMask, len(s.Sources)*led.words, 0)
+	for i := d.Items; i < len(s.Items); i++ {
+		si := int32(triple.ShardOf(s.Items[i], led.nShards))
+		led.itemShard = append(led.itemShard, si)
+		led.shardLen[si]++
+	}
 	if len(led.triplesOfCell) < st.numCells {
 		led.triplesOfCell = append(led.triplesOfCell, make([][]int32, st.numCells-len(led.triplesOfCell))...)
 	}
 	for ti := d.Triples; ti < len(s.Triples); ti++ {
-		tr := s.Triples[ti]
-		led.setSrcBit(tr.W, int(led.itemShard[tr.D]))
 		c := st.cellOfTriple[ti]
 		led.triplesOfCell[c] = append(led.triplesOfCell[c], int32(ti))
 	}

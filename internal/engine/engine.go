@@ -14,14 +14,14 @@
 //     state (core.NewEMFrom) and posterior arrays append-only with the
 //     pending records — bit-identical to recompiling the corpus, at a cost
 //     proportional to the ingest;
-//   - settle runs Algorithm 1's E/M loop over a sub-shard dirty scope
-//     (core.ScopeSet) of whole shards and marked items: the items sharing
-//     a (source, predicate) absence-vote cell with a new record, plus
-//     whatever the per-unit staleness ledger (core.EM.EnableStaleness) marks
-//     as holding above-Tol accumulated parameter drift — narrow units mark
-//     exactly their items, only units reaching a quarter of the corpus mark
-//     whole shards — so a shard touched only through marked items settles
-//     its remainder for free (Result.PartialShards). The global M-step
+//   - settle runs Algorithm 1's E/M loop over a dirty scope (core.ScopeSet)
+//     of marked items: the items sharing a (source, predicate) absence-vote
+//     cell with a new record, plus whatever the per-unit staleness ledger
+//     (core.EM.EnableStaleness) marks as holding above-Tol accumulated
+//     parameter drift — narrow units mark exactly their items, a unit
+//     reaching a quarter of the corpus marks the whole corpus — so a shard
+//     touched only through marked items settles its remainder for free
+//     (Result.PartialShards). The global M-step
 //     aggregates update from exactly the scope's contribution deltas
 //     (core.Options.IncrementalAggregates), with a periodic full
 //     re-aggregation bounding floating-point drift;
@@ -681,7 +681,8 @@ func (e *Engine) settle(r *refreshRun) error {
 }
 
 // nextScope marks into dst the scope the next pass must cover: the footprint
-// plus the sub-shard reach of every unit the ledger marks stale. The return
+// plus the items of every unit the ledger marks stale (every item, for a unit
+// on a quarter of the corpus). The return
 // is how many marks lie beyond the footprint — zero means the scope IS the
 // footprint (nothing stale outside it). When the footprint covers everything
 // MarkStale could add nothing, and skipping it keeps cold full-pass
@@ -775,19 +776,18 @@ func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
 		delta = core.MaxDelta(prevPrior, prior, tris)
 	}
 
-	// Each source charges its own accuracy movement against the items that
-	// actually read it (extractor movement is charged by the ledger when
-	// votes republish), and the next scope widens to exactly the sub-shard
-	// reach of the units whose accumulated charge crossed Tol. Sub-Tol
-	// movement keeps the E-step on the ingest footprint — and, because the
-	// ledger persists across refreshes, such residue keeps accumulating
-	// instead of resetting, so many small refreshes cannot compound into an
-	// unbounded lag between cached posteriors and the published parameters.
-	// (An escalated pass's Eq 26 refinement can still move clean rows' priors
-	// by the settling response to a sub-Tol parameter shift; their cached
-	// posteriors lag that one step until drift next crosses Tol — the
-	// Tol-bounded staleness this contract accepts.)
-	em.AccumulateSourceDrift(prevA)
+	// Stage III charged each source's accuracy movement to the ledger as it
+	// wrote it (extractor movement is charged when votes republish), and the
+	// next scope widens to exactly the items — or, for a unit on a quarter of
+	// the corpus, every item — of the units whose accumulated charge crossed
+	// Tol. Sub-Tol movement keeps the E-step on the ingest footprint — and,
+	// because the ledger persists across refreshes, such residue keeps
+	// accumulating instead of resetting, so many small refreshes cannot
+	// compound into an unbounded lag between cached posteriors and the
+	// published parameters. (An escalated pass's Eq 26 refinement can still
+	// move clean rows' priors by the settling response to a sub-Tol parameter
+	// shift; their cached posteriors lag that one step until drift next
+	// crosses Tol — the Tol-bounded staleness this contract accepts.)
 	return core.MaxDelta(prevA, em.A(), nil) + core.MaxDelta(prevP, em.P(), nil) + core.MaxDelta(prevR, em.R(), nil) + delta
 }
 
