@@ -330,10 +330,17 @@ func cmdServe(args []string) (err error) {
 	return runServe(cfg, in, os.Stdout, os.Stderr)
 }
 
-// preloadBatch caps how many stdin/file records serve buffers before it
-// ingests them, refresh boundary or not, so an unbroken feed holds a bounded
-// batch in memory (and in one log entry).
-const preloadBatch = 4096
+// preloadBatch and preloadBytes cap how many stdin/file records, and how many
+// bytes of their lines, serve buffers before it ingests them, refresh
+// boundary or not, so an unbroken feed holds a bounded batch in memory (and
+// in one log entry). A batch stops growing at half the log's record limit,
+// and the line that crosses it is at most a quarter of the limit (maxLine),
+// so no legal input is refused as an oversized log entry.
+const (
+	preloadBatch = 4096
+	preloadBytes = wal.MaxRecordBytes / 2
+	maxLine      = wal.MaxRecordBytes / 4
+)
 
 func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 	var eng server.Engine
@@ -435,14 +442,14 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 
 	if in != nil {
 		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+		sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 		// Records are validated one by one — a bad one is reported with its
 		// line number and skipped, never poisoning its neighbours — and the
 		// good ones ingested as one batch per refresh boundary (or every
-		// preloadBatch records): a durable engine pays one log append and
-		// fsync per Ingest call.
+		// preloadBatch records or preloadBytes bytes): a durable engine pays one
+		// log append and fsync per Ingest call.
 		var buf []kbt.Extraction
-		lineNo, firstLine, sinceRefresh := 0, 0, 0
+		lineNo, firstLine, sinceRefresh, bufBytes := 0, 0, 0, 0
 		flush := func() {
 			if len(buf) == 0 {
 				return
@@ -450,7 +457,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 			if err := eng.Ingest(buf...); err != nil {
 				fmt.Fprintf(errw, "kbt serve: %d records from line %d on: %v (skipped)\n", len(buf), firstLine, err)
 			}
-			buf = buf[:0]
+			buf, bufBytes = buf[:0], 0
 		}
 		for sc.Scan() {
 			lineNo++
@@ -479,6 +486,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 				firstLine = lineNo
 			}
 			buf = append(buf, x)
+			bufBytes += len(line)
 			sinceRefresh++
 			if cfg.batch > 0 && sinceRefresh >= cfg.batch {
 				flush()
@@ -486,7 +494,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 					return err
 				}
 				sinceRefresh = 0
-			} else if len(buf) >= preloadBatch {
+			} else if len(buf) >= preloadBatch || bufBytes >= preloadBytes {
 				flush()
 			}
 		}

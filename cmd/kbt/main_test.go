@@ -383,6 +383,36 @@ func TestServeDurablePreloadBatchesPerChunk(t *testing.T) {
 	}
 }
 
+// TestServeDurablePreloadFlushesByBytes: a -data preload of lines near the
+// 4 MiB line limit flushes by buffered bytes as well as by record count, so
+// no batch's log entry exceeds the WAL's record limit and every line is
+// ingested, durably.
+func TestServeDurablePreloadFlushesByBytes(t *testing.T) {
+	const n = 5 // ≈19.5 MiB: one entry would be over the 16 MiB limit
+	big := strings.Repeat("x", 3900<<10)
+	var feed strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&feed, "E%d\tpat\tw%d.com\tw%d.com/p\ts%d\tborn\t%s%d\t0.9\n", i%2, i%3, i%3, i, big, i)
+	}
+	cfg := serveTestConfig()
+	cfg.dataDir = t.TempDir()
+	var errOut bytes.Buffer
+	if err := runServe(cfg, strings.NewReader(feed.String()), io.Discard, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if errOut.Len() != 0 {
+		t.Fatalf("preload reported:\n%s", errOut.String())
+	}
+	d, err := kbt.OpenDurable(cfg.dataDir, cfg.opt, kbt.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Len() != n {
+		t.Fatalf("the data directory holds %d records, want all %d", d.Len(), n)
+	}
+}
+
 // TestServeDurableRestart: a -data server ingests over HTTP, shuts down, and
 // a second run on the same directory recovers the records and serves them.
 // Runs with multiple ingest lanes and a size-based checkpoint cadence so the

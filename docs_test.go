@@ -195,6 +195,9 @@ func TestNoUncalledExports(t *testing.T) {
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
 				}
+				if generic, ok := recv.(*ast.IndexExpr); ok {
+					recv = generic.X
+				}
 				owner += "." + recv.(*ast.Ident).Name
 			}
 			exports = append(exports, export{owner + "." + fn.Name.Name, fn.Name.Name, fset.Position(fn.Pos()).String()})

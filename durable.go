@@ -578,7 +578,14 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 	if err := d.gateLocked(); err != nil {
 		return err
 	}
-	if _, err := d.log.Append(wal.EncodeKeyedBatch(key, recs)); err != nil {
+	entry := wal.EncodeKeyedBatch(key, recs)
+	if len(entry) > wal.MaxRecordBytes {
+		// The request's fault, not the disk's: refused whole before anything
+		// is logged, so health stays as it is and smaller batches still land.
+		return fmt.Errorf("kbt: rejecting ingest batch: its log entry of %d bytes exceeds the %d-byte record limit; split the batch",
+			len(entry), wal.MaxRecordBytes)
+	}
+	if _, err := d.log.Append(entry); err != nil {
 		return d.degradeLocked(err)
 	}
 	if err := d.log.Sync(); err != nil {

@@ -496,6 +496,51 @@ func TestDurableRejectedBatch(t *testing.T) {
 	assertResultsIdentical(t, "rejected-batch", got, live)
 }
 
+// TestDurableOversizedBatchRefusedWhole: a batch whose log entry would exceed
+// the WAL's record limit is the request's fault, not the disk's. It is refused
+// whole with an error that is not ErrReadOnly, nothing is logged, health stays
+// healthy, the next small batch is acked, and a reopen holds only that batch.
+func TestDurableOversizedBatchRefusedWhole(t *testing.T) {
+	opt := durableTestOptions()
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, opt, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := durableBatch(0, 6)
+	for i := range big {
+		big[i].Object = strings.Repeat("x", 3<<20)
+	}
+	err = d.Ingest(big...)
+	if err == nil || errors.Is(err, ErrReadOnly) {
+		t.Fatalf("oversized batch: err = %v, want a refusal that is not ErrReadOnly", err)
+	}
+	if h := d.Health(); h.State != StateHealthy || h.Faults != 0 {
+		t.Fatalf("after the refusal: health %v with %d faults, want healthy with none", h.State, h.Faults)
+	}
+	small := durableBatch(10, 2)
+	if err := d.Ingest(small...); err != nil {
+		t.Fatalf("small batch after the refusal: %v", err)
+	}
+	if d.Len() != len(small) {
+		t.Fatalf("live engine holds %d records, want %d", d.Len(), len(small))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBoundary(t, dir).records(); !reflect.DeepEqual(got, records(small)) {
+		t.Fatalf("the log holds %d records, want exactly the small batch's %d", len(got), len(small))
+	}
+	rec, err := OpenDurable(dir, opt, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.Len() != len(small) {
+		t.Fatalf("reopened engine holds %d records, want %d", rec.Len(), len(small))
+	}
+}
+
 // TestDurableFingerprintMismatch: a checkpoint taken under different model
 // options must refuse to load rather than silently misestimate.
 func TestDurableFingerprintMismatch(t *testing.T) {

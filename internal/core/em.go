@@ -28,7 +28,8 @@ import (
 //
 // The subset parameters of the shardable stages accept nil for "all
 // indices"; non-nil subsets must jointly cover the index space across calls
-// within one iteration, and disjoint subsets may run concurrently. The
+// within one iteration, and each call splits its list across the worker pool
+// itself (calls do not run concurrently: they mark what they wrote). The
 // global M-steps instead take the dirty triple list of the iteration: with
 // Options.IncrementalAggregates they update the global sufficient statistics
 // from exactly those triples' contribution deltas (O(dirty)), and a nil list
@@ -99,15 +100,19 @@ func (em *EM) CarryVotesFrom(prev *EM) {
 }
 
 // EStepTriples runs Stage I — extraction correctness p(C|X) — for the
-// candidate triples in tis (nil = all), writing into cProb.
+// candidate triples in tis (nil = all), writing into cProb and marking the
+// written chunks for the next BuildResultFrom.
 func (em *EM) EStepTriples(cProb []float64, tis []int, workers int) {
 	em.st.estimateCSubset(cProb, tis, workers)
+	markIndices(em.st.triDirty, tis)
 }
 
 // EStepItems runs Stage II — triple truthfulness p(V|X) — for the data items
-// in items (nil = all), writing valueProb, restMass and coveredItem.
+// in items (nil = all), writing valueProb, restMass and coveredItem and
+// marking the written chunks for the next BuildResultFrom.
 func (em *EM) EStepItems(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, items []int, workers int) {
 	em.st.estimateVSubset(cProb, valueProb, restMass, coveredItem, items, workers)
+	markIndices(em.st.itemDirty, items)
 }
 
 // MStepSources runs Stage III — source accuracy re-estimation. dirtyTris
@@ -295,47 +300,28 @@ func (em *EM) InclusionFlipped() bool { return em.st.structural }
 
 // BuildResult assembles a Result from the EM state and the caller-owned
 // posterior arrays, deep-copying everything so the caller may keep mutating
-// its arrays across later refreshes. It is the O(corpus) flat build;
-// BuildResultFrom (publish.go) is the O(dirty) copy-on-write generation
-// path the engine publishes through.
+// its arrays across later refreshes. It is the O(corpus) reference build
+// that shares nothing; BuildResultFrom (publish.go) is the O(written)
+// copy-on-write generation path the engine publishes through.
 func (em *EM) BuildResult(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, iterations int, converged bool) *Result {
 	st := em.st
-	s := st.s
-	res := &Result{
+	return &Result{
 		aVec:              copyVec(st.a),
 		pVec:              copyVec(st.p),
 		rVec:              copyVec(st.r),
 		qVec:              copyVec(st.q),
-		cProb:             append([]float64(nil), cProb...),
-		valueProb:         make([][]float64, len(valueProb)),
-		restMass:          append([]float64(nil), restMass...),
-		coveredTriple:     append([]bool(nil), st.coveredTriple...),
-		coveredItem:       append([]bool(nil), coveredItem...),
+		expVec:            sliceVec(expectedSums(st.s, cProb)),
+		cProb:             copyVec(cProb),
+		coveredTriple:     copyVec(st.coveredTriple),
+		restMass:          copyVec(restMass),
+		coveredItem:       copyVec(coveredItem),
+		rows:              buildRows(nil, valueProb, nil, st.opt.Workers),
 		SourceIncluded:    append([]bool(nil), st.srcIncluded...),
 		ExtractorIncluded: append([]bool(nil), st.extIncluded...),
 		Iterations:        iterations,
 		Converged:         converged,
-		snap:              s,
+		snap:              st.s,
 	}
-	// One flat backing array for all value-posterior rows: the deep copy
-	// runs every refresh, and a single allocation beats one per data item.
-	// Full-capacity sub-slices keep the rows independent for appenders.
-	total := 0
-	for d := range valueProb {
-		total += len(valueProb[d])
-	}
-	backing := make([]float64, 0, total)
-	for d := range valueProb {
-		n := len(backing)
-		backing = append(backing, valueProb[d]...)
-		res.valueProb[d] = backing[n:len(backing):len(backing)]
-	}
-	expt := make([]float64, len(s.Sources))
-	for ti, tr := range s.Triples {
-		expt[tr.W] += cProb[ti]
-	}
-	res.expVec = sliceVec(expt)
-	return res
 }
 
 // AbsenceMasses returns the live base absence-mass state prepareVotes

@@ -135,6 +135,8 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// chunk is re-copied at publication via the chunk-length test regardless.
 	st.srcDirty = grow(st.srcDirty, numUnitChunks(nSrc), 1)
 	st.extDirty = grow(st.extDirty, numUnitChunks(nExt), 1)
+	st.triDirty = grow(st.triDirty, numUnitChunks(nTri), 1)
+	st.itemDirty = grow(st.itemDirty, numUnitChunks(len(s.Items)), 1)
 	st.a = grow(st.a, nSrc, 0)
 	st.srcVote = grow(st.srcVote, nSrc, 0)
 	if st.voteWeight != nil {
@@ -252,7 +254,10 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 			continue
 		}
 		ti := st.tripleOfObs[oi]
-		st.coveredTriple[ti] = true
+		if !st.coveredTriple[ti] {
+			st.coveredTriple[ti] = true
+			markUnit(st.triDirty, ti)
+		}
 		c := st.cellOfTriple[ti]
 		key := extCellKey(e, c)
 		if st.extCellSeen[key] {
@@ -302,6 +307,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 // inclusion masks — the structural-fallback counterpart of newState's fused
 // build loop.
 func (st *state) rebuildCoverage() {
+	markIndices(st.triDirty, nil)
 	st.coveredTriple = make([]bool, len(st.s.Triples))
 	for ti, idxs := range st.s.ByTriple {
 		for _, oi := range idxs {

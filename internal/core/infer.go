@@ -12,15 +12,12 @@ import (
 
 // Result holds the multi-layer posteriors and parameter estimates from Run
 // (or a published engine generation). A Result is immutable once built; the
-// per-triple and per-item posteriors are read through the accessor methods
-// (CProbAt, ValueRow, RestMassAt, CoveredTripleAt, CoveredItemAt), which
-// hide whether the storage is the flat arrays of a batch run or the shared,
-// copy-on-write generation chunks of the incremental engine (see
-// publish.go). The per-unit parameters are likewise read through accessors
-// (AAt, PAt, RAt, QAt, ExpectedTriplesAt): their storage is chunked and
-// shared copy-on-write between generations (see params.go), so a refresh
-// that moved a handful of units publishes a handful of chunk copies instead
-// of O(units) fresh arrays.
+// per-unit parameters (AAt, PAt, RAt, QAt, ExpectedTriplesAt) and the
+// per-triple and per-item posteriors (CProbAt, ValueRow, RestMassAt,
+// CoveredTripleAt, CoveredItemAt) are read through accessors over chunked
+// storage that generations share copy-on-write (see params.go and
+// publish.go), so a refresh that re-estimated a handful of items publishes a
+// handful of chunk copies instead of O(corpus) fresh arrays.
 type Result struct {
 	// Pre, Abs are the final presence/absence votes per extractor (Eqs
 	// 12-13), exposed for inspection and the worked-example tests.
@@ -39,20 +36,14 @@ type Result struct {
 	// Per-unit parameter vectors, chunked and generation-shared: source
 	// accuracy (the Knowledge-Based Trust score), extractor precision /
 	// recall / Q (Eq 7), and the per-source expected correct-triple sums.
-	aVec, pVec, rVec, qVec unitVec
-	expVec                 unitVec
+	aVec, pVec, rVec, qVec unitVec[float64]
+	expVec                 unitVec[float64]
 
-	// Flat posterior storage (batch Run, EM.BuildResult). Exactly one of
-	// the flat arrays and gen is populated.
-	cProb         []float64
-	valueProb     [][]float64
-	restMass      []float64
-	coveredTriple []bool
-	coveredItem   []bool
-	// gen is the chunked generation store of EM.BuildResultFrom: per-shard
-	// immutable chunks, shared with the previous generation for shards the
-	// refresh never re-estimated.
-	gen *genStore
+	// Per-triple and per-item posteriors, chunked over dense ids and
+	// generation-shared the same way.
+	cProb, restMass            unitVec[float64]
+	coveredTriple, coveredItem unitVec[bool]
+	rows                       rowVec
 
 	snap *triple.Snapshot
 }
@@ -79,67 +70,32 @@ func (r *Result) QAt(e int) float64 { return r.qVec.At(e) }
 func (r *Result) ExpectedTriplesAt(w int) float64 { return r.expVec.At(w) }
 
 // NumTriples returns the number of candidate triples the result covers.
-func (r *Result) NumTriples() int {
-	if r.gen != nil {
-		return len(r.gen.tripleShard)
-	}
-	return len(r.cProb)
-}
+func (r *Result) NumTriples() int { return r.cProb.Len() }
 
 // NumItems returns the number of data items the result covers.
-func (r *Result) NumItems() int {
-	if r.gen != nil {
-		return len(r.gen.itemShard)
-	}
-	return len(r.restMass)
-}
+func (r *Result) NumItems() int { return r.restMass.Len() }
 
 // CProbAt returns p(C_wdv = 1 | X) for candidate triple ti of the
 // snapshot's Triples list: the probability that the source really provides
 // the triple.
-func (r *Result) CProbAt(ti int) float64 {
-	if g := r.gen; g != nil {
-		return g.chunks[g.tripleShard[ti]].cProb[g.triplePos[ti]]
-	}
-	return r.cProb[ti]
-}
+func (r *Result) CProbAt(ti int) float64 { return r.cProb.At(ti) }
 
 // CoveredTripleAt reports whether candidate triple ti has at least one
 // observation from an included extractor.
-func (r *Result) CoveredTripleAt(ti int) bool {
-	if g := r.gen; g != nil {
-		return g.chunks[g.tripleShard[ti]].covTri[g.triplePos[ti]]
-	}
-	return r.coveredTriple[ti]
-}
+func (r *Result) CoveredTripleAt(ti int) bool { return r.coveredTriple.At(ti) }
 
 // CoveredItemAt reports whether item d has at least one covered candidate
 // triple from an included source.
-func (r *Result) CoveredItemAt(d int) bool {
-	if g := r.gen; g != nil {
-		return g.chunks[g.itemShard[d]].covItem[g.itemPos[d]]
-	}
-	return r.coveredItem[d]
-}
+func (r *Result) CoveredItemAt(d int) bool { return r.coveredItem.At(d) }
 
 // ValueRow returns the value posterior row of item d: ValueRow(d)[k] is
 // p(Vd = ItemValues[d][k] | X). The row is shared storage — callers must
 // not modify it.
-func (r *Result) ValueRow(d int) []float64 {
-	if g := r.gen; g != nil {
-		return g.chunks[g.itemShard[d]].valueRow(int(g.itemPos[d]))
-	}
-	return r.valueProb[d]
-}
+func (r *Result) ValueRow(d int) []float64 { return r.rows.row(d) }
 
 // RestMassAt returns the probability mass of item d spread uniformly over
 // the unobserved domain values.
-func (r *Result) RestMassAt(d int) float64 {
-	if g := r.gen; g != nil {
-		return g.chunks[g.itemShard[d]].restMass[g.itemPos[d]]
-	}
-	return r.restMass[d]
-}
+func (r *Result) RestMassAt(d int) float64 { return r.restMass.At(d) }
 
 // TripleProb returns p(Vd = v | X) for a candidate value v of item d and
 // whether the item is covered.
@@ -181,22 +137,21 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 
 	st := newState(s, opt)
 	res := &Result{
-		cProb:             make([]float64, nTri),
-		valueProb:         make([][]float64, nItem),
-		restMass:          make([]float64, nItem),
-		coveredTriple:     st.coveredTriple,
-		coveredItem:       make([]bool, nItem),
 		SourceIncluded:    st.srcIncluded,
 		ExtractorIncluded: st.extIncluded,
 		snap:              s,
 	}
+	cProb := make([]float64, nTri)
+	restMass := make([]float64, nItem)
+	coveredItem := make([]bool, nItem)
+	rows, valueProb := newRows(s)
 
 	prevA := make([]float64, nSrc)
 	prevP := make([]float64, nExt)
 	prevR := make([]float64, nExt)
 	prevPrior := make([]float64, nTri)
 
-	opt.Timer.Time(StageExtQuality, func() { st.bootstrap(res.cProb) })
+	opt.Timer.Time(StageExtQuality, func() { st.bootstrap(cProb) })
 
 	iter := 0
 	for iter = 1; iter <= opt.MaxIter; iter++ {
@@ -205,24 +160,24 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		copy(prevR, st.r)
 
 		// Stage I: extraction correctness p(C|X) (Eqs 15, 26, 31).
-		opt.Timer.Time(StageExtCorr, func() { st.estimateC(res.cProb) })
+		opt.Timer.Time(StageExtCorr, func() { st.estimateC(cProb) })
 
 		// Stage II: triple truthfulness p(V|X) (Eqs 23-25).
 		opt.Timer.Time(StageTriplePr, func() {
-			st.estimateV(res.cProb, res.valueProb, res.restMass, res.coveredItem)
+			st.estimateV(cProb, valueProb, restMass, coveredItem)
 		})
 
 		// Stage III: source accuracies (Eq 28 / Eq 27).
 		if !opt.FreezeSources {
 			opt.Timer.Time(StageSrcAccu, func() {
-				st.estimateA(res.cProb, res.valueProb)
+				st.estimateA(cProb, valueProb)
 			})
 		}
 
 		// Stage IV: extractor quality (Eqs 29-33, Q via Eq 7).
 		if !opt.FreezeExtractors {
 			opt.Timer.Time(StageExtQuality, func() {
-				st.estimatePRQ(res.cProb)
+				st.estimatePRQ(cProb)
 			})
 		}
 
@@ -232,7 +187,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		priorDelta := 0.0
 		if opt.UpdatePrior && iter+1 >= opt.UpdatePriorFromIter {
 			copy(prevPrior, st.alpha)
-			st.updateAlpha(res.valueProb)
+			st.updateAlpha(valueProb)
 			priorDelta = MaxDelta(prevPrior, st.alpha, nil)
 		}
 
@@ -257,14 +212,12 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	}
 	res.Iterations = iter
 
-	// The state dies with this call, so the parameter vectors wrap its flat
-	// arrays without copying.
+	// The state dies with this call, so the published vectors wrap its flat
+	// arrays, and the value rows were chunked from the start, without copying.
 	res.aVec, res.pVec, res.rVec, res.qVec = sliceVec(st.a), sliceVec(st.p), sliceVec(st.r), sliceVec(st.q)
-	expt := make([]float64, nSrc)
-	for ti, tr := range s.Triples {
-		expt[tr.W] += res.cProb[ti]
-	}
-	res.expVec = sliceVec(expt)
+	res.expVec = sliceVec(expectedSums(s, cProb))
+	res.cProb, res.coveredTriple = sliceVec(cProb), sliceVec(st.coveredTriple)
+	res.restMass, res.coveredItem, res.rows = sliceVec(restMass), sliceVec(coveredItem), rows
 	return res, nil
 }
 
@@ -302,9 +255,12 @@ type state struct {
 	// values changed since the last BuildResultFrom publication (see
 	// params.go). All writes to a/p/r/q go through the set* helpers, which
 	// compare before storing — a re-derivation that lands on the identical
-	// value leaves its chunk shareable.
-	srcDirty, extDirty []uint32
-	pre, ab            []float64 // per extractor, recomputed by computeVotes
+	// value leaves its chunk shareable. triDirty / itemDirty do the same for
+	// the posterior chunks over triple and item ids, marked by every pass
+	// that writes them.
+	srcDirty, extDirty  []uint32
+	triDirty, itemDirty []uint32
+	pre, ab             []float64 // per extractor, recomputed by computeVotes
 	// voteDelta[e] is pre[e]-ab[e] for included extractors and 0 for
 	// excluded ones — the per-observation Stage I weight with the inclusion
 	// gate folded in (adding 0 is bit-neutral), kept in sync with pre/ab.
@@ -416,14 +372,8 @@ func newState(s *triple.Snapshot, opt Options) *state {
 
 	// Parameters. The dirty marks start all-set: a fresh state has no
 	// publication baseline to share chunks against.
-	st.srcDirty = make([]uint32, numUnitChunks(nSrc))
-	st.extDirty = make([]uint32, numUnitChunks(nExt))
-	for ci := range st.srcDirty {
-		st.srcDirty[ci] = 1
-	}
-	for ci := range st.extDirty {
-		st.extDirty[ci] = 1
-	}
+	st.srcDirty, st.extDirty = newMarks(nSrc), newMarks(nExt)
+	st.triDirty, st.itemDirty = newMarks(nTri), newMarks(len(s.Items))
 	st.a = make([]float64, nSrc)
 	st.srcVote = make([]float64, nSrc)
 	for w := range st.a {
@@ -863,9 +813,8 @@ func (st *state) estimateVSubset(cProb []float64, valueProb [][]float64, restMas
 		vs := s.ItemValues[d]
 		// The item's posterior row doubles as the score buffer: scores
 		// accumulate in place and the softmax transforms them in place, so
-		// the steady state allocates nothing per item. Rows are only ever
-		// read through the same arrays being written here; result snapshots
-		// deep-copy them.
+		// the steady state allocates nothing per item. Published generations
+		// hold copies of the engine's rows; only Run publishes its own.
 		row := valueProb[d]
 		if len(row) != len(vs) {
 			row = make([]float64, len(vs))
@@ -1210,6 +1159,7 @@ func (st *state) bootstrap(cProb []float64) {
 	for ti := range cProb {
 		cProb[ti] = st.opt.Alpha
 	}
+	markIndices(st.triDirty, nil)
 	st.estimatePRQ(cProb)
 	st.applyExplicitExtractorInits()
 }

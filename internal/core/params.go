@@ -2,63 +2,71 @@ package core
 
 import "sync/atomic"
 
-// This file implements copy-on-write per-unit parameter storage. The source
-// and extractor parameter vectors (A, P, R, Q) and the per-source
-// expected-triple sums used to be deep-copied into every published Result —
-// O(units) per refresh even when a pass re-estimated a handful of units. At
-// fine granularities the unit space is corpus-sized (per-page sources,
-// per-pattern extractors), so the copies dominated small-ingest publication
-// the same way the posterior copies did before genStore. The cure is the
-// same: chunked immutable storage shared between generations, with dirty
-// marks deciding which chunks a publication must actually copy.
+// This file implements the chunked, copy-on-write storage every per-id array
+// of a published Result lives in: the per-unit parameters (A, P, R, Q and the
+// expected-triple sums) over dense source and extractor ids, and the
+// posteriors (p(C|X), coverage, rest mass, and the value rows of publish.go's
+// rowVec) over dense triple and item ids. Deep-copying them into every
+// generation would cost O(corpus) per refresh however little a pass
+// re-estimated; instead every array is cut into fixed unitChunk-sized chunks
+// that successive generations share, and dirty marks decide which chunks a
+// publication must actually copy.
 //
-// The working arrays (state.a/p/r/q) stay flat — the M-step hot loops index
-// them densely. Every write goes through a set* helper that compares before
-// storing: only a value that actually changed marks its chunk dirty. The
-// comparison is exact float equality, which is what makes sharing effective —
-// a delta M-step re-derives a source's accuracy from unchanged sufficient
-// statistics bit-identically, so untouched regions of the unit space stay
-// clean across arbitrarily many refreshes. BuildResultFrom then shares every
-// clean, length-stable chunk with the previous generation by pointer and
-// clears the marks, making the new generation the baseline.
+// The working arrays stay flat — the kernels index them densely — and every
+// writer marks the chunks it wrote. The parameter writers (the set* helpers)
+// compare before storing, so only a value that actually changed marks its
+// chunk: a delta M-step re-derives a source's accuracy from unchanged
+// sufficient statistics bit-identically, so untouched regions of the unit
+// space stay clean across arbitrarily many refreshes. The posterior writers
+// (EM.EStepTriples, EM.EStepItems, Bootstrap, extendState's coverage writes,
+// rebuildCoverage) mark every chunk their index list reaches. BuildResultFrom
+// then shares every clean, length-stable chunk with the previous generation by
+// pointer and clears the marks, making the new generation the baseline.
 //
-// Marks are chunk-granular uint32s written with atomic stores: the M-steps
-// derive different units concurrently, and two units of one chunk may mark it
-// from different goroutines. Readers (publication, mark clearing) run after
-// the worker pools have joined, so plain reads are ordered.
+// Parameter marks are chunk-granular uint32s written with atomic stores: the
+// M-steps derive different units concurrently, and two units of one chunk may
+// mark it from different goroutines. Posterior marks are written after the
+// E-step's workers join. Readers (publication, mark clearing) run after the
+// worker pools have joined, so plain reads are ordered.
 
-// unitChunk is the number of units per parameter chunk. Large enough that
-// chunk headers are negligible against the flat arrays, small enough that one
-// drifted unit's copy cost stays far below O(units).
+// unitChunk is the number of ids per published chunk. Large enough that chunk
+// headers are negligible against the flat arrays, small enough that one
+// drifted unit's or one re-estimated item's copy cost stays far below
+// O(corpus).
 const unitChunk = 512
 
-// unitVec is an immutable chunked float vector — the published form of a
-// per-unit parameter. Chunks may be shared with other generations; nothing
-// may write through them.
-type unitVec struct {
+// unitVec is an immutable chunked vector over dense ids — the published form
+// of a per-unit parameter or a per-triple / per-item posterior. Chunks may be
+// shared with other generations; nothing may write through them.
+type unitVec[T float64 | bool] struct {
 	n      int
-	chunks [][]float64
+	chunks [][]T
 }
 
-// Len returns the number of units.
-func (v unitVec) Len() int { return v.n }
+// Len returns the number of ids.
+func (v unitVec[T]) Len() int { return v.n }
 
-// At returns unit i's value.
-func (v unitVec) At(i int) float64 {
+// At returns id i's value.
+func (v unitVec[T]) At(i int) T {
 	return v.chunks[i/unitChunk][i%unitChunk]
 }
 
-// numUnitChunks returns the chunk count covering n units.
+// numUnitChunks returns the chunk count covering n ids.
 func numUnitChunks(n int) int { return (n + unitChunk - 1) / unitChunk }
+
+// chunkSpan returns the id range [lo, hi) of chunk ci of an n-id vector.
+func chunkSpan(ci, n int) (lo, hi int) {
+	lo = ci * unitChunk
+	return lo, min(lo+unitChunk, n)
+}
 
 // sliceVec wraps vals in chunk form without copying. The caller hands over
 // ownership: vals must never be written again (the batch Run path, whose
 // state dies with the call).
-func sliceVec(vals []float64) unitVec {
-	v := unitVec{n: len(vals), chunks: make([][]float64, numUnitChunks(len(vals)))}
+func sliceVec[T float64 | bool](vals []T) unitVec[T] {
+	v := unitVec[T]{n: len(vals), chunks: make([][]T, numUnitChunks(len(vals)))}
 	for ci := range v.chunks {
-		lo := ci * unitChunk
-		hi := min(lo+unitChunk, len(vals))
+		lo, hi := chunkSpan(ci, len(vals))
 		v.chunks[ci] = vals[lo:hi:hi]
 	}
 	return v
@@ -66,27 +74,32 @@ func sliceVec(vals []float64) unitVec {
 
 // copyVec deep-copies vals into chunk form — the snapshot path (BuildResult),
 // where the caller keeps mutating its arrays.
-func copyVec(vals []float64) unitVec {
-	return sliceVec(append([]float64(nil), vals...))
+func copyVec[T float64 | bool](vals []T) unitVec[T] {
+	return sliceVec(append([]T(nil), vals...))
 }
 
-// buildUnitVec assembles a publication's parameter vector copy-on-write
-// against prev: a chunk whose dirty mark is clear and whose unit span is
-// unchanged is shared by pointer, everything else is copied from the working
-// slice. Growth needs no marking discipline — a grown boundary chunk fails
-// the length test and a wholly new chunk has no prev counterpart, so both
-// copy.
-func buildUnitVec(prev unitVec, work []float64, dirty []uint32) unitVec {
+// clean reports whether chunk ci, spanning size ids, may be shared with a
+// previous generation whose chunk ci spans prevSize ids (0 when it has none):
+// no write marked it since that generation was published, and it did not
+// grow. Growth needs no marking discipline — a grown boundary chunk fails the
+// length test and a wholly new chunk has no counterpart, so both copy.
+func clean(dirty []uint32, ci, prevSize, size int) bool {
+	return prevSize == size && ci < len(dirty) && dirty[ci] == 0
+}
+
+// buildUnitVec assembles a publication's vector copy-on-write against prev:
+// a clean chunk is shared by pointer, everything else is copied from the
+// working slice.
+func buildUnitVec[T float64 | bool](prev unitVec[T], work []T, dirty []uint32) unitVec[T] {
 	n := len(work)
-	v := unitVec{n: n, chunks: make([][]float64, numUnitChunks(n))}
+	v := unitVec[T]{n: n, chunks: make([][]T, numUnitChunks(n))}
 	for ci := range v.chunks {
-		lo := ci * unitChunk
-		hi := min(lo+unitChunk, n)
-		if ci < len(prev.chunks) && len(prev.chunks[ci]) == hi-lo && ci < len(dirty) && dirty[ci] == 0 {
+		lo, hi := chunkSpan(ci, n)
+		if ci < len(prev.chunks) && clean(dirty, ci, len(prev.chunks[ci]), hi-lo) {
 			v.chunks[ci] = prev.chunks[ci]
 			continue
 		}
-		v.chunks[ci] = append([]float64(nil), work[lo:hi]...)
+		v.chunks[ci] = append([]T(nil), work[lo:hi]...)
 	}
 	return v
 }
@@ -101,24 +114,45 @@ func markUnit(dirty []uint32, i int) {
 	}
 }
 
+// markIndices records a serial write pass over idx — every chunk when idx is
+// nil, the kernels' "every index" list.
+func markIndices(dirty []uint32, idx []int) {
+	if idx == nil {
+		for ci := range dirty {
+			dirty[ci] = 1
+		}
+		return
+	}
+	for _, i := range idx {
+		dirty[i/unitChunk] = 1
+	}
+}
+
+// newMarks returns the marks of an n-id array with no publication baseline:
+// every chunk dirty.
+func newMarks(n int) []uint32 {
+	dirty := make([]uint32, numUnitChunks(n))
+	markIndices(dirty, nil)
+	return dirty
+}
+
 // cowVec is a unitVec under construction that starts fully shared with a
 // previous generation and clones each chunk on its first write — the
-// expected-triple delta fold, where only the sources of dirty shards' triples
+// expected-triple delta fold, where only the sources of re-published triples
 // receive any adjustment.
 type cowVec struct {
-	v     unitVec
+	v     unitVec[float64]
 	owned []bool
 }
 
 // cowFrom readies a cowVec of n units over prev's chunks. Chunks prev does
 // not cover (or covers at a different length — growth) are materialised
 // immediately, new units zero-filled.
-func cowFrom(prev unitVec, n int) cowVec {
+func cowFrom(prev unitVec[float64], n int) cowVec {
 	nc := numUnitChunks(n)
-	c := cowVec{v: unitVec{n: n, chunks: make([][]float64, nc)}, owned: make([]bool, nc)}
+	c := cowVec{v: unitVec[float64]{n: n, chunks: make([][]float64, nc)}, owned: make([]bool, nc)}
 	for ci := 0; ci < nc; ci++ {
-		lo := ci * unitChunk
-		hi := min(lo+unitChunk, n)
+		lo, hi := chunkSpan(ci, n)
 		if ci < len(prev.chunks) && len(prev.chunks[ci]) == hi-lo {
 			c.v.chunks[ci] = prev.chunks[ci]
 			continue
@@ -133,8 +167,8 @@ func cowFrom(prev unitVec, n int) cowVec {
 	return c
 }
 
-// Add folds d into unit i, cloning the chunk if it is still shared.
-func (c *cowVec) Add(i int, d float64) {
+// add folds d into unit i, cloning the chunk if it is still shared.
+func (c *cowVec) add(i int, d float64) {
 	ci := i / unitChunk
 	if !c.owned[ci] {
 		c.v.chunks[ci] = append([]float64(nil), c.v.chunks[ci]...)

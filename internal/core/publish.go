@@ -6,163 +6,120 @@ import (
 )
 
 // This file implements zero-copy result publication: immutable result
-// generations whose per-triple and per-item posteriors live in per-shard
-// chunks that successive generations share.
+// generations whose per-id arrays live in unitChunk-sized chunks over dense
+// ids (params.go) that successive generations share.
 //
-// EM.BuildResult deep-copies every posterior array — O(corpus) per refresh,
-// no matter how small the ingest. BuildResultFrom instead copy-on-writes:
-// a shard the refresh re-estimated (or grew) gets a fresh chunk copied from
-// the engine's working arrays, and every other shard's chunk is shared with
-// the previous generation by pointer. The shard-position index that backs
-// random access (triple id → (shard, position), item id → (shard,
-// position)) follows the same append-only prefix discipline as
-// Snapshot.Extend and NewEMFrom: ids never shift, shard triple/item lists
-// only append, so each generation extends the previous index in place and
-// keeps a value slice header of its own length — readers of an old
-// generation never see the entries appended after it. Publication therefore
-// costs O(dirty shards + units) instead of O(corpus), and an arbitrary
-// number of generations can be alive at once: a reader holding an old
-// Result keeps a fully consistent view while the engine publishes new ones.
+// EM.BuildResult deep-copies every array — O(corpus) per refresh, no matter
+// how small the ingest. BuildResultFrom instead copy-on-writes: a chunk is
+// copied when a pass wrote it or it grew; the rest is shared with the
+// previous generation by pointer. Ids never shift and the arrays only
+// append, so a chunk index means the same ids in every generation of a
+// snapshot chain, and random access is one division. Publication therefore
+// costs O(written chunks) instead of O(corpus), and an arbitrary number of
+// generations can be alive at once: a reader holding an old Result keeps a
+// fully consistent view while the engine publishes new ones.
 //
-// Correctness rests on one engine invariant: between two publications, the
-// working posterior arrays change only inside the shards the refresh
-// re-estimated (which always include every shard that gained an item or a
-// candidate triple). A chunk shared across generations is therefore
-// bit-identical to what a fresh copy would contain.
+// Correctness rests on one invariant: between two publications, the working
+// arrays change only where the EM marked a write (EStepTriples and
+// EStepItems over their index lists, Bootstrap, and the coverage writes of
+// an extension), or at their grown tail. The engine keeps its side of it by
+// re-estimating every item that gained a candidate value, whose row its
+// extension remapped.
 
-// genStore is the chunked posterior storage of one published generation.
-type genStore struct {
-	nShards int
-	// chunks[si] holds shard si's posteriors; shared with the previous
-	// generation when the refresh never re-estimated the shard.
-	chunks []*genChunk
-	// tripleShard/triplePos map a candidate-triple id to its chunk and the
-	// position inside it; itemShard/itemPos do the same for data items.
-	// The backing arrays are extended append-only across generations.
-	tripleShard, triplePos []int32
-	itemShard, itemPos     []int32
+// rowChunk is the published form of unitChunk items' value-posterior rows:
+// one flat backing plus int32 row boundaries rather than a slice of row
+// headers. Pointer-free backings cost the garbage collector nothing to scan,
+// which matters when hundreds of generations churn through a serving
+// process.
+type rowChunk struct {
+	vals []float64 // the chunk's rows, concatenated
+	off  []int32   // item lo+k's row is vals[off[k]:off[k+1]]
 }
 
-// genChunk holds one shard's posteriors, indexed by the triple's respectively
-// item's position in the shard's Triples/Items list. The value-posterior
-// rows are stored flat (one backing per chunk, delimited by rowOff) rather
-// than as a slice of row headers: pointer-free chunks cost the garbage
-// collector nothing to scan, which matters when hundreds of generations
-// churn through a serving process.
-type genChunk struct {
-	cProb    []float64
-	covTri   []bool
-	rows     []float64 // concatenated value-posterior rows
-	rowOff   []int32   // len(items)+1 row boundaries into rows
-	restMass []float64
-	covItem  []bool
+// rowVec is the chunked value-posterior table of a generation.
+type rowVec []rowChunk
+
+// row returns item d's value-posterior row, capacity-capped so appenders
+// cannot touch the neighbouring row.
+func (v rowVec) row(d int) []float64 {
+	ck := &v[d/unitChunk]
+	k := d % unitChunk
+	lo, hi := ck.off[k], ck.off[k+1]
+	return ck.vals[lo:hi:hi]
 }
 
-// valueRow returns the value-posterior row of the item at position pos,
-// capacity-capped so appenders cannot touch the neighbouring row.
-func (ck *genChunk) valueRow(pos int) []float64 {
-	lo, hi := ck.rowOff[pos], ck.rowOff[pos+1]
-	return ck.rows[lo:hi:hi]
+// packRows copies rows into one chunk.
+func packRows(rows [][]float64) rowChunk {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	ck := rowChunk{vals: make([]float64, 0, total), off: make([]int32, len(rows)+1)}
+	for k, r := range rows {
+		ck.vals = append(ck.vals, r...)
+		ck.off[k+1] = int32(len(ck.vals))
+	}
+	return ck
+}
+
+// newRows allocates every item's value row in chunk form, each row as long
+// as the item's candidate-value list. estimateVSubset then fills the rows in
+// place, so the batch Run path publishes them without a copy.
+func newRows(s *triple.Snapshot) (rowVec, [][]float64) {
+	n := len(s.Items)
+	rows := make([][]float64, n)
+	v := make(rowVec, numUnitChunks(n))
+	for ci := range v {
+		lo, hi := chunkSpan(ci, n)
+		total := 0
+		for _, vs := range s.ItemValues[lo:hi] {
+			total += len(vs)
+		}
+		ck := rowChunk{vals: make([]float64, total), off: make([]int32, hi-lo+1)}
+		for k, vs := range s.ItemValues[lo:hi] {
+			a := int(ck.off[k])
+			ck.off[k+1] = int32(a + len(vs))
+			rows[lo+k] = ck.vals[a : a+len(vs) : a+len(vs)]
+		}
+		v[ci] = ck
+	}
+	return v, rows
+}
+
+// buildRows is buildUnitVec for the value rows: clean chunks are shared with
+// prev, the others are packed from the working rows on the worker pool.
+func buildRows(prev rowVec, work [][]float64, dirty []uint32, workers int) rowVec {
+	n := len(work)
+	v := make(rowVec, numUnitChunks(n))
+	var copied []int
+	for ci := range v {
+		lo, hi := chunkSpan(ci, n)
+		if ci < len(prev) && clean(dirty, ci, len(prev[ci].off)-1, hi-lo) {
+			v[ci] = prev[ci]
+		} else {
+			copied = append(copied, ci)
+		}
+	}
+	parallel.ForEach(len(copied), workers, func(k int) {
+		lo, hi := chunkSpan(copied[k], n)
+		v[copied[k]] = packRows(work[lo:hi])
+	})
+	return v
 }
 
 // BuildResultFrom assembles a Result generation by copy-on-write against
-// prev: shards marked in touched get fresh chunks copied from the
-// caller-owned working arrays, all other shards share prev's chunks. A nil
-// prev (or one with a different shard structure) builds every chunk — the
-// cold path, identical in content to BuildResult. touched must cover every
-// shard whose working values changed since prev was published, including
-// every shard that gained an item or candidate triple; the engine's E-step
-// sets guarantee this by construction.
-func (em *EM) BuildResultFrom(prev *Result, shards []triple.Shard, touched []bool, cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, iterations int, converged bool) *Result {
+// prev: every chunk no write marked since prev was published, and that did
+// not grow, is shared with prev; the rest are copied from the caller-owned
+// working arrays. prev must be the generation the marks were cleared against
+// (the engine always passes its last published Result, or nil); clearing the
+// marks below makes this generation the new baseline. A nil prev builds every
+// chunk — the cold path, identical in content to BuildResult.
+func (em *EM) BuildResultFrom(prev *Result, cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, iterations int, converged bool) *Result {
 	st := em.st
-	s := st.s
-	nTri, nItem := len(s.Triples), len(s.Items)
-
-	var pg *genStore
-	if prev != nil && prev.gen != nil && prev.gen.nShards == len(shards) &&
-		len(prev.gen.tripleShard) <= nTri && len(prev.gen.itemShard) <= nItem {
-		pg = prev.gen
+	if prev == nil {
+		prev = &Result{}
 	}
-
-	g := &genStore{nShards: len(shards), chunks: make([]*genChunk, len(shards))}
-	var dirty []int
-	prevNTri, prevNItem := 0, 0
-	if pg == nil {
-		g.tripleShard = make([]int32, nTri)
-		g.triplePos = make([]int32, nTri)
-		g.itemShard = make([]int32, nItem)
-		g.itemPos = make([]int32, nItem)
-		dirty = make([]int, len(shards))
-		for si := range dirty {
-			dirty[si] = si
-		}
-	} else {
-		// Index extension reuses the previous generation's spare capacity
-		// (grow appends): entries [prevN, n) are written exactly once, by
-		// this generation; older generations' slice headers never cover
-		// them, so the shared backing is safe under concurrent readers.
-		prevNTri, prevNItem = len(pg.tripleShard), len(pg.itemShard)
-		g.tripleShard = grow(pg.tripleShard, nTri, 0)
-		g.triplePos = grow(pg.triplePos, nTri, 0)
-		g.itemShard = grow(pg.itemShard, nItem, 0)
-		g.itemPos = grow(pg.itemPos, nItem, 0)
-		for si := range shards {
-			if touched[si] {
-				dirty = append(dirty, si)
-			} else {
-				g.chunks[si] = pg.chunks[si]
-			}
-		}
-	}
-
-	covTri := st.coveredTriple
-	parallel.ForEach(len(dirty), st.opt.Workers, func(k int) {
-		si := dirty[k]
-		sh := shards[si]
-		ck := &genChunk{
-			cProb:    make([]float64, len(sh.Triples)),
-			covTri:   make([]bool, len(sh.Triples)),
-			rowOff:   make([]int32, len(sh.Items)+1),
-			restMass: make([]float64, len(sh.Items)),
-			covItem:  make([]bool, len(sh.Items)),
-		}
-		for pos, ti := range sh.Triples {
-			ck.cProb[pos] = cProb[ti]
-			ck.covTri[pos] = covTri[ti]
-			if ti >= prevNTri {
-				g.tripleShard[ti] = int32(si)
-				g.triplePos[ti] = int32(pos)
-			}
-		}
-		total := 0
-		for _, d := range sh.Items {
-			total += len(valueProb[d])
-		}
-		ck.rows = make([]float64, 0, total)
-		for pos, d := range sh.Items {
-			ck.rows = append(ck.rows, valueProb[d]...)
-			ck.rowOff[pos+1] = int32(len(ck.rows))
-			ck.restMass[pos] = restMass[d]
-			ck.covItem[pos] = coveredItem[d]
-			if d >= prevNItem {
-				g.itemShard[d] = int32(si)
-				g.itemPos[d] = int32(pos)
-			}
-		}
-		g.chunks[si] = ck
-	})
-
-	// Per-unit parameters publish copy-on-write (params.go): a chunk no
-	// write dirtied since prev was published is shared by pointer, so a
-	// refresh that moved a handful of units copies a handful of chunks —
-	// O(changed chunks) instead of O(units). prev must be the generation the
-	// dirty marks were cleared against (the engine always passes its last
-	// published Result); clearing the marks below makes this generation the
-	// new baseline. The inclusion copies share one backing allocation.
-	var pva, pvp, pvr, pvq unitVec
-	if prev != nil {
-		pva, pvp, pvr, pvq = prev.aVec, prev.pVec, prev.rVec, prev.qVec
-	}
+	// The inclusion copies share one backing allocation.
 	nS, nE := len(st.a), len(st.p)
 	bb := make([]bool, 0, nS+nE)
 	bsub := func(src []bool) []bool {
@@ -171,59 +128,83 @@ func (em *EM) BuildResultFrom(prev *Result, shards []triple.Shard, touched []boo
 		return bb[n0:len(bb):len(bb)]
 	}
 	res := &Result{
-		aVec:              buildUnitVec(pva, st.a, st.srcDirty),
-		pVec:              buildUnitVec(pvp, st.p, st.extDirty),
-		rVec:              buildUnitVec(pvr, st.r, st.extDirty),
-		qVec:              buildUnitVec(pvq, st.q, st.extDirty),
+		aVec:              buildUnitVec(prev.aVec, st.a, st.srcDirty),
+		pVec:              buildUnitVec(prev.pVec, st.p, st.extDirty),
+		rVec:              buildUnitVec(prev.rVec, st.r, st.extDirty),
+		qVec:              buildUnitVec(prev.qVec, st.q, st.extDirty),
+		expVec:            em.expectedTriples(prev, cProb),
+		cProb:             buildUnitVec(prev.cProb, cProb, st.triDirty),
+		coveredTriple:     buildUnitVec(prev.coveredTriple, st.coveredTriple, st.triDirty),
+		restMass:          buildUnitVec(prev.restMass, restMass, st.itemDirty),
+		coveredItem:       buildUnitVec(prev.coveredItem, coveredItem, st.itemDirty),
+		rows:              buildRows(prev.rows, valueProb, st.itemDirty, st.opt.Workers),
 		SourceIncluded:    bsub(st.srcIncluded),
 		ExtractorIncluded: bsub(st.extIncluded),
-		expVec:            em.expectedTriples(prev, pg, shards, dirty, prevNTri, cProb),
 		Iterations:        iterations,
 		Converged:         converged,
-		gen:               g,
-		snap:              s,
+		snap:              st.s,
 	}
 	clear(st.srcDirty)
 	clear(st.extDirty)
+	clear(st.triDirty)
+	clear(st.itemDirty)
 	return res
 }
 
 // expectedTriples computes the per-source Σ p(C|X). On the incremental path
-// (a compatible previous generation and incremental aggregates) it folds
-// only the dirty shards' cProb deltas into the previous generation's sums —
-// O(dirty), re-anchored exactly whenever a full pass rebuilds every chunk.
+// (a previous generation and incremental aggregates) it folds only the
+// copied triple chunks' cProb deltas into the previous generation's sums —
+// O(written), re-anchored exactly whenever a pass wrote every chunk.
 // Otherwise it aggregates in global triple order, bit-identical to Run and
 // BuildResult (the FullAggregates/FullRecompile oracles re-aggregate every
 // refresh, keeping their bit-exactness contract).
-func (em *EM) expectedTriples(prev *Result, pg *genStore, shards []triple.Shard, dirty []int, prevNTri int, cProb []float64) unitVec {
+func (em *EM) expectedTriples(prev *Result, cProb []float64) unitVec[float64] {
 	st := em.st
 	s := st.s
-	anchor := st.agg == nil || st.agg.expAnchor || len(dirty) == len(shards)
+	nTri := len(cProb)
+	var copied []int
+	for ci := range numUnitChunks(nTri) {
+		lo, hi := chunkSpan(ci, nTri)
+		prevSize := 0
+		if ci < len(prev.cProb.chunks) {
+			prevSize = len(prev.cProb.chunks[ci])
+		}
+		if !clean(st.triDirty, ci, prevSize, hi-lo) {
+			copied = append(copied, ci)
+		}
+	}
+	anchor := st.agg == nil || st.agg.expAnchor || len(copied) == numUnitChunks(nTri)
 	if st.agg != nil {
 		st.agg.expAnchor = false
 	}
-	if pg == nil || anchor {
-		exp := make([]float64, len(s.Sources))
-		for ti, tr := range s.Triples {
-			exp[tr.W] += cProb[ti]
-		}
-		return sliceVec(exp)
+	if prev.expVec.chunks == nil || anchor {
+		return sliceVec(expectedSums(s, cProb))
 	}
 	// Delta fold, copy-on-write: every chunk starts shared with prev and is
-	// cloned on its first adjustment, so only the sources of dirty shards'
+	// cloned on its first adjustment, so only the sources of copied chunks'
 	// triples cost a copy.
 	cw := cowFrom(prev.expVec, len(s.Sources))
-	for _, si := range dirty {
-		pc := pg.chunks[si]
-		for pos, ti := range shards[si].Triples {
+	prevN := prev.cProb.Len()
+	for _, ci := range copied {
+		lo, hi := chunkSpan(ci, nTri)
+		for ti := lo; ti < hi; ti++ {
 			old := 0.0
-			if pos < len(pc.cProb) {
-				old = pc.cProb[pos]
+			if ti < prevN {
+				old = prev.cProb.At(ti)
 			}
 			if d := cProb[ti] - old; d != 0 {
-				cw.Add(s.Triples[ti].W, d)
+				cw.add(s.Triples[ti].W, d)
 			}
 		}
 	}
 	return cw.v
+}
+
+// expectedSums aggregates Σ p(C|X) per source in global triple order.
+func expectedSums(s *triple.Snapshot, cProb []float64) []float64 {
+	exp := make([]float64, len(s.Sources))
+	for ti, tr := range s.Triples {
+		exp[tr.W] += cProb[ti]
+	}
+	return exp
 }

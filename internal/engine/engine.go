@@ -30,12 +30,12 @@
 //     store, which reads none of the multi-layer state and so has been running
 //     on its own goroutine since begin returned — when those layers are on;
 //   - publish stores the result as an immutable generation behind an atomic
-//     pointer (core.BuildResultFrom): only the touched shards' posterior
-//     chunks and the moved units' parameter chunks are copied out of the
-//     working arrays, every other chunk is shared with the previous
-//     generation, and readers (Last) never block a running Refresh — a
-//     generation a reader holds stays valid and bit-stable across any number
-//     of later swaps.
+//     pointer (core.BuildResultFrom): only the dense-id chunks a pass wrote
+//     or the ingest grew — posteriors and moved units' parameters alike —
+//     are copied out of the working arrays, every other chunk is shared with
+//     the previous generation, and readers (Last) never block a running
+//     Refresh — a generation a reader holds stays valid and bit-stable across
+//     any number of later swaps.
 //
 // Stages I and II of Algorithm 1 are independent per candidate triple
 // respectively per item, so a pass hands the kernels one index list — the
@@ -71,9 +71,9 @@ import (
 
 // Options configures an Engine. Start from DefaultOptions.
 type Options struct {
-	// Shards is the number of item partitions (default 8). More shards
-	// mean finer-grained dirtiness tracking and smaller publication chunks;
-	// the E-step's parallelism does not depend on it.
+	// Shards is the number of item partitions (default 8) the refresh
+	// statistics and the copy tracker's dirty list count in; neither the
+	// E-step's parallelism nor publication depends on it.
 	Shards int
 	// Core configures the multi-layer model (default core.DefaultOptions).
 	Core core.Options
@@ -245,9 +245,9 @@ type Engine struct {
 
 	// last is the published generation, swapped atomically so readers never
 	// block a running Refresh and Refresh never waits for readers. Each
-	// Result is immutable once stored; generations share untouched posterior
-	// chunks (core.BuildResultFrom), and an old generation a reader still
-	// holds stays fully valid after any number of swaps.
+	// Result is immutable once stored; generations share unwritten chunks
+	// (core.BuildResultFrom), and an old generation a reader still holds
+	// stays fully valid after any number of swaps.
 	last atomic.Pointer[Result]
 }
 
@@ -913,12 +913,13 @@ func (e *Engine) fuse(r *refreshRun) (err error) {
 // publish builds the new generation from r, stores it behind the atomic
 // pointer and persists the run's state for the next warm start. The
 // generation is built copy-on-write against the previous one: only the
-// touched shards' posterior chunks are copied out of the working arrays;
-// everything else is shared. r.extended is what makes the share sound — the
-// previous generation was built on the same snapshot chain, so an untouched
-// shard's working values are bit-identical to its published chunk. A run on
-// a fresh compile builds every chunk, which also re-anchors the
-// incrementally maintained ExpectedTriples sums.
+// chunks the EM marked as written, or that grew, are copied out of the
+// working arrays; everything else is shared. r.extended is what makes the
+// share sound — the previous generation was built on the same snapshot
+// chain, and the marks were cleared when it was published, so an unmarked
+// chunk's working values are bit-identical to its published copy. A run on a
+// fresh compile builds every chunk, which also re-anchors the incrementally
+// maintained ExpectedTriples sums.
 func (e *Engine) publish(r *refreshRun) *Result {
 	var prevInf *core.Result
 	if prevLast := e.last.Load(); r.extended && prevLast != nil {
@@ -927,8 +928,8 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	aggDelta, aggFull := r.em.AggStepCounts()
 	res := &Result{
 		Snapshot: r.snap,
-		Inference: r.em.BuildResultFrom(prevInf, r.shards, r.touched,
-			r.cProb, r.valueProb, r.restMass, r.coveredItem, r.iterations, r.converged),
+		Inference: r.em.BuildResultFrom(prevInf, r.cProb, r.valueProb, r.restMass, r.coveredItem,
+			r.iterations, r.converged),
 		Warm:            r.warm,
 		Extended:        r.extended,
 		FirstPassShards: r.firstPass,
@@ -980,7 +981,9 @@ func (e *Engine) workers() int {
 // first E-step fills them — every new item is in the dirty set by
 // construction), and the grown items have their row remapped to the shifted
 // slots. Everything already in place carries over untouched, so the work is
-// proportional to the ingest.
+// proportional to the ingest. The remap writes outside the EM's publication
+// marks; it is sound because a grown item shares a cell with a pending
+// record, so the first pass re-estimates it and marks its chunk.
 func (r *refreshRun) extendPosteriors() {
 	snap, prev := r.snap, r.prev.snap
 	r.cProb, r.valueProb, r.restMass, r.coveredItem = r.prev.cProb, r.prev.valueProb, r.prev.restMass, r.prev.coveredItem

@@ -270,6 +270,10 @@ func assertRefreshMatchesOracle(t *testing.T, tag string, fast *Engine, got, wan
 		t.Fatalf("%s: iterations/converged = %d/%v, oracle %d/%v",
 			tag, g.Iterations, g.Converged, w.Iterations, w.Converged)
 	}
+	// The copy-on-write generation must hold, bit for bit, what a deep copy
+	// of the working arrays holds: a chunk shared that a pass wrote fails here.
+	assertResultsBitIdentical(t, tag, g, fast.em.BuildResult(fast.cProb, fast.valueProb, fast.restMass, fast.coveredItem,
+		g.Iterations, g.Converged))
 	assertKeptVotes(t, tag, fast)
 }
 

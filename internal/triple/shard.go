@@ -7,11 +7,12 @@ import (
 
 // Shard is one partition of a Snapshot's data-item space. Items (and the
 // candidate triples that mention them) are assigned by hashing the item key,
-// so a shard is a stable unit of staleness and of publication: the engine
-// tracks which shards a refresh re-estimated, and publication chunks and the
-// copy tracker are keyed by them. The E-step itself does not run shard by
-// shard — a shard's lists take every n-th dense id, and a settling pass reads
-// its scope in ascending dense-id order instead (core.EM.CompileScope).
+// so a shard is a stable unit of accounting: the engine counts which shards
+// a refresh re-estimated, and the copy tracker's dirty list is keyed by them.
+// Neither the E-step nor publication runs shard by shard — a shard's lists
+// take every n-th dense id, so a settling pass reads its scope in ascending
+// dense-id order (core.EM.CompileScope) and a generation publishes in
+// dense-id chunks.
 // Sources and extractors are NOT partitioned: their M-steps aggregate across
 // every shard.
 type Shard struct {

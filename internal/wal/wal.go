@@ -34,6 +34,11 @@ const (
 	recHdrSize = 8 // u32 length + u32 CRC32-Castagnoli
 )
 
+// MaxRecordBytes bounds a single record. Append refuses a larger payload
+// before writing anything, and a length prefix above it is treated as
+// torn/corrupt instead of allocated.
+const MaxRecordBytes = 16 << 20
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures Open.
@@ -41,9 +46,6 @@ type Options struct {
 	// SegmentBytes rolls to a new segment once the active one reaches this
 	// size (default 4 MiB).
 	SegmentBytes int64
-	// MaxRecordBytes bounds a single record (default 16 MiB). A length
-	// prefix above it is treated as torn/corrupt instead of allocated.
-	MaxRecordBytes int
 	// NoSync skips every fsync. Benchmarks and tests only: a crash can then
 	// tear acknowledged records.
 	NoSync bool
@@ -54,9 +56,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 16 << 20
 	}
 	if o.FS == nil {
 		o.FS = OSFS{}
@@ -221,7 +220,7 @@ func (l *Log) openSegment(i int, last bool) error {
 	if err != nil {
 		return fmt.Errorf("wal: open segment: %w", err)
 	}
-	count, validLen, serr := scanSegment(f, l.opt.MaxRecordBytes, nil)
+	count, validLen, serr := scanSegment(f, nil)
 	if !last {
 		defer f.Close()
 		if serr != nil {
@@ -286,7 +285,7 @@ func (l *Log) openSegment(i int, last bool) error {
 // length of the valid prefix. A non-nil error describes why the scan stopped
 // early — a torn tail on the active segment, corruption on a sealed one; the
 // count/validLen cover the records before the damage either way.
-func scanSegment(r io.Reader, maxRecord int, fn func(payload []byte) error) (uint64, int64, error) {
+func scanSegment(r io.Reader, fn func(payload []byte) error) (uint64, int64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -309,8 +308,8 @@ func scanSegment(r io.Reader, maxRecord int, fn func(payload []byte) error) (uin
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if int(n) > maxRecord {
-			return count, validLen, fmt.Errorf("record length %d exceeds limit %d", n, maxRecord)
+		if n > MaxRecordBytes {
+			return count, validLen, fmt.Errorf("record length %d exceeds limit %d", n, MaxRecordBytes)
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
@@ -341,8 +340,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.failed {
 		return 0, ErrFailed
 	}
-	if len(payload) > l.opt.MaxRecordBytes {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", len(payload), l.opt.MaxRecordBytes)
+	if len(payload) > MaxRecordBytes {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", len(payload), MaxRecordBytes)
 	}
 	if l.size >= l.opt.SegmentBytes && l.size > int64(len(segMagic)) {
 		if err := l.roll(); err != nil {
@@ -468,7 +467,7 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 			return fmt.Errorf("wal: open segment for replay: %w", err)
 		}
 		next := seg.base
-		count, _, serr := scanSegment(f, l.opt.MaxRecordBytes, func(payload []byte) error {
+		count, _, serr := scanSegment(f, func(payload []byte) error {
 			seq := next
 			next++
 			if seq < from {
