@@ -407,10 +407,13 @@ type RefreshStats struct {
 	// respectively re-aggregated over the corpus.
 	AggDeltaSteps, AggFullSteps int
 	// CopyPairs is the number of copy dependencies the generation publishes
-	// (zero when CopyDetect is off). FusedItems / FusionIterations report
-	// the fusion work of the refresh: distinct items re-fused and fusion EM
-	// iterations run (zero when Fusion is off, and on a NoOp refresh).
-	CopyPairs, FusedItems, FusionIterations int
+	// (zero when CopyDetect is off). CopyItems counts the item signatures the
+	// copy tracker rebuilt for it: the items whose evidence crossed a gate or
+	// gained a candidate triple (zero when CopyDetect is off, and on a NoOp
+	// refresh). FusedItems / FusionIterations report the fusion work of the
+	// refresh: distinct items re-fused and fusion EM iterations run (zero
+	// when Fusion is off, and on a NoOp refresh).
+	CopyPairs, CopyItems, FusedItems, FusionIterations int
 }
 
 // Stats reports the most recent Refresh, or false before the first one.
@@ -432,6 +435,7 @@ func (v *view) Stats() (RefreshStats, bool) {
 		AggDeltaSteps:    r.AggDeltaSteps,
 		AggFullSteps:     r.AggFullSteps,
 		CopyPairs:        r.CopyPairs,
+		CopyItems:        r.CopyItems,
 		FusedItems:       r.FusedItems,
 		FusionIterations: r.FusionIterations,
 	}, true

@@ -147,6 +147,9 @@ func TestEngineCopyDepsAndFused(t *testing.T) {
 	if stats.CopyPairs != len(deps) {
 		t.Fatalf("stats.CopyPairs = %d, want %d", stats.CopyPairs, len(deps))
 	}
+	if stats.CopyItems != 40 {
+		t.Fatalf("stats.CopyItems = %d, want 40: a cold refresh rebuilds every item's signature", stats.CopyItems)
+	}
 	if stats.FusedItems == 0 || stats.FusionIterations == 0 {
 		t.Fatalf("fusion stats report no work: %+v", stats)
 	}

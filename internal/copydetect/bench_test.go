@@ -63,14 +63,17 @@ func tieredWorld() (*trackerWorld, *rand.Rand) {
 // reach everywhere: every shard is re-estimated and every accuracy moves, so
 // every posterior comes out a little different, yet almost none crosses a
 // gate — one item in 200 has its evidence redrawn, which flips well under 1 %
-// of the discretised evidence.
-func (w *trackerWorld) settle(rng *rand.Rand) []int {
-	all := allShardIdx(len(w.shards))
+// of the discretised evidence. It returns every shard, and the redrawn items:
+// a superset of those whose evidence crossed a gate, as the engine's E-step
+// marks are.
+func (w *trackerWorld) settle(rng *rand.Rand) (all, redrawn []int) {
+	all = allShardIdx(len(w.shards))
 	w.jitter(rng, all)
 	for d, tis := range w.s.TriplesOfItem {
 		if rng.Intn(200) > 0 {
 			continue
 		}
+		redrawn = append(redrawn, d)
 		for k := range w.vp[d] {
 			w.vp[d][k] = rng.Float64()
 		}
@@ -81,7 +84,7 @@ func (w *trackerWorld) settle(rng *rand.Rand) []int {
 	for src := range w.acc {
 		w.acc[src] = rng.Float64()*0.96 + 0.02
 	}
-	return all
+	return all, redrawn
 }
 
 // churn moves the evidence of the next window of dirtyN shards (round robin
@@ -134,43 +137,58 @@ func (w *trackerWorld) churn(rng *rand.Rand, round, dirtyN, srcN int) []int {
 // the end-to-end benchmark's serve_layer6 workload gates. The incremental
 // shape rebuilds the dirty shards' item signatures, moves the pair statistics
 // only where one changed and rescores only the pairs whose statistics or
-// member accuracies moved; the batch-oracle shape is the full O(corpus)
-// Detect the tracker replaces. The two lists are deep-equal
-// (TestFuzzTrackerMatchesDetect pins it); only the cost curves differ.
+// member accuracies moved; corpus-wide, incremental-items is the same tracker
+// fed the list of items whose evidence was redrawn, as the engine feeds it
+// the items its E-steps marked, instead of every shard. The batch-oracle
+// shape is the full O(corpus) Detect the tracker replaces. The lists are
+// deep-equal (TestFuzzTrackerMatchesDetect pins it); only the cost curves
+// differ.
 func BenchmarkCopyDetectWarm(b *testing.B) {
-	benchWarm(b, benchWorld, func(w *trackerWorld, rng *rand.Rand, round int) []int {
-		return w.churn(rng, round, 12, 24)
-	})
+	benchWarm(b, benchWorld, func(w *trackerWorld, rng *rand.Rand, round int) (dirty, redrawn []int) {
+		return w.churn(rng, round, 12, 24), nil
+	}, false)
 	b.Run("corpus-wide", func(b *testing.B) {
-		benchWarm(b, tieredWorld, func(w *trackerWorld, rng *rand.Rand, _ int) []int {
+		benchWarm(b, tieredWorld, func(w *trackerWorld, rng *rand.Rand, _ int) (dirty, redrawn []int) {
 			return w.settle(rng)
-		})
+		}, true)
 	})
 }
 
-// benchWarm runs the incremental and the batch-oracle shape over one world,
-// moving its evidence by churn, off the clock, before every iteration.
-func benchWarm(b *testing.B, world func() (*trackerWorld, *rand.Rand), churn func(w *trackerWorld, rng *rand.Rand, round int) []int) {
-	b.Run("incremental", func(b *testing.B) {
-		w, rng := world()
-		tr, err := NewTracker(DefaultOptions(), len(w.shards))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr.Update(w.s, w.evidence(), w.shards, allShardIdx(len(w.shards)))
-		tr.Dependencies(w.evidence().Accuracy)
-		var pairs int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+// benchWarm runs the incremental shapes and the batch-oracle shape over one
+// world, moving its evidence by churn, off the clock, before every iteration.
+// churn returns the shards it dirtied and, with itemFeed, the items whose
+// evidence it redrew, which the incremental-items shape updates.
+func benchWarm(b *testing.B, world func() (*trackerWorld, *rand.Rand), churn func(w *trackerWorld, rng *rand.Rand, round int) (dirty, redrawn []int), itemFeed bool) {
+	incremental := func(update func(tr *Tracker, w *trackerWorld, dirty, redrawn []int)) func(b *testing.B) {
+		return func(b *testing.B) {
+			w, rng := world()
+			tr, err := NewTracker(DefaultOptions(), len(w.shards))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr.Update(w.s, w.evidence(), w.shards, allShardIdx(len(w.shards)))
+			tr.Dependencies(w.evidence().Accuracy)
+			var pairs int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dirty, redrawn := churn(w, rng, i)
+				b.StartTimer()
+				update(tr, w, dirty, redrawn)
+				pairs = len(tr.Dependencies(w.evidence().Accuracy))
+			}
 			b.StopTimer()
-			dirty := churn(w, rng, i)
-			b.StartTimer()
-			tr.Update(w.s, w.evidence(), w.shards, dirty)
-			pairs = len(tr.Dependencies(w.evidence().Accuracy))
+			b.ReportMetric(float64(pairs), "copy-pairs")
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(pairs), "copy-pairs")
-	})
+	}
+	b.Run("incremental", incremental(func(tr *Tracker, w *trackerWorld, dirty, _ []int) {
+		tr.Update(w.s, w.evidence(), w.shards, dirty)
+	}))
+	if itemFeed {
+		b.Run("incremental-items", incremental(func(tr *Tracker, w *trackerWorld, _, redrawn []int) {
+			tr.UpdateItems(w.s, w.evidence(), redrawn)
+		}))
+	}
 	b.Run("batch-oracle", func(b *testing.B) {
 		w, rng := world()
 		var pairs int

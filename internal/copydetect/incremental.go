@@ -120,13 +120,16 @@ func NewTracker(opt Options, _ int) (*Tracker, error) {
 	}, nil
 }
 
-// Update brings the statistics of the dirty shards' items up to the current
-// evidence. dirty must cover every shard whose evidence (value posteriors,
-// Provides mask, or item/triple set) changed since the previous Update — the
-// engine's touched-shard mask is exactly that set. An item whose signature
-// did not change costs its rebuild and no allocation. ev.Accuracy is not read
-// here; accuracies enter only at Dependencies time.
-func (t *Tracker) Update(s *triple.Snapshot, ev Evidence, shards []triple.Shard, dirty []int) {
+// UpdateItems brings the statistics of the listed items up to the current
+// evidence. items must cover every item whose discretised evidence — which of
+// its candidate triples pass Provides, the side of 0.5 of each counted value's
+// posterior, or its triple and value set — changed since the previous update;
+// listing an unchanged item is harmless. The engine lists the items its
+// E-steps marked as crossing a gate plus the items of its new triples. Each
+// listed item costs a signature rebuild; one whose signature did not change
+// costs nothing more and no allocation. ev.Accuracy is not read here;
+// accuracies enter only at Dependencies time.
+func (t *Tracker) UpdateItems(s *triple.Snapshot, ev Evidence, items []int) {
 	for d := len(t.sig); d < len(s.Items); d++ {
 		t.sig = append(t.sig, nil)
 	}
@@ -134,19 +137,26 @@ func (t *Tracker) Update(s *triple.Snapshot, ev Evidence, shards []triple.Shard,
 		t.itemsOf = append(t.itemsOf, nil)
 		t.next = append(t.next, 0)
 	}
-	for _, si := range dirty {
-		for _, d := range shards[si].Items {
-			cur, old := t.signature(s, ev, d), t.sig[d]
-			if slices.Equal(cur, old) {
-				continue
-			}
-			// Adding before retracting keeps a pair whose events persist from
-			// dropping out of the live set in between.
-			t.countEvents(cur, +1)
-			t.countEvents(old, -1)
-			t.reassign(d, old, cur)
-			t.sig[d] = append(old[:0], cur...)
+	for _, d := range items {
+		cur, old := t.signature(s, ev, d), t.sig[d]
+		if slices.Equal(cur, old) {
+			continue
 		}
+		// Adding before retracting keeps a pair whose events persist from
+		// dropping out of the live set in between.
+		t.countEvents(cur, +1)
+		t.countEvents(old, -1)
+		t.reassign(d, old, cur)
+		t.sig[d] = append(old[:0], cur...)
+	}
+}
+
+// Update is UpdateItems over the items of the dirty shards: dirty must cover
+// every shard holding an item whose evidence changed since the previous
+// update.
+func (t *Tracker) Update(s *triple.Snapshot, ev Evidence, shards []triple.Shard, dirty []int) {
+	for _, si := range dirty {
+		t.UpdateItems(s, ev, shards[si].Items)
 	}
 }
 

@@ -220,10 +220,13 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris []int) {
 		st.sumObsTasks(tasks, cProb, nil)
 	}
 
-	// Dirty observations of vote-stable extractors.
+	// Dirty observations of vote-stable extractors: sumObsTasks' expression,
+	// the strip factor from one memo over the whole loop.
+	loo := st.opt.LeaveOneOut
+	var memo stripMemo
 	for _, ti := range dirtyTris {
 		for _, oi := range s.ByTriple[ti] {
-			e := s.Obs[oi].E
+			e := int(st.obsE[oi])
 			if !st.extIncluded[e] || ag.voteShift[e] {
 				continue
 			}
@@ -231,7 +234,10 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris []int) {
 			if c <= 0 {
 				continue
 			}
-			v := st.obsNumContrib(oi, ti, e, c, cProb)
+			v := c * cProb[ti]
+			if loo {
+				v = c * looPosterior(st.cOdds[ti], memo.factor(e, c, st.pre[e]-st.ab[e], st.ab[e]))
+			}
 			if v != ag.obsNumC[oi] {
 				ag.eNum[e] += v - ag.obsNumC[oi]
 				ag.obsNumC[oi] = v

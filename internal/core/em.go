@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 
@@ -113,6 +114,26 @@ func (em *EM) EStepTriples(cProb []float64, tis []int, workers int) {
 func (em *EM) EStepItems(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, items []int, workers int) {
 	em.st.estimateVSubset(cProb, valueProb, restMass, coveredItem, items, workers)
 	markIndices(em.st.itemDirty, items)
+}
+
+// TakeMovedItems appends to dst, ascending, the items whose discretised
+// evidence — which candidate triples pass p(C|X) ≥ 0.5, and the side of 0.5
+// of each value posterior — the E-steps may have moved since the previous
+// call, and clears their marks: the copy tracker's dirty list. An item whose
+// candidate triples grew is not necessarily among them (a new triple can be
+// provided from its first E-step on); the caller adds those from the
+// snapshot's extension delta. The scan reads one byte per item.
+func (em *EM) TakeMovedItems(dst []int) []int {
+	m := em.st.moved
+	for d := 0; ; d++ {
+		k := bytes.IndexByte(m[d:], 1)
+		if k < 0 {
+			return dst
+		}
+		d += k
+		m[d] = 0
+		dst = append(dst, d)
+	}
 }
 
 // MStepSources runs Stage III — source accuracy re-estimation. dirtyTris

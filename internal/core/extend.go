@@ -137,6 +137,8 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.extDirty = grow(st.extDirty, numUnitChunks(nExt), 1)
 	st.triDirty = grow(st.triDirty, numUnitChunks(nTri), 1)
 	st.itemDirty = grow(st.itemDirty, numUnitChunks(len(s.Items)), 1)
+	st.crossed = grow(st.crossed, nTri, false)
+	st.moved = grow(st.moved, len(s.Items), 0)
 	st.a = grow(st.a, nSrc, 0)
 	st.srcVote = grow(st.srcVote, nSrc, 0)
 	if st.voteWeight != nil {

@@ -260,7 +260,15 @@ type state struct {
 	// that writes them.
 	srcDirty, extDirty  []uint32
 	triDirty, itemDirty []uint32
-	pre, ab             []float64 // per extractor, recomputed by computeVotes
+	// crossed and moved are the copy tracker's feed, kept by the E-step
+	// kernels that write the posteriors its signatures read: crossed[ti] notes
+	// that Stage I moved p(C|X) across 0.5 (Stage II folds it into the item),
+	// moved[d] that item d's discretised evidence may have changed since the
+	// last EM.TakeMovedItems. They persist with the state, so a refresh that
+	// fails after its E-steps leaves its marks for the next one.
+	crossed []bool
+	moved   []byte
+	pre, ab []float64 // per extractor, recomputed by computeVotes
 	// voteDelta[e] is pre[e]-ab[e] for included extractors and 0 for
 	// excluded ones — the per-observation Stage I weight with the inclusion
 	// gate folded in (adding 0 is bit-neutral), kept in sync with pre/ab.
@@ -300,9 +308,9 @@ type state struct {
 	// estimateCSubset covering ti: Eq 15 in odds space, prior odds times the
 	// exponential of the vote sum, cProb being o/(1+o). The leave-one-out
 	// precision estimator multiplies exactly this quantity by one extractor's
-	// strip factor per observation (obsNumContrib); reading the cache instead
-	// of re-deriving the odds from cProb is also more accurate where the
-	// posterior saturates.
+	// strip factor per observation (sumObsTasks, estimatePRQDelta); reading the
+	// cache instead of re-deriving the odds from cProb is also more accurate
+	// where the posterior saturates.
 	cOdds []float64
 
 	// cellC is the per-cell correctness-mass buffer estimatePRQ refills
@@ -374,6 +382,7 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	// publication baseline to share chunks against.
 	st.srcDirty, st.extDirty = newMarks(nSrc), newMarks(nExt)
 	st.triDirty, st.itemDirty = newMarks(nTri), newMarks(len(s.Items))
+	st.crossed, st.moved = make([]bool, nTri), make([]byte, len(s.Items))
 	st.a = make([]float64, nSrc)
 	st.srcVote = make([]float64, nSrc)
 	for w := range st.a {
@@ -760,40 +769,99 @@ func forEachIndex(total int, subset []int, workers int, fn func(i int)) {
 // finite, normal numbers.
 const voteCap = 600
 
+// voteExp is the factor Eq 15 scales the prior's odds by: the exponential of
+// the vote sum, saturated at ±voteCap.
+func voteExp(vcc float64) float64 {
+	return math.Exp(min(max(vcc, -voteCap), voteCap))
+}
+
 // posteriorOdds is Eq 15 in odds space: σ(vcc + logit α) is o/(1+o) for the
 // prior's odds scaled by the exponential of the vote sum — one exponential and
 // no logarithm a triple.
 func posteriorOdds(alpha, vcc float64) float64 {
-	return alpha / (1 - alpha) * math.Exp(min(max(vcc, -voteCap), voteCap))
+	return alpha / (1 - alpha) * voteExp(vcc)
 }
+
+// voteMemo remembers the voteExp values one Stage I block has computed, by
+// the exact bits of the vote sum. A vote sum is a cell's absence mass plus a
+// few confidence-weighted vote deltas, and extractors emit few distinct
+// confidences, so a block sees a handful of distinct sums: 64 direct-mapped
+// slots, each returning exactly what voteExp returned for the same bits. +0.0
+// is a legal vote sum (a triple whose extractors are all excluded), so a slot
+// carries a validity flag rather than reserving a key.
+type voteMemo struct {
+	bits [voteSlots]uint64
+	ok   [voteSlots]bool
+	e    [voteSlots]float64
+}
+
+const voteSlots = 64
+
+// voteSlot spreads a vote sum's bits over the memo's slots (Fibonacci hashing:
+// the top six bits of the product).
+func voteSlot(b uint64) uint64 { return b * 0x9E3779B97F4A7C15 >> 58 }
+
+func (m *voteMemo) exp(vcc float64) float64 {
+	b := math.Float64bits(vcc)
+	i := voteSlot(b)
+	if !m.ok[i] || m.bits[i] != b {
+		m.bits[i], m.ok[i], m.e[i] = b, true, voteExp(vcc)
+	}
+	return m.e[i]
+}
+
+// tripleBlock is the number of candidate triples one Stage I task scores with
+// one voteMemo. The memo is exact, so the block size moves no bit of the
+// result; it only bounds how long a memo lives.
+const tripleBlock = 1024
 
 // estimateCSubset computes p(C_wdv=1|X) (Eq 15 with the confidence-weighted
 // vote count of Eq 31) for the candidate triples listed in tis, or for every
-// candidate triple when tis is nil. Each index's computation is independent,
-// so a caller may partition the triple space and invoke this concurrently on
-// disjoint subsets. prepareVotes must have run since the last parameter
-// update.
+// candidate triple when tis is nil, by fixed blocks of the list on the worker
+// pool. Each index's computation is independent, so a caller may partition
+// the triple space and invoke this concurrently on disjoint subsets.
+// prepareVotes must have run since the last parameter update.
+//
+// A triple whose p(C|X) lands on the other side of 0.5 than the value it
+// overwrites — the Provides gate the copy tracker reads — is noted in
+// state.crossed, for Stage II to fold into its item's mark.
 func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 	s := st.s
 	byTriple, conf, obsE, vd := s.ByTriple, st.conf, st.obsE, st.voteDelta
 	cellAbs, cellOf := st.cellAbs, st.cellOfTriple
-	cOdds, alpha := st.cOdds, st.alpha
+	cOdds, alpha, crossed := st.cOdds, st.alpha, st.crossed
 	allScope, totalAbs := st.opt.Scope == ScopeAllExtractors, st.totalAbs
-	forEachIndex(len(s.Triples), tis, workers, func(ti int) {
-		vcc := totalAbs
-		if !allScope {
-			vcc = cellAbs[cellOf[ti]]
+	n := len(s.Triples)
+	if tis != nil {
+		n = len(tis)
+	}
+	parallel.ForEach((n+tripleBlock-1)/tripleBlock, workers, func(b int) {
+		var memo voteMemo
+		for k := b * tripleBlock; k < min((b+1)*tripleBlock, n); k++ {
+			ti := k
+			if tis != nil {
+				ti = tis[k]
+			}
+			vcc := totalAbs
+			if !allScope {
+				vcc = cellAbs[cellOf[ti]]
+			}
+			for _, oi := range byTriple[ti] {
+				// The extractor's absence vote is already in the base mass;
+				// replace it with the soft mixture c·Pre + (1-c)·Abs (Eq 31).
+				// voteDelta folds the inclusion gate in: excluded extractors
+				// contribute a bit-neutral +0.
+				vcc += conf[oi] * vd[obsE[oi]]
+			}
+			// posteriorOdds' expression, the exponential from the memo.
+			o := alpha[ti] / (1 - alpha[ti]) * memo.exp(vcc)
+			p := o / (1 + o)
+			if (p >= 0.5) != (cProb[ti] >= 0.5) {
+				crossed[ti] = true
+			}
+			cOdds[ti] = o
+			cProb[ti] = p
 		}
-		for _, oi := range byTriple[ti] {
-			// The extractor's absence vote is already in the base mass;
-			// replace it with the soft mixture c·Pre + (1-c)·Abs (Eq 31).
-			// voteDelta folds the inclusion gate in: excluded extractors
-			// contribute a bit-neutral +0.
-			vcc += conf[oi] * vd[obsE[oi]]
-		}
-		o := posteriorOdds(alpha[ti], vcc)
-		cOdds[ti] = o
-		cProb[ti] = o / (1 + o)
 	})
 }
 
@@ -807,6 +875,13 @@ func (st *state) estimateC(cProb []float64) {
 // items, or for every item when items is nil, optionally using the MAP Ĉ
 // instead of the soft weights (§3.3.2 vs §3.3.3). Like estimateCSubset, the
 // per-item computations are independent and safe to partition.
+//
+// It also keeps the copy tracker's marks (state.moved): an item is marked
+// when Stage I noted one of its triples crossing 0.5 (the note is consumed
+// here), when a row entry lands on the other side of 0.5 than the value it
+// overwrites, or when its row is newly allocated or resized. Those are the
+// only ways an item's discretised evidence moves between two tracker updates
+// without the item gaining a candidate triple.
 func (st *state) estimateVSubset(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, items []int, workers int) {
 	s := st.s
 	forEachIndex(len(s.Items), items, workers, func(d int) {
@@ -816,16 +891,22 @@ func (st *state) estimateVSubset(cProb []float64, valueProb [][]float64, restMas
 		// the steady state allocates nothing per item. Published generations
 		// hold copies of the engine's rows; only Run publishes its own.
 		row := valueProb[d]
-		if len(row) != len(vs) {
+		resized := len(row) != len(vs)
+		moved := resized || len(vs) > 64
+		var above uint64
+		if resized {
 			row = make([]float64, len(vs))
 			valueProb[d] = row
 		} else {
-			for i := range row {
-				row[i] = 0
-			}
+			above = sidesAbove(row)
+			clear(row)
 		}
 		covered := false
 		for _, ti := range s.TriplesOfItem[d] {
+			if st.crossed[ti] {
+				st.crossed[ti] = false
+				moved = true
+			}
 			tr := s.Triples[ti]
 			if !st.srcIncluded[tr.W] || !st.coveredTriple[ti] {
 				continue
@@ -842,16 +923,30 @@ func (st *state) estimateVSubset(cProb []float64, valueProb [][]float64, restMas
 			row[st.slotOfTriple[ti]] += w * st.srcVote[tr.W]
 		}
 		coveredItem[d] = covered
-		if !covered {
+		if covered {
+			rest := max(st.opt.N+1-len(vs), 0)
+			restMass[d] = stats.SoftmaxWithRestInPlace(row, rest, 0)
+		} else {
 			restMass[d] = 0 // row is all-zero: nothing was accumulated
-			return
 		}
-		rest := st.opt.N + 1 - len(vs)
-		if rest < 0 {
-			rest = 0
+		if moved || sidesAbove(row) != above {
+			st.moved[d] = 1
 		}
-		restMass[d] = stats.SoftmaxWithRestInPlace(row, rest, 0)
 	})
+}
+
+// sidesAbove returns which of a row's first 64 entries are at least 0.5, one
+// bit each. estimateVSubset marks an item with a longer row whenever it
+// re-estimates it: conservative, and items with more candidate values are
+// rare.
+func sidesAbove(row []float64) uint64 {
+	var bits uint64
+	for i, p := range row[:min(len(row), 64)] {
+		if p >= 0.5 {
+			bits |= 1 << i
+		}
+	}
+	return bits
 }
 
 // estimateV computes p(Vd|X) for every item.
@@ -934,18 +1029,12 @@ func (st *state) estimateA(cProb []float64, valueProb [][]float64) {
 	}
 }
 
-// obsNumContrib returns an observation's contribution to its extractor's
-// precision/recall numerator (Eqs 29-33): the effective confidence c times the
-// extraction-correctness posterior of its triple ti, leave-one-out when
-// configured. It is the per-observation form the delta M-step calls;
-// sumObsTasks evaluates the identical expression over a block with the strip
-// factors memoised, so the cached contributions of the two compare bit-equal.
-func (st *state) obsNumContrib(oi, ti, e int, c float64, cProb []float64) float64 {
-	if !st.opt.LeaveOneOut {
-		return c * cProb[ti]
-	}
-	return c * looPosterior(st.cOdds[ti], stripFactor(c, st.pre[e]-st.ab[e], st.ab[e]))
-}
+// An observation's contribution to its extractor's precision/recall numerator
+// (Eqs 29-33) is the effective confidence c times the extraction-correctness
+// posterior of its triple, leave-one-out when configured: c·looPosterior(odds,
+// strip factor). Its two loops — sumObsTasks over blocks, estimatePRQDelta over
+// the dirty triples — evaluate that one expression with the strip factor from
+// a stripMemo, so the contributions they cache compare bit-equal.
 
 // stripFactor is what removing one extractor's evidence multiplies a triple's
 // posterior odds by: the extractor added c·Pre + (1-c)·Abs = c·(Pre-Abs) + Abs
@@ -965,24 +1054,26 @@ func looPosterior(o, s float64) float64 {
 	return os / (1 + os)
 }
 
-// stripMemo remembers the strip factors one Stage IV block has computed, by
-// confidence. A block belongs to one extractor, so its factors differ only in
-// the confidence, and extractors emit few distinct ones (a quantised score, or
-// 1 throughout when confidences are unspecified or unused): sixteen
-// direct-mapped slots indexed by the confidence's top mantissa bits — one
-// would thrash on a feed interleaving 1, 0.9, 0.8. A slot returns exactly what
-// stripFactor returned for the same bits, and a confidence not seen before
-// costs the one exponential it always did.
+// stripMemo remembers the strip factors a Stage IV loop has computed, by
+// extractor and confidence: within one call the votes stand still, so a
+// factor is a function of those two alone, and extractors emit few distinct
+// confidences (a quantised score, or 1 throughout when confidences are
+// unspecified or unused). Sixteen direct-mapped slots indexed by the
+// confidence's top mantissa bits mixed with the extractor id — one would
+// thrash on a feed interleaving 1, 0.9, 0.8. A slot returns exactly what
+// stripFactor returned for the same extractor and bits, and a pair not seen
+// before costs the one exponential it always did.
 type stripMemo struct {
 	bits [16]uint64 // zero is the bits of confidence 0, which is never looked up
+	ext  [16]int32
 	s    [16]float64
 }
 
-func (m *stripMemo) factor(c, voteDelta, ab float64) float64 {
+func (m *stripMemo) factor(e int, c, voteDelta, ab float64) float64 {
 	b := math.Float64bits(c)
-	i := b >> 45 & 15
-	if m.bits[i] != b {
-		m.bits[i], m.s[i] = b, stripFactor(c, voteDelta, ab)
+	i := (b>>45 ^ uint64(e)) & 15
+	if m.bits[i] != b || m.ext[i] != int32(e) {
+		m.bits[i], m.ext[i], m.s[i] = b, int32(e), stripFactor(c, voteDelta, ab)
 	}
 	return m.s[i]
 }
@@ -1113,10 +1204,9 @@ func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) 
 			c := st.conf[oi]
 			var v float64
 			if c > 0 {
-				// obsNumContrib's expression, the strip factor from the memo.
 				ti := st.tripleOfObs[oi]
 				if loo {
-					v = c * looPosterior(st.cOdds[ti], memo.factor(c, voteDelta, ab))
+					v = c * looPosterior(st.cOdds[ti], memo.factor(tk.e, c, voteDelta, ab))
 				} else {
 					v = c * cProb[ti]
 				}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -462,6 +464,62 @@ func TestParallelMatchesSerialOneBlockPlainSum(t *testing.T) {
 	em.MStepExtractors(cProb, nil)
 	if st.p[e] != wantP || st.r[e] != wantR {
 		t.Fatalf("one-block extractor: P/R = %v/%v, straight serial sums give %v/%v", st.p[e], st.r[e], wantP, wantR)
+	}
+}
+
+// TestTakeMovedItems: the E-steps mark an item for the copy tracker when its
+// value row is allocated — so a first pass lists every item, even one with no
+// value at 0.5 — and otherwise only where a gate moves: a pass over unchanged
+// parameters lists none, a triple whose stored p(C|X) sits on the other side
+// of 0.5 lists its item through Stage I, and so does a value posterior through
+// Stage II. A take lists ascending and clears what it lists.
+func TestTakeMovedItems(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := (&triple.Dataset{Records: driftRecords(rng, 12, 400)}).Compile(triple.CompileOptions{
+		SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName})
+	em, err := NewEM(s, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nItem := len(s.Items)
+	cProb, valueProb := make([]float64, len(s.Triples)), make([][]float64, nItem)
+	restMass, covered := make([]float64, nItem), make([]bool, nItem)
+	pass := func() []int {
+		em.EStepTriples(cProb, nil, 2)
+		em.EStepItems(cProb, valueProb, restMass, covered, nil, 2)
+		return em.TakeMovedItems(nil)
+	}
+	em.Bootstrap(cProb)
+	em.BeginIteration(true)
+	if got := pass(); len(got) != nItem || !slices.IsSorted(got) {
+		t.Fatalf("first pass listed %d items (ascending: %v), want all %d", len(got), slices.IsSorted(got), nItem)
+	}
+	if got := em.TakeMovedItems(nil); len(got) != 0 {
+		t.Fatalf("a second take listed %d items", len(got))
+	}
+	low := slices.IndexFunc(valueProb, func(row []float64) bool { return !slices.ContainsFunc(row, func(p float64) bool { return p >= 0.5 }) })
+	if low < 0 {
+		t.Fatal("fixture: every item has a value at 0.5 or above")
+	}
+	if got := pass(); len(got) != 0 {
+		t.Fatalf("a pass over unchanged parameters listed %v", got)
+	}
+
+	ti := s.TriplesOfItem[7][0]
+	cProb[ti] = 1 - cProb[ti]
+	if cProb[ti] == 0.5 {
+		t.Fatal("fixture: p(C|X) at 0.5")
+	}
+	if got := pass(); !slices.Equal(got, []int{7}) {
+		t.Fatalf("a stored p(C|X) on the wrong side of 0.5 listed %v, want [7]", got)
+	}
+	d := slices.IndexFunc(valueProb, func(row []float64) bool { return len(row) > 1 })
+	valueProb[d][0] = 1 - valueProb[d][0]
+	if valueProb[d][0] == 0.5 {
+		t.Fatal("fixture: p(V) at 0.5")
+	}
+	if got := pass(); !slices.Equal(got, []int{d}) {
+		t.Fatalf("a stored value posterior on the wrong side of 0.5 listed %v, want [%d]", got, d)
 	}
 }
 

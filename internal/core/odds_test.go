@@ -2,17 +2,29 @@ package core
 
 // This file pins the odds-space form of Eq 15 and Eqs 32-33 (posteriorOdds,
 // stripFactor, looPosterior) to the logistic form it replaced, its saturation
-// constant, and the exactness of the Stage IV strip-factor memo.
+// constant, and the exactness of the Stage I vote memo and the Stage IV
+// strip-factor memo.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
+
+// obsNumContrib is an observation's precision/recall numerator contribution
+// (Eqs 29-33) with the strip factor computed directly: the per-observation
+// reference both memoised Stage IV loops must reproduce bit for bit.
+func (st *state) obsNumContrib(oi, ti, e int, c float64, cProb []float64) float64 {
+	if !st.opt.LeaveOneOut {
+		return c * cProb[ti]
+	}
+	return c * looPosterior(st.cOdds[ti], stripFactor(c, st.pre[e]-st.ab[e], st.ab[e]))
+}
 
 // TestOddsFormIsLogisticForm: o/(1+o) is σ(x + logit α), and the leave-one-out
 // value is σ(x − c·(Pre−Abs) − Abs + logit α), to 1e-12 absolute — over random
@@ -180,6 +192,13 @@ func compileConfidences(t *testing.T) *triple.Snapshot {
 			add("distinct", i%30+30, i, "H", float64(i+2)/float64(2*nItems))
 		}
 	}
+	// Sixteen small extractors after them, so the last one's id (17) shares
+	// the strip memo's slots with "distinct" (1) at any confidence.
+	for e := 0; e < 16; e++ {
+		for i := e; i < nItems; i += 400 {
+			add(fmt.Sprintf("few%02d", e), i%30, i, "T", 0.9)
+		}
+	}
 	s := d.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName})
 	for _, e := range []string{"quant", "distinct"} {
 		if n := len(s.ObsOfExtractor[s.ExtractorID(e)]); n <= 2*obsBlock {
@@ -189,11 +208,13 @@ func compileConfidences(t *testing.T) *triple.Snapshot {
 	return s
 }
 
-// TestStripMemoMatchesPerObservation: the memoised block loop of Stage IV
-// leaves, bit for bit, the contributions the per-observation obsNumContrib
-// computes and their block-ordered totals — for an extractor whose three
-// confidences always hit the memo and for one whose confidences never repeat —
-// at 1, 2 and 4 workers.
+// TestStripMemoMatchesPerObservation: both memoised loops of Stage IV leave,
+// bit for bit, the contributions the per-observation obsNumContrib computes —
+// for an extractor whose three confidences always hit the memo and for one
+// whose confidences never repeat. The block loop of a full M-step, at 1, 2 and
+// 4 workers, also leaves their block-ordered totals; the delta loop of a
+// partial pass after an extension, with one memo across both extractors,
+// leaves the totals its own subtract-and-add order gives.
 func TestStripMemoMatchesPerObservation(t *testing.T) {
 	s := compileConfidences(t)
 	for _, workers := range []int{1, 2, 4} {
@@ -237,6 +258,173 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 						workers, iter, e, ag.eNum[e], total)
 				}
 			}
+		}
+
+		// The delta loop reads the indexes an extension builds, so extend by
+		// one new item first, as a warm engine refresh does — read at one
+		// confidence by three extractors, two of which share memo slots, so
+		// the memo must tell them apart by extractor. Then a moved prior
+		// changes the odds of a third of the triples, which one partial pass
+		// re-estimates under the votes the caches were computed with.
+		if st.s.ExtractorID("distinct") != 1 || st.s.ExtractorID("few15") != 17 {
+			t.Fatal("fixture: extractor ids moved")
+		}
+		s2 := s.Extend([]triple.Record{
+			{Extractor: "quant", Website: "site00.com", Page: "site00.com/x", Subject: "Snew", Predicate: "p0", Object: "T", Confidence: 0.9},
+			{Extractor: "distinct", Website: "site30.com", Page: "site30.com/x", Subject: "Snew", Predicate: "p0", Object: "T", Confidence: 0.9},
+			{Extractor: "few15", Website: "site30.com", Page: "site30.com/x", Subject: "Snew", Predicate: "p0", Object: "T", Confidence: 0.9},
+		})
+		if em, err = NewEMFrom(em, s2, opt); err != nil {
+			t.Fatal(err)
+		}
+		for len(cProb) < len(s2.Triples) {
+			cProb = append(cProb, opt.Alpha)
+		}
+		for len(valueProb) < len(s2.Items) {
+			valueProb = append(valueProb, nil)
+		}
+		var items, tis []int
+		for d := range s2.Items {
+			if d%3 == 0 || d == len(s2.Items)-1 {
+				items = append(items, d)
+				tis = append(tis, s2.TriplesOfItem[d]...)
+			}
+		}
+		em.UpdatePrior(valueProb, nil, 0)
+		em.BeginIteration(false)
+		em.EStepTriples(cProb, tis, 0)
+		em.EStepItems(cProb, valueProb, make([]float64, len(s2.Items)), make([]bool, len(s2.Items)), items, 0)
+		em.MStepSources(cProb, valueProb, tis)
+		wantC, wantNum := slices.Clone(ag.obsNumC), slices.Clone(ag.eNum)
+		moved := 0
+		for _, ti := range tis {
+			for _, oi := range s2.ByTriple[ti] {
+				e, c := s2.Obs[oi].E, st.conf[oi]
+				if c <= 0 {
+					continue
+				}
+				if v := st.obsNumContrib(oi, ti, e, c, cProb); v != wantC[oi] {
+					wantNum[e] += v - wantC[oi]
+					wantC[oi] = v
+					moved++
+				}
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("workers=%d: the partial pass moved no contribution", workers)
+		}
+		delta0, _ := em.AggStepCounts()
+		em.MStepExtractors(cProb, tis)
+		if delta1, _ := em.AggStepCounts(); delta1 != delta0+1 {
+			t.Fatalf("workers=%d: the partial pass's Stage IV did not take the delta path", workers)
+		}
+		for oi := range wantC {
+			if math.Float64bits(ag.obsNumC[oi]) != math.Float64bits(wantC[oi]) {
+				t.Fatalf("workers=%d delta: obsNumC[%d] = %v, obsNumContrib gives %v", workers, oi, ag.obsNumC[oi], wantC[oi])
+			}
+		}
+		for e := range wantNum {
+			if math.Float64bits(ag.eNum[e]) != math.Float64bits(wantNum[e]) {
+				t.Fatalf("workers=%d delta: eNum[%d] = %v, per-observation deltas give %v", workers, e, ag.eNum[e], wantNum[e])
+			}
+		}
+	}
+}
+
+// collidingSums returns two vote sums that share a voteMemo slot.
+func collidingSums() (x, y float64) {
+	x = 1.5
+	for y = x + 0.125; voteSlot(math.Float64bits(y)) != voteSlot(math.Float64bits(x)); y += 0.125 {
+	}
+	return x, y
+}
+
+// TestVoteMemoMatchesExp: Stage I's memoised exponentials leave every
+// triple's odds and p(C|X) bit-equal to the direct posteriorOdds, at 1, 2 and
+// 4 workers, over a full and a partial pass: on random corpora at their
+// estimated votes, and with planted vote sums — +0.0 and −0.0, ±voteCap and
+// past it, and two sums sharing a memo slot — spread over the cells so that
+// every block meets them interleaved.
+func TestVoteMemoMatchesExp(t *testing.T) {
+	x, y := collidingSums()
+	negZero := math.Copysign(0, -1)
+	planted := []float64{0, negZero, voteCap, -voteCap, 2 * voteCap, -2 * voteCap, 1e300, -1e300, x, y, -3.25}
+	var m voteMemo
+	for round := 0; round < 2; round++ {
+		for _, v := range append(planted, x, y, 0, negZero) {
+			if got, want := m.exp(v), voteExp(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("memo of %v (bits %#x) = %v, voteExp %v", v, math.Float64bits(v), got, want)
+			}
+		}
+	}
+
+	copt := triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName}
+	for _, workers := range []int{1, 2, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s := (&triple.Dataset{Records: driftRecords(rng, 24, 5000)}).Compile(copt)
+			if len(s.Triples) <= 2*tripleBlock {
+				t.Fatalf("%d triples, want more than two blocks of %d", len(s.Triples), tripleBlock)
+			}
+			opt := DefaultOptions()
+			opt.Workers = workers
+			em, err := NewEM(s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := em.st
+			cProb := make([]float64, len(s.Triples))
+			check := func(tag string, tis []int) {
+				t.Helper()
+				if tis == nil {
+					tis = make([]int, len(s.Triples))
+					for ti := range tis {
+						tis[ti] = ti
+					}
+				}
+				for _, ti := range tis {
+					vcc := st.cellAbs[st.cellOfTriple[ti]]
+					for _, oi := range s.ByTriple[ti] {
+						vcc += st.conf[oi] * st.voteDelta[st.obsE[oi]]
+					}
+					o := posteriorOdds(st.alpha[ti], vcc)
+					if math.Float64bits(st.cOdds[ti]) != math.Float64bits(o) || math.Float64bits(cProb[ti]) != math.Float64bits(o/(1+o)) {
+						t.Fatalf("workers %d seed %d, %s: triple %d (vote sum %v) has odds %v and p %v, posteriorOdds gives %v",
+							workers, seed, tag, ti, vcc, st.cOdds[ti], cProb[ti], o)
+					}
+				}
+			}
+			var subset []int
+			for ti := range s.Triples {
+				if rng.Intn(3) == 0 {
+					subset = append(subset, ti)
+				}
+			}
+
+			em.Bootstrap(cProb)
+			em.BeginIteration(true)
+			em.EStepTriples(cProb, nil, workers)
+			check("estimated votes", nil)
+			valueProb := make([][]float64, len(s.Items))
+			em.EStepItems(cProb, valueProb, make([]float64, len(s.Items)), make([]bool, len(s.Items)), nil, workers)
+			em.MStepSources(cProb, valueProb, nil)
+			em.MStepExtractors(cProb, nil)
+			em.BeginIteration(true)
+			em.EStepTriples(cProb, subset, workers)
+			check("estimated votes, partial", subset)
+
+			// A vote delta of −0.0 adds nothing to any sum, −0.0 included, so
+			// every triple's vote sum is exactly its cell's planted mass.
+			for e := range st.voteDelta {
+				st.voteDelta[e] = negZero
+			}
+			for c := range st.cellAbs {
+				st.cellAbs[c] = planted[rng.Intn(len(planted))]
+			}
+			em.EStepTriples(cProb, nil, workers)
+			check("planted", nil)
+			em.EStepTriples(cProb, subset, workers)
+			check("planted, partial", subset)
 		}
 	}
 }

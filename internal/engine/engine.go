@@ -25,10 +25,13 @@
 //     aggregates update from exactly the scope's contribution deltas
 //     (core.Options.IncrementalAggregates), with a periodic full
 //     re-aggregation bounding floating-point drift;
-//   - layer6 folds the touched shards into the streaming copy detector, which
-//     reads the posteriors settle left, and joins the refresh of the fusion
-//     store, which reads none of the multi-layer state and so has been running
-//     on its own goroutine since begin returned — when those layers are on;
+//   - layer6 brings the streaming copy detector up to the posteriors settle
+//     left — re-reading only the items whose evidence crossed a 0.5 gate in
+//     an E-step (core.EM.TakeMovedItems) or gained a candidate triple; the
+//     touched-shard mask serves only the shard statistics — and joins the
+//     refresh of the fusion store, which reads none of the multi-layer state
+//     and so has been running on its own goroutine since begin returned —
+//     when those layers are on;
 //   - publish stores the result as an immutable generation behind an atomic
 //     pointer (core.BuildResultFrom): only the dense-id chunks a pass wrote
 //     or the ingest grew — posteriors and moved units' parameters alike —
@@ -72,8 +75,8 @@ import (
 // Options configures an Engine. Start from DefaultOptions.
 type Options struct {
 	// Shards is the number of item partitions (default 8) the refresh
-	// statistics and the copy tracker's dirty list count in; neither the
-	// E-step's parallelism nor publication depends on it.
+	// statistics count in; neither the E-step's parallelism, publication nor
+	// the copy tracker depends on it.
 	Shards int
 	// Core configures the multi-layer model (default core.DefaultOptions).
 	Core core.Options
@@ -104,7 +107,8 @@ type Options struct {
 
 	// CopyDetect maintains streaming inter-source copy statistics: after
 	// every refresh a persistent tracker re-reads the discretised evidence of
-	// the touched shards' items and moves its pair statistics where an item's
+	// the items whose evidence crossed a gate in the E-steps or gained a
+	// candidate triple, and moves its pair statistics where an item's
 	// changed, and the resulting dependence list publishes with the
 	// generation (Result.CopyDeps) — integer-exactly what a batch
 	// copydetect.Detect over the published evidence would count. Under
@@ -189,9 +193,12 @@ type Result struct {
 	AggDeltaSteps, AggFullSteps int
 	// CopyDeps is the generation's copy-dependence list, strongest-first,
 	// scored against this generation's posteriors and accuracies (nil unless
-	// Options.CopyDetect). CopyPairs = len(CopyDeps).
+	// Options.CopyDetect). CopyPairs = len(CopyDeps). CopyItems counts the
+	// item signatures the streaming tracker rebuilt for it (zero without the
+	// tracker, and on a NoOp refresh).
 	CopyDeps  []copydetect.Dependence
 	CopyPairs int
+	CopyItems int
 	// Fusion / FusionSnap are the generation's single-layer fused posteriors
 	// and the provenance-granularity snapshot its dense ids resolve against
 	// (nil unless Options.Fusion). FusedItems counts the items this refresh
@@ -227,13 +234,13 @@ type Engine struct {
 	// refreshMu) and persisted across refreshes so a steady-state warm
 	// refresh re-allocates none of it: the run value the phases share, the
 	// E-step scopes (current, successor, and the ingest footprint), the
-	// per-iteration parameter/prior snapshots, the touched-shard masks and
-	// the touched-shard list handed to the copy tracker.
+	// per-iteration parameter/prior snapshots, the touched-shard masks the
+	// shard statistics count, and the item list handed to the copy tracker.
 	run                            refreshRun
 	scope, scopeNext, scopeBase    *core.ScopeSet
 	prevA, prevP, prevR, prevPrior []float64
 	touched, touchedWhole          []bool
-	dirtyIdx                       []int
+	copyIdx                        []int
 
 	// tracker persists the streaming copy-detection statistics across
 	// refreshes (nil unless CopyDetect, and nil under FullRecompile, where
@@ -423,6 +430,7 @@ type refreshRun struct {
 
 	// layer-6: the generation's copy dependencies and fused posteriors.
 	copyDeps   []copydetect.Dependence
+	copyItems  int
 	fusRes     *fusion.Result
 	fusSnap    *triple.Snapshot
 	fusedItems int
@@ -526,6 +534,14 @@ func (r *refreshRun) pending() []triple.Record { return r.records[r.estimated:] 
 // identity; it and FullAggregates aggregate every M-step in full.
 func (e *Engine) buildState(r *refreshRun) error {
 	r.extended = r.warm && !e.opt.FullRecompile
+	if e.opt.CopyDetect && !e.opt.FullRecompile && !r.extended {
+		// A fresh compile starts the copy tracker over, and its option check
+		// is the run's last error before the E-steps write the working arrays.
+		var err error
+		if e.tracker, err = copydetect.NewTracker(e.opt.Copy, e.opt.Shards); err != nil {
+			return err
+		}
+	}
 	switch {
 	case !r.extended:
 		r.snap = (&triple.Dataset{Records: r.records}).Compile(triple.CompileOptions{
@@ -829,11 +845,11 @@ func (e *Engine) startFuse(r *refreshRun) (join func() error) {
 }
 
 // detectCopies scores copy dependence against exactly the posteriors this
-// generation publishes: it brings the tracker up to the touched shards'
-// evidence (the untouched shards' is bit-identical to the previous
-// publication, so what the tracker holds of them still stands), then scores.
-// Under FullRecompile the batch detector recounts the corpus instead — the
-// bit-exact oracle for the tracker.
+// generation publishes: it brings the tracker up to the evidence of the items
+// whose discretised evidence may have moved (trackerItems; every other item's
+// signature is what the tracker already holds), then scores. Under
+// FullRecompile the batch detector recounts the corpus instead — the bit-exact
+// oracle for the tracker.
 func (e *Engine) detectCopies(r *refreshRun) (err error) {
 	snap, em, cProb, valueProb := r.snap, r.em, r.cProb, r.valueProb
 	ev := copydetect.Evidence{
@@ -852,18 +868,9 @@ func (e *Engine) detectCopies(r *refreshRun) (err error) {
 			return err
 		}
 	} else {
-		if e.tracker == nil {
-			if e.tracker, err = copydetect.NewTracker(e.opt.Copy, len(r.shards)); err != nil {
-				return err
-			}
-		}
-		e.dirtyIdx = e.dirtyIdx[:0]
-		for si, hit := range r.touched {
-			if hit {
-				e.dirtyIdx = append(e.dirtyIdx, si)
-			}
-		}
-		e.tracker.Update(snap, ev, r.shards, e.dirtyIdx)
+		items := e.trackerItems(r)
+		e.tracker.UpdateItems(snap, ev, items)
+		r.copyItems = len(items)
 		r.copyDeps = e.tracker.Dependencies(ev.Accuracy)
 	}
 	if !e.opt.CopyDiscount {
@@ -885,6 +892,38 @@ func (e *Engine) detectCopies(r *refreshRun) (err error) {
 		}
 	}
 	return nil
+}
+
+// trackerItems lists, ascending and once each, the items whose signature the
+// copy tracker must rebuild. A run on a fresh compile lists every item (its
+// tracker is new, see buildState). An extended run lists the items the
+// E-steps marked as moving a gate since the previous take
+// (core.EM.TakeMovedItems) and the items of the extension's new candidate
+// triples, which can enter a signature without crossing anything — a new
+// triple starts at the prior Alpha, already provided when Alpha ≥ 0.5. No
+// error return lies between the E-steps and this take, and the marks persist
+// in the EM state until it, so no refresh loses one.
+func (e *Engine) trackerItems(r *refreshRun) []int {
+	items := r.em.TakeMovedItems(e.copyIdx[:0])
+	switch {
+	case !r.extended:
+		items = items[:0]
+		for d := range r.snap.Items {
+			items = append(items, d)
+		}
+	case r.snap != r.prev.snap:
+		delta, _ := r.snap.ParentDelta()
+		n := len(items)
+		for _, tr := range r.snap.Triples[delta.Triples:] {
+			items = append(items, tr.D)
+		}
+		if len(items) > n {
+			slices.Sort(items)
+			items = slices.Compact(items)
+		}
+	}
+	e.copyIdx = items
+	return items
 }
 
 // fuse refreshes the fusion store. It runs off the same record feed but owns
@@ -942,6 +981,7 @@ func (e *Engine) publish(r *refreshRun) *Result {
 		AggFullSteps:    aggFull - r.aggFull0,
 		CopyDeps:        r.copyDeps,
 		CopyPairs:       len(r.copyDeps),
+		CopyItems:       r.copyItems,
 		Fusion:          r.fusRes,
 		FusionSnap:      r.fusSnap,
 		FusedItems:      r.fusedItems,

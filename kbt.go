@@ -237,11 +237,26 @@ func (r *Result) source(w int) Source {
 }
 
 // srcLess is the Sources ordering: most trustworthy first, ties by name.
+// Sources sorts stably over dense ids, so two sources that display alike keep
+// dense-id order.
 func srcLess(a, b Source) bool {
 	if a.KBT != b.KBT {
 		return a.KBT > b.KBT
 	}
 	return a.Name < b.Name
+}
+
+// srcBefore is srcLess over dense source ids, dense id last — the order
+// Sources' stable sort produces — without building either Source: the name
+// comparison reads the internal labels as displayLabel renders them.
+func (r *Result) srcBefore(a, b int) bool {
+	if ka, kb := r.res.AAt(a), r.res.AAt(b); ka != kb {
+		return ka > kb
+	}
+	if c := displayCompare(r.snap.Sources[a], r.snap.Sources[b]); c != 0 {
+		return c < 0
+	}
+	return a < b
 }
 
 // Sources returns all scored sources, most trustworthy first. The slice is
@@ -253,7 +268,7 @@ func (r *Result) Sources() []Source {
 		for w := range r.snap.Sources {
 			out = append(out, r.source(w))
 		}
-		sort.Slice(out, func(i, j int) bool { return srcLess(out[i], out[j]) })
+		sort.SliceStable(out, func(i, j int) bool { return srcLess(out[i], out[j]) })
 		r.srcView = out
 		r.srcReady.Store(true)
 	})
@@ -262,9 +277,10 @@ func (r *Result) Sources() []Source {
 
 // TopSources returns the k most trustworthy sources (the first k entries of
 // Sources' ordering) without sorting the whole corpus: when the full sorted
-// view has not been built yet, a partial selection over the source list
-// costs O(n + k log k). k <= 0 or k >= n returns the full view. The slice
-// is shared or freshly selected — treat it as read-only.
+// view has not been built yet, a partial selection over the dense source ids
+// costs O(n + k log k), and only the k winners become Source values. k <= 0
+// or k >= n returns the full view. The slice is shared or freshly selected —
+// treat it as read-only.
 func (r *Result) TopSources(k int) []Source {
 	n := len(r.snap.Sources)
 	if k <= 0 || k >= n {
@@ -273,11 +289,16 @@ func (r *Result) TopSources(k int) []Source {
 	if r.srcReady.Load() {
 		return r.Sources()[:k:k]
 	}
-	top := newTopK[Source](k, srcLess)
+	top := newTopK[int](k, r.srcBefore)
 	for w := 0; w < n; w++ {
-		top.offer(r.source(w))
+		top.offer(w)
 	}
-	return top.sorted()
+	ids := top.sorted()
+	out := make([]Source, len(ids))
+	for i, w := range ids {
+		out[i] = r.source(w)
+	}
+	return out
 }
 
 // SourceByName looks up one source unit by its label, in either the
@@ -646,15 +667,25 @@ func FuseSingleLayer(ds *Dataset, opt FusionOptions) (*FusionResult, error) {
 
 // displayLabel renders internal \x1f-joined unit labels with "|".
 func displayLabel(label string) string {
-	out := make([]byte, 0, len(label))
-	for i := 0; i < len(label); i++ {
-		if label[i] == '\x1f' {
-			out = append(out, '|')
-			continue
+	return strings.ReplaceAll(label, "\x1f", "|")
+}
+
+// displayCompare compares two internal labels as their display labels
+// compare, byte by byte with \x1f read as '|': the mapping is per byte and
+// keeps lengths, so neither label has to be built.
+func displayCompare(a, b string) int {
+	shown := func(c byte) byte {
+		if c == '\x1f' {
+			return '|'
 		}
-		out = append(out, label[i])
+		return c
 	}
-	return string(out)
+	for i := range min(len(a), len(b)) {
+		if x, y := shown(a[i]), shown(b[i]); x != y {
+			return cmp.Compare(x, y)
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 func splitItem(key string) (string, string) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -103,6 +104,67 @@ func TestSourcesSortedAndComplete(t *testing.T) {
 		if s.ExpectedTriples < 0 {
 			t.Errorf("negative expected triples: %+v", s)
 		}
+	}
+}
+
+// TestTopSourcesMatchesSortedPrefix: the partial selection behind TopSources
+// returns exactly Sources()[:k] for every k — on corpora where most sources
+// tie at the accuracy clamp, so the label order decides, and whose labels mix
+// literal '|' with the \x1f joins that display as '|', down to two sources
+// displaying alike ("a|b.com" on "p" and "a" on "b.com|p"), which dense id
+// orders — and it builds Source values for its k winners only: O(k)
+// allocations, not O(n).
+func TestTopSourcesMatchesSortedPrefix(t *testing.T) {
+	sites := []string{"a.com", "a|b.com", "b.com", "a", "b.com|"}
+	preds := []string{"p", "p|q", "q", "b.com|p"}
+	alike := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ds := NewDataset()
+		for i := 0; i < 600; i++ {
+			ds.Add(Extraction{
+				Extractor: fmt.Sprintf("E%d", rng.Intn(3)), Website: sites[rng.Intn(len(sites))], Page: []string{"x", "y|z"}[rng.Intn(2)],
+				Subject: fmt.Sprintf("S%d", rng.Intn(40)), Predicate: preds[rng.Intn(len(preds))],
+				Object: fmt.Sprintf("v%d", rng.Intn(3)), Confidence: []float64{1, 0.9, 0.5}[rng.Intn(3)],
+			})
+		}
+		opt := DefaultOptions()
+		opt.Granularity = GranularityFinest
+		opt.MinSupport = 1
+		res, err := EstimateKBT(ds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := res.Sources()
+		clamped := 0
+		for _, s := range all {
+			if s.KBT == all[0].KBT {
+				clamped++
+			}
+		}
+		if clamped < 3 {
+			t.Fatalf("seed %d: %d sources tie at the top KBT, want a tie to break", seed, clamped)
+		}
+		for i := 1; i < len(all); i++ {
+			if all[i].Name == all[i-1].Name && all[i].KBT == all[i-1].KBT {
+				alike++
+			}
+		}
+		for k := 1; k < len(all); k++ {
+			fresh := &Result{snap: res.snap, res: res.res, opt: res.opt}
+			if got := fresh.TopSources(k); !reflect.DeepEqual(got, all[:k]) {
+				t.Fatalf("seed %d: TopSources(%d) = %+v\nwant Sources()[:%d] = %+v", seed, k, got, k, all[:k])
+			}
+		}
+		fresh := &Result{snap: res.snap, res: res.res, opt: res.opt}
+		for _, k := range []int{1, 5} {
+			if allocs := testing.AllocsPerRun(20, func() { fresh.TopSources(k) }); allocs > float64(2*k+10) {
+				t.Errorf("seed %d: TopSources(%d) of %d sources allocates %v times, want O(k)", seed, k, len(all), allocs)
+			}
+		}
+	}
+	if alike == 0 {
+		t.Fatal("no two sources display alike at one KBT: the dense-id order went untested")
 	}
 }
 
