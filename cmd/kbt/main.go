@@ -4,14 +4,16 @@
 //
 //	kbt estimate  [-granularity auto|website|page|finest] [-iters N]
 //	              [-min-support N] [-top K] [-triples] [-extractors]
-//	              [-cpuprofile FILE] [file.tsv]
+//	              [-cpuprofile FILE] [-memprofile FILE] [file.tsv]
 //	kbt serve     [-granularity website|page|finest] [-shards N] [-batch N]
 //	              [-iters N] [-tol F] [-min-support N] [-top K] [-copydetect]
 //	              [-fusion] [-listen ADDR] [-lanes N] [-data DIR]
 //	              [-checkpoint-every N] [-checkpoint-bytes N]
 //	              [-checkpoint-interval D] [-probe-backoff D]
-//	              [-probe-max-backoff D] [-cpuprofile FILE] [file.tsv]
-//	kbt fuse      [-model accu|popaccu] [-n N] [-top K] [file.tsv]
+//	              [-probe-max-backoff D] [-cpuprofile FILE]
+//	              [-memprofile FILE] [file.tsv]
+//	kbt fuse      [-model accu|popaccu] [-n N] [-top K] [-cpuprofile FILE]
+//	              [-memprofile FILE] [file.tsv]
 //	kbt generate  [-kind synthetic|web] [-scale F] [-seed N] [-o out.tsv]
 //
 // The TSV interchange format is one extraction per line, 8 tab-separated
@@ -26,10 +28,11 @@
 // the updated ranking after each refresh — pipe a live extraction feed into
 // it instead of re-running estimate over a growing file.
 //
-// estimate and serve write a CPU profile of the run to -cpuprofile FILE (read
-// it with "go tool pprof -top kbt FILE"). serve on a file or stdin is an
-// in-process replay with no HTTP in the way, so "kbt serve -batch N
-// -cpuprofile FILE feed.tsv" profiles the refresh pipeline itself.
+// estimate, fuse and serve write a CPU profile of the run to -cpuprofile FILE
+// and a heap profile at exit to -memprofile FILE (read either with "go tool
+// pprof -top kbt FILE"). serve on a file or stdin is an in-process replay
+// with no HTTP in the way, so "kbt serve -batch N -cpuprofile FILE feed.tsv"
+// profiles the refresh pipeline itself.
 //
 // With -listen, serve drains its input (an empty feed is a valid idle
 // start), then exposes the engine over HTTP: POST /v1/ingest and
@@ -69,6 +72,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -138,29 +142,45 @@ func readDataset(path string) (*kbt.Dataset, error) {
 	return kbt.ReadTSV(r)
 }
 
-// startCPUProfile starts writing a CPU profile of the process to path ("" =
-// no profile) and returns the function that stops it and closes the file,
-// reporting a failed close through *errp unless an error is already there.
-// The commands defer it on their named result, so the profile is complete on
-// every return path — an error included; main exits only after they return.
-func startCPUProfile(path string) (stop func(errp *error), err error) {
-	if path == "" {
-		return func(*error) {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func(errp *error) {
-		pprof.StopCPUProfile()
-		if cerr := f.Close(); *errp == nil {
-			*errp = cerr
+// startProfiles starts writing a CPU profile of the process to cpuPath and
+// creates memPath for a heap profile ("" = no profile of that kind), and
+// returns the function that stops the CPU profile, writes the heap profile and
+// closes both files, reporting the first failure through *errp unless an
+// error is already there. The commands defer it on their named result, so the
+// profiles are complete on every return path — an error included; main exits
+// only after they return.
+func startProfiles(cpuPath, memPath string) (stop func(errp *error), err error) {
+	var cpu, mem *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
 		}
-	}, nil
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	stop = func(errp *error) {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if mem != nil {
+			runtime.GC() // the heap profile reports the last completed collection
+			errs = append(errs, pprof.WriteHeapProfile(mem), mem.Close())
+		}
+		if *errp == nil {
+			*errp = errors.Join(errs...)
+		}
+	}
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			stop(&err)
+			return nil, err
+		}
+	}
+	return stop, nil
 }
 
 func cmdEstimate(args []string) (err error) {
@@ -172,10 +192,11 @@ func cmdEstimate(args []string) (err error) {
 	showTriples := fs.Bool("triples", false, "also print triple beliefs")
 	showExtractors := fs.Bool("extractors", false, "also print extractor quality")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfile, err := startCPUProfile(*cpuProfile)
+	stopProfile, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
@@ -272,10 +293,11 @@ func cmdServe(args []string) (err error) {
 	probeBackoff := fs.Duration("probe-backoff", 0, "with -data, initial delay before a degraded (read-only) engine re-probes the disk; doubles per failed probe (0 = default 500ms)")
 	probeMax := fs.Duration("probe-max-backoff", 0, "with -data, cap on the exponential disk-probe backoff (0 = default 30s)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (stdin/file input is an in-process replay of the refresh pipeline)")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfile, err := startCPUProfile(*cpuProfile)
+	stopProfile, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
@@ -579,16 +601,23 @@ func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
-func cmdFuse(args []string) error {
+func cmdFuse(args []string) (err error) {
 	fs := flag.NewFlagSet("fuse", flag.ExitOnError)
 	model := fs.String("model", "accu", "fusion model: accu|popaccu")
 	n := fs.Int("n", 100, "assumed number of false values per data item")
 	iters := fs.Int("iters", 5, "EM iterations")
 	minSupport := fs.Int("min-support", 3, "minimum observations per provenance")
 	top := fs.Int("top", 50, "number of triples to print (0 = all)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfile(&err)
 	ds, err := readDataset(fs.Arg(0))
 	if err != nil {
 		return err

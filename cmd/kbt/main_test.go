@@ -87,14 +87,15 @@ func TestServeRejectsOracleFlags(t *testing.T) {
 	}
 }
 
-// TestCPUProfileCompleteOnEveryReturn: estimate and serve write the profile
-// named by -cpuprofile, stopped and closed whether the command succeeds or
-// returns an error. The commands print to the process's stdout, so the test
-// re-runs itself as that process.
+// TestCPUProfileCompleteOnEveryReturn: estimate, fuse and serve write the CPU
+// profile named by -cpuprofile and the heap profile named by -memprofile,
+// stopped and closed whether the command succeeds or returns an error. The
+// commands print to the process's stdout, so the test re-runs itself as that
+// process.
 func TestCPUProfileCompleteOnEveryReturn(t *testing.T) {
 	if args := os.Getenv("KBT_TEST_PROFILE_ARGS"); args != "" {
 		argv := strings.Split(args, " ")
-		run := map[string]func([]string) error{"estimate": cmdEstimate, "serve": cmdServe}[argv[0]]
+		run := map[string]func([]string) error{"estimate": cmdEstimate, "fuse": cmdFuse, "serve": cmdServe}[argv[0]]
 		if err := run(argv[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -110,14 +111,17 @@ func TestCPUProfileCompleteOnEveryReturn(t *testing.T) {
 		args     string
 		wantExit int
 	}{
-		"estimate":       {"estimate -granularity website -cpuprofile %s " + feed, 0},
-		"serve":          {"serve -batch 12 -cpuprofile %s " + feed, 0},
-		"serve-error":    {"serve -granularity auto -cpuprofile %s " + feed, 1},
-		"estimate-error": {"estimate -cpuprofile %s " + dir + "/missing.tsv", 1},
+		"estimate":       {"estimate -granularity website " + feed, 0},
+		"fuse":           {"fuse " + feed, 0},
+		"serve":          {"serve -batch 12 " + feed, 0},
+		"serve-error":    {"serve -granularity auto " + feed, 1},
+		"estimate-error": {"estimate " + dir + "/missing.tsv", 1},
+		"fuse-error":     {"fuse -model bogus " + feed, 1},
 	} {
-		prof := dir + "/" + name + ".prof"
+		cpu, mem := dir+"/"+name+".cpu.prof", dir+"/"+name+".mem.prof"
+		verb, rest, _ := strings.Cut(tc.args, " ")
 		cmd := exec.Command(os.Args[0], "-test.run=^TestCPUProfileCompleteOnEveryReturn$")
-		cmd.Env = append(os.Environ(), "KBT_TEST_PROFILE_ARGS="+fmt.Sprintf(tc.args, prof))
+		cmd.Env = append(os.Environ(), fmt.Sprintf("KBT_TEST_PROFILE_ARGS=%s -cpuprofile %s -memprofile %s %s", verb, cpu, mem, rest))
 		out, err := cmd.CombinedOutput()
 		exit := 0
 		if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
@@ -128,21 +132,24 @@ func TestCPUProfileCompleteOnEveryReturn(t *testing.T) {
 		if exit != tc.wantExit {
 			t.Errorf("%s: exit %d, want %d; output:\n%s", name, exit, tc.wantExit, out)
 		}
-		// A stopped profile is a complete gzip stream; one cut off by an exit
-		// is empty or truncated.
-		f, err := os.Open(prof)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
+		// A written profile is a complete, non-empty gzip stream; one cut off
+		// by an exit is empty or truncated.
+		for _, prof := range []string{cpu, mem} {
+			f, err := os.Open(prof)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			n := int64(0)
+			zr, err := gzip.NewReader(f)
+			if err == nil {
+				n, err = io.Copy(io.Discard, zr)
+			}
+			if err != nil || n == 0 {
+				t.Errorf("%s: %s is not a complete, non-empty gzip stream (%d bytes): %v", name, prof, n, err)
+			}
+			f.Close()
 		}
-		zr, err := gzip.NewReader(f)
-		if err == nil {
-			_, err = io.Copy(io.Discard, zr)
-		}
-		if err != nil {
-			t.Errorf("%s: profile is not a complete gzip stream: %v", name, err)
-		}
-		f.Close()
 	}
 }
 

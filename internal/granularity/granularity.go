@@ -13,6 +13,7 @@ package granularity
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"kbt/internal/stats"
 	"kbt/internal/triple"
@@ -106,7 +107,7 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 			rep.FinalUnits += nBuckets
 			for pi, p := range perm {
 				bucket := pi % nBuckets
-				labels[idxs[p]] = key + "\x1f#" + itoa(bucket)
+				labels[idxs[p]] = key + "\x1f#" + strconv.Itoa(bucket)
 			}
 			return
 		}
@@ -146,8 +147,6 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 	}
 	return labels, rep, nil
 }
-
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
 
 // Sources runs SplitAndMerge with the standard source hierarchy.
 func Sources(records []triple.Record, minSize, maxSize int, seed int64) ([]string, Report, error) {

@@ -8,11 +8,13 @@ import "slices"
 // bit-identical downstream inference. The parent is not mutated and remains
 // fully usable, also while the child is being built.
 //
-// Cost: O(records + log-amortised interning) plus one row header for every
-// unit of a kind whose old rows the batch grows. The first Extend of a parent
-// claims its tail (Snapshot.tailClaimed) and shares what it does not touch: it
-// appends to the flat tables, and to the outer arrays of ItemValues and the
-// five inverted indexes, in their spare capacity. Growing a parent's row
+// Cost: O(cells × radix passes + log-amortised interning), the cells being the
+// records and the parent's observations of the items they touch, which one
+// sort groups with the records (appender.appendCells); plus one row header
+// for every unit of a kind whose old rows the batch grows. The first Extend of
+// a parent claims its tail (Snapshot.tailClaimed) and shares what it does not
+// touch: it appends to the flat tables, and to the outer arrays of ItemValues
+// and the five inverted indexes, in their spare capacity. Growing a parent's row
 // replaces its header, so the first such write to a table copies that table's
 // outer array (rowTable.set) — the extractor tables on every batch, a few
 // rows; TriplesOfSource when a known source says something new;
@@ -66,7 +68,7 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		// The claimant adopts the parent's backing arrays and appends into
 		// their spare capacity, never writing the prefixes the parent's
 		// holders read: a write below a parent's length (a raised confidence
-		// in appender.appendIDs, a grown row in rowTable.set) first unshares
+		// in appender.appendCells, a grown row in rowTable.set) first unshares
 		// the array it lands in.
 		ByTriple:           forkRows(s.ByTriple, claimed),
 		TriplesOfItem:      forkRows(s.TriplesOfItem, claimed),
@@ -85,13 +87,36 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		Predicates: adopt(s.Predicates, claimed),
 		PredOfItem: adopt(s.PredOfItem, claimed),
 	}
-	ap := newAppender(c, *c.delta, claimed, len(records))
+	// Resolve the records to id columns in order, as Compile does, noting the
+	// parent's items they touch.
+	n := len(records)
+	es, ws, ds, vs := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	var touched []int
 	for ri := range records {
 		r := &records[ri]
-		e := c.internExtractor(c.copt.ExtractorKey(*r))
-		w := c.internSource(c.copt.SourceKey(*r))
-		ap.appendIDs(e, w, c.internItem(r), c.valueIdx.intern(&c.Values, r.Object), r.Conf())
+		es[ri] = c.internExtractor(c.copt.ExtractorKey(*r))
+		ws[ri] = c.internSource(c.copt.SourceKey(*r))
+		ds[ri] = c.internItem(r)
+		vs[ri] = c.valueIdx.intern(&c.Values, r.Object)
+		if ds[ri] < c.delta.Items {
+			touched = append(touched, ds[ri])
+		}
 	}
+	// The parent's cells of those items rank before every record, so a
+	// record's triple or observation already in the parent keeps its index.
+	slices.Sort(touched)
+	var pe, pw, pd, pv, tri, obs []int
+	for _, d := range slices.Compact(touched) {
+		for _, ti := range c.TriplesOfItem[d] {
+			for _, oi := range c.ByTriple[ti] {
+				o := c.Obs[oi]
+				pe, pw, pd, pv = append(pe, o.E), append(pw, o.W), append(pd, o.D), append(pv, o.V)
+				tri, obs = append(tri, ti), append(obs, oi)
+			}
+		}
+	}
+	newAppender(c, *c.delta, claimed).appendCells(records,
+		append(pe, es...), append(pw, ws...), append(pd, ds...), append(pv, vs...), tri, obs)
 	return c
 }
 

@@ -485,3 +485,163 @@ func TestExtendCostIndependentOfCorpus(t *testing.T) {
 		}
 	}
 }
+
+// referenceBuild compiles records one at a time through lookup maps — the
+// record-at-a-time build that Compile and Extend replace with one sort of a
+// batch's cells — sharing none of their code: the oracle for both.
+func referenceBuild(recs []Record, opt CompileOptions) snapshotTables {
+	var t snapshotTables
+	vocab := map[*[]string]map[string]int{}
+	intern := func(list *[]string, key string) (int, bool) {
+		if vocab[list] == nil {
+			vocab[list] = map[string]int{}
+		}
+		if i, ok := vocab[list][key]; ok {
+			return i, false
+		}
+		vocab[list][key] = len(*list)
+		*list = append(*list, key)
+		return len(*list) - 1, true
+	}
+	insertSorted := func(row []int, x int) []int {
+		if k, found := slices.BinarySearch(row, x); !found {
+			return slices.Insert(row, k, x)
+		}
+		return row
+	}
+	tripleIdx, obsIdx := map[TripleRef]int{}, map[[2]int]int{}
+	for _, r := range recs {
+		e, newE := intern(&t.Extractors, opt.ExtractorKey(r))
+		if newE {
+			t.ObsOfExtractor, t.SourcesOfExtractor = append(t.ObsOfExtractor, nil), append(t.SourcesOfExtractor, nil)
+		}
+		w, newW := intern(&t.Sources, opt.SourceKey(r))
+		if newW {
+			t.TriplesOfSource = append(t.TriplesOfSource, nil)
+		}
+		d, newD := intern(&t.Items, r.ItemKey())
+		if newD {
+			p, _ := intern(&t.Predicates, r.Predicate)
+			t.PredOfItem = append(t.PredOfItem, p)
+			t.TriplesOfItem, t.ItemValues = append(t.TriplesOfItem, nil), append(t.ItemValues, nil)
+		}
+		v, _ := intern(&t.Values, r.Object)
+		tr := TripleRef{W: w, D: d, V: v}
+		ti, known := tripleIdx[tr]
+		if !known {
+			ti = len(t.Triples)
+			tripleIdx[tr] = ti
+			t.Triples, t.ByTriple = append(t.Triples, tr), append(t.ByTriple, nil)
+			t.TriplesOfItem[d] = append(t.TriplesOfItem[d], ti)
+			t.TriplesOfSource[w] = append(t.TriplesOfSource[w], ti)
+			t.ItemValues[d] = insertSorted(t.ItemValues[d], v)
+		}
+		if oi, dup := obsIdx[[2]int{ti, e}]; dup {
+			t.Obs[oi].Conf = max(t.Obs[oi].Conf, r.Conf())
+			continue
+		}
+		oi := len(t.Obs)
+		obsIdx[[2]int{ti, e}] = oi
+		t.Obs = append(t.Obs, Observation{E: e, W: w, D: d, V: v, Conf: r.Conf()})
+		t.ByTriple[ti] = append(t.ByTriple[ti], oi)
+		t.ObsOfExtractor[e] = append(t.ObsOfExtractor[e], oi)
+		t.SourcesOfExtractor[e] = insertSorted(t.SourcesOfExtractor[e], w)
+	}
+	return t
+}
+
+// requireTables fails the test unless got's tables equal want, naming each
+// table that differs (the tables are too large to print, and too large for
+// reflect.DeepEqual under the race detector).
+func requireTables(t *testing.T, what string, got *Snapshot, want snapshotTables) {
+	t.Helper()
+	g := tablesOf(got)
+	rows := func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal) }
+	for name, equal := range map[string]bool{
+		"Obs": slices.Equal(g.Obs, want.Obs), "Sources": slices.Equal(g.Sources, want.Sources),
+		"Extractors": slices.Equal(g.Extractors, want.Extractors), "Items": slices.Equal(g.Items, want.Items),
+		"Values": slices.Equal(g.Values, want.Values), "Predicates": slices.Equal(g.Predicates, want.Predicates),
+		"PredOfItem": slices.Equal(g.PredOfItem, want.PredOfItem), "ItemValues": rows(g.ItemValues, want.ItemValues),
+		"Triples": slices.Equal(g.Triples, want.Triples), "ByTriple": rows(g.ByTriple, want.ByTriple),
+		"TriplesOfItem": rows(g.TriplesOfItem, want.TriplesOfItem), "TriplesOfSource": rows(g.TriplesOfSource, want.TriplesOfSource),
+		"ObsOfExtractor": rows(g.ObsOfExtractor, want.ObsOfExtractor), "SourcesOfExtractor": rows(g.SourcesOfExtractor, want.SourcesOfExtractor),
+	} {
+		if !equal {
+			t.Errorf("%s: table %s differs from the reference build", what, name)
+		}
+	}
+}
+
+// wideIDStream returns more than 65 536 distinct ids of every kind, then for
+// each kind cells whose id differs from an earlier cell's only in byte 1 or 2,
+// each followed by a duplicate of that earlier cell that raises or lowers its
+// confidence: a sort that skips a digit, or is not stable, splits a group.
+func wideIDStream() []Record {
+	const n = 66_000
+	mk := func(e, w, d, v int, conf float64) Record {
+		return Record{Extractor: fmt.Sprintf("E%d", e), Website: fmt.Sprintf("w%d", w),
+			Subject: fmt.Sprintf("S%d", d), Predicate: "p", Object: fmt.Sprintf("v%d", v), Confidence: conf}
+	}
+	recs := make([]Record, 0, n+4000)
+	for i := 0; i < n; i++ {
+		recs = append(recs, mk(i, i, i, i, 0.5))
+	}
+	for _, shift := range []int{256, 65_536} {
+		for i := 0; i+shift < n; i += 331 {
+			j := i + shift
+			conf := []float64{0.9, 0.2}[i%2]
+			recs = append(recs,
+				mk(j, i, i, i, 0.7), mk(i, j, i, i, 0.7), mk(i, i, j, i, 0.7), mk(i, i, i, j, 0.7),
+				mk(i, i, i, i, conf))
+		}
+	}
+	return recs
+}
+
+// hubStream puts thousands of triples on one item, then extracts it again
+// among fresh items.
+func hubStream() []Record {
+	var recs []Record
+	for i := 0; i < 4000; i++ {
+		recs = append(recs, Record{Extractor: fmt.Sprintf("E%d", i%3), Website: fmt.Sprintf("w%d", i%700),
+			Subject: "hub", Predicate: "p", Object: fmt.Sprintf("v%d", i%37), Confidence: float64(i%10+1) / 10})
+		if i%5 == 0 {
+			recs = append(recs, Record{Extractor: "E0", Website: "w1", Subject: fmt.Sprintf("S%d", i), Predicate: "p", Object: "v0"})
+		}
+	}
+	return recs
+}
+
+// TestCompileMatchesReferenceBuilder: Compile, and Extend at every split —
+// the claimant child, an unclaimed second child of the same parent, and a
+// chain — deep-equal the record-at-a-time reference build.
+func TestCompileMatchesReferenceBuilder(t *testing.T) {
+	website := CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}
+	corpora := []struct {
+		name string
+		recs []Record
+		opt  CompileOptions
+	}{
+		{"random-website", randomStream(21, 500), website},
+		{"random-finest", randomStream(22, 500), CompileOptions{SourceKey: SourceKeyFinest, ExtractorKey: ExtractorKeyFinest}},
+		{"wide-ids", wideIDStream(), website},
+		{"hub", hubStream(), website},
+	}
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) {
+			want := referenceBuild(c.recs, c.opt)
+			requireTables(t, "Compile", (&Dataset{Records: c.recs}).Compile(c.opt), want)
+			n := len(c.recs)
+			for _, cut := range []int{n / 3, n - n/7, n - 1} {
+				parent := (&Dataset{Records: c.recs[:cut]}).Compile(c.opt)
+				requireTables(t, fmt.Sprintf("cut %d, claimant", cut), parent.Extend(c.recs[cut:]), want)
+				requireTables(t, fmt.Sprintf("cut %d, second child", cut), parent.Extend(c.recs[cut:]), want)
+			}
+			snap := (&Dataset{Records: c.recs[:n/2]}).Compile(c.opt)
+			for cut, step := n/2, (n+9)/10; cut < n; cut += step {
+				snap = snap.Extend(c.recs[cut:min(cut+step, n)])
+			}
+			requireTables(t, "chain", snap, want)
+		})
+	}
+}

@@ -3,6 +3,8 @@ package triple
 import (
 	"fmt"
 	"maps"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -307,10 +309,7 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	vs := column(func(ri int) int { return s.valueIdx.intern(&s.Values, recs[ri].Object) })
 	wg.Wait()
 
-	ap := newAppender(s, Delta{}, false, len(recs))
-	for ri := range recs {
-		ap.appendIDs(es[ri], ws[ri], ds[ri], vs[ri], recs[ri].Conf())
-	}
+	newAppender(s, Delta{}, false).appendCells(recs, es, ws, ds, vs, nil, nil)
 	return s
 }
 
@@ -400,16 +399,13 @@ func (t *internTable) intern(list *[]string, key string) int {
 
 // appender is the transient per-call state of the shared append-only build
 // path used by both Compile (from an empty snapshot) and Extend (from a fork
-// of the parent): both resolve their records to dense ids and hand the ids to
-// appendIDs. It maintains every inverted index through the tables' write
-// handles and seeds its lookup maps lazily per data item, so an Extend does
-// work proportional to the new records plus the items they touch.
+// of the parent): both resolve their records to dense id columns and hand them
+// to appendCells, Extend preceded by the parent's cells of the items its
+// records touch. It maintains every inverted index through the tables' write
+// handles, so an Extend does work proportional to the new records plus the
+// cells of the items they touch.
 type appender struct {
 	s *Snapshot
-
-	tripleIdx map[TripleRef]int // (w,d,v) -> triple index, seeded per item
-	obsIdx    map[[2]int]int    // (triple index, e) -> obs index
-	seeded    map[int]bool      // parent items whose rows are loaded
 
 	// Appending to a parent's row needs no copy of the row, an insert before
 	// its end does: the owned maps name the rows copied.
@@ -440,16 +436,12 @@ func (t *rowTable) set(i int, row []int) {
 // inheritance, and any other build starts from clipped rows (forkRows).
 func (t *rowTable) add(i, v int) { t.set(i, append((*t.rows)[i], v)) }
 
-// newAppender prepares a build of n records on top of s, a fork of a parent
-// with base's table lengths whose outer row arrays it shares or not (Compile:
-// no parent).
-func newAppender(s *Snapshot, base Delta, shared bool, n int) *appender {
+// newAppender prepares a build on top of s, a fork of a parent with base's
+// table lengths whose outer row arrays it shares or not (Compile: no parent).
+func newAppender(s *Snapshot, base Delta, shared bool) *appender {
 	table := func(rows *[][]int, n0 int) rowTable { return rowTable{rows: rows, n0: n0, shared: shared} }
 	return &appender{
 		s:                     s,
-		tripleIdx:             make(map[TripleRef]int, n),
-		obsIdx:                make(map[[2]int]int, n),
-		seeded:                make(map[int]bool),
 		itemValues:            table(&s.ItemValues, base.Items),
 		byTriple:              table(&s.ByTriple, base.Triples),
 		triplesOfItem:         table(&s.TriplesOfItem, base.Items),
@@ -458,24 +450,6 @@ func newAppender(s *Snapshot, base Delta, shared bool, n int) *appender {
 		sourcesOfExtractor:    table(&s.SourcesOfExtractor, base.Extractors),
 		ownedValueRows:        make(map[int]bool),
 		ownedExtractorSrcRows: make(map[int]bool),
-	}
-}
-
-// seedItem loads the parent's candidate triples and observations for item d
-// into the lookup maps, once per call. Rows added by this call are entered
-// into the maps at creation, so seeding before the item's first addition
-// captures exactly the parent state.
-func (ap *appender) seedItem(d int) {
-	if d >= ap.triplesOfItem.n0 || ap.seeded[d] {
-		return
-	}
-	ap.seeded[d] = true
-	s := ap.s
-	for _, ti := range s.TriplesOfItem[d] {
-		ap.tripleIdx[s.Triples[ti]] = ti
-		for _, oi := range s.ByTriple[ti] {
-			ap.obsIdx[[2]int{ti, s.Obs[oi].E}] = oi
-		}
 	}
 }
 
@@ -493,35 +467,109 @@ func (ap *appender) addValue(d, k, v int) {
 	ap.itemValues.set(d, slices.Insert(row, k, v))
 }
 
-// appendIDs appends one record, given as the dense ids of its units,
-// updating every table and index to exactly the state a full Compile over the
-// concatenated records would produce.
-func (ap *appender) appendIDs(e, w, d, v int, conf float64) {
-	s := ap.s
-	ap.seedItem(d)
-	tr := TripleRef{W: w, D: d, V: v}
-	ti, known := ap.tripleIdx[tr]
-	if !known {
-		ti = len(s.Triples)
-		ap.tripleIdx[tr] = ti
-		s.Triples = append(s.Triples, tr)
-		s.ByTriple = append(s.ByTriple, nil)
-		ap.triplesOfItem.add(d, ti)
-		ap.triplesOfSource.add(w, ti)
-		vs := s.ItemValues[d]
-		if k := sort.SearchInts(vs, v); k == len(vs) || vs[k] != v {
-			ap.addValue(d, k, v)
+// groupLeads finds which cells of a build share a candidate triple and which
+// share an observation, without a lookup table: one stable LSD radix sort of
+// the cell ranks by their (d,w,v,e) ids brings each group together with its
+// ranks ascending. For every cell ranked at or after first it writes to tri
+// the lowest rank of its (d,w,v) group, and to obs that of its (d,w,v,e) group.
+//
+// Digits are bytes, and a column takes only the passes its largest id needs,
+// so the cost is O(cells × passes) whatever the size of the corpus. The sort
+// moves 4-byte ranks (bounds-checked) and reads each digit through its
+// column, so ids keep their full int range.
+func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
+	if uint64(len(e)) > math.MaxUint32 {
+		panic("triple: a build of more than 2^32 cells")
+	}
+	buf, tmp := make([]uint32, len(e)), make([]uint32, len(e))
+	for i := range buf {
+		buf[i] = uint32(i)
+	}
+	for _, col := range [...][]int{e, v, w, d} { // least significant first
+		hi := 0
+		for _, x := range col {
+			hi = max(hi, x)
+		}
+		for shift := 0; shift < bits.Len(uint(hi)); shift += 8 {
+			var count [256]int
+			for _, r := range buf {
+				count[col[r]>>shift&0xff]++
+			}
+			sum := 0
+			for b, n := range count {
+				count[b], sum = sum, sum+n
+			}
+			for _, r := range buf {
+				b := col[r] >> shift & 0xff
+				tmp[count[b]] = r
+				count[b]++
+			}
+			buf, tmp = tmp, buf
 		}
 	}
+	// A triple group is one run of the sorted cells, its cell groups runs
+	// within it; a cell group's first rank is its lowest, a triple group's
+	// lowest is the least of those.
+	for i := 0; i < len(buf); {
+		r0 := int(buf[i])
+		lead, j := r0, i+1
+		for ; j < len(buf); j++ {
+			r := int(buf[j])
+			if d[r] != d[r0] || w[r] != w[r0] || v[r] != v[r0] {
+				break
+			}
+			lead = min(lead, r)
+		}
+		cellLead := r0
+		for k := i; k < j; k++ {
+			r := int(buf[k])
+			if e[r] != e[cellLead] {
+				cellLead = r
+			}
+			if r >= first {
+				tri[r], obs[r] = lead, cellLead
+			}
+		}
+		i = j
+	}
+}
 
-	ok2 := [2]int{ti, e}
-	if known { // a triple this record created holds no cell yet
-		if oi, dup := ap.obsIdx[ok2]; dup {
+// appendCells appends a build's records, updating every table and index to
+// exactly the state a full Compile over the concatenated records would
+// produce. The id columns es, ws, ds, vs hold one cell per record, preceded by
+// the parent's cells whose triple and observation indexes tri and obs hold; a
+// cell that shares its triple or observation with a lower-ranked one reuses it
+// (groupLeads), so a record already in the parent keeps the parent's indexes.
+// The records are appended in order, the way a record-at-a-time build would.
+func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
+	s := ap.s
+	first := len(tri)
+	tri, obs = append(tri, make([]int, len(recs))...), append(obs, make([]int, len(recs))...)
+	groupLeads(es, ws, ds, vs, first, tri, obs)
+	for r := first; r < len(es); r++ {
+		e, w, d, v, conf := es[r], ws[r], ds[r], vs[r], recs[r-first].Conf()
+		if lead := tri[r]; lead != r {
+			tri[r] = tri[lead]
+		} else {
+			tri[r] = len(s.Triples)
+			s.Triples = append(s.Triples, TripleRef{W: w, D: d, V: v})
+			s.ByTriple = append(s.ByTriple, nil)
+			ap.triplesOfItem.add(d, tri[r])
+			ap.triplesOfSource.add(w, tri[r])
+			row := s.ItemValues[d]
+			if k := sort.SearchInts(row, v); k == len(row) || row[k] != v {
+				ap.addValue(d, k, v)
+			}
+		}
+
+		if lead := obs[r]; lead != r {
 			// Duplicate (e,w,d,v) cell: keep the maximum confidence. Raising a
 			// parent observation is the one in-place mutation of the
 			// append-only build: it forces an adopted Obs backing to be
 			// unshared first (the parent must keep its own confidence), and
 			// Extend records it for incremental consumers.
+			oi := obs[lead]
+			obs[r] = oi
 			if conf > s.Obs[oi].Conf {
 				if s.obsShared && s.delta != nil && oi < s.delta.Obs {
 					s.Obs = slices.Clone(s.Obs)
@@ -532,24 +580,24 @@ func (ap *appender) appendIDs(e, w, d, v int, conf float64) {
 					s.delta.RaisedObs = append(s.delta.RaisedObs, oi)
 				}
 			}
-			return
+			continue
 		}
-	}
-	oi := len(s.Obs)
-	ap.obsIdx[ok2] = oi
-	s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: conf})
-	ap.byTriple.add(ti, oi)
-	ap.obsOfExtractor.add(e, oi)
-	srcs := s.SourcesOfExtractor[e]
-	if k := sort.SearchInts(srcs, w); k == len(srcs) || srcs[k] != w {
-		// At the end (a first-seen source has the highest id yet) an append
-		// like any other; in the middle it shifts what the parent reads, so a
-		// parent's row is copied first, once per call.
-		if k < len(srcs) && e < ap.obsOfExtractor.n0 && !ap.ownedExtractorSrcRows[e] {
-			ap.ownedExtractorSrcRows[e] = true
-			srcs = slices.Clone(srcs)
+		oi := len(s.Obs)
+		obs[r] = oi
+		s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: conf})
+		ap.byTriple.add(tri[r], oi)
+		ap.obsOfExtractor.add(e, oi)
+		srcs := s.SourcesOfExtractor[e]
+		if k := sort.SearchInts(srcs, w); k == len(srcs) || srcs[k] != w {
+			// At the end (a first-seen source has the highest id yet) an append
+			// like any other; in the middle it shifts what the parent reads, so a
+			// parent's row is copied first, once per call.
+			if k < len(srcs) && e < ap.obsOfExtractor.n0 && !ap.ownedExtractorSrcRows[e] {
+				ap.ownedExtractorSrcRows[e] = true
+				srcs = slices.Clone(srcs)
+			}
+			ap.sourcesOfExtractor.set(e, slices.Insert(srcs, k, w))
 		}
-		ap.sourcesOfExtractor.set(e, slices.Insert(srcs, k, w))
 	}
 }
 
