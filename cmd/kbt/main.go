@@ -23,7 +23,7 @@
 //	extractor  pattern  website  page  subject  predicate  object  [confidence]
 //
 // estimate, serve and fuse read from stdin when no file is given. serve is
-// the incremental mode: it streams records into the sharded engine and
+// the incremental mode: it streams records into the incremental engine and
 // re-estimates on every blank input line (or every -batch records), printing
 // the updated ranking after each refresh — pipe a live extraction feed into
 // it instead of re-running estimate over a growing file.
@@ -120,7 +120,7 @@ func usage() {
 
 commands:
   estimate   run the multi-layer model on extraction TSV, print KBT scores
-  serve      stream extraction TSV into the sharded incremental engine;
+  serve      stream extraction TSV into the incremental engine;
              a blank line (or every -batch records) triggers a refresh
   fuse       run the single-layer ACCU/POPACCU baseline, print triple beliefs
   generate   emit a synthetic corpus as TSV (for demos and benchmarks)
@@ -276,7 +276,7 @@ type serveConfig struct {
 func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	gran := fs.String("granularity", "website", "source granularity: website|page|finest")
-	shards := fs.Int("shards", 8, "item shards for the incremental E-step")
+	shards := fs.Int("shards", 8, "item shards the refresh statistics count in")
 	batch := fs.Int("batch", 0, "auto-refresh every N records (0 = only on blank lines / EOF)")
 	iters := fs.Int("iters", 5, "EM iterations per refresh")
 	tol := fs.Float64("tol", 1e-4, "parameter-delta convergence tolerance; converged warm refreshes stop after one partial pass")

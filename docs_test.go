@@ -135,8 +135,7 @@ var testOnlyExports = map[string]string{
 	"core.EM.RecomputeAbsenceMasses": "the canonical recompute those masses are pinned against",
 	"core.EM.BuildResult":            "the deep-copy reference build BuildResultFrom is pinned against (TestGenerationPublishMatchesFullBuild, BenchmarkPublish)",
 	"core.EM.SourceVoteWeights":      "the installed copy discounts, read by the copy/fusion oracle suite",
-	"core.EM.Q":                      "completes A/P/R; the engine's convergence test reads only those three, the oracle suites compare Q too",
-	"core.Result.QAt":                "as EM.Q, on a published generation",
+	"core.Result.QAt":                "completes AAt/PAt/RAt; the oracle suites compare Q too",
 	"core.Result.NumTriples":         "generation-vs-batch comparisons iterate the published triples by index",
 	"core.Result.CoveredTripleAt":    "compared generation against batch by the publish and oracle suites",
 	"core.Result.RestMassAt":         "compared generation against batch; the paper's worked examples read it",
@@ -146,7 +145,6 @@ var testOnlyExports = map[string]string{
 	"kb.KB.NumFacts":                 "as KB.EntityType",
 	"kb.KB.Objects":                  "as KB.EntityType",
 	"pagerank.Result.TopK":           "ranks the PageRank scores in the package's own tests",
-	"parallel.StageTimer.Stages":     "first-use stage order, pinned by TestStageTimer",
 	"synthetic.GroupLocalCorpus":     "the group-local corpus of the staleness tests and the ungated Layer-6 benches",
 	"wal.Checkpoint.AllRecords":      "flattens a recovered chain for the durable and checkpoint round-trip tests",
 	"wal.Log.Segments":               "segment count, read by the roll and truncate tests",

@@ -24,16 +24,19 @@ var (
 )
 
 // EngineOptions configures NewEngine. Start from DefaultEngineOptions. The
-// model knobs mirror Options; the engine additionally fixes a shard count
-// and requires a granularity whose source units are pure functions of each
-// record (GranularityAuto's split-and-merge reassigns units as data grows,
-// so it is only available through the batch EstimateKBT).
+// model knobs mirror Options; the engine additionally takes the shard count
+// its refresh statistics count in, and requires a granularity whose source
+// units are pure functions of each record (GranularityAuto's split-and-merge
+// reassigns units as data grows, so it is only available through the batch
+// EstimateKBT).
 type EngineOptions struct {
 	// Granularity picks the source unit: GranularityWebsite (default),
 	// GranularityPage or GranularityFinest. GranularityAuto is rejected.
 	Granularity SourceGranularity
-	// Shards is the number of item partitions for the incremental E-step
-	// (default 8).
+	// Shards is the number of item partitions the refresh statistics
+	// (RefreshStats' shard counts) count in (default 8). No pass runs shard by
+	// shard: a warm refresh re-estimates the items its records and the
+	// drifted units touch, whatever the count.
 	Shards int
 
 	// DomainSize, Iterations, MinSupport, MinReportableTriples,
@@ -60,7 +63,8 @@ type EngineOptions struct {
 	// one copies the other (Engine.CopyDeps), and detected copiers' votes
 	// are discounted in the next refresh so copied content stops counting
 	// as independent corroboration — the ACCU-COPY feedback of the paper's
-	// reference [8], maintained incrementally from the touched shards only.
+	// reference [8], maintained incrementally: each refresh re-reads only the
+	// items whose evidence crossed a gate or gained a candidate triple.
 	CopyDetect bool
 	// Fusion maintains the single-layer ACCU baseline (the paper's
 	// SINGLELAYER comparison) as a streaming per-item posterior store over
@@ -86,8 +90,8 @@ func DefaultEngineOptions() EngineOptions {
 // Ingest appends evidence, Refresh re-estimates. The first Refresh runs the
 // full multi-layer model exactly as EstimateKBT does at the same
 // granularity; later Refreshes warm-start from the previous posteriors and
-// re-run the first inference pass only over the shards the new records
-// touched. Safe for concurrent use; the read path (Current, TopSources,
+// re-run the first inference pass only over the items sharing a (source,
+// predicate) cell with a new record. Safe for concurrent use; the read path (Current, TopSources,
 // TopTriples, CopyDeps, Fused, Stats — the embedded view) is lock-free:
 // results are published as immutable generations behind an atomic pointer,
 // so readers never block a running Refresh and a generation a reader holds

@@ -84,9 +84,9 @@ E1	p0	gossip.com	gossip.com/people	Person0	birthplace	Atlantis	0.8
 	// triple: line 6: expected 8 tab-separated columns (confidence optional), got 3
 }
 
-// ExampleNewEngine streams extractions into the sharded incremental engine:
+// ExampleNewEngine streams extractions into the incremental engine:
 // the first Refresh runs cold, later ones warm-start from the previous
-// posteriors and re-estimate only the shards the new records touched.
+// posteriors and re-estimate only the items the new records touched.
 func ExampleNewEngine() {
 	opt := kbt.DefaultEngineOptions()
 	opt.MinSupport = 1

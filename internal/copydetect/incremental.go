@@ -14,9 +14,11 @@ import (
 // Everything Detect counts is a function of each data item's *discretised*
 // evidence: which of its candidate triples pass Provides, and on which side
 // of 0.5 the posterior of each counted value (one 2 to MaxProvidersPerValue
-// sources provide) sits. The tracker keeps that signature per item. Update
-// rebuilds it for the items of the dirty shards, and only where it differs
-// from the one it holds does it retract the item's old shared-value events
+// sources provide) sits. The tracker keeps that signature per item.
+// UpdateItems rebuilds it for the items it is handed — the engine hands it the
+// items whose evidence an E-step moved across a gate, and the items of new
+// candidate triples — and only where it differs from the one it holds does it
+// retract the item's old shared-value events
 // and provider → value assignment from the pair statistics and add the new
 // ones. A re-estimate that moves posteriors without moving any across a gate
 // therefore costs the signature rebuild and nothing else, and the statistics
@@ -153,7 +155,8 @@ func (t *Tracker) UpdateItems(s *triple.Snapshot, ev Evidence, items []int) {
 
 // Update is UpdateItems over the items of the dirty shards: dirty must cover
 // every shard holding an item whose evidence changed since the previous
-// update.
+// update. Only the benchmark harness calls it (bench/layers.go), until it is
+// released (ROADMAP.md, item 2(e)).
 func (t *Tracker) Update(s *triple.Snapshot, ev Evidence, shards []triple.Shard, dirty []int) {
 	for _, si := range dirty {
 		t.UpdateItems(s, ev, shards[si].Items)

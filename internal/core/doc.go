@@ -11,9 +11,12 @@
 // baseline (package fusion), the model separates the two error channels:
 // wrong facts on a page versus wrong extractions from the page.
 //
-// Run is the monolithic batch driver. The EM type exposes the same stages
-// individually — with the shardable E-steps accepting index subsets — for
-// callers that orchestrate the loop themselves; package engine uses it to
-// run incremental, sharded refreshes that reproduce Run's arithmetic
-// exactly on a cold start.
+// One iteration of Algorithm 1 — the four stages, the Eq 26 prior on its
+// schedule and the convergence rule — is EM.Iterate, over optional item and
+// triple lists. Run is the batch driver: NewEM, Bootstrap, then Iterate over
+// every index until an iteration converges or MaxIter have run. Package
+// engine drives the same EM across refreshes, each iteration one Iterate over
+// the stale items only, and so reproduces Run's arithmetic exactly on a cold
+// start. The stages stay exported one by one for the Table 7 harness, which
+// times each (internal/experiments/timing.go).
 package core

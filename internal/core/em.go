@@ -8,37 +8,110 @@ import (
 	"kbt/internal/triple"
 )
 
-// This file exposes the individual steps of Algorithm 1 to callers that
-// orchestrate the EM loop themselves — concretely the sharded incremental
-// engine (package engine), which partitions the E-step across item shards
-// and interleaves it with global M-steps. Run remains the canonical
-// monolithic driver; both paths execute the identical per-index math, so a
-// cold engine run and Run produce the same posteriors.
+// This file exposes Algorithm 1 to callers that drive the EM loop themselves
+// — concretely the incremental engine (package engine), which runs the
+// E-steps over the stale items only. One iteration is one EM.Iterate call,
+// for Run and the engine alike: both execute the identical stage sequence,
+// prior schedule and convergence rule, so a cold engine run and Run produce
+// the same posteriors.
 
 // EM wraps the mutable inference state for external orchestration. Create
 // one with NewEM, then drive iterations as Run does:
 //
-//	em.Bootstrap(cProb)                 // once, before the first iteration
-//	for each iteration:
-//	    em.BeginIteration(refreshVotes) // ready per-iteration vote state
-//	    em.EStepTriples(cProb, ...)     // Stage I   (shardable)
-//	    em.EStepItems(...)              // Stage II  (shardable)
-//	    em.MStepSources(...)            // Stage III (global)
-//	    em.MStepExtractors(...)         // Stage IV  (global)
-//	    em.UpdatePrior(...)             // Eq 26     (shardable)
+//	em.Bootstrap(cProb)              // once, before the first iteration
+//	for each iteration, until converged or MaxIter:
+//	    _, converged := em.Iterate(cProb, ..., Pass{Iter: n, ...})
 //
-// The subset parameters of the shardable stages accept nil for "all
-// indices"; non-nil subsets must jointly cover the index space across calls
-// within one iteration, and each call splits its list across the worker pool
-// itself (calls do not run concurrently: they mark what they wrote). The
-// global M-steps instead take the dirty triple list of the iteration: with
-// Options.IncrementalAggregates they update the global sufficient statistics
-// from exactly those triples' contribution deltas (O(dirty)), and a nil list
-// — or the ReaggregateEvery cadence — re-aggregates in full. Without
-// incremental aggregates the list is ignored and every call aggregates the
-// corpus, exactly as Run does.
+// Iterate runs the stages below in this order; they stay exported for the
+// Table 7 harness, which times each one:
+//
+//	em.BeginIteration(refreshVotes) // ready per-iteration vote state
+//	em.EStepTriples(cProb, ...)     // Stage I   (index list)
+//	em.EStepItems(...)              // Stage II  (index list)
+//	em.MStepSources(...)            // Stage III (global)
+//	em.MStepExtractors(...)         // Stage IV  (global)
+//	em.UpdatePrior(...)             // Eq 26     (index list)
+//
+// The index lists of the E-steps and the prior accept nil for "all indices";
+// each call splits its list across the worker pool itself (calls do not run
+// concurrently: they mark what they wrote). The global M-steps instead take
+// the dirty triple list of the iteration: with Options.IncrementalAggregates
+// they update the global sufficient statistics from exactly those triples'
+// contribution deltas (O(dirty)), and a nil list — or the ReaggregateEvery
+// cadence — re-aggregates in full. Without incremental aggregates the list is
+// ignored and every call aggregates the corpus, exactly as Run does.
 type EM struct {
 	st *state
+}
+
+// Pass is what one Iterate call runs over.
+type Pass struct {
+	// Iter is the iteration's 1-based number within its estimation.
+	Iter int
+	// Warm says the estimation started from settled parameters (a warm
+	// engine refresh), so Eq 26 applies from its first iteration; a cold
+	// estimation follows Options.UpdatePriorFromIter.
+	Warm bool
+	// RefreshVotes is BeginIteration's argument.
+	RefreshVotes bool
+	// Items and Tris are the pass's item and candidate-triple lists (nil =
+	// every index): Stages I and II run on them, Stages III and IV take Tris
+	// as their dirty list, and Eq 26 re-estimates exactly Tris' priors.
+	Items, Tris []int
+	// Scope is the compiled scope the lists came from, which the pass
+	// re-anchors (SettleScopes) once its E-steps ran; nil under Run.
+	Scope *ScopeSet
+}
+
+// Iterate runs one iteration of Algorithm 1: BeginIteration, Stage I
+// (extraction correctness) and Stage II (triple truthfulness) over the pass's
+// lists, SettleScopes, Stage III (source accuracy) and Stage IV (extractor
+// quality), then the Eq 26 prior on its schedule. It returns the convergence
+// delta — the largest movement of A, P and R plus that of the priors the pass
+// re-estimated, against the values the iteration started from — and whether
+// the iteration converged: delta below Tol on an iteration the prior schedule
+// lets count.
+//
+// The prior's movement counts, and no iteration before the schedule engages
+// converges: Eq 26 runs after the M-steps, so a loose Tol could otherwise
+// declare convergence on an iteration whose prior shift is still reshaping
+// the posterior landscape (or that never refined the prior at all) — a false
+// fixed point the next estimation would immediately leave.
+func (em *EM) Iterate(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, p Pass) (delta float64, converged bool) {
+	st := em.st
+	st.prevA = append(st.prevA[:0], st.a...)
+	st.prevP = append(st.prevP[:0], st.p...)
+	st.prevR = append(st.prevR[:0], st.r...)
+
+	em.BeginIteration(p.RefreshVotes)
+	em.EStepTriples(cProb, p.Tris, st.opt.Workers)
+	em.EStepItems(cProb, valueProb, restMass, coveredItem, p.Items, st.opt.Workers)
+	if p.Scope != nil {
+		// The pass re-anchored the scope's posteriors against the current
+		// parameters and votes: units whose whole reach it covered start
+		// accumulating drift from zero again.
+		em.SettleScopes(p.Scope)
+	}
+	em.MStepSources(cProb, valueProb, p.Tris)
+	em.MStepExtractors(cProb, p.Tris)
+
+	scheduled := p.Warm || p.Iter+1 >= st.opt.UpdatePriorFromIter
+	var priorDelta float64
+	if st.opt.UpdatePrior && scheduled {
+		// Only the pass's priors can move, so keep and diff exactly those.
+		if p.Tris == nil {
+			st.prevPrior = append(st.prevPrior[:0], st.alpha...)
+		} else {
+			st.prevPrior = grow(st.prevPrior, len(st.alpha), 0)
+			for _, ti := range p.Tris {
+				st.prevPrior[ti] = st.alpha[ti]
+			}
+		}
+		em.UpdatePrior(valueProb, p.Tris, st.opt.Workers)
+		priorDelta = maxDelta(st.prevPrior, st.alpha, p.Tris)
+	}
+	delta = maxDelta(st.prevA, st.a, nil) + maxDelta(st.prevP, st.p, nil) + maxDelta(st.prevR, st.r, nil) + priorDelta
+	return delta, delta < st.opt.Tol && (!st.opt.UpdatePrior || scheduled)
 }
 
 // NewEM validates opt and builds the inference state for the snapshot,
@@ -55,8 +128,8 @@ func NewEM(s *triple.Snapshot, opt Options) (*EM, error) {
 
 // Bootstrap performs the pre-iteration extractor M-step from the prior
 // p(C)=Alpha (see Options.DisableBootstrap), filling cProb with the prior as
-// a side effect: the body Run itself starts with, a no-op when the options
-// disable it.
+// a side effect: what Run does before its first iteration, a no-op when the
+// options disable it.
 func (em *EM) Bootstrap(cProb []float64) { em.st.bootstrap(cProb) }
 
 // BeginIteration readies the per-iteration vote state (source votes, base
@@ -70,8 +143,8 @@ func (em *EM) Bootstrap(cProb []float64) { em.st.bootstrap(cProb) }
 // republished individually (selectiveVotes), charging the movement to the
 // staleness ledger. Per-extractor publication is what keeps the incremental
 // M-step's per-observation caches exactly valid for every vote-stable
-// extractor (no sub-Tol vote-shift rescans); core.Run refreshes every
-// iteration and never has a ledger.
+// extractor (no sub-Tol vote-shift rescans); Run refreshes every iteration
+// and never has a ledger.
 func (em *EM) BeginIteration(refreshVotes bool) {
 	if ag := em.st.agg; ag != nil {
 		ag.iter++
@@ -203,22 +276,17 @@ func (em *EM) AggStepCounts() (delta, full int) {
 
 // UpdatePrior re-estimates the prior p(C_wdv=1) (Eq 26) for the candidate
 // triples in tis (nil = all) from the current value posterior. The caller is
-// responsible for the Options.UpdatePrior / UpdatePriorFromIter schedule.
+// responsible for the Options.UpdatePrior / UpdatePriorFromIter schedule, as
+// Iterate is.
 func (em *EM) UpdatePrior(valueProb [][]float64, tis []int, workers int) {
 	em.st.updateAlphaSubset(valueProb, tis, workers)
 }
 
-// A returns the live per-source accuracy slice, read-only — e.g. for
-// convergence deltas. Writing through it would bypass the copy-on-write
+// A returns the live per-source accuracy slice, read-only — e.g. for the
+// copy detector's evidence. Writing through it would bypass the copy-on-write
 // dirty marks behind publication chunk sharing (params.go) and publish stale
 // values; warm-start with CarryParamsFrom instead.
 func (em *EM) A() []float64 { return em.st.a }
-
-// P, R and Q return the live per-extractor parameter slices, read-only (see
-// A).
-func (em *EM) P() []float64 { return em.st.p }
-func (em *EM) R() []float64 { return em.st.r }
-func (em *EM) Q() []float64 { return em.st.q }
 
 // CarryParamsFrom copies prev's per-unit parameter estimates (A, P, R, Q) by
 // dense-id prefix — the warm-start seeding for a freshly built EM. The

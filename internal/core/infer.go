@@ -124,93 +124,33 @@ func (r *Result) KBT(w int, minTriples float64) (float64, bool) {
 	return a, true
 }
 
-// Run executes Algorithm 1 on the snapshot.
+// Run executes Algorithm 1 on the snapshot: the bootstrap, then one Iterate
+// call per iteration until one converges or MaxIter have run.
 func Run(s *triple.Snapshot, opt Options) (*Result, error) {
-	if s == nil {
-		return nil, errors.New("core: nil snapshot")
-	}
-	if err := validate(opt); err != nil {
+	em, err := NewEM(s, opt)
+	if err != nil {
 		return nil, err
 	}
-
-	nSrc, nExt, nItem, nTri := len(s.Sources), len(s.Extractors), len(s.Items), len(s.Triples)
-
-	st := newState(s, opt)
-	res := &Result{
-		SourceIncluded:    st.srcIncluded,
-		ExtractorIncluded: st.extIncluded,
-		snap:              s,
-	}
+	st := em.st
+	nItem, nTri := len(s.Items), len(s.Triples)
 	cProb := make([]float64, nTri)
 	restMass := make([]float64, nItem)
 	coveredItem := make([]bool, nItem)
 	rows, valueProb := newRows(s)
 
-	prevA := make([]float64, nSrc)
-	prevP := make([]float64, nExt)
-	prevR := make([]float64, nExt)
-	prevPrior := make([]float64, nTri)
-
-	opt.Timer.Time(StageExtQuality, func() { st.bootstrap(cProb) })
-
-	iter := 0
-	for iter = 1; iter <= opt.MaxIter; iter++ {
-		copy(prevA, st.a)
-		copy(prevP, st.p)
-		copy(prevR, st.r)
-
-		// Stage I: extraction correctness p(C|X) (Eqs 15, 26, 31).
-		opt.Timer.Time(StageExtCorr, func() { st.estimateC(cProb) })
-
-		// Stage II: triple truthfulness p(V|X) (Eqs 23-25).
-		opt.Timer.Time(StageTriplePr, func() {
-			st.estimateV(cProb, valueProb, restMass, coveredItem)
-		})
-
-		// Stage III: source accuracies (Eq 28 / Eq 27).
-		if !opt.FreezeSources {
-			opt.Timer.Time(StageSrcAccu, func() {
-				st.estimateA(cProb, valueProb)
-			})
-		}
-
-		// Stage IV: extractor quality (Eqs 29-33, Q via Eq 7).
-		if !opt.FreezeExtractors {
-			opt.Timer.Time(StageExtQuality, func() {
-				st.estimatePRQ(cProb)
-			})
-		}
-
-		// Re-estimate the prior p(C_wdv=1) for the next iteration (Eq 26);
-		// the paper starts using the refined prior at iteration
-		// UpdatePriorFromIter.
-		priorDelta := 0.0
-		if opt.UpdatePrior && iter+1 >= opt.UpdatePriorFromIter {
-			copy(prevPrior, st.alpha)
-			st.updateAlpha(valueProb)
-			priorDelta = MaxDelta(prevPrior, st.alpha, nil)
-		}
-
-		// Convergence must account for the prior movement too, and cannot be
-		// declared before the prior schedule has engaged at all: the Eq 26
-		// update runs after the M-steps, so a loose Tol could otherwise
-		// declare convergence on an iteration whose prior shift is still
-		// reshaping the posterior landscape (or that never refined the prior
-		// in the first place) — a false fixed point the next estimation
-		// would immediately leave.
-		priorSettled := !opt.UpdatePrior || iter+1 >= opt.UpdatePriorFromIter
-		if priorSettled && MaxDelta(prevA, st.a, nil)+MaxDelta(prevP, st.p, nil)+MaxDelta(prevR, st.r, nil)+priorDelta < opt.Tol {
-			res.Converged = true
-			break
-		}
+	em.Bootstrap(cProb)
+	res := &Result{
+		SourceIncluded:    st.srcIncluded,
+		ExtractorIncluded: st.extIncluded,
+		snap:              s,
 	}
 	// Iterations counts the EM iterations that actually executed: k when
-	// convergence was detected at iteration k, MaxIter when the loop
-	// exhausted (the clamp undoes the final loop increment in that case).
-	if iter > opt.MaxIter {
-		iter = opt.MaxIter
+	// iteration k converged, MaxIter when none did.
+	for !res.Converged && res.Iterations < opt.MaxIter {
+		res.Iterations++
+		_, res.Converged = em.Iterate(cProb, valueProb, restMass, coveredItem,
+			Pass{Iter: res.Iterations, RefreshVotes: true})
 	}
-	res.Iterations = iter
 
 	// The state dies with this call, so the published vectors wrap its flat
 	// arrays, and the value rows were chunked from the start, without copying.
@@ -292,6 +232,11 @@ type state struct {
 	// odds with one division; Eq 26 writes it and the convergence test compares
 	// it without a logarithm or an exponential.
 	alpha []float64
+
+	// prevA, prevP, prevR and prevPrior hold what the running Iterate call
+	// started from — the parameters, and the priors of its pass's triples —
+	// for its convergence delta. Scratch, reused across iterations.
+	prevA, prevP, prevR, prevPrior []float64
 
 	srcIncluded   []bool
 	extIncluded   []bool
@@ -865,12 +810,6 @@ func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 	})
 }
 
-// estimateC computes p(C_wdv=1|X) for every candidate triple.
-func (st *state) estimateC(cProb []float64) {
-	st.prepareVotes(true)
-	st.estimateCSubset(cProb, nil, st.opt.Workers)
-}
-
 // estimateVSubset computes p(Vd|X) (Eqs 23-25) for the items listed in
 // items, or for every item when items is nil, optionally using the MAP Ĉ
 // instead of the soft weights (§3.3.2 vs §3.3.3). Like estimateCSubset, the
@@ -947,11 +886,6 @@ func sidesAbove(row []float64) uint64 {
 		}
 	}
 	return bits
-}
-
-// estimateV computes p(Vd|X) for every item.
-func (st *state) estimateV(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool) {
-	st.estimateVSubset(cProb, valueProb, restMass, coveredItem, nil, st.opt.Workers)
 }
 
 // aContrib returns candidate triple ti's contribution to its source's
@@ -1301,17 +1235,12 @@ func (st *state) updateAlphaSubset(valueProb [][]float64, tis []int, workers int
 	})
 }
 
-// updateAlpha re-estimates the prior for every candidate triple.
-func (st *state) updateAlpha(valueProb [][]float64) {
-	st.updateAlphaSubset(valueProb, nil, st.opt.Workers)
-}
-
-// MaxDelta returns the largest absolute elementwise difference between two
-// equal-length vectors over the entries in idx (nil = all; callers pass a
-// subset when they know every other entry is unchanged) — the quantity Run's
-// convergence test (and the engine's, which must match it) sums across A, P, R
-// and the Eq 26 priors, all of them probabilities.
-func MaxDelta(a, b []float64, idx []int) float64 {
+// maxDelta returns the largest absolute elementwise difference between two
+// equal-length vectors over the entries in idx (nil = all; Iterate passes the
+// pass's triples, knowing every other prior is unchanged) — the quantity
+// Iterate's convergence test sums across A, P, R and the Eq 26 priors, all of
+// them probabilities.
+func maxDelta(a, b []float64, idx []int) float64 {
 	var m float64
 	if idx == nil {
 		for i := range a {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"kbt/internal/parallel"
 	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
@@ -523,20 +522,6 @@ func TestTakeMovedItems(t *testing.T) {
 	}
 }
 
-func TestStageTimerPopulated(t *testing.T) {
-	s := compileSmall(t)
-	opt := DefaultOptions()
-	opt.Timer = parallel.NewStageTimer()
-	if _, err := Run(s, opt); err != nil {
-		t.Fatal(err)
-	}
-	for _, stage := range []string{StageExtCorr, StageTriplePr, StageSrcAccu, StageExtQuality} {
-		if opt.Timer.Total(stage) <= 0 {
-			t.Errorf("stage %q not timed", stage)
-		}
-	}
-}
-
 func TestFreezeOptions(t *testing.T) {
 	s := compileSmall(t)
 	opt := DefaultOptions()
@@ -574,6 +559,90 @@ func TestConvergenceFlag(t *testing.T) {
 	}
 	if res.Iterations >= 100 {
 		t.Errorf("iterations = %d, expected early stop", res.Iterations)
+	}
+}
+
+// TestIterateScheduleAndLists pins the one iteration Run and the engine both
+// execute. Under UpdatePriorFromIter 3, a cold iteration 1 leaves every prior
+// at Alpha and cannot converge however loose Tol is, while a cold iteration 2
+// refines the priors and may; a warm iteration 1 refines them at once. Explicit
+// lists that cover every index — items ascending, each item's triples behind
+// it, as CompileScope lists them — give bit-for-bit what the nil lists give.
+func TestIterateScheduleAndLists(t *testing.T) {
+	s := compileSmall(t)
+	opt := DefaultOptions()
+	opt.UpdatePriorFromIter = 3
+	opt.Tol = 1e9
+	nItem := len(s.Items)
+	type run struct {
+		em          *EM
+		cProb       []float64
+		valueProb   [][]float64
+		restMass    []float64
+		coveredItem []bool
+	}
+	start := func() *run {
+		em, err := NewEM(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &run{em, make([]float64, len(s.Triples)), make([][]float64, nItem), make([]float64, nItem), make([]bool, nItem)}
+		em.Bootstrap(r.cProb)
+		return r
+	}
+	iterate := func(r *run, p Pass) (float64, bool) {
+		return r.em.Iterate(r.cProb, r.valueProb, r.restMass, r.coveredItem, p)
+	}
+	priorsAtAlpha := func(r *run) bool {
+		return !slices.ContainsFunc(r.em.Prior(), func(a float64) bool { return a != opt.Alpha })
+	}
+
+	cold := start()
+	if _, conv := iterate(cold, Pass{Iter: 1, RefreshVotes: true}); conv {
+		t.Error("cold iteration 1 converged before the prior schedule engaged")
+	}
+	if !priorsAtAlpha(cold) {
+		t.Error("cold iteration 1 moved a prior")
+	}
+	if _, conv := iterate(cold, Pass{Iter: 2, RefreshVotes: true}); !conv {
+		t.Error("cold iteration 2 did not converge under Tol 1e9")
+	}
+	if priorsAtAlpha(cold) {
+		t.Error("cold iteration 2 left every prior at Alpha")
+	}
+
+	warm := start()
+	if _, conv := iterate(warm, Pass{Iter: 1, Warm: true, RefreshVotes: true}); !conv {
+		t.Error("warm iteration 1 did not converge under Tol 1e9")
+	}
+	if priorsAtAlpha(warm) {
+		t.Error("warm iteration 1 left every prior at Alpha")
+	}
+
+	opt.Tol = DefaultOptions().Tol
+	items := make([]int, nItem)
+	var tris []int
+	for d := range items {
+		items[d] = d
+		tris = append(tris, s.TriplesOfItem[d]...)
+	}
+	nilLists, explicit := start(), start()
+	for iter := 1; iter <= 4; iter++ {
+		d1, c1 := iterate(nilLists, Pass{Iter: iter, RefreshVotes: true})
+		d2, c2 := iterate(explicit, Pass{Iter: iter, RefreshVotes: true, Items: items, Tris: tris})
+		if d1 != d2 || c1 != c2 {
+			t.Fatalf("iteration %d: nil lists give delta %v (converged %v), explicit lists %v (%v)", iter, d1, c1, d2, c2)
+		}
+		a, b := nilLists.em.st, explicit.em.st
+		if !slices.Equal(a.a, b.a) || !slices.Equal(a.p, b.p) || !slices.Equal(a.r, b.r) || !slices.Equal(a.q, b.q) ||
+			!slices.Equal(a.alpha, b.alpha) {
+			t.Fatalf("iteration %d: parameters or priors differ between nil and explicit lists", iter)
+		}
+		if !slices.Equal(nilLists.cProb, explicit.cProb) || !slices.Equal(nilLists.restMass, explicit.restMass) ||
+			!slices.Equal(nilLists.coveredItem, explicit.coveredItem) ||
+			!slices.EqualFunc(nilLists.valueProb, explicit.valueProb, slices.Equal) {
+			t.Fatalf("iteration %d: posteriors differ between nil and explicit lists", iter)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"kbt/internal/parallel"
 	"kbt/internal/stats"
 )
 
@@ -160,9 +159,6 @@ type Options struct {
 
 	// Workers is the parallelism for the inference stages (0 = GOMAXPROCS).
 	Workers int
-	// Timer, when non-nil, accumulates per-stage wall time under the
-	// paper's Table 7 stage names.
-	Timer *parallel.StageTimer
 }
 
 // DefaultOptions returns the paper's multi-layer settings (§5.1.2).
@@ -209,14 +205,6 @@ func (o Options) WithSharedKnobs(domainSize, iterations, minSupport int, useConf
 	}
 	return o
 }
-
-// Stage names reported by the Table 7 harness, matching the paper's rows.
-const (
-	StageExtCorr    = "I. ExtCorr"
-	StageTriplePr   = "II. TriplePr"
-	StageSrcAccu    = "III. SrcAccu"
-	StageExtQuality = "IV. ExtQuality"
-)
 
 // PresenceVote returns Pre_e = log R - log Q (Eq 12), the vote an extractor
 // casts for a triple it extracts.

@@ -1,11 +1,12 @@
-// Package engine is the sharded, incremental driver for the multi-layer KBT
-// model — the serving-oriented counterpart to the batch core.Run. It is the
+// Package engine is the incremental driver for the multi-layer KBT model —
+// the serving-oriented counterpart to the batch core.Run. It is the
 // orchestration layer: every number it publishes is computed by the
-// internal/core kernels; the engine decides which rows they run on.
+// internal/core kernels, one core.EM.Iterate call per EM iteration; the
+// engine decides which rows they run on.
 //
-// The engine partitions the data-item space into shards (triple.Shard),
-// keeps the snapshot, EM state and posteriors of the previous estimation,
-// and runs each Refresh after an Ingest as five phases over one refreshRun:
+// The engine keeps the snapshot, EM state and posteriors of the previous
+// estimation, and runs each Refresh after an Ingest as five phases over one
+// refreshRun:
 //
 //   - begin captures the corpus and the pending records under the state
 //     lock, or serves the cached generation when nothing is pending and the
@@ -19,19 +20,16 @@
 //     cell with a new record, plus whatever the per-unit staleness ledger
 //     (core.EM.EnableStaleness) marks as holding above-Tol accumulated
 //     parameter drift — narrow units mark exactly their items, a unit
-//     reaching a quarter of the corpus marks the whole corpus — so a shard
-//     touched only through marked items settles its remainder for free
-//     (Result.PartialShards). The global M-step
-//     aggregates update from exactly the scope's contribution deltas
+//     reaching a quarter of the corpus marks the whole corpus. The global
+//     M-step aggregates update from exactly the scope's contribution deltas
 //     (core.Options.IncrementalAggregates), with a periodic full
 //     re-aggregation bounding floating-point drift;
 //   - layer6 brings the streaming copy detector up to the posteriors settle
 //     left — re-reading only the items whose evidence crossed a 0.5 gate in
-//     an E-step (core.EM.TakeMovedItems) or gained a candidate triple; the
-//     touched-shard mask serves only the shard statistics — and joins the
-//     refresh of the fusion store, which reads none of the multi-layer state
-//     and so has been running on its own goroutine since begin returned —
-//     when those layers are on;
+//     an E-step (core.EM.TakeMovedItems) or gained a candidate triple — and
+//     joins the refresh of the fusion store, which reads none of the
+//     multi-layer state and so has been running on its own goroutine since
+//     begin returned — when those layers are on;
 //   - publish stores the result as an immutable generation behind an atomic
 //     pointer (core.BuildResultFrom): only the dense-id chunks a pass wrote
 //     or the ingest grew — posteriors and moved units' parameters alike —
@@ -44,12 +42,15 @@
 // respectively per item, so a pass hands the kernels one index list — the
 // scope's items in ascending dense-id order with their candidate triples
 // (core.EM.CompileScope), or nil, the kernels' "every index" path, when the
-// scope is every shard — and the internal/parallel pool splits it into
+// scope is every item — and the internal/parallel pool splits it into
 // contiguous blocks: a pass reads the per-item and per-triple arrays once,
-// front to back, whatever the shard count. Stages III and IV (the per-source
-// and per-extractor M-steps) stay global but cost only the dirty
-// contributions. A cold Refresh executes core.Run's sequence of kernel calls
-// and reproduces its posteriors exactly.
+// front to back. Stages III and IV (the per-source and per-extractor M-steps)
+// stay global but cost only the dirty contributions. A cold Refresh makes
+// core.Run's calls and reproduces its posteriors exactly.
+//
+// Shards (triple.ShardOf over item keys) are only the unit the refresh
+// statistics count in (Result.FirstPassShards, TouchedShards, SettledShards,
+// PartialShards): no pass, publication or copy-tracker update runs by shard.
 //
 // The pipeline has one execution mode. Options.FullRecompile and
 // Options.FullAggregates select reference implementations of the state phase
@@ -86,10 +87,6 @@ type Options struct {
 	// Defaults: triple.SourceKeyWebsite, triple.ExtractorKeyName.
 	SourceKey    triple.SourceKeyFunc
 	ExtractorKey triple.ExtractorKeyFunc
-	// Workers bounds the parallelism of the E-step and the global M-steps.
-	// Non-zero values supersede Core.Workers; 0 defers to Core.Workers, with
-	// 0 there too meaning all CPUs.
-	Workers int
 	// FullRecompile is a test oracle, not an operating mode: every Refresh
 	// rebuilds the snapshot with Dataset.Compile over the whole corpus,
 	// rebuilds the EM state from it, aggregates every M-step in full and
@@ -122,7 +119,7 @@ type Options struct {
 	// the less-accurate member of each dependent pair keeps only the
 	// independent share 1 − CopyRate·p(dependent) of its Stage II vote, so
 	// copied mistakes stop counting as corroboration. The weight movement is
-	// charged to the staleness ledger (the discounted source's shards
+	// charged to the staleness ledger (the discounted source's items
 	// re-estimate at the next refresh under the usual Tol contract), and a
 	// refresh whose discounts moved by ≥ Tol publishes unconverged so the
 	// feedback settles instead of being frozen by the NoOp shortcut.
@@ -183,7 +180,7 @@ type Result struct {
 	TouchedShards, SettledShards int
 	PartialShards                int
 	// Escalations counts the EM iterations whose E-step set had to widen
-	// beyond the ingest footprint to re-anchor drift-exceeding shards (zero
+	// beyond the ingest footprint to re-anchor drift-exceeding units (zero
 	// on cold refreshes, where the footprint is everything).
 	Escalations int
 	// AggDeltaSteps / AggFullSteps count the global M-step stage invocations
@@ -234,13 +231,12 @@ type Engine struct {
 	// refreshMu) and persisted across refreshes so a steady-state warm
 	// refresh re-allocates none of it: the run value the phases share, the
 	// E-step scopes (current, successor, and the ingest footprint), the
-	// per-iteration parameter/prior snapshots, the touched-shard masks the
-	// shard statistics count, and the item list handed to the copy tracker.
-	run                            refreshRun
-	scope, scopeNext, scopeBase    *core.ScopeSet
-	prevA, prevP, prevR, prevPrior []float64
-	touched, touchedWhole          []bool
-	copyIdx                        []int
+	// touched-shard masks the shard statistics count, and the item list
+	// handed to the copy tracker.
+	run                         refreshRun
+	scope, scopeNext, scopeBase *core.ScopeSet
+	touched, touchedWhole       []bool
+	copyIdx                     []int
 
 	// tracker persists the streaming copy-detection statistics across
 	// refreshes (nil unless CopyDetect, and nil under FullRecompile, where
@@ -376,15 +372,14 @@ func (e *Engine) Last() *Result {
 }
 
 // modelState is what a refresh estimates on and the next one starts from:
-// the snapshot with its shard views, the EM state — index structures,
-// parameters, priors, vote caches, M-step aggregates and staleness ledger —
-// and the engine-owned posterior arrays. All of it extends append-only with
-// the snapshot (triple.Snapshot.Extend, core.NewEMFrom, extendPosteriors), so
-// a warm refresh rebuilds none of it from the corpus, and none of it can be
-// derived from the rest.
+// the snapshot, the EM state — index structures, parameters, priors, vote
+// caches, M-step aggregates and staleness ledger — and the engine-owned
+// posterior arrays. All of it extends append-only with the snapshot
+// (triple.Snapshot.Extend, core.NewEMFrom, extendPosteriors), so a warm
+// refresh rebuilds none of it from the corpus, and none of it can be derived
+// from the rest.
 type modelState struct {
 	snap        *triple.Snapshot
-	shards      []triple.Shard
 	em          *core.EM
 	cProb       []float64
 	valueProb   [][]float64
@@ -524,9 +519,8 @@ func (e *Engine) begin(r *refreshRun) (cached *Result, err error) {
 func (r *refreshRun) pending() []triple.Record { return r.records[r.estimated:] }
 
 // buildState builds what the run estimates on (reads r's begin group, fills
-// its state group): the snapshot and shard views, the core options, the EM
-// state and the posterior arrays. It is the one place that knows the
-// execution mode. By default a warm refresh extends the previous snapshot,
+// its state group): the snapshot, the core options, the EM state and the
+// posterior arrays. It is the one place that knows the execution mode. By default a warm refresh extends the previous snapshot,
 // EM state and posterior arrays append-only — bit-identical to recompiling
 // the corpus, at O(ingest) cost — and the M-steps apply dirty-set deltas.
 // The test oracles branch here and nowhere later: FullRecompile compiles the
@@ -548,19 +542,16 @@ func (e *Engine) buildState(r *refreshRun) error {
 			SourceKey:    e.opt.SourceKey,
 			ExtractorKey: e.opt.ExtractorKey,
 		})
-		r.shards = r.snap.Shards(e.opt.Shards)
 	case len(r.pending()) == 0:
 		// Resuming an unconverged run: zero new records means the grown
 		// snapshot would be content-identical, so reuse it outright instead
 		// of paying Extend's table copies.
-		r.snap, r.shards = r.prev.snap, r.prev.shards
+		r.snap = r.prev.snap
 	default:
 		r.snap = r.prev.snap.Extend(r.pending())
-		r.shards = r.snap.ExtendShards(r.prev.shards, len(r.prev.snap.Items), len(r.prev.snap.Triples))
 	}
 
 	r.copt = e.opt.Core
-	r.copt.Workers = e.workers()
 	r.copt.IncrementalAggregates = !e.opt.FullRecompile && !e.opt.FullAggregates
 	if r.copt.IncrementalAggregates && r.copt.ReaggregateEvery < 1 {
 		// The engine switches the aggregates on itself, so it must also
@@ -582,7 +573,7 @@ func (e *Engine) buildState(r *refreshRun) error {
 		return err
 	}
 	// An extended state carries the previous refresh's ledger with it.
-	r.em.EnableStaleness(len(r.shards))
+	r.em.EnableStaleness(e.opt.Shards)
 	nTri, nItem := len(r.snap.Triples), len(r.snap.Items)
 	r.cProb = make([]float64, nTri)
 	r.valueProb = make([][]float64, nItem)
@@ -601,12 +592,11 @@ func (e *Engine) buildState(r *refreshRun) error {
 // drift, so settling sweeps confine themselves to the stale fraction and
 // shrink back to the footprint as soon as the stale units are re-anchored.
 //
-// The loop mirrors core.Run stage for stage; only the index lists of the
-// E-step stages differ, and each index's arithmetic is identical, so a cold
-// run — every pass of which is the nil list — reproduces Run's posteriors
-// exactly.
+// Each iteration is core.Run's (core.EM.Iterate); only the index lists of the
+// passes differ, and each index's arithmetic is identical, so a cold run —
+// every pass of which is the nil list — reproduces Run's posteriors exactly.
 func (e *Engine) settle(r *refreshRun) error {
-	nShards, nItems := len(r.shards), len(r.snap.Items)
+	nShards, nItems := e.opt.Shards, len(r.snap.Items)
 	if e.scope == nil {
 		e.scope, e.scopeNext, e.scopeBase = core.NewScopeSet(), core.NewScopeSet(), core.NewScopeSet()
 	}
@@ -635,10 +625,6 @@ func (e *Engine) settle(r *refreshRun) error {
 	clear(e.touchedWhole)
 	r.touched, r.touchedWhole = e.touched, e.touchedWhole
 	r.aggDelta0, r.aggFull0 = r.em.AggStepCounts()
-	e.prevA = resized(e.prevA, len(r.snap.Sources))
-	e.prevP = resized(e.prevP, len(r.snap.Extractors))
-	e.prevR = resized(e.prevR, len(r.snap.Extractors))
-	e.prevPrior = resized(e.prevPrior, len(r.snap.Triples))
 
 	// The first pass already consults the ledger: drift carried from earlier
 	// refreshes (sub-Tol residue that has since accumulated past Tol, or an
@@ -648,9 +634,7 @@ func (e *Engine) settle(r *refreshRun) error {
 
 	iter := 0
 	for iter = 1; iter <= r.copt.MaxIter; iter++ {
-		delta := e.iterate(r, iter)
-		settled := delta < r.copt.Tol &&
-			(!r.copt.UpdatePrior || r.warm || iter+1 >= r.copt.UpdatePriorFromIter)
+		settled := e.iterate(r, iter)
 		final := iter >= r.copt.MaxIter
 		if final && !settled {
 			// The final iteration computes no successor scope: it would never
@@ -704,7 +688,7 @@ func (e *Engine) settle(r *refreshRun) error {
 // MarkStale could add nothing, and skipping it keeps cold full-pass
 // iterations free of ledger walks.
 func (e *Engine) nextScope(r *refreshRun, dst *core.ScopeSet) (stale int) {
-	dst.Reset(len(r.shards), len(r.snap.Items))
+	dst.Reset(e.opt.Shards, len(r.snap.Items))
 	dst.MergeFrom(e.scopeBase)
 	if !dst.AllFull() {
 		stale = r.em.MarkStale(r.copt.Tol, dst)
@@ -729,82 +713,46 @@ func (e *Engine) enterScope(r *refreshRun, stale int) {
 	}
 }
 
-// iterate runs one EM iteration over the current scope — Stages I+II on the
-// scope's rows, Stages III+IV globally, then the Eq 26 prior — and returns
-// the convergence delta: the parameter movement plus the prior's.
+// iterate runs one EM iteration over the current scope (core.EM.Iterate) and
+// reports whether it converged. Warm refreshes start from settled parameters,
+// so Eq 26 applies from their first iteration.
 //
-// Vote publication is per extractor under the same Tol contract as the shard
-// ledger (BeginIteration → selectiveVotes): an extractor's published
-// presence/absence votes move only once its own R/Q travel since the last
-// publication reaches Tol, which keeps the incremental M-step's
+// Vote publication is per extractor under the same Tol contract as the
+// staleness ledger (BeginIteration → selectiveVotes): an extractor's
+// published presence/absence votes move only once its own R/Q travel since
+// the last publication reaches Tol, which keeps the incremental M-step's
 // per-observation caches exactly valid for every vote-stable extractor.
 // Cold refreshes recompute every vote every iteration (bit-identical to
 // core.Run); so do full-pass iterations, whose M-step re-aggregates
 // regardless — the recompute is free there and re-anchors the publication
 // baselines early — and the first iteration after a structural change.
-func (e *Engine) iterate(r *refreshRun, iter int) (delta float64) {
-	em, sc := r.em, e.scope
-	prevA, prevP, prevR, prevPrior := e.prevA, e.prevP, e.prevR, e.prevPrior
-	copy(prevA, em.A())
-	copy(prevP, em.P())
-	copy(prevR, em.R())
-
-	refreshVotes := !r.warm || r.voteForce || sc.AllFull()
-	em.BeginIteration(refreshVotes)
+//
+// Stage III charges each source's accuracy movement to the ledger as it
+// writes it (extractor movement is charged when votes republish), and the
+// next scope widens to exactly the items — or, for a unit on a quarter of the
+// corpus, every item — of the units whose accumulated charge crossed Tol.
+// Sub-Tol movement keeps the E-step on the ingest footprint; because the
+// ledger persists across refreshes, such residue keeps accumulating instead
+// of resetting, so many small refreshes cannot compound into an unbounded lag
+// between cached posteriors and the published parameters. (An escalated
+// pass's Eq 26 refinement can still move clean rows' priors by the settling
+// response to a sub-Tol parameter shift; their cached posteriors lag that one
+// step until drift next crosses Tol — the Tol-bounded staleness this contract
+// accepts.)
+func (e *Engine) iterate(r *refreshRun, iter int) (converged bool) {
+	refreshVotes := !r.warm || r.voteForce || e.scope.AllFull()
 	if refreshVotes {
 		r.voteForce = false
 	}
-	// One pair of lists feeds the E-step, the M-step deltas and the prior
-	// diff: each is exactly what this pass re-estimates. On a full pass both
-	// are nil — the kernels' "every index" path, with the M-steps
-	// re-aggregating the corpus — so the calls below are core.Run's; a
-	// partial pass updates the incremental aggregates in O(scope).
-	items, tris, workers := r.passItems, r.passTris, e.workers()
-	em.EStepTriples(r.cProb, tris, workers)
-	em.EStepItems(r.cProb, r.valueProb, r.restMass, r.coveredItem, items, workers)
-	// The pass re-anchored the scope's posteriors against the current
-	// parameters (and, on a vote-refreshing pass, the just-published votes):
-	// units whose whole reach was covered start accumulating drift from zero
-	// again.
-	em.SettleScopes(sc)
-	em.MStepSources(r.cProb, r.valueProb, tris)
-	em.MStepExtractors(r.cProb, tris)
-
-	// Warm refreshes start from settled parameters, so the prior refinement
-	// of Eq 26 applies from the first iteration; cold runs follow the paper's
-	// UpdatePriorFromIter schedule. The prior's own movement joins the
-	// convergence delta, exactly as in core.Run — without it, a loose Tol
-	// declares convergence while Eq 26 is still reshaping the posterior
-	// landscape, and the next warm refresh starts with a large correction
-	// instead of a settled fixed point.
-	if r.copt.UpdatePrior && (r.warm || iter+1 >= r.copt.UpdatePriorFromIter) {
-		prior := em.Prior()
-		if tris == nil {
-			copy(prevPrior, prior)
-		} else {
-			// Only the scope's priors can move, so snapshot and diff exactly
-			// those entries instead of copying the corpus.
-			for _, ti := range tris {
-				prevPrior[ti] = prior[ti]
-			}
-		}
-		em.UpdatePrior(r.valueProb, tris, workers)
-		delta = core.MaxDelta(prevPrior, prior, tris)
-	}
-
-	// Stage III charged each source's accuracy movement to the ledger as it
-	// wrote it (extractor movement is charged when votes republish), and the
-	// next scope widens to exactly the items — or, for a unit on a quarter of
-	// the corpus, every item — of the units whose accumulated charge crossed
-	// Tol. Sub-Tol movement keeps the E-step on the ingest footprint — and,
-	// because the ledger persists across refreshes, such residue keeps
-	// accumulating instead of resetting, so many small refreshes cannot
-	// compound into an unbounded lag between cached posteriors and the
-	// published parameters. (An escalated pass's Eq 26 refinement can still
-	// move clean rows' priors by the settling response to a sub-Tol parameter
-	// shift; their cached posteriors lag that one step until drift next
-	// crosses Tol — the Tol-bounded staleness this contract accepts.)
-	return core.MaxDelta(prevA, em.A(), nil) + core.MaxDelta(prevP, em.P(), nil) + core.MaxDelta(prevR, em.R(), nil) + delta
+	_, converged = r.em.Iterate(r.cProb, r.valueProb, r.restMass, r.coveredItem, core.Pass{
+		Iter:         iter,
+		Warm:         r.warm,
+		RefreshVotes: refreshVotes,
+		Items:        r.passItems,
+		Tris:         r.passTris,
+		Scope:        e.scope,
+	})
+	return converged
 }
 
 // layer6 runs the streaming copy detector off the settled state and joins
@@ -877,16 +825,16 @@ func (e *Engine) detectCopies(r *refreshRun) (err error) {
 		return nil
 	}
 	// Feed the dependencies back as Stage II vote discounts. The ledger
-	// charges each source's weight movement to its shards, and a movement of
-	// ≥ Tol anywhere revokes convergence: the published posteriors predate
-	// the new weights, so the NoOp shortcut must not freeze them — the next
-	// Refresh re-estimates the charged shards under the updated discounts
+	// charges each source's weight movement to it, and a movement of ≥ Tol
+	// anywhere revokes convergence: the published posteriors predate the new
+	// weights, so the NoOp shortcut must not freeze them — the next Refresh
+	// re-estimates the charged sources' items under the updated discounts
 	// until the feedback settles.
 	em.SetSourceVoteWeights(copyWeights(len(snap.Sources), r.copyDeps, em.A(), e.opt.Copy.CopyRate))
 	if r.converged {
 		// Probe with an empty scope: any mark means a discount moved some
 		// unit's drift past Tol.
-		e.scopeNext.Reset(len(r.shards), len(snap.Items))
+		e.scopeNext.Reset(e.opt.Shards, len(snap.Items))
 		if em.MarkStale(r.copt.Tol, e.scopeNext) > 0 {
 			r.converged = false
 		}
@@ -935,7 +883,7 @@ func (e *Engine) fuse(r *refreshRun) (err error) {
 	if e.fus == nil {
 		fopt := e.opt.Fuse
 		if fopt.Workers == 0 {
-			fopt.Workers = e.workers()
+			fopt.Workers = e.opt.Core.Workers
 		}
 		if e.fus, err = fusion.NewIncremental(fopt, triple.CompileOptions{}); err != nil {
 			return err
@@ -972,9 +920,9 @@ func (e *Engine) publish(r *refreshRun) *Result {
 		Warm:            r.warm,
 		Extended:        r.extended,
 		FirstPassShards: r.firstPass,
-		TotalShards:     len(r.shards),
+		TotalShards:     e.opt.Shards,
 		TouchedShards:   r.touchedCount,
-		SettledShards:   len(r.shards) - r.touchedCount,
+		SettledShards:   e.opt.Shards - r.touchedCount,
 		PartialShards:   r.partialCount,
 		Escalations:     r.escalations,
 		AggDeltaSteps:   aggDelta - r.aggDelta0,
@@ -1004,15 +952,6 @@ func (e *Engine) publish(r *refreshRun) *Result {
 // an exact fit would reallocate the scratch on each one.
 func resized[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
-}
-
-// workers resolves the effective worker bound: Options.Workers when set,
-// else Core.Workers (0 = all CPUs, resolved downstream).
-func (e *Engine) workers() int {
-	if e.opt.Workers != 0 {
-		return e.opt.Workers
-	}
-	return e.opt.Core.Workers
 }
 
 // extendPosteriors grows prev's posterior arrays in place into the run's for
@@ -1108,7 +1047,7 @@ func remapRow(newVs, oldVs []int, oldRow []float64) []float64 {
 // cell index in O(footprint), never by scanning the corpus. Structural
 // changes with global reach (a support threshold flipping a unit's
 // inclusion, or new extractors under ScopeAllExtractors, whose absence mass
-// is corpus-wide) escalate to all shards. A pending record that fails to
+// is corpus-wide) escalate to every item. A pending record that fails to
 // resolve against the extended snapshot is an invariant violation — the
 // ingest/extension contract guarantees every pending record compiled — and
 // is surfaced as an error rather than silently absorbed as a full pass.

@@ -341,7 +341,7 @@ func TestWarmRefreshParallelMatchesSerial(t *testing.T) {
 	}
 	run := func(workers int) []*Result {
 		opt := DefaultOptions()
-		opt.Workers = workers
+		opt.Core.Workers = workers
 		opt.Core.MaxIter = 30
 		opt.Core.Tol = 1e-4
 		eng := New(opt)

@@ -309,6 +309,14 @@ func TestTable7Shape(t *testing.T) {
 			t.Errorf("%v prep = %v, want > 0", c.Strategy, c.PrepTotal)
 		}
 	}
+	// Every stage of every strategy is timed.
+	for _, c := range cols {
+		for name, v := range map[string]float64{"ExtCorr": c.ExtCorr, "TriplePr": c.TriplePr, "SrcAccu": c.SrcAccu, "ExtQual": c.ExtQual} {
+			if v <= 0 {
+				t.Errorf("%v %s = %v, want > 0", c.Strategy, name, v)
+			}
+		}
+	}
 	for _, s := range []Table7Strategy{Normal, SplitOnly, SplitMerge} {
 		if s.String() == "" {
 			t.Error("strategy name")

@@ -6,7 +6,6 @@ import (
 
 	"kbt/internal/core"
 	"kbt/internal/granularity"
-	"kbt/internal/parallel"
 	"kbt/internal/triple"
 	"kbt/internal/websim"
 )
@@ -141,22 +140,20 @@ func Table7(cfg KVConfig, minSize, maxSize int) ([]Table7Column, error) {
 		}
 		snap := w.Dataset.Compile(copt)
 
-		timer := parallel.NewStageTimer()
 		opt := core.DefaultOptions()
 		opt.MinSourceSupport = cfg.MinSupport
 		opt.MinExtractorSupport = cfg.MinSupport
 		opt.Workers = cfg.Workers
-		opt.Timer = timer
-		opt.Tol = 0 // run all MaxIter iterations for stable timing
-		if _, err := core.Run(snap, opt); err != nil {
+		extCorr, triplePr, srcAccu, extQual, err := timeStages(snap, opt)
+		if err != nil {
 			return nil, err
 		}
 		iters := float64(opt.MaxIter)
-		col.ExtCorr = timer.Total(core.StageExtCorr).Seconds() / iters
-		col.TriplePr = timer.Total(core.StageTriplePr).Seconds() / iters
-		col.SrcAccu = timer.Total(core.StageSrcAccu).Seconds() / iters
-		col.ExtQual = timer.Total(core.StageExtQuality).Seconds() / iters
-		col.RawIter = time.Duration(float64(timer.Sum()) / iters)
+		col.ExtCorr = extCorr.Seconds() / iters
+		col.TriplePr = triplePr.Seconds() / iters
+		col.SrcAccu = srcAccu.Seconds() / iters
+		col.ExtQual = extQual.Seconds() / iters
+		col.RawIter = time.Duration(float64(extCorr+triplePr+srcAccu+extQual) / iters)
 		col.IterTotal = col.ExtCorr + col.TriplePr + col.SrcAccu + col.ExtQual
 		col.PrepTotal = col.PrepSource + col.PrepExtractor
 		col.Total = col.PrepTotal + col.IterTotal*iters
@@ -183,4 +180,39 @@ func Table7(cfg KVConfig, minSize, maxSize int) ([]Table7Column, error) {
 		}
 	}
 	return cols, nil
+}
+
+// timeStages runs Algorithm 1 on snap for all MaxIter iterations — core.Run's
+// call sequence without its convergence stop — and returns the wall time of
+// each of the paper's stages: Stage I with the vote preparation it reads,
+// Stage II, Stage III, and Stage IV with the pre-iteration bootstrap (an
+// extractor M-step). The Eq 26 prior runs on Run's schedule, untimed.
+func timeStages(snap *triple.Snapshot, opt core.Options) (extCorr, triplePr, srcAccu, extQual time.Duration, err error) {
+	em, err := core.NewEM(snap, opt)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	cProb := make([]float64, len(snap.Triples))
+	valueProb := make([][]float64, len(snap.Items))
+	restMass := make([]float64, len(snap.Items))
+	covered := make([]bool, len(snap.Items))
+	timed := func(total *time.Duration, stage func()) {
+		start := time.Now()
+		stage()
+		*total += time.Since(start)
+	}
+	timed(&extQual, func() { em.Bootstrap(cProb) })
+	for iter := 1; iter <= opt.MaxIter; iter++ {
+		timed(&extCorr, func() {
+			em.BeginIteration(true)
+			em.EStepTriples(cProb, nil, opt.Workers)
+		})
+		timed(&triplePr, func() { em.EStepItems(cProb, valueProb, restMass, covered, nil, opt.Workers) })
+		timed(&srcAccu, func() { em.MStepSources(cProb, valueProb, nil) })
+		timed(&extQual, func() { em.MStepExtractors(cProb, nil) })
+		if opt.UpdatePrior && iter+1 >= opt.UpdatePriorFromIter {
+			em.UpdatePrior(valueProb, nil, opt.Workers)
+		}
+	}
+	return extCorr, triplePr, srcAccu, extQual, nil
 }

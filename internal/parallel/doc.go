@@ -10,7 +10,7 @@
 // of each unit's rows — each summing its own rows in index order, with the
 // blocks' partials added in block order afterwards.
 //
-// The sharded engine adds no second level: a settling pass hands the same
+// The incremental engine adds no second level: a settling pass hands the same
 // primitives one ascending index list, and ForEach's contiguous batches are
-// its blocks. StageTimer backs the Table 7 relative-cost harness.
+// its blocks.
 package parallel

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultWorkers is the worker count used when a caller passes 0.
@@ -66,71 +65,4 @@ func ForEach(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// StageTimer accumulates wall-clock time per named pipeline stage; the Table 7
-// harness uses it to report relative per-stage cost.
-type StageTimer struct {
-	mu     sync.Mutex
-	totals map[string]time.Duration
-	order  []string
-}
-
-// NewStageTimer returns an empty timer.
-func NewStageTimer() *StageTimer {
-	return &StageTimer{totals: make(map[string]time.Duration)}
-}
-
-// Time runs fn and charges its duration to stage.
-func (t *StageTimer) Time(stage string, fn func()) {
-	start := time.Now()
-	fn()
-	t.Add(stage, time.Since(start))
-}
-
-// Add charges d to stage directly.
-func (t *StageTimer) Add(stage string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.totals[stage]; !ok {
-		t.order = append(t.order, stage)
-	}
-	t.totals[stage] += d
-}
-
-// Total returns the accumulated duration for stage.
-func (t *StageTimer) Total(stage string) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.totals[stage]
-}
-
-// Stages returns stage names in first-use order.
-func (t *StageTimer) Stages() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.order...)
-}
-
-// Sum returns the total time across all stages.
-func (t *StageTimer) Sum() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var s time.Duration
-	for _, d := range t.totals {
-		s += d
-	}
-	return s
 }

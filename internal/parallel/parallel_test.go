@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -43,34 +42,6 @@ func TestForEachPropertyCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestStageTimer(t *testing.T) {
-	st := NewStageTimer()
-	st.Time("a", func() { time.Sleep(2 * time.Millisecond) })
-	st.Add("b", 5*time.Millisecond)
-	st.Add("a", 1*time.Millisecond)
-	if st.Total("a") < 3*time.Millisecond {
-		t.Errorf("stage a total = %v", st.Total("a"))
-	}
-	if st.Total("b") != 5*time.Millisecond {
-		t.Errorf("stage b total = %v", st.Total("b"))
-	}
-	stages := st.Stages()
-	if len(stages) != 2 || stages[0] != "a" || stages[1] != "b" {
-		t.Errorf("stages = %v", stages)
-	}
-	if st.Sum() < 8*time.Millisecond {
-		t.Errorf("sum = %v", st.Sum())
-	}
-}
-
-func TestStageTimerNilSafe(t *testing.T) {
-	var st *StageTimer
-	st.Add("x", time.Second)
-	if st.Total("x") != 0 || st.Sum() != 0 || st.Stages() != nil {
-		t.Error("nil StageTimer must be inert")
 	}
 }
 

@@ -20,9 +20,10 @@
 // properties is what the incremental engine relies on to carry parameters
 // across refreshes and to keep warm-refresh compilation O(ingest).
 //
-// Snapshot.Shards partitions the item space by hashing item keys (see
-// Shard), giving the engine stable, disjoint units of staleness tracking and
-// publication; ExtendShards grows the views alongside Extend. The TSV codec
+// ShardOf partitions the item space by hashing item keys into the stable,
+// disjoint units the engine's refresh statistics count in; no pass runs by
+// shard. Snapshot.Shards and ExtendShards materialise the partition as views
+// (see Shard), which only the benchmark harness still builds. The TSV codec
 // (ReadTSV / WriteTSV / ParseTSVLine) is the interchange format of
 // cmd/kbt.
 package triple

@@ -7,14 +7,14 @@ import (
 
 // Shard is one partition of a Snapshot's data-item space. Items (and the
 // candidate triples that mention them) are assigned by hashing the item key,
-// so a shard is a stable unit of accounting: the engine counts which shards
-// a refresh re-estimated, and the copy tracker's dirty list is keyed by them.
-// Neither the E-step nor publication runs shard by shard — a shard's lists
-// take every n-th dense id, so a settling pass reads its scope in ascending
-// dense-id order (core.EM.CompileScope) and a generation publishes in
-// dense-id chunks.
-// Sources and extractors are NOT partitioned: their M-steps aggregate across
-// every shard.
+// so a shard is a stable unit of accounting: the engine's refresh statistics
+// count which shards a refresh re-estimated, resolving each item's shard
+// through ShardOf. Nothing runs shard by shard — a settling pass reads its
+// scope in ascending dense-id order (core.EM.CompileScope), a generation
+// publishes in dense-id chunks, and the copy tracker takes item lists — so
+// the engine builds no Shard views; the benchmark harness (bench/layers.go)
+// still times Shards and ExtendShards until it releases them (ROADMAP.md,
+// item 2(e)).
 type Shard struct {
 	// Items lists the data-item ids owned by the shard, ascending.
 	Items []int
@@ -30,9 +30,8 @@ type Shard struct {
 //
 // The finalizer matters: raw FNV-1a taken mod a small n correlates badly on
 // near-identical keys (e.g. sequential subject names, the common shape of a
-// live feed), funnelling most of an ingest into one or two shards and
-// serialising the dirty-shard E-step. The xor-shift/multiply rounds spread
-// the low bits uniformly.
+// live feed), funnelling most of an ingest into one or two shards. The
+// xor-shift/multiply rounds spread the low bits uniformly.
 func ShardOf(itemKey string, n int) int {
 	if n <= 1 {
 		return 0
@@ -50,7 +49,8 @@ func ShardOf(itemKey string, n int) int {
 
 // Shards partitions the snapshot's data items into n shards by ShardOf.
 // Every item and every candidate triple appears in exactly one shard; a
-// shard may be empty. n < 1 is treated as 1.
+// shard may be empty. n < 1 is treated as 1. Only the benchmark harness calls
+// it (see Shard).
 func (s *Snapshot) Shards(n int) []Shard {
 	if n < 1 {
 		n = 1
@@ -73,7 +73,8 @@ func (s *Snapshot) Shards(n int) []Shard {
 // extending a parent with prevItems items and prevTriples candidate triples
 // — from the parent's shard views, touching only the shards that own a new
 // item or a new candidate triple. Untouched shards share their slices with
-// the parent views. The result is identical to s.Shards(len(parent)).
+// the parent views. The result is identical to s.Shards(len(parent)). Only
+// the benchmark harness calls it (see Shard).
 func (s *Snapshot) ExtendShards(parent []Shard, prevItems, prevTriples int) []Shard {
 	n := len(parent)
 	if n < 1 {

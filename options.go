@@ -64,7 +64,7 @@ func (o EngineOptions) engineOptions() (engine.Options, error) {
 		mopt.Tol = o.Tol
 	}
 	eopt.Core = mopt
-	eopt.Workers = o.Workers
+	eopt.Core.Workers = o.Workers
 	// The public CopyDetect switch turns on both halves of ACCU-COPY:
 	// maintaining the dependence statistics and discounting detected
 	// copiers' votes. (The internal layer keeps them separable for the

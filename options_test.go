@@ -40,8 +40,8 @@ func TestEngineOptionsRoundTrip(t *testing.T) {
 	if got, want := reflect.ValueOf(eopt.ExtractorKey).Pointer(), reflect.ValueOf(triple.ExtractorKeyName).Pointer(); got != want {
 		t.Error("ExtractorKey: GranularityPage did not map to triple.ExtractorKeyName")
 	}
-	if eopt.Workers != 3 {
-		t.Errorf("Workers: got %d, want 3", eopt.Workers)
+	if eopt.Core.Workers != 3 {
+		t.Errorf("Core.Workers: got %d, want 3", eopt.Core.Workers)
 	}
 	if eopt.Core.N != 7 {
 		t.Errorf("Core.N: got %d, want 7", eopt.Core.N)
