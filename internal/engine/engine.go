@@ -61,7 +61,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -325,8 +324,9 @@ func (e *Engine) validateRecord(r triple.Record) error {
 		return errors.New("empty Predicate")
 	case r.Object == "":
 		return errors.New("empty Object")
-	case math.IsNaN(r.Confidence) || r.Confidence < 0 || r.Confidence > 1:
-		return fmt.Errorf("confidence %v outside [0,1] (0 means unspecified)", r.Confidence)
+	}
+	if err := triple.CheckConfidence(r.Confidence); err != nil {
+		return err
 	}
 	if e.opt.SourceKey(r) == "" {
 		return errors.New("record maps to an empty source label under the configured granularity (missing Page?)")

@@ -1,26 +1,37 @@
 // Package granularity implements §4 of the paper: dynamically selecting the
 // granularity of sources and extractors before running the multi-layer model.
 //
-// A source is defined at multiple resolutions by the feature vector
-// ⟨website, predicate, webpage⟩ (most general first); an extractor by
-// ⟨extractor, pattern, predicate, website⟩. Sources whose extracted-triple
-// count falls below a minimum m are merged into their parent in the feature
-// hierarchy ("borrowing statistical strength"); sources above a maximum M
-// are split uniformly into ⌈|W|/M⌉ equal-size buckets to remove
+// A hierarchy is one feature vector, most general feature first: a source is
+// ⟨website, predicate, webpage⟩, an extractor ⟨extractor, pattern, predicate,
+// website⟩. The units of a level are the records' distinct prefixes of one
+// length, the finest level being the whole vector, and a unit's parent drops
+// its last feature. Units whose extracted-triple count falls below a minimum m
+// are merged into their parent ("borrowing statistical strength"); units above
+// a maximum M are split uniformly into ⌈|W|/M⌉ equal-size buckets to remove
 // computational bottlenecks. This is Algorithm 2 (SPLITANDMERGE).
+//
+// Records are grouped once, on the tuple of their features; every later step
+// works per unit, never per record, except the labelling of a split unit's
+// records.
 package granularity
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
 
 	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
 
-// Level extracts one hierarchy level's key from a record.
-type Level func(triple.Record) string
+// Feature reads one feature of a record.
+type Feature func(*triple.Record) string
+
+// maxFeatures bounds a feature vector: records are grouped on a fixed-size
+// tuple of their features.
+const maxFeatures = 4
 
 // Config parameterises SplitAndMerge.
 type Config struct {
@@ -28,32 +39,31 @@ type Config struct {
 	// their parent; units larger than MaxSize split. The paper's defaults
 	// are m=5 and M=10000.
 	MinSize, MaxSize int
-	// Levels lists the hierarchy from FINEST to COARSEST; merging a level-i
-	// unit produces a level-i+1 unit. Must be non-empty.
-	Levels []Level
+	// Features is the hierarchy's feature vector, most general first, of one
+	// to four features; a unit's label is its prefix joined by "\x1f".
+	Features []Feature
 	// Seed drives the random uniform distribution of triples across split
 	// buckets.
 	Seed int64
 }
 
-// SourceLevels is the source hierarchy ⟨website, predicate, webpage⟩,
-// finest (all three features) to coarsest (website only).
-func SourceLevels() []Level {
-	return []Level{
-		triple.SourceKeyFinest,           // ⟨website, predicate, webpage⟩
-		triple.SourceKeyWebsitePredicate, // ⟨website, predicate⟩
-		triple.SourceKeyWebsite,          // ⟨website⟩
+// SourceFeatures is the source hierarchy ⟨website, predicate, webpage⟩.
+func SourceFeatures() []Feature {
+	return []Feature{
+		func(r *triple.Record) string { return r.Website },
+		func(r *triple.Record) string { return r.Predicate },
+		func(r *triple.Record) string { return r.Page },
 	}
 }
 
-// ExtractorLevels is the extractor hierarchy ⟨extractor, pattern, predicate,
-// website⟩, finest to coarsest.
-func ExtractorLevels() []Level {
-	return []Level{
-		triple.ExtractorKeyFinest, // ⟨extractor, pattern, predicate, website⟩
-		func(r triple.Record) string { return r.Extractor + "\x1f" + r.Pattern + "\x1f" + r.Predicate },
-		func(r triple.Record) string { return r.Extractor + "\x1f" + r.Pattern },
-		triple.ExtractorKeyName, // ⟨extractor⟩
+// ExtractorFeatures is the extractor hierarchy ⟨extractor, pattern,
+// predicate, website⟩.
+func ExtractorFeatures() []Feature {
+	return []Feature{
+		func(r *triple.Record) string { return r.Extractor },
+		func(r *triple.Record) string { return r.Pattern },
+		func(r *triple.Record) string { return r.Predicate },
+		func(r *triple.Record) string { return r.Website },
 	}
 }
 
@@ -77,72 +87,157 @@ func (r Report) String() string {
 // SplitAndMerge assigns every record a final unit label per Algorithm 2 and
 // returns the labels (parallel to records) plus a report. Labels of split
 // buckets are the unit key suffixed with "\x1f#<bucket>".
+//
+// Level by level from the finest, the units are taken in the order of their
+// labels: a unit of at least MinSize records, or of the top level, is final
+// (split if above MaxSize, drawing its permutation from the one random
+// stream), and any other merges into its parent. A merged unit's records are
+// its children's in the order they merged, each finest unit's in record order;
+// only a unit that splits lists them.
 func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error) {
-	if len(cfg.Levels) == 0 {
-		return nil, Report{}, fmt.Errorf("granularity: no hierarchy levels")
+	depth := len(cfg.Features)
+	if depth == 0 || depth > maxFeatures {
+		return nil, Report{}, fmt.Errorf("granularity: %d hierarchy features, want 1 to %d", depth, maxFeatures)
 	}
 	if cfg.MinSize < 0 || cfg.MaxSize <= 0 || (cfg.MinSize > cfg.MaxSize) {
 		return nil, Report{}, fmt.Errorf("granularity: invalid sizes m=%d M=%d", cfg.MinSize, cfg.MaxSize)
 	}
+	if len(records) > math.MaxInt32 {
+		return nil, Report{}, fmt.Errorf("granularity: %d records, more than 2^31-1", len(records))
+	}
+
+	// The finest units, numbered in order of first appearance, and each
+	// record's. A unit's key is the prefix of its features shared by its
+	// records, read off the first of them.
+	type unit struct {
+		label string
+		size  int
+		first int32   // the unit's first record
+		up    int32   // the unit it merged into, or -1
+		kids  []int32 // the units that merged into it, in merge order
+		split bool    // its records are labelled by bucket
+	}
+	key := func(i int32, prefix int) (k [maxFeatures]string) {
+		for f, feature := range cfg.Features[:prefix] {
+			k[f] = feature(&records[i])
+		}
+		return k
+	}
+	var units []unit
+	finestOf := make([]int32, len(records))
+	ids := make(map[[maxFeatures]string]int32)
+	for i := range records {
+		k := key(int32(i), depth)
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(units))
+			ids[k] = id
+			units = append(units, unit{first: int32(i), up: -1})
+		}
+		units[id].size++
+		finestOf[i] = id
+	}
+	nFinest := len(units)
+	rep := Report{InitialUnits: nFinest}
 
 	labels := make([]string, len(records))
 	rng := stats.NewRNG(cfg.Seed)
-	var rep Report
-
-	// Group record indices by finest key.
-	groups := make(map[string][]int)
-	for i, r := range records {
-		k := cfg.Levels[0](r)
-		groups[k] = append(groups[k], i)
-	}
-	rep.InitialUnits = len(groups)
-
-	finalize := func(key string, idxs []int) {
-		if len(idxs) > cfg.MaxSize {
-			// SPLIT: uniformly distribute into ⌈|W|/M⌉ buckets.
-			nBuckets := (len(idxs) + cfg.MaxSize - 1) / cfg.MaxSize
-			perm := rng.Perm(len(idxs))
-			rep.Splits++
-			rep.SplitBuckets += nBuckets
-			rep.FinalUnits += nBuckets
-			for pi, p := range perm {
-				bucket := pi % nBuckets
-				labels[idxs[p]] = key + "\x1f#" + strconv.Itoa(bucket)
+	var byFinest []int32 // record indices grouped by finest unit, built on the first split
+	var start []int
+	var list func(u int32, out []int) []int
+	list = func(u int32, out []int) []int {
+		if int(u) < nFinest {
+			for _, i := range byFinest[start[u]:start[u+1]] {
+				out = append(out, int(i))
 			}
-			return
+			return out
 		}
-		rep.FinalUnits++
-		for _, i := range idxs {
-			labels[i] = key
+		for _, k := range units[u].kids {
+			out = list(k, out)
 		}
+		return out
+	}
+	split := func(u int32) {
+		if byFinest == nil {
+			start = make([]int, nFinest+1)
+			for _, f := range finestOf {
+				start[f+1]++
+			}
+			for f := range nFinest {
+				start[f+1] += start[f]
+			}
+			byFinest = make([]int32, len(records))
+			next := slices.Clone(start)
+			for i, f := range finestOf {
+				byFinest[next[f]] = int32(i)
+				next[f]++
+			}
+		}
+		// SPLIT: uniformly distribute into ⌈|W|/M⌉ buckets.
+		idxs := list(u, make([]int, 0, units[u].size))
+		nBuckets := (len(idxs) + cfg.MaxSize - 1) / cfg.MaxSize
+		bucket := make([]string, nBuckets)
+		for b := range bucket {
+			bucket[b] = units[u].label + "\x1f#" + strconv.Itoa(b)
+		}
+		for pi, p := range rng.Perm(len(idxs)) {
+			labels[idxs[p]] = bucket[pi%nBuckets]
+		}
+		units[u].split = true
+		rep.Splits++
+		rep.SplitBuckets += nBuckets
+		rep.FinalUnits += nBuckets
 	}
 
-	// Process level by level: too-small units merge upward; everything else
-	// is finalized (splitting if oversized).
-	for lvl := 0; lvl < len(cfg.Levels); lvl++ {
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
+	level := make([]int32, nFinest)
+	for u := range level {
+		level[u] = int32(u)
+	}
+	for prefix := depth; prefix > 0 && len(level) > 0; prefix-- {
+		for _, u := range level {
+			k := key(units[u].first, prefix)
+			units[u].label = strings.Join(k[:prefix], "\x1f")
 		}
-		sort.Strings(keys)
-		next := make(map[string][]int)
-		for _, k := range keys {
-			idxs := groups[k]
+		slices.SortFunc(level, func(a, b int32) int { return strings.Compare(units[a].label, units[b].label) })
+		var next []int32
+		parents := make(map[[maxFeatures]string]int32)
+		for _, u := range level {
 			switch {
-			case len(idxs) >= cfg.MinSize || lvl == len(cfg.Levels)-1:
+			case units[u].size >= cfg.MinSize || prefix == 1:
 				// Desired size, or already at the top of the hierarchy
 				// (GETPARENT(W) = ⊥): finalize.
-				finalize(k, idxs)
+				if units[u].size > cfg.MaxSize {
+					split(u)
+				} else {
+					rep.FinalUnits++
+				}
 			default:
 				// MERGE: fold into the parent unit at the next level.
 				rep.Merges++
-				parent := cfg.Levels[lvl+1](records[idxs[0]])
-				next[parent] = append(next[parent], idxs...)
+				k := key(units[u].first, prefix-1)
+				p, ok := parents[k]
+				if !ok {
+					p = int32(len(units))
+					parents[k] = p
+					units = append(units, unit{first: units[u].first, up: -1})
+					next = append(next, p)
+				}
+				units[p].size += units[u].size
+				units[p].kids = append(units[p].kids, u)
+				units[u].up = p
 			}
 		}
-		groups = next
-		if len(groups) == 0 {
-			break
+		level = next
+	}
+
+	// A finest unit's records take the label of the unit it ended in, unless
+	// that unit split and labelled them itself.
+	for i, u := range finestOf {
+		for units[u].up >= 0 {
+			u = units[u].up
+		}
+		if !units[u].split {
+			labels[i] = units[u].label
 		}
 	}
 	return labels, rep, nil
@@ -151,13 +246,13 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 // Sources runs SplitAndMerge with the standard source hierarchy.
 func Sources(records []triple.Record, minSize, maxSize int, seed int64) ([]string, Report, error) {
 	return SplitAndMerge(records, Config{
-		MinSize: minSize, MaxSize: maxSize, Levels: SourceLevels(), Seed: seed,
+		MinSize: minSize, MaxSize: maxSize, Features: SourceFeatures(), Seed: seed,
 	})
 }
 
 // Extractors runs SplitAndMerge with the standard extractor hierarchy.
 func Extractors(records []triple.Record, minSize, maxSize int, seed int64) ([]string, Report, error) {
 	return SplitAndMerge(records, Config{
-		MinSize: minSize, MaxSize: maxSize, Levels: ExtractorLevels(), Seed: seed + 0x5eed,
+		MinSize: minSize, MaxSize: maxSize, Features: ExtractorFeatures(), Seed: seed + 0x5eed,
 	})
 }

@@ -2,10 +2,15 @@ package granularity
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
 
@@ -193,10 +198,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, _, err := SplitAndMerge(records, Config{MinSize: 5, MaxSize: 10}); err == nil {
 		t.Error("missing levels should error")
 	}
-	if _, _, err := SplitAndMerge(records, Config{MinSize: 10, MaxSize: 5, Levels: SourceLevels()}); err == nil {
+	if _, _, err := SplitAndMerge(records, Config{MinSize: 10, MaxSize: 5, Features: SourceFeatures()}); err == nil {
 		t.Error("m > M should error")
 	}
-	if _, _, err := SplitAndMerge(records, Config{MinSize: 0, MaxSize: 0, Levels: SourceLevels()}); err == nil {
+	if _, _, err := SplitAndMerge(records, Config{MinSize: 0, MaxSize: 0, Features: SourceFeatures()}); err == nil {
 		t.Error("M=0 should error")
 	}
 }
@@ -265,5 +270,147 @@ func TestCompileWithLabels(t *testing.T) {
 	}
 	if len(s.Obs) != 20 {
 		t.Errorf("observations = %d, want 20", len(s.Obs))
+	}
+}
+
+// referenceSplitAndMerge is Algorithm 2 keyed by joined label strings, one
+// key function per level from the finest: every record's key is built and
+// grouped at the finest level, and a merged unit's record list is its
+// children's concatenated in key order. It is the oracle for SplitAndMerge.
+func referenceSplitAndMerge(records []triple.Record, levels []func(triple.Record) string, minSize, maxSize int, seed int64) ([]string, Report) {
+	labels := make([]string, len(records))
+	rng := stats.NewRNG(seed)
+	var rep Report
+	groups := make(map[string][]int)
+	for i, r := range records {
+		k := levels[0](r)
+		groups[k] = append(groups[k], i)
+	}
+	rep.InitialUnits = len(groups)
+	finalize := func(key string, idxs []int) {
+		if len(idxs) > maxSize {
+			nBuckets := (len(idxs) + maxSize - 1) / maxSize
+			perm := rng.Perm(len(idxs))
+			rep.Splits++
+			rep.SplitBuckets += nBuckets
+			rep.FinalUnits += nBuckets
+			for pi, p := range perm {
+				labels[idxs[p]] = key + "\x1f#" + strconv.Itoa(pi%nBuckets)
+			}
+			return
+		}
+		rep.FinalUnits++
+		for _, i := range idxs {
+			labels[i] = key
+		}
+	}
+	for lvl := 0; lvl < len(levels); lvl++ {
+		keys := make([]string, 0, len(groups))
+		for k := range groups {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		next := make(map[string][]int)
+		for _, k := range keys {
+			idxs := groups[k]
+			if len(idxs) >= minSize || lvl == len(levels)-1 {
+				finalize(k, idxs)
+				continue
+			}
+			rep.Merges++
+			parent := levels[lvl+1](records[idxs[0]])
+			next[parent] = append(next[parent], idxs...)
+		}
+		groups = next
+		if len(groups) == 0 {
+			break
+		}
+	}
+	return labels, rep
+}
+
+// The reference hierarchies, finest to coarsest.
+var (
+	referenceSourceLevels = []func(triple.Record) string{
+		triple.SourceKeyFinest,
+		func(r triple.Record) string { return r.Website + "\x1f" + r.Predicate },
+		triple.SourceKeyWebsite,
+	}
+	referenceExtractorLevels = []func(triple.Record) string{
+		triple.ExtractorKeyFinest,
+		func(r triple.Record) string { return r.Extractor + "\x1f" + r.Pattern + "\x1f" + r.Predicate },
+		func(r triple.Record) string { return r.Extractor + "\x1f" + r.Pattern },
+		triple.ExtractorKeyName,
+	}
+)
+
+// skewedCorpus draws n records whose features are Zipf-skewed, so that units
+// span every size from one record to thousands, and whose labels sort in
+// other orders than their features do: some features are prefixes of others,
+// and some hold characters below the \x1f separator.
+func skewedCorpus(seed int64, n int) []triple.Record {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := func(k uint64) func() int {
+		z := rand.NewZipf(rng, 1.3, 2, k)
+		return func() int { return int(z.Uint64()) }
+	}
+	site, pred, page, ext, pat := zipf(40), zipf(12), zipf(300), zipf(6), zipf(9)
+	name := func(prefix string, i int) string {
+		switch i % 5 {
+		case 1:
+			return prefix // a prefix of every other name of its kind
+		case 2:
+			return prefix + "\t" + strconv.Itoa(i)
+		}
+		return prefix + strconv.Itoa(i)
+	}
+	recs := make([]triple.Record, n)
+	for i := range recs {
+		w := name("w", site())
+		recs[i] = triple.Record{
+			Extractor: name("E", ext()), Pattern: name("pat", pat()),
+			Website: w, Page: w + "/" + name("p", page()), Predicate: name("pred", pred()),
+			Subject: "s" + strconv.Itoa(i), Object: "o",
+		}
+	}
+	return recs
+}
+
+// TestSplitAndMergeMatchesReference: on skewed corpora, for both hierarchies,
+// SplitAndMerge labels every record and reports exactly as the string-keyed
+// reference does — with m = 0 (nothing merges), with an m that merges units
+// up to the top level, and with an M small enough that units split at every
+// level, which checks the order of the random draws.
+func TestSplitAndMergeMatchesReference(t *testing.T) {
+	hierarchies := []struct {
+		name      string
+		features  []Feature
+		levels    []func(triple.Record) string
+		seedShift int64
+	}{
+		{"sources", SourceFeatures(), referenceSourceLevels, 0},
+		{"extractors", ExtractorFeatures(), referenceExtractorLevels, 0x5eed},
+	}
+	sizes := []struct{ m, M int }{{0, 10000}, {0, 7}, {400, 10000}, {40, 50}, {5, 6}}
+	for seed := int64(1); seed <= 3; seed++ {
+		recs := skewedCorpus(seed, 6000)
+		for _, h := range hierarchies {
+			for _, sz := range sizes {
+				got, gotRep, err := SplitAndMerge(recs, Config{MinSize: sz.m, MaxSize: sz.M, Features: h.features, Seed: seed + h.seedShift})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantRep := referenceSplitAndMerge(recs, h.levels, sz.m, sz.M, seed+h.seedShift)
+				if gotRep != wantRep {
+					t.Errorf("seed %d %s m=%d M=%d: report %+v, want %+v", seed, h.name, sz.m, sz.M, gotRep, wantRep)
+				}
+				if i := slices.IndexFunc(got, func(l string) bool { return l == "" }); i >= 0 {
+					t.Errorf("seed %d %s m=%d M=%d: record %d unlabelled", seed, h.name, sz.m, sz.M, i)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("seed %d %s m=%d M=%d: labels differ from the reference", seed, h.name, sz.m, sz.M)
+				}
+			}
+		}
 	}
 }

@@ -9,26 +9,30 @@ import "slices"
 // fully usable, also while the child is being built.
 //
 // Cost: O(cells × radix passes + log-amortised interning), the cells being the
-// records and the parent's observations of the items they touch, which one
-// sort groups with the records (appender.appendCells); plus one row header
-// for every unit of a kind whose old rows the batch grows. The first Extend of
-// a parent claims its tail (Snapshot.tailClaimed) and shares what it does not
-// touch: it appends to the flat tables, and to the outer arrays of ItemValues
-// and the five inverted indexes, in their spare capacity. Growing a parent's row
-// replaces its header, so the first such write to a table copies that table's
-// outer array (rowTable.set) — the extractor tables on every batch, a few
-// rows; TriplesOfSource when a known source says something new;
-// TriplesOfItem, ByTriple and ItemValues (Delta.GrownItems) when a known item
-// or triple is extracted again, and those are O(corpus) headers: a stream of
-// new pages about known entities pays them, which ROADMAP item 5 leaves to a
-// measurement. The row itself is appended to in place, the parent never
-// reading past its own length (an insert before a sorted row's end copies the
-// row, once per call). Interning layers merge geometrically: over a lineage a
-// label is re-inserted O(log n) times. Also outside the bound: a table or row
-// that outgrows its capacity is regrown by append (amortised); a raised
-// confidence copies Obs (Delta.RaisedObs); and a second child of the same
-// parent copies every table, each index row clipped to its length so that no
-// later append lands in the claimant's capacity.
+// records and the parent's observations of the items they touch: one sort
+// groups them with the records, one pass in record order assigns the new ids,
+// and each index table is filled by one more sort of the new triples or
+// observations by row, never by an array the size of the table
+// (appender.appendCells); plus one row header for every unit of a kind whose
+// old rows the batch grows. The first Extend of a parent claims its tail
+// (Snapshot.tailClaimed) and shares what it does not touch: it appends to the
+// flat tables, and to the outer arrays of ItemValues and the five inverted
+// indexes, in their spare capacity. Growing a parent's row replaces its
+// header, so the first such write to a table copies that table's outer array
+// (rowTable.set) — the extractor tables on every batch, a few rows;
+// TriplesOfSource when a known source says something new; TriplesOfItem,
+// ByTriple and ItemValues (Delta.GrownItems) when a known item or triple is
+// extracted again, and those are O(corpus) headers: a stream of new pages
+// about known entities pays them, which ROADMAP item 5 leaves to a
+// measurement. A grown row takes the batch's run in one append, in place, the
+// parent never reading past its own length; a merge into a sorted row
+// (ItemValues, SourcesOfExtractor) that inserts before its end copies the row
+// instead. Interning layers merge geometrically: over a lineage a label is
+// re-inserted O(log n) times. Also outside the bound: a table or row that
+// outgrows its capacity is regrown by append (amortised); a raised confidence
+// copies Obs (Delta.RaisedObs); and a second child of the same parent copies
+// every table, each index row clipped to its length so that no later append
+// lands in the claimant's capacity.
 //
 // Invariants the child guarantees relative to its parent:
 //
@@ -70,6 +74,7 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		// holders read: a write below a parent's length (a raised confidence
 		// in appender.appendCells, a grown row in rowTable.set) first unshares
 		// the array it lands in.
+		ItemValues:         forkRows(s.ItemValues, claimed),
 		ByTriple:           forkRows(s.ByTriple, claimed),
 		TriplesOfItem:      forkRows(s.TriplesOfItem, claimed),
 		TriplesOfSource:    forkRows(s.TriplesOfSource, claimed),
@@ -78,7 +83,6 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 
 		obsShared:  claimed,
 		Obs:        adopt(s.Obs, claimed),
-		ItemValues: adopt(s.ItemValues, claimed),
 		Triples:    adopt(s.Triples, claimed),
 		Sources:    adopt(s.Sources, claimed),
 		Extractors: adopt(s.Extractors, claimed),
@@ -104,19 +108,30 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 	}
 	// The parent's cells of those items rank before every record, so a
 	// record's triple or observation already in the parent keeps its index.
-	slices.Sort(touched)
-	var pe, pw, pd, pv, tri, obs []int
-	for _, d := range slices.Compact(touched) {
-		for _, ti := range c.TriplesOfItem[d] {
-			for _, oi := range c.ByTriple[ti] {
-				o := c.Obs[oi]
-				pe, pw, pd, pv = append(pe, o.E), append(pw, o.W), append(pd, o.D), append(pv, o.V)
-				tri, obs = append(tri, ti), append(obs, oi)
+	var tri, obs []int
+	if len(touched) > 0 {
+		slices.Sort(touched)
+		touched = slices.Compact(touched)
+		p := 0
+		for _, d := range touched {
+			for _, ti := range c.TriplesOfItem[d] {
+				p += len(c.ByTriple[ti])
 			}
 		}
+		pe, pw, pd, pv := make([]int, 0, p+n), make([]int, 0, p+n), make([]int, 0, p+n), make([]int, 0, p+n)
+		tri, obs = make([]int, 0, p+n), make([]int, 0, p+n)
+		for _, d := range touched {
+			for _, ti := range c.TriplesOfItem[d] {
+				for _, oi := range c.ByTriple[ti] {
+					o := c.Obs[oi]
+					pe, pw, pd, pv = append(pe, o.E), append(pw, o.W), append(pd, o.D), append(pv, o.V)
+					tri, obs = append(tri, ti), append(obs, oi)
+				}
+			}
+		}
+		es, ws, ds, vs = append(pe, es...), append(pw, ws...), append(pd, ds...), append(pv, vs...)
 	}
-	newAppender(c, *c.delta, claimed).appendCells(records,
-		append(pe, es...), append(pw, ws...), append(pd, ds...), append(pv, vs...), tri, obs)
+	newAppender(c, *c.delta, claimed).appendCells(records, es, ws, ds, vs, tri, obs)
 	return c
 }
 

@@ -644,4 +644,51 @@ func TestCompileMatchesReferenceBuilder(t *testing.T) {
 			requireTables(t, "chain", snap, want)
 		})
 	}
+
+	// Every row of all six tables is at least four long, with spare capacity
+	// after Compile, and a batch grows each by one cell: the claimant appends
+	// in place, a second child of the same parent copies, and no snapshot may
+	// see another's cells.
+	t.Run("grow-every-row", func(t *testing.T) {
+		const n = 64
+		e := func(i int) string { return fmt.Sprintf("E%d", i%n) }
+		w := func(i int) string { return fmt.Sprintf("w%d", i%n) }
+		var base, grow []Record
+		for i := 0; i < n; i++ {
+			subj := fmt.Sprintf("S%d", i)
+			for j := 0; j < 4; j++ {
+				v := fmt.Sprintf("v%d.%d", i, j)
+				for k := 0; k < 4; k++ {
+					base = append(base, Record{Extractor: e(i + j + k), Website: w(i + j), Subject: subj, Predicate: "p", Object: v})
+				}
+				// One more observation of every triple, by a new extractor.
+				grow = append(grow, Record{Extractor: "X", Website: w(i + j), Subject: subj, Predicate: "p", Object: v})
+			}
+			// A new value for every item, on a source that has not said it, by an
+			// extractor that has not read that source.
+			grow = append(grow, Record{Extractor: e(i + 8), Website: w(i + 4), Subject: subj, Predicate: "p", Object: fmt.Sprintf("new%d", i)})
+		}
+		parent := (&Dataset{Records: base}).Compile(website)
+		if row := parent.TriplesOfItem[0]; cap(row) == len(row) {
+			t.Fatalf("test premise: a compiled row has no spare capacity (len %d)", len(row))
+		}
+		first, second := parent.Extend(grow), parent.Extend(grow)
+		for name, tabs := range map[string][2][][]int{
+			"ItemValues": {parent.ItemValues, first.ItemValues}, "ByTriple": {parent.ByTriple, first.ByTriple},
+			"TriplesOfItem": {parent.TriplesOfItem, first.TriplesOfItem}, "TriplesOfSource": {parent.TriplesOfSource, first.TriplesOfSource},
+			"ObsOfExtractor": {parent.ObsOfExtractor, first.ObsOfExtractor}, "SourcesOfExtractor": {parent.SourcesOfExtractor, first.SourcesOfExtractor},
+		} {
+			for i, row := range tabs[0] {
+				if len(tabs[1][i]) != len(row)+1 {
+					t.Fatalf("test premise: %s row %d grew from %d to %d cells, want one more", name, i, len(row), len(tabs[1][i]))
+				}
+			}
+		}
+		all := slices.Concat(base, grow)
+		want := referenceBuild(all, website)
+		requireTables(t, "Compile", (&Dataset{Records: all}).Compile(website), want)
+		requireTables(t, "claimant", first, want)
+		requireTables(t, "second child", second, want)
+		requireTables(t, "parent", parent, referenceBuild(base, website))
+	})
 }

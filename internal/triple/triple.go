@@ -6,9 +6,10 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"kbt/internal/parallel"
 )
 
 // Record is one raw extraction with full provenance, before any choice of
@@ -32,6 +33,16 @@ type Record struct {
 	// matching §5.1.2 ("if an extractor does not provide confidence, we
 	// assume the confidence is 1").
 	Confidence float64
+}
+
+// CheckConfidence refuses a confidence no record may carry: NaN, or outside
+// [0,1] (0 means unspecified). Every entry point applies it: the TSV reader,
+// the engine's ingest and the batch calls of package kbt.
+func CheckConfidence(c float64) error {
+	if math.IsNaN(c) || c < 0 || c > 1 {
+		return fmt.Errorf("confidence %v out of [0,1]", c)
+	}
+	return nil
 }
 
 // Conf returns the effective confidence of the record in (0,1].
@@ -67,11 +78,6 @@ type ExtractorKeyFunc func(Record) string
 
 // SourceKeyWebsite groups records by website only (coarsest source).
 func SourceKeyWebsite(r Record) string { return r.Website }
-
-// SourceKeyWebsitePredicate groups by ⟨website, predicate⟩.
-func SourceKeyWebsitePredicate(r Record) string {
-	return r.Website + "\x1f" + r.Predicate
-}
 
 // SourceKeyFinest groups by ⟨website, predicate, webpage⟩, the finest source
 // granularity used in the paper's experiments (§5.1.2).
@@ -200,7 +206,7 @@ type Snapshot struct {
 	// tailClaimed grants the first Extend of this snapshot the right to
 	// append into spare capacity instead of copying: of the flat append-only
 	// tables (Obs, Triples, labels, PredOfItem), of the outer arrays of
-	// ItemValues and the five inverted indexes, and of each index row. One
+	// ItemValues and the five inverted indexes, and of each of their rows. One
 	// claimant per parent makes the lineage that appends in place a chain,
 	// and no snapshot reads past its own lengths; later Extends copy (forkRows).
 	// An adopted array is unshared before the build writes below the parent's
@@ -261,7 +267,11 @@ type CompileOptions struct {
 // values) do not depend on one another, so each is interned by its own
 // in-order pass over the records, all four at once: an id is the rank of its
 // label's first appearance within its own vocabulary, which no other pass can
-// move. The id columns then go through the append path Extend uses.
+// move. The id columns then go through the build Extend uses
+// (appender.appendCells): one radix sort groups the cells, one pass in record
+// order gives the triples and observations their ids, and the six index
+// tables are filled side by side from sorted runs, so that each row is
+// allocated once, at its final length plus a quarter.
 func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	if opt.SourceKey == nil {
 		opt.SourceKey = SourceKeyFinest
@@ -309,7 +319,9 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	vs := column(func(ri int) int { return s.valueIdx.intern(&s.Values, recs[ri].Object) })
 	wg.Wait()
 
-	newAppender(s, Delta{}, false).appendCells(recs, es, ws, ds, vs, nil, nil)
+	ap := newAppender(s, Delta{}, false)
+	ap.compile = true
+	ap.appendCells(recs, es, ws, ds, vs, nil, nil)
 	return s
 }
 
@@ -397,21 +409,21 @@ func (t *internTable) intern(list *[]string, key string) int {
 	return i
 }
 
-// appender is the transient per-call state of the shared append-only build
-// path used by both Compile (from an empty snapshot) and Extend (from a fork
-// of the parent): both resolve their records to dense id columns and hand them
-// to appendCells, Extend preceded by the parent's cells of the items its
-// records touch. It maintains every inverted index through the tables' write
-// handles, so an Extend does work proportional to the new records plus the
-// cells of the items they touch.
+// appender is the transient per-call state of the one build path Compile
+// (from an empty snapshot) and Extend (from a fork of the parent) share: both
+// resolve their records to dense id columns and hand them to appendCells,
+// Extend preceded by the parent's cells of the items its records touch. It
+// holds a write handle per index table, so an Extend does work proportional
+// to the new records plus the cells of the items they touch.
 type appender struct {
 	s *Snapshot
 
-	// Appending to a parent's row needs no copy of the row, an insert before
-	// its end does: the owned maps name the rows copied.
 	itemValues, byTriple, triplesOfItem, triplesOfSource rowTable
 	obsOfExtractor, sourcesOfExtractor                   rowTable
-	ownedValueRows, ownedExtractorSrcRows                map[int]bool
+
+	// compile marks a Compile, the one build whose fills may run side by
+	// side (appendCells).
+	compile bool
 }
 
 // rowTable is one build's write handle on a table of rows whose first n0 are
@@ -432,39 +444,19 @@ func (t *rowTable) set(i int, row []int) {
 	(*t.rows)[i] = row
 }
 
-// add appends v to row i, in place given spare capacity: the claimant's by
-// inheritance, and any other build starts from clipped rows (forkRows).
-func (t *rowTable) add(i, v int) { t.set(i, append((*t.rows)[i], v)) }
-
 // newAppender prepares a build on top of s, a fork of a parent with base's
 // table lengths whose outer row arrays it shares or not (Compile: no parent).
 func newAppender(s *Snapshot, base Delta, shared bool) *appender {
 	table := func(rows *[][]int, n0 int) rowTable { return rowTable{rows: rows, n0: n0, shared: shared} }
 	return &appender{
-		s:                     s,
-		itemValues:            table(&s.ItemValues, base.Items),
-		byTriple:              table(&s.ByTriple, base.Triples),
-		triplesOfItem:         table(&s.TriplesOfItem, base.Items),
-		triplesOfSource:       table(&s.TriplesOfSource, base.Sources),
-		obsOfExtractor:        table(&s.ObsOfExtractor, base.Extractors),
-		sourcesOfExtractor:    table(&s.SourcesOfExtractor, base.Extractors),
-		ownedValueRows:        make(map[int]bool),
-		ownedExtractorSrcRows: make(map[int]bool),
+		s:                  s,
+		itemValues:         table(&s.ItemValues, base.Items),
+		byTriple:           table(&s.ByTriple, base.Triples),
+		triplesOfItem:      table(&s.TriplesOfItem, base.Items),
+		triplesOfSource:    table(&s.TriplesOfSource, base.Sources),
+		obsOfExtractor:     table(&s.ObsOfExtractor, base.Extractors),
+		sourcesOfExtractor: table(&s.SourcesOfExtractor, base.Extractors),
 	}
-}
-
-// addValue inserts v at slot k of item d's sorted value row. A parent item's
-// first new value of the call is the one place that knows its row grew: the
-// delta records the item, and the row is copied (the insert shifts slots).
-func (ap *appender) addValue(d, k, v int) {
-	s := ap.s
-	row := s.ItemValues[d]
-	if d < ap.itemValues.n0 && !ap.ownedValueRows[d] {
-		ap.ownedValueRows[d] = true
-		s.delta.GrownItems = append(s.delta.GrownItems, d)
-		row = slices.Clone(row)
-	}
-	ap.itemValues.set(d, slices.Insert(row, k, v))
 }
 
 // groupLeads finds which cells of a build share a candidate triple and which
@@ -540,12 +532,26 @@ func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
 // the parent's cells whose triple and observation indexes tri and obs hold; a
 // cell that shares its triple or observation with a lower-ranked one reuses it
 // (groupLeads), so a record already in the parent keeps the parent's indexes.
-// The records are appended in order, the way a record-at-a-time build would.
+//
+// One pass in record order gives each new triple and observation the next id,
+// appends it to Triples or Obs and raises a duplicate's confidence, as a
+// record-at-a-time build would. The six index tables are then filled from the
+// new triples and observations, side by side for a large Compile, each by its
+// own fill, which writes its own tables alone: it sorts its entries by row
+// (sortEntries) and gives each row its run in one write.
 func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
 	s := ap.s
 	first := len(tri)
 	tri, obs = append(tri, make([]int, len(recs))...), append(obs, make([]int, len(recs))...)
 	groupLeads(es, ws, ds, vs, first, tri, obs)
+	nTri := 0
+	for r := first; r < len(es); r++ {
+		if tri[r] == r {
+			nTri++
+		}
+	}
+	s.Triples, s.ByTriple = room(s.Triples, nTri), room(s.ByTriple, nTri)
+	t0, o0 := len(s.Triples), len(s.Obs)
 	for r := first; r < len(es); r++ {
 		e, w, d, v, conf := es[r], ws[r], ds[r], vs[r], recs[r-first].Conf()
 		if lead := tri[r]; lead != r {
@@ -554,12 +560,6 @@ func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
 			tri[r] = len(s.Triples)
 			s.Triples = append(s.Triples, TripleRef{W: w, D: d, V: v})
 			s.ByTriple = append(s.ByTriple, nil)
-			ap.triplesOfItem.add(d, tri[r])
-			ap.triplesOfSource.add(w, tri[r])
-			row := s.ItemValues[d]
-			if k := sort.SearchInts(row, v); k == len(row) || row[k] != v {
-				ap.addValue(d, k, v)
-			}
 		}
 
 		if lead := obs[r]; lead != r {
@@ -582,23 +582,224 @@ func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
 			}
 			continue
 		}
-		oi := len(s.Obs)
-		obs[r] = oi
+		obs[r] = len(s.Obs)
 		s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: conf})
-		ap.byTriple.add(tri[r], oi)
-		ap.obsOfExtractor.add(e, oi)
-		srcs := s.SourcesOfExtractor[e]
-		if k := sort.SearchInts(srcs, w); k == len(srcs) || srcs[k] != w {
-			// At the end (a first-seen source has the highest id yet) an append
-			// like any other; in the middle it shifts what the parent reads, so a
-			// parent's row is copied first, once per call.
-			if k < len(srcs) && e < ap.obsOfExtractor.n0 && !ap.ownedExtractorSrcRows[e] {
-				ap.ownedExtractorSrcRows[e] = true
-				srcs = slices.Clone(srcs)
-			}
-			ap.sourcesOfExtractor.set(e, slices.Insert(srcs, k, w))
-		}
 	}
+	// Every id is below len(Obs), each label and triple coming from an
+	// observation, so every entry fits 32 bits.
+	if uint64(len(s.Obs)) > math.MaxUint32 {
+		panic("triple: a snapshot of more than 2^32 observations")
+	}
+
+	// Each fill lists its entries, sorts them by row and writes its tables; the
+	// two tables of a kind of row share the fill.
+	newTri, newObs := s.Triples[t0:], s.Obs[o0:]
+	fills := [...]func(){
+		func() {
+			withEntries(len(newObs), func(byExtractor []entry) {
+				for k, o := range newObs {
+					byExtractor[k] = newEntry(o.E, o0+k)
+				}
+			}, func(byExtractor []entry) {
+				ap.obsOfExtractor.appendRuns(byExtractor)
+				ap.sourcesOfExtractor.mergeRuns(byExtractor, func(oi int) int { return s.Obs[oi].W }, nil)
+			})
+		},
+		func() {
+			withEntries(len(newObs), func(byTriple []entry) {
+				k := 0
+				for r := first; r < len(tri); r++ {
+					if obs[r] == o0+k { // the cell that added observation o0+k
+						byTriple[k] = newEntry(tri[r], o0+k)
+						k++
+					}
+				}
+			}, ap.byTriple.appendRuns)
+		},
+		func() {
+			withEntries(len(newTri), func(byItem []entry) {
+				for k, tr := range newTri {
+					byItem[k] = newEntry(tr.D, t0+k)
+				}
+			}, func(byItem []entry) {
+				ap.triplesOfItem.appendRuns(byItem)
+				var grown [][2]int // a parent item that gained a value, after the triple that first gave it one
+				ap.itemValues.mergeRuns(byItem, func(ti int) int { return s.Triples[ti].V }, func(d, ti int) {
+					grown = append(grown, [2]int{ti, d})
+				})
+				slices.SortFunc(grown, func(a, b [2]int) int { return a[0] - b[0] })
+				for _, g := range grown {
+					s.delta.GrownItems = append(s.delta.GrownItems, g[1])
+				}
+			})
+		},
+		func() {
+			withEntries(len(newTri), func(bySource []entry) {
+				for k, tr := range newTri {
+					bySource[k] = newEntry(tr.W, t0+k)
+				}
+			}, ap.triplesOfSource.appendRuns)
+		},
+	}
+	// A Compile that adds largeFill observations or more fills side by side:
+	// below that, waking a second core costs about what the fills do. An
+	// Extend fills on this goroutine at any size: fills side by side allocate
+	// their rows in whatever order the scheduler runs them, and an Extend's
+	// rows are the ones a serving lineage goes on reading, so this way every
+	// run of the same stream lays them out alike.
+	workers := 0
+	if !ap.compile || len(newObs) < largeFill {
+		workers = 1
+	}
+	parallel.ForEach(len(fills), workers, func(i int) { fills[i]() })
+}
+
+// largeFill is the fewest entries that make a fill large: the fills of a
+// Compile that adds that many observations run side by side, and a large
+// fill's buffers are not recycled (entryBufs).
+const largeFill = 1024
+
+// entry is one id a build adds to a row of an index table.
+type entry struct{ row, val uint32 }
+
+func newEntry(row, val int) entry { return entry{uint32(row), uint32(val)} }
+
+// entryBufs recycles the fills' entry lists and sort buffers between the
+// builds of serving batches, so that a stream of Extends reuses the same few.
+// A large build's are not kept: the pool would hold them through two
+// collections, and a serving process's heap goal with them.
+var entryBufs = sync.Pool{New: func() any { return new([2][]entry) }}
+
+// withEntries has list write a fill's n entries, sorts them by row and hands
+// them to use, on buffers from entryBufs that use must not keep.
+func withEntries(n int, list, use func(es []entry)) {
+	b := entryBufs.Get().(*[2][]entry)
+	if cap(b[0]) < n {
+		b[0], b[1] = make([]entry, n), make([]entry, n)
+	}
+	es := b[0][:n]
+	list(es)
+	use(sortEntries(es, b[1][:n]))
+	if n < largeFill {
+		entryBufs.Put(b)
+	}
+}
+
+// sortEntries sorts a fill's entries stably by row, by an LSD radix sort on
+// byte digits as groupLeads sorts cells: O(entries × passes), the passes those
+// of the largest row id less any digit every entry shares, and no array sized
+// by the table. It returns the sorted entries, in es or in tmp (of es's
+// length), leaving es as it is if it is in row order already.
+func sortEntries(es, tmp []entry) []entry {
+	var hi uint32
+	sorted := true
+	for i, x := range es {
+		hi = max(hi, x.row)
+		sorted = sorted && (i == 0 || x.row >= es[i-1].row)
+	}
+	if sorted {
+		return es
+	}
+	for shift := 0; shift < bits.Len32(hi); shift += 8 {
+		var count [256]int
+		for _, x := range es {
+			count[x.row>>shift&0xff]++
+		}
+		if count[es[0].row>>shift&0xff] == len(es) {
+			continue
+		}
+		sum := 0
+		for b, n := range count {
+			count[b], sum = sum, sum+n
+		}
+		for _, x := range es {
+			b := x.row >> shift & 0xff
+			tmp[count[b]] = x
+			count[b]++
+		}
+		es, tmp = tmp, es
+	}
+	return es
+}
+
+// forRuns calls fn once per row of the sorted entries, ascending, with the
+// row's entries in their order.
+func forRuns(sorted []entry, fn func(row int, run []entry)) {
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j].row == sorted[i].row {
+			j++
+		}
+		fn(int(sorted[i].row), sorted[i:j])
+		i = j
+	}
+}
+
+// room returns row with room for n more elements. An empty one (a new row, or
+// a table under Compile) is allocated once, with a quarter of n spare, as
+// append leaves a large slice it grows: what later batches grow (an
+// extractor's row, a hub's, Triples) takes their first appends in place. A
+// parent's is grown by append, in place given spare capacity (only the
+// claimant inherits any).
+func room[T any](row []T, n int) []T {
+	if len(row) == 0 {
+		return make([]T, 0, n+n/4)
+	}
+	return slices.Grow(row, n)
+}
+
+// appendRuns appends each row's run of the sorted entries to it, in one write.
+func (t *rowTable) appendRuns(sorted []entry) {
+	forRuns(sorted, func(i int, run []entry) {
+		row := room((*t.rows)[i], len(run))
+		for _, x := range run {
+			row = append(row, int(x.val))
+		}
+		t.set(i, row)
+	})
+}
+
+// mergeRuns adds to each row of a table of ascending, distinct ids the ids
+// id(val) of its run of the sorted entries that it lacks. Ids that all sort
+// after the row's end are appended as appendRuns does; any other merge makes a
+// new row, so a parent's row never shifts under its readers. grew, if non-nil,
+// is told of each parent row that gains an id, with the val of the first that
+// does.
+func (t *rowTable) mergeRuns(sorted []entry, id func(val int) int, grew func(row, val int)) {
+	var ids []int
+	forRuns(sorted, func(i int, run []entry) {
+		row := (*t.rows)[i]
+		ids = ids[:0]
+		first := -1
+		for _, x := range run {
+			v := id(int(x.val))
+			if _, found := slices.BinarySearch(row, v); !found {
+				if first < 0 {
+					first = int(x.val)
+				}
+				ids = append(ids, v)
+			}
+		}
+		if first < 0 {
+			return
+		}
+		if grew != nil && i < t.n0 {
+			grew(i, first)
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		if len(row) == 0 || ids[0] > row[len(row)-1] {
+			t.set(i, append(room(row, len(ids)), ids...))
+			return
+		}
+		merged := make([]int, 0, len(row)+len(ids))
+		for _, v := range ids {
+			k, _ := slices.BinarySearch(row, v)
+			merged = append(append(merged, row[:k]...), v)
+			row = row[k:]
+		}
+		t.set(i, append(merged, row...))
+	})
 }
 
 // Delta describes how a snapshot built by Extend differs from its parent:

@@ -34,9 +34,6 @@ func TestKeyFunctions(t *testing.T) {
 	if SourceKeyWebsite(r) != "wiki.com" {
 		t.Error("SourceKeyWebsite")
 	}
-	if SourceKeyWebsitePredicate(r) != "wiki.com\x1fnationality" {
-		t.Error("SourceKeyWebsitePredicate")
-	}
 	if SourceKeyFinest(r) != "wiki.com\x1fnationality\x1fwiki.com/p1" {
 		t.Error("SourceKeyFinest")
 	}
@@ -125,7 +122,7 @@ func TestGranularityChangesSourceCount(t *testing.T) {
 	if len(coarse.Sources) != 1 {
 		t.Errorf("website granularity sources = %d, want 1", len(coarse.Sources))
 	}
-	mid := d.Compile(CompileOptions{SourceKey: SourceKeyWebsitePredicate})
+	mid := d.Compile(CompileOptions{SourceKey: func(r Record) string { return r.Website + "\x1f" + r.Predicate }})
 	if len(mid.Sources) != 2 {
 		t.Errorf("website|predicate sources = %d, want 2", len(mid.Sources))
 	}

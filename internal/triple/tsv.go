@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,7 +55,7 @@ func writeRecord(bw *bufio.Writer, r *Record) error {
 	// values have no on-disk representation the reader accepts, so they
 	// serialise as their effective Conf() instead.
 	if c := r.Confidence; c != 0 {
-		if math.IsNaN(c) || c < 0 || c > 1 {
+		if CheckConfidence(c) != nil {
 			c = r.Conf()
 		}
 		bw.WriteByte('\t')
@@ -234,8 +233,8 @@ func parseLine(line string) (Record, error) {
 		if err != nil {
 			return Record{}, fmt.Errorf("bad confidence %q: %w", conf, err)
 		}
-		if math.IsNaN(c) || c < 0 || c > 1 {
-			return Record{}, fmt.Errorf("confidence %v out of [0,1]", c)
+		if err := CheckConfidence(c); err != nil {
+			return Record{}, err
 		}
 		rec.Confidence = c
 	}

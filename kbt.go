@@ -79,7 +79,8 @@ func (e Extraction) record() triple.Record {
 	}
 }
 
-// Add appends one extraction.
+// Add appends one extraction. A Confidence that is NaN or outside [0,1] makes
+// EstimateKBT and FuseSingleLayer fail, naming the extraction by its index.
 func (ds *Dataset) Add(e Extraction) {
 	ds.d.Add(e.record())
 }
@@ -98,6 +99,19 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return &Dataset{d: d}, nil
+}
+
+// check refuses a dataset the batch calls cannot score: one whose records
+// include a confidence that ReadTSV and Engine.Ingest would refuse. Add
+// cannot, so EstimateKBT and FuseSingleLayer do, naming the first such record
+// by its index.
+func (ds *Dataset) check() error {
+	for i := range ds.d.Records {
+		if err := triple.CheckConfidence(ds.d.Records[i].Confidence); err != nil {
+			return fmt.Errorf("kbt: extraction %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Len returns the number of extractions added.
@@ -447,6 +461,9 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 	if opt.DomainSize < 1 {
 		return nil, errors.New("kbt: DomainSize must be >= 1")
 	}
+	if err := ds.check(); err != nil {
+		return nil, err
+	}
 
 	copt := triple.CompileOptions{}
 	if opt.Granularity == GranularityAuto {
@@ -640,6 +657,9 @@ func (r *FusionResult) WebsiteAccuracy() map[string]float64 {
 func FuseSingleLayer(ds *Dataset, opt FusionOptions) (*FusionResult, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("kbt: empty dataset")
+	}
+	if err := ds.check(); err != nil {
+		return nil, err
 	}
 	snap := ds.d.Compile(triple.CompileOptions{
 		SourceKey:    triple.ProvenanceKey,

@@ -254,6 +254,37 @@ func TestEstimateKBTValidation(t *testing.T) {
 	}
 }
 
+// TestBatchCallsRefuseBadConfidence: a confidence that ReadTSV and
+// Engine.Ingest refuse (NaN, below 0, above 1) fails EstimateKBT and
+// FuseSingleLayer too, naming the extraction by its index, instead of scoring
+// it into a NaN.
+func TestBatchCallsRefuseBadConfidence(t *testing.T) {
+	for _, conf := range []float64{math.NaN(), -0.1, 1.5} {
+		ds := obamaDataset()
+		bad := ds.Len()
+		ds.Add(Extraction{Extractor: "E1", Pattern: "p0", Website: "w1.com", Page: "w1.com/1",
+			Subject: "Obama", Predicate: "spouse", Object: "Michelle", Confidence: conf})
+		ds.Add(Extraction{Extractor: "E2", Pattern: "p0", Website: "w2.com", Page: "w2.com/1",
+			Subject: "Obama", Predicate: "spouse", Object: "Michelle", Confidence: 0.5})
+		want := fmt.Sprintf("extraction %d: confidence %v", bad, conf)
+		calls := map[string]func() error{
+			"EstimateKBT": func() error {
+				_, err := EstimateKBT(ds, websiteOptions())
+				return err
+			},
+			"FuseSingleLayer": func() error {
+				_, err := FuseSingleLayer(ds, DefaultFusionOptions())
+				return err
+			},
+		}
+		for name, call := range calls {
+			if err := call(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with confidence %v: err = %v, want one containing %q", name, conf, err, want)
+			}
+		}
+	}
+}
+
 func TestFuseSingleLayer(t *testing.T) {
 	ds := obamaDataset()
 	for _, model := range []FusionModel{Accu, PopAccu} {
