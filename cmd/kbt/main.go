@@ -37,9 +37,12 @@
 // With -listen, serve drains its input (an empty feed is a valid idle
 // start), then exposes the engine over HTTP: POST /v1/ingest and
 // /v1/refresh, GET /v1/top-sources, /v1/top-triples, /v1/source?name=,
-// /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats. -lanes N
-// drains the ingest queue with N workers, each batch applied whole by one of
-// them, and refreshes beside ingest rather than inline. -copydetect maintains
+// /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats. At the default
+// -lanes 1 a batch is acked after the refresh it made due has published, so
+// the client's next read sees it scored; -lanes N drains the ingest queue
+// with N workers, each batch applied whole by one of them, and refreshes
+// beside ingest rather than inline, acking without waiting for the refresh.
+// -copydetect maintains
 // streaming copy detection (and discounts detected copiers' votes); -fusion
 // maintains the single-layer fused per-item posteriors — both served from
 // the current generation. With -data DIR, ingest is write-ahead logged under
@@ -285,7 +288,7 @@ func cmdServe(args []string) (err error) {
 	copyDetect := fs.Bool("copydetect", false, "maintain streaming copy detection and discount detected copiers' votes (GET /v1/copy-deps)")
 	fusionOn := fs.Bool("fusion", false, "maintain streaming single-layer fused per-item posteriors (GET /v1/fused?item=)")
 	listen := fs.String("listen", "", "serve the HTTP/JSON API on this address (e.g. :8080) after draining stdin/file input")
-	lanes := fs.Int("lanes", 1, "with -listen, number of workers draining the ingest queue (a batch is applied whole by one of them; above 1, refreshes run beside ingest)")
+	lanes := fs.Int("lanes", 1, "with -listen, number of workers draining the ingest queue (a batch is applied whole by one of them; at 1, a 2xx comes after the refresh it made due has published; above 1, refreshes run beside ingest and the 2xx does not wait for them)")
 	data := fs.String("data", "", "durable data directory: ingest is write-ahead logged and recovered on restart")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data, checkpoint automatically after every N refreshes (0 = never)")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once the write-ahead log exceeds this many bytes (0 = never)")

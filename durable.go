@@ -204,7 +204,7 @@ type DurableEngine struct {
 	dopt DurableOptions
 	dir  string
 
-	mu        sync.Mutex // serialises mutators: Ingest, Refresh, Checkpoint, Close
+	mu        sync.Mutex // serialises mutators: Ingest, Refresh, Checkpoint, Close; released by unlock
 	log       *wal.Log
 	refreshes int // successful refreshes since the last checkpoint
 
@@ -222,15 +222,17 @@ type DurableEngine struct {
 	// every checkpoint (including ones that found nothing to persist).
 	lastCkpt time.Time
 
-	// health is the state machine above; atomic so Health() callers that
-	// only want the state could read it without the mutator lock. The
-	// companion fields are guarded by mu.
-	health     atomic.Int32
-	faults     atomic.Uint64
-	heals      atomic.Uint64
+	// state through nextProbe are the health machine above, guarded by mu.
+	// status is what readers see of it: one immutable healthView, replaced
+	// by unlock before every mutator releases mu, so Health is one atomic
+	// load and never waits behind a refresh, checkpoint or compaction.
+	state      HealthState
+	faults     uint64
+	heals      uint64
 	lastFault  error
 	probeDelay time.Duration
 	nextProbe  time.Time
+	status     atomic.Pointer[healthView]
 
 	// keys is the idempotency-key dedup set: the most recent KeyRetention
 	// keys whose batches were durably applied, live or via recovery replay.
@@ -240,6 +242,15 @@ type DurableEngine struct {
 	keys keyring
 
 	closed bool
+}
+
+// healthView is a published health report: the status with RetryAfter left
+// for the reader to derive from nextProbe on the clock, and whether the
+// engine was closed (a closed engine never probes).
+type healthView struct {
+	HealthStatus
+	nextProbe time.Time
+	closed    bool
 }
 
 // fingerprintVersion tags the layout of engineFingerprint. Pre-1.0, a data
@@ -383,7 +394,36 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 	}
 	d.anchor(eng)
 	d.lastCkpt = dopt.clock()()
+	d.publishLocked()
 	return d, nil
+}
+
+// publishLocked replaces the published health with the one the engine is in
+// now. Called with d.mu held (or before the engine is shared).
+func (d *DurableEngine) publishLocked() {
+	v := &healthView{
+		HealthStatus: HealthStatus{
+			State:               d.state,
+			Faults:              d.faults,
+			Heals:               d.heals,
+			WALBytes:            d.log.Size(),
+			CheckpointWatermark: d.ckWatermark,
+		},
+		nextProbe: d.nextProbe,
+		closed:    d.closed,
+	}
+	if d.lastFault != nil {
+		v.LastFault = d.lastFault.Error()
+	}
+	d.status.Store(v)
+}
+
+// unlock is how every mutator releases d.mu: it publishes the health the
+// mutator leaves behind first, so no Health load after a mutator returns sees
+// an older one.
+func (d *DurableEngine) unlock() {
+	d.publishLocked()
+	d.mu.Unlock()
 }
 
 // noteBatch and noteRefresh record an applied state transition for the next
@@ -403,11 +443,11 @@ func (d *DurableEngine) noteRefresh() {
 
 // setHealthLocked transitions the state machine, notifying OnHealthChange.
 func (d *DurableEngine) setHealthLocked(to HealthState, cause error) {
-	from := HealthState(d.health.Load())
+	from := d.state
 	if from == to {
 		return
 	}
-	d.health.Store(int32(to))
+	d.state = to
 	if d.dopt.OnHealthChange != nil {
 		d.dopt.OnHealthChange(from, to, cause)
 	}
@@ -442,7 +482,7 @@ func (d *DurableEngine) faultLocked(err error) error {
 // is repaired immediately when the disk allows; otherwise the next probe
 // retries. The returned error wraps both ErrReadOnly and the cause.
 func (d *DurableEngine) degradeLocked(err error) error {
-	d.faults.Add(1)
+	d.faults++
 	d.lastFault = err
 	initial, _ := d.dopt.probeBackoff()
 	d.probeDelay = initial
@@ -463,7 +503,7 @@ func (d *DurableEngine) degradeLocked(err error) error {
 // gateLocked is the mutator gate: healthy proceeds, sealed fails permanently,
 // degraded fails fast until the backoff elapses and then attempts a heal.
 func (d *DurableEngine) gateLocked() error {
-	switch HealthState(d.health.Load()) {
+	switch d.state {
 	case StateHealthy:
 		return nil
 	case StateSealed:
@@ -495,7 +535,7 @@ func (d *DurableEngine) probeLocked(now time.Time) error {
 		return d.log.Sync()
 	}()
 	if err != nil {
-		d.faults.Add(1)
+		d.faults++
 		d.lastFault = err
 		_, max := d.dopt.probeBackoff()
 		d.probeDelay *= 2
@@ -508,38 +548,36 @@ func (d *DurableEngine) probeLocked(now time.Time) error {
 		}
 		return fmt.Errorf("%w (probe failed): %w", ErrReadOnly, err)
 	}
-	d.heals.Add(1)
+	d.heals++
 	d.probeDelay, _ = d.dopt.probeBackoff()
 	d.setHealthLocked(StateHealthy, nil)
 	return nil
 }
 
-// Health reports the engine's health, fault history, and storage watermarks.
-// On a degraded engine whose probe backoff has elapsed, Health itself runs
-// the heal probe: healing must not depend on write traffic, or a node a load
-// balancer drained on a 503 health check (no ingests ever arrive) would stay
-// read-only forever after the disk recovered. Health-check polling is exactly
-// the traffic such a node still gets.
+// Health reports the engine's health, fault history, and storage watermarks
+// as of the last mutator to return: one atomic load of the published status,
+// with RetryAfter derived from the probe deadline on the engine's clock. It
+// never waits behind a running refresh, checkpoint or compaction — except on
+// a degraded engine whose probe backoff has elapsed, where Health takes the
+// mutator lock and runs the heal probe itself: healing must not depend on
+// write traffic, or a node a load balancer drained on a 503 health check (no
+// ingests ever arrive) would stay read-only forever after the disk recovered.
+// Health-check polling is exactly the traffic such a node still gets.
 func (d *DurableEngine) Health() HealthStatus {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.closed && HealthState(d.health.Load()) == StateDegraded {
-		if now := d.dopt.clock()(); !now.Before(d.nextProbe) {
+	v := d.status.Load()
+	if v.State == StateDegraded && !v.closed && !d.dopt.clock()().Before(v.nextProbe) {
+		d.mu.Lock()
+		// Re-checked under the lock: a mutator or another poller may have
+		// probed (or closed the engine) since the load.
+		if now := d.dopt.clock()(); !d.closed && d.state == StateDegraded && !now.Before(d.nextProbe) {
 			_ = d.probeLocked(now) // failure shows up in the report below
 		}
+		d.unlock()
+		v = d.status.Load()
 	}
-	st := HealthStatus{
-		State:               HealthState(d.health.Load()),
-		Faults:              d.faults.Load(),
-		Heals:               d.heals.Load(),
-		WALBytes:            d.log.Size(),
-		CheckpointWatermark: d.ckWatermark,
-	}
-	if d.lastFault != nil {
-		st.LastFault = d.lastFault.Error()
-	}
+	st := v.HealthStatus
 	if st.State == StateDegraded {
-		if ra := d.nextProbe.Sub(d.dopt.clock()()); ra > 0 {
+		if ra := v.nextProbe.Sub(d.dopt.clock()()); ra > 0 {
 			st.RetryAfter = ra
 		}
 	}
@@ -564,7 +602,7 @@ func (d *DurableEngine) Ingest(batch ...Extraction) error {
 func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 	recs := records(batch)
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return ErrEngineClosed
 	}
@@ -618,7 +656,7 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 // or CheckpointBytes cadences trigger, the Refresh also takes a checkpoint.
 func (d *DurableEngine) Refresh() (*Result, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return nil, ErrEngineClosed
 	}
@@ -688,7 +726,7 @@ func (d *DurableEngine) cadenceDue() bool {
 // refresh boundary.
 func (d *DurableEngine) Checkpoint() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return ErrEngineClosed
 	}
@@ -816,7 +854,7 @@ func (d *DurableEngine) checkpointLocked() error {
 // published generation; mutators fail with ErrEngineClosed.
 func (d *DurableEngine) Close() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	defer d.unlock()
 	if d.closed {
 		return nil
 	}

@@ -1738,6 +1738,55 @@ func TestDurableHealthHealsWithoutWrites(t *testing.T) {
 	}
 }
 
+// TestDurableReadsDoNotWaitForWriter: with the mutator lock held — standing in
+// for a running refresh, checkpoint or compaction — every read returns, and
+// Health reports what it reported before the lock was taken.
+func TestDurableReadsDoNotWaitForWriter(t *testing.T) {
+	d, err := OpenDurable(t.TempDir(), durableTestOptions(), DurableOptions{CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for b := 0; b < 3; b++ {
+		if err := d.Ingest(durableBatch(b*4, 4)...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Ingest(durableBatch(12, 4)...); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Health()
+	if before.WALBytes == 0 || before.CheckpointWatermark == 0 {
+		t.Fatalf("health before the lock: %+v, want a log and a checkpoint", before)
+	}
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	within := func(name string, read func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { read(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s waited for the writer", name)
+		}
+	}
+	var during HealthStatus
+	within("Health", func() { during = d.Health() })
+	within("Len", func() { d.Len() })
+	within("Pending", func() { d.Pending() })
+	within("Stats", func() { d.Stats() })
+	within("Current", func() { d.Current() })
+	if during.WALBytes != before.WALBytes || during.CheckpointWatermark != before.CheckpointWatermark {
+		t.Fatalf("health under the lock: wal %d, watermark %d; before it: wal %d, watermark %d",
+			during.WALBytes, during.CheckpointWatermark, before.WALBytes, before.CheckpointWatermark)
+	}
+}
+
 // TestDurableKeyRetention: the dedup set keeps only the most recent
 // KeyRetention keys — an evicted key's resend applies as a new batch (the
 // documented retry window), and recovery replay reproduces the same bounded
@@ -1809,13 +1858,13 @@ func TestCheckpointFaultClassification(t *testing.T) {
 		d.mu.Unlock()
 		t.Fatalf("model error rewritten: %v", got)
 	}
-	if HealthState(d.health.Load()) != StateHealthy {
+	if d.state != StateHealthy {
 		d.mu.Unlock()
 		t.Fatal("model error degraded the engine")
 	}
 	diskErr := errors.New("disk exploded")
 	got := d.faultLocked(&storageFault{diskErr})
-	state := HealthState(d.health.Load())
+	state := d.state
 	d.mu.Unlock()
 	if !errors.Is(got, ErrReadOnly) || !errors.Is(got, diskErr) {
 		t.Fatalf("storage fault: %v, want ErrReadOnly wrapping the cause", got)

@@ -52,9 +52,11 @@ type Options struct {
 	// A batch is never split: whichever worker takes it hands it to the
 	// engine in one call — one validation, one log entry and one fsync on a
 	// durable engine — so a refused batch has applied nothing, at any value.
-	// More than one moves the automatic refresh off the ingest path (see
-	// RefreshEvery) and lets small batches pass a large one still being
-	// validated; what must be serial, the engine serialises itself.
+	// With one lane a 2xx comes after the refresh the batch made due has
+	// published. More than one moves the automatic refresh off the ingest
+	// path (see RefreshEvery), so a 2xx no longer waits for it, and lets
+	// small batches pass a large one still being validated; what must be
+	// serial, the engine serialises itself.
 	Lanes int
 	// Queue bounds the number of batches admitted but not yet taken by a
 	// worker; a POST /v1/ingest that finds the queue full is refused with
@@ -62,11 +64,12 @@ type Options struct {
 	Queue int
 	// RefreshEvery refreshes after every N applied batches (default 1;
 	// negative disables automatic refreshes — POST /v1/refresh still
-	// works). With one lane the refresh runs inline on the ingest worker;
-	// with more it runs on a dedicated refresher goroutine so the workers
-	// keep draining while the model re-estimates (the engine supports
-	// concurrent Ingest during Refresh), and due refreshes arriving while
-	// one is already running coalesce into a single follow-up pass.
+	// works). With one lane the refresh runs inline on the ingest worker,
+	// before the batch that made it due is acked; with more it runs on a
+	// dedicated refresher goroutine so the workers keep draining while the
+	// model re-estimates (the engine supports concurrent Ingest during
+	// Refresh), and due refreshes arriving while one is already running
+	// coalesce into a single follow-up pass.
 	RefreshEvery int
 	// MaxBodyBytes bounds a request body (default 8 MiB).
 	MaxBodyBytes int64
@@ -188,21 +191,27 @@ func (s *Server) Close() {
 }
 
 // worker applies admitted batches, each in one engine call (both engines
-// define an empty key as a plain Ingest), and acks only once that call has
-// returned: a 2xx /v1/ingest response is an applied — on a durable engine,
-// fsync-ed — batch, never a merely admitted one.
+// define an empty key as a plain Ingest), and acks only once that call and
+// the refresh bookkeeping after it have returned: a 2xx /v1/ingest response
+// is an applied — on a durable engine, fsync-ed — batch, never a merely
+// admitted one. With one lane the bookkeeping runs the refresh the batch
+// made due inline, so the 2xx also means that refresh has published: the
+// client's next read sees the batch scored. With more lanes it only kicks
+// the refresher, and the 2xx does not wait for the model.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		err := s.eng.IngestKeyed(j.key, j.batch...)
-		j.done <- err
 		if err == nil {
 			s.batchApplied()
 		}
+		j.done <- err
 	}
 }
 
-// batchApplied does the refresh bookkeeping after a batch acked.
+// batchApplied does the refresh bookkeeping after a batch is applied. A
+// refresh failure does not change the batch's ack — the batch is applied
+// either way — and shows up as last_error in /v1/stats.
 func (s *Server) batchApplied() {
 	s.mu.Lock()
 	s.applied++
@@ -520,16 +529,10 @@ type statsReply struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	reply := statsReply{
-		Records: s.eng.Len(),
-		Pending: s.eng.Pending(),
-		Queued:  len(s.queue),
-		Lanes:   s.opt.Lanes,
-	}
-	if st, ok := s.eng.Stats(); ok {
-		reply.Refreshed = true
-		reply.Refresh = &st
-	}
+	reply := statsReply{Lanes: s.opt.Lanes}
+	// Each read below is a snapshot of its own, taken in this order — health
+	// first, counters after — so no counter in a reply is older than the
+	// health block beside it.
 	if hr, ok := s.eng.(HealthReporter); ok {
 		h := hr.Health()
 		reply.Health = h.State.String()
@@ -539,6 +542,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.WALBytes = h.WALBytes
 		reply.CheckpointWatermark = h.CheckpointWatermark
 	}
+	reply.Records = s.eng.Len()
+	reply.Pending = s.eng.Pending()
+	if st, ok := s.eng.Stats(); ok {
+		reply.Refreshed = true
+		reply.Refresh = &st
+	}
+	reply.Queued = len(s.queue)
 	s.mu.Lock()
 	reply.LastError = s.lastErr
 	s.mu.Unlock()

@@ -67,9 +67,10 @@ func benchPayloads(b *testing.B, count, per int) [][]byte {
 // BenchmarkServerIngest measures concurrent POST /v1/ingest throughput with
 // periodic automatic refreshes, one ingest worker versus four, on the
 // in-memory engine and on the durable one. In memory the lanes win is
-// refresh/ingest overlap: with one lane the worker refreshes inline and every
-// queued batch stalls behind the EM pass; with several, the refresher runs
-// beside the workers and ingest keeps draining. The durable engine serialises
+// refresh/ingest overlap: with one lane the worker refreshes inline, and acks
+// the batch that made the refresh due only after it, so every queued batch
+// stalls behind the EM pass; with several, the refresher runs beside the
+// workers and ingest keeps draining. The durable engine serialises
 // ingest, fsync and refresh under one lock, so there lanes=4 should read the
 // same as lanes=1 — and no worse. The end-to-end benchmark (bench/) serves
 // with -lanes 1, so this is where the Lanes knob is measured.

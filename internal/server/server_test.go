@@ -18,8 +18,7 @@ import (
 	"kbt"
 )
 
-func testEngine(t *testing.T) *kbt.Engine {
-	t.Helper()
+func testOptions() kbt.EngineOptions {
 	opt := kbt.DefaultEngineOptions()
 	opt.Shards = 4
 	opt.DomainSize = 5
@@ -27,7 +26,12 @@ func testEngine(t *testing.T) *kbt.Engine {
 	opt.MinSupport = 1
 	opt.MinReportableTriples = 0
 	opt.Tol = 1e-6
-	eng, err := kbt.NewEngine(opt)
+	return opt
+}
+
+func testEngine(t *testing.T) *kbt.Engine {
+	t.Helper()
+	eng, err := kbt.NewEngine(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +500,97 @@ func TestBatchAppliedWhole(t *testing.T) {
 				}
 				if got, want := re.Len(), len(batch)+lanes+1; got != want {
 					t.Fatalf("engine holds %d records, want %d: a refused batch applies nothing", got, want)
+				}
+			})
+		}
+	}
+}
+
+// gatedRefreshEngine holds every Refresh at a gate: it signals started, then
+// waits for a token (or for the gate to close) before refreshing.
+type gatedRefreshEngine struct {
+	Engine
+	started chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedRefreshEngine) Refresh() (*kbt.Result, error) {
+	g.started <- struct{}{}
+	<-g.gate
+	return g.Engine.Refresh()
+}
+
+// TestOneLaneAckIsPublished pins what a 2xx means at one lane: the batch is
+// applied and the refresh it made due has published, so the client's first
+// /v1/stats after the ack already counts the batch with nothing pending. At
+// two lanes the refresh runs beside ingest and the 2xx does not wait for it.
+func TestOneLaneAckIsPublished(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		for _, lanes := range []int{1, 2} {
+			t.Run(fmt.Sprintf("durable=%t/lanes=%d", durable, lanes), func(t *testing.T) {
+				var eng Engine = testEngine(t)
+				if durable {
+					d, err := kbt.OpenDurable(t.TempDir(), testOptions(), kbt.DurableOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer d.Close()
+					eng = d
+				}
+				ge := &gatedRefreshEngine{Engine: eng, started: make(chan struct{}, 16), gate: make(chan struct{})}
+				srv := New(ge, Options{Lanes: lanes})
+				ts := httptest.NewServer(srv)
+				release := sync.OnceFunc(func() { close(ge.gate) })
+				defer func() { release(); srv.Close(); ts.Close() }()
+				awaitStarted := func() {
+					t.Helper()
+					select {
+					case <-ge.started:
+					case <-time.After(5 * time.Second):
+						t.Fatal("the batch's refresh never started")
+					}
+				}
+
+				sent := 0
+				for b := 0; b < 3; b++ {
+					batch := testBatch(b*10, 10)
+					acks := make(chan int, 1)
+					go func() { acks <- drain(postJSON(t, ts, "/v1/ingest", batch)) }()
+					if lanes > 1 {
+						// The ack comes while the refresh it kicked is held.
+						select {
+						case code := <-acks:
+							if code != http.StatusOK {
+								t.Fatalf("ingest %d = %d, want 200", b, code)
+							}
+						case <-time.After(5 * time.Second):
+							t.Fatalf("ingest %d waited for the refresh at %d lanes", b, lanes)
+						}
+						awaitStarted()
+						ge.gate <- struct{}{}
+						continue
+					}
+					awaitStarted()
+					select {
+					case code := <-acks:
+						t.Fatalf("ingest %d answered %d before its refresh published", b, code)
+					case <-time.After(100 * time.Millisecond):
+					}
+					ge.gate <- struct{}{}
+					if code := <-acks; code != http.StatusOK {
+						t.Fatalf("ingest %d = %d, want 200", b, code)
+					}
+					sent += len(batch)
+					resp, err := http.Get(ts.URL + "/v1/stats")
+					if err != nil {
+						t.Fatal(err)
+					}
+					var st statsReply
+					decodeInto(t, resp, &st)
+					if st.Records < sent || st.Pending != 0 || !st.Refreshed {
+						t.Fatalf("first stats after ack %d: records %d pending %d refreshed %v, want records >= %d, nothing pending",
+							b, st.Records, st.Pending, st.Refreshed, sent)
+					}
 				}
 			})
 		}
