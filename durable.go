@@ -196,7 +196,8 @@ type HealthStatus struct {
 // a single base holding the full record prefix replaces it, and the live
 // engine is re-anchored on that image — a cold recompile of the prefix, the
 // exact state recovery would rebuild — which may move the published
-// estimates within the documented ≤1e-9 incremental-vs-oracle envelope.
+// estimates: a cold run need not settle where the warm one did
+// (ARCHITECTURE.md, Known limits).
 type DurableEngine struct {
 	// view is the live engine and its lock-free read accessors. Compaction
 	// re-anchors it on a fresh engine.

@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"kbt/internal/stats"
+)
 
 // This file maintains the stage III/IV sufficient statistics incrementally.
 //
@@ -16,36 +20,25 @@ import "math"
 // and update them by subtracting the stale contribution and adding the fresh
 // one. Stages III and IV drop from O(corpus) to O(dirty).
 //
-// Two exactness caveats shape the code:
+// Every sum is an exact stats.Sum, a function of its current terms alone
+// however many delta updates, in whatever order, brought it there; so a delta
+// M-step derives the bits the full aggregation (estimateA, estimatePRQ in
+// infer.go) would, which fills these caches as it sums. The full body runs
+// where it is cheaper (deltaCostsMore) or the caches are invalid (fresh
+// state, an inclusion flip).
 //
-//   - Under Options.LeaveOneOut an observation's numerator contribution
-//     depends on its extractor's own presence/absence votes. When those
-//     votes moved since the contribution was cached (the extractor's R or Q
-//     changed in the previous M-step), every one of its observations is
-//     stale and the extractor is re-scanned in full — the only exact option,
-//     since the posterior is not linear in the strip factor. Extractors whose
-//     votes did not move (the common case at fine extractor granularity,
-//     where an ingest touches few units) stay on the delta path.
-//   - Subtract-and-add drifts by accumulated rounding. Every
-//     Options.ReaggregateEvery iterations the M-steps fall back to each
-//     stage's one full-aggregation body (estimateA, estimatePRQ in infer.go),
-//     which fills these caches as it sums — so a full pass is the cache-free
-//     estimator's arithmetic and re-anchors the caches bit-exactly — bounding
-//     the drift to what a handful of iterations can accumulate (≪ 1e-9 on
-//     unit-scale parameters).
+// One case still rescans: under Options.LeaveOneOut an observation's
+// numerator contribution depends on its extractor's own presence/absence
+// votes. When those votes moved since the contribution was cached (the
+// extractor's R or Q changed in the previous M-step), every one of its
+// observations is stale and the extractor is re-scanned in full. Extractors
+// whose votes did not move (the common case at fine extractor granularity,
+// where an ingest touches few units) stay on the delta path.
 //
 // The delta estimators assume the caller passes every candidate triple whose
 // Stage I/II outputs (cProb, value posterior slots, coverage) or effective
 // confidence changed since the previous M-step call; the engine guarantees
 // this by passing exactly the dirty shards it re-estimated.
-
-// aDenZero treats an incrementally maintained accuracy denominator below
-// this threshold as exactly zero. A true denominator is a sum of weights
-// that are each either 1 or a cProb ≥ 0.5, so it is either 0 or ≥ 0.5;
-// anything in between is floating-point residue left by cancellation, which
-// the full-aggregation oracle would have as an exact 0 (skipping the
-// accuracy update).
-const aDenZero = 0.25
 
 // aggState holds the persistent sufficient statistics and per-contribution
 // caches of the incremental stage III/IV estimators.
@@ -54,35 +47,33 @@ type aggState struct {
 	// caches have been filled by a full aggregation; cleared on structural
 	// changes (inclusion flips).
 	aValid, eValid bool
-	// iter counts EM iterations (BeginIteration calls); fullTick marks the
-	// iterations on the ReaggregateEvery cadence, whose M-steps re-aggregate
-	// in full to bound drift. expAnchor latches fullTick until the next
-	// publication, telling BuildResultFrom to re-derive the expected-triple
-	// sums canonically instead of folding deltas — the same cadence bounds
-	// that sum's drift too.
-	iter      int
-	fullTick  bool
-	expAnchor bool
 
 	// Stage III: per-source (num, den) sums and per-triple contributions.
-	aNum, aDen   []float64
+	aNum, aDen   []stats.Sum
 	aNumC, aDenC []float64
 
-	// Stage IV: per-extractor numerator and confidence-mass sums, the
-	// per-observation numerator contributions, and the votes they were
-	// computed with (NaN until first filled, which never compares equal).
-	eNum, ePDen []float64
+	// Stage IV: per-extractor numerator sums, the per-observation numerator
+	// contributions, and the votes they were computed with (NaN until first
+	// filled, which never compares equal).
+	eNum        []stats.Sum
 	obsNumC     []float64
 	preAt, abAt []float64
 
 	// Correctness mass: per-triple covered-gated contribution, its global
-	// total, and the per-extractor recall denominator maintained through the
-	// extsOfCell reverse index (ScopeAttemptedSources; the cell masses
-	// themselves live in state.cellC, persistent in aggregate mode).
+	// total (ScopeAllExtractors), and the per-extractor recall denominator
+	// maintained through the extsOfCell reverse index (ScopeAttemptedSources;
+	// the cell masses themselves live in state.cellC, persistent in
+	// aggregate mode).
 	cCov       []float64
-	totalC     float64
-	rDen       []float64
+	totalC     stats.Sum
+	rDen       []stats.Sum
 	extsOfCell [][]int32
+
+	// exp is the per-source Σ p(C|X) of the last BuildResultFrom publication
+	// (nil before one), expF its float mirror, expDirty the mirror's marks.
+	exp      []stats.Sum
+	expF     []float64
+	expDirty []uint32
 
 	// Touched-unit bookkeeping for the delta passes.
 	gen                    int32
@@ -106,15 +97,14 @@ func newAggState(nSrc, nExt, nTri, nObs int) *aggState {
 // existing entries. New preAt/abAt entries are NaN so a vote comparison can
 // never mistake them for cached.
 func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
-	ag.aNum = grow(ag.aNum, nSrc, 0)
-	ag.aDen = grow(ag.aDen, nSrc, 0)
+	ag.aNum = grow(ag.aNum, nSrc, stats.Sum{})
+	ag.aDen = grow(ag.aDen, nSrc, stats.Sum{})
 	ag.srcMark = grow(ag.srcMark, nSrc, 0)
 	ag.aNumC = grow(ag.aNumC, nTri, 0)
 	ag.aDenC = grow(ag.aDenC, nTri, 0)
 	ag.cCov = grow(ag.cCov, nTri, 0)
-	ag.eNum = grow(ag.eNum, nExt, 0)
-	ag.ePDen = grow(ag.ePDen, nExt, 0)
-	ag.rDen = grow(ag.rDen, nExt, 0)
+	ag.eNum = grow(ag.eNum, nExt, stats.Sum{})
+	ag.rDen = grow(ag.rDen, nExt, stats.Sum{})
 	ag.preAt = grow(ag.preAt, nExt, math.NaN())
 	ag.abAt = grow(ag.abAt, nExt, math.NaN())
 	ag.extMark = grow(ag.extMark, nExt, 0)
@@ -123,6 +113,22 @@ func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
 	if ag.extsOfCell != nil {
 		ag.extsOfCell = append(ag.extsOfCell, make([][]int32, nCells-len(ag.extsOfCell))...)
 	}
+}
+
+// cellExtractors returns the cell→extractors reverse index behind the
+// recall-denominator deltas, building it from the current cell lists on first
+// use — after a fresh state or an inclusion flip — in O(attempted pairs).
+func (st *state) cellExtractors() [][]int32 {
+	ag := st.agg
+	if ag.extsOfCell == nil {
+		ag.extsOfCell = make([][]int32, st.numCells)
+		for e, cells := range st.cellsOfExtractor {
+			for _, c := range cells {
+				ag.extsOfCell[c] = append(ag.extsOfCell[c], int32(e))
+			}
+		}
+	}
+	return ag.extsOfCell
 }
 
 // estimateADelta updates the stage III aggregates for the dirty triples and
@@ -139,8 +145,8 @@ func (st *state) estimateADelta(cProb []float64, valueProb [][]float64, dirtyTri
 			continue
 		}
 		w := st.s.Triples[ti].W
-		ag.aNum[w] += nc - ag.aNumC[ti]
-		ag.aDen[w] += dc - ag.aDenC[ti]
+		ag.aNum[w] = ag.aNum[w].Sub(ag.aNumC[ti]).Add(nc)
+		ag.aDen[w] = ag.aDen[w].Sub(ag.aDenC[ti]).Add(dc)
 		ag.aNumC[ti], ag.aDenC[ti] = nc, dc
 		if ag.srcMark[w] != ag.gen {
 			ag.srcMark[w] = ag.gen
@@ -148,10 +154,9 @@ func (st *state) estimateADelta(cProb []float64, valueProb [][]float64, dirtyTri
 		}
 	}
 	for _, w := range ag.touchedSrc {
-		if !st.srcIncluded[w] || ag.aDen[w] < aDenZero {
-			continue
+		if st.srcIncluded[w] {
+			st.deriveA(w, ag.aNum[w], ag.aDen[w])
 		}
-		st.deriveA(w, ag.aNum[w], ag.aDen[w])
 	}
 }
 
@@ -174,23 +179,28 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris []int) {
 
 	// Correctness-mass deltas — the recall denominators.
 	allScope := st.opt.Scope == ScopeAllExtractors
+	var extsOfCell [][]int32
+	if !allScope {
+		extsOfCell = st.cellExtractors()
+	}
 	totalC0 := ag.totalC
 	for _, ti := range dirtyTris {
 		var nc float64
 		if st.coveredTriple[ti] {
 			nc = cProb[ti]
 		}
-		d := nc - ag.cCov[ti]
-		if d == 0 {
+		if nc == ag.cCov[ti] {
 			continue
 		}
+		d := stats.Term(nc).Sub(ag.cCov[ti])
 		ag.cCov[ti] = nc
-		ag.totalC += d
-		if !allScope {
+		if allScope {
+			ag.totalC = ag.totalC.AddSum(d)
+		} else {
 			c := st.cellOfTriple[ti]
-			st.cellC[c] += d
-			for _, e := range ag.extsOfCell[c] {
-				ag.rDen[e] += d
+			st.cellC[c] = st.cellC[c].AddSum(d)
+			for _, e := range extsOfCell[c] {
+				ag.rDen[e] = ag.rDen[e].AddSum(d)
 				markExt(int(e))
 			}
 		}
@@ -239,7 +249,7 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris []int) {
 				v = c * looPosterior(st.cOdds[ti], memo.factor(e, c, st.pre[e]-st.ab[e], st.ab[e]))
 			}
 			if v != ag.obsNumC[oi] {
-				ag.eNum[e] += v - ag.obsNumC[oi]
+				ag.eNum[e] = ag.eNum[e].Sub(ag.obsNumC[oi]).Add(v)
 				ag.obsNumC[oi] = v
 				markExt(e)
 			}
@@ -254,7 +264,7 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris []int) {
 		if allScope {
 			rDen = ag.totalC
 		}
-		st.derivePRQ(e, ag.eNum[e], ag.ePDen[e], rDen)
+		st.derivePRQ(e, ag.eNum[e], st.pDen[e], rDen)
 	}
 }
 

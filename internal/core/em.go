@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 
+	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
 
@@ -37,9 +38,10 @@ import (
 // concurrently: they mark what they wrote). The global M-steps instead take
 // the dirty triple list of the iteration: with Options.IncrementalAggregates
 // they update the global sufficient statistics from exactly those triples'
-// contribution deltas (O(dirty)), and a nil list — or the ReaggregateEvery
-// cadence — re-aggregates in full. Without incremental aggregates the list is
-// ignored and every call aggregates the corpus, exactly as Run does.
+// contribution deltas (O(dirty)), and a nil list re-aggregates in full. The
+// statistics are exact sums, so both paths derive the same bits. Without
+// incremental aggregates the list is ignored and every call aggregates the
+// corpus, exactly as Run does.
 type EM struct {
 	st *state
 }
@@ -132,9 +134,8 @@ func NewEM(s *triple.Snapshot, opt Options) (*EM, error) {
 // options disable it.
 func (em *EM) Bootstrap(cProb []float64) { em.st.bootstrap(cProb) }
 
-// BeginIteration readies the per-iteration vote state (source votes, base
-// absence masses) and advances the re-aggregation cadence. Call once per
-// iteration, before any EStepTriples call.
+// BeginIteration readies the per-iteration vote state (extractor votes, base
+// absence masses). Call once per iteration, before any EStepTriples call.
 //
 // refreshVotes recomputes the extractor presence/absence votes from the
 // current R and Q, for every extractor. Passing false keeps the published
@@ -145,23 +146,7 @@ func (em *EM) Bootstrap(cProb []float64) { em.st.bootstrap(cProb) }
 // M-step's per-observation caches exactly valid for every vote-stable
 // extractor (no sub-Tol vote-shift rescans); Run refreshes every iteration
 // and never has a ledger.
-func (em *EM) BeginIteration(refreshVotes bool) {
-	if ag := em.st.agg; ag != nil {
-		ag.iter++
-		ag.fullTick = ag.iter%em.st.opt.ReaggregateEvery == 0
-		if ag.fullTick {
-			// The absence masses and expected-triple sums are maintained
-			// incrementally across extensions, selective vote republishes
-			// and publications; re-anchor both canonically on the same
-			// cadence that re-anchors the M-step aggregates, bounding the
-			// fold-in reassociation drift to what ReaggregateEvery
-			// iterations can accumulate.
-			em.st.absenceStale = true
-			ag.expAnchor = true
-		}
-	}
-	em.st.prepareVotes(refreshVotes)
-}
+func (em *EM) BeginIteration(refreshVotes bool) { em.st.prepareVotes(refreshVotes) }
 
 // CarryVotesFrom copies prev's extractor presence/absence votes by dense id
 // prefix — the FullRecompile path's counterpart of the vote state NewEMFrom
@@ -220,7 +205,7 @@ func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, dirtyTris []i
 		return
 	}
 	ag := st.agg
-	if ag != nil && dirtyTris != nil && ag.aValid && !ag.fullTick && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
+	if ag != nil && dirtyTris != nil && ag.aValid && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
 		st.estimateADelta(cProb, valueProb, dirtyTris)
 		ag.deltaSteps++
 		return
@@ -231,16 +216,14 @@ func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, dirtyTris []i
 	}
 }
 
-// deltaCostsMore reports whether the dirty set covers so much of the corpus
-// that the delta update — which subtracts each covered triple's old
-// contribution and adds its new one, roughly twice the per-triple arithmetic
-// of a plain sum — would cost more than re-aggregating in full. Settling
-// sweeps widened to nearly the whole corpus hit exactly this; re-aggregating
-// also re-anchors the sufficient statistics for free. The decision depends
-// only on the dirty list's length, so the incremental path and the
-// FullRecompile oracle take it identically.
-func deltaCostsMore(dirtyTris []int, nTri int) bool {
-	return 2*len(dirtyTris) >= nTri
+// deltaCostsMore reports whether a dirty list covers so much of n indices
+// that the delta update — which subtracts each dirty index's old
+// contribution and adds its new one, roughly twice the arithmetic of a plain
+// sum — would cost more than summing in full. Settling sweeps widened to
+// nearly the whole corpus hit exactly this. Either path derives the same
+// bits; the choice is cost alone.
+func deltaCostsMore(dirty []int, n int) bool {
+	return 2*len(dirty) >= n
 }
 
 // MStepExtractors runs Stage IV — extractor precision/recall/Q — with the
@@ -252,7 +235,7 @@ func (em *EM) MStepExtractors(cProb []float64, dirtyTris []int) {
 		return
 	}
 	ag := st.agg
-	if ag != nil && dirtyTris != nil && ag.eValid && !ag.fullTick && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
+	if ag != nil && dirtyTris != nil && ag.eValid && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
 		st.estimatePRQDelta(cProb, dirtyTris)
 		ag.deltaSteps++
 		return
@@ -399,7 +382,7 @@ func (em *EM) BuildResult(cProb []float64, valueProb [][]float64, restMass []flo
 		pVec:              copyVec(st.p),
 		rVec:              copyVec(st.r),
 		qVec:              copyVec(st.q),
-		expVec:            sliceVec(expectedSums(st.s, cProb)),
+		expVec:            sliceVec(floats(expectedSums(st.s, cProb))),
 		cProb:             copyVec(cProb),
 		coveredTriple:     copyVec(st.coveredTriple),
 		restMass:          copyVec(restMass),
@@ -413,34 +396,34 @@ func (em *EM) BuildResult(cProb []float64, valueProb [][]float64, restMass []flo
 	}
 }
 
-// AbsenceMasses returns the live base absence-mass state prepareVotes
-// maintains: the global mass under ScopeAllExtractors and the per-cell
-// masses under ScopeAttemptedSources (the other return is zero-valued).
-// Read-only, for tests and diagnostics.
+// AbsenceMasses returns the live base absence masses Stage I reads: the
+// global mass under ScopeAllExtractors and the per-cell masses under
+// ScopeAttemptedSources (the other return is zero-valued). Read-only, for
+// tests and diagnostics.
 func (em *EM) AbsenceMasses() (total float64, cells []float64) {
-	return em.st.totalAbs, em.st.cellAbs
+	return em.st.totalAbs.Float(), em.st.cellAbs
 }
 
-// RecomputeAbsenceMasses derives the base absence masses canonically from
+// RecomputeAbsenceMasses derives the base absence masses from scratch from
 // the currently published votes and attempted-cell structure — the oracle
-// the incrementally maintained masses are pinned against. The summation
-// order matches prepareVotes' canonical rebuild, so a state whose masses
-// were just re-anchored compares bit-equal.
+// the incrementally maintained masses are pinned against, bit for bit.
 func (em *EM) RecomputeAbsenceMasses() (total float64, cells []float64) {
 	st := em.st
 	if st.opt.Scope == ScopeAllExtractors {
+		var sum stats.Sum
 		for e, inc := range st.extIncluded {
 			if inc {
-				total += st.ab[e]
+				sum = sum.Add(st.ab[e])
 			}
 		}
-		return total, nil
+		return sum.Float(), nil
 	}
-	cells = make([]float64, st.numCells)
+	sums := make([]stats.Sum, st.numCells)
 	for e, cs := range st.cellsOfExtractor {
+		t := stats.Term(st.ab[e])
 		for _, c := range cs {
-			cells[c] += st.ab[e]
+			sums[c] = sums[c].AddSum(t)
 		}
 	}
-	return 0, cells
+	return 0, floats(sums)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 
+	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
 
@@ -86,13 +87,8 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 			}
 		}
 	}
-	if ag := st.agg; ag != nil && ag.extsOfCell == nil {
-		ag.extsOfCell = make([][]int32, st.numCells)
-		for e, cells := range st.cellsOfExtractor {
-			for _, c := range cells {
-				ag.extsOfCell[c] = append(ag.extsOfCell[c], int32(e))
-			}
-		}
+	if st.agg != nil {
+		st.cellExtractors()
 	}
 
 	// Inclusion: recompute and detect old units flipping — the structural
@@ -113,16 +109,15 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// Absence masses: pure growth keeps them valid incrementally — a new
 	// cell starts at zero and every newly attempted (extractor, cell) pair
 	// folds the extractor's currently published absence vote in below,
-	// exactly the contribution the canonical rebuild would add (under
+	// exactly the contribution the rebuild would add (under
 	// ScopeAllExtractors the global mass is untouched by growth). Anything
-	// beyond pure growth falls back to the canonical rebuild: a grown
+	// beyond pure growth falls back to the rebuild: a grown
 	// extractor set (the engine force-refreshes votes there, and a fresh
 	// extractor's votes are not yet derived), an inclusion flip (structural;
 	// buildExtractorCells re-stales anyway), or a caller without incremental
 	// aggregates — keeping the FullAggregates/FullRecompile oracles on the
-	// per-refresh canonical rebuild, bit-exact against each other. The
-	// incremental masses are re-anchored canonically by every vote-refreshing
-	// iteration and the ReaggregateEvery cadence (see EM.BeginIteration).
+	// per-refresh rebuild the folded masses must equal bit for bit (they are
+	// exact sums).
 	incMass := st.agg != nil && !st.absenceStale && !structural &&
 		len(s.Extractors) == d.Extractors
 	if !incMass {
@@ -203,12 +198,11 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		tr := s.Triples[ti]
 		st.cellOfTriple[ti] = st.internCell(tr.W, predOfItem(s, tr.D))
 	}
-	if len(st.cellC) < st.numCells {
-		st.cellC = grow(st.cellC, st.numCells, 0)
-	}
+	st.cellC = grow(st.cellC, st.numCells, stats.Sum{})
 	if incMass && st.opt.Scope != ScopeAllExtractors {
 		// Valid masses extend with the cell space: new cells carry zero mass
 		// until an extractor attempts them below.
+		st.cellAbsSum = grow(st.cellAbsSum, st.numCells, stats.Sum{})
 		st.cellAbs = grow(st.cellAbs, st.numCells, 0)
 	}
 
@@ -219,16 +213,16 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.cOdds = grow(st.cOdds, nTri, odds)
 
 	// Aggregate arrays grow before the passes below adjust them. The
-	// confidence-mass denominators are maintained here — they depend only
-	// on the observation set, not on the EM iteration.
+	// confidence masses are kept here: they depend only on the observation
+	// set, not on the EM iteration.
 	ag := st.agg
 	if ag != nil {
 		ag.growTo(nSrc, nExt, nTri, nObs, st.numCells)
-		for oi := d.Obs; oi < nObs; oi++ {
-			if c := st.conf[oi]; c > 0 {
-				ag.ePDen[s.Obs[oi].E] += c
-			}
-		}
+	}
+	st.pDen = grow(st.pDen, nExt, stats.Sum{})
+	for oi := d.Obs; oi < nObs; oi++ {
+		e := s.Obs[oi].E
+		st.pDen[e] = st.pDen[e].Add(pDenPart(st.conf[oi]))
 	}
 	// Raised confidences: recompute the effective value in place. The
 	// raised observation's numerator cache goes stale, but its triple is in
@@ -242,9 +236,8 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 			continue
 		}
 		st.conf[oi] = newEff
-		if ag != nil {
-			ag.ePDen[s.Obs[oi].E] += pDenPart(newEff) - pDenPart(oldEff)
-		}
+		e := s.Obs[oi].E
+		st.pDen[e] = st.pDen[e].Sub(pDenPart(oldEff)).Add(pDenPart(newEff))
 	}
 
 	// Coverage and attempted-cell scopes for the new observations.
@@ -269,15 +262,16 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		st.cellsOfExtractor[e] = append(st.cellsOfExtractor[e], c)
 		if incMass && st.opt.Scope != ScopeAllExtractors {
 			// The newly attempted cell gains the extractor's published
-			// absence vote — the same contribution the canonical rebuild
-			// derives from the grown cell lists.
-			st.cellAbs[c] += st.ab[e]
+			// absence vote — the same contribution the rebuild derives from
+			// the grown cell lists.
+			st.cellAbsSum[c] = st.cellAbsSum[c].Add(st.ab[e])
+			st.cellAbs[c] = st.cellAbsSum[c].Float()
 		}
 		if ag != nil {
 			ag.extsOfCell[c] = append(ag.extsOfCell[c], int32(e))
 			// Attending a cell for the first time pulls its existing
 			// correctness mass into the extractor's recall denominator.
-			ag.rDen[e] += st.cellC[c]
+			ag.rDen[e] = ag.rDen[e].AddSum(st.cellC[c])
 		}
 	}
 

@@ -155,7 +155,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	// The state dies with this call, so the published vectors wrap its flat
 	// arrays, and the value rows were chunked from the start, without copying.
 	res.aVec, res.pVec, res.rVec, res.qVec = sliceVec(st.a), sliceVec(st.p), sliceVec(st.r), sliceVec(st.q)
-	res.expVec = sliceVec(expectedSums(s, cProb))
+	res.expVec = sliceVec(floats(expectedSums(s, cProb)))
 	res.cProb, res.coveredTriple = sliceVec(cProb), sliceVec(st.coveredTriple)
 	res.restMass, res.coveredItem, res.rows = sliceVec(restMass), sliceVec(coveredItem), rows
 	return res, nil
@@ -177,8 +177,6 @@ func validate(opt Options) error {
 		return errors.New("core: InitRecall must be in (0,1)")
 	case opt.InitQ <= 0 || opt.InitQ >= 1:
 		return errors.New("core: InitQ must be in (0,1)")
-	case opt.IncrementalAggregates && opt.ReaggregateEvery < 1:
-		return errors.New("core: ReaggregateEvery must be >= 1 with IncrementalAggregates")
 	}
 	return nil
 }
@@ -246,8 +244,11 @@ type state struct {
 	structural bool
 
 	// conf[i] is the effective confidence of observation i after applying
-	// the UseConfidence / BinarizeAt policy.
+	// the UseConfidence / BinarizeAt policy; pDen[e] sums extractor e's
+	// positive ones, the precision denominator of Eq 29, kept by newState
+	// and extendState as observations arrive or raise their confidence.
 	conf []float64
+	pDen []stats.Sum
 
 	// cOdds[ti] caches the odds of cProb[ti] as computed by the last
 	// estimateCSubset covering ti: Eq 15 in odds space, prior odds times the
@@ -259,9 +260,9 @@ type state struct {
 	cOdds []float64
 
 	// cellC is the per-cell correctness-mass buffer estimatePRQ refills
-	// each call, kept on the state to avoid re-allocating numCells floats
-	// per iteration; obsTasks likewise backs Stage IV's task list.
-	cellC    []float64
+	// each call, kept on the state to avoid re-allocating numCells sums per
+	// iteration; obsTasks likewise backs Stage IV's task list.
+	cellC    []stats.Sum
 	obsTasks []obsTask
 
 	// tripleOfObs maps observation index -> candidate-triple index.
@@ -295,14 +296,16 @@ type state struct {
 	extCellSeen map[int64]bool
 	numCells    int
 
-	// totalAbs / cellAbs hold the base absence mass prepared by
+	// totalAbs / cellAbsSum hold the base absence mass prepared by
 	// prepareVotes for the current iteration (global respectively per-cell,
-	// depending on Scope). absenceStale marks them out of sync with the
-	// attempted-cell structure (fresh state, extension, inclusion change):
-	// prepareVotes then rebuilds them even when the votes themselves are
-	// frozen. Rebuilds always run in canonical order, so equal inputs give
-	// bit-equal masses regardless of construction history.
-	totalAbs     float64
+	// depending on Scope) as exact sums of the published absence votes, so
+	// equal votes give bit-equal masses however they were folded in; cellAbs
+	// is the float mirror Stage I reads, rewritten with every cell's sum.
+	// absenceStale marks them out of sync with the attempted-cell structure
+	// (fresh state, a grown extractor set, an inclusion change): prepareVotes
+	// then rebuilds them even when the votes themselves are frozen.
+	totalAbs     stats.Sum
+	cellAbsSum   []stats.Sum
 	cellAbs      []float64
 	absenceStale bool
 
@@ -343,10 +346,12 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	st.ab = make([]float64, nExt)
 	st.voteDelta = make([]float64, nExt)
 
-	// Effective confidences.
+	// Effective confidences and their per-extractor masses.
 	st.conf = make([]float64, len(s.Obs))
+	st.pDen = make([]stats.Sum, nExt)
 	for i, o := range s.Obs {
 		st.conf[i] = st.effConf(o.Conf)
+		st.pDen[o.E] = st.pDen[o.E].Add(pDenPart(st.conf[i]))
 	}
 
 	// Observation -> triple mapping and per-triple coverage.
@@ -391,7 +396,7 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	for ti := range st.alpha {
 		st.alpha[ti], st.cOdds[ti] = alpha, odds
 	}
-	st.cellC = make([]float64, st.numCells)
+	st.cellC = make([]stats.Sum, st.numCells)
 	if opt.IncrementalAggregates {
 		st.agg = newAggState(nSrc, nExt, nTri, len(s.Obs))
 	}
@@ -588,11 +593,10 @@ func (st *state) computeVotes() {
 // per-extractor counterpart of the engine's old global vote-drift gate. Each
 // republish charges the movement to the ledger (the extractor's reach is now
 // stale) and, while the absence masses are valid, folds the vote change into
-// them incrementally instead of forcing the O(attempted-pairs) rebuild; the
-// masses are re-anchored canonically by every absenceStale rebuild, which
-// bounds the fold-in drift to a refresh's few iterations. Extractors below
-// the threshold keep bitwise-stable published votes, so their cached E-step
-// inputs and M-step observation caches stay exactly valid.
+// them instead of forcing the O(attempted-pairs) rebuild — exactly, so the
+// masses equal what the rebuild would derive. Extractors below the threshold
+// keep bitwise-stable published votes, so their cached E-step inputs and
+// M-step observation caches stay exactly valid.
 func (st *state) selectiveVotes() {
 	led := st.ledger
 	tol := st.opt.Tol
@@ -606,12 +610,16 @@ func (st *state) selectiveVotes() {
 		led.rAt[e], led.qAt[e] = st.r[e], st.q[e]
 		pre, ab := PresenceVote(st.r[e], st.q[e]), AbsenceVote(st.r[e], st.q[e])
 		if adjust && st.extIncluded[e] {
-			dAb := ab - st.ab[e]
+			dAb := stats.Term(ab).Sub(st.ab[e])
 			if st.opt.Scope == ScopeAllExtractors {
-				st.totalAbs += dAb
+				st.totalAbs = st.totalAbs.AddSum(dAb)
 			} else {
+				last, lastF := stats.Sum{}, 0.0 // a run of equal masses converts once
 				for _, c := range st.cellsOfExtractor[e] {
-					st.cellAbs[c] += dAb
+					if sum := st.cellAbsSum[c].AddSum(dAb); sum != last {
+						last, lastF = sum, sum.Float()
+					}
+					st.cellAbsSum[c], st.cellAbs[c] = last, lastF
 				}
 			}
 			st.voteDelta[e] = pre - ab
@@ -623,16 +631,16 @@ func (st *state) selectiveVotes() {
 // prepareVotes readies the per-iteration vote state: optionally refreshed
 // extractor votes, the folded Stage I vote deltas, and the base absence mass
 // — per (source, predicate) cell, or globally under ScopeAllExtractors (the
-// Stage II source votes are kept by their writers: state.srcVote). Everything
-// derived here is rebuilt in canonical order, so two states with equal
-// parameters produce bit-identical vote state however they were constructed.
+// Stage II source votes are kept by their writers: state.srcVote). The masses
+// are exact sums, so two states with equal votes and attempted cells produce
+// bit-identical vote state however they were constructed.
 func (st *state) prepareVotes(refreshVotes bool) {
 	if refreshVotes {
 		st.computeVotes()
 	} else if st.ledger != nil {
 		// Partial engine iterations: republish per extractor under the Tol
 		// contract (folding any changes into valid absence masses in place);
-		// a stale mass structure falls through to the canonical rebuild,
+		// a stale mass structure falls through to the rebuild below,
 		// which reads the freshly republished votes.
 		st.selectiveVotes()
 	}
@@ -651,47 +659,43 @@ func (st *state) prepareVotes(refreshVotes bool) {
 		}
 	}
 	if st.opt.Scope == ScopeAllExtractors {
-		st.totalAbs = 0
+		st.totalAbs = stats.Sum{}
 		for e, inc := range st.extIncluded {
 			if inc {
-				st.totalAbs += st.ab[e]
+				st.totalAbs = st.totalAbs.Add(st.ab[e])
 			}
 		}
 		return
 	}
-	// Cell space grows with every extension, so the buffer is sized with
-	// headroom and re-sliced: reallocating per refresh would churn hundreds
-	// of kilobytes. New entries (and, on reuse, the attempted prefix) are
-	// zeroed explicitly — untouched cells are zero in either case.
-	if cap(st.cellAbs) < st.numCells {
-		st.cellAbs = make([]float64, st.numCells, st.numCells+st.numCells/2)
-	} else {
-		prev := len(st.cellAbs)
-		st.cellAbs = st.cellAbs[:st.numCells]
-		for c := prev; c < st.numCells; c++ {
-			st.cellAbs[c] = 0
-		}
-		st.zeroAttemptedCells(st.cellAbs)
-	}
+	st.cellAbsSum = cellBuf(st, st.cellAbsSum)
+	st.cellAbs = st.cellAbs[:0]
 	for e, cells := range st.cellsOfExtractor {
+		t := stats.Term(st.ab[e])
 		for _, c := range cells {
-			st.cellAbs[c] += st.ab[e]
+			st.cellAbsSum[c] = st.cellAbsSum[c].AddSum(t)
 		}
+	}
+	last, lastF := stats.Sum{}, 0.0 // a run of equal masses converts once
+	for _, sum := range st.cellAbsSum {
+		if sum != last {
+			last, lastF = sum, sum.Float()
+		}
+		st.cellAbs = append(st.cellAbs, lastF)
 	}
 }
 
-// zeroAttemptedCells clears the entries of a numCells-sized buffer that any
-// included extractor attempts — the only cells the vote and recall
-// accumulators ever write. Cell space is the dense (source × predicate)
-// product and grows with the corpus, but the attempted subset tracks the
-// observations, so clearing per iteration stays proportional to the data
-// rather than the product space.
-func (st *state) zeroAttemptedCells(buf []float64) {
-	for _, cells := range st.cellsOfExtractor {
-		for _, c := range cells {
-			buf[c] = 0
-		}
+// cellBuf returns buf resized to numCells and cleared. Cell space grows with
+// every extension, so the buffer is sized with headroom and re-sliced:
+// reallocating per refresh would churn hundreds of kilobytes. Cells are the
+// (source, predicate) pairs the triples use, so clearing them all costs no
+// more than the triples do.
+func cellBuf(st *state, buf []stats.Sum) []stats.Sum {
+	if cap(buf) < st.numCells {
+		return make([]stats.Sum, st.numCells, st.numCells+st.numCells/2)
 	}
+	buf = buf[:st.numCells]
+	clear(buf)
+	return buf
 }
 
 // forEachIndex runs fn over subset (or over all of [0,total) when subset is
@@ -775,7 +779,7 @@ func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 	byTriple, conf, obsE, vd := s.ByTriple, st.conf, st.obsE, st.voteDelta
 	cellAbs, cellOf := st.cellAbs, st.cellOfTriple
 	cOdds, alpha, crossed := st.cOdds, st.alpha, st.crossed
-	allScope, totalAbs := st.opt.Scope == ScopeAllExtractors, st.totalAbs
+	allScope, totalAbs := st.opt.Scope == ScopeAllExtractors, st.totalAbs.Float()
 	n := len(s.Triples)
 	if tis != nil {
 		n = len(tis)
@@ -915,11 +919,12 @@ func (st *state) aContrib(ti int, cProb []float64, valueProb [][]float64) (num, 
 // M-step writer of A, called at most once per source per iteration by the
 // worker that owns w, so it also charges the movement to the staleness
 // ledger.
-func (st *state) deriveA(w int, num, den float64) {
-	if den <= 0 {
+func (st *state) deriveA(w int, num, den stats.Sum) {
+	d := den.Float()
+	if d <= 0 {
 		return
 	}
-	a := num / den
+	a := num.Float() / d
 	if c := st.opt.AccuracyClamp; c > 0.5 && c < 1 {
 		a = stats.Clamp(a, 1-c, c)
 	}
@@ -933,23 +938,24 @@ func (st *state) deriveA(w int, num, den float64) {
 // estimateA updates source accuracies (Eq 28 / Eq 27) by full aggregation
 // over every source's candidate triples — the one full body of Stage III. In
 // aggregate mode it also caches every contribution and per-source sum (an
-// excluded source's too: its triples may be handed to estimateADelta), so a
-// full pass re-anchors exactly what the delta path maintains; the arithmetic
-// is the same either way, a non-contributing triple's (0, 0) being bit-neutral.
+// excluded source's too: its triples may be handed to estimateADelta), filling
+// what the delta path maintains.
 func (st *state) estimateA(cProb []float64, valueProb [][]float64) {
 	s, ag := st.s, st.agg
 	parallel.ForEach(len(s.Sources), st.opt.Workers, func(w int) {
 		if ag == nil && !st.srcIncluded[w] {
 			return
 		}
-		var num, den float64
+		var num, den stats.Sum
 		for _, ti := range s.TriplesOfSource[w] {
 			nc, dc := st.aContrib(ti, cProb, valueProb)
 			if ag != nil {
 				ag.aNumC[ti], ag.aDenC[ti] = nc, dc
 			}
-			num += nc
-			den += dc
+			if dc != 0 {
+				num = num.Add(nc)
+				den = den.Add(dc)
+			}
 		}
 		if ag != nil {
 			ag.aNum[w], ag.aDen[w] = num, den
@@ -1014,9 +1020,10 @@ func (m *stripMemo) factor(e int, c, voteDelta, ab float64) float64 {
 
 // derivePRQ turns an extractor's aggregated (num, pDen, rDen) into its
 // precision, recall and Q estimates, with the smoothing and floors.
-func (st *state) derivePRQ(e int, num, pDen, rDen float64) {
+func (st *state) derivePRQ(e int, numSum, pDenSum, rDenSum stats.Sum) {
 	k := st.opt.Smoothing
 	p, r := st.p[e], st.r[e]
+	num, pDen, rDen := numSum.Float(), pDenSum.Float(), rDenSum.Float()
 	if pDen > 0 {
 		p = stats.ClampProb((num + k/2) / (pDen + k))
 	}
@@ -1035,22 +1042,27 @@ func (st *state) derivePRQ(e int, num, pDen, rDen float64) {
 // estimatePRQ updates extractor precision and recall (Eqs 29-33) and derives
 // Q via Eq 7, by full aggregation over every extractor's observations — the
 // one full body of Stage IV. In aggregate mode it also fills the correctness-
-// mass, denominator and (through sumObsTasks) numerator caches, re-anchoring
-// exactly what estimatePRQDelta maintains.
+// mass, denominator and (through sumObsTasks) numerator caches that
+// estimatePRQDelta maintains.
 func (st *state) estimatePRQ(cProb []float64) {
 	s, ag := st.s, st.agg
 
-	// Per-cell total correctness mass, used by the recall denominator under
-	// ScopeAttemptedSources.
-	var totalC float64
+	// The correctness mass of the recall denominator: global under
+	// ScopeAllExtractors, per cell otherwise.
+	allScope := st.opt.Scope == ScopeAllExtractors
+	var totalC stats.Sum
 	cellC := st.cellC
-	st.zeroAttemptedCells(cellC)
+	clear(cellC)
 	for ti := range s.Triples {
 		var cp float64
 		if st.coveredTriple[ti] {
 			cp = cProb[ti]
-			cellC[st.cellOfTriple[ti]] += cp
-			totalC += cp
+			if allScope {
+				totalC = totalC.Add(cp)
+			} else {
+				c := st.cellOfTriple[ti]
+				cellC[c] = cellC[c].Add(cp)
+			}
 		}
 		if ag != nil {
 			ag.cCov[ti] = cp
@@ -1062,15 +1074,15 @@ func (st *state) estimatePRQ(cProb []float64) {
 		if st.extIncluded[e] {
 			tasks = appendObsTasks(tasks, e, len(s.ObsOfExtractor[e]))
 		} else if ag != nil {
-			ag.eNum[e], ag.ePDen[e], ag.rDen[e] = 0, 0, 0
+			ag.eNum[e], ag.rDen[e] = stats.Sum{}, stats.Sum{}
 		}
 	}
-	st.sumObsTasks(tasks, cProb, func(e int) (rDen float64) {
-		if st.opt.Scope == ScopeAllExtractors {
+	st.sumObsTasks(tasks, cProb, func(e int) (rDen stats.Sum) {
+		if allScope {
 			return totalC
 		}
 		for _, cell := range st.cellsOfExtractor[e] {
-			rDen += cellC[cell]
+			rDen = rDen.AddSum(cellC[cell])
 		}
 		return rDen
 	})
@@ -1079,9 +1091,9 @@ func (st *state) estimatePRQ(cProb []float64) {
 			continue
 		}
 		if ag != nil {
-			ag.ePDen[tk.e], ag.rDen[tk.e] = tk.pDen, tk.rDen
+			ag.rDen[tk.e] = tk.rDen
 		}
-		st.derivePRQ(tk.e, tk.num, tk.pDen, tk.rDen)
+		st.derivePRQ(tk.e, tk.num, st.pDen[tk.e], tk.rDen)
 	}
 	if ag != nil {
 		ag.totalC = totalC
@@ -1091,18 +1103,17 @@ func (st *state) estimatePRQ(cProb []float64) {
 
 // obsBlock is the number of observations one Stage IV task sums. The paper
 // has sixteen extractors and a serving corpus may have one, so Stage IV cannot
-// parallelise over extractors alone: it reduces by fixed blocks of each
-// extractor's observation list. A constant, because the block boundaries fix
-// the order the floating-point partials are added in — the result must not
-// depend on the worker count.
+// parallelise over extractors alone: it reduces by blocks of each extractor's
+// observation list. The blocks only split the work — the partials are exact
+// sums, so no block boundary or merge order can move a bit of the result.
 const obsBlock = 4096
 
 // obsTask is one unit of the Stage IV reduction: positions [lo, hi) of
 // extractor e's observation list, and the partial sums its run leaves. An
 // extractor's first task (lo == 0) ends up holding the extractor's totals.
 type obsTask struct {
-	e, lo, hi       int
-	num, pDen, rDen float64
+	e, lo, hi int
+	num, rDen stats.Sum
 }
 
 // appendObsTasks appends the tasks covering an extractor with n observations
@@ -1116,16 +1127,14 @@ func appendObsTasks(tasks []obsTask, e, n int) []obsTask {
 
 // sumObsTasks is the one per-observation loop of Stage IV. It runs the tasks
 // — which list each extractor's blocks contiguously, ascending — flat on the
-// pool, each summing its block's numerator and confidence mass serially, then
-// adds every extractor's partials in block order into its first task. The
-// partition and the order of every addition are fixed by obsBlock, so the
-// result is bit-identical at any worker count, and an extractor that fits one
-// block gets the plain serial sum. rDen, when given, computes an extractor's
-// recall denominator on the pool beside its first block. In aggregate mode
-// the numerator caches — the per-observation contributions, their sum and
-// the votes they were computed under — are re-anchored, which is also all the
-// exact rescan of a vote-shifted extractor in estimatePRQDelta consists of.
-func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) float64) {
+// pool, each summing its block's numerator, then adds every extractor's
+// partials into its first task (the confidence masses are state.pDen). rDen, when given, computes
+// an extractor's recall denominator on the pool beside its first block. In
+// aggregate mode the numerator caches — the per-observation contributions,
+// their sum and the votes they were computed under — are refilled, which is
+// also all the rescan of a vote-shifted extractor in estimatePRQDelta
+// consists of.
+func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) stats.Sum) {
 	ag := st.agg
 	st.obsTasks = tasks // keep the grown backing for the next call
 	parallel.ForEach(len(tasks), st.opt.Workers, func(t int) {
@@ -1133,7 +1142,7 @@ func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) 
 		loo := st.opt.LeaveOneOut
 		voteDelta, ab := st.pre[tk.e]-st.ab[tk.e], st.ab[tk.e]
 		var memo stripMemo
-		var num, pDen float64
+		var num stats.Sum
 		for _, oi := range st.s.ObsOfExtractor[tk.e][tk.lo:tk.hi] {
 			c := st.conf[oi]
 			var v float64
@@ -1144,14 +1153,13 @@ func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) 
 				} else {
 					v = c * cProb[ti]
 				}
-				num += v
-				pDen += c
+				num = num.Add(v)
 			}
 			if ag != nil {
 				ag.obsNumC[oi] = v
 			}
 		}
-		tk.num, tk.pDen = num, pDen
+		tk.num = num
 		if tk.lo == 0 && rDen != nil {
 			tk.rDen = rDen(tk.e)
 		}
@@ -1161,8 +1169,7 @@ func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) 
 		if tk := &tasks[t]; tk.lo == 0 {
 			first = tk
 		} else {
-			first.num += tk.num
-			first.pDen += tk.pDen
+			first.num = first.num.AddSum(tk.num)
 		}
 		if ag != nil { // the last block leaves the total
 			ag.eNum[first.e] = first.num

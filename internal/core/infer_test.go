@@ -354,8 +354,8 @@ func TestScopeAllVsAttempted(t *testing.T) {
 // compileBlocks builds a corpus for Stage IV's block reduction: extractor
 // "wide" reads every provided triple and hallucinates some more — well over
 // three obsBlocks of observations — while "thin" reads every eighth item and
-// fits one block. Confidences and source accuracies vary, so the partial sums
-// are not exactly representable and their order of addition shows in the bits.
+// fits one block. Confidences and source accuracies vary, so the terms are not
+// exactly representable and a float reduction's order would show in the bits.
 func compileBlocks(t *testing.T) *triple.Snapshot {
 	t.Helper()
 	const nItems = 3*obsBlock/2 + 500
@@ -390,8 +390,7 @@ func compileBlocks(t *testing.T) *triple.Snapshot {
 
 // TestParallelMatchesSerial: every estimate is bit-identical at any worker
 // count — also where one extractor's Stage IV sum spans several blocks that
-// run concurrently, which holds only because the partials are added in block
-// order, not in completion order.
+// run concurrently, which holds because the partials are exact sums.
 func TestParallelMatchesSerial(t *testing.T) {
 	for name, s := range map[string]*triple.Snapshot{"small": compileSmall(t), "blocks": compileBlocks(t)} {
 		opt1 := DefaultOptions()
@@ -445,20 +444,22 @@ func TestParallelMatchesSerialOneBlockPlainSum(t *testing.T) {
 	em.EStepItems(cProb, valueProb, make([]float64, len(s.Items)), make([]bool, len(s.Items)), nil, 0)
 
 	e := s.ExtractorID("thin")
-	var num, pDen, rDen float64
+	var num, pDen, rDen stats.Sum
 	for _, oi := range s.ObsOfExtractor[e] {
-		num += st.obsNumContrib(oi, st.tripleOfObs[oi], e, st.conf[oi], cProb)
-		pDen += st.conf[oi]
+		num = num.Add(st.obsNumContrib(oi, st.tripleOfObs[oi], e, st.conf[oi], cProb))
+		pDen = pDen.Add(st.conf[oi])
 	}
-	cellC := make([]float64, st.numCells)
+	cellC := make([]stats.Sum, st.numCells)
 	for ti := range s.Triples {
-		cellC[st.cellOfTriple[ti]] += cProb[ti]
+		c := st.cellOfTriple[ti]
+		cellC[c] = cellC[c].Add(cProb[ti])
 	}
 	for _, c := range st.cellsOfExtractor[e] {
-		rDen += cellC[c]
+		rDen = rDen.AddSum(cellC[c])
 	}
 	k := opt.Smoothing
-	wantP, wantR := stats.ClampProb((num+k/2)/(pDen+k)), stats.ClampProb((num+k/2)/(rDen+k))
+	wantP := stats.ClampProb((num.Float() + k/2) / (pDen.Float() + k))
+	wantR := stats.ClampProb((num.Float() + k/2) / (rDen.Float() + k))
 
 	em.MStepExtractors(cProb, nil)
 	if st.p[e] != wantP || st.r[e] != wantR {

@@ -146,16 +146,11 @@ type Options struct {
 	// (per-source accuracy sums, per-extractor precision/recall sums and the
 	// per-cell correctness mass) incrementally across M-step calls, so an
 	// iteration whose E-step only touched a dirty subset updates the global
-	// M-steps in O(dirty) instead of O(corpus) (see aggregates.go). Full
-	// M-step calls (a nil subset) re-aggregate exactly as the plain
-	// estimators do, so Run-equivalent cold trajectories are unaffected.
+	// M-steps in O(dirty) instead of O(corpus) (see aggregates.go). The sums
+	// are exact, so a delta update derives the bits a full aggregation
+	// would, and full M-step calls (a nil subset) are the plain estimators.
 	// Used by the incremental engine; off by default.
 	IncrementalAggregates bool
-	// ReaggregateEvery bounds the floating-point drift of the
-	// subtract-and-add aggregate updates: every ReaggregateEvery-th EM
-	// iteration the M-steps re-aggregate in full, re-anchoring every cache
-	// bit-exactly. Only meaningful with IncrementalAggregates.
-	ReaggregateEvery int
 
 	// Workers is the parallelism for the inference stages (0 = GOMAXPROCS).
 	Workers int
@@ -184,7 +179,6 @@ func DefaultOptions() Options {
 		UseConfidence:       true,
 		BinarizeAt:          -1,
 		Scope:               ScopeAttemptedSources,
-		ReaggregateEvery:    64,
 	}
 }
 

@@ -212,9 +212,8 @@ func compileConfidences(t *testing.T) *triple.Snapshot {
 // bit for bit, the contributions the per-observation obsNumContrib computes —
 // for an extractor whose three confidences always hit the memo and for one
 // whose confidences never repeat. The block loop of a full M-step, at 1, 2 and
-// 4 workers, also leaves their block-ordered totals; the delta loop of a
-// partial pass after an extension, with one memo across both extractors,
-// leaves the totals its own subtract-and-add order gives.
+// 4 workers, also leaves their exact totals; so does the delta loop of a
+// partial pass after an extension, with one memo across both extractors.
 func TestStripMemoMatchesPerObservation(t *testing.T) {
 	s := compileConfidences(t)
 	for _, workers := range []int{1, 2, 4} {
@@ -236,26 +235,18 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 			em.MStepSources(cProb, valueProb, nil)
 			em.MStepExtractors(cProb, nil) // the block loop; the votes and odds it read stand until the next iteration
 			for e, obs := range s.ObsOfExtractor {
-				var total float64
-				for lo := 0; lo < len(obs); lo += obsBlock {
-					var part float64
-					for _, oi := range obs[lo:min(lo+obsBlock, len(obs))] {
-						want := st.obsNumContrib(oi, st.tripleOfObs[oi], e, st.conf[oi], cProb)
-						if math.Float64bits(ag.obsNumC[oi]) != math.Float64bits(want) {
-							t.Fatalf("workers=%d iteration %d: obsNumC[%d] = %v, obsNumContrib gives %v",
-								workers, iter, oi, ag.obsNumC[oi], want)
-						}
-						part += want
+				var total stats.Sum
+				for _, oi := range obs {
+					want := st.obsNumContrib(oi, st.tripleOfObs[oi], e, st.conf[oi], cProb)
+					if math.Float64bits(ag.obsNumC[oi]) != math.Float64bits(want) {
+						t.Fatalf("workers=%d iteration %d: obsNumC[%d] = %v, obsNumContrib gives %v",
+							workers, iter, oi, ag.obsNumC[oi], want)
 					}
-					if lo == 0 {
-						total = part
-					} else {
-						total += part
-					}
+					total = total.Add(want)
 				}
-				if math.Float64bits(ag.eNum[e]) != math.Float64bits(total) {
-					t.Fatalf("workers=%d iteration %d: eNum[%d] = %v, block-ordered per-observation sum %v",
-						workers, iter, e, ag.eNum[e], total)
+				if ag.eNum[e] != total {
+					t.Fatalf("workers=%d iteration %d: eNum[%d] = %v, per-observation sum %v",
+						workers, iter, e, ag.eNum[e].Float(), total.Float())
 				}
 			}
 		}
@@ -304,7 +295,7 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 					continue
 				}
 				if v := st.obsNumContrib(oi, ti, e, c, cProb); v != wantC[oi] {
-					wantNum[e] += v - wantC[oi]
+					wantNum[e] = wantNum[e].Sub(wantC[oi]).Add(v)
 					wantC[oi] = v
 					moved++
 				}
@@ -324,8 +315,8 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 			}
 		}
 		for e := range wantNum {
-			if math.Float64bits(ag.eNum[e]) != math.Float64bits(wantNum[e]) {
-				t.Fatalf("workers=%d delta: eNum[%d] = %v, per-observation deltas give %v", workers, e, ag.eNum[e], wantNum[e])
+			if ag.eNum[e] != wantNum[e] {
+				t.Fatalf("workers=%d delta: eNum[%d] = %v, per-observation deltas give %v", workers, e, ag.eNum[e].Float(), wantNum[e].Float())
 			}
 		}
 	}

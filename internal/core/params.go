@@ -136,47 +136,6 @@ func newMarks(n int) []uint32 {
 	return dirty
 }
 
-// cowVec is a unitVec under construction that starts fully shared with a
-// previous generation and clones each chunk on its first write — the
-// expected-triple delta fold, where only the sources of re-published triples
-// receive any adjustment.
-type cowVec struct {
-	v     unitVec[float64]
-	owned []bool
-}
-
-// cowFrom readies a cowVec of n units over prev's chunks. Chunks prev does
-// not cover (or covers at a different length — growth) are materialised
-// immediately, new units zero-filled.
-func cowFrom(prev unitVec[float64], n int) cowVec {
-	nc := numUnitChunks(n)
-	c := cowVec{v: unitVec[float64]{n: n, chunks: make([][]float64, nc)}, owned: make([]bool, nc)}
-	for ci := 0; ci < nc; ci++ {
-		lo, hi := chunkSpan(ci, n)
-		if ci < len(prev.chunks) && len(prev.chunks[ci]) == hi-lo {
-			c.v.chunks[ci] = prev.chunks[ci]
-			continue
-		}
-		ck := make([]float64, hi-lo)
-		if ci < len(prev.chunks) {
-			copy(ck, prev.chunks[ci])
-		}
-		c.v.chunks[ci] = ck
-		c.owned[ci] = true
-	}
-	return c
-}
-
-// add folds d into unit i, cloning the chunk if it is still shared.
-func (c *cowVec) add(i int, d float64) {
-	ci := i / unitChunk
-	if !c.owned[ci] {
-		c.v.chunks[ci] = append([]float64(nil), c.v.chunks[ci]...)
-		c.owned[ci] = true
-	}
-	c.v.chunks[ci][i%unitChunk] += d
-}
-
 // inheritMarks seeds dst's dirty marks after CarryParamsFrom copied a prevN
 // prefix of values into an n-unit table: a chunk wholly inside the copied
 // prefix is exactly as dirty as the donor's (the values are bit-equal, so the

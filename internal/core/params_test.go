@@ -225,41 +225,6 @@ func TestPublishSharesUnwrittenChunks(t *testing.T) {
 	assertSameResult(t, "generation 2", gen2, deep2)
 }
 
-func TestCowVecClonesOnFirstWrite(t *testing.T) {
-	n := unitChunk + 5
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	prev := sliceVec(append([]float64(nil), vals...))
-
-	cw := cowFrom(prev, n)
-	cw.add(3, 0.5)
-	cw.add(4, -0.25)
-	got := cw.v
-	if chunkAddr(got, 1) != chunkAddr(prev, 1) {
-		t.Fatal("untouched chunk was cloned")
-	}
-	if chunkAddr(got, 0) == chunkAddr(prev, 0) {
-		t.Fatal("written chunk still shared")
-	}
-	if got.At(3) != 3.5 || prev.At(3) != 3 {
-		t.Fatalf("fold wrong: got %v prev %v", got.At(3), prev.At(3))
-	}
-
-	// Growth zero-fills the tail and keeps full prev chunks shared.
-	cw = cowFrom(prev, 2*unitChunk+1)
-	if chunkAddr(cw.v, 0) != chunkAddr(prev, 0) {
-		t.Fatal("full chunk not shared across growth")
-	}
-	if cw.v.At(n) != 0 || cw.v.At(2*unitChunk) != 0 {
-		t.Fatal("grown entries not zero")
-	}
-	if cw.v.At(unitChunk+2) != float64(unitChunk+2) {
-		t.Fatal("boundary growth lost prev values")
-	}
-}
-
 func TestInheritMarks(t *testing.T) {
 	prevN := unitChunk + 10
 	n := 2*unitChunk + 1

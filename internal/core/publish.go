@@ -2,6 +2,7 @@ package core
 
 import (
 	"kbt/internal/parallel"
+	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
 
@@ -151,18 +152,20 @@ func (em *EM) BuildResultFrom(prev *Result, cProb []float64, valueProb [][]float
 	return res
 }
 
-// expectedTriples computes the per-source Σ p(C|X). On the incremental path
-// (a previous generation and incremental aggregates) it folds only the
-// copied triple chunks' cProb deltas into the previous generation's sums —
-// O(written), re-anchored exactly whenever a pass wrote every chunk.
-// Otherwise it aggregates in global triple order, bit-identical to Run and
-// BuildResult (the FullAggregates/FullRecompile oracles re-aggregate every
-// refresh, keeping their bit-exactness contract).
+// expectedTriples publishes the per-source Σ p(C|X), kept as exact sums:
+// against a previous generation published from this state's sums it folds
+// the written triple chunks' cProb changes in, O(written), sharing every
+// source chunk the fold did not reach; with no such generation, or where
+// most triple chunks were written, it sums every triple. Both give the same
+// bits, so the oracles, which sum every refresh, publish what the fold does.
 func (em *EM) expectedTriples(prev *Result, cProb []float64) unitVec[float64] {
 	st := em.st
-	s := st.s
-	nTri := len(cProb)
-	var copied []int
+	s, ag := st.s, st.agg
+	nSrc, nTri := len(s.Sources), len(cProb)
+	if ag == nil {
+		return sliceVec(floats(expectedSums(s, cProb)))
+	}
+	var written []int
 	for ci := range numUnitChunks(nTri) {
 		lo, hi := chunkSpan(ci, nTri)
 		prevSize := 0
@@ -170,41 +173,59 @@ func (em *EM) expectedTriples(prev *Result, cProb []float64) unitVec[float64] {
 			prevSize = len(prev.cProb.chunks[ci])
 		}
 		if !clean(st.triDirty, ci, prevSize, hi-lo) {
-			copied = append(copied, ci)
+			written = append(written, ci)
 		}
 	}
-	anchor := st.agg == nil || st.agg.expAnchor || len(copied) == numUnitChunks(nTri)
-	if st.agg != nil {
-		st.agg.expAnchor = false
-	}
-	if prev.expVec.chunks == nil || anchor {
-		return sliceVec(expectedSums(s, cProb))
-	}
-	// Delta fold, copy-on-write: every chunk starts shared with prev and is
-	// cloned on its first adjustment, so only the sources of copied chunks'
-	// triples cost a copy.
-	cw := cowFrom(prev.expVec, len(s.Sources))
-	prevN := prev.cProb.Len()
-	for _, ci := range copied {
-		lo, hi := chunkSpan(ci, nTri)
-		for ti := lo; ti < hi; ti++ {
-			old := 0.0
-			if ti < prevN {
-				old = prev.cProb.At(ti)
+	if prev.expVec.chunks == nil || len(ag.exp) != prev.expVec.Len() || deltaCostsMore(written, numUnitChunks(nTri)) {
+		ag.exp = expectedSums(s, cProb)
+		ag.expF, ag.expDirty = floats(ag.exp), newMarks(nSrc)
+	} else {
+		ag.exp = grow(ag.exp, nSrc, stats.Sum{})
+		ag.expF = grow(ag.expF, nSrc, 0)
+		ag.expDirty = grow(ag.expDirty, numUnitChunks(nSrc), 1)
+		prevN := prev.cProb.Len()
+		for _, ci := range written {
+			lo, hi := chunkSpan(ci, nTri)
+			for ti := lo; ti < hi; ti++ {
+				old := 0.0
+				if ti < prevN {
+					old = prev.cProb.At(ti)
+				}
+				if cProb[ti] != old {
+					w := s.Triples[ti].W
+					ag.exp[w] = ag.exp[w].Sub(old).Add(cProb[ti])
+					ag.expDirty[w/unitChunk] = 1
+				}
 			}
-			if d := cProb[ti] - old; d != 0 {
-				cw.add(s.Triples[ti].W, d)
+		}
+		for ci, d := range ag.expDirty {
+			if d != 0 {
+				lo, hi := chunkSpan(ci, nSrc)
+				for w := lo; w < hi; w++ {
+					ag.expF[w] = ag.exp[w].Float()
+				}
 			}
 		}
 	}
-	return cw.v
+	v := buildUnitVec(prev.expVec, ag.expF, ag.expDirty)
+	clear(ag.expDirty)
+	return v
 }
 
-// expectedSums aggregates Σ p(C|X) per source in global triple order.
-func expectedSums(s *triple.Snapshot, cProb []float64) []float64 {
-	exp := make([]float64, len(s.Sources))
+// expectedSums sums p(C|X) per source.
+func expectedSums(s *triple.Snapshot, cProb []float64) []stats.Sum {
+	sums := make([]stats.Sum, len(s.Sources))
 	for ti, tr := range s.Triples {
-		exp[tr.W] += cProb[ti]
+		sums[tr.W] = sums[tr.W].Add(cProb[ti])
 	}
-	return exp
+	return sums
+}
+
+// floats reads every sum.
+func floats(sums []stats.Sum) []float64 {
+	out := make([]float64, len(sums))
+	for i := range sums {
+		out[i] = sums[i].Float()
+	}
+	return out
 }

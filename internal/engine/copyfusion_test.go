@@ -38,11 +38,9 @@ func resultEvidence(r *Result) copydetect.Evidence {
 //   - the streaming dependence list must be deep-equal to a fresh batch
 //     Detect over the generation the engine just published (the tracker's
 //     exactness claim: identical integer counts, posteriors, and order),
-//   - the fusion views of the two engines must agree to 1e-9 with identical
-//     discrete decisions, and
+//   - the fusion views of the two engines must agree bit for bit, and
 //   - a NoOp refresh must carry the copy and fusion layers unchanged.
 func TestFuzzCopyFusionMatchOracle(t *testing.T) {
-	const tol = 1e-9
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
 
@@ -63,7 +61,6 @@ func TestFuzzCopyFusionMatchOracle(t *testing.T) {
 		opt.Fuse = fusion.DefaultOptions()
 		opt.Fuse.MinSupport = rng.Intn(3) + 1
 		opt.Fuse.MaxIter = rng.Intn(4) + 2
-		opt.Fuse.ReaggregateEvery = rng.Intn(5) + 2
 		if trial%3 == 1 {
 			opt.Fuse.Model = fusion.PopAccu
 		}
@@ -113,9 +110,8 @@ func TestFuzzCopyFusionMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tag := fmt.Sprintf("trial %d step %d (shards=%d minov=%d thr=%g fuse=%d/%d)",
-				trial, step, opt.Shards, opt.Copy.MinOverlap, opt.Copy.Threshold,
-				opt.Fuse.Model, opt.Fuse.ReaggregateEvery)
+			tag := fmt.Sprintf("trial %d step %d (shards=%d minov=%d thr=%g fuse=%d)",
+				trial, step, opt.Shards, opt.Copy.MinOverlap, opt.Copy.Threshold, opt.Fuse.Model)
 			step++
 
 			if got.NoOp {
@@ -146,7 +142,7 @@ func TestFuzzCopyFusionMatchOracle(t *testing.T) {
 			}
 
 			// Fusion across engines: identical partial-pass structure, only
-			// the M-step aggregation differs.
+			// the M-step aggregation differs — and its sums are exact.
 			gf, wf := got.Fusion, want.Fusion
 			if gf == nil || wf == nil {
 				t.Fatalf("%s: missing fusion result (fast %v, oracle %v)", tag, gf == nil, wf == nil)
@@ -157,15 +153,16 @@ func TestFuzzCopyFusionMatchOracle(t *testing.T) {
 			if gf.Iterations != wf.Iterations {
 				t.Fatalf("%s: fusion iterations = %d, oracle %d", tag, gf.Iterations, wf.Iterations)
 			}
-			if d := maxAbsDiff(gf.Accuracy, wf.Accuracy); d > tol {
-				t.Fatalf("%s: fusion accuracy diverges: max |Δ| = %g", tag, d)
+			if !sameBits(gf.Accuracy, wf.Accuracy) {
+				t.Fatalf("%s: fusion accuracy diverges: max |Δ| = %g", tag, maxAbsDiff(gf.Accuracy, wf.Accuracy))
 			}
-			if d := maxAbsDiff(gf.RestMass, wf.RestMass); d > tol {
-				t.Fatalf("%s: fusion rest mass diverges: max |Δ| = %g", tag, d)
+			if !sameBits(gf.RestMass, wf.RestMass) {
+				t.Fatalf("%s: fusion rest mass diverges: max |Δ| = %g", tag, maxAbsDiff(gf.RestMass, wf.RestMass))
 			}
 			for di := range gf.ValueProb {
-				if d := maxAbsDiff(gf.ValueProb[di], wf.ValueProb[di]); d > tol {
-					t.Fatalf("%s: fusion posterior of item %d diverges: max |Δ| = %g", tag, di, d)
+				if !sameBits(gf.ValueProb[di], wf.ValueProb[di]) {
+					t.Fatalf("%s: fusion posterior of item %d diverges: max |Δ| = %g", tag, di,
+						maxAbsDiff(gf.ValueProb[di], wf.ValueProb[di]))
 				}
 			}
 			if !got.NoOp {
@@ -216,7 +213,6 @@ func copierStream() []triple.Record {
 // refreshes, and the incremental engine must track the FullRecompile oracle
 // through the whole loop.
 func TestCopyDiscountConverges(t *testing.T) {
-	const tol = 1e-9
 	opt := DefaultOptions()
 	opt.Shards = 4
 	opt.Core.MinSourceSupport = 1
@@ -249,7 +245,7 @@ func TestCopyDiscountConverges(t *testing.T) {
 		if want, err = oracle.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(aOf(got.Inference), aOf(want.Inference)); d > tol {
+		if d := maxAbsDiff(aOf(got.Inference), aOf(want.Inference)); d != 0 {
 			t.Fatalf("batch %d: accuracies diverge from oracle by %g", bi, d)
 		}
 		assertKeptVotes(t, fmt.Sprintf("batch %d", bi), fast)
@@ -273,7 +269,7 @@ func TestCopyDiscountConverges(t *testing.T) {
 	if !settled {
 		t.Fatal("discount feedback did not reach a NoOp fixed point in 30 refreshes")
 	}
-	if d := maxAbsDiff(aOf(got.Inference), aOf(want.Inference)); d > tol {
+	if d := maxAbsDiff(aOf(got.Inference), aOf(want.Inference)); d != 0 {
 		t.Fatalf("settled accuracies diverge from oracle by %g", d)
 	}
 

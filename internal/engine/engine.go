@@ -22,8 +22,8 @@
 //     parameter drift — narrow units mark exactly their items, a unit
 //     reaching a quarter of the corpus marks the whole corpus. The global
 //     M-step aggregates update from exactly the scope's contribution deltas
-//     (core.Options.IncrementalAggregates), with a periodic full
-//     re-aggregation bounding floating-point drift;
+//     (core.Options.IncrementalAggregates), exact sums that land on the bits
+//     a full re-aggregation would;
 //   - layer6 brings the streaming copy detector up to the posteriors settle
 //     left — re-reading only the items whose evidence crossed a 0.5 gate in
 //     an E-step (core.EM.TakeMovedItems) or gained a candidate triple — and
@@ -90,15 +90,14 @@ type Options struct {
 	// rebuilds the snapshot with Dataset.Compile over the whole corpus,
 	// rebuilds the EM state from it, aggregates every M-step in full and
 	// recounts copy statistics with the batch detector. The pipeline must
-	// reproduce it — bit-identically for state extension, to ≤1e-9 for the
-	// delta aggregates — and the fuzz suites hold it to that. Unreachable
+	// reproduce it bit for bit — state extension and the exact delta
+	// aggregates alike — and the fuzz suites hold it to that. Unreachable
 	// from the kbt facade and the CLI.
 	FullRecompile bool
 	// FullAggregates is the second test oracle: the extended-state warm path
 	// with every global M-step aggregated in full instead of by dirty-set
-	// deltas. State extension is bit-exact, so it matches FullRecompile to
-	// the bit and isolates the ~1e-12 reaggregation drift of the delta
-	// aggregates.
+	// deltas. It matches FullRecompile and the default path to the bit, and
+	// isolates the delta aggregates when one of them does not.
 	FullAggregates bool
 
 	// CopyDetect maintains streaming inter-source copy statistics: after
@@ -553,12 +552,6 @@ func (e *Engine) buildState(r *refreshRun) error {
 
 	r.copt = e.opt.Core
 	r.copt.IncrementalAggregates = !e.opt.FullRecompile && !e.opt.FullAggregates
-	if r.copt.IncrementalAggregates && r.copt.ReaggregateEvery < 1 {
-		// The engine switches the aggregates on itself, so it must also
-		// default the cadence knob callers with hand-built core.Options
-		// never had a reason to set.
-		r.copt.ReaggregateEvery = core.DefaultOptions().ReaggregateEvery
-	}
 
 	var err error
 	if r.extended {
@@ -905,8 +898,7 @@ func (e *Engine) fuse(r *refreshRun) (err error) {
 // share sound — the previous generation was built on the same snapshot
 // chain, and the marks were cleared when it was published, so an unmarked
 // chunk's working values are bit-identical to its published copy. A run on a
-// fresh compile builds every chunk, which also re-anchors the incrementally
-// maintained ExpectedTriples sums.
+// fresh compile builds every chunk and sums ExpectedTriples afresh.
 func (e *Engine) publish(r *refreshRun) *Result {
 	var prevInf *core.Result
 	if prevLast := e.last.Load(); r.extended && prevLast != nil {

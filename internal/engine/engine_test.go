@@ -109,20 +109,20 @@ func TestColdRefreshMatchesCoreRun(t *testing.T) {
 				t.Errorf("cold refresh shards = %d/%d, want %d/%d",
 					res.FirstPassShards, res.TotalShards, shards, shards)
 			}
-			if d := maxAbsDiff(aOf(got), aOf(want)); d > 1e-9 {
+			if d := maxAbsDiff(aOf(got), aOf(want)); d != 0 {
 				t.Errorf("source accuracy diverges: max |Δ| = %g", d)
 			}
-			if d := maxAbsDiff(pOf(got), pOf(want)); d > 1e-9 {
+			if d := maxAbsDiff(pOf(got), pOf(want)); d != 0 {
 				t.Errorf("extractor precision diverges: max |Δ| = %g", d)
 			}
-			if d := maxAbsDiff(rOf(got), rOf(want)); d > 1e-9 {
+			if d := maxAbsDiff(rOf(got), rOf(want)); d != 0 {
 				t.Errorf("extractor recall diverges: max |Δ| = %g", d)
 			}
-			if d := maxAbsDiff(cprobs(got), cprobs(want)); d > 1e-9 {
+			if d := maxAbsDiff(cprobs(got), cprobs(want)); d != 0 {
 				t.Errorf("extraction correctness diverges: max |Δ| = %g", d)
 			}
 			for di := 0; di < want.NumItems(); di++ {
-				if d := maxAbsDiff(got.ValueRow(di), want.ValueRow(di)); d > 1e-9 {
+				if d := maxAbsDiff(got.ValueRow(di), want.ValueRow(di)); d != 0 {
 					t.Errorf("value posterior of item %d diverges: max |Δ| = %g", di, d)
 				}
 			}
@@ -517,9 +517,8 @@ func TestRefreshEmpty(t *testing.T) {
 // refreshes, the warm Extend path with full M-step aggregation must produce
 // bit-identical snapshots and posteriors to the FullRecompile oracle — the
 // structural equivalence of Snapshot.Extend and core.NewEMFrom carried
-// through the entire inference stack — while the default path (incremental
-// M-step aggregates) must agree to 1e-9, its drift bounded by the exactness
-// of the delta scheme plus periodic re-aggregation.
+// through the entire inference stack — and so must the default path, whose
+// incremental M-step aggregates are exact sums.
 func TestExtendRefreshMatchesFullRecompile(t *testing.T) {
 	recs := corpus(t)
 	cuts := []int{len(recs) / 2, len(recs) * 3 / 4, len(recs) - 7, len(recs)}
@@ -574,33 +573,32 @@ func TestExtendRefreshMatchesFullRecompile(t *testing.T) {
 		for _, cmp := range []struct {
 			name string
 			got  *Result
-			tol  float64
 		}{
-			{"extend+full-aggregates", exact, 0},
-			{"extend+incremental-aggregates", approx, 1e-9},
+			{"extend+full-aggregates", exact},
+			{"extend+incremental-aggregates", approx},
 		} {
 			got := cmp.got
 			if g, w := got.Snapshot.Stats(), want.Snapshot.Stats(); g != w {
 				t.Fatalf("step %d: %s snapshot stats diverge:\n got  %s\n want %s", step, cmp.name, g, w)
 			}
-			if d := maxAbsDiff(aOf(got.Inference), aOf(want.Inference)); d > cmp.tol {
-				t.Errorf("step %d: %s source accuracy: max |Δ| = %g > %g", step, cmp.name, d, cmp.tol)
+			if d := maxAbsDiff(aOf(got.Inference), aOf(want.Inference)); d != 0 {
+				t.Errorf("step %d: %s source accuracy: max |Δ| = %g", step, cmp.name, d)
 			}
-			if d := maxAbsDiff(pOf(got.Inference), pOf(want.Inference)); d > cmp.tol {
-				t.Errorf("step %d: %s precision: max |Δ| = %g > %g", step, cmp.name, d, cmp.tol)
+			if d := maxAbsDiff(pOf(got.Inference), pOf(want.Inference)); d != 0 {
+				t.Errorf("step %d: %s precision: max |Δ| = %g", step, cmp.name, d)
 			}
-			if d := maxAbsDiff(rOf(got.Inference), rOf(want.Inference)); d > cmp.tol {
-				t.Errorf("step %d: %s recall: max |Δ| = %g > %g", step, cmp.name, d, cmp.tol)
+			if d := maxAbsDiff(rOf(got.Inference), rOf(want.Inference)); d != 0 {
+				t.Errorf("step %d: %s recall: max |Δ| = %g", step, cmp.name, d)
 			}
-			if d := maxAbsDiff(qOf(got.Inference), qOf(want.Inference)); d > cmp.tol {
-				t.Errorf("step %d: %s Q: max |Δ| = %g > %g", step, cmp.name, d, cmp.tol)
+			if d := maxAbsDiff(qOf(got.Inference), qOf(want.Inference)); d != 0 {
+				t.Errorf("step %d: %s Q: max |Δ| = %g", step, cmp.name, d)
 			}
-			if d := maxAbsDiff(cprobs(got.Inference), cprobs(want.Inference)); d > cmp.tol {
-				t.Errorf("step %d: %s correctness posterior: max |Δ| = %g > %g", step, cmp.name, d, cmp.tol)
+			if d := maxAbsDiff(cprobs(got.Inference), cprobs(want.Inference)); d != 0 {
+				t.Errorf("step %d: %s correctness posterior: max |Δ| = %g", step, cmp.name, d)
 			}
 			for di := 0; di < want.Inference.NumItems(); di++ {
-				if d := maxAbsDiff(got.Inference.ValueRow(di), want.Inference.ValueRow(di)); d > cmp.tol {
-					t.Errorf("step %d: %s value posterior of item %d: max |Δ| = %g > %g", step, cmp.name, di, d, cmp.tol)
+				if d := maxAbsDiff(got.Inference.ValueRow(di), want.Inference.ValueRow(di)); d != 0 {
+					t.Errorf("step %d: %s value posterior of item %d: max |Δ| = %g", step, cmp.name, di, d)
 				}
 			}
 		}

@@ -69,6 +69,19 @@ func assertSnapshotsBitIdentical(t *testing.T, tag string, got, want *triple.Sna
 	cmp("SourcesOfExtractor", got.SourcesOfExtractor, want.SourcesOfExtractor)
 }
 
+// sameBits reports whether two vectors hold the identical float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // assertKeptVotes checks the EM state's kept Stage II source votes in situ,
 // through what an engine test can reach: Stage II over the live state must
 // equal, bit for bit, Stage II over a fresh state of the same snapshot that
@@ -104,10 +117,10 @@ func assertKeptVotes(t *testing.T, tag string, e *Engine) {
 // refreshes, below-Tol nudges (re-ingested duplicate cells that barely move
 // any parameter), small fresh batches, and large above-Tol batches whose
 // settling must still match the oracle. Every refresh must agree with the
-// oracle to 1e-9 on parameters and posteriors, with bit-identical snapshots,
-// identical settling decisions, and internally consistent shard accounting.
+// oracle bit for bit on parameters and posteriors, with bit-identical
+// snapshots, identical settling decisions, and internally consistent shard
+// accounting.
 func TestFuzzIncrementalAggregatesMatchOracle(t *testing.T) {
-	const tol = 1e-9
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 
@@ -122,9 +135,6 @@ func TestFuzzIncrementalAggregatesMatchOracle(t *testing.T) {
 		if trial%4 < 2 {
 			opt.Core.Tol = 1e-4 // the loose serving tolerance
 		}
-		// A short re-aggregation cadence exercises the periodic full
-		// re-anchoring inside a single test run.
-		opt.Core.ReaggregateEvery = rng.Intn(6) + 2
 
 		fast := New(opt)
 		oracleOpt := opt
@@ -176,8 +186,8 @@ func TestFuzzIncrementalAggregatesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tag := fmt.Sprintf("trial %d step %d (shards=%d scope=%d tol=%g reagg=%d)",
-				trial, step, opt.Shards, opt.Core.Scope, opt.Core.Tol, opt.Core.ReaggregateEvery)
+			tag := fmt.Sprintf("trial %d step %d (shards=%d scope=%d tol=%g)",
+				trial, step, opt.Shards, opt.Core.Scope, opt.Core.Tol)
 			step++
 
 			assertRefreshMatchesOracle(t, tag, fast, got, want)
@@ -188,10 +198,9 @@ func TestFuzzIncrementalAggregatesMatchOracle(t *testing.T) {
 // assertRefreshMatchesOracle asserts one warm refresh against its
 // FullRecompile oracle: bit-identical snapshots, identical settling decisions
 // (whole-shard and partial), internally consistent shard accounting, and
-// ≤1e-9 agreement on every parameter and posterior surface.
+// bit-equal parameter and posterior surfaces.
 func assertRefreshMatchesOracle(t *testing.T, tag string, fast *Engine, got, want *Result) {
 	t.Helper()
-	const tol = 1e-9
 	if got.NoOp != want.NoOp {
 		t.Fatalf("%s: NoOp = %v, oracle %v", tag, got.NoOp, want.NoOp)
 	}
@@ -245,26 +254,26 @@ func assertRefreshMatchesOracle(t *testing.T, tag string, fast *Engine, got, wan
 		{"CProb", cprobs(g), cprobs(w)}, {"RestMass", restMasses(g), restMasses(w)},
 		{"ExpectedTriples", expOf(g), expOf(w)},
 	} {
-		if d := maxAbsDiff(c.got, c.wnt); d > tol {
-			t.Fatalf("%s: %s diverges from oracle: max |Δ| = %g", tag, c.name, d)
+		if !sameBits(c.got, c.wnt) {
+			t.Fatalf("%s: %s diverges from oracle: max |Δ| = %g", tag, c.name, maxAbsDiff(c.got, c.wnt))
 		}
 	}
 	for di := 0; di < w.NumItems(); di++ {
-		if d := maxAbsDiff(g.ValueRow(di), w.ValueRow(di)); d > tol {
-			t.Fatalf("%s: value posterior of item %d diverges: max |Δ| = %g", tag, di, d)
+		if !sameBits(g.ValueRow(di), w.ValueRow(di)) {
+			t.Fatalf("%s: value posterior of item %d diverges: max |Δ| = %g", tag, di, maxAbsDiff(g.ValueRow(di), w.ValueRow(di)))
 		}
 	}
-	// The incrementally maintained absence masses must track the
-	// canonical derivation from the published votes; the periodic
-	// anchor (ReaggregateEvery) and every vote-refreshing iteration
-	// re-derive them exactly, bounding the fold-in drift between.
+	// The absence masses, folded in place across extensions and vote
+	// republishes, must equal a derivation from scratch from the published
+	// votes, bit for bit.
 	gotTotal, gotCells := fast.em.AbsenceMasses()
 	wantTotal, wantCells := fast.em.RecomputeAbsenceMasses()
-	if d := math.Abs(gotTotal - wantTotal); d > tol {
-		t.Fatalf("%s: global absence mass drifts from canonical by %g", tag, d)
+	if !sameBits([]float64{gotTotal}, []float64{wantTotal}) {
+		t.Fatalf("%s: global absence mass %v, derived from scratch %v", tag, gotTotal, wantTotal)
 	}
-	if d := maxAbsDiff(gotCells[:len(wantCells)], wantCells); d > tol {
-		t.Fatalf("%s: per-cell absence masses drift from canonical by %g", tag, d)
+	if !sameBits(gotCells[:len(wantCells)], wantCells) {
+		t.Fatalf("%s: per-cell absence masses differ from a derivation from scratch by up to %g", tag,
+			maxAbsDiff(gotCells[:len(wantCells)], wantCells))
 	}
 	if g.Iterations != w.Iterations || g.Converged != w.Converged {
 		t.Fatalf("%s: iterations/converged = %d/%v, oracle %d/%v",
@@ -316,7 +325,7 @@ func broadReachStream(rng *rand.Rand, n int) []triple.Record {
 // TestFuzzBroadReachSubShardSettling drives broad-reach ingest schedules —
 // every batch feeds the corpus-wide hub source and the every-cell extractor
 // EB — through the fast engine and the FullRecompile oracle. Beyond the full
-// oracle-parity contract (≤1e-9 surfaces, identical whole-shard and partial
+// oracle-parity contract (bit-equal surfaces, identical whole-shard and partial
 // settling decisions), the run as a whole must actually exercise the
 // item-granularity path: at least one refresh across the trials has to
 // settle some shard only partially, or the schedule is not testing what it
@@ -335,7 +344,6 @@ func TestFuzzBroadReachSubShardSettling(t *testing.T) {
 			opt.Core.Scope = core.ScopeAllExtractors
 		}
 		opt.Core.Tol = 1e-4 // the loose serving tolerance, where settling matters
-		opt.Core.ReaggregateEvery = rng.Intn(6) + 2
 
 		fast := New(opt)
 		oracleOpt := opt

@@ -19,16 +19,13 @@ func assertResultsBitIdentical(t *testing.T, tag string, got, want *core.Result)
 	}{
 		{"A", aOf(got), aOf(want)}, {"P", pOf(got), pOf(want)}, {"R", rOf(got), rOf(want)},
 		{"Q", qOf(got), qOf(want)},
+		// ExpectedTriples, which the generation path folds by
+		// subtract-and-add into exact sums, is held to the bit too.
+		{"ExpectedTriples", expOf(got), expOf(want)},
 	} {
-		if d := maxAbsDiff(c.got, c.wnt); d != 0 {
-			t.Fatalf("%s: %s diverges bitwise: max |Δ| = %g", tag, c.name, d)
+		if !sameBits(c.got, c.wnt) {
+			t.Fatalf("%s: %s diverges bitwise: max |Δ| = %g", tag, c.name, maxAbsDiff(c.got, c.wnt))
 		}
-	}
-	// ExpectedTriples is the one quantity the generation path maintains by
-	// subtract-and-add deltas (re-anchored on every full pass), so it is
-	// pinned to the usual incremental-aggregate tolerance, not the bit.
-	if d := maxAbsDiff(expOf(got), expOf(want)); d > 1e-9 {
-		t.Fatalf("%s: ExpectedTriples diverges: max |Δ| = %g", tag, d)
 	}
 	if got.NumTriples() != want.NumTriples() || got.NumItems() != want.NumItems() {
 		t.Fatalf("%s: sizes %d/%d, want %d/%d", tag,
@@ -129,10 +126,9 @@ func TestGenerationPublishMatchesFullBuild(t *testing.T) {
 	}
 }
 
-// TestAbsenceMassAnchorBitExact: with the re-aggregation cadence at every
-// iteration, the incrementally maintained absence masses are re-anchored
-// canonically each BeginIteration, so at every published refresh they must
-// equal the canonical derivation bit for bit.
+// TestAbsenceMassAnchorBitExact: the absence masses an engine folds in place
+// across extensions and vote republishes are exact sums, so at every
+// published refresh they must equal a derivation from scratch bit for bit.
 func TestAbsenceMassAnchorBitExact(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Shards = 8
@@ -140,7 +136,6 @@ func TestAbsenceMassAnchorBitExact(t *testing.T) {
 	opt.Core.MinExtractorSupport = 1
 	opt.Core.Tol = 1e-4
 	opt.Core.MaxIter = 20
-	opt.Core.ReaggregateEvery = 1
 	eng := New(opt)
 	for step := 0; step < 5; step++ {
 		if err := eng.Ingest(synthetic.GroupLocalCorpus(6*step, 6)...); err != nil {
@@ -159,7 +154,7 @@ func TestAbsenceMassAnchorBitExact(t *testing.T) {
 		}
 		for c := range wantCells {
 			if gotCells[c] != wantCells[c] {
-				t.Fatalf("step %d: cell %d mass %v, want %v (anchor should be bit-exact)",
+				t.Fatalf("step %d: cell %d mass %v, want %v (the fold should be bit-exact)",
 					step, c, gotCells[c], wantCells[c])
 			}
 		}

@@ -58,16 +58,11 @@ type Options struct {
 	// Workers is the parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// ReaggregateEvery bounds floating-point drift on the streaming path:
-	// after this many consecutive partial (delta-maintained) M-steps,
-	// Incremental re-aggregates the accuracy sufficient statistics in full
-	// (0 means 64). Ignored by Run, whose every M-step is a full aggregation.
-	ReaggregateEvery int
 	// FullAggregates forces Incremental to re-aggregate every M-step in
 	// full instead of maintaining the per-source numerators/denominators by
 	// per-item contribution deltas — the batch-equivalent oracle the delta
-	// path is pinned against (≤1e-9), mirroring engine.Options.FullAggregates.
-	// Ignored by Run.
+	// path is pinned against bit for bit, mirroring
+	// engine.Options.FullAggregates. Ignored by Run.
 	FullAggregates bool
 }
 
@@ -192,6 +187,31 @@ func (opt *Options) fuseItem(d, k int, votes []vote, pop [][]float64, updated []
 	return row, rest, true
 }
 
+// accumulate adds (sign +1) a covered item's terms of Eq 4 — each vote's
+// conf·p(value) to its provenance's numerator and conf to its denominator —
+// or (sign −1) subtracts exactly what adding them added.
+func accumulate(num, den []stats.Sum, votes []vote, row []float64, sign float64) {
+	for _, vt := range votes {
+		num[vt.w] = num[vt.w].Add(sign * vt.conf * row[vt.slot])
+		den[vt.w] = den[vt.w].Add(sign * vt.conf)
+	}
+}
+
+// reestimate is Eq 4's M step: every participating provenance with vote
+// weight takes the accuracy its sums give. It returns the largest movement.
+func reestimate(acc []float64, num, den []stats.Sum, updated []bool) (maxDelta float64) {
+	for w := range acc {
+		d := den[w].Float()
+		if !updated[w] || d == 0 {
+			continue
+		}
+		a := stats.ClampProb(num[w].Float() / d)
+		maxDelta = max(maxDelta, math.Abs(a-acc[w]))
+		acc[w] = a
+	}
+	return maxDelta
+}
+
 // Run executes the single-layer EM of §2.2 (the iterative algorithm of [8])
 // on the snapshot. Snapshot sources are treated as provenances; the
 // extractor dimension is ignored (callers encode the provenance choice in
@@ -247,6 +267,8 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		CoveredItem: make([]bool, nItem),
 	}
 
+	num := make([]stats.Sum, nSrc)
+	den := make([]stats.Sum, nSrc)
 	iter := 0
 	for iter = 1; iter <= opt.MaxIter; iter++ {
 		// E step: per-item posterior over values (Eq 2).
@@ -256,29 +278,14 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		})
 
 		// M step: provenance accuracies (Eq 4).
-		num := make([]float64, nSrc)
-		den := make([]float64, nSrc)
+		clear(num)
+		clear(den)
 		for d := 0; d < nItem; d++ {
-			if !res.CoveredItem[d] {
-				continue
-			}
-			for _, vt := range votes[d] {
-				num[vt.w] += vt.conf * res.ValueProb[d][vt.slot]
-				den[vt.w] += vt.conf
+			if res.CoveredItem[d] {
+				accumulate(num, den, votes[d], res.ValueProb[d], +1)
 			}
 		}
-		maxDelta := 0.0
-		for w := 0; w < nSrc; w++ {
-			if !updated[w] || den[w] == 0 {
-				continue
-			}
-			a := stats.ClampProb(num[w] / den[w])
-			if d := math.Abs(a - acc[w]); d > maxDelta {
-				maxDelta = d
-			}
-			acc[w] = a
-		}
-		if maxDelta < opt.Tol {
+		if reestimate(acc, num, den, updated) < opt.Tol {
 			break
 		}
 	}

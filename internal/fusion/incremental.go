@@ -25,10 +25,10 @@ import (
 //     installed, so a published Result shares them copy-on-write),
 //   - the per-provenance accuracies, support counts and participation flags,
 //   - the accuracy sufficient statistics (numerators/denominators over the
-//     covered items), maintained by per-item contribution deltas and
-//     re-anchored by a full re-aggregation every Options.ReaggregateEvery
-//     partial M-steps — and on every full pass, so a cold Refresh executes
-//     the identical arithmetic as Run and reproduces its output exactly,
+//     covered items), exact sums maintained by per-item contribution deltas
+//     and re-aggregated in full on every full pass: either way they hold the
+//     bits Run's M step sums, so a cold Refresh reproduces Run exactly and a
+//     warm one equals the FullAggregates oracle,
 //   - a per-provenance drift ledger: each M-step charges |Δaccuracy| to its
 //     provenance, a provenance's charge resets when a pass re-fuses all of
 //     its items, and the next iteration's E-step widens to exactly the items
@@ -58,14 +58,12 @@ type Incremental struct {
 	support  []int
 	updated  []bool
 	acc      []float64
-	num, den []float64
+	num, den []stats.Sum
 	drift    []float64
 	itemsOf  [][]int32
 	pairSeen map[int64]bool // (provenance, item) pairs already in itemsOf
 
-	// sinceReagg counts partial M-steps since the last full re-aggregation;
 	// lastConverged gates the next refresh's resume escalation.
-	sinceReagg    int
 	lastConverged bool
 
 	iterations int
@@ -100,9 +98,6 @@ func resized[T any](buf []T, n int) []T {
 func NewIncremental(opt Options, copt triple.CompileOptions) (*Incremental, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
-	}
-	if opt.ReaggregateEvery < 1 {
-		opt.ReaggregateEvery = 64
 	}
 	if copt.SourceKey == nil {
 		copt.SourceKey = triple.ProvenanceKey
@@ -185,8 +180,8 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		inc.support = append(inc.support, 0)
 		inc.updated = append(inc.updated, false)
 		inc.acc = append(inc.acc, inc.opt.InitAccuracy)
-		inc.num = append(inc.num, 0)
-		inc.den = append(inc.den, 0)
+		inc.num = append(inc.num, stats.Sum{})
+		inc.den = append(inc.den, stats.Sum{})
 		inc.drift = append(inc.drift, 0)
 		inc.itemsOf = append(inc.itemsOf, nil)
 	}
@@ -313,18 +308,12 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 }
 
 // itemContrib adds (sign=+1) or removes (sign=-1) item dd's contribution to
-// the accuracy aggregates: each vote contributes conf×p(value) to its
-// provenance's numerator and conf to the denominator, over covered items
-// only (Eq 4's sums). Removal uses the identical cached weights and row the
-// addition used, so a remove/re-add round trip is exact.
+// the accuracy aggregates, over covered items only (Eq 4's sums). Removal
+// reads the identical cached weights and row the addition used, so it
+// subtracts exactly what was added.
 func (inc *Incremental) itemContrib(dd int, sign float64) {
-	if !inc.covered[dd] {
-		return
-	}
-	row := inc.valueProb[dd]
-	for _, vt := range inc.votes[dd] {
-		inc.num[vt.w] += sign * vt.conf * row[vt.slot]
-		inc.den[vt.w] += sign * vt.conf
+	if inc.covered[dd] {
+		accumulate(inc.num, inc.den, inc.votes[dd], inc.valueProb[dd], sign)
 	}
 }
 
@@ -356,12 +345,10 @@ func (inc *Incremental) iterate(base []int) {
 		}
 		copy(prevAcc, inc.acc)
 
-		// Full aggregation on every full pass (keeping a cold refresh
-		// bit-identical to Run), on the re-anchoring cadence, and always
-		// under the oracle option; partial passes otherwise maintain the
-		// aggregates by per-item deltas during row installation.
-		fullAgg := inc.opt.FullAggregates || len(dirty) == nItem ||
-			inc.sinceReagg+1 >= inc.opt.ReaggregateEvery
+		// Full aggregation on a full pass, where it is the cheaper of the
+		// two, and always under the oracle option; partial passes maintain
+		// the aggregates by per-item deltas during row installation.
+		fullAgg := inc.opt.FullAggregates || len(dirty) == nItem
 
 		// E step (Eq 2) over the dirty items: rows compute in parallel into
 		// scratch, then install serially so the aggregate deltas apply in
@@ -398,25 +385,8 @@ func (inc *Incremental) iterate(base []int) {
 			for dd := 0; dd < nItem; dd++ {
 				inc.itemContrib(dd, +1)
 			}
-			inc.sinceReagg = 0
-		} else {
-			inc.sinceReagg++
 		}
-		maxDelta := 0.0
-		for w := 0; w < nSrc; w++ {
-			// Run skips exact-zero denominators; the delta-maintained sums
-			// can leave ~1e-16 cancellation residue where the true sum is
-			// zero, so the streaming guard is a hair above that. Any real
-			// vote weight is orders of magnitude larger.
-			if !inc.updated[w] || inc.den[w] <= 1e-9 {
-				continue
-			}
-			a := stats.ClampProb(inc.num[w] / inc.den[w])
-			if dd := math.Abs(a - inc.acc[w]); dd > maxDelta {
-				maxDelta = dd
-			}
-			inc.acc[w] = a
-		}
+		maxDelta := reestimate(inc.acc, inc.num, inc.den, inc.updated)
 		for w := 0; w < nSrc; w++ {
 			if dd := math.Abs(inc.acc[w] - prevAcc[w]); dd != 0 {
 				inc.drift[w] += dd

@@ -85,18 +85,53 @@ func TestIncrementalColdMatchesRun(t *testing.T) {
 	}
 }
 
+// TestColdRefreshTinyConfidenceMatchesRun: a provenance whose whole vote
+// weight is tiny still takes the accuracy Run gives it. Three provenances
+// vote on four items, one of them (E2 on tiny.com) at confidence 1e-10; a
+// cold Refresh must reproduce Run's accuracies bit for bit rather than
+// mistake the tiny denominator for cancellation residue.
+func TestColdRefreshTinyConfidenceMatchesRun(t *testing.T) {
+	var recs []triple.Record
+	for i := 0; i < 4; i++ {
+		for _, v := range []struct {
+			ext, site, obj string
+			conf           float64
+		}{
+			{"E0", "a.com", "x", 1},
+			{"E1", "b.com", "y", 1},
+			{"E2", "tiny.com", "x", 1e-10},
+		} {
+			recs = append(recs, triple.Record{Extractor: v.ext, Website: v.site, Page: v.site + "/p",
+				Subject: fmt.Sprintf("S%d", i), Predicate: "p", Object: v.obj, Confidence: v.conf})
+		}
+	}
+	inc, err := NewIncremental(DefaultOptions(), triple.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := inc.Refresh(recs, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(inc.Snapshot(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got.Accuracy, want.Accuracy) {
+		t.Fatalf("cold refresh accuracies %v, Run %v", got.Accuracy, want.Accuracy)
+	}
+}
+
 // TestFuzzIncrementalMatchesFullAggregates drives randomized ingest schedules
 // through the delta-maintained store and its full-aggregation oracle twin.
 // The two run the identical partial-pass structure — only the M-step
-// aggregation differs — so accuracies and posteriors must agree to 1e-9 and
-// every discrete decision (participation, coverage, iteration count) must be
-// identical.
+// aggregation differs, and its sums are exact — so accuracies and posteriors
+// must agree bit for bit and every discrete decision (participation,
+// coverage, iteration count) must be identical.
 func TestFuzzIncrementalMatchesFullAggregates(t *testing.T) {
-	const tol = 1e-9
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(900 + trial)))
 		opt := fusionVariant(trial)
-		opt.ReaggregateEvery = rng.Intn(5) + 2
 
 		fast, err := NewIncremental(opt, triple.CompileOptions{})
 		if err != nil {
@@ -145,8 +180,8 @@ func TestFuzzIncrementalMatchesFullAggregates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tag := fmt.Sprintf("trial %d step %d (model=%d minsup=%d reagg=%d)",
-				trial, step, opt.Model, opt.MinSupport, opt.ReaggregateEvery)
+			tag := fmt.Sprintf("trial %d step %d (model=%d minsup=%d)",
+				trial, step, opt.Model, opt.MinSupport)
 			step++
 
 			if !reflect.DeepEqual(got.Updated, want.Updated) {
@@ -158,15 +193,16 @@ func TestFuzzIncrementalMatchesFullAggregates(t *testing.T) {
 			if got.Iterations != want.Iterations {
 				t.Fatalf("%s: iterations = %d, oracle %d", tag, got.Iterations, want.Iterations)
 			}
-			if d := maxAbsDiff(got.Accuracy, want.Accuracy); d > tol {
-				t.Fatalf("%s: accuracy diverges: max |Δ| = %g", tag, d)
+			if !sameBits(got.Accuracy, want.Accuracy) {
+				t.Fatalf("%s: accuracy diverges: max |Δ| = %g", tag, maxAbsDiff(got.Accuracy, want.Accuracy))
 			}
-			if d := maxAbsDiff(got.RestMass, want.RestMass); d > tol {
-				t.Fatalf("%s: rest mass diverges: max |Δ| = %g", tag, d)
+			if !sameBits(got.RestMass, want.RestMass) {
+				t.Fatalf("%s: rest mass diverges: max |Δ| = %g", tag, maxAbsDiff(got.RestMass, want.RestMass))
 			}
 			for d := range got.ValueProb {
-				if diff := maxAbsDiff(got.ValueProb[d], want.ValueProb[d]); diff > tol {
-					t.Fatalf("%s: value posterior of item %d diverges: max |Δ| = %g", tag, d, diff)
+				if !sameBits(got.ValueProb[d], want.ValueProb[d]) {
+					t.Fatalf("%s: value posterior of item %d diverges: max |Δ| = %g", tag, d,
+						maxAbsDiff(got.ValueProb[d], want.ValueProb[d]))
 				}
 			}
 		}
@@ -184,4 +220,17 @@ func maxAbsDiff(a, b []float64) float64 {
 		}
 	}
 	return d
+}
+
+// sameBits reports whether two vectors hold the identical float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -6,9 +6,9 @@
 // triple truthfulness, source accuracy, extractor quality) is expressed as a
 // parallel loop over a dense index space with results written to disjoint
 // slots, so execution order cannot affect the outcome; a reduction is a loop
-// over its units — or, where one unit can hold the corpus, over fixed blocks
-// of each unit's rows — each summing its own rows in index order, with the
-// blocks' partials added in block order afterwards.
+// over its units — or, where one unit can hold the corpus, over blocks of
+// each unit's rows — into exact fixed-point sums (stats.Sum), so neither the
+// block boundaries nor the order partials merge in can move a bit.
 //
 // The incremental engine adds no second level: a settling pass hands the same
 // primitives one ascending index list, and ForEach's contiguous batches are
