@@ -7,7 +7,7 @@
 //	              [-cpuprofile FILE] [-memprofile FILE] [file.tsv]
 //	kbt serve     [-granularity website|page|finest] [-shards N] [-batch N]
 //	              [-iters N] [-tol F] [-min-support N] [-top K] [-copydetect]
-//	              [-fusion] [-listen ADDR] [-lanes N] [-data DIR]
+//	              [-fusion] [-listen ADDR] [-data DIR]
 //	              [-checkpoint-every N] [-checkpoint-bytes N]
 //	              [-checkpoint-interval D] [-probe-backoff D]
 //	              [-probe-max-backoff D] [-cpuprofile FILE]
@@ -37,12 +37,10 @@
 // With -listen, serve drains its input (an empty feed is a valid idle
 // start), then exposes the engine over HTTP: POST /v1/ingest and
 // /v1/refresh, GET /v1/top-sources, /v1/top-triples, /v1/source?name=,
-// /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats. At the default
-// -lanes 1 a batch is acked after the refresh it made due has published, so
-// the client's next read sees it scored; -lanes N drains the ingest queue
-// with N workers, each batch applied whole by one of them, and refreshes
-// beside ingest rather than inline, acking without waiting for the refresh.
-// -copydetect maintains
+// /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats. One worker
+// drains the ingest queue: it applies a batch whole, refreshes, and only
+// then acks, so the client's next read sees the batch scored. (-lanes is
+// accepted at 1 only, for scripts that still pass it.) -copydetect maintains
 // streaming copy detection (and discounts detected copiers' votes); -fusion
 // maintains the single-layer fused per-item posteriors — both served from
 // the current generation. With -data DIR, ingest is write-ahead logged under
@@ -261,7 +259,6 @@ type serveConfig struct {
 	top             int
 	batch           int
 	listen          string // "" = stdin-only mode
-	lanes           int
 	dataDir         string // "" = in-memory engine
 	checkpointEvery int
 	checkpointBytes int64
@@ -288,7 +285,7 @@ func cmdServe(args []string) (err error) {
 	copyDetect := fs.Bool("copydetect", false, "maintain streaming copy detection and discount detected copiers' votes (GET /v1/copy-deps)")
 	fusionOn := fs.Bool("fusion", false, "maintain streaming single-layer fused per-item posteriors (GET /v1/fused?item=)")
 	listen := fs.String("listen", "", "serve the HTTP/JSON API on this address (e.g. :8080) after draining stdin/file input")
-	lanes := fs.Int("lanes", 1, "with -listen, number of workers draining the ingest queue (a batch is applied whole by one of them; at 1, a 2xx comes after the refresh it made due has published; above 1, refreshes run beside ingest and the 2xx does not wait for them)")
+	lanes := fs.Int("lanes", 1, "deprecated, must be 1: one worker drains the ingest queue, and a 2xx comes after the batch's refresh has published")
 	data := fs.String("data", "", "durable data directory: ingest is write-ahead logged and recovered on restart")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data, checkpoint automatically after every N refreshes (0 = never)")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once the write-ahead log exceeds this many bytes (0 = never)")
@@ -299,6 +296,9 @@ func cmdServe(args []string) (err error) {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *lanes != 1 {
+		return fmt.Errorf("serve: -lanes %d: only -lanes 1 is supported", *lanes)
 	}
 	stopProfile, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -311,7 +311,6 @@ func cmdServe(args []string) (err error) {
 		top:             *top,
 		batch:           *batch,
 		listen:          *listen,
-		lanes:           *lanes,
 		dataDir:         *data,
 		checkpointEvery: *ckptEvery,
 		checkpointBytes: *ckptBytes,
@@ -551,7 +550,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 			}
 		}
 	}
-	srv := server.New(eng, server.Options{Lanes: cfg.lanes})
+	srv := server.New(eng, server.Options{})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
@@ -593,7 +592,7 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 // Slow-client bounds of the HTTP server: how long a client may take over a
 // request's headers, and how long a keep-alive connection may sit idle —
 // without them a slowloris client holds a connection forever. Bodies are on
-// no clock: a MaxBodyBytes ingest over a slow link is a legitimate request.
+// no clock: an 8 MiB ingest over a slow link is a legitimate request.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute

@@ -87,6 +87,18 @@ func TestServeRejectsOracleFlags(t *testing.T) {
 	}
 }
 
+// TestServeRejectsLanesOtherThanOne: the server has one ingest worker, so
+// serve refuses any other -lanes value with an error naming the flag, before
+// it reads input or opens anything.
+func TestServeRejectsLanesOtherThanOne(t *testing.T) {
+	for _, n := range []string{"0", "2"} {
+		err := cmdServe([]string{"-lanes", n})
+		if err == nil || !strings.Contains(err.Error(), "-lanes "+n) {
+			t.Errorf("serve -lanes %s: err = %v, want a usage error naming -lanes", n, err)
+		}
+	}
+}
+
 // TestCPUProfileCompleteOnEveryReturn: estimate, fuse and serve write the CPU
 // profile named by -cpuprofile and the heap profile named by -memprofile,
 // stopped and closed whether the command succeeds or returns an error. The
@@ -422,15 +434,14 @@ func TestServeDurablePreloadFlushesByBytes(t *testing.T) {
 
 // TestServeDurableRestart: a -data server ingests over HTTP, shuts down, and
 // a second run on the same directory recovers the records and serves them.
-// Runs with multiple ingest lanes and a size-based checkpoint cadence so the
-// new serve knobs get end-to-end coverage.
+// Runs with a size-based checkpoint cadence so that knob gets end-to-end
+// coverage.
 func TestServeDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serveTestConfig()
 	cfg.dataDir = dir
 	cfg.checkpointEvery = 2
 	cfg.checkpointBytes = 512 // small enough that the 18-record feed trips it
-	cfg.lanes = 2
 
 	addr, shutdown := startServe(t, cfg, strings.NewReader(tsvFeed(18)))
 	base := "http://" + addr

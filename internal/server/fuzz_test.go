@@ -8,16 +8,15 @@ import (
 	"testing"
 )
 
-// FuzzIngestBody posts arbitrary bytes to /v1/ingest on a fresh engine, with
-// one to three lanes. Whatever the body: the handler does not panic, it
-// answers 200 or 400 and nothing else, and a body is applied whole or not at
-// all — a 200's "ingested" is exactly how much the engine grew, a 400 grew it
-// by nothing.
+// FuzzIngestBody posts arbitrary bytes to /v1/ingest on a fresh engine.
+// Whatever the body: the handler does not panic, it answers 200 or 400 and
+// nothing else, and a body is applied whole or not at all — a 200's
+// "ingested" is exactly how much the engine grew, a 400 grew it by nothing.
 // testdata/fuzz/FuzzIngestBody seeds it.
 func FuzzIngestBody(f *testing.F) {
-	f.Fuzz(func(t *testing.T, body []byte, lanes uint8) {
+	f.Fuzz(func(t *testing.T, body []byte) {
 		eng := testEngine(t)
-		srv := New(eng, Options{Lanes: 1 + int(lanes%3), RefreshEvery: -1})
+		srv := New(eng, Options{})
 		defer srv.Close()
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))

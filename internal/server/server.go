@@ -48,47 +48,19 @@ type HealthReporter interface {
 
 // Options configures New.
 type Options struct {
-	// Lanes is the number of workers draining the ingest queue (default 1).
-	// A batch is never split: whichever worker takes it hands it to the
-	// engine in one call — one validation, one log entry and one fsync on a
-	// durable engine — so a refused batch has applied nothing, at any value.
-	// With one lane a 2xx comes after the refresh the batch made due has
-	// published. More than one moves the automatic refresh off the ingest
-	// path (see RefreshEvery), so a 2xx no longer waits for it, and lets
-	// small batches pass a large one still being validated; what must be
-	// serial, the engine serialises itself.
+	// Lanes is deprecated: 0 or 1 only, and New panics on any other value.
+	// The server drains its queue with one worker. The field is deleted
+	// with ROADMAP.md item 2(e), once the end-to-end benchmark stops setting
+	// it.
 	Lanes int
-	// Queue bounds the number of batches admitted but not yet taken by a
+	// Queue bounds the number of batches admitted but not yet taken by the
 	// worker; a POST /v1/ingest that finds the queue full is refused with
 	// 429 (default 64).
 	Queue int
-	// RefreshEvery refreshes after every N applied batches (default 1;
-	// negative disables automatic refreshes — POST /v1/refresh still
-	// works). With one lane the refresh runs inline on the ingest worker,
-	// before the batch that made it due is acked; with more it runs on a
-	// dedicated refresher goroutine so the workers keep draining while the
-	// model re-estimates (the engine supports concurrent Ingest during
-	// Refresh), and due refreshes arriving while one is already running
-	// coalesce into a single follow-up pass.
-	RefreshEvery int
-	// MaxBodyBytes bounds a request body (default 8 MiB).
-	MaxBodyBytes int64
 }
 
-func (o *Options) fill() {
-	if o.Lanes <= 0 {
-		o.Lanes = 1
-	}
-	if o.Queue <= 0 {
-		o.Queue = 64
-	}
-	if o.RefreshEvery == 0 {
-		o.RefreshEvery = 1
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
-	}
-}
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 8 << 20
 
 // job is one admitted batch: the records in request order, the client's
 // idempotency key ("" when the request carried none) and where the worker
@@ -100,35 +72,33 @@ type job struct {
 }
 
 // Server is an http.Handler. Ingest funnels through one bounded queue — the
-// backpressure boundary — drained by Options.Lanes workers; queries go
-// straight to the engine's lock-free read path.
+// backpressure boundary — drained by one worker; queries go straight to the
+// engine's lock-free read path.
 type Server struct {
 	eng   Engine
-	opt   Options
 	queue chan job
 
 	mu       sync.Mutex
-	applied  int    // batches applied since the last automatic refresh
-	lastErr  string // most recent background refresh failure, "" when none
+	lastErr  string // outcome of the most recent refresh, "" when it succeeded
 	stopping bool
 
-	wg            sync.WaitGroup // ingest workers
-	kick          chan struct{}  // nil with one lane (inline refresh)
-	refresherDone chan struct{}
-	stopped       chan struct{}
-	mux           *http.ServeMux
+	workerDone chan struct{}
+	mux        *http.ServeMux
 }
 
-// New starts a server (and its ingest workers) on eng.
+// New starts a server (and its ingest worker) on eng.
 func New(eng Engine, opt Options) *Server {
-	opt.fill()
+	if opt.Lanes != 0 && opt.Lanes != 1 {
+		panic(fmt.Sprintf("server: Lanes = %d, want 0 or 1", opt.Lanes))
+	}
+	if opt.Queue <= 0 {
+		opt.Queue = 64
+	}
 	s := &Server{
-		eng:           eng,
-		opt:           opt,
-		queue:         make(chan job, opt.Queue),
-		refresherDone: make(chan struct{}),
-		stopped:       make(chan struct{}),
-		mux:           http.NewServeMux(),
+		eng:        eng,
+		queue:      make(chan job, opt.Queue),
+		workerDone: make(chan struct{}),
+		mux:        http.NewServeMux(),
 	}
 	s.handle(http.MethodPost, "/v1/ingest", s.handleIngest)
 	s.handle(http.MethodPost, "/v1/refresh", s.handleRefresh)
@@ -142,16 +112,7 @@ func New(eng Engine, opt Options) *Server {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "unknown path "+r.URL.Path)
 	})
-	for i := 0; i < opt.Lanes; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	if opt.Lanes > 1 {
-		s.kick = make(chan struct{}, 1)
-		go s.refresher()
-	} else {
-		close(s.refresherDone)
-	}
+	go s.worker()
 	return s
 }
 
@@ -170,85 +131,49 @@ func (s *Server) handle(method, path string, h http.HandlerFunc) {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains the queue (every admitted batch is still applied and acked),
-// stops the workers, and lets a running background refresh finish.
+// Close drains the queue (every admitted batch is still applied, refreshed
+// and acked) and stops the worker.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.stopping {
-		s.mu.Unlock()
-		<-s.stopped
-		return
-	}
+	first := !s.stopping
 	s.stopping = true
 	s.mu.Unlock()
-	close(s.queue)
-	s.wg.Wait()
-	if s.kick != nil {
-		close(s.kick)
+	if first {
+		close(s.queue)
 	}
-	<-s.refresherDone
-	close(s.stopped)
+	<-s.workerDone
 }
 
 // worker applies admitted batches, each in one engine call (both engines
-// define an empty key as a plain Ingest), and acks only once that call and
-// the refresh bookkeeping after it have returned: a 2xx /v1/ingest response
-// is an applied — on a durable engine, fsync-ed — batch, never a merely
-// admitted one. With one lane the bookkeeping runs the refresh the batch
-// made due inline, so the 2xx also means that refresh has published: the
-// client's next read sees the batch scored. With more lanes it only kicks
-// the refresher, and the 2xx does not wait for the model.
+// define an empty key as a plain Ingest), then refreshes, and only then
+// acks: a 2xx /v1/ingest response is an applied — on a durable engine,
+// fsync-ed — and published batch, so the client's next read sees it scored.
+// A refresh failure does not change the batch's ack — the batch is applied
+// either way — and shows up as last_error in /v1/stats.
 func (s *Server) worker() {
-	defer s.wg.Done()
+	defer close(s.workerDone)
 	for j := range s.queue {
 		err := s.eng.IngestKeyed(j.key, j.batch...)
 		if err == nil {
-			s.batchApplied()
+			s.refresh()
 		}
 		j.done <- err
 	}
 }
 
-// batchApplied does the refresh bookkeeping after a batch is applied. A
-// refresh failure does not change the batch's ack — the batch is applied
-// either way — and shows up as last_error in /v1/stats.
-func (s *Server) batchApplied() {
+// refresh runs one engine refresh and records its outcome as last_error:
+// set on a failure, cleared on a success. The worker's refresh after every
+// batch and POST /v1/refresh both go through it.
+func (s *Server) refresh() error {
+	_, err := s.eng.Refresh()
 	s.mu.Lock()
-	s.applied++
-	refresh := s.opt.RefreshEvery > 0 && s.applied >= s.opt.RefreshEvery
-	if refresh {
-		s.applied = 0
-	}
-	s.mu.Unlock()
-	if !refresh {
-		return
-	}
-	if s.kick == nil {
-		s.refreshNow()
-		return
-	}
-	select {
-	case s.kick <- struct{}{}: // refresher picks it up
-	default: // one already pending; it will cover this batch too
-	}
-}
-
-func (s *Server) refreshNow() {
-	_, rerr := s.eng.Refresh()
-	s.mu.Lock()
-	if rerr != nil {
-		s.lastErr = rerr.Error()
+	if err != nil {
+		s.lastErr = err.Error()
 	} else {
 		s.lastErr = ""
 	}
 	s.mu.Unlock()
-}
-
-func (s *Server) refresher() {
-	defer close(s.refresherDone)
-	for range s.kick {
-		s.refreshNow()
-	}
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -300,7 +225,7 @@ func (s *Server) retryAfterSeconds() int {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var batch []kbt.Extraction
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed_batch", "malformed batch: "+err.Error())
@@ -363,7 +288,7 @@ func (s *Server) writeEngineError(w http.ResponseWriter, err error, status int, 
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if _, err := s.eng.Refresh(); err != nil {
+	if err := s.refresh(); err != nil {
 		s.writeEngineError(w, err, http.StatusConflict, "refresh_failed")
 		return
 	}
@@ -371,14 +296,14 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stats)
 }
 
-// parseK reads ?k=N (0 or absent = all).
+// parseK reads ?k=N (0 or absent = all; negative is refused).
 func parseK(r *http.Request) (int, error) {
 	q := r.URL.Query().Get("k")
 	if q == "" {
 		return 0, nil
 	}
 	k, err := strconv.Atoi(q)
-	if err != nil {
+	if err != nil || k < 0 {
 		return 0, fmt.Errorf("bad k %q", q)
 	}
 	return k, nil
@@ -515,7 +440,6 @@ type statsReply struct {
 	Records   int               `json:"records"`
 	Pending   int               `json:"pending"`
 	Queued    int               `json:"queued"`
-	Lanes     int               `json:"lanes"`
 	Refreshed bool              `json:"refreshed"`
 	Refresh   *kbt.RefreshStats `json:"refresh,omitempty"`
 	LastError string            `json:"last_error,omitempty"`
@@ -529,7 +453,7 @@ type statsReply struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	reply := statsReply{Lanes: s.opt.Lanes}
+	var reply statsReply
 	// Each read below is a snapshot of its own, taken in this order — health
 	// first, counters after — so no counter in a reply is older than the
 	// health block beside it.

@@ -64,38 +64,32 @@ func benchPayloads(b *testing.B, count, per int) [][]byte {
 	return payloads
 }
 
-// BenchmarkServerIngest measures concurrent POST /v1/ingest throughput with
-// periodic automatic refreshes, one ingest worker versus four, on the
-// in-memory engine and on the durable one. In memory the lanes win is
-// refresh/ingest overlap: with one lane the worker refreshes inline, and acks
-// the batch that made the refresh due only after it, so every queued batch
-// stalls behind the EM pass; with several, the refresher runs beside the
-// workers and ingest keeps draining. The durable engine serialises
-// ingest, fsync and refresh under one lock, so there lanes=4 should read the
-// same as lanes=1 — and no worse. The end-to-end benchmark (bench/) serves
-// with -lanes 1, so this is where the Lanes knob is measured.
+// BenchmarkServerIngest measures concurrent POST /v1/ingest throughput, on
+// the in-memory engine and on the durable one. Every batch is applied,
+// refreshed and only then acked by the one ingest worker, so the concurrent
+// clients queue behind it; with -data the batch's fsync is on that path too.
+// The end-to-end benchmark (bench/) serves over one closed-loop connection,
+// so this is where concurrent ingest is measured.
 func BenchmarkServerIngest(b *testing.B) {
 	payloads := benchPayloads(b, 64, 64)
 	for _, engine := range []string{"memory", "durable"} {
-		for _, lanes := range []int{1, 4} {
-			b.Run(fmt.Sprintf("engine=%s/lanes=%d", engine, lanes), func(b *testing.B) {
-				srv := New(benchEngine(b, engine == "durable"), Options{Lanes: lanes, Queue: 256, RefreshEvery: 4})
-				defer srv.Close()
-				var next atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := next.Add(1)
-						req := httptest.NewRequest(http.MethodPost, "/v1/ingest",
-							bytes.NewReader(payloads[int(i)%len(payloads)]))
-						rec := httptest.NewRecorder()
-						srv.ServeHTTP(rec, req)
-						if rec.Code != http.StatusOK {
-							b.Fatalf("ingest = %d: %s", rec.Code, rec.Body.String())
-						}
+		b.Run("engine="+engine, func(b *testing.B) {
+			srv := New(benchEngine(b, engine == "durable"), Options{Queue: 256})
+			defer srv.Close()
+			var next atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := next.Add(1)
+					req := httptest.NewRequest(http.MethodPost, "/v1/ingest",
+						bytes.NewReader(payloads[int(i)%len(payloads)]))
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK {
+						b.Fatalf("ingest = %d: %s", rec.Code, rec.Body.String())
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }

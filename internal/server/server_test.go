@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -183,7 +184,7 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 	}
 	var st statsReply
 	decodeInto(t, resp, &st)
-	if st.Records != 24 || !st.Refreshed || st.Refresh == nil || st.LastError != "" || st.Lanes != 1 {
+	if st.Records != 24 || !st.Refreshed || st.Refresh == nil || st.LastError != "" {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -222,12 +223,15 @@ func TestBadRequests(t *testing.T) {
 		{"healthz POST", "POST", "/v1/healthz", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"stats DELETE", "DELETE", "/v1/stats", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"bad k", "GET", "/v1/top-sources?k=many", "", http.StatusBadRequest, "bad_query"},
+		{"top-sources negative k", "GET", "/v1/top-sources?k=-5", "", http.StatusBadRequest, "bad_query"},
+		{"top-triples negative k", "GET", "/v1/top-triples?k=-5", "", http.StatusBadRequest, "bad_query"},
 		{"no generation", "GET", "/v1/top-triples", "", http.StatusServiceUnavailable, "no_generation"},
 		{"source without name", "GET", "/v1/source", "", http.StatusBadRequest, "bad_query"},
 		{"refresh empty engine", "POST", "/v1/refresh", "", http.StatusConflict, "refresh_failed"},
 		{"copy-deps POST", "POST", "/v1/copy-deps", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"copy-deps disabled", "GET", "/v1/copy-deps", "", http.StatusConflict, "copydetect_disabled"},
 		{"copy-deps bad k", "GET", "/v1/copy-deps?k=many", "", http.StatusBadRequest, "bad_query"},
+		{"copy-deps negative k", "GET", "/v1/copy-deps?k=-5", "", http.StatusBadRequest, "bad_query"},
 		{"fused POST", "POST", "/v1/fused?item=s%7Cp", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"fused without item", "GET", "/v1/fused", "", http.StatusBadRequest, "bad_query"},
 		{"fused disabled", "GET", "/v1/fused?item=s%7Cp", "", http.StatusConflict, "fusion_disabled"},
@@ -264,6 +268,83 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("HEAD /v1/stats = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestBodyBoundIsEightMiB pins the request body bound: an ingest body of
+// exactly 8 MiB is applied, one byte more is refused whole with 400
+// malformed_batch.
+func TestBodyBoundIsEightMiB(t *testing.T) {
+	for _, tc := range []struct {
+		size, want, records int
+	}{{8 << 20, http.StatusOK, 1}, {8<<20 + 1, http.StatusBadRequest, 0}} {
+		eng := testEngine(t)
+		srv := New(eng, Options{})
+		// The one record of validBatchJSON, behind enough blanks to make the
+		// body tc.size bytes long.
+		body := "[" + strings.Repeat(" ", tc.size-len(validBatchJSON)) + validBatchJSON[1:]
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+		srv.Close()
+		if rec.Code != tc.want {
+			t.Fatalf("%d-byte body = %d %s, want %d", len(body), rec.Code, rec.Body, tc.want)
+		}
+		if tc.want != http.StatusOK {
+			var envelope errorReply
+			if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Code != "malformed_batch" {
+				t.Fatalf("%d-byte body: envelope %s, want code malformed_batch", len(body), rec.Body)
+			}
+		}
+		if got := eng.Len(); got != tc.records {
+			t.Fatalf("%d-byte body: engine holds %d records, want %d", len(body), got, tc.records)
+		}
+	}
+}
+
+// flakyRefreshEngine fails its first Refresh and hands every later one to
+// the engine it wraps.
+type flakyRefreshEngine struct {
+	Engine
+	failed atomic.Bool
+}
+
+func (f *flakyRefreshEngine) Refresh() (*kbt.Result, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("injected refresh failure")
+	}
+	return f.Engine.Refresh()
+}
+
+// TestLastErrorTracksEveryRefresh pins the refresh bookkeeping: a batch whose
+// refresh fails is still acked 200 — it is applied — with the failure in
+// /v1/stats' last_error, and a successful POST /v1/refresh clears it.
+func TestLastErrorTracksEveryRefresh(t *testing.T) {
+	srv := New(&flakyRefreshEngine{Engine: testEngine(t)}, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	stats := func() statsReply {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st statsReply
+		decodeInto(t, resp, &st)
+		return st
+	}
+
+	if code := drain(postJSON(t, ts, "/v1/ingest", testBatch(0, 12))); code != http.StatusOK {
+		t.Fatalf("ingest whose refresh fails = %d, want 200", code)
+	}
+	if st := stats(); st.Records != 12 || st.Refreshed || st.LastError != "injected refresh failure" {
+		t.Fatalf("stats after the failed refresh = %+v, want 12 records, no generation, the failure as last_error", st)
+	}
+	if code := drain(postJSON(t, ts, "/v1/refresh", nil)); code != http.StatusOK {
+		t.Fatalf("refresh = %d, want 200", code)
+	}
+	if st := stats(); !st.Refreshed || st.Pending != 0 || st.LastError != "" {
+		t.Fatalf("stats after a successful refresh = %+v, want published, nothing pending, last_error cleared", st)
 	}
 }
 
@@ -359,7 +440,7 @@ func drain(resp *http.Response) int {
 
 func TestQueueFullReturns429(t *testing.T) {
 	ge := &recordingEngine{Engine: testEngine(t), gate: make(chan struct{})}
-	srv := New(ge, Options{Queue: 2, RefreshEvery: -1})
+	srv := New(ge, Options{Queue: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -413,96 +494,94 @@ func laneRecord(website string, i int) kbt.Extraction {
 	}
 }
 
-// TestBatchAppliedWhole pins the unit of ingest: whatever Lanes is and
-// whether or not the request carries an Idempotency-Key, a batch spanning
-// many websites reaches the engine as one IngestKeyed call holding every
-// record in request order, and its 2xx follows that call's return. A batch
-// the server refuses — queue full, or the engine rejecting it — has applied
-// nothing.
+// TestBatchAppliedWhole pins the unit of ingest: whether or not the request
+// carries an Idempotency-Key, a batch spanning many websites reaches the
+// engine as one IngestKeyed call holding every record in request order, and
+// its 2xx follows that call's return. A batch the server refuses — queue
+// full, or the engine rejecting it — has applied nothing.
 func TestBatchAppliedWhole(t *testing.T) {
 	batch := make([]kbt.Extraction, 24)
 	for i := range batch {
 		batch[i] = laneRecord(fmt.Sprintf("site%d.com", i%12), i)
 	}
-	for _, lanes := range []int{1, 4} {
-		for _, key := range []string{"", "batch-1"} {
-			t.Run(fmt.Sprintf("lanes=%d/key=%q", lanes, key), func(t *testing.T) {
-				re := &recordingEngine{Engine: testEngine(t), gate: make(chan struct{})}
-				srv := New(re, Options{Lanes: lanes, Queue: 1, RefreshEvery: -1})
-				ts := httptest.NewServer(srv)
-				release := sync.OnceFunc(func() { close(re.gate) })
-				defer func() { release(); srv.Close(); ts.Close() }()
-				await := func(ch chan *http.Response) *http.Response {
-					t.Helper()
-					select {
-					case resp := <-ch:
-						return resp
-					case <-time.After(5 * time.Second):
-						t.Fatal("no response")
-						return nil
-					}
-				}
-
-				acks := make(chan *http.Response, 1)
-				go func() { acks <- postKeyed(t, ts, key, batch) }()
-				waitFor(t, "batch never reached the engine", func() bool { return len(re.snapshot()) > 0 })
+	const lanes = 1 // the one ingest worker
+	for _, key := range []string{"", "batch-1"} {
+		t.Run(fmt.Sprintf("lanes=%d/key=%q", lanes, key), func(t *testing.T) {
+			re := &recordingEngine{Engine: testEngine(t), gate: make(chan struct{})}
+			srv := New(re, Options{Queue: 1})
+			ts := httptest.NewServer(srv)
+			release := sync.OnceFunc(func() { close(re.gate) })
+			defer func() { release(); srv.Close(); ts.Close() }()
+			await := func(ch chan *http.Response) *http.Response {
+				t.Helper()
 				select {
-				case <-acks:
-					t.Fatal("batch acked before its engine call returned")
-				case <-time.After(100 * time.Millisecond):
+				case resp := <-ch:
+					return resp
+				case <-time.After(5 * time.Second):
+					t.Fatal("no response")
+					return nil
 				}
-				want := []ingestCall{{key, batch}}
-				if got := re.snapshot(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("batch reached the engine as %d calls %v, want one call with all %d records in request order",
-						len(got), got, len(batch))
-				}
-				re.gate <- struct{}{}
-				if code := drain(await(acks)); code != http.StatusOK {
-					t.Fatalf("ingest = %d, want 200", code)
-				}
+			}
 
-				// An engine that rejects the batch: 400, after one more call.
-				re.setReject(errors.New("record 7: empty Subject"))
-				go func() { acks <- postKeyed(t, ts, key, batch) }()
-				re.gate <- struct{}{}
-				var envelope errorReply
-				resp := await(acks)
-				decodeInto(t, resp, &envelope)
-				if resp.StatusCode != http.StatusBadRequest || envelope.Code != "invalid_record" {
-					t.Fatalf("rejected ingest = %d %+v, want 400 invalid_record", resp.StatusCode, envelope)
-				}
-				re.setReject(nil)
+			acks := make(chan *http.Response, 1)
+			go func() { acks <- postKeyed(t, ts, key, batch) }()
+			waitFor(t, "batch never reached the engine", func() bool { return len(re.snapshot()) > 0 })
+			select {
+			case <-acks:
+				t.Fatal("batch acked before its engine call returned")
+			case <-time.After(100 * time.Millisecond):
+			}
+			want := []ingestCall{{key, batch}}
+			if got := re.snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch reached the engine as %d calls %v, want one call with all %d records in request order",
+					len(got), got, len(batch))
+			}
+			re.gate <- struct{}{}
+			if code := drain(await(acks)); code != http.StatusOK {
+				t.Fatalf("ingest = %d, want 200", code)
+			}
 
-				// A full queue: every worker held at the gate, one more batch
-				// queued behind them. The spanning batch is refused with 429
-				// and never reaches the engine.
-				held := make(chan *http.Response, lanes+1)
-				for i := 0; i <= lanes; i++ {
-					one := []kbt.Extraction{laneRecord("held.com", i)}
-					go func() { held <- postKeyed(t, ts, "", one) }()
-				}
-				waitFor(t, "workers and queue never filled", func() bool {
-					return len(re.snapshot()) == 2+lanes && len(srv.queue) == 1
-				})
-				resp = postKeyed(t, ts, key, batch)
-				if code := drain(resp); code != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-					t.Fatalf("ingest into a full queue = %d (Retry-After %q), want 429 with one",
-						code, resp.Header.Get("Retry-After"))
-				}
-				release()
-				for i := 0; i <= lanes; i++ {
-					if code := drain(await(held)); code != http.StatusOK {
-						t.Fatalf("held ingest %d = %d, want 200", i, code)
-					}
-				}
-				if got := len(re.snapshot()); got != 3+lanes {
-					t.Fatalf("engine saw %d calls, want %d: the 429 costs none, the 400 one", got, 3+lanes)
-				}
-				if got, want := re.Len(), len(batch)+lanes+1; got != want {
-					t.Fatalf("engine holds %d records, want %d: a refused batch applies nothing", got, want)
-				}
+			// An engine that rejects the batch: 400, after one more call.
+			re.setReject(errors.New("record 7: empty Subject"))
+			go func() { acks <- postKeyed(t, ts, key, batch) }()
+			re.gate <- struct{}{}
+			var envelope errorReply
+			resp := await(acks)
+			decodeInto(t, resp, &envelope)
+			if resp.StatusCode != http.StatusBadRequest || envelope.Code != "invalid_record" {
+				t.Fatalf("rejected ingest = %d %+v, want 400 invalid_record", resp.StatusCode, envelope)
+			}
+			re.setReject(nil)
+
+			// A full queue: every worker held at the gate, one more batch
+			// queued behind them. The spanning batch is refused with 429
+			// and never reaches the engine.
+			held := make(chan *http.Response, lanes+1)
+			for i := 0; i <= lanes; i++ {
+				one := []kbt.Extraction{laneRecord("held.com", i)}
+				go func() { held <- postKeyed(t, ts, "", one) }()
+			}
+			waitFor(t, "workers and queue never filled", func() bool {
+				return len(re.snapshot()) == 2+lanes && len(srv.queue) == 1
 			})
-		}
+			resp = postKeyed(t, ts, key, batch)
+			if code := drain(resp); code != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("ingest into a full queue = %d (Retry-After %q), want 429 with one",
+					code, resp.Header.Get("Retry-After"))
+			}
+			release()
+			for i := 0; i <= lanes; i++ {
+				if code := drain(await(held)); code != http.StatusOK {
+					t.Fatalf("held ingest %d = %d, want 200", i, code)
+				}
+			}
+			if got := len(re.snapshot()); got != 3+lanes {
+				t.Fatalf("engine saw %d calls, want %d: the 429 costs none, the 400 one", got, 3+lanes)
+			}
+			if got, want := re.Len(), len(batch)+lanes+1; got != want {
+				t.Fatalf("engine holds %d records, want %d: a refused batch applies nothing", got, want)
+			}
+		})
 	}
 }
 
@@ -520,281 +599,169 @@ func (g *gatedRefreshEngine) Refresh() (*kbt.Result, error) {
 	return g.Engine.Refresh()
 }
 
-// TestOneLaneAckIsPublished pins what a 2xx means at one lane: the batch is
-// applied and the refresh it made due has published, so the client's first
-// /v1/stats after the ack already counts the batch with nothing pending. At
-// two lanes the refresh runs beside ingest and the 2xx does not wait for it.
+// TestOneLaneAckIsPublished pins what a 2xx means: the batch is applied and
+// the refresh after it has published, so the client's first /v1/stats after
+// the ack already counts the batch with nothing pending.
 func TestOneLaneAckIsPublished(t *testing.T) {
 	for _, durable := range []bool{false, true} {
-		for _, lanes := range []int{1, 2} {
-			t.Run(fmt.Sprintf("durable=%t/lanes=%d", durable, lanes), func(t *testing.T) {
-				var eng Engine = testEngine(t)
-				if durable {
-					d, err := kbt.OpenDurable(t.TempDir(), testOptions(), kbt.DurableOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer d.Close()
-					eng = d
+		t.Run(fmt.Sprintf("durable=%t/lanes=1", durable), func(t *testing.T) {
+			var eng Engine = testEngine(t)
+			if durable {
+				d, err := kbt.OpenDurable(t.TempDir(), testOptions(), kbt.DurableOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				ge := &gatedRefreshEngine{Engine: eng, started: make(chan struct{}, 16), gate: make(chan struct{})}
-				srv := New(ge, Options{Lanes: lanes})
-				ts := httptest.NewServer(srv)
-				release := sync.OnceFunc(func() { close(ge.gate) })
-				defer func() { release(); srv.Close(); ts.Close() }()
-				awaitStarted := func() {
-					t.Helper()
-					select {
-					case <-ge.started:
-					case <-time.After(5 * time.Second):
-						t.Fatal("the batch's refresh never started")
-					}
-				}
-
-				sent := 0
-				for b := 0; b < 3; b++ {
-					batch := testBatch(b*10, 10)
-					acks := make(chan int, 1)
-					go func() { acks <- drain(postJSON(t, ts, "/v1/ingest", batch)) }()
-					if lanes > 1 {
-						// The ack comes while the refresh it kicked is held.
-						select {
-						case code := <-acks:
-							if code != http.StatusOK {
-								t.Fatalf("ingest %d = %d, want 200", b, code)
-							}
-						case <-time.After(5 * time.Second):
-							t.Fatalf("ingest %d waited for the refresh at %d lanes", b, lanes)
-						}
-						awaitStarted()
-						ge.gate <- struct{}{}
-						continue
-					}
-					awaitStarted()
-					select {
-					case code := <-acks:
-						t.Fatalf("ingest %d answered %d before its refresh published", b, code)
-					case <-time.After(100 * time.Millisecond):
-					}
-					ge.gate <- struct{}{}
-					if code := <-acks; code != http.StatusOK {
-						t.Fatalf("ingest %d = %d, want 200", b, code)
-					}
-					sent += len(batch)
-					resp, err := http.Get(ts.URL + "/v1/stats")
-					if err != nil {
-						t.Fatal(err)
-					}
-					var st statsReply
-					decodeInto(t, resp, &st)
-					if st.Records < sent || st.Pending != 0 || !st.Refreshed {
-						t.Fatalf("first stats after ack %d: records %d pending %d refreshed %v, want records >= %d, nothing pending",
-							b, st.Records, st.Pending, st.Refreshed, sent)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestDurableLogSameAtAnyLanes pins what one call per batch means on disk: a
-// durable engine writes one log entry per POST whatever Lanes is, so the same
-// requests leave a log of the same size.
-func TestDurableLogSameAtAnyLanes(t *testing.T) {
-	walBytes := func(lanes int) int64 {
-		d, err := kbt.OpenDurable(t.TempDir(), kbt.DefaultEngineOptions(), kbt.DurableOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		srv := New(d, Options{Lanes: lanes, RefreshEvery: -1})
-		defer srv.Close()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		for b := 0; b < 8; b++ {
-			if code := drain(postJSON(t, ts, "/v1/ingest", testBatch(b*12, 12))); code != http.StatusOK {
-				t.Fatalf("lanes=%d: ingest %d = %d", lanes, b, code)
+				defer d.Close()
+				eng = d
 			}
-		}
-		return d.Health().WALBytes
-	}
-	if one, four := walBytes(1), walBytes(4); one != four || one == 0 {
-		t.Fatalf("log holds %d bytes after 8 batches at one lane, %d at four; want equal and non-zero", one, four)
-	}
-}
-
-// TestLaneInvalidBatchRejectedWhole pins whole-batch validation at several
-// lanes: a batch with one malformed record is refused by the engine call that
-// carries all of it, so no part of it is applied.
-func TestLaneInvalidBatchRejectedWhole(t *testing.T) {
-	eng := testEngine(t)
-	srv := New(eng, Options{Lanes: 4})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	batch := testBatch(0, 12)
-	batch[7].Subject = "" // invalid
-	resp := postJSON(t, ts, "/v1/ingest", batch)
-	var envelope errorReply
-	decodeInto(t, resp, &envelope)
-	if resp.StatusCode != http.StatusBadRequest || envelope.Code != "invalid_record" {
-		t.Fatalf("ingest = %d %+v, want 400 invalid_record", resp.StatusCode, envelope)
-	}
-	if got := eng.Len(); got != 0 {
-		t.Fatalf("engine holds %d records of a refused batch, want 0", got)
-	}
-}
-
-// TestLanesApplyEverything ingests through 4 lanes and checks every record
-// lands and queries serve a coherent generation.
-func TestLanesApplyEverything(t *testing.T) {
-	eng := testEngine(t)
-	srv := New(eng, Options{Lanes: 4, RefreshEvery: 4})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	const batches, per = 16, 8
-	var wg sync.WaitGroup
-	for b := 0; b < batches; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			resp := postJSON(t, ts, "/v1/ingest", testBatch(b*per, per))
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("ingest %d = %d", b, resp.StatusCode)
+			ge := &gatedRefreshEngine{Engine: eng, started: make(chan struct{}, 16), gate: make(chan struct{})}
+			srv := New(ge, Options{})
+			ts := httptest.NewServer(srv)
+			release := sync.OnceFunc(func() { close(ge.gate) })
+			defer func() { release(); srv.Close(); ts.Close() }()
+			awaitStarted := func() {
+				t.Helper()
+				select {
+				case <-ge.started:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the batch's refresh never started")
+				}
 			}
-		}(b)
-	}
-	wg.Wait()
-	if got := eng.Len(); got != batches*per {
-		t.Fatalf("engine holds %d records, want %d", got, batches*per)
-	}
-	resp := postJSON(t, ts, "/v1/refresh", nil)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("refresh = %d", resp.StatusCode)
-	}
-	waitRefreshed(t, ts)
-	resp, err := http.Get(ts.URL + "/v1/top-sources")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var srcs []kbt.Source
-	decodeInto(t, resp, &srcs)
-	if resp.StatusCode != http.StatusOK || len(srcs) == 0 {
-		t.Fatalf("top-sources = %d, %d sources", resp.StatusCode, len(srcs))
+
+			sent := 0
+			for b := 0; b < 3; b++ {
+				batch := testBatch(b*10, 10)
+				acks := make(chan int, 1)
+				go func() { acks <- drain(postJSON(t, ts, "/v1/ingest", batch)) }()
+				awaitStarted()
+				select {
+				case code := <-acks:
+					t.Fatalf("ingest %d answered %d before its refresh published", b, code)
+				case <-time.After(100 * time.Millisecond):
+				}
+				ge.gate <- struct{}{}
+				if code := <-acks; code != http.StatusOK {
+					t.Fatalf("ingest %d = %d, want 200", b, code)
+				}
+				sent += len(batch)
+				resp, err := http.Get(ts.URL + "/v1/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st statsReply
+				decodeInto(t, resp, &st)
+				if st.Records < sent || st.Pending != 0 || !st.Refreshed {
+					t.Fatalf("first stats after ack %d: records %d pending %d refreshed %v, want records >= %d, nothing pending",
+						b, st.Records, st.Pending, st.Refreshed, sent)
+				}
+			}
+		})
 	}
 }
 
 // TestConcurrentIngestAndQuery hammers ingest and the read endpoints
-// together (run under -race in CI), at one lane and at four. Every query
+// together (run under -race in CI). Every query
 // response must be one internally coherent generation: sources sorted
 // most-trustworthy-first, the k-prefix consistent with itself,
 // probabilities in range — the same invariants the engine's
 // generation-coherence test pins, observed through the HTTP surface.
 func TestConcurrentIngestAndQuery(t *testing.T) {
-	for _, lanes := range []int{1, 4} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			srv := New(testEngine(t), Options{Queue: 128, Lanes: lanes})
-			defer srv.Close()
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
+	// lanes=1: the one ingest worker.
+	t.Run("lanes=1", func(t *testing.T) {
+		srv := New(testEngine(t), Options{Queue: 128})
+		defer srv.Close()
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
 
-			resp := postJSON(t, ts, "/v1/ingest", testBatch(0, 30))
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			waitRefreshed(t, ts)
+		resp := postJSON(t, ts, "/v1/ingest", testBatch(0, 30))
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		waitRefreshed(t, ts)
 
-			const writers, readers, rounds = 2, 4, 20
-			var wg sync.WaitGroup
-			errc := make(chan error, writers+readers)
-			for wr := 0; wr < writers; wr++ {
-				wg.Add(1)
-				go func(wr int) {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						resp := postJSON(t, ts, "/v1/ingest", testBatch(1000+wr*1000+i*10, 5))
-						io.Copy(io.Discard, resp.Body)
+		const writers, readers, rounds = 2, 4, 20
+		var wg sync.WaitGroup
+		errc := make(chan error, writers+readers)
+		for wr := 0; wr < writers; wr++ {
+			wg.Add(1)
+			go func(wr int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					resp := postJSON(t, ts, "/v1/ingest", testBatch(1000+wr*1000+i*10, 5))
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+						errc <- fmt.Errorf("writer %d: ingest = %d", wr, resp.StatusCode)
+						return
+					}
+				}
+			}(wr)
+		}
+		for rd := 0; rd < readers; rd++ {
+			wg.Add(1)
+			go func(rd int) {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					resp, err := http.Get(ts.URL + "/v1/top-sources")
+					if err != nil {
+						errc <- err
+						return
+					}
+					var srcs []kbt.Source
+					if err := json.NewDecoder(resp.Body).Decode(&srcs); err != nil {
 						resp.Body.Close()
-						if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
-							errc <- fmt.Errorf("writer %d: ingest = %d", wr, resp.StatusCode)
+						errc <- fmt.Errorf("reader %d: %v", rd, err)
+						return
+					}
+					resp.Body.Close()
+					if len(srcs) == 0 {
+						errc <- fmt.Errorf("reader %d: empty source view", rd)
+						return
+					}
+					for j := range srcs {
+						if srcs[j].KBT < 0 || srcs[j].KBT > 1 {
+							errc <- fmt.Errorf("reader %d: KBT %v out of range", rd, srcs[j].KBT)
+							return
+						}
+						if j > 0 && (srcs[j].KBT > srcs[j-1].KBT ||
+							(srcs[j].KBT == srcs[j-1].KBT && srcs[j].Name < srcs[j-1].Name)) {
+							errc <- fmt.Errorf("reader %d: source view out of order at %d", rd, j)
 							return
 						}
 					}
-				}(wr)
-			}
-			for rd := 0; rd < readers; rd++ {
-				wg.Add(1)
-				go func(rd int) {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						resp, err := http.Get(ts.URL + "/v1/top-sources")
-						if err != nil {
-							errc <- err
-							return
-						}
-						var srcs []kbt.Source
-						if err := json.NewDecoder(resp.Body).Decode(&srcs); err != nil {
-							resp.Body.Close()
-							errc <- fmt.Errorf("reader %d: %v", rd, err)
-							return
-						}
+					resp, err = http.Get(ts.URL + "/v1/top-triples?k=5")
+					if err != nil {
+						errc <- err
+						return
+					}
+					var trs []kbt.TripleVerdict
+					if err := json.NewDecoder(resp.Body).Decode(&trs); err != nil {
 						resp.Body.Close()
-						if len(srcs) == 0 {
-							errc <- fmt.Errorf("reader %d: empty source view", rd)
+						errc <- fmt.Errorf("reader %d: %v", rd, err)
+						return
+					}
+					resp.Body.Close()
+					for _, tv := range trs {
+						if tv.Probability < 0 || tv.Probability > 1 {
+							errc <- fmt.Errorf("reader %d: probability %v", rd, tv.Probability)
 							return
-						}
-						for j := range srcs {
-							if srcs[j].KBT < 0 || srcs[j].KBT > 1 {
-								errc <- fmt.Errorf("reader %d: KBT %v out of range", rd, srcs[j].KBT)
-								return
-							}
-							if j > 0 && (srcs[j].KBT > srcs[j-1].KBT ||
-								(srcs[j].KBT == srcs[j-1].KBT && srcs[j].Name < srcs[j-1].Name)) {
-								errc <- fmt.Errorf("reader %d: source view out of order at %d", rd, j)
-								return
-							}
-						}
-						resp, err = http.Get(ts.URL + "/v1/top-triples?k=5")
-						if err != nil {
-							errc <- err
-							return
-						}
-						var trs []kbt.TripleVerdict
-						if err := json.NewDecoder(resp.Body).Decode(&trs); err != nil {
-							resp.Body.Close()
-							errc <- fmt.Errorf("reader %d: %v", rd, err)
-							return
-						}
-						resp.Body.Close()
-						for _, tv := range trs {
-							if tv.Probability < 0 || tv.Probability > 1 {
-								errc <- fmt.Errorf("reader %d: probability %v", rd, tv.Probability)
-								return
-							}
 						}
 					}
-				}(rd)
-			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Error(err)
-			}
-		})
-	}
+				}
+			}(rd)
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+	})
 }
 
 // TestShutdownIngestReturns503WithRetryAfter pins the shutdown refusal: once
 // Close has begun, ingest is refused with a retryable 503 carrying a
 // Retry-After header, not a hung request or a plain error.
 func TestShutdownIngestReturns503WithRetryAfter(t *testing.T) {
-	srv := New(testEngine(t), Options{RefreshEvery: -1})
+	srv := New(testEngine(t), Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	srv.Close()
@@ -824,7 +791,7 @@ func TestClosedEngineWritesReturn503(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(d, Options{RefreshEvery: -1})
+	srv := New(d, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -908,7 +875,7 @@ func (f *faultyEngine) Health() kbt.HealthStatus {
 // serving the last generation. Healing clears the gate.
 func TestReadOnlyWritesReturn503(t *testing.T) {
 	fe := &faultyEngine{Engine: testEngine(t)}
-	srv := New(fe, Options{RefreshEvery: -1})
+	srv := New(fe, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -974,7 +941,7 @@ func TestReadOnlyWritesReturn503(t *testing.T) {
 // non-healthy always with a Retry-After header.
 func TestHealthzReportsEngineState(t *testing.T) {
 	fe := &faultyEngine{Engine: testEngine(t)}
-	srv := New(fe, Options{RefreshEvery: -1})
+	srv := New(fe, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1011,7 +978,7 @@ func TestHealthzReportsEngineState(t *testing.T) {
 // plain in-memory engine.
 func TestStatsReportsHealthBlock(t *testing.T) {
 	fe := &faultyEngine{Engine: testEngine(t)}
-	srv := New(fe, Options{RefreshEvery: -1})
+	srv := New(fe, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -1031,7 +998,7 @@ func TestStatsReportsHealthBlock(t *testing.T) {
 		t.Fatalf("stats watermarks = wal %d, ckpt %d, want 4096 and 17", st.WALBytes, st.CheckpointWatermark)
 	}
 
-	plain := New(testEngine(t), Options{RefreshEvery: -1})
+	plain := New(testEngine(t), Options{})
 	defer plain.Close()
 	tsPlain := httptest.NewServer(plain)
 	defer tsPlain.Close()
@@ -1046,13 +1013,13 @@ func TestStatsReportsHealthBlock(t *testing.T) {
 	}
 }
 
-// TestIdempotencyKeyRoutesWholeBatch pins the keyed-ingest contract on a
-// multi-lane server: the Idempotency-Key header reaches the engine with the
-// whole batch in one IngestKeyed call, and a resend of the same key acks
-// without growing the engine.
+// TestIdempotencyKeyRoutesWholeBatch pins the keyed-ingest contract: the
+// Idempotency-Key header reaches the engine with the whole batch in one
+// IngestKeyed call, and a resend of the same key acks without growing the
+// engine.
 func TestIdempotencyKeyRoutesWholeBatch(t *testing.T) {
 	kr := &recordingEngine{Engine: testEngine(t)}
-	srv := New(kr, Options{Lanes: 4, RefreshEvery: -1})
+	srv := New(kr, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
