@@ -406,9 +406,8 @@ type RefreshStats struct {
 	// whether the parameters settled before the iteration cap.
 	Iterations int
 	Converged  bool
-	// AggDeltaSteps / AggFullSteps count the global M-step stage invocations
-	// that updated the incremental aggregates by dirty-set deltas
-	// respectively re-aggregated over the corpus.
+	// AggDeltaSteps / AggFullSteps count the global M-step stage calls that
+	// visited the pass's triple list respectively every index.
 	AggDeltaSteps, AggFullSteps int
 	// CopyPairs is the number of copy dependencies the generation publishes
 	// (zero when CopyDetect is off). CopyItems counts the item signatures the

@@ -6,66 +6,57 @@ import (
 	"kbt/internal/stats"
 )
 
-// This file maintains the stage III/IV sufficient statistics incrementally.
+// This file keeps the term caches behind the stage III/IV M-steps and the
+// grouping both stages run on.
 //
-// The global M-steps of Algorithm 1 are sums of per-index contributions:
-// source accuracy (Eq 27/28) sums a (num, den) pair over the source's
-// candidate triples, and extractor precision/recall (Eqs 29-33) sum a
-// numerator over the extractor's observations, a confidence mass over the
-// same observations, and a correctness mass over the (source, predicate)
-// cells the extractor attempts. When an EM iteration's E-step only touched a
-// dirty subset of shards, only the contributions of those shards' triples
-// (and their observations) can have changed — so instead of re-scanning the
-// corpus, the estimators cache every contribution, keep the per-unit sums,
-// and update them by subtracting the stale contribution and adding the fresh
-// one. Stages III and IV drop from O(corpus) to O(dirty).
+// The global M-steps of Algorithm 1 are sums of per-index terms: source
+// accuracy (Eq 27/28) sums a (num, den) pair over the source's candidate
+// triples, and extractor precision/recall (Eqs 29-33) sum a numerator over the
+// extractor's observations and a correctness mass over the (source, predicate)
+// cells the extractor attempts (the confidence masses are state.pDen). Every
+// sum is an exact stats.Sum, a function of its multiset of terms alone, so
+// each M-stage is one body: a loop over the indices its call visited, grouped
+// by unit, where a visited index replaces its cached term in its unit's sum
+// (a unit visited whole starts from zero), then a derivation of every unit it
+// touched. A call over a list costs O(list) and lands on the bits a call over
+// every index would.
 //
-// Every sum is an exact stats.Sum, a function of its current terms alone
-// however many delta updates, in whatever order, brought it there; so a delta
-// M-step derives the bits the full aggregation (estimateA, estimatePRQ in
-// infer.go) would, which fills these caches as it sums. The full body runs
-// where it is cheaper (deltaCostsMore) or the caches are invalid (fresh
-// state, an inclusion flip).
+// A call visits every index when its list is nil, when there are no valid
+// caches to honour a list with (Options.IncrementalAggregates off, a fresh
+// state, an inclusion flip), or when the list names at least half the triples
+// (aggState.visitsAll). One more case visits a unit whole: under
+// Options.LeaveOneOut an observation's numerator term depends on its
+// extractor's own presence/absence votes, so an extractor whose votes moved
+// since its terms were cached has every observation stale.
 //
-// One case still rescans: under Options.LeaveOneOut an observation's
-// numerator contribution depends on its extractor's own presence/absence
-// votes. When those votes moved since the contribution was cached (the
-// extractor's R or Q changed in the previous M-step), every one of its
-// observations is stale and the extractor is re-scanned in full. Extractors
-// whose votes did not move (the common case at fine extractor granularity,
-// where an ingest touches few units) stay on the delta path.
-//
-// The delta estimators assume the caller passes every candidate triple whose
-// Stage I/II outputs (cProb, value posterior slots, coverage) or effective
-// confidence changed since the previous M-step call; the engine guarantees
-// this by passing exactly the dirty shards it re-estimated.
+// A list must name every candidate triple whose Stage I/II outputs (cProb,
+// value posterior slots, coverage) or effective confidence changed since the
+// previous M-step call, each at most once; the engine passes exactly the
+// scope it re-estimated.
 
-// aggState holds the persistent sufficient statistics and per-contribution
-// caches of the incremental stage III/IV estimators.
+// aggState holds the term caches and per-unit sums of the stage III/IV
+// M-steps.
 type aggState struct {
-	// aValid / eValid report whether the stage III respectively stage IV
-	// caches have been filled by a full aggregation; cleared on structural
-	// changes (inclusion flips).
-	aValid, eValid bool
+	// valid reports, per M-stage, whether its caches have been filled by a
+	// call over every index; cleared on structural changes (inclusion flips).
+	valid [2]bool
 
-	// Stage III: per-source (num, den) sums and per-triple contributions.
+	// Stage III: per-source (num, den) sums and per-triple terms.
 	aNum, aDen   []stats.Sum
 	aNumC, aDenC []float64
 
 	// Stage IV: per-extractor numerator sums, the per-observation numerator
-	// contributions, and the votes they were computed with (NaN until first
-	// filled, which never compares equal).
+	// terms, and the votes they were computed with (NaN until first filled,
+	// which never compares equal).
 	eNum        []stats.Sum
 	obsNumC     []float64
 	preAt, abAt []float64
 
-	// Correctness mass: per-triple covered-gated contribution, its global
-	// total (ScopeAllExtractors), and the per-extractor recall denominator
-	// maintained through the extsOfCell reverse index (ScopeAttemptedSources;
-	// the cell masses themselves live in state.cellC, persistent in
-	// aggregate mode).
+	// Correctness mass: the per-triple covered-gated term and the
+	// per-extractor recall denominator, kept through the extsOfCell reverse
+	// index under ScopeAttemptedSources (the masses themselves are
+	// state.cellC and state.totalC).
 	cCov       []float64
-	totalC     stats.Sum
 	rDen       []stats.Sum
 	extsOfCell [][]int32
 
@@ -75,16 +66,9 @@ type aggState struct {
 	expF     []float64
 	expDirty []uint32
 
-	// Touched-unit bookkeeping for the delta passes.
-	gen                    int32
-	srcMark, extMark       []int32
-	touchedSrc, touchedExt []int
-	voteShift              []bool
-	shifted                []int
-
-	// deltaSteps / fullSteps count M-step stage invocations that ran the
-	// delta respectively full-aggregation path, for diagnostics.
-	deltaSteps, fullSteps int
+	// listSteps / wholeSteps count the M-stage calls that honoured a list
+	// respectively visited every index, for diagnostics.
+	listSteps, wholeSteps int
 }
 
 func newAggState(nSrc, nExt, nTri, nObs int) *aggState {
@@ -99,7 +83,6 @@ func newAggState(nSrc, nExt, nTri, nObs int) *aggState {
 func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
 	ag.aNum = grow(ag.aNum, nSrc, stats.Sum{})
 	ag.aDen = grow(ag.aDen, nSrc, stats.Sum{})
-	ag.srcMark = grow(ag.srcMark, nSrc, 0)
 	ag.aNumC = grow(ag.aNumC, nTri, 0)
 	ag.aDenC = grow(ag.aDenC, nTri, 0)
 	ag.cCov = grow(ag.cCov, nTri, 0)
@@ -107,17 +90,43 @@ func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
 	ag.rDen = grow(ag.rDen, nExt, stats.Sum{})
 	ag.preAt = grow(ag.preAt, nExt, math.NaN())
 	ag.abAt = grow(ag.abAt, nExt, math.NaN())
-	ag.extMark = grow(ag.extMark, nExt, 0)
-	ag.voteShift = append(ag.voteShift, make([]bool, nExt-len(ag.voteShift))...)
 	ag.obsNumC = grow(ag.obsNumC, nObs, 0)
 	if ag.extsOfCell != nil {
 		ag.extsOfCell = append(ag.extsOfCell, make([][]int32, nCells-len(ag.extsOfCell))...)
 	}
 }
 
+// The M-stages, by the index of their caches' validity.
+const (
+	stageSources = iota
+	stageExtractors
+)
+
+// visitsAll reports whether a call of the given M-stage over tis visits every
+// one of the n triples — filling the stage's caches — and counts the call. It
+// does when tis is nil, when there are no valid caches to honour a list with
+// (always without caches), and when tis names at least half the triples:
+// replacing a term costs a subtraction beside the addition, after a serial
+// grouping, so such a list costs more than summing every term from zero.
+// That last rule chooses the scope only — both scopes derive the same bits.
+func (ag *aggState) visitsAll(stage int, tis []int, n int) bool {
+	if ag == nil {
+		return true
+	}
+	whole := tis == nil || !ag.valid[stage] || 2*len(tis) >= n
+	if whole {
+		ag.wholeSteps++
+		ag.valid[stage] = true
+	} else {
+		ag.listSteps++
+	}
+	return whole
+}
+
 // cellExtractors returns the cell→extractors reverse index behind the
-// recall-denominator deltas, building it from the current cell lists on first
-// use — after a fresh state or an inclusion flip — in O(attempted pairs).
+// recall-denominator updates, building it from the current cell lists on
+// first use — after a fresh state or an inclusion flip — in O(attempted
+// pairs).
 func (st *state) cellExtractors() [][]int32 {
 	ag := st.agg
 	if ag.extsOfCell == nil {
@@ -131,141 +140,85 @@ func (st *state) cellExtractors() [][]int32 {
 	return ag.extsOfCell
 }
 
-// estimateADelta updates the stage III aggregates for the dirty triples and
-// re-derives the accuracies of the sources they touch. Untouched sources
-// keep parameters equal to what a full aggregation would recompute, because
-// none of their contributions changed.
-func (st *state) estimateADelta(cProb []float64, valueProb [][]float64, dirtyTris []int) {
-	ag := st.agg
-	ag.gen++
-	ag.touchedSrc = ag.touchedSrc[:0]
-	for _, ti := range dirtyTris {
-		nc, dc := st.aContrib(ti, cProb, valueProb)
-		if nc == ag.aNumC[ti] && dc == ag.aDenC[ti] {
-			continue
-		}
-		w := st.s.Triples[ti].W
-		ag.aNum[w] = ag.aNum[w].Sub(ag.aNumC[ti]).Add(nc)
-		ag.aDen[w] = ag.aDen[w].Sub(ag.aDenC[ti]).Add(dc)
-		ag.aNumC[ti], ag.aDenC[ti] = nc, dc
-		if ag.srcMark[w] != ag.gen {
-			ag.srcMark[w] = ag.gen
-			ag.touchedSrc = append(ag.touchedSrc, w)
-		}
+// groups buckets the indices an M-stage call visits by unit in O(visited +
+// units touched): a counting sort whose per-unit arrays persist and reset
+// only for the units a call touches, so a narrow call allocates nothing once
+// warm. A call runs reset, touch or add, place, then tasks.
+type groups struct {
+	gen   int32
+	mark  []int32    // the gen of the call that last touched the unit
+	at    []int32    // the unit's count, then its next slot in idx, then its span's end
+	whole []bool     // the call visits the unit whole (cleared by tasks)
+	units []int      // the touched units, in first-touch order: their spans follow one another
+	added [][2]int32 // the (unit, index) pairs add took, in order
+	idx   []int      // the visited indices, unit by unit
+}
+
+// reset starts a call over n units.
+func (g *groups) reset(n int) *groups {
+	g.mark, g.at, g.whole = grow(g.mark, n, 0), grow(g.at, n, 0), grow(g.whole, n, false)
+	g.gen++
+	g.units = g.units[:0]
+	return g
+}
+
+// touch adds unit u to the call's units, visited whole if whole.
+func (g *groups) touch(u int, whole bool) {
+	if g.mark[u] != g.gen {
+		g.mark[u], g.at[u] = g.gen, 0
+		g.units = append(g.units, u)
 	}
-	for _, w := range ag.touchedSrc {
-		if st.srcIncluded[w] {
-			st.deriveA(w, ag.aNum[w], ag.aDen[w])
-		}
+	if whole {
+		g.whole[u] = true
 	}
 }
 
-// estimatePRQDelta updates the stage IV aggregates for the dirty triples'
-// observations and re-derives parameters for the extractors they touch.
-// Extractors whose presence/absence votes moved since their numerators were
-// cached are re-scanned in full (see the file comment); without LeaveOneOut
-// the contributions do not depend on the votes and the rescan is skipped
-// entirely.
-func (st *state) estimatePRQDelta(cProb []float64, dirtyTris []int) {
-	s, ag := st.s, st.agg
-	ag.gen++
-	ag.touchedExt = ag.touchedExt[:0]
-	markExt := func(e int) {
-		if ag.extMark[e] != ag.gen {
-			ag.extMark[e] = ag.gen
-			ag.touchedExt = append(ag.touchedExt, e)
-		}
-	}
+// add visits index i of unit u.
+func (g *groups) add(u, i int) {
+	g.touch(u, false)
+	g.at[u]++
+	g.added = append(g.added, [2]int32{int32(u), int32(i)})
+}
 
-	// Correctness-mass deltas — the recall denominators.
-	allScope := st.opt.Scope == ScopeAllExtractors
-	var extsOfCell [][]int32
-	if !allScope {
-		extsOfCell = st.cellExtractors()
+// place lays the visited indices out unit by unit.
+func (g *groups) place() {
+	var n int32
+	for _, u := range g.units {
+		n, g.at[u] = n+g.at[u], n
 	}
-	totalC0 := ag.totalC
-	for _, ti := range dirtyTris {
-		var nc float64
-		if st.coveredTriple[ti] {
-			nc = cProb[ti]
-		}
-		if nc == ag.cCov[ti] {
-			continue
-		}
-		d := stats.Term(nc).Sub(ag.cCov[ti])
-		ag.cCov[ti] = nc
-		if allScope {
-			ag.totalC = ag.totalC.AddSum(d)
-		} else {
-			c := st.cellOfTriple[ti]
-			st.cellC[c] = st.cellC[c].AddSum(d)
-			for _, e := range extsOfCell[c] {
-				ag.rDen[e] = ag.rDen[e].AddSum(d)
-				markExt(int(e))
-			}
-		}
+	g.idx = grow(g.idx, int(n), 0)
+	for _, p := range g.added {
+		g.idx[g.at[p[0]]] = int(p[1])
+		g.at[p[0]]++
 	}
-	if allScope && ag.totalC != totalC0 {
-		// The global recall denominator moved: every included extractor's
-		// recall changes.
-		for e, inc := range st.extIncluded {
-			if inc {
-				markExt(e)
-			}
-		}
-	}
+	g.added = g.added[:0]
+}
 
-	// Vote-shifted extractors: rebuild their numerators by full rescan.
-	ag.shifted = ag.shifted[:0]
-	if st.opt.LeaveOneOut {
-		tasks := st.obsTasks[:0]
-		for e, inc := range st.extIncluded {
-			if inc && (st.pre[e] != ag.preAt[e] || st.ab[e] != ag.abAt[e]) {
-				ag.voteShift[e] = true
-				ag.shifted = append(ag.shifted, e)
-				markExt(e)
-				tasks = appendObsTasks(tasks, e, len(s.ObsOfExtractor[e]))
-			}
-		}
-		st.sumObsTasks(tasks, cProb, nil)
+// span returns the visited indices of the k-th touched unit.
+func (g *groups) span(k int) []int {
+	var lo int32
+	if k > 0 {
+		lo = g.at[g.units[k-1]]
 	}
+	return g.idx[lo:g.at[g.units[k]]]
+}
 
-	// Dirty observations of vote-stable extractors: sumObsTasks' expression,
-	// the strip factor from one memo over the whole loop.
-	loo := st.opt.LeaveOneOut
-	var memo stripMemo
-	for _, ti := range dirtyTris {
-		for _, oi := range s.ByTriple[ti] {
-			e := int(st.obsE[oi])
-			if !st.extIncluded[e] || ag.voteShift[e] {
-				continue
-			}
-			c := st.conf[oi]
-			if c <= 0 {
-				continue
-			}
-			v := c * cProb[ti]
-			if loo {
-				v = c * looPosterior(st.cOdds[ti], memo.factor(e, c, st.pre[e]-st.ab[e], st.ab[e]))
-			}
-			if v != ag.obsNumC[oi] {
-				ag.eNum[e] = ag.eNum[e].Sub(ag.obsNumC[oi]).Add(v)
-				ag.obsNumC[oi] = v
-				markExt(e)
-			}
+// tasks appends Stage IV's tasks for the touched units, and counts their
+// observations: a unit's visited observations — all[u] when it is visited
+// whole — in blocks of at most obsBlock. A unit with none still gets a task,
+// so it is derived.
+func (g *groups) tasks(tasks []obsTask, all [][]int) (_ []obsTask, work int) {
+	for k, u := range g.units {
+		obs, whole := g.span(k), g.whole[u]
+		if g.whole[u] = false; whole {
+			obs = all[u]
+		}
+		work += len(obs)
+		for lo := 0; lo == 0 || lo < len(obs); lo += obsBlock {
+			tasks = append(tasks, obsTask{e: u, lo: lo, obs: obs[lo:min(lo+obsBlock, len(obs))], whole: whole})
 		}
 	}
-
-	for _, e := range ag.shifted {
-		ag.voteShift[e] = false
-	}
-	for _, e := range ag.touchedExt {
-		rDen := ag.rDen[e]
-		if allScope {
-			rDen = ag.totalC
-		}
-		st.derivePRQ(e, ag.eNum[e], st.pDen[e], rDen)
-	}
+	return tasks, work
 }
 
 // grow extends s to length n, filling the new entries.

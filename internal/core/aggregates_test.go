@@ -6,19 +6,14 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"kbt/internal/stats"
+	"kbt/internal/triple"
 )
 
-// TestMStepShuffledDirtyListMatchesFull: the delta M-steps fed a dirty list in
-// any order leave the parameters the ascending list leaves, bit for bit, and
-// both equal a full aggregation (a nil list) over the same posteriors. The
-// sufficient statistics are exact sums, so neither the order of the
-// subtract-and-add updates nor the path can move a bit — under both absence
-// scopes, with the votes frozen (the delta loop) and refreshed (every
-// extractor's vote-shift rescan).
-func TestMStepShuffledDirtyListMatchesFull(t *testing.T) {
-	s := compileBlocks(t)
-	// A partial pass over every third item, as a warm engine refresh runs.
-	var items, tis []int
+// everyThirdItem returns every third item of s and their candidate triples,
+// ascending: a partial pass, as a warm engine refresh runs.
+func everyThirdItem(s *triple.Snapshot) (items, tis []int) {
 	for d := range s.Items {
 		if d%3 == 0 {
 			items = append(items, d)
@@ -26,61 +21,262 @@ func TestMStepShuffledDirtyListMatchesFull(t *testing.T) {
 		}
 	}
 	slices.Sort(tis)
-	shuffled := slices.Clone(tis)
-	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
+	return items, tis
+}
+
+// TestMStepShuffledDirtyListMatchesFull: the M-steps over a list of the
+// triples a pass re-estimated leave, bit for bit, the parameters, cached
+// terms and sums the M-steps over every index (a nil list) leave over the same
+// posteriors — whatever the list's order, for a list of every triple (which,
+// naming at least half the triples, is visited as every index), under both
+// absence scopes, and with the votes frozen (each observation replaces
+// its cached term), refreshed (every extractor's terms recomputed whole under
+// LeaveOneOut) or republished for one extractor only (that one whole, the
+// other by replacement). The sums are exact, so neither the order of the
+// replacements nor visiting a unit whole can move a bit. Right after an
+// inclusion flip the caches are invalid, so a list is not honoured: the call
+// visits every index, as a nil list does.
+func TestMStepShuffledDirtyListMatchesFull(t *testing.T) {
+	s := compileBlocks(t)
+	thin := s.ExtractorID("thin")
+	every := make([]int, len(s.Triples))
+	for ti := range every {
+		every[ti] = ti
+	}
+	type pass struct {
+		name       string
+		items, tis []int
+	}
+	var passes []pass
+	items, tis := everyThirdItem(s)
+	passes = append(passes, pass{"every third item", items, tis})
+	// A Stage I pass over the triples on the cells thin attempts that thin
+	// did not extract: thin's recall denominator moves while none of its
+	// observations is visited, so it is derived from an empty task.
+	type cell struct{ w, p int }
+	attempted := map[cell]bool{}
+	for _, oi := range s.ObsOfExtractor[thin] {
+		o := s.Obs[oi]
+		attempted[cell{o.W, s.PredOfItem[o.D]}] = true
+	}
+	var beside []int
+	for ti, tr := range s.Triples {
+		extracted := false
+		for _, oi := range s.ByTriple[ti] {
+			extracted = extracted || s.Obs[oi].E == thin
+		}
+		if attempted[cell{tr.W, s.PredOfItem[tr.D]}] && !extracted {
+			beside = append(beside, ti)
+		}
+	}
+	if len(beside) == 0 {
+		t.Fatal("fixture: thin's cells hold no triple of another extractor's alone")
+	}
+	passes = append(passes, pass{"triples beside thin's", []int{}, beside})
 
 	for _, scope := range []AbsenceScope{ScopeAttemptedSources, ScopeAllExtractors} {
-		for _, refresh := range []bool{false, true} {
-			tag := fmt.Sprintf("scope=%d refreshVotes=%v", scope, refresh)
-			opt := DefaultOptions()
-			opt.Scope = scope
-			opt.IncrementalAggregates = true
-			run := func(dirty []int) *EM {
-				em, err := NewEM(s, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nItem := len(s.Items)
-				cProb := make([]float64, len(s.Triples))
-				valueProb, restMass, covered := make([][]float64, nItem), make([]float64, nItem), make([]bool, nItem)
-				em.Bootstrap(cProb)
-				em.Iterate(cProb, valueProb, restMass, covered, Pass{Iter: 1, RefreshVotes: true})
-				// Move every prior, then re-estimate a third of the items
-				// under them.
-				em.UpdatePrior(valueProb, nil, 0)
-				em.BeginIteration(refresh)
-				em.EStepTriples(cProb, tis, 0)
-				em.EStepItems(cProb, valueProb, restMass, covered, items, 0)
-				delta0, full0 := em.AggStepCounts()
-				em.MStepSources(cProb, valueProb, dirty)
-				em.MStepExtractors(cProb, dirty)
-				delta1, full1 := em.AggStepCounts()
-				if dirty != nil && delta1-delta0 != 2 || dirty == nil && full1-full0 != 2 {
-					t.Fatalf("%s: the M-steps took %d delta and %d full paths", tag, delta1-delta0, full1-full0)
-				}
-				return em
-			}
-			asc := run(tis)
-			for _, c := range []struct {
-				name string
-				em   *EM
-			}{{"shuffled", run(shuffled)}, {"full", run(nil)}} {
-				for _, v := range []struct {
-					name      string
-					got, want []float64
-				}{
-					{"A", c.em.st.a, asc.st.a}, {"P", c.em.st.p, asc.st.p},
-					{"R", c.em.st.r, asc.st.r}, {"Q", c.em.st.q, asc.st.q},
-				} {
-					for i := range v.want {
-						if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
-							t.Fatalf("%s: %s list: %s[%d] = %v, ascending list %v", tag, c.name, v.name, i, v.got[i], v.want[i])
+		for _, votes := range []string{"frozen", "refreshed", "one republished"} {
+			for _, ps := range passes {
+				tag := fmt.Sprintf("scope=%d votes %s, %s", scope, votes, ps.name)
+				opt := DefaultOptions()
+				opt.Scope = scope
+				opt.IncrementalAggregates = true
+				// At Alpha 0.5 about 70 % of the triples pass p(C|X) ≥ 0.5
+				// after one iteration and so carry Stage III terms, a third
+				// of the pass's moving; at the default 0.25 none does.
+				opt.Alpha = 0.5
+				run := func(list []int) *EM {
+					em, err := NewEM(s, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if votes == "one republished" {
+						em.EnableStaleness(1)
+					}
+					nItem := len(s.Items)
+					cProb := make([]float64, len(s.Triples))
+					valueProb, restMass, covered := make([][]float64, nItem), make([]float64, nItem), make([]bool, nItem)
+					em.Bootstrap(cProb)
+					em.Iterate(cProb, valueProb, restMass, covered, Pass{Iter: 1, RefreshVotes: true})
+					// Move every prior, then re-estimate the pass's items
+					// under them.
+					em.UpdatePrior(valueProb, nil, 0)
+					st := em.st
+					if votes == "one republished" {
+						// A Tol between the two extractors' R/Q movements
+						// since their votes were published republishes
+						// exactly one.
+						led := st.ledger
+						mv0 := math.Abs(st.r[0]-led.rAt[0]) + math.Abs(st.q[0]-led.qAt[0])
+						mv1 := math.Abs(st.r[1]-led.rAt[1]) + math.Abs(st.q[1]-led.qAt[1])
+						if mv0 == mv1 {
+							t.Fatalf("%s: fixture: both extractors moved %v", tag, mv0)
+						}
+						st.opt.Tol = (mv0 + mv1) / 2
+					}
+					em.BeginIteration(votes == "refreshed")
+					em.EStepTriples(cProb, ps.tis, 0)
+					em.EStepItems(cProb, valueProb, restMass, covered, ps.items, 0)
+					shifted := 0
+					for e := range st.pre {
+						if st.pre[e] != st.agg.preAt[e] || st.ab[e] != st.agg.abAt[e] {
+							shifted++
 						}
 					}
+					if want := map[string]int{"frozen": 0, "refreshed": 2, "one republished": 1}[votes]; shifted != want {
+						t.Fatalf("%s: %d extractors' votes shifted, want %d", tag, shifted, want)
+					}
+					list0, whole0 := em.AggStepCounts()
+					em.MStepSources(cProb, valueProb, list)
+					em.MStepExtractors(cProb, list)
+					list1, whole1 := em.AggStepCounts()
+					if honoured := list != nil && 2*len(list) < len(s.Triples); honoured && list1-list0 != 2 || !honoured && whole1-whole0 != 2 {
+						t.Fatalf("%s: the M-steps honoured %d lists and visited every index %d times", tag, list1-list0, whole1-whole0)
+					}
+					return em
+				}
+				shuffled := slices.Clone(ps.tis)
+				rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
+					shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+				})
+				want := run(nil)
+				for _, l := range []struct {
+					name string
+					tis  []int
+				}{{"ascending", ps.tis}, {"shuffled", shuffled}, {"every triple", every}} {
+					sameMStep(t, tag+", "+l.name+" list", run(l.tis), want)
 				}
 			}
 		}
+	}
+
+	// An inclusion flip: thin starts one observation short of support, and
+	// an extension adds it.
+	opt := DefaultOptions()
+	opt.IncrementalAggregates = true
+	opt.Alpha = 0.5
+	opt.MinExtractorSupport = len(s.ObsOfExtractor[thin]) + 1
+	rec := triple.Record{Extractor: "thin", Website: "site00.com", Page: "site00.com/x",
+		Subject: "Snew", Predicate: "p0", Object: "T", Confidence: 0.9}
+	run := func(list bool) *EM {
+		em, err := NewEM(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nItem := len(s.Items)
+		cProb := make([]float64, len(s.Triples))
+		valueProb, restMass, covered := make([][]float64, nItem), make([]float64, nItem), make([]bool, nItem)
+		em.Bootstrap(cProb)
+		em.Iterate(cProb, valueProb, restMass, covered, Pass{Iter: 1, RefreshVotes: true})
+		if em.st.extIncluded[thin] {
+			t.Fatal("fixture: thin is included before the extension")
+		}
+		s2 := s.Extend([]triple.Record{rec})
+		if em, err = NewEMFrom(em, s2, opt); err != nil {
+			t.Fatal(err)
+		}
+		if !em.InclusionFlipped() {
+			t.Fatal("fixture: the extension flipped no inclusion")
+		}
+		for len(cProb) < len(s2.Triples) {
+			cProb = append(cProb, opt.Alpha)
+		}
+		for len(valueProb) < len(s2.Items) {
+			valueProb, restMass, covered = append(valueProb, nil), append(restMass, 0), append(covered, false)
+		}
+		em.BeginIteration(true)
+		em.EStepTriples(cProb, nil, 0)
+		em.EStepItems(cProb, valueProb, restMass, covered, nil, 0)
+		var l []int
+		if list {
+			_, l = everyThirdItem(s2)
+		}
+		list0, whole0 := em.AggStepCounts()
+		em.MStepSources(cProb, valueProb, l)
+		em.MStepExtractors(cProb, l)
+		if list1, whole1 := em.AggStepCounts(); list1 != list0 || whole1-whole0 != 2 {
+			t.Fatalf("inclusion flip: the M-steps honoured %d lists and visited every index %d times", list1-list0, whole1-whole0)
+		}
+		return em
+	}
+	sameMStep(t, "inclusion flip, every third item's list", run(true), run(false))
+}
+
+// sameMStep fails unless got's parameters, cached terms and sums equal want's
+// bit for bit.
+func sameMStep(t *testing.T, tag string, got, want *EM) {
+	t.Helper()
+	g, w := got.st, want.st
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"A", g.a, w.a}, {"P", g.p, w.p}, {"R", g.r, w.r}, {"Q", g.q, w.q},
+		{"aNumC", g.agg.aNumC, w.agg.aNumC}, {"aDenC", g.agg.aDenC, w.agg.aDenC},
+		{"cCov", g.agg.cCov, w.agg.cCov}, {"obsNumC", g.agg.obsNumC, w.agg.obsNumC},
+	} {
+		for i := range v.want {
+			if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+				t.Fatalf("%s: %s[%d] = %v, nil list %v", tag, v.name, i, v.got[i], v.want[i])
+			}
+		}
+	}
+	for _, v := range []struct {
+		name      string
+		got, want []stats.Sum
+	}{
+		{"aNum", g.agg.aNum, w.agg.aNum}, {"aDen", g.agg.aDen, w.agg.aDen},
+		{"eNum", g.agg.eNum, w.agg.eNum}, {"rDen", g.agg.rDen, w.agg.rDen},
+		{"cellC", g.cellC, w.cellC}, {"totalC", []stats.Sum{g.totalC}, []stats.Sum{w.totalC}},
+	} {
+		if !slices.Equal(v.got, v.want) {
+			t.Fatalf("%s: %s differs from the nil list's", tag, v.name)
+		}
+	}
+}
+
+// TestNarrowMStepAllocatesNothing: once warm, Stages III and IV over a list of
+// a few dozen triples of a corpus of more than 10k allocate nothing — grouping
+// a list by unit costs O(list), not O(units), and runs in line.
+func TestNarrowMStepAllocatesNothing(t *testing.T) {
+	s := compileBlocks(t)
+	if len(s.Triples) < 10000 {
+		t.Fatalf("fixture has %d triples, want at least 10k", len(s.Triples))
+	}
+	opt := DefaultOptions()
+	opt.IncrementalAggregates = true
+	opt.Alpha = 0.5 // so that Stage III has terms to replace
+	em, err := NewEM(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nItem := len(s.Items)
+	cProb := make([]float64, len(s.Triples))
+	valueProb, restMass, covered := make([][]float64, nItem), make([]float64, nItem), make([]bool, nItem)
+	em.Bootstrap(cProb)
+	em.Iterate(cProb, valueProb, restMass, covered, Pass{Iter: 1, RefreshVotes: true})
+	em.UpdatePrior(valueProb, nil, 0)
+	var items, tis []int
+	for d := 0; d < 16; d++ {
+		items = append(items, d*97)
+		tis = append(tis, s.TriplesOfItem[d*97]...)
+	}
+	if len(tis) < 24 || len(tis) > 96 {
+		t.Fatalf("fixture: the list has %d triples, want a few dozen", len(tis))
+	}
+	em.BeginIteration(false)
+	em.EStepTriples(cProb, tis, 0)
+	em.EStepItems(cProb, valueProb, restMass, covered, items, 0)
+	mstep := func() {
+		em.MStepSources(cProb, valueProb, tis)
+		em.MStepExtractors(cProb, tis)
+	}
+	mstep() // grows the scratch once
+	list0, _ := em.AggStepCounts()
+	if allocs := testing.AllocsPerRun(20, mstep); allocs != 0 {
+		t.Fatalf("a narrow M-step allocates %v times per call", allocs)
+	}
+	if list1, _ := em.AggStepCounts(); list1 == list0 {
+		t.Fatal("the narrow M-steps did not honour their list")
 	}
 }

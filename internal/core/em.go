@@ -33,15 +33,15 @@ import (
 //	em.MStepExtractors(...)         // Stage IV  (global)
 //	em.UpdatePrior(...)             // Eq 26     (index list)
 //
-// The index lists of the E-steps and the prior accept nil for "all indices";
-// each call splits its list across the worker pool itself (calls do not run
-// concurrently: they mark what they wrote). The global M-steps instead take
-// the dirty triple list of the iteration: with Options.IncrementalAggregates
-// they update the global sufficient statistics from exactly those triples'
-// contribution deltas (O(dirty)), and a nil list re-aggregates in full. The
-// statistics are exact sums, so both paths derive the same bits. Without
-// incremental aggregates the list is ignored and every call aggregates the
-// corpus, exactly as Run does.
+// Every stage takes an index list, nil for "all indices", and splits it
+// across the worker pool itself (calls do not run concurrently: they mark
+// what they wrote). The E-steps and the prior run on the indices listed; the
+// global M-steps take the iteration's triple list and run one body over what
+// it visited: with Options.IncrementalAggregates each visited triple (and
+// observation) replaces its cached term in its unit's exact sum, O(list), and
+// a nil list visits every index from zero — the same bits either way (see
+// aggregates.go). Without incremental aggregates there are no caches and
+// every M-step call visits every index, exactly as Run does.
 type EM struct {
 	st *state
 }
@@ -57,8 +57,8 @@ type Pass struct {
 	// RefreshVotes is BeginIteration's argument.
 	RefreshVotes bool
 	// Items and Tris are the pass's item and candidate-triple lists (nil =
-	// every index): Stages I and II run on them, Stages III and IV take Tris
-	// as their dirty list, and Eq 26 re-estimates exactly Tris' priors.
+	// every index): Stages I and II run on them, Stages III and IV visit Tris,
+	// and Eq 26 re-estimates exactly Tris' priors.
 	Items, Tris []int
 	// Scope is the compiled scope the lists came from, which the pass
 	// re-anchors (SettleScopes) once its E-steps ran; nil under Run.
@@ -69,8 +69,8 @@ type Pass struct {
 // (extraction correctness) and Stage II (triple truthfulness) over the pass's
 // lists, SettleScopes, Stage III (source accuracy) and Stage IV (extractor
 // quality), then the Eq 26 prior on its schedule. It returns the convergence
-// delta — the largest movement of A, P and R plus that of the priors the pass
-// re-estimated, against the values the iteration started from — and whether
+// delta — the largest movements of A, P and R and of the priors the pass
+// re-estimated, as their writers report them — and whether
 // the iteration converged: delta below Tol on an iteration the prior schedule
 // lets count.
 //
@@ -81,10 +81,6 @@ type Pass struct {
 // fixed point the next estimation would immediately leave.
 func (em *EM) Iterate(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, p Pass) (delta float64, converged bool) {
 	st := em.st
-	st.prevA = append(st.prevA[:0], st.a...)
-	st.prevP = append(st.prevP[:0], st.p...)
-	st.prevR = append(st.prevR[:0], st.r...)
-
 	em.BeginIteration(p.RefreshVotes)
 	em.EStepTriples(cProb, p.Tris, st.opt.Workers)
 	em.EStepItems(cProb, valueProb, restMass, coveredItem, p.Items, st.opt.Workers)
@@ -94,25 +90,15 @@ func (em *EM) Iterate(cProb []float64, valueProb [][]float64, restMass []float64
 		// accumulating drift from zero again.
 		em.SettleScopes(p.Scope)
 	}
-	em.MStepSources(cProb, valueProb, p.Tris)
-	em.MStepExtractors(cProb, p.Tris)
+	movedA := em.MStepSources(cProb, valueProb, p.Tris)
+	movedP, movedR := em.MStepExtractors(cProb, p.Tris)
 
 	scheduled := p.Warm || p.Iter+1 >= st.opt.UpdatePriorFromIter
-	var priorDelta float64
+	var movedPrior float64
 	if st.opt.UpdatePrior && scheduled {
-		// Only the pass's priors can move, so keep and diff exactly those.
-		if p.Tris == nil {
-			st.prevPrior = append(st.prevPrior[:0], st.alpha...)
-		} else {
-			st.prevPrior = grow(st.prevPrior, len(st.alpha), 0)
-			for _, ti := range p.Tris {
-				st.prevPrior[ti] = st.alpha[ti]
-			}
-		}
-		em.UpdatePrior(valueProb, p.Tris, st.opt.Workers)
-		priorDelta = maxDelta(st.prevPrior, st.alpha, p.Tris)
+		movedPrior = em.UpdatePrior(valueProb, p.Tris, st.opt.Workers)
 	}
-	delta = maxDelta(st.prevA, st.a, nil) + maxDelta(st.prevP, st.p, nil) + maxDelta(st.prevR, st.r, nil) + priorDelta
+	delta = movedA + movedP + movedR + movedPrior
 	return delta, delta < st.opt.Tol && (!st.opt.UpdatePrior || scheduled)
 }
 
@@ -194,75 +180,45 @@ func (em *EM) TakeMovedItems(dst []int) []int {
 	}
 }
 
-// MStepSources runs Stage III — source accuracy re-estimation. dirtyTris
-// lists the candidate triples whose E-step outputs changed since the previous
-// M-step call; nil means "aggregate everything". Without
-// Options.IncrementalAggregates the list is ignored (every call is a full
-// aggregation). It is a no-op under Options.FreezeSources.
-func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, dirtyTris []int) {
-	st := em.st
-	if st.opt.FreezeSources {
-		return
+// MStepSources runs Stage III — source accuracy re-estimation — over the
+// candidate triples in tis, which must list every triple whose E-step outputs
+// changed since the previous M-step call; nil visits every triple. Without
+// Options.IncrementalAggregates the list is ignored. It returns the largest
+// movement of A it wrote, and is a no-op under Options.FreezeSources.
+func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, tis []int) (movedA float64) {
+	if em.st.opt.FreezeSources {
+		return 0
 	}
-	ag := st.agg
-	if ag != nil && dirtyTris != nil && ag.aValid && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
-		st.estimateADelta(cProb, valueProb, dirtyTris)
-		ag.deltaSteps++
-		return
-	}
-	st.estimateA(cProb, valueProb)
-	if ag != nil {
-		ag.fullSteps++
-	}
+	return em.st.estimateA(cProb, valueProb, tis)
 }
 
-// deltaCostsMore reports whether a dirty list covers so much of n indices
-// that the delta update — which subtracts each dirty index's old
-// contribution and adds its new one, roughly twice the arithmetic of a plain
-// sum — would cost more than summing in full. Settling sweeps widened to
-// nearly the whole corpus hit exactly this. Either path derives the same
-// bits; the choice is cost alone.
-func deltaCostsMore(dirty []int, n int) bool {
-	return 2*len(dirty) >= n
+// MStepExtractors runs Stage IV — extractor precision/recall/Q — over tis
+// under MStepSources' contract, returning the largest movements of P and R it
+// wrote. It is a no-op under Options.FreezeExtractors.
+func (em *EM) MStepExtractors(cProb []float64, tis []int) (movedP, movedR float64) {
+	if em.st.opt.FreezeExtractors {
+		return 0, 0
+	}
+	return em.st.estimatePRQ(cProb, tis)
 }
 
-// MStepExtractors runs Stage IV — extractor precision/recall/Q — with the
-// same dirty-subset contract as MStepSources. It is a no-op under
-// Options.FreezeExtractors.
-func (em *EM) MStepExtractors(cProb []float64, dirtyTris []int) {
-	st := em.st
-	if st.opt.FreezeExtractors {
-		return
-	}
-	ag := st.agg
-	if ag != nil && dirtyTris != nil && ag.eValid && !deltaCostsMore(dirtyTris, len(st.s.Triples)) {
-		st.estimatePRQDelta(cProb, dirtyTris)
-		ag.deltaSteps++
-		return
-	}
-	st.estimatePRQ(cProb)
-	if ag != nil {
-		ag.fullSteps++
-	}
-}
-
-// AggStepCounts reports how many M-step stage invocations have run the
-// incremental-delta respectively full-aggregation path over the EM's
-// lifetime (both zero without Options.IncrementalAggregates). Callers diff
-// across refreshes for per-refresh diagnostics.
-func (em *EM) AggStepCounts() (delta, full int) {
+// AggStepCounts reports how many M-step stage calls over the EM's lifetime
+// honoured a triple list respectively visited every index (both zero without
+// Options.IncrementalAggregates). Callers diff across refreshes for
+// per-refresh diagnostics.
+func (em *EM) AggStepCounts() (list, whole int) {
 	if ag := em.st.agg; ag != nil {
-		return ag.deltaSteps, ag.fullSteps
+		return ag.listSteps, ag.wholeSteps
 	}
 	return 0, 0
 }
 
 // UpdatePrior re-estimates the prior p(C_wdv=1) (Eq 26) for the candidate
-// triples in tis (nil = all) from the current value posterior. The caller is
-// responsible for the Options.UpdatePrior / UpdatePriorFromIter schedule, as
-// Iterate is.
-func (em *EM) UpdatePrior(valueProb [][]float64, tis []int, workers int) {
-	em.st.updateAlphaSubset(valueProb, tis, workers)
+// triples in tis (nil = all) from the current value posterior, returning the
+// largest movement of a prior. The caller is responsible for the
+// Options.UpdatePrior / UpdatePriorFromIter schedule, as Iterate is.
+func (em *EM) UpdatePrior(valueProb [][]float64, tis []int, workers int) (movedPrior float64) {
+	return em.st.updateAlphaSubset(valueProb, tis, workers)
 }
 
 // A returns the live per-source accuracy slice, read-only — e.g. for the

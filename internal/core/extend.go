@@ -227,7 +227,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// Raised confidences: recompute the effective value in place. The
 	// raised observation's numerator cache goes stale, but its triple is in
 	// the caller's dirty set by construction (the duplicate record touched
-	// its cell), so the next delta M-step re-derives it. RaisedObs may
+	// its cell), so the next M-step over that set replaces it. RaisedObs may
 	// repeat an index; after the first visit the recompute is a no-op.
 	for _, oi := range d.RaisedObs {
 		oldEff := st.conf[oi]
@@ -287,13 +287,13 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// Structural fallback: an old unit's inclusion flipped, so coverage and
 	// attempted scopes no longer extend — rebuild both (O(corpus), rare)
 	// and invalidate the M-step caches; the engine escalates such refreshes
-	// to a full first pass, whose M-steps re-aggregate in full.
+	// to a full first pass, whose M-steps visit every index.
 	if structural {
 		st.rebuildCoverage()
 		st.buildExtractorCells()
 		if ag != nil {
 			ag.extsOfCell = nil
-			ag.aValid, ag.eValid = false, false
+			ag.valid = [2]bool{}
 			clear(st.cellC)
 		}
 	}

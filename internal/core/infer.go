@@ -231,11 +231,6 @@ type state struct {
 	// it without a logarithm or an exponential.
 	alpha []float64
 
-	// prevA, prevP, prevR and prevPrior hold what the running Iterate call
-	// started from — the parameters, and the priors of its pass's triples —
-	// for its convergence delta. Scratch, reused across iterations.
-	prevA, prevP, prevR, prevPrior []float64
-
 	srcIncluded   []bool
 	extIncluded   []bool
 	coveredTriple []bool
@@ -254,16 +249,20 @@ type state struct {
 	// estimateCSubset covering ti: Eq 15 in odds space, prior odds times the
 	// exponential of the vote sum, cProb being o/(1+o). The leave-one-out
 	// precision estimator multiplies exactly this quantity by one extractor's
-	// strip factor per observation (sumObsTasks, estimatePRQDelta); reading the
-	// cache instead of re-deriving the odds from cProb is also more accurate
-	// where the posterior saturates.
+	// strip factor per observation (sumObservations); reading the cache
+	// instead of re-deriving the odds from cProb is also more accurate where
+	// the posterior saturates.
 	cOdds []float64
 
-	// cellC is the per-cell correctness-mass buffer estimatePRQ refills
-	// each call, kept on the state to avoid re-allocating numCells sums per
-	// iteration; obsTasks likewise backs Stage IV's task list.
-	cellC    []stats.Sum
-	obsTasks []obsTask
+	// cellC and totalC are the correctness masses of Stage IV's recall
+	// denominators, per cell respectively global (ScopeAllExtractors),
+	// refilled by a call over every index. The rest is M-step scratch reused
+	// across calls: per-stage groups, Stage IV's tasks and per-task maxima.
+	cellC                []stats.Sum
+	totalC               stats.Sum
+	srcGroups, extGroups groups
+	obsTasks             []obsTask
+	partMax              []float64
 
 	// tripleOfObs maps observation index -> candidate-triple index.
 	tripleOfObs []int
@@ -445,14 +444,16 @@ func computeInclusion(s *triple.Snapshot, opt Options) (srcInc, extInc []bool) {
 // setA/setP/setR/setQ are the only per-unit writers of the parameter arrays:
 // they compare before storing so that an estimator landing on the identical
 // value (the common case for units outside a refresh's dirty set) leaves the
-// chunk's publication sharing intact. setA also keeps the source's vote: one
-// M-step worker writes a given w, so its vote has one writer too.
-func (st *state) setA(w int, v float64) {
-	if st.a[w] != v {
-		st.a[w] = v
-		markUnit(st.srcDirty, w)
+// chunk's publication sharing intact, and return how far the value moved, the
+// M-stages' report for Iterate's convergence test. setA also keeps the
+// source's vote: one M-step worker writes a given w, so its vote has one
+// writer too.
+func (st *state) setA(w int, v float64) float64 {
+	d := setUnit(st.a, st.srcDirty, w, v)
+	if d != 0 {
 		st.syncVote(w)
 	}
+	return d
 }
 
 // syncVote re-derives srcVote[w]; whoever wrote a[w] or voteWeight[w] calls it.
@@ -464,25 +465,18 @@ func (st *state) syncVote(w int) {
 	st.srcVote[w] = v
 }
 
-func (st *state) setP(e int, v float64) {
-	if st.p[e] != v {
-		st.p[e] = v
-		markUnit(st.extDirty, e)
-	}
-}
+func (st *state) setP(e int, v float64) float64 { return setUnit(st.p, st.extDirty, e, v) }
+func (st *state) setR(e int, v float64) float64 { return setUnit(st.r, st.extDirty, e, v) }
+func (st *state) setQ(e int, v float64) float64 { return setUnit(st.q, st.extDirty, e, v) }
 
-func (st *state) setR(e int, v float64) {
-	if st.r[e] != v {
-		st.r[e] = v
-		markUnit(st.extDirty, e)
+func setUnit(vals []float64, marks []uint32, i int, v float64) float64 {
+	old := vals[i]
+	if old == v {
+		return 0
 	}
-}
-
-func (st *state) setQ(e int, v float64) {
-	if st.q[e] != v {
-		st.q[e] = v
-		markUnit(st.extDirty, e)
-	}
+	vals[i] = v
+	markUnit(marks, i)
+	return math.Abs(old - v)
 }
 
 // initSourceParam seeds source w's accuracy from the defaults and the
@@ -914,67 +908,96 @@ func (st *state) aContrib(ti int, cProb []float64, valueProb [][]float64) (num, 
 }
 
 // deriveA turns a source's aggregated (num, den) into its accuracy estimate,
-// applying the clamp; a source with no provided mass keeps its previous
-// value, exactly as the paper's estimator leaves it untouched. It is the one
-// M-step writer of A, called at most once per source per iteration by the
-// worker that owns w, so it also charges the movement to the staleness
-// ledger.
-func (st *state) deriveA(w int, num, den stats.Sum) {
+// applying the clamp, and returns how far A moved; an excluded source, or one
+// with no provided mass, keeps its previous value, exactly as the paper's
+// estimator leaves it untouched. It is the one M-step writer of A, called at
+// most once per source per iteration by the worker that owns w, so it also
+// charges the movement to the staleness ledger.
+func (st *state) deriveA(w int, num, den stats.Sum) float64 {
 	d := den.Float()
-	if d <= 0 {
-		return
+	if d <= 0 || !st.srcIncluded[w] {
+		return 0
 	}
 	a := num.Float() / d
 	if c := st.opt.AccuracyClamp; c > 0.5 && c < 1 {
 		a = stats.Clamp(a, 1-c, c)
 	}
-	a = stats.ClampProb(a)
+	moved := st.setA(w, stats.ClampProb(a))
 	if led := st.ledger; led != nil {
-		led.srcDrift[w] += math.Abs(a - st.a[w])
+		led.srcDrift[w] += moved
 	}
-	st.setA(w, a)
+	return moved
 }
 
-// estimateA updates source accuracies (Eq 28 / Eq 27) by full aggregation
-// over every source's candidate triples — the one full body of Stage III. In
-// aggregate mode it also caches every contribution and per-source sum (an
-// excluded source's too: its triples may be handed to estimateADelta), filling
-// what the delta path maintains.
-func (st *state) estimateA(cProb []float64, valueProb [][]float64) {
+// estimateA is Stage III: source accuracy (Eq 28 / Eq 27) over the candidate
+// triples in tis (nil = all; see aggregates.go), returning the largest
+// movement of A. Its groups — the list's triples by source, or every source's
+// triples — run in line when they hold fewer than obsBlock triples in all,
+// else on the pool, each keeping its movement until the join.
+func (st *state) estimateA(cProb []float64, valueProb [][]float64, tis []int) float64 {
 	s, ag := st.s, st.agg
-	parallel.ForEach(len(s.Sources), st.opt.Workers, func(w int) {
-		if ag == nil && !st.srcIncluded[w] {
-			return
+	var g *groups
+	n, work := len(s.Sources), len(s.Triples)
+	if !ag.visitsAll(stageSources, tis, len(s.Triples)) {
+		g = st.srcGroups.reset(len(s.Sources))
+		for _, ti := range tis {
+			g.add(s.Triples[ti].W, ti)
 		}
-		var num, den stats.Sum
-		for _, ti := range s.TriplesOfSource[w] {
-			nc, dc := st.aContrib(ti, cProb, valueProb)
-			if ag != nil {
-				ag.aNumC[ti], ag.aDenC[ti] = nc, dc
+		g.place()
+		n, work = len(g.units), len(tis)
+	}
+	part := st.partMaxes(n)
+	if work < obsBlock {
+		for k := range part {
+			part[k] = st.sumSource(g, k, cProb, valueProb)
+		}
+	} else {
+		parallel.ForEach(n, st.opt.Workers, func(k int) {
+			part[k] = st.sumSource(g, k, cProb, valueProb)
+		})
+	}
+	return maxOf(part)
+}
+
+// sumSource runs Stage III's group k — the k-th source g touched, or source k
+// visited whole when g is nil: it replaces the group's terms in the source's
+// sums and derives its accuracy, returning how far it moved. Without caches
+// an excluded source is skipped.
+func (st *state) sumSource(g *groups, k int, cProb []float64, valueProb [][]float64) float64 {
+	ag, w, tris := st.agg, k, st.s.TriplesOfSource[k]
+	var num, den stats.Sum
+	if g != nil {
+		w, tris = g.units[k], g.span(k)
+		num, den = ag.aNum[w], ag.aDen[w]
+	} else if ag == nil && !st.srcIncluded[w] {
+		return 0
+	}
+	for _, ti := range tris {
+		nc, dc := st.aContrib(ti, cProb, valueProb)
+		if g != nil {
+			if nc == ag.aNumC[ti] && dc == ag.aDenC[ti] {
+				continue
 			}
-			if dc != 0 {
-				num = num.Add(nc)
-				den = den.Add(dc)
-			}
+			num, den = num.Sub(ag.aNumC[ti]), den.Sub(ag.aDenC[ti])
+		}
+		if dc != 0 { // else nc is 0 too
+			num, den = num.Add(nc), den.Add(dc)
 		}
 		if ag != nil {
-			ag.aNum[w], ag.aDen[w] = num, den
+			ag.aNumC[ti], ag.aDenC[ti] = nc, dc
 		}
-		if st.srcIncluded[w] {
-			st.deriveA(w, num, den)
-		}
-	})
-	if ag != nil {
-		ag.aValid = true
 	}
+	if ag != nil {
+		ag.aNum[w], ag.aDen[w] = num, den
+	}
+	return st.deriveA(w, num, den)
 }
 
-// An observation's contribution to its extractor's precision/recall numerator
-// (Eqs 29-33) is the effective confidence c times the extraction-correctness
+// An observation's term in its extractor's precision/recall numerator (Eqs
+// 29-33) is the effective confidence c times the extraction-correctness
 // posterior of its triple, leave-one-out when configured: c·looPosterior(odds,
-// strip factor). Its two loops — sumObsTasks over blocks, estimatePRQDelta over
-// the dirty triples — evaluate that one expression with the strip factor from
-// a stripMemo, so the contributions they cache compare bit-equal.
+// strip factor), the strip factor from a stripMemo. sumObservations is the
+// one loop that evaluates it.
 
 // stripFactor is what removing one extractor's evidence multiplies a triple's
 // posterior odds by: the extractor added c·Pre + (1-c)·Abs = c·(Pre-Abs) + Abs
@@ -994,7 +1017,7 @@ func looPosterior(o, s float64) float64 {
 	return os / (1 + os)
 }
 
-// stripMemo remembers the strip factors a Stage IV loop has computed, by
+// stripMemo remembers the strip factors a Stage IV task has computed, by
 // extractor and confidence: within one call the votes stand still, so a
 // factor is a function of those two alone, and extractors emit few distinct
 // confidences (a quantised score, or 1 throughout when confidences are
@@ -1019,8 +1042,9 @@ func (m *stripMemo) factor(e int, c, voteDelta, ab float64) float64 {
 }
 
 // derivePRQ turns an extractor's aggregated (num, pDen, rDen) into its
-// precision, recall and Q estimates, with the smoothing and floors.
-func (st *state) derivePRQ(e int, numSum, pDenSum, rDenSum stats.Sum) {
+// precision, recall and Q estimates, with the smoothing and floors, and
+// returns how far P and R moved.
+func (st *state) derivePRQ(e int, numSum, pDenSum, rDenSum stats.Sum) (movedP, movedR float64) {
 	k := st.opt.Smoothing
 	p, r := st.p[e], st.r[e]
 	num, pDen, rDen := numSum.Float(), pDenSum.Float(), rDenSum.Float()
@@ -1034,136 +1058,99 @@ func (st *state) derivePRQ(e int, numSum, pDenSum, rDenSum stats.Sum) {
 	if q < st.opt.QFloor {
 		q = st.opt.QFloor
 	}
-	st.setP(e, p)
-	st.setR(e, r)
 	st.setQ(e, q)
+	return st.setP(e, p), st.setR(e, r)
 }
 
-// estimatePRQ updates extractor precision and recall (Eqs 29-33) and derives
-// Q via Eq 7, by full aggregation over every extractor's observations — the
-// one full body of Stage IV. In aggregate mode it also fills the correctness-
-// mass, denominator and (through sumObsTasks) numerator caches that
-// estimatePRQDelta maintains.
-func (st *state) estimatePRQ(cProb []float64) {
+// estimatePRQ is Stage IV: extractor precision and recall (Eqs 29-33) and Q
+// via Eq 7, over the candidate triples in tis (nil = all; see aggregates.go),
+// returning the largest movements of P and R. It replaces the visited
+// triples' correctness masses (on a list, also in the recall denominators of
+// the extractors attempting their cells), then sums the visited observations
+// by (extractor, obsBlock) task; an extractor whose denominator alone moved
+// gets an empty task, so it is derived too.
+func (st *state) estimatePRQ(cProb []float64, tis []int) (movedP, movedR float64) {
 	s, ag := st.s, st.agg
-
-	// The correctness mass of the recall denominator: global under
-	// ScopeAllExtractors, per cell otherwise.
+	whole := ag.visitsAll(stageExtractors, tis, len(s.Triples))
 	allScope := st.opt.Scope == ScopeAllExtractors
-	var totalC stats.Sum
-	cellC := st.cellC
-	clear(cellC)
-	for ti := range s.Triples {
+	g := st.extGroups.reset(len(s.Extractors))
+	var extsOfCell [][]int32
+	n := len(tis)
+	if whole {
+		tis = nil
+		st.totalC = stats.Sum{}
+		clear(st.cellC)
+		n = len(s.Triples)
+	} else if !allScope {
+		extsOfCell = st.cellExtractors()
+	}
+	totalC0 := st.totalC
+	for k := range n {
+		ti := k
+		if tis != nil {
+			ti = tis[k]
+		}
 		var cp float64
 		if st.coveredTriple[ti] {
 			cp = cProb[ti]
-			if allScope {
-				totalC = totalC.Add(cp)
-			} else {
-				c := st.cellOfTriple[ti]
-				cellC[c] = cellC[c].Add(cp)
-			}
+		}
+		d := stats.Term(cp)
+		if !whole {
+			d = d.Sub(ag.cCov[ti])
 		}
 		if ag != nil {
 			ag.cCov[ti] = cp
 		}
-	}
-
-	tasks := st.obsTasks[:0]
-	for e := range s.Extractors {
-		if st.extIncluded[e] {
-			tasks = appendObsTasks(tasks, e, len(s.ObsOfExtractor[e]))
-		} else if ag != nil {
-			ag.eNum[e], ag.rDen[e] = stats.Sum{}, stats.Sum{}
-		}
-	}
-	st.sumObsTasks(tasks, cProb, func(e int) (rDen stats.Sum) {
-		if allScope {
-			return totalC
-		}
-		for _, cell := range st.cellsOfExtractor[e] {
-			rDen = rDen.AddSum(cellC[cell])
-		}
-		return rDen
-	})
-	for _, tk := range tasks {
-		if tk.lo != 0 {
+		if d == (stats.Sum{}) {
 			continue
 		}
-		if ag != nil {
-			ag.rDen[tk.e] = tk.rDen
+		if allScope {
+			st.totalC = st.totalC.AddSum(d)
+			continue
 		}
-		st.derivePRQ(tk.e, tk.num, st.pDen[tk.e], tk.rDen)
+		c := st.cellOfTriple[ti]
+		st.cellC[c] = st.cellC[c].AddSum(d)
+		if whole {
+			continue
+		}
+		for _, e := range extsOfCell[c] {
+			ag.rDen[e] = ag.rDen[e].AddSum(d)
+			g.touch(int(e), false)
+		}
 	}
-	if ag != nil {
-		ag.totalC = totalC
-		ag.eValid = true
+
+	totalMoved := allScope && st.totalC != totalC0 // every recall denominator moved
+	for e, inc := range st.extIncluded {
+		switch {
+		case !inc:
+		case whole || st.opt.LeaveOneOut && (st.pre[e] != ag.preAt[e] || st.ab[e] != ag.abAt[e]):
+			g.touch(e, true)
+		case totalMoved:
+			g.touch(e, false)
+		}
 	}
-}
-
-// obsBlock is the number of observations one Stage IV task sums. The paper
-// has sixteen extractors and a serving corpus may have one, so Stage IV cannot
-// parallelise over extractors alone: it reduces by blocks of each extractor's
-// observation list. The blocks only split the work — the partials are exact
-// sums, so no block boundary or merge order can move a bit of the result.
-const obsBlock = 4096
-
-// obsTask is one unit of the Stage IV reduction: positions [lo, hi) of
-// extractor e's observation list, and the partial sums its run leaves. An
-// extractor's first task (lo == 0) ends up holding the extractor's totals.
-type obsTask struct {
-	e, lo, hi int
-	num, rDen stats.Sum
-}
-
-// appendObsTasks appends the tasks covering an extractor with n observations
-// (one even when n is 0, so every listed extractor is derived).
-func appendObsTasks(tasks []obsTask, e, n int) []obsTask {
-	for lo := 0; lo == 0 || lo < n; lo += obsBlock {
-		tasks = append(tasks, obsTask{e: e, lo: lo, hi: min(lo+obsBlock, n)})
-	}
-	return tasks
-}
-
-// sumObsTasks is the one per-observation loop of Stage IV. It runs the tasks
-// — which list each extractor's blocks contiguously, ascending — flat on the
-// pool, each summing its block's numerator, then adds every extractor's
-// partials into its first task (the confidence masses are state.pDen). rDen, when given, computes
-// an extractor's recall denominator on the pool beside its first block. In
-// aggregate mode the numerator caches — the per-observation contributions,
-// their sum and the votes they were computed under — are refilled, which is
-// also all the rescan of a vote-shifted extractor in estimatePRQDelta
-// consists of.
-func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) stats.Sum) {
-	ag := st.agg
-	st.obsTasks = tasks // keep the grown backing for the next call
-	parallel.ForEach(len(tasks), st.opt.Workers, func(t int) {
-		tk := &tasks[t]
-		loo := st.opt.LeaveOneOut
-		voteDelta, ab := st.pre[tk.e]-st.ab[tk.e], st.ab[tk.e]
-		var memo stripMemo
-		var num stats.Sum
-		for _, oi := range st.s.ObsOfExtractor[tk.e][tk.lo:tk.hi] {
-			c := st.conf[oi]
-			var v float64
-			if c > 0 {
-				ti := st.tripleOfObs[oi]
-				if loo {
-					v = c * looPosterior(st.cOdds[ti], memo.factor(tk.e, c, voteDelta, ab))
-				} else {
-					v = c * cProb[ti]
-				}
-				num = num.Add(v)
-			}
-			if ag != nil {
-				ag.obsNumC[oi] = v
+	obsE, included, byTri := st.obsE, st.extIncluded, s.ByTriple
+	for _, ti := range tis {
+		for _, oi := range byTri[ti] {
+			if e := int(obsE[oi]); included[e] && !g.whole[e] {
+				g.add(e, oi)
 			}
 		}
-		tk.num = num
-		if tk.lo == 0 && rDen != nil {
-			tk.rDen = rDen(tk.e)
+	}
+	g.place()
+	tasks, work := g.tasks(st.obsTasks[:0], s.ObsOfExtractor)
+	st.obsTasks = tasks
+	if work < obsBlock { // too little work to pay for the pool
+		for t := range tasks {
+			st.sumObservations(&tasks[t], cProb)
 		}
-	})
+	} else {
+		parallel.ForEach(len(tasks), st.opt.Workers, func(t int) {
+			st.sumObservations(&tasks[t], cProb)
+		})
+	}
+
+	// Merge each extractor's blocks into its first task, and derive.
 	var first *obsTask
 	for t := range tasks {
 		if tk := &tasks[t]; tk.lo == 0 {
@@ -1171,11 +1158,89 @@ func (st *state) sumObsTasks(tasks []obsTask, cProb []float64, rDen func(e int) 
 		} else {
 			first.num = first.num.AddSum(tk.num)
 		}
-		if ag != nil { // the last block leaves the total
-			ag.eNum[first.e] = first.num
-			ag.preAt[first.e], ag.abAt[first.e] = st.pre[first.e], st.ab[first.e]
+	}
+	for t := range tasks {
+		tk := &tasks[t]
+		if tk.lo != 0 {
+			continue
+		}
+		if allScope {
+			tk.rDen = st.totalC
+		}
+		if e := tk.e; ag != nil {
+			ag.eNum[e], ag.rDen[e] = tk.num, tk.rDen
+			if tk.whole {
+				ag.preAt[e], ag.abAt[e] = st.pre[e], st.ab[e]
+			}
+		}
+		p, r := st.derivePRQ(tk.e, tk.num, st.pDen[tk.e], tk.rDen)
+		movedP, movedR = max(movedP, p), max(movedR, r)
+	}
+	return movedP, movedR
+}
+
+// obsBlock is the number of observations one Stage IV task sums. The paper
+// has sixteen extractors and a serving corpus may have one, so Stage IV cannot
+// parallelise over extractors alone: it reduces by blocks of each extractor's
+// visited observations. The blocks only split the work — the partials are
+// exact sums, so no block boundary or merge order can move a bit of the
+// result.
+const obsBlock = 4096
+
+// obsTask is one unit of the Stage IV reduction: block lo/obsBlock of the
+// observations a call visits for extractor e, whether it visits e whole, and
+// the sums its run leaves. They start from zero, or from e's cached sums in
+// e's first task (lo == 0) when e is not visited whole; later blocks merge
+// into the first task.
+type obsTask struct {
+	e, lo     int
+	obs       []int
+	whole     bool
+	num, rDen stats.Sum
+}
+
+// sumObservations is the one per-observation loop of Stage IV: it runs one
+// task, replacing its observations' numerator terms. A first task also leaves
+// the recall denominator: the cached one, or a whole extractor's sum over its
+// attempted cells (the caller takes the global mass under ScopeAllExtractors).
+func (st *state) sumObservations(tk *obsTask, cProb []float64) {
+	ag, e, loo, whole := st.agg, tk.e, st.opt.LeaveOneOut, tk.whole
+	voteDelta, ab := st.pre[e]-st.ab[e], st.ab[e]
+	var memo stripMemo
+	var num, rDen stats.Sum
+	if !whole && tk.lo == 0 {
+		num, rDen = ag.eNum[e], ag.rDen[e]
+	}
+	for _, oi := range tk.obs {
+		c := st.conf[oi]
+		var v float64
+		if c > 0 {
+			ti := st.tripleOfObs[oi]
+			if loo {
+				v = c * looPosterior(st.cOdds[ti], memo.factor(e, c, voteDelta, ab))
+			} else {
+				v = c * cProb[ti]
+			}
+		}
+		if !whole {
+			if v == ag.obsNumC[oi] {
+				continue
+			}
+			num = num.Sub(ag.obsNumC[oi])
+		}
+		if v != 0 {
+			num = num.Add(v)
+		}
+		if ag != nil {
+			ag.obsNumC[oi] = v
 		}
 	}
+	if tk.lo == 0 && whole && st.opt.Scope != ScopeAllExtractors {
+		for _, c := range st.cellsOfExtractor[e] {
+			rDen = rDen.AddSum(st.cellC[c])
+		}
+	}
+	tk.num, tk.rDen = num, rDen
 }
 
 // bootstrap is the pre-iteration extractor M-step from the prior p(C)=Alpha,
@@ -1191,7 +1256,7 @@ func (st *state) bootstrap(cProb []float64) {
 		cProb[ti] = st.opt.Alpha
 	}
 	markIndices(st.triDirty, nil)
-	st.estimatePRQ(cProb)
+	st.estimatePRQ(cProb, nil)
 	st.applyExplicitExtractorInits()
 }
 
@@ -1228,39 +1293,50 @@ func (st *state) applyExplicitExtractorInits() {
 
 // updateAlphaSubset re-estimates the prior p(C_wdv=1) from the current value
 // posterior and source accuracy (Eq 26), for the candidate triples listed in
-// tis or for every candidate triple when tis is nil.
-func (st *state) updateAlphaSubset(valueProb [][]float64, tis []int, workers int) {
+// tis or for every candidate triple when tis is nil, and returns the largest
+// movement of a prior: each obsBlock block on the pool keeps its own maximum.
+func (st *state) updateAlphaSubset(valueProb [][]float64, tis []int, workers int) float64 {
 	s := st.s
-	forEachIndex(len(s.Triples), tis, workers, func(ti int) {
-		tr := s.Triples[ti]
-		if len(valueProb[tr.D]) == 0 {
-			return
+	n := len(s.Triples)
+	if tis != nil {
+		n = len(tis)
+	}
+	part := st.partMaxes((n + obsBlock - 1) / obsBlock)
+	parallel.ForEach(len(part), workers, func(b int) {
+		var m float64
+		for k := b * obsBlock; k < min(n, (b+1)*obsBlock); k++ {
+			ti := k
+			if tis != nil {
+				ti = tis[k]
+			}
+			tr := s.Triples[ti]
+			if len(valueProb[tr.D]) == 0 {
+				continue
+			}
+			pv := valueProb[tr.D][st.slotOfTriple[ti]]
+			a := st.a[tr.W]
+			v := stats.ClampProb(pv*a + (1-pv)*(1-a))
+			m = max(m, math.Abs(st.alpha[ti]-v))
+			st.alpha[ti] = v
 		}
-		pv := valueProb[tr.D][st.slotOfTriple[ti]]
-		a := st.a[tr.W]
-		st.alpha[ti] = stats.ClampProb(pv*a + (1-pv)*(1-a))
+		part[b] = m
 	})
+	return maxOf(part)
 }
 
-// maxDelta returns the largest absolute elementwise difference between two
-// equal-length vectors over the entries in idx (nil = all; Iterate passes the
-// pass's triples, knowing every other prior is unchanged) — the quantity
-// Iterate's convergence test sums across A, P, R and the Eq 26 priors, all of
-// them probabilities.
-func maxDelta(a, b []float64, idx []int) float64 {
-	var m float64
-	if idx == nil {
-		for i := range a {
-			if d := math.Abs(a[i] - b[i]); d > m {
-				m = d
-			}
-		}
-		return m
+// partMaxes returns scratch for n per-task maxima, which the tasks fill on
+// the pool and the stage merges after the join.
+func (st *state) partMaxes(n int) []float64 {
+	if cap(st.partMax) < n {
+		st.partMax = make([]float64, n)
 	}
-	for _, i := range idx {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
+	return st.partMax[:n]
+}
+
+// maxOf returns the largest of the movements ms, 0 for none.
+func maxOf(ms []float64) (m float64) {
+	for _, d := range ms {
+		m = max(m, d)
 	}
 	return m
 }

@@ -142,14 +142,15 @@ type Options struct {
 	// initialised.
 	DisableBootstrap bool
 
-	// IncrementalAggregates maintains the stage III/IV sufficient statistics
-	// (per-source accuracy sums, per-extractor precision/recall sums and the
-	// per-cell correctness mass) incrementally across M-step calls, so an
-	// iteration whose E-step only touched a dirty subset updates the global
-	// M-steps in O(dirty) instead of O(corpus) (see aggregates.go). The sums
-	// are exact, so a delta update derives the bits a full aggregation
-	// would, and full M-step calls (a nil subset) are the plain estimators.
-	// Used by the incremental engine; off by default.
+	// IncrementalAggregates keeps the stage III/IV terms and their per-unit
+	// sums (per-source accuracy sums, per-extractor precision/recall sums and
+	// the per-cell correctness mass) across M-step calls, so an M-step over
+	// the triple list of an iteration whose E-steps touched a subset costs
+	// O(list) instead of O(corpus): each listed term replaces its cached one
+	// (see aggregates.go). The sums are exact, so a call over a list derives
+	// the bits a call over every index would. Without it there are no caches
+	// and every M-step call visits every index. Used by the incremental
+	// engine; off by default.
 	IncrementalAggregates bool
 
 	// Workers is the parallelism for the inference stages (0 = GOMAXPROCS).

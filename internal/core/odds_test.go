@@ -208,12 +208,12 @@ func compileConfidences(t *testing.T) *triple.Snapshot {
 	return s
 }
 
-// TestStripMemoMatchesPerObservation: both memoised loops of Stage IV leave,
-// bit for bit, the contributions the per-observation obsNumContrib computes —
-// for an extractor whose three confidences always hit the memo and for one
-// whose confidences never repeat. The block loop of a full M-step, at 1, 2 and
-// 4 workers, also leaves their exact totals; so does the delta loop of a
-// partial pass after an extension, with one memo across both extractors.
+// TestStripMemoMatchesPerObservation: Stage IV's memoised loop leaves, bit for
+// bit, the contributions the per-observation obsNumContrib computes — for an
+// extractor whose three confidences always hit the memo and for one whose
+// confidences never repeat. Over every index, at 1, 2 and 4 workers, it also
+// leaves their exact totals; so does it over a partial pass's list after an
+// extension, the list's observations grouped by extractor.
 func TestStripMemoMatchesPerObservation(t *testing.T) {
 	s := compileConfidences(t)
 	for _, workers := range []int{1, 2, 4} {
@@ -251,7 +251,7 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 			}
 		}
 
-		// The delta loop reads the indexes an extension builds, so extend by
+		// A list pass reads the indexes an extension builds, so extend by
 		// one new item first, as a warm engine refresh does — read at one
 		// confidence by three extractors, two of which share memo slots, so
 		// the memo must tell them apart by extractor. Then a moved prior
@@ -304,19 +304,19 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 		if moved == 0 {
 			t.Fatalf("workers=%d: the partial pass moved no contribution", workers)
 		}
-		delta0, _ := em.AggStepCounts()
+		list0, _ := em.AggStepCounts()
 		em.MStepExtractors(cProb, tis)
-		if delta1, _ := em.AggStepCounts(); delta1 != delta0+1 {
-			t.Fatalf("workers=%d: the partial pass's Stage IV did not take the delta path", workers)
+		if list1, _ := em.AggStepCounts(); list1 != list0+1 {
+			t.Fatalf("workers=%d: the partial pass's Stage IV did not honour its list", workers)
 		}
 		for oi := range wantC {
 			if math.Float64bits(ag.obsNumC[oi]) != math.Float64bits(wantC[oi]) {
-				t.Fatalf("workers=%d delta: obsNumC[%d] = %v, obsNumContrib gives %v", workers, oi, ag.obsNumC[oi], wantC[oi])
+				t.Fatalf("workers=%d list: obsNumC[%d] = %v, obsNumContrib gives %v", workers, oi, ag.obsNumC[oi], wantC[oi])
 			}
 		}
 		for e := range wantNum {
 			if ag.eNum[e] != wantNum[e] {
-				t.Fatalf("workers=%d delta: eNum[%d] = %v, per-observation deltas give %v", workers, e, ag.eNum[e].Float(), wantNum[e].Float())
+				t.Fatalf("workers=%d list: eNum[%d] = %v, per-observation deltas give %v", workers, e, ag.eNum[e].Float(), wantNum[e].Float())
 			}
 		}
 	}

@@ -15,8 +15,8 @@ import "sync/atomic"
 // The working arrays stay flat — the kernels index them densely — and every
 // writer marks the chunks it wrote. The parameter writers (the set* helpers)
 // compare before storing, so only a value that actually changed marks its
-// chunk: a delta M-step re-derives a source's accuracy from unchanged
-// sufficient statistics bit-identically, so untouched regions of the unit
+// chunk: an M-step re-deriving a source's accuracy from unchanged sufficient
+// statistics lands on the same bits, so untouched regions of the unit
 // space stay clean across arbitrarily many refreshes. The posterior writers
 // (EM.EStepTriples, EM.EStepItems, Bootstrap, extendState's coverage writes,
 // rebuildCoverage) mark every chunk their index list reaches. BuildResultFrom

@@ -176,7 +176,7 @@ func (em *EM) expectedTriples(prev *Result, cProb []float64) unitVec[float64] {
 			written = append(written, ci)
 		}
 	}
-	if prev.expVec.chunks == nil || len(ag.exp) != prev.expVec.Len() || deltaCostsMore(written, numUnitChunks(nTri)) {
+	if prev.expVec.chunks == nil || len(ag.exp) != prev.expVec.Len() || 2*len(written) >= numUnitChunks(nTri) {
 		ag.exp = expectedSums(s, cProb)
 		ag.expF, ag.expDirty = floats(ag.exp), newMarks(nSrc)
 	} else {

@@ -267,8 +267,8 @@ func driftRecords(rng *rand.Rand, nSites, n int) []triple.Record {
 
 // TestSourceDriftChargedWhereAIsWritten: deriveA, the one M-step writer of A,
 // charges each source's movement as it writes it. Over EM iterations with no
-// settle between them — full and partial passes, full and delta M-steps, at
-// Workers 1, 2 and 4 — srcDrift must equal, bit for bit, the sum over
+// settle between them — full and partial passes, M-steps over every index and
+// over lists, at Workers 1, 2 and 4 — srcDrift must equal, bit for bit, the sum over
 // iterations of |A after − A before| kept here; a source NewEMFrom adds starts
 // at 0, and SetSourceVoteWeights' charge adds on top. The charge moves no
 // estimate: Run, which never enables a ledger, lands on the identical A.
@@ -352,8 +352,8 @@ func TestSourceDriftChargedWhereAIsWritten(t *testing.T) {
 				}
 			}
 
-			// Warm: the first step extends, which builds the indexes the
-			// delta M-steps read, as every warm engine refresh does.
+			// Warm: the first step extends, which builds the indexes M-steps
+			// over a list read, as every warm engine refresh does.
 			for step := 0; step < 30; step++ {
 				var what string
 				op := rng.Intn(4)

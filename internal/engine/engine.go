@@ -21,9 +21,9 @@
 //     (core.EM.EnableStaleness) marks as holding above-Tol accumulated
 //     parameter drift — narrow units mark exactly their items, a unit
 //     reaching a quarter of the corpus marks the whole corpus. The global
-//     M-step aggregates update from exactly the scope's contribution deltas
-//     (core.Options.IncrementalAggregates), exact sums that land on the bits
-//     a full re-aggregation would;
+//     M-steps visit exactly the scope's triples, each replacing its cached
+//     term in its unit's exact sum (core.Options.IncrementalAggregates), and
+//     land on the bits an M-step over every index would;
 //   - layer6 brings the streaming copy detector up to the posteriors settle
 //     left — re-reading only the items whose evidence crossed a 0.5 gate in
 //     an E-step (core.EM.TakeMovedItems) or gained a candidate triple — and
@@ -90,14 +90,15 @@ type Options struct {
 	// rebuilds the snapshot with Dataset.Compile over the whole corpus,
 	// rebuilds the EM state from it, aggregates every M-step in full and
 	// recounts copy statistics with the batch detector. The pipeline must
-	// reproduce it bit for bit — state extension and the exact delta
-	// aggregates alike — and the fuzz suites hold it to that. Unreachable
+	// reproduce it bit for bit — state extension and the M-steps over lists
+	// alike — and the fuzz suites hold it to that. Unreachable
 	// from the kbt facade and the CLI.
 	FullRecompile bool
 	// FullAggregates is the second test oracle: the extended-state warm path
-	// with every global M-step aggregated in full instead of by dirty-set
-	// deltas. It matches FullRecompile and the default path to the bit, and
-	// isolates the delta aggregates when one of them does not.
+	// with no M-step caches, so every global M-step visits every index
+	// instead of the pass's list. It matches FullRecompile and the default
+	// path to the bit, and isolates the M-steps over lists when one of them
+	// does not.
 	FullAggregates bool
 
 	// CopyDetect maintains streaming inter-source copy statistics: after
@@ -181,10 +182,9 @@ type Result struct {
 	// beyond the ingest footprint to re-anchor drift-exceeding units (zero
 	// on cold refreshes, where the footprint is everything).
 	Escalations int
-	// AggDeltaSteps / AggFullSteps count the global M-step stage invocations
-	// of this refresh that updated the incremental aggregates by dirty-set
-	// deltas respectively re-aggregated in full (both zero when incremental
-	// aggregates are disabled).
+	// AggDeltaSteps / AggFullSteps count the global M-step stage calls of
+	// this refresh that visited the pass's triple list respectively every
+	// index (both zero when incremental aggregates are disabled).
 	AggDeltaSteps, AggFullSteps int
 	// CopyDeps is the generation's copy-dependence list, strongest-first,
 	// scored against this generation's posteriors and accuracies (nil unless
@@ -521,10 +521,11 @@ func (r *refreshRun) pending() []triple.Record { return r.records[r.estimated:] 
 // its state group): the snapshot, the core options, the EM state and the
 // posterior arrays. It is the one place that knows the execution mode. By default a warm refresh extends the previous snapshot,
 // EM state and posterior arrays append-only — bit-identical to recompiling
-// the corpus, at O(ingest) cost — and the M-steps apply dirty-set deltas.
+// the corpus, at O(ingest) cost — and the M-steps visit the pass's lists.
 // The test oracles branch here and nowhere later: FullRecompile compiles the
 // corpus, builds a fresh EM state and re-seeds it from the previous one by
-// identity; it and FullAggregates aggregate every M-step in full.
+// identity; it and FullAggregates keep no M-step caches, so every M-step
+// visits every index.
 func (e *Engine) buildState(r *refreshRun) error {
 	r.extended = r.warm && !e.opt.FullRecompile
 	if e.opt.CopyDetect && !e.opt.FullRecompile && !r.extended {
@@ -716,7 +717,7 @@ func (e *Engine) enterScope(r *refreshRun, stale int) {
 // the last publication reaches Tol, which keeps the incremental M-step's
 // per-observation caches exactly valid for every vote-stable extractor.
 // Cold refreshes recompute every vote every iteration (bit-identical to
-// core.Run); so do full-pass iterations, whose M-step re-aggregates
+// core.Run); so do full-pass iterations, whose M-steps visit every index
 // regardless — the recompute is free there and re-anchors the publication
 // baselines early — and the first iteration after a structural change.
 //

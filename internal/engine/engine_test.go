@@ -326,11 +326,12 @@ func blockItems(from, to int, wideNoise bool) []triple.Record {
 }
 
 // TestWarmRefreshParallelMatchesSerial: a warm sequence publishes bit-equal
-// generations, after equally many iterations, escalations and delta/full
+// generations, after equally many iterations, escalations and list/whole
 // M-steps, at any worker count — with an extractor whose Stage IV sum spans
 // more than three of core's 4096-observation blocks, through partial passes
-// (contiguous blocks of the gathered list, the vote-shifted rescan of the
-// delta M-step) and an escalation to a full pass (the nil lists).
+// (contiguous blocks of the gathered list, a vote-shifted extractor visited
+// whole by an M-step over a list) and an escalation to a full pass (the nil
+// lists).
 func TestWarmRefreshParallelMatchesSerial(t *testing.T) {
 	const base = 6500
 	steps := [][]triple.Record{
@@ -388,7 +389,7 @@ func TestWarmRefreshParallelMatchesSerial(t *testing.T) {
 		deltaSteps += want.AggDeltaSteps
 	}
 	if partial == 0 || fullPass == 0 || deltaSteps == 0 {
-		t.Fatalf("the sequence ran %d partial first passes, %d escalations to every shard and %d delta M-steps; want each at least once",
+		t.Fatalf("the sequence ran %d partial first passes, %d escalations to every shard and %d M-steps over a list; want each at least once",
 			partial, fullPass, deltaSteps)
 	}
 }
