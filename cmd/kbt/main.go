@@ -436,8 +436,8 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 					mode += fmt.Sprintf(", %dΔ/%d full M-steps", stats.AggDeltaSteps, stats.AggFullSteps)
 				}
 			}
-			fmt.Fprintf(stdout, "-- refresh #%d: %d records, %s, %d iterations in %v\n",
-				refreshCount+1, eng.Len(), mode, stats.Iterations, elapsed.Round(time.Microsecond))
+			fmt.Fprintf(stdout, "-- refresh #%d: %d records, %s, %d iterations in %v%s\n",
+				refreshCount+1, eng.Len(), mode, stats.Iterations, elapsed.Round(time.Microsecond), clock(stats))
 		}
 		refreshCount++
 		// TopSources selects the k best without sorting the whole corpus —
@@ -702,4 +702,21 @@ func clip(s string, n int) string {
 		return s
 	}
 	return string([]rune(s)[:n-3]) + "..."
+}
+
+// clock formats a refresh's phase and EM stage times for the refresh line,
+// empty for a NoOp refresh.
+func clock(st kbt.RefreshStats) string {
+	if st.NoOp {
+		return ""
+	}
+	t := st.Times
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond)) }
+	out := fmt.Sprintf(" [ms: build %s, settle %s (votes %s, I %s, II %s, III %s, IV %s, prior %s), layer6 %s, publish %s",
+		ms(t.Build), ms(t.Settle), ms(t.Votes), ms(t.StageI), ms(t.StageII), ms(t.StageIII), ms(t.StageIV), ms(t.Prior),
+		ms(t.Layer6), ms(t.Publish))
+	if t.Fuse > 0 {
+		out += ", fuse " + ms(t.Fuse)
+	}
+	return out + "]"
 }

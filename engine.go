@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"kbt/internal/engine"
 	"kbt/internal/triple"
@@ -417,6 +418,21 @@ type RefreshStats struct {
 	// refresh: distinct items re-fused and fusion EM iterations run (zero
 	// when Fusion is off, and on a NoOp refresh).
 	CopyPairs, CopyItems, FusedItems, FusionIterations int
+	// Times is where the refresh's wall time went (zero on a NoOp refresh).
+	Times RefreshTimes
+}
+
+// RefreshTimes is a refresh's clock. Build, Settle, Layer6 and Publish are its
+// phases in order: extending (or compiling) the snapshot and EM state, the
+// E/M loop, copy detection with the join of the fusion pass, and building the
+// generation. Fuse is the fusion pass's span, which runs beside Build and
+// Settle on a goroutine of its own. Votes through Prior split Settle by EM
+// stage: vote preparation, Stages I–IV (extraction correctness, triple truth,
+// source accuracy, extractor quality with the cold bootstrap) and the Eq 26
+// prior.
+type RefreshTimes struct {
+	Build, Settle, Layer6, Publish, Fuse             time.Duration
+	Votes, StageI, StageII, StageIII, StageIV, Prior time.Duration
 }
 
 // Stats reports the most recent Refresh, or false before the first one.
@@ -441,5 +457,14 @@ func (v *view) Stats() (RefreshStats, bool) {
 		CopyItems:        r.CopyItems,
 		FusedItems:       r.FusedItems,
 		FusionIterations: r.FusionIterations,
+		Times:            refreshTimes(r.Times),
 	}, true
+}
+
+func refreshTimes(t engine.Times) RefreshTimes {
+	st := t.Stages
+	return RefreshTimes{
+		Build: t.Build, Settle: t.Settle, Layer6: t.Layer6, Publish: t.Publish, Fuse: t.Fuse,
+		Votes: st.Votes, StageI: st.StageI, StageII: st.StageII, StageIII: st.StageIII, StageIV: st.StageIV, Prior: st.Prior,
+	}
 }

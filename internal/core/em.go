@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"time"
 
 	"kbt/internal/stats"
 	"kbt/internal/triple"
@@ -23,8 +24,8 @@ import (
 //	for each iteration, until converged or MaxIter:
 //	    _, converged := em.Iterate(cProb, ..., Pass{Iter: n, ...})
 //
-// Iterate runs the stages below in this order; they stay exported for the
-// Table 7 harness, which times each one:
+// Iterate runs the stages below in this order; each adds its wall time to the
+// EM's StageTimes:
 //
 //	em.BeginIteration(refreshVotes) // ready per-iteration vote state
 //	em.EStepTriples(cProb, ...)     // Stage I   (index list)
@@ -118,7 +119,28 @@ func NewEM(s *triple.Snapshot, opt Options) (*EM, error) {
 // p(C)=Alpha (see Options.DisableBootstrap), filling cProb with the prior as
 // a side effect: what Run does before its first iteration, a no-op when the
 // options disable it.
-func (em *EM) Bootstrap(cProb []float64) { em.st.bootstrap(cProb) }
+func (em *EM) Bootstrap(cProb []float64) {
+	t0 := time.Now()
+	em.st.bootstrap(cProb)
+	em.st.times.StageIV += time.Since(t0)
+}
+
+// StageTimes is the wall time an EM's exported stages have spent, summed over
+// its life: BeginIteration's vote preparation, Stages I–IV (Stage IV with the
+// Bootstrap, an extractor M-step) and the Eq 26 prior. A caller diffs two
+// readings (Sub) for the stages of one estimation or refresh.
+type StageTimes struct {
+	Votes, StageI, StageII, StageIII, StageIV, Prior time.Duration
+}
+
+// Sub returns t minus u, stage by stage.
+func (t StageTimes) Sub(u StageTimes) StageTimes {
+	return StageTimes{t.Votes - u.Votes, t.StageI - u.StageI, t.StageII - u.StageII,
+		t.StageIII - u.StageIII, t.StageIV - u.StageIV, t.Prior - u.Prior}
+}
+
+// StageTimes returns the EM's cumulative stage times.
+func (em *EM) StageTimes() StageTimes { return em.st.times }
 
 // BeginIteration readies the per-iteration vote state (extractor votes, base
 // absence masses). Call once per iteration, before any EStepTriples call.
@@ -132,7 +154,11 @@ func (em *EM) Bootstrap(cProb []float64) { em.st.bootstrap(cProb) }
 // M-step's per-observation caches exactly valid for every vote-stable
 // extractor (no sub-Tol vote-shift rescans); Run refreshes every iteration
 // and never has a ledger.
-func (em *EM) BeginIteration(refreshVotes bool) { em.st.prepareVotes(refreshVotes) }
+func (em *EM) BeginIteration(refreshVotes bool) {
+	t0 := time.Now()
+	em.st.prepareVotes(refreshVotes)
+	em.st.times.Votes += time.Since(t0)
+}
 
 // CarryVotesFrom copies prev's extractor presence/absence votes by dense id
 // prefix — the FullRecompile path's counterpart of the vote state NewEMFrom
@@ -148,16 +174,20 @@ func (em *EM) CarryVotesFrom(prev *EM) {
 // candidate triples in tis (nil = all), writing into cProb and marking the
 // written chunks for the next BuildResultFrom.
 func (em *EM) EStepTriples(cProb []float64, tis []int, workers int) {
+	t0 := time.Now()
 	em.st.estimateCSubset(cProb, tis, workers)
 	markIndices(em.st.triDirty, tis)
+	em.st.times.StageI += time.Since(t0)
 }
 
 // EStepItems runs Stage II — triple truthfulness p(V|X) — for the data items
 // in items (nil = all), writing valueProb, restMass and coveredItem and
 // marking the written chunks for the next BuildResultFrom.
 func (em *EM) EStepItems(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, items []int, workers int) {
+	t0 := time.Now()
 	em.st.estimateVSubset(cProb, valueProb, restMass, coveredItem, items, workers)
 	markIndices(em.st.itemDirty, items)
+	em.st.times.StageII += time.Since(t0)
 }
 
 // TakeMovedItems appends to dst, ascending, the items whose discretised
@@ -189,7 +219,10 @@ func (em *EM) MStepSources(cProb []float64, valueProb [][]float64, tis []int) (m
 	if em.st.opt.FreezeSources {
 		return 0
 	}
-	return em.st.estimateA(cProb, valueProb, tis)
+	t0 := time.Now()
+	movedA = em.st.estimateA(cProb, valueProb, tis)
+	em.st.times.StageIII += time.Since(t0)
+	return movedA
 }
 
 // MStepExtractors runs Stage IV — extractor precision/recall/Q — over tis
@@ -199,7 +232,10 @@ func (em *EM) MStepExtractors(cProb []float64, tis []int) (movedP, movedR float6
 	if em.st.opt.FreezeExtractors {
 		return 0, 0
 	}
-	return em.st.estimatePRQ(cProb, tis)
+	t0 := time.Now()
+	movedP, movedR = em.st.estimatePRQ(cProb, tis)
+	em.st.times.StageIV += time.Since(t0)
+	return movedP, movedR
 }
 
 // AggStepCounts reports how many M-step stage calls over the EM's lifetime
@@ -218,7 +254,10 @@ func (em *EM) AggStepCounts() (list, whole int) {
 // largest movement of a prior. The caller is responsible for the
 // Options.UpdatePrior / UpdatePriorFromIter schedule, as Iterate is.
 func (em *EM) UpdatePrior(valueProb [][]float64, tis []int, workers int) (movedPrior float64) {
-	return em.st.updateAlphaSubset(valueProb, tis, workers)
+	t0 := time.Now()
+	movedPrior = em.st.updateAlphaSubset(valueProb, tis, workers)
+	em.st.times.Prior += time.Since(t0)
+	return movedPrior
 }
 
 // A returns the live per-source accuracy slice, read-only — e.g. for the

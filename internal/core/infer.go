@@ -312,6 +312,9 @@ type state struct {
 	// Options.IncrementalAggregates is on; nil otherwise. See aggregates.go.
 	agg *aggState
 
+	// times is the exported stages' cumulative wall time (EM.StageTimes).
+	times StageTimes
+
 	// ledger holds the per-unit staleness accounting behind the engine's
 	// confined settling sweeps when EM.EnableStaleness was called; nil
 	// otherwise (always nil under Run). See staleness.go.

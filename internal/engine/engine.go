@@ -65,6 +65,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"kbt/internal/copydetect"
 	"kbt/internal/core"
@@ -203,6 +204,17 @@ type Result struct {
 	FusionSnap       *triple.Snapshot
 	FusedItems       int
 	FusionIterations int
+	// Times is where the refresh's wall time went (zero on a NoOp refresh).
+	Times Times
+}
+
+// Times is the refresh's clock: the wall time of its phases and, inside
+// settle, of the EM stages (core.StageTimes). Fuse is the fusion pass's span
+// on its own goroutine, which runs beside Build and Settle; Layer6 includes
+// the wait to join it. Publish is the build of the generation.
+type Times struct {
+	Build, Settle, Layer6, Publish, Fuse time.Duration
+	Stages                               core.StageTimes
 }
 
 // Engine accumulates extraction records and re-estimates KBT incrementally.
@@ -421,6 +433,10 @@ type refreshRun struct {
 	iterations                 int
 	converged                  bool
 	aggDelta0, aggFull0        int
+	stages0                    core.StageTimes
+
+	// times: the phases' clock, filled as each phase returns.
+	times Times
 
 	// layer-6: the generation's copy dependencies and fused posteriors.
 	copyDeps   []copydetect.Dependence
@@ -460,15 +476,19 @@ func (e *Engine) Refresh() (*Result, error) {
 	// Deferred after the reset above, so on an error return too the fusion
 	// pass has ended before the run it reads and fills is cleared.
 	defer fused()
+	t0 := time.Now()
 	if err := e.buildState(r); err != nil {
 		return nil, err
 	}
+	t1 := time.Now()
 	if err := e.settle(r); err != nil {
 		return nil, err
 	}
+	t2 := time.Now()
 	if err := e.layer6(r, fused); err != nil {
 		return nil, err
 	}
+	r.times.Build, r.times.Settle, r.times.Layer6 = t1.Sub(t0), t2.Sub(t1), time.Since(t2)
 	return e.publish(r), nil
 }
 
@@ -597,6 +617,7 @@ func (e *Engine) settle(r *refreshRun) error {
 	// base is the ingest's footprint — the exact items whose inputs changed.
 	base := e.scopeBase
 	base.Reset(nShards, nItems)
+	r.stages0 = r.em.StageTimes()
 	switch {
 	case !r.warm:
 		r.em.Bootstrap(r.cProb)
@@ -778,7 +799,9 @@ func (e *Engine) startFuse(r *refreshRun) (join func() error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		t0 := time.Now()
 		err = e.fuse(r)
+		r.times.Fuse = time.Since(t0)
 	}()
 	return func() error {
 		wg.Wait()
@@ -906,6 +929,8 @@ func (e *Engine) publish(r *refreshRun) *Result {
 		prevInf = prevLast.Inference
 	}
 	aggDelta, aggFull := r.em.AggStepCounts()
+	r.times.Stages = r.em.StageTimes().Sub(r.stages0)
+	t0 := time.Now()
 	res := &Result{
 		Snapshot: r.snap,
 		Inference: r.em.BuildResultFrom(prevInf, r.cProb, r.valueProb, r.restMass, r.coveredItem,
@@ -930,6 +955,8 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	if r.fusRes != nil {
 		res.FusionIterations = r.fusRes.Iterations
 	}
+	res.Times = r.times
+	res.Times.Publish = time.Since(t0)
 
 	// Records that arrived while estimating stay pending.
 	e.mu.Lock()

@@ -436,6 +436,40 @@ func TestRefreshWithoutPendingIsStable(t *testing.T) {
 	}
 }
 
+// TestRefreshClockNests: a refresh's EM stage times lie inside its settle
+// phase — the stages run one after another within it, on the same monotonic
+// clock — on a cold and a warm refresh, and a NoOp refresh reports no time.
+func TestRefreshClockNests(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Shards = 4
+	opt.Core.MaxIter = 100
+	opt.Fusion = true
+	eng := New(opt)
+	recs := localDataset(32)
+	for _, batch := range [][]triple.Record{recs[:len(recs)/2], recs[len(recs)/2:], nil} {
+		eng.Ingest(batch...)
+		res, err := eng.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := res.Times
+		if res.NoOp {
+			if tm != (Times{}) {
+				t.Errorf("a NoOp refresh reports times %+v", tm)
+			}
+			continue
+		}
+		st := tm.Stages
+		stages := st.Votes + st.StageI + st.StageII + st.StageIII + st.StageIV + st.Prior
+		if tm.Settle <= 0 || st.StageI <= 0 || stages > tm.Settle {
+			t.Errorf("warm=%v: stages %v (%+v) do not nest in settle %v", res.Warm, stages, st, tm.Settle)
+		}
+		if tm.Build <= 0 || tm.Publish <= 0 || tm.Fuse <= 0 {
+			t.Errorf("warm=%v: a phase reports no time: %+v", res.Warm, tm)
+		}
+	}
+}
+
 // TestRefreshWithoutPendingResumesUnconvergedEM: when the previous refresh
 // stopped at MaxIter, a no-ingest Refresh must run full passes and make
 // progress rather than measuring a zero delta against its own cached

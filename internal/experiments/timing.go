@@ -184,9 +184,9 @@ func Table7(cfg KVConfig, minSize, maxSize int) ([]Table7Column, error) {
 
 // timeStages runs Algorithm 1 on snap for all MaxIter iterations — core.Run's
 // call sequence without its convergence stop — and returns the wall time of
-// each of the paper's stages: Stage I with the vote preparation it reads,
-// Stage II, Stage III, and Stage IV with the pre-iteration bootstrap (an
-// extractor M-step). The Eq 26 prior runs on Run's schedule, untimed.
+// each of the paper's stages from the EM's stage clock: Stage I with the vote
+// preparation it reads, Stage II, Stage III, and Stage IV with the
+// pre-iteration bootstrap (an extractor M-step). The Eq 26 prior is left out.
 func timeStages(snap *triple.Snapshot, opt core.Options) (extCorr, triplePr, srcAccu, extQual time.Duration, err error) {
 	em, err := core.NewEM(snap, opt)
 	if err != nil {
@@ -196,23 +196,10 @@ func timeStages(snap *triple.Snapshot, opt core.Options) (extCorr, triplePr, src
 	valueProb := make([][]float64, len(snap.Items))
 	restMass := make([]float64, len(snap.Items))
 	covered := make([]bool, len(snap.Items))
-	timed := func(total *time.Duration, stage func()) {
-		start := time.Now()
-		stage()
-		*total += time.Since(start)
-	}
-	timed(&extQual, func() { em.Bootstrap(cProb) })
+	em.Bootstrap(cProb)
 	for iter := 1; iter <= opt.MaxIter; iter++ {
-		timed(&extCorr, func() {
-			em.BeginIteration(true)
-			em.EStepTriples(cProb, nil, opt.Workers)
-		})
-		timed(&triplePr, func() { em.EStepItems(cProb, valueProb, restMass, covered, nil, opt.Workers) })
-		timed(&srcAccu, func() { em.MStepSources(cProb, valueProb, nil) })
-		timed(&extQual, func() { em.MStepExtractors(cProb, nil) })
-		if opt.UpdatePrior && iter+1 >= opt.UpdatePriorFromIter {
-			em.UpdatePrior(valueProb, nil, opt.Workers)
-		}
+		em.Iterate(cProb, valueProb, restMass, covered, core.Pass{Iter: iter, RefreshVotes: true})
 	}
-	return extCorr, triplePr, srcAccu, extQual, nil
+	t := em.StageTimes()
+	return t.Votes + t.StageI, t.StageII, t.StageIII, t.StageIV, nil
 }
