@@ -12,8 +12,9 @@ import (
 // The global M-steps of Algorithm 1 are sums of per-index terms: source
 // accuracy (Eq 27/28) sums a (num, den) pair over the source's candidate
 // triples, and extractor precision/recall (Eqs 29-33) sum a numerator over the
-// extractor's observations and a correctness mass over the (source, predicate)
-// cells the extractor attempts (the confidence masses are state.pDen). Every
+// extractor's observations and a correctness mass over the triples of the
+// (source, predicate) cells the extractor attempts, kept per attempt set
+// (state.setC; the confidence masses are state.pDen). Every
 // sum is an exact stats.Sum, a function of its multiset of terms alone, so
 // each M-stage is one body: a loop over the indices its call visited, grouped
 // by unit, where a visited index replaces its cached term in its unit's sum
@@ -53,12 +54,10 @@ type aggState struct {
 	preAt, abAt []float64
 
 	// Correctness mass: the per-triple covered-gated term and the
-	// per-extractor recall denominator, kept through the extsOfCell reverse
-	// index under ScopeAttemptedSources (the masses themselves are
-	// state.cellC and state.totalC).
-	cCov       []float64
-	rDen       []stats.Sum
-	extsOfCell [][]int32
+	// per-extractor recall denominator, the sum of the extractor's attempt
+	// sets' masses (state.setC).
+	cCov []float64
+	rDen []stats.Sum
 
 	// exp is the per-source Σ p(C|X) of the last BuildResultFrom publication
 	// (nil before one), expF its float mirror, expDirty the mirror's marks.
@@ -73,14 +72,14 @@ type aggState struct {
 
 func newAggState(nSrc, nExt, nTri, nObs int) *aggState {
 	ag := &aggState{}
-	ag.growTo(nSrc, nExt, nTri, nObs, 0)
+	ag.growTo(nSrc, nExt, nTri, nObs)
 	return ag
 }
 
 // growTo extends every per-index array to the new table sizes, preserving
 // existing entries. New preAt/abAt entries are NaN so a vote comparison can
 // never mistake them for cached.
-func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
+func (ag *aggState) growTo(nSrc, nExt, nTri, nObs int) {
 	ag.aNum = grow(ag.aNum, nSrc, stats.Sum{})
 	ag.aDen = grow(ag.aDen, nSrc, stats.Sum{})
 	ag.aNumC = grow(ag.aNumC, nTri, 0)
@@ -91,9 +90,6 @@ func (ag *aggState) growTo(nSrc, nExt, nTri, nObs, nCells int) {
 	ag.preAt = grow(ag.preAt, nExt, math.NaN())
 	ag.abAt = grow(ag.abAt, nExt, math.NaN())
 	ag.obsNumC = grow(ag.obsNumC, nObs, 0)
-	if ag.extsOfCell != nil {
-		ag.extsOfCell = append(ag.extsOfCell, make([][]int32, nCells-len(ag.extsOfCell))...)
-	}
 }
 
 // The M-stages, by the index of their caches' validity.
@@ -121,23 +117,6 @@ func (ag *aggState) visitsAll(stage int, tis []int, n int) bool {
 		ag.listSteps++
 	}
 	return whole
-}
-
-// cellExtractors returns the cell→extractors reverse index behind the
-// recall-denominator updates, building it from the current cell lists on
-// first use — after a fresh state or an inclusion flip — in O(attempted
-// pairs).
-func (st *state) cellExtractors() [][]int32 {
-	ag := st.agg
-	if ag.extsOfCell == nil {
-		ag.extsOfCell = make([][]int32, st.numCells)
-		for e, cells := range st.cellsOfExtractor {
-			for _, c := range cells {
-				ag.extsOfCell[c] = append(ag.extsOfCell[c], int32(e))
-			}
-		}
-	}
-	return ag.extsOfCell
 }
 
 // groups buckets the indices an M-stage call visits by unit in O(visited +

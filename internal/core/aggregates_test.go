@@ -227,7 +227,7 @@ func sameMStep(t *testing.T, tag string, got, want *EM) {
 	}{
 		{"aNum", g.agg.aNum, w.agg.aNum}, {"aDen", g.agg.aDen, w.agg.aDen},
 		{"eNum", g.agg.eNum, w.agg.eNum}, {"rDen", g.agg.rDen, w.agg.rDen},
-		{"cellC", g.cellC, w.cellC}, {"totalC", []stats.Sum{g.totalC}, []stats.Sum{w.totalC}},
+		{"correctness mass by cell", cellMasses(g), cellMasses(w)},
 	} {
 		if !slices.Equal(v.got, v.want) {
 			t.Fatalf("%s: %s differs from the nil list's", tag, v.name)
@@ -279,4 +279,170 @@ func TestNarrowMStepAllocatesNothing(t *testing.T) {
 	if list1, _ := em.AggStepCounts(); list1 == list0 {
 		t.Fatal("the narrow M-steps did not honour their list")
 	}
+}
+
+// cellMasses returns the correctness mass of each cell's attempt set, cell by
+// cell: two states that interned their sets in different orders compare equal
+// when every cell sees the same mass.
+func cellMasses(st *state) []stats.Sum {
+	out := make([]stats.Sum, st.numCells)
+	for c, set := range st.setOfCell {
+		out[c] = st.setC[set]
+	}
+	return out
+}
+
+// TestAttemptSetGrowth: an extension under which an existing (source,
+// predicate) cell gains a second attempting extractor, then a third, moves the
+// cell from set to set. At each step, under both absence scopes and with and
+// without a staleness ledger, the kept absence masses equal their recompute
+// bit for bit, before and after the votes are prepared, and the M-steps over
+// the list of the cell's items leave the recall denominators, P, R and Q of
+// the M-steps over every index.
+func TestAttemptSetGrowth(t *testing.T) {
+	d := triple.NewDataset()
+	add := func(e string, w int, subj, obj string, p int) {
+		site := fmt.Sprintf("site%02d.com", w)
+		d.Add(triple.Record{Extractor: e, Website: site, Page: site + "/x",
+			Subject: subj, Predicate: fmt.Sprintf("p%d", p), Object: obj, Confidence: 0.9})
+	}
+	value := func(i int) string {
+		if i%4 == 0 {
+			return "F"
+		}
+		return "T"
+	}
+	for i := 0; i < 300; i++ {
+		subj := fmt.Sprintf("S%03d", i)
+		add("E1", i%10, subj, value(i), i%3)
+		if i%10 != 0 && i%2 == 0 { // E2 and E3 never attempt site00.com
+			add("E2", i%10, subj, value(i), i%3)
+		}
+		if i%10 != 0 && i%3 == 0 {
+			add("E3", i%10, subj, "T", i%3)
+		}
+	}
+	s0 := d.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName})
+	// The cell (site00.com, p0) holds S000, S030, ..., attempted by E1 alone.
+	steps := [][]triple.Record{
+		{{Extractor: "E2", Website: "site00.com", Page: "site00.com/x", Subject: "S000", Predicate: "p0", Object: value(0), Confidence: 0.8},
+			{Extractor: "E2", Website: "site00.com", Page: "site00.com/x", Subject: "Snew", Predicate: "p0", Object: "T", Confidence: 0.8}},
+		{{Extractor: "E3", Website: "site00.com", Page: "site00.com/x", Subject: "S030", Predicate: "p0", Object: value(30), Confidence: 0.7}},
+	}
+
+	sameMasses := func(tag string, em *EM) {
+		t.Helper()
+		gotTotal, gotCells := em.AbsenceMasses()
+		wantTotal, wantCells := em.RecomputeAbsenceMasses()
+		if math.Float64bits(gotTotal) != math.Float64bits(wantTotal) || len(gotCells) != len(wantCells) {
+			t.Fatalf("%s: absence masses (%v, %d cells), recomputed (%v, %d cells)", tag, gotTotal, len(gotCells), wantTotal, len(wantCells))
+		}
+		for c := range wantCells {
+			if math.Float64bits(gotCells[c]) != math.Float64bits(wantCells[c]) {
+				t.Fatalf("%s: cell %d's absence mass is %v, recomputed %v", tag, c, gotCells[c], wantCells[c])
+			}
+		}
+	}
+
+	for _, scope := range []AbsenceScope{ScopeAttemptedSources, ScopeAllExtractors} {
+		for _, ledger := range []bool{true, false} {
+			opt := DefaultOptions()
+			opt.Scope = scope
+			opt.IncrementalAggregates = true
+			opt.MinSourceSupport, opt.MinExtractorSupport = 1, 1
+			opt.Alpha = 0.5
+			type run struct {
+				em              *EM
+				cProb, restMass []float64
+				valueProb       [][]float64
+				covered         []bool
+			}
+			var runs [2]*run // a list M-step, and one over every index
+			for k := range runs {
+				em, err := NewEM(s0, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ledger {
+					em.EnableStaleness(4)
+				}
+				nItem := len(s0.Items)
+				r := &run{em: em, cProb: make([]float64, len(s0.Triples)), restMass: make([]float64, nItem),
+					valueProb: make([][]float64, nItem), covered: make([]bool, nItem)}
+				em.Bootstrap(r.cProb)
+				for iter := 1; iter <= 2; iter++ {
+					em.Iterate(r.cProb, r.valueProb, r.restMass, r.covered, Pass{Iter: iter, RefreshVotes: true})
+				}
+				runs[k] = r
+			}
+			s := s0
+			for step, recs := range steps {
+				tag := fmt.Sprintf("scope=%d ledger=%v step %d", scope, ledger, step+1)
+				s = s.Extend(recs)
+				c := -1
+				var items, tis []int
+				for _, r := range runs {
+					em, err := NewEMFrom(r.em, s, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if em.InclusionFlipped() {
+						t.Fatalf("%s: fixture: the extension flipped an inclusion", tag)
+					}
+					st := em.st
+					c = st.cellID[int64(s.SourceID("site00.com"))<<32|int64(s.PredOfItem[s.ItemID("S000", "p0")])]
+					if scope == ScopeAttemptedSources {
+						if n := len(st.setMembers[st.setOfCell[c]]); n != step+2 {
+							t.Fatalf("%s: the cell's attempt set has %d extractors, want %d", tag, n, step+2)
+						}
+					}
+					for len(r.cProb) < len(s.Triples) {
+						r.cProb = append(r.cProb, opt.Alpha)
+					}
+					for len(r.valueProb) < len(s.Items) {
+						r.valueProb, r.restMass, r.covered = append(r.valueProb, nil), append(r.restMass, 0), append(r.covered, false)
+					}
+					sameMasses(tag+", extended", em)
+					em.BeginIteration(false)
+					sameMasses(tag+", votes prepared", em)
+					if items == nil {
+						for _, ti := range cellTriples(st, c) {
+							items = append(items, s.Triples[ti].D)
+						}
+						slices.Sort(items)
+						items = slices.Compact(items)
+						for _, d := range items {
+							tis = append(tis, s.TriplesOfItem[d]...)
+						}
+					}
+					em.EStepTriples(r.cProb, tis, 0)
+					em.EStepItems(r.cProb, r.valueProb, r.restMass, r.covered, items, 0)
+				}
+				list0, _ := runs[0].em.AggStepCounts()
+				for k, r := range runs {
+					var list []int
+					if k == 0 {
+						list = tis
+					}
+					r.em.MStepSources(r.cProb, r.valueProb, list)
+					r.em.MStepExtractors(r.cProb, list)
+				}
+				if list1, _ := runs[0].em.AggStepCounts(); list1-list0 != 2 {
+					t.Fatalf("%s: the M-steps honoured %d lists, want 2", tag, list1-list0)
+				}
+				sameMStep(t, tag, runs[0].em, runs[1].em)
+			}
+		}
+	}
+}
+
+// cellTriples lists the candidate triples of cell c by a scan of every
+// triple: the test's own index, independent of the ledger's.
+func cellTriples(st *state, c int) (tis []int) {
+	for ti, cc := range st.cellOfTriple {
+		if cc == c {
+			tis = append(tis, ti)
+		}
+	}
+	return tis
 }

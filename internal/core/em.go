@@ -391,12 +391,20 @@ func (em *EM) BuildResult(cProb []float64, valueProb [][]float64, restMass []flo
 	}
 }
 
-// AbsenceMasses returns the live base absence masses Stage I reads: the
-// global mass under ScopeAllExtractors and the per-cell masses under
-// ScopeAttemptedSources (the other return is zero-valued). Read-only, for
-// tests and diagnostics.
+// AbsenceMasses returns the base absence masses Stage I reads: the global
+// mass under ScopeAllExtractors and the per-cell masses under
+// ScopeAttemptedSources (the other return is zero-valued), each cell's read
+// from its attempt set. For tests and diagnostics.
 func (em *EM) AbsenceMasses() (total float64, cells []float64) {
-	return em.st.totalAbs.Float(), em.st.cellAbs
+	st := em.st
+	if st.opt.Scope == ScopeAllExtractors {
+		return st.setAbs[0], nil
+	}
+	cells = make([]float64, st.numCells)
+	for c, set := range st.setOfCell {
+		cells[c] = st.setAbs[set]
+	}
+	return 0, cells
 }
 
 // RecomputeAbsenceMasses derives the base absence masses from scratch from

@@ -66,30 +66,11 @@ func NewEMFrom(prev *EM, s *triple.Snapshot, opt Options) (*EM, error) {
 	return prev, nil
 }
 
-// extCellKey packs an (extractor, cell) pair for the membership map.
-func extCellKey(e, c int) int64 { return int64(e)<<32 | int64(uint32(c)) }
-
 // extendState grows every index structure of st from prev's snapshot to s,
 // touching only the extension delta. See NewEMFrom.
 func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.opt = opt
 	nSrc, nExt, nTri, nObs := len(s.Sources), len(s.Extractors), len(s.Triples), len(s.Obs)
-
-	// Build the extension-only indexes lazily on the first extension: the
-	// membership map behind cellsOfExtractor appends, and (in aggregate
-	// mode) the cell→extractors reverse index behind the recall-denominator
-	// deltas. Both derive from the current cell lists in O(attempted pairs).
-	if st.extCellSeen == nil {
-		st.extCellSeen = make(map[int64]bool)
-		for e, cells := range st.cellsOfExtractor {
-			for _, c := range cells {
-				st.extCellSeen[extCellKey(e, c)] = true
-			}
-		}
-	}
-	if st.agg != nil {
-		st.cellExtractors()
-	}
 
 	// Inclusion: recompute and detect old units flipping — the structural
 	// event that invalidates coverage, attempted scopes and the M-step caches.
@@ -106,17 +87,15 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.srcIncluded, st.extIncluded = srcInc, extInc
 	st.structural = structural
 
-	// Absence masses: pure growth keeps them valid incrementally — a new
-	// cell starts at zero and every newly attempted (extractor, cell) pair
-	// folds the extractor's currently published absence vote in below,
-	// exactly the contribution the rebuild would add (under
-	// ScopeAllExtractors the global mass is untouched by growth). Anything
-	// beyond pure growth falls back to the rebuild: a grown
+	// Absence masses: pure growth keeps them valid — a new cell starts in set
+	// 0, whose mass it shares, and a set first interned below sums its
+	// members' published absence votes, exactly what the rebuild would
+	// derive. Anything beyond pure growth falls back to the rebuild: a grown
 	// extractor set (the engine force-refreshes votes there, and a fresh
 	// extractor's votes are not yet derived), an inclusion flip (structural;
 	// buildExtractorCells re-stales anyway), or a caller without incremental
 	// aggregates — keeping the FullAggregates/FullRecompile oracles on the
-	// per-refresh rebuild the folded masses must equal bit for bit (they are
+	// per-refresh rebuild the kept masses must equal bit for bit (they are
 	// exact sums).
 	incMass := st.agg != nil && !st.absenceStale && !structural &&
 		len(s.Extractors) == d.Extractors
@@ -190,21 +169,15 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	}
 
 	// Cells for the new triples. Interned ids are append-only, so existing
-	// cellOfTriple entries and every cell-indexed buffer stay valid; the
-	// buffers merely grow (preserving the persistent correctness mass in
-	// aggregate mode).
+	// cellOfTriple entries and every cell-indexed structure stay valid; a new
+	// cell starts in set 0.
 	st.cellOfTriple = grow(st.cellOfTriple, nTri, 0)
 	for ti := d.Triples; ti < nTri; ti++ {
 		tr := s.Triples[ti]
 		st.cellOfTriple[ti] = st.internCell(tr.W, predOfItem(s, tr.D))
 	}
-	st.cellC = grow(st.cellC, st.numCells, stats.Sum{})
-	if incMass && st.opt.Scope != ScopeAllExtractors {
-		// Valid masses extend with the cell space: new cells carry zero mass
-		// until an extractor attempts them below.
-		st.cellAbsSum = grow(st.cellAbsSum, st.numCells, stats.Sum{})
-		st.cellAbs = grow(st.cellAbs, st.numCells, 0)
-	}
+	st.setOfCell = grow(st.setOfCell, st.numCells, 0)
+	st.setsOfExtractor = grow(st.setsOfExtractor, nExt, nil)
 
 	// Priors and the Stage I odds cache: carried by index prefix, new triples
 	// start from the Alpha prior exactly as in newState.
@@ -217,7 +190,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// set, not on the EM iteration.
 	ag := st.agg
 	if ag != nil {
-		ag.growTo(nSrc, nExt, nTri, nObs, st.numCells)
+		ag.growTo(nSrc, nExt, nTri, nObs)
 	}
 	st.pDen = grow(st.pDen, nExt, stats.Sum{})
 	for oi := d.Obs; oi < nObs; oi++ {
@@ -240,9 +213,21 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		st.pDen[e] = st.pDen[e].Sub(pDenPart(oldEff)).Add(pDenPart(newEff))
 	}
 
-	// Coverage and attempted-cell scopes for the new observations.
+	// Everything below — the ledger appends, the cell moves and the structural
+	// rebuild helpers — reads the extended tables, so the snapshot pointer
+	// flips here.
+	st.s = s
+
+	// Staleness ledger: new items' shard assignments, new triples' reach
+	// bits, zero drift for new units.
+	st.extendLedger(d)
+
+	// Coverage and attempt sets for the new observations: a new included
+	// extractor joins set 0 under ScopeAllExtractors, and a newly attempted
+	// (extractor, cell) pair moves the cell to its next set.
 	st.coveredTriple = grow(st.coveredTriple, nTri, false)
 	st.cellsOfExtractor = append(st.cellsOfExtractor, make([][]int, nExt-len(st.cellsOfExtractor))...)
+	st.joinBaseSet(d.Extractors, nExt)
 	for oi := d.Obs; oi < nObs; oi++ {
 		e := s.Obs[oi].E
 		if !st.extIncluded[e] {
@@ -253,49 +238,19 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 			st.coveredTriple[ti] = true
 			markUnit(st.triDirty, ti)
 		}
-		c := st.cellOfTriple[ti]
-		key := extCellKey(e, c)
-		if st.extCellSeen[key] {
-			continue
-		}
-		st.extCellSeen[key] = true
-		st.cellsOfExtractor[e] = append(st.cellsOfExtractor[e], c)
-		if incMass && st.opt.Scope != ScopeAllExtractors {
-			// The newly attempted cell gains the extractor's published
-			// absence vote — the same contribution the rebuild derives from
-			// the grown cell lists.
-			st.cellAbsSum[c] = st.cellAbsSum[c].Add(st.ab[e])
-			st.cellAbs[c] = st.cellAbsSum[c].Float()
-		}
-		if ag != nil {
-			ag.extsOfCell[c] = append(ag.extsOfCell[c], int32(e))
-			// Attending a cell for the first time pulls its existing
-			// correctness mass into the extractor's recall denominator.
-			ag.rDen[e] = ag.rDen[e].AddSum(st.cellC[c])
-		}
+		st.attempt(e, ti)
 	}
-
-	// Everything below — the ledger appends and the structural rebuild
-	// helpers — reads the extended tables, so the snapshot pointer flips
-	// here.
-	st.s = s
-
-	// Staleness ledger: new items' shard assignments, new triples' reach
-	// bits, zero drift for new units.
-	st.extendLedger(d)
 
 	// Structural fallback: an old unit's inclusion flipped, so coverage and
 	// attempted scopes no longer extend — rebuild both (O(corpus), rare)
 	// and invalidate the M-step caches; the engine escalates such refreshes
 	// to a full first pass, whose M-steps visit every index.
 	if structural {
+		if ag != nil {
+			ag.valid = [2]bool{}
+		}
 		st.rebuildCoverage()
 		st.buildExtractorCells()
-		if ag != nil {
-			ag.extsOfCell = nil
-			ag.valid = [2]bool{}
-			clear(st.cellC)
-		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"kbt/internal/parallel"
@@ -254,15 +256,12 @@ type state struct {
 	// the posterior saturates.
 	cOdds []float64
 
-	// cellC and totalC are the correctness masses of Stage IV's recall
-	// denominators, per cell respectively global (ScopeAllExtractors),
-	// refilled by a call over every index. The rest is M-step scratch reused
-	// across calls: per-stage groups, Stage IV's tasks and per-task maxima.
-	cellC                []stats.Sum
-	totalC               stats.Sum
+	// M-step scratch reused across calls: per-stage groups, Stage IV's tasks,
+	// per-task maxima and the correctness reduction's per-worker partials.
 	srcGroups, extGroups groups
 	obsTasks             []obsTask
 	partMax              []float64
+	setPart              [][]stats.Sum
 
 	// tripleOfObs maps observation index -> candidate-triple index.
 	tripleOfObs []int
@@ -274,39 +273,52 @@ type state struct {
 	// slotOfTriple maps candidate-triple index -> slot in ItemValues[d].
 	slotOfTriple []int
 
-	// Cell scoping for ScopeAttemptedSources: a cell is one (source,
-	// predicate) pair; an extractor "attempts" the cell if it extracted at
-	// least one triple there. cellOfTriple maps each candidate triple to its
-	// cell id. Cell ids are interned per distinct (source, predicate) pair in
-	// first-appearance order over the triple list — not the dense
-	// source×predicate product — so they are append-only as the snapshot
-	// grows (a new predicate or source never renumbers existing cells),
-	// which is what lets extendState carry every cell-indexed structure over
-	// without a rebuild.
+	// Cells: a cell is one (source, predicate) pair; an extractor "attempts"
+	// the cell if it extracted at least one triple there. cellOfTriple maps
+	// each candidate triple to its cell id. Cell ids are interned per distinct
+	// (source, predicate) pair in first-appearance order over the triple list
+	// — not the dense source×predicate product — so they are append-only as
+	// the snapshot grows (a new predicate or source never renumbers existing
+	// cells), which is what lets extendState carry every cell-indexed
+	// structure over without a rebuild.
 	cellID       map[int64]int
 	cellOfTriple []int
+	numCells     int
 	// cellsOfExtractor lists the distinct cells each included extractor
-	// attempted, in first appearance order over the extractor's observations.
+	// attempted, in first appearance order, under ScopeAttemptedSources (nil
+	// lists under ScopeAllExtractors): the reach of its absence vote, which
+	// the ledger and RecomputeAbsenceMasses read.
 	cellsOfExtractor [][]int
-	// extCellSeen marks the (extractor, cell) pairs already present in
-	// cellsOfExtractor. It is built lazily on the first extendState call —
-	// the stamp-array dedup newState uses is cheaper for a full build but
-	// cannot answer membership for later appends.
-	extCellSeen map[int64]bool
-	numCells    int
 
-	// totalAbs / cellAbsSum hold the base absence mass prepared by
-	// prepareVotes for the current iteration (global respectively per-cell,
-	// depending on Scope) as exact sums of the published absence votes, so
-	// equal votes give bit-equal masses however they were folded in; cellAbs
-	// is the float mirror Stage I reads, rewritten with every cell's sum.
-	// absenceStale marks them out of sync with the attempted-cell structure
-	// (fresh state, a grown extractor set, an inclusion change): prepareVotes
-	// then rebuilds them even when the votes themselves are frozen.
-	totalAbs     stats.Sum
-	cellAbsSum   []stats.Sum
-	cellAbs      []float64
-	absenceStale bool
+	// Attempt sets. A triple's base absence mass (Eq 13) and the recall
+	// denominators its correctness feeds (Eq 30) range over the included
+	// extractors attempting its cell, so cells attempted by the same
+	// extractors — the same attempt set — have equal masses, and both masses
+	// are kept per set: the absence mass setAbsSum (an exact sum of the
+	// members' published absence votes) with its float mirror setAbs, which
+	// Stage I reads through setOfCell[cellOfTriple[ti]], and the correctness
+	// mass setC (the sum of the cached cCov terms of the set's triples),
+	// which each member's recall denominator adds. setMembers lists each
+	// set's extractors ascending, setsOfExtractor each extractor's sets. Set 0
+	// is where a new cell starts: the empty set under ScopeAttemptedSources,
+	// and under ScopeAllExtractors the set of every included extractor, which
+	// every cell stays in. Sets are interned by their members (setID, keyed
+	// by the member ids' bytes; setKey and setScratch are its scratch) and
+	// only append: a cell an extractor newly attempts moves to the set with
+	// the extractor added. absenceStale marks the absence masses out of sync
+	// with the votes or the sets (fresh state, a grown extractor set, an
+	// inclusion change): prepareVotes then rebuilds them even when the votes
+	// are frozen.
+	setOfCell       []int32
+	setMembers      [][]int32
+	setsOfExtractor [][]int32
+	setID           map[string]int32
+	setKey          []byte
+	setScratch      []int32
+	setAbsSum       []stats.Sum
+	setAbs          []float64
+	setC            []stats.Sum
+	absenceStale    bool
 
 	// agg holds the persistent stage III/IV sufficient statistics when
 	// Options.IncrementalAggregates is on; nil otherwise. See aggregates.go.
@@ -398,7 +410,6 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	for ti := range st.alpha {
 		st.alpha[ti], st.cOdds[ti] = alpha, odds
 	}
-	st.cellC = make([]stats.Sum, st.numCells)
 	if opt.IncrementalAggregates {
 		st.agg = newAggState(nSrc, nExt, nTri, len(s.Obs))
 	}
@@ -528,20 +539,31 @@ func predOfItem(s *triple.Snapshot, d int) int {
 	return 0
 }
 
-// buildExtractorCells (re)builds the per-extractor attempted-cell lists from
-// scratch. Dedup uses a stamp array instead of a map: this pass touches every
-// observation, and hashing would dominate an otherwise linear loop. Walking
-// ObsOfExtractor keeps each extractor's observations contiguous (in global
-// observation order, so the cell lists come out exactly as a map-based global
-// pass would produce them), letting one stamp value per extractor suffice.
-// Any derived membership/reverse indexes are invalidated; they are rebuilt
-// lazily by the next extendState call.
+// buildExtractorCells (re)builds the attempted-cell lists and the attempt
+// sets from scratch in O(attempted pairs). Dedup uses a stamp array instead of
+// a map: this pass touches every observation, and hashing would dominate an
+// otherwise linear loop. Walking ObsOfExtractor keeps each extractor's
+// observations contiguous, letting one stamp value per extractor suffice, and
+// lists every cell's extractors in ascending order, so each cell's set is
+// interned once, from its final members, which keep the build's list of them.
+// There are at most as many sets as cells, plus set 0. The absence masses are
+// left stale and the correctness masses empty.
 func (st *state) buildExtractorCells() {
 	s := st.s
-	st.cellsOfExtractor = make([][]int, len(s.Extractors))
-	st.extCellSeen = nil
+	nExt, nCells := len(s.Extractors), st.numCells
+	st.cellsOfExtractor = make([][]int, nExt)
+	st.setOfCell = make([]int32, nCells)
+	st.setMembers, st.setsOfExtractor = make([][]int32, 0, nCells+1), make([][]int32, nExt)
+	st.setID = make(map[string]int32)
+	st.setAbsSum, st.setAbs, st.setC = make([]stats.Sum, 0, nCells+1), make([]float64, 0, nCells+1), make([]stats.Sum, 0, nCells+1)
 	st.absenceStale = true
-	cellStamp := make([]int32, st.numCells)
+	st.internSet(nil) // set 0
+	if st.opt.Scope == ScopeAllExtractors {
+		st.joinBaseSet(0, nExt)
+		return
+	}
+	cellStamp := make([]int32, nCells)
+	start := make([]int32, nCells+1) // cell c's extractors, counted, then exts[start[c]:start[c+1]]
 	for e, obsIdxs := range s.ObsOfExtractor {
 		if !st.extIncluded[e] {
 			continue
@@ -551,9 +573,117 @@ func (st *state) buildExtractorCells() {
 			if cellStamp[c] != int32(e)+1 {
 				cellStamp[c] = int32(e) + 1
 				st.cellsOfExtractor[e] = append(st.cellsOfExtractor[e], c)
+				start[c+1]++
 			}
 		}
 	}
+	for c := range nCells {
+		start[c+1] += start[c]
+	}
+	exts, at := make([]int32, start[nCells]), cellStamp
+	copy(at, start[:nCells])
+	for e, cells := range st.cellsOfExtractor {
+		for _, c := range cells {
+			exts[at[c]] = int32(e)
+			at[c]++
+		}
+	}
+	for c := range nCells {
+		st.setOfCell[c] = st.internSet(exts[start[c]:start[c+1]:start[c+1]])
+	}
+}
+
+// joinBaseSet adds the included extractors among [from, to) to set 0 under
+// ScopeAllExtractors, where every cell is in it and no cell ever moves (so
+// setID is not consulted); a joining extractor's recall denominator takes in
+// the set's correctness mass. A no-op under ScopeAttemptedSources, where set 0
+// stays empty.
+func (st *state) joinBaseSet(from, to int) {
+	if st.opt.Scope != ScopeAllExtractors {
+		return
+	}
+	for e := from; e < to; e++ {
+		if !st.extIncluded[e] {
+			continue
+		}
+		st.setMembers[0] = append(st.setMembers[0], int32(e))
+		st.setsOfExtractor[e] = append(st.setsOfExtractor[e], 0)
+		if ag := st.agg; ag != nil {
+			ag.rDen[e] = ag.rDen[e].AddSum(st.setC[0])
+		}
+	}
+}
+
+// attempt records that included extractor e observed candidate triple ti, so
+// attempts its cell. Unless the cell's set already holds e, the cell joins
+// e's attempted cells and moves to the set with e added, taking its
+// correctness mass along while the Stage IV caches are valid: the members the
+// two sets share see no change, and e's recall denominator gains the mass.
+// The mass is re-summed from the cell's cached terms over the ledger's
+// triplesOfCell, O(cell); an EM without a ledger (one its caller drives
+// directly) finds the cell's triples among its source's.
+func (st *state) attempt(e, ti int) {
+	c := st.cellOfTriple[ti]
+	from := st.setOfCell[c]
+	old := st.setMembers[from]
+	k, ok := slices.BinarySearch(old, int32(e))
+	if ok {
+		return
+	}
+	st.cellsOfExtractor[e] = append(st.cellsOfExtractor[e], c)
+	st.setScratch = slices.Insert(append(st.setScratch[:0], old...), k, int32(e))
+	n := len(st.setMembers)
+	to := st.internSet(st.setScratch)
+	if int(to) == n {
+		st.setScratch = nil // the new set keeps the scratch as its members
+	}
+	st.setOfCell[c] = to
+	ag := st.agg
+	if ag == nil || !ag.valid[stageExtractors] {
+		return
+	}
+	var mass, neg stats.Sum // Sub rounds oddly, so neg is exactly -mass
+	if led := st.ledger; led != nil {
+		for _, t := range led.triplesOfCell[c] {
+			mass, neg = mass.Add(ag.cCov[t]), neg.Sub(ag.cCov[t])
+		}
+	} else {
+		for _, t := range st.s.TriplesOfSource[st.s.Triples[ti].W] {
+			if st.cellOfTriple[t] == c {
+				mass, neg = mass.Add(ag.cCov[t]), neg.Sub(ag.cCov[t])
+			}
+		}
+	}
+	st.setC[from] = st.setC[from].AddSum(neg)
+	st.setC[to] = st.setC[to].AddSum(mass)
+	ag.rDen[e] = ag.rDen[e].AddSum(mass)
+}
+
+// internSet returns the id of the set of the given extractors (ascending),
+// interning it on first sight, when the set keeps members as its list: the
+// caller must not write to it again. A new set's absence mass is summed from
+// its members' published votes, which is what a rebuild would derive while
+// the masses are valid.
+func (st *state) internSet(members []int32) int32 {
+	key := st.setKey[:0]
+	for _, e := range members {
+		key = binary.LittleEndian.AppendUint32(key, uint32(e))
+	}
+	st.setKey = key
+	if set, ok := st.setID[string(key)]; ok {
+		return set
+	}
+	set := int32(len(st.setMembers))
+	var abs stats.Sum
+	for _, e := range members {
+		abs = abs.Add(st.ab[e])
+		st.setsOfExtractor[e] = append(st.setsOfExtractor[e], set)
+	}
+	st.setMembers = append(st.setMembers, members)
+	st.setAbsSum, st.setAbs = append(st.setAbsSum, abs), append(st.setAbs, abs.Float())
+	st.setC = append(st.setC, stats.Sum{})
+	st.setID[string(key)] = set
+	return set
 }
 
 // internCell returns the dense id of the (source, predicate) cell, assigning
@@ -590,8 +720,8 @@ func (st *state) computeVotes() {
 // per-extractor counterpart of the engine's old global vote-drift gate. Each
 // republish charges the movement to the ledger (the extractor's reach is now
 // stale) and, while the absence masses are valid, folds the vote change into
-// them instead of forcing the O(attempted-pairs) rebuild — exactly, so the
-// masses equal what the rebuild would derive. Extractors below the threshold
+// the masses of the extractor's sets — exactly, so they equal what the
+// rebuild would derive. Extractors below the threshold
 // keep bitwise-stable published votes, so their cached E-step inputs and
 // M-step observation caches stay exactly valid.
 func (st *state) selectiveVotes() {
@@ -608,16 +738,9 @@ func (st *state) selectiveVotes() {
 		pre, ab := PresenceVote(st.r[e], st.q[e]), AbsenceVote(st.r[e], st.q[e])
 		if adjust && st.extIncluded[e] {
 			dAb := stats.Term(ab).Sub(st.ab[e])
-			if st.opt.Scope == ScopeAllExtractors {
-				st.totalAbs = st.totalAbs.AddSum(dAb)
-			} else {
-				last, lastF := stats.Sum{}, 0.0 // a run of equal masses converts once
-				for _, c := range st.cellsOfExtractor[e] {
-					if sum := st.cellAbsSum[c].AddSum(dAb); sum != last {
-						last, lastF = sum, sum.Float()
-					}
-					st.cellAbsSum[c], st.cellAbs[c] = last, lastF
-				}
+			for _, set := range st.setsOfExtractor[e] {
+				st.setAbsSum[set] = st.setAbsSum[set].AddSum(dAb)
+				st.setAbs[set] = st.setAbsSum[set].Float()
 			}
 			st.voteDelta[e] = pre - ab
 		}
@@ -627,10 +750,10 @@ func (st *state) selectiveVotes() {
 
 // prepareVotes readies the per-iteration vote state: optionally refreshed
 // extractor votes, the folded Stage I vote deltas, and the base absence mass
-// — per (source, predicate) cell, or globally under ScopeAllExtractors (the
-// Stage II source votes are kept by their writers: state.srcVote). The masses
-// are exact sums, so two states with equal votes and attempted cells produce
-// bit-identical vote state however they were constructed.
+// of every attempt set, in O(Σ|set|) (the Stage II source votes are kept by
+// their writers: state.srcVote). The masses are exact sums, so two states
+// with equal votes and attempted cells produce bit-identical vote state
+// however they were constructed.
 func (st *state) prepareVotes(refreshVotes bool) {
 	if refreshVotes {
 		st.computeVotes()
@@ -655,44 +778,13 @@ func (st *state) prepareVotes(refreshVotes bool) {
 			st.voteDelta[e] = 0
 		}
 	}
-	if st.opt.Scope == ScopeAllExtractors {
-		st.totalAbs = stats.Sum{}
-		for e, inc := range st.extIncluded {
-			if inc {
-				st.totalAbs = st.totalAbs.Add(st.ab[e])
-			}
+	for set, members := range st.setMembers {
+		var abs stats.Sum
+		for _, e := range members {
+			abs = abs.Add(st.ab[e])
 		}
-		return
+		st.setAbsSum[set], st.setAbs[set] = abs, abs.Float()
 	}
-	st.cellAbsSum = cellBuf(st, st.cellAbsSum)
-	st.cellAbs = st.cellAbs[:0]
-	for e, cells := range st.cellsOfExtractor {
-		t := stats.Term(st.ab[e])
-		for _, c := range cells {
-			st.cellAbsSum[c] = st.cellAbsSum[c].AddSum(t)
-		}
-	}
-	last, lastF := stats.Sum{}, 0.0 // a run of equal masses converts once
-	for _, sum := range st.cellAbsSum {
-		if sum != last {
-			last, lastF = sum, sum.Float()
-		}
-		st.cellAbs = append(st.cellAbs, lastF)
-	}
-}
-
-// cellBuf returns buf resized to numCells and cleared. Cell space grows with
-// every extension, so the buffer is sized with headroom and re-sliced:
-// reallocating per refresh would churn hundreds of kilobytes. Cells are the
-// (source, predicate) pairs the triples use, so clearing them all costs no
-// more than the triples do.
-func cellBuf(st *state, buf []stats.Sum) []stats.Sum {
-	if cap(buf) < st.numCells {
-		return make([]stats.Sum, st.numCells, st.numCells+st.numCells/2)
-	}
-	buf = buf[:st.numCells]
-	clear(buf)
-	return buf
 }
 
 // forEachIndex runs fn over subset (or over all of [0,total) when subset is
@@ -774,9 +866,8 @@ const tripleBlock = 1024
 func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 	s := st.s
 	byTriple, conf, obsE, vd := s.ByTriple, st.conf, st.obsE, st.voteDelta
-	cellAbs, cellOf := st.cellAbs, st.cellOfTriple
+	setAbs, setOf, cellOf := st.setAbs, st.setOfCell, st.cellOfTriple
 	cOdds, alpha, crossed := st.cOdds, st.alpha, st.crossed
-	allScope, totalAbs := st.opt.Scope == ScopeAllExtractors, st.totalAbs.Float()
 	n := len(s.Triples)
 	if tis != nil {
 		n = len(tis)
@@ -788,10 +879,7 @@ func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 			if tis != nil {
 				ti = tis[k]
 			}
-			vcc := totalAbs
-			if !allScope {
-				vcc = cellAbs[cellOf[ti]]
-			}
+			vcc := setAbs[setOf[cellOf[ti]]]
 			for _, oi := range byTriple[ti] {
 				// The extractor's absence vote is already in the base mass;
 				// replace it with the soft mixture c·Pre + (1-c)·Abs (Eq 31).
@@ -1067,69 +1155,41 @@ func (st *state) derivePRQ(e int, numSum, pDenSum, rDenSum stats.Sum) (movedP, m
 
 // estimatePRQ is Stage IV: extractor precision and recall (Eqs 29-33) and Q
 // via Eq 7, over the candidate triples in tis (nil = all; see aggregates.go),
-// returning the largest movements of P and R. It replaces the visited
-// triples' correctness masses (on a list, also in the recall denominators of
-// the extractors attempting their cells), then sums the visited observations
-// by (extractor, obsBlock) task; an extractor whose denominator alone moved
-// gets an empty task, so it is derived too.
+// returning the largest movements of P and R. A call over every index refills
+// the sets' correctness masses (sumCorrectness); a list replaces its triples'
+// terms in their sets' masses and in the recall denominators of the sets'
+// members. It then sums the visited observations by (extractor, obsBlock)
+// task; an extractor whose denominator alone moved gets an empty task, so it
+// is derived too.
 func (st *state) estimatePRQ(cProb []float64, tis []int) (movedP, movedR float64) {
 	s, ag := st.s, st.agg
 	whole := ag.visitsAll(stageExtractors, tis, len(s.Triples))
-	allScope := st.opt.Scope == ScopeAllExtractors
 	g := st.extGroups.reset(len(s.Extractors))
-	var extsOfCell [][]int32
-	n := len(tis)
 	if whole {
 		tis = nil
-		st.totalC = stats.Sum{}
-		clear(st.cellC)
-		n = len(s.Triples)
-	} else if !allScope {
-		extsOfCell = st.cellExtractors()
+		st.sumCorrectness(cProb)
 	}
-	totalC0 := st.totalC
-	for k := range n {
-		ti := k
-		if tis != nil {
-			ti = tis[k]
-		}
+	for _, ti := range tis {
 		var cp float64
 		if st.coveredTriple[ti] {
 			cp = cProb[ti]
 		}
-		d := stats.Term(cp)
-		if !whole {
-			d = d.Sub(ag.cCov[ti])
-		}
-		if ag != nil {
-			ag.cCov[ti] = cp
-		}
+		d := stats.Term(cp).Sub(ag.cCov[ti])
+		ag.cCov[ti] = cp
 		if d == (stats.Sum{}) {
 			continue
 		}
-		if allScope {
-			st.totalC = st.totalC.AddSum(d)
-			continue
-		}
-		c := st.cellOfTriple[ti]
-		st.cellC[c] = st.cellC[c].AddSum(d)
-		if whole {
-			continue
-		}
-		for _, e := range extsOfCell[c] {
+		set := st.setOfCell[st.cellOfTriple[ti]]
+		st.setC[set] = st.setC[set].AddSum(d)
+		for _, e := range st.setMembers[set] {
 			ag.rDen[e] = ag.rDen[e].AddSum(d)
 			g.touch(int(e), false)
 		}
 	}
 
-	totalMoved := allScope && st.totalC != totalC0 // every recall denominator moved
 	for e, inc := range st.extIncluded {
-		switch {
-		case !inc:
-		case whole || st.opt.LeaveOneOut && (st.pre[e] != ag.preAt[e] || st.ab[e] != ag.abAt[e]):
+		if inc && (whole || st.opt.LeaveOneOut && (st.pre[e] != ag.preAt[e] || st.ab[e] != ag.abAt[e])) {
 			g.touch(e, true)
-		case totalMoved:
-			g.touch(e, false)
 		}
 	}
 	obsE, included, byTri := st.obsE, st.extIncluded, s.ByTriple
@@ -1167,9 +1227,6 @@ func (st *state) estimatePRQ(cProb []float64, tis []int) (movedP, movedR float64
 		if tk.lo != 0 {
 			continue
 		}
-		if allScope {
-			tk.rDen = st.totalC
-		}
 		if e := tk.e; ag != nil {
 			ag.eNum[e], ag.rDen[e] = tk.num, tk.rDen
 			if tk.whole {
@@ -1180,6 +1237,53 @@ func (st *state) estimatePRQ(cProb []float64, tis []int) (movedP, movedR float64
 		movedP, movedR = max(movedP, p), max(movedR, r)
 	}
 	return movedP, movedR
+}
+
+// sumCorrectness refills every set's correctness mass from the covered-gated
+// posterior of every candidate triple, caching each term when there are
+// caches. It is a parallel reduction: each worker sums a contiguous triple
+// range into partials per set — the first range straight into the masses,
+// the others into buffers kept across calls — and the partials merge after
+// the join. They are exact sums, so neither the ranges nor the merge order can
+// move a bit.
+func (st *state) sumCorrectness(cProb []float64) {
+	n, nSets := len(st.s.Triples), len(st.setC)
+	workers := st.opt.Workers
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	nb := max(1, min(workers, n/obsBlock))
+	st.setPart = grow(st.setPart, nb-1, nil)
+	parts := st.setPart[:nb-1]
+	var cCov []float64
+	if st.agg != nil {
+		cCov = st.agg.cCov
+	}
+	covered, setOf, cellOf := st.coveredTriple, st.setOfCell, st.cellOfTriple
+	parallel.ForEach(nb, workers, func(b int) {
+		part := st.setC
+		if b > 0 {
+			part = slices.Grow(parts[b-1][:0], nSets)[:nSets]
+			parts[b-1] = part
+		}
+		clear(part)
+		for ti := b * n / nb; ti < (b+1)*n/nb; ti++ {
+			var cp float64
+			if covered[ti] {
+				cp = cProb[ti]
+			}
+			if cCov != nil {
+				cCov[ti] = cp
+			}
+			set := setOf[cellOf[ti]]
+			part[set] = part[set].Add(cp)
+		}
+	})
+	for _, part := range parts {
+		for set, sum := range part {
+			st.setC[set] = st.setC[set].AddSum(sum)
+		}
+	}
 }
 
 // obsBlock is the number of observations one Stage IV task sums. The paper
@@ -1205,7 +1309,7 @@ type obsTask struct {
 // sumObservations is the one per-observation loop of Stage IV: it runs one
 // task, replacing its observations' numerator terms. A first task also leaves
 // the recall denominator: the cached one, or a whole extractor's sum over its
-// attempted cells (the caller takes the global mass under ScopeAllExtractors).
+// attempt sets' correctness masses.
 func (st *state) sumObservations(tk *obsTask, cProb []float64) {
 	ag, e, loo, whole := st.agg, tk.e, st.opt.LeaveOneOut, tk.whole
 	voteDelta, ab := st.pre[e]-st.ab[e], st.ab[e]
@@ -1238,9 +1342,9 @@ func (st *state) sumObservations(tk *obsTask, cProb []float64) {
 			ag.obsNumC[oi] = v
 		}
 	}
-	if tk.lo == 0 && whole && st.opt.Scope != ScopeAllExtractors {
-		for _, c := range st.cellsOfExtractor[e] {
-			rDen = rDen.AddSum(st.cellC[c])
+	if tk.lo == 0 && whole {
+		for _, set := range st.setsOfExtractor[e] {
+			rDen = rDen.AddSum(st.setC[set])
 		}
 	}
 	tk.num, tk.rDen = num, rDen

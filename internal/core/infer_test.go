@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"kbt/internal/stats"
 	"kbt/internal/triple"
+	"kbt/internal/websim"
 )
 
 // smallWorld builds a corpus with two reliable extractors and one noisy one
@@ -464,6 +467,88 @@ func TestParallelMatchesSerialOneBlockPlainSum(t *testing.T) {
 	em.MStepExtractors(cProb, nil)
 	if st.p[e] != wantP || st.r[e] != wantR {
 		t.Fatalf("one-block extractor: P/R = %v/%v, straight serial sums give %v/%v", st.p[e], st.r[e], wantP, wantR)
+	}
+}
+
+// finestWeb is the websim corpus of the end-to-end batch job (scale 6, world
+// seed 1) compiled at the finest granularity, where nearly every cell has an
+// attempt set of its own; built once per test binary.
+var finestWeb = sync.OnceValues(func() (*triple.Snapshot, error) {
+	p := websim.DefaultParams().Scale(6)
+	p.Seed = 1
+	w, err := websim.Generate(p)
+	if err != nil {
+		return nil, err
+	}
+	return w.Dataset.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyFinest, ExtractorKey: triple.ExtractorKeyFinest}), nil
+})
+
+// TestCorrectnessReductionMatchesSerial: Stage IV's whole-pass reduction of
+// the correctness masses — per-worker partials per attempt set over
+// contiguous triple ranges, merged after the join — equals a serial sum of
+// every triple's covered-gated posterior into its set, bit for bit, at the
+// default worker count (CI runs it at -cpu 1,2,4) and at four workers, and
+// each extractor's recall denominator equals the straight sum over its
+// attempted cells. The corpus has about as many sets as cells, the reduction's
+// worst case, and once warm its per-worker buffers allocate nothing: a call
+// allocates a small fraction of one buffer.
+func TestCorrectnessReductionMatchesSerial(t *testing.T) {
+	s, err := finestWeb()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.IncrementalAggregates = true
+	em, err := NewEM(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := em.st
+	nSets := len(st.setC)
+	if nSets*100 < st.numCells*99 || len(s.Triples) < 4*obsBlock {
+		t.Fatalf("fixture: %d sets over %d cells and %d triples, want about one set a cell and four blocks", nSets, st.numCells, len(s.Triples))
+	}
+	rng := rand.New(rand.NewSource(1))
+	cProb := make([]float64, len(s.Triples))
+	for ti := range cProb {
+		cProb[ti] = rng.Float64()
+	}
+	want := make([]stats.Sum, nSets)
+	cellC := make([]stats.Sum, st.numCells)
+	for ti, c := range st.cellOfTriple {
+		if st.coveredTriple[ti] {
+			want[st.setOfCell[c]] = want[st.setOfCell[c]].Add(cProb[ti])
+			cellC[c] = cellC[c].Add(cProb[ti])
+		}
+	}
+	em.MStepExtractors(cProb, nil)
+	if !slices.Equal(st.setC, want) {
+		t.Fatal("Stage IV's correctness masses differ from the serial per-triple sums")
+	}
+	for e, cells := range st.cellsOfExtractor {
+		var rDen stats.Sum
+		for _, c := range cells {
+			rDen = rDen.AddSum(cellC[c])
+		}
+		if st.extIncluded[e] && st.agg.rDen[e] != rDen {
+			t.Fatalf("extractor %d: recall denominator %v, the sum over its cells %v", e, st.agg.rDen[e].Float(), rDen.Float())
+		}
+	}
+
+	st.opt.Workers = 4
+	st.sumCorrectness(cProb) // grows the partial buffers
+	if !slices.Equal(st.setC, want) {
+		t.Fatal("at four workers, the correctness masses differ from the serial per-triple sums")
+	}
+	const calls = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range calls {
+		st.sumCorrectness(cProb)
+	}
+	runtime.ReadMemStats(&m1)
+	if perCall, buf := (m1.TotalAlloc-m0.TotalAlloc)/calls, uint64(nSets)*16; perCall > buf/64 {
+		t.Fatalf("a warm reduction allocates %d bytes a call, against %d bytes a buffer", perCall, buf)
 	}
 }
 

@@ -22,7 +22,9 @@ const (
 	ScopeAttemptedSources AbsenceScope = iota
 	// ScopeAllExtractors counts every (included) extractor in the dataset,
 	// matching the arithmetic of Example 3.1 where all five extractors vote
-	// on every candidate triple.
+	// on every candidate triple. The masses are kept per set of attempting
+	// extractors, and this scope is the one-set case: every cell's set is
+	// that of every included extractor.
 	ScopeAllExtractors
 )
 

@@ -120,7 +120,8 @@ func TestVoteCapSaturation(t *testing.T) {
 		em.BeginIteration(iter == 0) // later votes are the estimated ones
 		em.EStepTriples(cProb, nil, 0)
 		if iter == 0 {
-			if lo, hi := st.cellAbs[0]+st.voteDelta[0], st.cellAbs[0]+float64(n)*st.voteDelta[0]; lo > -1000 || hi < 1000 {
+			abs := st.setAbs[st.setOfCell[0]]
+			if lo, hi := abs+st.voteDelta[0], abs+float64(n)*st.voteDelta[0]; lo > -1000 || hi < 1000 {
 				t.Fatalf("vote sums span [%v, %v], want past ±1000", lo, hi)
 			}
 		}
@@ -334,8 +335,9 @@ func collidingSums() (x, y float64) {
 // triple's odds and p(C|X) bit-equal to the direct posteriorOdds, at 1, 2 and
 // 4 workers, over a full and a partial pass: on random corpora at their
 // estimated votes, and with planted vote sums — +0.0 and −0.0, ±voteCap and
-// past it, and two sums sharing a memo slot — spread over the cells so that
-// every block meets them interleaved.
+// past it, and two sums sharing a memo slot — spread over the attempt sets,
+// of which the corpora have several, so that every block meets them
+// interleaved.
 func TestVoteMemoMatchesExp(t *testing.T) {
 	x, y := collidingSums()
 	negZero := math.Copysign(0, -1)
@@ -353,7 +355,9 @@ func TestVoteMemoMatchesExp(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			s := (&triple.Dataset{Records: driftRecords(rng, 24, 5000)}).Compile(copt)
+			// 400 sites, two predicates: about six records a cell, so that
+			// cells differ in which of the four extractors attempt them.
+			s := (&triple.Dataset{Records: driftRecords(rng, 400, 5000)}).Compile(copt)
 			if len(s.Triples) <= 2*tripleBlock {
 				t.Fatalf("%d triples, want more than two blocks of %d", len(s.Triples), tripleBlock)
 			}
@@ -364,6 +368,9 @@ func TestVoteMemoMatchesExp(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := em.st
+			if len(st.setAbs) < 8 {
+				t.Fatalf("%d attempt sets, want several to plant masses in", len(st.setAbs))
+			}
 			cProb := make([]float64, len(s.Triples))
 			check := func(tag string, tis []int) {
 				t.Helper()
@@ -374,7 +381,7 @@ func TestVoteMemoMatchesExp(t *testing.T) {
 					}
 				}
 				for _, ti := range tis {
-					vcc := st.cellAbs[st.cellOfTriple[ti]]
+					vcc := st.setAbs[st.setOfCell[st.cellOfTriple[ti]]]
 					for _, oi := range s.ByTriple[ti] {
 						vcc += st.conf[oi] * st.voteDelta[st.obsE[oi]]
 					}
@@ -405,12 +412,13 @@ func TestVoteMemoMatchesExp(t *testing.T) {
 			check("estimated votes, partial", subset)
 
 			// A vote delta of −0.0 adds nothing to any sum, −0.0 included, so
-			// every triple's vote sum is exactly its cell's planted mass.
+			// every triple's vote sum is exactly its attempt set's planted
+			// mass.
 			for e := range st.voteDelta {
 				st.voteDelta[e] = negZero
 			}
-			for c := range st.cellAbs {
-				st.cellAbs[c] = planted[rng.Intn(len(planted))]
+			for set := range st.setAbs {
+				st.setAbs[set] = planted[rng.Intn(len(planted))]
 			}
 			em.EStepTriples(cProb, nil, workers)
 			check("planted", nil)
