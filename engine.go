@@ -461,6 +461,7 @@ func (v *view) Stats() (RefreshStats, bool) {
 	}, true
 }
 
+// refreshTimes flattens the engine's clock into the facade's.
 func refreshTimes(t engine.Times) RefreshTimes {
 	st := t.Stages
 	return RefreshTimes{

@@ -17,6 +17,7 @@
 // every index until an iteration converges or MaxIter have run. Package
 // engine drives the same EM across refreshes, each iteration one Iterate over
 // the stale items only, and so reproduces Run's arithmetic exactly on a cold
-// start. The stages stay exported one by one for the Table 7 harness, which
-// times each (internal/experiments/timing.go).
+// start. The stages stay exported one by one, and each adds its wall time to
+// the EM's stage clock (EM.StageTimes), which the engine publishes per
+// refresh and the Table 7 harness reads (internal/experiments/timing.go).
 package core
