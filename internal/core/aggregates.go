@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"kbt/internal/stats"
 )
@@ -68,12 +69,6 @@ type aggState struct {
 	// listSteps / wholeSteps count the M-stage calls that honoured a list
 	// respectively visited every index, for diagnostics.
 	listSteps, wholeSteps int
-}
-
-func newAggState(nSrc, nExt, nTri, nObs int) *aggState {
-	ag := &aggState{}
-	ag.growTo(nSrc, nExt, nTri, nObs)
-	return ag
 }
 
 // growTo extends every per-index array to the new table sizes, preserving
@@ -200,10 +195,16 @@ func (g *groups) tasks(tasks []obsTask, all [][]int) (_ []obsTask, work int) {
 	return tasks, work
 }
 
-// grow extends s to length n, filling the new entries.
+// grow extends s to length n, filling the new entries, with one reservation
+// of room.
 func grow[T any](s []T, n int, fill T) []T {
-	for len(s) < n {
-		s = append(s, fill)
+	m := len(s)
+	if n <= m {
+		return s
+	}
+	s = slices.Grow(s, n-m)[:n]
+	for i := m; i < n; i++ {
+		s[i] = fill
 	}
 	return s
 }

@@ -103,8 +103,9 @@ func (em *EM) Iterate(cProb []float64, valueProb [][]float64, restMass []float64
 	return delta, delta < st.opt.Tol && (!st.opt.UpdatePrior || scheduled)
 }
 
-// NewEM validates opt and builds the inference state for the snapshot,
-// exactly as Run does before its first iteration.
+// NewEM validates opt and builds the inference state for the snapshot, as Run
+// does before its first iteration: the extension of the empty state over
+// every record of s (see NewEMFrom).
 func NewEM(s *triple.Snapshot, opt Options) (*EM, error) {
 	if s == nil {
 		return nil, errors.New("core: nil snapshot")
@@ -112,7 +113,9 @@ func NewEM(s *triple.Snapshot, opt Options) (*EM, error) {
 	if err := validate(opt); err != nil {
 		return nil, err
 	}
-	return &EM{st: newState(s, opt)}, nil
+	st := &state{}
+	extendState(st, s, opt, triple.Delta{})
+	return &EM{st: st}, nil
 }
 
 // Bootstrap performs the pre-iteration extractor M-step from the prior
@@ -354,7 +357,7 @@ func (em *EM) Prior() []float64 { return em.st.alpha }
 func (em *EM) COdds() []float64 { return em.st.cOdds }
 
 // SourceIncluded and ExtractorIncluded report which units met the support
-// thresholds (read-only).
+// thresholds (read-only; NewEMFrom updates them in place).
 func (em *EM) SourceIncluded() []bool    { return em.st.srcIncluded }
 func (em *EM) ExtractorIncluded() []bool { return em.st.extIncluded }
 

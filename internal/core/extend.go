@@ -14,15 +14,16 @@ import (
 // value slots, absence-vote cells, effective confidences, coverage masks,
 // priors and vote caches) is grown append-only from the extension delta, at
 // cost proportional to the new records, instead of being rebuilt from the
-// corpus. The resulting state is field-for-field identical to what
-// NewEM(s, opt) followed by re-seeding the carried values would build, so
-// downstream inference is unaffected by which path constructed it.
+// corpus. NewEM is this extension from the empty state, so there is one
+// builder: the result is NewEM(s, opt) with prev's carried values (parameters,
+// votes, priors, ledger drift) in place of the initial ones, and downstream
+// inference is unaffected by which path constructed it.
 //
 // prev is consumed: its state is extended in place (the returned EM is prev)
 // and it must not be used independently afterwards. opt must be identical to
 // the options prev was built with, except Workers and the aggregate knobs,
-// which may change freely. Passing prev's own snapshot is allowed and
-// returns prev unchanged (the resume case).
+// which may change freely. Passing prev's own snapshot is allowed and extends
+// it by nothing (the resume case).
 //
 // Two events void the pure append and trigger a partial rebuild internally,
 // still without touching the per-triple carried state: an old unit's support
@@ -44,48 +45,87 @@ func NewEMFrom(prev *EM, s *triple.Snapshot, opt Options) (*EM, error) {
 	if opt.N != st.opt.N {
 		return nil, errors.New("core: N differs from the previous EM's, whose kept source votes are derived from it")
 	}
-	if opt.IncrementalAggregates && st.agg == nil {
-		st.agg = newAggState(len(st.s.Sources), len(st.s.Extractors), len(st.s.Triples), len(st.s.Obs))
-	} else if !opt.IncrementalAggregates {
-		st.agg = nil
-	}
-	if s == st.s {
-		st.opt = opt
-		st.structural = false
-		return prev, nil
-	}
-	d, ok := s.ParentDelta()
-	if !ok {
-		return nil, errors.New("core: snapshot was not built by Extend")
-	}
-	if d.Obs != len(st.s.Obs) || d.Triples != len(st.s.Triples) || d.Items != len(st.s.Items) ||
-		d.Sources != len(st.s.Sources) || d.Extractors != len(st.s.Extractors) {
-		return nil, errors.New("core: snapshot does not extend the previous EM's snapshot")
+	d := triple.Delta{Obs: len(st.s.Obs), Triples: len(st.s.Triples), Items: len(st.s.Items),
+		Sources: len(st.s.Sources), Extractors: len(st.s.Extractors)}
+	if s != st.s {
+		pd, ok := s.ParentDelta()
+		if !ok {
+			return nil, errors.New("core: snapshot was not built by Extend")
+		}
+		if pd.Obs != d.Obs || pd.Triples != d.Triples || pd.Items != d.Items ||
+			pd.Sources != d.Sources || pd.Extractors != d.Extractors {
+			return nil, errors.New("core: snapshot does not extend the previous EM's snapshot")
+		}
+		d = pd
 	}
 	extendState(st, s, opt, d)
 	return prev, nil
 }
 
-// extendState grows every index structure of st from prev's snapshot to s,
-// touching only the extension delta. See NewEMFrom.
+// extendState grows every index structure of st from the snapshot of d's
+// table lengths to s, touching only the extension delta; from &state{} and a
+// zero Delta it builds the whole state (NewEM). See NewEMFrom.
 func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.opt = opt
 	nSrc, nExt, nTri, nObs := len(s.Sources), len(s.Extractors), len(s.Triples), len(s.Obs)
+	if !opt.IncrementalAggregates {
+		st.agg = nil
+	} else if st.agg == nil {
+		st.agg = &aggState{}
+	}
+	if st.cellID == nil {
+		st.cellID = make(map[int64]int)
+	}
 
-	// Inclusion: recompute and detect old units flipping — the structural
-	// event that invalidates coverage, attempted scopes and the M-step caches.
-	// O(units), two fresh slices a refresh: O(corpus) where a source is a page
-	// or a handful of items (serve_settled: units ≈ items), and left so.
-	srcInc, extInc := computeInclusion(s, opt)
+	// Inclusion, in place: support only grows, and only through new
+	// observations, so a new unit is evaluated once and an old one only when
+	// a new observation names it (below). An old unit crossing its threshold
+	// is the structural event that invalidates coverage, attempted scopes and
+	// the M-step caches.
+	minSrc, minExt := max(1, opt.MinSourceSupport), max(1, opt.MinExtractorSupport)
+	st.srcIncluded = grow(st.srcIncluded, nSrc, false)
+	st.extIncluded = grow(st.extIncluded, nExt, false)
+	for w := d.Sources; w < nSrc; w++ {
+		st.srcIncluded[w] = len(s.TriplesOfSource[w]) >= minSrc
+	}
+	for e := d.Extractors; e < nExt; e++ {
+		st.extIncluded[e] = len(s.ObsOfExtractor[e]) >= minExt
+	}
+
+	// Per new observation: its effective confidence and extractor mass, its
+	// extractor sidecar, and its old units' thresholds.
+	st.conf = grow(st.conf, nObs, 0)
+	st.obsE = grow(st.obsE, nObs, 0)
+	st.pDen = grow(st.pDen, nExt, stats.Sum{})
 	structural := false
-	for w := 0; w < d.Sources && !structural; w++ {
-		structural = srcInc[w] != st.srcIncluded[w]
+	for oi := d.Obs; oi < nObs; oi++ {
+		o := &s.Obs[oi]
+		st.conf[oi] = st.effConf(o.Conf)
+		st.obsE[oi] = int32(o.E)
+		st.pDen[o.E] = st.pDen[o.E].Add(pDenPart(st.conf[oi]))
+		if o.W < d.Sources && !st.srcIncluded[o.W] && len(s.TriplesOfSource[o.W]) >= minSrc {
+			st.srcIncluded[o.W], structural = true, true
+		}
+		if o.E < d.Extractors && !st.extIncluded[o.E] && len(s.ObsOfExtractor[o.E]) >= minExt {
+			st.extIncluded[o.E], structural = true, true
+		}
 	}
-	for e := 0; e < d.Extractors && !structural; e++ {
-		structural = extInc[e] != st.extIncluded[e]
-	}
-	st.srcIncluded, st.extIncluded = srcInc, extInc
 	st.structural = structural
+	// Raised confidences: recompute the effective value in place. The
+	// raised observation's numerator cache goes stale, but its triple is in
+	// the caller's dirty set by construction (the duplicate record touched
+	// its cell), so the next M-step over that set replaces it. RaisedObs may
+	// repeat an index; after the first visit the recompute is a no-op.
+	for _, oi := range d.RaisedObs {
+		oldEff := st.conf[oi]
+		newEff := st.effConf(s.Obs[oi].Conf)
+		if newEff == oldEff {
+			continue
+		}
+		st.conf[oi] = newEff
+		e := s.Obs[oi].E
+		st.pDen[e] = st.pDen[e].Sub(pDenPart(oldEff)).Add(pDenPart(newEff))
+	}
 
 	// Absence masses: pure growth keeps them valid — a new cell starts in set
 	// 0, whose mass it shares, and a set first interned below sums its
@@ -103,10 +143,11 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		st.absenceStale = true // new observations and cells change the masses
 	}
 
-	// Parameters: old units keep their current estimates; new units get
-	// exactly newState's initialisation. The dirty-mark arrays grow first
-	// (new chunks start dirty) so the init writes can mark; a grown boundary
-	// chunk is re-copied at publication via the chunk-length test regardless.
+	// Parameters: old units keep their current estimates; new units are
+	// initialised. The dirty-mark arrays grow first (new chunks start dirty,
+	// and a fresh state has no publication baseline) so the init writes can
+	// mark; a grown boundary chunk is re-copied at publication via the
+	// chunk-length test regardless.
 	st.srcDirty = grow(st.srcDirty, numUnitChunks(nSrc), 1)
 	st.extDirty = grow(st.extDirty, numUnitChunks(nExt), 1)
 	st.triDirty = grow(st.triDirty, numUnitChunks(nTri), 1)
@@ -131,22 +172,21 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.ab = grow(st.ab, nExt, 0)
 	st.voteDelta = grow(st.voteDelta, nExt, 0)
 
-	// Effective confidences for the new observations; raises are handled
-	// below once the aggregate arrays have grown.
-	st.conf = grow(st.conf, nObs, 0)
-	for oi := d.Obs; oi < nObs; oi++ {
-		st.conf[oi] = st.effConf(s.Obs[oi].Conf)
+	// Observation → triple mapping. Every observation of a new triple is
+	// new, so the new triples' ByTriple rows are inverted first; what is left
+	// is a new observation of an old triple (a re-extraction), which
+	// TripleIndex finds among its item's candidates, O(item's triples).
+	st.tripleOfObs = grow(st.tripleOfObs, nObs, -1)
+	for ti := d.Triples; ti < nTri; ti++ {
+		for _, oi := range s.ByTriple[ti] {
+			st.tripleOfObs[oi] = ti
+		}
 	}
-
-	// Observation → triple mapping for the new observations. TripleIndex
-	// scans the owning item's candidate list — O(item's triples), and the
-	// items are exactly the ones the ingest touched.
-	st.tripleOfObs = grow(st.tripleOfObs, nObs, 0)
-	st.obsE = grow(st.obsE, nObs, 0)
 	for oi := d.Obs; oi < nObs; oi++ {
-		o := s.Obs[oi]
-		st.tripleOfObs[oi] = s.TripleIndex(o.W, o.D, o.V)
-		st.obsE[oi] = int32(o.E)
+		if st.tripleOfObs[oi] < 0 {
+			o := &s.Obs[oi]
+			st.tripleOfObs[oi] = s.TripleIndex(o.W, o.D, o.V)
+		}
 	}
 
 	// Value slots: a direct search for the new triples. A new value inserts
@@ -169,64 +209,54 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	}
 
 	// Cells for the new triples. Interned ids are append-only, so existing
-	// cellOfTriple entries and every cell-indexed structure stay valid; a new
-	// cell starts in set 0.
+	// cellOfTriple entries and every cell-indexed structure stay valid.
 	st.cellOfTriple = grow(st.cellOfTriple, nTri, 0)
 	for ti := d.Triples; ti < nTri; ti++ {
 		tr := s.Triples[ti]
 		st.cellOfTriple[ti] = st.internCell(tr.W, predOfItem(s, tr.D))
 	}
-	st.setOfCell = grow(st.setOfCell, st.numCells, 0)
-	st.setsOfExtractor = grow(st.setsOfExtractor, nExt, nil)
 
 	// Priors and the Stage I odds cache: carried by index prefix, new triples
-	// start from the Alpha prior exactly as in newState.
+	// start from the Alpha prior and the matching odds of the prior-valued
+	// cProb every estimation starts from.
 	alpha, odds := initialPrior(opt)
 	st.alpha = grow(st.alpha, nTri, alpha)
 	st.cOdds = grow(st.cOdds, nTri, odds)
 
-	// Aggregate arrays grow before the passes below adjust them. The
-	// confidence masses are kept here: they depend only on the observation
-	// set, not on the EM iteration.
 	ag := st.agg
 	if ag != nil {
 		ag.growTo(nSrc, nExt, nTri, nObs)
 	}
-	st.pDen = grow(st.pDen, nExt, stats.Sum{})
-	for oi := d.Obs; oi < nObs; oi++ {
-		e := s.Obs[oi].E
-		st.pDen[e] = st.pDen[e].Add(pDenPart(st.conf[oi]))
-	}
-	// Raised confidences: recompute the effective value in place. The
-	// raised observation's numerator cache goes stale, but its triple is in
-	// the caller's dirty set by construction (the duplicate record touched
-	// its cell), so the next M-step over that set replaces it. RaisedObs may
-	// repeat an index; after the first visit the recompute is a no-op.
-	for _, oi := range d.RaisedObs {
-		oldEff := st.conf[oi]
-		newEff := st.effConf(s.Obs[oi].Conf)
-		if newEff == oldEff {
-			continue
-		}
-		st.conf[oi] = newEff
-		e := s.Obs[oi].E
-		st.pDen[e] = st.pDen[e].Sub(pDenPart(oldEff)).Add(pDenPart(newEff))
-	}
 
-	// Everything below — the ledger appends, the cell moves and the structural
-	// rebuild helpers — reads the extended tables, so the snapshot pointer
-	// flips here.
+	// Everything below — the ledger appends, the cell moves and the rebuild
+	// helpers — reads the extended tables, so the snapshot pointer flips
+	// here.
 	st.s = s
 
 	// Staleness ledger: new items' shard assignments, new triples' reach
 	// bits, zero drift for new units.
 	st.extendLedger(d)
 
-	// Coverage and attempt sets for the new observations: a new included
-	// extractor joins set 0 under ScopeAllExtractors, and a newly attempted
-	// (extractor, cell) pair moves the cell to its next set.
+	// Coverage and attempt sets. From the empty state, or when an old unit's
+	// inclusion flipped (O(corpus), rare: the engine escalates such refreshes
+	// to a full first pass, whose M-steps visit every index), both are built
+	// whole: buildExtractorCells' counting sort interns only each cell's
+	// final set, where one attempt at a time would intern every intermediate
+	// one. Otherwise a new included extractor joins set 0 under
+	// ScopeAllExtractors, and a newly attempted (extractor, cell) pair moves
+	// the cell to its next set.
+	if structural || d.Obs == 0 {
+		if ag != nil {
+			ag.valid = [2]bool{}
+		}
+		st.rebuildCoverage()
+		st.buildExtractorCells()
+		return
+	}
 	st.coveredTriple = grow(st.coveredTriple, nTri, false)
-	st.cellsOfExtractor = append(st.cellsOfExtractor, make([][]int, nExt-len(st.cellsOfExtractor))...)
+	st.cellsOfExtractor = grow(st.cellsOfExtractor, nExt, nil)
+	st.setOfCell = grow(st.setOfCell, st.numCells, 0)
+	st.setsOfExtractor = grow(st.setsOfExtractor, nExt, nil)
 	st.joinBaseSet(d.Extractors, nExt)
 	for oi := d.Obs; oi < nObs; oi++ {
 		e := s.Obs[oi].E
@@ -240,23 +270,11 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		}
 		st.attempt(e, ti)
 	}
-
-	// Structural fallback: an old unit's inclusion flipped, so coverage and
-	// attempted scopes no longer extend — rebuild both (O(corpus), rare)
-	// and invalidate the M-step caches; the engine escalates such refreshes
-	// to a full first pass, whose M-steps visit every index.
-	if structural {
-		if ag != nil {
-			ag.valid = [2]bool{}
-		}
-		st.rebuildCoverage()
-		st.buildExtractorCells()
-	}
 }
 
-// rebuildCoverage recomputes coveredTriple from scratch against the current
-// inclusion masks — the structural-fallback counterpart of newState's fused
-// build loop.
+// rebuildCoverage computes coveredTriple whole against the current
+// inclusion masks: the build from the empty state and after an inclusion
+// flip.
 func (st *state) rebuildCoverage() {
 	markIndices(st.triDirty, nil)
 	st.coveredTriple = make([]bool, len(st.s.Triples))

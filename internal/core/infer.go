@@ -216,7 +216,7 @@ type state struct {
 	// srcVote[w] is source w's Stage II vote, SourceVote(a[w], opt.N) times
 	// voteWeight[w] when weights are set: two floats per triple instead of two
 	// logarithms. An invariant, not a per-iteration cache: each writer of a or
-	// voteWeight — setA, initSourceParam (newState, extendState),
+	// voteWeight — setA, initSourceParam (extendState's new units),
 	// CarryParamsFrom, SetSourceVoteWeights, CarrySourceVoteWeightsFrom —
 	// calls syncVote, and opt.N is fixed for the state's life (NewEMFrom
 	// rejects another).
@@ -233,6 +233,10 @@ type state struct {
 	// it without a logarithm or an exponential.
 	alpha []float64
 
+	// srcIncluded / extIncluded record which units meet the support
+	// thresholds. extendState writes them in place (support only grows), so
+	// a reader that keeps them across an extension copies them
+	// (BuildResultFrom).
 	srcIncluded   []bool
 	extIncluded   []bool
 	coveredTriple []bool
@@ -242,8 +246,8 @@ type state struct {
 
 	// conf[i] is the effective confidence of observation i after applying
 	// the UseConfidence / BinarizeAt policy; pDen[e] sums extractor e's
-	// positive ones, the precision denominator of Eq 29, kept by newState
-	// and extendState as observations arrive or raise their confidence.
+	// positive ones, the precision denominator of Eq 29, kept by extendState
+	// as observations arrive or raise their confidence.
 	conf []float64
 	pDen []stats.Sum
 
@@ -333,89 +337,6 @@ type state struct {
 	ledger *staleLedger
 }
 
-func newState(s *triple.Snapshot, opt Options) *state {
-	nSrc, nExt, nTri := len(s.Sources), len(s.Extractors), len(s.Triples)
-	st := &state{s: s, opt: opt, absenceStale: true}
-
-	// Support counts and inclusion.
-	st.srcIncluded, st.extIncluded = computeInclusion(s, opt)
-
-	// Parameters. The dirty marks start all-set: a fresh state has no
-	// publication baseline to share chunks against.
-	st.srcDirty, st.extDirty = newMarks(nSrc), newMarks(nExt)
-	st.triDirty, st.itemDirty = newMarks(nTri), newMarks(len(s.Items))
-	st.crossed, st.moved = make([]bool, nTri), make([]byte, len(s.Items))
-	st.a = make([]float64, nSrc)
-	st.srcVote = make([]float64, nSrc)
-	for w := range st.a {
-		st.initSourceParam(w)
-	}
-	st.p = make([]float64, nExt)
-	st.r = make([]float64, nExt)
-	st.q = make([]float64, nExt)
-	for e := range st.p {
-		st.initExtractorParams(e)
-	}
-	st.pre = make([]float64, nExt)
-	st.ab = make([]float64, nExt)
-	st.voteDelta = make([]float64, nExt)
-
-	// Effective confidences and their per-extractor masses.
-	st.conf = make([]float64, len(s.Obs))
-	st.pDen = make([]stats.Sum, nExt)
-	for i, o := range s.Obs {
-		st.conf[i] = st.effConf(o.Conf)
-		st.pDen[o.E] = st.pDen[o.E].Add(pDenPart(st.conf[i]))
-	}
-
-	// Observation -> triple mapping and per-triple coverage.
-	st.obsE = make([]int32, len(s.Obs))
-	for i, o := range s.Obs {
-		st.obsE[i] = int32(o.E)
-	}
-	st.tripleOfObs = make([]int, len(s.Obs))
-	st.coveredTriple = make([]bool, nTri)
-	for ti, idxs := range s.ByTriple {
-		for _, oi := range idxs {
-			st.tripleOfObs[oi] = ti
-			if st.extIncluded[s.Obs[oi].E] {
-				st.coveredTriple[ti] = true
-			}
-		}
-	}
-
-	// Value slot per candidate triple.
-	st.slotOfTriple = make([]int, nTri)
-	for ti, tr := range s.Triples {
-		vs := s.ItemValues[tr.D]
-		st.slotOfTriple[ti] = sort.SearchInts(vs, tr.V)
-	}
-
-	// (source, predicate) cells and per-extractor attempt scopes. Interning
-	// in triple order keeps cell ids deterministic: compiling the corpus and
-	// extending a parent snapshot produce the identical triple list, hence
-	// identical cell ids.
-	st.cellID = make(map[int64]int)
-	st.cellOfTriple = make([]int, nTri)
-	for ti, tr := range s.Triples {
-		st.cellOfTriple[ti] = st.internCell(tr.W, predOfItem(s, tr.D))
-	}
-	st.buildExtractorCells()
-
-	// The prior, and the matching odds cache for the prior-valued cProb every
-	// estimation starts from.
-	alpha, odds := initialPrior(opt)
-	st.alpha = make([]float64, nTri)
-	st.cOdds = make([]float64, nTri)
-	for ti := range st.alpha {
-		st.alpha[ti], st.cOdds[ti] = alpha, odds
-	}
-	if opt.IncrementalAggregates {
-		st.agg = newAggState(nSrc, nExt, nTri, len(s.Obs))
-	}
-	return st
-}
-
 // initialPrior returns the prior a candidate triple starts from — Options.Alpha
 // clamped to where its odds are finite — and those odds.
 func initialPrior(opt Options) (alpha, odds float64) {
@@ -436,23 +357,6 @@ func (st *state) effConf(c float64) float64 {
 		return 0
 	}
 	return 1
-}
-
-// computeInclusion evaluates the support thresholds for every source and
-// extractor of the snapshot. Fresh slices are returned so callers may compare
-// against (and keep) the previous generation's.
-func computeInclusion(s *triple.Snapshot, opt Options) (srcInc, extInc []bool) {
-	srcInc = make([]bool, len(s.Sources))
-	minSrc := max(1, opt.MinSourceSupport)
-	for w, tis := range s.TriplesOfSource {
-		srcInc[w] = len(tis) >= minSrc
-	}
-	extInc = make([]bool, len(s.Extractors))
-	minExt := max(1, opt.MinExtractorSupport)
-	for e, obs := range s.ObsOfExtractor {
-		extInc[e] = len(obs) >= minExt
-	}
-	return srcInc, extInc
 }
 
 // setA/setP/setR/setQ are the only per-unit writers of the parameter arrays:
@@ -494,9 +398,9 @@ func setUnit(vals []float64, marks []uint32, i int, v float64) float64 {
 }
 
 // initSourceParam seeds source w's accuracy from the defaults and the
-// explicit initialisation map — the per-unit half of newState's parameter
-// setup, shared with extendState for units that appear later. The vote is
-// derived whether or not setA found the slot already holding the value.
+// explicit initialisation map, for each unit extendState adds (every unit of
+// a fresh state). The vote is derived whether or not setA found the slot
+// already holding the value.
 func (st *state) initSourceParam(w int) {
 	a := st.opt.InitAccuracy
 	if v, ok := st.opt.InitialSourceAccuracy[w]; ok && st.srcIncluded[w] {

@@ -102,7 +102,7 @@ type staleLedger struct {
 // engine keeps ScopeSets across refreshes and Resets them per use; nothing
 // here allocates once the buffers have grown to corpus size.
 type ScopeSet struct {
-	all bool // every item in scope (MarkAllFull, or every shard saturated)
+	all bool // every item in scope (MarkAllFull, or every item marked)
 
 	itemMark []bool // per dense item id: item in scope (narrow marks)
 	items    []int  // the marked item ids, unordered
@@ -178,7 +178,7 @@ func (sc *ScopeSet) markItem(d int) int {
 }
 
 // AllFull reports whether every item is in scope: marked so, or — after
-// CompileScope — every shard saturated by narrow marks.
+// CompileScope — every item marked narrowly.
 func (sc *ScopeSet) AllFull() bool { return sc.all }
 
 // Len returns the number of shards with any coverage. Valid after
@@ -197,10 +197,11 @@ func (sc *ScopeSet) At(i int) (si int, full bool) {
 // array instead, so no corpus-sized list is ever sorted.
 const denseGatherDenom = 16
 
-// CompileScope resolves the marks into what a settling pass runs over. A
-// shard whose narrow marks cover every item it owns is whole, and the shards
-// with any coverage are listed ascending (Len, At); when every shard is whole
-// the scope is every item (AllFull). The return is the pass's index lists —
+// CompileScope resolves the marks into what a settling pass runs over. When
+// the marks cover every item the scope is every item (AllFull), and every
+// shard is listed whole, empty ones too. Otherwise a shard whose marks cover
+// every item it owns is whole, and the shards with any coverage are listed
+// ascending (Len, At). The return is the pass's index lists —
 // the scope's items in ascending dense-id order and exactly those items'
 // candidate triples behind them, item by item — or nil, nil when every item
 // is in scope: the kernels' own "every index" path. Ascending order is what
@@ -211,6 +212,9 @@ const denseGatherDenom = 16
 func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 	led := em.st.ledger
 	sc.shardList = sc.shardList[:0]
+	if len(sc.items) == len(led.itemShard) && len(sc.items) > 0 {
+		sc.all = true // marks covering every item, whatever the shards hold
+	}
 	if sc.all {
 		for si := 0; si < sc.nShards; si++ {
 			sc.full[si] = true
@@ -221,20 +225,12 @@ func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 	for _, d := range sc.items {
 		sc.cnt[led.itemShard[d]]++
 	}
-	nFull := 0
 	for si := 0; si < sc.nShards; si++ {
 		sc.full[si] = sc.cnt[si] > 0 && sc.cnt[si] == led.shardLen[si]
-		if sc.full[si] {
-			nFull++
-		}
 		if sc.cnt[si] > 0 {
 			sc.shardList = append(sc.shardList, si)
 		}
 		sc.cnt[si] = 0
-	}
-	if nFull == sc.nShards {
-		sc.all = true
-		return nil, nil
 	}
 	items, tris = led.passItems[:0], led.passTris[:0]
 	if len(sc.items)*denseGatherDenom >= len(led.itemShard) {

@@ -252,6 +252,51 @@ func TestBroadSourceStalesWholeCorpus(t *testing.T) {
 	}
 }
 
+// TestCompileScopeEveryItemMarked: on a corpus with fewer items than shards,
+// narrow marks on every item compile to the scope of every item — AllFull,
+// the nil pass, every shard listed whole, empty ones too — and the pass over
+// it re-anchors every unit.
+func TestCompileScopeEveryItemMarked(t *testing.T) {
+	const nShards = 8
+	ds := triple.NewDataset()
+	for i, site := range []string{"a.com", "b.com"} {
+		ds.Add(triple.Record{Extractor: "E", Website: site, Page: site + "/x",
+			Subject: fmt.Sprintf("S%d", i), Predicate: "p", Object: "v"})
+	}
+	s := ds.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName})
+	em, err := NewEM(s, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	em.EnableStaleness(nShards)
+	led := em.st.ledger
+	if len(s.Items) != 2 {
+		t.Fatalf("fixture: %d items, want 2", len(s.Items))
+	}
+	led.srcDrift[0], led.extDrift[0] = 1, 1
+
+	sc := NewScopeSet()
+	sc.Reset(nShards, len(s.Items))
+	for d := range s.Items {
+		sc.markItem(d)
+	}
+	if items, tris := em.CompileScope(sc); !sc.AllFull() || items != nil || tris != nil {
+		t.Fatalf("marks on every item compiled to AllFull=%v, %d items, %d triples; want the nil pass", sc.AllFull(), len(items), len(tris))
+	}
+	if sc.Len() != nShards {
+		t.Fatalf("scope lists %d shards, want %d", sc.Len(), nShards)
+	}
+	for i := 0; i < sc.Len(); i++ {
+		if si, full := sc.At(i); si != i || !full {
+			t.Fatalf("entry %d = shard %d full=%v, want shard %d whole", i, si, full, i)
+		}
+	}
+	em.SettleScopes(sc)
+	if led.srcDrift[0] != 0 || led.extDrift[0] != 0 {
+		t.Fatalf("drift (%g, %g) kept after a pass over every item", led.srcDrift[0], led.extDrift[0])
+	}
+}
+
 // driftRecords draws n random records over nSites websites, four extractors,
 // 50 subjects of two predicates and three objects, some with a confidence.
 func driftRecords(rng *rand.Rand, nSites, n int) []triple.Record {
