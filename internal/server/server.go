@@ -9,6 +9,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kbt"
@@ -63,12 +65,26 @@ type Options struct {
 const maxBodyBytes = 8 << 20
 
 // job is one admitted batch: the records in request order, the client's
-// idempotency key ("" when the request carried none) and where the worker
-// reports the engine's verdict to the waiting handler.
+// idempotency key ("" when the request carried none), when it was admitted
+// and where the worker reports the engine's verdict to the waiting handler.
 type job struct {
-	batch []kbt.Extraction
-	key   string
-	done  chan error
+	batch    []kbt.Extraction
+	key      string
+	admitted time.Time
+	done     chan error
+}
+
+// ingestClock is the ingest path on the process's own clock: the cumulative
+// wall time of each phase, in nanoseconds, over every batch the server
+// admitted and answered, and the count of those batches. A batch adds to it
+// with atomics only, so the clock neither allocates nor locks, and
+// /v1/stats reads it without waiting. The worker adds a batch's queue wait,
+// apply and refresh before it hands the verdict back; the handler adds the
+// read, decode and reply and counts the batch last, so a count always has
+// its batches' phases in the totals beside it.
+type ingestClock struct {
+	batches                                        atomic.Int64
+	read, decode, queueWait, apply, refresh, reply atomic.Int64
 }
 
 // Server is an http.Handler. Ingest funnels through one bounded queue — the
@@ -81,6 +97,8 @@ type Server struct {
 	mu       sync.Mutex
 	lastErr  string // outcome of the most recent refresh, "" when it succeeded
 	stopping bool
+
+	clock ingestClock
 
 	workerDone chan struct{}
 	mux        *http.ServeMux
@@ -153,9 +171,14 @@ func (s *Server) Close() {
 func (s *Server) worker() {
 	defer close(s.workerDone)
 	for j := range s.queue {
+		taken := time.Now()
+		s.clock.queueWait.Add(int64(taken.Sub(j.admitted)))
 		err := s.eng.IngestKeyed(j.key, j.batch...)
+		applied := time.Now()
+		s.clock.apply.Add(int64(applied.Sub(taken)))
 		if err == nil {
 			s.refresh()
+			s.clock.refresh.Add(int64(time.Since(applied)))
 		}
 		j.done <- err
 	}
@@ -224,17 +247,16 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var batch []kbt.Extraction
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
+	start := time.Now()
+	body, err := readBody(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed_batch", "malformed batch: "+err.Error())
 		return
 	}
-	// The body is one array and nothing else: a second value, or garbage,
-	// after it would otherwise be dropped behind a 200.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		writeError(w, http.StatusBadRequest, "malformed_batch", "malformed batch: data after the array")
+	read := time.Now()
+	batch, err := decodeJSON(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "malformed_batch", err.Error())
 		return
 	}
 	if len(batch) == 0 {
@@ -243,7 +265,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// An Idempotency-Key header makes the batch retry-safe: the engine acks
 	// (without re-applying) a key it has already durably applied.
-	j := job{batch: batch, key: r.Header.Get("Idempotency-Key"), done: make(chan error, 1)}
+	decoded := time.Now()
+	j := job{batch: batch, key: r.Header.Get("Idempotency-Key"), admitted: decoded, done: make(chan error, 1)}
 	// Admission happens under mu so Close (which also takes mu before
 	// closing the queue) can never race a send on a closed channel.
 	s.mu.Lock()
@@ -260,13 +283,83 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeRetryError(w, http.StatusTooManyRequests, "queue_full", "ingest queue full, retry later", 1)
 		return
 	}
-	if err := <-j.done; err != nil {
+	err = <-j.done
+	answered := time.Now()
+	if err != nil {
 		// Anything but a storage refusal is the engine's validation: it
 		// checks the whole batch before applying any of it.
 		s.writeEngineError(w, err, http.StatusBadRequest, "invalid_record")
-		return
+	} else {
+		writeJSON(w, http.StatusOK, map[string]int{"ingested": len(batch)})
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"ingested": len(batch)})
+	// The reply sits in the connection's buffer until the handler returns,
+	// so a client holding its answer finds the batch counted.
+	s.clock.read.Add(int64(read.Sub(start)))
+	s.clock.decode.Add(int64(decoded.Sub(read)))
+	s.clock.reply.Add(int64(time.Since(answered)))
+	s.clock.batches.Add(1)
+}
+
+// readBody reads a request body whole, under the 8 MiB bound; exceeding it
+// is a read error. The buffer is presized from the client's Content-Length,
+// capped at the bound, so a truthful client's body lands in one allocation
+// and a lying one only makes it grow.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	src := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	buf := make([]byte, 0, presize(r.ContentLength))
+	for {
+		if len(buf) == cap(buf) {
+			// Full at exactly its presize: probe for one more byte before
+			// growing, since a truthful body ends here.
+			var probe [1]byte
+			n, err := src.Read(probe[:])
+			buf = append(buf, probe[:n]...)
+			if err != nil {
+				return readDone(buf, err)
+			}
+			continue
+		}
+		n, err := src.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return readDone(buf, err)
+		}
+	}
+}
+
+func readDone(buf []byte, err error) ([]byte, error) {
+	if err == io.EOF {
+		return buf, nil
+	}
+	return nil, err
+}
+
+// presize is the body buffer's initial capacity for a client-set
+// Content-Length: the length itself, never above the body bound (and 512
+// bytes when the length is unknown).
+func presize(contentLength int64) int {
+	if contentLength < 0 {
+		return 512
+	}
+	return int(min(contentLength, maxBodyBytes))
+}
+
+// decodeJSON is the encoding/json decode of an ingest body: one array of
+// extractions, no unknown field, and nothing after it. Its errors are the
+// malformed_batch messages.
+func decodeJSON(body []byte) ([]kbt.Extraction, error) {
+	var batch []kbt.Extraction
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&batch); err != nil {
+		return nil, errors.New("malformed batch: " + err.Error())
+	}
+	// The body is one array and nothing else: a second value, or garbage,
+	// after it would otherwise be dropped behind a 200.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, errors.New("malformed batch: data after the array")
+	}
+	return batch, nil
 }
 
 // writeEngineError answers a failed write-path call (ingest or refresh). The
@@ -442,6 +535,7 @@ type statsReply struct {
 	Queued    int               `json:"queued"`
 	Refreshed bool              `json:"refreshed"`
 	Refresh   *kbt.RefreshStats `json:"refresh,omitempty"`
+	Ingest    ingestReply       `json:"ingest"`
 	LastError string            `json:"last_error,omitempty"`
 
 	Health              string `json:"health,omitempty"`
@@ -450,6 +544,36 @@ type statsReply struct {
 	LastFault           string `json:"last_fault,omitempty"`
 	WALBytes            int64  `json:"wal_bytes,omitempty"`
 	CheckpointWatermark uint64 `json:"checkpoint_watermark,omitempty"`
+}
+
+// ingestReply is /v1/stats' ingest block: the ingest clock's batch count and
+// its cumulative phase totals in milliseconds. Read is the body read, decode
+// the batch decode, queue_wait from admission until the worker takes the
+// batch, apply its IngestKeyed call, refresh the refresh after it, and reply
+// the writing of the answer.
+type ingestReply struct {
+	Batches     int64   `json:"batches"`
+	ReadMS      float64 `json:"read_ms"`
+	DecodeMS    float64 `json:"decode_ms"`
+	QueueWaitMS float64 `json:"queue_wait_ms"`
+	ApplyMS     float64 `json:"apply_ms"`
+	RefreshMS   float64 `json:"refresh_ms"`
+	ReplyMS     float64 `json:"reply_ms"`
+}
+
+// snapshot reads the clock: the count first, so every batch it counts has its
+// phases in the totals read after it.
+func (c *ingestClock) snapshot() ingestReply {
+	ms := func(ns *atomic.Int64) float64 { return float64(ns.Load()) / 1e6 }
+	return ingestReply{
+		Batches:     c.batches.Load(),
+		ReadMS:      ms(&c.read),
+		DecodeMS:    ms(&c.decode),
+		QueueWaitMS: ms(&c.queueWait),
+		ApplyMS:     ms(&c.apply),
+		RefreshMS:   ms(&c.refresh),
+		ReplyMS:     ms(&c.reply),
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -473,6 +597,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.Refresh = &st
 	}
 	reply.Queued = len(s.queue)
+	reply.Ingest = s.clock.snapshot()
 	s.mu.Lock()
 	reply.LastError = s.lastErr
 	s.mu.Unlock()

@@ -757,6 +757,103 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	})
 }
 
+// TestIngestClockCountsEveryAck reads /v1/stats' ingest block beside a
+// stream of ingests (run under -race in CI). Every read counts at least the
+// batches acked before it and at most those posted by its end, the count and
+// the phase totals never fall, and once the writers are done the count is
+// the number of acks.
+func TestIngestClockCountsEveryAck(t *testing.T) {
+	srv := New(testEngine(t), Options{Queue: 128})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	clock := func() (ingestReply, error) {
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			return ingestReply{}, err
+		}
+		defer resp.Body.Close()
+		var st statsReply
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		return st.Ingest, err
+	}
+
+	const writers, readers, rounds = 2, 3, 15
+	var posted, acked atomic.Int64
+	var wg, rg sync.WaitGroup
+	errc := make(chan error, writers+readers)
+	stop := make(chan struct{})
+	for wr := 0; wr < writers; wr++ {
+		wg.Add(1)
+		go func(wr int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				body, _ := json.Marshal(testBatch(wr*1000+i*10, 5))
+				posted.Add(1)
+				resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errc <- err
+					return
+				}
+				if code := drain(resp); code != http.StatusOK {
+					errc <- fmt.Errorf("writer %d: ingest = %d", wr, code)
+					return
+				}
+				acked.Add(1)
+			}
+		}(wr)
+	}
+	for rd := 0; rd < readers; rd++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			var prev ingestReply
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := acked.Load()
+				c, err := clock()
+				hi := posted.Load()
+				if err != nil {
+					errc <- err
+					return
+				}
+				if c.Batches < lo || c.Batches > hi {
+					errc <- fmt.Errorf("clock counts %d batches, want between %d acked and %d posted", c.Batches, lo, hi)
+					return
+				}
+				if c.Batches < prev.Batches || c.ReadMS < prev.ReadMS || c.DecodeMS < prev.DecodeMS ||
+					c.QueueWaitMS < prev.QueueWaitMS || c.ApplyMS < prev.ApplyMS ||
+					c.RefreshMS < prev.RefreshMS || c.ReplyMS < prev.ReplyMS {
+					errc <- fmt.Errorf("clock went back: %+v after %+v", c, prev)
+					return
+				}
+				prev = c
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	c, err := clock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Batches != writers*rounds || c.Batches != acked.Load() {
+		t.Fatalf("clock counts %d batches after %d acks", c.Batches, acked.Load())
+	}
+	if c.DecodeMS <= 0 || c.ApplyMS <= 0 || c.RefreshMS <= 0 || c.ReadMS < 0 || c.QueueWaitMS < 0 || c.ReplyMS < 0 {
+		t.Fatalf("phase totals %+v: decode, apply and refresh must have taken time", c)
+	}
+}
+
 // TestShutdownIngestReturns503WithRetryAfter pins the shutdown refusal: once
 // Close has begun, ingest is refused with a retryable 503 carrying a
 // Retry-After header, not a hung request or a plain error.
