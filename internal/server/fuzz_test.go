@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -39,4 +41,75 @@ func FuzzIngestBody(f *testing.F) {
 			t.Fatalf("status %d %s, want 200 or 400", rec.Code, rec.Body)
 		}
 	})
+}
+
+// FuzzIngestDecode is the hand-written decoder's differential check against
+// encoding/json: every body decodeCanonical accepts, decodeJSON (today's
+// settings: unknown fields refused, nothing after the array) accepts too,
+// with a reflect.DeepEqual batch. So the fast path never accepts a body the
+// handler would refuse, and never decodes one differently.
+// testdata/fuzz/FuzzIngestDecode seeds it with FuzzIngestBody's seeds,
+// README's curl bodies and the grammar's edges; the bench's canonical body is
+// added here.
+func FuzzIngestDecode(f *testing.F) {
+	f.Add(settledBody())
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fast, ok := decodeCanonical(body)
+		if !ok {
+			return
+		}
+		ref, err := decodeJSON(body)
+		if err != nil {
+			t.Fatalf("fast path accepted %q, encoding/json refuses it: %v", body, err)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("%q: fast path decoded\n%#v\nencoding/json\n%#v", body, fast, ref)
+		}
+	})
+}
+
+// TestCanonicalGrammar pins which bodies take the fast path: json.Marshal
+// output over valid UTF-8 records does, whatever its whitespace; anything
+// needing encoding/json's leniency or refusal does not.
+func TestCanonicalGrammar(t *testing.T) {
+	one := func(fields string) string {
+		return `[{"Extractor":"E","Website":"w.com","Page":"w.com/p",` + fields + `}]`
+	}
+	for _, tc := range []struct {
+		name, body string
+		fast       bool
+	}{
+		{"settled body", string(settledBody()), true},
+		{"readme curl", "[{\"Extractor\":\"patterns-v1\",\"Website\":\"wiki.com\",\n  \"Page\":\"wiki.com/p1\",\"Subject\":\"obama\",\"Predicate\":\"nationality\",\"Object\":\"USA\"}]", true},
+		{"whitespace everywhere", " \t[ {\r\n\"Subject\" : \"s\" , \"Confidence\" :0.5 } , { } ]\n ", true},
+		{"empty array", "[]", true},
+		{"raw e acute", one(`"Subject":"café"`), true},
+		{"confidence -0", one(`"Confidence":-0`), true},
+		{"confidence 1E-400", one(`"Confidence":1E-400`), true},
+		{"confidence 2.5e+1", one(`"Confidence":2.5e+1`), true},
+		{"null", "null", false},
+		{"null field", one(`"Subject":null`), false},
+		{"escaped quote", one(`"Subject":"s\"q"`), false},
+		{"escape u00e9", one(`"Subject":"caf\u00e9"`), false},
+		{"control byte", one("\"Subject\":\"s\x01\""), false},
+		{"invalid utf-8", one("\"Subject\":\"s\xff\""), false},
+		{"lower-case key", one(`"subject":"s"`), false},
+		{"long-s key", one(`"ſubject":"s"`), false},
+		{"unknown key", one(`"Nope":"x"`), false},
+		{"duplicate key", one(`"Subject":"s","Subject":"t"`), false},
+		{"nested value", one(`"Subject":["s"]`), false},
+		{"string confidence", one(`"Confidence":"0.5"`), false},
+		{"confidence 1e309", one(`"Confidence":1e309`), false},
+		{"confidence 01", one(`"Confidence":01`), false},
+		{"confidence .5", one(`"Confidence":.5`), false},
+		{"confidence 1.", one(`"Confidence":1.`), false},
+		{"trailing comma", `[{"Subject":"s"},]`, false},
+		{"object comma", `[{"Subject":"s",}]`, false},
+		{"data after the array", one(`"Subject":"s"`) + " []", false},
+		{"truncated", strings.TrimSuffix(one(`"Subject":"s"`), "]"), false},
+	} {
+		if _, ok := decodeCanonical([]byte(tc.body)); ok != tc.fast {
+			t.Errorf("%s: fast path took it = %v, want %v", tc.name, ok, tc.fast)
+		}
+	}
 }

@@ -254,10 +254,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	read := time.Now()
-	batch, err := decodeJSON(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "malformed_batch", err.Error())
-		return
+	batch, ok := decodeCanonical(body)
+	if !ok {
+		if batch, err = decodeJSON(body); err != nil {
+			writeError(w, http.StatusBadRequest, "malformed_batch", err.Error())
+			return
+		}
 	}
 	if len(batch) == 0 {
 		writeError(w, http.StatusBadRequest, "empty_batch", "empty batch")
@@ -345,8 +347,9 @@ func presize(contentLength int64) int {
 }
 
 // decodeJSON is the encoding/json decode of an ingest body: one array of
-// extractions, no unknown field, and nothing after it. Its errors are the
-// malformed_batch messages.
+// extractions, no unknown field, and nothing after it. It decodes every body
+// decodeCanonical declines and is the reference that path agrees with; its
+// errors are the malformed_batch messages.
 func decodeJSON(body []byte) ([]kbt.Extraction, error) {
 	var batch []kbt.Extraction
 	dec := json.NewDecoder(bytes.NewReader(body))

@@ -64,6 +64,69 @@ func benchPayloads(b *testing.B, count, per int) [][]byte {
 	return payloads
 }
 
+// settledBody is one ingest body of the end-to-end benchmark's serve_settled
+// stream, as its client sends it: json.Marshal of 148 records, twelve items of
+// four group sites read by three extractors, a third of the items with a
+// hallucinated value.
+func settledBody() []byte {
+	var batch []kbt.Extraction
+	add := func(e, w, subj, obj string, conf float64) {
+		batch = append(batch, kbt.Extraction{
+			Extractor: e, Pattern: "pat", Website: w, Page: w + "/x",
+			Subject: subj, Predicate: "pred1f2e-" + subj[len(subj)-7:], Object: obj, Confidence: conf,
+		})
+	}
+	for i := 0; i < 12; i++ {
+		subj := fmt.Sprintf("S1f2e-%07d", 40000+i)
+		sites := [4]string{"a", "b", "c", "d"}
+		for s, site := range sites {
+			w := fmt.Sprintf("g%06d-%s.com", 10000+i/4, site)
+			obj := "v" + subj
+			if s >= 2 && i%10 < 3+4*(s-2) {
+				obj = "w" + subj
+			}
+			add("E1", w, subj, obj, 1)
+			add("E2", w, subj, obj, 0.9)
+			add("E3", w, subj, obj, 0.8)
+		}
+		if i%3 == 0 {
+			add("E3", fmt.Sprintf("g%06d-a.com", 10000+i/4), subj, "halluc"+subj, 0.8)
+		}
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+// BenchmarkIngestDecode decodes the serve_settled body through the
+// hand-written fast path and through the encoding/json path it falls back
+// to; the difference is what the fast path takes off every ack.
+func BenchmarkIngestDecode(b *testing.B) {
+	body := settledBody()
+	for _, path := range []struct {
+		name   string
+		decode func([]byte) ([]kbt.Extraction, bool)
+	}{
+		{"fast", decodeCanonical},
+		{"encoding-json", func(body []byte) ([]kbt.Extraction, bool) {
+			batch, err := decodeJSON(body)
+			return batch, err == nil
+		}},
+	} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if batch, ok := path.decode(body); !ok || len(batch) != 148 {
+					b.Fatalf("decoded %d records, ok %v", len(batch), ok)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServerIngest measures concurrent POST /v1/ingest throughput, on
 // the in-memory engine and on the durable one. Every batch is applied,
 // refreshed and only then acked by the one ingest worker, so the concurrent

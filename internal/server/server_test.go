@@ -273,21 +273,35 @@ func TestBadRequests(t *testing.T) {
 
 // TestBodyBoundIsEightMiB pins the request body bound: an ingest body of
 // exactly 8 MiB is applied, one byte more is refused whole with 400
-// malformed_batch.
+// malformed_batch. A Content-Length that lies, claiming more than the bound
+// or less than the body sends, changes neither answer, and the buffer it
+// presizes never exceeds the bound.
 func TestBodyBoundIsEightMiB(t *testing.T) {
 	for _, tc := range []struct {
 		size, want, records int
-	}{{8 << 20, http.StatusOK, 1}, {8<<20 + 1, http.StatusBadRequest, 0}} {
+		claim               int64 // Content-Length, when not the body's own
+	}{
+		{8 << 20, http.StatusOK, 1, 0}, {8<<20 + 1, http.StatusBadRequest, 0, 0},
+		{8 << 20, http.StatusOK, 1, 1 << 40}, {8<<20 + 1, http.StatusBadRequest, 0, 1 << 40},
+		{8 << 20, http.StatusOK, 1, 64}, {8<<20 + 1, http.StatusBadRequest, 0, 64},
+	} {
 		eng := testEngine(t)
 		srv := New(eng, Options{})
 		// The one record of validBatchJSON, behind enough blanks to make the
 		// body tc.size bytes long.
 		body := "[" + strings.Repeat(" ", tc.size-len(validBatchJSON)) + validBatchJSON[1:]
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body))
+		if tc.claim != 0 {
+			req.ContentLength = tc.claim
+		}
+		if n := presize(req.ContentLength); n > maxBodyBytes {
+			t.Fatalf("Content-Length %d presizes %d bytes, over the bound", req.ContentLength, n)
+		}
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+		srv.ServeHTTP(rec, req)
 		srv.Close()
 		if rec.Code != tc.want {
-			t.Fatalf("%d-byte body = %d %s, want %d", len(body), rec.Code, rec.Body, tc.want)
+			t.Fatalf("%d-byte body (Content-Length %d) = %d %s, want %d", len(body), req.ContentLength, rec.Code, rec.Body, tc.want)
 		}
 		if tc.want != http.StatusOK {
 			var envelope errorReply
