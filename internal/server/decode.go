@@ -13,7 +13,7 @@ import (
 // object's keys Extraction's exact field names at most once apiece, every
 // string field a string with no backslash and no control byte, Confidence a
 // JSON number, and nothing after the array. It reports false on any other
-// body, having written nothing, and the caller hands that body to
+// body without answering the client, and the caller hands that body to
 // decodeJSON, the reference this path must agree with: a body it accepts
 // decodes there to the same batch, with no error.
 //
@@ -24,7 +24,8 @@ func decodeCanonical(body []byte) ([]kbt.Extraction, bool) {
 	if !sc.eat('[') {
 		return nil, false
 	}
-	est := len(body)/128 + 1 // a record is ~190 bytes on the wire
+	// json.Marshal writes a record in ~190 bytes; append grows past this.
+	est := len(body)/128 + 1
 	batch := make([]kbt.Extraction, 0, est)
 	ends := make([]int32, 0, numStrings*est)
 	arena := make([]byte, 0, len(body))
@@ -164,53 +165,24 @@ func (sc *scanner) str() (lo, hi int, ok bool) {
 	if !sc.eat('"') {
 		return 0, 0, false
 	}
-	b := sc.b
 	lo = sc.i
 	ascii := true
-	for i := lo; i < len(b); i++ {
-		for i < len(b) && strClass[b[i]] == plainByte {
-			i++
-		}
-		if i == len(b) {
-			break
-		}
-		switch strClass[b[i]] {
-		case quoteByte:
-			if !ascii && !utf8.Valid(b[lo:i]) {
+	for i := lo; i < len(sc.b); i++ {
+		switch c := sc.b[i]; {
+		case c == '"':
+			if !ascii && !utf8.Valid(sc.b[lo:i]) {
 				return 0, 0, false
 			}
 			sc.i = i + 1
 			return lo, i, true
-		case utf8Byte:
-			ascii = false
-		default:
+		case c < 0x20 || c == '\\':
 			return 0, 0, false
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
 	}
 	return 0, 0, false
 }
-
-// strClass classes a byte inside a string.
-var strClass = func() (class [256]uint8) {
-	for c := range class {
-		switch {
-		case c < 0x20 || c == '\\':
-			class[c] = refusedByte
-		case c == '"':
-			class[c] = quoteByte
-		case c >= utf8.RuneSelf:
-			class[c] = utf8Byte
-		}
-	}
-	return class
-}()
-
-const (
-	plainByte   = iota // printable ASCII but the quote and the backslash
-	quoteByte          // the closing quote
-	utf8Byte           // part of a multi-byte sequence, validated whole
-	refusedByte        // a control byte or a backslash (an escape)
-)
 
 // number scans a JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
 // and parses it as encoding/json parses a float64; a range error declines.

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -261,13 +262,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	decoded := time.Now()
 	if len(batch) == 0 {
 		writeError(w, http.StatusBadRequest, "empty_batch", "empty batch")
 		return
 	}
 	// An Idempotency-Key header makes the batch retry-safe: the engine acks
 	// (without re-applying) a key it has already durably applied.
-	decoded := time.Now()
 	j := job{batch: batch, key: r.Header.Get("Idempotency-Key"), admitted: decoded, done: make(chan error, 1)}
 	// Admission happens under mu so Close (which also takes mu before
 	// closing the queue) can never race a send on a closed channel.
@@ -304,36 +305,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // readBody reads a request body whole, under the 8 MiB bound; exceeding it
 // is a read error. The buffer is presized from the client's Content-Length,
-// capped at the bound, so a truthful client's body lands in one allocation
+// capped at the bound: net/http hands a Content-Length body's last bytes over
+// together with io.EOF, so a truthful client's body lands in one allocation,
 // and a lying one only makes it grow.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	src := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := make([]byte, 0, presize(r.ContentLength))
 	for {
 		if len(buf) == cap(buf) {
-			// Full at exactly its presize: probe for one more byte before
-			// growing, since a truthful body ends here.
-			var probe [1]byte
-			n, err := src.Read(probe[:])
-			buf = append(buf, probe[:n]...)
-			if err != nil {
-				return readDone(buf, err)
-			}
-			continue
+			buf = slices.Grow(buf, 512)
 		}
 		n, err := src.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
 		if err != nil {
-			return readDone(buf, err)
+			return nil, err
 		}
 	}
-}
-
-func readDone(buf []byte, err error) ([]byte, error) {
-	if err == io.EOF {
-		return buf, nil
-	}
-	return nil, err
 }
 
 // presize is the body buffer's initial capacity for a client-set
