@@ -46,8 +46,9 @@
 // the current generation. With -data DIR, ingest is write-ahead logged under
 // DIR and the engine state is recovered bit-exactly on restart;
 // -checkpoint-every N bounds recovery replay by checkpointing after every N
-// refreshes, -checkpoint-bytes B by checkpointing whenever the log exceeds B
-// bytes, and -checkpoint-interval D (a duration, e.g. 5m) by checkpointing
+// refreshes, -checkpoint-bytes B by checkpointing once B bytes of log entries
+// have been written since the last checkpoint (whatever the segment size), and
+// -checkpoint-interval D (a duration, e.g. 5m) by checkpointing
 // once D of wall-clock time has passed since the last one.
 //
 // A durable serve survives transient disk faults: on a WAL or checkpoint
@@ -288,7 +289,7 @@ func cmdServe(args []string) (err error) {
 	lanes := fs.Int("lanes", 1, "deprecated, must be 1: one worker drains the ingest queue, and a 2xx comes after the batch's refresh has published")
 	data := fs.String("data", "", "durable data directory: ingest is write-ahead logged and recovered on restart")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data, checkpoint automatically after every N refreshes (0 = never)")
-	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once the write-ahead log exceeds this many bytes (0 = never)")
+	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once this many bytes of write-ahead log entries have been written since the last checkpoint (0 = never)")
 	ckptIvl := fs.Duration("checkpoint-interval", 0, "with -data, checkpoint automatically once this much wall-clock time has passed since the last one (0 = never)")
 	probeBackoff := fs.Duration("probe-backoff", 0, "with -data, initial delay before a degraded (read-only) engine re-probes the disk; doubles per failed probe (0 = default 500ms)")
 	probeMax := fs.Duration("probe-max-backoff", 0, "with -data, cap on the exponential disk-probe backoff (0 = default 30s)")

@@ -26,11 +26,12 @@ type DurableOptions struct {
 	// N-th successful Refresh. Zero means checkpoints are taken only when
 	// Checkpoint is called explicitly or CheckpointBytes triggers.
 	CheckpointEvery int
-	// CheckpointBytes, when > 0, runs Checkpoint as soon as the WAL's
-	// active-segment size reaches it — checked after every Refresh and
-	// after every Ingest. An ingest-triggered checkpoint refreshes the
-	// pending records in first (checkpoints sit on refresh boundaries), so
-	// a pure ingest stream still gets bounded log growth.
+	// CheckpointBytes, when > 0, runs Checkpoint as soon as the log entries
+	// written since the last checkpoint (the ones a recovery would replay)
+	// reach this many bytes, whatever the segment size — checked after every
+	// Refresh and after every Ingest. An ingest-triggered checkpoint
+	// refreshes the pending records in first (checkpoints sit on refresh
+	// boundaries), so a pure ingest stream still gets bounded log growth.
 	CheckpointBytes int64
 	// CheckpointInterval, when > 0, runs Checkpoint once at least this much
 	// wall-clock time has passed since the last one — checked after every
@@ -207,7 +208,8 @@ type DurableEngine struct {
 
 	mu        sync.Mutex // serialises mutators: Ingest, Refresh, Checkpoint, Close; released by unlock
 	log       *wal.Log
-	refreshes int // successful refreshes since the last checkpoint
+	refreshes int   // successful refreshes since the last checkpoint
+	logged    int64 // bytes of the log entries past the checkpoint watermark
 
 	// opsSince records the state transitions applied since the last
 	// checkpoint — exactly what the next delta must carry. Rejected batches
@@ -356,6 +358,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		d.chainBatches = ck.Batches()
 	}
 	err = log.Replay(from, func(seq uint64, payload []byte) error {
+		d.logged += int64(len(payload))
 		ent, err := wal.DecodeEntry(payload)
 		if err != nil {
 			return fmt.Errorf("%w: entry %d: %v", wal.ErrCorrupt, seq, err)
@@ -530,7 +533,7 @@ func (d *DurableEngine) probeLocked(now time.Time) error {
 				return err
 			}
 		}
-		if _, err := d.log.Append(wal.EncodeProbe()); err != nil {
+		if err := d.appendLocked(wal.EncodeProbe()); err != nil {
 			return err
 		}
 		return d.log.Sync()
@@ -624,7 +627,7 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 		return fmt.Errorf("kbt: rejecting ingest batch: its log entry of %d bytes exceeds the %d-byte record limit; split the batch",
 			len(entry), wal.MaxRecordBytes)
 	}
-	if _, err := d.log.Append(entry); err != nil {
+	if err := d.appendLocked(entry); err != nil {
 		return d.degradeLocked(err)
 	}
 	if err := d.log.Sync(); err != nil {
@@ -653,8 +656,8 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 
 // Refresh re-estimates the model over everything ingested so far, exactly as
 // Engine.Refresh does, and logs a replay marker for the refresh. The marker
-// is not individually fsync-ed — see the type comment. When CheckpointEvery
-// or CheckpointBytes cadences trigger, the Refresh also takes a checkpoint.
+// is not individually fsync-ed — see the type comment. When a checkpoint
+// cadence comes due, the Refresh also takes a checkpoint.
 func (d *DurableEngine) Refresh() (*Result, error) {
 	d.mu.Lock()
 	defer d.unlock()
@@ -673,11 +676,7 @@ func (d *DurableEngine) Refresh() (*Result, error) {
 		return nil, err
 	}
 	d.refreshes++
-	need := d.dopt.CheckpointEvery > 0 && d.refreshes >= d.dopt.CheckpointEvery
-	if !need {
-		need = d.cadenceDue()
-	}
-	if need {
+	if d.cadenceDue() {
 		if err := d.checkpointLocked(); err != nil {
 			return nil, fmt.Errorf("kbt: refresh succeeded but its checkpoint failed: %w", d.faultLocked(err))
 		}
@@ -702,7 +701,7 @@ func (d *DurableEngine) refreshLocked() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, err = d.log.Append(wal.EncodeRefresh())
+	err = d.appendLocked(wal.EncodeRefresh())
 	d.noteRefresh()
 	if err != nil {
 		return nil, &storageFault{err}
@@ -710,14 +709,24 @@ func (d *DurableEngine) refreshLocked() (*Result, error) {
 	return r, nil
 }
 
-// cadenceDue reports whether the byte- or wall-clock checkpoint cadence has
-// come due. Called with d.mu held, after an applied Ingest or Refresh.
-func (d *DurableEngine) cadenceDue() bool {
-	if d.dopt.CheckpointBytes > 0 && d.log.Size() >= d.dopt.CheckpointBytes {
-		return true
+// appendLocked appends one entry to the log and counts its bytes toward the
+// CheckpointBytes cadence.
+func (d *DurableEngine) appendLocked(payload []byte) error {
+	if _, err := d.log.Append(payload); err != nil {
+		return err
 	}
-	return d.dopt.CheckpointInterval > 0 &&
-		d.dopt.clock()().Sub(d.lastCkpt) >= d.dopt.CheckpointInterval
+	d.logged += int64(len(payload))
+	return nil
+}
+
+// cadenceDue reports whether a checkpoint cadence has come due: the refresh
+// count, the bytes logged since the last checkpoint, or the wall clock.
+// Called with d.mu held, after an applied Ingest or Refresh.
+func (d *DurableEngine) cadenceDue() bool {
+	o := d.dopt
+	return o.CheckpointEvery > 0 && d.refreshes >= o.CheckpointEvery ||
+		o.CheckpointBytes > 0 && d.logged >= o.CheckpointBytes ||
+		o.CheckpointInterval > 0 && o.clock()().Sub(d.lastCkpt) >= o.CheckpointInterval
 }
 
 // Checkpoint persists the operations performed since the last checkpoint as
@@ -753,7 +762,7 @@ func (d *DurableEngine) checkpointLocked() error {
 	}
 	watermark := d.log.NextSeq()
 	if d.hasChain && len(d.opsSince) == 0 && watermark == d.ckWatermark {
-		d.refreshes = 0
+		d.refreshes, d.logged = 0, 0
 		d.lastCkpt = d.dopt.clock()()
 		return nil // nothing happened since the last checkpoint
 	}
@@ -824,7 +833,7 @@ func (d *DurableEngine) checkpointLocked() error {
 				d.ckWatermark = watermark
 				d.chainBatches += newBatches
 				d.opsSince = nil
-				d.refreshes = 0
+				d.refreshes, d.logged = 0, 0
 				d.lastCkpt = d.dopt.clock()()
 			}
 			return &storageFault{err}
@@ -843,7 +852,7 @@ func (d *DurableEngine) checkpointLocked() error {
 	d.hasChain = true
 	d.ckWatermark = watermark
 	d.opsSince = nil
-	d.refreshes = 0
+	d.refreshes, d.logged = 0, 0
 	d.lastCkpt = d.dopt.clock()()
 	if err := d.log.TruncateBefore(watermark); err != nil {
 		return &storageFault{err}

@@ -780,6 +780,68 @@ func TestDurableCheckpointBytes(t *testing.T) {
 	assertResultsIdentical(t, "size-cadence", got, live)
 }
 
+// TestDurableCheckpointBytesCadence: CheckpointBytes counts the bytes of the
+// log entries written since the last checkpoint, not the active segment's
+// size. Below the segment size, a size-triggered checkpoint is followed by the
+// next only once CheckpointBytes more have been logged; above it, the cadence
+// still fires across segment rolls, and nothing is pending after it. Halfway
+// through, the engine is closed and reopened: the count resumes from the log
+// tail recovery replays.
+func TestDurableCheckpointBytesCadence(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		threshold, segment int64
+		batches            int
+	}{
+		{"threshold below the segment", 2048, 1 << 20, 30},
+		{"threshold above the segment", 8192, 2048, 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := durableTestOptions()
+			dir := t.TempDir()
+			dopt := DurableOptions{CheckpointBytes: tc.threshold, SegmentBytes: tc.segment}
+			d, err := OpenDurable(dir, opt, dopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { d.Close() }()
+			var logged int64 // the bytes of the batch entries past the last checkpoint
+			checkpoints := 0
+			for b := 0; b < tc.batches; b++ {
+				if b == tc.batches/2 {
+					if err := d.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if d, err = OpenDurable(dir, opt, dopt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				batch := durableBatch(5*b, 5)
+				before := d.Health().CheckpointWatermark
+				if err := d.Ingest(batch...); err != nil {
+					t.Fatal(err)
+				}
+				logged += int64(len(wal.EncodeKeyedBatch("", records(batch))))
+				fired := d.Health().CheckpointWatermark != before
+				if want := logged >= tc.threshold; fired != want {
+					t.Fatalf("batch %d: checkpoint taken = %v with %d bytes logged since the last, want %v",
+						b, fired, logged, want)
+				}
+				if fired {
+					checkpoints++
+					logged = 0
+					if p := d.Pending(); p != 0 {
+						t.Fatalf("batch %d: %d records pending after a size-triggered checkpoint", b, p)
+					}
+				}
+			}
+			if checkpoints < 2 || checkpoints > tc.batches/4 {
+				t.Fatalf("%d checkpoints over %d batches, want between 2 and %d", checkpoints, tc.batches, tc.batches/4)
+			}
+		})
+	}
+}
+
 // TestDurableCompaction: the chain grows by deltas until CompactAfterBatches,
 // then collapses to a single cold-anchor base with no delta files left, and
 // recovery keeps matching the live engine across the compaction boundary.

@@ -91,7 +91,7 @@ func TestMStepShuffledDirtyListMatchesFull(t *testing.T) {
 						t.Fatal(err)
 					}
 					if votes == "one republished" {
-						em.EnableStaleness(1)
+						em.EnableStaleness()
 					}
 					nItem := len(s.Items)
 					cProb := make([]float64, len(s.Triples))
@@ -364,7 +364,7 @@ func TestAttemptSetGrowth(t *testing.T) {
 					t.Fatal(err)
 				}
 				if ledger {
-					em.EnableStaleness(4)
+					em.EnableStaleness()
 				}
 				nItem := len(s0.Items)
 				r := &run{em: em, cProb: make([]float64, len(s0.Triples)), restMass: make([]float64, nItem),

@@ -294,7 +294,7 @@ func (em *EM) CarryParamsFrom(prev *EM) {
 // mistakes stop reinforcing the original's values. nil (the initial state)
 // means all-ones and keeps the hot loop untouched; a shorter slice pads the
 // tail with 1 (new sources start undiscounted). Every changed weight charges
-// its movement to the staleness ledger, so the shards reading that source
+// its movement to the staleness ledger, so the items reading that source
 // re-estimate under the usual Tol contract at the next pass.
 func (em *EM) SetSourceVoteWeights(weights []float64) {
 	st := em.st

@@ -233,8 +233,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// here.
 	st.s = s
 
-	// Staleness ledger: new items' shard assignments, new triples' reach
-	// bits, zero drift for new units.
+	// Staleness ledger: new triples' cell entries, zero drift for new units.
 	st.extendLedger(d)
 
 	// Coverage and attempt sets. From the empty state, or when an old unit's

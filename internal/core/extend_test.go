@@ -60,7 +60,7 @@ func TestExtendedStateMatchesFreshBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				if ledger {
-					em.EnableStaleness(4)
+					em.EnableStaleness()
 				}
 				return em
 			}
@@ -162,8 +162,6 @@ func sameBuild(t *testing.T, tag string, got, want *state) {
 
 	check("ledger presence", (got.ledger == nil) == (want.ledger == nil))
 	if got.ledger != nil {
-		check("itemShard", slices.Equal(got.ledger.itemShard, want.ledger.itemShard))
-		check("shardLen", slices.Equal(got.ledger.shardLen, want.ledger.shardLen))
 		check("triplesOfCell", slices.EqualFunc(got.ledger.triplesOfCell, want.ledger.triplesOfCell, slices.Equal[[]int32]))
 	}
 }

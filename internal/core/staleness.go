@@ -10,7 +10,7 @@ import (
 // This file maintains the per-unit staleness ledger behind the engine's
 // confined settling sweeps, and the ScopeSet those sweeps run over.
 //
-// The engine caches every shard's E-step outputs between iterations and
+// The engine caches every item's E-step outputs between iterations and
 // refreshes. A cached posterior goes stale when a parameter it was computed
 // from moves — but only when one *it was computed from* moves. An item's
 // Stage II scores read the accuracies of exactly the sources with a candidate
@@ -33,14 +33,14 @@ import (
 //     attempted cells — global only under ScopeAllExtractors, where the
 //     absence mass is a corpus-wide total.
 //
-// Reach is resolved at *item* granularity, not shard granularity: a drifted
-// unit stales the items it actually touches, and MarkStale records them in a
-// ScopeSet — marked items, or the whole corpus — which CompileScope gathers
-// into the one ascending dense-id list a settling pass runs over. A unit whose
-// reach covers a quarter or more of the corpus marks the whole corpus instead
-// (its per-item walk would cost more than the confinement saves); the cutoff
-// depends only on snapshot table sizes, so the FullRecompile oracle resolves
-// the identical scopes. Drift resets when a pass re-estimates what it was
+// Reach is resolved at item granularity: a drifted unit stales the items it
+// actually touches, and MarkStale records them in a ScopeSet — marked items,
+// or the whole corpus — which CompileScope gathers into the one ascending
+// dense-id list a settling pass runs over. A unit whose reach covers a
+// quarter or more of the corpus marks the whole corpus instead (its per-item
+// walk would cost more than the confinement saves); the cutoff depends only
+// on snapshot table sizes, so the FullRecompile oracle resolves the identical
+// scopes. Drift resets when a pass re-estimates what it was
 // widened for: a partial pass re-anchors exactly the units MarkStale recorded
 // on its scope, a full pass re-anchors every unit (SettleScopes).
 //
@@ -62,17 +62,9 @@ import (
 // touching >= 1/broadReachDenom of the corpus marks every item, not its own.
 const broadReachDenom = 4
 
-// staleLedger is the per-unit drift state plus the append-only indexes
+// staleLedger is the per-unit drift state plus the append-only index
 // scopes are resolved through.
 type staleLedger struct {
-	nShards int
-
-	// itemShard caches each data item's shard, grown append-only with the
-	// snapshot; shardLen counts items per shard (the saturation test during
-	// scope compilation).
-	itemShard []int32
-	shardLen  []int32
-
 	// triplesOfCell indexes, per (source, predicate) cell (state.cellID
 	// dense ids), the candidate triples the cell holds — the reach of an
 	// extractor's republished absence vote, and the engine's
@@ -97,10 +89,9 @@ type staleLedger struct {
 
 // ScopeSet is a dirty set of marked items, or of every item. It also records
 // which units a settling pass was widened for, so SettleScopes can reset
-// exactly their drift. CompileScope resolves it per shard — a shard whose
-// items are all marked is whole — for the engine's shard statistics. The
-// engine keeps ScopeSets across refreshes and Resets them per use; nothing
-// here allocates once the buffers have grown to corpus size.
+// exactly their drift. The engine keeps ScopeSets across refreshes and Resets
+// them per use; nothing here allocates once the buffers have grown to corpus
+// size.
 type ScopeSet struct {
 	all bool // every item in scope (MarkAllFull, or every item marked)
 
@@ -111,27 +102,13 @@ type ScopeSet struct {
 	// SettleScopes resets their drift.
 	settledSrc []int32
 	settledExt []int32
-
-	// Compiled form: per shard whether it is wholly in scope, and the shards
-	// with any coverage, ascending. cnt is the per-shard mark count
-	// CompileScope fills and leaves zeroed.
-	nShards   int
-	full      []bool
-	shardList []int
-	cnt       []int32
 }
 
 // NewScopeSet returns an empty ScopeSet; Reset sizes it.
 func NewScopeSet() *ScopeSet { return &ScopeSet{} }
 
-// Reset clears the scope for nShards shards and nItems items, retaining
-// buffers.
-func (sc *ScopeSet) Reset(nShards, nItems int) {
-	if len(sc.full) < nShards {
-		sc.full = make([]bool, nShards)
-		sc.cnt = make([]int32, nShards)
-	}
-	sc.nShards = nShards
+// Reset clears the scope for nItems items, retaining buffers.
+func (sc *ScopeSet) Reset(nItems int) {
 	sc.all = false
 	if len(sc.itemMark) < nItems {
 		sc.itemMark = append(sc.itemMark, make([]bool, nItems-len(sc.itemMark))...)
@@ -142,7 +119,6 @@ func (sc *ScopeSet) Reset(nShards, nItems int) {
 	sc.items = sc.items[:0]
 	sc.settledSrc = sc.settledSrc[:0]
 	sc.settledExt = sc.settledExt[:0]
-	sc.shardList = sc.shardList[:0]
 }
 
 // MergeFrom adds base's marks into sc. Settled-unit records are not merged —
@@ -181,60 +157,31 @@ func (sc *ScopeSet) markItem(d int) int {
 // CompileScope — every item marked narrowly.
 func (sc *ScopeSet) AllFull() bool { return sc.all }
 
-// Len returns the number of shards with any coverage. Valid after
-// CompileScope.
-func (sc *ScopeSet) Len() int { return len(sc.shardList) }
-
-// At returns compiled entry i: the shard id and whether the whole shard is in
-// scope (else only marked items of it are). Valid after CompileScope.
-func (sc *ScopeSet) At(i int) (si int, full bool) {
-	si = sc.shardList[i]
-	return si, sc.full[si]
-}
-
 // denseGatherDenom bounds the sort in CompileScope: narrow marks covering at
 // least 1/denseGatherDenom of the items are gathered by scanning the mark
 // array instead, so no corpus-sized list is ever sorted.
 const denseGatherDenom = 16
 
-// CompileScope resolves the marks into what a settling pass runs over. When
-// the marks cover every item the scope is every item (AllFull), and every
-// shard is listed whole, empty ones too. Otherwise a shard whose marks cover
-// every item it owns is whole, and the shards with any coverage are listed
-// ascending (Len, At). The return is the pass's index lists —
-// the scope's items in ascending dense-id order and exactly those items'
+// CompileScope resolves the marks into what a settling pass runs over: the
+// scope's items in ascending dense-id order and exactly those items'
 // candidate triples behind them, item by item — or nil, nil when every item
-// is in scope: the kernels' own "every index" path. Ascending order is what
-// makes a pass one sequential read of the per-item and per-triple arrays,
-// whatever the shard count. Deterministic for a given mark set, so the fast
-// path and the FullRecompile oracle run identical lists. The lists are valid
-// until the next CompileScope on this EM.
+// is in scope (marked so, or every item marked narrowly, which sets AllFull):
+// the kernels' own "every index" path. Ascending order is what makes a pass
+// one sequential read of the per-item and per-triple arrays. Deterministic
+// for a given mark set, so the fast path and the FullRecompile oracle run
+// identical lists. The lists are valid until the next CompileScope on this
+// EM.
 func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
-	led := em.st.ledger
-	sc.shardList = sc.shardList[:0]
-	if len(sc.items) == len(led.itemShard) && len(sc.items) > 0 {
-		sc.all = true // marks covering every item, whatever the shards hold
+	led, nItems := em.st.ledger, len(em.st.s.Items)
+	if len(sc.items) == nItems && nItems > 0 {
+		sc.all = true
 	}
 	if sc.all {
-		for si := 0; si < sc.nShards; si++ {
-			sc.full[si] = true
-			sc.shardList = append(sc.shardList, si)
-		}
 		return nil, nil
 	}
-	for _, d := range sc.items {
-		sc.cnt[led.itemShard[d]]++
-	}
-	for si := 0; si < sc.nShards; si++ {
-		sc.full[si] = sc.cnt[si] > 0 && sc.cnt[si] == led.shardLen[si]
-		if sc.cnt[si] > 0 {
-			sc.shardList = append(sc.shardList, si)
-		}
-		sc.cnt[si] = 0
-	}
 	items, tris = led.passItems[:0], led.passTris[:0]
-	if len(sc.items)*denseGatherDenom >= len(led.itemShard) {
-		for d, m := range sc.itemMark[:len(led.itemShard)] {
+	if len(sc.items)*denseGatherDenom >= nItems {
+		for d, m := range sc.itemMark[:nItems] {
 			if m {
 				items = append(items, d)
 			}
@@ -250,27 +197,25 @@ func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 	return items, tris
 }
 
-// EnableStaleness gives the EM an empty per-unit staleness ledger for nShards
-// item shards (triple.ShardOf partitioning, matching Snapshot.Shards),
-// extended over the whole snapshot as extendState extends it over an ingest.
-// Idempotent for an unchanged shard count; a changed count rebuilds from
-// scratch. The engine enables it on every EM it constructs; core.Run never
+// EnableStaleness gives the EM an empty per-unit staleness ledger, extended
+// over the whole snapshot as extendState extends it over an ingest.
+// Idempotent. The engine enables it on every EM it constructs; core.Run never
 // does, so the batch path carries no ledger overhead.
-func (em *EM) EnableStaleness(nShards int) {
+func (em *EM) EnableStaleness() {
 	st := em.st
-	if st.ledger != nil && st.ledger.nShards == nShards {
+	if st.ledger != nil {
 		return
 	}
-	st.ledger = &staleLedger{nShards: nShards, shardLen: make([]int32, nShards), passItems: []int{}, passTris: []int{}}
+	st.ledger = &staleLedger{passItems: []int{}, passTris: []int{}}
 	st.extendLedger(triple.Delta{})
 }
 
 // CarryStalenessFrom copies prev's accumulated drift and published-vote
 // anchors by dense-id prefix — the FullRecompile path's counterpart of the
 // ledger NewEMFrom extends in place, needed so the oracle makes the identical
-// settling decisions. Both EMs must have staleness enabled. The shard and
-// cell indexes are not carried: EnableStaleness rebuilds them from the same
-// snapshot tables and cell interning order, bit-identically.
+// settling decisions. Both EMs must have staleness enabled. The cell index
+// is not carried: EnableStaleness rebuilds it from the same snapshot tables
+// and cell interning order, bit-identically.
 func (em *EM) CarryStalenessFrom(prev *EM) {
 	led, old := em.st.ledger, prev.st.ledger
 	if led == nil || old == nil {
@@ -397,7 +342,7 @@ func (em *EM) SettleScopes(sc *ScopeSet) {
 }
 
 // extendLedger grows the ledger append-only with the snapshot extension —
-// new items' shards, new triples' cell entries, zero drift and
+// new triples' cell entries, zero drift and
 // current-parameter vote anchors for new units; from an empty ledger and a
 // zero Delta it builds the whole ledger. Called by extendState after the
 // parameter arrays, cell interning and cellOfTriple have grown.
@@ -407,11 +352,6 @@ func (st *state) extendLedger(d triple.Delta) {
 		return
 	}
 	s := st.s
-	for i := d.Items; i < len(s.Items); i++ {
-		si := int32(triple.ShardOf(s.Items[i], led.nShards))
-		led.itemShard = append(led.itemShard, si)
-		led.shardLen[si]++
-	}
 	if len(led.triplesOfCell) < st.numCells {
 		led.triplesOfCell = append(led.triplesOfCell, make([][]int32, st.numCells-len(led.triplesOfCell))...)
 	}

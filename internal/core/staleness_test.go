@@ -12,13 +12,13 @@ import (
 
 // TestScopeGatherAscendingAndExact fuzzes CompileScope over the shapes a
 // settling scope takes — narrow marks only (few: the sorted gather; many: the
-// dense scan), some shards saturated by narrow marks, every shard in scope by
-// saturation or MarkAllFull. The gathered item list must be strictly
-// ascending and equal the marked set, the triple list exactly those items'
-// TriplesOfItem in order; a saturated shard must compile whole; a scope of
-// every item must be the nil pass; and a drifted source confined to a
-// saturated shard that MarkStale did not record keeps its drift — a partial
-// pass re-anchors exactly the units it was widened for.
+// dense scan), some hash shards of items (triple.ShardOf) marked whole beside
+// them, every item marked outright by MarkAllFull or item by item. The
+// gathered item list must be strictly ascending and equal the marked set, the
+// triple list exactly those items' TriplesOfItem in order; a scope of every
+// item must be the nil pass; and a drifted source confined to a wholly marked
+// shard that MarkStale did not record keeps its drift — a partial pass
+// re-anchors exactly the units it was widened for.
 func TestScopeGatherAscendingAndExact(t *testing.T) {
 	// Every item has a leaf site of its own — a source whose whole reach is
 	// that item — beside a hub that reaches everywhere.
@@ -41,14 +41,15 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		em.EnableStaleness(nShards)
+		em.EnableStaleness()
 		led := em.st.ledger
 		itemsOf := make([][]int, nShards)
-		for d, si := range led.itemShard {
+		for d, key := range s.Items {
+			si := triple.ShardOf(key, nShards)
 			itemsOf[si] = append(itemsOf[si], d)
 		}
 
-		sc.Reset(nShards, nItems)
+		sc.Reset(nItems)
 		marked := make([]bool, nItems)
 		all := false
 		mark := func(d int) {
@@ -96,28 +97,18 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 			}
 		}
 		var wantItems, wantTris []int
-		wantShard, wantFull := make([]bool, nShards), make([]bool, nShards)
-		for si := range wantFull {
-			wantFull[si] = all || len(itemsOf[si]) > 0
-		}
-		for d, si := range led.itemShard {
+		for d := range s.Items {
 			if marked[d] {
 				wantItems = append(wantItems, d)
 				wantTris = append(wantTris, s.TriplesOfItem[d]...)
-				wantShard[si] = true
-			} else {
-				wantFull[si] = false
 			}
-		}
-		for si, f := range wantFull {
-			wantShard[si] = wantShard[si] || f
 		}
 		// A drifted leaf source inside and one outside the saturated shard.
 		in, out := -1, -1
 		if saturated >= 0 {
 			in = leafOf(itemsOf[saturated][0])
-			for d, si := range led.itemShard {
-				if int(si) != saturated && !marked[d] {
+			for d := range s.Items {
+				if !marked[d] {
 					out = leafOf(d)
 					break
 				}
@@ -130,7 +121,7 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 
 		items, tris := em.CompileScope(sc)
 		tag := fmt.Sprintf("trial %d (%d shards)", trial, nShards)
-		if !slices.Contains(wantFull, false) {
+		if all || len(wantItems) == nItems {
 			if !sc.AllFull() || items != nil || tris != nil {
 				t.Fatalf("%s: a scope of every item must compile to the nil pass; AllFull=%v, %d items", tag, sc.AllFull(), len(items))
 			}
@@ -150,22 +141,6 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 				t.Fatalf("%s: gathered triples are not the items' TriplesOfItem in order", tag)
 			}
 		}
-		n := 0
-		for si, want := range wantShard {
-			if !want {
-				continue
-			}
-			if n >= sc.Len() {
-				t.Fatalf("%s: shard list ends before shard %d", tag, si)
-			}
-			if got, gotFull := sc.At(n); got != si || gotFull != wantFull[si] {
-				t.Fatalf("%s: entry %d = shard %d full=%v, want shard %d full=%v", tag, n, got, gotFull, si, wantFull[si])
-			}
-			n++
-		}
-		if n != sc.Len() {
-			t.Fatalf("%s: shard list has %d entries, want %d", tag, sc.Len(), n)
-		}
 		if saturated >= 0 && !sc.AllFull() {
 			em.SettleScopes(sc)
 			if led.srcDrift[in] != 1 {
@@ -179,21 +154,20 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 }
 
 // TestBroadSourceStalesWholeCorpus: a drifted source on a quarter or more of
-// the triples marks every item, even when it has no item in some shard — the
-// same rule as a broad extractor — and the pass over that scope is the nil
-// pass, after which every unit's drift is reset.
+// the triples marks every item, even items it has no triple on — the same
+// rule as a broad extractor — and the pass over that scope is the nil pass,
+// after which every unit's drift is reset.
 func TestBroadSourceStalesWholeCorpus(t *testing.T) {
-	const nItems, nShards = 64, 8
+	const nItems = 64
 	ds := triple.NewDataset()
 	for i := 0; i < nItems; i++ {
-		subj := fmt.Sprintf("S%02d", i)
 		sites := []string{fmt.Sprintf("leaf%02d.com", i)}
-		if triple.ShardOf(subj+"\x1fp", nShards) != 0 {
+		if i%8 != 0 {
 			sites = append(sites, "broad.com")
 		}
 		for _, site := range sites {
 			ds.Add(triple.Record{Extractor: "E", Website: site, Page: site + "/x",
-				Subject: subj, Predicate: "p", Object: fmt.Sprintf("v%d", i%3)})
+				Subject: fmt.Sprintf("S%02d", i), Predicate: "p", Object: fmt.Sprintf("v%d", i%3)})
 		}
 	}
 	s := ds.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName})
@@ -202,18 +176,14 @@ func TestBroadSourceStalesWholeCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em.EnableStaleness(nShards)
+	em.EnableStaleness()
 	st, led := em.st, em.st.ledger
 	broad := s.SourceID("broad.com")
 	if broad < 0 || !st.broadSource(broad) || !st.srcIncluded[broad] {
 		t.Fatalf("broad.com (id %d) must be an included source on a quarter of the triples", broad)
 	}
-	reach := make([]bool, nShards)
-	for _, ti := range s.TriplesOfSource[broad] {
-		reach[led.itemShard[s.Triples[ti].D]] = true
-	}
-	if !slices.Contains(reach, false) {
-		t.Fatal("broad.com reaches every shard; the test needs one it misses")
+	if len(s.TriplesOfSource[broad]) >= nItems {
+		t.Fatal("broad.com reaches every item; the test needs one it misses")
 	}
 
 	// The broad source crosses Tol; a leaf and the extractor carry sub-Tol
@@ -224,20 +194,12 @@ func TestBroadSourceStalesWholeCorpus(t *testing.T) {
 	led.extDrift[0] = opt.Tol / 2
 
 	sc := NewScopeSet()
-	sc.Reset(nShards, len(s.Items))
+	sc.Reset(len(s.Items))
 	if added := em.MarkStale(opt.Tol, sc); added == 0 || !sc.AllFull() {
 		t.Fatalf("MarkStale added %d marks, AllFull=%v; want the whole corpus", added, sc.AllFull())
 	}
 	if items, tris := em.CompileScope(sc); items != nil || tris != nil {
 		t.Fatalf("scope compiled to %d items, %d triples; want the nil pass", len(items), len(tris))
-	}
-	if sc.Len() != nShards {
-		t.Fatalf("scope lists %d shards, want %d", sc.Len(), nShards)
-	}
-	for i := 0; i < sc.Len(); i++ {
-		if si, full := sc.At(i); si != i || !full {
-			t.Fatalf("entry %d = shard %d full=%v, want shard %d whole", i, si, full, i)
-		}
 	}
 	em.SettleScopes(sc)
 	for w, d := range led.srcDrift {
@@ -252,12 +214,10 @@ func TestBroadSourceStalesWholeCorpus(t *testing.T) {
 	}
 }
 
-// TestCompileScopeEveryItemMarked: on a corpus with fewer items than shards,
-// narrow marks on every item compile to the scope of every item — AllFull,
-// the nil pass, every shard listed whole, empty ones too — and the pass over
-// it re-anchors every unit.
+// TestCompileScopeEveryItemMarked: narrow marks on every item compile to the
+// scope of every item — AllFull, the nil pass — and the pass over it
+// re-anchors every unit.
 func TestCompileScopeEveryItemMarked(t *testing.T) {
-	const nShards = 8
 	ds := triple.NewDataset()
 	for i, site := range []string{"a.com", "b.com"} {
 		ds.Add(triple.Record{Extractor: "E", Website: site, Page: site + "/x",
@@ -268,7 +228,7 @@ func TestCompileScopeEveryItemMarked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em.EnableStaleness(nShards)
+	em.EnableStaleness()
 	led := em.st.ledger
 	if len(s.Items) != 2 {
 		t.Fatalf("fixture: %d items, want 2", len(s.Items))
@@ -276,20 +236,12 @@ func TestCompileScopeEveryItemMarked(t *testing.T) {
 	led.srcDrift[0], led.extDrift[0] = 1, 1
 
 	sc := NewScopeSet()
-	sc.Reset(nShards, len(s.Items))
+	sc.Reset(len(s.Items))
 	for d := range s.Items {
 		sc.markItem(d)
 	}
 	if items, tris := em.CompileScope(sc); !sc.AllFull() || items != nil || tris != nil {
 		t.Fatalf("marks on every item compiled to AllFull=%v, %d items, %d triples; want the nil pass", sc.AllFull(), len(items), len(tris))
-	}
-	if sc.Len() != nShards {
-		t.Fatalf("scope lists %d shards, want %d", sc.Len(), nShards)
-	}
-	for i := 0; i < sc.Len(); i++ {
-		if si, full := sc.At(i); si != i || !full {
-			t.Fatalf("entry %d = shard %d full=%v, want shard %d whole", i, si, full, i)
-		}
 	}
 	em.SettleScopes(sc)
 	if led.srcDrift[0] != 0 || led.extDrift[0] != 0 {
@@ -337,7 +289,7 @@ func TestSourceDriftChargedWhereAIsWritten(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			em.EnableStaleness(4)
+			em.EnableStaleness()
 
 			want := make([]float64, len(snap.Sources))
 			var cProb, restMass []float64

@@ -50,7 +50,8 @@
 //
 // Shards (triple.ShardOf over item keys) are only the unit the refresh
 // statistics count in (Result.FirstPassShards, TouchedShards, SettledShards,
-// PartialShards): no pass, publication or copy-tracker update runs by shard.
+// PartialShards), which the engine counts from its own pass lists
+// (shardCounter): no pass, publication or copy-tracker update runs by shard.
 //
 // The pipeline has one execution mode. Options.FullRecompile and
 // Options.FullAggregates select reference implementations of the state phase
@@ -241,11 +242,11 @@ type Engine struct {
 	// refreshMu) and persisted across refreshes so a steady-state warm
 	// refresh re-allocates none of it: the run value the phases share, the
 	// E-step scopes (current, successor, and the ingest footprint), the
-	// touched-shard masks the shard statistics count, and the item list
-	// handed to the copy tracker.
+	// counter of the shard statistics, and the item list handed to the copy
+	// tracker.
 	run                         refreshRun
 	scope, scopeNext, scopeBase *core.ScopeSet
-	touched, touchedWhole       []bool
+	shards                      shardCounter
 	copyIdx                     []int
 
 	// tracker persists the streaming copy-detection statistics across
@@ -423,11 +424,9 @@ type refreshRun struct {
 	copt       core.Options
 
 	// settle: what the EM loop did. passItems/passTris are the index lists of
-	// the pass about to run (nil: every index); touched/touchedWhole mark the
-	// shards any iteration re-estimated at all / as a whole shard.
+	// the pass about to run (nil: every index).
 	voteForce                  bool
 	passItems, passTris        []int
-	touched, touchedWhole      []bool
 	touchedCount, partialCount int
 	firstPass, escalations     int
 	iterations                 int
@@ -587,7 +586,7 @@ func (e *Engine) buildState(r *refreshRun) error {
 		return err
 	}
 	// An extended state carries the previous refresh's ledger with it.
-	r.em.EnableStaleness(e.opt.Shards)
+	r.em.EnableStaleness()
 	nTri, nItem := len(r.snap.Triples), len(r.snap.Items)
 	r.cProb = make([]float64, nTri)
 	r.valueProb = make([][]float64, nItem)
@@ -610,13 +609,12 @@ func (e *Engine) buildState(r *refreshRun) error {
 // passes differ, and each index's arithmetic is identical, so a cold run —
 // every pass of which is the nil list — reproduces Run's posteriors exactly.
 func (e *Engine) settle(r *refreshRun) error {
-	nShards, nItems := e.opt.Shards, len(r.snap.Items)
 	if e.scope == nil {
 		e.scope, e.scopeNext, e.scopeBase = core.NewScopeSet(), core.NewScopeSet(), core.NewScopeSet()
 	}
 	// base is the ingest's footprint — the exact items whose inputs changed.
 	base := e.scopeBase
-	base.Reset(nShards, nItems)
+	base.Reset(len(r.snap.Items))
 	r.stages0 = r.em.StageTimes()
 	switch {
 	case !r.warm:
@@ -635,17 +633,13 @@ func (e *Engine) settle(r *refreshRun) error {
 	}
 	// Structural changes force one full vote recompute (see iterate).
 	r.voteForce = r.warm && (r.structural || len(r.snap.Extractors) != len(r.prev.snap.Extractors))
-	e.touched, e.touchedWhole = resized(e.touched, nShards), resized(e.touchedWhole, nShards)
-	clear(e.touched)
-	clear(e.touchedWhole)
-	r.touched, r.touchedWhole = e.touched, e.touchedWhole
+	e.shards.begin(r.snap, e.opt.Shards)
 	r.aggDelta0, r.aggFull0 = r.em.AggStepCounts()
 
 	// The first pass already consults the ledger: drift carried from earlier
 	// refreshes (sub-Tol residue that has since accumulated past Tol, or an
 	// unconverged stop) joins the footprint immediately.
-	e.enterScope(r, e.nextScope(r, e.scope))
-	r.firstPass = e.scope.Len()
+	r.firstPass = e.enterScope(r, e.nextScope(r, e.scope))
 
 	iter := 0
 	for iter = 1; iter <= r.copt.MaxIter; iter++ {
@@ -683,15 +677,7 @@ func (e *Engine) settle(r *refreshRun) error {
 	// exhausted (the clamp undoes the final loop increment); core.Run
 	// reports the identical quantity.
 	r.iterations = min(iter, r.copt.MaxIter)
-
-	for si, hit := range r.touched {
-		if hit {
-			r.touchedCount++
-			if !r.touchedWhole[si] {
-				r.partialCount++
-			}
-		}
-	}
+	r.touchedCount, r.partialCount = e.shards.counts()
 	return nil
 }
 
@@ -703,7 +689,7 @@ func (e *Engine) settle(r *refreshRun) error {
 // MarkStale could add nothing, and skipping it keeps cold full-pass
 // iterations free of ledger walks.
 func (e *Engine) nextScope(r *refreshRun, dst *core.ScopeSet) (stale int) {
-	dst.Reset(e.opt.Shards, len(r.snap.Items))
+	dst.Reset(len(r.snap.Items))
 	dst.MergeFrom(e.scopeBase)
 	if !dst.AllFull() {
 		stale = r.em.MarkStale(r.copt.Tol, dst)
@@ -713,19 +699,14 @@ func (e *Engine) nextScope(r *refreshRun, dst *core.ScopeSet) (stale int) {
 
 // enterScope readies the pass about to run over e.scope: it compiles the
 // scope into the pass's index lists, counts a scope wider than the footprint
-// as an escalation, and adds the scope's shards to the run's touched set.
-func (e *Engine) enterScope(r *refreshRun, stale int) {
+// as an escalation, and counts the pass's shards, returning how many it
+// touches.
+func (e *Engine) enterScope(r *refreshRun, stale int) (shards int) {
 	if stale > 0 {
 		r.escalations++
 	}
 	r.passItems, r.passTris = r.em.CompileScope(e.scope)
-	for i := 0; i < e.scope.Len(); i++ {
-		si, full := e.scope.At(i)
-		r.touched[si] = true
-		if full {
-			r.touchedWhole[si] = true
-		}
-	}
+	return e.shards.pass(r.passItems)
 }
 
 // iterate runs one EM iteration over the current scope (core.EM.Iterate) and
@@ -851,7 +832,7 @@ func (e *Engine) detectCopies(r *refreshRun) (err error) {
 	if r.converged {
 		// Probe with an empty scope: any mark means a discount moved some
 		// unit's drift past Tol.
-		e.scopeNext.Reset(e.opt.Shards, len(snap.Items))
+		e.scopeNext.Reset(len(snap.Items))
 		if em.MarkStale(r.copt.Tol, e.scopeNext) > 0 {
 			r.converged = false
 		}
@@ -965,13 +946,6 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	e.estimated = len(r.records)
 	e.last.Store(res)
 	return res
-}
-
-// resized returns buf with length n and unspecified content, growing its
-// backing array geometrically: the corpus gains a few rows every refresh, and
-// an exact fit would reallocate the scratch on each one.
-func resized[T any](buf []T, n int) []T {
-	return slices.Grow(buf[:0], n)[:n]
 }
 
 // extendPosteriors grows prev's posterior arrays in place into the run's for

@@ -731,7 +731,7 @@ func TestDirtyShardsSurfacesLookupFailure(t *testing.T) {
 		Subject: "NeverCompiled", Predicate: "p", Object: "v",
 	}
 	sc := core.NewScopeSet()
-	sc.Reset(opt.Shards, len(eng.snap.Items))
+	sc.Reset(len(eng.snap.Items))
 	run := &refreshRun{modelState: eng.modelState, prev: eng.modelState, records: []triple.Record{ghost}}
 	if err := eng.seedFootprint(run, sc); err == nil {
 		t.Fatal("expected an error for a pending record missing from the snapshot")

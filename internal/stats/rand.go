@@ -48,9 +48,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
 
-// NormFloat64 returns a standard normal sample.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

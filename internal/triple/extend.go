@@ -23,7 +23,7 @@ import "slices"
 // TriplesOfSource when a known source says something new; TriplesOfItem,
 // ByTriple and ItemValues (Delta.GrownItems) when a known item or triple is
 // extracted again, and those are O(corpus) headers: a stream of new pages
-// about known entities pays them, which ROADMAP item 5 leaves to a
+// about known entities pays them, which ROADMAP item 8(b) leaves to a
 // measurement. A grown row takes the batch's run in one append, in place, the
 // parent never reading past its own length; a merge into a sorted row
 // (ItemValues, SourcesOfExtractor) that inserts before its end copies the row

@@ -8,8 +8,9 @@ import (
 // Shard is one partition of a Snapshot's data-item space. Items (and the
 // candidate triples that mention them) are assigned by hashing the item key,
 // so a shard is a stable unit of accounting: the engine's refresh statistics
-// count which shards a refresh re-estimated, resolving each item's shard
-// through ShardOf. Nothing runs shard by shard — a settling pass reads its
+// count which shards a refresh re-estimated, and the engine's shard counter
+// resolves each item's shard through ShardOf, once per new item, from the
+// passes' item lists. Nothing runs shard by shard — a settling pass reads its
 // scope in ascending dense-id order (core.EM.CompileScope), a generation
 // publishes in dense-id chunks, and the copy tracker takes item lists — so
 // the engine builds no Shard views; the benchmark harness (bench/layers.go)
