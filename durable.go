@@ -161,8 +161,11 @@ type HealthStatus struct {
 	// Retry-After a server should hand a client while degraded. Zero when
 	// healthy, or when a probe is already due.
 	RetryAfter time.Duration
-	// WALBytes is the active WAL segment's framed size; CheckpointWatermark
-	// is the log sequence the checkpoint chain covers up to.
+	// WALBytes is the bytes of the log entries written since the last
+	// checkpoint, across segment rolls: what a restart replays on top of the
+	// checkpoint chain, and what CheckpointBytes compares. A checkpoint
+	// resets it; OpenDurable seeds it from the replayed tail.
+	// CheckpointWatermark is the log sequence the chain covers up to.
 	WALBytes            int64
 	CheckpointWatermark uint64
 }
@@ -410,7 +413,7 @@ func (d *DurableEngine) publishLocked() {
 			State:               d.state,
 			Faults:              d.faults,
 			Heals:               d.heals,
-			WALBytes:            d.log.Size(),
+			WALBytes:            d.logged,
 			CheckpointWatermark: d.ckWatermark,
 		},
 		nextProbe: d.nextProbe,

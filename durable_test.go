@@ -780,6 +780,60 @@ func TestDurableCheckpointBytes(t *testing.T) {
 	assertResultsIdentical(t, "size-cadence", got, live)
 }
 
+// TestDurableWALBytesOwed: Health's WALBytes is the bytes of the log entries a
+// restart still owes on top of the checkpoint chain. Under a small segment
+// size every Ingest grows it by exactly its entry, across segment rolls; a
+// Checkpoint zeroes it; and after Close and OpenDurable it reads what it read
+// at Close, those same owed bytes.
+func TestDurableWALBytesOwed(t *testing.T) {
+	opt := durableTestOptions()
+	dir := t.TempDir()
+	dopt := DurableOptions{SegmentBytes: 256}
+	d, err := OpenDurable(dir, opt, dopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owed int64
+	ingest := func(b int) {
+		t.Helper()
+		key, batch := fmt.Sprintf("k%d", b), durableBatch(5*b, 5)
+		if err := d.IngestKeyed(key, batch...); err != nil {
+			t.Fatal(err)
+		}
+		owed += int64(len(wal.EncodeKeyedBatch(key, records(batch))))
+		if got := d.Health().WALBytes; got != owed {
+			t.Fatalf("batch %d: WALBytes = %d, want the %d bytes of the entries logged", b, got, owed)
+		}
+	}
+	for b := 0; b < 4; b++ {
+		ingest(b)
+	}
+	if n := d.log.Segments(); n < 2 {
+		t.Fatalf("%d log segments, want the ingests to roll at least once", n)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Health().WALBytes; got != 0 {
+		t.Fatalf("WALBytes = %d right after a checkpoint, want 0", got)
+	}
+	owed = 0
+	for b := 4; b < 7; b++ {
+		ingest(b)
+	}
+	atClose := d.Health().WALBytes
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDurable(dir, opt, dopt); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := d.Health().WALBytes; got != atClose || got != owed {
+		t.Fatalf("WALBytes = %d after a restart; %d at Close, %d owed", got, atClose, owed)
+	}
+}
+
 // TestDurableCheckpointBytesCadence: CheckpointBytes counts the bytes of the
 // log entries written since the last checkpoint, not the active segment's
 // size. Below the segment size, a size-triggered checkpoint is followed by the

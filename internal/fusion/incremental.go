@@ -23,7 +23,8 @@ import (
 //
 //   - the per-item vote lists and value posteriors (rows are immutable once
 //     installed, so a published Result shares them copy-on-write),
-//   - the per-provenance accuracies, support counts and participation flags,
+//   - the per-provenance accuracies and participation flags (a provenance
+//     participates once its observation count reaches MinSupport),
 //   - the accuracy sufficient statistics (numerators/denominators over the
 //     covered items), exact sums maintained by per-item contribution deltas
 //     and re-aggregated in full on every full pass: either way they hold the
@@ -33,6 +34,9 @@ import (
 //     provenance, a provenance's charge resets when a pass re-fuses all of
 //     its items, and the next iteration's E-step widens to exactly the items
 //     of provenances whose accumulated charge crossed Tol.
+//
+// Which items a provenance votes on is read from the snapshot's
+// TriplesOfSource.
 type Incremental struct {
 	opt  Options
 	copt triple.CompileOptions
@@ -53,15 +57,12 @@ type Incremental struct {
 	voteAt []int32
 
 	// Per provenance: support, participation, accuracy, the maintained
-	// M-step aggregates, the accumulated |Δaccuracy| drift, and the distinct
-	// items it votes on (the fan-out set of a drift escalation).
+	// M-step aggregates and the accumulated |Δaccuracy| drift.
 	support  []int
 	updated  []bool
 	acc      []float64
 	num, den []stats.Sum
 	drift    []float64
-	itemsOf  [][]int32
-	pairSeen map[int64]bool // (provenance, item) pairs already in itemsOf
 
 	// lastConverged gates the next refresh's resume escalation.
 	lastConverged bool
@@ -105,7 +106,7 @@ func NewIncremental(opt Options, copt triple.CompileOptions) (*Incremental, erro
 	if copt.ExtractorKey == nil {
 		copt.ExtractorKey = triple.ExtractorKeyName
 	}
-	return &Incremental{opt: opt, copt: copt, pairSeen: make(map[int64]bool)}, nil
+	return &Incremental{opt: opt, copt: copt}, nil
 }
 
 // Snapshot returns the store's current provenance-granularity snapshot (nil
@@ -141,11 +142,7 @@ func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, erro
 			Sources: len(s.Sources), Extractors: len(s.Extractors), Values: len(s.Values)}
 	}
 
-	base, err := inc.apply(prevS, d, cold)
-	if err != nil {
-		return nil, err
-	}
-	inc.iterate(base)
+	inc.iterate(inc.apply(prevS, d, cold))
 	return inc.result(), nil
 }
 
@@ -158,7 +155,7 @@ func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, erro
 // re-adding it after. It returns the refresh's base dirty-item set: the
 // items the ingest touched plus every item of a provenance that newly met
 // MinSupport, or all items on a cold (or unconverged-resume) refresh.
-func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool) ([]int, error) {
+func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool) []int {
 	s := inc.s
 	nItem, nSrc, nObs := len(s.Items), len(s.Sources), len(s.Obs)
 	if cold {
@@ -183,7 +180,6 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		inc.num = append(inc.num, stats.Sum{})
 		inc.den = append(inc.den, stats.Sum{})
 		inc.drift = append(inc.drift, 0)
-		inc.itemsOf = append(inc.itemsOf, nil)
 	}
 
 	// The affected items: owners of new observations (which includes every
@@ -248,18 +244,12 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		}
 	}
 
-	// New observations: support, votes, the obs→vote index, and the
-	// provenance→items fan-out lists.
+	// New observations: support, votes and the obs→vote index.
 	for oi := d.Obs; oi < nObs; oi++ {
 		o := s.Obs[oi]
 		inc.support[o.W]++
 		inc.voteAt = append(inc.voteAt, int32(len(inc.votes[o.D])))
 		inc.votes[o.D] = append(inc.votes[o.D], inc.opt.voteOf(s, o))
-		key := int64(o.W)<<32 | int64(uint32(o.D))
-		if !inc.pairSeen[key] {
-			inc.pairSeen[key] = true
-			inc.itemsOf[o.W] = append(inc.itemsOf[o.W], int32(o.D))
-		}
 	}
 
 	// Popularity shares (PopAccu): recompute the affected items' rows from
@@ -276,10 +266,14 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		}
 	}
 
+	// Cold, or resuming an unconverged run: every item re-fuses, since
+	// partial passes would stall on cached rows that already reproduce the
+	// cached accuracies.
+	all := cold || !inc.lastConverged
+
 	// Participation flips: a provenance crossing MinSupport joins fusion,
 	// seeding from InitialAccuracy exactly as Run does, and every item it
 	// votes on must re-fuse. (Support never shrinks, so flips are one-way.)
-	var flippedItems []int32
 	for w := 0; w < nSrc; w++ {
 		if inc.updated[w] || inc.support[w] < inc.opt.MinSupport {
 			continue
@@ -288,23 +282,22 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		if a, ok := inc.opt.InitialAccuracy[w]; ok {
 			inc.acc[w] = stats.ClampProb(a)
 		}
-		flippedItems = append(flippedItems, inc.itemsOf[w]...)
+		if !all {
+			for _, ti := range s.TriplesOfSource[w] {
+				touch(s.Triples[ti].D)
+			}
+		}
 	}
 
-	if cold || !inc.lastConverged {
-		// Cold, or resuming an unconverged run: partial passes would stall on
-		// cached rows that already reproduce the cached accuracies.
+	if all {
 		base := make([]int, nItem)
 		for i := range base {
 			base[i] = i
 		}
-		return base, nil
-	}
-	for _, dd := range flippedItems {
-		touch(int(dd))
+		return base
 	}
 	sort.Ints(affected)
-	return affected, nil
+	return affected
 }
 
 // itemContrib adds (sign=+1) or removes (sign=-1) item dd's contribution to
@@ -333,10 +326,10 @@ func (inc *Incremental) iterate(base []int) {
 	}
 	fused := 0
 
+	dirty := inc.widen(base, baseMask, nItem)
 	converged := false
 	iter := 0
 	for iter = 1; iter <= inc.opt.MaxIter; iter++ {
-		dirty := inc.widen(base, baseMask, nItem)
 		for _, dd := range dirty {
 			if !fusedMask[dd] {
 				fusedMask[dd] = true
@@ -393,15 +386,14 @@ func (inc *Incremental) iterate(base []int) {
 			}
 		}
 
-		if maxDelta < inc.opt.Tol {
-			// At a fixed point — but a provenance whose accumulated drift
-			// crossed Tol on this very step would be published out of
-			// contract. Converge only when the ledger adds nothing beyond
-			// the base set; otherwise keep settling.
-			if !inc.anyDriftBeyond(baseMask) {
-				converged = true
-				break
-			}
+		// The next pass's scope. At a fixed point a provenance whose drift
+		// crossed Tol on this very step would still be published out of
+		// contract, so converge only when the ledger adds nothing beyond the
+		// base set; otherwise keep settling.
+		dirty = inc.widen(base, baseMask, nItem)
+		if maxDelta < inc.opt.Tol && len(dirty) == len(base) {
+			converged = true
+			break
 		}
 	}
 	if iter > inc.opt.MaxIter {
@@ -419,28 +411,29 @@ func (inc *Incremental) widen(base []int, baseMask []bool, nItem int) []int {
 	if len(base) == nItem {
 		return base
 	}
+	s := inc.s
 	dirty := base
 	grown := false
 	for w, dr := range inc.drift {
 		if dr < inc.opt.Tol || !inc.updated[w] {
 			continue
 		}
-		for _, dd := range inc.itemsOf[w] {
-			if !baseMask[dd] {
+		for _, ti := range s.TriplesOfSource[w] {
+			if dd := s.Triples[ti].D; !baseMask[dd] {
 				if !grown {
 					grown = true
 					dirty = append([]int(nil), base...)
 				}
 				baseMask[dd] = true
-				dirty = append(dirty, int(dd))
+				dirty = append(dirty, dd)
 			}
 		}
 	}
 	if !grown {
 		return base
 	}
-	// Restore baseMask to the base set for the convergence check and later
-	// iterations, then order the pass deterministically.
+	// Restore baseMask to the base set for later iterations, then order the
+	// pass deterministically.
 	for _, dd := range dirty[len(base):] {
 		baseMask[dd] = false
 	}
@@ -461,13 +454,14 @@ func (inc *Incremental) settle(dirty []int, nItem int) {
 	for _, dd := range dirty {
 		mask[dd] = true
 	}
+	s := inc.s
 	for w := range inc.drift {
 		if inc.drift[w] == 0 {
 			continue
 		}
 		covered := true
-		for _, dd := range inc.itemsOf[w] {
-			if !mask[dd] {
+		for _, ti := range s.TriplesOfSource[w] {
+			if !mask[s.Triples[ti].D] {
 				covered = false
 				break
 			}
@@ -476,22 +470,6 @@ func (inc *Incremental) settle(dirty []int, nItem int) {
 			inc.drift[w] = 0
 		}
 	}
-}
-
-// anyDriftBeyond reports whether some participating provenance with ≥Tol
-// accumulated drift votes on an item outside the base set.
-func (inc *Incremental) anyDriftBeyond(baseMask []bool) bool {
-	for w, dr := range inc.drift {
-		if dr < inc.opt.Tol || !inc.updated[w] {
-			continue
-		}
-		for _, dd := range inc.itemsOf[w] {
-			if !baseMask[dd] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // result assembles an immutable Result: parameter and per-item scalars are

@@ -234,3 +234,58 @@ func sameBits(a, b []float64) bool {
 	}
 	return true
 }
+
+// TestIncrementalFlipRefusesItsItems pins the reach of a participation flip.
+// Provenance P sits below MinSupport while naming two values of item i1 and
+// being the only voter on item i2; a later batch gives P its MinSupport-th
+// observation, on the new item i3. The refresh must re-fuse exactly P's
+// items, i1 once: i2 is covered only because the flip put it in the pass,
+// and the bystander items of Q and R stay out of it.
+func TestIncrementalFlipRefusesItsItems(t *testing.T) {
+	rec := func(site, subj, obj string) triple.Record {
+		return triple.Record{Extractor: "E", Pattern: "pat", Website: site, Page: site + "/x",
+			Subject: subj, Predicate: "p", Object: obj}
+	}
+	var recs []triple.Record
+	for _, site := range []string{"q.com", "r.com"} {
+		recs = append(recs, rec(site, "i1", "a"), rec(site, "i4", "z"), rec(site, "i5", "z"), rec(site, "i6", "z"))
+	}
+	recs = append(recs, rec("p.com", "i1", "a"), rec("p.com", "i1", "b"), rec("p.com", "i2", "x"))
+
+	opt := DefaultOptions()
+	opt.MinSupport = 4
+	opt.MaxIter = 20
+	// Wide enough that P's first accuracy move (from 0.8 to about 0.75, or
+	// about 0.67 had the flip missed i2) widens no pass through the drift
+	// ledger: only the flip can put i2 in it.
+	opt.Tol = 0.25
+	inc, err := NewIncremental(opt, triple.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := inc.Refresh(recs, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := inc.Snapshot()
+	p, i2 := s.SourceID(triple.ProvenanceKey(recs[len(recs)-1])), s.ItemID("i2", "p")
+	if before.Updated[p] || before.CoveredItem[i2] {
+		t.Fatalf("before the flip: P participates = %v, i2 covered = %v; want neither", before.Updated[p], before.CoveredItem[i2])
+	}
+	if before.Iterations == opt.MaxIter {
+		t.Fatal("the first refresh did not converge, so the next would re-fuse every item")
+	}
+
+	batch := []triple.Record{rec("p.com", "i3", "y")}
+	recs = append(recs, batch...)
+	after, err := inc.Refresh(recs, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Updated[p] || !after.CoveredItem[i2] {
+		t.Fatalf("after the flip: P participates = %v, i2 covered = %v; want both", after.Updated[p], after.CoveredItem[i2])
+	}
+	if got := inc.FusedLast(); got != 3 {
+		t.Fatalf("the flip re-fused %d items, want P's three (i1, i2, i3) of %d", got, len(inc.Snapshot().Items))
+	}
+}

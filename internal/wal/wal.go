@@ -514,11 +514,6 @@ func (l *Log) TruncateBefore(seq uint64) error {
 	return l.syncDir()
 }
 
-// Size returns the total framed bytes of the active segment. A checkpoint
-// does not shrink it (TruncateBefore keeps the active segment), so it is no
-// measure of what a recovery would replay.
-func (l *Log) Size() int64 { return l.size }
-
 // Segments returns the number of on-disk segment files.
 func (l *Log) Segments() int { return len(l.segs) }
 
