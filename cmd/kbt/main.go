@@ -9,9 +9,7 @@
 //	              [-iters N] [-tol F] [-min-support N] [-top K] [-copydetect]
 //	              [-fusion] [-listen ADDR] [-data DIR]
 //	              [-checkpoint-every N] [-checkpoint-bytes N]
-//	              [-checkpoint-interval D] [-probe-backoff D]
-//	              [-probe-max-backoff D] [-cpuprofile FILE]
-//	              [-memprofile FILE] [file.tsv]
+//	              [-cpuprofile FILE] [-memprofile FILE] [file.tsv]
 //	kbt fuse      [-model accu|popaccu] [-n N] [-top K] [-cpuprofile FILE]
 //	              [-memprofile FILE] [file.tsv]
 //	kbt generate  [-kind synthetic|web] [-scale F] [-seed N] [-o out.tsv]
@@ -45,22 +43,21 @@
 // maintains the single-layer fused per-item posteriors — both served from
 // the current generation. With -data DIR, ingest is write-ahead logged under
 // DIR and the engine state is recovered bit-exactly on restart;
-// -checkpoint-every N bounds recovery replay by checkpointing after every N
-// refreshes, -checkpoint-bytes B by checkpointing once B bytes of log entries
-// have been written since the last checkpoint (whatever the segment size), and
-// -checkpoint-interval D (a duration, e.g. 5m) by checkpointing
-// once D of wall-clock time has passed since the last one.
+// -checkpoint-bytes B bounds recovery replay by checkpointing once B bytes
+// of log entries have been written since the last checkpoint (whatever the
+// segment size), and -checkpoint-every N by checkpointing after every N
+// refreshes.
 //
 // A durable serve survives transient disk faults: on a WAL or checkpoint
 // error the engine degrades to read-only (ingest returns 503 with a
 // Retry-After; queries keep serving the last generation), repairs its log
-// tail, and probes the disk with exponential backoff — -probe-backoff and
-// -probe-max-backoff tune the probe cadence — healing automatically once an
-// append+fsync round-trip succeeds. Probes run on write attempts and on
-// /v1/healthz polls alike, so a node drained by its load balancer still
-// heals without write traffic. Health transitions are logged to stderr,
-// and the process exits non-zero only on unrecoverable sealed-region
-// corruption, never on a survivable WAL fault.
+// tail, and probes the disk with exponential backoff (from 500ms, doubling
+// up to 30s), healing automatically once an append+fsync round-trip
+// succeeds. Probes run on write attempts and on /v1/healthz polls alike, so
+// a node drained by its load balancer still heals without write traffic.
+// Health transitions are logged to stderr, and the process exits non-zero
+// only on unrecoverable sealed-region corruption, never on a survivable WAL
+// fault.
 package main
 
 import (
@@ -263,9 +260,6 @@ type serveConfig struct {
 	dataDir         string // "" = in-memory engine
 	checkpointEvery int
 	checkpointBytes int64
-	checkpointIvl   time.Duration
-	probeBackoff    time.Duration
-	probeMaxBackoff time.Duration
 
 	// onListen (when non-nil) receives the bound address once the HTTP
 	// listener is up; stop (when non-nil) replaces SIGINT/SIGTERM as the
@@ -290,9 +284,6 @@ func cmdServe(args []string) (err error) {
 	data := fs.String("data", "", "durable data directory: ingest is write-ahead logged and recovered on restart")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data, checkpoint automatically after every N refreshes (0 = never)")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once this many bytes of write-ahead log entries have been written since the last checkpoint (0 = never)")
-	ckptIvl := fs.Duration("checkpoint-interval", 0, "with -data, checkpoint automatically once this much wall-clock time has passed since the last one (0 = never)")
-	probeBackoff := fs.Duration("probe-backoff", 0, "with -data, initial delay before a degraded (read-only) engine re-probes the disk; doubles per failed probe (0 = default 500ms)")
-	probeMax := fs.Duration("probe-max-backoff", 0, "with -data, cap on the exponential disk-probe backoff (0 = default 30s)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (stdin/file input is an in-process replay of the refresh pipeline)")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -315,9 +306,6 @@ func cmdServe(args []string) (err error) {
 		dataDir:         *data,
 		checkpointEvery: *ckptEvery,
 		checkpointBytes: *ckptBytes,
-		checkpointIvl:   *ckptIvl,
-		probeBackoff:    *probeBackoff,
-		probeMaxBackoff: *probeMax,
 	}
 	cfg.opt.Shards = *shards
 	cfg.opt.Iterations = *iters
@@ -371,11 +359,8 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 	var eng server.Engine
 	if cfg.dataDir != "" {
 		d, err := kbt.OpenDurable(cfg.dataDir, cfg.opt, kbt.DurableOptions{
-			CheckpointEvery:    cfg.checkpointEvery,
-			CheckpointBytes:    cfg.checkpointBytes,
-			CheckpointInterval: cfg.checkpointIvl,
-			ProbeBackoff:       cfg.probeBackoff,
-			ProbeMaxBackoff:    cfg.probeMaxBackoff,
+			CheckpointEvery: cfg.checkpointEvery,
+			CheckpointBytes: cfg.checkpointBytes,
 			OnHealthChange: func(from, to kbt.HealthState, cause error) {
 				if cause != nil {
 					fmt.Fprintf(errw, "kbt serve: health %s -> %s: %v\n", from, to, cause)

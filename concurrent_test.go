@@ -174,7 +174,7 @@ func TestConcurrentReadersSeeCoherentGenerations(t *testing.T) {
 func TestDurableReadersAcrossCompaction(t *testing.T) {
 	opt := durableTestOptions()
 	opt.Fusion = true
-	d, err := OpenDurable(t.TempDir(), opt, DurableOptions{CompactAfterBatches: 3})
+	d, err := OpenDurable(t.TempDir(), opt, DurableOptions{compactAfterBatches: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,13 @@ import (
 )
 
 // defaultCompactAfterBatches bounds the checkpoint chain (and with it the
-// recovery replay cost) when DurableOptions.CompactAfterBatches is zero.
+// recovery replay cost): once the chain carries this many ingest batches, the
+// next checkpoint compacts it.
 const defaultCompactAfterBatches = 256
 
 // DurableOptions configures OpenDurable, on top of the EngineOptions that
 // configure the model itself.
 type DurableOptions struct {
-	// SegmentBytes is the WAL segment roll size (default 4 MiB).
-	SegmentBytes int64
 	// CheckpointEvery, when > 0, runs Checkpoint automatically after every
 	// N-th successful Refresh. Zero means checkpoints are taken only when
 	// Checkpoint is called explicitly or CheckpointBytes triggers.
@@ -33,26 +32,6 @@ type DurableOptions struct {
 	// refreshes the pending records in first (checkpoints sit on refresh
 	// boundaries), so a pure ingest stream still gets bounded log growth.
 	CheckpointBytes int64
-	// CheckpointInterval, when > 0, runs Checkpoint once at least this much
-	// wall-clock time has passed since the last one — checked after every
-	// Ingest and every Refresh, like CheckpointBytes. There is no background
-	// timer: an idle engine takes no checkpoint (nothing new needs
-	// persisting), so the cadence bounds how much *busy* time a recovery can
-	// have to replay, complementing the byte- and count-based triggers.
-	CheckpointInterval time.Duration
-	// CompactAfterBatches bounds the checkpoint chain: once it carries at
-	// least this many ingest-batch ops, the next checkpoint compacts —
-	// writes a single cold-anchor base covering the full record prefix,
-	// removes the deltas, and re-anchors the live engine on that image (the
-	// O(corpus) shape every checkpoint had before chains; see Checkpoint).
-	// Zero means the default 256; negative disables compaction.
-	CompactAfterBatches int
-	// ProbeBackoff is the initial delay before a degraded engine re-probes
-	// the disk (default 500ms). Each failed probe doubles the delay, capped
-	// at ProbeMaxBackoff (default 30s).
-	ProbeBackoff time.Duration
-	// ProbeMaxBackoff caps the exponential probe backoff.
-	ProbeMaxBackoff time.Duration
 	// KeyRetention bounds how many idempotency keys the engine retains, in
 	// memory and across checkpoints: once exceeded, the oldest keys are
 	// evicted. The bound is the client retry window — a resend of an evicted
@@ -66,16 +45,27 @@ type DurableOptions struct {
 	// call back into the engine from it.
 	OnHealthChange func(from, to HealthState, cause error)
 
+	// The hooks below are for tests; zero keeps the production value.
+	//
 	// fs overrides the filesystem; the crash and chaos tests put a
 	// wal.FaultFS here, whose schedule fails chosen operations or kills the
 	// process at a chosen byte. nil means the real filesystem.
 	fs wal.FS
-	// now overrides the clock CheckpointInterval is measured on. nil means
-	// time.Now; the cadence tests inject a fake clock here.
+	// now overrides the probe clock. nil means time.Now; the health tests
+	// inject a fake clock here.
 	now func() time.Time
+	// segmentBytes is the WAL segment roll size (zero: 4 MiB).
+	segmentBytes int64
+	// compactAfterBatches overrides defaultCompactAfterBatches; negative
+	// never compacts.
+	compactAfterBatches int
+	// probeBackoff is the initial delay before a degraded engine re-probes
+	// the disk (zero: 500ms); each failed probe doubles it, capped at
+	// probeMaxBackoff (zero: 30s).
+	probeBackoff, probeMaxBackoff time.Duration
 }
 
-// clock resolves the interval-cadence clock.
+// clock resolves the probe clock.
 func (o DurableOptions) clock() func() time.Time {
 	if o.now != nil {
 		return o.now
@@ -91,9 +81,9 @@ func (o DurableOptions) keyRetention() int {
 	return o.KeyRetention
 }
 
-// probeBackoff resolves the probe-backoff bounds.
-func (o DurableOptions) probeBackoff() (initial, max time.Duration) {
-	initial, max = o.ProbeBackoff, o.ProbeMaxBackoff
+// probeBounds resolves the probe-backoff bounds.
+func (o DurableOptions) probeBounds() (initial, max time.Duration) {
+	initial, max = o.probeBackoff, o.probeMaxBackoff
 	if initial <= 0 {
 		initial = 500 * time.Millisecond
 	}
@@ -196,11 +186,11 @@ type HealthStatus struct {
 // warm carried-over EM state untouched. Recovery replays the chain's op
 // sequence through the same deterministic warm machinery the live engine
 // ran, which is what keeps the bit-identity contract without a re-anchor.
-// Once the chain accumulates CompactAfterBatches ingest ops it is compacted:
-// a single base holding the full record prefix replaces it, and the live
-// engine is re-anchored on that image — a cold recompile of the prefix, the
-// exact state recovery would rebuild — which may move the published
-// estimates: a cold run need not settle where the warm one did
+// Once the chain accumulates defaultCompactAfterBatches ingest ops it is
+// compacted: a single base holding the full record prefix replaces it, and
+// the live engine is re-anchored on that image — a cold recompile of the
+// prefix, the exact state recovery would rebuild — which may move the
+// published estimates: a cold run need not settle where the warm one did
 // (ARCHITECTURE.md, Known limits).
 type DurableEngine struct {
 	// view is the live engine and its lock-free read accessors. Compaction
@@ -224,9 +214,6 @@ type DurableEngine struct {
 	hasChain     bool
 	ckWatermark  uint64
 	chainBatches int
-	// lastCkpt anchors the CheckpointInterval cadence: set at open and after
-	// every checkpoint (including ones that found nothing to persist).
-	lastCkpt time.Time
 
 	// state through nextProbe are the health machine above, guarded by mu.
 	// status is what readers see of it: one immutable healthView, replaced
@@ -262,17 +249,16 @@ type healthView struct {
 // fingerprintVersion tags the layout of engineFingerprint. Pre-1.0, a data
 // directory is readable only by the format version that wrote it: recovery
 // refuses a chain carrying any other tag.
-const fingerprintVersion = "v3"
+const fingerprintVersion = "v4"
 
 // engineFingerprint identifies the model-affecting options a WAL's records
 // were estimated under. Replaying the same records under different options
-// would not reproduce the same model, so recovery refuses a mismatch. The
-// comparison is syntactic (Shards: 0 and the default 8 it resolves to are
-// treated as different); Workers is excluded — parallelism does not change
-// results.
+// would not reproduce the same model, so recovery refuses a mismatch.
+// Workers and Shards are excluded: parallelism does not change results, and
+// the shard count only counts statistics.
 func engineFingerprint(o EngineOptions) string {
-	return fmt.Sprintf("%s g=%d shards=%d dom=%d iter=%d minsup=%d minrep=%g conf=%t absence=%t tol=%g copydetect=%t fusion=%t",
-		fingerprintVersion, o.Granularity, o.Shards, o.DomainSize, o.Iterations, o.MinSupport,
+	return fmt.Sprintf("%s g=%d dom=%d iter=%d minsup=%d minrep=%g conf=%t absence=%t tol=%g copydetect=%t fusion=%t",
+		fingerprintVersion, o.Granularity, o.DomainSize, o.Iterations, o.MinSupport,
 		o.MinReportableTriples, o.UseConfidence, o.AllExtractorsVoteAbsence,
 		o.Tol, o.CopyDetect, o.Fusion)
 }
@@ -313,7 +299,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 	}
 	fp := engineFingerprint(opt)
 	log, err := wal.Open(dir, wal.Options{
-		SegmentBytes: dopt.SegmentBytes,
+		SegmentBytes: dopt.segmentBytes,
 		FS:           dopt.fs,
 	})
 	if err != nil {
@@ -400,7 +386,6 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		return nil, err
 	}
 	d.anchor(eng)
-	d.lastCkpt = dopt.clock()()
 	d.publishLocked()
 	return d, nil
 }
@@ -491,7 +476,7 @@ func (d *DurableEngine) faultLocked(err error) error {
 func (d *DurableEngine) degradeLocked(err error) error {
 	d.faults++
 	d.lastFault = err
-	initial, _ := d.dopt.probeBackoff()
+	initial, _ := d.dopt.probeBounds()
 	d.probeDelay = initial
 	d.nextProbe = d.dopt.clock()().Add(initial)
 	if errors.Is(err, wal.ErrCorrupt) {
@@ -544,7 +529,7 @@ func (d *DurableEngine) probeLocked(now time.Time) error {
 	if err != nil {
 		d.faults++
 		d.lastFault = err
-		_, max := d.dopt.probeBackoff()
+		_, max := d.dopt.probeBounds()
 		d.probeDelay *= 2
 		if d.probeDelay > max {
 			d.probeDelay = max
@@ -556,7 +541,7 @@ func (d *DurableEngine) probeLocked(now time.Time) error {
 		return fmt.Errorf("%w (probe failed): %w", ErrReadOnly, err)
 	}
 	d.heals++
-	d.probeDelay, _ = d.dopt.probeBackoff()
+	d.probeDelay, _ = d.dopt.probeBounds()
 	d.setHealthLocked(StateHealthy, nil)
 	return nil
 }
@@ -723,13 +708,12 @@ func (d *DurableEngine) appendLocked(payload []byte) error {
 }
 
 // cadenceDue reports whether a checkpoint cadence has come due: the refresh
-// count, the bytes logged since the last checkpoint, or the wall clock.
+// count or the bytes logged since the last checkpoint.
 // Called with d.mu held, after an applied Ingest or Refresh.
 func (d *DurableEngine) cadenceDue() bool {
 	o := d.dopt
 	return o.CheckpointEvery > 0 && d.refreshes >= o.CheckpointEvery ||
-		o.CheckpointBytes > 0 && d.logged >= o.CheckpointBytes ||
-		o.CheckpointInterval > 0 && o.clock()().Sub(d.lastCkpt) >= o.CheckpointInterval
+		o.CheckpointBytes > 0 && d.logged >= o.CheckpointBytes
 }
 
 // Checkpoint persists the operations performed since the last checkpoint as
@@ -766,7 +750,6 @@ func (d *DurableEngine) checkpointLocked() error {
 	watermark := d.log.NextSeq()
 	if d.hasChain && len(d.opsSince) == 0 && watermark == d.ckWatermark {
 		d.refreshes, d.logged = 0, 0
-		d.lastCkpt = d.dopt.clock()()
 		return nil // nothing happened since the last checkpoint
 	}
 	fp := engineFingerprint(d.opt)
@@ -776,7 +759,7 @@ func (d *DurableEngine) checkpointLocked() error {
 			newBatches++
 		}
 	}
-	compactAfter := d.dopt.CompactAfterBatches
+	compactAfter := d.dopt.compactAfterBatches
 	if compactAfter == 0 {
 		compactAfter = defaultCompactAfterBatches
 	}
@@ -837,7 +820,6 @@ func (d *DurableEngine) checkpointLocked() error {
 				d.chainBatches += newBatches
 				d.opsSince = nil
 				d.refreshes, d.logged = 0, 0
-				d.lastCkpt = d.dopt.clock()()
 			}
 			return &storageFault{err}
 		}
@@ -856,7 +838,6 @@ func (d *DurableEngine) checkpointLocked() error {
 	d.ckWatermark = watermark
 	d.opsSince = nil
 	d.refreshes, d.logged = 0, 0
-	d.lastCkpt = d.dopt.clock()()
 	if err := d.log.TruncateBefore(watermark); err != nil {
 		return &storageFault{err}
 	}

@@ -287,7 +287,7 @@ func TestDurableCrashSweep(t *testing.T) {
 		dir := t.TempDir()
 		var acked int
 		cfs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpCrash, After: int(budget)})
-		d, err := OpenDurable(dir, opt, DurableOptions{SegmentBytes: 512, fs: cfs})
+		d, err := OpenDurable(dir, opt, DurableOptions{segmentBytes: 512, fs: cfs})
 		if err == nil {
 			var serr error
 			acked, serr = runScript(d, script)
@@ -295,7 +295,7 @@ func TestDurableCrashSweep(t *testing.T) {
 			d.Close()
 		}
 
-		rec, err := OpenDurable(dir, opt, DurableOptions{SegmentBytes: 512})
+		rec, err := OpenDurable(dir, opt, DurableOptions{segmentBytes: 512})
 		if err != nil {
 			t.Fatalf("budget %d: recovery failed: %v", budget, err)
 		}
@@ -413,7 +413,7 @@ func TestDurableRecoveredEqualsLive(t *testing.T) {
 func TestDurableCheckpointEvery(t *testing.T) {
 	opt := durableTestOptions()
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, opt, DurableOptions{CheckpointEvery: 2, SegmentBytes: 256})
+	d, err := OpenDurable(dir, opt, DurableOptions{CheckpointEvery: 2, segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,6 +569,43 @@ func TestDurableFingerprintMismatch(t *testing.T) {
 	rec.Close()
 }
 
+// TestDurableReopensUnderAnotherShardCount: the shard count only counts
+// refresh statistics, so it is not part of the fingerprint — a directory
+// written under one Shards reopens under another and serves the generation
+// it closed on.
+func TestDurableReopensUnderAnotherShardCount(t *testing.T) {
+	opt := durableTestOptions()
+	opt.Shards = 8
+	opt.CopyDetect = true
+	opt.Fusion = true
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, opt, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runScript(d, durableScript()); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := d.Current()
+	if !ok {
+		t.Fatal("no generation before close")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opt.Shards = 64
+	rec, err := OpenDurable(dir, opt, DurableOptions{})
+	if err != nil {
+		t.Fatalf("reopen under another shard count: %v", err)
+	}
+	defer rec.Close()
+	got, ok := rec.Current()
+	if !ok {
+		t.Fatal("no generation after reopen")
+	}
+	assertResultsIdentical(t, "shards 8 -> 64", want, got)
+}
+
 // TestDurableRefusesOtherFormatVersion: the on-disk version policy. A chain
 // whose fingerprint carries an older layout tag is refused with an error that
 // names both the version found and the one this binary reads.
@@ -656,7 +693,7 @@ func TestDurableCheckpointDuringIngest(t *testing.T) {
 			mu    sync.Mutex
 			acked []triple.Record
 		)
-		d, err := OpenDurable(dir, opt, DurableOptions{SegmentBytes: 512, fs: cfs})
+		d, err := OpenDurable(dir, opt, DurableOptions{segmentBytes: 512, fs: cfs})
 		if err == nil {
 			var wg sync.WaitGroup
 			ingestDone, ckptDone := false, false
@@ -697,7 +734,7 @@ func TestDurableCheckpointDuringIngest(t *testing.T) {
 			completed = ingestDone && ckptDone
 		}
 
-		rec, err := OpenDurable(dir, opt, DurableOptions{SegmentBytes: 512})
+		rec, err := OpenDurable(dir, opt, DurableOptions{segmentBytes: 512})
 		if err != nil {
 			t.Fatalf("budget %d: recovery failed: %v", budget, err)
 		}
@@ -737,7 +774,7 @@ func TestDurableCheckpointDuringIngest(t *testing.T) {
 func TestDurableCheckpointBytes(t *testing.T) {
 	opt := durableTestOptions()
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, opt, DurableOptions{CheckpointBytes: 1, SegmentBytes: 256})
+	d, err := OpenDurable(dir, opt, DurableOptions{CheckpointBytes: 1, segmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +825,7 @@ func TestDurableCheckpointBytes(t *testing.T) {
 func TestDurableWALBytesOwed(t *testing.T) {
 	opt := durableTestOptions()
 	dir := t.TempDir()
-	dopt := DurableOptions{SegmentBytes: 256}
+	dopt := DurableOptions{segmentBytes: 256}
 	d, err := OpenDurable(dir, opt, dopt)
 	if err != nil {
 		t.Fatal(err)
@@ -853,7 +890,7 @@ func TestDurableCheckpointBytesCadence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := durableTestOptions()
 			dir := t.TempDir()
-			dopt := DurableOptions{CheckpointBytes: tc.threshold, SegmentBytes: tc.segment}
+			dopt := DurableOptions{CheckpointBytes: tc.threshold, segmentBytes: tc.segment}
 			d, err := OpenDurable(dir, opt, dopt)
 			if err != nil {
 				t.Fatal(err)
@@ -896,13 +933,13 @@ func TestDurableCheckpointBytesCadence(t *testing.T) {
 	}
 }
 
-// TestDurableCompaction: the chain grows by deltas until CompactAfterBatches,
+// TestDurableCompaction: the chain grows by deltas until compactAfterBatches,
 // then collapses to a single cold-anchor base with no delta files left, and
 // recovery keeps matching the live engine across the compaction boundary.
 func TestDurableCompaction(t *testing.T) {
 	opt := durableTestOptions()
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, opt, DurableOptions{CompactAfterBatches: 3})
+	d, err := OpenDurable(dir, opt, DurableOptions{compactAfterBatches: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -947,7 +984,7 @@ func TestDurableCompaction(t *testing.T) {
 	if n := countDeltas(); n != 1 {
 		t.Fatalf("second checkpoint left %d deltas, want 1", n)
 	}
-	step() // 3 >= CompactAfterBatches: compaction
+	step() // 3 >= compactAfterBatches: compaction
 	if n := countDeltas(); n != 0 {
 		t.Fatalf("compaction left %d deltas, want 0", n)
 	}
@@ -1007,102 +1044,6 @@ func TestDurableClosed(t *testing.T) {
 	}
 }
 
-// TestDurableCheckpointInterval: the wall-clock cadence (driven here by a
-// fake clock) takes a checkpoint only once the interval has elapsed since the
-// last one, on either Ingest or Refresh, and re-anchors after each trigger.
-func TestDurableCheckpointInterval(t *testing.T) {
-	opt := durableTestOptions()
-	dir := t.TempDir()
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time { return now }
-	d, err := OpenDurable(dir, opt, DurableOptions{
-		CheckpointInterval: time.Minute,
-		SegmentBytes:       256,
-		now:                clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	ingest := func(n int) {
-		t.Helper()
-		batch := make([]Extraction, n)
-		for i := range batch {
-			batch[i] = durableExtraction(next)
-			next++
-		}
-		if err := d.Ingest(batch...); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Inside the interval: no checkpoint, regardless of activity.
-	ingest(5)
-	if _, err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(59 * time.Second)
-	ingest(5)
-	if _, ok, err := wal.ReadCheckpoint(nil, dir); err != nil || ok {
-		t.Fatalf("checkpoint inside the interval: ok=%v err=%v", ok, err)
-	}
-
-	// Crossing the interval: the next Ingest both checkpoints and flushes
-	// the pending records through the implicit refresh.
-	now = now.Add(2 * time.Second)
-	ingest(5)
-	ck, ok, err := wal.ReadCheckpoint(nil, dir)
-	if err != nil || !ok {
-		t.Fatalf("no checkpoint after the interval elapsed: ok=%v err=%v", ok, err)
-	}
-	if got := len(ck.AllRecords()); got != next {
-		t.Fatalf("checkpoint covers %d records, want %d", got, next)
-	}
-	if p := d.Pending(); p != 0 {
-		t.Fatalf("%d records still pending after interval-triggered checkpoint", p)
-	}
-
-	// The trigger re-anchored the cadence: more activity inside the fresh
-	// interval stays checkpoint-free, and a Refresh past it triggers again.
-	ingest(5)
-	if _, err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	ck2, ok, err := wal.ReadCheckpoint(nil, dir)
-	if err != nil || !ok {
-		t.Fatal("first checkpoint vanished")
-	}
-	if got := len(ck2.AllRecords()); got != 15 {
-		t.Fatalf("checkpoint moved inside the interval: covers %d records", got)
-	}
-	now = now.Add(61 * time.Second)
-	if _, err := d.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	ck3, ok, err := wal.ReadCheckpoint(nil, dir)
-	if err != nil || !ok {
-		t.Fatal("no second interval checkpoint")
-	}
-	if got := len(ck3.AllRecords()); got != next {
-		t.Fatalf("second checkpoint covers %d records, want %d", got, next)
-	}
-
-	live, _ := d.Current()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := OpenDurable(dir, opt, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	got, ok := rec.Current()
-	if !ok {
-		t.Fatal("no recovered generation")
-	}
-	assertResultsIdentical(t, "interval-cadence", got, live)
-}
-
 // durableBatch builds a batch of n sequential scripted extractions.
 func durableBatch(first, n int) []Extraction {
 	b := make([]Extraction, n)
@@ -1129,8 +1070,8 @@ func TestDurableHealthDegradeAndHeal(t *testing.T) {
 	d, err := OpenDurable(dir, opt, DurableOptions{
 		fs:              ffs,
 		now:             clock,
-		ProbeBackoff:    time.Second,
-		ProbeMaxBackoff: 8 * time.Second,
+		probeBackoff:    time.Second,
+		probeMaxBackoff: 8 * time.Second,
 		OnHealthChange: func(from, to HealthState, cause error) {
 			transitions = append(transitions, fmt.Sprintf("%s->%s", from, to))
 		},
@@ -1246,7 +1187,7 @@ func TestDurableIngestAckedWhenItsCheckpointFails(t *testing.T) {
 	// The first rename is the first checkpoint's publication.
 	ffs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpRename, Err: wal.ErrInjectedIO, Times: 1})
 	d, err := OpenDurable(dir, opt, DurableOptions{
-		fs: ffs, now: func() time.Time { return now }, CheckpointBytes: 1, ProbeBackoff: time.Second,
+		fs: ffs, now: func() time.Time { return now }, CheckpointBytes: 1, probeBackoff: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1292,7 +1233,7 @@ func TestDurableHealthProbeBackoff(t *testing.T) {
 	// Persistent: every fsync after segment creation fails, forever.
 	ffs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpSync, After: 1, Err: wal.ErrInjectedIO})
 	d, err := OpenDurable(t.TempDir(), opt, DurableOptions{
-		fs: ffs, now: clock, ProbeBackoff: time.Second, ProbeMaxBackoff: 4 * time.Second,
+		fs: ffs, now: clock, probeBackoff: time.Second, probeMaxBackoff: 4 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1331,7 +1272,7 @@ func TestDurableHealthSealedOnCorruption(t *testing.T) {
 	ffs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpSync, After: 2, Err: wal.ErrCorrupt, Times: 1})
 	var transitions []string
 	d, err := OpenDurable(t.TempDir(), opt, DurableOptions{
-		fs: ffs, now: clock, ProbeBackoff: time.Second,
+		fs: ffs, now: clock, probeBackoff: time.Second,
 		OnHealthChange: func(from, to HealthState, cause error) {
 			transitions = append(transitions, fmt.Sprintf("%s->%s", from, to))
 		},
@@ -1525,10 +1466,10 @@ func TestDurableChaosSweep(t *testing.T) {
 			now := time.Unix(1_700_000_000, 0)
 			clock := func() time.Time { now = now.Add(300 * time.Millisecond); return now }
 			dopt := DurableOptions{
-				SegmentBytes:        512,
-				CompactAfterBatches: -1, // no re-anchor: keeps live-vs-oracle bit-identity exact
-				ProbeBackoff:        200 * time.Millisecond,
-				ProbeMaxBackoff:     2 * time.Second,
+				segmentBytes:        512,
+				compactAfterBatches: -1, // no re-anchor: keeps live-vs-oracle bit-identity exact
+				probeBackoff:        200 * time.Millisecond,
+				probeMaxBackoff:     2 * time.Second,
 				fs:                  ffs,
 				now:                 clock,
 			}
@@ -1731,7 +1672,7 @@ func TestDurableChaosSweep(t *testing.T) {
 func TestDurableCompactionPreservesKeys(t *testing.T) {
 	opt := durableTestOptions()
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, opt, DurableOptions{CompactAfterBatches: 2})
+	d, err := OpenDurable(dir, opt, DurableOptions{compactAfterBatches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1801,7 +1742,7 @@ func TestDurableHealthHealsWithoutWrites(t *testing.T) {
 	// once; the disk is healthy again from sync 3 on.
 	ffs := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpSync, After: 2, Err: wal.ErrInjectedIO, Times: 1})
 	d, err := OpenDurable(t.TempDir(), opt, DurableOptions{
-		fs: ffs, now: clock, ProbeBackoff: time.Second,
+		fs: ffs, now: clock, probeBackoff: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1835,7 +1776,7 @@ func TestDurableHealthHealsWithoutWrites(t *testing.T) {
 	// probes a closed log.
 	ffs2 := wal.NewFaultFS(nil, wal.Fault{Op: wal.OpSync, After: 1, Err: wal.ErrInjectedIO})
 	d2, err := OpenDurable(t.TempDir(), opt, DurableOptions{
-		fs: ffs2, now: clock, ProbeBackoff: time.Second,
+		fs: ffs2, now: clock, probeBackoff: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,8 @@ type EngineOptions struct {
 	// refreshes stop early, and a warm Refresh whose ingest barely moves
 	// the estimates returns after a single partial pass — production
 	// deployments trading a little precision for steady-state refresh
-	// latency should raise this to ~1e-4.
+	// latency should raise this to ~1e-4. Iterations and Tol govern the
+	// Fusion store too: it stops at the same iteration cap and tolerance.
 	Tol float64
 
 	// CopyDetect maintains streaming copy detection across refreshes: each

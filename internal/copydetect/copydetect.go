@@ -100,7 +100,6 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 	type pairKey struct{ a, b int }
 	type pairEv struct {
 		sharedTrue, sharedFalse int
-		items                   map[int]bool
 	}
 	pairs := make(map[pairKey]*pairEv)
 
@@ -140,10 +139,9 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 					k := pairKey{providers[i], providers[j]}
 					pe := pairs[k]
 					if pe == nil {
-						pe = &pairEv{items: make(map[int]bool)}
+						pe = &pairEv{}
 						pairs[k] = pe
 					}
-					pe.items[d] = true
 					if isTrue {
 						pe.sharedTrue++
 					} else {

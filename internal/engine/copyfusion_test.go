@@ -10,6 +10,7 @@ import (
 	"kbt/internal/copydetect"
 	"kbt/internal/fusion"
 	"kbt/internal/triple"
+	"kbt/internal/websim"
 )
 
 // resultEvidence adapts a published generation to the detector's evidence
@@ -332,4 +333,74 @@ func TestCopyFusionJoinedOnError(t *testing.T) {
 			t.Fatal("Refresh returned without clearing its run")
 		}
 	}
+}
+
+// TestCopyFusionSettlesAtEngineTol: with Fuse left zero, the fusion store
+// takes the engine's iteration cap and tolerance, so on a web stream at the
+// serve settings (MaxIter 30, Tol 1e-4) its warm refreshes settle and re-fuse
+// only part of the corpus — at the paper's 5 iterations and 1e-9 every one
+// re-fuses every item. Each refresh's fusion result is bit-equal to a
+// standalone fusion.Incremental fed the same batches at the derived options.
+func TestCopyFusionSettlesAtEngineTol(t *testing.T) {
+	p := websim.DefaultParams().Scale(0.3)
+	p.Seed = 9
+	world, err := websim.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := world.Dataset.Records
+
+	opt := DefaultOptions()
+	opt.Core.MaxIter = 30
+	opt.Core.Tol = 1e-4
+	opt.Fusion = true
+	e := New(opt)
+	fopt := fusion.DefaultOptions()
+	fopt.MaxIter, fopt.Tol = opt.Core.MaxIter, opt.Core.Tol
+	ref, err := fusion.NewIncremental(fopt, triple.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const batch = 100
+	partial := 0
+	for start := 0; start < len(recs); start += batch {
+		end := min(start+batch, len(recs))
+		if err := e.Ingest(recs[start:end]...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Refresh(recs[:end], recs[start:end])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := fmt.Sprintf("batch at %d", start)
+		gf := got.Fusion
+		if gf.Iterations != want.Iterations || got.FusedItems != ref.FusedLast() {
+			t.Fatalf("%s: %d iterations over %d items, standalone %d over %d",
+				tag, gf.Iterations, got.FusedItems, want.Iterations, ref.FusedLast())
+		}
+		if !reflect.DeepEqual(gf.Updated, want.Updated) || !reflect.DeepEqual(gf.CoveredItem, want.CoveredItem) {
+			t.Fatalf("%s: fusion participation/coverage diverges from the standalone store", tag)
+		}
+		if !sameBits(gf.Accuracy, want.Accuracy) || !sameBits(gf.RestMass, want.RestMass) ||
+			len(gf.ValueProb) != len(want.ValueProb) {
+			t.Fatalf("%s: fusion parameters diverge from the standalone store", tag)
+		}
+		for di := range gf.ValueProb {
+			if !sameBits(gf.ValueProb[di], want.ValueProb[di]) {
+				t.Fatalf("%s: fused posterior of item %d diverges from the standalone store", tag, di)
+			}
+		}
+		if start > 0 && got.FusedItems < len(got.FusionSnap.ItemValues) {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no warm refresh re-fused fewer items than the fusion snapshot holds")
+	}
+	t.Logf("%d of %d warm refreshes partial", partial, (len(recs)-1)/batch)
 }

@@ -133,9 +133,10 @@ type Options struct {
 	// the fusion Tol (fusion.Incremental). The fused posteriors publish with
 	// the generation (Result.Fusion / Result.FusionSnap).
 	Fusion bool
-	// Fuse configures fusion; a zero N means fusion.DefaultOptions(). Under
-	// FullRecompile or FullAggregates the store runs with full M-step
-	// aggregation — the fusion oracle mode.
+	// Fuse configures fusion; a zero N means fusion.DefaultOptions() with
+	// Core's MaxIter and Tol, so the store settles under the engine's
+	// iteration cap and tolerance. Under FullRecompile or FullAggregates the
+	// store runs with full M-step aggregation — the fusion oracle mode.
 	Fuse fusion.Options
 }
 
@@ -285,6 +286,7 @@ func New(opt Options) *Engine {
 	if opt.Fusion {
 		if opt.Fuse.N == 0 {
 			opt.Fuse = fusion.DefaultOptions()
+			opt.Fuse.MaxIter, opt.Fuse.Tol = opt.Core.MaxIter, opt.Core.Tol
 		}
 		if opt.FullRecompile || opt.FullAggregates {
 			opt.Fuse.FullAggregates = true

@@ -69,7 +69,8 @@ func (o EngineOptions) engineOptions() (engine.Options, error) {
 	// maintaining the dependence statistics and discounting detected
 	// copiers' votes. (The internal layer keeps them separable for the
 	// equivalence harnesses.) Detector and fusion parameters stay at the
-	// paper's defaults — engine.New fills them in.
+	// paper's defaults, but for fusion's iteration cap and tolerance, which
+	// follow Iterations and Tol — engine.New fills them in.
 	eopt.CopyDetect = o.CopyDetect
 	eopt.CopyDiscount = o.CopyDetect
 	eopt.Fusion = o.Fusion
