@@ -383,8 +383,8 @@ type RefreshStats struct {
 	// Warm reports whether the refresh reused the previous posteriors.
 	Warm bool
 	// NoOp reports that the refresh had nothing to do — no pending
-	// extractions and an already-converged estimate — and served the cached
-	// result unchanged.
+	// extractions, and the estimate and (with Fusion) the fused posteriors
+	// already converged — and served the cached result unchanged.
 	NoOp bool
 	// FirstPassShards of TotalShards were re-estimated in the first EM
 	// iteration; a small fraction means the ingest stayed local.
@@ -417,7 +417,8 @@ type RefreshStats struct {
 	// gained a candidate triple (zero when CopyDetect is off, and on a NoOp
 	// refresh). FusedItems / FusionIterations report the fusion work of the
 	// refresh: distinct items re-fused and fusion EM iterations run (zero
-	// when Fusion is off, and on a NoOp refresh).
+	// when Fusion is off, and when the refresh carried converged fused
+	// posteriors, as a NoOp refresh does).
 	CopyPairs, CopyItems, FusedItems, FusionIterations int
 	// Times is where the refresh's wall time went (zero on a NoOp refresh).
 	Times RefreshTimes

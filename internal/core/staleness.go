@@ -8,7 +8,7 @@ import (
 )
 
 // This file maintains the per-unit staleness ledger behind the engine's
-// confined settling sweeps, and the ScopeSet those sweeps run over.
+// confined settling sweeps, the ScopeSet those sweeps run over, and Settle.
 //
 // The engine caches every item's E-step outputs between iterations and
 // refreshes. A cached posterior goes stale when a parameter it was computed
@@ -89,11 +89,12 @@ type staleLedger struct {
 
 // ScopeSet is a dirty set of marked items, or of every item. It also records
 // which units a settling pass was widened for, so SettleScopes can reset
-// exactly their drift. The engine keeps ScopeSets across refreshes and Resets
-// them per use; nothing here allocates once the buffers have grown to corpus
+// exactly their drift. The engine and the fusion store keep ScopeSets across
+// refreshes and Reset them per use; nothing here allocates once the buffers have grown to corpus
 // size.
 type ScopeSet struct {
 	all bool // every item in scope (MarkAllFull, or every item marked)
+	n   int  // the item count of the last Reset
 
 	itemMark []bool // per dense item id: item in scope (narrow marks)
 	items    []int  // the marked item ids, unordered
@@ -109,7 +110,7 @@ func NewScopeSet() *ScopeSet { return &ScopeSet{} }
 
 // Reset clears the scope for nItems items, retaining buffers.
 func (sc *ScopeSet) Reset(nItems int) {
-	sc.all = false
+	sc.all, sc.n = false, nItems
 	if len(sc.itemMark) < nItems {
 		sc.itemMark = append(sc.itemMark, make([]bool, nItems-len(sc.itemMark))...)
 	}
@@ -129,7 +130,7 @@ func (sc *ScopeSet) MergeFrom(base *ScopeSet) {
 		return
 	}
 	for _, d := range base.items {
-		sc.markItem(d)
+		sc.Mark(d)
 	}
 }
 
@@ -142,9 +143,9 @@ func (sc *ScopeSet) MarkAllFull() int {
 	return 1
 }
 
-// markItem puts one item in scope; no-op (0) when everything already is or
-// the item is already marked.
-func (sc *ScopeSet) markItem(d int) int {
+// Mark puts one item in scope and reports 1, or 0 when everything already is
+// or the item is already marked.
+func (sc *ScopeSet) Mark(d int) int {
 	if sc.all || sc.itemMark[d] {
 		return 0
 	}
@@ -153,35 +154,63 @@ func (sc *ScopeSet) markItem(d int) int {
 	return 1
 }
 
+// Marked reports whether item d is in scope.
+func (sc *ScopeSet) Marked(d int) bool { return sc.all || sc.itemMark[d] }
+
 // AllFull reports whether every item is in scope: marked so, or — after
-// CompileScope — every item marked narrowly.
+// Items — every item marked narrowly.
 func (sc *ScopeSet) AllFull() bool { return sc.all }
 
-// denseGatherDenom bounds the sort in CompileScope: narrow marks covering at
-// least 1/denseGatherDenom of the items are gathered by scanning the mark
-// array instead, so no corpus-sized list is ever sorted.
+// Settle is Algorithm 1's settling loop, which the multi-layer engine and
+// the single-layer fusion store share: widen marks the next pass's scope and
+// reports how many items it adds beyond the ingest footprint (a pass whose
+// scope reaches past the footprint is an escalation, the first one too),
+// enter readies pass iter over that scope, and pass runs it and reports
+// whether the parameters settled. A settled pass converges only when its successor
+// scope adds nothing: a unit whose drift crossed the tolerance on that very
+// step settles first, so a converged result is published within contract.
+// A final pass that did not settle marks no successor, which would never
+// run. maxIter must be at least 1.
+func Settle(maxIter int, widen func() (stale int), enter func(iter int), pass func(iter int) (settled bool)) (iterations int, converged bool, escalations int) {
+	stale := widen()
+	for iter := 1; ; iter++ {
+		if stale > 0 {
+			escalations++
+		}
+		enter(iter)
+		settled := pass(iter)
+		if !settled && iter >= maxIter {
+			return iter, false, escalations
+		}
+		stale = widen()
+		if converged = settled && stale == 0; converged || iter >= maxIter {
+			return iter, converged, escalations
+		}
+	}
+}
+
+// denseGatherDenom bounds the sort in Items: narrow marks covering at least
+// 1/denseGatherDenom of the items are gathered by scanning the mark array
+// instead, so no corpus-sized list is ever sorted.
 const denseGatherDenom = 16
 
-// CompileScope resolves the marks into what a settling pass runs over: the
-// scope's items in ascending dense-id order and exactly those items'
-// candidate triples behind them, item by item — or nil, nil when every item
-// is in scope (marked so, or every item marked narrowly, which sets AllFull):
-// the kernels' own "every index" path. Ascending order is what makes a pass
-// one sequential read of the per-item and per-triple arrays. Deterministic
-// for a given mark set, so the fast path and the FullRecompile oracle run
-// identical lists. The lists are valid until the next CompileScope on this
-// EM.
-func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
-	led, nItems := em.st.ledger, len(em.st.s.Items)
-	if len(sc.items) == nItems && nItems > 0 {
+// Items gathers the scope's items into dst's buffer in ascending id order —
+// or returns nil when every item is in scope (marked so, or every item
+// marked narrowly, which sets AllFull). An empty scope gives an empty list,
+// never nil. Deterministic for a given mark set.
+func (sc *ScopeSet) Items(dst []int) []int {
+	if len(sc.items) == sc.n && sc.n > 0 {
 		sc.all = true
 	}
 	if sc.all {
-		return nil, nil
+		return nil
 	}
-	items, tris = led.passItems[:0], led.passTris[:0]
-	if len(sc.items)*denseGatherDenom >= nItems {
-		for d, m := range sc.itemMark[:nItems] {
+	items := dst[:0]
+	if items == nil {
+		items = []int{} // a nil list reads as every item
+	}
+	if len(sc.items)*denseGatherDenom >= sc.n {
+		for d, m := range sc.itemMark[:sc.n] {
 			if m {
 				items = append(items, d)
 			}
@@ -190,6 +219,22 @@ func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 		items = append(items, sc.items...)
 		slices.Sort(items)
 	}
+	return items
+}
+
+// CompileScope resolves the marks into what a settling pass runs over: the
+// scope's items in ascending dense-id order (Items) and exactly those items'
+// candidate triples behind them, item by item — or nil, nil when every item
+// is in scope: the kernels' own "every index" path. Ascending order is what
+// makes a pass one sequential read of the per-item and per-triple arrays.
+// The fast path and the FullRecompile oracle run identical lists. The lists
+// are valid until the next CompileScope on this EM.
+func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
+	led := em.st.ledger
+	if items = sc.Items(led.passItems); items == nil {
+		return nil, nil
+	}
+	tris = led.passTris[:0]
 	for _, d := range items {
 		tris = append(tris, em.st.s.TriplesOfItem[d]...)
 	}
@@ -279,7 +324,7 @@ func (em *EM) MarkStale(tol float64, sc *ScopeSet) int {
 		}
 		for _, c := range st.cellsOfExtractor[e] {
 			for _, ti := range led.triplesOfCell[c] {
-				added += sc.markItem(int(s.Triples[ti].D))
+				added += sc.Mark(int(s.Triples[ti].D))
 			}
 		}
 		sc.settledExt = append(sc.settledExt, int32(e))
@@ -292,7 +337,7 @@ func (em *EM) MarkStale(tol float64, sc *ScopeSet) int {
 			return added + sc.MarkAllFull()
 		}
 		for _, ti := range s.TriplesOfSource[w] {
-			added += sc.markItem(int(s.Triples[ti].D))
+			added += sc.Mark(int(s.Triples[ti].D))
 		}
 		sc.settledSrc = append(sc.settledSrc, int32(w))
 	}
@@ -314,7 +359,7 @@ func (em *EM) MarkCellItems(w, p int, sc *ScopeSet) bool {
 		return false
 	}
 	for _, ti := range led.triplesOfCell[c] {
-		sc.markItem(int(st.s.Triples[ti].D))
+		sc.Mark(int(st.s.Triples[ti].D))
 	}
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"kbt/internal/triple"
@@ -53,7 +54,7 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 		marked := make([]bool, nItems)
 		all := false
 		mark := func(d int) {
-			sc.markItem(d)
+			sc.Mark(d)
 			marked[d] = true
 		}
 		saturate := func(si int) {
@@ -238,7 +239,7 @@ func TestCompileScopeEveryItemMarked(t *testing.T) {
 	sc := NewScopeSet()
 	sc.Reset(len(s.Items))
 	for d := range s.Items {
-		sc.markItem(d)
+		sc.Mark(d)
 	}
 	if items, tris := em.CompileScope(sc); !sc.AllFull() || items != nil || tris != nil {
 		t.Fatalf("marks on every item compiled to AllFull=%v, %d items, %d triples; want the nil pass", sc.AllFull(), len(items), len(tris))
@@ -401,6 +402,107 @@ func TestSourceDriftChargedWhereAIsWritten(t *testing.T) {
 				}
 				check(fmt.Sprintf("step %d, %s", step, what))
 			}
+		}
+	}
+}
+
+// TestSettleSchedule drives Settle with scripted steps and pins its schedule:
+// a first pass whose scope reaches past the footprint is an escalation; a
+// settled pass whose successor scope adds items takes another pass; a final
+// pass that did not settle marks no successor scope; the iterations never
+// exceed maxIter; and only a settled pass with nothing stale converges. The
+// scripted cases name each rule, and random scripts check the bounds and the
+// call order of every schedule.
+func TestSettleSchedule(t *testing.T) {
+	// run plays a script: widen returns stale[k] on its k-th call (0 past
+	// the end), pass settles[iter-1] (false past the end). The log reads
+	// "w" per widen, "eN"/"pN" per enter/pass of iteration N.
+	run := func(maxIter int, stale []int, settles []bool) (log []string, iters int, conv bool, esc int) {
+		widens := 0
+		widen := func() int {
+			log = append(log, "w")
+			widens++
+			if widens <= len(stale) {
+				return stale[widens-1]
+			}
+			return 0
+		}
+		enter := func(iter int) { log = append(log, fmt.Sprintf("e%d", iter)) }
+		pass := func(iter int) bool {
+			log = append(log, fmt.Sprintf("p%d", iter))
+			return iter <= len(settles) && settles[iter-1]
+		}
+		iters, conv, esc = Settle(maxIter, widen, enter, pass)
+		return log, iters, conv, esc
+	}
+	for _, c := range []struct {
+		name    string
+		maxIter int
+		stale   []int
+		settles []bool
+		log     string
+		iters   int
+		conv    bool
+		esc     int
+	}{
+		{"first pass beyond the footprint escalates", 5, []int{3, 0}, []bool{true},
+			"w e1 p1 w", 1, true, 1},
+		{"settled step whose widen adds items passes again", 5, []int{0, 2, 0}, []bool{true, true},
+			"w e1 p1 w e2 p2 w", 2, true, 1},
+		{"unsettled final pass calls no widen", 2, []int{0, 0}, []bool{false, false},
+			"w e1 p1 w e2 p2", 2, false, 0},
+		{"settled final pass with stale items stops unconverged", 1, []int{0, 4}, []bool{true},
+			"w e1 p1 w", 1, false, 0},
+		{"unsettled pass with nothing stale continues", 3, []int{0, 0, 0}, []bool{false, true},
+			"w e1 p1 w e2 p2 w", 2, true, 0},
+	} {
+		log, iters, conv, esc := run(c.maxIter, c.stale, c.settles)
+		if got := strings.Join(log, " "); got != c.log || iters != c.iters || conv != c.conv || esc != c.esc {
+			t.Errorf("%s: log %q, %d iterations, converged %v, %d escalations; want %q, %d, %v, %d",
+				c.name, got, iters, conv, esc, c.log, c.iters, c.conv, c.esc)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		maxIter := rng.Intn(6) + 1
+		stale := make([]int, maxIter+1)
+		settles := make([]bool, maxIter)
+		for i := range stale {
+			stale[i] = rng.Intn(3) * rng.Intn(2)
+		}
+		for i := range settles {
+			settles[i] = rng.Intn(2) == 0
+		}
+		log, iters, conv, esc := run(maxIter, stale, settles)
+		tag := fmt.Sprintf("trial %d (maxIter %d, stale %v, settles %v): log %q", trial, maxIter, stale, settles, log)
+		if iters < 1 || iters > maxIter {
+			t.Fatalf("%s: %d iterations", tag, iters)
+		}
+		// The log is w, then per iteration "eN pN" and a widen unless the
+		// final pass did not settle.
+		want, widens := []string{"w"}, 1
+		for it := 1; it <= iters; it++ {
+			want = append(want, fmt.Sprintf("e%d", it), fmt.Sprintf("p%d", it))
+			if it < iters || settles[it-1] || it < maxIter {
+				want = append(want, "w")
+				widens++
+			}
+		}
+		if !slices.Equal(log, want) {
+			t.Fatalf("%s: want %q", tag, want)
+		}
+		wantEsc := 0
+		for k := 0; k < iters; k++ {
+			if stale[k] > 0 {
+				wantEsc++
+			}
+		}
+		if esc != wantEsc {
+			t.Fatalf("%s: %d escalations, want %d", tag, esc, wantEsc)
+		}
+		if last := settles[iters-1] && stale[widens-1] == 0; conv != last {
+			t.Fatalf("%s: converged %v, last pass settled %v with %d stale", tag, conv, settles[iters-1], stale[widens-1])
 		}
 	}
 }

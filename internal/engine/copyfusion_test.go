@@ -404,3 +404,92 @@ func TestCopyFusionSettlesAtEngineTol(t *testing.T) {
 	}
 	t.Logf("%d of %d warm refreshes partial", partial, (len(recs)-1)/batch)
 }
+
+// TestNoOpWaitsForFusion: with nothing pending each layer resumes only while
+// its last result is unconverged, and NoOp waits for both. The corpus is
+// ingested whole, then refreshed until NoOp under two caps: the multi-layer
+// estimate converges within its 30 iterations while fusion, capped at 2,
+// takes many resumes; and the reverse. Every generation's fusion result must
+// equal a standalone store's refreshed the same way — Refresh(recs, recs),
+// then Refresh(recs, nil) while its last result is unconverged. A converged
+// layer must be carried while the other resumes, and the first NoOp must
+// have both layers converged.
+func TestNoOpWaitsForFusion(t *testing.T) {
+	p := websim.DefaultParams().Scale(0.3)
+	p.Seed = 9
+	world, err := websim.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := world.Dataset.Records
+	for _, caps := range [][2]int{{30, 2}, {2, 30}} {
+		opt := DefaultOptions()
+		opt.Core.MaxIter = caps[0]
+		opt.Core.Tol = 1e-4
+		opt.Fusion = true
+		opt.Fuse = fusion.DefaultOptions()
+		opt.Fuse.MaxIter, opt.Fuse.Tol = caps[1], 1e-4
+		e := New(opt)
+		if err := e.Ingest(recs...); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := fusion.NewIncremental(opt.Fuse, triple.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Refresh(recs, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried := 0
+		var prev *Result
+		for k := 0; ; k++ {
+			tag := fmt.Sprintf("caps %v, refresh %d", caps, k)
+			if k == 100 {
+				t.Fatalf("%s: no NoOp", tag)
+			}
+			if k > 0 && !want.Converged {
+				if want, err = ref.Refresh(recs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := e.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Fusion, want) {
+				t.Fatalf("%s: fusion result diverges from the standalone store's (%d against %d iterations)",
+					tag, got.Fusion.Iterations, want.Iterations)
+			}
+			if got.NoOp {
+				if !got.Inference.Converged || !got.Fusion.Converged {
+					t.Fatalf("%s: NoOp with the estimate converged %v and fusion converged %v",
+						tag, got.Inference.Converged, got.Fusion.Converged)
+				}
+				if carried == 0 {
+					t.Fatalf("%s: no layer was carried while the other resumed; the fixture no longer exercises the resume rule", tag)
+				}
+				break
+			}
+			switch {
+			case prev == nil:
+			case prev.Inference.Converged:
+				// Only fusion resumed: none of the multi-layer phases ran.
+				if got.Inference.Iterations != 0 || got.Snapshot != prev.Snapshot || got.FirstPassShards != 0 ||
+					got.FusedItems == 0 || got.Times.Settle != 0 || got.Times.Fuse == 0 {
+					t.Fatalf("%s: a fusion-only resume reports %d iterations, %d first-pass shards, %d fused items, times %+v",
+						tag, got.Inference.Iterations, got.FirstPassShards, got.FusedItems, got.Times)
+				}
+				carried++
+			case prev.Fusion.Converged:
+				// Only the estimate resumed: fusion is carried as it was.
+				if got.Fusion != prev.Fusion || got.FusedItems != 0 || got.FusionIterations != 0 || got.Times.Fuse != 0 {
+					t.Fatalf("%s: the converged fusion layer was not carried (%d items, %d iterations re-fused)",
+						tag, got.FusedItems, got.FusionIterations)
+				}
+				carried++
+			}
+			prev = got
+		}
+	}
+}

@@ -9,8 +9,8 @@
 // refreshRun:
 //
 //   - begin captures the corpus and the pending records under the state
-//     lock, or serves the cached generation when nothing is pending and the
-//     previous estimate converged;
+//     lock; with nothing pending it carries each converged layer and resumes
+//     the other, serving the cached generation when both converged;
 //   - buildState extends the previous snapshot (triple.Snapshot.Extend), EM
 //     state (core.NewEMFrom) and posterior arrays append-only with the
 //     pending records — bit-identical to recompiling the corpus, at a cost
@@ -164,9 +164,9 @@ type Result struct {
 	// previous one (the O(ingest) path) rather than recompiling the corpus.
 	// False on a NoOp refresh: no snapshot work happened at all.
 	Extended bool
-	// NoOp reports that the refresh had nothing to do — no pending records
-	// and an already-converged previous estimate — and served the cached
-	// result unchanged.
+	// NoOp reports that the refresh had nothing to do — no pending records,
+	// and both the previous estimate and its fusion layer converged — and
+	// served the cached result unchanged.
 	NoOp bool
 	// FirstPassShards is the number of shards the first EM iteration
 	// re-estimated (== TotalShards on a cold refresh); TotalShards is the
@@ -200,8 +200,8 @@ type Result struct {
 	// Fusion / FusionSnap are the generation's single-layer fused posteriors
 	// and the provenance-granularity snapshot its dense ids resolve against
 	// (nil unless Options.Fusion). FusedItems counts the items this refresh
-	// re-fused; FusionIterations its fusion EM iterations (both zero on a
-	// NoOp refresh, which carries the previous fusion generation unchanged).
+	// re-fused; FusionIterations its fusion EM iterations (both zero when a
+	// refresh with nothing pending carries a converged fusion generation).
 	Fusion           *fusion.Result
 	FusionSnap       *triple.Snapshot
 	FusedItems       int
@@ -414,6 +414,10 @@ type refreshRun struct {
 	records   []triple.Record
 	estimated int
 	prev      modelState
+	// fuseDone: fusion is off, or converged and carried in the layer-6
+	// group; carried: the generation begin left for resumeFusion.
+	fuseDone bool
+	carried  *Result
 
 	// state: the model state the run estimates on, and the core options.
 	// extended says the state continues prev's snapshot chain (so the
@@ -451,8 +455,9 @@ type refreshRun struct {
 // publishes the result as a new generation. The first call runs cold —
 // identical to core.Run on the full dataset; later calls warm-start from the
 // previous refresh and re-estimate only what the new records made stale.
-// Calling Refresh with no new records resumes EM from the previous fixed
-// point (useful when a prior run stopped at MaxIter before converging).
+// Calling Refresh with no new records resumes each layer whose previous run
+// stopped at MaxIter before converging (see begin); a converged layer is
+// carried.
 //
 // The refresh is a pipeline of five phases over one refreshRun: begin
 // (capture the inputs, or serve the cached generation), buildState (snapshot
@@ -472,6 +477,9 @@ func (e *Engine) Refresh() (*Result, error) {
 
 	if cached, err := e.begin(r); cached != nil || err != nil {
 		return cached, err
+	}
+	if r.carried != nil {
+		return e.resumeFusion(r)
 	}
 	fused := e.startFuse(r)
 	// Deferred after the reset above, so on an error return too the fusion
@@ -494,11 +502,13 @@ func (e *Engine) Refresh() (*Result, error) {
 }
 
 // begin captures the run's inputs under the state lock (fills r's begin
-// group). With nothing pending and a converged previous generation the
-// estimates are already at the fixed point: begin then returns the generation
-// to serve — Iterations 0, NoOp set, the copy and fusion layers carried over
-// whole — and the remaining phases do not run. An already-NoOp generation is
-// served as the same pointer, keeping reader-side caches keyed on it warm.
+// group). With nothing pending a converged layer is carried and an
+// unconverged one resumes. When both have converged begin returns the
+// generation to serve — Iterations 0, NoOp set, the copy and fusion layers
+// carried over whole — and the remaining phases do not run; an already-NoOp
+// generation is served as the same pointer, keeping reader-side caches keyed
+// on it warm. When only fusion resumes, that generation less its fusion
+// result waits in r.carried.
 func (e *Engine) begin(r *refreshRun) (cached *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -507,31 +517,57 @@ func (e *Engine) begin(r *refreshRun) (cached *Result, err error) {
 		return nil, errors.New("engine: empty dataset")
 	}
 	r.warm = e.snap != nil
-	if last := e.last.Load(); r.warm && e.estimated == nRec && last != nil && last.Inference.Converged {
-		if last.NoOp {
-			return last, nil
-		}
-		inf := *last.Inference
-		inf.Iterations = 0
-		res := &Result{
-			Snapshot:      e.snap,
-			Inference:     &inf,
-			Warm:          true,
-			NoOp:          true,
-			TotalShards:   last.TotalShards,
-			SettledShards: last.TotalShards,
-			CopyDeps:      last.CopyDeps,
-			CopyPairs:     len(last.CopyDeps),
-			Fusion:        last.Fusion,
-			FusionSnap:    last.FusionSnap,
-		}
-		e.last.Store(res)
-		return res, nil
-	}
 	r.records = e.ds.Records[:nRec:nRec]
 	r.estimated = e.estimated
 	r.prev = e.modelState
-	return nil, nil
+	r.fuseDone = !e.opt.Fusion
+	if !r.warm || e.estimated < nRec {
+		return nil, nil
+	}
+	last := e.last.Load()
+	r.fuseDone = r.fuseDone || last.Fusion.Converged
+	r.fusRes, r.fusSnap = last.Fusion, last.FusionSnap
+	if !last.Inference.Converged {
+		return nil, nil
+	}
+	if r.fuseDone && last.NoOp {
+		return last, nil
+	}
+	inf := *last.Inference
+	inf.Iterations = 0
+	res := &Result{
+		Snapshot:      e.snap,
+		Inference:     &inf,
+		Warm:          true,
+		NoOp:          r.fuseDone,
+		TotalShards:   last.TotalShards,
+		SettledShards: last.TotalShards,
+		CopyDeps:      last.CopyDeps,
+		CopyPairs:     len(last.CopyDeps),
+		Fusion:        last.Fusion,
+		FusionSnap:    last.FusionSnap,
+	}
+	if !r.fuseDone {
+		r.carried = res
+		return nil, nil
+	}
+	e.last.Store(res)
+	return res, nil
+}
+
+// resumeFusion completes the generation begin carried when only the fusion
+// layer has yet to converge: the store resumes on the calling goroutine,
+// outside the state lock, and the generation publishes with its new result.
+func (e *Engine) resumeFusion(r *refreshRun) (*Result, error) {
+	t0 := time.Now()
+	if err := e.fuse(r); err != nil {
+		return nil, err
+	}
+	res := r.carried
+	res.Fusion, res.FusionSnap, res.FusedItems, res.FusionIterations = r.fusRes, r.fusSnap, r.fusedItems, r.fusRes.Iterations
+	res.Times.Fuse = time.Since(t0)
+	e.last.Store(res)
+	return res, nil
 }
 
 // pending returns the records this refresh consumes: the ones ingested since
@@ -607,9 +643,11 @@ func (e *Engine) buildState(r *refreshRun) error {
 // drift, so settling sweeps confine themselves to the stale fraction and
 // shrink back to the footprint as soon as the stale units are re-anchored.
 //
-// Each iteration is core.Run's (core.EM.Iterate); only the index lists of the
-// passes differ, and each index's arithmetic is identical, so a cold run —
-// every pass of which is the nil list — reproduces Run's posteriors exactly.
+// The loop is core.Settle's over three steps that act on the run e.run:
+// nextScope, enterScope and iterate. Each iteration is core.Run's
+// (core.EM.Iterate); only the index lists of the passes differ, and each
+// index's arithmetic is identical, so a cold run — every pass of which is
+// the nil list — reproduces Run's posteriors exactly.
 func (e *Engine) settle(r *refreshRun) error {
 	if e.scope == nil {
 		e.scope, e.scopeNext, e.scopeBase = core.NewScopeSet(), core.NewScopeSet(), core.NewScopeSet()
@@ -640,57 +678,23 @@ func (e *Engine) settle(r *refreshRun) error {
 
 	// The first pass already consults the ledger: drift carried from earlier
 	// refreshes (sub-Tol residue that has since accumulated past Tol, or an
-	// unconverged stop) joins the footprint immediately.
-	r.firstPass = e.enterScope(r, e.nextScope(r, e.scope))
-
-	iter := 0
-	for iter = 1; iter <= r.copt.MaxIter; iter++ {
-		settled := e.iterate(r, iter)
-		final := iter >= r.copt.MaxIter
-		if final && !settled {
-			// The final iteration computes no successor scope: it would never
-			// run, and counting it would overstate the touched-shard and
-			// escalation stats.
-			break
-		}
-		// Parameters and priors at a fixed point are not enough to converge:
-		// a unit whose accumulated drift crossed Tol on this very iteration
-		// would be published above the staleness contract (its rows' cached
-		// posteriors lag by the sub-Tol entry residue plus this iteration's
-		// step), and a following no-pending NoOp refresh would keep serving
-		// them. Such units settle first; with none, the published state is
-		// strictly within contract.
-		stale := e.nextScope(r, e.scopeNext)
-		if settled && stale == 0 {
-			r.converged = true
-			break
-		}
-		if final {
-			// No iterations left to settle the residue: publish unconverged,
-			// so the next Refresh resumes with a full pass and re-anchors
-			// everything instead of serving the residue indefinitely.
-			break
-		}
-		e.scope, e.scopeNext = e.scopeNext, e.scope
-		e.enterScope(r, stale)
-	}
-	// Iterations counts the EM iterations that actually executed — k when
-	// convergence was detected at iteration k, MaxIter when the loop
-	// exhausted (the clamp undoes the final loop increment); core.Run
-	// reports the identical quantity.
-	r.iterations = min(iter, r.copt.MaxIter)
+	// unconverged stop) joins the footprint immediately. A MaxIter-capped
+	// stop publishes unconverged, so the next Refresh resumes with a full
+	// pass and re-anchors the residue instead of serving it indefinitely.
+	r.iterations, r.converged, r.escalations = core.Settle(r.copt.MaxIter, e.nextScope, e.enterScope, e.iterate)
 	r.touchedCount, r.partialCount = e.shards.counts()
 	return nil
 }
 
-// nextScope marks into dst the scope the next pass must cover: the footprint
-// plus the items of every unit the ledger marks stale (every item, for a unit
-// on a quarter of the corpus). The return
-// is how many marks lie beyond the footprint — zero means the scope IS the
-// footprint (nothing stale outside it). When the footprint covers everything
-// MarkStale could add nothing, and skipping it keeps cold full-pass
-// iterations free of ledger walks.
-func (e *Engine) nextScope(r *refreshRun, dst *core.ScopeSet) (stale int) {
+// nextScope marks into e.scopeNext the scope the next pass must cover: the
+// footprint plus the items of every unit the ledger marks stale (every item,
+// for a unit on a quarter of the corpus). The return is how many marks lie
+// beyond the footprint — zero means the scope IS the footprint (nothing
+// stale outside it). When the footprint covers everything MarkStale could
+// add nothing, and skipping it keeps cold full-pass iterations free of
+// ledger walks.
+func (e *Engine) nextScope() (stale int) {
+	r, dst := &e.run, e.scopeNext
 	dst.Reset(len(r.snap.Items))
 	dst.MergeFrom(e.scopeBase)
 	if !dst.AllFull() {
@@ -699,16 +703,17 @@ func (e *Engine) nextScope(r *refreshRun, dst *core.ScopeSet) (stale int) {
 	return stale
 }
 
-// enterScope readies the pass about to run over e.scope: it compiles the
-// scope into the pass's index lists, counts a scope wider than the footprint
-// as an escalation, and counts the pass's shards, returning how many it
-// touches.
-func (e *Engine) enterScope(r *refreshRun, stale int) (shards int) {
-	if stale > 0 {
-		r.escalations++
-	}
+// enterScope makes the scope nextScope marked the current one and readies
+// pass iter over it: it compiles the scope into the pass's index lists and
+// counts the pass's shards (the first pass's count is the refresh's
+// FirstPassShards).
+func (e *Engine) enterScope(iter int) {
+	r := &e.run
+	e.scope, e.scopeNext = e.scopeNext, e.scope
 	r.passItems, r.passTris = r.em.CompileScope(e.scope)
-	return e.shards.pass(r.passItems)
+	if shards := e.shards.pass(r.passItems); iter == 1 {
+		r.firstPass = shards
+	}
 }
 
 // iterate runs one EM iteration over the current scope (core.EM.Iterate) and
@@ -737,7 +742,8 @@ func (e *Engine) enterScope(r *refreshRun, stale int) (shards int) {
 // response to a sub-Tol parameter shift; their cached posteriors lag that one
 // step until drift next crosses Tol — the Tol-bounded staleness this contract
 // accepts.)
-func (e *Engine) iterate(r *refreshRun, iter int) (converged bool) {
+func (e *Engine) iterate(iter int) (converged bool) {
+	r := &e.run
 	refreshVotes := !r.warm || r.voteForce || e.scope.AllFull()
 	if refreshVotes {
 		r.voteForce = false
@@ -774,7 +780,7 @@ func (e *Engine) layer6(r *refreshRun, fused func() error) error {
 // batch ahead of the engine; the next refresh offers it the same pending
 // records again, which Snapshot.Extend merges as duplicate cells.
 func (e *Engine) startFuse(r *refreshRun) (join func() error) {
-	if !e.opt.Fusion {
+	if r.fuseDone {
 		return func() error { return nil }
 	}
 	var wg sync.WaitGroup
@@ -935,7 +941,7 @@ func (e *Engine) publish(r *refreshRun) *Result {
 		FusionSnap:      r.fusSnap,
 		FusedItems:      r.fusedItems,
 	}
-	if r.fusRes != nil {
+	if !r.fuseDone {
 		res.FusionIterations = r.fusRes.Iterations
 	}
 	res.Times = r.times

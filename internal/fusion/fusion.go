@@ -106,8 +106,10 @@ type Result struct {
 	// CoveredItem marks data items with at least one participating
 	// provenance; uncovered items get no probability (Cov metric).
 	CoveredItem []bool
-	// Iterations is the number of EM iterations actually run.
+	// Iterations is the number of EM iterations actually run; Converged
+	// reports whether they reached a fixed point before MaxIter.
 	Iterations int
+	Converged  bool
 }
 
 // TripleProb returns p(Tdv=1|X) for candidate value v of item d, and whether
@@ -286,6 +288,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 			}
 		}
 		if reestimate(acc, num, den, updated) < opt.Tol {
+			res.Converged = true
 			break
 		}
 	}

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 
+	"kbt/internal/core"
 	"kbt/internal/parallel"
 	"kbt/internal/stats"
 	"kbt/internal/triple"
@@ -64,19 +64,22 @@ type Incremental struct {
 	num, den []stats.Sum
 	drift    []float64
 
-	// lastConverged gates the next refresh's resume escalation.
-	lastConverged bool
-
+	// converged is the last refresh's outcome: an unconverged store resumes
+	// with a pass over every item.
+	converged  bool
 	iterations int
 	fusedItems int
 
-	// iterate's scratch, kept so a refresh allocates nothing proportional to
-	// the item or provenance count but what it publishes: the base, fused and
-	// current-pass item masks, the accuracies before the M step, and the E
-	// step's outputs awaiting installation.
-	baseMask, fusedMask, passMask []bool
-	prevAcc                       []float64
-	outs                          []fuseOut
+	// The scopes, kept across refreshes: base holds the items the ingest
+	// touched and those of participation flips (every item on a cold or
+	// resuming refresh), next the scope widen marked, cur the running pass's,
+	// and fused the items the refresh fused. pass lists cur's items
+	// ascending, in passBuf, or is every, the list of every item id. prevAcc
+	// and outs are the M step's and E step's scratch.
+	base, next, cur, fused *core.ScopeSet
+	pass, passBuf, every   []int
+	prevAcc                []float64
+	outs                   []fuseOut
 }
 
 // fuseOut is one item's E-step output.
@@ -84,12 +87,6 @@ type fuseOut struct {
 	row     []float64
 	rest    float64
 	covered bool
-}
-
-// resized returns buf with length n and unspecified content, growing its
-// backing array geometrically: a store gains a few items every refresh.
-func resized[T any](buf []T, n int) []T {
-	return slices.Grow(buf[:0], n)[:n]
 }
 
 // NewIncremental validates opt exactly as Run does and returns an empty
@@ -106,7 +103,8 @@ func NewIncremental(opt Options, copt triple.CompileOptions) (*Incremental, erro
 	if copt.ExtractorKey == nil {
 		copt.ExtractorKey = triple.ExtractorKeyName
 	}
-	return &Incremental{opt: opt, copt: copt}, nil
+	return &Incremental{opt: opt, copt: copt, base: core.NewScopeSet(), next: core.NewScopeSet(),
+		cur: core.NewScopeSet(), fused: core.NewScopeSet()}, nil
 }
 
 // Snapshot returns the store's current provenance-granularity snapshot (nil
@@ -122,27 +120,22 @@ func (inc *Incremental) FusedLast() int { return inc.fusedItems }
 // records wholesale). It returns an immutable Result; value-posterior rows
 // are shared copy-on-write with the store and with earlier results.
 func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, error) {
-	cold := inc.s == nil
 	prevS := inc.s
-	if cold {
+	var d triple.Delta // cold: every observation is new
+	switch {
+	case prevS == nil:
 		inc.s = (&triple.Dataset{Records: records}).Compile(inc.copt)
-	} else if len(pending) > 0 {
+	case len(pending) == 0:
+		d.Obs = len(prevS.Obs) // a resume: nothing is new
+	default:
 		inc.s = prevS.Extend(pending)
-	}
-	s := inc.s
-
-	var d triple.Delta
-	if !cold && s != prevS {
 		var ok bool
-		if d, ok = s.ParentDelta(); !ok {
+		if d, ok = inc.s.ParentDelta(); !ok {
 			return nil, errors.New("fusion: extended snapshot lost its delta")
 		}
-	} else if !cold {
-		d = triple.Delta{Obs: len(s.Obs), Triples: len(s.Triples), Items: len(s.Items),
-			Sources: len(s.Sources), Extractors: len(s.Extractors), Values: len(s.Values)}
 	}
-
-	inc.iterate(inc.apply(prevS, d, cold))
+	inc.apply(prevS, d)
+	inc.iterations, inc.converged, _ = core.Settle(inc.opt.MaxIter, inc.widen, inc.enter, inc.step)
 	return inc.result(), nil
 }
 
@@ -152,15 +145,12 @@ func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, erro
 // popularity shares — while keeping the aggregate invariant (num/den equal
 // the sums over the current rows and weights of the covered items) by
 // subtracting each affected item's contribution before the edits and
-// re-adding it after. It returns the refresh's base dirty-item set: the
-// items the ingest touched plus every item of a provenance that newly met
-// MinSupport, or all items on a cold (or unconverged-resume) refresh.
-func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool) []int {
+// re-adding it after. It marks the refresh's base scope: the items the
+// ingest touched plus every item of a provenance that newly met MinSupport,
+// or all items on a cold (or unconverged-resume) refresh.
+func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta) {
 	s := inc.s
 	nItem, nSrc, nObs := len(s.Items), len(s.Sources), len(s.Obs)
-	if cold {
-		d = triple.Delta{}
-	}
 
 	// Grow the per-item and per-provenance arrays; new provenances start at
 	// the default accuracy exactly as in Run.
@@ -169,6 +159,7 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		inc.valueProb = append(inc.valueProb, nil)
 		inc.restMass = append(inc.restMass, 0)
 		inc.covered = append(inc.covered, false)
+		inc.every = append(inc.every, dd)
 		if inc.opt.Model == PopAccu {
 			inc.pop = append(inc.pop, nil)
 		}
@@ -180,26 +171,23 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		inc.num = append(inc.num, stats.Sum{})
 		inc.den = append(inc.den, stats.Sum{})
 		inc.drift = append(inc.drift, 0)
+		inc.prevAcc = append(inc.prevAcc, 0)
 	}
+	inc.fused.Reset(nItem)
+	inc.fusedItems = 0
 
 	// The affected items: owners of new observations (which includes every
 	// item whose value list grew — a new value implies a new observation on
 	// the item) and of raised duplicate cells.
-	affectedMask := make(map[int]bool)
-	var affected []int
-	touch := func(dd int) {
-		if !affectedMask[dd] {
-			affectedMask[dd] = true
-			affected = append(affected, dd)
-		}
-	}
+	base := inc.base
+	base.Reset(nItem)
 	for oi := d.Obs; oi < nObs; oi++ {
-		touch(s.Obs[oi].D)
+		base.Mark(s.Obs[oi].D)
 	}
 	for _, oi := range d.RaisedObs {
-		touch(s.Obs[oi].D)
+		base.Mark(s.Obs[oi].D)
 	}
-	sort.Ints(affected)
+	affected := inc.itemsOf(base)
 
 	full := inc.opt.FullAggregates
 	if !full {
@@ -207,7 +195,6 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 			inc.itemContrib(dd, -1)
 		}
 	}
-
 	// Re-slot the delta's grown items, whose sorted candidate-value list
 	// gained an entry: every cached vote slot shifts past the insertion point,
 	// and the posterior row remaps to the new slots (new values start at zero
@@ -266,15 +253,19 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		}
 	}
 
-	// Cold, or resuming an unconverged run: every item re-fuses, since
-	// partial passes would stall on cached rows that already reproduce the
-	// cached accuracies.
-	all := cold || !inc.lastConverged
+	// Cold (a new store has not converged), or resuming an unconverged run:
+	// every item re-fuses, since partial passes would stall on cached rows
+	// that already reproduce the cached accuracies.
+	if !inc.converged {
+		base.MarkAllFull()
+	}
 
 	// Participation flips: a provenance crossing MinSupport joins fusion,
 	// seeding from InitialAccuracy exactly as Run does, and every item it
-	// votes on must re-fuse. (Support never shrinks, so flips are one-way.)
-	for w := 0; w < nSrc; w++ {
+	// votes on must re-fuse. Support grows only with new observations, so
+	// only their provenances can flip (and flips are one-way).
+	for oi := d.Obs; oi < nObs; oi++ {
+		w := s.Obs[oi].W
 		if inc.updated[w] || inc.support[w] < inc.opt.MinSupport {
 			continue
 		}
@@ -282,22 +273,21 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		if a, ok := inc.opt.InitialAccuracy[w]; ok {
 			inc.acc[w] = stats.ClampProb(a)
 		}
-		if !all {
-			for _, ti := range s.TriplesOfSource[w] {
-				touch(s.Triples[ti].D)
-			}
+		for _, ti := range s.TriplesOfSource[w] {
+			base.Mark(s.Triples[ti].D)
 		}
 	}
+}
 
-	if all {
-		base := make([]int, nItem)
-		for i := range base {
-			base[i] = i
-		}
-		return base
+// itemsOf returns sc's items in ascending order — every, when sc holds every
+// item. A narrow list lives in passBuf until the next call.
+func (inc *Incremental) itemsOf(sc *core.ScopeSet) []int {
+	items := sc.Items(inc.passBuf)
+	if items == nil {
+		return inc.every[:len(inc.s.Items)]
 	}
-	sort.Ints(affected)
-	return affected
+	inc.passBuf = items
+	return items
 }
 
 // itemContrib adds (sign=+1) or removes (sign=-1) item dd's contribution to
@@ -310,149 +300,101 @@ func (inc *Incremental) itemContrib(dd int, sign float64) {
 	}
 }
 
-// iterate runs the E/M loop over the base dirty set plus the drift ledger's
-// escalations, mirroring Run stage for stage: a pass that covers every item
-// is arithmetically identical to one of Run's iterations.
-func (inc *Incremental) iterate(base []int) {
-	s := inc.s
-	nItem, nSrc := len(s.Items), len(s.Sources)
-	inc.baseMask, inc.fusedMask = resized(inc.baseMask, nItem), resized(inc.fusedMask, nItem)
-	inc.prevAcc = resized(inc.prevAcc, nSrc)
-	baseMask, fusedMask, prevAcc := inc.baseMask, inc.fusedMask, inc.prevAcc
-	clear(baseMask)
-	clear(fusedMask)
-	for _, dd := range base {
-		baseMask[dd] = true
+// widen, enter and step are the three steps core.Settle drives for a
+// refresh: the same settling loop the multi-layer engine runs, over the
+// single-layer model. A pass over every item is arithmetically identical to
+// one of Run's iterations.
+
+// widen marks into next the base scope plus the items of every
+// participating provenance whose accumulated drift reached Tol, and reports
+// how many items that adds to the base.
+func (inc *Incremental) widen() (stale int) {
+	s, next := inc.s, inc.next
+	next.Reset(len(s.Items))
+	next.MergeFrom(inc.base)
+	if next.AllFull() {
+		return 0
 	}
-	fused := 0
-
-	dirty := inc.widen(base, baseMask, nItem)
-	converged := false
-	iter := 0
-	for iter = 1; iter <= inc.opt.MaxIter; iter++ {
-		for _, dd := range dirty {
-			if !fusedMask[dd] {
-				fusedMask[dd] = true
-				fused++
-			}
-		}
-		copy(prevAcc, inc.acc)
-
-		// Full aggregation on a full pass, where it is the cheaper of the
-		// two, and always under the oracle option; partial passes maintain
-		// the aggregates by per-item deltas during row installation.
-		fullAgg := inc.opt.FullAggregates || len(dirty) == nItem
-
-		// E step (Eq 2) over the dirty items: rows compute in parallel into
-		// scratch, then install serially so the aggregate deltas apply in
-		// deterministic ascending-item order.
-		inc.outs = resized(inc.outs, len(dirty))
-		outs := inc.outs
-		parallel.ForEach(len(dirty), inc.opt.Workers, func(i int) {
-			dd := dirty[i]
-			outs[i].row, outs[i].rest, outs[i].covered =
-				inc.opt.fuseItem(dd, len(s.ItemValues[dd]), inc.votes[dd], inc.pop, inc.updated, inc.acc)
-		})
-		for i, dd := range dirty {
-			if !fullAgg {
-				inc.itemContrib(dd, -1)
-			}
-			inc.covered[dd] = outs[i].covered
-			inc.valueProb[dd] = outs[i].row
-			inc.restMass[dd] = outs[i].rest
-			if !fullAgg {
-				inc.itemContrib(dd, +1)
-			}
-		}
-		clear(outs) // the rows are the store's now
-
-		// The pass re-anchored these items' rows against the current
-		// accuracies: provenances whose whole item set was covered restart
-		// their drift from zero (the engine's SettleShards, per provenance).
-		inc.settle(dirty, nItem)
-
-		// M step (Eq 4) from the aggregates.
-		if fullAgg {
-			clear(inc.num)
-			clear(inc.den)
-			for dd := 0; dd < nItem; dd++ {
-				inc.itemContrib(dd, +1)
-			}
-		}
-		maxDelta := reestimate(inc.acc, inc.num, inc.den, inc.updated)
-		for w := 0; w < nSrc; w++ {
-			if dd := math.Abs(inc.acc[w] - prevAcc[w]); dd != 0 {
-				inc.drift[w] += dd
-			}
-		}
-
-		// The next pass's scope. At a fixed point a provenance whose drift
-		// crossed Tol on this very step would still be published out of
-		// contract, so converge only when the ledger adds nothing beyond the
-		// base set; otherwise keep settling.
-		dirty = inc.widen(base, baseMask, nItem)
-		if maxDelta < inc.opt.Tol && len(dirty) == len(base) {
-			converged = true
-			break
-		}
-	}
-	if iter > inc.opt.MaxIter {
-		iter = inc.opt.MaxIter
-	}
-	inc.iterations = iter
-	inc.fusedItems = fused
-	inc.lastConverged = converged
-}
-
-// widen returns base plus the items of every participating provenance whose
-// accumulated drift reached Tol, ascending. A base already covering
-// everything short-circuits.
-func (inc *Incremental) widen(base []int, baseMask []bool, nItem int) []int {
-	if len(base) == nItem {
-		return base
-	}
-	s := inc.s
-	dirty := base
-	grown := false
 	for w, dr := range inc.drift {
 		if dr < inc.opt.Tol || !inc.updated[w] {
 			continue
 		}
 		for _, ti := range s.TriplesOfSource[w] {
-			if dd := s.Triples[ti].D; !baseMask[dd] {
-				if !grown {
-					grown = true
-					dirty = append([]int(nil), base...)
-				}
-				baseMask[dd] = true
-				dirty = append(dirty, dd)
-			}
+			stale += next.Mark(s.Triples[ti].D)
 		}
 	}
-	if !grown {
-		return base
+	return stale
+}
+
+// enter makes the scope widen marked the current one and lists its items.
+func (inc *Incremental) enter(int) {
+	inc.cur, inc.next = inc.next, inc.cur
+	inc.pass = inc.itemsOf(inc.cur)
+}
+
+// step runs one E/M iteration over the current pass and reports whether the
+// accuracies settled within Tol.
+func (inc *Incremental) step(int) (settled bool) {
+	s, dirty := inc.s, inc.pass
+	for _, dd := range dirty {
+		inc.fusedItems += inc.fused.Mark(dd)
 	}
-	// Restore baseMask to the base set for later iterations, then order the
-	// pass deterministically.
-	for _, dd := range dirty[len(base):] {
-		baseMask[dd] = false
+	copy(inc.prevAcc, inc.acc)
+
+	// Full aggregation on a full pass, where it is the cheaper of the two,
+	// and always under the oracle option; partial passes maintain the
+	// aggregates by per-item deltas during row installation.
+	fullAgg := inc.opt.FullAggregates || inc.cur.AllFull()
+
+	// E step (Eq 2) over the dirty items: rows compute in parallel into
+	// scratch, then install serially so the aggregate deltas apply in
+	// deterministic ascending-item order.
+	inc.outs = slices.Grow(inc.outs[:0], len(dirty))[:len(dirty)]
+	outs := inc.outs
+	parallel.ForEach(len(dirty), inc.opt.Workers, func(i int) {
+		dd := dirty[i]
+		outs[i].row, outs[i].rest, outs[i].covered =
+			inc.opt.fuseItem(dd, len(s.ItemValues[dd]), inc.votes[dd], inc.pop, inc.updated, inc.acc)
+	})
+	for i, dd := range dirty {
+		if !fullAgg {
+			inc.itemContrib(dd, -1)
+		}
+		inc.covered[dd] = outs[i].covered
+		inc.valueProb[dd] = outs[i].row
+		inc.restMass[dd] = outs[i].rest
+		if !fullAgg {
+			inc.itemContrib(dd, +1)
+		}
 	}
-	sort.Ints(dirty)
-	return dirty
+	clear(outs) // the rows are the store's now
+
+	// The pass re-anchored these items' rows against the current accuracies.
+	inc.settle()
+
+	// M step (Eq 4) from the aggregates.
+	if fullAgg {
+		clear(inc.num)
+		clear(inc.den)
+		for dd := range s.Items {
+			inc.itemContrib(dd, +1)
+		}
+	}
+	maxDelta := reestimate(inc.acc, inc.num, inc.den, inc.updated)
+	for w, a := range inc.acc {
+		if dd := math.Abs(a - inc.prevAcc[w]); dd != 0 {
+			inc.drift[w] += dd
+		}
+	}
+	return maxDelta < inc.opt.Tol
 }
 
 // settle resets the drift of every participating provenance whose whole item
-// set the pass covered. A full pass settles everything.
-func (inc *Incremental) settle(dirty []int, nItem int) {
-	if len(dirty) == nItem {
+// set the current pass covered. A full pass settles everything.
+func (inc *Incremental) settle() {
+	if inc.cur.AllFull() {
 		clear(inc.drift)
 		return
-	}
-	inc.passMask = resized(inc.passMask, nItem)
-	mask := inc.passMask
-	clear(mask)
-	for _, dd := range dirty {
-		mask[dd] = true
 	}
 	s := inc.s
 	for w := range inc.drift {
@@ -461,7 +403,7 @@ func (inc *Incremental) settle(dirty []int, nItem int) {
 		}
 		covered := true
 		for _, ti := range s.TriplesOfSource[w] {
-			if !mask[s.Triples[ti].D] {
+			if !inc.cur.Marked(s.Triples[ti].D) {
 				covered = false
 				break
 			}
@@ -483,5 +425,6 @@ func (inc *Incremental) result() *Result {
 		RestMass:    append([]float64(nil), inc.restMass...),
 		CoveredItem: append([]bool(nil), inc.covered...),
 		Iterations:  inc.iterations,
+		Converged:   inc.converged,
 	}
 }

@@ -289,3 +289,51 @@ func TestIncrementalFlipRefusesItsItems(t *testing.T) {
 		t.Fatalf("the flip re-fused %d items, want P's three (i1, i2, i3) of %d", got, len(inc.Snapshot().Items))
 	}
 }
+
+// TestIncrementalResumeAtFixedPointFusesNothing: a Refresh with nothing
+// pending after a converged one finds an empty scope. It must re-fuse no item
+// — an empty pass is not a pass over every item — take the one iteration that
+// shows the accuracies stay put, and change no bit of the result.
+func TestIncrementalResumeAtFixedPointFusesNothing(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(int64(1300 + trial)))
+		recs := fusionStream(rng, rng.Intn(150)+50)
+		opt := fusionVariant(trial)
+		opt.MaxIter = 500
+		opt.FullAggregates = trial%4 == 3
+
+		inc, err := NewIncremental(opt, triple.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := len(recs) / 2
+		if _, err := inc.Refresh(recs[:half], recs[:half]); err != nil {
+			t.Fatal(err)
+		}
+		before, err := inc.Refresh(recs, recs[half:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !before.Converged {
+			t.Fatalf("trial %d: the warm refresh did not converge in %d iterations", trial, opt.MaxIter)
+		}
+		after, err := inc.Refresh(recs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc.FusedLast() != 0 || after.Iterations != 1 || !after.Converged {
+			t.Fatalf("trial %d: resume at the fixed point fused %d items in %d iterations (converged %v); want 0 in 1",
+				trial, inc.FusedLast(), after.Iterations, after.Converged)
+		}
+		if !sameBits(after.Accuracy, before.Accuracy) || !sameBits(after.RestMass, before.RestMass) ||
+			!reflect.DeepEqual(after.Updated, before.Updated) || !reflect.DeepEqual(after.CoveredItem, before.CoveredItem) ||
+			len(after.ValueProb) != len(before.ValueProb) {
+			t.Fatalf("trial %d: resume at the fixed point moved the result", trial)
+		}
+		for d := range after.ValueProb {
+			if !sameBits(after.ValueProb[d], before.ValueProb[d]) {
+				t.Fatalf("trial %d: resume at the fixed point moved item %d's posterior", trial, d)
+			}
+		}
+	}
+}
