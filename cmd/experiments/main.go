@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 
 	"kbt/internal/experiments"
 )
@@ -38,15 +39,18 @@ func main() {
 		ids = []string{"fig3", "fig4", "fig5", "table5", "fig8", "fig9",
 			"fig6", "table6", "table7", "fig7", "fig10", "eval541"}
 	}
+	// Table 5 and Figures 8 and 9 print the same six KV method runs, so they
+	// are computed once, by whichever of the three comes first.
+	table5 := sync.OnceValues(func() ([]experiments.KVRun, error) { return experiments.Table5(cfg) })
 	for _, id := range ids {
-		if err := run(strings.TrimSpace(id), cfg, *runs, *maxExt); err != nil {
+		if err := run(strings.TrimSpace(id), cfg, table5, *runs, *maxExt); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func run(id string, cfg experiments.KVConfig, runs, maxExt int) error {
+func run(id string, cfg experiments.KVConfig, table5 func() ([]experiments.KVRun, error), runs, maxExt int) error {
 	switch id {
 	case "fig3":
 		return printFig3(cfg, runs, maxExt)
@@ -59,7 +63,7 @@ func run(id string, cfg experiments.KVConfig, runs, maxExt int) error {
 	case "fig7":
 		return printFig7(cfg)
 	case "fig8", "fig9", "table5":
-		return printTable5AndCurves(cfg, id)
+		return printTable5AndCurves(table5, id)
 	case "fig10":
 		return printFig10(cfg)
 	case "table6":
@@ -131,8 +135,8 @@ func printFig5(cfg experiments.KVConfig) error {
 	return nil
 }
 
-func printTable5AndCurves(cfg experiments.KVConfig, id string) error {
-	runs, err := experiments.Table5(cfg)
+func printTable5AndCurves(table5 func() ([]experiments.KVRun, error), id string) error {
+	runs, err := table5()
 	if err != nil {
 		return err
 	}

@@ -185,16 +185,15 @@ type HealthStatus struct {
 // log segments — O(since-last-checkpoint), and the live engine keeps its
 // warm carried-over EM state untouched. Recovery replays the chain's op
 // sequence through the same deterministic warm machinery the live engine
-// ran, which is what keeps the bit-identity contract without a re-anchor.
+// ran, which is what keeps the bit-identity contract without a cold rebuild.
 // Once the chain accumulates defaultCompactAfterBatches ingest ops it is
 // compacted: a single base holding the full record prefix replaces it, and
-// the live engine is re-anchored on that image — a cold recompile of the
-// prefix, the exact state recovery would rebuild — which may move the
-// published estimates: a cold run need not settle where the warm one did
-// (ARCHITECTURE.md, Known limits).
+// the live engine is rebuilt in place on that image (engine.RefreshCold) —
+// a cold recompile of the prefix, the exact state recovery would rebuild —
+// which may move the published estimates: a cold run need not settle where
+// the warm one did (ARCHITECTURE.md, Known limits).
 type DurableEngine struct {
-	// view is the live engine and its lock-free read accessors. Compaction
-	// re-anchors it on a fresh engine.
+	// view is the live engine and its lock-free read accessors.
 	view
 	dopt DurableOptions
 	dir  string
@@ -310,7 +309,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		log.Close()
 		return nil, err
 	}
-	d := &DurableEngine{view: view{opt: opt}, dopt: dopt, dir: dir, log: log}
+	d := &DurableEngine{view: view{eng: eng, opt: opt}, dopt: dopt, dir: dir, log: log}
 	d.keys.cap = dopt.keyRetention()
 	var from uint64
 	if ok {
@@ -385,7 +384,6 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		log.Close()
 		return nil, err
 	}
-	d.anchor(eng)
 	d.publishLocked()
 	return d, nil
 }
@@ -621,7 +619,7 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 	if err := d.log.Sync(); err != nil {
 		return d.degradeLocked(err)
 	}
-	if err := d.eng.Load().Ingest(recs...); err != nil {
+	if err := d.eng.Ingest(recs...); err != nil {
 		// Validation rejection, not a storage fault: the batch is discarded
 		// whole (recovery re-runs the same validation) and the key is not
 		// recorded, so a resend earns the same rejection.
@@ -669,7 +667,7 @@ func (d *DurableEngine) Refresh() (*Result, error) {
 			return nil, fmt.Errorf("kbt: refresh succeeded but its checkpoint failed: %w", d.faultLocked(err))
 		}
 		// A compacting checkpoint replaced the generation r belongs to;
-		// serve the anchored one so the caller sees what recovery would.
+		// serve the cold one so the caller sees what recovery would.
 		if cur, ok := d.Current(); ok {
 			return cur, nil
 		}
@@ -765,11 +763,12 @@ func (d *DurableEngine) checkpointLocked() error {
 	}
 	switch {
 	case compactAfter > 0 && d.chainBatches+newBatches >= compactAfter:
-		// Compact: one cold-anchor base replaces the chain, and the live
-		// engine is re-anchored on the image just written — the exact state
-		// recovery would rebuild. From here on, live and recovered state
-		// march in lockstep through the same warm refreshes again.
-		recs := d.eng.Load().Records()
+		// Compact: one cold base replaces the chain, and the live engine
+		// re-estimates its records cold — the exact state recovery would
+		// rebuild from the image just written. From here on, live and
+		// recovered state march in lockstep through the same warm refreshes
+		// again.
+		recs := d.eng.Records()
 		var ops []wal.CheckpointOp
 		recordOps := 0
 		if len(recs) > 0 {
@@ -788,19 +787,16 @@ func (d *DurableEngine) checkpointLocked() error {
 		if err := wal.WriteCheckpointBase(d.dopt.fs, d.dir, ck); err != nil {
 			return &storageFault{err}
 		}
-		fresh, err := newInner(d.opt)
-		if err != nil {
-			return err
-		}
 		if len(recs) > 0 {
-			if err := fresh.Ingest(recs...); err != nil {
+			r, err := d.eng.RefreshCold()
+			if err != nil {
 				return err
 			}
-			if _, err := fresh.Refresh(); err != nil {
-				return err
-			}
+			// The cold generation shares no chunk with the warm one, so its
+			// wrapper is installed now rather than by the next reader: the
+			// cached wrapper would otherwise hold the whole warm generation.
+			d.wrap(r)
 		}
-		d.anchor(fresh)
 		d.chainBatches = recordOps
 	case d.hasChain:
 		ck := &wal.Checkpoint{Watermark: watermark, Fingerprint: fp, Ops: d.opsSince}
@@ -827,7 +823,7 @@ func (d *DurableEngine) checkpointLocked() error {
 	default:
 		// First checkpoint of this directory: the ops since birth are the
 		// whole history, so the base is warm-replayable and the live engine
-		// keeps its carried-over state — no re-anchor.
+		// keeps its carried-over state — no cold rebuild.
 		ck := &wal.Checkpoint{Watermark: watermark, Fingerprint: fp, Ops: d.opsSince}
 		if err := wal.WriteCheckpointBase(d.dopt.fs, d.dir, ck); err != nil {
 			return &storageFault{err}

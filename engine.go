@@ -115,9 +115,7 @@ func NewEngine(opt EngineOptions) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{view: view{opt: opt}, keys: keyring{cap: defaultKeyRetention}}
-	e.anchor(inner)
-	return e, nil
+	return &Engine{view: view{eng: inner, opt: opt}, keys: keyring{cap: defaultKeyRetention}}, nil
 }
 
 // Ingest validates and appends extractions; they take effect at the next
@@ -127,7 +125,7 @@ func NewEngine(opt EngineOptions) (*Engine, error) {
 // catching at the door what would otherwise compile into degenerate units
 // and silently skew later refreshes.
 func (e *Engine) Ingest(batch ...Extraction) error {
-	return e.eng.Load().Ingest(records(batch)...)
+	return e.eng.Ingest(records(batch)...)
 }
 
 // IngestKeyed is Ingest with a client idempotency key: a batch whose key was
@@ -155,15 +153,14 @@ func (e *Engine) IngestKeyed(key string, batch ...Extraction) error {
 // same accessors EstimateKBT's Result provides.
 func (e *Engine) Refresh() (*Result, error) { return e.refresh() }
 
-// view is the read side both engines share: the current internal engine
-// behind an atomic pointer, the options it was built from, and the
-// per-generation Result wrapper cache. Every accessor is one atomic load plus
-// the internal engine's own lock-free generation read, so readers never block
-// a running Refresh, and DurableEngine's compaction swaps the engine whole
-// (anchor) without readers seeing more than a new generation. Both engines
-// embed it, which makes their read method sets identical by construction.
+// view is the read side both engines share: the internal engine, set once
+// at construction, the options it was built from, and the per-generation
+// Result wrapper cache. Every accessor is the internal engine's own
+// lock-free generation read, so readers never block a running Refresh,
+// DurableEngine's compaction included. Both engines embed it, which makes
+// their read method sets identical by construction.
 type view struct {
-	eng atomic.Pointer[engine.Engine]
+	eng *engine.Engine
 	opt EngineOptions
 	// cur caches the Result wrapper of the latest published generation, so
 	// every reader of a generation shares one set of memoized sorted views.
@@ -181,13 +178,6 @@ func newInner(opt EngineOptions) (*engine.Engine, error) {
 	return engine.New(eopt), nil
 }
 
-// anchor points the view at eng, dropping the wrapper (and with it the last
-// generation) of whatever engine it replaces.
-func (v *view) anchor(eng *engine.Engine) {
-	v.eng.Store(eng)
-	v.cur.Store(nil)
-}
-
 // records converts a batch to the internal record form.
 func records(batch []Extraction) []triple.Record {
 	recs := make([]triple.Record, len(batch))
@@ -201,19 +191,19 @@ func records(batch []Extraction) []triple.Record {
 // performs, without logging or appending anything: kbt serve uses it to skip
 // a bad input line instead of losing the batch around it.
 func (v *view) Validate(batch ...Extraction) error {
-	return v.eng.Load().Validate(records(batch)...)
+	return v.eng.Validate(records(batch)...)
 }
 
 // Len returns the number of extractions ingested so far.
-func (v *view) Len() int { return v.eng.Load().Len() }
+func (v *view) Len() int { return v.eng.Len() }
 
 // Pending returns the number of extractions awaiting a Refresh.
-func (v *view) Pending() int { return v.eng.Load().Pending() }
+func (v *view) Pending() int { return v.eng.Pending() }
 
-// refresh re-estimates the current engine and wraps the generation it
+// refresh re-estimates the internal engine and wraps the generation it
 // published.
 func (v *view) refresh() (*Result, error) {
-	r, err := v.eng.Load().Refresh()
+	r, err := v.eng.Refresh()
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +239,7 @@ func (v *view) wrap(r *engine.Result) *Result {
 // generation stays valid (and internally consistent) after any number of
 // later refreshes.
 func (v *view) Current() (*Result, bool) {
-	r := v.eng.Load().Last()
+	r := v.eng.Last()
 	if r == nil {
 		return nil, false
 	}
@@ -289,7 +279,7 @@ func (v *view) CopyDeps() ([]CopyDependence, error) {
 	if !v.opt.CopyDetect {
 		return nil, ErrCopyDetectDisabled
 	}
-	r := v.eng.Load().Last()
+	r := v.eng.Last()
 	if r == nil {
 		return nil, ErrNoGeneration
 	}
@@ -325,7 +315,7 @@ func (v *view) Fused(item string) (FusedItem, error) {
 	if !v.opt.Fusion {
 		return FusedItem{}, ErrFusionDisabled
 	}
-	r := v.eng.Load().Last()
+	r := v.eng.Last()
 	if r == nil || r.Fusion == nil || r.FusionSnap == nil {
 		return FusedItem{}, ErrNoGeneration
 	}
@@ -334,7 +324,7 @@ func (v *view) Fused(item string) (FusedItem, error) {
 	if d < 0 {
 		return FusedItem{}, ErrUnknownItem
 	}
-	subj, pred := splitItem(snap.Items[d])
+	subj, pred := triple.SplitItemKey(snap.Items[d])
 	out := FusedItem{
 		Subject:   subj,
 		Predicate: pred,
@@ -362,7 +352,7 @@ func (v *view) Fused(item string) (FusedItem, error) {
 // (each probe is an O(1) interning lookup, so even pathological labels with
 // many '|' characters stay cheap).
 func resolveItem(snap *triple.Snapshot, item string) int {
-	if subj, pred := splitItem(item); pred != "" {
+	if subj, pred := triple.SplitItemKey(item); pred != "" {
 		if d := snap.ItemID(subj, pred); d >= 0 {
 			return d
 		}
@@ -439,7 +429,7 @@ type RefreshTimes struct {
 
 // Stats reports the most recent Refresh, or false before the first one.
 func (v *view) Stats() (RefreshStats, bool) {
-	r := v.eng.Load().Last()
+	r := v.eng.Last()
 	if r == nil {
 		return RefreshStats{}, false
 	}

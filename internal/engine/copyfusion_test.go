@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"kbt/internal/copydetect"
@@ -491,5 +492,140 @@ func TestNoOpWaitsForFusion(t *testing.T) {
 			}
 			prev = got
 		}
+	}
+}
+
+// TestRefreshColdMatchesNewEngine: RefreshCold on a warm engine with every
+// layer on publishes exactly the generation a new engine given the same
+// records publishes on its first Refresh — snapshot tables, posteriors and
+// parameters, copy dependencies, fused posteriors and every counter — and the
+// warm refreshes after it match that engine's bit for bit. While it runs, no
+// record turns pending and readers see only the generation before it or the
+// one it publishes.
+func TestRefreshColdMatchesNewEngine(t *testing.T) {
+	p := websim.DefaultParams().Scale(0.3)
+	p.Seed = 9
+	world, err := websim.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := world.Dataset.Records
+
+	opt := DefaultOptions()
+	opt.Core.MaxIter = 30
+	opt.Core.Tol = 1e-4
+	opt.CopyDetect = true
+	opt.CopyDiscount = true
+	opt.Fusion = true
+	const batch, coldAfter = 100, 20
+	if len(recs) < (coldAfter+3)*batch {
+		t.Fatalf("corpus of %d records is too small for the schedule", len(recs))
+	}
+
+	live := New(opt)
+	for i := 0; i < coldAfter; i++ {
+		if err := live.Ingest(recs[i*batch : (i+1)*batch]...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := live.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := live.Last()
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	maxPending := 0
+	var seen []*Result
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			maxPending = max(maxPending, live.Pending())
+			if g := live.Last(); len(seen) == 0 || seen[len(seen)-1] != g {
+				seen = append(seen, g)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	got, err := live.RefreshCold()
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxPending > 0 {
+		t.Fatalf("Pending read %d during RefreshCold", maxPending)
+	}
+	for _, g := range seen {
+		if g != before && g != got {
+			t.Fatal("a reader saw a generation other than the one before RefreshCold or the one it published")
+		}
+	}
+
+	fresh := New(opt)
+	if err := fresh.Ingest(recs[:coldAfter*batch]...); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameGeneration(t, "RefreshCold", got, want)
+
+	for i := coldAfter; i < coldAfter+3; i++ {
+		b := recs[i*batch : (i+1)*batch]
+		if err := live.Ingest(b...); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Ingest(b...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := live.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameGeneration(t, fmt.Sprintf("warm refresh %d after RefreshCold", i-coldAfter+1), got, want)
+	}
+}
+
+// assertSameGeneration requires two generations to be equal in all but their
+// wall clock: the snapshot tables, posteriors, parameters and votes to the
+// bit, and every other field deep-equal. (A snapshot holds its key functions,
+// which reflect.DeepEqual never calls equal, so its tables are compared one
+// by one.)
+func assertSameGeneration(t *testing.T, tag string, got, want *Result) {
+	t.Helper()
+	assertSnapshotsBitIdentical(t, tag, got.Snapshot, want.Snapshot)
+	assertSnapshotsBitIdentical(t, tag+" (fusion)", got.FusionSnap, want.FusionSnap)
+	gi, wi := got.Inference, want.Inference
+	assertResultsBitIdentical(t, tag, gi, wi)
+	if !sameBits(gi.Pre, wi.Pre) || !sameBits(gi.Abs, wi.Abs) ||
+		!reflect.DeepEqual(gi.SourceIncluded, wi.SourceIncluded) || !reflect.DeepEqual(gi.ExtractorIncluded, wi.ExtractorIncluded) {
+		t.Fatalf("%s: votes or unit inclusion diverge", tag)
+	}
+	gf, wf := got.Fusion, want.Fusion
+	if !sameBits(gf.Accuracy, wf.Accuracy) || !sameBits(gf.RestMass, wf.RestMass) || len(gf.ValueProb) != len(wf.ValueProb) {
+		t.Fatalf("%s: fusion parameters diverge", tag)
+	}
+	for d := range wf.ValueProb {
+		if !sameBits(gf.ValueProb[d], wf.ValueProb[d]) {
+			t.Fatalf("%s: fused posterior of item %d diverges", tag, d)
+		}
+	}
+	g, w := *got, *want
+	for _, r := range []*Result{&g, &w} {
+		r.Snapshot, r.FusionSnap, r.Inference, r.Times = nil, nil, nil, Times{}
+	}
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: generations differ\n got  %+v\n want %+v", tag, g, w)
 	}
 }

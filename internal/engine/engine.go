@@ -469,13 +469,25 @@ type refreshRun struct {
 // Fusion reads only the records begin captured and its own store, so its half
 // of layer6 starts on a goroutine of its own as soon as begin returns and
 // runs beside buildState and settle; layer6 joins it.
-func (e *Engine) Refresh() (*Result, error) {
+func (e *Engine) Refresh() (*Result, error) { return e.refresh(false) }
+
+// RefreshCold is Refresh from nothing: it drops the model state and the
+// fusion store and re-estimates every record ingested so far on the cold
+// path, so its generation is the one a new engine given the same records
+// publishes on its first Refresh. The records and the pending count are left
+// alone, and readers keep the previous generation until publish. The
+// durable engine compacts with it.
+func (e *Engine) RefreshCold() (*Result, error) { return e.refresh(true) }
+
+// refresh is the pipeline Refresh describes; cold is RefreshCold's flag,
+// which begin reads.
+func (e *Engine) refresh(cold bool) (*Result, error) {
 	e.refreshMu.Lock()
 	defer e.refreshMu.Unlock()
 	r := &e.run
 	defer func() { *r = refreshRun{} }()
 
-	if cached, err := e.begin(r); cached != nil || err != nil {
+	if cached, err := e.begin(r, cold); cached != nil || err != nil {
 		return cached, err
 	}
 	if r.carried != nil {
@@ -508,13 +520,17 @@ func (e *Engine) Refresh() (*Result, error) {
 // carried over whole — and the remaining phases do not run; an already-NoOp
 // generation is served as the same pointer, keeping reader-side caches keyed
 // on it warm. When only fusion resumes, that generation less its fusion
-// result waits in r.carried.
-func (e *Engine) begin(r *refreshRun) (cached *Result, err error) {
+// result waits in r.carried. A cold run first drops the model state and the
+// fusion store, which sends it down the path of a first Refresh.
+func (e *Engine) begin(r *refreshRun, cold bool) (cached *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	nRec := len(e.ds.Records)
 	if nRec == 0 {
 		return nil, errors.New("engine: empty dataset")
+	}
+	if cold {
+		e.modelState, e.fus = modelState{}, nil
 	}
 	r.warm = e.snap != nil
 	r.records = e.ds.Records[:nRec:nRec]

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"kbt/internal/core"
 	"kbt/internal/fusion"
@@ -66,15 +65,6 @@ func BuildKV(cfg KVConfig) (*websim.World, error) {
 	return websim.Generate(p)
 }
 
-// itemSubjectPredicate splits a snapshot item key into (subject, predicate).
-func itemSubjectPredicate(key string) (string, string) {
-	i := strings.IndexByte(key, '\x1f')
-	if i < 0 {
-		return key, ""
-	}
-	return key[:i], key[i+1:]
-}
-
 // goldItems collects, per snapshot data item and candidate value, the gold
 // label from the corpus KB (LCWA + type checking). Unlabelled (unknown)
 // candidates are skipped, as the paper removes them from the evaluation set.
@@ -88,7 +78,7 @@ func goldLabels(w *websim.World, s *triple.Snapshot) []goldTriple {
 	var out []goldTriple
 	seen := make(map[[2]int]bool)
 	for d := range s.Items {
-		subj, pred := itemSubjectPredicate(s.Items[d])
+		subj, pred := triple.SplitItemKey(s.Items[d])
 		for _, v := range s.ItemValues[d] {
 			k := [2]int{d, v}
 			if seen[k] {
@@ -168,7 +158,7 @@ func goldInitSource(w *websim.World, s *triple.Snapshot) map[int]float64 {
 	trueCnt := make([]float64, len(s.Sources))
 	known := make([]float64, len(s.Sources))
 	for _, tr := range s.Triples {
-		subj, pred := itemSubjectPredicate(s.Items[tr.D])
+		subj, pred := triple.SplitItemKey(s.Items[tr.D])
 		isTrue, k, typeErr := w.KB.GoldLabel(subj, pred, s.Values[tr.V])
 		if !k || typeErr {
 			// Type violations are extraction mistakes (§5.3.1); counting
@@ -201,7 +191,7 @@ func goldInitExtractor(w *websim.World, s *triple.Snapshot) map[int]float64 {
 	typeErr := make([]float64, len(s.Extractors))
 	total := make([]float64, len(s.Extractors))
 	for _, o := range s.Obs {
-		subj, pred := itemSubjectPredicate(s.Items[o.D])
+		subj, pred := triple.SplitItemKey(s.Items[o.D])
 		total[o.E]++
 		if w.KB.TypeCheck(subj, pred, s.Values[o.V]) != kb.NoViolation {
 			typeErr[o.E]++

@@ -285,7 +285,7 @@ func Eval541On(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64
 			if res.CProbAt(ti) <= 0.8 {
 				continue
 			}
-			_, pred := itemSubjectPredicate(s.Items[s.Triples[ti].D])
+			_, pred := triple.SplitItemKey(s.Items[s.Triples[ti].D])
 			byPred[pred] = append(byPred[pred], ti)
 		}
 		// Top-3 predicates by volume.
@@ -325,7 +325,7 @@ func Eval541On(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64
 		correct, extracted, onTopic, nonTrivial := 0, 0, 0, 0
 		for _, ti := range sample {
 			tr := s.Triples[ti]
-			subj, pred := itemSubjectPredicate(s.Items[tr.D])
+			subj, pred := triple.SplitItemKey(s.Items[tr.D])
 			obj := s.Values[tr.V]
 			// Triple correctness: the value matches the world's truth.
 			if truth, ok := w.TrueObject(subj, pred); ok && truth == obj {

@@ -110,7 +110,7 @@ func Fig6(cfg KVConfig) (*Fig6Result, error) {
 
 	var typeErrPreds, kbTruePreds []float64
 	for ti, tr := range s.Triples {
-		subj, pred := itemSubjectPredicate(s.Items[tr.D])
+		subj, pred := triple.SplitItemKey(s.Items[tr.D])
 		obj := s.Values[tr.V]
 		if w.KB.TypeCheck(subj, pred, obj) != 0 {
 			typeErrPreds = append(typeErrPreds, res.CProbAt(ti))

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"strings"
-
 	"kbt/internal/core"
 	"kbt/internal/fusion"
 	"kbt/internal/metrics"
@@ -23,7 +21,7 @@ func evalMultiSynthetic(w *synthetic.World, s *triple.Snapshot, res *core.Result
 	// SqV over candidate (d,v) pairs of items with known truth.
 	var vItems []metrics.Labeled
 	for d := range s.Items {
-		subj, pred := itemSubjectPredicate(s.Items[d])
+		subj, pred := triple.SplitItemKey(s.Items[d])
 		truth, ok := w.TrueValueOf(subj, pred)
 		if !ok {
 			continue
@@ -41,7 +39,7 @@ func evalMultiSynthetic(w *synthetic.World, s *triple.Snapshot, res *core.Result
 	// SqC over candidate (w,d,v) triples against provided-truth.
 	var cItems []metrics.Labeled
 	for ti, tr := range s.Triples {
-		subj, pred := itemSubjectPredicate(s.Items[tr.D])
+		subj, pred := triple.SplitItemKey(s.Items[tr.D])
 		site := s.Sources[tr.W]
 		provided := w.ProvidedTruth(site, subj, pred, s.Values[tr.V])
 		cItems = append(cItems, metrics.Labeled{Pred: res.CProbAt(ti), True: provided})
@@ -71,7 +69,7 @@ func evalSingleSynthetic(w *synthetic.World, s *triple.Snapshot, res *fusion.Res
 	var ev SynthEval
 	var vItems []metrics.Labeled
 	for d := range s.Items {
-		subj, pred := itemSubjectPredicate(s.Items[d])
+		subj, pred := triple.SplitItemKey(s.Items[d])
 		truth, ok := w.TrueValueOf(subj, pred)
 		if !ok {
 			continue
@@ -89,8 +87,8 @@ func evalSingleSynthetic(w *synthetic.World, s *triple.Snapshot, res *fusion.Res
 	var cItems []metrics.Labeled
 	seen := make(map[string]bool)
 	for _, o := range s.Obs {
-		subj, pred := itemSubjectPredicate(s.Items[o.D])
-		site := provenanceWebsite(s.Sources[o.W])
+		subj, pred := triple.SplitItemKey(s.Items[o.D])
+		site := triple.ProvenanceWebsite(s.Sources[o.W])
 		key := site + "\x1f" + s.Items[o.D] + "\x1f" + s.Values[o.V]
 		if seen[key] {
 			continue
@@ -105,7 +103,7 @@ func evalSingleSynthetic(w *synthetic.World, s *triple.Snapshot, res *fusion.Res
 	// source accuracy" (§5.2.2) — average the posterior of every triple
 	// extracted from the website.
 	agg := fusion.AggregateSourceAccuracy(s, res, func(wi int) string {
-		return provenanceWebsite(s.Sources[wi])
+		return triple.ProvenanceWebsite(s.Sources[wi])
 	})
 	var pred, truth []float64
 	for site, a := range w.TrueAccuracy {
@@ -118,16 +116,6 @@ func evalSingleSynthetic(w *synthetic.World, s *triple.Snapshot, res *fusion.Res
 	}
 	ev.SqA = sqLoss(pred, truth)
 	return ev
-}
-
-// provenanceWebsite extracts the website from a provenance label
-// (extractor \x1f website \x1f predicate \x1f pattern).
-func provenanceWebsite(label string) string {
-	parts := strings.SplitN(label, "\x1f", 3)
-	if len(parts) < 2 {
-		return label
-	}
-	return parts[1]
 }
 
 func sqLoss(pred, truth []float64) float64 {

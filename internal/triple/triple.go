@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -59,6 +60,13 @@ func (r Record) Conf() float64 {
 // ItemKey returns the data-item identity (subject, predicate) of the record.
 func (r Record) ItemKey() string { return r.Subject + "\x1f" + r.Predicate }
 
+// SplitItemKey splits an ItemKey into its subject and predicate; a key
+// without the separator is all subject.
+func SplitItemKey(key string) (subject, predicate string) {
+	subject, predicate, _ = strings.Cut(key, "\x1f")
+	return subject, predicate
+}
+
 // TripleKey returns the full (subject, predicate, object) identity.
 func (r Record) TripleKey() string {
 	return r.Subject + "\x1f" + r.Predicate + "\x1f" + r.Object
@@ -101,6 +109,17 @@ func ExtractorKeyFinest(r Record) string {
 // (extractor, website, predicate, pattern) of §5.1.2.
 func ProvenanceKey(r Record) string {
 	return r.Extractor + "\x1f" + r.Website + "\x1f" + r.Predicate + "\x1f" + r.Pattern
+}
+
+// ProvenanceWebsite returns the website of a ProvenanceKey label; a label
+// without the separator is returned whole.
+func ProvenanceWebsite(label string) string {
+	_, rest, ok := strings.Cut(label, "\x1f")
+	if !ok {
+		return label
+	}
+	site, _, _ := strings.Cut(rest, "\x1f")
+	return site
 }
 
 // Dataset accumulates raw extraction records plus, optionally, the triples

@@ -49,6 +49,18 @@ func TestKeyFunctions(t *testing.T) {
 	if ProvenanceKey(r) != "E1\x1fwiki.com\x1fnationality\x1fpat0" {
 		t.Error("ProvenanceKey")
 	}
+	if subj, pred := SplitItemKey(r.ItemKey()); subj != "Obama" || pred != "nationality" {
+		t.Errorf("SplitItemKey(ItemKey) = %q, %q", subj, pred)
+	}
+	if subj, pred := SplitItemKey("Obama"); subj != "Obama" || pred != "" {
+		t.Errorf("SplitItemKey without a separator = %q, %q", subj, pred)
+	}
+	if site := ProvenanceWebsite(ProvenanceKey(r)); site != "wiki.com" {
+		t.Errorf("ProvenanceWebsite(ProvenanceKey) = %q", site)
+	}
+	if site := ProvenanceWebsite("wiki.com"); site != "wiki.com" {
+		t.Errorf("ProvenanceWebsite without a separator = %q", site)
+	}
 }
 
 func TestCompileBasic(t *testing.T) {

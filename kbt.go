@@ -376,7 +376,7 @@ func topTriLess(a, b TripleVerdict) bool {
 // forEachVerdict streams every covered candidate triple's verdict to fn.
 func (r *Result) forEachVerdict(fn func(TripleVerdict)) {
 	for d := range r.snap.Items {
-		subj, pred := splitItem(r.snap.Items[d])
+		subj, pred := triple.SplitItemKey(r.snap.Items[d])
 		for _, v := range r.snap.ItemValues[d] {
 			p, covered := r.res.TripleProb(d, v)
 			if !covered {
@@ -613,7 +613,7 @@ func (r *FusionResult) Triples() []TripleVerdict {
 		if !r.res.CoveredItem[d] {
 			continue
 		}
-		subj, pred := splitItem(r.snap.Items[d])
+		subj, pred := triple.SplitItemKey(r.snap.Items[d])
 		for k, v := range r.snap.ItemValues[d] {
 			out = append(out, TripleVerdict{
 				Subject: subj, Predicate: pred, Object: r.snap.Values[v],
@@ -634,21 +634,7 @@ func (r *FusionResult) Triples() []TripleVerdict {
 // the multi-layer model removes.
 func (r *FusionResult) WebsiteAccuracy() map[string]float64 {
 	return fusion.AggregateSourceAccuracy(r.snap, r.res, func(w int) string {
-		label := r.snap.Sources[w]
-		// Provenance labels are extractor\x1fwebsite\x1fpredicate\x1fpattern.
-		first := -1
-		for i := 0; i < len(label); i++ {
-			if label[i] == '\x1f' {
-				if first >= 0 {
-					return label[first+1 : i]
-				}
-				first = i
-			}
-		}
-		if first >= 0 {
-			return label[first+1:]
-		}
-		return label
+		return triple.ProvenanceWebsite(r.snap.Sources[w])
 	})
 }
 
@@ -706,13 +692,4 @@ func displayCompare(a, b string) int {
 		}
 	}
 	return cmp.Compare(len(a), len(b))
-}
-
-func splitItem(key string) (string, string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '\x1f' {
-			return key[:i], key[i+1:]
-		}
-	}
-	return key, ""
 }
