@@ -40,6 +40,18 @@ func benchCfg() experiments.KVConfig {
 	return cfg
 }
 
+// benchKV builds the KV corpus for benchCfg. The artefact benchmarks call it
+// inside their timed loop, so each still measures corpus generation with its
+// experiment.
+func benchKV(b *testing.B) *websim.World {
+	b.Helper()
+	w, err := experiments.BuildKV(benchCfg())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
 // BenchmarkFig3 regenerates Figure 3: SqV/SqC/SqA versus the number of
 // extractors on synthetic data (single-layer vs multi-layer).
 func BenchmarkFig3(b *testing.B) {
@@ -75,10 +87,7 @@ func BenchmarkFig4(b *testing.B) {
 // extracted triples per URL and per extraction pattern.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.Fig5(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := experiments.Fig5(benchKV(b))
 		small := 0
 		total := 0
 		for bi, bucket := range series[0].Buckets {
@@ -95,7 +104,7 @@ func BenchmarkFig5(b *testing.B) {
 // SINGLELAYER(+), MULTILAYER(+), MULTILAYERSM(+).
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Table5(benchCfg())
+		runs, err := experiments.Table5(benchKV(b), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +118,7 @@ func BenchmarkTable5(b *testing.B) {
 // type-error versus KB-true triples under MULTILAYER+.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(benchCfg())
+		res, err := experiments.Fig6(benchKV(b), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +130,7 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkTable6 regenerates Table 6: the inference-algorithm ablations.
 func BenchmarkTable6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table6(benchCfg())
+		rows, err := experiments.Table6(benchKV(b), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +158,7 @@ func BenchmarkTable7(b *testing.B) {
 // BenchmarkFig7 regenerates Figure 7: the distribution of website KBT.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchCfg())
+		res, err := experiments.Fig7(benchKV(b), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +171,7 @@ func BenchmarkFig7(b *testing.B) {
 // for the gold-initialised methods (derived from the Table 5 runs).
 func BenchmarkFig8Fig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runs, err := experiments.Table5(benchCfg())
+		runs, err := experiments.Table5(benchKV(b), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +186,7 @@ func BenchmarkFig8Fig9(b *testing.B) {
 // websites plus the §5.4 corner analyses.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(benchCfg(), 2000)
+		res, err := experiments.Fig10(benchKV(b), benchCfg(), 2000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +199,7 @@ func BenchmarkFig10(b *testing.B) {
 // high-KBT websites.
 func BenchmarkEval541(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Eval541(benchCfg(), 100, 0.9)
+		res, err := experiments.Eval541(benchKV(b), benchCfg(), 100, 0.9)
 		if err != nil {
 			b.Fatal(err)
 		}

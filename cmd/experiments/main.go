@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"kbt/internal/experiments"
+	"kbt/internal/websim"
 )
 
 func main() {
@@ -39,39 +40,56 @@ func main() {
 		ids = []string{"fig3", "fig4", "fig5", "table5", "fig8", "fig9",
 			"fig6", "table6", "table7", "fig7", "fig10", "eval541"}
 	}
-	// Table 5 and Figures 8 and 9 print the same six KV method runs, so they
-	// are computed once, by whichever of the three comes first.
-	table5 := sync.OnceValues(func() ([]experiments.KVRun, error) { return experiments.Table5(cfg) })
+	// Every KV experiment but Table 7 reads one corpus, built by whichever
+	// comes first (Table 7 appends aggregator pages to a corpus of its own).
+	// Table 5 and Figures 8 and 9 print the same six method runs on it, so
+	// those are computed once too.
+	kv := sync.OnceValues(func() (*websim.World, error) { return experiments.BuildKV(cfg) })
+	table5 := sync.OnceValues(func() ([]experiments.KVRun, error) {
+		w, err := kv()
+		if err != nil {
+			return nil, err
+		}
+		return experiments.Table5(w, cfg)
+	})
 	for _, id := range ids {
-		if err := run(strings.TrimSpace(id), cfg, table5, *runs, *maxExt); err != nil {
+		if err := run(strings.TrimSpace(id), cfg, kv, table5, *runs, *maxExt); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func run(id string, cfg experiments.KVConfig, table5 func() ([]experiments.KVRun, error), runs, maxExt int) error {
+func run(id string, cfg experiments.KVConfig, kv func() (*websim.World, error),
+	table5 func() ([]experiments.KVRun, error), runs, maxExt int) error {
+	onKV := func(show func(*websim.World, experiments.KVConfig) error) error {
+		w, err := kv()
+		if err != nil {
+			return err
+		}
+		return show(w, cfg)
+	}
 	switch id {
 	case "fig3":
 		return printFig3(cfg, runs, maxExt)
 	case "fig4":
 		return printFig4(cfg, runs)
 	case "fig5":
-		return printFig5(cfg)
+		return onKV(printFig5)
 	case "fig6":
-		return printFig6(cfg)
+		return onKV(printFig6)
 	case "fig7":
-		return printFig7(cfg)
+		return onKV(printFig7)
 	case "fig8", "fig9", "table5":
 		return printTable5AndCurves(table5, id)
 	case "fig10":
-		return printFig10(cfg)
+		return onKV(printFig10)
 	case "table6":
-		return printTable6(cfg)
+		return onKV(printTable6)
 	case "table7":
 		return printTable7(cfg)
 	case "eval541":
-		return printEval541(cfg)
+		return onKV(printEval541)
 	default:
 		return fmt.Errorf("unknown experiment %q", id)
 	}
@@ -114,12 +132,9 @@ func printFig4(cfg experiments.KVConfig, runs int) error {
 	return nil
 }
 
-func printFig5(cfg experiments.KVConfig) error {
+func printFig5(w *websim.World, _ experiments.KVConfig) error {
 	header("Figure 5: distribution of #triples per URL / extraction pattern")
-	series, err := experiments.Fig5(cfg)
-	if err != nil {
-		return err
-	}
+	series := experiments.Fig5(w)
 	fmt.Printf("%-10s", "bucket")
 	for _, s := range series {
 		fmt.Printf(" %20s", s.Name)
@@ -174,9 +189,9 @@ func printTable5AndCurves(table5 func() ([]experiments.KVRun, error), id string)
 	return nil
 }
 
-func printFig6(cfg experiments.KVConfig) error {
+func printFig6(w *websim.World, cfg experiments.KVConfig) error {
 	header("Figure 6: predicted extraction correctness, type-error vs KB-true triples")
-	res, err := experiments.Fig6(cfg)
+	res, err := experiments.Fig6(w, cfg)
 	if err != nil {
 		return err
 	}
@@ -193,9 +208,9 @@ func printFig6(cfg experiments.KVConfig) error {
 	return nil
 }
 
-func printTable6(cfg experiments.KVConfig) error {
+func printTable6(w *websim.World, cfg experiments.KVConfig) error {
 	header("Table 6: inference-algorithm ablations (MULTILAYER+)")
-	rows, err := experiments.Table6(cfg)
+	rows, err := experiments.Table6(w, cfg)
 	if err != nil {
 		return err
 	}
@@ -236,9 +251,9 @@ func printTable7(cfg experiments.KVConfig) error {
 	return nil
 }
 
-func printFig7(cfg experiments.KVConfig) error {
+func printFig7(w *websim.World, cfg experiments.KVConfig) error {
 	header("Figure 7: distribution of website KBT (sites with >=5 extracted triples)")
-	res, err := experiments.Fig7(cfg)
+	res, err := experiments.Fig7(w, cfg)
 	if err != nil {
 		return err
 	}
@@ -254,9 +269,9 @@ func printFig7(cfg experiments.KVConfig) error {
 	return nil
 }
 
-func printFig10(cfg experiments.KVConfig) error {
+func printFig10(w *websim.World, cfg experiments.KVConfig) error {
 	header("Figure 10: KBT vs PageRank (sampled websites)")
-	res, err := experiments.Fig10(cfg, 2000)
+	res, err := experiments.Fig10(w, cfg, 2000)
 	if err != nil {
 		return err
 	}
@@ -277,9 +292,9 @@ func printFig10(cfg experiments.KVConfig) error {
 	return nil
 }
 
-func printEval541(cfg experiments.KVConfig) error {
+func printEval541(w *websim.World, cfg experiments.KVConfig) error {
 	header("§5.4.1: programmatic evaluation of high-KBT sites (4 criteria)")
-	res, err := experiments.Eval541(cfg, 100, 0.9)
+	res, err := experiments.Eval541(w, cfg, 100, 0.9)
 	if err != nil {
 		return err
 	}

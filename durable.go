@@ -767,14 +767,9 @@ func (d *DurableEngine) checkpointLocked() error {
 		// re-estimates its records cold — the exact state recovery would
 		// rebuild from the image just written. From here on, live and
 		// recovered state march in lockstep through the same warm refreshes
-		// again.
-		recs := d.eng.Records()
-		var ops []wal.CheckpointOp
-		recordOps := 0
-		if len(recs) > 0 {
-			ops = []wal.CheckpointOp{{Records: recs, Refreshes: 1}}
-			recordOps = 1
-		}
+		// again. The engine holds records here: both batch counters count
+		// only applied ops that carry records, and compactAfter is at least 1.
+		ops := []wal.CheckpointOp{{Records: d.eng.Records(), Refreshes: 1}}
 		// Folding the chain into one record op loses the per-op keys, so the
 		// retained dedup set rides the base explicitly as key-only ops —
 		// recovery re-seeds from op.Key and a key-only op contributes no
@@ -787,17 +782,15 @@ func (d *DurableEngine) checkpointLocked() error {
 		if err := wal.WriteCheckpointBase(d.dopt.fs, d.dir, ck); err != nil {
 			return &storageFault{err}
 		}
-		if len(recs) > 0 {
-			r, err := d.eng.RefreshCold()
-			if err != nil {
-				return err
-			}
-			// The cold generation shares no chunk with the warm one, so its
-			// wrapper is installed now rather than by the next reader: the
-			// cached wrapper would otherwise hold the whole warm generation.
-			d.wrap(r)
+		r, err := d.eng.RefreshCold()
+		if err != nil {
+			return err
 		}
-		d.chainBatches = recordOps
+		// The cold generation shares no chunk with the warm one, so its
+		// wrapper is installed now rather than by the next reader: the
+		// cached wrapper would otherwise hold the whole warm generation.
+		d.wrap(r)
+		d.chainBatches = 1
 	case d.hasChain:
 		ck := &wal.Checkpoint{Watermark: watermark, Fingerprint: fp, Ops: d.opsSince}
 		if err := wal.WriteCheckpointDelta(d.dopt.fs, d.dir, d.ckWatermark, ck); err != nil {

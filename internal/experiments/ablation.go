@@ -16,21 +16,12 @@ type Table6Row struct {
 	Cov   float64
 }
 
-// Table6 reproduces the inference-algorithm ablations of Table 6 on one
-// corpus: the MULTILAYER+ baseline; the MAP estimate p(Vd|Ĉd) instead of the
-// uncertainty-weighted estimator (§3.3.3); a fixed prior α (§3.3.4); and
-// thresholded extractions p(C|I(X>φ)) at φ=0 instead of confidence weighting
-// (§3.5).
-func Table6(cfg KVConfig) ([]Table6Row, error) {
-	w, err := BuildKV(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Table6On(w, cfg)
-}
-
-// Table6On runs the ablations on an existing corpus.
-func Table6On(w *websim.World, cfg KVConfig) ([]Table6Row, error) {
+// Table6 reproduces the inference-algorithm ablations of Table 6 on the
+// simulated KV corpus: the MULTILAYER+ baseline; the MAP estimate p(Vd|Ĉd)
+// instead of the uncertainty-weighted estimator (§3.3.3); a fixed prior α
+// (§3.3.4); and thresholded extractions p(C|I(X>φ)) at φ=0 instead of
+// confidence weighting (§3.5).
+func Table6(w *websim.World, cfg KVConfig) ([]Table6Row, error) {
 	s, err := compileFor(w, MultiLayer, cfg)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,9 @@
 // evaluation (§5). Each experiment is a function returning structured rows
 // or series; cmd/experiments prints them and the repository's bench harness
 // benchmarks them. The per-experiment index is cmd/experiments' -exp list.
+// The KV experiments read the corpus they are given, which BuildKV
+// generates, and leave it as they found it, so one corpus serves them all;
+// Table 7 generates its own.
 package experiments
 
 import (

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
+	"kbt/internal/triple"
 	"kbt/internal/websim"
 )
 
@@ -87,7 +89,7 @@ func TestRunKVMethodAllVariants(t *testing.T) {
 func TestTable5Shape(t *testing.T) {
 	cfg := testCfg()
 	w := buildTestWorld(t, cfg)
-	runs, err := Table5On(w, cfg)
+	runs, err := Table5(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestTable5Shape(t *testing.T) {
 func TestFig8Fig9FromTable5(t *testing.T) {
 	cfg := testCfg()
 	w := buildTestWorld(t, cfg)
-	runs, err := Table5On(w, cfg)
+	runs, err := Table5(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +224,7 @@ func TestFig4SmallRun(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	series, err := Fig5(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := Fig5(buildTestWorld(t, testCfg()))
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -241,7 +240,8 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(testCfg())
+	cfg := testCfg()
+	res, err := Fig6(buildTestWorld(t, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFig6Shape(t *testing.T) {
 func TestTable6Shape(t *testing.T) {
 	cfg := testCfg()
 	w := buildTestWorld(t, cfg)
-	rows, err := Table6On(w, cfg)
+	rows, err := Table6(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestTable7Shape(t *testing.T) {
 func TestFig7Shape(t *testing.T) {
 	cfg := testCfg()
 	w := buildTestWorld(t, cfg)
-	res, err := Fig7On(w, cfg)
+	res, err := Fig7(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestFig10Shape(t *testing.T) {
 	cfg := testCfg()
 	cfg.Scale = 1.5 // more sites so the corners are populated
 	w := buildTestWorld(t, cfg)
-	res, err := Fig10On(w, cfg, 2000)
+	res, err := Fig10(w, cfg, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestFig10Shape(t *testing.T) {
 func TestFig10Sampling(t *testing.T) {
 	cfg := testCfg()
 	w := buildTestWorld(t, cfg)
-	res, err := Fig10On(w, cfg, 10)
+	res, err := Fig10(w, cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestEval541Shape(t *testing.T) {
 	cfg := testCfg()
 	cfg.Scale = 1.5
 	w := buildTestWorld(t, cfg)
-	res, err := Eval541On(w, cfg, 100, 0.9)
+	res, err := Eval541(w, cfg, 100, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,5 +403,60 @@ func TestEval541Shape(t *testing.T) {
 	}
 	if res.TrustworthyWithHighPR > res.Trustworthy {
 		t.Error("high-PR trustworthy sites exceed trustworthy count")
+	}
+}
+
+// TestDriversShareOneCorpus runs the KV drivers in cmd/experiments' "all"
+// order on one corpus and each again on a fresh corpus of the same config:
+// the results must agree, or sharing one corpus per invocation would let one
+// driver change what the next one reads.
+func TestDriversShareOneCorpus(t *testing.T) {
+	cfg := DefaultKVConfig()
+	cfg.Scale = 0.3
+	drivers := []struct {
+		name string
+		run  func(w *websim.World) (any, error)
+	}{
+		{"Fig5", func(w *websim.World) (any, error) { return Fig5(w), nil }},
+		{"Table5", func(w *websim.World) (any, error) { return Table5(w, cfg) }},
+		{"Fig6", func(w *websim.World) (any, error) { return Fig6(w, cfg) }},
+		{"Table6", func(w *websim.World) (any, error) { return Table6(w, cfg) }},
+		{"Fig7", func(w *websim.World) (any, error) { return Fig7(w, cfg) }},
+		{"Fig10", func(w *websim.World) (any, error) { return Fig10(w, cfg, 2000) }},
+		{"Eval541", func(w *websim.World) (any, error) { return Eval541(w, cfg, 100, 0.9) }},
+	}
+	shared := buildTestWorld(t, cfg)
+	var onShared []any
+	for _, d := range drivers {
+		got, err := d.run(shared)
+		if err != nil {
+			t.Fatalf("%s on the shared corpus: %v", d.name, err)
+		}
+		onShared = append(onShared, got)
+	}
+	for i, d := range drivers {
+		want, err := d.run(buildTestWorld(t, cfg))
+		if err != nil {
+			t.Fatalf("%s on a fresh corpus: %v", d.name, err)
+		}
+		// DeepEqual compares floats with ==; none is NaN on this corpus.
+		if !reflect.DeepEqual(onShared[i], want) {
+			t.Errorf("%s on the shared corpus differs from a fresh corpus", d.name)
+		}
+	}
+}
+
+// TestSiteProvidesPastPage9999 checks that siteProvides reads the page names
+// websim writes at five digits and more: a triple provided only on page
+// 10000 must be found, not looked up under page 0000.
+func TestSiteProvidesPastPage9999(t *testing.T) {
+	site := websim.Site{Name: "big.example", Pages: 10001}
+	w := &websim.World{Dataset: triple.NewDataset()}
+	w.Dataset.MarkProvided(site.Name, websim.PageName(site.Name, 10000), "s", "p", "o")
+	if !siteProvides(w, site, "s", "p", "o") {
+		t.Fatal("triple provided on page 10000 not found")
+	}
+	if siteProvides(w, site, "s", "p", "other") {
+		t.Fatal("unprovided triple found")
 	}
 }

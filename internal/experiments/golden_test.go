@@ -50,7 +50,7 @@ func qualityMetrics(t *testing.T, seed int64) []goldenMetric {
 	cfg := testCfg()
 	cfg.Seed = seed
 	w := buildTestWorld(t, cfg)
-	runs, err := Table5On(w, cfg)
+	runs, err := Table5(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func qualityMetrics(t *testing.T, seed int64) []goldenMetric {
 		add("table5/"+r.Name()+"/AUCPR", r.AUCPR)
 		add("table5/"+r.Name()+"/Cov", r.Cov)
 	}
-	rows, err := Table6On(w, cfg)
+	rows, err := Table6(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func qualityMetrics(t *testing.T, seed int64) []goldenMetric {
 
 	ecfg := cfg
 	ecfg.Scale = 1.5
-	ev, err := Eval541On(buildTestWorld(t, ecfg), ecfg, 100, 0.9)
+	ev, err := Eval541(buildTestWorld(t, ecfg), ecfg, 100, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,17 +52,8 @@ type Fig7Result struct {
 	FracAbove08 float64
 }
 
-// Fig7 reproduces Figure 7 on a simulated corpus.
-func Fig7(cfg KVConfig) (*Fig7Result, error) {
-	w, err := BuildKV(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Fig7On(w, cfg)
-}
-
-// Fig7On computes the KBT distribution on an existing corpus.
-func Fig7On(w *websim.World, cfg KVConfig) (*Fig7Result, error) {
+// Fig7 reproduces Figure 7 on the simulated KV corpus.
+func Fig7(w *websim.World, cfg KVConfig) (*Fig7Result, error) {
 	s, res, err := runSiteKBT(w, cfg)
 	if err != nil {
 		return nil, err
@@ -119,17 +110,8 @@ type Fig10Result struct {
 }
 
 // Fig10 reproduces Figure 10: KBT and PageRank for up to maxSites sampled
-// websites, with the §5.4.1 corner analyses.
-func Fig10(cfg KVConfig, maxSites int) (*Fig10Result, error) {
-	w, err := BuildKV(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Fig10On(w, cfg, maxSites)
-}
-
-// Fig10On computes Figure 10 on an existing corpus.
-func Fig10On(w *websim.World, cfg KVConfig, maxSites int) (*Fig10Result, error) {
+// websites of the simulated KV corpus, with the §5.4.1 corner analyses.
+func Fig10(w *websim.World, cfg KVConfig, maxSites int) (*Fig10Result, error) {
 	s, res, err := runSiteKBT(w, cfg)
 	if err != nil {
 		return nil, err
@@ -232,18 +214,9 @@ type Eval541Result struct {
 	TrustworthyWithHighPR int
 }
 
-// Eval541 runs the §5.4.1 evaluation on a fresh corpus: up to maxSites
-// websites with KBT above kbtThreshold.
-func Eval541(cfg KVConfig, maxSites int, kbtThreshold float64) (*Eval541Result, error) {
-	w, err := BuildKV(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Eval541On(w, cfg, maxSites, kbtThreshold)
-}
-
-// Eval541On runs the §5.4.1 evaluation on an existing corpus.
-func Eval541On(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64) (*Eval541Result, error) {
+// Eval541 runs the §5.4.1 evaluation on the simulated KV corpus: up to
+// maxSites websites with KBT above kbtThreshold.
+func Eval541(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64) (*Eval541Result, error) {
 	s, res, err := runSiteKBT(w, cfg)
 	if err != nil {
 		return nil, err
@@ -373,22 +346,9 @@ func Eval541On(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64
 // siteProvides checks whether any page of the site provides (s,p,o).
 func siteProvides(w *websim.World, site websim.Site, subj, pred, obj string) bool {
 	for pg := 0; pg < site.Pages; pg++ {
-		if w.ProvidedTruth(site.Name, pageNameFor(site.Name, pg), subj, pred, obj) {
+		if w.ProvidedTruth(site.Name, websim.PageName(site.Name, pg), subj, pred, obj) {
 			return true
 		}
 	}
 	return false
-}
-
-func pageNameFor(site string, pg int) string {
-	return site + "/page" + fourDigits(pg)
-}
-
-func fourDigits(n int) string {
-	digits := []byte{'0', '0', '0', '0'}
-	for i := 3; i >= 0 && n > 0; i-- {
-		digits[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(digits)
 }

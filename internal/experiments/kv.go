@@ -8,18 +8,9 @@ import (
 	"kbt/internal/websim"
 )
 
-// Table5 runs all six method variants of Table 5 on one simulated KV corpus
+// Table5 runs all six method variants of Table 5 on the simulated KV corpus
 // and reports SqV, WDev, AUC-PR, and Cov for each.
-func Table5(cfg KVConfig) ([]KVRun, error) {
-	w, err := BuildKV(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Table5On(w, cfg)
-}
-
-// Table5On runs the Table 5 comparison on an existing corpus.
-func Table5On(w *websim.World, cfg KVConfig) ([]KVRun, error) {
+func Table5(w *websim.World, cfg KVConfig) ([]KVRun, error) {
 	var runs []KVRun
 	for _, goldInit := range []bool{false, true} {
 		for _, m := range []Method{SingleLayer, MultiLayer, MultiLayerSM} {
@@ -40,13 +31,10 @@ type Fig5Series struct {
 	Buckets []metrics.SizeBucket
 }
 
-// Fig5 reproduces Figure 5 on a simulated corpus: the long-tail distribution
-// of distinct extracted triples per URL and per extraction pattern.
-func Fig5(cfg KVConfig) ([]Fig5Series, error) {
-	w, err := BuildKV(cfg)
-	if err != nil {
-		return nil, err
-	}
+// Fig5 reproduces Figure 5 on the simulated KV corpus: the long-tail
+// distribution of distinct extracted triples per URL and per extraction
+// pattern.
+func Fig5(w *websim.World) []Fig5Series {
 	perURL := map[string]map[string]bool{}
 	perPattern := map[string]map[string]bool{}
 	for _, r := range w.Dataset.Records {
@@ -71,7 +59,7 @@ func Fig5(cfg KVConfig) ([]Fig5Series, error) {
 	return []Fig5Series{
 		{Name: "#Triple/URL", Buckets: metrics.SizeDistribution(sizesOf(perURL))},
 		{Name: "#Triple/Ext_pattern", Buckets: metrics.SizeDistribution(sizesOf(perPattern))},
-	}, nil
+	}
 }
 
 // Fig6Result holds Figure 6: the distribution of predicted extraction
@@ -87,12 +75,8 @@ type Fig6Result struct {
 	KBTrueLow, KBTrueHigh   float64
 }
 
-// Fig6 reproduces Figure 6.
-func Fig6(cfg KVConfig) (*Fig6Result, error) {
-	w, err := BuildKV(cfg)
-	if err != nil {
-		return nil, err
-	}
+// Fig6 reproduces Figure 6 on the simulated KV corpus.
+func Fig6(w *websim.World, cfg KVConfig) (*Fig6Result, error) {
 	s, err := compileFor(w, MultiLayer, cfg)
 	if err != nil {
 		return nil, err

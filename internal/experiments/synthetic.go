@@ -4,6 +4,7 @@ import (
 	"kbt/internal/core"
 	"kbt/internal/fusion"
 	"kbt/internal/metrics"
+	"kbt/internal/stats"
 	"kbt/internal/synthetic"
 	"kbt/internal/triple"
 )
@@ -13,10 +14,19 @@ type SynthEval struct {
 	SqV, SqC, SqA float64
 }
 
-// evalMultiSynthetic computes SqV/SqC/SqA for a multi-layer result against
-// the generator's ground truth.
-func evalMultiSynthetic(w *synthetic.World, s *triple.Snapshot, res *core.Result) SynthEval {
+// multiSynthetic fits the multi-layer model at website/extractor granularity
+// to a generated world and computes SqV/SqC/SqA against its ground truth.
+func multiSynthetic(w *synthetic.World) (SynthEval, error) {
 	var ev SynthEval
+	s := w.Compile()
+	opt := core.DefaultOptions()
+	// The synthetic generative model matches per-source attempt semantics.
+	opt.Scope = core.ScopeAttemptedSources
+	opt.N = w.Params.DomainSize
+	res, err := core.Run(s, opt)
+	if err != nil {
+		return ev, err
+	}
 
 	// SqV over candidate (d,v) pairs of items with known truth.
 	var vItems []metrics.Labeled
@@ -56,17 +66,30 @@ func evalMultiSynthetic(w *synthetic.World, s *triple.Snapshot, res *core.Result
 		pred = append(pred, res.AAt(wi))
 		truth = append(truth, a)
 	}
-	ev.SqA = sqLoss(pred, truth)
-	return ev
+	ev.SqA, err = stats.SquareLoss(pred, truth)
+	return ev, err
 }
 
-// evalSingleSynthetic computes SqV/SqA for a single-layer result. The
+// singleSynthetic fits the single-layer model over (extractor, website,
+// predicate, pattern) provenances with the paper's single-layer settings
+// (n=100) and computes SqV/SqA against the world's ground truth. The
 // single-layer model has no extraction-correctness layer, so SqC is set to
 // the loss of always predicting 1 on extracted triples (every extraction is
 // assumed provided) — matching how the paper's Figure 3 shows a single
 // (flat, implicit) line for SINGLELAYER.
-func evalSingleSynthetic(w *synthetic.World, s *triple.Snapshot, res *fusion.Result) SynthEval {
+func singleSynthetic(w *synthetic.World) (SynthEval, error) {
 	var ev SynthEval
+	s := w.Dataset.Compile(triple.CompileOptions{
+		SourceKey:    triple.ProvenanceKey,
+		ExtractorKey: triple.ExtractorKeyName,
+	})
+	opt := fusion.DefaultOptions()
+	opt.MinSupport = 1
+	res, err := fusion.Run(s, opt)
+	if err != nil {
+		return ev, err
+	}
+
 	var vItems []metrics.Labeled
 	for d := range s.Items {
 		subj, pred := triple.SplitItemKey(s.Items[d])
@@ -114,55 +137,8 @@ func evalSingleSynthetic(w *synthetic.World, s *triple.Snapshot, res *fusion.Res
 		pred = append(pred, est)
 		truth = append(truth, a)
 	}
-	ev.SqA = sqLoss(pred, truth)
-	return ev
-}
-
-func sqLoss(pred, truth []float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return sum / float64(len(pred))
-}
-
-// runSyntheticOnce generates one world and evaluates both models on it.
-func runSyntheticOnce(p synthetic.Params) (single, multi SynthEval, err error) {
-	w, err := synthetic.Generate(p)
-	if err != nil {
-		return single, multi, err
-	}
-
-	// Multi-layer at website/extractor granularity.
-	ms := w.Compile()
-	mOpt := core.DefaultOptions()
-	// The synthetic generative model matches per-source attempt semantics.
-	mOpt.Scope = core.ScopeAttemptedSources
-	mOpt.N = p.DomainSize
-	mRes, err := core.Run(ms, mOpt)
-	if err != nil {
-		return single, multi, err
-	}
-	multi = evalMultiSynthetic(w, ms, mRes)
-
-	// Single-layer over (extractor, website, predicate, pattern)
-	// provenances with the paper's single-layer settings (n=100).
-	ss := w.Dataset.Compile(triple.CompileOptions{
-		SourceKey:    triple.ProvenanceKey,
-		ExtractorKey: triple.ExtractorKeyName,
-	})
-	sOpt := fusion.DefaultOptions()
-	sOpt.MinSupport = 1
-	sRes, err := fusion.Run(ss, sOpt)
-	if err != nil {
-		return single, multi, err
-	}
-	single = evalSingleSynthetic(w, ss, sRes)
-	return single, multi, nil
+	ev.SqA, err = stats.SquareLoss(pred, truth)
+	return ev, err
 }
 
 // Fig3Row is one x-position of Figure 3: losses at a given extractor count.
@@ -183,7 +159,15 @@ func Fig3(maxExtractors, runs int, seed int64) ([]Fig3Row, error) {
 			p := synthetic.DefaultParams()
 			p.NumExtractors = ne
 			p.Seed = seed + int64(r)*1000 + int64(ne)
-			s, m, err := runSyntheticOnce(p)
+			w, err := synthetic.Generate(p)
+			if err != nil {
+				return nil, err
+			}
+			m, err := multiSynthetic(w)
+			if err != nil {
+				return nil, err
+			}
+			s, err := singleSynthetic(w)
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +241,11 @@ func Fig4(param Fig4Param, runs int, seed int64) ([]Fig4Row, error) {
 			case VaryCoverage:
 				p.ExtractorCoverage = v
 			}
-			_, m, err := runSyntheticOnce(p)
+			w, err := synthetic.Generate(p)
+			if err != nil {
+				return nil, err
+			}
+			m, err := multiSynthetic(w)
 			if err != nil {
 				return nil, err
 			}

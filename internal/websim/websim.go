@@ -418,7 +418,7 @@ func (g *generator) buildPagesAndTriples(rng *stats.RNG) {
 				if isTrue {
 					correct++
 				}
-				page := pageName(site.Name, pg)
+				page := PageName(site.Name, pg)
 				g.w.Dataset.MarkProvided(site.Name, page, subj, sp.Name, obj)
 				g.provided = append(g.provided, providedTriple{
 					site: si, page: pg, subj: subj, pred: sp.Name, obj: obj,
@@ -433,7 +433,9 @@ func (g *generator) buildPagesAndTriples(rng *stats.RNG) {
 	}
 }
 
-func pageName(site string, pg int) string {
+// PageName names page pg of a site: the URL its records carry and its
+// provided triples are keyed by.
+func PageName(site string, pg int) string {
 	return fmt.Sprintf("%s/page%04d", site, pg)
 }
 
@@ -544,7 +546,7 @@ func (g *generator) extract(rng *stats.RNG) {
 				Extractor:  prof.Name,
 				Pattern:    pattern,
 				Website:    site.Name,
-				Page:       pageName(site.Name, pt.page),
+				Page:       PageName(site.Name, pt.page),
 				Subject:    subj,
 				Predicate:  pred,
 				Object:     obj,
