@@ -45,11 +45,12 @@
 // DIR and the engine state is recovered bit-exactly on restart;
 // -checkpoint-bytes B checkpoints once B bytes of log entries have been
 // written since the last checkpoint (whatever the segment size), and
-// -checkpoint-every N after every N refreshes. Neither bounds recovery: a
-// restart replays every operation since the last compaction base (one per
-// 256 batches), chain deltas and log tail alike; B and N only decide how
-// much of that sits in the log and how much in the chain (ROADMAP item
-// 18(b) makes a restart bound a setting).
+// -checkpoint-every N after every N refreshes; whatever B and N, one also
+// runs once 256 batches have been applied since the last. A restart replays
+// every operation since the last compaction base (one per 256 batches),
+// chain deltas and log tail alike, fewer than 256 batches in each; B and N
+// only decide how much of that sits in the log and how much in the chain
+// (ROADMAP item 18(b) makes a restart bound a setting).
 //
 // A durable serve survives transient disk faults: on a WAL or checkpoint
 // error the engine degrades to read-only (ingest returns 503 with a

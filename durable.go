@@ -13,17 +13,17 @@ import (
 	"kbt/internal/wal"
 )
 
-// defaultCompactAfterBatches bounds the checkpoint chain (and with it the
-// recovery replay cost): once the chain carries this many ingest batches, the
-// next checkpoint compacts it.
+// defaultCompactAfterBatches bounds the checkpoint chain and the log tail, and
+// with them the recovery replay cost: a checkpoint runs once this many ingest
+// batches have been applied since the last, and compacts a chain this long.
 const defaultCompactAfterBatches = 256
 
 // DurableOptions configures OpenDurable, on top of the EngineOptions that
 // configure the model itself.
 type DurableOptions struct {
 	// CheckpointEvery, when > 0, runs Checkpoint automatically after every
-	// N-th successful Refresh. Zero means checkpoints are taken only when
-	// Checkpoint is called explicitly or CheckpointBytes triggers.
+	// N-th successful Refresh. Zero leaves checkpoints to Checkpoint calls,
+	// CheckpointBytes and the compaction cadence (every 256 batches).
 	CheckpointEvery int
 	// CheckpointBytes, when > 0, runs Checkpoint as soon as the log entries
 	// written since the last checkpoint (the ones a recovery would replay)
@@ -205,8 +205,10 @@ type DurableEngine struct {
 
 	// opsSince records the state transitions applied since the last
 	// checkpoint — exactly what the next delta must carry. Rejected batches
-	// and impossible markers contribute no state and are not recorded.
-	opsSince []wal.CheckpointOp
+	// and impossible markers contribute no state and are not recorded;
+	// newBatches counts its ops that carry records.
+	opsSince   []wal.CheckpointOp
+	newBatches int
 	// hasChain / ckWatermark / chainBatches mirror the published chain:
 	// whether one exists, the log sequence it covers up to, and how many
 	// ingest-batch ops it carries (the compaction cadence input).
@@ -308,6 +310,9 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 	if err != nil {
 		log.Close()
 		return nil, err
+	}
+	if dopt.compactAfterBatches == 0 {
+		dopt.compactAfterBatches = defaultCompactAfterBatches
 	}
 	d := &DurableEngine{view: view{eng: eng, opt: opt}, dopt: dopt, dir: dir, log: log}
 	d.keys.cap = dopt.keyRetention()
@@ -421,6 +426,7 @@ func (d *DurableEngine) unlock() {
 // op is "one ingest batch, then N refreshes" (or N refreshes alone).
 func (d *DurableEngine) noteBatch(recs []triple.Record, key string) {
 	d.opsSince = append(d.opsSince, wal.CheckpointOp{Records: recs, Key: key})
+	d.newBatches++
 }
 
 func (d *DurableEngine) noteRefresh() {
@@ -706,12 +712,13 @@ func (d *DurableEngine) appendLocked(payload []byte) error {
 }
 
 // cadenceDue reports whether a checkpoint cadence has come due: the refresh
-// count or the bytes logged since the last checkpoint.
-// Called with d.mu held, after an applied Ingest or Refresh.
+// count, the bytes logged or the batches applied (which compacts) since the
+// last checkpoint. Called with d.mu held, after an applied Ingest or Refresh.
 func (d *DurableEngine) cadenceDue() bool {
 	o := d.dopt
 	return o.CheckpointEvery > 0 && d.refreshes >= o.CheckpointEvery ||
-		o.CheckpointBytes > 0 && d.logged >= o.CheckpointBytes
+		o.CheckpointBytes > 0 && d.logged >= o.CheckpointBytes ||
+		o.compactAfterBatches > 0 && d.newBatches >= o.compactAfterBatches
 }
 
 // Checkpoint persists the operations performed since the last checkpoint as
@@ -751,18 +758,8 @@ func (d *DurableEngine) checkpointLocked() error {
 		return nil // nothing happened since the last checkpoint
 	}
 	fp := engineFingerprint(d.opt)
-	newBatches := 0
-	for i := range d.opsSince {
-		if len(d.opsSince[i].Records) > 0 {
-			newBatches++
-		}
-	}
-	compactAfter := d.dopt.compactAfterBatches
-	if compactAfter == 0 {
-		compactAfter = defaultCompactAfterBatches
-	}
-	switch {
-	case compactAfter > 0 && d.chainBatches+newBatches >= compactAfter:
+	switch compactAfter := d.dopt.compactAfterBatches; {
+	case compactAfter > 0 && d.chainBatches+d.newBatches >= compactAfter:
 		// Compact: one cold base replaces the chain, and the live engine
 		// re-estimates its records cold — the exact state recovery would
 		// rebuild from the image just written. From here on, live and
@@ -806,13 +803,13 @@ func (d *DurableEngine) checkpointLocked() error {
 			// the disk is faulty and the engine degrades either way.
 			if got, ok, rerr := wal.ReadCheckpoint(d.dopt.fs, d.dir); rerr == nil && ok && got.Watermark == watermark {
 				d.ckWatermark = watermark
-				d.chainBatches += newBatches
-				d.opsSince = nil
+				d.chainBatches += d.newBatches
+				d.opsSince, d.newBatches = nil, 0
 				d.refreshes, d.logged = 0, 0
 			}
 			return &storageFault{err}
 		}
-		d.chainBatches += newBatches
+		d.chainBatches += d.newBatches
 	default:
 		// First checkpoint of this directory: the ops since birth are the
 		// whole history, so the base is warm-replayable and the live engine
@@ -821,11 +818,11 @@ func (d *DurableEngine) checkpointLocked() error {
 		if err := wal.WriteCheckpointBase(d.dopt.fs, d.dir, ck); err != nil {
 			return &storageFault{err}
 		}
-		d.chainBatches = newBatches
+		d.chainBatches = d.newBatches
 	}
 	d.hasChain = true
 	d.ckWatermark = watermark
-	d.opsSince = nil
+	d.opsSince, d.newBatches = nil, 0
 	d.refreshes, d.logged = 0, 0
 	if err := d.log.TruncateBefore(watermark); err != nil {
 		return &storageFault{err}

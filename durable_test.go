@@ -1011,6 +1011,55 @@ func TestDurableCompaction(t *testing.T) {
 	assertResultsIdentical(t, "compaction", got, live)
 }
 
+// TestDurableCompactsWithoutCadence: with neither CheckpointEvery nor
+// CheckpointBytes set, the compaction cadence still checkpoints once
+// compactAfterBatches batches have been applied since the last checkpoint,
+// and that checkpoint compacts: after ten keyed ingest+refresh cycles at 4,
+// the chain is one record op holding the first eight batches, two batches
+// wait in the log, and a reopened engine serves the live generation.
+func TestDurableCompactsWithoutCadence(t *testing.T) {
+	opt := durableTestOptions()
+	dir := t.TempDir()
+	dopt := DurableOptions{compactAfterBatches: 4}
+	d, err := OpenDurable(dir, opt, dopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles, size = 10, 3
+	for b := 0; b < cycles; b++ {
+		if err := d.IngestKeyed(fmt.Sprintf("k%d", b), durableBatch(b*size, size)...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, ok, err := wal.ReadCheckpoint(nil, dir)
+	if err != nil || !ok {
+		t.Fatalf("no checkpoint chain after %d batches: ok=%v err=%v", cycles, ok, err)
+	}
+	if ck.Batches() != 1 || len(ck.Ops[0].Records) != 8*size {
+		t.Fatalf("chain: %d batch ops, %d records in the first, want one op of %d", ck.Batches(), len(ck.Ops[0].Records), 8*size)
+	}
+	if d.newBatches != cycles-8 {
+		t.Fatalf("%d batches since the last checkpoint, want %d", d.newBatches, cycles-8)
+	}
+	live, _ := d.Current()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := OpenDurable(dir, opt, dopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	got, ok := rec.Current()
+	if !ok {
+		t.Fatal("no recovered generation")
+	}
+	assertResultsIdentical(t, "reopened", got, live)
+}
+
 // TestDurableClosed: mutators fail cleanly after Close, reads keep serving.
 func TestDurableClosed(t *testing.T) {
 	dir := t.TempDir()

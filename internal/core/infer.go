@@ -21,10 +21,6 @@ import (
 // publish.go), so a refresh that re-estimated a handful of items publishes a
 // handful of chunk copies instead of O(corpus) fresh arrays.
 type Result struct {
-	// Pre, Abs are the final presence/absence votes per extractor (Eqs
-	// 12-13), exposed for inspection and the worked-example tests.
-	Pre, Abs []float64
-
 	// SourceIncluded / ExtractorIncluded report which units met the support
 	// thresholds and had their parameters re-estimated.
 	SourceIncluded    []bool

@@ -598,8 +598,8 @@ func TestRefreshColdMatchesNewEngine(t *testing.T) {
 }
 
 // assertSameGeneration requires two generations to be equal in all but their
-// wall clock: the snapshot tables, posteriors, parameters and votes to the
-// bit, and every other field deep-equal. (A snapshot holds its key functions,
+// wall clock: the snapshot tables, posteriors and parameters to the bit, and
+// every other field deep-equal. (A snapshot holds its key functions,
 // which reflect.DeepEqual never calls equal, so its tables are compared one
 // by one.)
 func assertSameGeneration(t *testing.T, tag string, got, want *Result) {
@@ -608,9 +608,8 @@ func assertSameGeneration(t *testing.T, tag string, got, want *Result) {
 	assertSnapshotsBitIdentical(t, tag+" (fusion)", got.FusionSnap, want.FusionSnap)
 	gi, wi := got.Inference, want.Inference
 	assertResultsBitIdentical(t, tag, gi, wi)
-	if !sameBits(gi.Pre, wi.Pre) || !sameBits(gi.Abs, wi.Abs) ||
-		!reflect.DeepEqual(gi.SourceIncluded, wi.SourceIncluded) || !reflect.DeepEqual(gi.ExtractorIncluded, wi.ExtractorIncluded) {
-		t.Fatalf("%s: votes or unit inclusion diverge", tag)
+	if !reflect.DeepEqual(gi.SourceIncluded, wi.SourceIncluded) || !reflect.DeepEqual(gi.ExtractorIncluded, wi.ExtractorIncluded) {
+		t.Fatalf("%s: unit inclusion diverges", tag)
 	}
 	gf, wf := got.Fusion, want.Fusion
 	if !sameBits(gf.Accuracy, wf.Accuracy) || !sameBits(gf.RestMass, wf.RestMass) || len(gf.ValueProb) != len(wf.ValueProb) {

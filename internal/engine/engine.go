@@ -325,21 +325,11 @@ func (e *Engine) Validate(recs ...triple.Record) error {
 	return nil
 }
 
-// validateRecord rejects records that cannot compile consistently.
+// validateRecord rejects records that cannot compile consistently: those
+// triple.CheckRecord refuses, and those the configured granularity maps to an
+// empty unit label.
 func (e *Engine) validateRecord(r triple.Record) error {
-	switch {
-	case r.Extractor == "":
-		return errors.New("empty Extractor")
-	case r.Website == "":
-		return errors.New("empty Website")
-	case r.Subject == "":
-		return errors.New("empty Subject")
-	case r.Predicate == "":
-		return errors.New("empty Predicate")
-	case r.Object == "":
-		return errors.New("empty Object")
-	}
-	if err := triple.CheckConfidence(r.Confidence); err != nil {
+	if err := triple.CheckRecord(&r); err != nil {
 		return err
 	}
 	if e.opt.SourceKey(r) == "" {

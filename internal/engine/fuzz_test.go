@@ -66,7 +66,6 @@ func assertSnapshotsBitIdentical(t *testing.T, tag string, got, want *triple.Sna
 	cmp("TriplesOfItem", got.TriplesOfItem, want.TriplesOfItem)
 	cmp("TriplesOfSource", got.TriplesOfSource, want.TriplesOfSource)
 	cmp("ObsOfExtractor", got.ObsOfExtractor, want.ObsOfExtractor)
-	cmp("SourcesOfExtractor", got.SourcesOfExtractor, want.SourcesOfExtractor)
 }
 
 // sameBits reports whether two vectors hold the identical float64 bits.

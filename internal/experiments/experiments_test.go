@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"kbt/internal/synthetic"
 	"kbt/internal/triple"
 	"kbt/internal/websim"
 )
@@ -200,6 +202,29 @@ func TestFig3SmallRun(t *testing.T) {
 	}
 	if maxA > 0.25 {
 		t.Errorf("MultiSqA should stay bounded, max = %v", maxA)
+	}
+}
+
+// TestSingleSyntheticSqAReproducible: Figure 3's single-layer SqA sums its
+// sources in one order, so one world gives one bit pattern, run after run.
+// (Summed in map order, this world gave three or four patterns in 30 runs.)
+func TestSingleSyntheticSqAReproducible(t *testing.T) {
+	p := synthetic.DefaultParams()
+	p.NumExtractors, p.Seed = 2, 3
+	w, err := synthetic.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]int{}
+	for range 30 {
+		ev, err := singleSynthetic(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[math.Float64bits(ev.SqA)]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("SqA took %d bit patterns over 30 runs of one world: %v", len(seen), seen)
 	}
 }
 

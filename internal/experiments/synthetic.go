@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"maps"
+	"slices"
+
 	"kbt/internal/core"
 	"kbt/internal/fusion"
 	"kbt/internal/metrics"
@@ -129,13 +132,13 @@ func singleSynthetic(w *synthetic.World) (SynthEval, error) {
 		return triple.ProvenanceWebsite(s.Sources[wi])
 	})
 	var pred, truth []float64
-	for site, a := range w.TrueAccuracy {
+	for _, site := range slices.Sorted(maps.Keys(w.TrueAccuracy)) { // a fixed summation order
 		est, ok := agg[site]
 		if !ok {
 			continue
 		}
 		pred = append(pred, est)
-		truth = append(truth, a)
+		truth = append(truth, w.TrueAccuracy[site])
 	}
 	ev.SqA, err = stats.SquareLoss(pred, truth)
 	return ev, err

@@ -16,23 +16,23 @@ import "slices"
 // (appender.appendCells); plus one row header for every unit of a kind whose
 // old rows the batch grows. The first Extend of a parent claims its tail
 // (Snapshot.tailClaimed) and shares what it does not touch: it appends to the
-// flat tables, and to the outer arrays of ItemValues and the five inverted
+// flat tables, and to the outer arrays of ItemValues and the four inverted
 // indexes, in their spare capacity. Growing a parent's row replaces its
 // header, so the first such write to a table copies that table's outer array
-// (rowTable.set) — the extractor tables on every batch, a few rows;
+// (rowTable.set) — ObsOfExtractor on every batch, a few rows;
 // TriplesOfSource when a known source says something new; TriplesOfItem,
 // ByTriple and ItemValues (Delta.GrownItems) when a known item or triple is
 // extracted again, and those are O(corpus) headers: a stream of new pages
 // about known entities pays them, which ROADMAP item 8(b) leaves to a
 // measurement. A grown row takes the batch's run in one append, in place, the
-// parent never reading past its own length; a merge into a sorted row
-// (ItemValues, SourcesOfExtractor) that inserts before its end copies the row
-// instead. Interning layers merge geometrically: over a lineage a label is
-// re-inserted O(log n) times. Also outside the bound: a table or row that
-// outgrows its capacity is regrown by append (amortised); a raised confidence
-// copies Obs (Delta.RaisedObs); and a second child of the same parent copies
-// every table, each index row clipped to its length so that no later append
-// lands in the claimant's capacity.
+// parent never reading past its own length; a merge into a sorted ItemValues
+// row that inserts before its end copies the row instead. Interning layers
+// merge geometrically: over a lineage a label is re-inserted O(log n) times.
+// Also outside the bound: a table or row that outgrows its capacity is
+// regrown by append (amortised); a raised confidence copies Obs
+// (Delta.RaisedObs); and a second child of the same parent copies every table,
+// each index row clipped to its length so that no later append lands in the
+// claimant's capacity.
 //
 // Invariants the child guarantees relative to its parent:
 //
@@ -74,12 +74,11 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		// holders read: a write below a parent's length (a raised confidence
 		// in appender.appendCells, a grown row in rowTable.set) first unshares
 		// the array it lands in.
-		ItemValues:         forkRows(s.ItemValues, claimed),
-		ByTriple:           forkRows(s.ByTriple, claimed),
-		TriplesOfItem:      forkRows(s.TriplesOfItem, claimed),
-		TriplesOfSource:    forkRows(s.TriplesOfSource, claimed),
-		ObsOfExtractor:     forkRows(s.ObsOfExtractor, claimed),
-		SourcesOfExtractor: forkRows(s.SourcesOfExtractor, claimed),
+		ItemValues:      forkRows(s.ItemValues, claimed),
+		ByTriple:        forkRows(s.ByTriple, claimed),
+		TriplesOfItem:   forkRows(s.TriplesOfItem, claimed),
+		TriplesOfSource: forkRows(s.TriplesOfSource, claimed),
+		ObsOfExtractor:  forkRows(s.ObsOfExtractor, claimed),
 
 		obsShared:  claimed,
 		Obs:        adopt(s.Obs, claimed),

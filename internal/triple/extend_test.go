@@ -16,20 +16,19 @@ import (
 // comparison. Extend's contract is bit-identical equality with a one-shot
 // Compile over the concatenated records, so the comparison is exact.
 type snapshotTables struct {
-	Obs                []Observation
-	Sources            []string
-	Extractors         []string
-	Items              []string
-	Values             []string
-	Predicates         []string
-	PredOfItem         []int
-	ItemValues         [][]int
-	Triples            []TripleRef
-	ByTriple           [][]int
-	TriplesOfItem      [][]int
-	TriplesOfSource    [][]int
-	ObsOfExtractor     [][]int
-	SourcesOfExtractor [][]int
+	Obs             []Observation
+	Sources         []string
+	Extractors      []string
+	Items           []string
+	Values          []string
+	Predicates      []string
+	PredOfItem      []int
+	ItemValues      [][]int
+	Triples         []TripleRef
+	ByTriple        [][]int
+	TriplesOfItem   [][]int
+	TriplesOfSource [][]int
+	ObsOfExtractor  [][]int
 }
 
 func tablesOf(s *Snapshot) snapshotTables {
@@ -39,7 +38,7 @@ func tablesOf(s *Snapshot) snapshotTables {
 		PredOfItem: s.PredOfItem, ItemValues: s.ItemValues,
 		Triples: s.Triples, ByTriple: s.ByTriple,
 		TriplesOfItem: s.TriplesOfItem, TriplesOfSource: s.TriplesOfSource,
-		ObsOfExtractor: s.ObsOfExtractor, SourcesOfExtractor: s.SourcesOfExtractor,
+		ObsOfExtractor: s.ObsOfExtractor,
 	}
 }
 
@@ -326,8 +325,8 @@ func TestExtendSharesUntouchedTables(t *testing.T) {
 			t.Errorf("%s was copied by a batch that grows none of the parent's rows in it", name)
 		}
 	}
-	if sameArray(first.ObsOfExtractor, parent.ObsOfExtractor) || sameArray(first.SourcesOfExtractor, parent.SourcesOfExtractor) {
-		t.Error("an extractor table grew a parent's row in the parent's own array")
+	if sameArray(first.ObsOfExtractor, parent.ObsOfExtractor) {
+		t.Error("ObsOfExtractor grew a parent's row in the parent's own array")
 	}
 	// E0's observation row is the parent's with a tail: same backing array.
 	e0 := parent.ExtractorID("E0")
@@ -378,7 +377,7 @@ func TestExtendBesideParentReaders(t *testing.T) {
 	parent := (&Dataset{Records: wideStream(2400, &next)}).Compile(opt)
 	sum := func() (n int) {
 		for _, tab := range [][][]int{parent.ByTriple, parent.TriplesOfItem, parent.TriplesOfSource,
-			parent.ObsOfExtractor, parent.SourcesOfExtractor, parent.ItemValues} {
+			parent.ObsOfExtractor, parent.ItemValues} {
 			for _, row := range tab {
 				for _, x := range row {
 					n += x
@@ -513,7 +512,7 @@ func referenceBuild(recs []Record, opt CompileOptions) snapshotTables {
 	for _, r := range recs {
 		e, newE := intern(&t.Extractors, opt.ExtractorKey(r))
 		if newE {
-			t.ObsOfExtractor, t.SourcesOfExtractor = append(t.ObsOfExtractor, nil), append(t.SourcesOfExtractor, nil)
+			t.ObsOfExtractor = append(t.ObsOfExtractor, nil)
 		}
 		w, newW := intern(&t.Sources, opt.SourceKey(r))
 		if newW {
@@ -545,7 +544,6 @@ func referenceBuild(recs []Record, opt CompileOptions) snapshotTables {
 		t.Obs = append(t.Obs, Observation{E: e, W: w, D: d, V: v, Conf: r.Conf()})
 		t.ByTriple[ti] = append(t.ByTriple[ti], oi)
 		t.ObsOfExtractor[e] = append(t.ObsOfExtractor[e], oi)
-		t.SourcesOfExtractor[e] = insertSorted(t.SourcesOfExtractor[e], w)
 	}
 	return t
 }
@@ -564,7 +562,7 @@ func requireTables(t *testing.T, what string, got *Snapshot, want snapshotTables
 		"PredOfItem": slices.Equal(g.PredOfItem, want.PredOfItem), "ItemValues": rows(g.ItemValues, want.ItemValues),
 		"Triples": slices.Equal(g.Triples, want.Triples), "ByTriple": rows(g.ByTriple, want.ByTriple),
 		"TriplesOfItem": rows(g.TriplesOfItem, want.TriplesOfItem), "TriplesOfSource": rows(g.TriplesOfSource, want.TriplesOfSource),
-		"ObsOfExtractor": rows(g.ObsOfExtractor, want.ObsOfExtractor), "SourcesOfExtractor": rows(g.SourcesOfExtractor, want.SourcesOfExtractor),
+		"ObsOfExtractor": rows(g.ObsOfExtractor, want.ObsOfExtractor),
 	} {
 		if !equal {
 			t.Errorf("%s: table %s differs from the reference build", what, name)
@@ -645,7 +643,7 @@ func TestCompileMatchesReferenceBuilder(t *testing.T) {
 		})
 	}
 
-	// Every row of all six tables is at least four long, with spare capacity
+	// Every row of all five tables is at least four long, with spare capacity
 	// after Compile, and a batch grows each by one cell: the claimant appends
 	// in place, a second child of the same parent copies, and no snapshot may
 	// see another's cells.
@@ -676,7 +674,7 @@ func TestCompileMatchesReferenceBuilder(t *testing.T) {
 		for name, tabs := range map[string][2][][]int{
 			"ItemValues": {parent.ItemValues, first.ItemValues}, "ByTriple": {parent.ByTriple, first.ByTriple},
 			"TriplesOfItem": {parent.TriplesOfItem, first.TriplesOfItem}, "TriplesOfSource": {parent.TriplesOfSource, first.TriplesOfSource},
-			"ObsOfExtractor": {parent.ObsOfExtractor, first.ObsOfExtractor}, "SourcesOfExtractor": {parent.SourcesOfExtractor, first.SourcesOfExtractor},
+			"ObsOfExtractor": {parent.ObsOfExtractor, first.ObsOfExtractor},
 		} {
 			for i, row := range tabs[0] {
 				if len(tabs[1][i]) != len(row)+1 {

@@ -1,6 +1,7 @@
 package triple
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -37,13 +38,33 @@ type Record struct {
 }
 
 // CheckConfidence refuses a confidence no record may carry: NaN, or outside
-// [0,1] (0 means unspecified). Every entry point applies it: the TSV reader,
-// the engine's ingest and the batch calls of package kbt.
+// [0,1] (0 means unspecified). The TSV reader applies it alone; the engine's
+// ingest and the batch calls of package kbt apply it through CheckRecord.
 func CheckConfidence(c float64) error {
 	if math.IsNaN(c) || c < 0 || c > 1 {
 		return fmt.Errorf("confidence %v out of [0,1]", c)
 	}
 	return nil
+}
+
+// CheckRecord refuses a record the model cannot take as input: one with an
+// empty identity field, which would compile into a degenerate unit or value,
+// or a confidence CheckConfidence refuses. The engine's ingest and the batch
+// calls of package kbt both apply it.
+func CheckRecord(r *Record) error {
+	switch {
+	case r.Extractor == "":
+		return errors.New("empty Extractor")
+	case r.Website == "":
+		return errors.New("empty Website")
+	case r.Subject == "":
+		return errors.New("empty Subject")
+	case r.Predicate == "":
+		return errors.New("empty Predicate")
+	case r.Object == "":
+		return errors.New("empty Object")
+	}
+	return CheckConfidence(r.Confidence)
 }
 
 // Conf returns the effective confidence of the record in (0,1].
@@ -225,7 +246,7 @@ type Snapshot struct {
 	// tailClaimed grants the first Extend of this snapshot the right to
 	// append into spare capacity instead of copying: of the flat append-only
 	// tables (Obs, Triples, labels, PredOfItem), of the outer arrays of
-	// ItemValues and the five inverted indexes, and of each of their rows. One
+	// ItemValues and the four inverted indexes, and of each of their rows. One
 	// claimant per parent makes the lineage that appends in place a chain,
 	// and no snapshot reads past its own lengths; later Extends copy (forkRows).
 	// An adopted array is unshared before the build writes below the parent's
@@ -252,10 +273,6 @@ type Snapshot struct {
 
 	// ObsOfExtractor indexes, per extractor, its observation indices.
 	ObsOfExtractor [][]int
-
-	// SourcesOfExtractor lists, per extractor, the distinct sources it
-	// extracted at least one triple from (its "attempted" scope), ascending.
-	SourcesOfExtractor [][]int
 }
 
 // TripleRef identifies one candidate triple (a (w,d,v) combination with at
@@ -288,7 +305,7 @@ type CompileOptions struct {
 // label's first appearance within its own vocabulary, which no other pass can
 // move. The id columns then go through the build Extend uses
 // (appender.appendCells): one radix sort groups the cells, one pass in record
-// order gives the triples and observations their ids, and the six index
+// order gives the triples and observations their ids, and the five index
 // tables are filled side by side from sorted runs, so that each row is
 // allocated once, at its final length plus a quarter.
 func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
@@ -353,7 +370,6 @@ func (s *Snapshot) internExtractor(key string) int {
 	e := s.extractorIdx.intern(&s.Extractors, key)
 	if e == len(s.ObsOfExtractor) {
 		s.ObsOfExtractor = append(s.ObsOfExtractor, nil)
-		s.SourcesOfExtractor = append(s.SourcesOfExtractor, nil)
 	}
 	return e
 }
@@ -437,8 +453,7 @@ func (t *internTable) intern(list *[]string, key string) int {
 type appender struct {
 	s *Snapshot
 
-	itemValues, byTriple, triplesOfItem, triplesOfSource rowTable
-	obsOfExtractor, sourcesOfExtractor                   rowTable
+	itemValues, byTriple, triplesOfItem, triplesOfSource, obsOfExtractor rowTable
 
 	// compile marks a Compile, the one build whose fills may run side by
 	// side (appendCells).
@@ -468,13 +483,12 @@ func (t *rowTable) set(i int, row []int) {
 func newAppender(s *Snapshot, base Delta, shared bool) *appender {
 	table := func(rows *[][]int, n0 int) rowTable { return rowTable{rows: rows, n0: n0, shared: shared} }
 	return &appender{
-		s:                  s,
-		itemValues:         table(&s.ItemValues, base.Items),
-		byTriple:           table(&s.ByTriple, base.Triples),
-		triplesOfItem:      table(&s.TriplesOfItem, base.Items),
-		triplesOfSource:    table(&s.TriplesOfSource, base.Sources),
-		obsOfExtractor:     table(&s.ObsOfExtractor, base.Extractors),
-		sourcesOfExtractor: table(&s.SourcesOfExtractor, base.Extractors),
+		s:               s,
+		itemValues:      table(&s.ItemValues, base.Items),
+		byTriple:        table(&s.ByTriple, base.Triples),
+		triplesOfItem:   table(&s.TriplesOfItem, base.Items),
+		triplesOfSource: table(&s.TriplesOfSource, base.Sources),
+		obsOfExtractor:  table(&s.ObsOfExtractor, base.Extractors),
 	}
 }
 
@@ -554,7 +568,7 @@ func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
 //
 // One pass in record order gives each new triple and observation the next id,
 // appends it to Triples or Obs and raises a duplicate's confidence, as a
-// record-at-a-time build would. The six index tables are then filled from the
+// record-at-a-time build would. The five index tables are then filled from the
 // new triples and observations, side by side for a large Compile, each by its
 // own fill, which writes its own tables alone: it sorts its entries by row
 // (sortEntries) and gives each row its run in one write.
@@ -611,7 +625,7 @@ func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
 	}
 
 	// Each fill lists its entries, sorts them by row and writes its tables; the
-	// two tables of a kind of row share the fill.
+	// two tables of items share the fill.
 	newTri, newObs := s.Triples[t0:], s.Obs[o0:]
 	fills := [...]func(){
 		func() {
@@ -619,10 +633,7 @@ func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
 				for k, o := range newObs {
 					byExtractor[k] = newEntry(o.E, o0+k)
 				}
-			}, func(byExtractor []entry) {
-				ap.obsOfExtractor.appendRuns(byExtractor)
-				ap.sourcesOfExtractor.mergeRuns(byExtractor, func(oi int) int { return s.Obs[oi].W }, nil)
-			})
+			}, ap.obsOfExtractor.appendRuns)
 		},
 		func() {
 			withEntries(len(newObs), func(byTriple []entry) {
@@ -781,9 +792,8 @@ func (t *rowTable) appendRuns(sorted []entry) {
 // mergeRuns adds to each row of a table of ascending, distinct ids the ids
 // id(val) of its run of the sorted entries that it lacks. Ids that all sort
 // after the row's end are appended as appendRuns does; any other merge makes a
-// new row, so a parent's row never shifts under its readers. grew, if non-nil,
-// is told of each parent row that gains an id, with the val of the first that
-// does.
+// new row, so a parent's row never shifts under its readers. grew is told of
+// each parent row that gains an id, with the val of the first that does.
 func (t *rowTable) mergeRuns(sorted []entry, id func(val int) int, grew func(row, val int)) {
 	var ids []int
 	forRuns(sorted, func(i int, run []entry) {
@@ -802,7 +812,7 @@ func (t *rowTable) mergeRuns(sorted []entry, id func(val int) int, grew func(row
 		if first < 0 {
 			return
 		}
-		if grew != nil && i < t.n0 {
+		if i < t.n0 {
 			grew(i, first)
 		}
 		slices.Sort(ids)

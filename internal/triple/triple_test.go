@@ -184,22 +184,6 @@ func TestIndexesConsistent(t *testing.T) {
 			}
 		}
 	}
-
-	// SourcesOfExtractor matches the observations.
-	for e, srcs := range s.SourcesOfExtractor {
-		want := make(map[int]bool)
-		for _, oi := range s.ObsOfExtractor[e] {
-			want[s.Obs[oi].W] = true
-		}
-		if len(want) != len(srcs) {
-			t.Fatalf("SourcesOfExtractor[%d] = %v, want %d sources", e, srcs, len(want))
-		}
-		for _, w := range srcs {
-			if !want[w] {
-				t.Fatalf("SourcesOfExtractor[%d] contains %d unexpectedly", e, w)
-			}
-		}
-	}
 }
 
 func TestLookupsMissing(t *testing.T) {

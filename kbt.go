@@ -79,8 +79,9 @@ func (e Extraction) record() triple.Record {
 	}
 }
 
-// Add appends one extraction. A Confidence that is NaN or outside [0,1] makes
-// EstimateKBT and FuseSingleLayer fail, naming the extraction by its index.
+// Add appends one extraction. An empty Extractor, Website, Subject, Predicate
+// or Object, or a Confidence that is NaN or outside [0,1], makes EstimateKBT
+// and FuseSingleLayer fail, naming the extraction by its index.
 func (ds *Dataset) Add(e Extraction) {
 	ds.d.Add(e.record())
 }
@@ -101,13 +102,13 @@ func ReadTSV(r io.Reader) (*Dataset, error) {
 	return &Dataset{d: d}, nil
 }
 
-// check refuses a dataset the batch calls cannot score: one whose records
-// include a confidence that ReadTSV and Engine.Ingest would refuse. Add
-// cannot, so EstimateKBT and FuseSingleLayer do, naming the first such record
-// by its index.
+// check refuses a dataset with a record Engine.Ingest refuses at any
+// granularity (triple.CheckRecord: an empty identity field, a bad confidence).
+// Add checks nothing and ReadTSV no identity field, so EstimateKBT and
+// FuseSingleLayer do, naming the first such record by its index.
 func (ds *Dataset) check() error {
 	for i := range ds.d.Records {
-		if err := triple.CheckConfidence(ds.d.Records[i].Confidence); err != nil {
+		if err := triple.CheckRecord(&ds.d.Records[i]); err != nil {
 			return fmt.Errorf("kbt: extraction %d: %w", i, err)
 		}
 	}

@@ -254,34 +254,54 @@ func TestEstimateKBTValidation(t *testing.T) {
 	}
 }
 
-// TestBatchCallsRefuseBadConfidence: a confidence that ReadTSV and
-// Engine.Ingest refuse (NaN, below 0, above 1) fails EstimateKBT and
-// FuseSingleLayer too, naming the extraction by its index, instead of scoring
-// it into a NaN.
-func TestBatchCallsRefuseBadConfidence(t *testing.T) {
-	for _, conf := range []float64{math.NaN(), -0.1, 1.5} {
-		ds := obamaDataset()
-		bad := ds.Len()
-		ds.Add(Extraction{Extractor: "E1", Pattern: "p0", Website: "w1.com", Page: "w1.com/1",
-			Subject: "Obama", Predicate: "spouse", Object: "Michelle", Confidence: conf})
-		ds.Add(Extraction{Extractor: "E2", Pattern: "p0", Website: "w2.com", Page: "w2.com/1",
-			Subject: "Obama", Predicate: "spouse", Object: "Michelle", Confidence: 0.5})
-		want := fmt.Sprintf("extraction %d: confidence %v", bad, conf)
-		calls := map[string]func() error{
-			"EstimateKBT": func() error {
-				_, err := EstimateKBT(ds, websiteOptions())
-				return err
-			},
-			"FuseSingleLayer": func() error {
-				_, err := FuseSingleLayer(ds, DefaultFusionOptions())
-				return err
-			},
-		}
-		for name, call := range calls {
-			if err := call(); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s with confidence %v: err = %v, want one containing %q", name, conf, err, want)
+// TestBatchRefusesWhatIngestRefuses: each bad record of the engine's
+// TestIngestValidation (an empty identity field, a bad confidence) fails
+// EstimateKBT and FuseSingleLayer as it fails Engine.Ingest, with the same
+// reason, naming the extraction by its index.
+func TestBatchRefusesWhatIngestRefuses(t *testing.T) {
+	good := Extraction{Extractor: "E1", Pattern: "p0", Website: "w1.com", Page: "w1.com/1",
+		Subject: "Obama", Predicate: "spouse", Object: "Michelle"}
+	bad := []struct {
+		name string
+		mut  func(*Extraction)
+	}{
+		{"empty extractor", func(x *Extraction) { x.Extractor = "" }},
+		{"empty website", func(x *Extraction) { x.Website = "" }},
+		{"empty subject", func(x *Extraction) { x.Subject = "" }},
+		{"empty predicate", func(x *Extraction) { x.Predicate = "" }},
+		{"empty object", func(x *Extraction) { x.Object = "" }},
+		{"negative confidence", func(x *Extraction) { x.Confidence = -0.5 }},
+		{"confidence above one", func(x *Extraction) { x.Confidence = 1.5 }},
+		{"NaN confidence", func(x *Extraction) { x.Confidence = math.NaN() }},
+	}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			x := good
+			tc.mut(&x)
+			eng, err := NewEngine(DefaultEngineOptions())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			ingestErr := eng.Ingest(x)
+			if ingestErr == nil {
+				t.Fatal("test premise: Engine.Ingest accepted the record")
+			}
+			_, reason, ok := strings.Cut(ingestErr.Error(), "record 0: ")
+			if !ok {
+				t.Fatalf("Engine.Ingest's error %q names no record", ingestErr)
+			}
+			ds := obamaDataset()
+			idx := ds.Len()
+			ds.Add(x)
+			ds.Add(good)
+			want := fmt.Sprintf("extraction %d: %s", idx, reason)
+			if _, err := EstimateKBT(ds, websiteOptions()); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("EstimateKBT: err = %v, want one containing %q", err, want)
+			}
+			if _, err := FuseSingleLayer(ds, DefaultFusionOptions()); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("FuseSingleLayer: err = %v, want one containing %q", err, want)
+			}
+		})
 	}
 }
 
