@@ -113,7 +113,8 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "kbt:", err)
+		// The facade's errors carry the prefix already; print it once.
+		fmt.Fprintln(os.Stderr, "kbt:", strings.TrimPrefix(err.Error(), "kbt: "))
 		os.Exit(1)
 	}
 }

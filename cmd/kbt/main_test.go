@@ -165,6 +165,34 @@ func TestCPUProfileCompleteOnEveryReturn(t *testing.T) {
 	}
 }
 
+// TestBatchNamesRefusedLine: estimate and fuse refuse a TSV record with an
+// empty identity field by its line of the input, after one "kbt:" prefix. A
+// comment, a good record, then an empty subject on line 3. main exits the
+// process, so the test re-runs itself as that process.
+func TestBatchNamesRefusedLine(t *testing.T) {
+	if args := os.Getenv("KBT_TEST_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"kbt"}, strings.Split(args, " ")...)
+		main()
+		os.Exit(0)
+	}
+	feed := t.TempDir() + "/feed.tsv"
+	in := "# a comment\n" + "E1\tp\tw.com\tw.com/1\ts\tpred\to\t0.5\n" + "E1\tp\tw.com\tw.com/1\t\tpred\to\t0.5\n"
+	if err := os.WriteFile(feed, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range []string{"estimate", "fuse"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBatchNamesRefusedLine$")
+		cmd.Env = append(os.Environ(), "KBT_TEST_MAIN_ARGS="+verb+" "+feed)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if want := "kbt: line 3: empty Subject\n"; !errors.As(err, &exit) || exit.ExitCode() != 1 || stderr.String() != want {
+			t.Errorf("%s: err = %v, stderr %q, want exit 1 and %q", verb, err, stderr.String(), want)
+		}
+	}
+}
+
 // TestHTTPServerBoundsSlowClients: the server serve -listen runs bounds how
 // long a client may dawdle over request headers and how long a keep-alive
 // connection may idle (slowloris), but puts no clock on request or response

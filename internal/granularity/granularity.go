@@ -10,9 +10,11 @@
 // a maximum M are split uniformly into ⌈|W|/M⌉ equal-size buckets to remove
 // computational bottlenecks. This is Algorithm 2 (SPLITANDMERGE).
 //
-// Records are grouped once, on the tuple of their features; every later step
-// works per unit, never per record, except the labelling of a split unit's
-// records.
+// Records are grouped once, on the tuple of their features' dense ids (a
+// triple.Table's columns, or each feature's values numbered in order of first
+// appearance); every later step works per unit, never per record, except the
+// assignment of a split unit's records to its buckets. A unit's label is built
+// once per level it reaches, never per record.
 package granularity
 
 import (
@@ -88,59 +90,159 @@ func (r Report) String() string {
 // returns the labels (parallel to records) plus a report. Labels of split
 // buckets are the unit key suffixed with "\x1f#<bucket>".
 //
+// It groups the records on their feature tuples, one map probe per record,
+// numbers each feature's values over those finest units and runs the algorithm
+// on the ids, as splitAndMergeTable does on a table's; a record's label is its
+// unit's.
+func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error) {
+	depth := len(cfg.Features)
+	if err := cfg.check(depth, len(records)); err != nil {
+		return nil, Report{}, err
+	}
+	ids := make(map[[maxFeatures]string]int32)
+	finestOf := make([]int32, len(records))
+	var tuples [][maxFeatures]string
+	for i := range records {
+		var k [maxFeatures]string
+		for f, feature := range cfg.Features {
+			k[f] = feature(&records[i])
+		}
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(tuples))
+			ids[k] = id
+			tuples = append(tuples, k)
+		}
+		finestOf[i] = id
+	}
+	cols, vocabs := make([][]int32, depth), make([][]string, depth)
+	for f := range depth {
+		u := triple.UnitsOf(len(tuples), func(k int) string { return tuples[k][f] })
+		cols[f], vocabs[f] = u.Of, u.Labels
+	}
+	// The finest units' own prefixes of full length are the units.
+	h, _ := newHierarchy(cols, vocabs)
+	units, rep := h.splitAndMerge(finestOf, cfg)
+	labels := make([]string, len(records))
+	for i, u := range units.Of {
+		labels[i] = units.Labels[u]
+	}
+	return labels, rep, nil
+}
+
+// splitAndMergeTable runs Algorithm 2 over a table's id columns, the hierarchy
+// being the given fields, most general first, and returns each record's unit:
+// the units, their labels and the report are those of SplitAndMerge over the
+// table's records with those fields as its features.
+func splitAndMergeTable(t *triple.Table, fields []triple.Field, minSize, maxSize int, seed int64) (*triple.Units, Report, error) {
+	cfg := Config{MinSize: minSize, MaxSize: maxSize, Seed: seed}
+	if err := cfg.check(len(fields), t.Len()); err != nil {
+		return nil, Report{}, err
+	}
+	cols, vocabs := make([][]int32, len(fields)), make([][]string, len(fields))
+	for f, field := range fields {
+		cols[f], vocabs[f] = t.Column(field), t.Labels(field)
+	}
+	h, finestOf := newHierarchy(cols, vocabs)
+	units, rep := h.splitAndMerge(finestOf, cfg)
+	return units, rep, nil
+}
+
+// check refuses a hierarchy of depth features over n records that cfg cannot
+// split and merge.
+func (cfg Config) check(depth, n int) error {
+	if depth == 0 || depth > maxFeatures {
+		return fmt.Errorf("granularity: %d hierarchy features, want 1 to %d", depth, maxFeatures)
+	}
+	if cfg.MinSize < 0 || cfg.MaxSize <= 0 || (cfg.MinSize > cfg.MaxSize) {
+		return fmt.Errorf("granularity: invalid sizes m=%d M=%d", cfg.MinSize, cfg.MaxSize)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("granularity: %d records, more than 2^31-1", n)
+	}
+	return nil
+}
+
+// hierarchy holds the prefixes of a feature vector, most general feature
+// first, of each length p numbered in order of first appearance, count[p] of
+// them: a prefix of length p > 1 is its prefix of length p-1, up[p][k], and
+// the id of feature p-1, last[p][k]; one of length 1 is the first feature's
+// id. labels[f] are feature f's labels by id.
+type hierarchy struct {
+	labels   [][]string
+	up, last [][]int32
+	count    []int
+}
+
+// newHierarchy numbers the prefixes of rows whose features are id columns,
+// cols[f][i] row i's id of feature f, numbered in order of first appearance;
+// it returns each row's prefix of full length.
+func newHierarchy(cols [][]int32, labels [][]string) (*hierarchy, []int32) {
+	depth := len(cols)
+	h := &hierarchy{labels: labels, up: make([][]int32, depth+1), last: make([][]int32, depth+1), count: make([]int, depth+1)}
+	of, first := triple.Tuples(cols[:1])
+	h.count[1] = len(first)
+	for p := 2; p <= depth; p++ {
+		var next []int32
+		next, first = triple.Tuples([][]int32{of, cols[p-1]})
+		h.up[p], h.last[p], h.count[p] = make([]int32, len(first)), make([]int32, len(first)), len(first)
+		for k, i := range first {
+			h.up[p][k], h.last[p][k] = of[i], cols[p-1][i]
+		}
+		of = next
+	}
+	return h, of
+}
+
+// label names the prefix k of length p: its features' labels joined.
+func (h *hierarchy) label(p int, k int32) string {
+	parts := make([]string, p)
+	for q := p; q > 1; q-- {
+		parts[q-1] = h.labels[q-1][h.last[q][k]]
+		k = h.up[q][k]
+	}
+	parts[0] = h.labels[0][k]
+	return strings.Join(parts, "\x1f")
+}
+
+// splitAndMerge is Algorithm 2 over the records whose finest units, the
+// hierarchy's prefixes of full length, are finestOf, reading cfg's sizes and
+// seed; it returns each record's final unit.
+//
 // Level by level from the finest, the units are taken in the order of their
 // labels: a unit of at least MinSize records, or of the top level, is final
 // (split if above MaxSize, drawing its permutation from the one random
 // stream), and any other merges into its parent. A merged unit's records are
 // its children's in the order they merged, each finest unit's in record order;
 // only a unit that splits lists them.
-func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error) {
-	depth := len(cfg.Features)
-	if depth == 0 || depth > maxFeatures {
-		return nil, Report{}, fmt.Errorf("granularity: %d hierarchy features, want 1 to %d", depth, maxFeatures)
-	}
-	if cfg.MinSize < 0 || cfg.MaxSize <= 0 || (cfg.MinSize > cfg.MaxSize) {
-		return nil, Report{}, fmt.Errorf("granularity: invalid sizes m=%d M=%d", cfg.MinSize, cfg.MaxSize)
-	}
-	if len(records) > math.MaxInt32 {
-		return nil, Report{}, fmt.Errorf("granularity: %d records, more than 2^31-1", len(records))
-	}
-
-	// The finest units, numbered in order of first appearance, and each
-	// record's. A unit's key is the prefix of its features shared by its
-	// records, read off the first of them.
+func (h *hierarchy) splitAndMerge(finestOf []int32, cfg Config) (*triple.Units, Report) {
+	depth, n := len(h.labels), len(finestOf)
+	// The finest units are the prefixes of full length; a merge adds the
+	// parent unit of a shorter prefix.
 	type unit struct {
 		label string
+		key   int32 // the unit's prefix, of its level's length
 		size  int
-		first int32   // the unit's first record
 		up    int32   // the unit it merged into, or -1
 		kids  []int32 // the units that merged into it, in merge order
-		split bool    // its records are labelled by bucket
+		final int32   // the final unit it is, or -1 (merged, or split into buckets)
 	}
-	key := func(i int32, prefix int) (k [maxFeatures]string) {
-		for f, feature := range cfg.Features[:prefix] {
-			k[f] = feature(&records[i])
-		}
-		return k
+	nFinest := h.count[depth]
+	units := make([]unit, nFinest)
+	for u := range units {
+		units[u] = unit{key: int32(u), up: -1, final: -1}
 	}
-	var units []unit
-	finestOf := make([]int32, len(records))
-	ids := make(map[[maxFeatures]string]int32)
-	for i := range records {
-		k := key(int32(i), depth)
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(units))
-			ids[k] = id
-			units = append(units, unit{first: int32(i), up: -1})
-		}
-		units[id].size++
-		finestOf[i] = id
+	for _, u := range finestOf {
+		units[u].size++
 	}
-	nFinest := len(units)
 	rep := Report{InitialUnits: nFinest}
 
-	labels := make([]string, len(records))
+	out := &triple.Units{Of: make([]int32, n)}
+	finalize := func(label string) int32 {
+		out.Labels = append(out.Labels, label)
+		rep.FinalUnits++
+		return int32(len(out.Labels) - 1)
+	}
 	rng := stats.NewRNG(cfg.Seed)
 	var byFinest []int32 // record indices grouped by finest unit, built on the first split
 	var start []int
@@ -166,7 +268,7 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 			for f := range nFinest {
 				start[f+1] += start[f]
 			}
-			byFinest = make([]int32, len(records))
+			byFinest = make([]int32, n)
 			next := slices.Clone(start)
 			for i, f := range finestOf {
 				byFinest[next[f]] = int32(i)
@@ -176,17 +278,15 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 		// SPLIT: uniformly distribute into ⌈|W|/M⌉ buckets.
 		idxs := list(u, make([]int, 0, units[u].size))
 		nBuckets := (len(idxs) + cfg.MaxSize - 1) / cfg.MaxSize
-		bucket := make([]string, nBuckets)
+		bucket := make([]int32, nBuckets)
 		for b := range bucket {
-			bucket[b] = units[u].label + "\x1f#" + strconv.Itoa(b)
+			bucket[b] = finalize(units[u].label + "\x1f#" + strconv.Itoa(b))
 		}
 		for pi, p := range rng.Perm(len(idxs)) {
-			labels[idxs[p]] = bucket[pi%nBuckets]
+			out.Of[idxs[p]] = bucket[pi%nBuckets]
 		}
-		units[u].split = true
 		rep.Splits++
 		rep.SplitBuckets += nBuckets
-		rep.FinalUnits += nBuckets
 	}
 
 	level := make([]int32, nFinest)
@@ -195,12 +295,14 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 	}
 	for prefix := depth; prefix > 0 && len(level) > 0; prefix-- {
 		for _, u := range level {
-			k := key(units[u].first, prefix)
-			units[u].label = strings.Join(k[:prefix], "\x1f")
+			units[u].label = h.label(prefix, units[u].key)
 		}
 		slices.SortFunc(level, func(a, b int32) int { return strings.Compare(units[a].label, units[b].label) })
 		var next []int32
-		parents := make(map[[maxFeatures]string]int32)
+		var parents []int32 // by prefix of length prefix-1, the unit merged into, plus one
+		if prefix > 1 {
+			parents = make([]int32, h.count[prefix-1])
+		}
 		for _, u := range level {
 			switch {
 			case units[u].size >= cfg.MinSize || prefix == 1:
@@ -209,17 +311,17 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 				if units[u].size > cfg.MaxSize {
 					split(u)
 				} else {
-					rep.FinalUnits++
+					units[u].final = finalize(units[u].label)
 				}
 			default:
 				// MERGE: fold into the parent unit at the next level.
 				rep.Merges++
-				k := key(units[u].first, prefix-1)
-				p, ok := parents[k]
-				if !ok {
+				k := h.up[prefix][units[u].key]
+				p := parents[k] - 1
+				if p < 0 {
 					p = int32(len(units))
-					parents[k] = p
-					units = append(units, unit{first: units[u].first, up: -1})
+					parents[k] = p + 1
+					units = append(units, unit{key: k, up: -1, final: -1})
 					next = append(next, p)
 				}
 				units[p].size += units[u].size
@@ -230,17 +332,17 @@ func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error
 		level = next
 	}
 
-	// A finest unit's records take the label of the unit it ended in, unless
-	// that unit split and labelled them itself.
+	// A finest unit's records take the final unit it ended in, unless that
+	// unit split and assigned them itself.
 	for i, u := range finestOf {
 		for units[u].up >= 0 {
 			u = units[u].up
 		}
-		if !units[u].split {
-			labels[i] = units[u].label
+		if f := units[u].final; f >= 0 {
+			out.Of[i] = f
 		}
 	}
-	return labels, rep, nil
+	return out, rep
 }
 
 // Sources runs SplitAndMerge with the standard source hierarchy.
@@ -253,6 +355,20 @@ func Sources(records []triple.Record, minSize, maxSize int, seed int64) ([]strin
 // Extractors runs SplitAndMerge with the standard extractor hierarchy.
 func Extractors(records []triple.Record, minSize, maxSize int, seed int64) ([]string, Report, error) {
 	return SplitAndMerge(records, Config{
-		MinSize: minSize, MaxSize: maxSize, Features: ExtractorFeatures(), Seed: seed + 0x5eed,
+		MinSize: minSize, MaxSize: maxSize, Features: ExtractorFeatures(), Seed: seed + extractorSeed,
 	})
 }
+
+// TableSources runs splitAndMergeTable with the standard source hierarchy.
+func TableSources(t *triple.Table, minSize, maxSize int, seed int64) (*triple.Units, Report, error) {
+	return splitAndMergeTable(t, triple.SourceFieldsFinest, minSize, maxSize, seed)
+}
+
+// TableExtractors runs splitAndMergeTable with the standard extractor hierarchy.
+func TableExtractors(t *triple.Table, minSize, maxSize int, seed int64) (*triple.Units, Report, error) {
+	return splitAndMergeTable(t, triple.ExtractorFieldsFinest, minSize, maxSize, seed+extractorSeed)
+}
+
+// extractorSeed shifts the seed of the extractor hierarchy's random stream
+// off the source hierarchy's.
+const extractorSeed = 0x5eed

@@ -45,11 +45,12 @@ import "slices"
 //     confidence raises the existing observation's Conf (in the child only).
 //
 // Extend panics if the parent was compiled with positional label overrides
-// (CompileOptions.SourceLabels/ExtractorLabels): those labels are parallel
-// to the original record slice and cannot classify new records.
+// (CompileOptions.SourceLabels/ExtractorLabels), whose labels are parallel to
+// the original record slice and cannot classify new records, or from a Table,
+// which gives it no key function.
 func (s *Snapshot) Extend(records []Record) *Snapshot {
-	if s.labelCompiled {
-		panic("triple: Extend on a snapshot compiled with positional label overrides")
+	if s.keyless {
+		panic("triple: Extend on a snapshot compiled without key functions")
 	}
 	// One claimant: a second child's appends would collide in the shared tail.
 	claimed := s.tailClaimed.CompareAndSwap(false, true)
@@ -94,12 +95,14 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 	// parent's items they touch.
 	n := len(records)
 	es, ws, ds, vs := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	conf := make([]float64, n)
 	var touched []int
 	for ri := range records {
 		r := &records[ri]
 		es[ri] = c.internExtractor(c.copt.ExtractorKey(*r))
 		ws[ri] = c.internSource(c.copt.SourceKey(*r))
 		ds[ri] = c.internItem(r)
+		conf[ri] = r.Confidence
 		vs[ri] = c.valueIdx.intern(&c.Values, r.Object)
 		if ds[ri] < c.delta.Items {
 			touched = append(touched, ds[ri])
@@ -130,7 +133,7 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		}
 		es, ws, ds, vs = append(pe, es...), append(pw, ws...), append(pd, ds...), append(pv, vs...)
 	}
-	newAppender(c, *c.delta, claimed).appendCells(records, es, ws, ds, vs, tri, obs)
+	newAppender(c, *c.delta, claimed).appendCells(conf, es, ws, ds, vs, tri, obs)
 	return c
 }
 

@@ -68,14 +68,14 @@ func CheckRecord(r *Record) error {
 }
 
 // Conf returns the effective confidence of the record in (0,1].
-func (r Record) Conf() float64 {
-	if r.Confidence <= 0 {
+func (r Record) Conf() float64 { return effectiveConf(r.Confidence) }
+
+// effectiveConf is Record.Conf of a confidence as given.
+func effectiveConf(c float64) float64 {
+	if c <= 0 || c > 1 {
 		return 1
 	}
-	if r.Confidence > 1 {
-		return 1
-	}
-	return r.Confidence
+	return c
 }
 
 // ItemKey returns the data-item identity (subject, predicate) of the record.
@@ -232,11 +232,11 @@ type Snapshot struct {
 	predIdx      *internTable
 
 	// copt records the granularity the snapshot was compiled at, so Extend
-	// can keep applying it. labelCompiled marks snapshots built from
-	// positional label overrides, which cannot extend (the labels are
-	// parallel to the original record slice only).
-	copt          CompileOptions
-	labelCompiled bool
+	// can keep applying it. keyless marks snapshots no key function
+	// reproduces, which cannot extend: those built from positional label
+	// overrides (parallel to the original record slice only) or from a Table.
+	copt    CompileOptions
+	keyless bool
 
 	// delta, set only on snapshots built by Extend, records the parent table
 	// sizes, the in-place confidence raises and the grown value rows — all
@@ -299,15 +299,8 @@ type CompileOptions struct {
 // Duplicate (e,w,d,v) cells are merged keeping the maximum confidence.
 // Defaults: finest source and extractor granularity per §5.1.2.
 //
-// The four vocabularies (extractors, sources, items with their predicates,
-// values) do not depend on one another, so each is interned by its own
-// in-order pass over the records, all four at once: an id is the rank of its
-// label's first appearance within its own vocabulary, which no other pass can
-// move. The id columns then go through the build Extend uses
-// (appender.appendCells): one radix sort groups the cells, one pass in record
-// order gives the triples and observations their ids, and the five index
-// tables are filled side by side from sorted runs, so that each row is
-// allocated once, at its final length plus a quarter.
+// It is Table.Compile's build, each record's units the labels its key
+// functions, positional labels, item key and object give it.
 func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	if opt.SourceKey == nil {
 		opt.SourceKey = SourceKeyFinest
@@ -316,55 +309,32 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 		opt.ExtractorKey = ExtractorKeyFinest
 	}
 	recs := d.Records
-	s := &Snapshot{
-		Obs:           make([]Observation, 0, len(recs)),
-		sourceIdx:     &internTable{},
-		extractorIdx:  &internTable{},
-		itemIdx:       &internTable{},
-		valueIdx:      &internTable{},
-		predIdx:       &internTable{},
-		copt:          CompileOptions{SourceKey: opt.SourceKey, ExtractorKey: opt.ExtractorKey},
-		labelCompiled: opt.SourceLabels != nil || opt.ExtractorLabels != nil,
+	units := func(label func(i int) string) func() *Units {
+		return func() *Units { return UnitsOf(len(recs), label) }
 	}
-
-	// A positional label, where given, is the key; the key function is then
+	// A positional label, where given, is the unit; the key function is then
 	// never called.
-	extractorKey := func(ri int) string { return opt.ExtractorKey(recs[ri]) }
-	if opt.ExtractorLabels != nil {
-		extractorKey = func(ri int) string { return opt.ExtractorLabels[ri] }
+	unit := func(labels []string, key func(Record) string) func(i int) string {
+		if labels != nil {
+			return func(i int) string { return labels[i] }
+		}
+		return func(i int) string { return key(recs[i]) }
 	}
-	sourceKey := func(ri int) string { return opt.SourceKey(recs[ri]) }
-	if opt.SourceLabels != nil {
-		sourceKey = func(ri int) string { return opt.SourceLabels[ri] }
+	conf := make([]float64, len(recs))
+	for i := range recs {
+		conf[i] = recs[i].Confidence
 	}
-	var wg sync.WaitGroup
-	column := func(intern func(ri int) int) []int {
-		col := make([]int, len(recs))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ri := range col {
-				col[ri] = intern(ri)
-			}
-		}()
-		return col
-	}
-	es := column(func(ri int) int { return s.internExtractor(extractorKey(ri)) })
-	ws := column(func(ri int) int { return s.internSource(sourceKey(ri)) })
-	ds := column(func(ri int) int { return s.internItem(&recs[ri]) })
-	vs := column(func(ri int) int { return s.valueIdx.intern(&s.Values, recs[ri].Object) })
-	wg.Wait()
-
-	ap := newAppender(s, Delta{}, false)
-	ap.compile = true
-	ap.appendCells(recs, es, ws, ds, vs, nil, nil)
+	s := compile(conf, units(unit(opt.SourceLabels, opt.SourceKey)), units(unit(opt.ExtractorLabels, opt.ExtractorKey)),
+		units(func(i int) string { return recs[i].ItemKey() }), units(func(i int) string { return recs[i].Object }),
+		func(i int) string { return recs[i].Predicate })
+	s.copt = CompileOptions{SourceKey: opt.SourceKey, ExtractorKey: opt.ExtractorKey}
+	s.keyless = opt.SourceLabels != nil || opt.ExtractorLabels != nil
 	return s
 }
 
-// The intern methods resolve a record's unit to its dense id, on first sight
-// growing the vocabulary and the row tables indexed by it. Each writes only
-// the tables of its own vocabulary (values, which index no rows, are interned
-// directly), which is what lets Compile run them side by side.
+// The intern methods resolve a record of an Extend to its unit's dense id, on
+// first sight growing the vocabulary and the row tables indexed by it (values,
+// which index no rows, are interned directly).
 
 func (s *Snapshot) internExtractor(key string) int {
 	e := s.extractorIdx.intern(&s.Extractors, key)
@@ -561,7 +531,8 @@ func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
 
 // appendCells appends a build's records, updating every table and index to
 // exactly the state a full Compile over the concatenated records would
-// produce. The id columns es, ws, ds, vs hold one cell per record, preceded by
+// produce. conf holds each record's confidence as given (0: unspecified); the
+// id columns es, ws, ds, vs hold one cell per record, preceded by
 // the parent's cells whose triple and observation indexes tri and obs hold; a
 // cell that shares its triple or observation with a lower-ranked one reuses it
 // (groupLeads), so a record already in the parent keeps the parent's indexes.
@@ -572,10 +543,10 @@ func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
 // new triples and observations, side by side for a large Compile, each by its
 // own fill, which writes its own tables alone: it sorts its entries by row
 // (sortEntries) and gives each row its run in one write.
-func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
+func (ap *appender) appendCells(conf []float64, es, ws, ds, vs, tri, obs []int) {
 	s := ap.s
 	first := len(tri)
-	tri, obs = append(tri, make([]int, len(recs))...), append(obs, make([]int, len(recs))...)
+	tri, obs = append(tri, make([]int, len(conf))...), append(obs, make([]int, len(conf))...)
 	groupLeads(es, ws, ds, vs, first, tri, obs)
 	nTri := 0
 	for r := first; r < len(es); r++ {
@@ -586,7 +557,7 @@ func (ap *appender) appendCells(recs []Record, es, ws, ds, vs, tri, obs []int) {
 	s.Triples, s.ByTriple = room(s.Triples, nTri), room(s.ByTriple, nTri)
 	t0, o0 := len(s.Triples), len(s.Obs)
 	for r := first; r < len(es); r++ {
-		e, w, d, v, conf := es[r], ws[r], ds[r], vs[r], recs[r-first].Conf()
+		e, w, d, v, conf := es[r], ws[r], ds[r], vs[r], effectiveConf(conf[r-first])
 		if lead := tri[r]; lead != r {
 			tri[r] = tri[lead]
 		} else {

@@ -64,7 +64,7 @@ func writeRecord(bw *bufio.Writer, r *Record) error {
 	return bw.WriteByte('\n')
 }
 
-// ReadTSV reads its input in blocks of about tsvBlockSize bytes, each cut
+// ReadTable reads its input in blocks of about tsvBlockSize bytes, each cut
 // after its last newline, and refuses a line of maxTSVLine bytes or more with
 // bufio.ErrTooLong — the limit of the bufio.Scanner that cmd/kbt's serve loop
 // reads the same format with.
@@ -73,46 +73,91 @@ const (
 	maxTSVLine   = 4 << 20
 )
 
-// tsvBlock is one run of whole lines and what parsing it produced.
+// tsvBlock is one run of whole lines and what parsing it produced: per field,
+// the block-local id of every record's label and the labels by local id, in
+// order of first appearance within the block, and every record's confidence.
+// A label is a copy taken on first sight, so no part of the text outlives the
+// parse.
 type tsvBlock struct {
-	text    string
-	records []Record
-	lines   int   // lines parsed, the failing one included
-	err     error // what is wrong with the first bad line
+	text  string
+	ids   [numFields][]int32
+	vocab [numFields][]string
+	conf  []float64
+	lines int   // lines parsed, the failing one included
+	err   error // what is wrong with the first bad line
+	// refusedLine is the line, within the block, of record refused, the
+	// block's first with an empty identity field (0: none).
+	refused, refusedLine int
+	parsed               chan struct{}
 }
 
-// ReadTSV parses records from r into a new Dataset.
-//
-// A pool of workers parses each block while the following ones are read, and
-// the per-block records are joined once, in input order. A field is a
-// substring of its block (or a fresh string where an escape had to be
-// undone). The records, and the first error with its line number, are those
-// of reading the input one line at a time.
+// ReadTSV parses records from r into a new Dataset: the records of the table
+// ReadTable reads.
 func ReadTSV(r io.Reader) (*Dataset, error) { return readTSV(r, tsvBlockSize) }
 
 // readTSV is ReadTSV with the block size as a parameter, which changes where
 // the blocks are cut and nothing else; the tests cut them every few bytes.
 func readTSV(r io.Reader, blockSize int) (*Dataset, error) {
+	t, err := readTable(r, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{Records: t.Records()}, nil
+}
+
+// ReadTable parses records from r into a new Table.
+//
+// A pool of workers parses each block while the following ones are read,
+// interning each field into the block's own vocabulary, so that a block's
+// text dies once parsed. The blocks are merged in input order as they are
+// parsed, each block's labels looked up once in the table's vocabularies, and
+// their columns joined once, at the end, at their final length: the ids are
+// those of adding the records one at a time. The records, and the first error
+// with its line number, are those of reading the input one line at a time
+// (ParseTSVLine). A record with an empty identity field is read, and the
+// first one's line kept for Table.Check.
+func ReadTable(r io.Reader) (*Table, error) { return readTable(r, tsvBlockSize) }
+
+// readTable is ReadTable with the block size as a parameter (see readTSV).
+func readTable(r io.Reader, blockSize int) (*Table, error) {
+	workers := parallel.DefaultWorkers()
 	var (
-		blocks []*tsvBlock
-		jobs   = make(chan *tsvBlock)
+		jobs = make(chan *tsvBlock)
+		// The blocks in input order, to the merge: a block per worker
+		// lets the reader keep every worker busy while the merge waits on
+		// the oldest, and no further, so unmerged blocks stay few.
+		order  = make(chan *tsvBlock, workers)
 		failed atomic.Bool
 		wg     sync.WaitGroup
 	)
-	for w := parallel.DefaultWorkers(); w > 0; w-- {
+	for w := workers; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var idx [numFields]map[string]int32
+			for f := range idx {
+				idx[f] = make(map[string]int32)
+			}
 			for b := range jobs {
-				if b.parse(); b.err != nil {
+				if b.parse(&idx); b.err != nil {
 					failed.Store(true)
 				}
+				close(b.parsed)
 			}
 		}()
 	}
+	m := tableMerge{t: &Table{}}
+	merged := make(chan struct{})
+	go func() {
+		defer close(merged)
+		for b := range order {
+			<-b.parsed
+			m.add(b)
+		}
+	}()
 	submit := func(text []byte) {
-		b := &tsvBlock{text: string(text)}
-		blocks = append(blocks, b)
+		b := &tsvBlock{text: string(text), parsed: make(chan struct{})}
+		order <- b
 		jobs <- b
 	}
 
@@ -149,31 +194,103 @@ func readTSV(r io.Reader, blockSize int) (*Dataset, error) {
 		held = copy(buf, buf[cut:end])
 	}
 	close(jobs)
+	close(order)
 	wg.Wait()
+	<-merged
 
 	// A bad line comes before whatever ended the reading after it.
-	total, lines := 0, 0
-	for _, b := range blocks {
-		if b.err != nil {
-			return nil, fmt.Errorf("triple: line %d: %w", lines+b.lines, b.err)
-		}
-		total += len(b.records)
-		lines += b.lines
+	if m.err != nil {
+		return nil, m.err
 	}
 	if scanErr != nil && scanErr != io.EOF {
 		return nil, fmt.Errorf("triple: scan: %w", scanErr)
 	}
-	d := &Dataset{Records: make([]Record, 0, total)}
-	for _, b := range blocks {
-		d.Records = append(d.Records, b.records...)
-	}
-	return d, nil
+	return m.table(), nil
 }
 
-// parse fills in the block's records, stopping at its first bad line.
-func (b *tsvBlock) parse() {
+// tableMerge gathers parsed blocks in input order: it gives each block's
+// labels their ids in the table's vocabularies as the block arrives, and
+// joins the blocks' columns once, when the last has arrived.
+type tableMerge struct {
+	t      *Table
+	index  [numFields]map[string]int32 // the table's labels to their ids
+	blocks []*tsvBlock                 // merged, their ids the table's
+	n      int                         // their records
+	lines  int                         // their lines
+	err    error                       // the first bad line's, after which nothing merges
+}
+
+// add merges a block: its ids become the table's, in place, and its own
+// vocabularies go.
+func (m *tableMerge) add(b *tsvBlock) {
+	if m.err != nil {
+		return
+	}
+	if b.err != nil {
+		m.err = fmt.Errorf("triple: line %d: %w", m.lines+b.lines, b.err)
+		return
+	}
+	t := m.t
+	if b.refusedLine > 0 && t.refusedLine == 0 {
+		t.refused, t.refusedLine = m.n+b.refused, m.lines+b.refusedLine
+	}
+	var local []int32 // the block's ids to the table's
+	for f := range numFields {
+		if m.index[f] == nil {
+			m.index[f] = make(map[string]int32)
+		}
+		local = local[:0]
+		for _, label := range b.vocab[f] {
+			id, ok := m.index[f][label]
+			if !ok {
+				id = nextID(len(t.vocab[f]))
+				m.index[f][label] = id
+				t.vocab[f] = append(t.vocab[f], label)
+			}
+			local = append(local, id)
+		}
+		for i, id := range b.ids[f] {
+			b.ids[f][i] = local[id]
+		}
+		b.vocab[f] = nil
+	}
+	m.blocks = append(m.blocks, b)
+	m.n += len(b.conf)
+	m.lines += b.lines
+}
+
+// table joins the merged blocks' columns into the table's, one field at a
+// time, each at its final length, letting each block's column go once copied.
+func (m *tableMerge) table() *Table {
+	t := m.t
+	for f := range numFields {
+		t.ids[f] = make([]int32, 0, m.n)
+		for _, b := range m.blocks {
+			t.ids[f] = append(t.ids[f], b.ids[f]...)
+			b.ids[f] = nil
+		}
+	}
+	t.conf = make([]float64, 0, m.n)
+	for _, b := range m.blocks {
+		t.conf = append(t.conf, b.conf...)
+		b.conf = nil
+	}
+	return t
+}
+
+// parse fills in the block's columns, stopping at its first bad line; idx is
+// the worker's scratch map per field, cleared here.
+func (b *tsvBlock) parse(idx *[numFields]map[string]int32) {
 	rest := b.text
-	b.records = make([]Record, 0, strings.Count(rest, "\n")+1)
+	b.text = ""
+	for f := range idx {
+		clear(idx[f])
+	}
+	n := strings.Count(rest, "\n") + 1
+	for f := range b.ids {
+		b.ids[f] = make([]int32, 0, n)
+	}
+	b.conf = make([]float64, 0, n)
 	for rest != "" {
 		line := rest
 		if i := strings.IndexByte(rest, '\n'); i >= 0 {
@@ -186,12 +303,41 @@ func (b *tsvBlock) parse() {
 		if line == "" || line[0] == '#' {
 			continue
 		}
-		rec, err := parseLine(line)
+		cols, conf, err := splitLine(line)
 		if err != nil {
 			b.err = err
 			return
 		}
-		b.records = append(b.records, rec)
+		c, err := parseConfidence(conf)
+		if err != nil {
+			b.err = err
+			return
+		}
+		for f, col := range cols {
+			label, fresh := col, false
+			if strings.Contains(col, `\`) {
+				label, fresh = unescape(col), true
+			}
+			id, ok := idx[f][label]
+			if !ok {
+				if !fresh {
+					label = strings.Clone(label)
+				}
+				id = nextID(len(b.vocab[f]))
+				idx[f][label] = id
+				b.vocab[f] = append(b.vocab[f], label)
+			}
+			b.ids[f] = append(b.ids[f], id)
+		}
+		if b.refusedLine == 0 {
+			for _, f := range identityFields {
+				if b.vocab[f][b.ids[f][len(b.conf)]] == "" {
+					b.refused, b.refusedLine = len(b.conf), b.lines
+					break
+				}
+			}
+		}
+		b.conf = append(b.conf, c)
 	}
 }
 
@@ -201,9 +347,31 @@ func (b *tsvBlock) parse() {
 func ParseTSVLine(line string) (Record, error) { return parseLine(line) }
 
 func parseLine(line string) (Record, error) {
+	cols, conf, err := splitLine(line)
+	if err != nil {
+		return Record{}, err
+	}
+	c, err := parseConfidence(conf)
+	if err != nil {
+		return Record{}, err
+	}
+	return Record{
+		Extractor:  unescape(cols[fieldExtractor]),
+		Pattern:    unescape(cols[fieldPattern]),
+		Website:    unescape(cols[fieldWebsite]),
+		Page:       unescape(cols[fieldPage]),
+		Subject:    unescape(cols[fieldSubject]),
+		Predicate:  unescape(cols[fieldPredicate]),
+		Object:     unescape(cols[fieldObject]),
+		Confidence: c,
+	}, nil
+}
+
+// splitLine cuts a record line into its seven fields, still escaped, in Field
+// order, and its confidence column ("" when omitted).
+func splitLine(line string) (cols [numFields]string, conf string, err error) {
 	// Each of the first seven columns ends at a tab; the last column, the
 	// object or the confidence, is what remains.
-	var cols [7]string
 	n, rest := 0, line
 	for ; n < len(cols); n++ {
 		i := strings.IndexByte(rest, '\t')
@@ -213,32 +381,28 @@ func parseLine(line string) (Record, error) {
 		cols[n], rest = rest[:i], rest[i+1:]
 	}
 	if extra := strings.Count(rest, "\t"); n < 6 || extra > 0 {
-		return Record{}, fmt.Errorf("expected 8 tab-separated columns (confidence optional), got %d", n+1+extra)
+		return cols, "", fmt.Errorf("expected 8 tab-separated columns (confidence optional), got %d", n+1+extra)
 	}
-	conf := rest
+	conf = rest
 	if n == 6 {
 		cols[6], conf = rest, ""
 	}
-	rec := Record{
-		Extractor: unescape(cols[0]),
-		Pattern:   unescape(cols[1]),
-		Website:   unescape(cols[2]),
-		Page:      unescape(cols[3]),
-		Subject:   unescape(cols[4]),
-		Predicate: unescape(cols[5]),
-		Object:    unescape(cols[6]),
+	return cols, conf, nil
+}
+
+// parseConfidence parses a confidence column; an empty one is unspecified (0).
+func parseConfidence(conf string) (float64, error) {
+	if conf == "" {
+		return 0, nil
 	}
-	if conf != "" {
-		c, err := strconv.ParseFloat(conf, 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("bad confidence %q: %w", conf, err)
-		}
-		if err := CheckConfidence(c); err != nil {
-			return Record{}, err
-		}
-		rec.Confidence = c
+	c, err := strconv.ParseFloat(conf, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad confidence %q: %w", conf, err)
 	}
-	return rec, nil
+	if err := CheckConfidence(c); err != nil {
+		return 0, err
+	}
+	return c, nil
 }
 
 // escape protects tabs, newlines and carriage returns inside field values

@@ -389,3 +389,32 @@ func FuzzReadTSV(f *testing.F) {
 		requireSameRead(t, int(blockSize)+1, func() io.Reader { return bytes.NewReader(in) })
 	})
 }
+
+// TestReadTableNamesRefusedLine: Table.Check names the first record with an
+// empty identity field by its index and its line from the start of the input,
+// wherever the blocks are cut; a table built by Add names it by index alone.
+func TestReadTableNamesRefusedLine(t *testing.T) {
+	empty := func(col int) string {
+		f := strings.Split(tsvLine, "\t")
+		f[col] = ""
+		return strings.Join(f, "\t")
+	}
+	in := "# c\n" + tsvLine + "\n\n" + tsvLine + "\r\n" + empty(4) + "\n" + empty(2) + "\n" + tsvLine
+	for blockSize := 1; blockSize <= len(in)+2; blockSize++ {
+		tab, err := readTable(strings.NewReader(in), blockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, line, err := tab.Check()
+		if i != 2 || line != 5 || err == nil || err.Error() != "empty Subject" {
+			t.Fatalf("block size %d: record %d, line %d, %v; want record 2, line 5, empty Subject", blockSize, i, line, err)
+		}
+	}
+	added := &Table{}
+	for _, r := range []Record{{Extractor: "E", Website: "w", Subject: "s", Predicate: "p", Object: "o"}, {Extractor: "E", Website: "w", Predicate: "p", Object: "o"}} {
+		added.Add(r)
+	}
+	if i, line, err := added.Check(); i != 1 || line != 0 || err == nil {
+		t.Errorf("added: record %d, line %d, %v; want record 1, no line, an error", i, line, err)
+	}
+}

@@ -58,14 +58,17 @@ type Extraction struct {
 	Confidence float64 // extractor confidence in (0,1]; 0 means 1
 }
 
-// Dataset accumulates extractions.
+// Dataset accumulates extractions. It holds them as columns: per field, each
+// extraction's dense id, every distinct string stored once, and each
+// extraction's confidence. It keeps no Extraction value, and a dataset that
+// ReadTSV read keeps no part of the input text.
 type Dataset struct {
-	d *triple.Dataset
+	t *triple.Table
 }
 
 // NewDataset returns an empty dataset.
 func NewDataset() *Dataset {
-	return &Dataset{d: triple.NewDataset()}
+	return &Dataset{t: &triple.Table{}}
 }
 
 // record converts the extraction to the internal representation — the single
@@ -83,7 +86,7 @@ func (e Extraction) record() triple.Record {
 // or Object, or a Confidence that is NaN or outside [0,1], makes EstimateKBT
 // and FuseSingleLayer fail, naming the extraction by its index.
 func (ds *Dataset) Add(e Extraction) {
-	ds.d.Add(e.record())
+	ds.t.Add(e.record())
 }
 
 // ReadTSV reads a dataset from the TSV interchange format: one extraction
@@ -93,30 +96,35 @@ func (ds *Dataset) Add(e Extraction) {
 //
 // where blank lines and lines starting with '#' are skipped. The first
 // malformed line fails the read, by line number. It is the bulk counterpart
-// of Add: the parsed records become the dataset as they are.
+// of Add: the dataset holds the parsed extractions as Add would, and no part
+// of the input text. An extraction with an empty identity field is read, and
+// EstimateKBT and FuseSingleLayer name the first by its line.
 func ReadTSV(r io.Reader) (*Dataset, error) {
-	d, err := triple.ReadTSV(r)
+	t, err := triple.ReadTable(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{d: d}, nil
+	return &Dataset{t: t}, nil
 }
 
 // check refuses a dataset with a record Engine.Ingest refuses at any
 // granularity (triple.CheckRecord: an empty identity field, a bad confidence).
 // Add checks nothing and ReadTSV no identity field, so EstimateKBT and
-// FuseSingleLayer do, naming the first such record by its index.
+// FuseSingleLayer do, naming the first such record by its line if ReadTSV
+// read it and by its index otherwise.
 func (ds *Dataset) check() error {
-	for i := range ds.d.Records {
-		if err := triple.CheckRecord(&ds.d.Records[i]); err != nil {
-			return fmt.Errorf("kbt: extraction %d: %w", i, err)
-		}
+	i, line, err := ds.t.Check()
+	switch {
+	case err == nil:
+		return nil
+	case line > 0:
+		return fmt.Errorf("kbt: line %d: %w", line, err)
 	}
-	return nil
+	return fmt.Errorf("kbt: extraction %d: %w", i, err)
 }
 
 // Len returns the number of extractions added.
-func (ds *Dataset) Len() int { return len(ds.d.Records) }
+func (ds *Dataset) Len() int { return ds.t.Len() }
 
 // SourceGranularity selects how web sources are grouped before inference.
 type SourceGranularity int
@@ -466,7 +474,7 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	copt := triple.CompileOptions{}
+	var src, ext triple.Grouping
 	if opt.Granularity == GranularityAuto {
 		m, M := opt.MinSourceSize, opt.MaxSourceSize
 		if M <= 0 {
@@ -481,21 +489,21 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			copt.SourceLabels, _, srcErr = granularity.Sources(ds.d.Records, m, M, opt.Seed)
+			src.Units, _, srcErr = granularity.TableSources(ds.t, m, M, opt.Seed)
 		}()
-		copt.ExtractorLabels, _, extErr = granularity.Extractors(ds.d.Records, m, M, opt.Seed)
+		ext.Units, _, extErr = granularity.TableExtractors(ds.t, m, M, opt.Seed)
 		<-done
 		if err := cmp.Or(srcErr, extErr); err != nil {
 			return nil, err
 		}
 	} else {
 		var ok bool
-		copt.SourceKey, copt.ExtractorKey, ok = granularityKeys(opt.Granularity)
+		src.Fields, ext.Fields, ok = granularityFields(opt.Granularity)
 		if !ok {
 			return nil, fmt.Errorf("kbt: unknown granularity %d", opt.Granularity)
 		}
 	}
-	snap := ds.d.Compile(copt)
+	snap := ds.t.Compile(src, ext)
 
 	mopt := coreOptions(opt.DomainSize, opt.Iterations, opt.MinSupport,
 		opt.UseConfidence, opt.AllExtractorsVoteAbsence)
@@ -648,10 +656,7 @@ func FuseSingleLayer(ds *Dataset, opt FusionOptions) (*FusionResult, error) {
 	if err := ds.check(); err != nil {
 		return nil, err
 	}
-	snap := ds.d.Compile(triple.CompileOptions{
-		SourceKey:    triple.ProvenanceKey,
-		ExtractorKey: triple.ExtractorKeyName,
-	})
+	snap := ds.t.Compile(triple.Grouping{Fields: triple.ProvenanceFields}, triple.Grouping{Fields: triple.ExtractorFieldsName})
 	fopt := fusion.DefaultOptions()
 	if opt.Model == PopAccu {
 		fopt.Model = fusion.PopAccu

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kbt/internal/triple"
+	"kbt/internal/websim"
 )
 
 // obamaDataset builds a small consensus scenario: four sites say USA, one
@@ -449,7 +450,7 @@ func TestDetectCopying(t *testing.T) {
 func TestReadTSVIsAddInBulk(t *testing.T) {
 	added := obamaDataset()
 	var buf bytes.Buffer
-	if err := triple.WriteTSV(&buf, added.d); err != nil {
+	if err := triple.WriteTSV(&buf, &triple.Dataset{Records: added.t.Records()}); err != nil {
 		t.Fatal(err)
 	}
 	read, err := ReadTSV(strings.NewReader("# obama\n\n" + buf.String()))
@@ -476,6 +477,52 @@ func TestReadTSVIsAddInBulk(t *testing.T) {
 		t.Errorf("malformed line %d: error %v", added.Len()+1, err)
 	}
 }
+
+// TestReadTSVRetainsNoText bounds what a dataset read from TSV keeps alive
+// per input byte: its id columns and each distinct label once. A reader that
+// kept the text (a label a substring of its block) or a record per line would
+// keep at least a byte per byte. The bound is the growth of the live heap over
+// the read, measured after a collection, so no clock or CPU steal enters it.
+func TestReadTSVRetainsNoText(t *testing.T) {
+	in := webTSV(t, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ds, err := ReadTSV(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perByte := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(in))
+	t.Logf("%d records, %d bytes of TSV: %.3f bytes live per input byte", ds.Len(), len(in), perByte)
+	if perByte > maxLivePerTSVByte {
+		t.Errorf("a dataset read from TSV keeps %.3f bytes live per input byte, want at most %.2f", perByte, maxLivePerTSVByte)
+	}
+	runtime.KeepAlive(ds)
+	runtime.KeepAlive(in) // live on both sides of the read, so outside the growth
+}
+
+// webTSV returns the web simulator's corpus at the scale as TSV; the corpus
+// itself is garbage once it returns.
+func webTSV(t *testing.T, scale float64) []byte {
+	p := websim.DefaultParams().Scale(scale)
+	p.Seed = 1
+	w, err := websim.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := triple.WriteTSV(&buf, w.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// maxLivePerTSVByte bounds TestReadTSVRetainsNoText: the columnar dataset
+// keeps 0.39 bytes per input byte of that corpus (a reader that kept records
+// and text, 2.03), and a label holding its block keeps 1 at the least.
+const maxLivePerTSVByte = 0.6
 
 // TestEstimateAutoSameAtAnyWidth: GranularityAuto splits and merges the
 // source and the extractor hierarchy side by side and compiles on several

@@ -29,6 +29,20 @@ func granularityKeys(g SourceGranularity) (triple.SourceKeyFunc, triple.Extracto
 	return nil, nil, false
 }
 
+// granularityFields is granularityKeys as the field tuples those key
+// functions join, for the batch calls, which build from a table.
+func granularityFields(g SourceGranularity) (sources, extractors []triple.Field, ok bool) {
+	switch g {
+	case GranularityWebsite:
+		return triple.SourceFieldsWebsite, triple.ExtractorFieldsName, true
+	case GranularityPage:
+		return triple.SourceFieldsPage, triple.ExtractorFieldsName, true
+	case GranularityFinest:
+		return triple.SourceFieldsFinest, triple.ExtractorFieldsFinest, true
+	}
+	return nil, nil, false
+}
+
 // coreOptions maps the shared public model knobs onto core.Options — the
 // mapping itself lives on core.Options (WithSharedKnobs) so the core layer
 // owns its own knob semantics.
