@@ -633,9 +633,10 @@ func cmdFuse(args []string) (err error) {
 		return err
 	}
 	fmt.Printf("%-30s %-20s %-20s %s\n", "SUBJECT", "PREDICATE", "OBJECT", "P(TRUE)")
-	for i, tv := range res.Triples() {
+	triples := res.Triples()
+	for i, tv := range triples {
 		if *top > 0 && i >= *top {
-			fmt.Printf("... (%d more)\n", len(res.Triples())-*top)
+			fmt.Printf("... (%d more)\n", len(triples)-*top)
 			break
 		}
 		fmt.Printf("%-30s %-20s %-20s %.4f\n",

@@ -158,6 +158,13 @@ type HealthStatus struct {
 	// CheckpointWatermark is the log sequence the chain covers up to.
 	WALBytes            int64
 	CheckpointWatermark uint64
+	// LogBytes is the size of the log on disk, over every segment file: the
+	// log a checkpoint has not yet truncated, which includes the part of a
+	// segment below the watermark until the whole segment is covered.
+	LogBytes int64
+	// CheckpointAge is the time since this process last completed a
+	// checkpoint, on the engine's clock; zero before its first.
+	CheckpointAge time.Duration
 }
 
 // DurableEngine is an Engine whose ingest stream survives process death: it
@@ -227,6 +234,9 @@ type DurableEngine struct {
 	probeDelay time.Duration
 	nextProbe  time.Time
 	status     atomic.Pointer[healthView]
+	// lastCkpt is when this process last completed a checkpoint (zero:
+	// never), the base of HealthStatus.CheckpointAge.
+	lastCkpt time.Time
 
 	// keys is the idempotency-key dedup set: the most recent KeyRetention
 	// keys whose batches were durably applied, live or via recovery replay.
@@ -238,13 +248,13 @@ type DurableEngine struct {
 	closed bool
 }
 
-// healthView is a published health report: the status with RetryAfter left
-// for the reader to derive from nextProbe on the clock, and whether the
-// engine was closed (a closed engine never probes).
+// healthView is a published health report: the status with RetryAfter and
+// CheckpointAge left for the reader to derive from nextProbe and lastCkpt on
+// the clock, and whether the engine was closed (a closed engine never probes).
 type healthView struct {
 	HealthStatus
-	nextProbe time.Time
-	closed    bool
+	nextProbe, lastCkpt time.Time
+	closed              bool
 }
 
 // fingerprintVersion tags the layout of engineFingerprint. Pre-1.0, a data
@@ -403,8 +413,10 @@ func (d *DurableEngine) publishLocked() {
 			Heals:               d.heals,
 			WALBytes:            d.logged,
 			CheckpointWatermark: d.ckWatermark,
+			LogBytes:            d.log.Bytes(),
 		},
 		nextProbe: d.nextProbe,
+		lastCkpt:  d.lastCkpt,
 		closed:    d.closed,
 	}
 	if d.lastFault != nil {
@@ -572,10 +584,14 @@ func (d *DurableEngine) Health() HealthStatus {
 		v = d.status.Load()
 	}
 	st := v.HealthStatus
+	now := d.dopt.clock()()
 	if st.State == StateDegraded {
-		if ra := v.nextProbe.Sub(d.dopt.clock()()); ra > 0 {
+		if ra := v.nextProbe.Sub(now); ra > 0 {
 			st.RetryAfter = ra
 		}
+	}
+	if !v.lastCkpt.IsZero() {
+		st.CheckpointAge = now.Sub(v.lastCkpt)
 	}
 	return st
 }
@@ -766,7 +782,7 @@ func (d *DurableEngine) checkpointLocked() error {
 		// recovered state march in lockstep through the same warm refreshes
 		// again. The engine holds records here: both batch counters count
 		// only applied ops that carry records, and compactAfter is at least 1.
-		ops := []wal.CheckpointOp{{Records: d.eng.Records(), Refreshes: 1}}
+		ops := []wal.CheckpointOp{{Table: d.eng.Table(), Refreshes: 1}}
 		// Folding the chain into one record op loses the per-op keys, so the
 		// retained dedup set rides the base explicitly as key-only ops —
 		// recovery re-seeds from op.Key and a key-only op contributes no
@@ -824,6 +840,7 @@ func (d *DurableEngine) checkpointLocked() error {
 	d.ckWatermark = watermark
 	d.opsSince, d.newBatches = nil, 0
 	d.refreshes, d.logged = 0, 0
+	d.lastCkpt = d.dopt.clock()()
 	if err := d.log.TruncateBefore(watermark); err != nil {
 		return &storageFault{err}
 	}

@@ -81,7 +81,7 @@ E1	p0	gossip.com	gossip.com/people	Person0	birthplace	Atlantis	0.8
 	fmt.Println(err)
 	// Output:
 	// 3 extractions
-	// triple: line 6: expected 8 tab-separated columns (confidence optional), got 3
+	// kbt: line 6: expected 8 tab-separated columns (confidence optional), got 3
 }
 
 // ExampleNewEngine streams extractions into the incremental engine:

@@ -330,7 +330,7 @@ func TestCopyFusionJoinedOnError(t *testing.T) {
 		if n := len(e.fus.Snapshot().Obs); n != len(recs) {
 			t.Fatalf("fusion store holds %d observations after refresh %d, want %d", n, i+1, len(recs))
 		}
-		if e.run.records != nil {
+		if e.run.tab != nil {
 			t.Fatal("Refresh returned without clearing its run")
 		}
 	}

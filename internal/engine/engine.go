@@ -231,10 +231,17 @@ type Engine struct {
 	mu        sync.Mutex
 	opt       Options
 
-	// ds holds every record ingested, in order; modelState covers its first
-	// estimated records and the rest are pending. Records only append, so the
-	// mark is all that tells the two apart.
-	ds        *triple.Dataset
+	// tab holds as id columns (triple.Table) every record a refresh has taken
+	// in: the first estimated, which modelState covers, and those of a
+	// refresh that failed after begin. pend holds, in order, the records
+	// ingested since the last refresh that published, the first
+	// tab.Len()-estimated of them also in tab. Ingest appends to pend, begin
+	// adds pend's new records to tab, and publish drops the ones its run took,
+	// so a batch's records, and any text their strings are part of, live until
+	// the refresh that takes them in publishes, and no longer: every label tab
+	// and the snapshots keep is a copy taken on first sight.
+	tab       *triple.Table
+	pend      []triple.Record
 	estimated int
 
 	modelState // persisted across refreshes
@@ -292,7 +299,7 @@ func New(opt Options) *Engine {
 			opt.Fuse.FullAggregates = true
 		}
 	}
-	return &Engine{opt: opt, ds: triple.NewDataset()}
+	return &Engine{opt: opt, tab: &triple.Table{}}
 }
 
 // Ingest validates and appends extraction records. The new evidence takes
@@ -309,7 +316,7 @@ func (e *Engine) Ingest(recs ...triple.Record) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.ds.Records = append(e.ds.Records, recs...)
+	e.pend = append(e.pend, recs...)
 	return nil
 }
 
@@ -345,26 +352,25 @@ func (e *Engine) validateRecord(r triple.Record) error {
 func (e *Engine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.ds.Records)
+	return e.estimated + len(e.pend)
 }
 
-// Records returns the full ingest-ordered record sequence. The returned
-// slice is capped at its length, so a concurrent Ingest appends into fresh
-// backing storage rather than aliasing the caller's view — the same
-// append-only discipline the snapshot compiler relies on. Used by the
-// durable engine to persist its checkpoint image.
-func (e *Engine) Records() []triple.Record {
+// Table returns, in ingest order, the records every refresh so far has taken
+// in: all records ingested, when the last refresh published and nothing was
+// ingested since. The table is a clip (triple.Table.Clip), which later
+// refreshes do not change. The durable engine writes its compacted checkpoint
+// from it.
+func (e *Engine) Table() *triple.Table {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := len(e.ds.Records)
-	return e.ds.Records[:n:n]
+	return e.tab.Clip()
 }
 
 // Pending returns the number of records ingested since the last Refresh.
 func (e *Engine) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.ds.Records) - e.estimated
+	return len(e.pend)
 }
 
 // Last returns the most recent Refresh result, or nil before the first one.
@@ -396,14 +402,14 @@ type modelState struct {
 // The value lives in Engine.run under refreshMu, so it costs a refresh no
 // allocation.
 type refreshRun struct {
-	// begin: the inputs captured under the state lock. records is the corpus
+	// begin: the inputs captured under the state lock. tab holds the corpus
 	// this refresh estimates; prev, the previous refresh's state (zero on a
-	// cold run), was built from its first estimated records, and the rest are
-	// the pending ones this refresh consumes.
-	warm      bool
-	records   []triple.Record
-	estimated int
-	prev      modelState
+	// cold run), was built from all but its last len(pending) records, which
+	// pending holds and this refresh consumes.
+	warm    bool
+	tab     *triple.Table
+	pending []triple.Record
+	prev    modelState
 	// fuseDone: fusion is off, or converged and carried in the layer-6
 	// group; carried: the generation begin left for resumeFusion.
 	fuseDone bool
@@ -515,19 +521,21 @@ func (e *Engine) refresh(cold bool) (*Result, error) {
 func (e *Engine) begin(r *refreshRun, cold bool) (cached *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	nRec := len(e.ds.Records)
-	if nRec == 0 {
+	if e.estimated+len(e.pend) == 0 {
 		return nil, errors.New("engine: empty dataset")
 	}
 	if cold {
 		e.modelState, e.fus = modelState{}, nil
 	}
+	for _, rec := range e.pend[e.tab.Len()-e.estimated:] {
+		e.tab.Add(rec)
+	}
 	r.warm = e.snap != nil
-	r.records = e.ds.Records[:nRec:nRec]
-	r.estimated = e.estimated
+	r.tab = e.tab
+	r.pending = slices.Clip(e.pend)
 	r.prev = e.modelState
 	r.fuseDone = !e.opt.Fusion
-	if !r.warm || e.estimated < nRec {
+	if !r.warm || len(r.pending) > 0 {
 		return nil, nil
 	}
 	last := e.last.Load()
@@ -576,10 +584,6 @@ func (e *Engine) resumeFusion(r *refreshRun) (*Result, error) {
 	return res, nil
 }
 
-// pending returns the records this refresh consumes: the ones ingested since
-// prev was built.
-func (r *refreshRun) pending() []triple.Record { return r.records[r.estimated:] }
-
 // buildState builds what the run estimates on (reads r's begin group, fills
 // its state group): the snapshot, the core options, the EM state and the
 // posterior arrays. It is the one place that knows the execution mode. By default a warm refresh extends the previous snapshot,
@@ -601,17 +605,17 @@ func (e *Engine) buildState(r *refreshRun) error {
 	}
 	switch {
 	case !r.extended:
-		r.snap = (&triple.Dataset{Records: r.records}).Compile(triple.CompileOptions{
+		r.snap = r.tab.CompileKeys(triple.CompileOptions{
 			SourceKey:    e.opt.SourceKey,
 			ExtractorKey: e.opt.ExtractorKey,
 		})
-	case len(r.pending()) == 0:
+	case len(r.pending) == 0:
 		// Resuming an unconverged run: zero new records means the grown
 		// snapshot would be content-identical, so reuse it outright instead
 		// of paying Extend's table copies.
 		r.snap = r.prev.snap
 	default:
-		r.snap = r.prev.snap.Extend(r.pending())
+		r.snap = r.prev.snap.Extend(r.pending)
 	}
 
 	r.copt = e.opt.Core
@@ -666,7 +670,7 @@ func (e *Engine) settle(r *refreshRun) error {
 	case !r.warm:
 		r.em.Bootstrap(r.cProb)
 		base.MarkAllFull()
-	case len(r.pending()) == 0:
+	case len(r.pending) == 0:
 		// Resuming an unconverged run (begin served the converged case): the
 		// cached posteriors already reproduce the cached parameters, so a
 		// partial pass would measure zero delta and stall. Re-estimate
@@ -901,7 +905,7 @@ func (e *Engine) fuse(r *refreshRun) (err error) {
 			return err
 		}
 	}
-	if r.fusRes, err = e.fus.Refresh(r.records, r.pending()); err != nil {
+	if r.fusRes, err = e.fus.RefreshTable(r.tab, r.pending); err != nil {
 		return err
 	}
 	r.fusSnap = e.fus.Snapshot()
@@ -953,11 +957,13 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	res.Times = r.times
 	res.Times.Publish = time.Since(t0)
 
-	// Records that arrived while estimating stay pending.
+	// Records that arrived while estimating stay pending, in an array of
+	// their own: the consumed records' array goes with them.
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.modelState = r.modelState
-	e.estimated = len(r.records)
+	e.estimated += len(r.pending)
+	e.pend = slices.Clone(e.pend[len(r.pending):])
 	e.last.Store(res)
 	return res
 }
@@ -1066,7 +1072,7 @@ func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
 		base.MarkAllFull()
 		return nil
 	}
-	for i, rec := range r.pending() {
+	for i, rec := range r.pending {
 		w := snap.SourceID(e.opt.SourceKey(rec))
 		d := snap.ItemID(rec.Subject, rec.Predicate)
 		if w < 0 || d < 0 || !em.MarkCellItems(w, snap.PredOfItem[d], base) {

@@ -116,15 +116,28 @@ func (inc *Incremental) FusedLast() int { return inc.fusedItems }
 
 // Refresh folds the pending records into the store and re-fuses the affected
 // items. records is the full ingest-ordered sequence and pending its suffix
-// since the previous Refresh (ignored on the first call, which compiles
-// records wholesale). It returns an immutable Result; value-posterior rows
-// are shared copy-on-write with the store and with earlier results.
+// since the previous Refresh (records is read only by the first call, which
+// compiles it wholesale, and pending only by later ones). It returns an
+// immutable Result; value-posterior rows are shared copy-on-write with the
+// store and with earlier results.
 func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, error) {
+	var corpus triple.Table
+	if inc.s == nil {
+		for _, r := range records {
+			corpus.Add(r)
+		}
+	}
+	return inc.RefreshTable(&corpus, pending)
+}
+
+// RefreshTable is Refresh with the full sequence given as a table, which the
+// first call compiles (triple.Table.CompileKeys) and later ones do not read.
+func (inc *Incremental) RefreshTable(corpus *triple.Table, pending []triple.Record) (*Result, error) {
 	prevS := inc.s
 	var d triple.Delta // cold: every observation is new
 	switch {
 	case prevS == nil:
-		inc.s = (&triple.Dataset{Records: records}).Compile(inc.copt)
+		inc.s = corpus.CompileKeys(inc.copt)
 	case len(pending) == 0:
 		d.Obs = len(prevS.Obs) // a resume: nothing is new
 	default:

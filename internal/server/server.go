@@ -520,7 +520,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsReply is the /v1/stats document. The health block (health through
-// checkpoint_watermark) appears only when the engine reports health — i.e.
+// checkpoint_age_ms) appears only when the engine reports health — i.e.
 // when serving a durable engine.
 type statsReply struct {
 	Records   int               `json:"records"`
@@ -531,12 +531,14 @@ type statsReply struct {
 	Ingest    ingestReply       `json:"ingest"`
 	LastError string            `json:"last_error,omitempty"`
 
-	Health              string `json:"health,omitempty"`
-	Faults              uint64 `json:"faults,omitempty"`
-	Heals               uint64 `json:"heals,omitempty"`
-	LastFault           string `json:"last_fault,omitempty"`
-	WALBytes            int64  `json:"wal_bytes,omitempty"`
-	CheckpointWatermark uint64 `json:"checkpoint_watermark,omitempty"`
+	Health              string  `json:"health,omitempty"`
+	Faults              uint64  `json:"faults,omitempty"`
+	Heals               uint64  `json:"heals,omitempty"`
+	LastFault           string  `json:"last_fault,omitempty"`
+	WALBytes            int64   `json:"wal_bytes,omitempty"`
+	CheckpointWatermark uint64  `json:"checkpoint_watermark,omitempty"`
+	LogBytes            int64   `json:"log_bytes,omitempty"`
+	CheckpointAgeMS     float64 `json:"checkpoint_age_ms,omitempty"`
 }
 
 // ingestReply is /v1/stats' ingest block: the ingest clock's batch count and
@@ -582,6 +584,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.LastFault = h.LastFault
 		reply.WALBytes = h.WALBytes
 		reply.CheckpointWatermark = h.CheckpointWatermark
+		reply.LogBytes = h.LogBytes
+		reply.CheckpointAgeMS = float64(h.CheckpointAge) / float64(time.Millisecond)
 	}
 	reply.Records = s.eng.Len()
 	reply.Pending = s.eng.Pending()

@@ -923,6 +923,48 @@ func TestClosedEngineWritesReturn503(t *testing.T) {
 	}
 }
 
+// TestStatsReportsLogGauges: /v1/stats carries a durable engine's log size on
+// disk and its last checkpoint's age as Health reports them, and omits the
+// age before the first checkpoint.
+func TestStatsReportsLogGauges(t *testing.T) {
+	d, err := kbt.OpenDurable(t.TempDir(), testOptions(), kbt.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := New(d, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	stats := func() statsReply {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st statsReply
+		decodeInto(t, resp, &st)
+		return st
+	}
+
+	if resp := postJSON(t, ts, "/v1/ingest", testBatch(0, 4)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d", resp.StatusCode)
+	}
+	st := stats()
+	if h := d.Health(); st.LogBytes != h.LogBytes || st.LogBytes == 0 || st.CheckpointAgeMS != 0 {
+		t.Fatalf("before a checkpoint: log_bytes %d, checkpoint_age_ms %g; Health has %d, want the age omitted",
+			st.LogBytes, st.CheckpointAgeMS, h.LogBytes)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * time.Millisecond)
+	if st := stats(); st.LogBytes != d.Health().LogBytes || st.CheckpointAgeMS < 2 {
+		t.Fatalf("after a checkpoint: log_bytes %d (Health %d), checkpoint_age_ms %g, want at least 2",
+			st.LogBytes, d.Health().LogBytes, st.CheckpointAgeMS)
+	}
+}
+
 // faultyEngine wraps the in-memory engine with an injectable health report
 // and write-path error, standing in for a degraded DurableEngine.
 type faultyEngine struct {

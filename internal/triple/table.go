@@ -3,6 +3,7 @@ package triple
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -55,13 +56,31 @@ var (
 	ProvenanceFields      = []Field{fieldExtractor, fieldWebsite, fieldPredicate, fieldPattern}
 )
 
+// keyFields returns the fields a standard key function joins, or nil for any
+// other function.
+func keyFields(key func(Record) string) []Field {
+	for _, k := range [...]struct {
+		key    func(Record) string
+		fields []Field
+	}{
+		{SourceKeyWebsite, SourceFieldsWebsite}, {SourceKeyPage, SourceFieldsPage}, {SourceKeyFinest, SourceFieldsFinest},
+		{ExtractorKeyName, ExtractorFieldsName}, {ExtractorKeyFinest, ExtractorFieldsFinest}, {ProvenanceKey, ProvenanceFields},
+	} {
+		if reflect.ValueOf(key).Pointer() == reflect.ValueOf(k.key).Pointer() {
+			return k.fields
+		}
+	}
+	return nil
+}
+
 // Table is a batch of extraction records held as columns: per field, the dense
 // id of every record's label, and the labels by id, numbered in order of first
 // appearance; and every record's confidence as given (0: unspecified). A label
 // is stored once however many records carry it, and a table holds no record
-// and no input text. ReadTable fills one from TSV, Add one record at a time;
-// Compile builds a snapshot from it without forming a record or a per-record
-// label.
+// and no input text: a label is a copy taken on first sight, so nothing a
+// table holds keeps its input alive. ReadTable fills one from TSV, Add one
+// record at a time; Compile builds a snapshot from it without forming a record
+// or a per-record label.
 type Table struct {
 	ids   [numFields][]int32
 	vocab [numFields][]string
@@ -78,15 +97,25 @@ type Table struct {
 // Len returns the number of records.
 func (t *Table) Len() int { return len(t.conf) }
 
-// Add appends one record.
+// Add appends one record. A field whose label is the previous record's takes
+// its id without a lookup.
 func (t *Table) Add(r Record) {
+	n := t.Len()
 	for f := range numFields {
-		t.ids[f] = append(t.ids[f], t.intern(f, f.of(&r)))
+		label := f.of(&r)
+		if n > 0 {
+			if id := t.ids[f][n-1]; t.vocab[f][id] == label {
+				t.ids[f] = append(t.ids[f], id)
+				continue
+			}
+		}
+		t.ids[f] = append(t.ids[f], t.intern(f, label))
 	}
 	t.conf = append(t.conf, r.Confidence)
 }
 
-// intern returns the id of a label of field f, numbering it on first sight.
+// intern returns the id of a label of field f, numbering a copy of it on
+// first sight.
 func (t *Table) intern(f Field, label string) int32 {
 	idx := t.index[f]
 	if idx == nil {
@@ -99,6 +128,7 @@ func (t *Table) intern(f Field, label string) int32 {
 	id, ok := idx[label]
 	if !ok {
 		id = int(nextID(len(t.vocab[f])))
+		label = strings.Clone(label)
 		idx[label] = id
 		t.vocab[f] = append(t.vocab[f], label)
 	}
@@ -120,8 +150,19 @@ func (t *Table) Column(f Field) []int32 { return t.ids[f] }
 // Labels returns field f's labels, indexed by id in order of first appearance.
 func (t *Table) Labels(f Field) []string { return t.vocab[f] }
 
-// record returns record i.
-func (t *Table) record(i int) Record {
+// Clip returns the table's records so far as a table that shares t's arrays,
+// each clipped to its length: later Adds to either table append into arrays of
+// their own, and never change the other's records.
+func (t *Table) Clip() *Table {
+	c := &Table{conf: slices.Clip(t.conf), refused: t.refused, refusedLine: t.refusedLine}
+	for f := range numFields {
+		c.ids[f], c.vocab[f] = slices.Clip(t.ids[f]), slices.Clip(t.vocab[f])
+	}
+	return c
+}
+
+// Record returns record i, its labels the table's.
+func (t *Table) Record(i int) Record {
 	label := func(f Field) string { return t.vocab[f][t.ids[f][i]] }
 	return Record{
 		Extractor: label(fieldExtractor), Pattern: label(fieldPattern),
@@ -135,7 +176,7 @@ func (t *Table) record(i int) Record {
 func (t *Table) Records() []Record {
 	out := make([]Record, t.Len())
 	for i := range out {
-		out[i] = t.record(i)
+		out[i] = t.Record(i)
 	}
 	return out
 }
@@ -165,7 +206,7 @@ func (t *Table) Check() (i, line int, err error) {
 		if !bad {
 			continue
 		}
-		r := t.record(i)
+		r := t.Record(i)
 		if t.refusedLine > 0 && i == t.refused {
 			line = t.refusedLine
 		}
@@ -217,7 +258,8 @@ type Grouping struct {
 // as the key function that joins those fields, Units as positional labels.
 // Units are formed on field-id tuples, a tuple's label built once: items are
 // the (subject, predicate) pairs, values the objects. The snapshot has no key
-// function for new records, so it cannot Extend.
+// function for new records, so it cannot Extend; CompileKeys builds one that
+// can.
 func (t *Table) Compile(sources, extractors Grouping) *Snapshot {
 	group := func(g Grouping) func() *Units { return func() *Units { return t.group(g) } }
 	pred := t.ids[fieldPredicate]
@@ -225,6 +267,30 @@ func (t *Table) Compile(sources, extractors Grouping) *Snapshot {
 		group(Grouping{Fields: []Field{fieldSubject, fieldPredicate}}), group(Grouping{Fields: []Field{fieldObject}}),
 		func(i int) string { return t.vocab[fieldPredicate][pred[i]] })
 	s.keyless = true
+	return s
+}
+
+// CompileKeys builds the snapshot Dataset.Compile builds of the table's
+// records at opt's key functions, bit for bit, which Extend goes on applying
+// to new records. A standard key function (SourceKeyWebsite, ProvenanceKey,
+// ...) groups on the fields it joins, as Compile does; any other is called on
+// each record in turn. Positional labels are not taken.
+func (t *Table) CompileKeys(opt CompileOptions) *Snapshot {
+	if opt.SourceKey == nil {
+		opt.SourceKey = SourceKeyFinest
+	}
+	if opt.ExtractorKey == nil {
+		opt.ExtractorKey = ExtractorKeyFinest
+	}
+	grouping := func(key func(Record) string) Grouping {
+		if fields := keyFields(key); fields != nil {
+			return Grouping{Fields: fields}
+		}
+		return Grouping{Units: UnitsOf(t.Len(), func(i int) string { return key(t.Record(i)) })}
+	}
+	s := t.Compile(grouping(opt.SourceKey), grouping(opt.ExtractorKey))
+	s.copt = CompileOptions{SourceKey: opt.SourceKey, ExtractorKey: opt.ExtractorKey}
+	s.keyless = false
 	return s
 }
 

@@ -400,11 +400,14 @@ func (t *internTable) lookup(key string) (int, bool) {
 }
 
 // intern returns the id of key, assigning the next dense id (and appending
-// the label to list) on first sight.
+// the label to list) on first sight. The table keeps a copy of the key, so a
+// key that is part of a larger string (a field of a record decoded from a
+// batch body, say) does not keep that string alive.
 func (t *internTable) intern(list *[]string, key string) int {
 	if i, ok := t.lookup(key); ok {
 		return i
 	}
+	key = strings.Clone(key)
 	i := len(*list)
 	if t.idx == nil {
 		t.idx = make(map[string]int)

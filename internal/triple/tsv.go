@@ -64,6 +64,17 @@ func writeRecord(bw *bufio.Writer, r *Record) error {
 	return bw.WriteByte('\n')
 }
 
+// LineError is what ReadTable and ReadTSV return for a bad line of their
+// input: the line, counted from 1, and what is wrong with it.
+type LineError struct {
+	Line int
+	Err  error
+}
+
+func (e *LineError) Error() string { return fmt.Sprintf("triple: line %d: %v", e.Line, e.Err) }
+
+func (e *LineError) Unwrap() error { return e.Err }
+
 // ReadTable reads its input in blocks of about tsvBlockSize bytes, each cut
 // after its last newline, and refuses a line of maxTSVLine bytes or more with
 // bufio.ErrTooLong — the limit of the bufio.Scanner that cmd/kbt's serve loop
@@ -227,7 +238,7 @@ func (m *tableMerge) add(b *tsvBlock) {
 		return
 	}
 	if b.err != nil {
-		m.err = fmt.Errorf("triple: line %d: %w", m.lines+b.lines, b.err)
+		m.err = &LineError{Line: m.lines + b.lines, Err: b.err}
 		return
 	}
 	t := m.t

@@ -49,7 +49,10 @@ const (
 // batches and markers that could not have produced state are not recorded —
 // ops are exactly the transitions the live engine applied.
 type CheckpointOp struct {
-	Records   []triple.Record
+	Records []triple.Record
+	// Table, when set, holds the op's records in place of Records, as id
+	// columns; it encodes as Records would, and a decoded op has Records.
+	Table     *triple.Table
 	Refreshes int
 	// Key is the client idempotency key the batch carried, if any. Recovery
 	// re-seeds its dedup set from these, so a resend that races a restart is
@@ -91,11 +94,27 @@ func (ck *Checkpoint) AllRecords() []triple.Record {
 func (ck *Checkpoint) Batches() int {
 	n := 0
 	for i := range ck.Ops {
-		if len(ck.Ops[i].Records) > 0 {
+		if ck.Ops[i].len() > 0 {
 			n++
 		}
 	}
 	return n
+}
+
+// len is the number of records the op carries.
+func (op *CheckpointOp) len() int {
+	if op.Table != nil {
+		return op.Table.Len()
+	}
+	return len(op.Records)
+}
+
+// record returns the op's record j.
+func (op *CheckpointOp) record(j int) triple.Record {
+	if op.Table != nil {
+		return op.Table.Record(j)
+	}
+	return op.Records[j]
 }
 
 // deltaFileName names the delta part sealed at watermark w.
@@ -130,9 +149,10 @@ func encodeCkptPart(prev uint64, ck *Checkpoint) []byte {
 		stringLen(ck.Fingerprint) + uvarintLen(uint64(len(ck.Ops)))
 	for i := range ck.Ops {
 		op := &ck.Ops[i]
-		size += uvarintLen(uint64(len(op.Records))) + uvarintLen(uint64(op.Refreshes)) + stringLen(op.Key)
-		for j := range op.Records {
-			size += recordLen(&op.Records[j])
+		size += uvarintLen(uint64(op.len())) + uvarintLen(uint64(op.Refreshes)) + stringLen(op.Key)
+		for j := range op.len() {
+			r := op.record(j)
+			size += recordLen(&r)
 		}
 	}
 
@@ -144,9 +164,9 @@ func encodeCkptPart(prev uint64, ck *Checkpoint) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Ops)))
 	for i := range ck.Ops {
 		op := &ck.Ops[i]
-		buf = binary.AppendUvarint(buf, uint64(len(op.Records)))
-		for j := range op.Records {
-			buf = appendRecord(buf, op.Records[j])
+		buf = binary.AppendUvarint(buf, uint64(op.len()))
+		for j := range op.len() {
+			buf = appendRecord(buf, op.record(j))
 		}
 		buf = binary.AppendUvarint(buf, uint64(op.Refreshes))
 		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))

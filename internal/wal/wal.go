@@ -67,6 +67,7 @@ type segment struct {
 	name  string
 	base  uint64 // sequence number of its first record
 	count uint64 // records it holds
+	size  int64  // its bytes, when sealed (Log.size is the active one's)
 }
 
 // Log is an append-only segmented record log. Append/Sync/TruncateBefore/
@@ -226,7 +227,7 @@ func (l *Log) openSegment(i int, last bool) error {
 		if serr != nil {
 			return fmt.Errorf("%w: sealed segment %s: %v", ErrCorrupt, seg.name, serr)
 		}
-		seg.count = count
+		seg.count, seg.size = count, validLen
 		return nil
 	}
 	if serr != nil {
@@ -394,6 +395,7 @@ func (l *Log) roll() error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
+	l.segs[len(l.segs)-1].size = l.size
 	err := l.f.Close()
 	// The segment was synced above, so it is sealed whatever Close says;
 	// dropping the handle either way lets Repair recreate the next segment
@@ -516,6 +518,16 @@ func (l *Log) TruncateBefore(seq uint64) error {
 
 // Segments returns the number of on-disk segment files.
 func (l *Log) Segments() int { return len(l.segs) }
+
+// Bytes returns the size of the log on disk: the bytes of every segment file,
+// the active one's unsynced appends included.
+func (l *Log) Bytes() int64 {
+	n := l.size
+	for _, seg := range l.segs[:len(l.segs)-1] {
+		n += seg.size
+	}
+	return n
+}
 
 // Close syncs and closes the active segment. A failed log skips the sync —
 // its tail is already poisoned and a close-time fsync cannot unpoison it.

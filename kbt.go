@@ -101,6 +101,9 @@ func (ds *Dataset) Add(e Extraction) {
 // EstimateKBT and FuseSingleLayer name the first by its line.
 func ReadTSV(r io.Reader) (*Dataset, error) {
 	t, err := triple.ReadTable(r)
+	if le := (*triple.LineError)(nil); errors.As(err, &le) {
+		return nil, fmt.Errorf("kbt: line %d: %w", le.Line, le.Err)
+	}
 	if err != nil {
 		return nil, err
 	}
