@@ -515,7 +515,8 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 		}
 		flush()
 		if err := sc.Err(); err != nil {
-			return err
+			// The scanner stopped at the line after the last it returned.
+			return fmt.Errorf("kbt: line %d: %w", lineNo+1, err)
 		}
 	}
 

@@ -219,6 +219,33 @@ func TestBatchNamesMalformedLine(t *testing.T) {
 	}
 }
 
+// TestLongLineNamedByLine: estimate, fuse and serve refuse a line over the
+// TSV line limit by its line, after one "kbt:" prefix and no internal
+// package's.
+func TestLongLineNamedByLine(t *testing.T) {
+	if args := os.Getenv("KBT_TEST_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"kbt"}, strings.Split(args, " ")...)
+		main()
+		os.Exit(0)
+	}
+	feed := t.TempDir() + "/feed.tsv"
+	in := "E1\tp\tw.com\tw.com/1\ts\tpred\to\t0.5\n" + "E1\tp\tw.com\tw.com/1\ts\tpred\t" + strings.Repeat("o", 5<<20) + "\n"
+	if err := os.WriteFile(feed, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, verb := range []string{"estimate", "fuse", "serve"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestLongLineNamedByLine$")
+		cmd.Env = append(os.Environ(), "KBT_TEST_MAIN_ARGS="+verb+" "+feed)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if want := "kbt: line 2: bufio.Scanner: token too long\n"; !errors.As(err, &exit) || exit.ExitCode() != 1 || stderr.String() != want {
+			t.Errorf("%s: err = %v, stderr %q, want exit 1 and %q", verb, err, stderr.String(), want)
+		}
+	}
+}
+
 // TestHTTPServerBoundsSlowClients: the server serve -listen runs bounds how
 // long a client may dawdle over request headers and how long a keep-alive
 // connection may idle (slowloris), but puts no clock on request or response

@@ -13,10 +13,12 @@
 //
 // One iteration of Algorithm 1 — the four stages, the Eq 26 prior on its
 // schedule and the convergence rule — is EM.Iterate, over optional item and
-// triple lists. Run is the batch driver: NewEM, Bootstrap, then Iterate over
-// every index until an iteration converges or MaxIter have run. Package
-// engine drives the same EM across refreshes, each iteration one Iterate over
-// the stale items only, and so reproduces Run's arithmetic exactly on a cold
+// triple lists. The loop around it is Settle, the one iteration driver of
+// this package, package engine and package fusion alike. Run is the batch
+// driver: NewEM, Bootstrap, then Settle over every index, one Iterate per
+// pass, until a pass converges or MaxIter have run. Package engine drives the
+// same EM through Settle across refreshes, each iteration one Iterate over the
+// stale items only, and so reproduces Run's arithmetic exactly on a cold
 // start. The stages stay exported one by one, and each adds its wall time to
 // the EM's stage clock (EM.StageTimes), which the engine publishes per
 // refresh and the Table 7 harness reads (internal/experiments/timing.go).

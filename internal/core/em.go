@@ -18,11 +18,13 @@ import (
 // the same posteriors.
 
 // EM wraps the mutable inference state for external orchestration. Create
-// one with NewEM, then drive iterations as Run does:
+// one with NewEM, then drive iterations through Settle as Run does:
 //
 //	em.Bootstrap(cProb)              // once, before the first iteration
-//	for each iteration, until converged or MaxIter:
+//	Settle(opt.MaxIter, widen, enter, func(n int) bool {
 //	    _, converged := em.Iterate(cProb, ..., Pass{Iter: n, ...})
+//	    return converged
+//	})                               // until converged or MaxIter
 //
 // Iterate runs the stages below in this order; each adds its wall time to the
 // EM's StageTimes:

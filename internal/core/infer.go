@@ -122,8 +122,9 @@ func (r *Result) KBT(w int, minTriples float64) (float64, bool) {
 	return a, true
 }
 
-// Run executes Algorithm 1 on the snapshot: the bootstrap, then one Iterate
-// call per iteration until one converges or MaxIter have run.
+// Run executes Algorithm 1 on the snapshot: the bootstrap, then Settle over
+// every index, one Iterate call per pass, until one converges or MaxIter have
+// run.
 func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	em, err := NewEM(s, opt)
 	if err != nil {
@@ -142,13 +143,15 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		ExtractorIncluded: st.extIncluded,
 		snap:              s,
 	}
-	// Iterations counts the EM iterations that actually executed: k when
-	// iteration k converged, MaxIter when none did.
-	for !res.Converged && res.Iterations < opt.MaxIter {
-		res.Iterations++
-		_, res.Converged = em.Iterate(cProb, valueProb, restMass, coveredItem,
-			Pass{Iter: res.Iterations, RefreshVotes: true})
-	}
+	// The scope is every index: no pass widens it, and a pass that settled
+	// converges.
+	res.Iterations, res.Converged, _ = Settle(opt.MaxIter,
+		func() int { return 0 }, func(int) {},
+		func(iter int) bool {
+			_, converged := em.Iterate(cProb, valueProb, restMass, coveredItem,
+				Pass{Iter: iter, RefreshVotes: true})
+			return converged
+		})
 
 	// The state dies with this call, so the published vectors wrap its flat
 	// arrays, and the value rows were chunked from the start, without copying.

@@ -161,16 +161,19 @@ func (sc *ScopeSet) Marked(d int) bool { return sc.all || sc.itemMark[d] }
 // Items — every item marked narrowly.
 func (sc *ScopeSet) AllFull() bool { return sc.all }
 
-// Settle is Algorithm 1's settling loop, which the multi-layer engine and
-// the single-layer fusion store share: widen marks the next pass's scope and
-// reports how many items it adds beyond the ingest footprint (a pass whose
-// scope reaches past the footprint is an escalation, the first one too),
-// enter readies pass iter over that scope, and pass runs it and reports
-// whether the parameters settled. A settled pass converges only when its successor
-// scope adds nothing: a unit whose drift crossed the tolerance on that very
-// step settles first, so a converged result is published within contract.
-// A final pass that did not settle marks no successor, which would never
-// run. maxIter must be at least 1.
+// Settle is Algorithm 1's settling loop, the one iteration driver of all four
+// estimators: the multi-layer engine's settle, the single-layer fusion store
+// (fusion.Incremental), and the batch Run and fusion.Run, whose scope is
+// every index (widen reports 0, enter does nothing). widen marks the next
+// pass's scope and reports how many items it adds beyond the ingest footprint
+// (a pass whose scope reaches past the footprint is an escalation, the first
+// one too), enter readies pass iter over that scope, and pass runs it and
+// reports whether the parameters settled. A settled pass converges only when
+// its successor scope adds nothing: a unit whose drift crossed the tolerance
+// on that very step settles first, so a converged result is published within
+// contract. A final pass that did not settle marks no successor, which would
+// never run. iterations counts the passes run: k when pass k converged,
+// maxIter when none did. maxIter must be at least 1.
 func Settle(maxIter int, widen func() (stale int), enter func(iter int), pass func(iter int) (settled bool)) (iterations int, converged bool, escalations int) {
 	stale := widen()
 	for iter := 1; ; iter++ {
@@ -244,7 +247,7 @@ func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 
 // EnableStaleness gives the EM an empty per-unit staleness ledger, extended
 // over the whole snapshot as extendState extends it over an ingest.
-// Idempotent. The engine enables it on every EM it constructs; core.Run never
+// Idempotent. The engine enables it on every EM it constructs; Run never
 // does, so the batch path carries no ledger overhead.
 func (em *EM) EnableStaleness() {
 	st := em.st

@@ -139,18 +139,16 @@ func compileFor(w *websim.World, m Method, cfg KVConfig) (*triple.Snapshot, erro
 			ExtractorKey: triple.ExtractorKeyFinest,
 		}), nil
 	case MultiLayerSM:
-		srcLabels, _, err := granularity.Sources(w.Dataset.Records, cfg.MinSupport, cfg.MaxSize, cfg.Seed)
+		t := triple.TableOf(w.Dataset.Records)
+		src, _, err := granularity.TableSources(t, cfg.MinSupport, cfg.MaxSize, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		extLabels, _, err := granularity.Extractors(w.Dataset.Records, cfg.MinSupport, cfg.MaxSize, cfg.Seed)
+		ext, _, err := granularity.TableExtractors(t, cfg.MinSupport, cfg.MaxSize, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return w.Dataset.Compile(triple.CompileOptions{
-			SourceLabels:    srcLabels,
-			ExtractorLabels: extLabels,
-		}), nil
+		return t.Compile(triple.Grouping{Units: src}, triple.Grouping{Units: ext}), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown method %v", m)
 }

@@ -20,14 +20,12 @@ const MinKBTTriples = 5
 // the §5.4 analyses are reported at. Extractors use split-and-merge
 // granularity so that sparse patterns keep their statistical strength.
 func runSiteKBT(w *websim.World, cfg KVConfig) (*triple.Snapshot, *core.Result, error) {
-	extLabels, _, err := granularity.Extractors(w.Dataset.Records, cfg.MinSupport, cfg.MaxSize, cfg.Seed)
+	t := triple.TableOf(w.Dataset.Records)
+	ext, _, err := granularity.TableExtractors(t, cfg.MinSupport, cfg.MaxSize, cfg.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := w.Dataset.Compile(triple.CompileOptions{
-		SourceKey:       triple.SourceKeyWebsite,
-		ExtractorLabels: extLabels,
-	})
+	s := t.Compile(triple.Grouping{Fields: triple.SourceFieldsWebsite}, triple.Grouping{Units: ext})
 	opt := core.DefaultOptions()
 	opt.MinSourceSupport = cfg.MinSupport
 	opt.MinExtractorSupport = cfg.MinSupport

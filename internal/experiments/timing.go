@@ -18,7 +18,7 @@ const (
 	Normal Table7Strategy = iota
 	// SplitOnly splits oversized units but never merges (m=0).
 	SplitOnly
-	// SplitMerge applies the full SplitAndMerge (m, M).
+	// SplitMerge applies split-and-merge in full (m, M).
 	SplitMerge
 )
 
@@ -50,8 +50,11 @@ type Table7Column struct {
 }
 
 // Table7 measures the relative running time of the three strategies on one
-// skewed corpus (the paper's Table 7). The corpus is generated once and each
-// strategy re-prepares and re-runs inference on it.
+// skewed corpus (the paper's Table 7). The corpus is generated once and held
+// as a table of id columns; each strategy re-prepares and re-runs inference on
+// that table. A strategy's prep time is Algorithm 2 over the table's columns
+// (granularity.TableSources and TableExtractors), the table itself built
+// before any clock starts.
 //
 // The paper's corpus contained enormous units at the finest granularity —
 // 26 URLs with over 50K triples each (mostly extraction mistakes) and 43
@@ -91,54 +94,33 @@ func Table7(cfg KVConfig, minSize, maxSize int) ([]Table7Column, error) {
 		}
 	}
 
+	t := triple.TableOf(w.Dataset.Records)
 	cols := make([]Table7Column, 0, 3)
 	var normalIterUnit float64
 	for _, strat := range []Table7Strategy{Normal, SplitOnly, SplitMerge} {
 		col := Table7Column{Strategy: strat}
 
-		var srcLabels, extLabels []string
+		src := triple.Grouping{Fields: triple.SourceFieldsFinest}
+		ext := triple.Grouping{Fields: triple.ExtractorFieldsFinest}
+		m := minSize
+		if strat == SplitOnly {
+			m = 0
+		}
 		prepStart := time.Now()
-		switch strat {
-		case Normal:
-			// no preparation
-		case SplitOnly:
+		if strat != Normal {
 			t0 := time.Now()
-			srcLabels, _, err = granularity.Sources(w.Dataset.Records, 0, maxSize, cfg.Seed)
-			if err != nil {
+			if src.Units, _, err = granularity.TableSources(t, m, maxSize, cfg.Seed); err != nil {
 				return nil, err
 			}
 			col.PrepSource = time.Since(t0).Seconds()
 			t0 = time.Now()
-			extLabels, _, err = granularity.Extractors(w.Dataset.Records, 0, maxSize, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			col.PrepExtractor = time.Since(t0).Seconds()
-		case SplitMerge:
-			t0 := time.Now()
-			srcLabels, _, err = granularity.Sources(w.Dataset.Records, minSize, maxSize, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			col.PrepSource = time.Since(t0).Seconds()
-			t0 = time.Now()
-			extLabels, _, err = granularity.Extractors(w.Dataset.Records, minSize, maxSize, cfg.Seed)
-			if err != nil {
+			if ext.Units, _, err = granularity.TableExtractors(t, m, maxSize, cfg.Seed); err != nil {
 				return nil, err
 			}
 			col.PrepExtractor = time.Since(t0).Seconds()
 		}
 		col.RawPrep = time.Since(prepStart)
-
-		copt := triple.CompileOptions{
-			SourceKey:    triple.SourceKeyFinest,
-			ExtractorKey: triple.ExtractorKeyFinest,
-		}
-		if srcLabels != nil {
-			copt.SourceLabels = srcLabels
-			copt.ExtractorLabels = extLabels
-		}
-		snap := w.Dataset.Compile(copt)
+		snap := t.Compile(src, ext)
 
 		opt := core.DefaultOptions()
 		opt.MinSourceSupport = cfg.MinSupport

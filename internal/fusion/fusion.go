@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 
+	"kbt/internal/core"
 	"kbt/internal/parallel"
 	"kbt/internal/stats"
 	"kbt/internal/triple"
@@ -215,9 +216,9 @@ func reestimate(acc []float64, num, den []stats.Sum, updated []bool) (maxDelta f
 }
 
 // Run executes the single-layer EM of §2.2 (the iterative algorithm of [8])
-// on the snapshot. Snapshot sources are treated as provenances; the
-// extractor dimension is ignored (callers encode the provenance choice in
-// the snapshot's SourceKey).
+// on the snapshot, one core.Settle pass over every item per iteration.
+// Snapshot sources are treated as provenances; the extractor dimension is
+// ignored (callers encode the provenance choice in the snapshot's SourceKey).
 func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	if s == nil {
 		return nil, errors.New("fusion: nil snapshot")
@@ -271,31 +272,27 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 
 	num := make([]stats.Sum, nSrc)
 	den := make([]stats.Sum, nSrc)
-	iter := 0
-	for iter = 1; iter <= opt.MaxIter; iter++ {
-		// E step: per-item posterior over values (Eq 2).
-		parallel.ForEach(nItem, opt.Workers, func(d int) {
-			res.ValueProb[d], res.RestMass[d], res.CoveredItem[d] =
-				opt.fuseItem(d, len(s.ItemValues[d]), votes[d], pop, updated, acc)
-		})
+	// The scope is every item: no pass widens it, and a pass whose
+	// accuracies settled converges.
+	res.Iterations, res.Converged, _ = core.Settle(opt.MaxIter,
+		func() int { return 0 }, func(int) {},
+		func(int) bool {
+			// E step: per-item posterior over values (Eq 2).
+			parallel.ForEach(nItem, opt.Workers, func(d int) {
+				res.ValueProb[d], res.RestMass[d], res.CoveredItem[d] =
+					opt.fuseItem(d, len(s.ItemValues[d]), votes[d], pop, updated, acc)
+			})
 
-		// M step: provenance accuracies (Eq 4).
-		clear(num)
-		clear(den)
-		for d := 0; d < nItem; d++ {
-			if res.CoveredItem[d] {
-				accumulate(num, den, votes[d], res.ValueProb[d], +1)
+			// M step: provenance accuracies (Eq 4).
+			clear(num)
+			clear(den)
+			for d := 0; d < nItem; d++ {
+				if res.CoveredItem[d] {
+					accumulate(num, den, votes[d], res.ValueProb[d], +1)
+				}
 			}
-		}
-		if reestimate(acc, num, den, updated) < opt.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	if iter > opt.MaxIter {
-		iter = opt.MaxIter
-	}
-	res.Iterations = iter
+			return reestimate(acc, num, den, updated) < opt.Tol
+		})
 	return res, nil
 }
 

@@ -121,13 +121,11 @@ func (inc *Incremental) FusedLast() int { return inc.fusedItems }
 // immutable Result; value-posterior rows are shared copy-on-write with the
 // store and with earlier results.
 func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, error) {
-	var corpus triple.Table
+	corpus := &triple.Table{}
 	if inc.s == nil {
-		for _, r := range records {
-			corpus.Add(r)
-		}
+		corpus = triple.TableOf(records)
 	}
-	return inc.RefreshTable(&corpus, pending)
+	return inc.RefreshTable(corpus, pending)
 }
 
 // RefreshTable is Refresh with the full sequence given as a table, which the
@@ -314,7 +312,7 @@ func (inc *Incremental) itemContrib(dd int, sign float64) {
 }
 
 // widen, enter and step are the three steps core.Settle drives for a
-// refresh: the same settling loop the multi-layer engine runs, over the
+// refresh: the same settling loop the multi-layer engine and Run run, over the
 // single-layer model. A pass over every item is arithmetically identical to
 // one of Run's iterations.
 

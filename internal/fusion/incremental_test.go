@@ -337,3 +337,60 @@ func TestIncrementalResumeAtFixedPointFusesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestRunIterationsAccounting: Iterations counts the EM iterations actually
+// run — k when iteration k converges, also when k is the last one MaxIter
+// allows, and MaxIter when none converges — as in the engine's
+// TestIterationsAccounting. Run and a cold Incremental refresh must report
+// the identical (Iterations, Converged) in every regime.
+func TestRunIterationsAccounting(t *testing.T) {
+	recs := fusionStream(rand.New(rand.NewSource(7)), 200)
+	snap := (&triple.Dataset{Records: recs}).Compile(triple.CompileOptions{
+		SourceKey:    triple.ProvenanceKey,
+		ExtractorKey: triple.ExtractorKeyName,
+	})
+	base := DefaultOptions()
+	base.MaxIter = 100
+	ref, err := Run(snap, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := ref.Iterations
+	if !ref.Converged || k < 2 || k >= base.MaxIter {
+		t.Fatalf("fixture: converged %v at %d iterations; need 2 <= k < %d", ref.Converged, k, base.MaxIter)
+	}
+	for _, tc := range []struct {
+		name          string
+		maxIter       int
+		wantIter      int
+		wantConverged bool
+	}{
+		{"converges below the cap", k + 3, k, true},
+		{"convergence lands on the final iteration", k, k, true},
+		{"exhausts the cap unconverged", k - 1, k - 1, false},
+		{"single-iteration cap", 1, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := base
+			opt.MaxIter = tc.maxIter
+			run, err := Run(snap, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc, err := NewIncremental(opt, triple.CompileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := inc.Refresh(recs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, res := range map[string]*Result{"Run": run, "cold Incremental": cold} {
+				if res.Iterations != tc.wantIter || res.Converged != tc.wantConverged {
+					t.Errorf("%s: iterations/converged = %d/%v, want %d/%v",
+						name, res.Iterations, res.Converged, tc.wantIter, tc.wantConverged)
+				}
+			}
+		})
+	}
+}

@@ -1,20 +1,22 @@
 // Package granularity implements §4 of the paper: dynamically selecting the
 // granularity of sources and extractors before running the multi-layer model.
 //
-// A hierarchy is one feature vector, most general feature first: a source is
+// A hierarchy is a tuple of a record's fields, most general first: a source is
 // ⟨website, predicate, webpage⟩, an extractor ⟨extractor, pattern, predicate,
 // website⟩. The units of a level are the records' distinct prefixes of one
-// length, the finest level being the whole vector, and a unit's parent drops
-// its last feature. Units whose extracted-triple count falls below a minimum m
+// length, the finest level being the whole tuple, and a unit's parent drops
+// its last field. Units whose extracted-triple count falls below a minimum m
 // are merged into their parent ("borrowing statistical strength"); units above
 // a maximum M are split uniformly into ⌈|W|/M⌉ equal-size buckets to remove
 // computational bottlenecks. This is Algorithm 2 (SPLITANDMERGE).
 //
-// Records are grouped once, on the tuple of their features' dense ids (a
-// triple.Table's columns, or each feature's values numbered in order of first
-// appearance); every later step works per unit, never per record, except the
+// The algorithm runs on a triple.Table's id columns (TableSources,
+// TableExtractors): records are grouped once, on the tuple of their fields'
+// ids, and every later step works per unit, never per record, except the
 // assignment of a split unit's records to its buckets. A unit's label is built
-// once per level it reaches, never per record.
+// once per level it reaches, never per record. Sources and Extractors take
+// records instead: they build a table of them and label each record with its
+// unit's label.
 package granularity
 
 import (
@@ -28,48 +30,7 @@ import (
 	"kbt/internal/triple"
 )
 
-// Feature reads one feature of a record.
-type Feature func(*triple.Record) string
-
-// maxFeatures bounds a feature vector: records are grouped on a fixed-size
-// tuple of their features.
-const maxFeatures = 4
-
-// Config parameterises SplitAndMerge.
-type Config struct {
-	// MinSize (m) and MaxSize (M): units smaller than MinSize merge into
-	// their parent; units larger than MaxSize split. The paper's defaults
-	// are m=5 and M=10000.
-	MinSize, MaxSize int
-	// Features is the hierarchy's feature vector, most general first, of one
-	// to four features; a unit's label is its prefix joined by "\x1f".
-	Features []Feature
-	// Seed drives the random uniform distribution of triples across split
-	// buckets.
-	Seed int64
-}
-
-// SourceFeatures is the source hierarchy ⟨website, predicate, webpage⟩.
-func SourceFeatures() []Feature {
-	return []Feature{
-		func(r *triple.Record) string { return r.Website },
-		func(r *triple.Record) string { return r.Predicate },
-		func(r *triple.Record) string { return r.Page },
-	}
-}
-
-// ExtractorFeatures is the extractor hierarchy ⟨extractor, pattern,
-// predicate, website⟩.
-func ExtractorFeatures() []Feature {
-	return []Feature{
-		func(r *triple.Record) string { return r.Extractor },
-		func(r *triple.Record) string { return r.Pattern },
-		func(r *triple.Record) string { return r.Predicate },
-		func(r *triple.Record) string { return r.Website },
-	}
-}
-
-// Report summarises what SplitAndMerge did.
+// Report summarises what split-and-merge did.
 type Report struct {
 	// InitialUnits is the number of units at the finest granularity.
 	InitialUnits int
@@ -86,81 +47,26 @@ func (r Report) String() string {
 		r.InitialUnits, r.FinalUnits, r.Merges, r.Splits, r.SplitBuckets)
 }
 
-// SplitAndMerge assigns every record a final unit label per Algorithm 2 and
-// returns the labels (parallel to records) plus a report. Labels of split
-// buckets are the unit key suffixed with "\x1f#<bucket>".
-//
-// It groups the records on their feature tuples, one map probe per record,
-// numbers each feature's values over those finest units and runs the algorithm
-// on the ids, as splitAndMergeTable does on a table's; a record's label is its
-// unit's.
-func SplitAndMerge(records []triple.Record, cfg Config) ([]string, Report, error) {
-	depth := len(cfg.Features)
-	if err := cfg.check(depth, len(records)); err != nil {
-		return nil, Report{}, err
-	}
-	ids := make(map[[maxFeatures]string]int32)
-	finestOf := make([]int32, len(records))
-	var tuples [][maxFeatures]string
-	for i := range records {
-		var k [maxFeatures]string
-		for f, feature := range cfg.Features {
-			k[f] = feature(&records[i])
-		}
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(tuples))
-			ids[k] = id
-			tuples = append(tuples, k)
-		}
-		finestOf[i] = id
-	}
-	cols, vocabs := make([][]int32, depth), make([][]string, depth)
-	for f := range depth {
-		u := triple.UnitsOf(len(tuples), func(k int) string { return tuples[k][f] })
-		cols[f], vocabs[f] = u.Of, u.Labels
-	}
-	// The finest units' own prefixes of full length are the units.
-	h, _ := newHierarchy(cols, vocabs)
-	units, rep := h.splitAndMerge(finestOf, cfg)
-	labels := make([]string, len(records))
-	for i, u := range units.Of {
-		labels[i] = units.Labels[u]
-	}
-	return labels, rep, nil
-}
-
 // splitAndMergeTable runs Algorithm 2 over a table's id columns, the hierarchy
-// being the given fields, most general first, and returns each record's unit:
-// the units, their labels and the report are those of SplitAndMerge over the
-// table's records with those fields as its features.
+// being the given fields, most general first, and returns each record's unit.
+// Units smaller than minSize (m) merge into their parent, units larger than
+// maxSize (M) split, and seed drives the random assignment of a split unit's
+// records to its buckets, whose labels are the unit's suffixed with
+// "\x1f#<bucket>". The paper's sizes are m=5 and M=10000.
 func splitAndMergeTable(t *triple.Table, fields []triple.Field, minSize, maxSize int, seed int64) (*triple.Units, Report, error) {
-	cfg := Config{MinSize: minSize, MaxSize: maxSize, Seed: seed}
-	if err := cfg.check(len(fields), t.Len()); err != nil {
-		return nil, Report{}, err
+	if minSize < 0 || maxSize <= 0 || minSize > maxSize {
+		return nil, Report{}, fmt.Errorf("granularity: invalid sizes m=%d M=%d", minSize, maxSize)
+	}
+	if t.Len() > math.MaxInt32 {
+		return nil, Report{}, fmt.Errorf("granularity: %d records, more than 2^31-1", t.Len())
 	}
 	cols, vocabs := make([][]int32, len(fields)), make([][]string, len(fields))
 	for f, field := range fields {
 		cols[f], vocabs[f] = t.Column(field), t.Labels(field)
 	}
 	h, finestOf := newHierarchy(cols, vocabs)
-	units, rep := h.splitAndMerge(finestOf, cfg)
+	units, rep := h.splitAndMerge(finestOf, minSize, maxSize, seed)
 	return units, rep, nil
-}
-
-// check refuses a hierarchy of depth features over n records that cfg cannot
-// split and merge.
-func (cfg Config) check(depth, n int) error {
-	if depth == 0 || depth > maxFeatures {
-		return fmt.Errorf("granularity: %d hierarchy features, want 1 to %d", depth, maxFeatures)
-	}
-	if cfg.MinSize < 0 || cfg.MaxSize <= 0 || (cfg.MinSize > cfg.MaxSize) {
-		return fmt.Errorf("granularity: invalid sizes m=%d M=%d", cfg.MinSize, cfg.MaxSize)
-	}
-	if n > math.MaxInt32 {
-		return fmt.Errorf("granularity: %d records, more than 2^31-1", n)
-	}
-	return nil
 }
 
 // hierarchy holds the prefixes of a feature vector, most general feature
@@ -206,8 +112,9 @@ func (h *hierarchy) label(p int, k int32) string {
 }
 
 // splitAndMerge is Algorithm 2 over the records whose finest units, the
-// hierarchy's prefixes of full length, are finestOf, reading cfg's sizes and
-// seed; it returns each record's final unit.
+// hierarchy's prefixes of full length, are finestOf, at sizes m = minSize and
+// M = maxSize and with the random stream of seed; it returns each record's
+// final unit.
 //
 // Level by level from the finest, the units are taken in the order of their
 // labels: a unit of at least MinSize records, or of the top level, is final
@@ -215,7 +122,7 @@ func (h *hierarchy) label(p int, k int32) string {
 // stream), and any other merges into its parent. A merged unit's records are
 // its children's in the order they merged, each finest unit's in record order;
 // only a unit that splits lists them.
-func (h *hierarchy) splitAndMerge(finestOf []int32, cfg Config) (*triple.Units, Report) {
+func (h *hierarchy) splitAndMerge(finestOf []int32, minSize, maxSize int, seed int64) (*triple.Units, Report) {
 	depth, n := len(h.labels), len(finestOf)
 	// The finest units are the prefixes of full length; a merge adds the
 	// parent unit of a shorter prefix.
@@ -243,7 +150,7 @@ func (h *hierarchy) splitAndMerge(finestOf []int32, cfg Config) (*triple.Units, 
 		rep.FinalUnits++
 		return int32(len(out.Labels) - 1)
 	}
-	rng := stats.NewRNG(cfg.Seed)
+	rng := stats.NewRNG(seed)
 	var byFinest []int32 // record indices grouped by finest unit, built on the first split
 	var start []int
 	var list func(u int32, out []int) []int
@@ -277,7 +184,7 @@ func (h *hierarchy) splitAndMerge(finestOf []int32, cfg Config) (*triple.Units, 
 		}
 		// SPLIT: uniformly distribute into ⌈|W|/M⌉ buckets.
 		idxs := list(u, make([]int, 0, units[u].size))
-		nBuckets := (len(idxs) + cfg.MaxSize - 1) / cfg.MaxSize
+		nBuckets := (len(idxs) + maxSize - 1) / maxSize
 		bucket := make([]int32, nBuckets)
 		for b := range bucket {
 			bucket[b] = finalize(units[u].label + "\x1f#" + strconv.Itoa(b))
@@ -305,10 +212,10 @@ func (h *hierarchy) splitAndMerge(finestOf []int32, cfg Config) (*triple.Units, 
 		}
 		for _, u := range level {
 			switch {
-			case units[u].size >= cfg.MinSize || prefix == 1:
+			case units[u].size >= minSize || prefix == 1:
 				// Desired size, or already at the top of the hierarchy
 				// (GETPARENT(W) = ⊥): finalize.
-				if units[u].size > cfg.MaxSize {
+				if units[u].size > maxSize {
 					split(u)
 				} else {
 					units[u].final = finalize(units[u].label)
@@ -345,18 +252,30 @@ func (h *hierarchy) splitAndMerge(finestOf []int32, cfg Config) (*triple.Units, 
 	return out, rep
 }
 
-// Sources runs SplitAndMerge with the standard source hierarchy.
+// Sources is TableSources over a table of the records: it returns each
+// record's unit label.
 func Sources(records []triple.Record, minSize, maxSize int, seed int64) ([]string, Report, error) {
-	return SplitAndMerge(records, Config{
-		MinSize: minSize, MaxSize: maxSize, Features: SourceFeatures(), Seed: seed,
-	})
+	return recordLabels(records, TableSources, minSize, maxSize, seed)
 }
 
-// Extractors runs SplitAndMerge with the standard extractor hierarchy.
+// Extractors is TableExtractors over a table of the records: it returns each
+// record's unit label.
 func Extractors(records []triple.Record, minSize, maxSize int, seed int64) ([]string, Report, error) {
-	return SplitAndMerge(records, Config{
-		MinSize: minSize, MaxSize: maxSize, Features: ExtractorFeatures(), Seed: seed + extractorSeed,
-	})
+	return recordLabels(records, TableExtractors, minSize, maxSize, seed)
+}
+
+// recordLabels runs a table front end over a table of the records and labels
+// each record with its unit's label.
+func recordLabels(records []triple.Record, run func(*triple.Table, int, int, int64) (*triple.Units, Report, error), minSize, maxSize int, seed int64) ([]string, Report, error) {
+	units, rep, err := run(triple.TableOf(records), minSize, maxSize, seed)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	labels := make([]string, len(units.Of))
+	for i, u := range units.Of {
+		labels[i] = units.Labels[u]
+	}
+	return labels, rep, nil
 }
 
 // TableSources runs splitAndMergeTable with the standard source hierarchy.

@@ -195,13 +195,10 @@ func TestExtractorHierarchy(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	records := []triple.Record{mkRecord("w", "p", "w/1")}
-	if _, _, err := SplitAndMerge(records, Config{MinSize: 5, MaxSize: 10}); err == nil {
-		t.Error("missing levels should error")
-	}
-	if _, _, err := SplitAndMerge(records, Config{MinSize: 10, MaxSize: 5, Features: SourceFeatures()}); err == nil {
+	if _, _, err := Sources(records, 10, 5, 1); err == nil {
 		t.Error("m > M should error")
 	}
-	if _, _, err := SplitAndMerge(records, Config{MinSize: 0, MaxSize: 0, Features: SourceFeatures()}); err == nil {
+	if _, _, err := Sources(records, 0, 0, 1); err == nil {
 		t.Error("M=0 should error")
 	}
 }
@@ -255,7 +252,7 @@ func TestPropertyAllRecordsLabeledAndBounded(t *testing.T) {
 }
 
 func TestCompileWithLabels(t *testing.T) {
-	// End-to-end: SplitAndMerge output feeds Compile via SourceLabels.
+	// End-to-end: Sources' labels feed Compile via SourceLabels.
 	d := triple.NewDataset()
 	for i := 0; i < 20; i++ {
 		d.Add(mkRecord("w", fmt.Sprintf("p%d", i), fmt.Sprintf("w/u%d", i)))
@@ -276,7 +273,7 @@ func TestCompileWithLabels(t *testing.T) {
 // referenceSplitAndMerge is Algorithm 2 keyed by joined label strings, one
 // key function per level from the finest: every record's key is built and
 // grouped at the finest level, and a merged unit's record list is its
-// children's concatenated in key order. It is the oracle for SplitAndMerge.
+// children's concatenated in key order. It is the oracle for split-and-merge.
 func referenceSplitAndMerge(records []triple.Record, levels []func(triple.Record) string, minSize, maxSize int, seed int64) ([]string, Report) {
 	labels := make([]string, len(records))
 	rng := stats.NewRNG(seed)
@@ -377,26 +374,26 @@ func skewedCorpus(seed int64, n int) []triple.Record {
 }
 
 // TestSplitAndMergeMatchesReference: on skewed corpora, for both hierarchies,
-// SplitAndMerge labels every record and reports exactly as the string-keyed
-// reference does — with m = 0 (nothing merges), with an m that merges units
-// up to the top level, and with an M small enough that units split at every
-// level, which checks the order of the random draws.
+// Sources and Extractors label every record and report exactly as the
+// string-keyed reference does — with m = 0 (nothing merges), with an m that
+// merges units up to the top level, and with an M small enough that units
+// split at every level, which checks the order of the random draws.
 func TestSplitAndMergeMatchesReference(t *testing.T) {
 	hierarchies := []struct {
 		name      string
-		features  []Feature
+		run       func([]triple.Record, int, int, int64) ([]string, Report, error)
 		levels    []func(triple.Record) string
 		seedShift int64
 	}{
-		{"sources", SourceFeatures(), referenceSourceLevels, 0},
-		{"extractors", ExtractorFeatures(), referenceExtractorLevels, 0x5eed},
+		{"sources", Sources, referenceSourceLevels, 0},
+		{"extractors", Extractors, referenceExtractorLevels, 0x5eed},
 	}
 	sizes := []struct{ m, M int }{{0, 10000}, {0, 7}, {400, 10000}, {40, 50}, {5, 6}}
 	for seed := int64(1); seed <= 3; seed++ {
 		recs := skewedCorpus(seed, 6000)
 		for _, h := range hierarchies {
 			for _, sz := range sizes {
-				got, gotRep, err := SplitAndMerge(recs, Config{MinSize: sz.m, MaxSize: sz.M, Features: h.features, Seed: seed + h.seedShift})
+				got, gotRep, err := h.run(recs, sz.m, sz.M, seed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -29,8 +29,8 @@
 //
 // The batch path holds its input as a Table, not as records: per field a
 // dense-id column and each distinct label once, and a confidence column.
-// ReadTable assigns the ids as it reads, Table.Compile builds a snapshot from
-// the columns (units formed on id tuples, each tuple's label built once), and
-// Dataset.Compile and ReadTSV are that build and that reader behind a record
-// slice.
+// ReadTable assigns the ids as it reads (TableOf and Table.Add as they add
+// records), Table.Compile builds a snapshot from the columns (units formed on
+// id tuples, each tuple's label built once), and Dataset.Compile and ReadTSV
+// are that build and that reader behind a record slice.
 package triple

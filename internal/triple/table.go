@@ -94,6 +94,15 @@ type Table struct {
 	refused, refusedLine int
 }
 
+// TableOf returns a table of the records, added in order.
+func TableOf(records []Record) *Table {
+	t := &Table{}
+	for _, r := range records {
+		t.Add(r)
+	}
+	return t
+}
+
 // Len returns the number of records.
 func (t *Table) Len() int { return len(t.conf) }
 

@@ -76,9 +76,9 @@ func (e *LineError) Error() string { return fmt.Sprintf("triple: line %d: %v", e
 func (e *LineError) Unwrap() error { return e.Err }
 
 // ReadTable reads its input in blocks of about tsvBlockSize bytes, each cut
-// after its last newline, and refuses a line of maxTSVLine bytes or more with
-// bufio.ErrTooLong — the limit of the bufio.Scanner that cmd/kbt's serve loop
-// reads the same format with.
+// after its last newline, and refuses a line of maxTSVLine bytes or more by
+// its line number, with bufio.ErrTooLong — the limit of the bufio.Scanner that
+// cmd/kbt's serve loop reads the same format with.
 const (
 	tsvBlockSize = 1 << 20
 	maxTSVLine   = 4 << 20
@@ -209,11 +209,14 @@ func readTable(r io.Reader, blockSize int) (*Table, error) {
 	wg.Wait()
 	<-merged
 
-	// A bad line comes before whatever ended the reading after it.
-	if m.err != nil {
+	// A bad line comes before whatever ended the reading after it. A line
+	// over the limit is the one after every line merged.
+	switch {
+	case m.err != nil:
 		return nil, m.err
-	}
-	if scanErr != nil && scanErr != io.EOF {
+	case scanErr == bufio.ErrTooLong:
+		return nil, &LineError{Line: m.lines + 1, Err: scanErr}
+	case scanErr != nil && scanErr != io.EOF:
 		return nil, fmt.Errorf("triple: scan: %w", scanErr)
 	}
 	return m.table(), nil

@@ -189,7 +189,8 @@ func TestReadTSVMissingConfidenceColumn(t *testing.T) {
 }
 
 // readTSVByLine is the reference the block reader is held to: one
-// bufio.Scanner line at a time through ParseTSVLine, first error wins.
+// bufio.Scanner line at a time through ParseTSVLine, first error wins, and a
+// line over the scanner's limit is named by its number.
 func readTSVByLine(r io.Reader) (*Dataset, error) {
 	d := NewDataset()
 	sc := bufio.NewScanner(r)
@@ -207,7 +208,9 @@ func readTSVByLine(r io.Reader) (*Dataset, error) {
 		}
 		d.Add(rec)
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); err == bufio.ErrTooLong {
+		return nil, &LineError{Line: lineNo + 1, Err: err}
+	} else if err != nil {
 		return nil, fmt.Errorf("triple: scan: %w", err)
 	}
 	return d, nil

@@ -477,7 +477,7 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	var src, ext triple.Grouping
+	var snap *triple.Snapshot
 	if opt.Granularity == GranularityAuto {
 		m, M := opt.MinSourceSize, opt.MaxSourceSize
 		if M <= 0 {
@@ -488,6 +488,7 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 		}
 		// The two hierarchies are split and merged independently, each with
 		// its own random stream, so they run side by side.
+		var src, ext triple.Grouping
 		var srcErr, extErr error
 		done := make(chan struct{})
 		go func() {
@@ -499,14 +500,14 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 		if err := cmp.Or(srcErr, extErr); err != nil {
 			return nil, err
 		}
+		snap = ds.t.Compile(src, ext)
 	} else {
-		var ok bool
-		src.Fields, ext.Fields, ok = granularityFields(opt.Granularity)
+		srcKey, extKey, ok := granularityKeys(opt.Granularity)
 		if !ok {
 			return nil, fmt.Errorf("kbt: unknown granularity %d", opt.Granularity)
 		}
+		snap = ds.t.CompileKeys(triple.CompileOptions{SourceKey: srcKey, ExtractorKey: extKey})
 	}
-	snap := ds.t.Compile(src, ext)
 
 	mopt := coreOptions(opt.DomainSize, opt.Iterations, opt.MinSupport,
 		opt.UseConfidence, opt.AllExtractorsVoteAbsence)
@@ -659,7 +660,7 @@ func FuseSingleLayer(ds *Dataset, opt FusionOptions) (*FusionResult, error) {
 	if err := ds.check(); err != nil {
 		return nil, err
 	}
-	snap := ds.t.Compile(triple.Grouping{Fields: triple.ProvenanceFields}, triple.Grouping{Fields: triple.ExtractorFieldsName})
+	snap := ds.t.CompileKeys(triple.CompileOptions{SourceKey: triple.ProvenanceKey, ExtractorKey: triple.ExtractorKeyName})
 	fopt := fusion.DefaultOptions()
 	if opt.Model == PopAccu {
 		fopt.Model = fusion.PopAccu

@@ -15,8 +15,10 @@ import (
 // through it, so a new knob is mapped once, here, instead of field-by-field
 // in each layer.
 
-// granularityKeys maps a SourceGranularity onto the snapshot key functions.
-// Auto is not a pure function of the record and reports ok=false.
+// granularityKeys maps a SourceGranularity onto the snapshot key functions,
+// for the engine and EstimateKBT alike; a table build groups a standard key
+// function on the fields it joins. Auto is not a pure function of the record
+// and reports ok=false.
 func granularityKeys(g SourceGranularity) (triple.SourceKeyFunc, triple.ExtractorKeyFunc, bool) {
 	switch g {
 	case GranularityWebsite:
@@ -25,20 +27,6 @@ func granularityKeys(g SourceGranularity) (triple.SourceKeyFunc, triple.Extracto
 		return triple.SourceKeyPage, triple.ExtractorKeyName, true
 	case GranularityFinest:
 		return triple.SourceKeyFinest, triple.ExtractorKeyFinest, true
-	}
-	return nil, nil, false
-}
-
-// granularityFields is granularityKeys as the field tuples those key
-// functions join, for the batch calls, which build from a table.
-func granularityFields(g SourceGranularity) (sources, extractors []triple.Field, ok bool) {
-	switch g {
-	case GranularityWebsite:
-		return triple.SourceFieldsWebsite, triple.ExtractorFieldsName, true
-	case GranularityPage:
-		return triple.SourceFieldsPage, triple.ExtractorFieldsName, true
-	case GranularityFinest:
-		return triple.SourceFieldsFinest, triple.ExtractorFieldsFinest, true
 	}
 	return nil, nil, false
 }
