@@ -113,7 +113,7 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 		if ev.Provides != nil && !ev.Provides(ti) {
 			continue
 		}
-		itemsOf[tr.W][tr.D] = tr.V
+		itemsOf[tr.W][int(tr.D)] = int(tr.V)
 	}
 
 	for d := range s.Items {
@@ -121,13 +121,13 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 			var providers []int
 			for _, ti := range s.TriplesOfItem[d] {
 				tr := s.Triples[ti]
-				if tr.V != v {
+				if int(tr.V) != v {
 					continue
 				}
-				if ev.Provides != nil && !ev.Provides(ti) {
+				if ev.Provides != nil && !ev.Provides(int(ti)) {
 					continue
 				}
-				providers = append(providers, tr.W)
+				providers = append(providers, int(tr.W))
 			}
 			if len(providers) < 2 || len(providers) > opt.MaxProvidersPerValue {
 				continue

@@ -174,12 +174,12 @@ func (t *Tracker) signature(s *triple.Snapshot, ev Evidence, d int) []provided {
 		count = append(count, 0)
 	}
 	for _, ti := range s.TriplesOfItem[d] {
-		if ev.Provides != nil && !ev.Provides(ti) {
+		if ev.Provides != nil && !ev.Provides(int(ti)) {
 			continue
 		}
 		tr := s.Triples[ti]
-		k, _ := slices.BinarySearch(vals, tr.V)
-		cur = append(cur, provided{w: int32(tr.W), v: int32(tr.V)})
+		k, _ := slices.BinarySearch(vals, int(tr.V))
+		cur = append(cur, provided{w: tr.W, v: tr.V})
 		slot = append(slot, int32(k))
 		count[k]++
 	}

@@ -261,18 +261,18 @@ func fuzzWideItem(t *testing.T) {
 	}
 
 	d, v0 := w.s.ItemID("S0", "p"), w.s.ValueID("v0")
-	var ofV0 []int // S0's candidate triples naming v0
-	sites := make(map[int]bool)
+	var ofV0 []int32 // S0's candidate triples naming v0
+	sites := make(map[int32]bool)
 	for _, ti := range w.s.TriplesOfItem[d] {
 		sites[w.s.Triples[ti].W] = true
-		if w.s.Triples[ti].V == v0 {
+		if int(w.s.Triples[ti].V) == v0 {
 			ofV0 = append(ofV0, ti)
 		}
 	}
 	if len(sites) <= maxDiffWidth || len(ofV0) <= opt.MaxProvidersPerValue+1 {
 		t.Fatalf("fixture too narrow: %d sites, %d of them on v0", len(sites), len(ofV0))
 	}
-	provide := func(tis []int, p float64) {
+	provide := func(tis []int32, p float64) {
 		for _, ti := range tis {
 			w.cp[ti] = p
 		}
@@ -345,10 +345,10 @@ func countedValue(w *trackerWorld) (d, k, ti int) {
 	for d, tis := range w.s.TriplesOfItem {
 		for k, v := range w.s.ItemValues[d] {
 			n := 0
-			for _, ti = range tis {
-				if w.s.Triples[ti].V == v && w.cp[ti] >= 0.5 {
+			for _, t := range tis {
+				if int(w.s.Triples[t].V) == v && w.cp[t] >= 0.5 {
 					if n++; n == 2 {
-						return d, k, ti
+						return d, k, int(t)
 					}
 				}
 			}

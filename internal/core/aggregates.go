@@ -125,7 +125,7 @@ type groups struct {
 	whole []bool     // the call visits the unit whole (cleared by tasks)
 	units []int      // the touched units, in first-touch order: their spans follow one another
 	added [][2]int32 // the (unit, index) pairs add took, in order
-	idx   []int      // the visited indices, unit by unit
+	idx   []int32    // the visited indices, unit by unit
 }
 
 // reset starts a call over n units.
@@ -162,14 +162,14 @@ func (g *groups) place() {
 	}
 	g.idx = grow(g.idx, int(n), 0)
 	for _, p := range g.added {
-		g.idx[g.at[p[0]]] = int(p[1])
+		g.idx[g.at[p[0]]] = p[1]
 		g.at[p[0]]++
 	}
 	g.added = g.added[:0]
 }
 
 // span returns the visited indices of the k-th touched unit.
-func (g *groups) span(k int) []int {
+func (g *groups) span(k int) []int32 {
 	var lo int32
 	if k > 0 {
 		lo = g.at[g.units[k-1]]
@@ -181,7 +181,7 @@ func (g *groups) span(k int) []int {
 // observations: a unit's visited observations — all[u] when it is visited
 // whole — in blocks of at most obsBlock. A unit with none still gets a task,
 // so it is derived.
-func (g *groups) tasks(tasks []obsTask, all [][]int) (_ []obsTask, work int) {
+func (g *groups) tasks(tasks []obsTask, all [][]int32) (_ []obsTask, work int) {
 	for k, u := range g.units {
 		obs, whole := g.span(k), g.whole[u]
 		if g.whole[u] = false; whole {

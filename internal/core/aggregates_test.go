@@ -17,11 +17,20 @@ func everyThirdItem(s *triple.Snapshot) (items, tis []int) {
 	for d := range s.Items {
 		if d%3 == 0 {
 			items = append(items, d)
-			tis = append(tis, s.TriplesOfItem[d]...)
+			tis = append(tis, ints(s.TriplesOfItem[d])...)
 		}
 	}
 	slices.Sort(tis)
 	return items, tis
+}
+
+// ints widens a snapshot's int32 index row to an index list.
+func ints(row []int32) []int {
+	out := make([]int, len(row))
+	for i, x := range row {
+		out[i] = int(x)
+	}
+	return out
 }
 
 // TestMStepShuffledDirtyListMatchesFull: the M-steps over a list of the
@@ -53,7 +62,7 @@ func TestMStepShuffledDirtyListMatchesFull(t *testing.T) {
 	// A Stage I pass over the triples on the cells thin attempts that thin
 	// did not extract: thin's recall denominator moves while none of its
 	// observations is visited, so it is derived from an empty task.
-	type cell struct{ w, p int }
+	type cell struct{ w, p int32 }
 	attempted := map[cell]bool{}
 	for _, oi := range s.ObsOfExtractor[thin] {
 		o := s.Obs[oi]
@@ -63,7 +72,7 @@ func TestMStepShuffledDirtyListMatchesFull(t *testing.T) {
 	for ti, tr := range s.Triples {
 		extracted := false
 		for _, oi := range s.ByTriple[ti] {
-			extracted = extracted || s.Obs[oi].E == thin
+			extracted = extracted || int(s.Obs[oi].E) == thin
 		}
 		if attempted[cell{tr.W, s.PredOfItem[tr.D]}] && !extracted {
 			beside = append(beside, ti)
@@ -259,7 +268,7 @@ func TestNarrowMStepAllocatesNothing(t *testing.T) {
 	var items, tis []int
 	for d := 0; d < 16; d++ {
 		items = append(items, d*97)
-		tis = append(tis, s.TriplesOfItem[d*97]...)
+		tis = append(tis, ints(s.TriplesOfItem[d*97])...)
 	}
 	if len(tis) < 24 || len(tis) > 96 {
 		t.Fatalf("fixture: the list has %d triples, want a few dozen", len(tis))
@@ -390,7 +399,7 @@ func TestAttemptSetGrowth(t *testing.T) {
 						t.Fatalf("%s: fixture: the extension flipped an inclusion", tag)
 					}
 					st := em.st
-					c = st.cellID[int64(s.SourceID("site00.com"))<<32|int64(s.PredOfItem[s.ItemID("S000", "p0")])]
+					c = int(st.cellID[int64(s.SourceID("site00.com"))<<32|int64(s.PredOfItem[s.ItemID("S000", "p0")])])
 					if scope == ScopeAttemptedSources {
 						if n := len(st.setMembers[st.setOfCell[c]]); n != step+2 {
 							t.Fatalf("%s: the cell's attempt set has %d extractors, want %d", tag, n, step+2)
@@ -407,12 +416,12 @@ func TestAttemptSetGrowth(t *testing.T) {
 					sameMasses(tag+", votes prepared", em)
 					if items == nil {
 						for _, ti := range cellTriples(st, c) {
-							items = append(items, s.Triples[ti].D)
+							items = append(items, int(s.Triples[ti].D))
 						}
 						slices.Sort(items)
 						items = slices.Compact(items)
 						for _, d := range items {
-							tis = append(tis, s.TriplesOfItem[d]...)
+							tis = append(tis, ints(s.TriplesOfItem[d])...)
 						}
 					}
 					em.EStepTriples(r.cProb, tis, 0)
@@ -440,7 +449,7 @@ func TestAttemptSetGrowth(t *testing.T) {
 // triple: the test's own index, independent of the ledger's.
 func cellTriples(st *state, c int) (tis []int) {
 	for ti, cc := range st.cellOfTriple {
-		if cc == c {
+		if int(cc) == c {
 			tis = append(tis, ti)
 		}
 	}

@@ -74,7 +74,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		st.agg = &aggState{}
 	}
 	if st.cellID == nil {
-		st.cellID = make(map[int64]int)
+		st.cellID = make(map[int64]int32)
 	}
 
 	// Inclusion, in place: support only grows, and only through new
@@ -101,12 +101,12 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	for oi := d.Obs; oi < nObs; oi++ {
 		o := &s.Obs[oi]
 		st.conf[oi] = st.effConf(o.Conf)
-		st.obsE[oi] = int32(o.E)
+		st.obsE[oi] = o.E
 		st.pDen[o.E] = st.pDen[o.E].Add(pDenPart(st.conf[oi]))
-		if o.W < d.Sources && !st.srcIncluded[o.W] && len(s.TriplesOfSource[o.W]) >= minSrc {
+		if int(o.W) < d.Sources && !st.srcIncluded[o.W] && len(s.TriplesOfSource[o.W]) >= minSrc {
 			st.srcIncluded[o.W], structural = true, true
 		}
-		if o.E < d.Extractors && !st.extIncluded[o.E] && len(s.ObsOfExtractor[o.E]) >= minExt {
+		if int(o.E) < d.Extractors && !st.extIncluded[o.E] && len(s.ObsOfExtractor[o.E]) >= minExt {
 			st.extIncluded[o.E], structural = true, true
 		}
 	}
@@ -179,13 +179,13 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.tripleOfObs = grow(st.tripleOfObs, nObs, -1)
 	for ti := d.Triples; ti < nTri; ti++ {
 		for _, oi := range s.ByTriple[ti] {
-			st.tripleOfObs[oi] = ti
+			st.tripleOfObs[oi] = int32(ti)
 		}
 	}
 	for oi := d.Obs; oi < nObs; oi++ {
 		if st.tripleOfObs[oi] < 0 {
 			o := &s.Obs[oi]
-			st.tripleOfObs[oi] = s.TripleIndex(o.W, o.D, o.V)
+			st.tripleOfObs[oi] = int32(s.TripleIndex(int(o.W), int(o.D), int(o.V)))
 		}
 	}
 
@@ -196,15 +196,15 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.slotOfTriple = grow(st.slotOfTriple, nTri, 0)
 	for ti := d.Triples; ti < nTri; ti++ {
 		tr := s.Triples[ti]
-		st.slotOfTriple[ti] = sort.SearchInts(s.ItemValues[tr.D], tr.V)
+		st.slotOfTriple[ti] = valueSlot(s.ItemValues[tr.D], tr.V)
 	}
 	for _, di := range d.GrownItems {
 		vs := s.ItemValues[di]
 		for _, ti := range s.TriplesOfItem[di] {
-			if ti >= d.Triples {
+			if int(ti) >= d.Triples {
 				break
 			}
-			st.slotOfTriple[ti] = sort.SearchInts(vs, s.Triples[ti].V)
+			st.slotOfTriple[ti] = valueSlot(vs, s.Triples[ti].V)
 		}
 	}
 
@@ -262,7 +262,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 		if !st.extIncluded[e] {
 			continue
 		}
-		ti := st.tripleOfObs[oi]
+		ti := int(st.tripleOfObs[oi])
 		if !st.coveredTriple[ti] {
 			st.coveredTriple[ti] = true
 			markUnit(st.triDirty, ti)
@@ -286,6 +286,9 @@ func (st *state) rebuildCoverage() {
 		}
 	}
 }
+
+// valueSlot is the slot of value v in an item's sorted value row.
+func valueSlot(values []int, v int32) int32 { return int32(sort.SearchInts(values, int(v))) }
 
 // pDenPart is an observation's contribution to its extractor's confidence
 // mass (the Eq 29 denominator): the effective confidence when positive.

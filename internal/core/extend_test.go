@@ -86,7 +86,7 @@ func TestExtendedStateMatchesFreshBuild(t *testing.T) {
 				if variant == 0 {
 					d, _ := s.ParentDelta()
 					for _, o := range s.Obs[d.Obs:] {
-						if s.TripleIndex(o.W, o.D, o.V) < d.Triples {
+						if s.TripleIndex(int(o.W), int(o.D), int(o.V)) < d.Triples {
 							reExtracted++
 						}
 					}
@@ -167,4 +167,4 @@ func sameBuild(t *testing.T, tag string, got, want *state) {
 }
 
 // sorted returns a sorted copy of s.
-func sorted[T int | string](s []T) []T { return slices.Sorted(slices.Values(s)) }
+func sorted[T int | int32 | string](s []T) []T { return slices.Sorted(slices.Values(s)) }

@@ -267,14 +267,14 @@ type state struct {
 	setPart              [][]stats.Sum
 
 	// tripleOfObs maps observation index -> candidate-triple index.
-	tripleOfObs []int
-	// obsE mirrors Snapshot.Obs[i].E as a dense int32 sidecar: the Stage I
-	// inner loop touches one observation field, and loading 4 bytes instead
-	// of the 40-byte Observation struct keeps it cache-resident.
+	tripleOfObs []int32
+	// obsE mirrors Snapshot.Obs[i].E as a dense sidecar: the Stage I inner
+	// loop touches one observation field, and loading 4 bytes instead of the
+	// 24-byte Observation struct keeps it cache-resident.
 	obsE []int32
 
 	// slotOfTriple maps candidate-triple index -> slot in ItemValues[d].
-	slotOfTriple []int
+	slotOfTriple []int32
 
 	// Cells: a cell is one (source, predicate) pair; an extractor "attempts"
 	// the cell if it extracted at least one triple there. cellOfTriple maps
@@ -284,14 +284,14 @@ type state struct {
 	// the snapshot grows (a new predicate or source never renumbers existing
 	// cells), which is what lets extendState carry every cell-indexed
 	// structure over without a rebuild.
-	cellID       map[int64]int
-	cellOfTriple []int
+	cellID       map[int64]int32
+	cellOfTriple []int32
 	numCells     int
 	// cellsOfExtractor lists the distinct cells each included extractor
 	// attempted, in first appearance order, under ScopeAttemptedSources (nil
 	// lists under ScopeAllExtractors): the reach of its absence vote, which
 	// the ledger and RecomputeAbsenceMasses read.
-	cellsOfExtractor [][]int
+	cellsOfExtractor [][]int32
 
 	// Attempt sets. A triple's base absence mass (Eq 13) and the recall
 	// denominators its correctness feeds (Eq 30) range over the included
@@ -435,8 +435,8 @@ func (st *state) initExtractorParams(e int) {
 
 // predOfItem returns the predicate id of data item d (0 when the snapshot
 // predates predicate interning).
-func predOfItem(s *triple.Snapshot, d int) int {
-	if d < len(s.PredOfItem) {
+func predOfItem(s *triple.Snapshot, d int32) int32 {
+	if int(d) < len(s.PredOfItem) {
 		return s.PredOfItem[d]
 	}
 	return 0
@@ -454,7 +454,7 @@ func predOfItem(s *triple.Snapshot, d int) int {
 func (st *state) buildExtractorCells() {
 	s := st.s
 	nExt, nCells := len(s.Extractors), st.numCells
-	st.cellsOfExtractor = make([][]int, nExt)
+	st.cellsOfExtractor = make([][]int32, nExt)
 	st.setOfCell = make([]int32, nCells)
 	st.setMembers, st.setsOfExtractor = make([][]int32, 0, nCells+1), make([][]int32, nExt)
 	st.setID = make(map[string]int32)
@@ -525,7 +525,7 @@ func (st *state) joinBaseSet(from, to int) {
 // The mass is re-summed from the cell's cached terms over the ledger's
 // triplesOfCell, O(cell); an EM without a ledger (one its caller drives
 // directly) finds the cell's triples among its source's.
-func (st *state) attempt(e, ti int) {
+func (st *state) attempt(e int32, ti int) {
 	c := st.cellOfTriple[ti]
 	from := st.setOfCell[c]
 	old := st.setMembers[from]
@@ -592,12 +592,12 @@ func (st *state) internSet(members []int32) int32 {
 // internCell returns the dense id of the (source, predicate) cell, assigning
 // the next id on first sight. Ids depend only on the first-appearance order
 // of pairs over the triple list, so they are stable under extension.
-func (st *state) internCell(w, p int) int {
+func (st *state) internCell(w, p int32) int32 {
 	key := int64(w)<<32 | int64(uint32(p))
 	if c, ok := st.cellID[key]; ok {
 		return c
 	}
-	c := st.numCells
+	c := int32(st.numCells)
 	st.cellID[key] = c
 	st.numCells++
 	return c
@@ -889,7 +889,7 @@ func sidesAbove(row []float64) uint64 {
 // "provided" mass and bias every accuracy towards zero. Non-contributing
 // triples return (0, 0), which sums to a bit-identical result with skipping
 // them — the property the incremental aggregates rely on.
-func (st *state) aContrib(ti int, cProb []float64, valueProb [][]float64) (num, den float64) {
+func (st *state) aContrib(ti int32, cProb []float64, valueProb [][]float64) (num, den float64) {
 	if !st.coveredTriple[ti] || cProb[ti] < 0.5 {
 		return 0, 0
 	}
@@ -935,7 +935,7 @@ func (st *state) estimateA(cProb []float64, valueProb [][]float64, tis []int) fl
 	if !ag.visitsAll(stageSources, tis, len(s.Triples)) {
 		g = st.srcGroups.reset(len(s.Sources))
 		for _, ti := range tis {
-			g.add(s.Triples[ti].W, ti)
+			g.add(int(s.Triples[ti].W), ti)
 		}
 		g.place()
 		n, work = len(g.units), len(tis)
@@ -1099,7 +1099,7 @@ func (st *state) estimatePRQ(cProb []float64, tis []int) (movedP, movedR float64
 	for _, ti := range tis {
 		for _, oi := range byTri[ti] {
 			if e := int(obsE[oi]); included[e] && !g.whole[e] {
-				g.add(e, oi)
+				g.add(e, int(oi))
 			}
 		}
 	}
@@ -1204,7 +1204,7 @@ const obsBlock = 4096
 // into the first task.
 type obsTask struct {
 	e, lo     int
-	obs       []int
+	obs       []int32
 	whole     bool
 	num, rDen stats.Sum
 }

@@ -449,7 +449,7 @@ func TestParallelMatchesSerialOneBlockPlainSum(t *testing.T) {
 	e := s.ExtractorID("thin")
 	var num, pDen, rDen stats.Sum
 	for _, oi := range s.ObsOfExtractor[e] {
-		num = num.Add(st.obsNumContrib(oi, st.tripleOfObs[oi], e, st.conf[oi], cProb))
+		num = num.Add(st.obsNumContrib(int(oi), int(st.tripleOfObs[oi]), e, st.conf[oi], cProb))
 		pDen = pDen.Add(st.conf[oi])
 	}
 	cellC := make([]stats.Sum, st.numCells)
@@ -710,7 +710,7 @@ func TestIterateScheduleAndLists(t *testing.T) {
 	var tris []int
 	for d := range items {
 		items[d] = d
-		tris = append(tris, s.TriplesOfItem[d]...)
+		tris = append(tris, ints(s.TriplesOfItem[d])...)
 	}
 	nilLists, explicit := start(), start()
 	for iter := 1; iter <= 4; iter++ {

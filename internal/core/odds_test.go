@@ -115,7 +115,7 @@ func TestVoteCapSaturation(t *testing.T) {
 	nItem, nTri := len(s.Items), len(s.Triples)
 	cProb := make([]float64, nTri)
 	valueProb, restMass, covered := make([][]float64, nItem), make([]float64, nItem), make([]bool, nItem)
-	tripleOfItem := func(i int) int { return s.TriplesOfItem[s.ItemID(fmt.Sprintf("S%03d", i), "p")][0] }
+	tripleOfItem := func(i int) int { return int(s.TriplesOfItem[s.ItemID(fmt.Sprintf("S%03d", i), "p")][0]) }
 	for iter := 0; iter < 3; iter++ {
 		em.BeginIteration(iter == 0) // later votes are the estimated ones
 		em.EStepTriples(cProb, nil, 0)
@@ -144,8 +144,8 @@ func TestVoteCapSaturation(t *testing.T) {
 			prev := -1.0
 			for _, oi := range obs {
 				c := st.conf[oi]
-				v := st.obsNumContrib(oi, st.tripleOfObs[oi], e, c, cProb)
-				isProb("leave-one-out", oi, v/c)
+				v := st.obsNumContrib(int(oi), int(st.tripleOfObs[oi]), e, c, cProb)
+				isProb("leave-one-out", int(oi), v/c)
 				if iter == 0 && v/c < prev {
 					t.Fatalf("extractor %d: leave-one-out posterior not monotone at observation %d", e, oi)
 				}
@@ -238,7 +238,7 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 			for e, obs := range s.ObsOfExtractor {
 				var total stats.Sum
 				for _, oi := range obs {
-					want := st.obsNumContrib(oi, st.tripleOfObs[oi], e, st.conf[oi], cProb)
+					want := st.obsNumContrib(int(oi), int(st.tripleOfObs[oi]), e, st.conf[oi], cProb)
 					if math.Float64bits(ag.obsNumC[oi]) != math.Float64bits(want) {
 						t.Fatalf("workers=%d iteration %d: obsNumC[%d] = %v, obsNumContrib gives %v",
 							workers, iter, oi, ag.obsNumC[oi], want)
@@ -279,7 +279,7 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 		for d := range s2.Items {
 			if d%3 == 0 || d == len(s2.Items)-1 {
 				items = append(items, d)
-				tis = append(tis, s2.TriplesOfItem[d]...)
+				tis = append(tis, ints(s2.TriplesOfItem[d])...)
 			}
 		}
 		em.UpdatePrior(valueProb, nil, 0)
@@ -295,7 +295,7 @@ func TestStripMemoMatchesPerObservation(t *testing.T) {
 				if c <= 0 {
 					continue
 				}
-				if v := st.obsNumContrib(oi, ti, e, c, cProb); v != wantC[oi] {
+				if v := st.obsNumContrib(int(oi), ti, int(e), c, cProb); v != wantC[oi] {
 					wantNum[e] = wantNum[e].Sub(wantC[oi]).Add(v)
 					wantC[oi] = v
 					moved++

@@ -199,7 +199,7 @@ func TestPublishSharesUnwrittenChunks(t *testing.T) {
 	items := append([]int{800, 801, 802, 803}, f.newItems...)
 	var tris []int
 	for _, d := range items {
-		tris = append(tris, f.snap.TriplesOfItem[d]...)
+		tris = append(tris, ints(f.snap.TriplesOfItem[d])...)
 	}
 	slices.Sort(tris)
 	f.pass(items, tris)

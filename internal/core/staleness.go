@@ -239,7 +239,9 @@ func (em *EM) CompileScope(sc *ScopeSet) (items, tris []int) {
 	}
 	tris = led.passTris[:0]
 	for _, d := range items {
-		tris = append(tris, em.st.s.TriplesOfItem[d]...)
+		for _, ti := range em.st.s.TriplesOfItem[d] {
+			tris = append(tris, int(ti))
+		}
 	}
 	led.passItems, led.passTris = items, tris
 	return items, tris

@@ -32,7 +32,7 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 		}
 	}
 	s := ds.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyWebsite, ExtractorKey: triple.ExtractorKeyName})
-	leafOf := func(d int) int { return s.Triples[s.TriplesOfItem[d][1]].W }
+	leafOf := func(d int) int { return int(s.Triples[s.TriplesOfItem[d][1]].W) }
 
 	sc := NewScopeSet()
 	for trial := 0; trial < 200; trial++ {
@@ -101,7 +101,7 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 		for d := range s.Items {
 			if marked[d] {
 				wantItems = append(wantItems, d)
-				wantTris = append(wantTris, s.TriplesOfItem[d]...)
+				wantTris = append(wantTris, ints(s.TriplesOfItem[d])...)
 			}
 		}
 		// A drifted leaf source inside and one outside the saturated shard.
@@ -306,7 +306,7 @@ func TestSourceDriftChargedWhereAIsWritten(t *testing.T) {
 				if items != nil {
 					tris = []int{}
 					for _, d := range items {
-						tris = append(tris, snap.TriplesOfItem[d]...)
+						tris = append(tris, ints(snap.TriplesOfItem[d])...)
 					}
 				}
 				em.BeginIteration(refreshVotes)

@@ -145,7 +145,7 @@ func TestCopyFeedRowCrossing(t *testing.T) {
 		t.Fatal("fixture: the contested item gained a candidate triple")
 	}
 	for _, ti := range prev.Snapshot.TriplesOfItem[d] {
-		if provided(prev, ti) != provided(got, ti) {
+		if provided(prev, int(ti)) != provided(got, int(ti)) {
 			t.Fatalf("fixture: the contested item's triple %d crossed 0.5 too", ti)
 		}
 	}
@@ -211,7 +211,7 @@ func TestCopyFeedCorpusWideReadsOnlyNewItems(t *testing.T) {
 	}
 	moved := false
 	for ti := range ps.Triples {
-		if provided(prev, ti) != provided(got, ti) {
+		if provided(prev, int(ti)) != provided(got, int(ti)) {
 			t.Fatalf("fixture: old triple %d crossed 0.5", ti)
 		}
 	}
@@ -224,7 +224,7 @@ func TestCopyFeedCorpusWideReadsOnlyNewItems(t *testing.T) {
 	if !moved {
 		t.Fatal("fixture: no old value posterior moved")
 	}
-	newItems := map[int]bool{}
+	newItems := map[int32]bool{}
 	for _, tr := range s.Triples[len(ps.Triples):] {
 		newItems[tr.D] = true
 	}

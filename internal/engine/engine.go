@@ -879,7 +879,7 @@ func (e *Engine) trackerItems(r *refreshRun) []int {
 		delta, _ := r.snap.ParentDelta()
 		n := len(items)
 		for _, tr := range r.snap.Triples[delta.Triples:] {
-			items = append(items, tr.D)
+			items = append(items, int(tr.D))
 		}
 		if len(items) > n {
 			slices.Sort(items)
@@ -1075,7 +1075,7 @@ func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
 	for i, rec := range r.pending {
 		w := snap.SourceID(e.opt.SourceKey(rec))
 		d := snap.ItemID(rec.Subject, rec.Predicate)
-		if w < 0 || d < 0 || !em.MarkCellItems(w, snap.PredOfItem[d], base) {
+		if w < 0 || d < 0 || !em.MarkCellItems(w, int(snap.PredOfItem[d]), base) {
 			return fmt.Errorf("engine: pending record %d (source %q, item %q/%q) did not compile into the refreshed snapshot; the append-only extension invariant is broken",
 				i, e.opt.SourceKey(rec), rec.Subject, rec.Predicate)
 		}

@@ -90,7 +90,7 @@ func TestShardCounter(t *testing.T) {
 				// Every item of localDataset has a predicate of its own, so
 				// each (a.com, predicate) cell holds exactly that item.
 				for _, d := range items {
-					if !em.MarkCellItems(snap.SourceID("a.com"), snap.PredOfItem[d], sc) {
+					if !em.MarkCellItems(snap.SourceID("a.com"), int(snap.PredOfItem[d]), sc) {
 						t.Fatalf("item %d has no a.com cell", d)
 					}
 				}

@@ -253,11 +253,11 @@ func Eval541(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64) 
 		// Confidently-extracted candidate triples, grouped by predicate.
 		byPred := map[string][]int{}
 		for _, ti := range s.TriplesOfSource[wi] {
-			if res.CProbAt(ti) <= 0.8 {
+			if res.CProbAt(int(ti)) <= 0.8 {
 				continue
 			}
 			_, pred := triple.SplitItemKey(s.Items[s.Triples[ti].D])
-			byPred[pred] = append(byPred[pred], ti)
+			byPred[pred] = append(byPred[pred], int(ti))
 		}
 		// Top-3 predicates by volume.
 		type pc struct {

@@ -141,7 +141,7 @@ func (opt *Options) voteOf(s *triple.Snapshot, o triple.Observation) vote {
 	if !opt.UseConfidence {
 		conf = 1
 	}
-	return vote{w: int32(o.W), slot: int32(sort.SearchInts(s.ItemValues[o.D], o.V)), conf: conf}
+	return vote{w: o.W, slot: int32(sort.SearchInts(s.ItemValues[o.D], int(o.V))), conf: conf}
 }
 
 // popularity is PopAccu's false-value distribution for one item: the share
@@ -322,11 +322,11 @@ func AggregateSourceAccuracy(s *triple.Snapshot, r *Result, groupOf func(w int) 
 		return k
 	}
 	for _, o := range s.Obs {
-		g := groupOf(o.W)
+		g := groupOf(int(o.W))
 		if g == "" || !r.CoveredItem[o.D] {
 			continue
 		}
-		k := slot(o.D, o.V)
+		k := slot(int(o.D), int(o.V))
 		if k < 0 {
 			continue
 		}

@@ -193,10 +193,10 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta) {
 	base := inc.base
 	base.Reset(nItem)
 	for oi := d.Obs; oi < nObs; oi++ {
-		base.Mark(s.Obs[oi].D)
+		base.Mark(int(s.Obs[oi].D))
 	}
 	for _, oi := range d.RaisedObs {
-		base.Mark(s.Obs[oi].D)
+		base.Mark(int(s.Obs[oi].D))
 	}
 	affected := inc.itemsOf(base)
 
@@ -276,7 +276,7 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta) {
 	// votes on must re-fuse. Support grows only with new observations, so
 	// only their provenances can flip (and flips are one-way).
 	for oi := d.Obs; oi < nObs; oi++ {
-		w := s.Obs[oi].W
+		w := int(s.Obs[oi].W)
 		if inc.updated[w] || inc.support[w] < inc.opt.MinSupport {
 			continue
 		}
@@ -285,7 +285,7 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta) {
 			inc.acc[w] = stats.ClampProb(a)
 		}
 		for _, ti := range s.TriplesOfSource[w] {
-			base.Mark(s.Triples[ti].D)
+			base.Mark(int(s.Triples[ti].D))
 		}
 	}
 }
@@ -331,7 +331,7 @@ func (inc *Incremental) widen() (stale int) {
 			continue
 		}
 		for _, ti := range s.TriplesOfSource[w] {
-			stale += next.Mark(s.Triples[ti].D)
+			stale += next.Mark(int(s.Triples[ti].D))
 		}
 	}
 	return stale
@@ -414,7 +414,7 @@ func (inc *Incremental) settle() {
 		}
 		covered := true
 		for _, ti := range s.TriplesOfSource[w] {
-			if !inc.cur.Marked(s.Triples[ti].D) {
+			if !inc.cur.Marked(int(s.Triples[ti].D)) {
 				covered = false
 				break
 			}

@@ -21,7 +21,6 @@ package granularity
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -56,9 +55,6 @@ func (r Report) String() string {
 func splitAndMergeTable(t *triple.Table, fields []triple.Field, minSize, maxSize int, seed int64) (*triple.Units, Report, error) {
 	if minSize < 0 || maxSize <= 0 || minSize > maxSize {
 		return nil, Report{}, fmt.Errorf("granularity: invalid sizes m=%d M=%d", minSize, maxSize)
-	}
-	if t.Len() > math.MaxInt32 {
-		return nil, Report{}, fmt.Errorf("granularity: %d records, more than 2^31-1", t.Len())
 	}
 	cols, vocabs := make([][]int32, len(fields)), make([][]string, len(fields))
 	for f, field := range fields {

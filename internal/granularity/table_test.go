@@ -73,19 +73,21 @@ func tablesOf(t *testing.T, recs []triple.Record) map[string]*triple.Table {
 	return tables
 }
 
+// sameRows reports whether two tables hold equal rows.
+func sameRows[T int | int32](a, b [][]T) bool { return slices.EqualFunc(a, b, slices.Equal) }
+
 // requireSameSnapshot fails the test unless got equals want table for table
 // and answers every lookup of want's labels alike.
 func requireSameSnapshot(t *testing.T, what string, got, want *triple.Snapshot) {
 	t.Helper()
-	rows := func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal) }
 	for name, equal := range map[string]bool{
 		"Obs": slices.Equal(got.Obs, want.Obs), "Sources": slices.Equal(got.Sources, want.Sources),
 		"Extractors": slices.Equal(got.Extractors, want.Extractors), "Items": slices.Equal(got.Items, want.Items),
 		"Values": slices.Equal(got.Values, want.Values), "Predicates": slices.Equal(got.Predicates, want.Predicates),
-		"PredOfItem": slices.Equal(got.PredOfItem, want.PredOfItem), "ItemValues": rows(got.ItemValues, want.ItemValues),
-		"Triples": slices.Equal(got.Triples, want.Triples), "ByTriple": rows(got.ByTriple, want.ByTriple),
-		"TriplesOfItem": rows(got.TriplesOfItem, want.TriplesOfItem), "TriplesOfSource": rows(got.TriplesOfSource, want.TriplesOfSource),
-		"ObsOfExtractor": rows(got.ObsOfExtractor, want.ObsOfExtractor),
+		"PredOfItem": slices.Equal(got.PredOfItem, want.PredOfItem), "ItemValues": sameRows(got.ItemValues, want.ItemValues),
+		"Triples": slices.Equal(got.Triples, want.Triples), "ByTriple": sameRows(got.ByTriple, want.ByTriple),
+		"TriplesOfItem": sameRows(got.TriplesOfItem, want.TriplesOfItem), "TriplesOfSource": sameRows(got.TriplesOfSource, want.TriplesOfSource),
+		"ObsOfExtractor": sameRows(got.ObsOfExtractor, want.ObsOfExtractor),
 	} {
 		if !equal {
 			t.Errorf("%s: table %s differs from the record build", what, name)

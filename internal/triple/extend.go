@@ -94,9 +94,9 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 	// Resolve the records to id columns in order, as Compile does, noting the
 	// parent's items they touch.
 	n := len(records)
-	es, ws, ds, vs := make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	es, ws, ds, vs := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
 	conf := make([]float64, n)
-	var touched []int
+	var touched []int32
 	for ri := range records {
 		r := &records[ri]
 		es[ri] = c.internExtractor(c.copt.ExtractorKey(*r))
@@ -104,13 +104,13 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		ds[ri] = c.internItem(r)
 		conf[ri] = r.Confidence
 		vs[ri] = c.valueIdx.intern(&c.Values, r.Object)
-		if ds[ri] < c.delta.Items {
+		if int(ds[ri]) < c.delta.Items {
 			touched = append(touched, ds[ri])
 		}
 	}
 	// The parent's cells of those items rank before every record, so a
 	// record's triple or observation already in the parent keeps its index.
-	var tri, obs []int
+	var tri, obs []int32
 	if len(touched) > 0 {
 		slices.Sort(touched)
 		touched = slices.Compact(touched)
@@ -120,8 +120,8 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 				p += len(c.ByTriple[ti])
 			}
 		}
-		pe, pw, pd, pv := make([]int, 0, p+n), make([]int, 0, p+n), make([]int, 0, p+n), make([]int, 0, p+n)
-		tri, obs = make([]int, 0, p+n), make([]int, 0, p+n)
+		pe, pw, pd, pv := make([]int32, 0, p+n), make([]int32, 0, p+n), make([]int32, 0, p+n), make([]int32, 0, p+n)
+		tri, obs = make([]int32, 0, p+n), make([]int32, 0, p+n)
 		for _, d := range touched {
 			for _, ti := range c.TriplesOfItem[d] {
 				for _, oi := range c.ByTriple[ti] {
@@ -148,7 +148,7 @@ func adopt[T any](table []T, claimed bool) []T {
 // forkRows is adopt for an index whose rows a build appends to in place: a
 // copy's rows are clipped to their lengths, so nothing it or a descendant
 // appends lands in the spare capacity the claimant inherited.
-func forkRows(rows [][]int, claimed bool) [][]int {
+func forkRows[T denseID](rows [][]T, claimed bool) [][]T {
 	rows = adopt(rows, claimed)
 	if !claimed {
 		for i, row := range rows {

@@ -22,13 +22,13 @@ type snapshotTables struct {
 	Items           []string
 	Values          []string
 	Predicates      []string
-	PredOfItem      []int
+	PredOfItem      []int32
 	ItemValues      [][]int
 	Triples         []TripleRef
-	ByTriple        [][]int
-	TriplesOfItem   [][]int
-	TriplesOfSource [][]int
-	ObsOfExtractor  [][]int
+	ByTriple        [][]int32
+	TriplesOfItem   [][]int32
+	TriplesOfSource [][]int32
+	ObsOfExtractor  [][]int32
 }
 
 func tablesOf(s *Snapshot) snapshotTables {
@@ -291,7 +291,10 @@ func wideStream(n int, next *int) []Record {
 }
 
 // sameArray reports whether two tables start in the same backing array.
-func sameArray(a, b [][]int) bool { return &a[0] == &b[0] }
+func sameArray(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+
+// spare is the room a table has past its length.
+func spare(rows any) int { v := reflect.ValueOf(rows); return v.Cap() - v.Len() }
 
 // TestExtendSharesUntouchedTables pins the sharing Extend's cost rests on, and
 // that it is sound. A batch of new items on new sites leaves the outer arrays
@@ -308,14 +311,14 @@ func TestExtendSharesUntouchedTables(t *testing.T) {
 	base := wideStream(3200, &next)
 	parent := (&Dataset{Records: base}).Compile(opt)
 	fresh := wideStream(24, &next) // 12 new items on 3 new sites
-	for name, tab := range map[string][][]int{"ByTriple": parent.ByTriple, "TriplesOfItem": parent.TriplesOfItem,
+	for name, tab := range map[string]any{"ByTriple": parent.ByTriple, "TriplesOfItem": parent.TriplesOfItem,
 		"TriplesOfSource": parent.TriplesOfSource, "ItemValues": parent.ItemValues} {
-		if cap(tab)-len(tab) < len(fresh) {
-			t.Fatalf("test premise: the parent's %s has no room for the batch (len %d cap %d)", name, len(tab), cap(tab))
+		if spare(tab) < len(fresh) {
+			t.Fatalf("test premise: the parent's %s has no room for the batch (%d spare)", name, spare(tab))
 		}
 	}
 	first := parent.Extend(fresh)
-	for name, tabs := range map[string][2][][]int{
+	for name, tabs := range map[string][2]any{
 		"ByTriple":        {first.ByTriple, parent.ByTriple},
 		"TriplesOfItem":   {first.TriplesOfItem, parent.TriplesOfItem},
 		"TriplesOfSource": {first.TriplesOfSource, parent.TriplesOfSource},
@@ -376,12 +379,17 @@ func TestExtendBesideParentReaders(t *testing.T) {
 	next := 0
 	parent := (&Dataset{Records: wideStream(2400, &next)}).Compile(opt)
 	sum := func() (n int) {
-		for _, tab := range [][][]int{parent.ByTriple, parent.TriplesOfItem, parent.TriplesOfSource,
-			parent.ObsOfExtractor, parent.ItemValues} {
+		for _, tab := range [][][]int32{parent.ByTriple, parent.TriplesOfItem, parent.TriplesOfSource,
+			parent.ObsOfExtractor} {
 			for _, row := range tab {
 				for _, x := range row {
-					n += x
+					n += int(x)
 				}
+			}
+		}
+		for _, row := range parent.ItemValues {
+			for _, x := range row {
+				n += x
 			}
 		}
 		return n + len(parent.Obs) + len(parent.Triples)
@@ -521,18 +529,18 @@ func referenceBuild(recs []Record, opt CompileOptions) snapshotTables {
 		d, newD := intern(&t.Items, r.ItemKey())
 		if newD {
 			p, _ := intern(&t.Predicates, r.Predicate)
-			t.PredOfItem = append(t.PredOfItem, p)
+			t.PredOfItem = append(t.PredOfItem, int32(p))
 			t.TriplesOfItem, t.ItemValues = append(t.TriplesOfItem, nil), append(t.ItemValues, nil)
 		}
 		v, _ := intern(&t.Values, r.Object)
-		tr := TripleRef{W: w, D: d, V: v}
+		tr := TripleRef{W: int32(w), D: int32(d), V: int32(v)}
 		ti, known := tripleIdx[tr]
 		if !known {
 			ti = len(t.Triples)
 			tripleIdx[tr] = ti
 			t.Triples, t.ByTriple = append(t.Triples, tr), append(t.ByTriple, nil)
-			t.TriplesOfItem[d] = append(t.TriplesOfItem[d], ti)
-			t.TriplesOfSource[w] = append(t.TriplesOfSource[w], ti)
+			t.TriplesOfItem[d] = append(t.TriplesOfItem[d], int32(ti))
+			t.TriplesOfSource[w] = append(t.TriplesOfSource[w], int32(ti))
 			t.ItemValues[d] = insertSorted(t.ItemValues[d], v)
 		}
 		if oi, dup := obsIdx[[2]int{ti, e}]; dup {
@@ -541,11 +549,23 @@ func referenceBuild(recs []Record, opt CompileOptions) snapshotTables {
 		}
 		oi := len(t.Obs)
 		obsIdx[[2]int{ti, e}] = oi
-		t.Obs = append(t.Obs, Observation{E: e, W: w, D: d, V: v, Conf: r.Conf()})
-		t.ByTriple[ti] = append(t.ByTriple[ti], oi)
-		t.ObsOfExtractor[e] = append(t.ObsOfExtractor[e], oi)
+		t.Obs = append(t.Obs, Observation{E: int32(e), W: int32(w), D: int32(d), V: int32(v), Conf: r.Conf()})
+		t.ByTriple[ti] = append(t.ByTriple[ti], int32(oi))
+		t.ObsOfExtractor[e] = append(t.ObsOfExtractor[e], int32(oi))
 	}
 	return t
+}
+
+// sameRows reports whether two tables hold equal rows.
+func sameRows[T int | int32](a, b [][]T) bool { return slices.EqualFunc(a, b, slices.Equal) }
+
+// rowLens lists the lengths of a table's rows.
+func rowLens[T int | int32](rows [][]T) []int {
+	n := make([]int, len(rows))
+	for i, row := range rows {
+		n[i] = len(row)
+	}
+	return n
 }
 
 // requireTables fails the test unless got's tables equal want, naming each
@@ -554,15 +574,14 @@ func referenceBuild(recs []Record, opt CompileOptions) snapshotTables {
 func requireTables(t *testing.T, what string, got *Snapshot, want snapshotTables) {
 	t.Helper()
 	g := tablesOf(got)
-	rows := func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal) }
 	for name, equal := range map[string]bool{
 		"Obs": slices.Equal(g.Obs, want.Obs), "Sources": slices.Equal(g.Sources, want.Sources),
 		"Extractors": slices.Equal(g.Extractors, want.Extractors), "Items": slices.Equal(g.Items, want.Items),
 		"Values": slices.Equal(g.Values, want.Values), "Predicates": slices.Equal(g.Predicates, want.Predicates),
-		"PredOfItem": slices.Equal(g.PredOfItem, want.PredOfItem), "ItemValues": rows(g.ItemValues, want.ItemValues),
-		"Triples": slices.Equal(g.Triples, want.Triples), "ByTriple": rows(g.ByTriple, want.ByTriple),
-		"TriplesOfItem": rows(g.TriplesOfItem, want.TriplesOfItem), "TriplesOfSource": rows(g.TriplesOfSource, want.TriplesOfSource),
-		"ObsOfExtractor": rows(g.ObsOfExtractor, want.ObsOfExtractor),
+		"PredOfItem": slices.Equal(g.PredOfItem, want.PredOfItem), "ItemValues": sameRows(g.ItemValues, want.ItemValues),
+		"Triples": slices.Equal(g.Triples, want.Triples), "ByTriple": sameRows(g.ByTriple, want.ByTriple),
+		"TriplesOfItem": sameRows(g.TriplesOfItem, want.TriplesOfItem), "TriplesOfSource": sameRows(g.TriplesOfSource, want.TriplesOfSource),
+		"ObsOfExtractor": sameRows(g.ObsOfExtractor, want.ObsOfExtractor),
 	} {
 		if !equal {
 			t.Errorf("%s: table %s differs from the reference build", what, name)
@@ -671,14 +690,14 @@ func TestCompileMatchesReferenceBuilder(t *testing.T) {
 			t.Fatalf("test premise: a compiled row has no spare capacity (len %d)", len(row))
 		}
 		first, second := parent.Extend(grow), parent.Extend(grow)
-		for name, tabs := range map[string][2][][]int{
-			"ItemValues": {parent.ItemValues, first.ItemValues}, "ByTriple": {parent.ByTriple, first.ByTriple},
-			"TriplesOfItem": {parent.TriplesOfItem, first.TriplesOfItem}, "TriplesOfSource": {parent.TriplesOfSource, first.TriplesOfSource},
-			"ObsOfExtractor": {parent.ObsOfExtractor, first.ObsOfExtractor},
+		for name, tabs := range map[string][2][]int{
+			"ItemValues": {rowLens(parent.ItemValues), rowLens(first.ItemValues)}, "ByTriple": {rowLens(parent.ByTriple), rowLens(first.ByTriple)},
+			"TriplesOfItem": {rowLens(parent.TriplesOfItem), rowLens(first.TriplesOfItem)}, "TriplesOfSource": {rowLens(parent.TriplesOfSource), rowLens(first.TriplesOfSource)},
+			"ObsOfExtractor": {rowLens(parent.ObsOfExtractor), rowLens(first.ObsOfExtractor)},
 		} {
-			for i, row := range tabs[0] {
-				if len(tabs[1][i]) != len(row)+1 {
-					t.Fatalf("test premise: %s row %d grew from %d to %d cells, want one more", name, i, len(row), len(tabs[1][i]))
+			for i, n := range tabs[0] {
+				if tabs[1][i] != n+1 {
+					t.Fatalf("test premise: %s row %d grew from %d to %d cells, want one more", name, i, n, tabs[1][i])
 				}
 			}
 		}

@@ -86,7 +86,7 @@ type Table struct {
 	vocab [numFields][]string
 	// index maps each field's labels to their ids for Add; ReadTable leaves it
 	// nil, and the first Add builds it from vocab.
-	index [numFields]map[string]int
+	index [numFields]map[string]int32
 	conf  []float64
 
 	// refusedLine is the input line of record refused, the first record that
@@ -110,6 +110,7 @@ func (t *Table) Len() int { return len(t.conf) }
 // its id without a lookup.
 func (t *Table) Add(r Record) {
 	n := t.Len()
+	checkIDs(n + 1)
 	for f := range numFields {
 		label := f.of(&r)
 		if n > 0 {
@@ -128,27 +129,35 @@ func (t *Table) Add(r Record) {
 func (t *Table) intern(f Field, label string) int32 {
 	idx := t.index[f]
 	if idx == nil {
-		idx = make(map[string]int, len(t.vocab[f]))
+		idx = make(map[string]int32, len(t.vocab[f]))
 		for id, l := range t.vocab[f] {
-			idx[l] = id
+			idx[l] = int32(id)
 		}
 		t.index[f] = idx
 	}
 	id, ok := idx[label]
 	if !ok {
-		id = int(nextID(len(t.vocab[f])))
+		id = nextID(len(t.vocab[f]))
 		label = strings.Clone(label)
 		idx[label] = id
 		t.vocab[f] = append(t.vocab[f], label)
 	}
-	return int32(id)
+	return id
+}
+
+// checkIDs panics unless n things of one kind fit the int32 ids that a table
+// and a snapshot store: records and labels, where a table or UnitsOf numbers
+// them, and cells and observations, where a build does (appendCells). It is the
+// one width check; everything else a snapshot numbers comes from one of these.
+func checkIDs(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("triple: %d ids of one kind, past the int32 limit of %d", n, math.MaxInt32))
+	}
 }
 
 // nextID is the id a vocabulary of n labels gives its next one.
 func nextID(n int) int32 {
-	if n >= math.MaxInt32 {
-		panic("triple: more than 2^31-1 labels in one field")
-	}
+	checkIDs(n + 1)
 	return int32(n)
 }
 
@@ -234,22 +243,24 @@ type Units struct {
 	// first appearance, which a build takes as its ids; index, when set, is
 	// their label index, the build's to keep.
 	distinct bool
-	index    map[string]int
+	index    map[string]int32
 }
 
 // UnitsOf numbers the distinct labels of n records in order of first
-// appearance: record i's label is label(i).
+// appearance: record i's label is label(i). There are at most n, so n is
+// what checkIDs checks.
 func UnitsOf(n int, label func(i int) string) *Units {
-	u := &Units{Of: make([]int32, n), distinct: true, index: make(map[string]int)}
+	checkIDs(n)
+	u := &Units{Of: make([]int32, n), distinct: true, index: make(map[string]int32)}
 	for i := range u.Of {
 		l := label(i)
 		id, ok := u.index[l]
 		if !ok {
-			id = int(nextID(len(u.Labels)))
+			id = int32(len(u.Labels))
 			u.index[l] = id
 			u.Labels = append(u.Labels, l)
 		}
-		u.Of[i] = int32(id)
+		u.Of[i] = id
 	}
 	return u
 }
@@ -410,22 +421,22 @@ func compile(conf []float64, sources, extractors, items, values func() *Units, p
 		valueIdx:     &internTable{},
 		predIdx:      &internTable{},
 	}
-	var es, ws, ds, vs []int
+	var es, ws, ds, vs []int32
 	var wg sync.WaitGroup
 	for _, resolve := range []func(){
 		func() {
 			es = extractors().resolve(&s.Extractors, s.extractorIdx, nil)
-			s.ObsOfExtractor = rows(len(s.Extractors))
+			s.ObsOfExtractor = rows[int32](len(s.Extractors))
 		},
 		func() {
 			ws = sources().resolve(&s.Sources, s.sourceIdx, nil)
-			s.TriplesOfSource = rows(len(s.Sources))
+			s.TriplesOfSource = rows[int32](len(s.Sources))
 		},
 		func() {
 			ds = items().resolve(&s.Items, s.itemIdx, func(i int) {
 				s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, predicate(i)))
 			})
-			s.TriplesOfItem, s.ItemValues = rows(len(s.Items)), rows(len(s.Items))
+			s.TriplesOfItem, s.ItemValues = rows[int32](len(s.Items)), rows[int](len(s.Items))
 		},
 		func() { vs = values().resolve(&s.Values, s.valueIdx, nil) },
 	} {
@@ -444,16 +455,17 @@ func compile(conf []float64, sources, extractors, items, values func() *Units, p
 }
 
 // rows returns a table of n empty rows, with room for a quarter more.
-func rows(n int) [][]int { return room[[]int](nil, n)[:n] }
+func rows[T denseID](n int) [][]T { return room[[]T](nil, n)[:n] }
 
 // resolve gives every record the snapshot id of its unit, filling list with
 // the labels by id and idx with their index, and calling added, if set, with
-// the first record of each id in turn. Distinct units are the ids; any other
-// unit's label is interned at the unit's first record, so that units whose
-// labels coincide share an id.
-func (u *Units) resolve(list *[]string, idx *internTable, added func(i int)) []int {
-	ids := make([]int, len(u.Of))
+// the first record of each id in turn. Distinct units are the ids, and their
+// column is returned as it is, for the build to read; any other unit's label
+// is interned at the unit's first record, so that units whose labels coincide
+// share an id.
+func (u *Units) resolve(list *[]string, idx *internTable, added func(i int)) []int32 {
 	if !u.distinct {
+		ids := make([]int32, len(u.Of))
 		snap := make([]int32, len(u.Labels))
 		for k := range snap {
 			snap[k] = -1
@@ -461,31 +473,32 @@ func (u *Units) resolve(list *[]string, idx *internTable, added func(i int)) []i
 		for i, k := range u.Of {
 			if snap[k] < 0 {
 				n := len(*list)
-				snap[k] = int32(idx.intern(list, u.Labels[k]))
+				snap[k] = idx.intern(list, u.Labels[k])
 				if added != nil && len(*list) > n {
 					added(i)
 				}
 			}
-			ids[i] = int(snap[k])
+			ids[i] = snap[k]
 		}
 		return ids
 	}
-	next := 0
-	for i, k := range u.Of {
-		ids[i] = int(k)
-		if added != nil && int(k) == next {
-			added(i)
-			next++
+	if added != nil {
+		next := int32(0)
+		for i, k := range u.Of {
+			if k == next {
+				added(i)
+				next++
+			}
 		}
 	}
 	*list, idx.idx = u.Labels, u.index
 	if idx.idx == nil {
 		// A table's vocabulary: an Extend's appends must not reach it.
 		*list = slices.Clip(u.Labels)
-		idx.idx = make(map[string]int, len(u.Labels))
+		idx.idx = make(map[string]int32, len(u.Labels))
 		for k, label := range u.Labels {
-			idx.idx[label] = k
+			idx.idx[label] = int32(k)
 		}
 	}
-	return ids
+	return u.Of
 }

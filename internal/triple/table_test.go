@@ -1,6 +1,10 @@
 package triple
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 // TestCompileKeysMatchesCompile: a table compiled at key functions equals
 // Dataset.Compile of its records at the same functions, and so does it
@@ -32,4 +36,32 @@ func TestCompileKeysMatchesCompile(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIDWidthCheck drives the one width check at and past the int32 limit
+// with lengths alone: checkIDs, the next label id, and UnitsOf, which checks
+// its record count before it allocates or reads a label. Nothing of that size
+// is allocated.
+func TestIDWidthCheck(t *testing.T) {
+	refused := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "int32 limit of 2147483647") {
+				t.Errorf("%s: panic %q, want one naming the int32 limit", what, msg)
+			}
+		}()
+		f()
+	}
+	checkIDs(0)
+	checkIDs(math.MaxInt32)
+	if id := nextID(math.MaxInt32 - 1); id != math.MaxInt32-1 {
+		t.Errorf("nextID(2^31-2) = %d", id)
+	}
+	refused("checkIDs(2^31)", func() { checkIDs(math.MaxInt32 + 1) })
+	refused("checkIDs(MaxInt)", func() { checkIDs(math.MaxInt) })
+	refused("nextID(2^31-1)", func() { nextID(math.MaxInt32) })
+	refused("UnitsOf(2^31)", func() {
+		UnitsOf(math.MaxInt32+1, func(int) string { panic("a label was read") })
+	})
 }

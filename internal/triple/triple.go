@@ -192,18 +192,26 @@ func (d *Dataset) MarkTrue(subject, predicate, value string) {
 	d.TrueValue[subject+"\x1f"+predicate] = value
 }
 
-// Observation is one compiled cell of the observation matrix with dense ids.
+// Observation is one compiled cell of the observation matrix with dense ids,
+// 24 bytes: the ids are int32, as every id a snapshot stores is (a build
+// refuses more than math.MaxInt32 of any kind, checkIDs).
 type Observation struct {
-	E    int     // extractor unit
-	W    int     // source unit
-	D    int     // data item
-	V    int     // value (dense per dataset, shared across items)
+	E    int32   // extractor unit
+	W    int32   // source unit
+	D    int32   // data item
+	V    int32   // value (dense per dataset, shared across items)
 	Conf float64 // p(X_ewdv = 1), in (0,1]
 }
 
 // Snapshot is the compiled, id-dense view of a Dataset at a fixed
 // source/extractor granularity. It is immutable after Compile (and after
 // Extend, which builds a child snapshot without mutating its parent).
+//
+// Every dense id it stores — in Obs, Triples, PredOfItem and the four
+// inverted indexes — is an int32, half the width of an int: a snapshot holds
+// at most math.MaxInt32 observations, and every label, item and triple comes
+// from one. ItemValues alone keeps int rows, which its readers search with
+// sort.SearchInts.
 //
 // Canonical order: observations, candidate triples and all dense ids follow
 // the first appearance of their label/cell in record order. Because records
@@ -223,7 +231,7 @@ type Snapshot struct {
 	// data item to its predicate id. The multi-layer model scopes extractor
 	// absence votes by (source, predicate) cells.
 	Predicates []string
-	PredOfItem []int
+	PredOfItem []int32
 
 	sourceIdx    *internTable
 	extractorIdx *internTable
@@ -261,24 +269,24 @@ type Snapshot struct {
 	// ByTriple groups observation indices by (W,D,V) candidate triple;
 	// Triples lists the distinct candidate triples in deterministic order.
 	Triples  []TripleRef
-	ByTriple [][]int // parallel to Triples: indices into Obs
+	ByTriple [][]int32 // parallel to Triples: indices into Obs
 
 	// TriplesOfItem indexes, per data item, the candidate triples (indices
 	// into Triples) that mention it.
-	TriplesOfItem [][]int
+	TriplesOfItem [][]int32
 
 	// TriplesOfSource indexes, per source, the candidate triples provided
 	// candidates for it.
-	TriplesOfSource [][]int
+	TriplesOfSource [][]int32
 
 	// ObsOfExtractor indexes, per extractor, its observation indices.
-	ObsOfExtractor [][]int
+	ObsOfExtractor [][]int32
 }
 
 // TripleRef identifies one candidate triple (a (w,d,v) combination with at
-// least one extraction).
+// least one extraction), in 12 bytes.
 type TripleRef struct {
-	W, D, V int
+	W, D, V int32
 }
 
 // CompileOptions selects the granularity for Compile.
@@ -336,25 +344,25 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 // first sight growing the vocabulary and the row tables indexed by it (values,
 // which index no rows, are interned directly).
 
-func (s *Snapshot) internExtractor(key string) int {
+func (s *Snapshot) internExtractor(key string) int32 {
 	e := s.extractorIdx.intern(&s.Extractors, key)
-	if e == len(s.ObsOfExtractor) {
+	if int(e) == len(s.ObsOfExtractor) {
 		s.ObsOfExtractor = append(s.ObsOfExtractor, nil)
 	}
 	return e
 }
 
-func (s *Snapshot) internSource(key string) int {
+func (s *Snapshot) internSource(key string) int32 {
 	w := s.sourceIdx.intern(&s.Sources, key)
-	if w == len(s.TriplesOfSource) {
+	if int(w) == len(s.TriplesOfSource) {
 		s.TriplesOfSource = append(s.TriplesOfSource, nil)
 	}
 	return w
 }
 
-func (s *Snapshot) internItem(r *Record) int {
+func (s *Snapshot) internItem(r *Record) int32 {
 	d := s.itemIdx.intern(&s.Items, r.ItemKey())
-	if d == len(s.PredOfItem) {
+	if int(d) == len(s.PredOfItem) {
 		s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, r.Predicate))
 		s.TriplesOfItem = append(s.TriplesOfItem, nil)
 		s.ItemValues = append(s.ItemValues, nil)
@@ -367,7 +375,7 @@ func (s *Snapshot) internItem(r *Record) int {
 // delegates older labels to its parent chain. Layers merge geometrically (see
 // child), so a chain is O(log n) deep however long the Extend lineage.
 type internTable struct {
-	idx    map[string]int // nil until the layer's first label
+	idx    map[string]int32 // nil until the layer's first label
 	parent *internTable
 }
 
@@ -379,7 +387,7 @@ type internTable struct {
 func (t *internTable) child() *internTable {
 	for t.parent != nil && 2*len(t.idx) >= len(t.parent.idx) {
 		under := t.parent
-		idx := make(map[string]int, len(t.idx)+len(under.idx))
+		idx := make(map[string]int32, len(t.idx)+len(under.idx))
 		maps.Copy(idx, under.idx)
 		maps.Copy(idx, t.idx)
 		t = &internTable{idx: idx, parent: under.parent}
@@ -390,7 +398,7 @@ func (t *internTable) child() *internTable {
 	return &internTable{parent: t}
 }
 
-func (t *internTable) lookup(key string) (int, bool) {
+func (t *internTable) lookup(key string) (int32, bool) {
 	for tt := t; tt != nil; tt = tt.parent {
 		if i, ok := tt.idx[key]; ok {
 			return i, true
@@ -403,14 +411,14 @@ func (t *internTable) lookup(key string) (int, bool) {
 // the label to list) on first sight. The table keeps a copy of the key, so a
 // key that is part of a larger string (a field of a record decoded from a
 // batch body, say) does not keep that string alive.
-func (t *internTable) intern(list *[]string, key string) int {
+func (t *internTable) intern(list *[]string, key string) int32 {
 	if i, ok := t.lookup(key); ok {
 		return i
 	}
 	key = strings.Clone(key)
-	i := len(*list)
+	i := nextID(len(*list))
 	if t.idx == nil {
-		t.idx = make(map[string]int)
+		t.idx = make(map[string]int32)
 	}
 	t.idx[key] = i
 	*list = append(*list, key)
@@ -426,24 +434,29 @@ func (t *internTable) intern(list *[]string, key string) int {
 type appender struct {
 	s *Snapshot
 
-	itemValues, byTriple, triplesOfItem, triplesOfSource, obsOfExtractor rowTable
+	itemValues                                            rowTable[int]
+	byTriple, triplesOfItem, triplesOfSource, obsOfExtractor rowTable[int32]
 
 	// compile marks a Compile, the one build whose fills may run side by
 	// side (appendCells).
 	compile bool
 }
 
+// denseID is the element of an index row: int32 in every table but
+// ItemValues.
+type denseID interface{ ~int | ~int32 }
+
 // rowTable is one build's write handle on a table of rows whose first n0 are
 // the parent's (none under Compile); while shared, so is the outer array.
-type rowTable struct {
-	rows   *[][]int
+type rowTable[T denseID] struct {
+	rows   *[][]T
 	n0     int
 	shared bool
 }
 
 // set replaces row i, first copying a shared outer array if i is a parent's
 // row; a row the build appended to it is past every length the parent reads.
-func (t *rowTable) set(i int, row []int) {
+func (t *rowTable[T]) set(i int, row []T) {
 	if t.shared && i < t.n0 {
 		*t.rows = slices.Clone(*t.rows)
 		t.shared = false
@@ -454,10 +467,12 @@ func (t *rowTable) set(i int, row []int) {
 // newAppender prepares a build on top of s, a fork of a parent with base's
 // table lengths whose outer row arrays it shares or not (Compile: no parent).
 func newAppender(s *Snapshot, base Delta, shared bool) *appender {
-	table := func(rows *[][]int, n0 int) rowTable { return rowTable{rows: rows, n0: n0, shared: shared} }
+	table := func(rows *[][]int32, n0 int) rowTable[int32] {
+		return rowTable[int32]{rows: rows, n0: n0, shared: shared}
+	}
 	return &appender{
 		s:               s,
-		itemValues:      table(&s.ItemValues, base.Items),
+		itemValues:      rowTable[int]{rows: &s.ItemValues, n0: base.Items, shared: shared},
 		byTriple:        table(&s.ByTriple, base.Triples),
 		triplesOfItem:   table(&s.TriplesOfItem, base.Items),
 		triplesOfSource: table(&s.TriplesOfSource, base.Sources),
@@ -473,22 +488,19 @@ func newAppender(s *Snapshot, base Delta, shared bool) *appender {
 //
 // Digits are bytes, and a column takes only the passes its largest id needs,
 // so the cost is O(cells × passes) whatever the size of the corpus. The sort
-// moves 4-byte ranks (bounds-checked) and reads each digit through its
-// column, so ids keep their full int range.
-func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
-	if uint64(len(e)) > math.MaxUint32 {
-		panic("triple: a build of more than 2^32 cells")
-	}
+// moves 4-byte ranks (bounds-checked; appendCells has checked that the cells
+// fit int32) and reads each digit through its column.
+func groupLeads(e, w, d, v []int32, first int, tri, obs []int32) {
 	buf, tmp := make([]uint32, len(e)), make([]uint32, len(e))
 	for i := range buf {
 		buf[i] = uint32(i)
 	}
-	for _, col := range [...][]int{e, v, w, d} { // least significant first
-		hi := 0
+	for _, col := range [...][]int32{e, v, w, d} { // least significant first
+		hi := int32(0)
 		for _, x := range col {
 			hi = max(hi, x)
 		}
-		for shift := 0; shift < bits.Len(uint(hi)); shift += 8 {
+		for shift := 0; shift < bits.Len32(uint32(hi)); shift += 8 {
 			var count [256]int
 			for _, r := range buf {
 				count[col[r]>>shift&0xff]++
@@ -509,10 +521,10 @@ func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
 	// within it; a cell group's first rank is its lowest, a triple group's
 	// lowest is the least of those.
 	for i := 0; i < len(buf); {
-		r0 := int(buf[i])
+		r0 := int32(buf[i])
 		lead, j := r0, i+1
 		for ; j < len(buf); j++ {
-			r := int(buf[j])
+			r := int32(buf[j])
 			if d[r] != d[r0] || w[r] != w[r0] || v[r] != v[r0] {
 				break
 			}
@@ -520,11 +532,11 @@ func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
 		}
 		cellLead := r0
 		for k := i; k < j; k++ {
-			r := int(buf[k])
+			r := int32(buf[k])
 			if e[r] != e[cellLead] {
 				cellLead = r
 			}
-			if r >= first {
+			if int(r) >= first {
 				tri[r], obs[r] = lead, cellLead
 			}
 		}
@@ -542,18 +554,22 @@ func groupLeads(e, w, d, v []int, first int, tri, obs []int) {
 //
 // One pass in record order gives each new triple and observation the next id,
 // appends it to Triples or Obs and raises a duplicate's confidence, as a
-// record-at-a-time build would. The five index tables are then filled from the
+// record-at-a-time build would. Every id is below the cell count or len(Obs),
+// each label and triple coming from an observation, so checking those two
+// against int32 (checkIDs) is what makes every id of the snapshot fit. The five index tables are then filled from the
 // new triples and observations, side by side for a large Compile, each by its
 // own fill, which writes its own tables alone: it sorts its entries by row
 // (sortEntries) and gives each row its run in one write.
-func (ap *appender) appendCells(conf []float64, es, ws, ds, vs, tri, obs []int) {
+func (ap *appender) appendCells(conf []float64, es, ws, ds, vs, tri, obs []int32) {
 	s := ap.s
+	checkIDs(len(es))
+	checkIDs(len(s.Obs) + len(conf))
 	first := len(tri)
-	tri, obs = append(tri, make([]int, len(conf))...), append(obs, make([]int, len(conf))...)
+	tri, obs = append(tri, make([]int32, len(conf))...), append(obs, make([]int32, len(conf))...)
 	groupLeads(es, ws, ds, vs, first, tri, obs)
 	nTri := 0
 	for r := first; r < len(es); r++ {
-		if tri[r] == r {
+		if int(tri[r]) == r {
 			nTri++
 		}
 	}
@@ -561,15 +577,15 @@ func (ap *appender) appendCells(conf []float64, es, ws, ds, vs, tri, obs []int) 
 	t0, o0 := len(s.Triples), len(s.Obs)
 	for r := first; r < len(es); r++ {
 		e, w, d, v, conf := es[r], ws[r], ds[r], vs[r], effectiveConf(conf[r-first])
-		if lead := tri[r]; lead != r {
+		if lead := tri[r]; int(lead) != r {
 			tri[r] = tri[lead]
 		} else {
-			tri[r] = len(s.Triples)
+			tri[r] = int32(len(s.Triples))
 			s.Triples = append(s.Triples, TripleRef{W: w, D: d, V: v})
 			s.ByTriple = append(s.ByTriple, nil)
 		}
 
-		if lead := obs[r]; lead != r {
+		if lead := obs[r]; int(lead) != r {
 			// Duplicate (e,w,d,v) cell: keep the maximum confidence. Raising a
 			// parent observation is the one in-place mutation of the
 			// append-only build: it forces an adopted Obs backing to be
@@ -578,24 +594,20 @@ func (ap *appender) appendCells(conf []float64, es, ws, ds, vs, tri, obs []int) 
 			oi := obs[lead]
 			obs[r] = oi
 			if conf > s.Obs[oi].Conf {
-				if s.obsShared && s.delta != nil && oi < s.delta.Obs {
+				parent := s.delta != nil && int(oi) < s.delta.Obs
+				if s.obsShared && parent {
 					s.Obs = slices.Clone(s.Obs)
 					s.obsShared = false
 				}
 				s.Obs[oi].Conf = conf
-				if s.delta != nil && oi < s.delta.Obs {
-					s.delta.RaisedObs = append(s.delta.RaisedObs, oi)
+				if parent {
+					s.delta.RaisedObs = append(s.delta.RaisedObs, int(oi))
 				}
 			}
 			continue
 		}
-		obs[r] = len(s.Obs)
+		obs[r] = int32(len(s.Obs))
 		s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: conf})
-	}
-	// Every id is below len(Obs), each label and triple coming from an
-	// observation, so every entry fits 32 bits.
-	if uint64(len(s.Obs)) > math.MaxUint32 {
-		panic("triple: a snapshot of more than 2^32 observations")
 	}
 
 	// Each fill lists its entries, sorts them by row and writes its tables; the
@@ -613,7 +625,7 @@ func (ap *appender) appendCells(conf []float64, es, ws, ds, vs, tri, obs []int) 
 			withEntries(len(newObs), func(byTriple []entry) {
 				k := 0
 				for r := first; r < len(tri); r++ {
-					if obs[r] == o0+k { // the cell that added observation o0+k
+					if int(obs[r]) == o0+k { // the cell that added observation o0+k
 						byTriple[k] = newEntry(tri[r], o0+k)
 						k++
 					}
@@ -628,7 +640,7 @@ func (ap *appender) appendCells(conf []float64, es, ws, ds, vs, tri, obs []int) 
 			}, func(byItem []entry) {
 				ap.triplesOfItem.appendRuns(byItem)
 				var grown [][2]int // a parent item that gained a value, after the triple that first gave it one
-				ap.itemValues.mergeRuns(byItem, func(ti int) int { return s.Triples[ti].V }, func(d, ti int) {
+				ap.itemValues.mergeRuns(byItem, func(ti int) int { return int(s.Triples[ti].V) }, func(d, ti int) {
 					grown = append(grown, [2]int{ti, d})
 				})
 				slices.SortFunc(grown, func(a, b [2]int) int { return a[0] - b[0] })
@@ -666,7 +678,7 @@ const largeFill = 1024
 // entry is one id a build adds to a row of an index table.
 type entry struct{ row, val uint32 }
 
-func newEntry(row, val int) entry { return entry{uint32(row), uint32(val)} }
+func newEntry(row int32, val int) entry { return entry{uint32(row), uint32(val)} }
 
 // entryBufs recycles the fills' entry lists and sort buffers between the
 // builds of serving batches, so that a stream of Extends reuses the same few.
@@ -753,11 +765,11 @@ func room[T any](row []T, n int) []T {
 }
 
 // appendRuns appends each row's run of the sorted entries to it, in one write.
-func (t *rowTable) appendRuns(sorted []entry) {
+func (t *rowTable[T]) appendRuns(sorted []entry) {
 	forRuns(sorted, func(i int, run []entry) {
 		row := room((*t.rows)[i], len(run))
 		for _, x := range run {
-			row = append(row, int(x.val))
+			row = append(row, T(x.val))
 		}
 		t.set(i, row)
 	})
@@ -768,8 +780,8 @@ func (t *rowTable) appendRuns(sorted []entry) {
 // after the row's end are appended as appendRuns does; any other merge makes a
 // new row, so a parent's row never shifts under its readers. grew is told of
 // each parent row that gains an id, with the val of the first that does.
-func (t *rowTable) mergeRuns(sorted []entry, id func(val int) int, grew func(row, val int)) {
-	var ids []int
+func (t *rowTable[T]) mergeRuns(sorted []entry, id func(val int) T, grew func(row, val int)) {
+	var ids []T
 	forRuns(sorted, func(i int, run []entry) {
 		row := (*t.rows)[i]
 		ids = ids[:0]
@@ -795,7 +807,7 @@ func (t *rowTable) mergeRuns(sorted []entry, id func(val int) int, grew func(row
 			t.set(i, append(room(row, len(ids)), ids...))
 			return
 		}
-		merged := make([]int, 0, len(row)+len(ids))
+		merged := make([]T, 0, len(row)+len(ids))
 		for _, v := range ids {
 			k, _ := slices.BinarySearch(row, v)
 			merged = append(append(merged, row[:k]...), v)
@@ -841,7 +853,7 @@ func (s *Snapshot) ParentDelta() (Delta, bool) {
 // SourceID returns the dense id of a source label, or -1 if absent.
 func (s *Snapshot) SourceID(label string) int {
 	if i, ok := s.sourceIdx.lookup(label); ok {
-		return i
+		return int(i)
 	}
 	return -1
 }
@@ -849,7 +861,7 @@ func (s *Snapshot) SourceID(label string) int {
 // ExtractorID returns the dense id of an extractor label, or -1 if absent.
 func (s *Snapshot) ExtractorID(label string) int {
 	if i, ok := s.extractorIdx.lookup(label); ok {
-		return i
+		return int(i)
 	}
 	return -1
 }
@@ -857,7 +869,7 @@ func (s *Snapshot) ExtractorID(label string) int {
 // ItemID returns the dense id of a data-item key, or -1 if absent.
 func (s *Snapshot) ItemID(subject, predicate string) int {
 	if i, ok := s.itemIdx.lookup(subject + "\x1f" + predicate); ok {
-		return i
+		return int(i)
 	}
 	return -1
 }
@@ -865,7 +877,7 @@ func (s *Snapshot) ItemID(subject, predicate string) int {
 // ValueID returns the dense id of a value label, or -1 if absent.
 func (s *Snapshot) ValueID(label string) int {
 	if i, ok := s.valueIdx.lookup(label); ok {
-		return i
+		return int(i)
 	}
 	return -1
 }
@@ -874,8 +886,8 @@ func (s *Snapshot) ValueID(label string) int {
 func (s *Snapshot) TripleIndex(w, d, v int) int {
 	for _, ti := range s.TriplesOfItem[d] {
 		tr := s.Triples[ti]
-		if tr.W == w && tr.V == v {
-			return ti
+		if int(tr.W) == w && int(tr.V) == v {
+			return int(ti)
 		}
 	}
 	return -1

@@ -153,7 +153,7 @@ func TestIndexesConsistent(t *testing.T) {
 	s := d.Compile(CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName})
 
 	// Every observation appears in exactly one ByTriple bucket.
-	seen := make(map[int]int)
+	seen := make(map[int32]int)
 	for ti, idxs := range s.ByTriple {
 		tr := s.Triples[ti]
 		for _, oi := range idxs {

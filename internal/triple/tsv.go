@@ -245,6 +245,7 @@ func (m *tableMerge) add(b *tsvBlock) {
 		return
 	}
 	t := m.t
+	checkIDs(m.n + len(b.conf))
 	if b.refusedLine > 0 && t.refusedLine == 0 {
 		t.refused, t.refusedLine = m.n+b.refused, m.lines+b.refusedLine
 	}
