@@ -434,7 +434,7 @@ func (t *internTable) intern(list *[]string, key string) int32 {
 type appender struct {
 	s *Snapshot
 
-	itemValues                                            rowTable[int]
+	itemValues                                               rowTable[int]
 	byTriple, triplesOfItem, triplesOfSource, obsOfExtractor rowTable[int32]
 
 	// compile marks a Compile, the one build whose fills may run side by
