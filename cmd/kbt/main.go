@@ -232,12 +232,12 @@ func cmdEstimate(args []string) (err error) {
 	}
 
 	fmt.Printf("%-50s %8s %10s %s\n", "SOURCE", "KBT", "EXP.TRIPLES", "REPORTABLE")
-	for i, s := range res.Sources() {
-		if *top > 0 && i >= *top {
-			fmt.Printf("... (%d more)\n", len(res.Sources())-*top)
-			break
-		}
+	srcs := res.TopSources(*top) // every source, sorted, at -top 0
+	for _, s := range srcs {
 		fmt.Printf("%-50s %8.4f %10.1f %v\n", clip(s.Name, 50), s.KBT, s.ExpectedTriples, s.Reportable)
+	}
+	if n := res.NumSources(); len(srcs) < n {
+		fmt.Printf("... (%d more)\n", n-len(srcs))
 	}
 	if *showExtractors {
 		fmt.Printf("\n%-50s %10s %10s\n", "EXTRACTOR", "PRECISION", "RECALL")
@@ -634,14 +634,13 @@ func cmdFuse(args []string) (err error) {
 		return err
 	}
 	fmt.Printf("%-30s %-20s %-20s %s\n", "SUBJECT", "PREDICATE", "OBJECT", "P(TRUE)")
-	triples := res.Triples()
-	for i, tv := range triples {
-		if *top > 0 && i >= *top {
-			fmt.Printf("... (%d more)\n", len(triples)-*top)
-			break
-		}
+	triples := res.TopTriples(*top) // every triple, sorted, at -top 0
+	for _, tv := range triples {
 		fmt.Printf("%-30s %-20s %-20s %.4f\n",
 			clip(tv.Subject, 30), clip(tv.Predicate, 20), clip(tv.Object, 20), tv.Probability)
+	}
+	if n := res.NumTriples(); len(triples) < n {
+		fmt.Printf("... (%d more)\n", n-len(triples))
 	}
 	return nil
 }

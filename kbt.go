@@ -301,6 +301,9 @@ func (r *Result) Sources() []Source {
 	return r.srcView
 }
 
+// NumSources returns the number of scored sources, the length of Sources.
+func (r *Result) NumSources() int { return len(r.snap.Sources) }
+
 // TopSources returns the k most trustworthy sources (the first k entries of
 // Sources' ordering) without sorting the whole corpus: when the full sorted
 // view has not been built yet, a partial selection over the dense source ids
@@ -619,23 +622,54 @@ func (r *FusionResult) TripleProbability(subject, predicate, object string) (flo
 	return r.res.TripleProb(r.snap, d, v)
 }
 
-// Triples returns the posterior for every covered candidate triple.
-func (r *FusionResult) Triples() []TripleVerdict {
-	var out []TripleVerdict
+// forEachVerdict streams every covered candidate triple's verdict to fn.
+func (r *FusionResult) forEachVerdict(fn func(TripleVerdict)) {
 	for d := range r.snap.Items {
 		if !r.res.CoveredItem[d] {
 			continue
 		}
 		subj, pred := triple.SplitItemKey(r.snap.Items[d])
 		for k, v := range r.snap.ItemValues[d] {
-			out = append(out, TripleVerdict{
+			fn(TripleVerdict{
 				Subject: subj, Predicate: pred, Object: r.snap.Values[v],
 				Probability: r.res.ValueProb[d][k],
 			})
 		}
 	}
+}
+
+// Triples returns the posterior for every covered candidate triple, ordered
+// by subject, predicate, then descending probability.
+func (r *FusionResult) Triples() []TripleVerdict {
+	var out []TripleVerdict
+	r.forEachVerdict(func(tv TripleVerdict) { out = append(out, tv) })
 	sort.Slice(out, func(i, j int) bool { return triLess(out[i], out[j]) })
 	return out
+}
+
+// NumTriples returns the number of covered candidate triples, the length of
+// Triples.
+func (r *FusionResult) NumTriples() int {
+	n := 0
+	for d, vs := range r.snap.ItemValues {
+		if r.res.CoveredItem[d] {
+			n += len(vs)
+		}
+	}
+	return n
+}
+
+// TopTriples returns the first k triples of Triples' order (subject,
+// predicate, then descending probability) by the partial selection
+// Result.TopTriples uses, building only the k it keeps past the selection and
+// sorting no others. k <= 0, or k at least NumTriples, returns Triples.
+func (r *FusionResult) TopTriples(k int) []TripleVerdict {
+	if k <= 0 || k >= r.NumTriples() {
+		return r.Triples()
+	}
+	top := newTopK[TripleVerdict](k, triLess)
+	r.forEachVerdict(top.offer)
+	return top.sorted()
 }
 
 // WebsiteAccuracy derives a per-website accuracy from the single-layer

@@ -169,6 +169,48 @@ func TestTopSourcesMatchesSortedPrefix(t *testing.T) {
 	}
 }
 
+// TestFusionTopTriplesMatchesSortedPrefix: FusionResult.TopTriples(k) is
+// Triples()[:k] for every k, and NumTriples and Result.NumSources count the
+// full views the CLI's "... (N more)" lines stand for; a k at or past the
+// count, math.MaxInt included, is the full view.
+func TestFusionTopTriplesMatchesSortedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ds := NewDataset()
+	for i := 0; i < 600; i++ {
+		ds.Add(Extraction{
+			Extractor: fmt.Sprintf("E%d", rng.Intn(3)), Website: fmt.Sprintf("w%d.com", rng.Intn(6)), Page: "x",
+			Subject: fmt.Sprintf("S%d", rng.Intn(40)), Predicate: fmt.Sprintf("p%d", rng.Intn(2)),
+			Object: fmt.Sprintf("v%d", rng.Intn(4)), Confidence: []float64{1, 0.9, 0.5}[rng.Intn(3)],
+		})
+	}
+	opt := DefaultFusionOptions()
+	opt.MinSupport = 1
+	res, err := FuseSingleLayer(ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := res.Triples()
+	if res.NumTriples() != len(all) || len(all) < 50 {
+		t.Fatalf("NumTriples = %d, Triples has %d (want at least 50)", res.NumTriples(), len(all))
+	}
+	for _, k := range []int{-1, 0, 1, 2, 7, len(all) / 2, len(all) - 1, len(all), len(all) + 1, math.MaxInt} {
+		want := all[:max(0, min(k, len(all)))]
+		if k <= 0 {
+			want = all
+		}
+		if got := res.TopTriples(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TopTriples(%d) = %d triples, not Triples()[:%d]", k, len(got), len(want))
+		}
+	}
+	kres, err := EstimateKBT(ds, websiteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := kres.NumSources(); n != len(kres.Sources()) || len(kres.TopSources(math.MaxInt)) != n {
+		t.Fatalf("NumSources = %d, Sources has %d", n, len(kres.Sources()))
+	}
+}
+
 func TestTriplesEnumeration(t *testing.T) {
 	res, err := EstimateKBT(obamaDataset(), websiteOptions())
 	if err != nil {

@@ -13,9 +13,13 @@ type topK[T any] struct {
 	heap   []T // min-heap: heap[0] is the worst retained element
 }
 
+// newTopK reserves room for at most topKReserve elements: the heap grows
+// past that by append, so a large k costs what the stream holds, not k.
 func newTopK[T any](k int, better func(a, b T) bool) *topK[T] {
-	return &topK[T]{k: k, better: better, heap: make([]T, 0, k)}
+	return &topK[T]{k: k, better: better, heap: make([]T, 0, min(k, topKReserve))}
 }
+
+const topKReserve = 1024
 
 // offer considers one element for the retained set.
 func (t *topK[T]) offer(x T) {
