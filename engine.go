@@ -410,6 +410,12 @@ type RefreshStats struct {
 	// when Fusion is off, and when the refresh carried converged fused
 	// posteriors, as a NoOp refresh does).
 	CopyPairs, CopyItems, FusedItems, FusionIterations int
+	// CappedRefreshes and CappedFusionRefreshes are cumulative, unlike the
+	// fields above: of every refresh the engine has published, how many ran
+	// the multi-layer estimate, respectively the fusion pass, and stopped it
+	// at the iteration cap unconverged. A layer a refresh carries counts
+	// nothing, so a NoOp never does.
+	CappedRefreshes, CappedFusionRefreshes int
 	// Times is where the refresh's wall time went (zero on a NoOp refresh).
 	Times RefreshTimes
 }
@@ -433,23 +439,26 @@ func (v *view) Stats() (RefreshStats, bool) {
 	if r == nil {
 		return RefreshStats{}, false
 	}
+	capped, cappedFusion := v.eng.CappedRefreshes()
 	return RefreshStats{
-		Warm:             r.Warm,
-		NoOp:             r.NoOp,
-		FirstPassShards:  r.FirstPassShards,
-		TotalShards:      r.TotalShards,
-		SettledShards:    r.SettledShards,
-		PartialShards:    r.PartialShards,
-		Escalations:      r.Escalations,
-		Iterations:       r.Inference.Iterations,
-		Converged:        r.Inference.Converged,
-		AggDeltaSteps:    r.AggDeltaSteps,
-		AggFullSteps:     r.AggFullSteps,
-		CopyPairs:        r.CopyPairs,
-		CopyItems:        r.CopyItems,
-		FusedItems:       r.FusedItems,
-		FusionIterations: r.FusionIterations,
-		Times:            refreshTimes(r.Times),
+		Warm:                  r.Warm,
+		NoOp:                  r.NoOp,
+		FirstPassShards:       r.FirstPassShards,
+		TotalShards:           r.TotalShards,
+		SettledShards:         r.SettledShards,
+		PartialShards:         r.PartialShards,
+		Escalations:           r.Escalations,
+		Iterations:            r.Inference.Iterations,
+		Converged:             r.Inference.Converged,
+		AggDeltaSteps:         r.AggDeltaSteps,
+		AggFullSteps:          r.AggFullSteps,
+		CopyPairs:             r.CopyPairs,
+		CopyItems:             r.CopyItems,
+		FusedItems:            r.FusedItems,
+		FusionIterations:      r.FusionIterations,
+		CappedRefreshes:       capped,
+		CappedFusionRefreshes: cappedFusion,
+		Times:                 refreshTimes(r.Times),
 	}, true
 }
 

@@ -495,6 +495,63 @@ func TestNoOpWaitsForFusion(t *testing.T) {
 	}
 }
 
+// TestCappedRefreshCounts: the engine counts, cumulatively, the refreshes
+// whose estimate and whose fusion pass ran and stopped at MaxIter unconverged,
+// as each published generation says (a refresh that ran fusion reports its
+// iterations; one that carried a layer converged in it). On the websim seed-9
+// stream in batches of 100 at MaxIter 30, Tol 1e-4, with fusion on, the warm
+// estimate stops at the cap again and again; on a stream of settled shape, one
+// where every item is agreed by every site and extractor, nothing does.
+func TestCappedRefreshCounts(t *testing.T) {
+	p := websim.DefaultParams().Scale(0.3)
+	p.Seed = 9
+	world, err := websim.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		recs       []triple.Record
+		wantCapped bool
+	}{
+		{"websim seed 9", world.Dataset.Records, true},
+		{"settled", localDataset(400), false},
+	} {
+		opt := DefaultOptions()
+		opt.Core.MaxIter = 30
+		opt.Core.Tol = 1e-4
+		opt.Fusion = true
+		e := New(opt)
+		var core, fused int
+		for lo := 0; lo < len(tc.recs); lo += 100 {
+			if err := e.Ingest(tc.recs[lo:min(lo+100, len(tc.recs))]...); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Inference.Converged {
+				core++
+			}
+			if res.FusionIterations > 0 && !res.Fusion.Converged {
+				fused++
+			}
+			if gotCore, gotFused := e.CappedRefreshes(); gotCore != core || gotFused != fused {
+				t.Fatalf("%s, records %d+: CappedRefreshes = %d, %d; the generations say %d, %d",
+					tc.name, lo, gotCore, gotFused, core, fused)
+			}
+		}
+		if tc.wantCapped && core == 0 {
+			t.Errorf("%s: no refresh stopped at the cap; the fixture no longer exercises the count", tc.name)
+		}
+		if !tc.wantCapped && core+fused > 0 {
+			t.Errorf("%s: %d estimates and %d fusion passes stopped at the cap, want none", tc.name, core, fused)
+		}
+		t.Logf("%s: %d refreshes, %d capped estimates, %d capped fusion passes", tc.name, (len(tc.recs)+99)/100, core, fused)
+	}
+}
+
 // TestRefreshColdMatchesNewEngine: RefreshCold on a warm engine with every
 // layer on publishes exactly the generation a new engine given the same
 // records publishes on its first Refresh — snapshot tables, posteriors and

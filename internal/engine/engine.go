@@ -265,6 +265,11 @@ type Engine struct {
 	tracker *copydetect.Tracker
 	fus     *fusion.Incremental
 
+	// capped and cappedFusion count the published refreshes whose
+	// multi-layer estimate, respectively fusion pass, stopped at the cap
+	// (CappedRefreshes); Refresh adds to them under refreshMu (countCaps).
+	capped, cappedFusion atomic.Int64
+
 	// last is the published generation, swapped atomically so readers never
 	// block a running Refresh and Refresh never waits for readers. Each
 	// Result is immutable once stored; generations share unwritten chunks
@@ -569,6 +574,26 @@ func (e *Engine) begin(r *refreshRun, cold bool) (cached *Result, err error) {
 	return res, nil
 }
 
+// countCaps counts the layers that ran in the refresh of res, about to
+// publish, and stopped at their cap unconverged: before the generation is
+// stored, so a reader that sees it sees it counted.
+func (e *Engine) countCaps(res *Result, coreRan, fusionRan bool) {
+	if coreRan && !res.Inference.Converged {
+		e.capped.Add(1)
+	}
+	if fusionRan && !res.Fusion.Converged {
+		e.cappedFusion.Add(1)
+	}
+}
+
+// CappedRefreshes returns how many of the refreshes the engine has published
+// ran their multi-layer estimate, and how many their fusion pass, and stopped
+// it at MaxIter unconverged: cumulative over the engine's life, RefreshCold
+// included. A layer a refresh carries counts nothing, so a NoOp never does.
+func (e *Engine) CappedRefreshes() (core, fusion int) {
+	return int(e.capped.Load()), int(e.cappedFusion.Load())
+}
+
 // resumeFusion completes the generation begin carried when only the fusion
 // layer has yet to converge: the store resumes on the calling goroutine,
 // outside the state lock, and the generation publishes with its new result.
@@ -580,6 +605,7 @@ func (e *Engine) resumeFusion(r *refreshRun) (*Result, error) {
 	res := r.carried
 	res.Fusion, res.FusionSnap, res.FusedItems, res.FusionIterations = r.fusRes, r.fusSnap, r.fusedItems, r.fusRes.Iterations
 	res.Times.Fuse = time.Since(t0)
+	e.countCaps(res, false, true)
 	e.last.Store(res)
 	return res, nil
 }
@@ -954,6 +980,7 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	if !r.fuseDone {
 		res.FusionIterations = r.fusRes.Iterations
 	}
+	e.countCaps(res, true, !r.fuseDone)
 	res.Times = r.times
 	res.Times.Publish = time.Since(t0)
 

@@ -519,7 +519,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// statsReply is the /v1/stats document. The health block (health through
+// statsReply is the /v1/stats document. Refresh is the last refresh's
+// kbt.RefreshStats, whose CappedRefreshes and CappedFusionRefreshes count
+// every refresh since the engine was built. The health block (health through
 // checkpoint_age_ms) appears only when the engine reports health — i.e.
 // when serving a durable engine.
 type statsReply struct {

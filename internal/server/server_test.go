@@ -1205,3 +1205,41 @@ func TestIdempotencyKeyRoutesWholeBatch(t *testing.T) {
 		t.Fatalf("resend grew the engine to %d records, want %d", got, len(batch))
 	}
 }
+
+// TestStatsCountsCappedRefreshes: /v1/stats' refresh block carries the
+// engine's cumulative counts of refreshes that stopped at the iteration cap:
+// after each acked ingest (which has refreshed) the count of the estimate's
+// is the number of refreshes so far that reported themselves unconverged.
+func TestStatsCountsCappedRefreshes(t *testing.T) {
+	srv := New(testEngine(t), Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	capped := 0
+	for i := 0; i < 6; i++ {
+		resp := postJSON(t, ts, "/v1/ingest", testBatch(8*i, 8))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %d = %d", i, resp.StatusCode)
+		}
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st statsReply
+		decodeInto(t, resp, &st)
+		if st.Refresh == nil {
+			t.Fatalf("ingest %d: no refresh block", i)
+		}
+		if !st.Refresh.Converged {
+			capped++
+		}
+		if st.Refresh.CappedRefreshes != capped || st.Refresh.CappedFusionRefreshes != 0 {
+			t.Fatalf("ingest %d: capped refreshes %d (fusion %d), want %d (0)",
+				i, st.Refresh.CappedRefreshes, st.Refresh.CappedFusionRefreshes, capped)
+		}
+	}
+	if capped == 0 {
+		t.Fatal("fixture: every refresh converged within 3 iterations")
+	}
+}
