@@ -639,7 +639,7 @@ func cmdFuse(args []string) (err error) {
 		fmt.Printf("%-30s %-20s %-20s %.4f\n",
 			clip(tv.Subject, 30), clip(tv.Predicate, 20), clip(tv.Object, 20), tv.Probability)
 	}
-	if n := res.NumTriples(); len(triples) < n {
+	if n := res.NumVerdicts(); len(triples) < n {
 		fmt.Printf("... (%d more)\n", n-len(triples))
 	}
 	return nil

@@ -529,12 +529,12 @@ func (st *state) attempt(e int32, ti int) {
 	c := st.cellOfTriple[ti]
 	from := st.setOfCell[c]
 	old := st.setMembers[from]
-	k, ok := slices.BinarySearch(old, int32(e))
+	k, ok := slices.BinarySearch(old, e)
 	if ok {
 		return
 	}
 	st.cellsOfExtractor[e] = append(st.cellsOfExtractor[e], c)
-	st.setScratch = slices.Insert(append(st.setScratch[:0], old...), k, int32(e))
+	st.setScratch = slices.Insert(append(st.setScratch[:0], old...), k, e)
 	n := len(st.setMembers)
 	to := st.internSet(st.setScratch)
 	if int(to) == n {

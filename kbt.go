@@ -647,9 +647,9 @@ func (r *FusionResult) Triples() []TripleVerdict {
 	return out
 }
 
-// NumTriples returns the number of covered candidate triples, the length of
+// NumVerdicts returns the number of covered candidate triples, the length of
 // Triples.
-func (r *FusionResult) NumTriples() int {
+func (r *FusionResult) NumVerdicts() int {
 	n := 0
 	for d, vs := range r.snap.ItemValues {
 		if r.res.CoveredItem[d] {
@@ -662,9 +662,9 @@ func (r *FusionResult) NumTriples() int {
 // TopTriples returns the first k triples of Triples' order (subject,
 // predicate, then descending probability) by the partial selection
 // Result.TopTriples uses, building only the k it keeps past the selection and
-// sorting no others. k <= 0, or k at least NumTriples, returns Triples.
+// sorting no others. k <= 0, or k at least NumVerdicts, returns Triples.
 func (r *FusionResult) TopTriples(k int) []TripleVerdict {
-	if k <= 0 || k >= r.NumTriples() {
+	if k <= 0 || k >= r.NumVerdicts() {
 		return r.Triples()
 	}
 	top := newTopK[TripleVerdict](k, triLess)

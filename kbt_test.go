@@ -170,9 +170,10 @@ func TestTopSourcesMatchesSortedPrefix(t *testing.T) {
 }
 
 // TestFusionTopTriplesMatchesSortedPrefix: FusionResult.TopTriples(k) is
-// Triples()[:k] for every k, and NumTriples and Result.NumSources count the
+// Triples()[:k] for every k, and NumVerdicts and Result.NumSources count the
 // full views the CLI's "... (N more)" lines stand for; a k at or past the
-// count, math.MaxInt included, is the full view.
+// count, math.MaxInt included, is the full view, for Result.TopTriples too
+// (whose selection once reserved room for k triples up front).
 func TestFusionTopTriplesMatchesSortedPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := NewDataset()
@@ -190,8 +191,8 @@ func TestFusionTopTriplesMatchesSortedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := res.Triples()
-	if res.NumTriples() != len(all) || len(all) < 50 {
-		t.Fatalf("NumTriples = %d, Triples has %d (want at least 50)", res.NumTriples(), len(all))
+	if res.NumVerdicts() != len(all) || len(all) < 50 {
+		t.Fatalf("NumVerdicts = %d, Triples has %d (want at least 50)", res.NumVerdicts(), len(all))
 	}
 	for _, k := range []int{-1, 0, 1, 2, 7, len(all) / 2, len(all) - 1, len(all), len(all) + 1, math.MaxInt} {
 		want := all[:max(0, min(k, len(all)))]
@@ -208,6 +209,9 @@ func TestFusionTopTriplesMatchesSortedPrefix(t *testing.T) {
 	}
 	if n := kres.NumSources(); n != len(kres.Sources()) || len(kres.TopSources(math.MaxInt)) != n {
 		t.Fatalf("NumSources = %d, Sources has %d", n, len(kres.Sources()))
+	}
+	if got, want := kres.TopTriples(math.MaxInt), kres.TopTriples(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Result.TopTriples(MaxInt) = %d triples, TopTriples(0) %d", len(got), len(want))
 	}
 }
 
