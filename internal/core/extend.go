@@ -9,10 +9,11 @@ import (
 )
 
 // NewEMFrom extends prev's inference state to cover s — a snapshot built by
-// extending prev's snapshot (triple.Snapshot.Extend) — the way Extend itself
-// carries the snapshot: every index structure (observation/triple mappings,
-// value slots, absence-vote cells, effective confidences, coverage masks,
-// priors and vote caches) is grown append-only from the extension delta, at
+// extending prev's snapshot (triple.Snapshot.ExtendTable) — the way the
+// extension itself carries the snapshot: every index structure
+// (observation/triple mappings, value slots, absence-vote cells, effective
+// confidences, coverage masks, priors and vote caches) is grown append-only
+// from the extension delta, at
 // cost proportional to the new records, instead of being rebuilt from the
 // corpus. NewEM is this extension from the empty state, so there is one
 // builder: the result is NewEM(s, opt) with prev's carried values (parameters,

@@ -26,7 +26,7 @@ func TestCompiledStateHeapPerRecord(t *testing.T) {
 	tab := websimTable(t, 1)
 	n := float64(tab.Len())
 	h0 := liveHeap()
-	snap := tab.CompileKeys(triple.CompileOptions{})
+	snap := tab.Compile(triple.SourceKeyFinest, triple.ExtractorKeyFinest)
 	h1 := liveHeap()
 	em, err := NewEM(snap, DefaultOptions())
 	if err != nil {

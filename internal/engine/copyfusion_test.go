@@ -656,9 +656,9 @@ func TestRefreshColdMatchesNewEngine(t *testing.T) {
 
 // assertSameGeneration requires two generations to be equal in all but their
 // wall clock: the snapshot tables, posteriors and parameters to the bit, and
-// every other field deep-equal. (A snapshot holds its key functions,
-// which reflect.DeepEqual never calls equal, so its tables are compared one
-// by one.)
+// every other field deep-equal. (A snapshot's intern layers and tail claim
+// differ between an extended lineage and a fresh build of the same records,
+// so its tables are compared one by one.)
 func assertSameGeneration(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
 	assertSnapshotsBitIdentical(t, tag, got.Snapshot, want.Snapshot)

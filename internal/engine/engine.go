@@ -8,12 +8,13 @@
 // estimation, and runs each Refresh after an Ingest as five phases over one
 // refreshRun:
 //
-//   - begin captures the corpus and the pending records under the state
+//   - begin moves the records ingested since into the corpus table and
+//     captures the table and the first row this refresh adds under the state
 //     lock; with nothing pending it carries each converged layer and resumes
 //     the other, serving the cached generation when both converged;
-//   - buildState extends the previous snapshot (triple.Snapshot.Extend), EM
-//     state (core.NewEMFrom) and posterior arrays append-only with the
-//     pending records — bit-identical to recompiling the corpus, at a cost
+//   - buildState extends the previous snapshot (triple.Snapshot.ExtendTable),
+//     EM state (core.NewEMFrom) and posterior arrays append-only with the
+//     pending rows — bit-identical to recompiling the corpus, at a cost
 //     proportional to the ingest;
 //   - settle runs Algorithm 1's E/M loop over a dirty scope (core.ScopeSet)
 //     of marked items: the items sharing a (source, predicate) absence-vote
@@ -82,14 +83,15 @@ type Options struct {
 	Shards int
 	// Core configures the multi-layer model (default core.DefaultOptions).
 	Core core.Options
-	// SourceKey and ExtractorKey fix the granularity. They must be pure
-	// functions of the record — the split-and-merge "auto" granularity
-	// reassigns units as data grows and is not supported incrementally.
-	// Defaults: triple.SourceKeyWebsite, triple.ExtractorKeyName.
-	SourceKey    triple.SourceKeyFunc
-	ExtractorKey triple.ExtractorKeyFunc
+	// SourceKey and ExtractorKey fix the granularity as field groupings, so
+	// that a unit is a function of the record: the split-and-merge "auto"
+	// granularity reassigns units as data grows and is not supported
+	// incrementally. A grouping without Fields takes the default:
+	// triple.SourceKeyWebsite, triple.ExtractorKeyName.
+	SourceKey    triple.Grouping
+	ExtractorKey triple.Grouping
 	// FullRecompile is a test oracle, not an operating mode: every Refresh
-	// rebuilds the snapshot with Dataset.Compile over the whole corpus,
+	// rebuilds the snapshot with Table.Compile over the whole corpus,
 	// rebuilds the EM state from it, aggregates every M-step in full and
 	// recounts copy statistics with the batch detector. The pipeline must
 	// reproduce it bit for bit — state extension and the M-steps over lists
@@ -232,14 +234,13 @@ type Engine struct {
 	opt       Options
 
 	// tab holds as id columns (triple.Table) every record a refresh has taken
-	// in: the first estimated, which modelState covers, and those of a
-	// refresh that failed after begin. pend holds, in order, the records
-	// ingested since the last refresh that published, the first
-	// tab.Len()-estimated of them also in tab. Ingest appends to pend, begin
-	// adds pend's new records to tab, and publish drops the ones its run took,
-	// so a batch's records, and any text their strings are part of, live until
-	// the refresh that takes them in publishes, and no longer: every label tab
-	// and the snapshots keep is a copy taken on first sight.
+	// in: its first estimated rows, which modelState covers, and the rows of a
+	// refresh that has not published, running or failed. pend holds, in order,
+	// the records ingested since the last refresh began. Ingest appends to
+	// pend and begin moves them all into tab, so a batch's records, and any
+	// text their strings are part of, live until the next refresh begins, and
+	// no longer: every label tab and the snapshots keep is a copy taken on
+	// first sight.
 	tab       *triple.Table
 	pend      []triple.Record
 	estimated int
@@ -283,10 +284,10 @@ func New(opt Options) *Engine {
 	if opt.Shards < 1 {
 		opt.Shards = DefaultOptions().Shards
 	}
-	if opt.SourceKey == nil {
+	if opt.SourceKey.Fields == nil {
 		opt.SourceKey = triple.SourceKeyWebsite
 	}
-	if opt.ExtractorKey == nil {
+	if opt.ExtractorKey.Fields == nil {
 		opt.ExtractorKey = triple.ExtractorKeyName
 	}
 	if opt.CopyDiscount {
@@ -344,10 +345,10 @@ func (e *Engine) validateRecord(r triple.Record) error {
 	if err := triple.CheckRecord(&r); err != nil {
 		return err
 	}
-	if e.opt.SourceKey(r) == "" {
+	if e.opt.SourceKey.Label(r) == "" {
 		return errors.New("record maps to an empty source label under the configured granularity (missing Page?)")
 	}
-	if e.opt.ExtractorKey(r) == "" {
+	if e.opt.ExtractorKey.Label(r) == "" {
 		return errors.New("record maps to an empty extractor label under the configured granularity")
 	}
 	return nil
@@ -357,7 +358,7 @@ func (e *Engine) validateRecord(r triple.Record) error {
 func (e *Engine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.estimated + len(e.pend)
+	return e.tab.Len() + len(e.pend)
 }
 
 // Table returns, in ingest order, the records every refresh so far has taken
@@ -375,7 +376,7 @@ func (e *Engine) Table() *triple.Table {
 func (e *Engine) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.pend)
+	return e.tab.Len() - e.estimated + len(e.pend)
 }
 
 // Last returns the most recent Refresh result, or nil before the first one.
@@ -390,7 +391,7 @@ func (e *Engine) Last() *Result {
 // the snapshot, the EM state — index structures, parameters, priors, vote
 // caches, M-step aggregates and staleness ledger — and the engine-owned
 // posterior arrays. All of it extends append-only with the snapshot
-// (triple.Snapshot.Extend, core.NewEMFrom, extendPosteriors), so a warm
+// (triple.Snapshot.ExtendTable, core.NewEMFrom, extendPosteriors), so a warm
 // refresh rebuilds none of it from the corpus, and none of it can be derived
 // from the rest.
 type modelState struct {
@@ -408,13 +409,14 @@ type modelState struct {
 // allocation.
 type refreshRun struct {
 	// begin: the inputs captured under the state lock. tab holds the corpus
-	// this refresh estimates; prev, the previous refresh's state (zero on a
-	// cold run), was built from all but its last len(pending) records, which
-	// pending holds and this refresh consumes.
-	warm    bool
-	tab     *triple.Table
-	pending []triple.Record
-	prev    modelState
+	// this refresh estimates, which no one writes until the refresh returns;
+	// prev, the previous refresh's state (zero on a cold run), was built from
+	// its rows before from, and the rows from from on are the ones this
+	// refresh takes in (pending).
+	warm bool
+	tab  *triple.Table
+	from int
+	prev modelState
 	// fuseDone: fusion is off, or converged and carried in the layer-6
 	// group; carried: the generation begin left for resumeFusion.
 	fuseDone bool
@@ -526,21 +528,21 @@ func (e *Engine) refresh(cold bool) (*Result, error) {
 func (e *Engine) begin(r *refreshRun, cold bool) (cached *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.estimated+len(e.pend) == 0 {
+	if e.tab.Len()+len(e.pend) == 0 {
 		return nil, errors.New("engine: empty dataset")
 	}
 	if cold {
 		e.modelState, e.fus = modelState{}, nil
 	}
-	for _, rec := range e.pend[e.tab.Len()-e.estimated:] {
+	for _, rec := range e.pend {
 		e.tab.Add(rec)
 	}
+	e.pend = nil
 	r.warm = e.snap != nil
-	r.tab = e.tab
-	r.pending = slices.Clip(e.pend)
+	r.tab, r.from = e.tab, e.estimated
 	r.prev = e.modelState
 	r.fuseDone = !e.opt.Fusion
-	if !r.warm || len(r.pending) > 0 {
+	if !r.warm || r.pending() > 0 {
 		return nil, nil
 	}
 	last := e.last.Load()
@@ -631,17 +633,14 @@ func (e *Engine) buildState(r *refreshRun) error {
 	}
 	switch {
 	case !r.extended:
-		r.snap = r.tab.CompileKeys(triple.CompileOptions{
-			SourceKey:    e.opt.SourceKey,
-			ExtractorKey: e.opt.ExtractorKey,
-		})
-	case len(r.pending) == 0:
+		r.snap = r.tab.Compile(e.opt.SourceKey, e.opt.ExtractorKey)
+	case r.pending() == 0:
 		// Resuming an unconverged run: zero new records means the grown
 		// snapshot would be content-identical, so reuse it outright instead
 		// of paying Extend's table copies.
 		r.snap = r.prev.snap
 	default:
-		r.snap = r.prev.snap.Extend(r.pending)
+		r.snap = r.prev.snap.ExtendTable(r.tab, r.from)
 	}
 
 	r.copt = e.opt.Core
@@ -696,7 +695,7 @@ func (e *Engine) settle(r *refreshRun) error {
 	case !r.warm:
 		r.em.Bootstrap(r.cProb)
 		base.MarkAllFull()
-	case len(r.pending) == 0:
+	case r.pending() == 0:
 		// Resuming an unconverged run (begin served the converged case): the
 		// cached posteriors already reproduce the cached parameters, so a
 		// partial pass would measure zero delta and stall. Re-estimate
@@ -814,7 +813,7 @@ func (e *Engine) layer6(r *refreshRun, fused func() error) error {
 // only the fusion fields of its layer-6 group, which nothing else touches
 // before the join. A refresh that fails in another phase leaves the store one
 // batch ahead of the engine; the next refresh offers it the same pending
-// records again, which Snapshot.Extend merges as duplicate cells.
+// rows again, which Snapshot.ExtendTable merges as duplicate cells.
 func (e *Engine) startFuse(r *refreshRun) (join func() error) {
 	if r.fuseDone {
 		return func() error { return nil }
@@ -931,7 +930,7 @@ func (e *Engine) fuse(r *refreshRun) (err error) {
 			return err
 		}
 	}
-	if r.fusRes, err = e.fus.RefreshTable(r.tab, r.pending); err != nil {
+	if r.fusRes, err = e.fus.RefreshTable(r.tab, r.from); err != nil {
 		return err
 	}
 	r.fusSnap = e.fus.Snapshot()
@@ -984,16 +983,16 @@ func (e *Engine) publish(r *refreshRun) *Result {
 	res.Times = r.times
 	res.Times.Publish = time.Since(t0)
 
-	// Records that arrived while estimating stay pending, in an array of
-	// their own: the consumed records' array goes with them.
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.modelState = r.modelState
-	e.estimated += len(r.pending)
-	e.pend = slices.Clone(e.pend[len(r.pending):])
+	e.estimated = r.tab.Len()
 	e.last.Store(res)
 	return res
 }
+
+// pending is the number of rows the run takes in.
+func (r *refreshRun) pending() int { return r.tab.Len() - r.from }
 
 // extendPosteriors grows prev's posterior arrays in place into the run's for
 // an extended snapshot, reading what changed from its triple.Delta: new
@@ -1083,14 +1082,14 @@ func remapRow(newVs, oldVs []int, oldRow []float64) []float64 {
 
 // seedFootprint marks the items the first warm iteration must re-estimate
 // into base: every item sharing a (source, predicate) cell with a pending
-// record — new items, new candidate values, raised confidences and changed
+// row — new items, new candidate values, raised confidences and changed
 // absence masses all live in those cells — resolved through the ledger's
 // cell index in O(footprint), never by scanning the corpus. Structural
 // changes with global reach (a support threshold flipping a unit's
 // inclusion, or new extractors under ScopeAllExtractors, whose absence mass
-// is corpus-wide) escalate to every item. A pending record that fails to
+// is corpus-wide) escalate to every item. A pending row that fails to
 // resolve against the extended snapshot is an invariant violation — the
-// ingest/extension contract guarantees every pending record compiled — and
+// ingest/extension contract guarantees every pending row compiled — and
 // is surfaced as an error rather than silently absorbed as a full pass.
 func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
 	em, snap := r.em, r.snap
@@ -1099,12 +1098,14 @@ func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
 		base.MarkAllFull()
 		return nil
 	}
-	for i, rec := range r.pending {
-		w := snap.SourceID(e.opt.SourceKey(rec))
+	for i := r.from; i < r.tab.Len(); i++ {
+		rec := r.tab.Record(i)
+		src := e.opt.SourceKey.Label(rec)
+		w := snap.SourceID(src)
 		d := snap.ItemID(rec.Subject, rec.Predicate)
 		if w < 0 || d < 0 || !em.MarkCellItems(w, int(snap.PredOfItem[d]), base) {
 			return fmt.Errorf("engine: pending record %d (source %q, item %q/%q) did not compile into the refreshed snapshot; the append-only extension invariant is broken",
-				i, e.opt.SourceKey(rec), rec.Subject, rec.Predicate)
+				i-r.from, src, rec.Subject, rec.Predicate)
 		}
 	}
 	return nil

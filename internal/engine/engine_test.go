@@ -732,7 +732,9 @@ func TestDirtyShardsSurfacesLookupFailure(t *testing.T) {
 	}
 	sc := core.NewScopeSet()
 	sc.Reset(len(eng.snap.Items))
-	run := &refreshRun{modelState: eng.modelState, prev: eng.modelState, pending: []triple.Record{ghost}}
+	tab := eng.Table()
+	tab.Add(ghost)
+	run := &refreshRun{modelState: eng.modelState, prev: eng.modelState, tab: tab, from: tab.Len() - 1}
 	if err := eng.seedFootprint(run, sc); err == nil {
 		t.Fatal("expected an error for a pending record missing from the snapshot")
 	}

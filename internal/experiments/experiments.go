@@ -128,16 +128,10 @@ func compileFor(w *websim.World, m Method, cfg KVConfig) (*triple.Snapshot, erro
 	case SingleLayer:
 		// A provenance is the 4-tuple (extractor, website, predicate,
 		// pattern) (§5.1.2); the extractor dimension is unused.
-		return w.Dataset.Compile(triple.CompileOptions{
-			SourceKey:    triple.ProvenanceKey,
-			ExtractorKey: triple.ExtractorKeyName,
-		}), nil
+		return triple.TableOf(w.Dataset.Records).Compile(triple.ProvenanceKey, triple.ExtractorKeyName), nil
 	case MultiLayer:
 		// Finest granularity for both sources and extractors.
-		return w.Dataset.Compile(triple.CompileOptions{
-			SourceKey:    triple.SourceKeyFinest,
-			ExtractorKey: triple.ExtractorKeyFinest,
-		}), nil
+		return triple.TableOf(w.Dataset.Records).Compile(triple.SourceKeyFinest, triple.ExtractorKeyFinest), nil
 	case MultiLayerSM:
 		t := triple.TableOf(w.Dataset.Records)
 		src, _, err := granularity.TableSources(t, cfg.MinSupport, cfg.MaxSize, cfg.Seed)

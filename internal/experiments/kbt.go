@@ -25,7 +25,7 @@ func runSiteKBT(w *websim.World, cfg KVConfig) (*triple.Snapshot, *core.Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-	s := t.Compile(triple.Grouping{Fields: triple.SourceFieldsWebsite}, triple.Grouping{Units: ext})
+	s := t.Compile(triple.SourceKeyWebsite, triple.Grouping{Units: ext})
 	opt := core.DefaultOptions()
 	opt.MinSourceSupport = cfg.MinSupport
 	opt.MinExtractorSupport = cfg.MinSupport

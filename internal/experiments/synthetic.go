@@ -82,10 +82,7 @@ func multiSynthetic(w *synthetic.World) (SynthEval, error) {
 // (flat, implicit) line for SINGLELAYER.
 func singleSynthetic(w *synthetic.World) (SynthEval, error) {
 	var ev SynthEval
-	s := w.Dataset.Compile(triple.CompileOptions{
-		SourceKey:    triple.ProvenanceKey,
-		ExtractorKey: triple.ExtractorKeyName,
-	})
+	s := triple.TableOf(w.Dataset.Records).Compile(triple.ProvenanceKey, triple.ExtractorKeyName)
 	opt := fusion.DefaultOptions()
 	opt.MinSupport = 1
 	res, err := fusion.Run(s, opt)

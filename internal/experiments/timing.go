@@ -100,8 +100,7 @@ func Table7(cfg KVConfig, minSize, maxSize int) ([]Table7Column, error) {
 	for _, strat := range []Table7Strategy{Normal, SplitOnly, SplitMerge} {
 		col := Table7Column{Strategy: strat}
 
-		src := triple.Grouping{Fields: triple.SourceFieldsFinest}
-		ext := triple.Grouping{Fields: triple.ExtractorFieldsFinest}
+		src, ext := triple.SourceKeyFinest, triple.ExtractorKeyFinest
 		m := minSize
 		if strat == SplitOnly {
 			m = 0

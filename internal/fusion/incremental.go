@@ -17,9 +17,10 @@ import (
 // drift-ledger contract the multi-layer engine applies to extractor votes —
 // instead of re-running EM over the corpus on every refresh.
 //
-// The store owns its snapshot chain (compiled at the provenance granularity
-// the caller configures, extended append-only with each ingest) and persists
-// between refreshes:
+// The store owns its snapshot chain (compiled at provenance granularity,
+// triple.ProvenanceKey and triple.ExtractorKeyName, the single-layer setup of
+// §5.1.2, and extended append-only with each ingest) and persists between
+// refreshes:
 //
 //   - the per-item vote lists and value posteriors (rows are immutable once
 //     installed, so a published Result shares them copy-on-write),
@@ -38,8 +39,7 @@ import (
 // Which items a provenance votes on is read from the snapshot's
 // TriplesOfSource.
 type Incremental struct {
-	opt  Options
-	copt triple.CompileOptions
+	opt Options
 
 	s *triple.Snapshot
 
@@ -90,20 +90,13 @@ type fuseOut struct {
 }
 
 // NewIncremental validates opt exactly as Run does and returns an empty
-// store. copt fixes the provenance granularity of the internal snapshot
-// chain; its key functions default to triple.ProvenanceKey and
-// triple.ExtractorKeyName, the single-layer setup of §5.1.2.
-func NewIncremental(opt Options, copt triple.CompileOptions) (*Incremental, error) {
+// store. Its second parameter is not read: the store is at provenance
+// granularity whatever it holds, and every caller passes the zero value.
+func NewIncremental(opt Options, _ triple.CompileOptions) (*Incremental, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if copt.SourceKey == nil {
-		copt.SourceKey = triple.ProvenanceKey
-	}
-	if copt.ExtractorKey == nil {
-		copt.ExtractorKey = triple.ExtractorKeyName
-	}
-	return &Incremental{opt: opt, copt: copt, base: core.NewScopeSet(), next: core.NewScopeSet(),
+	return &Incremental{opt: opt, base: core.NewScopeSet(), next: core.NewScopeSet(),
 		cur: core.NewScopeSet(), fused: core.NewScopeSet()}, nil
 }
 
@@ -114,32 +107,22 @@ func (inc *Incremental) Snapshot() *triple.Snapshot { return inc.s }
 // FusedLast reports how many distinct items the last Refresh re-fused.
 func (inc *Incremental) FusedLast() int { return inc.fusedItems }
 
-// Refresh folds the pending records into the store and re-fuses the affected
-// items. records is the full ingest-ordered sequence and pending its suffix
-// since the previous Refresh (records is read only by the first call, which
-// compiles it wholesale, and pending only by later ones). It returns an
-// immutable Result; value-posterior rows are shared copy-on-write with the
-// store and with earlier results.
-func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, error) {
-	corpus := &triple.Table{}
-	if inc.s == nil {
-		corpus = triple.TableOf(records)
-	}
-	return inc.RefreshTable(corpus, pending)
-}
-
-// RefreshTable is Refresh with the full sequence given as a table, which the
-// first call compiles (triple.Table.CompileKeys) and later ones do not read.
-func (inc *Incremental) RefreshTable(corpus *triple.Table, pending []triple.Record) (*Result, error) {
+// RefreshTable folds the rows of t from row from into the store and re-fuses
+// the affected items. t is the full ingest-ordered sequence, and its rows
+// before from are the ones earlier refreshes took in: the first call compiles
+// t whole and reads no from, and later ones read only the rows from it on. It
+// returns an immutable Result; value-posterior rows are shared copy-on-write
+// with the store and with earlier results.
+func (inc *Incremental) RefreshTable(t *triple.Table, from int) (*Result, error) {
 	prevS := inc.s
 	var d triple.Delta // cold: every observation is new
 	switch {
 	case prevS == nil:
-		inc.s = corpus.CompileKeys(inc.copt)
-	case len(pending) == 0:
+		inc.s = t.Compile(triple.ProvenanceKey, triple.ExtractorKeyName)
+	case from == t.Len():
 		d.Obs = len(prevS.Obs) // a resume: nothing is new
 	default:
-		inc.s = prevS.Extend(pending)
+		inc.s = prevS.ExtendTable(t, from)
 		var ok bool
 		if d, ok = inc.s.ParentDelta(); !ok {
 			return nil, errors.New("fusion: extended snapshot lost its delta")
@@ -148,6 +131,16 @@ func (inc *Incremental) RefreshTable(corpus *triple.Table, pending []triple.Reco
 	inc.apply(prevS, d)
 	inc.iterations, inc.converged, _ = core.Settle(inc.opt.MaxIter, inc.widen, inc.enter, inc.step)
 	return inc.result(), nil
+}
+
+// Refresh is RefreshTable over records: records is the full ingest-ordered
+// sequence, which the first call compiles, and pending its suffix since the
+// previous Refresh, which later calls fold in.
+func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, error) {
+	if inc.s == nil {
+		pending = records
+	}
+	return inc.RefreshTable(triple.TableOf(pending), 0)
 }
 
 // apply grows every persistent structure by the extension delta — counting

@@ -268,7 +268,7 @@ func TestIncrementalFlipRefusesItsItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := inc.Snapshot()
-	p, i2 := s.SourceID(triple.ProvenanceKey(recs[len(recs)-1])), s.ItemID("i2", "p")
+	p, i2 := s.SourceID(triple.ProvenanceKey.Label(recs[len(recs)-1])), s.ItemID("i2", "p")
 	if before.Updated[p] || before.CoveredItem[i2] {
 		t.Fatalf("before the flip: P participates = %v, i2 covered = %v; want neither", before.Updated[p], before.CoveredItem[i2])
 	}

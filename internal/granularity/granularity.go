@@ -276,12 +276,12 @@ func recordLabels(records []triple.Record, run func(*triple.Table, int, int, int
 
 // TableSources runs splitAndMergeTable with the standard source hierarchy.
 func TableSources(t *triple.Table, minSize, maxSize int, seed int64) (*triple.Units, Report, error) {
-	return splitAndMergeTable(t, triple.SourceFieldsFinest, minSize, maxSize, seed)
+	return splitAndMergeTable(t, triple.SourceKeyFinest.Fields, minSize, maxSize, seed)
 }
 
 // TableExtractors runs splitAndMergeTable with the standard extractor hierarchy.
 func TableExtractors(t *triple.Table, minSize, maxSize int, seed int64) (*triple.Units, Report, error) {
-	return splitAndMergeTable(t, triple.ExtractorFieldsFinest, minSize, maxSize, seed+extractorSeed)
+	return splitAndMergeTable(t, triple.ExtractorKeyFinest.Fields, minSize, maxSize, seed+extractorSeed)
 }
 
 // extractorSeed shifts the seed of the extractor hierarchy's random stream

@@ -75,7 +75,7 @@ func TestDesiredSizePassesThrough(t *testing.T) {
 		t.Fatalf("units = %v", sizes)
 	}
 	for unit := range sizes {
-		if unit != triple.SourceKeyFinest(records[0]) {
+		if unit != triple.SourceKeyFinest.Label(records[0]) {
 			t.Errorf("pass-through should keep the finest key, got %q", unit)
 		}
 	}
@@ -329,15 +329,15 @@ func referenceSplitAndMerge(records []triple.Record, levels []func(triple.Record
 // The reference hierarchies, finest to coarsest.
 var (
 	referenceSourceLevels = []func(triple.Record) string{
-		triple.SourceKeyFinest,
+		triple.SourceKeyFinest.Label,
 		func(r triple.Record) string { return r.Website + "\x1f" + r.Predicate },
-		triple.SourceKeyWebsite,
+		triple.SourceKeyWebsite.Label,
 	}
 	referenceExtractorLevels = []func(triple.Record) string{
-		triple.ExtractorKeyFinest,
+		triple.ExtractorKeyFinest.Label,
 		func(r triple.Record) string { return r.Extractor + "\x1f" + r.Pattern + "\x1f" + r.Predicate },
 		func(r triple.Record) string { return r.Extractor + "\x1f" + r.Pattern },
-		triple.ExtractorKeyName,
+		triple.ExtractorKeyName.Label,
 	}
 )
 

@@ -131,14 +131,13 @@ func btoi(b bool) int {
 // TSV and built by Add.
 func TestTableCompileMatchesRecordCompile(t *testing.T) {
 	keyed := []struct {
-		name           string
-		src, ext       []triple.Field
-		srcKey, extKey func(triple.Record) string
+		name     string
+		src, ext triple.Grouping
 	}{
-		{"website", triple.SourceFieldsWebsite, triple.ExtractorFieldsName, triple.SourceKeyWebsite, triple.ExtractorKeyName},
-		{"page", triple.SourceFieldsPage, triple.ExtractorFieldsName, triple.SourceKeyPage, triple.ExtractorKeyName},
-		{"finest", triple.SourceFieldsFinest, triple.ExtractorFieldsFinest, triple.SourceKeyFinest, triple.ExtractorKeyFinest},
-		{"provenance", triple.ProvenanceFields, triple.ExtractorFieldsName, triple.ProvenanceKey, triple.ExtractorKeyName},
+		{"website", triple.SourceKeyWebsite, triple.ExtractorKeyName},
+		{"page", triple.SourceKeyPage, triple.ExtractorKeyName},
+		{"finest", triple.SourceKeyFinest, triple.ExtractorKeyFinest},
+		{"provenance", triple.ProvenanceKey, triple.ExtractorKeyName},
 	}
 	corpora := []struct {
 		name string
@@ -173,8 +172,8 @@ func TestTableCompileMatchesRecordCompile(t *testing.T) {
 					d.Compile(triple.CompileOptions{SourceLabels: srcLabels, ExtractorLabels: extLabels}))
 				for _, k := range keyed {
 					requireSameSnapshot(t, name+" table, "+k.name,
-						tab.Compile(triple.Grouping{Fields: k.src}, triple.Grouping{Fields: k.ext}),
-						d.Compile(triple.CompileOptions{SourceKey: k.srcKey, ExtractorKey: k.extKey}))
+						tab.Compile(k.src, k.ext),
+						d.Compile(triple.CompileOptions{SourceKey: k.src, ExtractorKey: k.ext}))
 				}
 			}
 		})
@@ -233,7 +232,7 @@ func TestCollidingLabelsShareAUnit(t *testing.T) {
 	} {
 		tab.Add(r)
 	}
-	snap := tab.Compile(triple.Grouping{Fields: triple.SourceFieldsFinest}, triple.Grouping{Fields: triple.ExtractorFieldsName})
+	snap := tab.Compile(triple.SourceKeyFinest, triple.ExtractorKeyName)
 	if want := []string{"a\x1fb\x1fq\x1fp"}; !slices.Equal(snap.Sources, want) {
 		t.Errorf("sources %q, want %q", snap.Sources, want)
 	}

@@ -249,10 +249,7 @@ func pageOf(site string) string { return site + "/page" }
 // natural unit for the synthetic experiments, where each source is one
 // simulated provider.
 func (w *World) Compile() *triple.Snapshot {
-	return w.Dataset.Compile(triple.CompileOptions{
-		SourceKey:    triple.SourceKeyWebsite,
-		ExtractorKey: triple.ExtractorKeyName,
-	})
+	return triple.TableOf(w.Dataset.Records).Compile(triple.SourceKeyWebsite, triple.ExtractorKeyName)
 }
 
 // ProvidedTruth reports whether source (website) truly provides (s,p,o).

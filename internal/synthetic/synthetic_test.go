@@ -226,7 +226,7 @@ func TestRecordShape(t *testing.T) {
 		if r.Website == "" || r.Page == "" || r.Subject == "" || r.Predicate == "" || r.Object == "" {
 			t.Fatalf("incomplete record: %+v", r)
 		}
-		if triple.SourceKeyWebsite(r) != r.Website {
+		if triple.SourceKeyWebsite.Label(r) != r.Website {
 			t.Fatal("website key mismatch")
 		}
 	}

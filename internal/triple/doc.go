@@ -8,29 +8,33 @@
 // observation records that extractor e extracted value v for data item d on
 // web source w, optionally with a confidence in [0,1] (§3.5).
 //
-// A Dataset accumulates raw Records; Compile freezes them into an immutable
-// Snapshot at a chosen source/extractor granularity, interning labels into
-// dense ids and building the inverted indexes (per-item, per-source,
-// per-extractor) the inference stages walk. The canonical order of every
-// table is first appearance in record order, so compilation is append-only:
-// the dense ids of a grown dataset extend the previous ones, and
-// Snapshot.Extend materialises that directly — it builds the grown
-// snapshot from the previous one and just the new records, bit-identical
-// to a full Compile at cost proportional to the ingest. This pair of
-// properties is what the incremental engine relies on to carry parameters
-// across refreshes and to keep warm-refresh compilation O(ingest).
+// Records are held as a Table: per field a dense-id column and each distinct
+// label once, and a confidence column. ReadTable assigns the ids as it reads
+// TSV, TableOf and Table.Add as they add records. Table.Compile, the one
+// build, freezes a table into an immutable Snapshot at a chosen source and
+// extractor granularity, interning labels into dense ids and building the
+// inverted indexes (per-item, per-source, per-extractor) the inference stages
+// walk. A granularity is a Grouping: a tuple of record fields, a unit named by
+// their labels joined with "\x1f" (SourceKeyWebsite, ProvenanceKey, ...), or
+// Units that split-and-merge assigns to the records of one table. The
+// canonical order of every table is first appearance in record order, so
+// compilation is append-only: the dense ids of a grown table extend the
+// previous ones, and Snapshot.ExtendTable materialises that directly — it
+// builds the grown snapshot from the previous one and just the table's new
+// rows, bit-identical to a full Compile at cost proportional to the ingest,
+// for a snapshot built on field groupings. This pair of properties is what
+// the incremental engine relies on to carry parameters across refreshes and
+// to keep warm-refresh compilation O(ingest).
 //
 // ShardOf partitions the item space by hashing item keys into the stable,
 // disjoint units the engine's refresh statistics count in; no pass runs by
 // shard. Snapshot.Shards and ExtendShards materialise the partition as views
 // (see Shard), which only the benchmark harness still builds. The TSV codec
-// (ReadTSV / WriteTSV / ParseTSVLine) is the interchange format of
+// (ReadTable / WriteTSV / ParseTSVLine) is the interchange format of
 // cmd/kbt.
 //
-// The batch path holds its input as a Table, not as records: per field a
-// dense-id column and each distinct label once, and a confidence column.
-// ReadTable assigns the ids as it reads (TableOf and Table.Add as they add
-// records), Table.Compile builds a snapshot from the columns (units formed on
-// id tuples, each tuple's label built once), and Dataset.Compile and ReadTSV
-// are that build and that reader behind a record slice.
+// A Dataset holds Records, with the ground truth the simulators know. Its
+// Compile, Snapshot.Extend over records and ReadTSV are Table.Compile,
+// ExtendTable and ReadTable behind a record slice, kept for the benchmark
+// harness.
 package triple

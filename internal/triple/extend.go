@@ -2,11 +2,11 @@ package triple
 
 import "slices"
 
-// Extend compiles records on top of the snapshot, producing a new snapshot
-// equal to compiling the parent's records followed by the new ones in one
-// batch — bit-identical tables, indexes and canonical order, hence
-// bit-identical downstream inference. The parent is not mutated and remains
-// fully usable, also while the child is being built.
+// ExtendTable compiles the rows of t from row from on top of the snapshot,
+// producing a new snapshot equal to compiling the parent's records followed
+// by those rows in one batch — bit-identical tables, indexes and canonical
+// order, hence bit-identical downstream inference. The parent is not mutated
+// and remains fully usable, also while the child is being built.
 //
 // Cost: O(cells × radix passes + log-amortised interning), the cells being the
 // records and the parent's observations of the items they touch: one sort
@@ -44,13 +44,13 @@ import "slices"
 //   - Obs is append-only except that a duplicate (e,w,d,v) cell with higher
 //     confidence raises the existing observation's Conf (in the child only).
 //
-// Extend panics if the parent was compiled with positional label overrides
-// (CompileOptions.SourceLabels/ExtractorLabels), whose labels are parallel to
-// the original record slice and cannot classify new records, or from a Table,
-// which gives it no key function.
-func (s *Snapshot) Extend(records []Record) *Snapshot {
-	if s.keyless {
-		panic("triple: Extend on a snapshot compiled without key functions")
+// Each row is resolved by its labels under the snapshot's groupings, one
+// label join and one intern lookup per unit. ExtendTable panics if the parent
+// was built on Units (split-and-merge, positional labels), which assign the
+// records built and cannot classify new ones.
+func (s *Snapshot) ExtendTable(t *Table, from int) *Snapshot {
+	if s.sourceKey.Fields == nil {
+		panic("triple: Extend on a snapshot built on Units")
 	}
 	// One claimant: a second child's appends would collide in the shared tail.
 	claimed := s.tailClaimed.CompareAndSwap(false, true)
@@ -61,7 +61,7 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		valueIdx:     s.valueIdx.child(),
 		predIdx:      s.predIdx.child(),
 
-		copt: s.copt,
+		sourceKey: s.sourceKey, extractorKey: s.extractorKey,
 
 		// Record the parent table sizes before appending, so ParentDelta can
 		// tell incremental consumers exactly which suffixes are new.
@@ -91,21 +91,19 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		Predicates: adopt(s.Predicates, claimed),
 		PredOfItem: adopt(s.PredOfItem, claimed),
 	}
-	// Resolve the records to id columns in order, as Compile does, noting the
+	// Resolve the rows to id columns in order, as Compile does, noting the
 	// parent's items they touch.
-	n := len(records)
+	n := t.Len() - from
 	es, ws, ds, vs := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
-	conf := make([]float64, n)
 	var touched []int32
-	for ri := range records {
-		r := &records[ri]
-		es[ri] = c.internExtractor(c.copt.ExtractorKey(*r))
-		ws[ri] = c.internSource(c.copt.SourceKey(*r))
-		ds[ri] = c.internItem(r)
-		conf[ri] = r.Confidence
-		vs[ri] = c.valueIdx.intern(&c.Values, r.Object)
-		if int(ds[ri]) < c.delta.Items {
-			touched = append(touched, ds[ri])
+	for k := range n {
+		i := from + k
+		es[k] = c.internExtractor(c.extractorKey.row(t, i))
+		ws[k] = c.internSource(c.sourceKey.row(t, i))
+		ds[k] = c.internItem(itemKey.row(t, i), t.label(fieldPredicate, i))
+		vs[k] = c.valueIdx.intern(&c.Values, t.label(fieldObject, i))
+		if int(ds[k]) < c.delta.Items {
+			touched = append(touched, ds[k])
 		}
 	}
 	// The parent's cells of those items rank before every record, so a
@@ -133,9 +131,12 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		}
 		es, ws, ds, vs = append(pe, es...), append(pw, ws...), append(pd, ds...), append(pv, vs...)
 	}
-	newAppender(c, *c.delta, claimed).appendCells(conf, es, ws, ds, vs, tri, obs)
+	newAppender(c, *c.delta, claimed).appendCells(t.conf[from:], es, ws, ds, vs, tri, obs)
 	return c
 }
+
+// Extend is ExtendTable over a table of the records.
+func (s *Snapshot) Extend(records []Record) *Snapshot { return s.ExtendTable(TableOf(records), 0) }
 
 // adopt returns the table a child starts from: a copy, unless it is the claimant.
 func adopt[T any](table []T, claimed bool) []T {

@@ -227,7 +227,7 @@ func TestExtendProperty(t *testing.T) {
 		twice := 0
 		d, _ := first.ParentDelta()
 		for _, di := range d.GrownItems {
-			if parent.Items[di] == recs[0].ItemKey() {
+			if parent.Items[di] == itemKey.Label(recs[0]) {
 				twice++
 			}
 		}
@@ -518,15 +518,15 @@ func referenceBuild(recs []Record, opt CompileOptions) snapshotTables {
 	}
 	tripleIdx, obsIdx := map[TripleRef]int{}, map[[2]int]int{}
 	for _, r := range recs {
-		e, newE := intern(&t.Extractors, opt.ExtractorKey(r))
+		e, newE := intern(&t.Extractors, opt.ExtractorKey.Label(r))
 		if newE {
 			t.ObsOfExtractor = append(t.ObsOfExtractor, nil)
 		}
-		w, newW := intern(&t.Sources, opt.SourceKey(r))
+		w, newW := intern(&t.Sources, opt.SourceKey.Label(r))
 		if newW {
 			t.TriplesOfSource = append(t.TriplesOfSource, nil)
 		}
-		d, newD := intern(&t.Items, r.ItemKey())
+		d, newD := intern(&t.Items, r.Subject+"\x1f"+r.Predicate)
 		if newD {
 			p, _ := intern(&t.Predicates, r.Predicate)
 			t.PredOfItem = append(t.PredOfItem, int32(p))

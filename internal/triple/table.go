@@ -3,7 +3,6 @@ package triple
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -42,35 +41,6 @@ func (f Field) of(r *Record) string {
 		return r.Object
 	}
 	panic(fmt.Sprintf("triple: field %d", f))
-}
-
-// The standard granularities as field tuples: a record's unit is named by the
-// labels of the fields joined with "\x1f", as the key function of the same
-// name builds it.
-var (
-	SourceFieldsWebsite   = []Field{fieldWebsite}
-	SourceFieldsPage      = []Field{fieldPage}
-	SourceFieldsFinest    = []Field{fieldWebsite, fieldPredicate, fieldPage}
-	ExtractorFieldsName   = []Field{fieldExtractor}
-	ExtractorFieldsFinest = []Field{fieldExtractor, fieldPattern, fieldPredicate, fieldWebsite}
-	ProvenanceFields      = []Field{fieldExtractor, fieldWebsite, fieldPredicate, fieldPattern}
-)
-
-// keyFields returns the fields a standard key function joins, or nil for any
-// other function.
-func keyFields(key func(Record) string) []Field {
-	for _, k := range [...]struct {
-		key    func(Record) string
-		fields []Field
-	}{
-		{SourceKeyWebsite, SourceFieldsWebsite}, {SourceKeyPage, SourceFieldsPage}, {SourceKeyFinest, SourceFieldsFinest},
-		{ExtractorKeyName, ExtractorFieldsName}, {ExtractorKeyFinest, ExtractorFieldsFinest}, {ProvenanceKey, ProvenanceFields},
-	} {
-		if reflect.ValueOf(key).Pointer() == reflect.ValueOf(k.key).Pointer() {
-			return k.fields
-		}
-	}
-	return nil
 }
 
 // Table is a batch of extraction records held as columns: per field, the dense
@@ -146,7 +116,7 @@ func (t *Table) intern(f Field, label string) int32 {
 }
 
 // checkIDs panics unless n things of one kind fit the int32 ids that a table
-// and a snapshot store: records and labels, where a table or UnitsOf numbers
+// and a snapshot store: records and labels, where a table or unitsOf numbers
 // them, and cells and observations, where a build does (appendCells). It is the
 // one width check; everything else a snapshot numbers comes from one of these.
 func checkIDs(n int) {
@@ -179,9 +149,12 @@ func (t *Table) Clip() *Table {
 	return c
 }
 
+// label returns field f's label in record i.
+func (t *Table) label(f Field, i int) string { return t.vocab[f][t.ids[f][i]] }
+
 // Record returns record i, its labels the table's.
 func (t *Table) Record(i int) Record {
-	label := func(f Field) string { return t.vocab[f][t.ids[f][i]] }
+	label := func(f Field) string { return t.label(f, i) }
 	return Record{
 		Extractor: label(fieldExtractor), Pattern: label(fieldPattern),
 		Website: label(fieldWebsite), Page: label(fieldPage),
@@ -246,10 +219,10 @@ type Units struct {
 	index    map[string]int32
 }
 
-// UnitsOf numbers the distinct labels of n records in order of first
+// unitsOf numbers the distinct labels of n records in order of first
 // appearance: record i's label is label(i). There are at most n, so n is
 // what checkIDs checks.
-func UnitsOf(n int, label func(i int) string) *Units {
+func unitsOf(n int, label func(i int) string) *Units {
 	checkIDs(n)
 	u := &Units{Of: make([]int32, n), distinct: true, index: make(map[string]int32)}
 	for i := range u.Of {
@@ -265,52 +238,115 @@ func UnitsOf(n int, label func(i int) string) *Units {
 	return u
 }
 
-// Grouping is how a table build forms the source or the extractor units: by
-// Units where given (split-and-merge assigns them), otherwise by the tuple of
-// Fields, labelled by the fields' labels joined with "\x1f".
+// Grouping is a granularity: how a build forms the source or the extractor
+// units. A record's unit is named by the labels of its Fields joined with
+// "\x1f", so units are a pure function of the record and a snapshot built on
+// field groupings extends (SourceKeyWebsite, ProvenanceKey, ...). Units, where
+// given, assign the records of one table instead (split-and-merge does).
 type Grouping struct {
 	Fields []Field
 	Units  *Units
 }
 
-// Compile builds the snapshot Dataset.Compile builds of the table's records
-// with the given source and extractor units, bit for bit: a Fields grouping
-// as the key function that joins those fields, Units as positional labels.
-// Units are formed on field-id tuples, a tuple's label built once: items are
-// the (subject, predicate) pairs, values the objects. The snapshot has no key
-// function for new records, so it cannot Extend; CompileKeys builds one that
-// can.
-func (t *Table) Compile(sources, extractors Grouping) *Snapshot {
-	group := func(g Grouping) func() *Units { return func() *Units { return t.group(g) } }
-	pred := t.ids[fieldPredicate]
-	s := compile(t.conf, group(sources), group(extractors),
-		group(Grouping{Fields: []Field{fieldSubject, fieldPredicate}}), group(Grouping{Fields: []Field{fieldObject}}),
-		func(i int) string { return t.vocab[fieldPredicate][pred[i]] })
-	s.keyless = true
-	return s
+// Label returns the label g gives r: its fields' labels joined with "\x1f".
+// A Units grouping has no fields and labels every record "".
+func (g Grouping) Label(r Record) string {
+	return g.join(func(f Field) string { return f.of(&r) })
 }
 
-// CompileKeys builds the snapshot Dataset.Compile builds of the table's
-// records at opt's key functions, bit for bit, which Extend goes on applying
-// to new records. A standard key function (SourceKeyWebsite, ProvenanceKey,
-// ...) groups on the fields it joins, as Compile does; any other is called on
-// each record in turn. Positional labels are not taken.
-func (t *Table) CompileKeys(opt CompileOptions) *Snapshot {
-	if opt.SourceKey == nil {
-		opt.SourceKey = SourceKeyFinest
+// row returns the label g gives record i of t, as Label would.
+func (g Grouping) row(t *Table, i int) string {
+	return g.join(func(f Field) string { return t.label(f, i) })
+}
+
+// join joins the labels of g's fields, label(f) each, with "\x1f": a single
+// field's label is returned as it is, and a tuple's is built in one
+// allocation.
+func (g Grouping) join(label func(Field) string) string {
+	switch len(g.Fields) {
+	case 0:
+		return ""
+	case 1:
+		return label(g.Fields[0])
 	}
-	if opt.ExtractorKey == nil {
-		opt.ExtractorKey = ExtractorKeyFinest
+	n := len(g.Fields) - 1
+	for _, f := range g.Fields {
+		n += len(label(f))
 	}
-	grouping := func(key func(Record) string) Grouping {
-		if fields := keyFields(key); fields != nil {
-			return Grouping{Fields: fields}
+	var b strings.Builder
+	b.Grow(n)
+	for k, f := range g.Fields {
+		if k > 0 {
+			b.WriteByte('\x1f')
 		}
-		return Grouping{Units: UnitsOf(t.Len(), func(i int) string { return key(t.Record(i)) })}
+		b.WriteString(label(f))
 	}
-	s := t.Compile(grouping(opt.SourceKey), grouping(opt.ExtractorKey))
-	s.copt = CompileOptions{SourceKey: opt.SourceKey, ExtractorKey: opt.ExtractorKey}
-	s.keyless = false
+	return b.String()
+}
+
+// itemKey and valueKey are the groupings of a build's data items, the
+// (subject, predicate) pairs, and of its values, the objects.
+var (
+	itemKey  = Grouping{Fields: []Field{fieldSubject, fieldPredicate}}
+	valueKey = Grouping{Fields: []Field{fieldObject}}
+)
+
+// Compile builds the snapshot of the table's records at the given source and
+// extractor granularity. Duplicate (e,w,d,v) cells are merged keeping the
+// maximum confidence. Units are formed on field-id tuples, a tuple's label
+// built once (Table.group). A snapshot built on two field groupings extends
+// (ExtendTable); one built on Units does not.
+//
+// The four vocabularies do not depend on one another, so each is resolved on
+// its own goroutine, in record order (Units.resolve), which gives the
+// snapshot's dense ids in order of first appearance, and no other pass can
+// move them. The id columns then go through the build Extend uses
+// (appender.appendCells): one radix sort groups the cells, one pass in record
+// order gives the triples and observations their ids, and the five index
+// tables are filled side by side from sorted runs, so that each row is
+// allocated once, at its final length plus a quarter.
+func (t *Table) Compile(sources, extractors Grouping) *Snapshot {
+	s := &Snapshot{
+		Obs:          make([]Observation, 0, t.Len()),
+		sourceIdx:    &internTable{},
+		extractorIdx: &internTable{},
+		itemIdx:      &internTable{},
+		valueIdx:     &internTable{},
+		predIdx:      &internTable{},
+	}
+	if sources.Units == nil && extractors.Units == nil {
+		s.sourceKey, s.extractorKey = sources, extractors
+	}
+	var es, ws, ds, vs []int32
+	var wg sync.WaitGroup
+	for _, resolve := range []func(){
+		func() {
+			es = t.group(extractors).resolve(&s.Extractors, s.extractorIdx, nil)
+			s.ObsOfExtractor = rows[int32](len(s.Extractors))
+		},
+		func() {
+			ws = t.group(sources).resolve(&s.Sources, s.sourceIdx, nil)
+			s.TriplesOfSource = rows[int32](len(s.Sources))
+		},
+		func() {
+			ds = t.group(itemKey).resolve(&s.Items, s.itemIdx, func(i int) {
+				s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, t.label(fieldPredicate, i)))
+			})
+			s.TriplesOfItem, s.ItemValues = rows[int32](len(s.Items)), rows[int](len(s.Items))
+		},
+		func() { vs = t.group(valueKey).resolve(&s.Values, s.valueIdx, nil) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resolve()
+		}()
+	}
+	wg.Wait()
+
+	ap := newAppender(s, Delta{}, false)
+	ap.compile = true
+	ap.appendCells(t.conf, es, ws, ds, vs, nil, nil)
 	return s
 }
 
@@ -330,12 +366,8 @@ func (t *Table) group(g Grouping) *Units {
 	}
 	of, first := Tuples(cols)
 	labels := make([]string, len(first))
-	parts := make([]string, len(g.Fields))
 	for u, i := range first {
-		for k, f := range g.Fields {
-			parts[k] = t.vocab[f][t.ids[f][i]]
-		}
-		labels[u] = strings.Join(parts, "\x1f")
+		labels[u] = g.row(t, int(i))
 	}
 	return &Units{Of: of, Labels: labels}
 }
@@ -399,59 +431,6 @@ func fold(a []int32, na int, b []int32, nb int) (of []int32, n int) {
 		of[i] = id
 	}
 	return of, len(ids)
-}
-
-// compile is the one snapshot build of Table.Compile and Dataset.Compile,
-// from every record's confidence as given, its source, extractor, item and
-// value units, and predicate(i), record i's predicate. The four vocabularies
-// do not depend on one another, so each is resolved on its own goroutine, in
-// record order (Units.resolve), which gives the snapshot's dense ids in order
-// of first appearance, and no other pass can move them. The id columns then
-// go through the build Extend uses (appender.appendCells): one radix sort
-// groups the cells, one pass in record order gives the triples and
-// observations their ids, and the five index tables are filled side by side
-// from sorted runs, so that each row is allocated once, at its final length
-// plus a quarter.
-func compile(conf []float64, sources, extractors, items, values func() *Units, predicate func(i int) string) *Snapshot {
-	s := &Snapshot{
-		Obs:          make([]Observation, 0, len(conf)),
-		sourceIdx:    &internTable{},
-		extractorIdx: &internTable{},
-		itemIdx:      &internTable{},
-		valueIdx:     &internTable{},
-		predIdx:      &internTable{},
-	}
-	var es, ws, ds, vs []int32
-	var wg sync.WaitGroup
-	for _, resolve := range []func(){
-		func() {
-			es = extractors().resolve(&s.Extractors, s.extractorIdx, nil)
-			s.ObsOfExtractor = rows[int32](len(s.Extractors))
-		},
-		func() {
-			ws = sources().resolve(&s.Sources, s.sourceIdx, nil)
-			s.TriplesOfSource = rows[int32](len(s.Sources))
-		},
-		func() {
-			ds = items().resolve(&s.Items, s.itemIdx, func(i int) {
-				s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, predicate(i)))
-			})
-			s.TriplesOfItem, s.ItemValues = rows[int32](len(s.Items)), rows[int](len(s.Items))
-		},
-		func() { vs = values().resolve(&s.Values, s.valueIdx, nil) },
-	} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resolve()
-		}()
-	}
-	wg.Wait()
-
-	ap := newAppender(s, Delta{}, false)
-	ap.compile = true
-	ap.appendCells(conf, es, ws, ds, vs, nil, nil)
-	return s
 }
 
 // rows returns a table of n empty rows, with room for a quarter more.

@@ -78,10 +78,8 @@ func effectiveConf(c float64) float64 {
 	return c
 }
 
-// ItemKey returns the data-item identity (subject, predicate) of the record.
-func (r Record) ItemKey() string { return r.Subject + "\x1f" + r.Predicate }
-
-// SplitItemKey splits an ItemKey into its subject and predicate; a key
+// SplitItemKey splits a data item's key, its subject and predicate joined
+// with "\x1f", into its subject and predicate; a key
 // without the separator is all subject.
 func SplitItemKey(key string) (subject, predicate string) {
 	subject, predicate, _ = strings.Cut(key, "\x1f")
@@ -93,44 +91,27 @@ func (r Record) TripleKey() string {
 	return r.Subject + "\x1f" + r.Predicate + "\x1f" + r.Object
 }
 
-// SourceKeyFunc maps a record to the label of the source unit it belongs to
-// under some granularity (e.g. website-only, or website|predicate|page).
-type SourceKeyFunc func(Record) string
-
-// ExtractorKeyFunc maps a record to the label of the extractor unit it
-// belongs to under some granularity.
-type ExtractorKeyFunc func(Record) string
-
 // The paper's source feature vector is ⟨website, predicate, webpage⟩ ordered
 // most-general-first (§4); the extractor vector is ⟨extractor, pattern,
-// predicate, website⟩. These helpers build the standard key functions.
-
-// SourceKeyWebsite groups records by website only (coarsest source).
-func SourceKeyWebsite(r Record) string { return r.Website }
-
-// SourceKeyFinest groups by ⟨website, predicate, webpage⟩, the finest source
-// granularity used in the paper's experiments (§5.1.2).
-func SourceKeyFinest(r Record) string {
-	return r.Website + "\x1f" + r.Predicate + "\x1f" + r.Page
-}
-
-// SourceKeyPage groups by webpage (used when treating each URL as a source).
-func SourceKeyPage(r Record) string { return r.Page }
-
-// ExtractorKeyName groups by extractor system only (coarsest).
-func ExtractorKeyName(r Record) string { return r.Extractor }
-
-// ExtractorKeyFinest groups by ⟨extractor, pattern, predicate, website⟩, the
-// finest extractor granularity used in the paper's experiments.
-func ExtractorKeyFinest(r Record) string {
-	return r.Extractor + "\x1f" + r.Pattern + "\x1f" + r.Predicate + "\x1f" + r.Website
-}
-
-// ProvenanceKey groups by the single-layer "provenance" 4-tuple
-// (extractor, website, predicate, pattern) of §5.1.2.
-func ProvenanceKey(r Record) string {
-	return r.Extractor + "\x1f" + r.Website + "\x1f" + r.Predicate + "\x1f" + r.Pattern
-}
+// predicate, website⟩. The standard granularities are field groupings over
+// them.
+var (
+	// SourceKeyWebsite groups records by website only (coarsest source).
+	SourceKeyWebsite = Grouping{Fields: []Field{fieldWebsite}}
+	// SourceKeyPage groups by webpage (each URL a source).
+	SourceKeyPage = Grouping{Fields: []Field{fieldPage}}
+	// SourceKeyFinest groups by ⟨website, predicate, webpage⟩, the finest
+	// source granularity used in the paper's experiments (§5.1.2).
+	SourceKeyFinest = Grouping{Fields: []Field{fieldWebsite, fieldPredicate, fieldPage}}
+	// ExtractorKeyName groups by extractor system only (coarsest).
+	ExtractorKeyName = Grouping{Fields: []Field{fieldExtractor}}
+	// ExtractorKeyFinest groups by ⟨extractor, pattern, predicate, website⟩,
+	// the finest extractor granularity used in the paper's experiments.
+	ExtractorKeyFinest = Grouping{Fields: []Field{fieldExtractor, fieldPattern, fieldPredicate, fieldWebsite}}
+	// ProvenanceKey groups by the single-layer "provenance" 4-tuple
+	// (extractor, website, predicate, pattern) of §5.1.2.
+	ProvenanceKey = Grouping{Fields: []Field{fieldExtractor, fieldWebsite, fieldPredicate, fieldPattern}}
+)
 
 // ProvenanceWebsite returns the website of a ProvenanceKey label; a label
 // without the separator is returned whole.
@@ -170,8 +151,8 @@ func (d *Dataset) Add(r Record) {
 }
 
 // MarkProvided records ground truth that page (on website) truly provides
-// the triple. pageSourceKey must agree with the SourceKeyFunc later used to
-// compile the dataset; we store it keyed by the finest key and re-derive.
+// the triple, keyed by ProvidedKey whatever granularity the dataset is later
+// compiled at.
 func (d *Dataset) MarkProvided(website, page, subject, predicate, object string) {
 	if d.Provided == nil {
 		d.Provided = make(map[string]bool)
@@ -239,12 +220,11 @@ type Snapshot struct {
 	valueIdx     *internTable
 	predIdx      *internTable
 
-	// copt records the granularity the snapshot was compiled at, so Extend
-	// can keep applying it. keyless marks snapshots no key function
-	// reproduces, which cannot extend: those built from positional label
-	// overrides (parallel to the original record slice only) or from a Table.
-	copt    CompileOptions
-	keyless bool
+	// sourceKey and extractorKey are the field groupings the snapshot was
+	// built on, which ExtendTable goes on applying to new rows. A snapshot
+	// built on Units keeps neither and cannot extend: units assign the
+	// records built, and are no rule for new ones.
+	sourceKey, extractorKey Grouping
 
 	// delta, set only on snapshots built by Extend, records the parent table
 	// sizes, the in-place confidence raises and the grown value rows — all
@@ -289,55 +269,34 @@ type TripleRef struct {
 	W, D, V int32
 }
 
-// CompileOptions selects the granularity for Compile.
+// CompileOptions selects the granularity for Dataset.Compile.
 type CompileOptions struct {
-	SourceKey    SourceKeyFunc
-	ExtractorKey ExtractorKeyFunc
+	SourceKey    Grouping
+	ExtractorKey Grouping
 
-	// SourceLabels / ExtractorLabels, when non-nil, override the key
-	// functions with a precomputed per-record label (parallel to
-	// Dataset.Records). The granularity package produces these: split
-	// assignments are random partitions, not pure functions of the record.
-	// Snapshots compiled with label overrides cannot Extend.
+	// SourceLabels / ExtractorLabels, when non-nil, give each record's unit
+	// label in place of the grouping (parallel to Dataset.Records), as Units.
+	// Snapshots compiled with them cannot Extend.
 	SourceLabels    []string
 	ExtractorLabels []string
 }
 
-// Compile builds a Snapshot from the dataset at the requested granularity.
-// Duplicate (e,w,d,v) cells are merged keeping the maximum confidence.
-// Defaults: finest source and extractor granularity per §5.1.2.
-//
-// It is Table.Compile's build, each record's units the labels its key
-// functions, positional labels, item key and object give it.
+// Compile builds a Snapshot from the dataset's records: Table.Compile of a
+// table of them, each grouping defaulting to the finest (§5.1.2), and
+// positional labels, where given, turned into Units.
 func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
-	if opt.SourceKey == nil {
-		opt.SourceKey = SourceKeyFinest
-	}
-	if opt.ExtractorKey == nil {
-		opt.ExtractorKey = ExtractorKeyFinest
-	}
-	recs := d.Records
-	units := func(label func(i int) string) func() *Units {
-		return func() *Units { return UnitsOf(len(recs), label) }
-	}
-	// A positional label, where given, is the unit; the key function is then
-	// never called.
-	unit := func(labels []string, key func(Record) string) func(i int) string {
-		if labels != nil {
-			return func(i int) string { return labels[i] }
+	t := TableOf(d.Records)
+	grouping := func(labels []string, g, finest Grouping) Grouping {
+		switch {
+		case labels != nil:
+			return Grouping{Units: unitsOf(len(labels), func(i int) string { return labels[i] })}
+		case g.Fields == nil && g.Units == nil:
+			return finest
 		}
-		return func(i int) string { return key(recs[i]) }
+		return g
 	}
-	conf := make([]float64, len(recs))
-	for i := range recs {
-		conf[i] = recs[i].Confidence
-	}
-	s := compile(conf, units(unit(opt.SourceLabels, opt.SourceKey)), units(unit(opt.ExtractorLabels, opt.ExtractorKey)),
-		units(func(i int) string { return recs[i].ItemKey() }), units(func(i int) string { return recs[i].Object }),
-		func(i int) string { return recs[i].Predicate })
-	s.copt = CompileOptions{SourceKey: opt.SourceKey, ExtractorKey: opt.ExtractorKey}
-	s.keyless = opt.SourceLabels != nil || opt.ExtractorLabels != nil
-	return s
+	return t.Compile(grouping(opt.SourceLabels, opt.SourceKey, SourceKeyFinest),
+		grouping(opt.ExtractorLabels, opt.ExtractorKey, ExtractorKeyFinest))
 }
 
 // The intern methods resolve a record of an Extend to its unit's dense id, on
@@ -360,10 +319,10 @@ func (s *Snapshot) internSource(key string) int32 {
 	return w
 }
 
-func (s *Snapshot) internItem(r *Record) int32 {
-	d := s.itemIdx.intern(&s.Items, r.ItemKey())
+func (s *Snapshot) internItem(key, predicate string) int32 {
+	d := s.itemIdx.intern(&s.Items, key)
 	if int(d) == len(s.PredOfItem) {
-		s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, r.Predicate))
+		s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, predicate))
 		s.TriplesOfItem = append(s.TriplesOfItem, nil)
 		s.ItemValues = append(s.ItemValues, nil)
 	}

@@ -29,33 +29,44 @@ func TestRecordConf(t *testing.T) {
 	}
 }
 
+// TestKeyFunctions: the label each standard grouping gives a record, which a
+// table row of the record gets too; a Units grouping labels no record.
 func TestKeyFunctions(t *testing.T) {
 	r := rec("E1", "wiki.com", "wiki.com/p1", "Obama", "nationality", "USA", 1)
-	if SourceKeyWebsite(r) != "wiki.com" {
+	tab := TableOf([]Record{r})
+	for _, g := range []Grouping{SourceKeyWebsite, SourceKeyPage, SourceKeyFinest, ExtractorKeyName, ExtractorKeyFinest, ProvenanceKey} {
+		if got, want := g.row(tab, 0), g.Label(r); got != want {
+			t.Errorf("%v: row label %q, record label %q", g.Fields, got, want)
+		}
+	}
+	if l := (Grouping{Units: &Units{}}).Label(r); l != "" {
+		t.Errorf("a Units grouping labels a record %q", l)
+	}
+	if SourceKeyWebsite.Label(r) != "wiki.com" {
 		t.Error("SourceKeyWebsite")
 	}
-	if SourceKeyFinest(r) != "wiki.com\x1fnationality\x1fwiki.com/p1" {
+	if SourceKeyFinest.Label(r) != "wiki.com\x1fnationality\x1fwiki.com/p1" {
 		t.Error("SourceKeyFinest")
 	}
-	if SourceKeyPage(r) != "wiki.com/p1" {
+	if SourceKeyPage.Label(r) != "wiki.com/p1" {
 		t.Error("SourceKeyPage")
 	}
-	if ExtractorKeyName(r) != "E1" {
+	if ExtractorKeyName.Label(r) != "E1" {
 		t.Error("ExtractorKeyName")
 	}
-	if ExtractorKeyFinest(r) != "E1\x1fpat0\x1fnationality\x1fwiki.com" {
+	if ExtractorKeyFinest.Label(r) != "E1\x1fpat0\x1fnationality\x1fwiki.com" {
 		t.Error("ExtractorKeyFinest")
 	}
-	if ProvenanceKey(r) != "E1\x1fwiki.com\x1fnationality\x1fpat0" {
+	if ProvenanceKey.Label(r) != "E1\x1fwiki.com\x1fnationality\x1fpat0" {
 		t.Error("ProvenanceKey")
 	}
-	if subj, pred := SplitItemKey(r.ItemKey()); subj != "Obama" || pred != "nationality" {
+	if subj, pred := SplitItemKey(itemKey.Label(r)); subj != "Obama" || pred != "nationality" {
 		t.Errorf("SplitItemKey(ItemKey) = %q, %q", subj, pred)
 	}
 	if subj, pred := SplitItemKey("Obama"); subj != "Obama" || pred != "" {
 		t.Errorf("SplitItemKey without a separator = %q, %q", subj, pred)
 	}
-	if site := ProvenanceWebsite(ProvenanceKey(r)); site != "wiki.com" {
+	if site := ProvenanceWebsite(ProvenanceKey.Label(r)); site != "wiki.com" {
 		t.Errorf("ProvenanceWebsite(ProvenanceKey) = %q", site)
 	}
 	if site := ProvenanceWebsite("wiki.com"); site != "wiki.com" {
@@ -134,7 +145,7 @@ func TestGranularityChangesSourceCount(t *testing.T) {
 	if len(coarse.Sources) != 1 {
 		t.Errorf("website granularity sources = %d, want 1", len(coarse.Sources))
 	}
-	mid := d.Compile(CompileOptions{SourceKey: func(r Record) string { return r.Website + "\x1f" + r.Predicate }})
+	mid := d.Compile(CompileOptions{SourceKey: Grouping{Fields: []Field{fieldWebsite, fieldPredicate}}})
 	if len(mid.Sources) != 2 {
 		t.Errorf("website|predicate sources = %d, want 2", len(mid.Sources))
 	}

@@ -509,7 +509,7 @@ func EstimateKBT(ds *Dataset, opt Options) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("kbt: unknown granularity %d", opt.Granularity)
 		}
-		snap = ds.t.CompileKeys(triple.CompileOptions{SourceKey: srcKey, ExtractorKey: extKey})
+		snap = ds.t.Compile(srcKey, extKey)
 	}
 
 	mopt := coreOptions(opt.DomainSize, opt.Iterations, opt.MinSupport,
@@ -694,7 +694,7 @@ func FuseSingleLayer(ds *Dataset, opt FusionOptions) (*FusionResult, error) {
 	if err := ds.check(); err != nil {
 		return nil, err
 	}
-	snap := ds.t.CompileKeys(triple.CompileOptions{SourceKey: triple.ProvenanceKey, ExtractorKey: triple.ExtractorKeyName})
+	snap := ds.t.Compile(triple.ProvenanceKey, triple.ExtractorKeyName)
 	fopt := fusion.DefaultOptions()
 	if opt.Model == PopAccu {
 		fopt.Model = fusion.PopAccu

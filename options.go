@@ -15,11 +15,10 @@ import (
 // through it, so a new knob is mapped once, here, instead of field-by-field
 // in each layer.
 
-// granularityKeys maps a SourceGranularity onto the snapshot key functions,
-// for the engine and EstimateKBT alike; a table build groups a standard key
-// function on the fields it joins. Auto is not a pure function of the record
-// and reports ok=false.
-func granularityKeys(g SourceGranularity) (triple.SourceKeyFunc, triple.ExtractorKeyFunc, bool) {
+// granularityKeys maps a SourceGranularity onto the source and extractor
+// field groupings, for the engine and EstimateKBT alike. Auto is not a
+// function of the record and reports ok=false.
+func granularityKeys(g SourceGranularity) (src, ext triple.Grouping, ok bool) {
 	switch g {
 	case GranularityWebsite:
 		return triple.SourceKeyWebsite, triple.ExtractorKeyName, true
@@ -28,7 +27,7 @@ func granularityKeys(g SourceGranularity) (triple.SourceKeyFunc, triple.Extracto
 	case GranularityFinest:
 		return triple.SourceKeyFinest, triple.ExtractorKeyFinest, true
 	}
-	return nil, nil, false
+	return triple.Grouping{}, triple.Grouping{}, false
 }
 
 // coreOptions maps the shared public model knobs onto core.Options — the

@@ -34,10 +34,10 @@ func TestEngineOptionsRoundTrip(t *testing.T) {
 	if eopt.Shards != 13 {
 		t.Errorf("Shards: got %d, want 13", eopt.Shards)
 	}
-	if got, want := reflect.ValueOf(eopt.SourceKey).Pointer(), reflect.ValueOf(triple.SourceKeyPage).Pointer(); got != want {
+	if !reflect.DeepEqual(eopt.SourceKey, triple.SourceKeyPage) {
 		t.Error("SourceKey: GranularityPage did not map to triple.SourceKeyPage")
 	}
-	if got, want := reflect.ValueOf(eopt.ExtractorKey).Pointer(), reflect.ValueOf(triple.ExtractorKeyName).Pointer(); got != want {
+	if !reflect.DeepEqual(eopt.ExtractorKey, triple.ExtractorKeyName) {
 		t.Error("ExtractorKey: GranularityPage did not map to triple.ExtractorKeyName")
 	}
 	if eopt.Core.Workers != 3 {
