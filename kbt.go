@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -239,6 +240,8 @@ type Result struct {
 	srcReady atomic.Bool
 	triOnce  sync.Once
 	triView  []TripleVerdict
+	topOnce  sync.Once
+	topView  []TripleVerdict
 	extOnce  sync.Once
 	extView  []ExtractorQuality
 
@@ -421,12 +424,16 @@ func (r *Result) Triples() []TripleVerdict {
 // TopTriples returns the k most probable covered triples (ties broken by
 // subject, predicate, object) by partial selection — O(n + k log k), never
 // sorting or materializing the full triple list. k <= 0 returns every
-// covered triple in that order.
+// covered triple in that order, a view computed once per Result and shared
+// like Triples — read-only.
 func (r *Result) TopTriples(k int) []TripleVerdict {
 	if k <= 0 {
-		out := append([]TripleVerdict(nil), r.Triples()...)
-		sort.Slice(out, func(i, j int) bool { return topTriLess(out[i], out[j]) })
-		return out
+		r.topOnce.Do(func() {
+			out := slices.Clone(r.Triples())
+			sort.Slice(out, func(i, j int) bool { return topTriLess(out[i], out[j]) })
+			r.topView = out
+		})
+		return r.topView
 	}
 	top := newTopK[TripleVerdict](k, topTriLess)
 	r.forEachVerdict(top.offer)

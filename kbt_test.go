@@ -215,6 +215,27 @@ func TestFusionTopTriplesMatchesSortedPrefix(t *testing.T) {
 	}
 }
 
+// TestTopTriplesAllIsMemoed: Result.TopTriples(0), every covered triple most
+// probable first, is sorted once per Result, as Sources and Triples are: a
+// second call returns the same view and allocates nothing.
+func TestTopTriplesAllIsMemoed(t *testing.T) {
+	res, err := EstimateKBT(obamaDataset(), websiteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := res.TopTriples(0)
+	if len(first) < 2 {
+		t.Fatalf("%d covered triples, want several", len(first))
+	}
+	var again []TripleVerdict
+	if n := testing.AllocsPerRun(10, func() { again = res.TopTriples(0) }); n != 0 {
+		t.Errorf("a repeated TopTriples(0) allocates %v times", n)
+	}
+	if &again[0] != &first[0] || len(again) != len(first) {
+		t.Error("a repeated TopTriples(0) returns another array than the first call")
+	}
+}
+
 func TestTriplesEnumeration(t *testing.T) {
 	res, err := EstimateKBT(obamaDataset(), websiteOptions())
 	if err != nil {
