@@ -79,8 +79,7 @@ func effectiveConf(c float64) float64 {
 }
 
 // SplitItemKey splits a data item's key, its subject and predicate joined
-// with "\x1f", into its subject and predicate; a key
-// without the separator is all subject.
+// with "\x1f", into the two; a key without the separator is all subject.
 func SplitItemKey(key string) (subject, predicate string) {
 	subject, predicate, _ = strings.Cut(key, "\x1f")
 	return subject, predicate
