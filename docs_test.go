@@ -21,7 +21,12 @@ var (
 	codeSpanRE = regexp.MustCompile("`[^`\n]+`")
 	linkTargRE = regexp.MustCompile(`\]\(([^)#\s]+)\)`)
 	fencedRE   = regexp.MustCompile("(?s)```.*?```")
+	testFlagRE = regexp.MustCompile(`-(run|fuzz) +('[^']*'|\S+)`)
 )
+
+// ciFile is the CI workflow whose go test patterns TestDocsNameWhatExists
+// holds to the declared tests.
+const ciFile = ".github/workflows/ci.yml"
 
 // treeFiles lists every file of the tree, slash-separated, outside .git and
 // the benchmark's scratch directory.
@@ -49,9 +54,13 @@ func treeFiles(t *testing.T) (files []string) {
 // TestDocsNameWhatExists fails when README.md, ARCHITECTURE.md, the verify
 // skill or a Go comment names a test, benchmark or fuzz target, a Markdown
 // file or a Go file that is not in the tree: prose that outlives the code it
-// cites. In Markdown only code spans and link targets are read; in Go files
-// every comment is. bench/ is its own module with its own documents; its
-// files count as existing but are not read.
+// cites. It fails too when an alternative of a -run or -fuzz pattern in the
+// CI workflow matches no declared test, benchmark or fuzz target, so a
+// renamed test cannot leave a CI step running nothing; a -run beside -bench
+// or -fuzz, which is there to select no test, is not read. In Markdown only
+// code spans and link targets are read; in Go files every comment is. bench/
+// is its own module with its own documents; its files count as existing but
+// are not read.
 func TestDocsNameWhatExists(t *testing.T) {
 	files := treeFiles(t)
 	funcs := map[string]bool{} // Test/Benchmark/Fuzz functions declared anywhere
@@ -122,6 +131,36 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, m := range linkTargRE.FindAllStringSubmatch(text, -1) {
 			if !strings.Contains(m[1], "://") && !exists(m[1]) {
 				t.Errorf("%s: links to %s, which is not in the tree", doc, m[1])
+			}
+		}
+	}
+
+	ci, err := os.ReadFile(ciFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(ci), "\n") {
+		if !strings.Contains(line, "go test") {
+			continue
+		}
+		skipRun := strings.Contains(line, "-bench") || strings.Contains(line, "-fuzz")
+		for _, m := range testFlagRE.FindAllStringSubmatch(line, -1) {
+			if m[1] == "run" && skipRun {
+				continue
+			}
+			for _, alt := range strings.Split(strings.Trim(m[2], "'"), "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: -%s alternative %q: %v", ciFile, m[1], alt, err)
+					continue
+				}
+				matched := false
+				for name := range funcs {
+					matched = matched || testNameRE.MatchString(name) && re.MatchString(name)
+				}
+				if !matched {
+					t.Errorf("%s: -%s alternative %q matches no declared test, benchmark or fuzz target", ciFile, m[1], alt)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package kbt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"kbt/internal/engine"
-	"kbt/internal/triple"
 	"kbt/internal/wal"
 )
 
@@ -32,13 +32,6 @@ type DurableOptions struct {
 	// refreshes the pending records in first (checkpoints sit on refresh
 	// boundaries), so a pure ingest stream still gets bounded log growth.
 	CheckpointBytes int64
-	// KeyRetention bounds how many idempotency keys the engine retains, in
-	// memory and across checkpoints: once exceeded, the oldest keys are
-	// evicted. The bound is the client retry window — a resend of an evicted
-	// key is applied as a new batch — so size it to cover the slowest
-	// plausible retry. Zero means the default 64Ki; negative retains every
-	// key forever (unbounded memory and checkpoint growth).
-	KeyRetention int
 	// OnHealthChange, when non-nil, is invoked on every health-state
 	// transition with the triggering error (nil on a heal). It is called
 	// synchronously under the engine's mutator lock: keep it fast and never
@@ -59,6 +52,9 @@ type DurableOptions struct {
 	// compactAfterBatches overrides defaultCompactAfterBatches; negative
 	// never compacts.
 	compactAfterBatches int
+	// keyRetention overrides defaultKeyRetention, the number of idempotency
+	// keys retained.
+	keyRetention int
 	// probeBackoff is the initial delay before a degraded engine re-probes
 	// the disk (zero: 500ms); each failed probe doubles it, capped at
 	// probeMaxBackoff (zero: 30s).
@@ -71,14 +67,6 @@ func (o DurableOptions) clock() func() time.Time {
 		return o.now
 	}
 	return time.Now
-}
-
-// keyRetention resolves the idempotency-key retention bound.
-func (o DurableOptions) keyRetention() int {
-	if o.KeyRetention == 0 {
-		return defaultKeyRetention
-	}
-	return o.KeyRetention
 }
 
 // probeBounds resolves the probe-backoff bounds.
@@ -190,11 +178,13 @@ type HealthStatus struct {
 // A Checkpoint is incremental: it appends the operations performed since the
 // last checkpoint as a delta to the on-disk chain and truncates the covered
 // log segments — O(since-last-checkpoint), and the live engine keeps its
-// warm carried-over EM state untouched. Recovery replays the chain's op
-// sequence through the same deterministic warm machinery the live engine
+// warm carried-over EM state untouched. An op names its batch as a row range
+// of the internal engine's table, the one place a record lives once it is
+// acknowledged, and is encoded from those rows. Recovery replays the chain's
+// op sequence through the same deterministic warm machinery the live engine
 // ran, which is what keeps the bit-identity contract without a cold rebuild.
 // Once the chain accumulates defaultCompactAfterBatches ingest ops it is
-// compacted: a single base holding the full record prefix replaces it, and
+// compacted: a single base holding every row of the table replaces it, and
 // the live engine is rebuilt in place on that image (engine.RefreshCold) —
 // a cold recompile of the prefix, the exact state recovery would rebuild —
 // which may move the published estimates: a cold run need not settle where
@@ -211,9 +201,10 @@ type DurableEngine struct {
 	logged    int64 // bytes of the log entries past the checkpoint watermark
 
 	// opsSince records the state transitions applied since the last
-	// checkpoint — exactly what the next delta must carry. Rejected batches
+	// checkpoint — exactly what the next delta must carry, a batch as its
+	// rows of the engine's table, which the write attaches. Rejected batches
 	// and impossible markers contribute no state and are not recorded;
-	// newBatches counts its ops that carry records.
+	// newBatches counts its batch ops.
 	opsSince   []wal.CheckpointOp
 	newBatches int
 	// hasChain / ckWatermark / chainBatches mirror the published chain:
@@ -238,11 +229,11 @@ type DurableEngine struct {
 	// never), the base of HealthStatus.CheckpointAge.
 	lastCkpt time.Time
 
-	// keys is the idempotency-key dedup set: the most recent KeyRetention
-	// keys whose batches were durably applied, live or via recovery replay.
-	// A resend of a retained key is acknowledged without re-ingesting;
-	// compaction carries the retained set into the rebuilt base so it
-	// survives the chain being replaced.
+	// keys is the idempotency-key dedup set: the most recent 64Ki keys
+	// (defaultKeyRetention) whose batches were durably applied, live or via
+	// recovery replay. A resend of a retained key is acknowledged without
+	// re-ingesting; compaction carries the retained set into the rebuilt base
+	// so it survives the chain being replaced.
 	keys keyring
 
 	closed bool
@@ -321,11 +312,9 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 		log.Close()
 		return nil, err
 	}
-	if dopt.compactAfterBatches == 0 {
-		dopt.compactAfterBatches = defaultCompactAfterBatches
-	}
+	dopt.compactAfterBatches = cmp.Or(dopt.compactAfterBatches, defaultCompactAfterBatches)
 	d := &DurableEngine{view: view{eng: eng, opt: opt}, dopt: dopt, dir: dir, log: log}
-	d.keys.cap = dopt.keyRetention()
+	d.keys.cap = cmp.Or(dopt.keyRetention, defaultKeyRetention)
 	var from uint64
 	if ok {
 		if err := checkFingerprint(ck.Fingerprint, fp); err != nil {
@@ -380,7 +369,7 @@ func OpenDurable(dir string, opt EngineOptions, dopt DurableOptions) (*DurableEn
 			if err := eng.Ingest(ent.Records...); err != nil {
 				return nil
 			}
-			d.noteBatch(ent.Records, ent.Key)
+			d.noteBatch(len(ent.Records), ent.Key)
 			d.keys.add(ent.Key)
 		case wal.EntryRefresh:
 			if eng.Len() == 0 {
@@ -435,9 +424,11 @@ func (d *DurableEngine) unlock() {
 
 // noteBatch and noteRefresh record an applied state transition for the next
 // delta checkpoint. Consecutive refreshes fold into the trailing op, so an
-// op is "one ingest batch, then N refreshes" (or N refreshes alone).
-func (d *DurableEngine) noteBatch(recs []triple.Record, key string) {
-	d.opsSince = append(d.opsSince, wal.CheckpointOp{Records: recs, Key: key})
+// op is "one ingest batch, then N refreshes" (or N refreshes alone). The n
+// records of a batch just taken in are the engine table's last n rows.
+func (d *DurableEngine) noteBatch(n int, key string) {
+	to := d.eng.Len()
+	d.opsSince = append(d.opsSince, wal.CheckpointOp{From: to - n, To: to, Key: key})
 	d.newBatches++
 }
 
@@ -621,8 +612,8 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 	if d.keys.has(key) {
 		// Exactly-once: the earlier send was durably applied, so the resend
 		// is acked without touching the (possibly faulty) disk. Only the
-		// most recent KeyRetention keys are retained — an older resend is
-		// past the documented retry window and applies as a new batch.
+		// most recent 64Ki keys are retained — an older resend is past the
+		// documented retry window and applies as a new batch.
 		return nil
 	}
 	if err := d.gateLocked(); err != nil {
@@ -647,7 +638,7 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 		// recorded, so a resend earns the same rejection.
 		return err
 	}
-	d.noteBatch(recs, key)
+	d.noteBatch(len(recs), key)
 	d.keys.add(key)
 	if d.cadenceDue() {
 		if err := d.checkpointLocked(); err != nil {
@@ -774,6 +765,11 @@ func (d *DurableEngine) checkpointLocked() error {
 		return nil // nothing happened since the last checkpoint
 	}
 	fp := engineFingerprint(d.opt)
+	// The ops name rows of the engine's table, which holds every record.
+	tab := d.eng.Table()
+	for i := range d.opsSince {
+		d.opsSince[i].Table = tab
+	}
 	switch compactAfter := d.dopt.compactAfterBatches; {
 	case compactAfter > 0 && d.chainBatches+d.newBatches >= compactAfter:
 		// Compact: one cold base replaces the chain, and the live engine
@@ -782,7 +778,7 @@ func (d *DurableEngine) checkpointLocked() error {
 		// recovered state march in lockstep through the same warm refreshes
 		// again. The engine holds records here: both batch counters count
 		// only applied ops that carry records, and compactAfter is at least 1.
-		ops := []wal.CheckpointOp{{Table: d.eng.Table(), Refreshes: 1}}
+		ops := []wal.CheckpointOp{{Table: tab, To: tab.Len(), Refreshes: 1}}
 		// Folding the chain into one record op loses the per-op keys, so the
 		// retained dedup set rides the base explicitly as key-only ops —
 		// recovery re-seeds from op.Key and a key-only op contributes no

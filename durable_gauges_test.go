@@ -111,7 +111,9 @@ const maxDurableLiveBytesPerRecord = 430
 // compaction every 20 batches, which writes its base from the engine's table
 // and re-estimates it cold. Once the last compaction has run, no batch
 // string from before it is reachable, and the live heap grows by less than
-// maxDurableLiveBytesPerRecord per record.
+// maxDurableLiveBytesPerRecord per record. A second stream runs with no
+// cadence and compaction off, so no checkpoint ever writes the ops it notes:
+// each batch's string is unreachable once its refresh has returned.
 func TestDurableRetainsNoBatchText(t *testing.T) {
 	p := websim.DefaultParams().Scale(0.5)
 	p.Seed = 1
@@ -156,6 +158,25 @@ func TestDurableRetainsNoBatchText(t *testing.T) {
 	t.Logf("%d records, %d compactions: %.0f bytes live per record", len(stream), compactions, perRecord)
 	if perRecord > maxDurableLiveBytesPerRecord {
 		t.Errorf("the durable engine keeps %.0f bytes live per ingested record, want at most %d", perRecord, maxDurableLiveBytesPerRecord)
+	}
+
+	nd, err := OpenDurable(t.TempDir(), opt, DurableOptions{compactAfterBatches: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	for lo := 0; lo < min(len(stream), 20*batch); lo += batch {
+		xs, arena := arenaExtractions(stream[lo:min(lo+batch, len(stream))])
+		if err := nd.Ingest(xs...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nd.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		if arena.Value() != nil {
+			t.Fatalf("batch %d's string is still reachable after its refresh, with no checkpoint since", lo/batch)
+		}
 	}
 	runtime.KeepAlive(stream)
 }

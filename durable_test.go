@@ -1894,13 +1894,13 @@ func TestDurableReadsDoNotWaitForWriter(t *testing.T) {
 }
 
 // TestDurableKeyRetention: the dedup set keeps only the most recent
-// KeyRetention keys — an evicted key's resend applies as a new batch (the
+// keyRetention keys — an evicted key's resend applies as a new batch (the
 // documented retry window), and recovery replay reproduces the same bounded
 // set, so live and recovered engines agree on which resends dedup.
 func TestDurableKeyRetention(t *testing.T) {
 	opt := durableTestOptions()
 	dir := t.TempDir()
-	dopt := DurableOptions{KeyRetention: 2}
+	dopt := DurableOptions{keyRetention: 2}
 	d, err := OpenDurable(dir, opt, dopt)
 	if err != nil {
 		t.Fatal(err)

@@ -4,14 +4,14 @@
 // internal/core kernels, one core.EM.Iterate call per EM iteration; the
 // engine decides which rows they run on.
 //
-// The engine keeps the snapshot, EM state and posteriors of the previous
-// estimation, and runs each Refresh after an Ingest as five phases over one
-// refreshRun:
+// The engine keeps each acknowledged record as a row of one triple.Table and
+// the snapshot, EM state and posteriors of the previous estimation, and runs
+// each Refresh after an Ingest as five phases over one refreshRun:
 //
-//   - begin moves the records ingested since into the corpus table and
-//     captures the table and the first row this refresh adds under the state
-//     lock; with nothing pending it carries each converged layer and resumes
-//     the other, serving the cached generation when both converged;
+//   - begin captures a clip of the table (triple.Table.Clip) and the first row
+//     this refresh adds under the state lock; with nothing pending it carries
+//     each converged layer and resumes the other, serving the cached
+//     generation when both converged;
 //   - buildState extends the previous snapshot (triple.Snapshot.ExtendTable),
 //     EM state (core.NewEMFrom) and posterior arrays append-only with the
 //     pending rows — bit-identical to recompiling the corpus, at a cost
@@ -223,8 +223,8 @@ type Times struct {
 
 // Engine accumulates extraction records and re-estimates KBT incrementally.
 // All methods are safe for concurrent use; Ingest never blocks on a running
-// Refresh (the estimation runs outside the state lock), so a live feed can
-// keep streaming while the model re-estimates.
+// Refresh (the estimation runs outside the state lock, on a clip of the
+// table), so a live feed can keep streaming while the model re-estimates.
 type Engine struct {
 	// refreshMu serialises Refresh calls; mu guards the fields below and
 	// is held only briefly (Ingest, accessors, Refresh's begin and publish
@@ -233,16 +233,13 @@ type Engine struct {
 	mu        sync.Mutex
 	opt       Options
 
-	// tab holds as id columns (triple.Table) every record a refresh has taken
-	// in: its first estimated rows, which modelState covers, and the rows of a
-	// refresh that has not published, running or failed. pend holds, in order,
-	// the records ingested since the last refresh began. Ingest appends to
-	// pend and begin moves them all into tab, so a batch's records, and any
-	// text their strings are part of, live until the next refresh begins, and
-	// no longer: every label tab and the snapshots keep is a copy taken on
-	// first sight.
+	// tab holds as id columns (triple.Table) every record ingested, in order:
+	// its first estimated rows, which modelState covers, then the rows no
+	// refresh has published yet. Ingest appends to it, so no record of a batch,
+	// and no text its strings are part of, outlives the Ingest call: every
+	// label tab and the snapshots keep is a copy taken on first sight. A
+	// refresh reads a clip of it, which later appends leave alone.
 	tab       *triple.Table
-	pend      []triple.Record
 	estimated int
 
 	modelState // persisted across refreshes
@@ -308,8 +305,8 @@ func New(opt Options) *Engine {
 	return &Engine{opt: opt, tab: &triple.Table{}}
 }
 
-// Ingest validates and appends extraction records. The new evidence takes
-// effect at the next Refresh.
+// Ingest validates and appends extraction records to the engine's table. The
+// new evidence takes effect at the next Refresh.
 //
 // Validation happens here, not at Refresh: a malformed record (empty
 // identity fields, an out-of-range confidence, or a record the configured
@@ -322,7 +319,9 @@ func (e *Engine) Ingest(recs ...triple.Record) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.pend = append(e.pend, recs...)
+	for _, r := range recs {
+		e.tab.Add(r)
+	}
 	return nil
 }
 
@@ -358,14 +357,12 @@ func (e *Engine) validateRecord(r triple.Record) error {
 func (e *Engine) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.tab.Len() + len(e.pend)
+	return e.tab.Len()
 }
 
-// Table returns, in ingest order, the records every refresh so far has taken
-// in: all records ingested, when the last refresh published and nothing was
-// ingested since. The table is a clip (triple.Table.Clip), which later
-// refreshes do not change. The durable engine writes its compacted checkpoint
-// from it.
+// Table returns every record ingested so far, in ingest order, as a clip
+// (triple.Table.Clip) that later ingests do not change. The durable engine
+// writes its checkpoints from it.
 func (e *Engine) Table() *triple.Table {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -376,7 +373,7 @@ func (e *Engine) Table() *triple.Table {
 func (e *Engine) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.tab.Len() - e.estimated + len(e.pend)
+	return e.tab.Len() - e.estimated
 }
 
 // Last returns the most recent Refresh result, or nil before the first one.
@@ -408,8 +405,8 @@ type modelState struct {
 // The value lives in Engine.run under refreshMu, so it costs a refresh no
 // allocation.
 type refreshRun struct {
-	// begin: the inputs captured under the state lock. tab holds the corpus
-	// this refresh estimates, which no one writes until the refresh returns;
+	// begin: the inputs captured under the state lock. tab is the clip of the
+	// engine's table this refresh estimates, which later ingests append past;
 	// prev, the previous refresh's state (zero on a cold run), was built from
 	// its rows before from, and the rows from from on are the ones this
 	// refresh takes in (pending).
@@ -528,18 +525,14 @@ func (e *Engine) refresh(cold bool) (*Result, error) {
 func (e *Engine) begin(r *refreshRun, cold bool) (cached *Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.tab.Len()+len(e.pend) == 0 {
+	if e.tab.Len() == 0 {
 		return nil, errors.New("engine: empty dataset")
 	}
 	if cold {
 		e.modelState, e.fus = modelState{}, nil
 	}
-	for _, rec := range e.pend {
-		e.tab.Add(rec)
-	}
-	e.pend = nil
 	r.warm = e.snap != nil
-	r.tab, r.from = e.tab, e.estimated
+	r.tab, r.from = e.tab.Clip(), e.estimated
 	r.prev = e.modelState
 	r.fuseDone = !e.opt.Fusion
 	if !r.warm || r.pending() > 0 {

@@ -50,9 +50,10 @@ const (
 // ops are exactly the transitions the live engine applied.
 type CheckpointOp struct {
 	Records []triple.Record
-	// Table, when set, holds the op's records in place of Records, as id
-	// columns; it encodes as Records would, and a decoded op has Records.
+	// Table, when set, holds the op's records in place of Records: its rows
+	// From up to To. They encode as Records would; a decoded op has Records.
 	Table     *triple.Table
+	From, To  int
 	Refreshes int
 	// Key is the client idempotency key the batch carried, if any. Recovery
 	// re-seeds its dedup set from these, so a resend that races a restart is
@@ -104,7 +105,7 @@ func (ck *Checkpoint) Batches() int {
 // len is the number of records the op carries.
 func (op *CheckpointOp) len() int {
 	if op.Table != nil {
-		return op.Table.Len()
+		return op.To - op.From
 	}
 	return len(op.Records)
 }
@@ -112,7 +113,7 @@ func (op *CheckpointOp) len() int {
 // record returns the op's record j.
 func (op *CheckpointOp) record(j int) triple.Record {
 	if op.Table != nil {
-		return op.Table.Record(j)
+		return op.Table.Record(op.From + j)
 	}
 	return op.Records[j]
 }

@@ -526,3 +526,56 @@ func TestCheckpointOpKeyRoundTrip(t *testing.T) {
 		t.Fatalf("keyed checkpoint round trip mismatch: %+v", got)
 	}
 }
+
+// TestCheckpointRowRangeOpsEncodeAsRecords: ops that name rows [From,To) of
+// one table, as the durable engine's do, encode to the bytes of the same ops
+// given as Records, as a base and as a delta, and read back as those ops.
+func TestCheckpointRowRangeOpsEncodeAsRecords(t *testing.T) {
+	recs := make([]triple.Record, 9)
+	for i := range recs {
+		recs[i] = triple.Record{Extractor: fmt.Sprintf("E%d", i%2), Pattern: strings.Repeat("p", i%3),
+			Website: fmt.Sprintf("w%d.com", i%4), Page: fmt.Sprintf("w%d.com/%d", i%4, i),
+			Subject: fmt.Sprintf("s%d", i), Predicate: "q", Object: fmt.Sprintf("o%d", i%5), Confidence: float64(i) / 10}
+	}
+	tab := triple.TableOf(recs)
+	rows := []CheckpointOp{
+		{Table: tab, From: 2, To: 5, Refreshes: 1, Key: "idem-1"},
+		{Table: tab, Refreshes: 2},
+		{Table: tab, From: 5, To: 9},
+	}
+	want := []CheckpointOp{
+		{Records: recs[2:5], Refreshes: 1, Key: "idem-1"},
+		{Refreshes: 2},
+		{Records: recs[5:9]},
+	}
+	write := func(ops []CheckpointOp) (dir string, base, delta []byte) {
+		dir = t.TempDir()
+		if err := WriteCheckpointBase(nil, dir, &Checkpoint{Watermark: 10, Fingerprint: "fp", Ops: ops}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteCheckpointDelta(nil, dir, 10, &Checkpoint{Watermark: 20, Fingerprint: "fp", Ops: ops}); err != nil {
+			t.Fatal(err)
+		}
+		base, err := os.ReadFile(filepath.Join(dir, CheckpointFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err = os.ReadFile(filepath.Join(dir, deltaFileName(20)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, base, delta
+	}
+	dir, base, delta := write(rows)
+	_, wantBase, wantDelta := write(want)
+	if !bytes.Equal(base, wantBase) || !bytes.Equal(delta, wantDelta) {
+		t.Fatal("ops naming table rows encode to other bytes than the same ops as records")
+	}
+	got, ok, err := ReadCheckpoint(nil, dir)
+	if err != nil || !ok {
+		t.Fatalf("read back: ok=%v err=%v", ok, err)
+	}
+	if !reflect.DeepEqual(got.Ops, append(want, want...)) || got.Watermark != 20 {
+		t.Fatalf("row-range chain read back as %+v", got)
+	}
+}

@@ -1,17 +1,17 @@
 package kbt
 
-// defaultKeyRetention bounds the idempotency-key dedup set when no explicit
-// retention is configured: the most recent 64Ki keys are remembered. The
-// bound is the effective client retry window — a resend of a key evicted
-// from it is treated as a new batch — so it is deliberately generous; at
-// ~64-byte keys the default costs a few MiB of memory and checkpoint space.
+// defaultKeyRetention bounds the idempotency-key dedup set of both engines:
+// the most recent 64Ki keys are remembered. The bound is the effective client
+// retry window — a resend of a key evicted from it is treated as a new batch —
+// so it is deliberately generous; at ~64-byte keys it costs a few MiB of
+// memory and checkpoint space.
 const defaultKeyRetention = 64 * 1024
 
 // keyring is a bounded idempotency-key set with oldest-first eviction. It is
 // not safe for concurrent use; both engines guard it with their mutator lock.
-// The zero value is an unlimited ring; set cap before the first add.
+// Set cap before the first add.
 type keyring struct {
-	cap   int // > 0 bounds the set; <= 0 means unlimited
+	cap   int // the most keys retained
 	set   map[string]struct{}
 	order []string // insertion order, oldest first
 }
@@ -34,7 +34,7 @@ func (k *keyring) add(key string) {
 	}
 	k.set[key] = struct{}{}
 	k.order = append(k.order, key)
-	for k.cap > 0 && len(k.order) > k.cap {
+	for len(k.order) > k.cap {
 		delete(k.set, k.order[0])
 		// Sliding the window leaves the evicted prefix in the backing array
 		// until append next reallocates, which bounds the slack at one

@@ -1,7 +1,6 @@
 package kbt
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -33,14 +32,5 @@ func TestKeyring(t *testing.T) {
 	k.add("a")
 	if !reflect.DeepEqual(k.keys(), []string{"c", "d", "a"}) {
 		t.Fatalf("re-add of evicted key: %v", k.keys())
-	}
-
-	// cap <= 0 never evicts.
-	var unbounded keyring
-	for i := 0; i < 1000; i++ {
-		unbounded.add(fmt.Sprintf("k-%d", i))
-	}
-	if unbounded.len() != 1000 || !unbounded.has("k-0") {
-		t.Fatalf("unbounded ring evicted: len=%d", unbounded.len())
 	}
 }
