@@ -3,6 +3,7 @@ package kbt
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -235,4 +236,119 @@ func TestDurableReadersAcrossCompaction(t *testing.T) {
 	if err := read(); err != nil {
 		t.Fatalf("after the last compaction: %v", err)
 	}
+}
+
+// TestLabelLookupsBesideIngest: readers resolve labels on published
+// generations — SourceByName, Fused and TopTriples(0), which read every label
+// from the table a generation's snapshot clipped — while Ingest appends
+// batches that bring a new label in every field to the same table, and
+// refreshes publish them. Run with -race, it pins the table's label index
+// layered at Clip: a reader's lookups and the ingest's new labels never touch
+// the same layer. Then readers of a batch Result race to build the index its
+// table, read from TSV, builds on first use.
+func TestLabelLookupsBesideIngest(t *testing.T) {
+	opt := DefaultEngineOptions()
+	opt.Granularity = GranularityFinest
+	opt.MinSupport = 1
+	opt.Fusion = true
+	eng, err := NewEngine(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(b int) []Extraction {
+		out := make([]Extraction, 0, 40)
+		for i := range 40 {
+			site := fmt.Sprintf("site%d-%d.com", b, i%4)
+			out = append(out, Extraction{
+				Extractor: fmt.Sprintf("E%d", b%3+i%2), Pattern: fmt.Sprintf("pat%d-%d", b, i%3),
+				Website: site, Page: fmt.Sprintf("%s/%d", site, i%5),
+				Subject: fmt.Sprintf("S%d-%d", b, i%7), Predicate: fmt.Sprintf("p%d", (b+i)%5),
+				Object: fmt.Sprintf("v%d-%d", b, i%3),
+			})
+		}
+		return out
+	}
+	if err := eng.Ingest(batch(0)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	stop := spinReaders(4, func() error {
+		r, ok := eng.Current()
+		if !ok {
+			return fmt.Errorf("no generation")
+		}
+		for _, s := range r.TopSources(4) {
+			if got, ok := r.SourceByName(s.Name); !ok || got != s {
+				return fmt.Errorf("SourceByName(%q) = %+v/%v, want %+v", s.Name, got, ok, s)
+			}
+		}
+		tvs := r.TopTriples(0)
+		if len(tvs) == 0 {
+			return fmt.Errorf("no triples")
+		}
+		for _, tv := range tvs[:min(len(tvs), 4)] {
+			fi, err := eng.Fused(tv.Subject + "\x1f" + tv.Predicate)
+			if err != nil {
+				return fmt.Errorf("Fused(%q, %q): %v", tv.Subject, tv.Predicate, err)
+			}
+			if fi.Subject != tv.Subject || fi.Predicate != tv.Predicate {
+				return fmt.Errorf("Fused(%q, %q) names (%q, %q)", tv.Subject, tv.Predicate, fi.Subject, fi.Predicate)
+			}
+		}
+		return nil
+	})
+	for b := 1; b <= 12; b++ {
+		if err := eng.Ingest(batch(b)...); err != nil {
+			t.Fatal(err)
+		}
+		if b%2 == 0 {
+			if _, err := eng.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A dataset ReadTSV read holds no label index; a batch Result over it
+	// builds its table's on the first lookup, whichever reader asks first.
+	var text strings.Builder
+	for b := range 3 {
+		for _, x := range batch(b) {
+			fmt.Fprintf(&text, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", x.Extractor, x.Pattern, x.Website, x.Page, x.Subject, x.Predicate, x.Object)
+		}
+	}
+	ds, err := ReadTSV(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bopt := DefaultOptions()
+	bopt.Granularity = GranularityFinest
+	bopt.MinSupport = 1
+	res, err := EstimateKBT(ds, bopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, tvs := res.Sources(), res.Triples()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, s := range srcs[:min(len(srcs), 8)] {
+				if got, ok := res.SourceByName(s.Name); !ok || got != s {
+					t.Errorf("SourceByName(%q) = %+v/%v, want %+v", s.Name, got, ok, s)
+				}
+			}
+			for _, tv := range tvs[:min(len(tvs), 8)] {
+				if p, ok := res.TripleProbability(tv.Subject, tv.Predicate, tv.Object); !ok || p != tv.Probability {
+					t.Errorf("TripleProbability(%q, %q, %q) = %v/%v, want %v", tv.Subject, tv.Predicate, tv.Object, p, ok, tv.Probability)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -179,8 +179,10 @@ var testOnlyExports = map[string]string{
 	"core.Result.CoveredTripleAt":    "compared generation against batch by the publish and oracle suites",
 	"core.Result.RestMassAt":         "compared generation against batch; the paper's worked examples read it",
 	"triple.Snapshot.ExtractorID":    "completes SourceID/ItemID/ValueID; the worked-example tests address extractors by name",
+	"triple.ShardOf":                 "the hash of a joined item key, which Snapshot.ItemShard computes without joining it; the shard tests hold the two equal",
 	"kb.KB.EntityType":               "the knowledge base's query surface, exercised by its own package tests",
 	"kb.KB.HasFact":                  "as KB.EntityType",
+	"kb.KB.Predicates":               "as KB.EntityType",
 	"kb.KB.NumFacts":                 "as KB.EntityType",
 	"kb.KB.Objects":                  "as KB.EntityType",
 	"pagerank.Result.TopK":           "ranks the PageRank scores in the package's own tests",

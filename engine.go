@@ -324,7 +324,7 @@ func (v *view) Fused(item string) (FusedItem, error) {
 	if d < 0 {
 		return FusedItem{}, ErrUnknownItem
 	}
-	subj, pred := triple.SplitItemKey(snap.Items[d])
+	subj, pred := snap.ItemFields(d)
 	out := FusedItem{
 		Subject:   subj,
 		Predicate: pred,
@@ -334,7 +334,7 @@ func (v *view) Fused(item string) (FusedItem, error) {
 	}
 	for k, v := range snap.ItemValues[d] {
 		out.Values = append(out.Values, FusedValue{
-			Object:      snap.Values[v],
+			Object:      snap.Value(v),
 			Probability: fres.ValueProb[d][k],
 		})
 	}

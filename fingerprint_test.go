@@ -61,10 +61,18 @@ func (f *fingerprint) sum() string { return hex.EncodeToString(f.h.Sum(nil)) }
 
 // snapshot hashes the units and candidate values the numbers are indexed by.
 func (f *fingerprint) snapshot(s *triple.Snapshot) {
-	for _, list := range [][]string{s.Sources, s.Extractors, s.Items, s.Values} {
-		f.int(len(list))
-		for _, l := range list {
-			f.label(l)
+	for _, units := range []struct {
+		n     int
+		label func(int) string
+	}{
+		{s.NumSources(), func(w int) string { return s.Source(w).String() }},
+		{s.NumExtractors(), func(e int) string { return s.Extractor(e).String() }},
+		{len(s.Items), func(d int) string { return s.Item(d).String() }},
+		{s.NumValues(), s.Value},
+	} {
+		f.int(units.n)
+		for id := range units.n {
+			f.label(units.label(id))
 		}
 	}
 	f.int(len(s.Triples))
@@ -88,12 +96,12 @@ func (f *fingerprint) inference(s *triple.Snapshot, r *core.Result) {
 	f.snapshot(s)
 	f.int(r.Iterations)
 	f.bool(r.Converged)
-	for w := range s.Sources {
+	for w := range s.NumSources() {
 		f.num(r.AAt(w))
 		f.num(r.ExpectedTriplesAt(w))
 		f.bool(r.SourceIncluded[w])
 	}
-	for e := range s.Extractors {
+	for e := range s.NumExtractors() {
 		f.num(r.PAt(e))
 		f.num(r.RAt(e))
 		f.num(r.QAt(e))
@@ -118,7 +126,7 @@ func (f *fingerprint) fusion(s *triple.Snapshot, r *fusion.Result) {
 	f.snapshot(s)
 	f.int(r.Iterations)
 	f.bool(r.Converged)
-	for w := range s.Sources {
+	for w := range s.NumSources() {
 		f.num(r.Accuracy[w])
 		f.bool(r.Updated[w])
 	}

@@ -105,7 +105,7 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 
 	// itemsOf[w] records the items each source provides, to count overlap
 	// and disagreements.
-	itemsOf := make([]map[int]int, len(s.Sources)) // item -> value
+	itemsOf := make([]map[int]int, s.NumSources()) // item -> value
 	for w := range itemsOf {
 		itemsOf[w] = make(map[int]int)
 	}

@@ -88,7 +88,7 @@ func TestDetectFindsCopier(t *testing.T) {
 		t.Fatal("no dependencies detected")
 	}
 	top := deps[0]
-	na, nb := s.Sources[top.A], s.Sources[top.B]
+	na, nb := s.Source(top.A).String(), s.Source(top.B).String()
 	if !((na == "orig" && nb == "copier") || (na == "copier" && nb == "orig")) {
 		t.Fatalf("top pair = (%s, %s), want (orig, copier); deps=%v", na, nb, deps)
 	}
@@ -100,7 +100,7 @@ func TestDetectFindsCopier(t *testing.T) {
 	}
 	// Independent pairs must not be flagged as strongly.
 	for _, dep := range deps[1:] {
-		a, b := s.Sources[dep.A], s.Sources[dep.B]
+		a, b := s.Source(dep.A).String(), s.Source(dep.B).String()
 		if a != "orig" && a != "copier" && b != "orig" && b != "copier" {
 			if dep.Posterior >= top.Posterior {
 				t.Errorf("independent pair (%s,%s) scored %v >= copier %v",

@@ -135,7 +135,7 @@ func (t *Tracker) UpdateItems(s *triple.Snapshot, ev Evidence, items []int) {
 	for d := len(t.sig); d < len(s.Items); d++ {
 		t.sig = append(t.sig, nil)
 	}
-	for w := len(t.itemsOf); w < len(s.Sources); w++ {
+	for w := len(t.itemsOf); w < s.NumSources(); w++ {
 		t.itemsOf = append(t.itemsOf, nil)
 		t.next = append(t.next, 0)
 	}

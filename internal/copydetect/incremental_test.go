@@ -36,7 +36,7 @@ func newTrackerWorld(rng *rand.Rand, recs []triple.Record, nShards int) *tracker
 func (w *trackerWorld) resetEvidence(rng *rand.Rand) {
 	w.vp = make([][]float64, len(w.s.Items))
 	w.cp = make([]float64, len(w.s.Triples))
-	w.acc = make([]float64, len(w.s.Sources))
+	w.acc = make([]float64, w.s.NumSources())
 	w.reroll(rng, allShardIdx(len(w.shards)), true)
 }
 

@@ -47,7 +47,7 @@ func NewEMFrom(prev *EM, s *triple.Snapshot, opt Options) (*EM, error) {
 		return nil, errors.New("core: N differs from the previous EM's, whose kept source votes are derived from it")
 	}
 	d := triple.Delta{Obs: len(st.s.Obs), Triples: len(st.s.Triples), Items: len(st.s.Items),
-		Sources: len(st.s.Sources), Extractors: len(st.s.Extractors)}
+		Sources: st.s.NumSources(), Extractors: st.s.NumExtractors()}
 	if s != st.s {
 		pd, ok := s.ParentDelta()
 		if !ok {
@@ -68,7 +68,7 @@ func NewEMFrom(prev *EM, s *triple.Snapshot, opt Options) (*EM, error) {
 // zero Delta it builds the whole state (NewEM). See NewEMFrom.
 func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	st.opt = opt
-	nSrc, nExt, nTri, nObs := len(s.Sources), len(s.Extractors), len(s.Triples), len(s.Obs)
+	nSrc, nExt, nTri, nObs := s.NumSources(), s.NumExtractors(), len(s.Triples), len(s.Obs)
 	if !opt.IncrementalAggregates {
 		st.agg = nil
 	} else if st.agg == nil {
@@ -139,7 +139,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// per-refresh rebuild the kept masses must equal bit for bit (they are
 	// exact sums).
 	incMass := st.agg != nil && !st.absenceStale && !structural &&
-		len(s.Extractors) == d.Extractors
+		s.NumExtractors() == d.Extractors
 	if !incMass {
 		st.absenceStale = true // new observations and cells change the masses
 	}

@@ -453,7 +453,7 @@ func predOfItem(s *triple.Snapshot, d int32) int32 {
 // left stale and the correctness masses empty.
 func (st *state) buildExtractorCells() {
 	s := st.s
-	nExt, nCells := len(s.Extractors), st.numCells
+	nExt, nCells := s.NumExtractors(), st.numCells
 	st.cellsOfExtractor = make([][]int32, nExt)
 	st.setOfCell = make([]int32, nCells)
 	st.setMembers, st.setsOfExtractor = make([][]int32, 0, nCells+1), make([][]int32, nExt)
@@ -931,9 +931,9 @@ func (st *state) deriveA(w int, num, den stats.Sum) float64 {
 func (st *state) estimateA(cProb []float64, valueProb [][]float64, tis []int) float64 {
 	s, ag := st.s, st.agg
 	var g *groups
-	n, work := len(s.Sources), len(s.Triples)
+	n, work := s.NumSources(), len(s.Triples)
 	if !ag.visitsAll(stageSources, tis, len(s.Triples)) {
-		g = st.srcGroups.reset(len(s.Sources))
+		g = st.srcGroups.reset(s.NumSources())
 		for _, ti := range tis {
 			g.add(int(s.Triples[ti].W), ti)
 		}
@@ -1067,7 +1067,7 @@ func (st *state) derivePRQ(e int, numSum, pDenSum, rDenSum stats.Sum) (movedP, m
 func (st *state) estimatePRQ(cProb []float64, tis []int) (movedP, movedR float64) {
 	s, ag := st.s, st.agg
 	whole := ag.visitsAll(stageExtractors, tis, len(s.Triples))
-	g := st.extGroups.reset(len(s.Extractors))
+	g := st.extGroups.reset(s.NumExtractors())
 	if whole {
 		tis = nil
 		st.sumCorrectness(cProb)

@@ -97,7 +97,7 @@ func TestVoteCapSaturation(t *testing.T) {
 	opt.QFloor = 0
 	opt.InitialExtractorRecall = map[int]float64{}
 	opt.InitialExtractorQ = map[int]float64{}
-	for e := range s.Extractors {
+	for e := range s.NumExtractors() {
 		opt.InitialExtractorRecall[e], opt.InitialExtractorQ[e] = 1, 0 // clamped to 1-Eps, Eps
 	}
 	em, err := NewEM(s, opt)
@@ -156,7 +156,7 @@ func TestVoteCapSaturation(t *testing.T) {
 		em.MStepSources(cProb, valueProb, nil)
 		em.MStepExtractors(cProb, nil)
 		em.UpdatePrior(valueProb, nil, 0)
-		for e := range s.Extractors {
+		for e := range s.NumExtractors() {
 			isProb("P", e, st.p[e])
 			isProb("R", e, st.r[e])
 			isProb("Q", e, st.q[e])

@@ -161,7 +161,7 @@ func (em *EM) BuildResultFrom(prev *Result, cProb []float64, valueProb [][]float
 func (em *EM) expectedTriples(prev *Result, cProb []float64) unitVec[float64] {
 	st := em.st
 	s, ag := st.s, st.agg
-	nSrc, nTri := len(s.Sources), len(cProb)
+	nSrc, nTri := s.NumSources(), len(cProb)
 	if ag == nil {
 		return sliceVec(floats(expectedSums(s, cProb)))
 	}
@@ -214,7 +214,7 @@ func (em *EM) expectedTriples(prev *Result, cProb []float64) unitVec[float64] {
 
 // expectedSums sums p(C|X) per source.
 func expectedSums(s *triple.Snapshot, cProb []float64) []stats.Sum {
-	sums := make([]stats.Sum, len(s.Sources))
+	sums := make([]stats.Sum, s.NumSources())
 	for ti, tr := range s.Triples {
 		sums[tr.W] = sums[tr.W].Add(cProb[ti])
 	}

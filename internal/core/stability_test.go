@@ -32,7 +32,8 @@ func noisyWorld(t *testing.T, seed int64) (*synthetic.World, *triple.Snapshot) {
 func meanAbsAccuracyError(w *synthetic.World, s *triple.Snapshot, res *Result) float64 {
 	var sum float64
 	n := 0
-	for wi, site := range s.Sources {
+	for wi := range s.NumSources() {
+		site := s.Source(wi).String()
 		truth, ok := w.TrueAccuracy[site]
 		if !ok {
 			continue
@@ -228,7 +229,8 @@ func TestAlphaQuarterStableWhereHalfCollapses(t *testing.T) {
 	// correlated.
 	corrOf := func(res *Result) float64 {
 		var xs, ys []float64
-		for wi, site := range s.Sources {
+		for wi := range s.NumSources() {
+			site := s.Source(wi).String()
 			truth, ok := w.TrueAccuracy[site]
 			if !ok {
 				continue

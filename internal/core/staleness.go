@@ -409,8 +409,8 @@ func (st *state) extendLedger(d triple.Delta) {
 		c := st.cellOfTriple[ti]
 		led.triplesOfCell[c] = append(led.triplesOfCell[c], int32(ti))
 	}
-	led.srcDrift = grow(led.srcDrift, len(s.Sources), 0)
-	led.extDrift = grow(led.extDrift, len(s.Extractors), 0)
+	led.srcDrift = grow(led.srcDrift, s.NumSources(), 0)
+	led.extDrift = grow(led.extDrift, s.NumExtractors(), 0)
 	for e := len(led.rAt); e < len(st.r); e++ {
 		led.rAt = append(led.rAt, st.r[e])
 		led.qAt = append(led.qAt, st.q[e])

@@ -45,8 +45,8 @@ func TestScopeGatherAscendingAndExact(t *testing.T) {
 		em.EnableStaleness()
 		led := em.st.ledger
 		itemsOf := make([][]int, nShards)
-		for d, key := range s.Items {
-			si := triple.ShardOf(key, nShards)
+		for d := range s.Items {
+			si := s.ItemShard(d, nShards)
 			itemsOf[si] = append(itemsOf[si], d)
 		}
 
@@ -292,7 +292,7 @@ func TestSourceDriftChargedWhereAIsWritten(t *testing.T) {
 			}
 			em.EnableStaleness()
 
-			want := make([]float64, len(snap.Sources))
+			want := make([]float64, snap.NumSources())
 			var cProb, restMass []float64
 			var valueProb [][]float64
 			var covered []bool
@@ -374,7 +374,7 @@ func TestSourceDriftChargedWhereAIsWritten(t *testing.T) {
 				case 2:
 					what = "vote weights"
 					old := slices.Clone(em.SourceVoteWeights())
-					weights := make([]float64, rng.Intn(len(snap.Sources)+1))
+					weights := make([]float64, rng.Intn(snap.NumSources()+1))
 					for w := range weights {
 						weights[w] = 1 - 0.7*rng.Float64()*float64(rng.Intn(2))
 					}
@@ -395,7 +395,7 @@ func TestSourceDriftChargedWhereAIsWritten(t *testing.T) {
 					if em, err = NewEMFrom(em, snap, opt); err != nil {
 						t.Fatal(err)
 					}
-					want = grow(want, len(snap.Sources), 0)
+					want = grow(want, snap.NumSources(), 0)
 					check(what)
 					alloc()
 					iterate(nil, true, true)

@@ -70,7 +70,7 @@ func TestSourceVoteInvariant(t *testing.T) {
 			em.MStepExtractors(cProb, nil)
 		case 2:
 			tag = "vote weights"
-			weights := make([]float64, rng.Intn(len(snap.Sources)+1))
+			weights := make([]float64, rng.Intn(snap.NumSources()+1))
 			for w := range weights {
 				weights[w] = 1 - 0.7*rng.Float64()*float64(rng.Intn(2))
 			}

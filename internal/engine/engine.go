@@ -700,7 +700,7 @@ func (e *Engine) settle(r *refreshRun) error {
 		}
 	}
 	// Structural changes force one full vote recompute (see iterate).
-	r.voteForce = r.warm && (r.structural || len(r.snap.Extractors) != len(r.prev.snap.Extractors))
+	r.voteForce = r.warm && (r.structural || r.snap.NumExtractors() != r.prev.snap.NumExtractors())
 	e.shards.begin(r.snap, e.opt.Shards)
 	r.aggDelta0, r.aggFull0 = r.em.AggStepCounts()
 
@@ -806,7 +806,7 @@ func (e *Engine) layer6(r *refreshRun, fused func() error) error {
 // only the fusion fields of its layer-6 group, which nothing else touches
 // before the join. A refresh that fails in another phase leaves the store one
 // batch ahead of the engine; the next refresh offers it the same pending
-// rows again, which Snapshot.ExtendTable merges as duplicate cells.
+// rows again, and the store takes in only the rows past its own.
 func (e *Engine) startFuse(r *refreshRun) (join func() error) {
 	if r.fuseDone {
 		return func() error { return nil }
@@ -864,7 +864,7 @@ func (e *Engine) detectCopies(r *refreshRun) (err error) {
 	// weights, so the NoOp shortcut must not freeze them — the next Refresh
 	// re-estimates the charged sources' items under the updated discounts
 	// until the feedback settles.
-	em.SetSourceVoteWeights(copyWeights(len(snap.Sources), r.copyDeps, em.A(), e.opt.Copy.CopyRate))
+	em.SetSourceVoteWeights(copyWeights(snap.NumSources(), r.copyDeps, em.A(), e.opt.Copy.CopyRate))
 	if r.converged {
 		// Probe with an empty scope: any mark means a discount moved some
 		// unit's drift past Tol.
@@ -923,7 +923,7 @@ func (e *Engine) fuse(r *refreshRun) (err error) {
 			return err
 		}
 	}
-	if r.fusRes, err = e.fus.RefreshTable(r.tab, r.from); err != nil {
+	if r.fusRes, err = e.fus.RefreshTable(r.tab); err != nil {
 		return err
 	}
 	r.fusSnap = e.fus.Snapshot()
@@ -1077,7 +1077,8 @@ func remapRow(newVs, oldVs []int, oldRow []float64) []float64 {
 // into base: every item sharing a (source, predicate) cell with a pending
 // row — new items, new candidate values, raised confidences and changed
 // absence masses all live in those cells — resolved through the ledger's
-// cell index in O(footprint), never by scanning the corpus. Structural
+// cell index in O(footprint), never by scanning the corpus; a row's source
+// and item are read by their ids (Snapshot.RowUnits), no label formed. Structural
 // changes with global reach (a support threshold flipping a unit's
 // inclusion, or new extractors under ScopeAllExtractors, whose absence mass
 // is corpus-wide) escalate to every item. A pending row that fails to
@@ -1087,18 +1088,16 @@ func remapRow(newVs, oldVs []int, oldRow []float64) []float64 {
 func (e *Engine) seedFootprint(r *refreshRun, base *core.ScopeSet) error {
 	em, snap := r.em, r.snap
 	if r.structural ||
-		e.opt.Core.Scope == core.ScopeAllExtractors && len(snap.Extractors) > len(r.prev.snap.Extractors) {
+		e.opt.Core.Scope == core.ScopeAllExtractors && snap.NumExtractors() > r.prev.snap.NumExtractors() {
 		base.MarkAllFull()
 		return nil
 	}
 	for i := r.from; i < r.tab.Len(); i++ {
-		rec := r.tab.Record(i)
-		src := e.opt.SourceKey.Label(rec)
-		w := snap.SourceID(src)
-		d := snap.ItemID(rec.Subject, rec.Predicate)
+		w, d := snap.RowUnits(i)
 		if w < 0 || d < 0 || !em.MarkCellItems(w, int(snap.PredOfItem[d]), base) {
+			rec := r.tab.Record(i)
 			return fmt.Errorf("engine: pending record %d (source %q, item %q/%q) did not compile into the refreshed snapshot; the append-only extension invariant is broken",
-				i-r.from, src, rec.Subject, rec.Predicate)
+				i-r.from, e.opt.SourceKey.Label(rec), rec.Subject, rec.Predicate)
 		}
 	}
 	return nil

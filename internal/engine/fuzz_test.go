@@ -54,11 +54,20 @@ func assertSnapshotsBitIdentical(t *testing.T, tag string, got, want *triple.Sna
 		}
 	}
 	cmp("Obs", got.Obs, want.Obs)
-	cmp("Sources", got.Sources, want.Sources)
-	cmp("Extractors", got.Extractors, want.Extractors)
+	label := func(n int, label func(int) string) []string {
+		out := make([]string, n)
+		for id := range out {
+			out[id] = label(id)
+		}
+		return out
+	}
+	cmp("Sources", label(got.NumSources(), func(w int) string { return got.Source(w).String() }),
+		label(want.NumSources(), func(w int) string { return want.Source(w).String() }))
+	cmp("Extractors", label(got.NumExtractors(), func(e int) string { return got.Extractor(e).String() }),
+		label(want.NumExtractors(), func(e int) string { return want.Extractor(e).String() }))
 	cmp("Items", got.Items, want.Items)
-	cmp("Values", got.Values, want.Values)
-	cmp("Predicates", got.Predicates, want.Predicates)
+	cmp("Values", label(got.NumValues(), got.Value), label(want.NumValues(), want.Value))
+	cmp("Predicates", label(got.NumPredicates(), got.Predicate), label(want.NumPredicates(), want.Predicate))
 	cmp("PredOfItem", got.PredOfItem, want.PredOfItem)
 	cmp("ItemValues", got.ItemValues, want.ItemValues)
 	cmp("Triples", got.Triples, want.Triples)

@@ -4,7 +4,8 @@ import "kbt/internal/triple"
 
 // shardCounter turns a refresh's pass lists into its shard statistics
 // (Result.FirstPassShards, TouchedShards, SettledShards, PartialShards).
-// Shards hash item keys (triple.ShardOf) and are only the unit these counts
+// Shards hash item keys (triple.ShardOf, of the subject and predicate read
+// from the table by Snapshot.ItemShard) and are only the unit these counts
 // are stated in: no pass, publication or copy-tracker update runs by shard.
 type shardCounter struct {
 	of   []int32 // per dense item id: its shard
@@ -27,7 +28,7 @@ func (c *shardCounter) begin(snap *triple.Snapshot, n int) {
 			touched: make([]bool, n), whole: make([]bool, n)}
 	}
 	for d := len(c.of); d < len(snap.Items); d++ {
-		si := int32(triple.ShardOf(snap.Items[d], n))
+		si := int32(snap.ItemShard(d, n))
 		c.of = append(c.of, si)
 		c.size[si]++
 	}

@@ -63,8 +63,8 @@ func TestShardCounter(t *testing.T) {
 			}
 			em.EnableStaleness()
 			itemsOf := make([][]int, tc.shards)
-			for d, key := range snap.Items {
-				si := triple.ShardOf(key, tc.shards)
+			for d := range snap.Items {
+				si := triple.ShardOf(snap.Item(d).String(), tc.shards)
 				itemsOf[si] = append(itemsOf[si], d)
 			}
 			var big []int

@@ -81,14 +81,14 @@ func goldLabels(w *websim.World, s *triple.Snapshot) []goldTriple {
 	var out []goldTriple
 	seen := make(map[[2]int]bool)
 	for d := range s.Items {
-		subj, pred := triple.SplitItemKey(s.Items[d])
+		subj, pred := s.ItemFields(d)
 		for _, v := range s.ItemValues[d] {
 			k := [2]int{d, v}
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
-			isTrue, known, typeErr := w.KB.GoldLabel(subj, pred, s.Values[v])
+			isTrue, known, typeErr := w.KB.GoldLabel(subj, pred, s.Value(v))
 			if !known {
 				continue
 			}
@@ -150,11 +150,11 @@ func compileFor(w *websim.World, m Method, cfg KVConfig) (*triple.Snapshot, erro
 // goldInitSource estimates each source unit's accuracy from the gold labels
 // of its candidate triples — the "+" initialisation of §5.1.2.
 func goldInitSource(w *websim.World, s *triple.Snapshot) map[int]float64 {
-	trueCnt := make([]float64, len(s.Sources))
-	known := make([]float64, len(s.Sources))
+	trueCnt := make([]float64, s.NumSources())
+	known := make([]float64, s.NumSources())
 	for _, tr := range s.Triples {
-		subj, pred := triple.SplitItemKey(s.Items[tr.D])
-		isTrue, k, typeErr := w.KB.GoldLabel(subj, pred, s.Values[tr.V])
+		subj, pred := s.ItemFields(int(tr.D))
+		isTrue, k, typeErr := w.KB.GoldLabel(subj, pred, s.Value(int(tr.V)))
 		if !k || typeErr {
 			// Type violations are extraction mistakes (§5.3.1); counting
 			// them against the source would blame pages for extractor
@@ -183,12 +183,12 @@ func goldInitSource(w *websim.World, s *triple.Snapshot) map[int]float64 {
 // and seeding extraction precision with truth rates conflates the two error
 // channels the multi-layer model exists to separate.
 func goldInitExtractor(w *websim.World, s *triple.Snapshot) map[int]float64 {
-	typeErr := make([]float64, len(s.Extractors))
-	total := make([]float64, len(s.Extractors))
+	typeErr := make([]float64, s.NumExtractors())
+	total := make([]float64, s.NumExtractors())
 	for _, o := range s.Obs {
-		subj, pred := triple.SplitItemKey(s.Items[o.D])
+		subj, pred := s.ItemFields(int(o.D))
 		total[o.E]++
-		if w.KB.TypeCheck(subj, pred, s.Values[o.V]) != kb.NoViolation {
+		if w.KB.TypeCheck(subj, pred, s.Value(int(o.V))) != kb.NoViolation {
 			typeErr[o.E]++
 		}
 	}

@@ -125,7 +125,7 @@ func warmBatchGap(t *testing.T, seed int64) (maxD, meanD float64, far int) {
 		t.Fatal(err)
 	}
 	n := 0
-	for w := range res.Snapshot.Sources {
+	for w := range res.Snapshot.NumSources() {
 		want, ok := batch.KBT(w, MinKBTTriples)
 		if !ok {
 			continue

@@ -57,7 +57,7 @@ func Fig7(w *websim.World, cfg KVConfig) (*Fig7Result, error) {
 		return nil, err
 	}
 	var kbts []float64
-	for wi := range s.Sources {
+	for wi := range s.NumSources() {
 		if kbt, ok := res.KBT(wi, MinKBTTriples); ok {
 			kbts = append(kbts, kbt)
 		}
@@ -128,7 +128,8 @@ func Fig10(w *websim.World, cfg KVConfig, maxSites int) (*Fig10Result, error) {
 		kind   websim.SiteKind
 	}
 	var scored []siteScore
-	for wi, name := range s.Sources {
+	for wi := range s.NumSources() {
+		name := s.Source(wi).String()
 		kbt, ok := res.KBT(wi, MinKBTTriples)
 		if !ok {
 			continue
@@ -226,12 +227,12 @@ func Eval541(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64) 
 
 	// Candidate sites: KBT above threshold.
 	var candidates []int
-	for wi := range s.Sources {
+	for wi := range s.NumSources() {
 		if kbt, ok := res.KBT(wi, MinKBTTriples); ok && kbt > kbtThreshold {
 			candidates = append(candidates, wi)
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool { return s.Sources[candidates[i]] < s.Sources[candidates[j]] })
+	sort.Slice(candidates, func(i, j int) bool { return s.Source(candidates[i]).String() < s.Source(candidates[j]).String() })
 	rng := stats.NewRNG(cfg.Seed + 541)
 	if maxSites > 0 && len(candidates) > maxSites {
 		perm := rng.Perm(len(candidates))[:maxSites]
@@ -245,7 +246,7 @@ func Eval541(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64) 
 
 	out := &Eval541Result{}
 	for _, wi := range candidates {
-		name := s.Sources[wi]
+		name := s.Source(wi).String()
 		site, ok := w.SiteOf(name)
 		if !ok {
 			continue
@@ -256,7 +257,7 @@ func Eval541(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64) 
 			if res.CProbAt(int(ti)) <= 0.8 {
 				continue
 			}
-			_, pred := triple.SplitItemKey(s.Items[s.Triples[ti].D])
+			_, pred := s.ItemFields(int(s.Triples[ti].D))
 			byPred[pred] = append(byPred[pred], int(ti))
 		}
 		// Top-3 predicates by volume.
@@ -296,8 +297,8 @@ func Eval541(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64) 
 		correct, extracted, onTopic, nonTrivial := 0, 0, 0, 0
 		for _, ti := range sample {
 			tr := s.Triples[ti]
-			subj, pred := triple.SplitItemKey(s.Items[tr.D])
-			obj := s.Values[tr.V]
+			subj, pred := s.ItemFields(int(tr.D))
+			obj := s.Value(int(tr.V))
 			// Triple correctness: the value matches the world's truth.
 			if truth, ok := w.TrueObject(subj, pred); ok && truth == obj {
 				correct++

@@ -94,8 +94,8 @@ func Fig6(w *websim.World, cfg KVConfig) (*Fig6Result, error) {
 
 	var typeErrPreds, kbTruePreds []float64
 	for ti, tr := range s.Triples {
-		subj, pred := triple.SplitItemKey(s.Items[tr.D])
-		obj := s.Values[tr.V]
+		subj, pred := s.ItemFields(int(tr.D))
+		obj := s.Value(int(tr.V))
 		if w.KB.TypeCheck(subj, pred, obj) != 0 {
 			typeErrPreds = append(typeErrPreds, res.CProbAt(ti))
 			continue

@@ -34,7 +34,7 @@ func multiSynthetic(w *synthetic.World) (SynthEval, error) {
 	// SqV over candidate (d,v) pairs of items with known truth.
 	var vItems []metrics.Labeled
 	for d := range s.Items {
-		subj, pred := triple.SplitItemKey(s.Items[d])
+		subj, pred := s.ItemFields(d)
 		truth, ok := w.TrueValueOf(subj, pred)
 		if !ok {
 			continue
@@ -44,7 +44,7 @@ func multiSynthetic(w *synthetic.World) (SynthEval, error) {
 			if !covered {
 				continue
 			}
-			vItems = append(vItems, metrics.Labeled{Pred: p, True: s.Values[v] == truth})
+			vItems = append(vItems, metrics.Labeled{Pred: p, True: s.Value(v) == truth})
 		}
 	}
 	ev.SqV = metrics.SquareLoss(vItems)
@@ -52,16 +52,17 @@ func multiSynthetic(w *synthetic.World) (SynthEval, error) {
 	// SqC over candidate (w,d,v) triples against provided-truth.
 	var cItems []metrics.Labeled
 	for ti, tr := range s.Triples {
-		subj, pred := triple.SplitItemKey(s.Items[tr.D])
-		site := s.Sources[tr.W]
-		provided := w.ProvidedTruth(site, subj, pred, s.Values[tr.V])
+		subj, pred := s.ItemFields(int(tr.D))
+		site := s.Source(int(tr.W)).String()
+		provided := w.ProvidedTruth(site, subj, pred, s.Value(int(tr.V)))
 		cItems = append(cItems, metrics.Labeled{Pred: res.CProbAt(ti), True: provided})
 	}
 	ev.SqC = metrics.SquareLoss(cItems)
 
 	// SqA over sources.
 	var pred, truth []float64
-	for wi, site := range s.Sources {
+	for wi := range s.NumSources() {
+		site := s.Source(wi).String()
 		a, ok := w.TrueAccuracy[site]
 		if !ok {
 			continue
@@ -92,7 +93,7 @@ func singleSynthetic(w *synthetic.World) (SynthEval, error) {
 
 	var vItems []metrics.Labeled
 	for d := range s.Items {
-		subj, pred := triple.SplitItemKey(s.Items[d])
+		subj, pred := s.ItemFields(d)
 		truth, ok := w.TrueValueOf(subj, pred)
 		if !ok {
 			continue
@@ -101,7 +102,7 @@ func singleSynthetic(w *synthetic.World) (SynthEval, error) {
 			continue
 		}
 		for k, v := range s.ItemValues[d] {
-			vItems = append(vItems, metrics.Labeled{Pred: res.ValueProb[d][k], True: s.Values[v] == truth})
+			vItems = append(vItems, metrics.Labeled{Pred: res.ValueProb[d][k], True: s.Value(v) == truth})
 		}
 	}
 	ev.SqV = metrics.SquareLoss(vItems)
@@ -110,14 +111,14 @@ func singleSynthetic(w *synthetic.World) (SynthEval, error) {
 	var cItems []metrics.Labeled
 	seen := make(map[string]bool)
 	for _, o := range s.Obs {
-		subj, pred := triple.SplitItemKey(s.Items[o.D])
-		site := triple.ProvenanceWebsite(s.Sources[o.W])
-		key := site + "\x1f" + s.Items[o.D] + "\x1f" + s.Values[o.V]
+		subj, pred := s.ItemFields(int(o.D))
+		site := triple.ProvenanceWebsite(s.Source(int(o.W)))
+		key := site + "\x1f" + subj + "\x1f" + pred + "\x1f" + s.Value(int(o.V))
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		provided := w.ProvidedTruth(site, subj, pred, s.Values[o.V])
+		provided := w.ProvidedTruth(site, subj, pred, s.Value(int(o.V)))
 		cItems = append(cItems, metrics.Labeled{Pred: 1, True: provided})
 	}
 	ev.SqC = metrics.SquareLoss(cItems)
@@ -126,7 +127,7 @@ func singleSynthetic(w *synthetic.World) (SynthEval, error) {
 	// source accuracy" (§5.2.2) — average the posterior of every triple
 	// extracted from the website.
 	agg := fusion.AggregateSourceAccuracy(s, res, func(wi int) string {
-		return triple.ProvenanceWebsite(s.Sources[wi])
+		return triple.ProvenanceWebsite(s.Source(wi))
 	})
 	var pred, truth []float64
 	for _, site := range slices.Sorted(maps.Keys(w.TrueAccuracy)) { // a fixed summation order

@@ -227,7 +227,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	nSrc := len(s.Sources)
+	nSrc := s.NumSources()
 	nItem := len(s.Items)
 
 	// Per-provenance support and participation.

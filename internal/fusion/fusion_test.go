@@ -296,7 +296,7 @@ func TestAggregateSourceAccuracy(t *testing.T) {
 	}
 	groups := AggregateSourceAccuracy(s, res, func(w int) string {
 		// Source labels are extractor\x1fwebsite\x1fpredicate\x1fpattern.
-		label := s.Sources[w]
+		label := s.Source(w).String()
 		for i := 0; i < len(label); i++ {
 			if label[i] == '\x1f' {
 				rest := label[i+1:]

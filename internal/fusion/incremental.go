@@ -42,6 +42,9 @@ type Incremental struct {
 	opt Options
 
 	s *triple.Snapshot
+	// tab holds the records Refresh took in (RefreshTable's caller keeps its
+	// own).
+	tab *triple.Table
 
 	// Per item: the (provenance, value-slot, confidence) votes in observation
 	// order, the value posterior rows (immutable once installed), rest mass,
@@ -107,22 +110,23 @@ func (inc *Incremental) Snapshot() *triple.Snapshot { return inc.s }
 // FusedLast reports how many distinct items the last Refresh re-fused.
 func (inc *Incremental) FusedLast() int { return inc.fusedItems }
 
-// RefreshTable folds the rows of t from row from into the store and re-fuses
-// the affected items. t is the full ingest-ordered sequence, and its rows
-// before from are the ones earlier refreshes took in: the first call compiles
-// t whole and reads no from, and later ones read only the rows from it on. It
-// returns an immutable Result; value-posterior rows are shared copy-on-write
-// with the store and with earlier results.
-func (inc *Incremental) RefreshTable(t *triple.Table, from int) (*Result, error) {
+// RefreshTable folds the rows of t the store has not taken in into it and
+// re-fuses the affected items. t is the full ingest-ordered sequence: the
+// first call compiles it whole, and later ones read only the rows past those
+// the store's snapshot holds — none, when a refresh of the caller that failed
+// after this store's pass offers the same rows again. It returns an immutable
+// Result; value-posterior rows are shared copy-on-write with the store and
+// with earlier results.
+func (inc *Incremental) RefreshTable(t *triple.Table) (*Result, error) {
 	prevS := inc.s
 	var d triple.Delta // cold: every observation is new
 	switch {
 	case prevS == nil:
 		inc.s = t.Compile(triple.ProvenanceKey, triple.ExtractorKeyName)
-	case from == t.Len():
+	case prevS.Rows() == t.Len():
 		d.Obs = len(prevS.Obs) // a resume: nothing is new
 	default:
-		inc.s = prevS.ExtendTable(t, from)
+		inc.s = prevS.ExtendTable(t, prevS.Rows())
 		var ok bool
 		if d, ok = inc.s.ParentDelta(); !ok {
 			return nil, errors.New("fusion: extended snapshot lost its delta")
@@ -135,12 +139,16 @@ func (inc *Incremental) RefreshTable(t *triple.Table, from int) (*Result, error)
 
 // Refresh is RefreshTable over records: records is the full ingest-ordered
 // sequence, which the first call compiles, and pending its suffix since the
-// previous Refresh, which later calls fold in.
+// previous Refresh, which later calls fold in. The store adds them to a table
+// of its own, which grows by the pending records alone.
 func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, error) {
-	if inc.s == nil {
-		pending = records
+	if inc.tab == nil {
+		inc.tab, pending = &triple.Table{}, records
 	}
-	return inc.RefreshTable(triple.TableOf(pending), 0)
+	for _, r := range pending {
+		inc.tab.Add(r)
+	}
+	return inc.RefreshTable(inc.tab.Clip())
 }
 
 // apply grows every persistent structure by the extension delta — counting
@@ -154,7 +162,7 @@ func (inc *Incremental) Refresh(records, pending []triple.Record) (*Result, erro
 // or all items on a cold (or unconverged-resume) refresh.
 func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta) {
 	s := inc.s
-	nItem, nSrc, nObs := len(s.Items), len(s.Sources), len(s.Obs)
+	nItem, nSrc, nObs := len(s.Items), s.NumSources(), len(s.Obs)
 
 	// Grow the per-item and per-provenance arrays; new provenances start at
 	// the default accuracy exactly as in Run.

@@ -262,7 +262,7 @@ func TestCompileWithLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := d.Compile(triple.CompileOptions{SourceLabels: labels})
-	if len(s.Sources) == 20 {
+	if s.NumSources() == 20 {
 		t.Error("labels should have merged the 20 singleton sources")
 	}
 	if len(s.Obs) != 20 {

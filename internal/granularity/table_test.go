@@ -76,14 +76,30 @@ func tablesOf(t *testing.T, recs []triple.Record) map[string]*triple.Table {
 // sameRows reports whether two tables hold equal rows.
 func sameRows[T int | int32](a, b [][]T) bool { return slices.EqualFunc(a, b, slices.Equal) }
 
+// labelLists renders a snapshot's labels by kind, each in its joined form.
+func labelLists(s *triple.Snapshot) map[string][]string {
+	list := func(n int, label func(id int) string) []string {
+		out := make([]string, n)
+		for id := range out {
+			out[id] = label(id)
+		}
+		return out
+	}
+	return map[string][]string{
+		"Sources":    list(s.NumSources(), func(w int) string { return s.Source(w).String() }),
+		"Extractors": list(s.NumExtractors(), func(e int) string { return s.Extractor(e).String() }),
+		"Items":      list(len(s.Items), func(d int) string { return s.Item(d).String() }),
+		"Values":     list(s.NumValues(), s.Value),
+		"Predicates": list(s.NumPredicates(), s.Predicate),
+	}
+}
+
 // requireSameSnapshot fails the test unless got equals want table for table
 // and answers every lookup of want's labels alike.
 func requireSameSnapshot(t *testing.T, what string, got, want *triple.Snapshot) {
 	t.Helper()
 	for name, equal := range map[string]bool{
-		"Obs": slices.Equal(got.Obs, want.Obs), "Sources": slices.Equal(got.Sources, want.Sources),
-		"Extractors": slices.Equal(got.Extractors, want.Extractors), "Items": slices.Equal(got.Items, want.Items),
-		"Values": slices.Equal(got.Values, want.Values), "Predicates": slices.Equal(got.Predicates, want.Predicates),
+		"Obs": slices.Equal(got.Obs, want.Obs), "Items": slices.Equal(got.Items, want.Items),
 		"PredOfItem": slices.Equal(got.PredOfItem, want.PredOfItem), "ItemValues": sameRows(got.ItemValues, want.ItemValues),
 		"Triples": slices.Equal(got.Triples, want.Triples), "ByTriple": sameRows(got.ByTriple, want.ByTriple),
 		"TriplesOfItem": sameRows(got.TriplesOfItem, want.TriplesOfItem), "TriplesOfSource": sameRows(got.TriplesOfSource, want.TriplesOfSource),
@@ -93,17 +109,23 @@ func requireSameSnapshot(t *testing.T, what string, got, want *triple.Snapshot) 
 			t.Errorf("%s: table %s differs from the record build", what, name)
 		}
 	}
+	gl, wl := labelLists(got), labelLists(want)
+	for kind, list := range wl {
+		if !slices.Equal(gl[kind], list) {
+			t.Errorf("%s: %s labels differ from the record build", what, kind)
+		}
+	}
 	lookups := 0
-	for w, label := range want.Sources {
+	for w, label := range wl["Sources"] {
 		lookups += btoi(got.SourceID(label) != w)
 	}
-	for e, label := range want.Extractors {
+	for e, label := range wl["Extractors"] {
 		lookups += btoi(got.ExtractorID(label) != e)
 	}
-	for d, key := range want.Items {
-		lookups += btoi(got.ItemID(triple.SplitItemKey(key)) != d)
+	for d := range want.Items {
+		lookups += btoi(got.ItemID(want.ItemFields(d)) != d)
 	}
-	for v, label := range want.Values {
+	for v, label := range wl["Values"] {
 		lookups += btoi(got.ValueID(label) != v)
 	}
 	if got.SourceID("\x00absent") != -1 || got.ExtractorID("\x00absent") != -1 ||
@@ -170,6 +192,9 @@ func TestTableCompileMatchesRecordCompile(t *testing.T) {
 				requireSameSnapshot(t, name+" table, auto",
 					tab.Compile(triple.Grouping{Units: src}, triple.Grouping{Units: ext}),
 					d.Compile(triple.CompileOptions{SourceLabels: srcLabels, ExtractorLabels: extLabels}))
+				requireSameSnapshot(t, name+" table, finest sources and auto extractors",
+					tab.Compile(triple.SourceKeyFinest, triple.Grouping{Units: ext}),
+					d.Compile(triple.CompileOptions{SourceKey: triple.SourceKeyFinest, ExtractorLabels: extLabels}))
 				for _, k := range keyed {
 					requireSameSnapshot(t, name+" table, "+k.name,
 						tab.Compile(k.src, k.ext),
@@ -233,11 +258,12 @@ func TestCollidingLabelsShareAUnit(t *testing.T) {
 		tab.Add(r)
 	}
 	snap := tab.Compile(triple.SourceKeyFinest, triple.ExtractorKeyName)
-	if want := []string{"a\x1fb\x1fq\x1fp"}; !slices.Equal(snap.Sources, want) {
-		t.Errorf("sources %q, want %q", snap.Sources, want)
+	labels := labelLists(snap)
+	if want := []string{"a\x1fb\x1fq\x1fp"}; !slices.Equal(labels["Sources"], want) {
+		t.Errorf("sources %q, want %q", labels["Sources"], want)
 	}
-	if want := []string{"s\x1fb\x1fq"}; !slices.Equal(snap.Items, want) || snap.Predicates[snap.PredOfItem[0]] != "q" {
-		t.Errorf("items %q with predicates %q, want %q of predicate q", snap.Items, snap.Predicates, want)
+	if want := []string{"s\x1fb\x1fq"}; !slices.Equal(labels["Items"], want) || snap.Predicate(int(snap.PredOfItem[0])) != "q" {
+		t.Errorf("items %q with predicates %q, want %q of predicate q", labels["Items"], labels["Predicates"], want)
 	}
 	if len(snap.Obs) != 1 {
 		t.Errorf("%d observations, want the two records in one cell", len(snap.Obs))

@@ -199,11 +199,11 @@ func TestCompileSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := w.Compile()
-	if len(s.Sources) > w.Params.NumSources {
-		t.Errorf("sources = %d", len(s.Sources))
+	if s.NumSources() > w.Params.NumSources {
+		t.Errorf("sources = %d", s.NumSources())
 	}
-	if len(s.Extractors) > w.Params.NumExtractors {
-		t.Errorf("extractors = %d", len(s.Extractors))
+	if s.NumExtractors() > w.Params.NumExtractors {
+		t.Errorf("extractors = %d", s.NumExtractors())
 	}
 	if len(s.Obs) == 0 {
 		t.Fatal("no observations")

@@ -10,11 +10,12 @@
 //
 // Records are held as a Table: per field a dense-id column and each distinct
 // label once, and a confidence column. ReadTable assigns the ids as it reads
-// TSV, TableOf and Table.Add as they add records. Table.Compile, the one
-// build, freezes a table into an immutable Snapshot at a chosen source and
-// extractor granularity, interning labels into dense ids and building the
-// inverted indexes (per-item, per-source, per-extractor) the inference stages
-// walk. A granularity is a Grouping: a tuple of record fields, a unit named by
+// TSV, TableOf and Table.Add as they add records. The table is the one label
+// store and label index. Table.Compile, the one build, freezes a table into
+// an immutable Snapshot at a chosen source and extractor granularity,
+// numbering its units by their fields' table ids and building the inverted
+// indexes (per-item, per-source, per-extractor) the inference stages walk; a
+// snapshot holds ids and reads its labels from a clip of its table. A granularity is a Grouping: a tuple of record fields, a unit named by
 // their labels joined with "\x1f" (SourceKeyWebsite, ProvenanceKey, ...), or
 // Units that split-and-merge assigns to the records of one table. The
 // canonical order of every table is first appearance in record order, so

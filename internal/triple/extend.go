@@ -1,6 +1,9 @@
 package triple
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // ExtendTable compiles the rows of t from row from on top of the snapshot,
 // producing a new snapshot equal to compiling the parent's records followed
@@ -44,30 +47,59 @@ import "slices"
 //   - Obs is append-only except that a duplicate (e,w,d,v) cell with higher
 //     confidence raises the existing observation's Conf (in the child only).
 //
-// Each row is resolved by its labels under the snapshot's groupings, one
-// label join and one intern lookup per unit. ExtendTable panics if the parent
-// was built on Units (split-and-merge, positional labels), which assign the
-// records built and cannot classify new ones.
+// Each row is resolved by its field ids under the snapshot's groupings: a
+// field's unit is the row's id, a tuple's one lookup of the ids in a layered
+// map; a label is joined only for a tuple with a "\x1f" inside a field
+// (units.intern). t's first from rows must be the snapshot's, from being their
+// number (a table the snapshot's was clipped from, or a clip of it, grown);
+// the child keeps a clip of t. ExtendTable panics if the parent was built on
+// Units (split-and-merge, positional labels), which assign the records built
+// and cannot classify new ones.
 func (s *Snapshot) ExtendTable(t *Table, from int) *Snapshot {
-	if s.sourceKey.Fields == nil {
+	s.mustExtend()
+	return s.extend(t.Clip(), from, s.tailClaimed.CompareAndSwap(false, true))
+}
+
+// Extend is ExtendTable over the snapshot's records followed by these: they
+// are added to a table grown from the snapshot's, in place in its spare
+// capacity if this is the snapshot's first Extend.
+func (s *Snapshot) Extend(records []Record) *Snapshot {
+	s.mustExtend()
+	claimed := s.tailClaimed.CompareAndSwap(false, true)
+	t := s.table.grow(claimed)
+	for _, r := range records {
+		t.Add(r)
+	}
+	t.freeze()
+	return s.extend(t, s.Rows(), claimed)
+}
+
+// mustExtend panics unless s was built on two field groupings.
+func (s *Snapshot) mustExtend() {
+	if s.sources.labelled || s.extractors.labelled {
 		panic("triple: Extend on a snapshot built on Units")
 	}
-	// One claimant: a second child's appends would collide in the shared tail.
-	claimed := s.tailClaimed.CompareAndSwap(false, true)
-	c := &Snapshot{
-		sourceIdx:    s.sourceIdx.child(),
-		extractorIdx: s.extractorIdx.child(),
-		itemIdx:      s.itemIdx.child(),
-		valueIdx:     s.valueIdx.child(),
-		predIdx:      s.predIdx.child(),
+}
 
-		sourceKey: s.sourceKey, extractorKey: s.extractorKey,
+// extend builds the child of s over the rows of t from from on, t being the
+// child's own table; claimed says whether the child is s's claimant.
+func (s *Snapshot) extend(t *Table, from int, claimed bool) *Snapshot {
+	if from != s.Rows() || t.Len() < from {
+		panic(fmt.Sprintf("triple: Extend from row %d of a table of %d rows, over a snapshot of %d", from, t.Len(), s.Rows()))
+	}
+	c := &Snapshot{
+		table:      t,
+		sources:    s.sources.fork(claimed),
+		extractors: s.extractors.fork(claimed),
+		items:      s.items.fork(claimed),
+		values:     s.values,
+		predicates: s.predicates,
 
 		// Record the parent table sizes before appending, so ParentDelta can
 		// tell incremental consumers exactly which suffixes are new.
 		delta: &Delta{
 			Obs: len(s.Obs), Triples: len(s.Triples), Items: len(s.Items),
-			Sources: len(s.Sources), Extractors: len(s.Extractors), Values: len(s.Values),
+			Sources: s.NumSources(), Extractors: s.NumExtractors(), Values: s.NumValues(),
 		},
 
 		// The claimant adopts the parent's backing arrays and appends into
@@ -84,28 +116,35 @@ func (s *Snapshot) ExtendTable(t *Table, from int) *Snapshot {
 		obsShared:  claimed,
 		Obs:        adopt(s.Obs, claimed),
 		Triples:    adopt(s.Triples, claimed),
-		Sources:    adopt(s.Sources, claimed),
-		Extractors: adopt(s.Extractors, claimed),
-		Items:      adopt(s.Items, claimed),
-		Values:     adopt(s.Values, claimed),
-		Predicates: adopt(s.Predicates, claimed),
 		PredOfItem: adopt(s.PredOfItem, claimed),
 	}
-	// Resolve the rows to id columns in order, as Compile does, noting the
-	// parent's items they touch.
+	// Resolve the rows to id columns in order, as Compile does, growing the
+	// row tables of each new unit and noting the parent's items they touch.
 	n := t.Len() - from
 	es, ws, ds, vs := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
 	var touched []int32
 	for k := range n {
 		i := from + k
-		es[k] = c.internExtractor(c.extractorKey.row(t, i))
-		ws[k] = c.internSource(c.sourceKey.row(t, i))
-		ds[k] = c.internItem(itemKey.row(t, i), t.label(fieldPredicate, i))
-		vs[k] = c.valueIdx.intern(&c.Values, t.label(fieldObject, i))
+		es[k] = c.extractors.intern(t, i)
+		if int(es[k]) == len(c.ObsOfExtractor) {
+			c.ObsOfExtractor = append(c.ObsOfExtractor, nil)
+		}
+		ws[k] = c.sources.intern(t, i)
+		if int(ws[k]) == len(c.TriplesOfSource) {
+			c.TriplesOfSource = append(c.TriplesOfSource, nil)
+		}
+		ds[k] = c.items.intern(t, i)
+		if int(ds[k]) == len(c.PredOfItem) {
+			c.PredOfItem = append(c.PredOfItem, t.ids[fieldPredicate][i])
+			c.TriplesOfItem = append(c.TriplesOfItem, nil)
+			c.ItemValues = append(c.ItemValues, nil)
+		}
+		vs[k] = t.ids[fieldObject][i]
 		if int(ds[k]) < c.delta.Items {
 			touched = append(touched, ds[k])
 		}
 	}
+	c.Items = c.items.first
 	// The parent's cells of those items rank before every record, so a
 	// record's triple or observation already in the parent keeps its index.
 	var tri, obs []int32
@@ -134,9 +173,6 @@ func (s *Snapshot) ExtendTable(t *Table, from int) *Snapshot {
 	newAppender(c, *c.delta, claimed).appendCells(t.conf[from:], es, ws, ds, vs, tri, obs)
 	return c
 }
-
-// Extend is ExtendTable over a table of the records.
-func (s *Snapshot) Extend(records []Record) *Snapshot { return s.ExtendTable(TableOf(records), 0) }
 
 // adopt returns the table a child starts from: a copy, unless it is the claimant.
 func adopt[T any](table []T, claimed bool) []T {

@@ -33,13 +33,26 @@ type snapshotTables struct {
 
 func tablesOf(s *Snapshot) snapshotTables {
 	return snapshotTables{
-		Obs: s.Obs, Sources: s.Sources, Extractors: s.Extractors,
-		Items: s.Items, Values: s.Values, Predicates: s.Predicates,
+		Obs:        s.Obs,
+		Sources:    labelList(s.NumSources(), func(w int) string { return s.Source(w).String() }),
+		Extractors: labelList(s.NumExtractors(), func(e int) string { return s.Extractor(e).String() }),
+		Items:      labelList(len(s.Items), func(d int) string { return s.Item(d).String() }),
+		Values:     labelList(s.NumValues(), s.Value),
+		Predicates: labelList(s.NumPredicates(), s.Predicate),
 		PredOfItem: s.PredOfItem, ItemValues: s.ItemValues,
 		Triples: s.Triples, ByTriple: s.ByTriple,
 		TriplesOfItem: s.TriplesOfItem, TriplesOfSource: s.TriplesOfSource,
 		ObsOfExtractor: s.ObsOfExtractor,
 	}
+}
+
+// labelList renders the labels of n units, label(id) each.
+func labelList(n int, label func(id int) string) []string {
+	out := make([]string, n)
+	for id := range out {
+		out[id] = label(id)
+	}
+	return out
 }
 
 // requireEqualSnapshots fails the test unless got and want are structurally
@@ -57,17 +70,18 @@ func requireEqualSnapshots(t *testing.T, got, want *Snapshot) {
 				rv.Type().Field(i).Name, rv.Field(i).Interface(), wv.Field(i).Interface())
 		}
 	}
-	for w, label := range want.Sources {
+	wt = tablesOf(want)
+	for w, label := range wt.Sources {
 		if got.SourceID(label) != w {
 			t.Errorf("SourceID(%q) = %d, want %d", label, got.SourceID(label), w)
 		}
 	}
-	for e, label := range want.Extractors {
+	for e, label := range wt.Extractors {
 		if got.ExtractorID(label) != e {
 			t.Errorf("ExtractorID(%q) = %d, want %d", label, got.ExtractorID(label), e)
 		}
 	}
-	for v, label := range want.Values {
+	for v, label := range wt.Values {
 		if got.ValueID(label) != v {
 			t.Errorf("ValueID(%q) = %d, want %d", label, got.ValueID(label), v)
 		}
@@ -142,15 +156,22 @@ func TestExtendChainMatchesCompile(t *testing.T) {
 	}
 	// Layers more than double going down a chain, empty ones are skipped: sixty
 	// forks leave a chain logarithmic in the vocabulary, not sixty deep.
-	for name, tab := range map[string]*internTable{"items": snap.itemIdx, "extractors": snap.extractorIdx, "values": snap.valueIdx} {
-		depth, labels := 0, 0
-		for l := tab; l != nil; l = l.parent {
-			depth++
-			labels += len(l.idx)
-		}
+	requireShallow := func(name string, depth, labels int) {
 		if depth > bits.Len(uint(labels))+1 {
 			t.Errorf("%s: %d intern layers over %d labels", name, depth, labels)
 		}
+	}
+	depth, labels := 0, 0
+	for l := snap.items.tuples; l != nil; l = l.parent {
+		depth, labels = depth+1, labels+len(l.idx)
+	}
+	requireShallow("items", depth, labels)
+	for name, f := range map[string]Field{"extractors": fieldExtractor, "values": fieldObject, "subjects": fieldSubject} {
+		depth, labels := 0, 0
+		for l := snap.table.index[f]; l != nil; l = l.parent {
+			depth, labels = depth+1, labels+len(l.idx)
+		}
+		requireShallow(name, depth, labels)
 	}
 }
 
@@ -227,7 +248,7 @@ func TestExtendProperty(t *testing.T) {
 		twice := 0
 		d, _ := first.ParentDelta()
 		for _, di := range d.GrownItems {
-			if parent.Items[di] == itemKey.Label(recs[0]) {
+			if parent.Item(di).String() == itemKey.Label(recs[0]) {
 				twice++
 			}
 		}

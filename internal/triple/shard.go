@@ -1,9 +1,6 @@
 package triple
 
-import (
-	"hash/fnv"
-	"slices"
-)
+import "slices"
 
 // Shard is one partition of a Snapshot's data-item space. Items (and the
 // candidate triples that mention them) are assigned by hashing the item key,
@@ -34,12 +31,18 @@ type Shard struct {
 // live feed), funnelling most of an ingest into one or two shards. The
 // xor-shift/multiply rounds spread the low bits uniformly.
 func ShardOf(itemKey string, n int) int {
+	return shardOfHash(fnv1a(2166136261, itemKey), n)
+}
+
+// ItemShard returns ShardOf of data item d's key under n shards, hashing the
+// item's subject and predicate without joining them.
+func (s *Snapshot) ItemShard(d, n int) int { return shardOfHash(s.Item(d).hash(), n) }
+
+// shardOfHash is ShardOf of a key's FNV-1a hash.
+func shardOfHash(x uint32, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(itemKey))
-	x := h.Sum32()
 	x ^= x >> 16
 	x *= 0x7feb352d
 	x ^= x >> 15
@@ -58,8 +61,8 @@ func (s *Snapshot) Shards(n int) []Shard {
 	}
 	shards := make([]Shard, n)
 	itemShard := make([]int, len(s.Items))
-	for d, key := range s.Items {
-		si := ShardOf(key, n)
+	for d := range s.Items {
+		si := s.ItemShard(d, n)
 		itemShard[d] = si
 		shards[si].Items = append(shards[si].Items, d)
 	}
@@ -91,12 +94,12 @@ func (s *Snapshot) ExtendShards(parent []Shard, prevItems, prevTriples int) []Sh
 		}
 	}
 	for d := prevItems; d < len(s.Items); d++ {
-		si := ShardOf(s.Items[d], n)
+		si := s.ItemShard(d, n)
 		own(si)
 		shards[si].Items = append(shards[si].Items, d)
 	}
 	for ti := prevTriples; ti < len(s.Triples); ti++ {
-		si := ShardOf(s.Items[s.Triples[ti].D], n)
+		si := s.ItemShard(int(s.Triples[ti].D), n)
 		own(si)
 		shards[si].Triples = append(shards[si].Triples, ti)
 	}

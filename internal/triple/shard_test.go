@@ -28,13 +28,13 @@ func TestShardsPartitionItemsAndTriples(t *testing.T) {
 		for si, sh := range shards {
 			for _, d := range sh.Items {
 				seenItem[d]++
-				if got := ShardOf(s.Items[d], n); got != si {
+				if got := ShardOf(s.Item(d).String(), n); got != si {
 					t.Errorf("n=%d: item %d in shard %d but ShardOf says %d", n, d, si, got)
 				}
 			}
 			for _, ti := range sh.Triples {
 				seenTriple[ti]++
-				if ShardOf(s.Items[s.Triples[ti].D], n) != si {
+				if ShardOf(s.Item(int(s.Triples[ti].D)).String(), n) != si {
 					t.Errorf("n=%d: triple %d in wrong shard %d", n, ti, si)
 				}
 			}

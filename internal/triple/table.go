@@ -54,9 +54,14 @@ func (f Field) of(r *Record) string {
 type Table struct {
 	ids   [numFields][]int32
 	vocab [numFields][]string
-	// index maps each field's labels to their ids for Add; ReadTable leaves it
-	// nil, and the first Add builds it from vocab.
-	index [numFields]map[string]int32
+	// index maps each field's labels to their ids, the one label index of the
+	// table and of every snapshot built on it: a chain of layers that a clip
+	// shares, frozen, and the table's later labels go past (intern). lazy,
+	// set on a table ReadTable read and on its clips, builds a table's index
+	// from its labels on first use (labelIndex): a batch job that looks no
+	// label up never holds one.
+	index [numFields]*layered[string]
+	lazy  *sync.Once
 	conf  []float64
 
 	// refusedLine is the input line of record refused, the first record that
@@ -95,23 +100,22 @@ func (t *Table) Add(r Record) {
 }
 
 // intern returns the id of a label of field f, numbering a copy of it on
-// first sight.
+// first sight. A label new to a table whose top index layer a clip shares goes
+// into a layer of the table's own.
 func (t *Table) intern(f Field, label string) int32 {
-	idx := t.index[f]
-	if idx == nil {
-		idx = make(map[string]int32, len(t.vocab[f]))
-		for id, l := range t.vocab[f] {
-			idx[l] = int32(id)
-		}
+	idx := t.labelIndex(f)
+	t.lazy = nil
+	if id, ok := idx.lookup(label); ok {
+		return id
+	}
+	if idx == nil || idx.frozen.Load() {
+		idx = idx.child()
 		t.index[f] = idx
 	}
-	id, ok := idx[label]
-	if !ok {
-		id = nextID(len(t.vocab[f]))
-		label = strings.Clone(label)
-		idx[label] = id
-		t.vocab[f] = append(t.vocab[f], label)
-	}
+	id := nextID(len(t.vocab[f]))
+	label = strings.Clone(label)
+	idx.put(label, id)
+	t.vocab[f] = append(t.vocab[f], label)
 	return id
 }
 
@@ -139,14 +143,62 @@ func (t *Table) Column(f Field) []int32 { return t.ids[f] }
 func (t *Table) Labels(f Field) []string { return t.vocab[f] }
 
 // Clip returns the table's records so far as a table that shares t's arrays,
-// each clipped to its length: later Adds to either table append into arrays of
-// their own, and never change the other's records.
+// each clipped to its length, and its label index: later Adds to either table
+// append into arrays and index layers of their own, and never change the
+// other's records or labels. A clip is what a snapshot keeps of the table it
+// is built on: a reader of the snapshot looks a label up beside later Adds to
+// the table without a lock.
 func (t *Table) Clip() *Table {
-	c := &Table{conf: slices.Clip(t.conf), refused: t.refused, refusedLine: t.refusedLine}
-	for f := range numFields {
-		c.ids[f], c.vocab[f] = slices.Clip(t.ids[f]), slices.Clip(t.vocab[f])
+	c := t.grow(false)
+	c.freeze()
+	return c
+}
+
+// grow returns a table of t's records that later Adds append to: into t's
+// spare capacity if inPlace, which only the one owner of t's tail may ask,
+// and into arrays of its own otherwise. Its labels go into layers over t's
+// index, which must be frozen; a table without an index yet builds its own.
+func (t *Table) grow(inPlace bool) *Table {
+	c := &Table{ids: t.ids, vocab: t.vocab, conf: t.conf, refused: t.refused, refusedLine: t.refusedLine}
+	if t.lazy != nil {
+		c.lazy = new(sync.Once)
+	} else {
+		c.index = t.index
+	}
+	if !inPlace {
+		c.conf = slices.Clip(c.conf)
+		for f := range numFields {
+			c.ids[f], c.vocab[f] = slices.Clip(c.ids[f]), slices.Clip(c.vocab[f])
+		}
 	}
 	return c
+}
+
+// freeze marks the table's index layers shared: its next new label of a
+// field goes into a layer of its own.
+func (t *Table) freeze() {
+	for _, idx := range t.index {
+		if idx != nil {
+			idx.frozen.Store(true)
+		}
+	}
+}
+
+// labelIndex returns field f's label index, first building the table's if it
+// has none yet.
+func (t *Table) labelIndex(f Field) *layered[string] {
+	if t.lazy != nil {
+		t.lazy.Do(func() {
+			for f, labels := range t.vocab {
+				idx := make(map[string]int32, len(labels))
+				for id, l := range labels {
+					idx[l] = int32(id)
+				}
+				t.index[f] = &layered[string]{idx: idx}
+			}
+		})
+	}
+	return t.index[f]
 }
 
 // label returns field f's label in record i.
@@ -293,48 +345,32 @@ var (
 
 // Compile builds the snapshot of the table's records at the given source and
 // extractor granularity. Duplicate (e,w,d,v) cells are merged keeping the
-// maximum confidence. Units are formed on field-id tuples, a tuple's label
-// built once (Table.group). A snapshot built on two field groupings extends
-// (ExtendTable); one built on Units does not.
+// maximum confidence. The snapshot keeps a clip of the table (Clip), which
+// holds every label it names: a unit of one field is the field's table id, a
+// unit of a tuple of fields is numbered on the tuples of their ids, a label
+// built only where a field holds a "\x1f" (units.compile). A snapshot built
+// on two field groupings extends (ExtendTable); one built on Units does not.
 //
-// The four vocabularies do not depend on one another, so each is resolved on
-// its own goroutine, in record order (Units.resolve), which gives the
-// snapshot's dense ids in order of first appearance, and no other pass can
-// move them. The id columns then go through the build Extend uses
+// The three tuple vocabularies do not depend on one another, so each is
+// resolved on its own goroutine, in record order, which gives the snapshot's
+// dense ids in order of first appearance, and no other pass can move them.
+// The id columns then go through the build Extend uses
 // (appender.appendCells): one radix sort groups the cells, one pass in record
 // order gives the triples and observations their ids, and the five index
 // tables are filled side by side from sorted runs, so that each row is
 // allocated once, at its final length plus a quarter.
 func (t *Table) Compile(sources, extractors Grouping) *Snapshot {
 	s := &Snapshot{
-		Obs:          make([]Observation, 0, t.Len()),
-		sourceIdx:    &internTable{},
-		extractorIdx: &internTable{},
-		itemIdx:      &internTable{},
-		valueIdx:     &internTable{},
-		predIdx:      &internTable{},
+		Obs:   make([]Observation, 0, t.Len()),
+		table: t.Clip(),
 	}
-	if sources.Units == nil && extractors.Units == nil {
-		s.sourceKey, s.extractorKey = sources, extractors
-	}
-	var es, ws, ds, vs []int32
+	t = s.table
+	var es, ws, ds []int32
 	var wg sync.WaitGroup
 	for _, resolve := range []func(){
-		func() {
-			es = t.group(extractors).resolve(&s.Extractors, s.extractorIdx, nil)
-			s.ObsOfExtractor = rows[int32](len(s.Extractors))
-		},
-		func() {
-			ws = t.group(sources).resolve(&s.Sources, s.sourceIdx, nil)
-			s.TriplesOfSource = rows[int32](len(s.Sources))
-		},
-		func() {
-			ds = t.group(itemKey).resolve(&s.Items, s.itemIdx, func(i int) {
-				s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, t.label(fieldPredicate, i)))
-			})
-			s.TriplesOfItem, s.ItemValues = rows[int32](len(s.Items)), rows[int](len(s.Items))
-		},
-		func() { vs = t.group(valueKey).resolve(&s.Values, s.valueIdx, nil) },
+		func() { es = s.extractors.compile(t, extractors) },
+		func() { ws = s.sources.compile(t, sources) },
+		func() { ds = s.items.compile(t, itemKey) },
 	} {
 		wg.Add(1)
 		go func() {
@@ -343,33 +379,44 @@ func (t *Table) Compile(sources, extractors Grouping) *Snapshot {
 		}()
 	}
 	wg.Wait()
+	s.Items = s.items.first
+	s.PredOfItem = make([]int32, len(s.Items))
+	for d, i := range s.Items {
+		s.PredOfItem[d] = t.ids[fieldPredicate][i]
+	}
+	s.ObsOfExtractor = rows[int32](s.NumExtractors())
+	s.TriplesOfSource = rows[int32](s.NumSources())
+	s.TriplesOfItem, s.ItemValues = rows[int32](len(s.Items)), rows[int](len(s.Items))
 
+	s.predicates.fields = []Field{fieldPredicate}
+	conf, vs := t.conf, s.values.compile(t, valueKey)
+	if s.sources.labelled || s.extractors.labelled {
+		// A snapshot built on Units cannot extend: of its table it keeps the
+		// columns and labels of its groupings' fields, and the objects'
+		// labels, and the rest is garbage before the index fills run.
+		var used [numFields]bool
+		for _, u := range [...]*units{&s.sources, &s.extractors, &s.items} {
+			for _, f := range u.fields {
+				used[f] = true
+			}
+		}
+		kept := t.grow(false)
+		kept.conf = nil
+		for f := range numFields {
+			switch {
+			case used[f]:
+			case f == fieldObject:
+				kept.ids[f] = nil
+			default:
+				kept.ids[f], kept.vocab[f], kept.index[f] = nil, nil, nil
+			}
+		}
+		s.table = kept
+	}
 	ap := newAppender(s, Delta{}, false)
 	ap.compile = true
-	ap.appendCells(t.conf, es, ws, ds, vs, nil, nil)
+	ap.appendCells(conf, es, ws, ds, vs, nil, nil)
 	return s
-}
-
-// group returns the units of a grouping. A field's own ids are distinct
-// units; a tuple's label is built once, at its first record.
-func (t *Table) group(g Grouping) *Units {
-	if g.Units != nil {
-		return g.Units
-	}
-	if len(g.Fields) == 1 {
-		f := g.Fields[0]
-		return &Units{Of: t.ids[f], Labels: t.vocab[f], distinct: true}
-	}
-	cols := make([][]int32, len(g.Fields))
-	for k, f := range g.Fields {
-		cols[k] = t.ids[f]
-	}
-	of, first := Tuples(cols)
-	labels := make([]string, len(first))
-	for u, i := range first {
-		labels[u] = g.row(t, int(i))
-	}
-	return &Units{Of: of, Labels: labels}
 }
 
 // Tuples numbers the distinct tuples of the columns' ids in order of first
@@ -436,48 +483,33 @@ func fold(a []int32, na int, b []int32, nb int) (of []int32, n int) {
 // rows returns a table of n empty rows, with room for a quarter more.
 func rows[T denseID](n int) [][]T { return room[[]T](nil, n)[:n] }
 
-// resolve gives every record the snapshot id of its unit, filling list with
-// the labels by id and idx with their index, and calling added, if set, with
-// the first record of each id in turn. Distinct units are the ids, and their
-// column is returned as it is, for the build to read; any other unit's label
-// is interned at the unit's first record, so that units whose labels coincide
+// resolve gives every record the snapshot id of its unit, filling in u's
+// labels and their index. Distinct units are the ids, and their column is
+// returned as it is, for the build to read; any other unit's label is
+// interned at the unit's first record, so that units whose labels coincide
 // share an id.
-func (u *Units) resolve(list *[]string, idx *internTable, added func(i int)) []int32 {
-	if !u.distinct {
-		ids := make([]int32, len(u.Of))
-		snap := make([]int32, len(u.Labels))
-		for k := range snap {
-			snap[k] = -1
-		}
-		for i, k := range u.Of {
-			if snap[k] < 0 {
-				n := len(*list)
-				snap[k] = idx.intern(list, u.Labels[k])
-				if added != nil && len(*list) > n {
-					added(i)
-				}
+func (g *Units) resolve(u *units) []int32 {
+	u.joined = &layered[string]{}
+	if g.distinct {
+		u.labels, u.joined.idx = g.Labels, g.index
+		return g.Of
+	}
+	ids := make([]int32, len(g.Of))
+	snap := make([]int32, len(g.Labels))
+	for k := range snap {
+		snap[k] = -1
+	}
+	for i, k := range g.Of {
+		if snap[k] < 0 {
+			id, ok := u.joined.lookup(g.Labels[k])
+			if !ok {
+				id = nextID(len(u.labels))
+				u.joined.put(g.Labels[k], id)
+				u.labels = append(u.labels, g.Labels[k])
 			}
-			ids[i] = snap[k]
+			snap[k] = id
 		}
-		return ids
+		ids[i] = snap[k]
 	}
-	if added != nil {
-		next := int32(0)
-		for i, k := range u.Of {
-			if k == next {
-				added(i)
-				next++
-			}
-		}
-	}
-	*list, idx.idx = u.Labels, u.index
-	if idx.idx == nil {
-		// A table's vocabulary: an Extend's appends must not reach it.
-		*list = slices.Clip(u.Labels)
-		idx.idx = make(map[string]int32, len(u.Labels))
-		for k, label := range u.Labels {
-			idx.idx[label] = int32(k)
-		}
-	}
-	return u.Of
+	return ids
 }

@@ -3,7 +3,6 @@ package triple
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -112,16 +111,9 @@ var (
 	ProvenanceKey = Grouping{Fields: []Field{fieldExtractor, fieldWebsite, fieldPredicate, fieldPattern}}
 )
 
-// ProvenanceWebsite returns the website of a ProvenanceKey label; a label
-// without the separator is returned whole.
-func ProvenanceWebsite(label string) string {
-	_, rest, ok := strings.Cut(label, "\x1f")
-	if !ok {
-		return label
-	}
-	site, _, _ := strings.Cut(rest, "\x1f")
-	return site
-}
+// ProvenanceWebsite returns the website of a ProvenanceKey unit: its label's
+// second part.
+func ProvenanceWebsite(l Label) string { return l.Part(1) }
 
 // Dataset accumulates raw extraction records plus, optionally, the triples
 // each source truly provides (ground truth available from simulators and the
@@ -187,11 +179,13 @@ type Observation struct {
 // source/extractor granularity. It is immutable after Compile (and after
 // Extend, which builds a child snapshot without mutating its parent).
 //
-// Every dense id it stores — in Obs, Triples, PredOfItem and the four
-// inverted indexes — is an int32, half the width of an int: a snapshot holds
-// at most math.MaxInt32 observations, and every label, item and triple comes
-// from one. ItemValues alone keeps int rows, which its readers search with
-// sort.SearchInts.
+// A snapshot holds ids, not labels: it keeps a clip of the table it was built
+// on, every row it compiled and no other, and reads every label from it
+// (Source, Item, Value, ... in vocab.go). Every dense id it stores — in Obs,
+// Triples, Items, PredOfItem and the four inverted indexes — is an int32, half
+// the width of an int: a snapshot holds at most math.MaxInt32 observations,
+// and every unit, item and triple comes from one. ItemValues alone keeps int
+// rows, which its readers search with sort.SearchInts.
 //
 // Canonical order: observations, candidate triples and all dense ids follow
 // the first appearance of their label/cell in record order. Because records
@@ -202,28 +196,23 @@ type Observation struct {
 type Snapshot struct {
 	Obs []Observation
 
-	Sources    []string // source-unit labels, indexed by Observation.W
-	Extractors []string // extractor-unit labels, indexed by Observation.E
-	Items      []string // data-item keys, indexed by Observation.D
-	Values     []string // value labels, indexed by Observation.V
+	// Items lists each data item's first row in the table: its subject and
+	// predicate are that row's (Item).
+	Items []int32
 
-	// Predicates interns the predicate vocabulary; PredOfItem maps each
-	// data item to its predicate id. The multi-layer model scopes extractor
-	// absence votes by (source, predicate) cells.
-	Predicates []string
+	// PredOfItem maps each data item to its predicate's id, its table id
+	// (Predicate). The multi-layer model scopes extractor absence votes by
+	// (source, predicate) cells.
 	PredOfItem []int32
 
-	sourceIdx    *internTable
-	extractorIdx *internTable
-	itemIdx      *internTable
-	valueIdx     *internTable
-	predIdx      *internTable
-
-	// sourceKey and extractorKey are the field groupings the snapshot was
-	// built on, which ExtendTable goes on applying to new rows. A snapshot
-	// built on Units keeps neither and cannot extend: units assign the
-	// records built, and are no rule for new ones.
-	sourceKey, extractorKey Grouping
+	// table is the clip of the records the snapshot compiled. The units are
+	// the five kinds of id and their groupings: sources and extractors at the
+	// build's granularity, which an Extend goes on applying to new rows, items
+	// at (subject, predicate), values at object and predicates at predicate.
+	// A snapshot built on Units cannot extend: units assign the records built,
+	// and are no rule for new ones.
+	table                                          *Table
+	sources, extractors, items, values, predicates units
 
 	// delta, set only on snapshots built by Extend, records the parent table
 	// sizes, the in-place confidence raises and the grown value rows — all
@@ -232,10 +221,11 @@ type Snapshot struct {
 
 	// tailClaimed grants the first Extend of this snapshot the right to
 	// append into spare capacity instead of copying: of the flat append-only
-	// tables (Obs, Triples, labels, PredOfItem), of the outer arrays of
-	// ItemValues and the four inverted indexes, and of each of their rows. One
-	// claimant per parent makes the lineage that appends in place a chain,
-	// and no snapshot reads past its own lengths; later Extends copy (forkRows).
+	// tables (Obs, Triples, Items, PredOfItem, the units' first rows, and the
+	// table an Extend over records grows), of the outer arrays of ItemValues
+	// and the four inverted indexes, and of each of their rows. One claimant
+	// per parent makes the lineage that appends in place a chain, and no
+	// snapshot reads past its own lengths; later Extends copy (forkRows).
 	// An adopted array is unshared before the build writes below the parent's
 	// length: obsShared marks Obs, rowTable.shared the row tables.
 	tailClaimed atomic.Bool
@@ -296,91 +286,6 @@ func (d *Dataset) Compile(opt CompileOptions) *Snapshot {
 	}
 	return t.Compile(grouping(opt.SourceLabels, opt.SourceKey, SourceKeyFinest),
 		grouping(opt.ExtractorLabels, opt.ExtractorKey, ExtractorKeyFinest))
-}
-
-// The intern methods resolve a record of an Extend to its unit's dense id, on
-// first sight growing the vocabulary and the row tables indexed by it (values,
-// which index no rows, are interned directly).
-
-func (s *Snapshot) internExtractor(key string) int32 {
-	e := s.extractorIdx.intern(&s.Extractors, key)
-	if int(e) == len(s.ObsOfExtractor) {
-		s.ObsOfExtractor = append(s.ObsOfExtractor, nil)
-	}
-	return e
-}
-
-func (s *Snapshot) internSource(key string) int32 {
-	w := s.sourceIdx.intern(&s.Sources, key)
-	if int(w) == len(s.TriplesOfSource) {
-		s.TriplesOfSource = append(s.TriplesOfSource, nil)
-	}
-	return w
-}
-
-func (s *Snapshot) internItem(key, predicate string) int32 {
-	d := s.itemIdx.intern(&s.Items, key)
-	if int(d) == len(s.PredOfItem) {
-		s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, predicate))
-		s.TriplesOfItem = append(s.TriplesOfItem, nil)
-		s.ItemValues = append(s.ItemValues, nil)
-	}
-	return d
-}
-
-// internTable interns labels into dense ids with copy-on-write layering:
-// a child table records only the labels first seen after the fork and
-// delegates older labels to its parent chain. Layers merge geometrically (see
-// child), so a chain is O(log n) deep however long the Extend lineage.
-type internTable struct {
-	idx    map[string]int32 // nil until the layer's first label
-	parent *internTable
-}
-
-// child forks a copy-on-write layer over t, which is read-only from here on
-// (the parent snapshot keeps looking labels up in it). A top layer at least
-// half the size of the one below is first folded into it — into a fresh map,
-// t's holders keep theirs — and an empty one is skipped: layer sizes more than
-// double down the chain, so it is O(log n) deep and re-inserts a label as often.
-func (t *internTable) child() *internTable {
-	for t.parent != nil && 2*len(t.idx) >= len(t.parent.idx) {
-		under := t.parent
-		idx := make(map[string]int32, len(t.idx)+len(under.idx))
-		maps.Copy(idx, under.idx)
-		maps.Copy(idx, t.idx)
-		t = &internTable{idx: idx, parent: under.parent}
-	}
-	if len(t.idx) == 0 && t.parent != nil {
-		t = t.parent
-	}
-	return &internTable{parent: t}
-}
-
-func (t *internTable) lookup(key string) (int32, bool) {
-	for tt := t; tt != nil; tt = tt.parent {
-		if i, ok := tt.idx[key]; ok {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// intern returns the id of key, assigning the next dense id (and appending
-// the label to list) on first sight. The table keeps a copy of the key, so a
-// key that is part of a larger string (a field of a record decoded from a
-// batch body, say) does not keep that string alive.
-func (t *internTable) intern(list *[]string, key string) int32 {
-	if i, ok := t.lookup(key); ok {
-		return i
-	}
-	key = strings.Clone(key)
-	i := nextID(len(*list))
-	if t.idx == nil {
-		t.idx = make(map[string]int32)
-	}
-	t.idx[key] = i
-	*list = append(*list, key)
-	return i
 }
 
 // appender is the transient per-call state of the one build path Compile
@@ -808,38 +713,6 @@ func (s *Snapshot) ParentDelta() (Delta, bool) {
 	return *s.delta, true
 }
 
-// SourceID returns the dense id of a source label, or -1 if absent.
-func (s *Snapshot) SourceID(label string) int {
-	if i, ok := s.sourceIdx.lookup(label); ok {
-		return int(i)
-	}
-	return -1
-}
-
-// ExtractorID returns the dense id of an extractor label, or -1 if absent.
-func (s *Snapshot) ExtractorID(label string) int {
-	if i, ok := s.extractorIdx.lookup(label); ok {
-		return int(i)
-	}
-	return -1
-}
-
-// ItemID returns the dense id of a data-item key, or -1 if absent.
-func (s *Snapshot) ItemID(subject, predicate string) int {
-	if i, ok := s.itemIdx.lookup(subject + "\x1f" + predicate); ok {
-		return int(i)
-	}
-	return -1
-}
-
-// ValueID returns the dense id of a value label, or -1 if absent.
-func (s *Snapshot) ValueID(label string) int {
-	if i, ok := s.valueIdx.lookup(label); ok {
-		return int(i)
-	}
-	return -1
-}
-
 // TripleIndex returns the candidate-triple index for (w,d,v), or -1.
 func (s *Snapshot) TripleIndex(w, d, v int) int {
 	for _, ti := range s.TriplesOfItem[d] {
@@ -854,5 +727,5 @@ func (s *Snapshot) TripleIndex(w, d, v int) int {
 // Stats returns a short human-readable summary of the snapshot.
 func (s *Snapshot) Stats() string {
 	return fmt.Sprintf("%d observations, %d candidate triples, %d sources, %d extractors, %d items, %d values",
-		len(s.Obs), len(s.Triples), len(s.Sources), len(s.Extractors), len(s.Items), len(s.Values))
+		len(s.Obs), len(s.Triples), s.NumSources(), s.NumExtractors(), len(s.Items), s.NumValues())
 }

@@ -66,11 +66,8 @@ func TestKeyFunctions(t *testing.T) {
 	if subj, pred := SplitItemKey("Obama"); subj != "Obama" || pred != "" {
 		t.Errorf("SplitItemKey without a separator = %q, %q", subj, pred)
 	}
-	if site := ProvenanceWebsite(ProvenanceKey.Label(r)); site != "wiki.com" {
+	if site := ProvenanceWebsite(tab.Compile(ProvenanceKey, ExtractorKeyName).Source(0)); site != "wiki.com" {
 		t.Errorf("ProvenanceWebsite(ProvenanceKey) = %q", site)
-	}
-	if site := ProvenanceWebsite("wiki.com"); site != "wiki.com" {
-		t.Errorf("ProvenanceWebsite without a separator = %q", site)
 	}
 }
 
@@ -85,7 +82,7 @@ func TestCompileBasic(t *testing.T) {
 	if len(s.Obs) != 4 {
 		t.Fatalf("obs = %d, want 4", len(s.Obs))
 	}
-	if len(s.Sources) != 2 || len(s.Extractors) != 2 || len(s.Items) != 2 || len(s.Values) != 3 {
+	if s.NumSources() != 2 || s.NumExtractors() != 2 || len(s.Items) != 2 || s.NumValues() != 3 {
 		t.Fatalf("unexpected dims: %s", s.Stats())
 	}
 	if len(s.Triples) != 3 {
@@ -142,16 +139,16 @@ func TestGranularityChangesSourceCount(t *testing.T) {
 	d.Add(rec("E1", "w1", "w1/p3", "s3", "p2", "o3", 1))
 
 	coarse := d.Compile(CompileOptions{SourceKey: SourceKeyWebsite})
-	if len(coarse.Sources) != 1 {
-		t.Errorf("website granularity sources = %d, want 1", len(coarse.Sources))
+	if coarse.NumSources() != 1 {
+		t.Errorf("website granularity sources = %d, want 1", coarse.NumSources())
 	}
 	mid := d.Compile(CompileOptions{SourceKey: Grouping{Fields: []Field{fieldWebsite, fieldPredicate}}})
-	if len(mid.Sources) != 2 {
-		t.Errorf("website|predicate sources = %d, want 2", len(mid.Sources))
+	if mid.NumSources() != 2 {
+		t.Errorf("website|predicate sources = %d, want 2", mid.NumSources())
 	}
 	fine := d.Compile(CompileOptions{SourceKey: SourceKeyFinest})
-	if len(fine.Sources) != 3 {
-		t.Errorf("finest sources = %d, want 3", len(fine.Sources))
+	if fine.NumSources() != 3 {
+		t.Errorf("finest sources = %d, want 3", fine.NumSources())
 	}
 }
 

@@ -276,8 +276,10 @@ func (m *tableMerge) add(b *tsvBlock) {
 
 // table joins the merged blocks' columns into the table's, one field at a
 // time, each at its final length, letting each block's column go once copied.
+// The table builds its label index on first use (Table.labelIndex).
 func (m *tableMerge) table() *Table {
 	t := m.t
+	t.lazy = new(sync.Once)
 	for f := range numFields {
 		t.ids[f] = make([]int32, 0, m.n)
 		for _, b := range m.blocks {

@@ -258,7 +258,7 @@ type Result struct {
 func (r *Result) source(w int) Source {
 	kbtScore, ok := r.res.KBT(w, r.opt.MinReportableTriples)
 	return Source{
-		Name:            displayLabel(r.snap.Sources[w]),
+		Name:            displayLabel(r.snap.Source(w)),
 		KBT:             kbtScore,
 		ExpectedTriples: r.res.ExpectedTriplesAt(w),
 		Reportable:      ok,
@@ -277,12 +277,12 @@ func srcLess(a, b Source) bool {
 
 // srcBefore is srcLess over dense source ids, dense id last — the order
 // Sources' stable sort produces — without building either Source: the name
-// comparison reads the internal labels as displayLabel renders them.
+// comparison reads the labels' parts as displayLabel renders them.
 func (r *Result) srcBefore(a, b int) bool {
 	if ka, kb := r.res.AAt(a), r.res.AAt(b); ka != kb {
 		return ka > kb
 	}
-	if c := displayCompare(r.snap.Sources[a], r.snap.Sources[b]); c != 0 {
+	if c := displayCompare(r.snap.Source(a), r.snap.Source(b)); c != 0 {
 		return c < 0
 	}
 	return a < b
@@ -293,8 +293,8 @@ func (r *Result) srcBefore(a, b int) bool {
 // callers must treat it as read-only.
 func (r *Result) Sources() []Source {
 	r.srcOnce.Do(func() {
-		out := make([]Source, 0, len(r.snap.Sources))
-		for w := range r.snap.Sources {
+		out := make([]Source, 0, r.snap.NumSources())
+		for w := range r.snap.NumSources() {
 			out = append(out, r.source(w))
 		}
 		sort.SliceStable(out, func(i, j int) bool { return srcLess(out[i], out[j]) })
@@ -305,7 +305,7 @@ func (r *Result) Sources() []Source {
 }
 
 // NumSources returns the number of scored sources, the length of Sources.
-func (r *Result) NumSources() int { return len(r.snap.Sources) }
+func (r *Result) NumSources() int { return r.snap.NumSources() }
 
 // TopSources returns the k most trustworthy sources (the first k entries of
 // Sources' ordering) without sorting the whole corpus: when the full sorted
@@ -314,7 +314,7 @@ func (r *Result) NumSources() int { return len(r.snap.Sources) }
 // or k >= n returns the full view. The slice is shared or freshly selected —
 // treat it as read-only.
 func (r *Result) TopSources(k int) []Source {
-	n := len(r.snap.Sources)
+	n := r.snap.NumSources()
 	if k <= 0 || k >= n {
 		return r.Sources()
 	}
@@ -347,8 +347,8 @@ func (r *Result) SourceByName(name string) (Source, bool) {
 			// probes covered the all-literal and all-join readings; only a
 			// mixed label needs the scan, and only '|'-bearing names can
 			// ever reach it.
-			for wi, n := range r.snap.Sources {
-				if displayLabel(n) == name {
+			for wi := range r.snap.NumSources() {
+				if displayLabel(r.snap.Source(wi)) == name {
 					w = wi
 					break
 				}
@@ -394,14 +394,14 @@ func topTriLess(a, b TripleVerdict) bool {
 // forEachVerdict streams every covered candidate triple's verdict to fn.
 func (r *Result) forEachVerdict(fn func(TripleVerdict)) {
 	for d := range r.snap.Items {
-		subj, pred := triple.SplitItemKey(r.snap.Items[d])
+		subj, pred := r.snap.ItemFields(d)
 		for _, v := range r.snap.ItemValues[d] {
 			p, covered := r.res.TripleProb(d, v)
 			if !covered {
 				continue
 			}
 			fn(TripleVerdict{
-				Subject: subj, Predicate: pred, Object: r.snap.Values[v],
+				Subject: subj, Predicate: pred, Object: r.snap.Value(v),
 				Probability: p,
 			})
 		}
@@ -458,10 +458,10 @@ func (r *Result) TripleProbability(subject, predicate, object string) (float64, 
 // name. The view is computed once per Result and shared — read-only.
 func (r *Result) Extractors() []ExtractorQuality {
 	r.extOnce.Do(func() {
-		out := make([]ExtractorQuality, 0, len(r.snap.Extractors))
-		for e, name := range r.snap.Extractors {
+		out := make([]ExtractorQuality, 0, r.snap.NumExtractors())
+		for e := range r.snap.NumExtractors() {
 			out = append(out, ExtractorQuality{
-				Name:      displayLabel(name),
+				Name:      displayLabel(r.snap.Extractor(e)),
 				Precision: r.res.PAt(e),
 				Recall:    r.res.RAt(e),
 			})
@@ -565,8 +565,8 @@ func copyDependences(snap *triple.Snapshot, deps []copydetect.Dependence) []Copy
 	out := make([]CopyDependence, len(deps))
 	for i, d := range deps {
 		out[i] = CopyDependence{
-			SourceA:    displayLabel(snap.Sources[d.A]),
-			SourceB:    displayLabel(snap.Sources[d.B]),
+			SourceA:    displayLabel(snap.Source(d.A)),
+			SourceB:    displayLabel(snap.Source(d.B)),
 			Posterior:  d.Posterior,
 			SharedTrue: d.SharedTrue, SharedFalse: d.SharedFalse, Differ: d.Differ,
 		}
@@ -635,10 +635,10 @@ func (r *FusionResult) forEachVerdict(fn func(TripleVerdict)) {
 		if !r.res.CoveredItem[d] {
 			continue
 		}
-		subj, pred := triple.SplitItemKey(r.snap.Items[d])
+		subj, pred := r.snap.ItemFields(d)
 		for k, v := range r.snap.ItemValues[d] {
 			fn(TripleVerdict{
-				Subject: subj, Predicate: pred, Object: r.snap.Values[v],
+				Subject: subj, Predicate: pred, Object: r.snap.Value(v),
 				Probability: r.res.ValueProb[d][k],
 			})
 		}
@@ -688,7 +688,7 @@ func (r *FusionResult) TopTriples(k int) []TripleVerdict {
 // the multi-layer model removes.
 func (r *FusionResult) WebsiteAccuracy() map[string]float64 {
 	return fusion.AggregateSourceAccuracy(r.snap, r.res, func(w int) string {
-		return triple.ProvenanceWebsite(r.snap.Sources[w])
+		return triple.ProvenanceWebsite(r.snap.Source(w))
 	})
 }
 
@@ -722,25 +722,52 @@ func FuseSingleLayer(ds *Dataset, opt FusionOptions) (*FusionResult, error) {
 	return &FusionResult{snap: snap, res: res}, nil
 }
 
-// displayLabel renders internal \x1f-joined unit labels with "|".
-func displayLabel(label string) string {
-	return strings.ReplaceAll(label, "\x1f", "|")
+// displayLabel renders a unit's label for display: the parts joined with "|",
+// and a "\x1f" inside a part read as "|" too.
+func displayLabel(l triple.Label) string {
+	return strings.ReplaceAll(l.Join("|"), "\x1f", "|")
 }
 
-// displayCompare compares two internal labels as their display labels
-// compare, byte by byte with \x1f read as '|': the mapping is per byte and
-// keeps lengths, so neither label has to be built.
-func displayCompare(a, b string) int {
-	shown := func(c byte) byte {
-		if c == '\x1f' {
-			return '|'
-		}
-		return c
-	}
-	for i := range min(len(a), len(b)) {
-		if x, y := shown(a[i]), shown(b[i]); x != y {
+// displayCompare compares two labels as their display labels compare, byte by
+// byte, without building either.
+func displayCompare(a, b triple.Label) int {
+	ca, cb := displayCursor{l: a}, displayCursor{l: b}
+	for {
+		x, okx := ca.next()
+		y, oky := cb.next()
+		switch {
+		case !okx && !oky:
+			return 0
+		case !okx:
+			return -1
+		case !oky:
+			return 1
+		case x != y:
 			return cmp.Compare(x, y)
 		}
 	}
-	return cmp.Compare(len(a), len(b))
+}
+
+// displayCursor reads a label's display bytes one at a time: each part's, a
+// "\x1f" read as '|', and a '|' between parts.
+type displayCursor struct {
+	l    triple.Label
+	k, i int // part k, byte i
+}
+
+func (c *displayCursor) next() (byte, bool) {
+	part := c.l.Part(c.k)
+	if c.i == len(part) {
+		if c.k+1 == c.l.Len() {
+			return 0, false
+		}
+		c.k, c.i = c.k+1, 0
+		return '|', true
+	}
+	b := part[c.i]
+	c.i++
+	if b == '\x1f' {
+		b = '|'
+	}
+	return b, true
 }

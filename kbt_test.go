@@ -449,11 +449,27 @@ func TestDatasetLen(t *testing.T) {
 }
 
 func TestDisplayLabel(t *testing.T) {
-	if displayLabel("a\x1fb\x1fc") != "a|b|c" {
-		t.Error("displayLabel")
+	snap := triple.TableOf([]triple.Record{
+		{Extractor: "plain", Website: "a\x1fb", Predicate: "c", Page: "d", Subject: "s", Object: "o"},
+		{Extractor: "plain", Website: "a", Predicate: "b|c", Page: "d", Subject: "s", Object: "o"},
+		{Extractor: "plain", Website: "a", Predicate: "b", Page: "", Subject: "s", Object: "o"},
+	}).Compile(triple.SourceKeyFinest, triple.ExtractorKeyName)
+	if got := displayLabel(snap.Source(0)); got != "a|b|c|d" {
+		t.Errorf("displayLabel = %q", got)
 	}
-	if displayLabel("plain") != "plain" {
-		t.Error("displayLabel plain")
+	if got := displayLabel(snap.Extractor(0)); got != "plain" {
+		t.Errorf("displayLabel plain = %q", got)
+	}
+	// displayCompare orders labels as their display forms do.
+	for a := range snap.NumSources() {
+		for b := range snap.NumSources() {
+			if got, want := displayCompare(snap.Source(a), snap.Source(b)), strings.Compare(displayLabel(snap.Source(a)), displayLabel(snap.Source(b))); got != want {
+				t.Errorf("displayCompare(%q, %q) = %d, want %d", displayLabel(snap.Source(a)), displayLabel(snap.Source(b)), got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { displayCompare(snap.Source(0), snap.Source(1)) }); n != 0 {
+		t.Errorf("displayCompare allocates %v times a call", n)
 	}
 }
 
